@@ -23,8 +23,8 @@ use adapipe_state::StateCodec;
 use std::marker::PhantomData;
 
 /// A fully built, type-checked pipeline: erased stage functions plus the
-/// cost metadata, and — when the spec's stage graph has parallel
-/// blocks — one fan-out duplicator per block (in block order). Keyed
+/// cost metadata, and one fan-out duplicator per fan block of the spec's
+/// stage graph (in block order; none for a linear pipeline). Keyed
 /// stages additionally carry their erased key extractor so the routing
 /// hot path can pick the destination shard per item.
 pub struct Pipeline<I, O> {
@@ -55,7 +55,7 @@ impl<I, O> Pipeline<I, O> {
     /// engines take ownership of both.
     ///
     /// # Panics
-    /// Panics if the stage graph has parallel blocks (their fan-out
+    /// Panics if the stage graph is not a chain (its fan-out
     /// duplicators would be lost); use [`Pipeline::into_graph_parts`].
     pub fn into_parts(self) -> (PipelineSpec, Vec<Box<dyn DynStage>>) {
         assert!(
@@ -102,7 +102,7 @@ impl<I, O> Pipeline<I, O> {
     ///
     /// # Panics
     /// Panics if `stages` is empty, its length disagrees with `spec`,
-    /// or the spec's graph has parallel blocks (those need fan-out
+    /// or the spec's graph is not a chain (fan blocks need fan-out
     /// duplicators; use [`Pipeline::from_graph_parts`]).
     pub fn from_parts(spec: PipelineSpec, stages: Vec<Box<dyn DynStage>>) -> Self {
         assert!(
@@ -113,15 +113,15 @@ impl<I, O> Pipeline<I, O> {
     }
 
     /// Reassembles a pipeline from a spec, matching stage functions, and
-    /// one fan-out duplicator per parallel block of the spec's graph.
-    /// The caller asserts the same type discipline as
-    /// [`Pipeline::from_parts`], plus: each merge stage accepts the
-    /// joined `Vec` of its branch outputs, and each fan-out duplicates
-    /// the item type entering its block.
+    /// one fan-out duplicator per fan block of the spec's graph. The
+    /// caller asserts the same type discipline as
+    /// [`Pipeline::from_parts`], plus: each joining stage accepts the
+    /// `Vec` of its inputs in slot order, and each fan-out duplicates
+    /// the item type its source produces.
     ///
     /// # Panics
     /// Panics if `stages` is empty, its length disagrees with `spec`,
-    /// or `fanouts` does not cover the graph's parallel blocks.
+    /// or `fanouts` does not cover the graph's fan blocks.
     pub fn from_graph_parts(
         spec: PipelineSpec,
         stages: Vec<Box<dyn DynStage>>,
@@ -150,7 +150,7 @@ impl<I, O> Pipeline<I, O> {
         assert_eq!(
             spec.graph.blocks(),
             fanouts.len(),
-            "need one fan-out per parallel block"
+            "need one fan-out per fan block"
         );
         assert_eq!(spec.len(), keys.len(), "keys must cover every stage");
         Pipeline {
@@ -236,15 +236,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
             .push(Box::new(FnStage::new(spec.name.clone(), f)));
         self.spec_stages.push(spec);
         self.keys.push(None);
-        PipelineBuilder {
-            spec_stages: self.spec_stages,
-            stages: self.stages,
-            keys: self.keys,
-            input_bytes: self.input_bytes,
-            source: self.source,
-            sink: self.sink,
-            _types: PhantomData,
-        }
+        self.retype()
     }
 
     /// Appends a stateful stage with *opaque* closure state: it will
@@ -266,15 +258,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
             .push(Box::new(StatefulFnStage::new(spec.name.clone(), f)));
         self.spec_stages.push(spec);
         self.keys.push(None);
-        PipelineBuilder {
-            spec_stages: self.spec_stages,
-            stages: self.stages,
-            keys: self.keys,
-            input_bytes: self.input_bytes,
-            source: self.source,
-            sink: self.sink,
-            _types: PhantomData,
-        }
+        self.retype()
     }
 
     /// Appends a stage with *keyed* state: `key` hashes each item to a
@@ -307,15 +291,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
         self.keys.push(Some(stage.routing_key()));
         self.stages.push(Box::new(stage));
         self.spec_stages.push(spec);
-        PipelineBuilder {
-            spec_stages: self.spec_stages,
-            stages: self.stages,
-            keys: self.keys,
-            input_bytes: self.input_bytes,
-            source: self.source,
-            sink: self.sink,
-            _types: PhantomData,
-        }
+        self.retype()
     }
 
     /// Appends an already-erased stage (with optional routing key) under
@@ -333,6 +309,11 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
         self.stages.push(stage);
         self.spec_stages.push(spec);
         self.keys.push(key);
+        self.retype()
+    }
+
+    /// The same declaration with `Out` as the current item type.
+    fn retype<Out>(self) -> PipelineBuilder<In, Out> {
         PipelineBuilder {
             spec_stages: self.spec_stages,
             stages: self.stages,

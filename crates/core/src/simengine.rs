@@ -408,13 +408,9 @@ impl<'a> SimStepper<'a> {
         let bytes_into = (0..ns)
             .map(|s| spec.graph.feed_bytes(s, &boundary))
             .collect();
-        let entry_stages = match spec.graph.entry() {
-            Next::Stage(stage) => vec![stage],
-            Next::FanOut { block } => spec.graph.branch_entries(block),
-            _ => unreachable!("pipelines enter at a stage or a fan-out"),
-        };
+        let entry_stages = spec.graph.entries().to_vec();
         let block_entries = (0..spec.graph.blocks())
-            .map(|b| spec.graph.branch_entries(b))
+            .map(|b| spec.graph.fan_targets(b).iter().map(|t| t.stage).collect())
             .collect();
         let world = SimWorld {
             grid,
@@ -816,7 +812,7 @@ impl SimWorld<'_> {
                 // A merge stage serves one *joined* task per item: count
                 // the branch outputs as they land and enqueue only the
                 // last one.
-                let needed = self.spec.graph.branch_count(block);
+                let needed = self.spec.graph.join_width(block);
                 let count = self.join_arrived.entry((block, item)).or_insert(0);
                 *count += 1;
                 if *count < needed {

@@ -2,17 +2,17 @@
 //!
 //! A [`PipelineSpec`] describes each stage's *cost shape* — expected work
 //! per item, output size, migratable state size, statefulness — without
-//! reference to any particular engine. Both the simulated engine and the
-//! threaded engine consume the same spec; the mapper sees it through
-//! [`PipelineSpec::profile`].
+//! reference to any particular engine — plus the [`StageGraph`] that
+//! wires the stages: one DAG, whether it was declared through the chain
+//! and parallel-block sugar or edge by edge. Both the simulated engine
+//! and the threaded engine consume the same spec; the mapper sees it
+//! through [`PipelineSpec::profile`].
 
 use adapipe_gridsim::node::NodeId;
 use adapipe_gridsim::rng::{mix, unit_f64};
 use adapipe_mapper::model::PipelineProfile;
 
-pub use adapipe_mapper::graph::{
-    DagGraphBuilder, Feed, GraphError, Next, Segment, StageGraph, StageGraphBuilder,
-};
+pub use adapipe_mapper::graph::{DagGraphBuilder, GraphError, Next, StageGraph, StageGraphBuilder};
 pub use adapipe_runtime::session::ResiliencePolicy;
 pub use adapipe_state::StateAccess;
 
@@ -109,7 +109,9 @@ pub struct StageSpec {
     /// migrate off a dying node instead of aborting the run.
     pub state: StateAccess,
     /// Per-item failure handling (retries, timeout, dead-letter,
-    /// trace); the default is the historical fail-fast behaviour.
+    /// trace). The default is fail-fast: the first item a fallible
+    /// stage rejects ends the run with `RunError::PoisonItem`
+    /// (`attempts == 1`) on either backend.
     pub resilience: ResiliencePolicy,
 }
 
@@ -227,13 +229,11 @@ impl std::fmt::Debug for StageSpec {
 /// A complete engine-agnostic pipeline description.
 #[derive(Clone, Debug)]
 pub struct PipelineSpec {
-    /// The stages in *flattened* order (chain stages in series; inside a
-    /// parallel block: branch 0's stages, branch 1's, …, then the merge
-    /// stage).
+    /// The stages, indexed by stage id (the sugar builders number them
+    /// in declaration order: chain stages in series; inside a parallel
+    /// block: branch 0's stages, branch 1's, …, then the merge stage).
     pub stages: Vec<StageSpec>,
-    /// The series-parallel shape over the flattened stage ids. A linear
-    /// pipeline carries [`StageGraph::linear`] and behaves exactly as
-    /// before the graph existed.
+    /// The DAG wiring the stage ids together.
     pub graph: StageGraph,
     /// Bytes each input item carries into the entry stage(s).
     pub input_bytes: u64,
@@ -263,12 +263,12 @@ impl PipelineSpec {
         }
     }
 
-    /// Builds a spec whose stages (in flattened order) follow an
-    /// explicit series-parallel `graph` — branch spans fan out in
-    /// parallel and rejoin at their merge stage.
+    /// Builds a spec whose stages are wired by `graph` — any DAG, from
+    /// either graph builder.
     ///
     /// # Panics
-    /// Panics if `stages` is empty or `graph` does not tile it.
+    /// Panics if `stages` is empty or `graph` covers a different number
+    /// of stages.
     pub fn with_graph(stages: Vec<StageSpec>, graph: StageGraph) -> Self {
         assert!(!stages.is_empty(), "pipeline needs at least one stage");
         graph.validate(stages.len());

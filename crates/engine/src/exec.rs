@@ -1841,7 +1841,9 @@ where
     let bytes_into = (0..ns)
         .map(|s| spec.graph.feed_bytes(s, &boundary))
         .collect();
-    let block_entries = (0..blocks).map(|b| spec.graph.branch_entries(b)).collect();
+    let block_entries = (0..blocks)
+        .map(|b| spec.graph.fan_targets(b).iter().map(|t| t.stage).collect())
+        .collect();
     // Depot: one slot per stage, except keyed stages get one per shard —
     // the built instance takes slot 0 and fresh (empty) shells seed the
     // rest; each shard accumulates exactly the keys routed to it.
@@ -2682,7 +2684,7 @@ fn deposit_join(
         return None;
     }
     let mut joins = shared.joins[block].lock().expect("join lock poisoned");
-    let k = shared.spec.graph.branch_count(block);
+    let k = shared.spec.graph.join_width(block);
     let slots = joins
         .entry(seq)
         .or_insert_with(|| (0..k).map(|_| None).collect());
@@ -2750,31 +2752,7 @@ fn process_resilient(
                 }
                 return ResilientOut::Done(out);
             }
-            Err(StageError::Type(type_err)) => {
-                shared.control.fail(RunError::StageTypeMismatch {
-                    stage: type_err.stage,
-                });
-                fatal_teardown(shared);
-                return ResilientOut::Fatal;
-            }
-            Err(StageError::Item { reason, item }) => {
-                if attempt > policy.max_retries {
-                    if policy.dead_letter {
-                        shared.divert_dead(seq, stage, attempt, reason);
-                        return ResilientOut::Dead;
-                    }
-                    // No dead-letter channel declared: a poison item is
-                    // fatal for the session, with a typed error naming
-                    // the stage and the give-up attempt count.
-                    shared.control.fail(RunError::PoisonItem {
-                        stage: shared.spec.stages[stage].name.clone(),
-                        seq,
-                        attempts: attempt,
-                        reason,
-                    });
-                    fatal_teardown(shared);
-                    return ResilientOut::Fatal;
-                }
+            Err(StageError::Item { item, .. }) if attempt <= policy.max_retries => {
                 shared.retries.fetch_add(1, Ordering::Relaxed);
                 let delay = policy.backoff_delay(attempt);
                 if delay.as_secs_f64() > 0.0 {
@@ -2783,8 +2761,38 @@ fn process_resilient(
                 payload = item;
                 attempt += 1;
             }
+            Err(StageError::Item { reason, .. }) if policy.dead_letter => {
+                shared.divert_dead(seq, stage, attempt, reason);
+                return ResilientOut::Dead;
+            }
+            Err(err) => {
+                fail_stage(shared, stage, seq, attempt, err);
+                return ResilientOut::Fatal;
+            }
         }
     }
+}
+
+/// Fails the session over a stage error no policy absorbs, typed, and
+/// tears it down — never kills the worker thread and hangs everyone
+/// blocked on it. A wrong-typed item is a pipeline assembly bug
+/// ([`RunError::StageTypeMismatch`]); an item the stage rejected with
+/// its retry budget spent and no dead-letter channel declared is
+/// [`RunError::PoisonItem`] naming the stage and the give-up attempt
+/// count — `attempts == 1` under the default policy, on every path.
+fn fail_stage(shared: &Arc<Shared>, stage: usize, seq: u64, attempts: u32, err: StageError) {
+    shared.control.fail(match err {
+        StageError::Type(type_err) => RunError::StageTypeMismatch {
+            stage: type_err.stage,
+        },
+        StageError::Item { reason, .. } => RunError::PoisonItem {
+            stage: shared.spec.stages[stage].name.clone(),
+            seq,
+            attempts,
+            reason,
+        },
+    });
+    fatal_teardown(shared);
 }
 
 /// A worker's per-tenant stage-fusion plan, recomputed lazily per
@@ -2849,31 +2857,28 @@ impl FusionPlan {
     }
 }
 
-/// Runs one payload through every instance of a fused chain in order.
-/// With `samp`, each hop is clock-stamped and its duration written
-/// there (the fast path measures one item per window this way to split
-/// window time across the chain's stages). `None` means a type
-/// mismatch: the session is already failed and torn down, and the
-/// caller must abandon its batch.
+/// Runs item `seq`'s payload through every instance of the fused chain
+/// `chain` in order, under the default (fail-fast) policy. With `samp`,
+/// each hop is clock-stamped and its duration written there (the fast
+/// path measures one item per window this way to split window time
+/// across the chain's stages). `None` means a stage failed
+/// ([`fail_stage`]): the session is already failed and torn down, and
+/// the caller must abandon its batch.
 fn run_chain(
     insts: &mut [Box<dyn DynStage>],
+    chain: &[usize],
     shared: &Arc<Shared>,
+    seq: u64,
     mut out: BoxedItem,
     samp: Option<&mut [Duration]>,
 ) -> Option<BoxedItem> {
-    // A wrong-typed item is a pipeline assembly bug, but it must fail
-    // the *session* with a typed error — not kill this worker thread
-    // and hang everyone blocked on it.
     match samp {
         None => {
-            for inst in insts.iter_mut() {
-                match inst.process(out) {
+            for (inst, &cs) in insts.iter_mut().zip(chain) {
+                match inst.try_process(out) {
                     Ok(o) => out = o,
-                    Err(type_err) => {
-                        shared.control.fail(RunError::StageTypeMismatch {
-                            stage: type_err.stage,
-                        });
-                        fatal_teardown(shared);
+                    Err(err) => {
+                        fail_stage(shared, cs, seq, 1, err);
                         return None;
                     }
                 }
@@ -2882,13 +2887,10 @@ fn run_chain(
         Some(samp) => {
             let mut t_prev = Instant::now();
             for (ci, inst) in insts.iter_mut().enumerate() {
-                match inst.process(out) {
+                match inst.try_process(out) {
                     Ok(o) => out = o,
-                    Err(type_err) => {
-                        shared.control.fail(RunError::StageTypeMismatch {
-                            stage: type_err.stage,
-                        });
-                        fatal_teardown(shared);
+                    Err(err) => {
+                        fail_stage(shared, chain[ci], seq, 1, err);
                         return None;
                     }
                 }
@@ -3121,10 +3123,17 @@ fn process_batch(
                     continue;
                 }
                 let out = if sampled {
-                    run_chain(&mut insts, shared, slot.payload, None)
+                    run_chain(&mut insts, &chain, shared, slot.seq, slot.payload, None)
                 } else {
                     sampled = true;
-                    run_chain(&mut insts, shared, slot.payload, Some(&mut samp))
+                    run_chain(
+                        &mut insts,
+                        &chain,
+                        shared,
+                        slot.seq,
+                        slot.payload,
+                        Some(&mut samp),
+                    )
                 };
                 let Some(out) = out else {
                     fatal = true;
@@ -3233,15 +3242,10 @@ fn process_batch(
                         }
                     }
                 } else {
-                    match inst.process(out) {
+                    match inst.try_process(out) {
                         Ok(o) => out = o,
-                        Err(type_err) => {
-                            // Fail the session typed, never kill the
-                            // worker thread (see `run_chain`).
-                            shared.control.fail(RunError::StageTypeMismatch {
-                                stage: type_err.stage,
-                            });
-                            fatal_teardown(shared);
+                        Err(err) => {
+                            fail_stage(shared, cs, slot.seq, 1, err);
                             busy += t_start.elapsed();
                             fatal = true;
                             break 'items;
@@ -4176,14 +4180,24 @@ mod tests {
         let outcome = session.drain();
         assert_eq!(outcome.report.completed, 150);
         assert!(
-            outcome.report.adaptation_count() >= 1,
-            "controller must discover the spread mapping"
+            outcome
+                .report
+                .adaptations
+                .iter()
+                .any(|e| e.to.nodes_used().len() == 2),
+            "controller must commit a re-map to the spread mapping"
         );
-        assert_eq!(
-            outcome.report.final_mapping.nodes_used().len(),
-            2,
-            "final mapping must be spread"
-        );
+        // On a loaded host with fewer cores than threads the controller
+        // may then legitimately re-coalesce; `mapper`'s
+        // `planner_spreads_equal_stages_despite_the_fusion_discount`
+        // pins the planning decision itself deterministically.
+        if multicore(3) {
+            assert_eq!(
+                outcome.report.final_mapping.nodes_used().len(),
+                2,
+                "final mapping must be spread"
+            );
+        }
     }
 
     #[test]

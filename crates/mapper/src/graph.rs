@@ -1,35 +1,31 @@
-//! Stage graphs: the shape of a pipeline, as a general DAG.
+//! Stage graphs: the shape of a pipeline, as a DAG.
 //!
-//! Historically the stage topology was implicit — a pipeline *was* a
-//! `Vec` of stages, and every layer (model, planner, engines) hard-coded
-//! the chain `0 → 1 → … → Ns−1`. PR 5 made the shape explicit as a
-//! series of [`Segment`]s (chains and parallel blocks). A [`StageGraph`]
-//! is now a **true directed acyclic graph** over flattened stage ids:
-//! every stage has an ordered predecessor list (a stage with several
-//! predecessors *joins* their outputs, one slot per input edge) and an
-//! ordered successor list (a stage with several consumers *fans out* a
-//! copy of its output to each). The chain and parallel-block builders
-//! are sugar over the DAG: a graph built through them additionally
-//! carries its series-parallel [`Segment`] view, and every navigation
-//! query answers exactly what it answered before — linear and
-//! series-parallel pipelines stay byte-identical.
+//! A [`StageGraph`] is a directed acyclic graph over flattened stage
+//! ids and nothing else: every stage has an ordered predecessor list (a
+//! stage with several predecessors *joins* their outputs, one slot per
+//! input edge) and an ordered successor list (a stage with several
+//! consumers *fans out* a copy of its output to each). There is one
+//! constructor. [`DagGraphBuilder`] wires edges by id;
+//! [`StageGraphBuilder`] (chains and parallel blocks) and
+//! [`StageGraph::linear`] are sugar that emits the same edges, so a
+//! sugar-built graph *equals* the graph wired edge by edge, and every
+//! layer above — model, planner, both engines — has one topology to
+//! walk.
 //!
 //! Two derived groupings drive the engines:
 //!
 //! * **fan blocks** — the fan-out points: the pipeline input when it
 //!   feeds several entry stages, and every stage with two or more
 //!   successors. Numbered with the entry fan-out first (when present),
-//!   then by source stage id — which reproduces the parallel-block
-//!   numbering exactly on sugar-built graphs, so the facade's one
-//!   duplicator-per-block arrays index unchanged.
+//!   then by source stage id, so the blocks of a sugar-built graph are
+//!   numbered in declaration order.
 //! * **join blocks** — the stages with two or more predecessors, in id
-//!   order. On sugar-built graphs these are precisely the merge stages
-//!   in block order.
+//!   order (the merge stages of a sugar-built graph, in block order).
 //!
 //! The graph answers the questions the other layers ask:
 //!
-//! * the model: which directed edges carry data, and what is the
-//!   latency-critical path ([`StageGraph::feed_of`],
+//! * the model: which directed edges carry data, and in what order can
+//!   the stages be walked ([`StageGraph::preds`],
 //!   [`StageGraph::topo_order`]);
 //! * the engines: where does an item go after finishing a stage
 //!   ([`StageGraph::after`], [`StageGraph::entry`],
@@ -37,33 +33,9 @@
 //! * observability: which branch a stage belongs to
 //!   ([`StageGraph::branch_of`]), stage fan-in/fan-out degrees.
 //!
-//! Explicit DAGs are built with [`StageGraph::dag`] → [`DagGraphBuilder`]
-//! and validated with typed [`GraphError`]s (cycles, unreachable stages,
-//! mis-wired edges) instead of panics — the facade maps these onto its
-//! `BuildError`s.
-
-/// One series element of a series-parallel [`StageGraph`] view.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Segment {
-    /// Stages `start..end` in series.
-    Chain {
-        /// First stage of the run.
-        start: usize,
-        /// One past the last stage of the run.
-        end: usize,
-    },
-    /// A parallel block: each item fans out to every branch (a
-    /// contiguous stage span `start..end`), and the branch results fan
-    /// back in at the `merge` stage, which follows the last branch
-    /// directly in flattened order.
-    Parallel {
-        /// Branch stage spans `(start, end)`, in branch order.
-        branches: Vec<(usize, usize)>,
-        /// The merge stage combining one output per branch into one
-        /// item.
-        merge: usize,
-    },
-}
+//! Wiring is validated with typed [`GraphError`]s (cycles, unreachable
+//! stages, mis-wired edges) instead of panics — the facade maps these
+//! onto its `BuildError`s.
 
 /// Where an item goes after finishing a stage (or entering the
 /// pipeline).
@@ -87,18 +59,6 @@ pub enum Next {
     },
     /// The finished stage was the last: the item is a pipeline output.
     Done,
-}
-
-/// What feeds a stage its input.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Feed {
-    /// The pipeline input (stage is an entry point).
-    Source,
-    /// The output of one upstream stage.
-    Stage(usize),
-    /// The joined outputs of several predecessors, in input-slot order
-    /// (branch order on sugar graphs).
-    Merge(Vec<usize>),
 }
 
 /// One target of a fan block: the consuming stage, plus the join input
@@ -195,16 +155,13 @@ struct FanBlock {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StageGraph {
     stages: usize,
-    /// The series-parallel segment view — present exactly when the
-    /// graph was built through the chain/parallel sugar, and the basis
-    /// of every byte-identical legacy code path.
-    segments: Option<Vec<Segment>>,
     /// Ordered predecessors per stage (join input slots).
     preds: Vec<Vec<usize>>,
     /// Ordered successors per stage (fan-out copies).
     succs: Vec<Vec<usize>>,
     /// A deterministic topological order of the stage ids (Kahn,
-    /// smallest-id-first). The identity on sugar graphs.
+    /// smallest-id-first). The identity when ids are declared in
+    /// dataflow order, as the sugar builders do.
     topo: Vec<usize>,
     /// Entry stages (no predecessor), in id order.
     entries: Vec<usize>,
@@ -219,25 +176,28 @@ pub struct StageGraph {
     join_stages: Vec<usize>,
     /// Per-stage join block index (`Some` for joining stages).
     join_block_of: Vec<Option<usize>>,
+    /// Per-stage `(join block, slot)` label, see
+    /// [`StageGraph::branch_of`].
+    branch_of: Vec<Option<(usize, usize)>>,
 }
 
 impl StageGraph {
-    /// The degenerate graph: `ns` stages in one chain — exactly the
-    /// historical linear pipeline.
+    /// `ns` stages in one chain.
     ///
     /// # Panics
     /// Panics if `ns` is zero.
     pub fn linear(ns: usize) -> Self {
         assert!(ns > 0, "pipeline needs at least one stage");
-        StageGraph::from_segments(vec![Segment::Chain { start: 0, end: ns }], ns)
+        StageGraph::builder().stages(ns).build()
     }
 
-    /// Starts a series-parallel [`StageGraphBuilder`] (sugar over the
-    /// DAG).
+    /// Starts a [`StageGraphBuilder`]: chain and parallel-block sugar
+    /// over the edges [`StageGraph::dag`] takes one by one.
     pub fn builder() -> StageGraphBuilder {
         StageGraphBuilder {
-            segments: Vec::new(),
+            edges: Vec::new(),
             cursor: 0,
+            tail: None,
         }
     }
 
@@ -250,57 +210,10 @@ impl StageGraph {
         }
     }
 
-    /// Builds the canonical DAG arrays from a validated segment list.
-    #[allow(clippy::needless_range_loop)] // `s` walks spans of `preds`, not one slice
-    fn from_segments(segments: Vec<Segment>, stages: usize) -> Self {
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); stages];
-        // `prev` = the stage whose output feeds the next series element.
-        let mut prev: Option<usize> = None;
-        for seg in &segments {
-            match seg {
-                Segment::Chain { start, end } => {
-                    for s in *start..*end {
-                        if s == *start {
-                            if let Some(p) = prev {
-                                preds[s].push(p);
-                            }
-                        } else {
-                            preds[s].push(s - 1);
-                        }
-                    }
-                    prev = Some(end - 1);
-                }
-                Segment::Parallel { branches, merge } => {
-                    for &(bs, be) in branches {
-                        for s in bs..be {
-                            if s == bs {
-                                if let Some(p) = prev {
-                                    preds[s].push(p);
-                                }
-                            } else {
-                                preds[s].push(s - 1);
-                            }
-                        }
-                        preds[*merge].push(be - 1);
-                    }
-                    prev = Some(*merge);
-                }
-            }
-        }
-        StageGraph::from_preds(Some(segments), stages, preds)
-            .expect("series-parallel segments always form a valid DAG")
-    }
-
-    /// Builds the canonical form from ordered predecessor lists; the
-    /// shared tail of both builders. Successor order follows target-id
-    /// order for the sugar path and edge-declaration order for the DAG
-    /// path (the builder pre-sorts accordingly by feeding preds in that
-    /// order — see `DagGraphBuilder::build`).
-    fn from_preds(
-        segments: Option<Vec<Segment>>,
-        stages: usize,
-        preds: Vec<Vec<usize>>,
-    ) -> Result<Self, GraphError> {
+    /// Builds the graph from ordered predecessor lists: the one
+    /// constructor every builder ends in. A stage's successors are
+    /// ordered by target id.
+    fn from_preds(stages: usize, preds: Vec<Vec<usize>>) -> Result<Self, GraphError> {
         if stages == 0 {
             return Err(GraphError::Empty);
         }
@@ -310,8 +223,8 @@ impl StageGraph {
                 succs[p].push(s);
             }
         }
-        // Kahn topological order, smallest ready id first: deterministic
-        // and the identity permutation on sugar-built graphs.
+        // Kahn topological order, smallest ready id first: deterministic,
+        // and the identity when ids already follow the dataflow.
         let mut indeg: Vec<usize> = preds.iter().map(Vec::len).collect();
         let mut ready: std::collections::BinaryHeap<std::cmp::Reverse<usize>> = indeg
             .iter()
@@ -372,8 +285,6 @@ impl StageGraph {
         if let Some(stage) = (0..stages).find(|&s| !on_path[s]) {
             return Err(GraphError::Unreachable { stage });
         }
-        // Fan blocks: entry fan-out first, then multi-consumer stages
-        // by id — reproducing parallel-block order on sugar graphs.
         let join_stages: Vec<usize> = (0..stages).filter(|&s| preds[s].len() >= 2).collect();
         let mut join_block_of = vec![None; stages];
         for (b, &s) in join_stages.iter().enumerate() {
@@ -391,6 +302,8 @@ impl StageGraph {
                 None
             }
         };
+        // Fan blocks: entry fan-out first, then multi-consumer stages
+        // by id.
         let mut fan_blocks = Vec::new();
         let mut fan_block_of = vec![None; stages];
         if entries.len() >= 2 {
@@ -420,9 +333,22 @@ impl StageGraph {
                 });
             }
         }
+        // Branch labels, exit side first: a stage inherits the label of
+        // its sole consumer unless that consumer is the join itself.
+        let mut branch_of = vec![None; stages];
+        for &s in topo.iter().rev() {
+            if preds[s].len() > 1 {
+                continue;
+            }
+            if let &[t] = succs[s].as_slice() {
+                branch_of[s] = match join_block_of[t] {
+                    Some(block) => slot_of(s, t).map(|slot| (block, slot)),
+                    None => branch_of[t],
+                };
+            }
+        }
         Ok(StageGraph {
             stages,
-            segments,
             preds,
             succs,
             topo,
@@ -432,6 +358,7 @@ impl StageGraph {
             fan_block_of,
             join_stages,
             join_block_of,
+            branch_of,
         })
     }
 
@@ -441,28 +368,9 @@ impl StageGraph {
         self.stages
     }
 
-    /// True if the graph is a single chain — the historical pipeline
-    /// shape. Every layer short-circuits to its pre-graph code path on
-    /// this, so linear pipelines behave byte-identically to before.
+    /// True if the graph is a single chain `0 → 1 → … → len() − 1`.
     pub fn is_linear(&self) -> bool {
         self.entries == [0] && (0..self.stages.saturating_sub(1)).all(|s| self.succs[s] == [s + 1])
-    }
-
-    /// The series-parallel segment view, when this graph was built
-    /// through the chain/parallel sugar; `None` for explicitly wired
-    /// DAGs.
-    pub fn as_segments(&self) -> Option<&[Segment]> {
-        self.segments.as_deref()
-    }
-
-    /// The series segments in order.
-    ///
-    /// # Panics
-    /// Panics on an explicitly wired DAG, which has no segment view —
-    /// use [`StageGraph::as_segments`] where a DAG may reach.
-    pub fn segments(&self) -> &[Segment] {
-        self.as_segments()
-            .expect("explicitly wired DAG has no series-parallel segment view")
     }
 
     /// Number of fan blocks (parallel blocks on sugar graphs): one
@@ -490,33 +398,15 @@ impl StageGraph {
         self.fan_blocks[block].source
     }
 
-    /// Entry stages of every target of fan block `block`, in edge order
-    /// (branch order on sugar graphs).
-    pub fn branch_entries(&self, block: usize) -> Vec<usize> {
-        self.fan_blocks[block]
-            .targets
-            .iter()
-            .map(|t| t.stage)
-            .collect()
-    }
-
-    /// Fan-out width of fan block `block`.
-    pub fn branch_count(&self, block: usize) -> usize {
-        // On sugar graphs every fan block pairs with the same-index
-        // join block, so "branch count" and "join width" coincide; the
-        // historical callers mean the join width of block's merge.
-        self.fan_in(self.join_stages[block])
+    /// Number of input slots join block `block` assembles per item.
+    pub fn join_width(&self, block: usize) -> usize {
+        self.preds[self.join_stages[block]].len()
     }
 
     /// The joining stage of join block `block` (the merge stage on
     /// sugar graphs).
     pub fn merge_of(&self, block: usize) -> usize {
         self.join_stages[block]
-    }
-
-    /// Number of input slots `stage` joins (1 for ordinary stages).
-    pub fn fan_in(&self, stage: usize) -> usize {
-        self.preds[stage].len().max(1)
     }
 
     /// Ordered predecessors of `stage` (its join input slots).
@@ -529,9 +419,8 @@ impl StageGraph {
         &self.succs[stage]
     }
 
-    /// A deterministic topological order of the stage ids — the
-    /// identity permutation on sugar-built graphs, so planners seeded
-    /// over it reproduce their historical stage walk exactly.
+    /// A deterministic topological order of the stage ids (the
+    /// identity permutation on sugar-built graphs).
     pub fn topo_order(&self) -> &[usize] {
         &self.topo
     }
@@ -546,23 +435,15 @@ impl StageGraph {
         self.exit
     }
 
-    /// The `(block, branch)` containing `stage`, or `None` for series
-    /// stages (merge stages included — a merge runs after the join and
-    /// belongs to no single branch). Explicit DAGs have no branch
-    /// notion; every stage reports `None`.
+    /// The `(join block, input slot)` whose branch contains `stage`:
+    /// `Some` when `stage` lies on a run of single-input,
+    /// single-consumer stages that ends in that join slot — on sugar
+    /// graphs exactly the stages declared inside a parallel block's
+    /// branch. Stages that fan out, join (a merge runs after the join
+    /// and belongs to no single branch), or lead anywhere else report
+    /// `None`.
     pub fn branch_of(&self, stage: usize) -> Option<(usize, usize)> {
-        let mut block = 0;
-        for seg in self.segments.as_deref()? {
-            if let Segment::Parallel { branches, .. } = seg {
-                for (bi, &(start, end)) in branches.iter().enumerate() {
-                    if (start..end).contains(&stage) {
-                        return Some((block, bi));
-                    }
-                }
-                block += 1;
-            }
-        }
-        None
+        self.branch_of[stage]
     }
 
     /// True if `stage` joins several inputs; returns its join block
@@ -605,34 +486,20 @@ impl StageGraph {
         }
     }
 
-    /// What feeds `stage` its input.
-    ///
-    /// # Panics
-    /// Panics if `stage` is out of range.
-    pub fn feed_of(&self, stage: usize) -> Feed {
-        assert!(stage < self.stages, "stage {stage} out of range");
-        match self.preds[stage].as_slice() {
-            [] => Feed::Source,
-            &[p] => Feed::Stage(p),
-            ps => Feed::Merge(ps.to_vec()),
-        }
-    }
-
     /// Bytes carried into `stage` per item, given the pipeline's
     /// boundary sizes (`boundary_bytes[0]` = input bytes,
     /// `boundary_bytes[s + 1]` = stage `s`'s output bytes). A joining
     /// stage's input is the largest predecessor output — the
     /// conservative size for forwarding a single in-transit payload.
+    ///
+    /// # Panics
+    /// Panics if `stage` is out of range.
     pub fn feed_bytes(&self, stage: usize, boundary_bytes: &[u64]) -> u64 {
-        match self.feed_of(stage) {
-            Feed::Source => boundary_bytes[0],
-            Feed::Stage(p) => boundary_bytes[p + 1],
-            Feed::Merge(lasts) => lasts
-                .iter()
-                .map(|&l| boundary_bytes[l + 1])
-                .max()
-                .unwrap_or(0),
-        }
+        self.preds[stage]
+            .iter()
+            .map(|&p| boundary_bytes[p + 1])
+            .max()
+            .unwrap_or(boundary_bytes[0])
     }
 
     /// Every directed edge `(from, to)` of the graph, in target-slot
@@ -641,52 +508,23 @@ impl StageGraph {
         (0..self.stages).flat_map(move |s| self.preds[s].iter().map(move |&p| (p, s)))
     }
 
-    /// Validates the graph against a stage count: the DAG invariants
-    /// always hold by construction; this checks the count matches and —
-    /// for sugar-built graphs — that the segments tile `0..ns` exactly
-    /// in series order, preserving the historical error wording.
+    /// Checks the graph covers exactly `ns` stages (the DAG invariants
+    /// hold by construction).
     ///
     /// # Panics
-    /// Panics on any violation.
+    /// Panics on a mismatch.
     pub fn validate(&self, ns: usize) {
         assert_eq!(
             self.stages, ns,
             "graph covers {} stages, need {ns}",
             self.stages
         );
-        let Some(segments) = self.segments.as_deref() else {
-            return;
-        };
-        assert!(!segments.is_empty(), "graph needs at least one segment");
-        let mut cursor = 0usize;
-        for seg in segments {
-            match seg {
-                Segment::Chain { start, end } => {
-                    assert_eq!(*start, cursor, "chain must start at stage {cursor}");
-                    assert!(end > start, "chain must be non-empty");
-                    cursor = *end;
-                }
-                Segment::Parallel { branches, merge } => {
-                    assert!(
-                        branches.len() >= 2,
-                        "a parallel block needs at least two branches"
-                    );
-                    for &(bs, be) in branches {
-                        assert_eq!(bs, cursor, "branch must start at stage {cursor}");
-                        assert!(be > bs, "branch must be non-empty");
-                        cursor = be;
-                    }
-                    assert_eq!(*merge, cursor, "merge must follow the last branch");
-                    cursor += 1;
-                }
-            }
-        }
-        assert_eq!(cursor, ns, "graph covers {cursor} stages, need {ns}");
     }
 }
 
-/// Incremental series-parallel [`StageGraph`] construction in flattened
-/// stage order — sugar over the DAG.
+/// Series-parallel sugar over [`DagGraphBuilder`]: stages are numbered
+/// in declaration order (inside a block: branch 0's stages, branch 1's,
+/// …, then the merge) and every call appends the edges it implies.
 ///
 /// ```
 /// use adapipe_mapper::graph::StageGraph;
@@ -696,29 +534,56 @@ impl StageGraph {
 /// assert_eq!(g.len(), 5);
 /// assert!(!g.is_linear());
 /// assert_eq!(g.merge_of(0), 3);
+/// let wired = StageGraph::dag(5)
+///     .edge(0, 1)
+///     .edge(0, 2)
+///     .edge(1, 3)
+///     .edge(2, 3)
+///     .edge(3, 4)
+///     .build()
+///     .unwrap();
+/// assert_eq!(g, wired);
 /// ```
 #[derive(Clone, Debug)]
 pub struct StageGraphBuilder {
-    segments: Vec<Segment>,
+    edges: Vec<(usize, usize)>,
+    /// Next stage id to hand out.
     cursor: usize,
+    /// The stage whose output feeds whatever is appended next; `None`
+    /// while the graph is empty (the next stages are entry stages).
+    tail: Option<usize>,
 }
 
 impl StageGraphBuilder {
-    /// Appends `k` series stages (coalesced into the previous chain
-    /// segment when one is open).
+    /// Continues `graph`: the same stages and edges, with appended
+    /// stages consuming its exit stage's output.
+    pub fn extending(graph: &StageGraph) -> Self {
+        StageGraphBuilder {
+            edges: graph.edges().collect(),
+            cursor: graph.len(),
+            tail: Some(graph.exit()),
+        }
+    }
+
+    /// The stage whose output the next appended stage (or block)
+    /// consumes; `None` on an empty builder.
+    pub fn tail(&self) -> Option<usize> {
+        self.tail
+    }
+
+    /// Declares one stage fed by `from` (an entry stage when `None`).
+    fn push(&mut self, from: Option<usize>) -> usize {
+        let stage = self.cursor;
+        self.cursor += 1;
+        self.edges.extend(from.map(|p| (p, stage)));
+        stage
+    }
+
+    /// Appends `k` series stages.
     pub fn stages(mut self, k: usize) -> Self {
-        if k == 0 {
-            return self;
+        for _ in 0..k {
+            self.tail = Some(self.push(self.tail));
         }
-        if let Some(Segment::Chain { end, .. }) = self.segments.last_mut() {
-            *end += k;
-        } else {
-            self.segments.push(Segment::Chain {
-                start: self.cursor,
-                end: self.cursor + k,
-            });
-        }
-        self.cursor += k;
         self
     }
 
@@ -732,34 +597,43 @@ impl StageGraphBuilder {
             branch_lens.len() >= 2,
             "a parallel block needs at least two branches"
         );
-        let mut branches = Vec::with_capacity(branch_lens.len());
+        assert!(
+            branch_lens.iter().all(|&len| len > 0),
+            "branch must be non-empty"
+        );
+        let mut lasts = Vec::with_capacity(branch_lens.len());
         for &len in branch_lens {
-            assert!(len > 0, "branch must be non-empty");
-            branches.push((self.cursor, self.cursor + len));
-            self.cursor += len;
+            let mut prev = self.tail;
+            for _ in 0..len {
+                prev = Some(self.push(prev));
+            }
+            lasts.extend(prev);
         }
-        let merge = self.cursor;
-        self.cursor += 1;
-        self.segments.push(Segment::Parallel { branches, merge });
+        let merge = self.push(None);
+        self.edges.extend(lasts.into_iter().map(|l| (l, merge)));
+        self.tail = Some(merge);
         self
     }
 
-    /// Finalises and validates the graph.
+    /// Finalises the graph.
     ///
     /// # Panics
     /// Panics if no stage was added.
     pub fn build(self) -> StageGraph {
-        assert!(self.cursor > 0, "graph needs at least one segment");
-        let graph = StageGraph::from_segments(self.segments, self.cursor);
-        graph.validate(graph.stages);
-        graph
+        assert!(self.cursor > 0, "graph needs at least one stage");
+        DagGraphBuilder {
+            stages: self.cursor,
+            edges: self.edges,
+        }
+        .build()
+        .expect("chain and block sugar always wires a valid DAG")
     }
 }
 
 /// Explicit DAG construction: `ns` stages wired by id-addressed edges.
 /// A stage receiving several edges joins its inputs, one slot per edge
 /// in declaration order; a stage feeding several edges fans a copy out
-/// to each consumer. Name-addressed wiring (and duplicate-name
+/// to each consumer, in consumer-id order. Name-addressed wiring (and duplicate-name
 /// rejection) lives in the facade, which resolves names to ids before
 /// reaching here.
 ///
@@ -774,7 +648,7 @@ impl StageGraphBuilder {
 ///     .edge(2, 3)
 ///     .build()
 ///     .unwrap();
-/// assert_eq!(g.fan_in(3), 2);
+/// assert_eq!(g.join_width(0), 2);
 /// assert_eq!(g.topo_order(), &[0, 1, 2, 3]);
 /// ```
 #[derive(Clone, Debug)]
@@ -818,7 +692,7 @@ impl DagGraphBuilder {
             }
             preds[to].push(from);
         }
-        StageGraph::from_preds(None, self.stages, preds)
+        StageGraph::from_preds(self.stages, preds)
     }
 }
 
@@ -845,8 +719,8 @@ mod tests {
         assert_eq!(g.entry(), Next::Stage(0));
         assert_eq!(g.after(0), Next::Stage(1));
         assert_eq!(g.after(2), Next::Done);
-        assert_eq!(g.feed_of(0), Feed::Source);
-        assert_eq!(g.feed_of(2), Feed::Stage(1));
+        assert_eq!(g.preds(0), &[] as &[usize]);
+        assert_eq!(g.preds(2), &[1]);
         assert_eq!(g.branch_of(1), None);
         assert_eq!(g.topo_order(), &[0, 1, 2]);
         assert_eq!(g.exit(), 2);
@@ -858,8 +732,7 @@ mod tests {
         g.validate(6);
         assert!(!g.is_linear());
         assert_eq!(g.blocks(), 1);
-        assert_eq!(g.branch_entries(0), vec![1, 3]);
-        assert_eq!(g.branch_count(0), 2);
+        assert_eq!(g.join_width(0), 2);
         assert_eq!(g.merge_of(0), 4);
         assert_eq!(g.merge_block_of(4), Some(0));
         assert_eq!(g.merge_block_of(1), None);
@@ -884,11 +757,11 @@ mod tests {
         assert_eq!(g.after(4), Next::Stage(5));
         assert_eq!(g.after(5), Next::Done);
 
-        assert_eq!(g.feed_of(1), Feed::Stage(0));
-        assert_eq!(g.feed_of(2), Feed::Stage(1));
-        assert_eq!(g.feed_of(3), Feed::Stage(0));
-        assert_eq!(g.feed_of(4), Feed::Merge(vec![2, 3]));
-        assert_eq!(g.feed_of(5), Feed::Stage(4));
+        assert_eq!(g.preds(1), &[0]);
+        assert_eq!(g.preds(2), &[1]);
+        assert_eq!(g.preds(3), &[0]);
+        assert_eq!(g.preds(4), &[2, 3]);
+        assert_eq!(g.preds(5), &[4]);
 
         assert_eq!(g.branch_of(0), None);
         assert_eq!(g.branch_of(1), Some((0, 0)));
@@ -896,9 +769,7 @@ mod tests {
         assert_eq!(g.branch_of(3), Some((0, 1)));
         assert_eq!(g.branch_of(4), None);
 
-        // The DAG view mirrors the sugar exactly.
         assert_eq!(g.topo_order(), &[0, 1, 2, 3, 4, 5]);
-        assert_eq!(g.preds(4), &[2, 3]);
         assert_eq!(g.succs(0), &[1, 3]);
         assert_eq!(
             g.fan_targets(0),
@@ -921,10 +792,10 @@ mod tests {
         let g = StageGraph::builder().split(&[1, 1]).build();
         g.validate(3);
         assert_eq!(g.entry(), Next::FanOut { block: 0 });
-        assert_eq!(g.feed_of(0), Feed::Source);
-        assert_eq!(g.feed_of(1), Feed::Source);
         assert_eq!(g.after(2), Next::Done);
         assert_eq!(g.entries(), &[0, 1]);
+        assert_eq!(g.branch_of(0), Some((0, 0)));
+        assert_eq!(g.branch_of(1), Some((0, 1)));
     }
 
     #[test]
@@ -934,7 +805,7 @@ mod tests {
         g.validate(6);
         assert_eq!(g.blocks(), 2);
         assert_eq!(g.after(2), Next::FanOut { block: 1 });
-        assert_eq!(g.feed_of(3), Feed::Stage(2));
+        assert_eq!(g.preds(3), &[2]);
         assert_eq!(g.merge_of(1), 5);
         assert_eq!(g.branch_of(4), Some((1, 1)));
     }
@@ -997,7 +868,7 @@ mod tests {
     fn diamond_dag_navigates_like_a_block() {
         let g = diamond();
         assert!(!g.is_linear());
-        assert!(g.as_segments().is_none());
+        assert_eq!(g, StageGraph::builder().stages(1).split(&[1, 1]).build());
         assert_eq!(g.entry(), Next::Stage(0));
         assert_eq!(g.after(0), Next::FanOut { block: 0 });
         assert_eq!(
@@ -1015,11 +886,12 @@ mod tests {
             }
         );
         assert_eq!(g.after(3), Next::Done);
-        assert_eq!(g.feed_of(3), Feed::Merge(vec![1, 2]));
+        assert_eq!(g.preds(3), &[1, 2]);
         assert_eq!(g.merge_of(0), 3);
         assert_eq!(g.merge_block_of(3), Some(0));
-        assert_eq!(g.branch_of(1), None, "explicit DAGs have no branches");
-        assert_eq!(g.fan_in(3), 2);
+        assert_eq!(g.branch_of(1), Some((0, 0)));
+        assert_eq!(g.branch_of(2), Some((0, 1)));
+        assert_eq!(g.join_width(0), 2);
         assert_eq!(g.exit(), 3);
     }
 
@@ -1047,7 +919,9 @@ mod tests {
                 }
             ]
         );
-        assert_eq!(g.feed_of(2), Feed::Merge(vec![1, 0]));
+        assert_eq!(g.preds(2), &[1, 0]);
+        assert_eq!(g.branch_of(1), Some((0, 0)));
+        assert_eq!(g.branch_of(0), None, "the fan-out source is on no branch");
         assert_eq!(g.topo_order(), &[0, 1, 2]);
     }
 
@@ -1114,5 +988,54 @@ mod tests {
         let g = diamond();
         let edges: Vec<_> = g.edges().collect();
         assert_eq!(edges, vec![(0, 1), (0, 2), (1, 3), (2, 3)]);
+    }
+
+    #[test]
+    fn sugar_graphs_equal_their_edge_wired_twins() {
+        let wired = StageGraph::dag(6)
+            .edge(0, 1)
+            .edge(1, 2)
+            .edge(0, 3)
+            .edge(2, 4)
+            .edge(3, 4)
+            .edge(4, 5)
+            .build()
+            .unwrap();
+        assert_eq!(sample(), wired);
+        let chain = StageGraph::dag(3).edge(0, 1).edge(1, 2).build().unwrap();
+        assert_eq!(StageGraph::linear(3), chain);
+        assert!(chain.is_linear());
+    }
+
+    #[test]
+    fn join_width_and_fan_width_are_independent() {
+        // 0 → {1, 2, 3}; {1, 2} → 4; {3, 4} → 5: fan block 0 is three
+        // wide while join block 0 (stage 4) assembles two slots.
+        let g = StageGraph::dag(6)
+            .edge(0, 1)
+            .edge(0, 2)
+            .edge(0, 3)
+            .edge(1, 4)
+            .edge(2, 4)
+            .edge(3, 5)
+            .edge(4, 5)
+            .build()
+            .unwrap();
+        assert_eq!(g.fan_targets(0).len(), 3);
+        assert_eq!(g.join_width(0), 2);
+        assert_eq!(g.merge_of(1), 5);
+        assert_eq!(g.join_width(1), 2);
+        assert_eq!(g.branch_of(3), Some((1, 0)));
+    }
+
+    #[test]
+    fn extending_a_graph_appends_after_its_exit() {
+        let g = StageGraphBuilder::extending(&diamond()).stages(1).build();
+        assert_eq!(g.len(), 5);
+        assert_eq!(g.preds(4), &[3]);
+        assert_eq!(g.exit(), 4);
+        let same = StageGraphBuilder::extending(&sample());
+        assert_eq!(same.tail(), Some(5));
+        assert_eq!(same.build(), sample());
     }
 }

@@ -8,13 +8,14 @@
 //! * [`mapping`] — the mapping representation: per-stage host sets with
 //!   coalescing (consecutive stages sharing a host) and replication
 //!   (stateless stages fanned over several hosts);
-//! * [`graph`] — series-parallel stage graphs: the pipeline *shape*
-//!   (chains plus fan-out/fan-in parallel blocks) over flattened stage
-//!   ids, with the linear chain as the degenerate case;
+//! * [`graph`] — stage graphs: the pipeline *shape* as one DAG of
+//!   ordered predecessor/successor lists over flattened stage ids; the
+//!   chain and parallel-block builders are sugar that emits edges into
+//!   the same constructor as explicit edge-by-edge wiring;
 //! * [`model`] — the analytic bottleneck model: busy-seconds-per-item on
-//!   every processor and link (accumulated over the stage graph's
-//!   edges); throughput = 1 / busiest resource, latency follows the
-//!   slowest parallel path;
+//!   every processor and link, accumulated in one topological walk over
+//!   the stage graph's edges; throughput = 1 / busiest resource, latency
+//!   is the critical (slowest) path;
 //! * [`enumerate`] — assignment enumeration, compositions, neighbourhood
 //!   moves;
 //! * [`search`] — exhaustive search (small instances), contiguous dynamic
@@ -58,7 +59,7 @@ pub mod prelude {
     pub use crate::enumerate::{
         assignment_count, compositions, neighbours, neighbours_touching, Assignments, Move,
     };
-    pub use crate::graph::{Feed, Next, Segment, StageGraph, StageGraphBuilder};
+    pub use crate::graph::{Next, StageGraph, StageGraphBuilder};
     pub use crate::mapping::{ContiguousMapping, Mapping, Placement};
     pub use crate::model::{evaluate, Bottleneck, PipelineProfile, Prediction};
     pub use crate::replicate::improve;

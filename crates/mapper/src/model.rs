@@ -11,7 +11,7 @@
 //! are separate resources); contention inside a link direction is what
 //! the simulator adds on top, and experiment T2 quantifies the gap.
 
-use crate::graph::{Next, Segment, StageGraph};
+use crate::graph::{Next, StageGraph};
 use crate::mapping::Mapping;
 use adapipe_gridsim::net::Topology;
 use adapipe_gridsim::node::NodeId;
@@ -26,8 +26,7 @@ pub struct PipelineProfile {
     /// `s + 1` the output leaving stage `s`. Which boundaries become
     /// network *edges* is decided by [`PipelineProfile::graph`].
     pub boundary_bytes: Vec<u64>,
-    /// The series-parallel stage topology over flattened stage ids.
-    /// [`StageGraph::linear`] reproduces the historical chain exactly.
+    /// The stage topology (a DAG) over flattened stage ids.
     pub graph: StageGraph,
     /// Which stages may run more than one live instance: truly
     /// stateless stages, plus *declared* keyed or accumulator state
@@ -226,72 +225,18 @@ pub fn evaluate(
         }
     }
 
-    // --- Link busy time per item --------------------------------------
-    // Expected seconds per item for each directed link, accumulated over
-    // the stage graph's *edges* (for the linear chain these are exactly
-    // the stage boundaries); same-host hops use the (cheap) self link.
-    // A dense np×np accumulator: `evaluate` is the optimisers' inner
-    // loop, and a HashMap here dominated planning time on 32-node grids.
+    // --- Link busy time per item, one-item latency ---------------------
+    // One topological walk accumulates each directed link's expected
+    // seconds per item over the stage graph's edges and returns the
+    // critical-path latency. A dense np×np accumulator: `evaluate` is
+    // the optimisers' inner loop, and a HashMap here dominated planning
+    // time on 32-node grids — for the same reason the walk's per-stage
+    // finish times share the accumulator's allocation.
     let np = rates.len().max(topology.len());
+    let mut scratch = vec![0.0f64; np * np + ns];
+    let (link_seconds, done) = scratch.split_at_mut(np * np);
+    let latency = walk(profile, mapping, rates, topology, np, link_seconds, done);
     let mut max_link: (f64, NodeId, NodeId) = (0.0, NodeId(0), NodeId(0));
-    let mut total_comm_latency = 0.0f64;
-    let mut graph_latency = 0.0f64;
-    let mut link_seconds = vec![0.0f64; np * np];
-    if profile.graph.is_linear() {
-        let mut add_boundary = |from_hosts: &[NodeId], to_hosts: &[NodeId], bytes: u64| {
-            if bytes == 0 {
-                return;
-            }
-            let frac = 1.0 / (from_hosts.len() * to_hosts.len()) as f64;
-            let mut expected = 0.0;
-            for &a in from_hosts {
-                for &b in to_hosts {
-                    let t = topology.transfer_time(a, b, bytes).as_secs_f64();
-                    expected += frac * t;
-                    if a != b {
-                        link_seconds[a.index() * np + b.index()] += frac * t;
-                    }
-                }
-            }
-            total_comm_latency += expected;
-        };
-
-        if let Some(src) = profile.source {
-            add_boundary(
-                &[src],
-                mapping.placement(0).hosts(),
-                profile.boundary_bytes[0],
-            );
-        }
-        for b in 1..ns {
-            if fused_edge(profile, mapping, b - 1, b) {
-                continue;
-            }
-            add_boundary(
-                mapping.placement(b - 1).hosts(),
-                mapping.placement(b).hosts(),
-                profile.boundary_bytes[b],
-            );
-        }
-        if let Some(dst) = profile.sink {
-            add_boundary(
-                mapping.placement(ns - 1).hosts(),
-                &[dst],
-                profile.boundary_bytes[ns],
-            );
-        }
-    } else if profile.graph.as_segments().is_some() {
-        // General series-parallel walk: every graph edge contributes its
-        // expected transfer time to the link budget, and the one-item
-        // latency follows the *slowest parallel path* through each
-        // block — branches overlap, so the block costs max(branch),
-        // not sum(branch).
-        graph_latency = walk_graph(profile, mapping, rates, topology, np, &mut link_seconds);
-    } else {
-        // Explicitly wired DAG: edge-wise link budget over every wire,
-        // one-item latency along the critical (longest) path.
-        graph_latency = walk_dag(profile, mapping, rates, topology, np, &mut link_seconds);
-    }
     for (idx, &secs) in link_seconds.iter().enumerate() {
         if secs > max_link.0 {
             max_link = (secs, NodeId(idx / np), NodeId(idx % np));
@@ -326,27 +271,6 @@ pub fn evaluate(
         (Bottleneck::Node(NodeId(max_node)), max_node_load)
     };
 
-    // Latency: average service time at each stage + expected transfers.
-    // Linear pipelines sum the chain (the historical formula, kept
-    // byte-identical); graphs already folded max-over-branches into the
-    // walk above.
-    let latency = if profile.graph.is_linear() {
-        let mut latency = total_comm_latency;
-        for s in 0..ns {
-            let placement = mapping.placement(s);
-            let mean_service: f64 = placement
-                .hosts()
-                .iter()
-                .map(|&h| profile.stage_work[s] / rates[h.index()])
-                .sum::<f64>()
-                / placement.width() as f64;
-            latency += mean_service;
-        }
-        latency
-    } else {
-        graph_latency
-    };
-
     let throughput = if period > 0.0 {
         1.0 / period
     } else {
@@ -362,20 +286,23 @@ pub fn evaluate(
     }
 }
 
-/// One series-parallel pass over the stage graph: accumulates every
-/// edge's expected transfer seconds into `link_seconds` (the per-link
-/// busy budget) and returns the one-item traversal latency, where a
-/// parallel block contributes the latency of its *slowest branch* (the
-/// branches overlap) plus the merge stage's service time.
-fn walk_graph(
+/// One topological pass over the stage graph: accumulates every edge's
+/// expected transfer seconds into `link_seconds` (the per-link busy
+/// budget; same-host hops are charged to latency only) and returns the
+/// critical-path one-item latency — each stage finishes (`done`, one
+/// cell per stage) when its *slowest* predecessor's output has arrived
+/// and its own replica-mean service is over, so parallel branches cost
+/// max, not sum, and the pipeline latency is the exit stage's finish
+/// time plus the sink hop when one is declared.
+fn walk(
     profile: &PipelineProfile,
     mapping: &Mapping,
     rates: &[f64],
     topology: &Topology,
     np: usize,
     link_seconds: &mut [f64],
+    done: &mut [f64],
 ) -> f64 {
-    let ns = profile.stages();
     let service = |s: usize| -> f64 {
         let placement = mapping.placement(s);
         placement
@@ -385,109 +312,6 @@ fn walk_graph(
             .sum::<f64>()
             / placement.width() as f64
     };
-    // Expected cost of the edge feeding `stage` from `prev` (the last
-    // series stage upstream; `None` = the pipeline input, which only
-    // costs a transfer when an explicit source node is declared).
-    let in_edge = |prev: Option<usize>, stage: usize, link_seconds: &mut [f64]| -> f64 {
-        let to_hosts = mapping.placement(stage).hosts();
-        match prev {
-            Some(p) if fused_edge(profile, mapping, p, stage) => 0.0,
-            Some(p) => edge_cost(
-                topology,
-                mapping.placement(p).hosts(),
-                to_hosts,
-                profile.boundary_bytes[p + 1],
-                np,
-                link_seconds,
-            ),
-            None => match profile.source {
-                Some(src) => edge_cost(
-                    topology,
-                    &[src],
-                    to_hosts,
-                    profile.boundary_bytes[0],
-                    np,
-                    link_seconds,
-                ),
-                None => 0.0,
-            },
-        }
-    };
-
-    let mut latency = 0.0f64;
-    let mut prev: Option<usize> = None;
-    for seg in profile.graph.segments() {
-        match seg {
-            Segment::Chain { start, end } => {
-                for s in *start..*end {
-                    latency += in_edge(prev, s, link_seconds) + service(s);
-                    prev = Some(s);
-                }
-            }
-            Segment::Parallel { branches, merge } => {
-                let feed = prev;
-                let mut block_latency = 0.0f64;
-                for &(bs, be) in branches {
-                    let mut branch_latency = 0.0f64;
-                    let mut bprev = feed;
-                    for s in bs..be {
-                        branch_latency += in_edge(bprev, s, link_seconds) + service(s);
-                        bprev = Some(s);
-                    }
-                    // Branch exit: the result ships to the merge hosts.
-                    branch_latency += edge_cost(
-                        topology,
-                        mapping.placement(be - 1).hosts(),
-                        mapping.placement(*merge).hosts(),
-                        profile.boundary_bytes[be],
-                        np,
-                        link_seconds,
-                    );
-                    block_latency = block_latency.max(branch_latency);
-                }
-                latency += block_latency + service(*merge);
-                prev = Some(*merge);
-            }
-        }
-    }
-    if let Some(dst) = profile.sink {
-        latency += edge_cost(
-            topology,
-            mapping.placement(ns - 1).hosts(),
-            &[dst],
-            profile.boundary_bytes[ns],
-            np,
-            link_seconds,
-        );
-    }
-    latency
-}
-
-/// One topological pass over an explicitly wired DAG: accumulates every
-/// edge's expected transfer seconds into `link_seconds` and returns the
-/// critical-path one-item latency — each stage finishes when its
-/// *slowest* predecessor's output has arrived and its own service is
-/// done, and the pipeline latency is the exit stage's finish time (plus
-/// the sink hop when one is declared).
-fn walk_dag(
-    profile: &PipelineProfile,
-    mapping: &Mapping,
-    rates: &[f64],
-    topology: &Topology,
-    np: usize,
-    link_seconds: &mut [f64],
-) -> f64 {
-    let ns = profile.stages();
-    let service = |s: usize| -> f64 {
-        let placement = mapping.placement(s);
-        placement
-            .hosts()
-            .iter()
-            .map(|&h| profile.stage_work[s] / rates[h.index()])
-            .sum::<f64>()
-            / placement.width() as f64
-    };
-    let mut done = vec![0.0f64; ns];
     for &s in profile.graph.topo_order() {
         let to_hosts = mapping.placement(s).hosts();
         let preds = profile.graph.preds(s);
@@ -749,29 +573,6 @@ mod tests {
             graph_pred.throughput,
             chain_pred.throughput
         );
-    }
-
-    #[test]
-    fn linear_graph_profile_evaluates_identically_to_the_implicit_chain() {
-        // A profile whose graph is StageGraph::linear must be bit-equal
-        // to the historical (implicit-chain) evaluation on every field.
-        let implicit = PipelineProfile::uniform(vec![2.0, 1.0, 3.0], 50_000);
-        let mut explicit = implicit.clone();
-        explicit.graph = crate::graph::StageGraph::linear(3);
-        let mut topo = fast_net(3);
-        topo.set_symmetric(n(0), n(2), LinkSpec::new(SimDuration::from_millis(3), 1e8));
-        let m = Mapping::new(vec![
-            Placement::single(n(0)),
-            Placement::replicated(vec![n(1), n(2)]),
-            Placement::single(n(2)),
-        ]);
-        let rates = [1.0, 0.7, 1.3];
-        let a = evaluate(&implicit, &m, &rates, &topo);
-        let b = evaluate(&explicit, &m, &rates, &topo);
-        assert_eq!(a.throughput.to_bits(), b.throughput.to_bits());
-        assert_eq!(a.latency.to_bits(), b.latency.to_bits());
-        assert_eq!(a.bottleneck, b.bottleneck);
-        assert_eq!(a.node_load, b.node_load);
     }
 
     #[test]

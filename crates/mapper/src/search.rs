@@ -661,6 +661,30 @@ mod tests {
     }
 
     #[test]
+    fn planner_spreads_equal_stages_despite_the_fusion_discount() {
+        // Two equal stateless stages, two free nodes, a fusing backend:
+        // co-locating them fuses the boundary (zero transfer latency)
+        // but halves throughput. The latency discount only breaks ties;
+        // the bottleneck term must win and the plan must use both
+        // nodes. (The deterministic twin of the threaded engine's
+        // `planner_unfuses_when_spreading_wins`.)
+        let mut profile = PipelineProfile::uniform(vec![3.0, 3.0], 8);
+        profile.fuses_colocated = true;
+        let rates = [1.0, 1.0];
+        let topo = fast_net(2);
+        let coalesced = evaluate(&profile, &Mapping::all_on(NodeId(0), 2), &rates, &topo);
+        let plan = plan(&profile, &rates, &topo, &PlannerConfig::default());
+        assert_eq!(plan.mapping.nodes_used().len(), 2, "{}", plan.mapping);
+        assert!(
+            plan.prediction.throughput > 1.9 * coalesced.throughput,
+            "spread {} vs coalesced {}",
+            plan.prediction.throughput,
+            coalesced.throughput
+        );
+        assert!(coalesced.latency < plan.prediction.latency);
+    }
+
+    #[test]
     fn planner_handles_large_instances_via_local_search() {
         let ns = 12;
         let np = 16; // 16^12 ≫ cap ⇒ local-search path

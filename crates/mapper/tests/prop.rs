@@ -228,3 +228,128 @@ fn completion_estimate_is_monotone() {
         );
     }
 }
+
+/// Reference for [`evaluate`] on an arbitrary stage graph, written the
+/// slow obvious way: `(latency, busiest link's seconds per item)`.
+/// Every wire — graph edges, source → entries, exit → sink — costs its
+/// replica-averaged transfer time (nothing when the backend fuses it)
+/// and loads the inter-node links it may cross; a stage finishes its
+/// service after its slowest input arrives (longest path, by
+/// recursion).
+fn reference(p: &PipelineProfile, m: &Mapping, rates: &[f64], topo: &Topology) -> (f64, f64) {
+    let mut links = std::collections::BTreeMap::<(NodeId, NodeId), f64>::new();
+    let mut wire = |from: &[NodeId], to: &[NodeId], bytes: u64| -> f64 {
+        let pairs = (from.len() * to.len()) as f64;
+        let mut expected = 0.0;
+        for &a in from {
+            for &b in to {
+                let t = topo.transfer_time(a, b, bytes).as_secs_f64() / pairs;
+                expected += t;
+                if a != b && bytes > 0 {
+                    *links.entry((a, b)).or_default() += t;
+                }
+            }
+        }
+        expected
+    };
+    let hosts = |s: usize| m.placement(s).hosts();
+    let fused = |f: usize, t: usize| {
+        p.fuses_colocated
+            && p.stateless[t]
+            && p.graph.succs(f) == [t]
+            && p.graph.preds(t) == [f]
+            && hosts(f).len() == 1
+            && hosts(f) == hosts(t)
+    };
+    let mut done = vec![0.0f64; p.stages()];
+    for &s in p.graph.topo_order() {
+        let mut arrive = 0.0f64;
+        for &f in p.graph.preds(s) {
+            let hop = if fused(f, s) {
+                0.0
+            } else {
+                wire(hosts(f), hosts(s), p.boundary_bytes[f + 1])
+            };
+            arrive = arrive.max(done[f] + hop);
+        }
+        if p.graph.preds(s).is_empty() {
+            if let Some(src) = p.source {
+                arrive = wire(&[src], hosts(s), p.boundary_bytes[0]);
+            }
+        }
+        let service: f64 = hosts(s)
+            .iter()
+            .map(|h| p.stage_work[s] / rates[h.index()])
+            .sum();
+        done[s] = arrive + service / hosts(s).len() as f64;
+    }
+    let exit = p.graph.exit();
+    let sink_hop = p.sink.map_or(0.0, |dst| {
+        wire(hosts(exit), &[dst], p.boundary_bytes[exit + 1])
+    });
+    let busiest = links.values().fold(0.0f64, |a, &b| a.max(b));
+    (done[exit] + sink_hop, busiest)
+}
+
+/// The model's one topological walk agrees with the reference on
+/// random series-parallel shapes — pure chains, an entry block,
+/// back-to-back blocks — under replicated placements, optional source
+/// and sink, and with the fused-edge discount on and off.
+#[test]
+fn unified_walk_matches_a_longest_path_reference_on_series_parallel_shapes() {
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs());
+    for case in 0..4 * CASES {
+        let mut rng = Rng64::new(0xB10C + case);
+        let np = 2 + rng.next_range(4);
+        let mut graph = StageGraph::builder();
+        for _ in 0..1 + rng.next_range(3) {
+            graph = if rng.next_range(2) == 0 {
+                graph.stages(1 + rng.next_range(3))
+            } else {
+                let lens: Vec<usize> = (0..2 + rng.next_range(2))
+                    .map(|_| 1 + rng.next_range(2))
+                    .collect();
+                graph.split(&lens)
+            };
+        }
+        let graph = graph.build();
+        let ns = graph.len();
+        let mut profile =
+            PipelineProfile::uniform((0..ns).map(|_| 0.1 + 9.9 * rng.next_unit()).collect(), 0);
+        profile.boundary_bytes = (0..=ns).map(|_| rng.next_range(200_000) as u64).collect();
+        profile.stateless = (0..ns).map(|_| rng.next_range(4) > 0).collect();
+        profile.fuses_colocated = rng.next_range(2) == 0;
+        profile.source = (rng.next_range(2) == 0).then(|| NodeId(rng.next_range(np)));
+        profile.sink = (rng.next_range(2) == 0).then(|| NodeId(rng.next_range(np)));
+        profile.graph = graph;
+        let mapping = Mapping::new(
+            (0..ns)
+                .map(|_| {
+                    let width = 1 + rng.next_range(2);
+                    Placement::replicated((0..width).map(|_| NodeId(rng.next_range(np))).collect())
+                })
+                .collect(),
+        );
+        let rates: Vec<f64> = (0..np).map(|_| 0.1 + 3.9 * rng.next_unit()).collect();
+        let mut topo = Topology::uniform(np, LinkSpec::lan());
+        topo.set(
+            NodeId(0),
+            NodeId(1),
+            LinkSpec::new(SimDuration::from_millis(3), 1e6),
+        );
+
+        let got = evaluate(&profile, &mapping, &rates, &topo);
+        let (latency, busiest_link) = reference(&profile, &mapping, &rates, &topo);
+        let busiest_node = got.node_load.iter().fold(0.0f64, |a, &b| a.max(b));
+        assert!(
+            close(got.latency, latency),
+            "case {case}: latency {} vs reference {latency} ({mapping})",
+            got.latency
+        );
+        assert!(
+            close(1.0 / got.throughput, busiest_link.max(busiest_node)),
+            "case {case}: period {} vs reference link {busiest_link} / node {busiest_node}",
+            1.0 / got.throughput
+        );
+    }
+}

@@ -105,7 +105,9 @@ use adapipe_cluster::threads::ThreadCluster;
 use adapipe_core::payload::Payload;
 use adapipe_core::pipeline::Pipeline as CorePipeline;
 use adapipe_core::simengine::{ItemFate, SimConfig, SimStepper};
-use adapipe_core::spec::{Next, PipelineSpec, ResiliencePolicy, Segment, StageGraph, StageSpec};
+use adapipe_core::spec::{
+    Next, PipelineSpec, ResiliencePolicy, StageGraph, StageGraphBuilder, StageSpec,
+};
 use adapipe_core::stage::{
     clone_fn, fan_out_fn, AccumStage, BoxedItem, CloneFn, DynStage, FallibleFnStage, FanOutFn,
     FnStage, KeyFn, KeyedStage, MergeStage, SealedStage, SnapStage, StageError, StageTypeError,
@@ -205,7 +207,7 @@ impl<O> RunHandle<O> {
 pub struct Pipeline<I, O = I> {
     spec: PipelineSpec,
     stages: Vec<Box<dyn DynStage>>,
-    /// One fan-out duplicator per parallel block of the spec's graph.
+    /// One fan-out duplicator per fan block of the spec's graph.
     fanouts: Vec<FanOutFn>,
     /// Per-stage routing-key extractors (`Some` for keyed stages only):
     /// the threaded backend routes each item to its key's shard owner.
@@ -381,8 +383,6 @@ impl<I: Send + 'static, O: Send + 'static> Pipeline<I, O> {
         let arrivals = self.session.arrivals().stream();
         let graph = self.spec.graph.clone();
         let stage_specs = self.spec.stages.clone();
-        let dag_exec =
-            graph.as_segments().is_none() || stage_specs.iter().any(|s| !s.resilience.is_default());
         let stepper = Arc::new(Mutex::new(SimStepper::new(grid, self.spec, &sim_cfg)));
         let ctl = Arc::new(SimTenantCtl::default());
         if let Some(pool) = &pool {
@@ -404,10 +404,10 @@ impl<I: Send + 'static, O: Send + 'static> Pipeline<I, O> {
                 ctl,
                 closed: false,
                 stages: self.stages,
+                scratch: PushScratch::new(&graph),
                 graph,
                 fanouts: self.fanouts,
                 stage_specs,
-                dag_exec,
                 arrivals,
                 outputs: HashMap::new(),
                 done_ordered: BTreeSet::new(),
@@ -567,20 +567,15 @@ struct SimSession<'g> {
     /// making further pushes a typed [`RunError::SessionClosed`].
     closed: bool,
     stages: Vec<Box<dyn DynStage>>,
-    /// The stage graph driving push-time execution (fan-out runs each
-    /// branch in branch order; the merge folds the branch outputs).
+    /// The stage graph driving push-time execution.
     graph: StageGraph,
-    /// One duplicator per parallel block.
+    /// One duplicator per fan block of `graph`.
     fanouts: Vec<FanOutFn>,
     /// Per-stage cost/resilience metadata (name and
     /// [`ResiliencePolicy`]) for the push-time executor.
     stage_specs: Vec<StageSpec>,
-    /// True when push-time execution must walk the general DAG executor
-    /// ([`run_dag_at_push`]): the graph was wired explicitly, or some
-    /// stage declares a non-default resilience policy. Sugar graphs
-    /// with all-default policies keep the historical segment walk
-    /// byte-identical.
-    dag_exec: bool,
+    /// The push-time executor's working memory.
+    scratch: PushScratch,
     arrivals: ArrivalStream,
     /// Outputs computed at push, keyed by sequence number; absent for
     /// marker pushes (the batch wrapper's metadata-only items).
@@ -796,36 +791,7 @@ impl<I: Send + 'static, O: Send + 'static> RunSession<'_, I, O> {
                 // world can charge the extra attempts and divert the
                 // item at the fated stage.
                 let seq_hint = sim.stepper.lock().expect("sim stepper poisoned").pushed();
-                let (out, fate) = {
-                    let SimSession {
-                        ref graph,
-                        ref fanouts,
-                        ref mut stages,
-                        ref stage_specs,
-                        dag_exec,
-                        ..
-                    } = **sim;
-                    if dag_exec {
-                        run_dag_at_push(
-                            graph,
-                            fanouts,
-                            stages,
-                            stage_specs,
-                            &self.control,
-                            seq_hint,
-                            Payload::new(item),
-                        )
-                    } else {
-                        let out = run_graph_at_push(
-                            graph,
-                            fanouts,
-                            stages,
-                            &self.control,
-                            Payload::new(item),
-                        );
-                        (out, ItemFate::default())
-                    }
-                };
+                let (out, fate) = sim.run_at_push(&self.control, seq_hint, Payload::new(item));
                 let at = sim.arrivals.next().expect("arrival stream is infinite");
                 let seq = sim
                     .stepper
@@ -1071,221 +1037,166 @@ fn downcast_output<O: 'static>(out: BoxedItem) -> O {
     out.downcast::<O>().expect("pipeline output type mismatch")
 }
 
-/// Push-time execution for simulation-backend sessions: one item runs
-/// through the stage graph on the caller's thread, in push order — the
-/// canonical sequential semantics. A parallel block fans the item out
-/// (branch order), runs each branch to its end, and folds the branch
-/// outputs through the merge stage, so a session produces the exact
-/// outputs the threaded backend's join workers assemble. Returns `None`
-/// on a type mismatch (the typed error lands on `control`; the item
-/// completes in the simulated world as a marker).
-fn run_graph_at_push(
-    graph: &StageGraph,
-    fanouts: &[FanOutFn],
-    stages: &mut [Box<dyn DynStage>],
-    control: &SessionControl,
-    item: BoxedItem,
-) -> Option<BoxedItem> {
-    let fail = |control: &SessionControl, stage: String| {
-        control.fail(RunError::StageTypeMismatch { stage });
-    };
-    let mut cur = item;
-    let mut block = 0usize;
-    for seg in graph.segments() {
-        match seg {
-            Segment::Chain { start, end } => {
-                for stage in &mut stages[*start..*end] {
-                    match stage.process(cur) {
-                        Ok(out) => cur = out,
-                        Err(type_err) => {
-                            fail(control, type_err.stage);
-                            return None;
-                        }
-                    }
-                }
-            }
-            Segment::Parallel { branches, merge } => {
-                let parts = match fanouts[block](cur) {
-                    Ok(parts) => parts,
-                    Err(type_err) => {
-                        fail(control, type_err.stage);
-                        return None;
-                    }
-                };
-                let mut outs: Vec<BoxedItem> = Vec::with_capacity(parts.len());
-                for (&(bs, be), part) in branches.iter().zip(parts) {
-                    let mut p = part;
-                    for stage in &mut stages[bs..be] {
-                        match stage.process(p) {
-                            Ok(out) => p = out,
-                            Err(type_err) => {
-                                fail(control, type_err.stage);
-                                return None;
-                            }
-                        }
-                    }
-                    outs.push(p);
-                }
-                match stages[*merge].process(Payload::new(outs)) {
-                    Ok(out) => cur = out,
-                    Err(type_err) => {
-                        fail(control, type_err.stage);
-                        return None;
-                    }
-                }
-                block += 1;
-            }
-        }
-    }
-    Some(cur)
+/// Working memory of [`SimSession::run_at_push`], sized once per graph
+/// and kept on the session so that pushing an item allocates nothing
+/// here.
+struct PushScratch {
+    /// Join assembly: join block → per-slot deposits of the one item in
+    /// flight.
+    joins: Vec<Vec<Option<BoxedItem>>>,
+    /// Payloads ready to be processed, FIFO over the acyclic graph.
+    ready: VecDeque<(usize, BoxedItem)>,
 }
 
-/// Push-time execution over a *general* DAG, honouring per-stage
-/// [`ResiliencePolicy`]s: the item's payloads travel the wired graph
-/// (fan-out copies in edge order, join inputs assembled in slot order)
-/// while every stage failure runs the policy's retry loop. Returns the
-/// exit output (or `None` when the item dead-letters, or on a fatal
-/// error already recorded on `control`) plus the [`ItemFate`] the
-/// simulated world needs to charge the retries and divert the item at
-/// the fated stage. `seq` is the sequence number the item is about to
-/// be pushed under (used only in error payloads).
-fn run_dag_at_push(
-    graph: &StageGraph,
-    fanouts: &[FanOutFn],
-    stages: &mut [Box<dyn DynStage>],
-    specs: &[StageSpec],
-    control: &SessionControl,
-    seq: u64,
-    item: BoxedItem,
-) -> (Option<BoxedItem>, ItemFate) {
-    let mut fate = ItemFate::default();
-    // Join assembly state: join block → per-slot deposits. One item in
-    // flight, so the key is the block alone.
-    let mut joins: HashMap<usize, Vec<Option<BoxedItem>>> = HashMap::new();
-    // Payloads ready to be processed, FIFO over the acyclic graph.
-    let mut ready: VecDeque<(usize, BoxedItem)> = VecDeque::new();
-
-    let fail_type = |control: &SessionControl, stage: String| {
-        control.fail(RunError::StageTypeMismatch { stage });
-    };
-
-    match graph.entry() {
-        Next::Stage(s) => ready.push_back((s, item)),
-        Next::FanOut { block } => {
-            if let Err(type_err) = fan_to(graph, fanouts, block, item, &mut joins, &mut ready) {
-                fail_type(control, type_err.stage);
-                return (None, fate);
-            }
-        }
-        Next::Done | Next::Join { .. } => {
-            unreachable!("a pipeline entry is a stage or an input fan-out")
+impl PushScratch {
+    fn new(graph: &StageGraph) -> Self {
+        PushScratch {
+            joins: (0..graph.join_blocks())
+                .map(|b| (0..graph.join_width(b)).map(|_| None).collect())
+                .collect(),
+            ready: VecDeque::new(),
         }
     }
 
-    while let Some((stage, payload)) = ready.pop_front() {
-        let policy = &specs[stage].resilience;
-        let mut attempt: u32 = 1;
-        let mut cur = payload;
-        let out = loop {
-            match stages[stage].try_process(cur) {
-                Ok(out) => break out,
-                Err(StageError::Type(type_err)) => {
-                    fail_type(control, type_err.stage);
+    /// Drops what an item that ended early (dead-lettered, or failed
+    /// the run) left behind.
+    fn reset(&mut self) {
+        self.ready.clear();
+        self.joins
+            .iter_mut()
+            .flatten()
+            .for_each(|slot| *slot = None);
+    }
+
+    /// Deposits one input into join `block`'s slot `slot`; when the set
+    /// completes, the assembled vector (slot order) queues for the
+    /// joining stage.
+    fn deposit(&mut self, graph: &StageGraph, block: usize, slot: usize, part: BoxedItem) {
+        let slots = &mut self.joins[block];
+        slots[slot] = Some(part);
+        if slots.iter().all(Option::is_some) {
+            let parts: Vec<BoxedItem> = slots.iter_mut().filter_map(Option::take).collect();
+            self.ready
+                .push_back((graph.merge_of(block), Payload::new(parts)));
+        }
+    }
+}
+
+impl SimSession<'_> {
+    /// Push-time execution: one item runs through the stage graph on
+    /// the caller's thread, in push order — the canonical sequential
+    /// semantics, and the one executor for every topology. The item's
+    /// payloads travel the wired graph (fan-out copies in edge order,
+    /// join inputs assembled in slot order, so a session produces the
+    /// exact outputs the threaded backend's join workers assemble)
+    /// while every stage failure runs the stage's [`ResiliencePolicy`]
+    /// retry loop. Returns the exit output (or `None` when the item
+    /// dead-letters, or on a fatal error already recorded on `control`;
+    /// the item then completes in the simulated world as a marker) plus
+    /// the [`ItemFate`] the simulated world needs to charge the retries
+    /// and divert the item at the fated stage. `seq` is the sequence
+    /// number the item is about to be pushed under (used only in error
+    /// payloads).
+    fn run_at_push(
+        &mut self,
+        control: &SessionControl,
+        seq: u64,
+        item: BoxedItem,
+    ) -> (Option<BoxedItem>, ItemFate) {
+        let mut fate = ItemFate::default();
+        self.scratch.reset();
+        let mut next = self.graph.entry();
+        let mut payload = item;
+        loop {
+            match self.route(next, payload) {
+                Ok(None) => {}
+                Ok(Some(out)) => return (Some(out), fate),
+                Err(type_err) => {
+                    control.fail(RunError::StageTypeMismatch {
+                        stage: type_err.stage,
+                    });
                     return (None, fate);
                 }
-                Err(StageError::Item { reason, item }) => {
-                    if attempt > policy.max_retries {
+            }
+            let (stage, mut cur) = self
+                .scratch
+                .ready
+                .pop_front()
+                .expect("an acyclic graph reaches its exit before the executor drains");
+            let spec = &self.stage_specs[stage];
+            let mut attempt: u32 = 1;
+            payload = loop {
+                match self.stages[stage].try_process(cur) {
+                    Ok(out) => break out,
+                    Err(StageError::Item { item, .. })
+                        if attempt <= spec.resilience.max_retries =>
+                    {
+                        cur = item;
+                        attempt += 1;
+                    }
+                    Err(err) => {
                         // Budget spent: `attempt - 1` retries happened.
                         if attempt > 1 {
                             fate.failed.push((stage, attempt - 1));
                         }
-                        if policy.dead_letter {
-                            fate.dead = Some((stage, reason));
-                        } else {
-                            control.fail(RunError::PoisonItem {
-                                stage: specs[stage].name.clone(),
+                        match err {
+                            StageError::Item { reason, .. } if spec.resilience.dead_letter => {
+                                fate.dead = Some((stage, reason));
+                            }
+                            StageError::Item { reason, .. } => control.fail(RunError::PoisonItem {
+                                stage: spec.name.clone(),
                                 seq,
                                 attempts: attempt,
                                 reason,
-                            });
+                            }),
+                            StageError::Type(type_err) => {
+                                control.fail(RunError::StageTypeMismatch {
+                                    stage: type_err.stage,
+                                })
+                            }
                         }
                         return (None, fate);
                     }
-                    cur = item;
-                    attempt += 1;
                 }
+            };
+            if attempt > 1 {
+                fate.failed.push((stage, attempt - 1));
             }
-        };
-        if attempt > 1 {
-            fate.failed.push((stage, attempt - 1));
+            next = self.graph.after(stage);
         }
-        match graph.after(stage) {
-            Next::Done => return (Some(out), fate),
-            Next::Stage(s) => ready.push_back((s, out)),
-            Next::Join { block, branch } => {
-                deposit_at_push(graph, block, branch, out, &mut joins, &mut ready);
-            }
+    }
+
+    /// Hands one payload wherever `next` says: queued for a consuming
+    /// stage, deposited into a join slot, fanned out (plain targets
+    /// queue their copy; slotted targets — a producer feeding one input
+    /// slot of a downstream join directly — deposit it), or returned as
+    /// the pipeline's output.
+    fn route(
+        &mut self,
+        next: Next,
+        payload: BoxedItem,
+    ) -> Result<Option<BoxedItem>, StageTypeError> {
+        let SimSession { graph, scratch, .. } = self;
+        match next {
+            Next::Done => return Ok(Some(payload)),
+            Next::Stage(s) => scratch.ready.push_back((s, payload)),
+            Next::Join { block, branch } => scratch.deposit(graph, block, branch, payload),
             Next::FanOut { block } => {
-                if let Err(type_err) = fan_to(graph, fanouts, block, out, &mut joins, &mut ready) {
-                    fail_type(control, type_err.stage);
-                    return (None, fate);
+                let parts = self.fanouts[block](payload)?;
+                for (target, part) in graph.fan_targets(block).iter().zip(parts) {
+                    match target.slot {
+                        None => scratch.ready.push_back((target.stage, part)),
+                        Some(slot) => {
+                            let jblock = graph
+                                .merge_block_of(target.stage)
+                                .expect("slotted fan target joins");
+                            scratch.deposit(graph, jblock, slot, part);
+                        }
+                    }
                 }
             }
         }
-    }
-    unreachable!("acyclic graph executor drained without reaching the exit")
-}
-
-/// Fans one payload through fan block `block`: plain targets queue
-/// their copy for processing; slotted targets (a producer feeding one
-/// input slot of a downstream join directly) deposit it instead.
-fn fan_to(
-    graph: &StageGraph,
-    fanouts: &[FanOutFn],
-    block: usize,
-    payload: BoxedItem,
-    joins: &mut HashMap<usize, Vec<Option<BoxedItem>>>,
-    ready: &mut VecDeque<(usize, BoxedItem)>,
-) -> Result<(), StageTypeError> {
-    let parts = fanouts[block](payload)?;
-    for (target, part) in graph.fan_targets(block).iter().zip(parts) {
-        match target.slot {
-            None => ready.push_back((target.stage, part)),
-            Some(slot) => {
-                let jblock = graph
-                    .merge_block_of(target.stage)
-                    .expect("slotted fan target joins");
-                deposit_at_push(graph, jblock, slot, part, joins, ready);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Deposits one input into join `block`'s slot `slot`; when the set
-/// completes, the assembled vector (slot order) queues for the joining
-/// stage.
-fn deposit_at_push(
-    graph: &StageGraph,
-    block: usize,
-    slot: usize,
-    part: BoxedItem,
-    joins: &mut HashMap<usize, Vec<Option<BoxedItem>>>,
-    ready: &mut VecDeque<(usize, BoxedItem)>,
-) {
-    let k = graph.branch_count(block);
-    let slots = joins
-        .entry(block)
-        .or_insert_with(|| (0..k).map(|_| None).collect());
-    slots[slot] = Some(part);
-    if slots.iter().all(Option::is_some) {
-        let parts: Vec<BoxedItem> = joins
-            .remove(&block)
-            .expect("slots just inserted")
-            .into_iter()
-            .map(|p| p.expect("all slots present"))
-            .collect();
-        ready.push_back((graph.merge_of(block), Payload::new(parts)));
+        Ok(None)
     }
 }
 
@@ -1610,14 +1521,23 @@ pub struct PipelineBuilder<In, Cur = In> {
     /// Per-stage routing-key extractors, in lockstep with `stages`
     /// (`Some` for keyed stages only).
     keys: Vec<Option<KeyFn>>,
-    /// The declared series-parallel shape over `specs` (flattened
-    /// order); compiled into a [`StageGraph`] at `build()`.
-    shape: Vec<ShapeSeg>,
-    /// One fan-out duplicator per parallel block declared so far.
-    fanouts: Vec<FanOutFn>,
+    /// The stage graph declared so far: every appended stage or block
+    /// adds the edges it implies.
+    graph: StageGraphBuilder,
+    /// The fan-out duplicators declared so far, each under the stage
+    /// whose output it copies (`None`: the pipeline input).
+    fanouts: Vec<(Option<usize>, FanOutFn)>,
     /// First structural error of a `parallel()` declaration, surfaced
     /// as the typed `build()` result.
     graph_error: Option<BuildError>,
+    run: RunDecl<In>,
+    _types: PhantomData<fn(In) -> Cur>,
+}
+
+/// What a builder declares about the run as a whole rather than about
+/// any one stage, and the `build()` tail that turns a declaration into
+/// a [`Pipeline`] — shared by [`PipelineBuilder`] and [`DagBuilder`].
+struct RunDecl<In> {
     input_bytes: u64,
     source: Option<NodeId>,
     sink: Option<NodeId>,
@@ -1626,31 +1546,64 @@ pub struct PipelineBuilder<In, Cur = In> {
     baseline: bool,
     feed: Option<Box<dyn Fn(u64) -> In + Send>>,
     faults: FaultPlan,
-    _types: PhantomData<fn(In) -> Cur>,
 }
 
-/// One element of the builder's declared shape.
-enum ShapeSeg {
-    /// `k` series stages.
-    Series(usize),
-    /// A parallel block: branch stage counts (branch order); the merge
-    /// stage follows implicitly.
-    Block(Vec<usize>),
-}
+impl<In> RunDecl<In> {
+    fn new() -> Self {
+        RunDecl {
+            input_bytes: 0,
+            source: None,
+            sink: None,
+            policy: Policy::Static,
+            arrivals: ArrivalProcess::AllAtOnce,
+            baseline: false,
+            feed: None,
+            faults: FaultPlan::new(),
+        }
+    }
 
-/// Converts an existing graph back into builder shape so stages can be
-/// appended after `from_spec`/`from_pipeline`.
-fn shape_of(graph: &StageGraph) -> Vec<ShapeSeg> {
-    graph
-        .segments()
-        .iter()
-        .map(|seg| match seg {
-            Segment::Chain { start, end } => ShapeSeg::Series(end - start),
-            Segment::Parallel { branches, .. } => {
-                ShapeSeg::Block(branches.iter().map(|&(s, e)| e - s).collect())
-            }
+    /// Validates the declaration and assembles the pipeline: stage
+    /// names and replica bounds, the policy × arrival pairing, then the
+    /// stage graph (`wire`) and one fan-out duplicator per fan block of
+    /// it (`fan_out`, given the block's source stage — `None` for the
+    /// pipeline input — and its width).
+    fn finish<Out>(
+        self,
+        specs: Vec<StageSpec>,
+        stages: Vec<Box<dyn DynStage>>,
+        keys: Vec<Option<KeyFn>>,
+        wire: impl FnOnce() -> Result<StageGraph, BuildError>,
+        fan_out: impl Fn(Option<usize>, usize) -> FanOutFn,
+    ) -> Result<Pipeline<In, Out>, BuildError> {
+        let names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
+        session::validate_stage_names(&names)?;
+        for spec in &specs {
+            session::validate_replicas(&spec.name, spec.state.replicable(), spec.max_replicas)?;
+        }
+        let session = if self.baseline {
+            Session::baseline(self.policy, self.arrivals)?
+        } else {
+            Session::new(self.policy, self.arrivals)?
+        };
+        let graph = wire()?;
+        let fanouts = (0..graph.blocks())
+            .map(|b| fan_out(graph.fan_source(b), graph.fan_targets(b).len()))
+            .collect();
+        let mut spec = PipelineSpec::with_graph(specs, graph);
+        spec.input_bytes = self.input_bytes;
+        spec.source = self.source;
+        spec.sink = self.sink;
+        Ok(Pipeline {
+            spec,
+            stages,
+            keys,
+            fanouts,
+            session,
+            feed: self.feed,
+            faults: self.faults,
+            _types: PhantomData,
         })
-        .collect()
+    }
 }
 
 impl<In: Send + 'static> PipelineBuilder<In, In> {
@@ -1660,17 +1613,10 @@ impl<In: Send + 'static> PipelineBuilder<In, In> {
             specs: Vec::new(),
             stages: Vec::new(),
             keys: Vec::new(),
-            shape: Vec::new(),
+            graph: StageGraph::builder(),
             fanouts: Vec::new(),
             graph_error: None,
-            input_bytes: 0,
-            source: None,
-            sink: None,
-            policy: Policy::Static,
-            arrivals: ArrivalProcess::AllAtOnce,
-            baseline: false,
-            feed: None,
-            faults: FaultPlan::new(),
+            run: RunDecl::new(),
             _types: PhantomData,
         }
     }
@@ -1683,15 +1629,16 @@ impl<In: Send + 'static> Default for PipelineBuilder<In, In> {
 }
 
 impl PipelineBuilder<u64, u64> {
-    /// Builds from an engine-agnostic [`PipelineSpec`] alone: each stage
-    /// becomes an identity function over `u64` (merge stages take their
-    /// first branch's value), and the feed defaults to the item index.
-    /// The simulation backend only consumes the metadata, so this is the
+    /// Builds from an engine-agnostic [`PipelineSpec`] alone — any DAG
+    /// spec, however its graph was wired: each stage becomes an
+    /// identity function over `u64` (joining stages take their first
+    /// input's value), and the feed defaults to the item index. The
+    /// simulation backend only consumes the metadata, so this is the
     /// natural entry point for simulation scenarios (and still runs —
-    /// trivially — on the threaded backend). Branched specs (built via
-    /// [`PipelineSpec::with_graph`]) keep their graph.
+    /// trivially — on the threaded backend). Stages appended afterwards
+    /// consume the spec's exit stage.
     pub fn from_spec(spec: PipelineSpec) -> Self {
-        let graph = spec.graph.clone();
+        let graph = &spec.graph;
         let stages: Vec<Box<dyn DynStage>> = spec
             .stages
             .iter()
@@ -1709,82 +1656,67 @@ impl PipelineBuilder<u64, u64> {
             })
             .collect();
         let fanouts = (0..graph.blocks())
-            .map(|b| fan_out_fn::<u64>(graph.branch_count(b)))
+            .map(|b| fan_out_fn::<u64>(graph.fan_targets(b).len()))
             .collect();
         let keys = vec![None; stages.len()];
-        PipelineBuilder {
-            input_bytes: spec.input_bytes,
-            source: spec.source,
-            sink: spec.sink,
-            shape: shape_of(&graph),
-            fanouts,
-            graph_error: None,
-            specs: spec.stages,
-            stages,
-            keys,
-            policy: Policy::Static,
-            arrivals: ArrivalProcess::AllAtOnce,
-            baseline: false,
-            feed: Some(Box::new(|i| i)),
-            faults: FaultPlan::new(),
-            _types: PhantomData,
-        }
+        let core = CorePipeline::from_keyed_parts(spec, stages, fanouts, keys);
+        PipelineBuilder::from_pipeline(core).feed(|i| i)
     }
 }
 
 impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
     /// Adopts an already-built engine-level pipeline (e.g. the imaging
-    /// or signal workloads), keeping its stages and cost metadata; the
-    /// unified policy/arrivals/feed declarations still apply.
+    /// or signal workloads), keeping its stages, stage graph and cost
+    /// metadata; the unified policy/arrivals/feed declarations still
+    /// apply, and stages appended afterwards consume its exit stage.
     pub fn from_pipeline(pipeline: CorePipeline<In, Cur>) -> Self {
         let (spec, stages, fanouts, keys) = pipeline.into_keyed_parts();
+        let sources = (0..spec.graph.blocks()).map(|b| spec.graph.fan_source(b));
         PipelineBuilder {
-            input_bytes: spec.input_bytes,
-            source: spec.source,
-            sink: spec.sink,
-            shape: shape_of(&spec.graph),
-            fanouts,
+            graph: StageGraphBuilder::extending(&spec.graph),
+            fanouts: sources.zip(fanouts).collect(),
             graph_error: None,
             specs: spec.stages,
             stages,
             keys,
-            policy: Policy::Static,
-            arrivals: ArrivalProcess::AllAtOnce,
-            baseline: false,
-            feed: None,
-            faults: FaultPlan::new(),
+            run: RunDecl {
+                input_bytes: spec.input_bytes,
+                source: spec.source,
+                sink: spec.sink,
+                ..RunDecl::new()
+            },
             _types: PhantomData,
         }
     }
 
     /// Declares how many bytes each input item carries into stage 0.
     pub fn input_bytes(mut self, bytes: u64) -> Self {
-        self.input_bytes = bytes;
+        self.run.input_bytes = bytes;
         self
     }
 
     /// Pins the input source to a grid node (inputs pay the transfer
     /// from there to stage 0's host).
     pub fn source(mut self, node: NodeId) -> Self {
-        self.source = Some(node);
+        self.run.source = Some(node);
         self
     }
 
     /// Pins the output sink to a grid node.
     pub fn sink(mut self, node: NodeId) -> Self {
-        self.sink = Some(node);
+        self.run.sink = Some(node);
         self
     }
 
     /// Sets the adaptation policy (default [`Policy::Static`]).
     pub fn policy(mut self, policy: Policy) -> Self {
-        self.policy = policy;
+        self.run.policy = policy;
         self
     }
 
     /// Sets the arrival process (default [`ArrivalProcess::AllAtOnce`]).
     pub fn arrivals(mut self, arrivals: ArrivalProcess) -> Self {
-        self.arrivals = arrivals;
+        self.run.arrivals = arrivals;
         self
     }
 
@@ -1797,7 +1729,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
     /// `RunConfig` carries. Validated against the backend's node set at
     /// `run()`/`spawn()`.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
+        self.run.faults = plan;
         self
     }
 
@@ -1806,7 +1738,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
     /// run to show what non-adaptive scheduling costs). Every other
     /// validation still applies.
     pub fn as_baseline(mut self) -> Self {
-        self.baseline = true;
+        self.run.baseline = true;
         self
     }
 
@@ -1814,7 +1746,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
     /// execute stage functions on real items (threads) require one; the
     /// simulator ignores it.
     pub fn feed(mut self, f: impl Fn(u64) -> In + Send + 'static) -> Self {
-        self.feed = Some(Box::new(f));
+        self.run.feed = Some(Box::new(f));
         self
     }
 
@@ -1847,7 +1779,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
 
     /// Appends a stage with explicit cost metadata. A spec marked
     /// stateful produces a stateful (never-replicated) stage instance.
-    pub fn stage_with<Out, F>(mut self, spec: StageSpec, f: F) -> PipelineBuilder<In, Out>
+    pub fn stage_with<Out, F>(self, spec: StageSpec, f: F) -> PipelineBuilder<In, Out>
     where
         Out: Send + 'static,
         F: FnMut(Cur) -> Out + Send + Clone + 'static,
@@ -1857,11 +1789,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
         } else {
             Box::new(StatefulFnStage::new(spec.name.clone(), f))
         };
-        self.stages.push(stage);
-        self.keys.push(None);
-        self.specs.push(spec);
-        self.note_series_stage();
-        self.retype()
+        self.append(spec, stage, None)
     }
 
     /// Appends a stateful stage with *opaque* (undeclared) closure
@@ -1873,7 +1801,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
     /// [`PipelineBuilder::accumulator_stage`],
     /// [`PipelineBuilder::exclusive_stage`]), which replicate and/or
     /// live-migrate instead. The closure needs no `Clone` bound.
-    pub fn stateful_stage<Out, F>(mut self, spec: StageSpec, f: F) -> PipelineBuilder<In, Out>
+    pub fn stateful_stage<Out, F>(self, spec: StageSpec, f: F) -> PipelineBuilder<In, Out>
     where
         Out: Send + 'static,
         F: FnMut(Cur) -> Out + Send + 'static,
@@ -1883,19 +1811,16 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
         } else {
             spec
         };
-        self.stages
-            .push(Box::new(StatefulFnStage::new(spec.name.clone(), f)));
-        self.keys.push(None);
-        self.specs.push(spec);
-        self.note_series_stage();
-        self.retype()
+        let stage = Box::new(StatefulFnStage::new(spec.name.clone(), f));
+        self.append(spec, stage, None)
     }
 
     /// Appends a *fallible* stateless stage: the closure may reject an
     /// item with an error string, and the stage's declared
     /// [`ResiliencePolicy`] (see [`PipelineBuilder::resilience`])
     /// decides what happens — retry with backoff, dead-letter
-    /// diversion, or the default fail-fast [`RunError::PoisonItem`].
+    /// diversion, or the default: fail fast, ending the run with
+    /// [`RunError::PoisonItem`] (`attempts == 1`) on either backend.
     /// The input must be `Clone` so a failed attempt hands the
     /// untouched item back for re-presentation.
     pub fn try_stage<Out, F>(self, name: impl Into<String>, f: F) -> PipelineBuilder<In, Out>
@@ -1908,18 +1833,14 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
     }
 
     /// Appends a fallible stage with explicit cost metadata.
-    pub fn try_stage_with<Out, F>(mut self, spec: StageSpec, f: F) -> PipelineBuilder<In, Out>
+    pub fn try_stage_with<Out, F>(self, spec: StageSpec, f: F) -> PipelineBuilder<In, Out>
     where
         Cur: Clone,
         Out: Send + 'static,
         F: FnMut(Cur) -> Result<Out, String> + Send + Clone + 'static,
     {
-        self.stages
-            .push(Box::new(FallibleFnStage::new(spec.name.clone(), f)));
-        self.keys.push(None);
-        self.specs.push(spec);
-        self.note_series_stage();
-        self.retype()
+        let stage = Box::new(FallibleFnStage::new(spec.name.clone(), f));
+        self.append(spec, stage, None)
     }
 
     /// Declares the failure-handling policy of the most recently
@@ -1983,7 +1904,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
     /// Panics if `spec` does not declare keyed state — the shard count
     /// is part of the declaration, not something the builder can guess.
     pub fn keyed_stage_with<Out, S, K, F>(
-        mut self,
+        self,
         spec: StageSpec,
         key: K,
         init: impl Fn() -> S + Send + Sync + 'static,
@@ -2000,11 +1921,8 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
             "keyed_stage requires a spec with declared keyed state"
         );
         let stage = KeyedStage::<Cur, Out, S, K, F>::new(spec.name.clone(), key, init, f);
-        self.keys.push(Some(stage.routing_key()));
-        self.stages.push(Box::new(stage));
-        self.specs.push(spec);
-        self.note_series_stage();
-        self.retype()
+        let key = stage.routing_key();
+        self.append(spec, Box::new(stage), Some(key))
     }
 
     /// Appends a stage with *accumulator* state: one logical value with
@@ -2036,7 +1954,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
     /// [`PipelineBuilder::accumulator_stage`] with explicit cost
     /// metadata (the accumulator declaration is applied if missing).
     pub fn accumulator_stage_with<Out, S, F, M>(
-        mut self,
+        self,
         spec: StageSpec,
         init: impl Fn() -> S + Send + Sync + 'static,
         f: F,
@@ -2054,17 +1972,8 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
             let bytes = spec.state_bytes;
             spec.with_accumulator_state(bytes)
         };
-        self.stages
-            .push(Box::new(AccumStage::<Cur, Out, S, F, M>::new(
-                spec.name.clone(),
-                init,
-                f,
-                merge,
-            )));
-        self.keys.push(None);
-        self.specs.push(spec);
-        self.note_series_stage();
-        self.retype()
+        let stage = AccumStage::<Cur, Out, S, F, M>::new(spec.name.clone(), init, f, merge);
+        self.append(spec, Box::new(stage), None)
     }
 
     /// Appends a stage with *exclusive* declared state: serializable
@@ -2093,7 +2002,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
     /// [`PipelineBuilder::exclusive_stage`] with explicit cost metadata
     /// (the exclusive declaration is applied if missing).
     pub fn exclusive_stage_with<Out, S, F>(
-        mut self,
+        self,
         spec: StageSpec,
         init: impl Fn() -> S + Send + Sync + 'static,
         f: F,
@@ -2109,21 +2018,14 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
             let bytes = spec.state_bytes;
             spec.with_exclusive_state(bytes)
         };
-        self.stages.push(Box::new(SnapStage::<Cur, Out, S, F>::new(
-            spec.name.clone(),
-            init,
-            f,
-        )));
-        self.keys.push(None);
-        self.specs.push(spec);
-        self.note_series_stage();
-        self.retype()
+        let stage = SnapStage::<Cur, Out, S, F>::new(spec.name.clone(), init, f);
+        self.append(spec, Box::new(stage), None)
     }
 
-    /// Fans each item out to the given branch sub-pipelines — the
-    /// series-parallel generalisation of the stage chain. Every branch
-    /// receives its own clone of the item (hence `Cur: Clone`), the
-    /// branches execute concurrently (on the threaded backend) over
+    /// Fans each item out to the given branch sub-pipelines — sugar for
+    /// the fan-out and join edges [`DagBuilder`] takes one by one. Every
+    /// branch receives its own clone of the item (hence `Cur: Clone`),
+    /// the branches execute concurrently (on the threaded backend) over
     /// their own placements, and the block must be closed with
     /// [`ParallelBuilder::merge`] (or
     /// [`ParallelBuilder::merge_with`]), which folds the branch outputs
@@ -2153,6 +2055,8 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
         B: Send + 'static,
     {
         let block = self.fanouts.len();
+        self.fanouts
+            .push((self.graph.tail(), fan_out_fn::<Cur>(branches.len())));
         if branches.len() < 2 && self.graph_error.is_none() {
             self.graph_error = Some(BuildError::TooFewBranches { block });
         }
@@ -2160,7 +2064,6 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
             self.graph_error = Some(BuildError::EmptyBranch { block });
         }
         let mut lens = Vec::with_capacity(branches.len());
-        let n = branches.len();
         for branch in branches {
             let Branch {
                 specs,
@@ -2181,7 +2084,6 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
             self.keys.extend((0..stages.len()).map(|_| None));
             self.stages.extend(stages);
         }
-        self.fanouts.push(fan_out_fn::<Cur>(n));
         ParallelBuilder {
             builder: self.retype(),
             branch_lens: lens,
@@ -2189,12 +2091,19 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
         }
     }
 
-    fn note_series_stage(&mut self) {
-        if let Some(ShapeSeg::Series(k)) = self.shape.last_mut() {
-            *k += 1;
-        } else {
-            self.shape.push(ShapeSeg::Series(1));
-        }
+    /// Appends one series stage: it consumes the output of whatever was
+    /// declared last.
+    fn append<Out: Send + 'static>(
+        mut self,
+        spec: StageSpec,
+        stage: Box<dyn DynStage>,
+        key: Option<KeyFn>,
+    ) -> PipelineBuilder<In, Out> {
+        self.stages.push(stage);
+        self.keys.push(key);
+        self.specs.push(spec);
+        self.graph = self.graph.stages(1);
+        self.retype()
     }
 
     fn retype<Out: Send + 'static>(self) -> PipelineBuilder<In, Out> {
@@ -2202,17 +2111,10 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
             specs: self.specs,
             stages: self.stages,
             keys: self.keys,
-            shape: self.shape,
+            graph: self.graph,
             fanouts: self.fanouts,
             graph_error: self.graph_error,
-            input_bytes: self.input_bytes,
-            source: self.source,
-            sink: self.sink,
-            policy: self.policy,
-            arrivals: self.arrivals,
-            baseline: self.baseline,
-            feed: self.feed,
-            faults: self.faults,
+            run: self.run,
             _types: PhantomData,
         }
     }
@@ -2225,37 +2127,20 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
         if let Some(err) = self.graph_error {
             return Err(err);
         }
-        let names: Vec<&str> = self.specs.iter().map(|s| s.name.as_str()).collect();
-        session::validate_stage_names(&names)?;
-        for spec in &self.specs {
-            session::validate_replicas(&spec.name, spec.state.replicable(), spec.max_replicas)?;
-        }
-        let session = if self.baseline {
-            Session::baseline(self.policy, self.arrivals)?
-        } else {
-            Session::new(self.policy, self.arrivals)?
-        };
-        let mut graph = StageGraph::builder();
-        for seg in &self.shape {
-            graph = match seg {
-                ShapeSeg::Series(k) => graph.stages(*k),
-                ShapeSeg::Block(lens) => graph.split(lens),
-            };
-        }
-        let mut spec = PipelineSpec::with_graph(self.specs, graph.build());
-        spec.input_bytes = self.input_bytes;
-        spec.source = self.source;
-        spec.sink = self.sink;
-        Ok(Pipeline {
-            spec,
-            stages: self.stages,
-            keys: self.keys,
-            fanouts: self.fanouts,
-            session,
-            feed: self.feed,
-            faults: self.faults,
-            _types: PhantomData,
-        })
+        let PipelineBuilder { graph, fanouts, .. } = self;
+        self.run.finish(
+            self.specs,
+            self.stages,
+            self.keys,
+            || Ok(graph.build()),
+            |source, _| {
+                let (_, fan_out) = fanouts
+                    .iter()
+                    .find(|(s, _)| *s == source)
+                    .expect("every fan-out of a sugar-built graph was declared by parallel()");
+                fan_out.clone()
+            },
+        )
     }
 }
 
@@ -2388,7 +2273,11 @@ impl<In: Send + 'static, B: Send + 'static> ParallelBuilder<In, B> {
         builder.stages.push(stage);
         builder.keys.push(None);
         builder.specs.push(spec);
-        builder.shape.push(ShapeSeg::Block(self.branch_lens));
+        // A mis-declared block has already failed the build; its edges
+        // are never looked at.
+        if builder.graph_error.is_none() {
+            builder.graph = builder.graph.split(&self.branch_lens);
+        }
         builder.retype()
     }
 }
@@ -2445,7 +2334,6 @@ fn fan_out_from_clone(stage: String, clone: CloneFn, n: usize) -> FanOutFn {
 /// assert_eq!(pipeline.len(), 5);
 /// ```
 pub struct DagBuilder<In> {
-    names: Vec<String>,
     specs: Vec<StageSpec>,
     stages: Vec<Box<dyn DynStage>>,
     /// Per stage: duplicator of its *output* type, used to synthesize
@@ -2459,36 +2347,19 @@ pub struct DagBuilder<In> {
     entry_clone: CloneFn,
     /// First structural error of the declaration, surfaced at `build()`.
     err: Option<BuildError>,
-    input_bytes: u64,
-    source: Option<NodeId>,
-    sink: Option<NodeId>,
-    policy: Policy,
-    arrivals: ArrivalProcess,
-    baseline: bool,
-    feed: Option<Box<dyn Fn(u64) -> In + Send>>,
-    faults: FaultPlan,
-    _types: PhantomData<fn(In)>,
+    run: RunDecl<In>,
 }
 
 impl<In: Clone + Send + 'static> DagBuilder<In> {
     fn new() -> Self {
         DagBuilder {
-            names: Vec::new(),
             specs: Vec::new(),
             stages: Vec::new(),
             clones: Vec::new(),
             edges: Vec::new(),
             entry_clone: clone_fn::<In>(),
             err: None,
-            input_bytes: 0,
-            source: None,
-            sink: None,
-            policy: Policy::Static,
-            arrivals: ArrivalProcess::AllAtOnce,
-            baseline: false,
-            feed: None,
-            faults: FaultPlan::new(),
-            _types: PhantomData,
+            run: RunDecl::new(),
         }
     }
 
@@ -2592,7 +2463,6 @@ impl<In: Clone + Send + 'static> DagBuilder<In> {
     }
 
     fn push_stage(&mut self, spec: StageSpec, stage: Box<dyn DynStage>, clone: CloneFn) {
-        self.names.push(spec.name.clone());
         self.specs.push(spec);
         self.stages.push(stage);
         self.clones.push(clone);
@@ -2622,51 +2492,51 @@ impl<In: Clone + Send + 'static> DagBuilder<In> {
     /// Declares how many bytes each input item carries into the entry
     /// stages.
     pub fn input_bytes(mut self, bytes: u64) -> Self {
-        self.input_bytes = bytes;
+        self.run.input_bytes = bytes;
         self
     }
 
     /// Pins the input source to a grid node.
     pub fn source(mut self, node: NodeId) -> Self {
-        self.source = Some(node);
+        self.run.source = Some(node);
         self
     }
 
     /// Pins the output sink to a grid node.
     pub fn sink(mut self, node: NodeId) -> Self {
-        self.sink = Some(node);
+        self.run.sink = Some(node);
         self
     }
 
     /// Sets the adaptation policy (default [`Policy::Static`]).
     pub fn policy(mut self, policy: Policy) -> Self {
-        self.policy = policy;
+        self.run.policy = policy;
         self
     }
 
     /// Sets the arrival process (default [`ArrivalProcess::AllAtOnce`]).
     pub fn arrivals(mut self, arrivals: ArrivalProcess) -> Self {
-        self.arrivals = arrivals;
+        self.run.arrivals = arrivals;
         self
     }
 
     /// Acknowledges a deliberate baseline (waives the policy × arrival
     /// pairing rule), as on [`PipelineBuilder::as_baseline`].
     pub fn as_baseline(mut self) -> Self {
-        self.baseline = true;
+        self.run.baseline = true;
         self
     }
 
     /// Declares the input feed: item index → input.
     pub fn feed(mut self, f: impl Fn(u64) -> In + Send + 'static) -> Self {
-        self.feed = Some(Box::new(f));
+        self.run.feed = Some(Box::new(f));
         self
     }
 
     /// Declares scheduled faults the run must survive (see
     /// [`PipelineBuilder::faults`]).
     pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
+        self.run.faults = plan;
         self
     }
 
@@ -2678,60 +2548,41 @@ impl<In: Clone + Send + 'static> DagBuilder<In> {
         if let Some(err) = self.err {
             return Err(err);
         }
-        if self.specs.is_empty() {
-            return Err(BuildError::EmptyPipeline);
-        }
-        let names: Vec<&str> = self.names.iter().map(String::as_str).collect();
-        session::validate_stage_names(&names)?;
-        for spec in &self.specs {
-            session::validate_replicas(&spec.name, spec.state.replicable(), spec.max_replicas)?;
-        }
-        let session = if self.baseline {
-            Session::baseline(self.policy, self.arrivals)?
-        } else {
-            Session::new(self.policy, self.arrivals)?
-        };
-        let index_of: HashMap<&str, usize> = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.as_str(), i))
-            .collect();
-        let mut dag = StageGraph::dag(self.specs.len());
-        for (from, to) in &self.edges {
-            let f = *index_of
-                .get(from.as_str())
-                .ok_or_else(|| BuildError::UnknownStage { name: from.clone() })?;
-            let t = *index_of
-                .get(to.as_str())
-                .ok_or_else(|| BuildError::UnknownStage { name: to.clone() })?;
-            dag = dag.edge(f, t);
-        }
-        let graph = dag.build().map_err(|e| graph_build_error(e, &self.names))?;
-        let fanouts: Vec<FanOutFn> = (0..graph.blocks())
-            .map(|b| {
-                let n = graph.fan_targets(b).len();
-                match graph.fan_source(b) {
-                    Some(s) => fan_out_from_clone(self.names[s].clone(), self.clones[s].clone(), n),
-                    None => fan_out_from_clone("input".to_string(), self.entry_clone.clone(), n),
-                }
-            })
-            .collect();
+        let DagBuilder {
+            edges,
+            clones,
+            entry_clone,
+            ..
+        } = self;
         let keys = vec![None; self.stages.len()];
-        let mut spec = PipelineSpec::with_graph(self.specs, graph);
-        spec.input_bytes = self.input_bytes;
-        spec.source = self.source;
-        spec.sink = self.sink;
-        Ok(Pipeline {
-            spec,
-            stages: self.stages,
+        let names: Vec<String> = self.specs.iter().map(|s| s.name.clone()).collect();
+        self.run.finish(
+            self.specs,
+            self.stages,
             keys,
-            fanouts,
-            session,
-            feed: self.feed,
-            faults: self.faults,
-            _types: PhantomData,
-        })
+            || {
+                let index_of: HashMap<&str, usize> = names
+                    .iter()
+                    .enumerate()
+                    .map(|(i, n)| (n.as_str(), i))
+                    .collect();
+                let id = |name: &String| {
+                    index_of
+                        .get(name.as_str())
+                        .copied()
+                        .ok_or_else(|| BuildError::UnknownStage { name: name.clone() })
+                };
+                let mut dag = StageGraph::dag(names.len());
+                for (from, to) in &edges {
+                    dag = dag.edge(id(from)?, id(to)?);
+                }
+                dag.build().map_err(|e| graph_build_error(e, &names))
+            },
+            |source, n| match source {
+                Some(s) => fan_out_from_clone(names[s].clone(), clones[s].clone(), n),
+                None => fan_out_from_clone("input".to_string(), entry_clone.clone(), n),
+            },
+        )
     }
 }
 

@@ -13,7 +13,7 @@
 //! |---|---|
 //! | [`gridsim`] | deterministic discrete-event grid substrate |
 //! | [`monitor`] | NWS-style measurement + forecasting |
-//! | [`mapper`] | series-parallel stage graphs, throughput model + mapping optimisers |
+//! | [`mapper`] | stage DAGs, throughput model + mapping optimisers |
 //! | [`state`] | state-access taxonomy, shard math, snapshot codec — how stateful stages declare, shard, and move their state |
 //! | [`runtime`] | backend-agnostic adaptive runtime: routing table, adaptation loop, controller, policies, reports, sessions |
 //! | [`core`] | the skeleton: stages, specs, stage graphs, and the simulation backend |
@@ -23,12 +23,14 @@
 //! Both execution backends sit under the shared [`runtime`] layer and
 //! behind the one [`api::Pipeline`] surface (see `README.md` for the
 //! diagram and a "writing a new backend" guide). The stage topology is
-//! a first-class *general DAG*: linear chains are the degenerate case,
+//! one first-class *DAG*: [`api::PipelineBuilder::stage`] chains and
 //! [`api::PipelineBuilder::parallel`] / [`api::ParallelBuilder::merge`]
-//! declare series-parallel fan-out/fan-in sugar, and [`api::DagBuilder`]
-//! (via `Pipeline::dag()`) wires arbitrary topologies edge-by-edge with
-//! per-stage [`runtime::session::ResiliencePolicy`] (retry, timeout,
-//! dead-letter, trace) —
+//! blocks are sugar that emits edges, [`api::DagBuilder`] (via
+//! `Pipeline::dag()`) wires arbitrary topologies edge-by-edge, and both
+//! end in the same graph, the same cost-model walk and the same
+//! executors. Per-stage [`runtime::session::ResiliencePolicy`] (retry,
+//! timeout, dead-letter, trace) is opt-in; the default fails fast with
+//! [`api::RunError::PoisonItem`] —
 //! all executed with item-identical outputs on both backends (see the
 //! README's "Composing skeletons" and "General DAGs & resilience
 //! policies").

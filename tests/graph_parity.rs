@@ -2,10 +2,12 @@
 //!
 //! Three contracts are pinned here:
 //!
-//! 1. **Strict generalisation** — a linear pipeline expressed through an
-//!    explicit [`StageGraph::linear`] reproduces the pre-refactor
-//!    planner decision and the pre-refactor `RunReport` exactly (the
-//!    graph machinery must not perturb the chain case by a bit);
+//! 1. **Sugar is pure sugar** — a graph declared through the chain and
+//!    parallel-block builders *is* the graph wired edge by edge: equal
+//!    as a value, bit-equal under `evaluate`, mapping-equal under
+//!    `plan()`, and equal in its simulated `RunReport`. The planner
+//!    decisions recorded before the topology paths were unified (chain
+//!    formula, segment walk) are pinned as literals;
 //! 2. **Cross-backend branch parity** — the same branched scenario run
 //!    on `Backend::Sim` and `Backend::Threads` yields item-identical
 //!    merged outputs, including under mid-stream loss of a node hosting
@@ -16,8 +18,10 @@
 //!    backends, per-stage retry/dead-letter policies are accounted
 //!    identically in the `RunReport` (poison items diverted with the
 //!    same attempt counts, transient faults absorbed with zero dead
-//!    letters), and mis-wired declarations fail `build()` with typed
-//!    errors instead of panicking mid-run.
+//!    letters, the default policy failing fast with the same typed
+//!    error from either builder on either backend), and mis-wired
+//!    declarations fail `build()` with typed errors instead of
+//!    panicking mid-run.
 
 use adapipe::prelude::*;
 use std::time::Duration;
@@ -26,54 +30,111 @@ fn n(i: usize) -> NodeId {
     NodeId(i)
 }
 
-// --- 1. linear pipelines are the degenerate graph ----------------------
+// --- 1. sugar graphs are their edge-wired twins --------------------------
 
 #[test]
 fn linear_graph_reproduces_pre_refactor_planner_decision() {
-    let stages = || {
-        vec![
-            StageSpec::balanced("a", 2.0, 20_000),
-            StageSpec::balanced("b", 1.0, 5_000),
-            StageSpec::balanced("c", 3.0, 20_000),
-            StageSpec::balanced("d", 0.5, 1_000),
-        ]
-    };
-    let implicit = PipelineSpec::new(stages());
-    let explicit = PipelineSpec::with_graph(stages(), StageGraph::linear(4));
-
+    // The mapping the chain-only latency formula chose for this profile
+    // before the model walked every topology the same way.
+    let spec = PipelineSpec::new(vec![
+        StageSpec::balanced("a", 2.0, 20_000),
+        StageSpec::balanced("b", 1.0, 5_000),
+        StageSpec::balanced("c", 3.0, 20_000),
+        StageSpec::balanced("d", 0.5, 1_000),
+    ]);
     let grid = testbed_hetero8(42);
     let rates = grid.rates_at(SimTime::ZERO);
-    let cfg = PlannerConfig::default();
-    let plan_implicit = plan(&implicit.profile(), &rates, grid.topology(), &cfg);
-    let plan_explicit = plan(&explicit.profile(), &rates, grid.topology(), &cfg);
-    assert_eq!(plan_implicit.mapping, plan_explicit.mapping);
-    assert_eq!(
-        plan_implicit.prediction.throughput.to_bits(),
-        plan_explicit.prediction.throughput.to_bits()
+    let chosen = plan(
+        &spec.profile(),
+        &rates,
+        grid.topology(),
+        &PlannerConfig::default(),
     );
-    assert_eq!(
-        plan_implicit.prediction.latency.to_bits(),
-        plan_explicit.prediction.latency.to_bits()
-    );
-    assert_eq!(plan_implicit.strategy, plan_explicit.strategy);
+    assert_eq!(chosen.mapping.to_string(), "({n1,n4} n2 n0 n2)");
+    assert_eq!(chosen.prediction.throughput, 1.0);
+    assert!((chosen.prediction.latency - 3.566885555555556).abs() < 1e-12);
+}
+
+/// pre → (a0 → a1 ‖ b0) → m → post with a pinned source and sink, once
+/// through the block sugar and once edge by edge.
+fn sugar_and_wired_specs() -> (PipelineSpec, PipelineSpec) {
+    let sugar = StageGraph::builder()
+        .stages(1)
+        .split(&[2, 1])
+        .stages(1)
+        .build();
+    let wired = StageGraph::dag(6)
+        .edge(0, 1)
+        .edge(1, 2)
+        .edge(0, 3)
+        .edge(2, 4)
+        .edge(3, 4)
+        .edge(4, 5)
+        .build()
+        .expect("valid wiring");
+    let spec = |graph| {
+        let mut spec = PipelineSpec::with_graph(
+            vec![
+                StageSpec::balanced("pre", 1.0, 20_000),
+                StageSpec::balanced("a0", 2.0, 5_000),
+                StageSpec::balanced("a1", 1.0, 20_000),
+                StageSpec::balanced("b0", 3.0, 1_000),
+                StageSpec::balanced("m", 0.5, 8_000),
+                StageSpec::balanced("post", 1.0, 1_000),
+            ],
+            graph,
+        );
+        spec.input_bytes = 10_000;
+        spec.source = Some(n(0));
+        spec.sink = Some(n(7));
+        spec
+    };
+    (spec(sugar), spec(wired))
 }
 
 #[test]
-fn linear_graph_reproduces_pre_refactor_run_report_on_fixed_seed() {
-    use adapipe::core::simengine::{run, SimConfig};
-    let stages = || {
-        vec![
-            StageSpec::balanced("a", 1.0, 10_000),
-            StageSpec::balanced("b", 1.0, 10_000),
-            StageSpec::balanced("c", 1.0, 10_000),
-            StageSpec::balanced("d", 1.0, 10_000),
-        ]
-    };
-    let mut implicit = PipelineSpec::new(stages());
-    implicit.input_bytes = 10_000;
-    let mut explicit = PipelineSpec::with_graph(stages(), StageGraph::linear(4));
-    explicit.input_bytes = 10_000;
+fn sugar_built_graph_is_its_edge_wired_twin_to_model_and_planner() {
+    let (sugar, wired) = sugar_and_wired_specs();
+    assert_eq!(sugar.graph, wired.graph);
 
+    let grid = testbed_hetero8(42);
+    let rates = grid.rates_at(SimTime::ZERO);
+    let mapping = Mapping::new(vec![
+        Placement::single(n(0)),
+        Placement::replicated(vec![n(1), n(2)]),
+        Placement::single(n(2)),
+        Placement::replicated(vec![n(3), n(4), n(1)]),
+        Placement::single(n(0)),
+        Placement::single(n(5)),
+    ]);
+    let a = evaluate(&sugar.profile(), &mapping, &rates, grid.topology());
+    let b = evaluate(&wired.profile(), &mapping, &rates, grid.topology());
+    assert_eq!(a.throughput.to_bits(), b.throughput.to_bits());
+    assert_eq!(a.latency.to_bits(), b.latency.to_bits());
+    assert_eq!(a.bottleneck, b.bottleneck);
+    assert_eq!(a.node_load, b.node_load);
+
+    let cfg = PlannerConfig::default();
+    let plan_sugar = plan(&sugar.profile(), &rates, grid.topology(), &cfg);
+    let plan_wired = plan(&wired.profile(), &rates, grid.topology(), &cfg);
+    assert_eq!(plan_sugar.mapping, plan_wired.mapping);
+    assert_eq!(plan_sugar.strategy, plan_wired.strategy);
+    assert_eq!(
+        plan_sugar.prediction.latency.to_bits(),
+        plan_wired.prediction.latency.to_bits()
+    );
+    // What the segment walk chose for this profile before the walks
+    // were unified; its latency moved by one ulp, the ranking did not.
+    assert_eq!(
+        plan_sugar.mapping.to_string(),
+        "(n0 {n0,n1,n2} n3 {n1,n2,n4} n0 n0)"
+    );
+}
+
+#[test]
+fn sugar_and_edge_wired_specs_produce_equal_sim_run_reports() {
+    use adapipe::core::simengine::{run, SimConfig};
+    let (sugar, wired) = sugar_and_wired_specs();
     let grid = testbed_hetero8(42);
     let cfg = SimConfig {
         items: 250,
@@ -82,18 +143,68 @@ fn linear_graph_reproduces_pre_refactor_run_report_on_fixed_seed() {
         noise_seed: 1234,
         ..SimConfig::default()
     };
-    let a = run(&grid, &implicit, &cfg);
-    let b = run(&grid, &explicit, &cfg);
-    assert_eq!(a.completed, b.completed);
-    assert_eq!(
-        a.makespan, b.makespan,
-        "graph machinery perturbed the chain"
-    );
+    let a = run(&grid, &sugar, &cfg);
+    let b = run(&grid, &wired, &cfg);
+    assert_eq!(a.makespan, b.makespan);
     assert_eq!(a.mean_latency, b.mean_latency);
     assert_eq!(a.final_mapping, b.final_mapping);
     assert_eq!(a.adaptations.len(), b.adaptations.len());
     assert_eq!(a.planning_cycles, b.planning_cycles);
     assert_eq!(a.replays, b.replays);
+    // The run the segment walk produced before the walks were unified.
+    assert_eq!(
+        (a.completed, a.adaptations.len(), a.planning_cycles),
+        (250, 3, 49)
+    );
+    assert_eq!(format!("{:?}", a.makespan), "t=257.688376s");
+}
+
+#[test]
+fn from_spec_adopts_any_dag_spec_and_keeps_appending_after_its_exit() {
+    // 0 → {1, 2, 3}; {1, 2} → 4; {3, 4} → 5: the fan-out is three wide
+    // while the first join assembles two slots, and no series-parallel
+    // reading of the wiring exists.
+    let graph = StageGraph::dag(6)
+        .edge(0, 1)
+        .edge(0, 2)
+        .edge(0, 3)
+        .edge(1, 4)
+        .edge(2, 4)
+        .edge(3, 5)
+        .edge(4, 5)
+        .build()
+        .expect("valid wiring");
+    let pipeline = || {
+        let stages = (0..6)
+            .map(|i| StageSpec::balanced(format!("s{i}"), 0.001, 8))
+            .collect();
+        PipelineBuilder::from_spec(PipelineSpec::with_graph(stages, graph.clone()))
+            .stage("tail", |x: u64| x + 1)
+            .build()
+            .expect("any DAG spec builds")
+    };
+    let built = pipeline();
+    assert_eq!(built.len(), 7);
+    assert_eq!(built.spec().graph.preds(6), &[5]);
+    assert_eq!(built.spec().graph.exit(), 6);
+
+    let cfg = || RunConfig {
+        items: 20,
+        ..RunConfig::default()
+    };
+    let run = |backend: Backend<'_>| {
+        let mut session = pipeline().spawn(backend, cfg()).expect("spawn");
+        for i in 0..20 {
+            session.push(i).unwrap();
+        }
+        session.drain()
+    };
+    let grid = scenario_grid();
+    let sim = run(Backend::Sim(&grid));
+    let threaded = run(Backend::Threads(scenario_vnodes()));
+    assert!(sim.error.is_none() && threaded.error.is_none());
+    assert_eq!(sim.outputs, (1..=20).collect::<Vec<u64>>());
+    assert_eq!(threaded.outputs, sim.outputs);
 }
 
 // --- 2. branched scenarios agree across backends ------------------------
@@ -669,6 +780,74 @@ fn exhausted_retries_without_dead_letter_poison_the_run() {
             assert_eq!(attempts, 2, "first try + one retry");
         }
         ref other => panic!("expected PoisonItem, got {other:?}"),
+    }
+}
+
+#[test]
+fn default_policy_fails_fast_identically_from_either_builder_on_either_backend() {
+    // decode → fragile, no resilience policy declared: the first item
+    // `fragile` rejects (seq 2 decodes to the poison value 3) ends the
+    // run with the same typed error in all four cells.
+    let fragile = |v: u64| {
+        if v == 3 {
+            Err("unrecoverable".to_string())
+        } else {
+            Ok(v)
+        }
+    };
+    let chain = move || {
+        Pipeline::<u64>::builder()
+            .stage("decode", |x: u64| x + 1)
+            .try_stage("fragile", fragile)
+            .build()
+            .expect("chain builds")
+    };
+    let dag = move || {
+        Pipeline::<u64>::dag()
+            .node("decode", |x: u64| x + 1)
+            .try_node("fragile", fragile)
+            .edge("decode", "fragile")
+            .build::<u64>()
+            .expect("DAG builds")
+    };
+    let run = |pipeline: Pipeline<u64, u64>, backend: Backend<'_>| {
+        let cfg = RunConfig {
+            items: 10,
+            ..RunConfig::default()
+        };
+        let mut session = pipeline.spawn(backend, cfg).expect("spawn");
+        for i in 0..10 {
+            // The threaded session may already have failed and closed.
+            if session.push(i).is_err() {
+                break;
+            }
+        }
+        session.drain().error
+    };
+    let grid = scenario_grid();
+    let cells = [
+        ("chain/sim", run(chain(), Backend::Sim(&grid))),
+        (
+            "chain/threads",
+            run(chain(), Backend::Threads(scenario_vnodes())),
+        ),
+        ("dag/sim", run(dag(), Backend::Sim(&grid))),
+        (
+            "dag/threads",
+            run(dag(), Backend::Threads(scenario_vnodes())),
+        ),
+    ];
+    for (cell, error) in cells {
+        assert_eq!(
+            error,
+            Some(RunError::PoisonItem {
+                stage: "fragile".into(),
+                seq: 2,
+                attempts: 1,
+                reason: "unrecoverable".into(),
+            }),
+            "{cell}"
+        );
     }
 }
 
