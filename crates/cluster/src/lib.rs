@@ -15,26 +15,29 @@
 //!   re-weight the pool inboxes' start-time-fair-queueing lanes (a
 //!   spiking tenant cannot starve the rest) and re-scale each tenant's
 //!   planner view of the pool (replicas migrate toward the tenants that
-//!   can use them).
-//!
-//! The deterministic simulation backend needs no arbiter thread: the
-//! facade grants each sim session a *static* share
-//! (`adapipe_core::simengine::SimConfig::rate_scale`) and interleaves
-//! the sessions' event clocks; see `adapipe::api::Cluster`.
+//!   can use them);
+//! * [`sim`] — [`sim::SimCluster`]: the deterministic counterpart. No
+//!   arbiter thread: each admitted session is granted a *static* share
+//!   (`adapipe_core::simengine::SimConfig::rate_scale`), and the
+//!   tenants' simulated worlds interleave through the merged event
+//!   clock of `adapipe_core::simsession::SimPool`.
 //!
 //! Applications normally reach all of this through the facade's
-//! `Cluster::new` / `admit` / `evict`; this crate is the
-//! backend-facing machinery.
+//! `Cluster::new` / `admit` / `evict`, whose every method delegates to
+//! one of the two clusters here; this crate is the backend-facing
+//! machinery.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod arbiter;
+pub mod sim;
 pub mod threads;
 
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::arbiter::{arbitrate_window, window_demands, TenantSignal, IDLE_GRACE};
+    pub use crate::sim::SimCluster;
     pub use crate::threads::ThreadCluster;
     pub use adapipe_mapper::share::ShareQuota;
 }

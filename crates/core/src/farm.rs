@@ -209,8 +209,8 @@ mod tests {
         )
         .expect("declared keyed farm builds");
         assert_eq!(f.len(), 1);
-        assert!(f.keys()[0].is_some(), "keyed farm carries its router key");
-        let (_, mut stages, _, _) = f.into_keyed_parts();
+        let (_, mut stages, _, keys) = f.into_parts();
+        assert!(keys[0].is_some(), "keyed farm carries its router key");
         let run = |s: &mut Box<dyn crate::stage::DynStage>, k: u64| {
             s.process(crate::payload::Payload::new(k))
                 .expect("typed")

@@ -1,0 +1,430 @@
+//! The item-semantics kernel: what happens to *one item at one stage*,
+//! and where its output goes next.
+//!
+//! A stage's meaning must not depend on which backend runs it, so the
+//! three decisions every backend has to make per item live here, once:
+//!
+//! 1. [`attempt`] / [`give_up`] — the one retry loop, and the one
+//!    mapping from a [`StageError`] plus the stage's
+//!    [`ResiliencePolicy`](crate::spec::ResiliencePolicy) to an output,
+//!    a dead letter, or the [`RunError`] that ends the run;
+//! 2. [`JoinSlots`] — the input slots of one joining stage for one
+//!    item: deposit by slot, get the slot-ordered vector back when the
+//!    set completes;
+//! 3. [`forward`] — the one walk of [`Next`]: exit, plain consumer,
+//!    fan-out over plain and slotted targets in edge order, join slot,
+//!    each sent to the backend's [`Hops`].
+//!
+//! The kernel owns no clock, no queue and no lock. Backends supply
+//! those: the threaded engine's workers call it from their slow path
+//! (`adapipe-engine`'s `item` module adds counters, backoff sleeps and
+//! the shared per-item join map), the simulation backend's
+//! [`SimSession`](crate::simsession::SimSession) calls it at push time
+//! and hands the observed outcome to the simulated world to charge.
+
+use crate::spec::{Next, StageGraph, StageSpec};
+use crate::stage::{BoxedItem, DynStage, FanOutFn, StageError, StageTypeError};
+use adapipe_runtime::session::RunError;
+
+/// Why a stage stopped trying an item.
+#[derive(Debug, PartialEq)]
+pub enum GaveUp {
+    /// The retry budget is spent and the stage declared a dead-letter
+    /// channel: the item settles there, the run goes on.
+    DeadLetter {
+        /// Attempts consumed (first try + retries).
+        attempts: u32,
+        /// The last attempt's error.
+        reason: String,
+    },
+    /// Nothing absorbs the failure: the run ends with this error.
+    Fatal(RunError),
+}
+
+/// Presents `payload` to `stage` until it yields an output or the
+/// stage's policy gives up: an item-level failure is retried in place
+/// while `spec.resilience.max_retries` allows, a type mismatch never.
+/// `retrying` runs once per failed attempt that will be retried, with
+/// that attempt's 1-based number, before the item is presented again —
+/// where a backend counts the retry and waits out its backoff.
+///
+/// Returns the output and the number of attempts it took.
+pub fn attempt(
+    stage: &mut dyn DynStage,
+    spec: &StageSpec,
+    seq: u64,
+    mut payload: BoxedItem,
+    mut retrying: impl FnMut(u32),
+) -> Result<(BoxedItem, u32), GaveUp> {
+    let mut attempts: u32 = 1;
+    loop {
+        match stage.try_process(payload) {
+            Ok(out) => return Ok((out, attempts)),
+            Err(StageError::Item { item, .. }) if attempts <= spec.resilience.max_retries => {
+                retrying(attempts);
+                payload = item;
+                attempts += 1;
+            }
+            Err(err) => return Err(give_up(spec, seq, attempts, err)),
+        }
+    }
+}
+
+/// What a stage error means once no further attempt will be made: a
+/// wrong-typed item is a pipeline assembly bug
+/// ([`RunError::StageTypeMismatch`]); an item the stage rejected
+/// diverts to the dead-letter channel if the stage declared one, and
+/// otherwise poisons the run ([`RunError::PoisonItem`], naming the
+/// stage and the give-up attempt count — `attempts == 1` under the
+/// default policy).
+pub fn give_up(spec: &StageSpec, seq: u64, attempts: u32, err: StageError) -> GaveUp {
+    match err {
+        StageError::Type(type_err) => GaveUp::Fatal(RunError::StageTypeMismatch {
+            stage: type_err.stage,
+        }),
+        StageError::Item { reason, .. } if spec.resilience.dead_letter => {
+            GaveUp::DeadLetter { attempts, reason }
+        }
+        StageError::Item { reason, .. } => GaveUp::Fatal(RunError::PoisonItem {
+            stage: spec.name.clone(),
+            seq,
+            attempts,
+            reason,
+        }),
+    }
+}
+
+/// The input slots of one joining stage, for one item.
+pub struct JoinSlots {
+    width: usize,
+    /// `width` slots, or none once a completed set has left — as the
+    /// very vector it was assembled in — until the next item arrives.
+    slots: Vec<Option<BoxedItem>>,
+}
+
+impl JoinSlots {
+    /// Empty slots for a join of `width` inputs.
+    pub fn new(width: usize) -> Self {
+        JoinSlots {
+            width,
+            slots: Self::empty(width),
+        }
+    }
+
+    fn empty(width: usize) -> Vec<Option<BoxedItem>> {
+        (0..width).map(|_| None).collect()
+    }
+
+    /// Puts `part` into `slot`. When that completes the set, returns
+    /// the parts in slot order — whatever order they were deposited in —
+    /// and leaves every slot empty for the next item.
+    pub fn deposit(&mut self, slot: usize, part: BoxedItem) -> Option<Vec<BoxedItem>> {
+        if self.slots.is_empty() {
+            self.slots = Self::empty(self.width);
+        }
+        self.slots[slot] = Some(part);
+        if !self.slots.iter().all(Option::is_some) {
+            return None;
+        }
+        let full = std::mem::take(&mut self.slots).into_iter();
+        Some(full.map(|part| part.expect("every slot is full")).collect())
+    }
+
+    /// Drops whatever an item that ended early left behind.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+    }
+}
+
+/// Where [`forward`] sends payloads: a backend's queues, sink and join
+/// state behind three hops. (A trait rather than one callback taking an
+/// enum: the hops sit in the threaded engine's per-item loop, where
+/// packing a payload into an enum for the callback to unpack again
+/// measurably costs throughput.)
+pub trait Hops {
+    /// The payload is the pipeline's output.
+    fn exit(&mut self, payload: BoxedItem);
+    /// The payload is `stage`'s next input.
+    fn stage(&mut self, stage: usize, payload: BoxedItem);
+    /// The payload fills input `slot` of join `block`; the joining
+    /// stage ([`StageGraph::merge_of`]) runs on the assembled vector
+    /// once every slot is full.
+    fn slot(&mut self, block: usize, slot: usize, part: BoxedItem);
+}
+
+/// Hands `payload` wherever `next` says, one hop per destination: the
+/// exit, a consuming stage, a join slot, or — fanning out — one copy per
+/// target of the fan block in edge order, where a plain target consumes
+/// its copy and a slotted target (a producer feeding one input of a
+/// downstream join directly) has it deposited in that join's slot.
+///
+/// # Errors
+/// The fan-out duplicator's [`StageTypeError`] when the payload is not
+/// the type the pipeline declared at that point; nothing was sent.
+#[inline]
+pub fn forward(
+    graph: &StageGraph,
+    fanouts: &[FanOutFn],
+    next: &Next,
+    payload: BoxedItem,
+    to: &mut impl Hops,
+) -> Result<(), StageTypeError> {
+    match *next {
+        Next::Done => to.exit(payload),
+        Next::Stage(stage) => to.stage(stage, payload),
+        Next::Join { block, branch } => to.slot(block, branch, payload),
+        Next::FanOut { block } => {
+            let parts = fanouts[block](payload)?;
+            for (target, part) in graph.fan_targets(block).iter().zip(parts) {
+                match target.slot {
+                    None => to.stage(target.stage, part),
+                    Some(slot) => {
+                        let block = graph
+                            .merge_block_of(target.stage)
+                            .expect("slotted fan target joins");
+                        to.slot(block, slot, part);
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::payload::Payload;
+    use crate::spec::ResiliencePolicy;
+    use crate::stage::{fan_out_fn, FallibleFnStage};
+
+    /// A stage rejecting its first `failures` presentations.
+    fn flaky(failures: u32) -> impl DynStage {
+        let mut seen = 0;
+        FallibleFnStage::new("flaky", move |x: u64| {
+            seen += 1;
+            if seen <= failures {
+                Err(format!("glitch {seen}"))
+            } else {
+                Ok(x + 1)
+            }
+        })
+    }
+
+    fn spec(policy: ResiliencePolicy) -> StageSpec {
+        StageSpec::balanced("flaky", 1.0, 0).with_resilience(policy)
+    }
+
+    #[test]
+    fn default_policy_tries_once_and_poisons_the_run() {
+        let mut retried = Vec::new();
+        let gave_up = attempt(
+            &mut flaky(1),
+            &spec(ResiliencePolicy::new()),
+            7,
+            Payload::new(1u64),
+            |a| retried.push(a),
+        )
+        .unwrap_err();
+        assert!(retried.is_empty(), "max_retries = 0 never retries");
+        assert_eq!(
+            gave_up,
+            GaveUp::Fatal(RunError::PoisonItem {
+                stage: "flaky".into(),
+                seq: 7,
+                attempts: 1,
+                reason: "glitch 1".into(),
+            })
+        );
+    }
+
+    #[test]
+    fn success_on_the_last_allowed_attempt_counts_every_retry() {
+        let mut retried = Vec::new();
+        let (out, attempts) = attempt(
+            &mut flaky(2),
+            &spec(ResiliencePolicy::new().retries(2)),
+            0,
+            Payload::new(41u64),
+            |a| retried.push(a),
+        )
+        .expect("third attempt succeeds");
+        assert_eq!(
+            out.downcast::<u64>().unwrap(),
+            42,
+            "the same item came back"
+        );
+        assert_eq!(attempts, 3);
+        assert_eq!(retried, vec![1, 2]);
+    }
+
+    #[test]
+    fn spent_budget_dead_letters_or_poisons_by_declaration() {
+        let run = |policy: ResiliencePolicy| {
+            attempt(&mut flaky(9), &spec(policy), 3, Payload::new(0u64), |_| {}).unwrap_err()
+        };
+        assert_eq!(
+            run(ResiliencePolicy::new().retries(1).dead_letter()),
+            GaveUp::DeadLetter {
+                attempts: 2,
+                reason: "glitch 2".into(),
+            }
+        );
+        assert!(matches!(
+            run(ResiliencePolicy::new().retries(1)),
+            GaveUp::Fatal(RunError::PoisonItem { attempts: 2, .. })
+        ));
+    }
+
+    #[test]
+    fn a_type_mismatch_is_never_retried_nor_dead_lettered() {
+        let mut retried = 0;
+        let gave_up = attempt(
+            &mut flaky(0),
+            &spec(ResiliencePolicy::new().retries(5).dead_letter()),
+            0,
+            Payload::new("not a u64".to_string()),
+            |_| retried += 1,
+        )
+        .unwrap_err();
+        assert_eq!(retried, 0);
+        assert_eq!(
+            gave_up,
+            GaveUp::Fatal(RunError::StageTypeMismatch {
+                stage: "flaky".into()
+            })
+        );
+    }
+
+    fn values(parts: Vec<BoxedItem>) -> Vec<u64> {
+        parts
+            .into_iter()
+            .map(|p| p.downcast::<u64>().unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn join_slots_order_by_slot_and_serve_item_after_item() {
+        let mut join = JoinSlots::new(3);
+        assert!(join.deposit(2, Payload::new(30u64)).is_none());
+        assert!(join.deposit(0, Payload::new(10u64)).is_none());
+        let parts = join.deposit(1, Payload::new(20u64)).expect("set complete");
+        assert_eq!(values(parts), vec![10, 20, 30]);
+        // Completion emptied the slots: the next item needs all three
+        // again, and may deposit them in another order.
+        assert!(join.deposit(1, Payload::new(2u64)).is_none());
+        assert!(join.deposit(0, Payload::new(1u64)).is_none());
+        let parts = join.deposit(2, Payload::new(3u64)).expect("set complete");
+        assert_eq!(values(parts), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn join_slots_clear_forgets_a_partial_set() {
+        let mut join = JoinSlots::new(2);
+        assert!(join.deposit(0, Payload::new(1u64)).is_none());
+        join.clear();
+        assert!(
+            join.deposit(1, Payload::new(5u64)).is_none(),
+            "slot 0 is gone"
+        );
+        let parts = join.deposit(0, Payload::new(4u64)).expect("set complete");
+        assert_eq!(values(parts), vec![4, 5]);
+    }
+
+    /// What one `forward` call sent, payloads read back as `u64`.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Exit(u64),
+        Stage(usize, u64),
+        Slot {
+            block: usize,
+            slot: usize,
+            part: u64,
+        },
+    }
+
+    fn read(payload: BoxedItem) -> u64 {
+        payload.downcast::<u64>().unwrap()
+    }
+
+    impl Hops for Vec<Seen> {
+        fn exit(&mut self, payload: BoxedItem) {
+            self.push(Seen::Exit(read(payload)));
+        }
+        fn stage(&mut self, stage: usize, payload: BoxedItem) {
+            self.push(Seen::Stage(stage, read(payload)));
+        }
+        fn slot(&mut self, block: usize, slot: usize, part: BoxedItem) {
+            let part = read(part);
+            self.push(Seen::Slot { block, slot, part });
+        }
+    }
+
+    #[test]
+    fn forward_walks_plain_and_slotted_targets_in_edge_order() {
+        // 0 → {1, 2, 3}; {1, 2} → 4; {3, 4} → 5.
+        let graph = StageGraph::dag(6)
+            .edge(0, 1)
+            .edge(0, 2)
+            .edge(0, 3)
+            .edge(1, 4)
+            .edge(2, 4)
+            .edge(3, 5)
+            .edge(4, 5)
+            .build()
+            .expect("valid wiring");
+        let fanouts: Vec<FanOutFn> = (0..graph.blocks())
+            .map(|b| fan_out_fn::<u64>(graph.fan_targets(b).len()))
+            .collect();
+        let walk = |next: Next| {
+            let mut seen = Vec::new();
+            forward(&graph, &fanouts, &next, Payload::new(9u64), &mut seen)
+                .expect("u64 payloads fan out");
+            seen
+        };
+        assert_eq!(walk(graph.entry()), vec![Seen::Stage(0, 9)]);
+        assert_eq!(
+            walk(graph.after(0)),
+            vec![Seen::Stage(1, 9), Seen::Stage(2, 9), Seen::Stage(3, 9)]
+        );
+        let join4 = graph.merge_block_of(4).unwrap();
+        let join5 = graph.merge_block_of(5).unwrap();
+        let slot = |block, slot| Seen::Slot {
+            block,
+            slot,
+            part: 9,
+        };
+        assert_eq!(walk(graph.after(1)), vec![slot(join4, 0)]);
+        assert_eq!(walk(graph.after(2)), vec![slot(join4, 1)]);
+        assert_eq!(walk(graph.after(3)), vec![slot(join5, 0)]);
+        assert_eq!(walk(graph.after(4)), vec![slot(join5, 1)]);
+        assert_eq!(walk(graph.after(5)), vec![Seen::Exit(9)]);
+
+        // A producer feeding a stage *and* a join slot directly:
+        // 0 → {1, 2}; {0, 1} → 2 has the slotted target second.
+        let shortcut = StageGraph::dag(3)
+            .edge(0, 1)
+            .edge(0, 2)
+            .edge(1, 2)
+            .build()
+            .expect("valid wiring");
+        let fanouts = vec![fan_out_fn::<u64>(2)];
+        let join2 = shortcut.merge_block_of(2).unwrap();
+        let mut seen = Vec::new();
+        let after0 = shortcut.after(0);
+        forward(&shortcut, &fanouts, &after0, Payload::new(4u64), &mut seen).unwrap();
+        let into_join = Seen::Slot {
+            block: join2,
+            slot: 0,
+            part: 4,
+        };
+        assert_eq!(seen, vec![Seen::Stage(1, 4), into_join]);
+
+        // A payload the duplicator cannot read is the typed error, and
+        // nothing was sent.
+        let text = Payload::new("text".to_string());
+        let err = forward(&shortcut, &fanouts, &after0, text, &mut seen).unwrap_err();
+        assert_eq!(err.stage, "fan-out");
+        assert_eq!(seen.len(), 2);
+    }
+}

@@ -18,9 +18,18 @@
 //! Two engines execute a pipeline:
 //!
 //! * [`simengine`] — deterministic discrete-event execution on
-//!   `adapipe-gridsim` (the evaluation substrate);
+//!   `adapipe-gridsim` (the evaluation substrate), with
+//!   [`simsession`] as its live push/pull session;
 //! * the threaded engine in `adapipe-engine` — real OS threads and
 //!   channels with synthetic heterogeneity on one machine.
+//!
+//! Neither decides what happens to an item at a stage. That is
+//! [`item`], the item-semantics kernel: the one retry loop and its
+//! give-up mapping (dead letter or typed run error), join-slot
+//! assembly, and the walk that forwards an output to its consumers.
+//! [`simsession::SimSession`] calls it at push time, the threaded
+//! workers call it from their slow path, and the facade above both
+//! only translates types and delegates.
 //!
 //! ## Controller stability design (summary)
 //!
@@ -59,9 +68,11 @@
 #![warn(rust_2018_idioms)]
 
 pub mod farm;
+pub mod item;
 pub mod payload;
 pub mod pipeline;
 pub mod simengine;
+pub mod simsession;
 pub mod spec;
 pub mod stage;
 
@@ -86,7 +97,7 @@ pub mod prelude {
     pub use crate::payload::Payload;
     pub use crate::policy::Policy;
     pub use crate::report::{AdaptationEvent, DeadLetter, RunReport};
-    pub use crate::simengine::{ArrivalProcess, ItemFate, SimConfig};
+    pub use crate::simengine::{ArrivalProcess, SimConfig};
     pub use crate::spec::{
         ConstantWork, PipelineSpec, ResiliencePolicy, StageGraph, StageGraphBuilder, StageSpec,
         UniformWork, WorkModel,

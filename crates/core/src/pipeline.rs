@@ -51,32 +51,13 @@ impl<I, O> Pipeline<I, O> {
         &self.spec
     }
 
-    /// Splits a *linear* pipeline into its spec and stage functions —
-    /// engines take ownership of both.
-    ///
-    /// # Panics
-    /// Panics if the stage graph is not a chain (its fan-out
-    /// duplicators would be lost); use [`Pipeline::into_graph_parts`].
-    pub fn into_parts(self) -> (PipelineSpec, Vec<Box<dyn DynStage>>) {
-        assert!(
-            self.spec.graph.is_linear(),
-            "branched pipelines split via into_graph_parts()"
-        );
-        (self.spec, self.stages)
-    }
-
-    /// Splits the pipeline into spec, stage functions, and the per-block
-    /// fan-out duplicators (empty for linear pipelines). Per-stage key
-    /// extractors are dropped; engines routing keyed stages take them
-    /// via [`Pipeline::into_keyed_parts`].
-    pub fn into_graph_parts(self) -> (PipelineSpec, Vec<Box<dyn DynStage>>, Vec<FanOutFn>) {
-        (self.spec, self.stages, self.fanouts)
-    }
-
-    /// Splits the pipeline into every erased part, including the
-    /// per-stage key extractors (`None` for unkeyed stages).
+    /// Splits the pipeline into its erased parts — spec, stage
+    /// functions, per-block fan-out duplicators (none for a chain) and
+    /// per-stage key extractors (`None` for unkeyed stages). Engines
+    /// take ownership of all four; a caller after some of them
+    /// destructures with `..`.
     #[allow(clippy::type_complexity)]
-    pub fn into_keyed_parts(
+    pub fn into_parts(
         self,
     ) -> (
         PipelineSpec,
@@ -87,59 +68,25 @@ impl<I, O> Pipeline<I, O> {
         (self.spec, self.stages, self.fanouts, self.keys)
     }
 
-    /// Per-stage key extractors (`None` for unkeyed stages).
-    pub fn keys(&self) -> &[Option<KeyFn>] {
-        &self.keys
-    }
-
-    /// Reassembles a *linear* pipeline from a spec and matching stage
-    /// functions.
+    /// Reassembles a pipeline from its erased parts: a spec, matching
+    /// stage functions, one fan-out duplicator per fan block of the
+    /// spec's graph, and the per-stage key extractors a keyed stage
+    /// routes by.
     ///
     /// The caller asserts the type discipline the builder normally
-    /// enforces: stage `0` accepts `I`, each stage feeds the next, and
-    /// the last produces `O`. The unified `adapipe::api` builder uses
-    /// this to hand its (already type-checked) stages to an engine.
+    /// enforces: the entry stages accept `I`, each stage feeds its
+    /// consumers, each joining stage accepts the `Vec` of its inputs in
+    /// slot order, each fan-out duplicates the item type its source
+    /// produces, each `Some` key extractor accepts its stage's input
+    /// type, and the exit stage produces `O`. The unified `adapipe::api`
+    /// builders use this to hand their (already type-checked) stages to
+    /// a backend.
     ///
     /// # Panics
-    /// Panics if `stages` is empty, its length disagrees with `spec`,
-    /// or the spec's graph is not a chain (fan blocks need fan-out
-    /// duplicators; use [`Pipeline::from_graph_parts`]).
-    pub fn from_parts(spec: PipelineSpec, stages: Vec<Box<dyn DynStage>>) -> Self {
-        assert!(
-            spec.graph.is_linear(),
-            "branched pipelines assemble via from_graph_parts()"
-        );
-        Self::from_graph_parts(spec, stages, Vec::new())
-    }
-
-    /// Reassembles a pipeline from a spec, matching stage functions, and
-    /// one fan-out duplicator per fan block of the spec's graph. The
-    /// caller asserts the same type discipline as
-    /// [`Pipeline::from_parts`], plus: each joining stage accepts the
-    /// `Vec` of its inputs in slot order, and each fan-out duplicates
-    /// the item type its source produces.
-    ///
-    /// # Panics
-    /// Panics if `stages` is empty, its length disagrees with `spec`,
-    /// or `fanouts` does not cover the graph's fan blocks.
-    pub fn from_graph_parts(
-        spec: PipelineSpec,
-        stages: Vec<Box<dyn DynStage>>,
-        fanouts: Vec<FanOutFn>,
-    ) -> Self {
-        let keys = vec![None; stages.len()];
-        Self::from_keyed_parts(spec, stages, fanouts, keys)
-    }
-
-    /// Reassembles a pipeline from every erased part, including the
-    /// per-stage key extractors a keyed stage routes by. The caller
-    /// asserts the type discipline of [`Pipeline::from_graph_parts`],
-    /// plus: each `Some` key extractor accepts its stage's input type.
-    ///
-    /// # Panics
-    /// Panics under the [`Pipeline::from_graph_parts`] conditions, or
-    /// if `keys` does not cover every stage.
-    pub fn from_keyed_parts(
+    /// Panics if `stages` is empty, if its length or `keys`' disagrees
+    /// with `spec`, or if `fanouts` does not cover the graph's fan
+    /// blocks.
+    pub fn from_parts(
         spec: PipelineSpec,
         stages: Vec<Box<dyn DynStage>>,
         fanouts: Vec<FanOutFn>,
@@ -368,7 +315,7 @@ mod tests {
             .stage(StageSpec::balanced("inc", 1.0, 4), |x: u32| x + 1)
             .stage(StageSpec::balanced("double", 1.0, 4), |x: u32| x * 2)
             .build();
-        let (_, mut stages) = p.into_parts();
+        let (_, mut stages, ..) = p.into_parts();
         let mut item: crate::stage::BoxedItem = crate::payload::Payload::new(5u32);
         for s in &mut stages {
             item = s.process(item).expect("stages are type-aligned");
@@ -388,7 +335,7 @@ mod tests {
             })
             .build();
         assert_eq!(p.spec().profile().stateless, vec![false]);
-        let (_, mut stages) = p.into_parts();
+        let (_, mut stages, ..) = p.into_parts();
         assert!(stages[0].replicate().is_none());
         assert_eq!(
             stages[0]
@@ -438,11 +385,11 @@ mod tests {
             )
             .build();
         assert_eq!(p.spec().profile().replica_cap, vec![4]);
-        let kf = p.keys()[0].clone().expect("keyed stage has a key fn");
+        let (_, mut stages, _, keys) = p.into_parts();
+        assert_eq!(keys.len(), 1);
+        let kf = keys[0].clone().expect("keyed stage has a key fn");
         let item: crate::stage::BoxedItem = crate::payload::Payload::new(13u64);
         assert_eq!(kf(&item), Some(3));
-        let (_, mut stages, _, keys) = p.into_keyed_parts();
-        assert_eq!(keys.len(), 1);
         let out = stages[0]
             .process(crate::payload::Payload::new(13u64))
             .expect("typed item");

@@ -21,15 +21,23 @@
 //!
 //! ## Steppable execution
 //!
-//! The event loop is exposed as a cooperative [`SimStepper`]: a live
-//! session injects arrivals one at a time ([`SimStepper::push_at`]),
-//! advances the world event by event ([`SimStepper::step`]) or
-//! completion by completion ([`SimStepper::next_completion`]), and
-//! closes the stream when the caller says so. The batch [`run`] entry
+//! The event loop is exposed as a cooperative [`SimStepper`]: a driver
+//! injects arrivals one at a time ([`SimStepper::push_at`]), advances
+//! the world event by event ([`SimStepper::step`]) or completion by
+//! completion ([`SimStepper::next_completion`]), and closes the stream
+//! when the caller says so. Two drivers exist. The batch [`run`] entry
 //! point is a thin wrapper — schedule every arrival up front, close,
 //! step to completion — that reproduces the pre-stepper event order
 //! exactly (arrivals first, then the control events), so batch results
-//! are bit-identical to the historical monolithic loop.
+//! are bit-identical to the historical monolithic loop. The live one is
+//! [`crate::simsession::SimSession`], which also runs the real stage
+//! functions (through the [`crate::item`] kernel) at push time: the
+//! world itself executes cost metadata only, so the session tells it
+//! each item's observed fate — retries per stage, a dead-letter
+//! diversion — and the world charges the attempts and diverts the item
+//! at the fated stage. Crate-private hooks serve that driver alone
+//! (`push_at_with_fate`, `pop_completion`, `next_event_at` for a pool's
+//! merged clock).
 
 use crate::spec::{Next, PipelineSpec};
 use adapipe_gridsim::event::EventQueue;
@@ -47,7 +55,7 @@ use adapipe_runtime::report::{DeadLetter, ReportBuilder, RunReport};
 use adapipe_runtime::routing::{RoutingTable, Selection};
 use adapipe_runtime::session::{RunEvent, RunHooks, SessionControl, SessionId};
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::RwLock;
 
 pub use adapipe_runtime::arrivals::ArrivalProcess;
@@ -89,8 +97,8 @@ pub struct SimConfig {
     /// adaptation loop at their exact simulated instants.
     pub faults: FaultPlan,
     /// Static capacity share granted to this session when several
-    /// sessions time-share one simulated pool (the cluster facade sets
-    /// it from the tenants' quotas via `fair_shares`). Every sensed and
+    /// sessions time-share one simulated pool (`adapipe-cluster`'s
+    /// `SimCluster` sets it from the tenant's quota). Every sensed and
     /// oracle node rate is scaled by this factor, so the session's
     /// planner sees — and its service model uses — only its slice of
     /// the pool. `1.0` (the default) is the single-tenant case.
@@ -181,35 +189,32 @@ pub fn run(grid: &GridSpec, spec: &PipelineSpec, cfg: &SimConfig) -> RunReport {
         stepper.push_at(at);
     }
     stepper.close();
-    while !stepper.all_done() && stepper.step() {}
+    while !stepper.all_done() && stepper.step() {
+        // Nobody pulls outputs from a batch run: keep the completion
+        // log from growing with the stream.
+        stepper.world.completed_log.clear();
+    }
     stepper.finish()
 }
 
 /// The resolved resilience outcome of one item, computed by the caller
-/// (the facade runs the real stage closures at push time) and injected
-/// via [`SimStepper::push_at_with_fate`]. The world models items by
-/// metadata only, so it cannot *discover* failures — but given the
-/// fate, it charges their full cost: each failed attempt re-runs the
-/// stage's service time in place, separated by the policy's backoff
-/// schedule, and a poisoned item diverts to the dead-letter channel at
-/// the stage that exhausted its budget instead of reaching the sink.
+/// ([`crate::simsession::SimSession`] runs the real stage closures at
+/// push time) and injected via [`SimStepper::push_at_with_fate`]. The
+/// world models items by metadata only, so it cannot *discover*
+/// failures — but given the fate, it charges their full cost: each
+/// failed attempt re-runs the stage's service time in place, separated
+/// by the policy's backoff schedule, and a poisoned item diverts to the
+/// dead-letter channel at the stage that exhausted its budget instead
+/// of reaching the sink.
 #[derive(Clone, Debug, Default)]
-pub struct ItemFate {
+pub(crate) struct ItemFate {
     /// Failed attempts per stage, sparse: `(stage, failed)` with
     /// `failed ≥ 1`. Stages not listed processed the item cleanly.
-    pub failed: Vec<(usize, u32)>,
+    pub(crate) failed: Vec<(usize, u32)>,
     /// Terminal diversion: the stage that gave up on the item and the
     /// error carried into the dead-letter record. `None` for items
     /// that reach the sink (possibly after retries).
-    pub dead: Option<(usize, String)>,
-}
-
-impl ItemFate {
-    /// True when the item processed cleanly everywhere — the common
-    /// case, kept out of the fate map entirely.
-    pub fn is_clean(&self) -> bool {
-        self.failed.is_empty() && self.dead.is_none()
-    }
+    pub(crate) dead: Option<(usize, String)>,
 }
 
 /// The physically simulated world: event queue, node queues, transfers.
@@ -255,7 +260,9 @@ struct SimWorld<'a> {
     arrival_time: HashMap<u64, SimTime>,
     /// Per-stage in-edge bytes, precomputed once from the stage graph
     /// ([`crate::spec::StageGraph::feed_bytes`]) — hot-path forwarding
-    /// must not walk the graph per item.
+    /// must not walk the graph per item. A merge stage's in-transit
+    /// payload is one branch output; the largest branch's size is the
+    /// conservative bound used when forwarding it.
     bytes_into: Vec<u64>,
     /// The pipeline's entry stage(s), precomputed once — arrivals must
     /// not rebuild the fan-out entry list per item.
@@ -276,6 +283,10 @@ struct SimWorld<'a> {
     /// cleanly ([`SimStepper::push_at_with_fate`]); entries are removed
     /// when the item settles. Clean items never enter the map.
     fates: HashMap<u64, ItemFate>,
+    /// Items diverted to the dead-letter channel. Their copies still in
+    /// flight on sibling branches must not open (or re-open) a join
+    /// that can never complete.
+    dead: HashSet<u64>,
     node_busy: Vec<SimDuration>,
     report: ReportBuilder,
     stage_metrics: crate::metrics::StageMetrics,
@@ -436,6 +447,7 @@ impl<'a> SimStepper<'a> {
             join_arrived: HashMap::new(),
             merge_dest: HashMap::new(),
             fates: HashMap::new(),
+            dead: HashSet::new(),
             node_busy: vec![SimDuration::ZERO; np],
             // The stream length is open until `close()`.
             report,
@@ -456,11 +468,6 @@ impl<'a> SimStepper<'a> {
             closed: false,
             exhausted: false,
         }
-    }
-
-    /// The stepper's current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.world.events.now()
     }
 
     /// Items injected so far.
@@ -514,9 +521,10 @@ impl<'a> SimStepper<'a> {
     /// time and backoff on the mapped hosts and diverts a poisoned item
     /// at the stage that exhausted its budget. A clean fate degenerates
     /// to a plain push.
-    pub fn push_at_with_fate(&mut self, at: SimTime, fate: ItemFate) -> u64 {
+    pub(crate) fn push_at_with_fate(&mut self, at: SimTime, fate: ItemFate) -> u64 {
         let item = self.push_at(at);
-        if !fate.is_clean() {
+        // The common clean item stays out of the fate map entirely.
+        if !fate.failed.is_empty() || fate.dead.is_some() {
             self.world.fates.insert(item, fate);
         }
         item
@@ -527,9 +535,11 @@ impl<'a> SimStepper<'a> {
         self.world.report.accounted()
     }
 
-    /// Items diverted to the dead-letter channel so far.
-    pub fn dead_letters(&self) -> u64 {
-        self.world.report.dead_letters()
+    /// Per-item join bookkeeping currently held: joins counting
+    /// arrivals plus merge-host pins.
+    #[cfg(test)]
+    pub(crate) fn join_state(&self) -> usize {
+        self.world.join_arrived.len() + self.world.merge_dest.len()
     }
 
     /// Moves the coalesced arrival run (if any) into the event queue.
@@ -595,7 +605,8 @@ impl<'a> SimStepper<'a> {
             }
             Ev::StageIn { item, stage, node } => {
                 let table = self.routing.read().expect("routing lock poisoned");
-                self.world.on_stage_in(&table, item, stage, node, now);
+                self.world
+                    .stage_arrival(&table, item, stage, node, now, false);
             }
             Ev::Done {
                 item,
@@ -659,7 +670,7 @@ impl<'a> SimStepper<'a> {
     /// Control events (ticks, samples, faults) are scheduled lazily at
     /// the first [`SimStepper::step`], so before any stepping this
     /// reflects arrivals only.
-    pub fn next_event_at(&self) -> Option<SimTime> {
+    pub(crate) fn next_event_at(&self) -> Option<SimTime> {
         let queued = self.world.events.peek_time();
         let pending = self.pending_arrival.map(|(at, _, _)| at);
         match (queued, pending) {
@@ -670,10 +681,10 @@ impl<'a> SimStepper<'a> {
 
     /// Pops the oldest not-yet-collected completion, without advancing
     /// the world — or `None` when every completion so far has been
-    /// collected. The cluster drains completions after stepping the
-    /// merged event clock; a single-tenant session should prefer
-    /// [`SimStepper::next_completion`], which steps as needed.
-    pub fn pop_completion(&mut self) -> Option<u64> {
+    /// collected. [`crate::simsession::SimSession`] collects this way
+    /// after stepping its pool's merged event clock (a co-tenant's
+    /// step may have completed this world's items).
+    pub(crate) fn pop_completion(&mut self) -> Option<u64> {
         self.world.completed_log.pop_front()
     }
 
@@ -682,7 +693,7 @@ impl<'a> SimStepper<'a> {
     /// sequence number, or `None` when nothing further can settle (no
     /// item in flight, queue starved, or horizon crossed). Whether a
     /// drained sequence number carries an output is the caller's to
-    /// know (the facade checks its output map).
+    /// know.
     pub fn next_completion(&mut self) -> Option<u64> {
         loop {
             if let Some(item) = self.world.completed_log.pop_front() {
@@ -757,17 +768,6 @@ impl SimWorld<'_> {
         }
     }
 
-    fn on_stage_in(
-        &mut self,
-        routing: &RoutingTable,
-        item: u64,
-        stage: usize,
-        node: usize,
-        now: SimTime,
-    ) {
-        self.stage_arrival(routing, item, stage, node, now, false);
-    }
-
     /// A stage arrival: a fresh `StageIn` (`rejoined = false`) counts
     /// toward a merge stage's join; a `Rehome` (`rejoined = true`) is a
     /// re-mapped queue item whose join already completed and re-enters
@@ -789,7 +789,7 @@ impl SimWorld<'_> {
             // The stage moved while this item was in transit: forward
             // it, preserving its joined-ness.
             let dest = self.route_item(routing, stage, item);
-            let bytes = self.boundary_bytes_into(stage);
+            let bytes = self.bytes_into[stage];
             let at = self.transfer(node, dest, bytes, now);
             let ev = if rejoined {
                 Ev::Rehome {
@@ -809,6 +809,9 @@ impl SimWorld<'_> {
         }
         if !rejoined {
             if let Some(block) = self.spec.graph.merge_block_of(stage) {
+                if self.dead.contains(&item) {
+                    return; // a sibling branch diverted the item
+                }
                 // A merge stage serves one *joined* task per item: count
                 // the branch outputs as they land and enqueue only the
                 // last one.
@@ -880,6 +883,13 @@ impl SimWorld<'_> {
             let fate = self.fates.remove(&item).expect("diverted item has a fate");
             let (_, reason) = fate.dead.expect("diverted fate carries a reason");
             self.arrival_time.remove(&item);
+            // Whatever the item's sibling branches already parked at a
+            // join waits for an input that will never come.
+            self.dead.insert(item);
+            for block in 0..self.spec.graph.join_blocks() {
+                self.join_arrived.remove(&(block, item));
+                self.merge_dest.remove(&(block, item));
+            }
             self.report.record_dead_letter(DeadLetter {
                 seq: item,
                 stage,
@@ -944,6 +954,7 @@ impl SimWorld<'_> {
                     );
                 }
             }
+            Next::Join { .. } if self.dead.contains(&item) => {}
             Next::Join { block, .. } => {
                 // Every branch output of an item converges on one merge
                 // replica, chosen at the first branch exit. A pin that
@@ -995,13 +1006,6 @@ impl SimWorld<'_> {
                 self.queues.get(&(stage, n.index())).map_or(0, |q| q.len())
             })
             .index()
-    }
-
-    /// Bytes entering `stage` along its graph in-edge. A merge stage's
-    /// in-transit payload is one branch output; the largest branch's
-    /// size is the conservative bound used when forwarding it.
-    fn boundary_bytes_into(&self, stage: usize) -> u64 {
-        self.bytes_into[stage]
     }
 
     /// Arrival time of `bytes` moved `from → to` starting at `now`.
@@ -1913,7 +1917,7 @@ mod tests {
         };
         let mut stepper = SimStepper::new(&grid, spec, &cfg);
         for _ in 0..3 {
-            stepper.push_at(stepper.now());
+            stepper.push_at(stepper.world.events.now());
         }
         let mut first = Vec::new();
         while let Some(item) = stepper.next_completion() {
@@ -1922,10 +1926,10 @@ mod tests {
         assert_eq!(first, vec![0, 1, 2]);
         assert!(!stepper.is_exhausted(), "open stream stays live");
         // The clock advanced; later pushes arrive later.
-        let t = stepper.now();
+        let t = stepper.world.events.now();
         assert!(t > SimTime::ZERO);
         for _ in 0..2 {
-            stepper.push_at(stepper.now());
+            stepper.push_at(stepper.world.events.now());
         }
         stepper.close();
         let mut second = Vec::new();

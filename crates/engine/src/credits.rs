@@ -1,0 +1,159 @@
+//! The end-to-end in-flight credit gate behind `queue_capacity`.
+//!
+//! The acquire/release methods are `#[inline]`: every item crosses them,
+//! and their callers (the session's push, the collector) live in `exec`.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, Mutex};
+use std::time::{Duration, Instant};
+
+/// End-to-end in-flight credit gate: `push()` acquires one slot per
+/// item, the collector releases it at the sink. See the module docs for
+/// why the bound is end-to-end rather than per-channel blocking sends.
+pub(crate) struct Credits {
+    available: Mutex<u64>,
+    freed: Condvar,
+    /// Raised at fatal teardown: nothing will ever release a slot
+    /// again, so blocked pushers must wake and give up instead of
+    /// waiting on a collector that is gone.
+    broken: AtomicBool,
+}
+
+impl Credits {
+    pub(crate) fn new(capacity: u64) -> Self {
+        assert!(capacity > 0, "credit capacity must be positive");
+        Credits {
+            available: Mutex::new(capacity),
+            freed: Condvar::new(),
+            broken: AtomicBool::new(false),
+        }
+    }
+
+    /// Blocks until a slot frees; returns the blocked wall time, or
+    /// `None` if a slot was immediately available (or the gate broke).
+    #[inline]
+    pub(crate) fn acquire(&self) -> Option<Duration> {
+        let mut available = self.available.lock().expect("credit lock poisoned");
+        if *available > 0 || self.broken.load(Ordering::SeqCst) {
+            *available = available.saturating_sub(1);
+            return None;
+        }
+        let t0 = Instant::now();
+        while *available == 0 && !self.broken.load(Ordering::SeqCst) {
+            available = self.freed.wait(available).expect("credit lock poisoned");
+        }
+        *available = available.saturating_sub(1);
+        Some(t0.elapsed())
+    }
+
+    /// Non-blocking acquire; true if a slot was taken (or the gate is
+    /// broken — same contract as [`Credits::acquire`], which also
+    /// proceeds when broken). The session uses this to decide whether
+    /// it can keep buffering input or must flush before blocking.
+    #[inline]
+    pub(crate) fn try_acquire(&self) -> bool {
+        let mut available = self.available.lock().expect("credit lock poisoned");
+        if *available > 0 || self.broken.load(Ordering::SeqCst) {
+            *available = available.saturating_sub(1);
+            true
+        } else {
+            false
+        }
+    }
+
+    #[inline]
+    pub(crate) fn release_n(&self, n: u64) {
+        let mut available = self.available.lock().expect("credit lock poisoned");
+        *available += n;
+        if n == 1 {
+            self.freed.notify_one();
+        } else {
+            self.freed.notify_all();
+        }
+    }
+
+    /// Wakes every blocked pusher permanently (fatal teardown).
+    pub(crate) fn break_gate(&self) {
+        let _guard = self.available.lock().expect("credit lock poisoned");
+        self.broken.store(true, Ordering::SeqCst);
+        self.freed.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::{channel, Receiver};
+    use std::sync::Arc;
+
+    const NOT_YET: Duration = Duration::from_millis(50);
+    const SURELY: Duration = Duration::from_secs(10);
+
+    /// Spawns `n` threads blocking in `acquire`; each reports on `rx`
+    /// when it gets through.
+    fn waiters(
+        credits: &Arc<Credits>,
+        n: usize,
+    ) -> (Vec<std::thread::JoinHandle<()>>, Receiver<()>) {
+        let (tx, rx) = channel();
+        let handles = (0..n)
+            .map(|_| {
+                let (credits, tx) = (Arc::clone(credits), tx.clone());
+                std::thread::spawn(move || {
+                    credits.acquire();
+                    tx.send(()).expect("test thread outlives its waiters");
+                })
+            })
+            .collect();
+        (handles, rx)
+    }
+
+    #[test]
+    fn every_release_and_a_broken_gate_wake_exactly_who_they_should() {
+        let credits = Arc::new(Credits::new(2));
+        assert!(credits.try_acquire());
+        assert!(credits.acquire().is_none(), "a free slot never blocks");
+        assert!(!credits.try_acquire(), "both slots are taken");
+
+        let (handles, through) = waiters(&credits, 3);
+        assert!(
+            through.recv_timeout(NOT_YET).is_err(),
+            "nothing was released"
+        );
+        // One slot: exactly one waiter gets through.
+        credits.release_n(1);
+        through
+            .recv_timeout(SURELY)
+            .expect("a released slot wakes a waiter");
+        assert!(
+            through.recv_timeout(NOT_YET).is_err(),
+            "one slot, one waiter"
+        );
+        // Two slots at once: both remaining waiters get through.
+        credits.release_n(2);
+        for _ in 0..2 {
+            through
+                .recv_timeout(SURELY)
+                .expect("release_n(2) wakes two");
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+
+        // Zero slots again; breaking the gate frees everyone, for good.
+        assert!(!credits.try_acquire());
+        let (handles, through) = waiters(&credits, 2);
+        assert!(through.recv_timeout(NOT_YET).is_err());
+        credits.break_gate();
+        for _ in 0..2 {
+            through
+                .recv_timeout(SURELY)
+                .expect("a broken gate parks nobody");
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert!(credits.try_acquire(), "a broken gate admits everything");
+        assert!(credits.acquire().is_none());
+    }
+}

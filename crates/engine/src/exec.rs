@@ -88,11 +88,15 @@
 //! per-stage sequencing should use stateless stages plus a fold at the
 //! sink.
 
+use crate::credits::Credits;
+use crate::inbox::{Inbox, MIN_LANE_WEIGHT};
+use crate::item::{fail_stage, process_resilient, Outbox, ResilientOut};
 use crate::vnode::VNodeSpec;
+use adapipe_core::item::JoinSlots;
 use adapipe_core::payload::Payload;
 use adapipe_core::pipeline::Pipeline;
 use adapipe_core::spec::{Next, PipelineSpec};
-use adapipe_core::stage::{quiesce, BoxedItem, DynStage, FanOutFn, KeyFn, StageError};
+use adapipe_core::stage::{quiesce, BoxedItem, DynStage, FanOutFn, KeyFn};
 use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::net::{LinkSpec, Topology};
 use adapipe_gridsim::node::NodeId;
@@ -111,7 +115,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -142,9 +146,6 @@ pub struct EngineConfig {
     /// materialises as events). Sessions ignore it — a pushed item
     /// arrives when the caller pushes it.
     pub arrivals: ArrivalProcess,
-    /// Legacy input pacing in items per second; when set it overrides
-    /// `arrivals` with `ArrivalProcess::Uniform` at this rate.
-    pub pacing_rate: Option<f64>,
     /// Topology used for *planning* (the box itself has uniform cheap
     /// links); `None` = uniform local links.
     pub topology: Option<Topology>,
@@ -197,7 +198,6 @@ impl EngineConfig {
             initial_mapping: None,
             preserve_order: true,
             arrivals: ArrivalProcess::AllAtOnce,
-            pacing_rate: None,
             topology: None,
             observation_noise: 0.0,
             noise_seed: 1,
@@ -208,15 +208,6 @@ impl EngineConfig {
             batch_size: 1,
             control: SessionControl::default(),
             faults: FaultPlan::new(),
-        }
-    }
-
-    /// The effective arrival process: the legacy `pacing_rate` knob wins
-    /// when set, otherwise `arrivals`.
-    fn effective_arrivals(&self) -> ArrivalProcess {
-        match self.pacing_rate {
-            Some(rate) => ArrivalProcess::Uniform { rate },
-            None => self.arrivals,
         }
     }
 }
@@ -231,25 +222,25 @@ pub struct EngineOutcome<O> {
 }
 
 /// One in-flight item: its sequence number, birth time, and payload.
-struct ItemSlot {
-    seq: u64,
-    born: Instant,
-    payload: BoxedItem,
+pub(crate) struct ItemSlot {
+    pub(crate) seq: u64,
+    pub(crate) born: Instant,
+    pub(crate) payload: BoxedItem,
 }
 
 /// A routed batch of items bound for one stage on one worker.
-struct Envelope {
-    stage: usize,
+pub(crate) struct Envelope {
+    pub(crate) stage: usize,
     /// The routing epoch the sender routed this envelope under. A
     /// receiver that no longer hosts `stage` uses the mismatch with its
     /// own (current) epoch as proof the envelope is stale and re-homes
     /// it; a current-epoch envelope always lands on a current host.
-    epoch: u64,
-    items: Vec<ItemSlot>,
+    pub(crate) epoch: u64,
+    pub(crate) items: Vec<ItemSlot>,
 }
 
 /// Control-plane messages, served strictly before work envelopes.
-enum Ctrl {
+pub(crate) enum Ctrl {
     /// Deposit `tenant`'s (stateful) instance of `stage` back into the
     /// depot.
     Relinquish { tenant: Arc<Shared>, stage: usize },
@@ -266,178 +257,17 @@ enum Ctrl {
 
 /// One message popped from an inbox: a control message, or a work
 /// envelope tagged with the tenant it belongs to.
-enum Msg {
+pub(crate) enum Msg {
     Work { tenant: Arc<Shared>, env: Envelope },
     Ctrl(Ctrl),
 }
 
-struct Finished {
-    seq: u64,
-    born: Instant,
-    done: Instant,
-    payload: BoxedItem,
+pub(crate) struct Finished {
+    pub(crate) seq: u64,
+    pub(crate) born: Instant,
+    pub(crate) done: Instant,
+    pub(crate) payload: BoxedItem,
 }
-
-/// One tenant's queue inside a worker inbox, with its weighted-fair
-/// virtual-time tag (start-time fair queueing): serving an envelope of
-/// `n` items advances the lane's tag by `n / weight`, and the pop
-/// always takes the backlogged lane with the smallest tag — so over any
-/// congested window each tenant receives worker capacity proportional
-/// to its share, and a spiking tenant's deep backlog cannot starve a
-/// steady co-tenant's shallow one.
-struct Lane {
-    tenant: Arc<Shared>,
-    queue: VecDeque<Envelope>,
-    vtime: f64,
-}
-
-/// The guarded state of one worker inbox: control messages (served
-/// first) plus one weighted-fair lane per tenant.
-struct InboxQueue {
-    ctrl: VecDeque<Ctrl>,
-    lanes: Vec<Lane>,
-    /// The inbox's virtual clock: the start tag of the lane served
-    /// last. A lane going from empty to backlogged is clamped up to it,
-    /// so idle periods bank no credit.
-    vnow: f64,
-}
-
-impl InboxQueue {
-    /// Pops the next message: control first, then the backlogged lane
-    /// with the smallest virtual-time tag (charged by item count over
-    /// the tenant's current share).
-    fn pop(&mut self) -> Option<Msg> {
-        if let Some(c) = self.ctrl.pop_front() {
-            return Some(Msg::Ctrl(c));
-        }
-        let mut best: Option<usize> = None;
-        for (i, lane) in self.lanes.iter().enumerate() {
-            if lane.queue.is_empty() {
-                continue;
-            }
-            match best {
-                Some(b) if lane.vtime >= self.lanes[b].vtime => {}
-                _ => best = Some(i),
-            }
-        }
-        let i = best?;
-        let lane = &mut self.lanes[i];
-        self.vnow = lane.vtime;
-        let env = lane.queue.pop_front().expect("lane checked non-empty");
-        let weight = lane.tenant.share().max(MIN_LANE_WEIGHT);
-        lane.vtime += env.items.len().max(1) as f64 / weight;
-        Some(Msg::Work {
-            tenant: Arc::clone(&lane.tenant),
-            env,
-        })
-    }
-}
-
-/// A worker's inbox: a mutex-guarded structure rather than an mpsc
-/// channel so that (a) senders learn the post-push work depth (the
-/// steal wake-up heuristic), (b) idle siblings can *steal* work
-/// envelopes from the lane tails, and (c) concurrent tenants get
-/// weighted-fair admission via per-tenant lanes instead of one FIFO a
-/// spiking tenant could flood. The `idle` flag implements a
-/// lost-wakeup-free hand-off with thieves: a worker advertises idleness
-/// before scanning siblings, and anyone wanting to wake it clears the
-/// flag first — a cleared flag makes a waiting thief loop back and
-/// re-scan instead of sleeping through the notification.
-struct Inbox {
-    queue: Mutex<InboxQueue>,
-    ready: Condvar,
-    idle: AtomicBool,
-}
-
-impl Inbox {
-    fn new() -> Self {
-        Inbox {
-            queue: Mutex::new(InboxQueue {
-                ctrl: VecDeque::new(),
-                lanes: Vec::new(),
-                vnow: 0.0,
-            }),
-            ready: Condvar::new(),
-            idle: AtomicBool::new(false),
-        }
-    }
-
-    /// Enqueues a work envelope on `tenant`'s lane (created on first
-    /// use) and returns the resulting total work depth across lanes.
-    fn send_work(&self, tenant: &Arc<Shared>, env: Envelope) -> usize {
-        let mut q = self.queue.lock().expect("inbox lock poisoned");
-        let vnow = q.vnow;
-        let idx = match q.lanes.iter().position(|l| l.tenant.id == tenant.id) {
-            Some(i) => i,
-            None => {
-                q.lanes.push(Lane {
-                    tenant: Arc::clone(tenant),
-                    queue: VecDeque::new(),
-                    vtime: vnow,
-                });
-                q.lanes.len() - 1
-            }
-        };
-        let lane = &mut q.lanes[idx];
-        if lane.queue.is_empty() && lane.vtime < vnow {
-            // Re-activation: no banked credit from the idle period.
-            lane.vtime = vnow;
-        }
-        lane.queue.push_back(env);
-        let depth: usize = q.lanes.iter().map(|l| l.queue.len()).sum();
-        drop(q);
-        // The owner re-checks the queue under the lock before waiting,
-        // so notifying without the lock cannot lose the wakeup.
-        self.ready.notify_one();
-        depth
-    }
-
-    /// Enqueues a control message (served before any lane).
-    fn send_ctrl(&self, c: Ctrl) {
-        let mut q = self.queue.lock().expect("inbox lock poisoned");
-        q.ctrl.push_back(c);
-        drop(q);
-        self.ready.notify_one();
-    }
-
-    /// Removes `session`'s lane (dropping whatever it still queued —
-    /// the tenant is detaching, so the backlog is either empty or
-    /// deliberately discarded).
-    fn drop_lane(&self, session: u64) {
-        let mut q = self.queue.lock().expect("inbox lock poisoned");
-        q.lanes.retain(|l| l.tenant.id != session);
-    }
-
-    /// Items currently queued for `session` on this inbox.
-    fn queued_for(&self, session: u64) -> u64 {
-        let q = self.queue.lock().expect("inbox lock poisoned");
-        q.lanes
-            .iter()
-            .filter(|l| l.tenant.id == session)
-            .flat_map(|l| l.queue.iter())
-            .map(|env| env.items.len() as u64)
-            .sum()
-    }
-
-    /// Wakes the owning worker if it advertised idleness; true if a
-    /// wake was delivered. Clearing `idle` before notifying is what
-    /// makes the hand-off race-free (see the struct docs).
-    fn wake_if_idle(&self) -> bool {
-        if self.idle.swap(false, Ordering::SeqCst) {
-            let guard = self.queue.lock().expect("inbox lock poisoned");
-            self.ready.notify_one();
-            drop(guard);
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// Floor for a lane's fair-queueing weight: an arbiter granting a
-/// (near-)zero share must throttle a tenant, not freeze its lane's
-/// virtual clock.
-const MIN_LANE_WEIGHT: f64 = 0.01;
 
 /// Collector-side control plane, multiplexed with finished items.
 enum SinkMsg {
@@ -465,76 +295,6 @@ enum SinkMsg {
     /// the shared `SessionControl`). Unlike `Abort`, the expected count
     /// is left as declared, so the report honestly shows truncation.
     Fatal,
-}
-
-/// End-to-end in-flight credit gate: `push()` acquires one slot per
-/// item, the collector releases it at the sink. See the module docs for
-/// why the bound is end-to-end rather than per-channel blocking sends.
-struct Credits {
-    available: Mutex<u64>,
-    freed: Condvar,
-    /// Raised at fatal teardown: nothing will ever release a slot
-    /// again, so blocked pushers must wake and give up instead of
-    /// waiting on a collector that is gone.
-    broken: AtomicBool,
-}
-
-impl Credits {
-    fn new(capacity: u64) -> Self {
-        assert!(capacity > 0, "credit capacity must be positive");
-        Credits {
-            available: Mutex::new(capacity),
-            freed: Condvar::new(),
-            broken: AtomicBool::new(false),
-        }
-    }
-
-    /// Blocks until a slot frees; returns the blocked wall time, or
-    /// `None` if a slot was immediately available (or the gate broke).
-    fn acquire(&self) -> Option<Duration> {
-        let mut available = self.available.lock().expect("credit lock poisoned");
-        if *available > 0 || self.broken.load(Ordering::SeqCst) {
-            *available = available.saturating_sub(1);
-            return None;
-        }
-        let t0 = Instant::now();
-        while *available == 0 && !self.broken.load(Ordering::SeqCst) {
-            available = self.freed.wait(available).expect("credit lock poisoned");
-        }
-        *available = available.saturating_sub(1);
-        Some(t0.elapsed())
-    }
-
-    /// Non-blocking acquire; true if a slot was taken (or the gate is
-    /// broken — same contract as [`Credits::acquire`], which also
-    /// proceeds when broken). The session uses this to decide whether
-    /// it can keep buffering input or must flush before blocking.
-    fn try_acquire(&self) -> bool {
-        let mut available = self.available.lock().expect("credit lock poisoned");
-        if *available > 0 || self.broken.load(Ordering::SeqCst) {
-            *available = available.saturating_sub(1);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn release_n(&self, n: u64) {
-        let mut available = self.available.lock().expect("credit lock poisoned");
-        *available += n;
-        if n == 1 {
-            self.freed.notify_one();
-        } else {
-            self.freed.notify_all();
-        }
-    }
-
-    /// Wakes every blocked pusher permanently (fatal teardown).
-    fn break_gate(&self) {
-        let _guard = self.available.lock().expect("credit lock poisoned");
-        self.broken.store(true, Ordering::SeqCst);
-        self.freed.notify_all();
-    }
 }
 
 /// Per-worker accounting for one tenant, flushed by the worker when the
@@ -656,26 +416,22 @@ impl Pool {
 /// Everything the workers share *about one tenant*: its pipeline, its
 /// routing table, its depot, its sink. The pool-wide half (inboxes,
 /// vnodes, health, the clock) lives in [`Pool`], reached via `pool`.
-struct Shared {
+pub(crate) struct Shared {
     /// Pool-unique session id (becomes the public [`SessionId`]).
-    id: u64,
+    pub(crate) id: u64,
     pool: Arc<Pool>,
-    spec: PipelineSpec,
+    pub(crate) spec: PipelineSpec,
     /// Per-stage in-edge bytes, precomputed once from the stage graph
     /// (`StageGraph::feed_bytes`) — link emulation must not walk the
     /// graph per envelope.
     bytes_into: Vec<u64>,
     /// Per-parallel-block fan-out duplicators (block order).
-    fanouts: Vec<FanOutFn>,
-    /// Join state per parallel block: branch outputs collected per item
-    /// until the set completes and the merged envelope ships to the
-    /// merge stage's host. Global (not per-worker), so branch outputs
+    pub(crate) fanouts: Vec<FanOutFn>,
+    /// Join state per join block: inputs collected per item until the
+    /// set completes and the assembled envelope ships to the joining
+    /// stage's host. Global (not per-worker), so deposited inputs
     /// survive the loss of any vnode.
-    joins: Vec<Mutex<HashMap<u64, Vec<Option<BoxedItem>>>>>,
-    /// Per-parallel-block branch entry stages, precomputed once —
-    /// fanning an item out must not re-derive (and re-allocate) the
-    /// entry list per item.
-    block_entries: Vec<Vec<usize>>,
+    pub(crate) joins: Vec<Mutex<HashMap<u64, JoinSlots>>>,
     /// Planning topology; also drives link emulation when enabled.
     topology: Topology,
     emulate_links: bool,
@@ -701,17 +457,17 @@ struct Shared {
     done: AtomicBool,
     /// Event bus + error slot shared with the session (fault
     /// notifications, replay announcements, fatal failures).
-    hooks: RunHooks,
-    control: SessionControl,
+    pub(crate) hooks: RunHooks,
+    pub(crate) control: SessionControl,
     /// Items re-dealt to a live host after their vnode went down.
     replays: AtomicU64,
     /// Retries performed across all stages (in-place re-attempts under
     /// a per-stage [`adapipe_runtime::session::ResiliencePolicy`]).
-    retries: AtomicU64,
+    pub(crate) retries: AtomicU64,
     /// Attempts whose service time exceeded their stage's declared
     /// per-attempt bound (observational: a running closure cannot be
     /// interrupted, so the overrun is counted, not cancelled).
-    timeouts: AtomicU64,
+    pub(crate) timeouts: AtomicU64,
     /// Sequence numbers diverted to the dead-letter channel. Consulted
     /// by ordered delivery (a dead seq will never arrive — skip it) and
     /// by join deposits (a sibling branch of a dead item must not park
@@ -748,12 +504,12 @@ struct Shared {
 }
 
 impl Shared {
-    fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         SimTime::from_secs_f64(self.pool.epoch.elapsed().as_secs_f64())
     }
 
     /// The tenant's current capacity share in `(0, 1]`.
-    fn share(&self) -> f64 {
+    pub(crate) fn share(&self) -> f64 {
         f64::from_bits(self.share.load(Ordering::Relaxed))
     }
 
@@ -774,7 +530,7 @@ impl Shared {
 
     /// True if `seq` was diverted to the dead-letter channel. The
     /// common path (no dead letters this run) is one relaxed load.
-    fn is_dead(&self, seq: u64) -> bool {
+    pub(crate) fn is_dead(&self, seq: u64) -> bool {
         self.dead_count.load(Ordering::Relaxed) > 0
             && self.dead.lock().expect("dead set poisoned").contains(&seq)
     }
@@ -783,7 +539,7 @@ impl Shared {
     /// any join deposits its sibling branches already parked, announces
     /// the diversion on the event bus, and settles the item with the
     /// collector (which records it and releases its credit).
-    fn divert_dead(&self, seq: u64, stage: usize, attempts: u32, reason: String) {
+    pub(crate) fn divert_dead(&self, seq: u64, stage: usize, attempts: u32, reason: String) {
         {
             let mut dead = self.dead.lock().expect("dead set poisoned");
             dead.insert(seq);
@@ -1013,43 +769,34 @@ fn deliver_env(
 }
 
 /// Feeds a batch of source items into the pipeline entry: one envelope
-/// to the entry stage, or — when the graph opens with a parallel block
-/// — per-item fan-out grouped into one envelope per branch entry (the
-/// in-flight credit still counts *items*, not branch copies).
+/// to the entry stage, or — when the input fans out to several entry
+/// stages — the same walk every stage output takes, grouped into one
+/// envelope per entry (the in-flight credit still counts *items*, not
+/// copies).
 fn push_entry(shared: &Arc<Shared>, cache: &mut RouteCache, mut items: Vec<ItemSlot>) {
     let snap = cache.current(shared).clone();
-    match shared.spec.graph.entry() {
-        Next::Stage(stage) => ship(shared, &snap, None, stage, items),
-        Next::FanOut { block } => {
-            let entries = &shared.block_entries[block];
-            let mut per_entry: Vec<Vec<ItemSlot>> =
-                entries.iter().map(|_| take_slot_buf(items.len())).collect();
-            for slot in items.drain(..) {
-                match (shared.fanouts[block])(slot.payload) {
-                    Ok(parts) => {
-                        for (i, payload) in parts.into_iter().enumerate() {
-                            per_entry[i].push(ItemSlot {
-                                seq: slot.seq,
-                                born: slot.born,
-                                payload,
-                            });
-                        }
-                    }
-                    Err(type_err) => {
-                        shared.control.fail(RunError::StageTypeMismatch {
-                            stage: type_err.stage,
-                        });
-                        fatal_teardown(shared);
-                        return;
-                    }
-                }
-            }
-            put_slot_buf(items);
-            for (i, batch) in per_entry.into_iter().enumerate() {
-                ship(shared, &snap, None, entries[i], batch);
-            }
+    let entry = shared.spec.graph.entry();
+    if let Next::Stage(stage) = entry {
+        return ship(shared, &snap, None, stage, items);
+    }
+    // A pipeline has at least one stage: nothing exits at the entry,
+    // `finished` stays empty.
+    let mut outbox = Outbox {
+        finished: Vec::new(),
+        onward: Vec::new(),
+    };
+    for slot in items.drain(..) {
+        let (seq, born) = (slot.seq, slot.born);
+        if outbox
+            .send(shared, &entry, seq, born, born, slot.payload)
+            .is_err()
+        {
+            return; // typed failure recorded, session torn down
         }
-        _ => unreachable!("pipelines enter at a stage or a fan-out"),
+    }
+    put_slot_buf(items);
+    for (stage, batch) in outbox.onward {
+        ship(shared, &snap, None, stage, batch);
     }
 }
 
@@ -1083,7 +830,7 @@ fn dispatch(shared: &Arc<Shared>, snap: &RoutingSnapshot, dest: usize, env: Enve
 /// `shared.control`; the session surfaces it via `error()` while
 /// `drain()`/`next()` unwind cleanly with a truncated report. Other
 /// tenants on the pool are untouched.
-fn fatal_teardown(shared: &Shared) {
+pub(crate) fn fatal_teardown(shared: &Shared) {
     shared.done.store(true, Ordering::SeqCst);
     let _ = shared.sink.send(SinkMsg::Fatal);
     for inbox in &shared.pool.inboxes {
@@ -1601,7 +1348,7 @@ impl<I, O> Drop for EngineSession<I, O> {
 /// the typed [`EngineSession`] (the arbiter is type-erased).
 #[derive(Clone)]
 pub struct TenantHandle {
-    shared: Arc<Shared>,
+    pub(crate) shared: Arc<Shared>,
 }
 
 impl TenantHandle {
@@ -1770,11 +1517,8 @@ where
     O: Send + 'static,
 {
     let np = pool.vnodes.len();
-    let (spec, stages, fanouts, keys) = pipeline.into_keyed_parts();
+    let (spec, stages, fanouts, keys) = pipeline.into_parts();
     let ns = spec.len();
-    let blocks = spec.graph.blocks();
-    // Fan and join blocks coincide on sugar graphs but are independent
-    // on explicitly wired DAGs.
     let join_blocks = spec.graph.join_blocks();
     let vnodes = &pool.vnodes;
 
@@ -1841,9 +1585,6 @@ where
     let bytes_into = (0..ns)
         .map(|s| spec.graph.feed_bytes(s, &boundary))
         .collect();
-    let block_entries = (0..blocks)
-        .map(|b| spec.graph.fan_targets(b).iter().map(|t| t.stage).collect())
-        .collect();
     // Depot: one slot per stage, except keyed stages get one per shard —
     // the built instance takes slot 0 and fresh (empty) shells seed the
     // rest; each shard accumulates exactly the keys routed to it.
@@ -1876,7 +1617,6 @@ where
         joins: (0..join_blocks)
             .map(|_| Mutex::new(HashMap::new()))
             .collect(),
-        block_entries,
         topology,
         emulate_links: cfg.emulate_links,
         // Health flags are the pool's: any tenant's fault tracker
@@ -2075,7 +1815,7 @@ where
 {
     let mut session = spawn(pipeline, cfg, n_items);
     let mut feed = feed;
-    match cfg.effective_arrivals() {
+    match cfg.arrivals {
         // Everything is due at t = 0: feed the whole stream through the
         // batched envelope path in one call.
         ArrivalProcess::AllAtOnce => {
@@ -2657,7 +2397,7 @@ fn try_acquire(
 /// Appends `slot` to the onward batch for `stage`, creating the bucket
 /// on first use (from the buffer pool). Linear pipelines keep exactly
 /// one bucket, so this is a length-1 scan — no per-item allocation.
-fn push_onward(onward: &mut Vec<(usize, Vec<ItemSlot>)>, stage: usize, slot: ItemSlot) {
+pub(crate) fn push_onward(onward: &mut Vec<(usize, Vec<ItemSlot>)>, stage: usize, slot: ItemSlot) {
     match onward.iter_mut().find(|(s, _)| *s == stage) {
         Some((_, batch)) => batch.push(slot),
         None => {
@@ -2666,133 +2406,6 @@ fn push_onward(onward: &mut Vec<(usize, Vec<ItemSlot>)>, stage: usize, slot: Ite
             onward.push((stage, batch));
         }
     }
-}
-
-/// Deposits one branch output into join `block`'s slot `branch` for item
-/// `seq`. Returns the assembled parts (branch order) when this deposit
-/// completes the set; `None` while siblings are still outstanding — or
-/// when the item already dead-lettered on another branch, in which case
-/// the output is dropped rather than parked forever.
-fn deposit_join(
-    shared: &Shared,
-    block: usize,
-    branch: usize,
-    seq: u64,
-    out: BoxedItem,
-) -> Option<Vec<BoxedItem>> {
-    if shared.is_dead(seq) {
-        return None;
-    }
-    let mut joins = shared.joins[block].lock().expect("join lock poisoned");
-    let k = shared.spec.graph.join_width(block);
-    let slots = joins
-        .entry(seq)
-        .or_insert_with(|| (0..k).map(|_| None).collect());
-    slots[branch] = Some(out);
-    if slots.iter().all(Option::is_some) {
-        let parts: Vec<BoxedItem> = joins
-            .remove(&seq)
-            .expect("slots just inserted")
-            .into_iter()
-            .map(|p| p.expect("all branches present"))
-            .collect();
-        Some(parts)
-    } else {
-        None
-    }
-}
-
-/// Outcome of one item's trip through a stage under a non-default
-/// [`adapipe_runtime::session::ResiliencePolicy`].
-enum ResilientOut {
-    /// The stage produced an output, possibly after in-place retries.
-    Done(BoxedItem),
-    /// The item exhausted its retry budget and was diverted to the
-    /// dead-letter channel; it takes no further part in the run.
-    Dead,
-    /// Unrecoverable failure — the session is already torn down; the
-    /// worker must stop processing this tenant's batch.
-    Fatal,
-}
-
-/// Runs one item through `inst` under `stage`'s resilience policy:
-/// bounded in-place retries with exponential backoff on item-level
-/// failures, observational per-attempt timeout accounting (a running
-/// closure cannot be interrupted, so an overrun is counted, never
-/// cancelled), opt-in per-hop tracing, and dead-letter diversion — or a
-/// typed fatal error — once the budget is spent.
-fn process_resilient(
-    inst: &mut dyn DynStage,
-    shared: &Arc<Shared>,
-    stage: usize,
-    seq: u64,
-    mut payload: BoxedItem,
-) -> ResilientOut {
-    let policy = &shared.spec.stages[stage].resilience;
-    let bound = policy
-        .timeout
-        .map(|t| Duration::from_secs_f64(t.as_secs_f64()));
-    let mut attempt: u32 = 1;
-    loop {
-        let started = Instant::now();
-        let result = inst.try_process(payload);
-        if bound.is_some_and(|b| started.elapsed() > b) {
-            shared.timeouts.fetch_add(1, Ordering::Relaxed);
-        }
-        match result {
-            Ok(out) => {
-                if policy.trace {
-                    shared.hooks.events.emit(RunEvent::ItemTrace {
-                        session: SessionId(shared.id),
-                        seq,
-                        stage,
-                        attempts: attempt,
-                        at: shared.now(),
-                    });
-                }
-                return ResilientOut::Done(out);
-            }
-            Err(StageError::Item { item, .. }) if attempt <= policy.max_retries => {
-                shared.retries.fetch_add(1, Ordering::Relaxed);
-                let delay = policy.backoff_delay(attempt);
-                if delay.as_secs_f64() > 0.0 {
-                    std::thread::sleep(Duration::from_secs_f64(delay.as_secs_f64()));
-                }
-                payload = item;
-                attempt += 1;
-            }
-            Err(StageError::Item { reason, .. }) if policy.dead_letter => {
-                shared.divert_dead(seq, stage, attempt, reason);
-                return ResilientOut::Dead;
-            }
-            Err(err) => {
-                fail_stage(shared, stage, seq, attempt, err);
-                return ResilientOut::Fatal;
-            }
-        }
-    }
-}
-
-/// Fails the session over a stage error no policy absorbs, typed, and
-/// tears it down — never kills the worker thread and hangs everyone
-/// blocked on it. A wrong-typed item is a pipeline assembly bug
-/// ([`RunError::StageTypeMismatch`]); an item the stage rejected with
-/// its retry budget spent and no dead-letter channel declared is
-/// [`RunError::PoisonItem`] naming the stage and the give-up attempt
-/// count — `attempts == 1` under the default policy, on every path.
-fn fail_stage(shared: &Arc<Shared>, stage: usize, seq: u64, attempts: u32, err: StageError) {
-    shared.control.fail(match err {
-        StageError::Type(type_err) => RunError::StageTypeMismatch {
-            stage: type_err.stage,
-        },
-        StageError::Item { reason, .. } => RunError::PoisonItem {
-            stage: shared.spec.stages[stage].name.clone(),
-            seq,
-            attempts,
-            reason,
-        },
-    });
-    fatal_teardown(shared);
 }
 
 /// A worker's per-tenant stage-fusion plan, recomputed lazily per
@@ -2878,7 +2491,7 @@ fn run_chain(
                 match inst.try_process(out) {
                     Ok(o) => out = o,
                     Err(err) => {
-                        fail_stage(shared, cs, seq, 1, err);
+                        fail_stage(shared, cs, seq, err);
                         return None;
                     }
                 }
@@ -2890,7 +2503,7 @@ fn run_chain(
                 match inst.try_process(out) {
                     Ok(o) => out = o,
                     Err(err) => {
-                        fail_stage(shared, chain[ci], seq, 1, err);
+                        fail_stage(shared, chain[ci], seq, err);
                         return None;
                     }
                 }
@@ -2901,99 +2514,6 @@ fn run_chain(
         }
     }
     Some(out)
-}
-
-/// Routes one stage output according to `after` — into the sink batch,
-/// an onward per-stage batch, a fan-out duplication (plain and slotted
-/// targets), or a join deposit. `Err(())` means a fan-out type
-/// mismatch: the session is already failed and torn down, and the
-/// caller must abandon the rest of its batch.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_out(
-    shared: &Arc<Shared>,
-    after: &Next,
-    seq: u64,
-    born: Instant,
-    done: Instant,
-    out: BoxedItem,
-    finished: &mut Vec<Finished>,
-    onward: &mut Vec<(usize, Vec<ItemSlot>)>,
-) -> Result<(), ()> {
-    match after {
-        Next::Done => finished.push(Finished {
-            seq,
-            born,
-            done,
-            payload: out,
-        }),
-        Next::Stage(next) => push_onward(
-            onward,
-            *next,
-            ItemSlot {
-                seq,
-                born,
-                payload: out,
-            },
-        ),
-        Next::FanOut { block } => match (shared.fanouts[*block])(out) {
-            Ok(parts) => {
-                // Copies ship in edge order. A plain target gets its
-                // copy as an ordinary envelope; a *slotted* target — a
-                // DAG shortcut edge feeding a joining stage directly —
-                // deposits the copy into that join's slot instead (the
-                // joining stage must receive the assembled vector, not
-                // a raw copy to process).
-                let targets = shared.spec.graph.fan_targets(*block);
-                for (i, payload) in parts.into_iter().enumerate() {
-                    let target = &targets[i];
-                    match target.slot {
-                        None => push_onward(onward, target.stage, ItemSlot { seq, born, payload }),
-                        Some(jslot) => {
-                            let jblock = shared
-                                .spec
-                                .graph
-                                .merge_block_of(target.stage)
-                                .expect("slotted fan target joins");
-                            if let Some(parts) = deposit_join(shared, jblock, jslot, seq, payload) {
-                                push_onward(
-                                    onward,
-                                    target.stage,
-                                    ItemSlot {
-                                        seq,
-                                        born,
-                                        payload: Payload::new(parts),
-                                    },
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            Err(type_err) => {
-                // Same contract as a stage-level mismatch: fail the
-                // session typed, never kill the worker thread.
-                shared.control.fail(RunError::StageTypeMismatch {
-                    stage: type_err.stage,
-                });
-                fatal_teardown(shared);
-                return Err(());
-            }
-        },
-        Next::Join { block, branch } => {
-            if let Some(parts) = deposit_join(shared, *block, *branch, seq, out) {
-                push_onward(
-                    onward,
-                    shared.spec.graph.merge_of(*block),
-                    ItemSlot {
-                        seq,
-                        born,
-                        payload: Payload::new(parts),
-                    },
-                );
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Runs every item of one envelope through its stage — and, when the
@@ -3022,9 +2542,8 @@ fn dispatch_out(
 ///   declared rates, so the report is the only consumer).
 /// * **Slow path** (resilient entry stage, or a vnode with throttle
 ///   windows): exact per-item, per-hop accounting —
-///   retry/backoff/dead-letter via [`process_resilient`] on the entry
-///   hop, synthetic slowdown sleeps and individual service samples on
-///   every hop.
+///   retry/backoff/dead-letter via [`process_resilient`], synthetic
+///   slowdown sleeps and individual service samples on every hop.
 #[allow(clippy::too_many_arguments)]
 fn process_batch(
     me: usize,
@@ -3088,8 +2607,10 @@ fn process_batch(
     let never_throttles = shared.pool.vnodes[me].never_throttles();
     let fast = never_throttles && shared.spec.stages[stage].resilience.is_default();
     let nseg = chain.len();
-    let mut finished: Vec<Finished> = take_fin_buf();
-    let mut onward: Vec<(usize, Vec<ItemSlot>)> = Vec::new();
+    let mut outbox = Outbox {
+        finished: take_fin_buf(),
+        onward: Vec::new(),
+    };
     let mut busy = Duration::ZERO;
     let mut fused_hops: u64 = 0;
     let mut fatal = false;
@@ -3111,7 +2632,7 @@ fn process_batch(
                 break;
             }
             let win = (fusion.stride[stage] as usize).min(n - idx);
-            let win_fin_start = finished.len();
+            let win_fin_start = outbox.finished.len();
             let mut live: u64 = 0;
             let mut sampled = nseg == 1;
             for _ in 0..win {
@@ -3140,17 +2661,9 @@ fn process_batch(
                     break 'windows;
                 };
                 live += 1;
-                if dispatch_out(
-                    shared,
-                    &after,
-                    slot.seq,
-                    slot.born,
-                    t_win,
-                    out,
-                    &mut finished,
-                    &mut onward,
-                )
-                .is_err()
+                if outbox
+                    .send(shared, &after, slot.seq, slot.born, t_win, out)
+                    .is_err()
                 {
                     fatal = true;
                     break 'windows;
@@ -3163,7 +2676,7 @@ fn process_batch(
             // stamp: stamps stay non-decreasing, and the per-item
             // error is bounded by one window, which the stride
             // adaptation keeps short.
-            for f in &mut finished[win_fin_start..] {
+            for f in &mut outbox.finished[win_fin_start..] {
                 f.done = t_end;
             }
             if live > 0 {
@@ -3210,7 +2723,6 @@ fn process_batch(
             busy += t_win.elapsed();
         }
     } else {
-        let entry_resilient = !shared.spec.stages[stage].resilience.is_default();
         let mut t_start = Instant::now();
         'items: for slot in it.by_ref() {
             if shared.finished() {
@@ -3223,33 +2735,24 @@ fn process_batch(
             let mut done = t_start;
             for (ci, inst) in insts.iter_mut().enumerate() {
                 let cs = chain[ci];
-                if ci == 0 && entry_resilient {
-                    match process_resilient(inst.as_mut(), shared, cs, slot.seq, out) {
-                        ResilientOut::Done(o) => out = o,
-                        ResilientOut::Dead => {
-                            // Diverted to the dead-letter channel: the
-                            // item is settled, nothing ships onward.
-                            // The attempt time still counts as busy.
-                            let t_end = Instant::now();
-                            busy += t_end.duration_since(t_start);
-                            t_start = t_end;
-                            continue 'items;
-                        }
-                        ResilientOut::Fatal => {
-                            busy += t_start.elapsed();
-                            fatal = true;
-                            break 'items;
-                        }
+                // Every hop goes through its stage's policy; under the
+                // default one (every fused successor's) that is a
+                // single attempt which succeeds or ends the run.
+                match process_resilient(inst.as_mut(), shared, cs, slot.seq, out) {
+                    ResilientOut::Done(o) => out = o,
+                    ResilientOut::Dead => {
+                        // Diverted to the dead-letter channel: the
+                        // item is settled, nothing ships onward.
+                        // The attempt time still counts as busy.
+                        let t_end = Instant::now();
+                        busy += t_end.duration_since(t_start);
+                        t_start = t_end;
+                        continue 'items;
                     }
-                } else {
-                    match inst.try_process(out) {
-                        Ok(o) => out = o,
-                        Err(err) => {
-                            fail_stage(shared, cs, slot.seq, 1, err);
-                            busy += t_start.elapsed();
-                            fatal = true;
-                            break 'items;
-                        }
+                    ResilientOut::Fatal => {
+                        busy += t_start.elapsed();
+                        fatal = true;
+                        break 'items;
                     }
                 }
                 let t_end = Instant::now();
@@ -3281,17 +2784,9 @@ fn process_batch(
             if nseg > 1 {
                 fused_hops += nseg as u64 - 1;
             }
-            if dispatch_out(
-                shared,
-                &after,
-                slot.seq,
-                slot.born,
-                done,
-                out,
-                &mut finished,
-                &mut onward,
-            )
-            .is_err()
+            if outbox
+                .send(shared, &after, slot.seq, slot.born, done, out)
+                .is_err()
             {
                 fatal = true;
                 break;
@@ -3309,6 +2804,7 @@ fn process_batch(
     if fused_hops > 0 {
         shared.fused.fetch_add(fused_hops, Ordering::Relaxed);
     }
+    let Outbox { finished, onward } = outbox;
     if fatal || finished.is_empty() {
         // Fatal: nothing ships — the collector already received
         // `Fatal` and the report shows truncation.
@@ -3730,7 +3226,7 @@ mod tests {
             })),
         ];
         let pipeline: Pipeline<u64, u64> =
-            Pipeline::from_graph_parts(spec, stages, vec![fan_out_fn::<u64>(2)]);
+            Pipeline::from_parts(spec, stages, vec![fan_out_fn::<u64>(2)], vec![None; 3]);
         let cfg = EngineConfig::new(free_nodes(3));
         let outcome = execute(pipeline, (0..100).collect(), &cfg);
         assert_eq!(outcome.report.completed, 100);
@@ -3752,7 +3248,8 @@ mod tests {
         let spec =
             adapipe_core::spec::PipelineSpec::new(vec![StageSpec::balanced("typed", 0.001, 8)]);
         let stages: Vec<Box<dyn DynStage>> = vec![Box::new(FnStage::new("typed", |x: u64| x + 1))];
-        let pipeline: Pipeline<String, u64> = Pipeline::from_parts(spec, stages);
+        let pipeline: Pipeline<String, u64> =
+            Pipeline::from_parts(spec, stages, Vec::new(), vec![None]);
         let cfg = EngineConfig::new(free_nodes(1));
         let mut session = spawn(pipeline, &cfg, 4);
         for i in 0..4 {
@@ -3771,7 +3268,8 @@ mod tests {
         let spec =
             adapipe_core::spec::PipelineSpec::new(vec![StageSpec::balanced("typed", 0.001, 8)]);
         let stages: Vec<Box<dyn DynStage>> = vec![Box::new(FnStage::new("typed", |x: u64| x + 1))];
-        let pipeline: Pipeline<String, u64> = Pipeline::from_parts(spec, stages);
+        let pipeline: Pipeline<String, u64> =
+            Pipeline::from_parts(spec, stages, Vec::new(), vec![None]);
         let cfg = EngineConfig::new(free_nodes(1));
         let mut session = spawn(pipeline, &cfg, 1);
         session.push("oops".to_string()).unwrap();
@@ -3836,7 +3334,7 @@ mod tests {
         let (s0, f0) = spin_stage("a", 1);
         let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
         let mut cfg = EngineConfig::new(free_nodes(1));
-        cfg.pacing_rate = Some(100.0); // 10 ms between items
+        cfg.arrivals = ArrivalProcess::Uniform { rate: 100.0 }; // 10 ms between items
         let outcome = execute(pipeline, (0..30).collect(), &cfg);
         // 30 items at 100/s ≥ 0.29 s regardless of stage speed.
         assert!(outcome.report.makespan.as_secs_f64() > 0.25);
@@ -3902,7 +3400,7 @@ mod tests {
             })),
         ];
         let pipeline: Pipeline<u64, u64> =
-            Pipeline::from_graph_parts(spec, stages, vec![fan_out_fn::<u64>(2)]);
+            Pipeline::from_parts(spec, stages, vec![fan_out_fn::<u64>(2)], vec![None; 3]);
         let mut cfg = EngineConfig::new(free_nodes(3));
         cfg.batch_size = 8;
         let outcome = execute(pipeline, (0..100).collect(), &cfg);

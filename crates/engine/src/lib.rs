@@ -12,7 +12,13 @@
 //!   order-preserving collector, and the same monitoring/planning
 //!   controller the simulator uses; the worker pool ([`exec::Pool`])
 //!   serves any number of concurrent tenant sessions under
-//!   weighted-fair envelope admission;
+//!   weighted-fair envelope admission. Three seams of it are modules
+//!   of their own: the worker `inbox` (control first, then
+//!   start-time-fair tenant lanes), the `credits` gate behind
+//!   `queue_capacity`, and `item` — what a worker does with one item at
+//!   one stage, as thin callers of the backend-independent kernel
+//!   [`adapipe_core::item`] (pool, session, worker loop and fusion are
+//!   still in `exec`);
 //! * [`inject`] — optional *real* CPU burners for demonstrations of
 //!   genuine contention.
 //!
@@ -22,8 +28,11 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod credits;
 pub mod exec;
+mod inbox;
 pub mod inject;
+mod item;
 pub mod vnode;
 
 /// Convenient glob-import surface.

@@ -244,7 +244,7 @@ mod tests {
     #[test]
     fn pipeline_runs_end_to_end_in_process() {
         let p = imaging_pipeline(16);
-        let (_, mut stages) = p.into_parts();
+        let (_, mut stages, ..) = p.into_parts();
         let mut item: adapipe_core::stage::BoxedItem =
             adapipe_core::payload::Payload::new(Image::synthetic(16, 16, 0));
         for s in &mut stages {

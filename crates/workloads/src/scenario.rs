@@ -176,7 +176,7 @@ mod tests {
         let spec = synthetic_spec(2, CostShape::Balanced, 1.0, 0, 0.0, 0);
         let p = synth_pipeline(&spec);
         assert_eq!(p.len(), 2);
-        let (_, mut stages) = p.into_parts();
+        let (_, mut stages, ..) = p.into_parts();
         let item = SynthItem {
             seq: 0,
             spin_secs: vec![0.001, 0.001],

@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn decimation_halves_length() {
         let p = signal_pipeline(128);
-        let (_, mut stages) = p.into_parts();
+        let (_, mut stages, ..) = p.into_parts();
         let mut item: adapipe_core::stage::BoxedItem =
             adapipe_core::payload::Payload::new(Frame::synthetic(128, 0));
         item = stages[0].process(item).expect("stages are type-aligned");
@@ -192,7 +192,7 @@ mod tests {
     #[test]
     fn pipeline_produces_finite_power() {
         let p = signal_pipeline(128);
-        let (_, mut stages) = p.into_parts();
+        let (_, mut stages, ..) = p.into_parts();
         let mut item: adapipe_core::stage::BoxedItem =
             adapipe_core::payload::Payload::new(Frame::synthetic(128, 3));
         for s in &mut stages {

@@ -2,12 +2,8 @@
 //! for every execution backend.
 //!
 //! The paper presents *one* adaptive pipeline skeleton that hides
-//! placement and re-mapping behind a single programming surface.
-//! Historically this repo exposed two divergent entry points —
-//! `sim_run(&grid, &spec, &SimConfig)` for the discrete-event backend
-//! and `run_pipeline(pipeline, items, &EngineConfig)` for the threaded
-//! backend — so every scenario was written twice. This module is the
-//! single surface both now sit behind:
+//! placement and re-mapping behind a single programming surface. This
+//! module is that surface; both backends sit behind it:
 //!
 //! ```
 //! use adapipe::prelude::*;
@@ -86,6 +82,14 @@
 //! in push order — so one scenario written against [`RunSession`]
 //! produces item-identical outputs on either backend.
 //!
+//! This module runs neither backend. A [`RunSession`] wraps the
+//! backend's own session (`adapipe_core::simsession::SimSession` or
+//! `adapipe_engine::exec::EngineSession`, same method set) and a
+//! [`Cluster`] the backend's own cluster (`adapipe_cluster`'s
+//! `SimCluster` or `ThreadCluster`); every method here is a two-arm
+//! delegation, and what happens to an item at a stage is decided in
+//! one place both backends call, `adapipe_core::item`.
+//!
 //! Live observation goes through [`RunConfig`]'s [`RunHooks`]
 //! (`on_remap` fires at each committed re-mapping while the pipeline
 //! runs) or the richer [`RunSession::events`] stream; post-run
@@ -101,16 +105,17 @@
 //! gracefully or forcibly. See the `Cluster` docs for the capacity
 //! arbitration and fairness semantics.
 
+use adapipe_cluster::sim::SimCluster;
 use adapipe_cluster::threads::ThreadCluster;
-use adapipe_core::payload::Payload;
 use adapipe_core::pipeline::Pipeline as CorePipeline;
-use adapipe_core::simengine::{ItemFate, SimConfig, SimStepper};
+use adapipe_core::simengine::{self, SimConfig};
+use adapipe_core::simsession::{self, SimSession};
 use adapipe_core::spec::{
-    Next, PipelineSpec, ResiliencePolicy, StageGraph, StageGraphBuilder, StageSpec,
+    PipelineSpec, ResiliencePolicy, StageGraph, StageGraphBuilder, StageSpec,
 };
 use adapipe_core::stage::{
     clone_fn, fan_out_fn, AccumStage, BoxedItem, CloneFn, DynStage, FallibleFnStage, FanOutFn,
-    FnStage, KeyFn, KeyedStage, MergeStage, SealedStage, SnapStage, StageError, StageTypeError,
+    FnStage, KeyFn, KeyedStage, MergeStage, SealedStage, SnapStage, StageTypeError,
     StatefulFnStage,
 };
 use adapipe_engine::exec::{self, EngineConfig, EngineSession};
@@ -118,20 +123,17 @@ use adapipe_engine::vnode::VNodeSpec;
 use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::grid::GridSpec;
 use adapipe_gridsim::node::NodeId;
-use adapipe_gridsim::time::SimTime;
 use adapipe_mapper::graph::GraphError;
-use adapipe_runtime::arrivals::ArrivalStream;
 use adapipe_runtime::metrics::StageStats;
 use adapipe_runtime::policy::Policy;
 use adapipe_runtime::report::{AdaptationEvent, RunReport};
 use adapipe_runtime::routing::Selection;
 use adapipe_runtime::session::{self, EventBus, Session, SessionControl};
 use adapipe_state::StateCodec;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::HashMap;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Receiver;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::Arc;
 use std::time::Duration;
 
 pub use adapipe_mapper::share::ShareQuota;
@@ -158,6 +160,13 @@ impl Backend<'_> {
         match self {
             Backend::Sim(_) => "sim",
             Backend::Threads(_) => "threads",
+        }
+    }
+
+    fn node_count(&self) -> usize {
+        match self {
+            Backend::Sim(grid) => grid.len(),
+            Backend::Threads(vnodes) => vnodes.len(),
         }
     }
 }
@@ -205,23 +214,18 @@ impl<O> RunHandle<O> {
 /// Built by [`PipelineBuilder`]; executed by [`Pipeline::run`] on any
 /// [`Backend`].
 pub struct Pipeline<I, O = I> {
-    spec: PipelineSpec,
-    stages: Vec<Box<dyn DynStage>>,
-    /// One fan-out duplicator per fan block of the spec's graph.
-    fanouts: Vec<FanOutFn>,
-    /// Per-stage routing-key extractors (`Some` for keyed stages only):
-    /// the threaded backend routes each item to its key's shard owner.
-    keys: Vec<Option<KeyFn>>,
+    /// The erased program both backends take: spec, stage functions,
+    /// fan-out duplicators, routing-key extractors.
+    core: CorePipeline<I, O>,
     session: Session,
     feed: Option<Box<dyn Fn(u64) -> I + Send>>,
     faults: FaultPlan,
-    _types: PhantomData<fn(I) -> O>,
 }
 
 impl<I, O> std::fmt::Debug for Pipeline<I, O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pipeline")
-            .field("spec", &self.spec)
+            .field("spec", self.core.spec())
             .field("session", &self.session)
             .field("feed", &self.feed.as_ref().map(|_| "Fn"))
             .finish()
@@ -249,17 +253,17 @@ impl<I: Clone + Send + 'static> Pipeline<I, I> {
 impl<I: Send + 'static, O: Send + 'static> Pipeline<I, O> {
     /// Number of stages.
     pub fn len(&self) -> usize {
-        self.stages.len()
+        self.core.len()
     }
 
     /// True if the pipeline has no stages (not constructible).
     pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
+        self.core.is_empty()
     }
 
     /// The planner-facing cost metadata.
     pub fn spec(&self) -> &PipelineSpec {
-        &self.spec
+        self.core.spec()
     }
 
     /// The validated adaptation policy.
@@ -283,22 +287,14 @@ impl<I: Send + 'static, O: Send + 'static> Pipeline<I, O> {
         if cfg.queue_capacity == Some(0) {
             return Err(BuildError::ZeroQueueCapacity);
         }
-        let node_count = match backend {
-            Backend::Sim(grid) => grid.len(),
-            Backend::Threads(vnodes) => vnodes.len(),
-        };
+        let node_count = backend.node_count();
         if let Some(mapping) = &cfg.initial_mapping {
             // "Stateless" to the validator means *replicable*: keyed and
             // accumulator stages legally run many live instances, with
             // the keyed width capped at the declared shard count.
-            let stateless: Vec<bool> = self
-                .spec
-                .stages
-                .iter()
-                .map(|s| s.state.replicable())
-                .collect();
-            let replica_cap: Vec<usize> =
-                self.spec.stages.iter().map(|s| s.replica_cap()).collect();
+            let stages = &self.spec().stages;
+            let stateless: Vec<bool> = stages.iter().map(|s| s.state.replicable()).collect();
+            let replica_cap: Vec<usize> = stages.iter().map(|s| s.replica_cap()).collect();
             session::validate_mapping(mapping, &stateless, &replica_cap, node_count)?;
         }
         session::validate_faults(&cfg.faults, node_count)?;
@@ -328,102 +324,31 @@ impl<I: Send + 'static, O: Send + 'static> Pipeline<I, O> {
         // build time, then the run's own faults on top.
         cfg.faults = self.faults.clone().merge(&cfg.faults);
         self.validate_run(&backend, &cfg)?;
-        match backend {
-            Backend::Sim(grid) => Ok(self.spawn_sim(grid, cfg, 1.0, SessionId(0), None)),
-            Backend::Threads(vnodes) => {
-                let control = cfg.control.clone();
-                let bus = cfg.hooks.events.clone();
-                let items = cfg.items;
-                let engine_cfg = engine_config(&self.session, vnodes, cfg);
-                let core =
-                    CorePipeline::from_keyed_parts(self.spec, self.stages, self.fanouts, self.keys);
-                Ok(RunSession {
-                    inner: SessionInner::Threads(Box::new(exec::spawn(core, &engine_cfg, items))),
-                    control,
-                    bus,
-                })
-            }
-        }
-    }
-
-    /// Shared constructor of the simulation-backend session: a
-    /// standalone [`Pipeline::spawn`] owns the whole grid (`share =
-    /// 1.0`, no registry) while [`Cluster::admit`] grants a static
-    /// capacity share and enrols the session in the pool's merged
-    /// event-clock registry. Validation has already happened.
-    fn spawn_sim<'g>(
-        self,
-        grid: &'g GridSpec,
-        cfg: RunConfig,
-        share: f64,
-        sid: SessionId,
-        pool: Option<SimPool<'g>>,
-    ) -> RunSession<'g, I, O> {
         let control = cfg.control.clone();
         let bus = cfg.hooks.events.clone();
-        let defaults = SimConfig::default();
-        let sim_cfg = SimConfig {
-            items: cfg.items,
-            arrivals: self.session.arrivals(),
-            policy: self.session.policy(),
-            controller: cfg.controller,
-            initial_mapping: cfg.initial_mapping,
-            selection: cfg.selection,
-            observation_noise: cfg.observation_noise,
-            noise_seed: cfg.noise_seed,
-            timeline_bucket: cfg.timeline_bucket.unwrap_or(defaults.timeline_bucket),
-            link_contention: cfg.link_contention,
-            max_sim_time: cfg.max_sim_time,
-            hooks: cfg.hooks,
-            control: cfg.control,
-            faults: cfg.faults,
-            rate_scale: share,
-            session: sid,
+        let inner = match backend {
+            Backend::Sim(grid) => {
+                let preserve_order = cfg.preserve_order;
+                let sim_cfg = sim_config(&self.session, cfg);
+                let sim = simsession::spawn(grid, self.core, &sim_cfg, preserve_order);
+                SessionInner::Sim(Box::new(sim))
+            }
+            Backend::Threads(vnodes) => {
+                let items = cfg.items;
+                let engine_cfg = engine_config(&self.session, vnodes, cfg);
+                SessionInner::Threads(Box::new(exec::spawn(self.core, &engine_cfg, items)))
+            }
         };
-        let arrivals = self.session.arrivals().stream();
-        let graph = self.spec.graph.clone();
-        let stage_specs = self.spec.stages.clone();
-        let stepper = Arc::new(Mutex::new(SimStepper::new(grid, self.spec, &sim_cfg)));
-        let ctl = Arc::new(SimTenantCtl::default());
-        if let Some(pool) = &pool {
-            pool.lock()
-                .expect("sim pool registry poisoned")
-                .push(SimPoolEntry {
-                    id: sid.0,
-                    stepper: Arc::downgrade(&stepper),
-                    ctl: ctl.clone(),
-                    control: control.clone(),
-                    share,
-                });
-        }
-        RunSession {
-            inner: SessionInner::Sim(Box::new(SimSession {
-                stepper,
-                pool,
-                session: sid,
-                ctl,
-                closed: false,
-                stages: self.stages,
-                scratch: PushScratch::new(&graph),
-                graph,
-                fanouts: self.fanouts,
-                stage_specs,
-                arrivals,
-                outputs: HashMap::new(),
-                done_ordered: BTreeSet::new(),
-                done_unordered: VecDeque::new(),
-                next_seq: 0,
-                preserve_order: cfg.preserve_order,
-            })),
+        Ok(RunSession {
+            inner,
             control,
             bus,
-        }
+        })
     }
 
-    /// Runs the pipeline to completion on `backend` under `cfg` —
-    /// batch sugar over [`Pipeline::spawn`]: spawn a session, feed
-    /// `cfg.items` items on the declared arrival schedule, and
-    /// [`RunSession::drain`].
+    /// Runs the pipeline to completion on `backend` under `cfg`: the
+    /// backend's batch wrapper — spawn a session, feed `cfg.items`
+    /// items on the declared arrival schedule, drain.
     ///
     /// Backend-dependent validation happens here: the threaded backend
     /// needs an input [`PipelineBuilder::feed`] to synthesise the items
@@ -431,61 +356,40 @@ impl<I: Send + 'static, O: Send + 'static> Pipeline<I, O> {
     /// queue-depth probe for [`Selection::LeastLoaded`]. Under
     /// [`Backend::Sim`] the batch path feeds arrival *metadata* only —
     /// stage functions are not invoked and [`RunHandle::outputs`] stays
-    /// empty, exactly as before the streaming API existed.
-    pub fn run(
-        mut self,
-        backend: Backend<'_>,
-        mut cfg: RunConfig,
-    ) -> Result<RunHandle<O>, BuildError> {
-        // The Sim branch merges the pipeline's fault plan and validates
-        // inside spawn(); the Threads branch bypasses spawn (it
-        // delegates to the engine's batch wrapper) and must do both
-        // here — before the feed check, so declaration errors (bad
-        // mapping, unsupported selection) surface with the same
-        // precedence the pre-session API had.
-        if matches!(backend, Backend::Threads(_)) {
-            cfg.faults = self.faults.clone().merge(&cfg.faults);
-            self.faults = FaultPlan::new(); // merged; spawn must not re-merge
-            self.validate_run(&backend, &cfg)?;
-        }
-        let items = cfg.items;
-        let feed = self.feed.take();
-        match backend {
+    /// empty.
+    pub fn run(self, backend: Backend<'_>, mut cfg: RunConfig) -> Result<RunHandle<O>, BuildError> {
+        // Declaration errors (bad mapping, unsupported selection)
+        // surface before a missing feed does.
+        cfg.faults = self.faults.clone().merge(&cfg.faults);
+        self.validate_run(&backend, &cfg)?;
+        let control = cfg.control.clone();
+        let (outputs, report) = match backend {
             Backend::Sim(grid) => {
-                let mut session = self.spawn(Backend::Sim(grid), cfg)?;
-                for _ in 0..items {
-                    session.push_marker();
-                }
-                let handle = session.drain();
-                Ok(RunHandle {
-                    outputs: Vec::new(),
-                    report: handle.report,
-                    error: handle.error,
-                })
+                let sim_cfg = sim_config(&self.session, cfg);
+                (Vec::new(), simengine::run(grid, self.spec(), &sim_cfg))
             }
             Backend::Threads(vnodes) => {
-                let feed = feed.ok_or(BuildError::MissingFeed { backend: "threads" })?;
-                let control = cfg.control.clone();
-                // `execute_fed` is itself spawn + arrival-paced pushes +
-                // drain, so the batch wall-clock pacing logic lives in
-                // exactly one place (the engine crate).
+                let feed = self
+                    .feed
+                    .ok_or(BuildError::MissingFeed { backend: "threads" })?;
+                let items = cfg.items;
                 let engine_cfg = engine_config(&self.session, vnodes, cfg);
-                let core =
-                    CorePipeline::from_keyed_parts(self.spec, self.stages, self.fanouts, self.keys);
-                let outcome = exec::execute_fed(core, items, feed, &engine_cfg);
-                Ok(RunHandle {
-                    outputs: outcome.outputs,
-                    report: outcome.report,
-                    error: control.error(),
-                })
+                let outcome = exec::execute_fed(self.core, items, feed, &engine_cfg);
+                (outcome.outputs, outcome.report)
             }
-        }
+        };
+        Ok(RunHandle {
+            outputs,
+            report,
+            error: control.error(),
+        })
     }
 }
 
 /// Translates the backend-independent [`RunConfig`] (plus the validated
 /// session's policy/arrivals) into the threaded backend's config — the
-/// one place `spawn()` and batch `run()` both go through.
+/// one place `spawn()`, batch `run()` and [`Cluster::admit`] all go
+/// through.
 fn engine_config(session: &Session, vnodes: Vec<VNodeSpec>, cfg: RunConfig) -> EngineConfig {
     let mut engine_cfg = EngineConfig::new(vnodes);
     engine_cfg.policy = session.policy();
@@ -506,6 +410,30 @@ fn engine_config(session: &Session, vnodes: Vec<VNodeSpec>, cfg: RunConfig) -> E
     engine_cfg.control = cfg.control;
     engine_cfg.faults = cfg.faults;
     engine_cfg
+}
+
+/// [`engine_config`]'s counterpart for the simulation backend: a
+/// standalone session owning the whole grid (a cluster overrides the
+/// share, the id and the fault plan at admission).
+fn sim_config(session: &Session, cfg: RunConfig) -> SimConfig {
+    let defaults = SimConfig::default();
+    SimConfig {
+        items: cfg.items,
+        arrivals: session.arrivals(),
+        policy: session.policy(),
+        controller: cfg.controller,
+        initial_mapping: cfg.initial_mapping,
+        selection: cfg.selection,
+        observation_noise: cfg.observation_noise,
+        noise_seed: cfg.noise_seed,
+        timeline_bucket: cfg.timeline_bucket.unwrap_or(defaults.timeline_bucket),
+        link_contention: cfg.link_contention,
+        max_sim_time: cfg.max_sim_time,
+        hooks: cfg.hooks,
+        control: cfg.control,
+        faults: cfg.faults,
+        ..defaults
+    }
 }
 
 /// A live pipeline run: the streaming counterpart of [`RunHandle`].
@@ -542,218 +470,10 @@ impl<I, O> std::fmt::Debug for RunSession<'_, I, O> {
 enum SessionInner<'g, I, O> {
     /// Cooperative discrete-event session (boxed: the simulated world
     /// is much larger than the threaded handle).
-    Sim(Box<SimSession<'g>>),
+    Sim(Box<SimSession<'g, I, O>>),
     /// Live threaded session (boxed: the pending input buffer and
     /// routing cache make the handle chunky too).
     Threads(Box<EngineSession<I, O>>),
-}
-
-/// Simulation-backend session state: the steppable world plus eager
-/// stage execution. Stage functions run on the caller's thread at push
-/// time, in push order — the canonical sequential semantics — and each
-/// result is released when the simulated world completes that item.
-struct SimSession<'g> {
-    /// The steppable world. Shared (`Arc`) so a cluster's merged event
-    /// clock can reach co-tenant worlds through weak registry handles;
-    /// a standalone session is the sole owner.
-    stepper: Arc<Mutex<SimStepper<'g>>>,
-    /// The shared-pool registry when this session was admitted by a sim
-    /// [`Cluster`]; `None` for standalone sessions.
-    pool: Option<SimPool<'g>>,
-    session: SessionId,
-    /// Eviction flags shared with the owning cluster.
-    ctl: Arc<SimTenantCtl>,
-    /// Facade-level stream state: `true` after [`RunSession::close`],
-    /// making further pushes a typed [`RunError::SessionClosed`].
-    closed: bool,
-    stages: Vec<Box<dyn DynStage>>,
-    /// The stage graph driving push-time execution.
-    graph: StageGraph,
-    /// One duplicator per fan block of `graph`.
-    fanouts: Vec<FanOutFn>,
-    /// Per-stage cost/resilience metadata (name and
-    /// [`ResiliencePolicy`]) for the push-time executor.
-    stage_specs: Vec<StageSpec>,
-    /// The push-time executor's working memory.
-    scratch: PushScratch,
-    arrivals: ArrivalStream,
-    /// Outputs computed at push, keyed by sequence number; absent for
-    /// marker pushes (the batch wrapper's metadata-only items).
-    outputs: HashMap<u64, BoxedItem>,
-    /// Completed-but-undelivered sequence numbers (`preserve_order`).
-    done_ordered: BTreeSet<u64>,
-    /// Completed-but-undelivered sequence numbers, completion order.
-    done_unordered: VecDeque<u64>,
-    next_seq: u64,
-    preserve_order: bool,
-}
-
-impl SimSession<'_> {
-    fn note_completion(&mut self, seq: u64) {
-        if self.preserve_order {
-            self.done_ordered.insert(seq);
-        } else {
-            self.done_unordered.push_back(seq);
-        }
-    }
-
-    /// Takes the next deliverable output, if any completed item holds
-    /// one (marker items complete without an output and are skipped).
-    fn pop_ready(&mut self) -> Option<BoxedItem> {
-        if self.preserve_order {
-            while self.done_ordered.remove(&self.next_seq) {
-                let out = self.outputs.remove(&self.next_seq);
-                self.next_seq += 1;
-                if let Some(out) = out {
-                    return Some(out);
-                }
-            }
-            None
-        } else {
-            while let Some(seq) = self.done_unordered.pop_front() {
-                if let Some(out) = self.outputs.remove(&seq) {
-                    return Some(out);
-                }
-            }
-            None
-        }
-    }
-
-    /// True when no output can ever be delivered again: the stream is
-    /// closed and fully drained (or the world can never fire another
-    /// event), and every completed output has been handed out. An idle
-    /// *open* stream is `Pending`, not `Done` — the caller may still
-    /// push.
-    fn finished(&self) -> bool {
-        let world_done = {
-            let st = self.stepper.lock().expect("sim stepper poisoned");
-            st.all_done() || st.is_exhausted()
-        };
-        (world_done || self.ctl.killed.load(Ordering::SeqCst))
-            && self.done_ordered.is_empty()
-            && self.done_unordered.is_empty()
-    }
-
-    /// Moves completions buffered in the world — possibly completed by
-    /// a co-tenant's stepping of the merged clock — into the delivery
-    /// queues, without advancing virtual time.
-    fn drain_completions(&mut self) {
-        let mut seqs = Vec::new();
-        {
-            let mut st = self.stepper.lock().expect("sim stepper poisoned");
-            while let Some(seq) = st.pop_completion() {
-                seqs.push(seq);
-            }
-        }
-        for seq in seqs {
-            self.note_completion(seq);
-        }
-    }
-
-    /// True while some pushed item has not yet been accounted for —
-    /// completed at the sink *or* diverted to the dead-letter channel —
-    /// and the world can still make progress toward it.
-    fn pending(&self) -> bool {
-        let st = self.stepper.lock().expect("sim stepper poisoned");
-        !st.is_exhausted() && st.accounted() < st.pushed()
-    }
-
-    /// Advances virtual time by one event: the session's own clock when
-    /// standalone, the pool's merged clock (earliest event across all
-    /// co-tenants) when cluster-admitted. Returns `false` when no world
-    /// in scope can fire another event.
-    fn advance(&mut self) -> bool {
-        match &self.pool {
-            None => self.stepper.lock().expect("sim stepper poisoned").step(),
-            Some(pool) => step_earliest(pool),
-        }
-    }
-
-    /// Recovers sole ownership of the stepper (a cluster registry holds
-    /// only weak handles) and produces the final report, unregistering
-    /// the tenant on the way out.
-    fn into_report(self) -> RunReport {
-        let SimSession {
-            stepper,
-            pool,
-            session,
-            ..
-        } = self;
-        if let Some(pool) = &pool {
-            pool.lock()
-                .expect("sim pool registry poisoned")
-                .retain(|e| e.id != session.0);
-        }
-        Arc::try_unwrap(stepper)
-            .ok()
-            .expect("sim stepper uniquely owned at run end")
-            .into_inner()
-            .expect("sim stepper poisoned")
-            .finish()
-    }
-}
-
-/// Cross-thread eviction flags for a sim-cluster tenant, shared between
-/// the tenant's [`RunSession`] and the owning [`Cluster`].
-#[derive(Default)]
-struct SimTenantCtl {
-    /// Graceful eviction: no further pushes are admitted; in-flight
-    /// items drain normally.
-    evicting: AtomicBool,
-    /// Forced eviction: the world no longer participates in the merged
-    /// clock and the run unwinds with [`RunError::Evicted`].
-    killed: AtomicBool,
-}
-
-/// One tenant's entry in a sim cluster's merged-clock registry.
-struct SimPoolEntry<'g> {
-    id: u64,
-    stepper: Weak<Mutex<SimStepper<'g>>>,
-    ctl: Arc<SimTenantCtl>,
-    control: SessionControl,
-    /// The static capacity share granted at admission (the tenant's
-    /// quota ceiling).
-    share: f64,
-}
-
-/// A sim cluster's tenant registry: weak stepper handles (each tenant's
-/// `RunSession` keeps ownership) plus eviction flags and static shares.
-type SimPool<'g> = Arc<Mutex<Vec<SimPoolEntry<'g>>>>;
-
-/// One tick of a sim cluster's merged event clock: find the live
-/// session whose next event is earliest — ties break toward the
-/// earliest-admitted tenant — and step that session's world once.
-/// Force-evicted, dropped, and exhausted worlds no longer participate.
-/// Returns `false` when no world can fire another event.
-fn step_earliest(pool: &SimPool<'_>) -> bool {
-    let entries = pool.lock().expect("sim pool registry poisoned");
-    let mut best: Option<(SimTime, Arc<Mutex<SimStepper<'_>>>)> = None;
-    for entry in entries.iter() {
-        if entry.ctl.killed.load(Ordering::SeqCst) {
-            continue;
-        }
-        let Some(stepper) = entry.stepper.upgrade() else {
-            continue;
-        };
-        let next = {
-            let st = stepper.lock().expect("sim stepper poisoned");
-            if st.is_exhausted() {
-                None
-            } else {
-                st.next_event_at()
-            }
-        };
-        if let Some(at) = next {
-            if best.as_ref().is_none_or(|(bt, _)| at < *bt) {
-                best = Some((at, stepper));
-            }
-        }
-    }
-    drop(entries);
-    match best {
-        Some((_, stepper)) => stepper.lock().expect("sim stepper poisoned").step(),
-        None => false,
-    }
 }
 
 impl<I: Send + 'static, O: Send + 'static> RunSession<'_, I, O> {
@@ -774,35 +494,7 @@ impl<I: Send + 'static, O: Send + 'static> RunSession<'_, I, O> {
     /// cluster evicted this session — on both backends.
     pub fn push(&mut self, item: I) -> Result<u64, RunError> {
         match &mut self.inner {
-            SessionInner::Sim(sim) => {
-                if sim.closed {
-                    return Err(RunError::SessionClosed);
-                }
-                if sim.ctl.evicting.load(Ordering::SeqCst) || sim.ctl.killed.load(Ordering::SeqCst)
-                {
-                    return Err(RunError::Evicted {
-                        session: sim.session,
-                    });
-                }
-                // Run the stage functions *before* entering the item
-                // into the world: the executor's observed outcome (the
-                // [`ItemFate`] — per-stage retry counts, a possible
-                // dead-letter diversion) rides in with the push so the
-                // world can charge the extra attempts and divert the
-                // item at the fated stage.
-                let seq_hint = sim.stepper.lock().expect("sim stepper poisoned").pushed();
-                let (out, fate) = sim.run_at_push(&self.control, seq_hint, Payload::new(item));
-                let at = sim.arrivals.next().expect("arrival stream is infinite");
-                let seq = sim
-                    .stepper
-                    .lock()
-                    .expect("sim stepper poisoned")
-                    .push_at_with_fate(at, fate);
-                if let Some(out) = out {
-                    sim.outputs.insert(seq, out);
-                }
-                Ok(seq)
-            }
+            SessionInner::Sim(sim) => sim.push(item),
             SessionInner::Threads(engine) => engine.push(item),
         }
     }
@@ -821,31 +513,9 @@ impl<I: Send + 'static, O: Send + 'static> RunSession<'_, I, O> {
     /// Same lifecycle errors as [`RunSession::push`]; items already
     /// admitted before the error stay in flight.
     pub fn push_batch(&mut self, items: impl IntoIterator<Item = I>) -> Result<u64, RunError> {
-        if let SessionInner::Threads(engine) = &mut self.inner {
-            return engine.push_batch(items);
-        }
-        let mut n = 0;
-        for item in items {
-            self.push(item)?;
-            n += 1;
-        }
-        Ok(n)
-    }
-
-    /// Feeds arrival *metadata* only (simulation backend): the item
-    /// enters the simulated world but no stage function runs and no
-    /// output is produced. This is how the batch `run()` wrapper
-    /// reproduces the historical metadata-driven simulation exactly.
-    fn push_marker(&mut self) {
         match &mut self.inner {
-            SessionInner::Sim(sim) => {
-                let at = sim.arrivals.next().expect("arrival stream is infinite");
-                sim.stepper
-                    .lock()
-                    .expect("sim stepper poisoned")
-                    .push_at(at);
-            }
-            SessionInner::Threads(_) => unreachable!("markers are a simulation-only device"),
+            SessionInner::Sim(sim) => sim.push_batch(items),
+            SessionInner::Threads(engine) => engine.push_batch(items),
         }
     }
 
@@ -853,10 +523,7 @@ impl<I: Send + 'static, O: Send + 'static> RunSession<'_, I, O> {
     /// and `next` now have a definite end.
     pub fn close(&mut self) {
         match &mut self.inner {
-            SessionInner::Sim(sim) => {
-                sim.closed = true;
-                sim.stepper.lock().expect("sim stepper poisoned").close();
-            }
+            SessionInner::Sim(sim) => sim.close(),
             SessionInner::Threads(engine) => engine.close(),
         }
     }
@@ -866,7 +533,7 @@ impl<I: Send + 'static, O: Send + 'static> RunSession<'_, I, O> {
     /// tagged on every [`RunEvent`] they emit.
     pub fn session_id(&self) -> SessionId {
         match &self.inner {
-            SessionInner::Sim(sim) => sim.session,
+            SessionInner::Sim(sim) => sim.session_id(),
             SessionInner::Threads(engine) => engine.session_id(),
         }
     }
@@ -874,7 +541,7 @@ impl<I: Send + 'static, O: Send + 'static> RunSession<'_, I, O> {
     /// Items pushed so far.
     pub fn pushed(&self) -> u64 {
         match &self.inner {
-            SessionInner::Sim(sim) => sim.stepper.lock().expect("sim stepper poisoned").pushed(),
+            SessionInner::Sim(sim) => sim.pushed(),
             SessionInner::Threads(engine) => engine.pushed(),
         }
     }
@@ -882,11 +549,7 @@ impl<I: Send + 'static, O: Send + 'static> RunSession<'_, I, O> {
     /// Items that reached the sink so far.
     pub fn completed(&self) -> u64 {
         match &self.inner {
-            SessionInner::Sim(sim) => sim
-                .stepper
-                .lock()
-                .expect("sim stepper poisoned")
-                .completed(),
+            SessionInner::Sim(sim) => sim.completed(),
             SessionInner::Threads(engine) => engine.completed(),
         }
     }
@@ -901,16 +564,7 @@ impl<I: Send + 'static, O: Send + 'static> RunSession<'_, I, O> {
     /// earlier `next()`/`drain()` stepping already completed.
     pub fn try_next(&mut self) -> TryNext<O> {
         match &mut self.inner {
-            SessionInner::Sim(sim) => {
-                sim.drain_completions();
-                if let Some(out) = sim.pop_ready() {
-                    TryNext::Item(downcast_output(out))
-                } else if sim.finished() {
-                    TryNext::Done
-                } else {
-                    TryNext::Pending
-                }
-            }
+            SessionInner::Sim(sim) => sim.try_next(),
             SessionInner::Threads(engine) => engine.try_next(),
         }
     }
@@ -957,38 +611,17 @@ impl<I: Send + 'static, O: Send + 'static> RunSession<'_, I, O> {
     pub fn drain(mut self) -> RunHandle<O> {
         self.close();
         let error = self.control.error();
-        match self.inner {
-            SessionInner::Sim(mut sim) => {
-                loop {
-                    sim.drain_completions();
-                    if sim.ctl.killed.load(Ordering::SeqCst) || !sim.pending() {
-                        break;
-                    }
-                    if !sim.advance() {
-                        break;
-                    }
-                }
-                sim.drain_completions();
-                let mut outputs = Vec::new();
-                while let Some(out) = sim.pop_ready() {
-                    outputs.push(downcast_output(out));
-                }
-                let control = self.control;
-                RunHandle {
-                    outputs,
-                    report: sim.into_report(),
-                    error: error.or_else(|| control.error()),
-                }
-            }
+        let (outputs, report) = match self.inner {
+            SessionInner::Sim(sim) => sim.drain(),
             SessionInner::Threads(engine) => {
                 let outcome = engine.drain();
-                let control = self.control;
-                RunHandle {
-                    outputs: outcome.outputs,
-                    report: outcome.report,
-                    error: error.or_else(|| control.error()),
-                }
+                (outcome.outputs, outcome.report)
             }
+        };
+        RunHandle {
+            outputs,
+            report,
+            error: error.or_else(|| self.control.error()),
         }
     }
 
@@ -996,7 +629,7 @@ impl<I: Send + 'static, O: Send + 'static> RunSession<'_, I, O> {
     /// comes back `truncated` if anything was lost.
     pub fn abort(self) -> RunReport {
         match self.inner {
-            SessionInner::Sim(sim) => sim.into_report(),
+            SessionInner::Sim(sim) => sim.abort(),
             SessionInner::Threads(engine) => engine.abort(),
         }
     }
@@ -1016,187 +649,9 @@ impl<I: Send + 'static, O: Send + 'static> Iterator for RunSession<'_, I, O> {
 
     fn next(&mut self) -> Option<O> {
         match &mut self.inner {
-            SessionInner::Sim(sim) => loop {
-                sim.drain_completions();
-                if let Some(out) = sim.pop_ready() {
-                    return Some(downcast_output(out));
-                }
-                if sim.ctl.killed.load(Ordering::SeqCst) || !sim.pending() {
-                    return None;
-                }
-                if !sim.advance() {
-                    return None;
-                }
-            },
+            SessionInner::Sim(sim) => sim.next(),
             SessionInner::Threads(engine) => engine.next(),
         }
-    }
-}
-
-fn downcast_output<O: 'static>(out: BoxedItem) -> O {
-    out.downcast::<O>().expect("pipeline output type mismatch")
-}
-
-/// Working memory of [`SimSession::run_at_push`], sized once per graph
-/// and kept on the session so that pushing an item allocates nothing
-/// here.
-struct PushScratch {
-    /// Join assembly: join block → per-slot deposits of the one item in
-    /// flight.
-    joins: Vec<Vec<Option<BoxedItem>>>,
-    /// Payloads ready to be processed, FIFO over the acyclic graph.
-    ready: VecDeque<(usize, BoxedItem)>,
-}
-
-impl PushScratch {
-    fn new(graph: &StageGraph) -> Self {
-        PushScratch {
-            joins: (0..graph.join_blocks())
-                .map(|b| (0..graph.join_width(b)).map(|_| None).collect())
-                .collect(),
-            ready: VecDeque::new(),
-        }
-    }
-
-    /// Drops what an item that ended early (dead-lettered, or failed
-    /// the run) left behind.
-    fn reset(&mut self) {
-        self.ready.clear();
-        self.joins
-            .iter_mut()
-            .flatten()
-            .for_each(|slot| *slot = None);
-    }
-
-    /// Deposits one input into join `block`'s slot `slot`; when the set
-    /// completes, the assembled vector (slot order) queues for the
-    /// joining stage.
-    fn deposit(&mut self, graph: &StageGraph, block: usize, slot: usize, part: BoxedItem) {
-        let slots = &mut self.joins[block];
-        slots[slot] = Some(part);
-        if slots.iter().all(Option::is_some) {
-            let parts: Vec<BoxedItem> = slots.iter_mut().filter_map(Option::take).collect();
-            self.ready
-                .push_back((graph.merge_of(block), Payload::new(parts)));
-        }
-    }
-}
-
-impl SimSession<'_> {
-    /// Push-time execution: one item runs through the stage graph on
-    /// the caller's thread, in push order — the canonical sequential
-    /// semantics, and the one executor for every topology. The item's
-    /// payloads travel the wired graph (fan-out copies in edge order,
-    /// join inputs assembled in slot order, so a session produces the
-    /// exact outputs the threaded backend's join workers assemble)
-    /// while every stage failure runs the stage's [`ResiliencePolicy`]
-    /// retry loop. Returns the exit output (or `None` when the item
-    /// dead-letters, or on a fatal error already recorded on `control`;
-    /// the item then completes in the simulated world as a marker) plus
-    /// the [`ItemFate`] the simulated world needs to charge the retries
-    /// and divert the item at the fated stage. `seq` is the sequence
-    /// number the item is about to be pushed under (used only in error
-    /// payloads).
-    fn run_at_push(
-        &mut self,
-        control: &SessionControl,
-        seq: u64,
-        item: BoxedItem,
-    ) -> (Option<BoxedItem>, ItemFate) {
-        let mut fate = ItemFate::default();
-        self.scratch.reset();
-        let mut next = self.graph.entry();
-        let mut payload = item;
-        loop {
-            match self.route(next, payload) {
-                Ok(None) => {}
-                Ok(Some(out)) => return (Some(out), fate),
-                Err(type_err) => {
-                    control.fail(RunError::StageTypeMismatch {
-                        stage: type_err.stage,
-                    });
-                    return (None, fate);
-                }
-            }
-            let (stage, mut cur) = self
-                .scratch
-                .ready
-                .pop_front()
-                .expect("an acyclic graph reaches its exit before the executor drains");
-            let spec = &self.stage_specs[stage];
-            let mut attempt: u32 = 1;
-            payload = loop {
-                match self.stages[stage].try_process(cur) {
-                    Ok(out) => break out,
-                    Err(StageError::Item { item, .. })
-                        if attempt <= spec.resilience.max_retries =>
-                    {
-                        cur = item;
-                        attempt += 1;
-                    }
-                    Err(err) => {
-                        // Budget spent: `attempt - 1` retries happened.
-                        if attempt > 1 {
-                            fate.failed.push((stage, attempt - 1));
-                        }
-                        match err {
-                            StageError::Item { reason, .. } if spec.resilience.dead_letter => {
-                                fate.dead = Some((stage, reason));
-                            }
-                            StageError::Item { reason, .. } => control.fail(RunError::PoisonItem {
-                                stage: spec.name.clone(),
-                                seq,
-                                attempts: attempt,
-                                reason,
-                            }),
-                            StageError::Type(type_err) => {
-                                control.fail(RunError::StageTypeMismatch {
-                                    stage: type_err.stage,
-                                })
-                            }
-                        }
-                        return (None, fate);
-                    }
-                }
-            };
-            if attempt > 1 {
-                fate.failed.push((stage, attempt - 1));
-            }
-            next = self.graph.after(stage);
-        }
-    }
-
-    /// Hands one payload wherever `next` says: queued for a consuming
-    /// stage, deposited into a join slot, fanned out (plain targets
-    /// queue their copy; slotted targets — a producer feeding one input
-    /// slot of a downstream join directly — deposit it), or returned as
-    /// the pipeline's output.
-    fn route(
-        &mut self,
-        next: Next,
-        payload: BoxedItem,
-    ) -> Result<Option<BoxedItem>, StageTypeError> {
-        let SimSession { graph, scratch, .. } = self;
-        match next {
-            Next::Done => return Ok(Some(payload)),
-            Next::Stage(s) => scratch.ready.push_back((s, payload)),
-            Next::Join { block, branch } => scratch.deposit(graph, block, branch, payload),
-            Next::FanOut { block } => {
-                let parts = self.fanouts[block](payload)?;
-                for (target, part) in graph.fan_targets(block).iter().zip(parts) {
-                    match target.slot {
-                        None => scratch.ready.push_back((target.stage, part)),
-                        Some(slot) => {
-                            let jblock = graph
-                                .merge_block_of(target.stage)
-                                .expect("slotted fan target joins");
-                            scratch.deposit(graph, jblock, slot, part);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(None)
     }
 }
 
@@ -1275,13 +730,8 @@ pub struct Cluster<'g> {
 
 enum ClusterInner<'g> {
     /// Deterministic shared-pool simulation: static shares plus the
-    /// merged event-clock registry.
-    Sim {
-        grid: &'g GridSpec,
-        faults: FaultPlan,
-        pool: SimPool<'g>,
-        next_id: u64,
-    },
+    /// merged event clock.
+    Sim(SimCluster<'g>),
     /// Live threaded pool with the background capacity arbiter.
     Threads(ThreadCluster),
 }
@@ -1289,7 +739,7 @@ enum ClusterInner<'g> {
 impl std::fmt::Debug for Cluster<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let backend = match &self.inner {
-            ClusterInner::Sim { .. } => "sim",
+            ClusterInner::Sim(_) => "sim",
             ClusterInner::Threads(_) => "threads",
         };
         f.debug_struct("Cluster")
@@ -1304,18 +754,9 @@ impl<'g> Cluster<'g> {
     /// workers and the arbiter thread immediately; the simulation
     /// backend records the grid and fault plan for each admission.
     pub fn new(backend: Backend<'g>, cfg: ClusterConfig) -> Result<Cluster<'g>, BuildError> {
-        let node_count = match &backend {
-            Backend::Sim(grid) => grid.len(),
-            Backend::Threads(vnodes) => vnodes.len(),
-        };
-        session::validate_faults(&cfg.faults, node_count)?;
+        session::validate_faults(&cfg.faults, backend.node_count())?;
         let inner = match backend {
-            Backend::Sim(grid) => ClusterInner::Sim {
-                grid,
-                faults: cfg.faults,
-                pool: Arc::new(Mutex::new(Vec::new())),
-                next_id: 0,
-            },
+            Backend::Sim(grid) => ClusterInner::Sim(SimCluster::new(grid, cfg.faults)),
             Backend::Threads(vnodes) => {
                 ClusterInner::Threads(ThreadCluster::launch(vnodes, cfg.faults, cfg.window))
             }
@@ -1358,58 +799,30 @@ impl<'g> Cluster<'g> {
         // by each event's `session` field); subscriptions made through
         // `RunSession::events` see the same merged stream.
         cfg.run.hooks.events = self.bus.clone();
-        match &mut self.inner {
-            ClusterInner::Sim {
-                grid,
-                faults,
-                pool,
-                next_id,
-            } => {
-                // No arbiter thread in the deterministic backend: the
-                // tenant's share is granted statically at admission, at
-                // its quota ceiling, and the granted ceilings may not
-                // oversubscribe the pool.
-                let share = cfg.quota.max_share;
-                let taken: f64 = {
-                    let mut entries = pool.lock().expect("sim pool registry poisoned");
-                    entries.retain(|e| {
-                        e.stepper.strong_count() > 0 && !e.ctl.killed.load(Ordering::SeqCst)
-                    });
-                    entries.iter().map(|e| e.share).sum()
-                };
-                if share > 1.0 - taken + 1e-9 {
-                    return Err(BuildError::PoolOversubscribed {
-                        requested: share,
-                        available: (1.0 - taken).max(0.0),
-                    });
-                }
-                cfg.run.faults = faults.clone();
-                pipeline.validate_run(&Backend::Sim(grid), &cfg.run)?;
-                let sid = SessionId(*next_id);
-                *next_id += 1;
-                Ok(pipeline.spawn_sim(grid, cfg.run, share, sid, Some(pool.clone())))
+        let control = cfg.run.control.clone();
+        let inner = match &mut self.inner {
+            ClusterInner::Sim(sc) => {
+                pipeline.validate_run(&Backend::Sim(sc.grid()), &cfg.run)?;
+                let preserve_order = cfg.run.preserve_order;
+                let sim_cfg = sim_config(&pipeline.session, cfg.run);
+                let sim = sc.admit(pipeline.core, sim_cfg, cfg.quota, preserve_order)?;
+                SessionInner::Sim(Box::new(sim))
             }
             ClusterInner::Threads(tc) => {
                 let vnodes = tc.pool().vnode_specs().to_vec();
                 pipeline.validate_run(&Backend::Threads(vnodes.clone()), &cfg.run)?;
                 let items = cfg.run.items;
-                let control = cfg.run.control.clone();
                 let engine_cfg = engine_config(&pipeline.session, vnodes, cfg.run);
-                let core = CorePipeline::from_keyed_parts(
-                    pipeline.spec,
-                    pipeline.stages,
-                    pipeline.fanouts,
-                    pipeline.keys,
-                );
-                let engine = exec::attach(tc.pool(), core, &engine_cfg, items, false);
+                let engine = exec::attach(tc.pool(), pipeline.core, &engine_cfg, items, false);
                 tc.register(engine.tenant_handle(), cfg.quota);
-                Ok(RunSession {
-                    inner: SessionInner::Threads(Box::new(engine)),
-                    control,
-                    bus: self.bus.clone(),
-                })
+                SessionInner::Threads(Box::new(engine))
             }
-        }
+        };
+        Ok(RunSession {
+            inner,
+            control,
+            bus: self.bus.clone(),
+        })
     }
 
     /// Begins graceful eviction of a tenant: its pushes start failing
@@ -1418,16 +831,7 @@ impl<'g> Cluster<'g> {
     /// a complete report. Returns `false` for an unknown session.
     pub fn evict(&self, id: SessionId) -> bool {
         match &self.inner {
-            ClusterInner::Sim { pool, .. } => {
-                let entries = pool.lock().expect("sim pool registry poisoned");
-                match entries.iter().find(|e| e.id == id.0) {
-                    Some(entry) => {
-                        entry.ctl.evicting.store(true, Ordering::SeqCst);
-                        true
-                    }
-                    None => false,
-                }
-            }
+            ClusterInner::Sim(sc) => sc.evict(id),
             ClusterInner::Threads(tc) => tc.evict(id),
         }
     }
@@ -1437,18 +841,8 @@ impl<'g> Cluster<'g> {
     /// report comes back truncated), and its capacity share returns to
     /// the survivors. Returns `false` for an unknown session.
     pub fn evict_now(&mut self, id: SessionId) -> bool {
-        match &mut self.inner {
-            ClusterInner::Sim { pool, .. } => {
-                let mut entries = pool.lock().expect("sim pool registry poisoned");
-                let Some(idx) = entries.iter().position(|e| e.id == id.0) else {
-                    return false;
-                };
-                let entry = entries.remove(idx);
-                entry.ctl.evicting.store(true, Ordering::SeqCst);
-                entry.ctl.killed.store(true, Ordering::SeqCst);
-                entry.control.fail(RunError::Evicted { session: id });
-                true
-            }
+        match &self.inner {
+            ClusterInner::Sim(sc) => sc.evict_now(id),
             ClusterInner::Threads(tc) => tc.evict_now(id),
         }
     }
@@ -1456,13 +850,7 @@ impl<'g> Cluster<'g> {
     /// The ids of the currently attached sessions, admission order.
     pub fn sessions(&self) -> Vec<SessionId> {
         match &self.inner {
-            ClusterInner::Sim { pool, .. } => pool
-                .lock()
-                .expect("sim pool registry poisoned")
-                .iter()
-                .filter(|e| e.stepper.strong_count() > 0 && !e.ctl.killed.load(Ordering::SeqCst))
-                .map(|e| SessionId(e.id))
-                .collect(),
+            ClusterInner::Sim(sc) => sc.sessions(),
             ClusterInner::Threads(tc) => tc.sessions(),
         }
     }
@@ -1472,12 +860,7 @@ impl<'g> Cluster<'g> {
     /// on the threaded backend. `None` for an unknown session.
     pub fn share_of(&self, id: SessionId) -> Option<f64> {
         match &self.inner {
-            ClusterInner::Sim { pool, .. } => pool
-                .lock()
-                .expect("sim pool registry poisoned")
-                .iter()
-                .find(|e| e.id == id.0)
-                .map(|e| e.share),
+            ClusterInner::Sim(sc) => sc.share_of(id),
             ClusterInner::Threads(tc) => tc.share_of(id),
         }
     }
@@ -1485,7 +868,7 @@ impl<'g> Cluster<'g> {
     /// Number of nodes in the shared pool.
     pub fn node_count(&self) -> usize {
         match &self.inner {
-            ClusterInner::Sim { grid, .. } => grid.len(),
+            ClusterInner::Sim(sc) => sc.grid().len(),
             ClusterInner::Threads(tc) => tc.pool().node_count(),
         }
     }
@@ -1504,7 +887,7 @@ impl<'g> Cluster<'g> {
     /// independently.
     pub fn shutdown(self) {
         match self.inner {
-            ClusterInner::Sim { .. } => {}
+            ClusterInner::Sim(_) => {}
             ClusterInner::Threads(tc) => tc.shutdown(),
         }
     }
@@ -1594,14 +977,10 @@ impl<In> RunDecl<In> {
         spec.source = self.source;
         spec.sink = self.sink;
         Ok(Pipeline {
-            spec,
-            stages,
-            keys,
-            fanouts,
+            core: CorePipeline::from_parts(spec, stages, fanouts, keys),
             session,
             feed: self.feed,
             faults: self.faults,
-            _types: PhantomData,
         })
     }
 }
@@ -1659,7 +1038,7 @@ impl PipelineBuilder<u64, u64> {
             .map(|b| fan_out_fn::<u64>(graph.fan_targets(b).len()))
             .collect();
         let keys = vec![None; stages.len()];
-        let core = CorePipeline::from_keyed_parts(spec, stages, fanouts, keys);
+        let core = CorePipeline::from_parts(spec, stages, fanouts, keys);
         PipelineBuilder::from_pipeline(core).feed(|i| i)
     }
 }
@@ -1670,7 +1049,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
     /// metadata; the unified policy/arrivals/feed declarations still
     /// apply, and stages appended afterwards consume its exit stage.
     pub fn from_pipeline(pipeline: CorePipeline<In, Cur>) -> Self {
-        let (spec, stages, fanouts, keys) = pipeline.into_keyed_parts();
+        let (spec, stages, fanouts, keys) = pipeline.into_parts();
         let sources = (0..spec.graph.blocks()).map(|b| spec.graph.fan_source(b));
         PipelineBuilder {
             graph: StageGraphBuilder::extending(&spec.graph),

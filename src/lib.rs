@@ -16,13 +16,21 @@
 //! | [`mapper`] | stage DAGs, throughput model + mapping optimisers |
 //! | [`state`] | state-access taxonomy, shard math, snapshot codec — how stateful stages declare, shard, and move their state |
 //! | [`runtime`] | backend-agnostic adaptive runtime: routing table, adaptation loop, controller, policies, reports, sessions |
-//! | [`core`] | the skeleton: stages, specs, stage graphs, and the simulation backend |
+//! | [`core`] | the skeleton: stages, specs, stage graphs, the item-semantics kernel ([`core::item`]), and the simulation backend ([`core::simsession`] over [`core::simengine`]) |
 //! | [`engine`] | threaded backend with synthetic heterogeneity |
 //! | [`workloads`] | cost models, imaging & signal pipelines, scenarios |
 //!
 //! Both execution backends sit under the shared [`runtime`] layer and
 //! behind the one [`api::Pipeline`] surface (see `README.md` for the
-//! diagram and a "writing a new backend" guide). The stage topology is
+//! diagram and a "writing a new backend" guide). The layering is
+//! kernel → backends → facade: what happens to one item at one stage
+//! (retry budget, dead letter or [`api::RunError::PoisonItem`], join
+//! assembly, fan-out order) is written once in [`core::item`]; the
+//! threaded workers and the simulator's
+//! [`core::simsession::SimSession`] both call it; and [`api`] only
+//! validates, translates [`api::RunConfig`] into the backend's config,
+//! and delegates every session and cluster method to the backend's own
+//! type — it executes no stage. The stage topology is
 //! one first-class *DAG*: [`api::PipelineBuilder::stage`] chains and
 //! [`api::PipelineBuilder::parallel`] / [`api::ParallelBuilder::merge`]
 //! blocks are sugar that emits edges, [`api::DagBuilder`] (via

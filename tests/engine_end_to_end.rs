@@ -67,7 +67,7 @@ fn signal_pipeline_outputs_are_stable_under_remapping() {
     let n = 40u64;
     // Ground truth, sequential.
     let expected: Vec<f64> = {
-        let (_, mut stages) = signal_pipeline(frame_len).into_parts();
+        let (_, mut stages, ..) = signal_pipeline(frame_len).into_parts();
         signal::frames(frame_len, n)
             .into_iter()
             .map(|f| {

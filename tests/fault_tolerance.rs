@@ -565,7 +565,8 @@ fn sim_type_mismatch_is_nonfatal_under_adaptive_policy() {
     // session will push Strings.
     let spec = PipelineSpec::new(vec![StageSpec::balanced("typed", STAGE_SECS, 8)]);
     let stages: Vec<Box<dyn DynStage>> = vec![Box::new(FnStage::new("typed", |x: u64| x + 1))];
-    let core: CorePipeline<String, u64> = CorePipeline::from_parts(spec, stages);
+    let core: CorePipeline<String, u64> =
+        CorePipeline::from_parts(spec, stages, Vec::new(), vec![None]);
     let pipeline = PipelineBuilder::from_pipeline(core)
         .policy(Policy::Periodic {
             interval: SimDuration::from_millis(100),

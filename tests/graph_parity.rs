@@ -957,3 +957,230 @@ fn per_branch_replica_caps_flow_into_the_profile() {
     assert_eq!(profile.replica_cap[0], 2, "branch cap must win");
     assert_eq!(profile.replica_cap[1], usize::MAX);
 }
+
+// --- 5. seeded sweep: the parts of parity the kernel does not cover ------
+//
+// Both backends run one item at one stage through `adapipe_core::item`,
+// so the retry/dead-letter/join/fan-out *rules* are equal by
+// construction. What stays separate is the accounting around them: the
+// threaded engine counts retries and settles dead letters as its
+// workers meet them, the simulated world is told each item's fate at
+// push and charges it when the item gets there. The sweep pins that the
+// two ledgers agree on random shapes and policies.
+
+/// Items per generated case.
+const SWEEP_ITEMS: u64 = 24;
+
+/// What travels through a sweep pipeline: the item's sequence number
+/// (the failure plan is keyed by it) and a value every stage folds its
+/// own id into, so outputs depend on the path taken and — through the
+/// joins' order-sensitive fold — on slot order.
+type Tagged = (u64, u64);
+
+/// One generated case: a DAG over stages `0..n` entered at stage 0 and
+/// left at stage `n - 1`, a resilience policy per single-input stage,
+/// and per item at most one stage failing it — a bounded number of
+/// times, or always.
+struct SweepCase {
+    preds: Vec<Vec<usize>>,
+    policies: Vec<ResiliencePolicy>,
+    /// Per item: `(stage, failures)`, `u32::MAX` meaning every attempt.
+    plan: Vec<Option<(usize, u32)>>,
+}
+
+fn sweep_case(seed: u64) -> SweepCase {
+    use adapipe::gridsim::rng::Rng64;
+    let mut rng = Rng64::new(seed);
+    let n = 3 + rng.next_range(5);
+    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (i, inputs) in preds.iter_mut().enumerate().skip(1) {
+        let wanted = if i >= 2 && rng.next_range(3) == 0 {
+            2
+        } else {
+            1
+        };
+        while inputs.len() < wanted {
+            let p = rng.next_range(i);
+            if !inputs.contains(&p) {
+                inputs.push(p);
+            }
+        }
+    }
+    // One exit: whatever nothing consumes feeds the last stage.
+    for j in 0..n - 1 {
+        if !preds.iter().any(|inputs| inputs.contains(&j)) {
+            preds[n - 1].push(j);
+        }
+    }
+    preds.iter_mut().for_each(|inputs| inputs.sort_unstable());
+
+    let policies: Vec<ResiliencePolicy> = (0..n)
+        .map(|i| {
+            if preds[i].len() > 1 || rng.next_range(3) == 0 {
+                return ResiliencePolicy::new(); // joins cannot fail
+            }
+            let policy = ResiliencePolicy::new().retries(rng.next_range(4) as u32);
+            if rng.next_range(2) == 0 {
+                policy.dead_letter()
+            } else {
+                policy
+            }
+        })
+        .collect();
+    // Only failures the run survives: bounded ones within the stage's
+    // retry budget, permanent ones where a dead-letter channel exists.
+    let fallible: Vec<usize> = (0..n)
+        .filter(|&i| policies[i].max_retries > 0 || policies[i].dead_letter)
+        .collect();
+    let plan = (0..SWEEP_ITEMS)
+        .map(|_| {
+            if fallible.is_empty() || rng.next_range(3) != 0 {
+                return None;
+            }
+            let stage = fallible[rng.next_range(fallible.len())];
+            let policy = &policies[stage];
+            let permanent =
+                policy.dead_letter && (policy.max_retries == 0 || rng.next_range(2) == 0);
+            let failures = if permanent {
+                u32::MAX
+            } else {
+                1 + rng.next_range(policy.max_retries as usize) as u32
+            };
+            Some((stage, failures))
+        })
+        .collect();
+    SweepCase {
+        preds,
+        policies,
+        plan,
+    }
+}
+
+fn sweep_pipeline(case: &SweepCase) -> Pipeline<Tagged, Tagged> {
+    use std::collections::HashMap;
+    use std::sync::{Arc, Mutex};
+
+    let name = |i: usize| format!("s{i}");
+    let fold = |acc: u64, x: u64| acc.wrapping_mul(31).wrapping_add(x);
+    let plan = Arc::new(case.plan.clone());
+    // Presentations of each item at its failing stage so far, shared by
+    // every replica of the stage.
+    let presented: Arc<Mutex<HashMap<u64, u32>>> = Arc::default();
+    let mut dag = Pipeline::<Tagged>::dag();
+    for (i, inputs) in case.preds.iter().enumerate() {
+        let stage = i as u64;
+        if inputs.len() > 1 {
+            let inputs: Vec<String> = inputs.iter().map(|&p| name(p)).collect();
+            let inputs: Vec<&str> = inputs.iter().map(String::as_str).collect();
+            dag = dag.join(
+                name(i),
+                move |parts: Vec<Tagged>| {
+                    let seq = parts[0].0;
+                    (seq, parts.iter().fold(stage, |acc, p| fold(acc, p.1)))
+                },
+                &inputs,
+            );
+            continue;
+        }
+        if case.policies[i].is_default() {
+            dag = dag.node(name(i), move |(seq, v): Tagged| (seq, fold(v, stage)));
+        } else {
+            let (plan, presented) = (Arc::clone(&plan), Arc::clone(&presented));
+            dag = dag
+                .try_node(name(i), move |(seq, v): Tagged| {
+                    if let Some((at, failures)) = plan[seq as usize] {
+                        if at == i {
+                            let mut presented = presented.lock().unwrap();
+                            let seen = presented.entry(seq).or_insert(0);
+                            *seen += 1;
+                            if *seen <= failures {
+                                return Err(format!("item {seq} refused at s{i}"));
+                            }
+                        }
+                    }
+                    Ok((seq, fold(v, stage)))
+                })
+                .resilience(case.policies[i].clone());
+        }
+        if let Some(&p) = inputs.first() {
+            dag = dag.edge(name(p), name(i));
+        }
+    }
+    dag.build::<Tagged>()
+        .expect("generated DAGs are well-formed")
+}
+
+#[test]
+fn seeded_sweep_of_shapes_and_policies_keeps_both_ledgers_equal() {
+    let grid = scenario_grid();
+    // (cases with a join, retries, dead letters) over the whole sweep.
+    let mut exercised = (0u64, 0u64, 0u64);
+    for seed in 0..40u64 {
+        let case = sweep_case(seed);
+        let run = |backend: Backend<'_>| {
+            let cfg = RunConfig {
+                items: SWEEP_ITEMS,
+                ..RunConfig::default()
+            };
+            let mut session = sweep_pipeline(&case).spawn(backend, cfg).expect("spawn");
+            for seq in 0..SWEEP_ITEMS {
+                session.push((seq, seq)).unwrap();
+            }
+            let mut handle = session.drain();
+            handle.outputs.sort_unstable();
+            handle.report.dead_letter_log.sort_by_key(|d| d.seq);
+            handle
+        };
+        let sim = run(Backend::Sim(&grid));
+        let threaded = run(Backend::Threads(scenario_vnodes()));
+
+        // What the plan says must happen, whoever executes it.
+        let mut retries = 0u64;
+        let mut dead = Vec::new();
+        for (seq, failing) in case.plan.iter().enumerate() {
+            match *failing {
+                Some((stage, u32::MAX)) => {
+                    retries += u64::from(case.policies[stage].max_retries);
+                    dead.push((seq as u64, stage, case.policies[stage].max_retries + 1));
+                }
+                Some((_, failures)) => retries += u64::from(failures),
+                None => {}
+            }
+        }
+        let shape = format!("seed {seed}, preds {:?}", case.preds);
+        for (tag, handle) in [("sim", &sim), ("threads", &threaded)] {
+            let report = &handle.report;
+            assert!(handle.error.is_none(), "{shape}/{tag}: {:?}", handle.error);
+            assert_eq!(
+                report.completed + report.dead_letters,
+                SWEEP_ITEMS,
+                "{shape}/{tag}: every pushed item is accounted for"
+            );
+            assert_eq!(
+                handle.outputs.len() as u64,
+                report.completed,
+                "{shape}/{tag}"
+            );
+            assert_eq!(report.retries, retries, "{shape}/{tag}: retries");
+            let log: Vec<(u64, usize, u32)> = report
+                .dead_letter_log
+                .iter()
+                .map(|d| (d.seq, d.stage, d.attempts))
+                .collect();
+            assert_eq!(log, dead, "{shape}/{tag}: dead-letter log");
+        }
+        assert_eq!(sim.outputs, threaded.outputs, "{shape}: outputs");
+        assert_eq!(
+            sim.report.dead_letter_log, threaded.report.dead_letter_log,
+            "{shape}: dead-letter logs, reasons included"
+        );
+        exercised.0 += u64::from(case.preds.iter().any(|inputs| inputs.len() > 1));
+        exercised.1 += retries;
+        exercised.2 += dead.len() as u64;
+    }
+    let (joins, retries, dead) = exercised;
+    assert!(
+        joins >= 10 && retries >= 100 && dead >= 20,
+        "the generator went soft: {joins} joined shapes, {retries} retries, {dead} dead letters"
+    );
+}
