@@ -112,7 +112,9 @@ fn main() {
         // (b) simulate every assignment.
         let mut best: Option<(Mapping, f64)> = None;
         let mut picked_tput = 0.0;
-        for mapping in Assignments::new(3, 3) {
+        let mut assignments = Assignments::new(3, 3);
+        loop {
+            let mapping = assignments.current();
             let report = sim_run(
                 &grid,
                 &spec,
@@ -124,11 +126,14 @@ fn main() {
                 },
             );
             let tput = report.mean_throughput();
-            if mapping == picked.mapping {
+            if *mapping == picked.mapping {
                 picked_tput = tput;
             }
             if best.as_ref().is_none_or(|&(_, b)| tput > b) {
-                best = Some((mapping, tput));
+                best = Some((mapping.clone(), tput));
+            }
+            if !assignments.advance() {
+                break;
             }
         }
         let (best_mapping, best_tput) = best.expect("27 mappings simulated");

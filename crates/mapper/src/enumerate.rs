@@ -3,8 +3,11 @@
 //! Three families feed the optimisers in [`crate::search`]:
 //! full assignment enumeration (small instances), compositions for
 //! contiguous groupings, and neighbourhood moves for local search.
+//! The two the optimisers' inner loops run on — [`Assignments`] and
+//! [`for_each_neighbour`] — show every candidate on one working
+//! [`Mapping`] instead of handing out a clone per candidate.
 
-use crate::mapping::{Mapping, Placement};
+use crate::mapping::Mapping;
 use adapipe_gridsim::node::NodeId;
 
 /// Number of unreplicated assignments of `ns` stages to `np` nodes
@@ -18,16 +21,31 @@ pub fn assignment_count(ns: usize, np: usize) -> Option<u64> {
     Some(acc)
 }
 
-/// Iterates every unreplicated assignment of `ns` stages to `np` nodes
-/// in lexicographic order (odometer enumeration).
+/// Every unreplicated assignment of `ns` stages to `np` nodes in
+/// lexicographic order, shown one at a time on a single [`Mapping`]
+/// that an odometer advances in place: enumerating `np^ns` assignments
+/// allocates once.
+///
+/// ```
+/// use adapipe_mapper::enumerate::Assignments;
+///
+/// let mut all = Assignments::new(2, 2);
+/// let mut seen = Vec::new();
+/// loop {
+///     seen.push(all.current().notation());
+///     if !all.advance() {
+///         break;
+///     }
+/// }
+/// assert_eq!(seen, ["(n0 n0)", "(n0 n1)", "(n1 n0)", "(n1 n1)"]);
+/// ```
 pub struct Assignments {
     np: usize,
-    current: Vec<usize>,
-    done: bool,
+    current: Mapping,
 }
 
 impl Assignments {
-    /// Creates the iterator.
+    /// Starts at the all-on-node-0 assignment.
     ///
     /// # Panics
     /// Panics if `ns` or `np` is zero.
@@ -35,36 +53,28 @@ impl Assignments {
         assert!(ns > 0 && np > 0, "need at least one stage and one node");
         Assignments {
             np,
-            current: vec![0; ns],
-            done: false,
+            current: Mapping::all_on(NodeId(0), ns),
         }
     }
-}
 
-impl Iterator for Assignments {
-    type Item = Mapping;
+    /// The assignment the odometer shows.
+    pub fn current(&self) -> &Mapping {
+        &self.current
+    }
 
-    fn next(&mut self) -> Option<Mapping> {
-        if self.done {
-            return None;
-        }
-        let mapping =
-            Mapping::from_assignment(&self.current.iter().map(|&i| NodeId(i)).collect::<Vec<_>>());
-        // Advance the odometer.
-        let mut pos = self.current.len();
-        loop {
-            if pos == 0 {
-                self.done = true;
-                break;
+    /// Steps to the next assignment; `false` once the odometer has
+    /// wrapped back to the first.
+    pub fn advance(&mut self) -> bool {
+        for pos in (0..self.current.len()).rev() {
+            let digit = self.current.placement_mut(pos);
+            let next = digit.primary().index() + 1;
+            if next < self.np {
+                digit.rehost(NodeId(next));
+                return true;
             }
-            pos -= 1;
-            self.current[pos] += 1;
-            if self.current[pos] < self.np {
-                break;
-            }
-            self.current[pos] = 0;
+            digit.rehost(NodeId(0));
         }
-        Some(mapping)
+        false
     }
 }
 
@@ -105,96 +115,124 @@ pub fn compositions(n: usize, k: usize) -> Vec<Vec<usize>> {
     }
 }
 
-/// Kinds of neighbourhood moves local search explores.
+/// One neighbourhood move of local search.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Move {
-    /// Re-host a (single-host) stage on a different node.
-    MoveStage,
-    /// Add one replica to a replicable stage. For keyed state this is
-    /// a *shard rebalance*: the runtime re-derives shard ownership from
+    /// Re-host single-host stage `stage` on node `to`.
+    MoveStage {
+        /// The stage that moves.
+        stage: usize,
+        /// Its new host.
+        to: NodeId,
+    },
+    /// Add a replica of `stage` on `node`. For keyed state this is a
+    /// *shard rebalance*: the runtime re-derives shard ownership from
     /// the new host list and live-migrates the shards that moved.
-    AddReplica,
-    /// Drop one replica from a replicated stage.
-    DropReplica,
+    AddReplica {
+        /// The stage that widens.
+        stage: usize,
+        /// The host it gains.
+        node: NodeId,
+    },
+    /// Drop the replica of `stage` on `node`.
+    DropReplica {
+        /// The stage that narrows.
+        stage: usize,
+        /// The host it loses.
+        node: NodeId,
+    },
 }
 
-/// Generates the one-move neighbourhood of `mapping` over `np` nodes.
+impl Move {
+    /// Applies the move to `mapping` in place and returns the move that
+    /// undoes it (host lists are kept sorted, so undoing restores the
+    /// mapping exactly).
+    pub fn apply(self, mapping: &mut Mapping) -> Move {
+        match self {
+            Move::MoveStage { stage, to } => {
+                let placement = mapping.placement_mut(stage);
+                let from = placement.primary();
+                placement.rehost(to);
+                Move::MoveStage { stage, to: from }
+            }
+            Move::AddReplica { stage, node } => {
+                mapping.placement_mut(stage).add_host(node);
+                Move::DropReplica { stage, node }
+            }
+            Move::DropReplica { stage, node } => {
+                mapping.placement_mut(stage).remove_host(node);
+                Move::AddReplica { stage, node }
+            }
+        }
+    }
+}
+
+/// Walks the one-move neighbourhood of `mapping` over `np` nodes **in
+/// place**: each move is applied to `mapping`, shown to `visit`, and
+/// undone, so a pass over the neighbourhood clones nothing and
+/// `mapping` is unchanged when the walk returns. Stage by stage, in
+/// this order:
 ///
-/// * every single-host stage is re-hosted on every other node;
-/// * every replicable stage gains one replica on every node not
-///   already hosting it, while its width is below both `max_width` and
-///   the stage's declared `replica_cap` (the shard count for keyed
-///   state);
-/// * every replicated stage drops each of its hosts in turn.
-pub fn neighbours(
-    mapping: &Mapping,
-    np: usize,
-    stateless: &[bool],
-    replica_cap: &[usize],
-    max_width: usize,
-) -> Vec<(Move, Mapping)> {
-    neighbours_touching(mapping, np, stateless, replica_cap, max_width, None)
-}
-
-/// Like [`neighbours`], but when `focus` is given, only generates moves
-/// for stages hosted on one of the focus nodes. Local search uses this
-/// with the *bottleneck* nodes: a move that does not unload the
-/// bottleneck resource cannot raise throughput, so restricting the
-/// neighbourhood this way loses (almost) nothing while shrinking the
-/// per-step cost from `O(Ns·Np)` evaluations to `O(b·Np)` where `b` is
-/// the number of bottleneck-hosted stages.
-pub fn neighbours_touching(
-    mapping: &Mapping,
+/// * a single-host stage is re-hosted on every other node;
+/// * a replicable stage gains one replica on every node not already
+///   hosting it, while its width is below both `max_width` and the
+///   stage's declared `replica_cap` (the shard count for keyed state);
+/// * a replicated stage drops each of its hosts in turn.
+///
+/// With `focus`, only stages hosted on one of the focus nodes move.
+/// Local search passes the *bottleneck* nodes: a move that does not
+/// unload the bottleneck resource cannot raise throughput, so the
+/// restriction loses (almost) nothing while shrinking a step from
+/// `O(Ns·Np)` candidates to `O(b·Np)`, `b` the number of
+/// bottleneck-hosted stages.
+pub fn for_each_neighbour(
+    mapping: &mut Mapping,
     np: usize,
     stateless: &[bool],
     replica_cap: &[usize],
     max_width: usize,
     focus: Option<&[NodeId]>,
-) -> Vec<(Move, Mapping)> {
+    mut visit: impl FnMut(Move, &Mapping),
+) {
     assert_eq!(stateless.len(), mapping.len(), "one flag per stage");
     assert_eq!(replica_cap.len(), mapping.len(), "one cap per stage");
-    let mut out = Vec::new();
-    #[allow(clippy::needless_range_loop)] // `s` indexes mapping, stateless, and moves alike
-    for s in 0..mapping.len() {
-        if let Some(focus) = focus {
-            if !focus.iter().any(|&n| mapping.placement(s).contains(n)) {
-                continue;
-            }
+    let mut try_move = |mapping: &mut Mapping, mv: Move| {
+        let undo = mv.apply(mapping);
+        visit(mv, mapping);
+        undo.apply(mapping);
+    };
+    for stage in 0..mapping.len() {
+        let placement = mapping.placement(stage);
+        if focus.is_some_and(|focus| !focus.iter().any(|&n| placement.contains(n))) {
+            continue;
         }
-        let placement = mapping.placement(s);
-        if placement.is_single() {
+        let width = placement.width();
+        if width == 1 {
             let current = placement.primary();
+            for to in (0..np).map(NodeId).filter(|&to| to != current) {
+                try_move(mapping, Move::MoveStage { stage, to });
+            }
+        }
+        if stateless[stage] && width < max_width.min(replica_cap[stage]) {
             for node in (0..np).map(NodeId) {
-                if node != current {
-                    let mut next = mapping.clone();
-                    *next.placement_mut(s) = Placement::single(node);
-                    out.push((Move::MoveStage, next));
+                if !mapping.placement(stage).contains(node) {
+                    try_move(mapping, Move::AddReplica { stage, node });
                 }
             }
         }
-        if stateless[s] && placement.width() < max_width.min(replica_cap[s]) {
-            for node in (0..np).map(NodeId) {
-                if !placement.contains(node) {
-                    let mut next = mapping.clone();
-                    next.placement_mut(s).add_host(node);
-                    out.push((Move::AddReplica, next));
-                }
-            }
-        }
-        if placement.width() > 1 {
-            for &host in placement.hosts() {
-                let mut next = mapping.clone();
-                next.placement_mut(s).remove_host(host);
-                out.push((Move::DropReplica, next));
+        if width > 1 {
+            for i in 0..width {
+                let node = mapping.placement(stage).hosts()[i];
+                try_move(mapping, Move::DropReplica { stage, node });
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::Placement;
 
     fn n(i: usize) -> NodeId {
         NodeId(i)
@@ -209,16 +247,19 @@ mod tests {
 
     #[test]
     fn assignments_enumerate_np_pow_ns() {
-        let all: Vec<Mapping> = Assignments::new(3, 2).collect();
+        let mut odometer = Assignments::new(3, 2);
+        let mut all = vec![odometer.current().notation()];
+        while odometer.advance() {
+            all.push(odometer.current().notation());
+        }
         assert_eq!(all.len(), 8);
-        // First is all-on-n0, last is all-on-n1.
-        assert_eq!(all[0].notation(), "(n0 n0 n0)");
-        assert_eq!(all[7].notation(), "(n1 n1 n1)");
-        // All distinct.
-        let mut notations: Vec<String> = all.iter().map(Mapping::notation).collect();
-        notations.sort();
-        notations.dedup();
-        assert_eq!(notations.len(), 8);
+        // First is all-on-n0, last is all-on-n1, and the wrap shows the
+        // first again.
+        assert_eq!(all[0], "(n0 n0 n0)");
+        assert_eq!(all[7], "(n1 n1 n1)");
+        assert_eq!(odometer.current().notation(), "(n0 n0 n0)");
+        // Lexicographic, hence all distinct.
+        assert!(all.windows(2).all(|w| w[0] < w[1]), "{all:?}");
     }
 
     #[test]
@@ -238,34 +279,66 @@ mod tests {
         assert_eq!(compositions(3, 3), vec![vec![1, 1, 1]]);
     }
 
+    /// The neighbourhood as a list, checking on the way that every
+    /// candidate is one move away and that the walk restores `mapping`.
+    fn neighbours(
+        mapping: &Mapping,
+        np: usize,
+        stateless: &[bool],
+        replica_cap: &[usize],
+        max_width: usize,
+        focus: Option<&[NodeId]>,
+    ) -> Vec<(Move, Mapping)> {
+        let mut work = mapping.clone();
+        let mut out = Vec::new();
+        for_each_neighbour(
+            &mut work,
+            np,
+            stateless,
+            replica_cap,
+            max_width,
+            focus,
+            |mv, cand| {
+                assert_eq!(mapping.diff(cand).len(), 1, "{mv:?} is not one move");
+                out.push((mv, cand.clone()));
+            },
+        );
+        assert_eq!(&work, mapping, "the walk must undo every move");
+        out
+    }
+
+    fn is_add(mv: &Move) -> bool {
+        matches!(mv, Move::AddReplica { .. })
+    }
+
     #[test]
     fn neighbours_move_stages() {
         let m = Mapping::from_assignment(&[n(0), n(1)]);
-        let nb = neighbours(&m, 3, &[false, false], &[usize::MAX; 2], 1);
+        let nb = neighbours(&m, 3, &[false, false], &[usize::MAX; 2], 1, None);
         // Each stage can move to 2 other nodes; no replication allowed.
-        assert_eq!(nb.len(), 4);
-        assert!(nb.iter().all(|(mv, _)| *mv == Move::MoveStage));
+        let moves: Vec<Move> = nb.iter().map(|&(mv, _)| mv).collect();
+        let mv = |stage, to| Move::MoveStage { stage, to: n(to) };
+        assert_eq!(moves, [mv(0, 1), mv(0, 2), mv(1, 0), mv(1, 2)]);
+        assert_eq!(nb[1].1.notation(), "(n2 n1)");
     }
 
     #[test]
     fn neighbours_replicate_stateless_only() {
         let m = Mapping::from_assignment(&[n(0), n(1)]);
-        let nb = neighbours(&m, 3, &[true, false], &[usize::MAX; 2], 2);
-        let adds: Vec<_> = nb
-            .iter()
-            .filter(|(mv, _)| *mv == Move::AddReplica)
-            .collect();
+        let nb = neighbours(&m, 3, &[true, false], &[usize::MAX; 2], 2, None);
+        let adds: Vec<_> = nb.iter().filter(|(mv, _)| is_add(mv)).collect();
         // Only stage 0 may replicate, onto the two nodes not hosting it.
         assert_eq!(adds.len(), 2);
+        assert_eq!(adds[0].1.notation(), "({n0,n1} n1)");
     }
 
     #[test]
     fn neighbours_drop_replicas() {
         let m = Mapping::new(vec![Placement::replicated(vec![n(0), n(1)])]);
-        let nb = neighbours(&m, 2, &[true], &[usize::MAX], 2);
+        let nb = neighbours(&m, 2, &[true], &[usize::MAX], 2, None);
         let drops: Vec<_> = nb
             .iter()
-            .filter(|(mv, _)| *mv == Move::DropReplica)
+            .filter(|(mv, _)| matches!(mv, Move::DropReplica { .. }))
             .collect();
         assert_eq!(drops.len(), 2);
         for (_, dm) in drops {
@@ -274,10 +347,92 @@ mod tests {
     }
 
     #[test]
+    fn neighbours_come_per_stage_rehost_then_add_then_drop() {
+        // Stage 0 is single and replicable, stage 1 is replicated and
+        // below its cap: the walk finishes a stage before the next.
+        let m = Mapping::new(vec![
+            Placement::single(n(0)),
+            Placement::replicated(vec![n(0), n(2)]),
+        ]);
+        let nb = neighbours(&m, 3, &[true, true], &[usize::MAX; 2], 3, None);
+        let moves: Vec<Move> = nb.iter().map(|&(mv, _)| mv).collect();
+        assert_eq!(
+            moves,
+            [
+                Move::MoveStage { stage: 0, to: n(1) },
+                Move::MoveStage { stage: 0, to: n(2) },
+                Move::AddReplica {
+                    stage: 0,
+                    node: n(1)
+                },
+                Move::AddReplica {
+                    stage: 0,
+                    node: n(2)
+                },
+                Move::AddReplica {
+                    stage: 1,
+                    node: n(1)
+                },
+                Move::DropReplica {
+                    stage: 1,
+                    node: n(0)
+                },
+                Move::DropReplica {
+                    stage: 1,
+                    node: n(2)
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn focus_keeps_only_stages_hosted_on_a_focus_node() {
+        let m = Mapping::new(vec![
+            Placement::single(n(0)),
+            Placement::single(n(1)),
+            Placement::replicated(vec![n(1), n(2)]),
+        ]);
+        let all = neighbours(&m, 3, &[true; 3], &[usize::MAX; 3], 2, None);
+        let focused = neighbours(&m, 3, &[true; 3], &[usize::MAX; 3], 2, Some(&[n(2)]));
+        // Only stage 2 touches n2; its moves are the unfocused walk's.
+        let of_stage_2: Vec<_> = all
+            .into_iter()
+            .filter(|(_, cand)| m.diff(cand) == [2])
+            .collect();
+        assert!(!focused.is_empty());
+        assert_eq!(focused, of_stage_2);
+    }
+
+    #[test]
+    fn a_move_and_its_undo_restore_the_mapping() {
+        let start = Mapping::new(vec![
+            Placement::single(n(3)),
+            Placement::replicated(vec![n(0), n(2)]),
+        ]);
+        for mv in [
+            Move::MoveStage { stage: 0, to: n(1) },
+            Move::AddReplica {
+                stage: 1,
+                node: n(1),
+            },
+            Move::DropReplica {
+                stage: 1,
+                node: n(0),
+            },
+        ] {
+            let mut m = start.clone();
+            let undo = mv.apply(&mut m);
+            assert_ne!(m, start, "{mv:?}");
+            undo.apply(&mut m);
+            assert_eq!(m, start, "{mv:?}");
+        }
+    }
+
+    #[test]
     fn max_width_caps_replication() {
         let m = Mapping::new(vec![Placement::replicated(vec![n(0), n(1)])]);
-        let nb = neighbours(&m, 4, &[true], &[usize::MAX], 2);
-        assert!(nb.iter().all(|(mv, _)| *mv != Move::AddReplica));
+        let nb = neighbours(&m, 4, &[true], &[usize::MAX], 2, None);
+        assert!(nb.iter().all(|(mv, _)| !is_add(mv)));
     }
 
     #[test]
@@ -285,13 +440,13 @@ mod tests {
         // Global max_width would allow widening, but the stage's
         // declared bound of 1 forbids it.
         let m = Mapping::from_assignment(&[n(0)]);
-        let nb = neighbours(&m, 4, &[true], &[1], 4);
-        assert!(nb.iter().all(|(mv, _)| *mv != Move::AddReplica));
+        let nb = neighbours(&m, 4, &[true], &[1], 4, None);
+        assert!(nb.iter().all(|(mv, _)| !is_add(mv)));
         // A cap of 2 admits replicas up to width 2 and no further.
-        let nb = neighbours(&m, 4, &[true], &[2], 4);
-        assert!(nb.iter().any(|(mv, _)| *mv == Move::AddReplica));
+        let nb = neighbours(&m, 4, &[true], &[2], 4, None);
+        assert!(nb.iter().any(|(mv, _)| is_add(mv)));
         let wide = Mapping::new(vec![Placement::replicated(vec![n(0), n(1)])]);
-        let nb = neighbours(&wide, 4, &[true], &[2], 4);
-        assert!(nb.iter().all(|(mv, _)| *mv != Move::AddReplica));
+        let nb = neighbours(&wide, 4, &[true], &[2], 4, None);
+        assert!(nb.iter().all(|(mv, _)| !is_add(mv)));
     }
 }

@@ -15,9 +15,11 @@
 //! * [`model`] — the analytic bottleneck model: busy-seconds-per-item on
 //!   every processor and link, accumulated in one topological walk over
 //!   the stage graph's edges; throughput = 1 / busiest resource, latency
-//!   is the critical (slowest) path;
+//!   is the critical (slowest) path. [`model::Evaluator`] binds it to one
+//!   planning problem so the optimisers score candidates without
+//!   allocating;
 //! * [`enumerate`] — assignment enumeration, compositions, neighbourhood
-//!   moves;
+//!   moves, walked in place on one working mapping;
 //! * [`search`] — exhaustive search (small instances), contiguous dynamic
 //!   programming, steepest-descent local search with restarts, and the
 //!   [`search::plan`] facade;
@@ -57,11 +59,13 @@ pub mod share;
 pub mod prelude {
     pub use crate::decide::{should_remap, Decision, DecisionConfig, KeepReason};
     pub use crate::enumerate::{
-        assignment_count, compositions, neighbours, neighbours_touching, Assignments, Move,
+        assignment_count, compositions, for_each_neighbour, Assignments, Move,
     };
     pub use crate::graph::{Next, StageGraph, StageGraphBuilder};
     pub use crate::mapping::{ContiguousMapping, Mapping, Placement};
-    pub use crate::model::{evaluate, Bottleneck, PipelineProfile, Prediction};
+    pub use crate::model::{
+        evaluate, Bottleneck, Evaluator, Floor, PipelineProfile, Prediction, Score,
+    };
     pub use crate::replicate::improve;
     pub use crate::search::{
         contiguous_dp, exhaustive_best, exhaustive_frontier, local_search, plan, Plan,

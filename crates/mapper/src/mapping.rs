@@ -59,6 +59,18 @@ impl Placement {
         self.hosts.binary_search(&node).is_ok()
     }
 
+    /// Moves a single-host stage to `node`, in place.
+    ///
+    /// # Panics
+    /// Panics if the stage is replicated.
+    pub fn rehost(&mut self, node: NodeId) {
+        assert!(
+            self.is_single(),
+            "only a single-host stage can be re-hosted"
+        );
+        self.hosts[0] = node;
+    }
+
     /// Adds a replica host; no-op if already present.
     pub fn add_host(&mut self, node: NodeId) {
         if let Err(pos) = self.hosts.binary_search(&node) {
@@ -129,6 +141,19 @@ impl Mapping {
     pub fn all_on(node: NodeId, stages: usize) -> Self {
         assert!(stages > 0);
         Mapping::from_assignment(&vec![node; stages])
+    }
+
+    /// Overwrites the mapping with one node per stage, no replication,
+    /// reusing the placements' storage.
+    ///
+    /// # Panics
+    /// Panics if `assignment` covers a different number of stages.
+    pub fn assign(&mut self, assignment: &[NodeId]) {
+        assert_eq!(assignment.len(), self.len(), "one node per stage");
+        for (placement, &node) in self.placements.iter_mut().zip(assignment) {
+            placement.hosts.clear();
+            placement.hosts.push(node);
+        }
     }
 
     /// Number of stages.
@@ -368,6 +393,19 @@ mod tests {
     }
 
     #[test]
+    fn rehost_moves_a_single_host_in_place() {
+        let mut p = Placement::single(n(0));
+        p.rehost(n(3));
+        assert_eq!(p, Placement::single(n(3)));
+    }
+
+    #[test]
+    #[should_panic(expected = "single-host")]
+    fn rehosting_a_replicated_stage_panics() {
+        Placement::replicated(vec![n(0), n(1)]).rehost(n(2));
+    }
+
+    #[test]
     #[should_panic(expected = "last host")]
     fn removing_last_host_panics() {
         let mut p = Placement::single(n(0));
@@ -379,6 +417,16 @@ mod tests {
         let m = Mapping::round_robin(5, 2);
         let hosts: Vec<NodeId> = (0..5).map(|s| m.placement(s).primary()).collect();
         assert_eq!(hosts, vec![n(0), n(1), n(0), n(1), n(0)]);
+    }
+
+    #[test]
+    fn assign_overwrites_every_placement() {
+        let mut m = Mapping::new(vec![
+            Placement::single(n(0)),
+            Placement::replicated(vec![n(1), n(2)]),
+        ]);
+        m.assign(&[n(3), n(4)]);
+        assert_eq!(m, Mapping::from_assignment(&[n(3), n(4)]));
     }
 
     #[test]

@@ -181,6 +181,9 @@ impl Prediction {
 /// yields zero throughput and infinite latency rather than an error, so
 /// optimisers can rank it (last) without special cases.
 ///
+/// This is the one-shot form of [`Evaluator`], which the optimisers
+/// build once per plan and score every candidate on.
+///
 /// # Panics
 /// Panics if the profile is inconsistent, the mapping's stage count
 /// differs from the profile's, or a mapped node index is out of range.
@@ -190,99 +193,300 @@ pub fn evaluate(
     rates: &[f64],
     topology: &Topology,
 ) -> Prediction {
-    profile.validate();
-    let ns = profile.stages();
-    assert_eq!(
-        mapping.len(),
-        ns,
-        "mapping covers {} stages, profile {ns}",
-        mapping.len()
-    );
-    for node in mapping.nodes_used() {
-        assert!(
-            node.index() < rates.len(),
-            "node {node} outside rate vector"
-        );
-        assert!(
-            node.index() < topology.len(),
-            "node {node} outside topology"
-        );
+    Evaluator::build(profile, rates, topology, false).prediction(mapping)
+}
+
+/// What the optimisers compare: a [`Prediction`] without its per-node
+/// vector, so scoring a candidate allocates nothing.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Score {
+    /// Steady-state items per second.
+    pub throughput: f64,
+    /// One-item traversal latency in seconds (no queueing).
+    pub latency: f64,
+    /// The saturating resource.
+    pub bottleneck: Bottleneck,
+    /// Sum of squared node loads: lower is more evenly spread. The
+    /// optimisers' last tie-break.
+    pub balance: f64,
+}
+
+/// The throughput a candidate has to reach for its score to matter to
+/// the caller; see [`Evaluator::score_against`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Floor {
+    /// Candidates at or above this throughput matter (an equal one goes
+    /// on to a latency or balance tie-break).
+    AtLeast(f64),
+    /// Only candidates strictly above this throughput matter.
+    Above(f64),
+}
+
+/// The model bound to one planning problem — profile, forecast rates,
+/// topology — with everything that does not depend on the candidate
+/// mapping done once: the profile is validated, the transfer seconds of
+/// every boundary over every node pair are tabulated, and the node-load
+/// and link accumulators are allocated. An optimiser builds one per
+/// `plan()` and scores thousands of candidates on it without touching
+/// the heap.
+pub struct Evaluator<'a> {
+    profile: &'a PipelineProfile,
+    rates: &'a [f64],
+    transfer: TransferSecs<'a>,
+    /// Busy seconds per item on each node, for the last mapping scored.
+    node_load: Vec<f64>,
+    /// The dense `n × n` per-link busy seconds (`n` nodes in the
+    /// topology), then one finish time per stage. Dense and shared: a
+    /// HashMap here dominated planning time on 32-node grids, and the
+    /// finish times ride in the same allocation.
+    scratch: Vec<f64>,
+}
+
+impl<'a> Evaluator<'a> {
+    /// Binds the model to one planning problem.
+    ///
+    /// # Panics
+    /// Panics if the profile is inconsistent, or if its source or sink
+    /// is outside the topology while its boundary carries bytes.
+    pub fn new(profile: &'a PipelineProfile, rates: &'a [f64], topology: &'a Topology) -> Self {
+        Self::build(profile, rates, topology, true)
     }
 
-    // --- Node busy time per item -------------------------------------
-    let mut node_load = vec![0.0f64; rates.len()];
-    let mut dead_node_used = false;
-    for s in 0..ns {
-        let placement = mapping.placement(s);
-        let share = 1.0 / placement.width() as f64;
-        for &host in placement.hosts() {
-            let rate = rates[host.index()];
-            if rate <= 0.0 {
-                dead_node_used = true;
-            } else {
-                node_load[host.index()] += profile.stage_work[s] / rate * share;
+    /// `tabulate: false` is the one-shot [`evaluate`]: a single mapping
+    /// reads a handful of the table's cells, so filling it would cost
+    /// more than the walk it serves.
+    fn build(
+        profile: &'a PipelineProfile,
+        rates: &'a [f64],
+        topology: &'a Topology,
+        tabulate: bool,
+    ) -> Self {
+        profile.validate();
+        let n = topology.len();
+        let end_in_range = |end: Option<NodeId>, boundary: usize| {
+            end.is_none_or(|node| node.index() < n || profile.boundary_bytes[boundary] == 0)
+        };
+        assert!(
+            end_in_range(profile.source, 0) && end_in_range(profile.sink, profile.graph.exit() + 1),
+            "node out of range"
+        );
+        Evaluator {
+            profile,
+            rates,
+            transfer: TransferSecs::new(&profile.boundary_bytes, topology, tabulate),
+            node_load: vec![0.0; rates.len()],
+            scratch: vec![0.0; n * n + profile.stages()],
+        }
+    }
+
+    /// The pipeline being mapped.
+    pub fn profile(&self) -> &'a PipelineProfile {
+        self.profile
+    }
+
+    /// The per-node effective rates candidates are scored under.
+    pub fn rates(&self) -> &'a [f64] {
+        self.rates
+    }
+
+    /// The link cost matrix candidates are scored under.
+    pub fn topology(&self) -> &'a Topology {
+        self.transfer.topology
+    }
+
+    /// The full [`Prediction`] for `mapping`.
+    ///
+    /// # Panics
+    /// Panics if the mapping's stage count differs from the profile's
+    /// or a mapped node index is out of range.
+    pub fn prediction(&mut self, mapping: &Mapping) -> Prediction {
+        let score = self.score(mapping);
+        Prediction {
+            throughput: score.throughput,
+            latency: score.latency,
+            bottleneck: score.bottleneck,
+            node_load: self.node_load.clone(),
+        }
+    }
+
+    /// Scores `mapping`: [`Evaluator::prediction`] without the per-node
+    /// vector.
+    pub fn score(&mut self, mapping: &Mapping) -> Score {
+        self.score_against(mapping, Floor::AtLeast(f64::NEG_INFINITY))
+            .expect("no throughput is below negative infinity")
+    }
+
+    /// Scores `mapping` unless its node loads alone already put it
+    /// under `floor`, in which case it returns `None` without walking
+    /// the links. The cut is exact, not a heuristic: throughput is the
+    /// reciprocal of the busiest resource, a link can only make that
+    /// resource busier than the busiest node, and a correctly rounded
+    /// reciprocal is monotone — so the full score's throughput could
+    /// only be lower still. The comparison is made on throughputs, not
+    /// periods: two periods can round to one throughput, and the caller
+    /// breaks that tie on latency. A mapping on a dead node is always
+    /// scored (zero throughput, infinite latency): it still has to rank
+    /// against a dead incumbent on balance.
+    ///
+    /// # Panics
+    /// As [`Evaluator::prediction`].
+    pub fn score_against(&mut self, mapping: &Mapping, floor: Floor) -> Option<Score> {
+        let profile = self.profile;
+        let ns = profile.stages();
+        assert_eq!(
+            mapping.len(),
+            ns,
+            "mapping covers {} stages, profile {ns}",
+            mapping.len()
+        );
+        let n = self.transfer.topology.len();
+
+        // --- Node busy time per item -------------------------------------
+        self.node_load.fill(0.0);
+        let mut dead_node_used = false;
+        for s in 0..ns {
+            let placement = mapping.placement(s);
+            let share = 1.0 / placement.width() as f64;
+            for &host in placement.hosts() {
+                assert!(
+                    host.index() < self.rates.len(),
+                    "node {host} outside rate vector"
+                );
+                assert!(host.index() < n, "node {host} outside topology");
+                let rate = self.rates[host.index()];
+                if rate <= 0.0 {
+                    dead_node_used = true;
+                } else {
+                    self.node_load[host.index()] += profile.stage_work[s] / rate * share;
+                }
             }
         }
-    }
-
-    // --- Link busy time per item, one-item latency ---------------------
-    // One topological walk accumulates each directed link's expected
-    // seconds per item over the stage graph's edges and returns the
-    // critical-path latency. A dense np×np accumulator: `evaluate` is
-    // the optimisers' inner loop, and a HashMap here dominated planning
-    // time on 32-node grids — for the same reason the walk's per-stage
-    // finish times share the accumulator's allocation.
-    let np = rates.len().max(topology.len());
-    let mut scratch = vec![0.0f64; np * np + ns];
-    let (link_seconds, done) = scratch.split_at_mut(np * np);
-    let latency = walk(profile, mapping, rates, topology, np, link_seconds, done);
-    let mut max_link: (f64, NodeId, NodeId) = (0.0, NodeId(0), NodeId(0));
-    for (idx, &secs) in link_seconds.iter().enumerate() {
-        if secs > max_link.0 {
-            max_link = (secs, NodeId(idx / np), NodeId(idx % np));
-        }
-    }
-
-    // --- Combine -------------------------------------------------------
-    let (max_node_load, max_node) =
-        node_load
-            .iter()
-            .enumerate()
-            .fold((0.0f64, 0usize), |(best, arg), (i, &l)| {
-                if l > best {
-                    (l, i)
-                } else {
-                    (best, arg)
-                }
+        let (max_node_load, max_node) =
+            self.node_load
+                .iter()
+                .enumerate()
+                .fold((0.0f64, 0usize), |(best, arg), (i, &l)| {
+                    if l > best {
+                        (l, i)
+                    } else {
+                        (best, arg)
+                    }
+                });
+        let balance = |node_load: &[f64]| node_load.iter().map(|l| l * l).sum::<f64>();
+        if dead_node_used {
+            return Some(Score {
+                throughput: 0.0,
+                latency: f64::INFINITY,
+                bottleneck: Bottleneck::Node(NodeId(max_node)),
+                balance: balance(&self.node_load),
             });
-
-    if dead_node_used {
-        return Prediction {
-            throughput: 0.0,
-            latency: f64::INFINITY,
-            bottleneck: Bottleneck::Node(NodeId(max_node)),
-            node_load,
+        }
+        let node_bound = throughput_of(max_node_load);
+        let hopeless = match floor {
+            Floor::AtLeast(least) => node_bound < least,
+            Floor::Above(bar) => node_bound <= bar,
         };
+        if hopeless {
+            return None;
+        }
+
+        // --- Link busy time per item, one-item latency ---------------------
+        let (link_seconds, done) = self.scratch.split_at_mut(n * n);
+        link_seconds.fill(0.0);
+        let latency = walk(
+            profile,
+            mapping,
+            self.rates,
+            &self.transfer,
+            link_seconds,
+            done,
+        );
+        let mut max_link: (f64, NodeId, NodeId) = (0.0, NodeId(0), NodeId(0));
+        for (idx, &secs) in link_seconds.iter().enumerate() {
+            if secs > max_link.0 {
+                max_link = (secs, NodeId(idx / n), NodeId(idx % n));
+            }
+        }
+
+        // --- Combine -------------------------------------------------------
+        let (bottleneck, period) = if max_link.0 > max_node_load {
+            (Bottleneck::Link(max_link.1, max_link.2), max_link.0)
+        } else {
+            (Bottleneck::Node(NodeId(max_node)), max_node_load)
+        };
+        Some(Score {
+            throughput: throughput_of(period),
+            latency,
+            bottleneck,
+            balance: balance(&self.node_load),
+        })
     }
+}
 
-    let (bottleneck, period) = if max_link.0 > max_node_load {
-        (Bottleneck::Link(max_link.1, max_link.2), max_link.0)
-    } else {
-        (Bottleneck::Node(NodeId(max_node)), max_node_load)
-    };
-
-    let throughput = if period > 0.0 {
+/// Items per second when the busiest resource is busy `period` seconds
+/// per item.
+fn throughput_of(period: f64) -> f64 {
+    if period > 0.0 {
         1.0 / period
     } else {
         // Degenerate profile: zero work, zero communication.
         f64::INFINITY
-    };
+    }
+}
 
-    Prediction {
-        throughput,
-        latency,
-        bottleneck,
-        node_load,
+/// Seconds to move one item across stage boundary `boundary` from node
+/// `a` to node `b` — `topology.transfer_time(a, b, bytes).as_secs_f64()`,
+/// tabulated once per distinct boundary size when many mappings will be
+/// scored.
+struct TransferSecs<'a> {
+    bytes: &'a [u64],
+    topology: &'a Topology,
+    /// Boundary → its `n × n` table in `table` (boundaries of equal size
+    /// share one); empty when nothing is tabulated.
+    table_of: Vec<usize>,
+    table: Vec<f64>,
+}
+
+impl<'a> TransferSecs<'a> {
+    fn new(bytes: &'a [u64], topology: &'a Topology, tabulate: bool) -> Self {
+        let mut costs = TransferSecs {
+            bytes,
+            topology,
+            table_of: Vec::new(),
+            table: Vec::new(),
+        };
+        if !tabulate {
+            return costs;
+        }
+        let n = topology.len();
+        let mut sizes: Vec<u64> = Vec::new();
+        for &size in bytes {
+            let known = sizes.iter().position(|&s| s == size);
+            costs.table_of.push(known.unwrap_or(sizes.len()));
+            if known.is_none() {
+                sizes.push(size);
+                costs.table.reserve(n * n);
+                for a in (0..n).map(NodeId) {
+                    for b in (0..n).map(NodeId) {
+                        costs
+                            .table
+                            .push(topology.transfer_time(a, b, size).as_secs_f64());
+                    }
+                }
+            }
+        }
+        costs
+    }
+
+    fn get(&self, boundary: usize, a: NodeId, b: NodeId) -> f64 {
+        if self.table_of.is_empty() {
+            return self
+                .topology
+                .transfer_time(a, b, self.bytes[boundary])
+                .as_secs_f64();
+        }
+        let n = self.topology.len();
+        self.table[(self.table_of[boundary] * n + a.index()) * n + b.index()]
     }
 }
 
@@ -298,8 +502,7 @@ fn walk(
     profile: &PipelineProfile,
     mapping: &Mapping,
     rates: &[f64],
-    topology: &Topology,
-    np: usize,
+    transfer: &TransferSecs<'_>,
     link_seconds: &mut [f64],
     done: &mut [f64],
 ) -> f64 {
@@ -317,14 +520,7 @@ fn walk(
         let preds = profile.graph.preds(s);
         let arrive = if preds.is_empty() {
             match profile.source {
-                Some(src) => edge_cost(
-                    topology,
-                    &[src],
-                    to_hosts,
-                    profile.boundary_bytes[0],
-                    np,
-                    link_seconds,
-                ),
+                Some(src) => edge_cost(transfer, 0, &[src], to_hosts, link_seconds),
                 None => 0.0,
             }
         } else {
@@ -334,11 +530,10 @@ fn walk(
                     0.0
                 } else {
                     edge_cost(
-                        topology,
+                        transfer,
+                        p + 1,
                         mapping.placement(p).hosts(),
                         to_hosts,
-                        profile.boundary_bytes[p + 1],
-                        np,
                         link_seconds,
                     )
                 };
@@ -352,38 +547,38 @@ fn walk(
     let mut latency = done[exit];
     if let Some(dst) = profile.sink {
         latency += edge_cost(
-            topology,
+            transfer,
+            exit + 1,
             mapping.placement(exit).hosts(),
             &[dst],
-            profile.boundary_bytes[exit + 1],
-            np,
             link_seconds,
         );
     }
     latency
 }
 
-/// Expected transfer seconds for one graph edge (replica sets on both
-/// ends, uniformly dealt), accumulated into the per-link busy budget.
+/// Expected transfer seconds for one graph edge carrying boundary
+/// `boundary`'s bytes (replica sets on both ends, uniformly dealt),
+/// accumulated into the per-link busy budget.
 fn edge_cost(
-    topology: &Topology,
+    transfer: &TransferSecs<'_>,
+    boundary: usize,
     from_hosts: &[NodeId],
     to_hosts: &[NodeId],
-    bytes: u64,
-    np: usize,
     link_seconds: &mut [f64],
 ) -> f64 {
-    if bytes == 0 {
+    if transfer.bytes[boundary] == 0 {
         return 0.0;
     }
+    let n = transfer.topology.len();
     let frac = 1.0 / (from_hosts.len() * to_hosts.len()) as f64;
     let mut expected = 0.0;
     for &a in from_hosts {
         for &b in to_hosts {
-            let t = topology.transfer_time(a, b, bytes).as_secs_f64();
+            let t = transfer.get(boundary, a, b);
             expected += frac * t;
             if a != b {
-                link_seconds[a.index() * np + b.index()] += frac * t;
+                link_seconds[a.index() * n + b.index()] += frac * t;
             }
         }
     }

@@ -8,81 +8,63 @@
 //! and declared keyed/accumulator state (the runtime shards or merges
 //! it; widening a keyed stage is executed as a shard rebalance).
 
+use crate::enumerate::Move;
 use crate::mapping::Mapping;
-use crate::model::{evaluate, Bottleneck, PipelineProfile, Prediction};
-use adapipe_gridsim::net::Topology;
+use crate::model::{Evaluator, Floor, Score};
 use adapipe_gridsim::node::NodeId;
 
-/// Greedily adds replicas to stateless stages while doing so strictly
-/// improves predicted throughput. Returns the improved mapping and its
-/// prediction (which may be the input mapping unchanged).
+/// Greedily adds replicas to stateless stages of `mapping`, in place,
+/// while doing so strictly improves predicted throughput. Returns the
+/// score of what it leaves (which may be the input unchanged).
 ///
 /// The search is bounded: each iteration adds exactly one replica, and
 /// stage width never exceeds `max_width` nor the stage's declared
-/// [`PipelineProfile::replica_cap`], so it terminates after at most
-/// `Ns · max_width` evaluations of the neighbourhood.
-pub fn improve(
-    profile: &PipelineProfile,
-    mapping: Mapping,
-    rates: &[f64],
-    topology: &Topology,
-    max_width: usize,
-) -> (Mapping, Prediction) {
-    let mut current = mapping;
-    let mut current_pred = evaluate(profile, &current, rates, topology);
-    loop {
-        let Some((cand, pred)) =
-            best_single_widening(profile, &current, &current_pred, rates, topology, max_width)
-        else {
-            return (current, current_pred);
-        };
-        current = cand;
-        current_pred = pred;
+/// [`crate::model::PipelineProfile::replica_cap`], so it terminates
+/// after at most `Ns · max_width` evaluations of the neighbourhood.
+pub fn improve(ev: &mut Evaluator<'_>, mapping: &mut Mapping, max_width: usize) -> Score {
+    let mut current_score = ev.score(mapping);
+    while let Some((widening, score)) =
+        best_single_widening(ev, mapping, current_score.throughput, max_width)
+    {
+        widening.apply(mapping);
+        current_score = score;
     }
+    current_score
 }
 
-/// Tries every legal single-replica addition and returns the best one
-/// that strictly beats `current_pred`, or `None`.
+/// Tries every legal single-replica addition on `current` in place
+/// (add, score, drop again) and returns the best one whose throughput
+/// strictly beats `current_throughput`, or `None`. All replicable
+/// stages are tried, not only those on the bottleneck node: the
+/// bottleneck may shift after one addition.
 fn best_single_widening(
-    profile: &PipelineProfile,
-    current: &Mapping,
-    current_pred: &Prediction,
-    rates: &[f64],
-    topology: &Topology,
+    ev: &mut Evaluator<'_>,
+    current: &mut Mapping,
+    current_throughput: f64,
     max_width: usize,
-) -> Option<(Mapping, Prediction)> {
-    // Prefer widening stages hosted on the bottleneck node, but consider
-    // all stateless stages: the bottleneck may shift after one addition.
-    let bottleneck_node = match current_pred.bottleneck {
-        Bottleneck::Node(node) => Some(node),
-        Bottleneck::Link(..) => None,
-    };
-    let np = rates.len();
-    let mut best: Option<(Mapping, Prediction)> = None;
-    for s in 0..current.len() {
-        if !profile.stateless[s] {
+) -> Option<(Move, Score)> {
+    let profile = ev.profile();
+    let rates = ev.rates();
+    let mut best: Option<(Move, Score)> = None;
+    for stage in 0..current.len() {
+        if !profile.stateless[stage]
+            || current.placement(stage).width() >= max_width.min(profile.replica_cap[stage])
+        {
             continue;
         }
-        let placement = current.placement(s);
-        if placement.width() >= max_width.min(profile.replica_cap[s]) {
-            continue;
-        }
-        // Try the bottleneck-hosted stages first for a small constant
-        // factor, but correctness only needs "try them all".
-        let _ = bottleneck_node;
-        for node in (0..np).map(NodeId) {
-            if placement.contains(node) || rates[node.index()] <= 0.0 {
+        for node in (0..rates.len()).map(NodeId) {
+            if current.placement(stage).contains(node) || rates[node.index()] <= 0.0 {
                 continue;
             }
-            let mut cand = current.clone();
-            cand.placement_mut(s).add_host(node);
-            let pred = evaluate(profile, &cand, rates, topology);
-            let beats_current = pred.throughput > current_pred.throughput;
-            let beats_best = best
-                .as_ref()
-                .is_none_or(|(_, b)| pred.throughput > b.throughput);
-            if beats_current && beats_best {
-                best = Some((cand, pred));
+            let widening = Move::AddReplica { stage, node };
+            let undo = widening.apply(current);
+            // Only a candidate strictly above both the current mapping
+            // and the best widening so far can win.
+            let bar = best.map_or(current_throughput, |(_, b)| b.throughput);
+            let score = ev.score_against(current, Floor::Above(bar));
+            undo.apply(current);
+            if let Some(score) = score.filter(|s| s.throughput > bar) {
+                best = Some((widening, score));
             }
         }
     }
@@ -92,7 +74,8 @@ fn best_single_widening(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adapipe_gridsim::net::LinkSpec;
+    use crate::model::{evaluate, PipelineProfile};
+    use adapipe_gridsim::net::{LinkSpec, Topology};
     use adapipe_gridsim::time::SimDuration;
 
     fn n(i: usize) -> NodeId {
@@ -103,12 +86,28 @@ mod tests {
         Topology::uniform(np, LinkSpec::new(SimDuration::from_nanos(1), 1e12))
     }
 
+    /// `improve` on a fresh evaluator; returns the widened mapping too.
+    fn improved(
+        profile: &PipelineProfile,
+        mut mapping: Mapping,
+        rates: &[f64],
+        topology: &Topology,
+        max_width: usize,
+    ) -> (Mapping, Score) {
+        let score = improve(
+            &mut Evaluator::new(profile, rates, topology),
+            &mut mapping,
+            max_width,
+        );
+        (mapping, score)
+    }
+
     #[test]
     fn widens_hot_stage_across_spare_nodes() {
         let profile = PipelineProfile::uniform(vec![4.0, 1.0], 0);
         let mapping = Mapping::from_assignment(&[n(0), n(1)]);
         let rates = [1.0, 1.0, 1.0, 1.0];
-        let (m, p) = improve(&profile, mapping, &rates, &fast_net(4), 4);
+        let (m, p) = improved(&profile, mapping, &rates, &fast_net(4), 4);
         // Hot stage spreads over the 3 free nodes (4/3 s) or similar;
         // throughput must rise well above the unreplicated 0.25.
         assert!(p.throughput > 0.5, "tput={}", p.throughput);
@@ -121,7 +120,7 @@ mod tests {
         profile.stateless[0] = false;
         let mapping = Mapping::from_assignment(&[n(0), n(1)]);
         let rates = [1.0, 1.0, 1.0];
-        let (m, p) = improve(&profile, mapping.clone(), &rates, &fast_net(3), 4);
+        let (m, p) = improved(&profile, mapping.clone(), &rates, &fast_net(3), 4);
         assert_eq!(m, mapping, "stateful stage must not be replicated");
         assert!((p.throughput - 0.25).abs() < 1e-9);
     }
@@ -131,7 +130,7 @@ mod tests {
         let profile = PipelineProfile::uniform(vec![8.0], 0);
         let mapping = Mapping::from_assignment(&[n(0)]);
         let rates = [1.0; 8];
-        let (m, _) = improve(&profile, mapping, &rates, &fast_net(8), 2);
+        let (m, _) = improved(&profile, mapping, &rates, &fast_net(8), 2);
         assert!(m.placement(0).width() <= 2);
     }
 
@@ -145,7 +144,7 @@ mod tests {
         profile.replica_cap[0] = 2;
         let mapping = Mapping::from_assignment(&[n(0), n(1)]);
         let rates = [1.0, 1.0, 1.0, 1.0];
-        let (m, _) = improve(&profile, mapping, &rates, &fast_net(4), 4);
+        let (m, _) = improved(&profile, mapping, &rates, &fast_net(4), 4);
         assert!(m.placement(0).width() <= 2, "cap violated: {m}");
     }
 
@@ -156,7 +155,7 @@ mod tests {
         let profile = PipelineProfile::uniform(vec![1.0, 1.0], 0);
         let mapping = Mapping::from_assignment(&[n(0), n(1)]);
         let rates = [1.0, 1.0];
-        let (m, p) = improve(&profile, mapping.clone(), &rates, &fast_net(2), 4);
+        let (m, p) = improved(&profile, mapping.clone(), &rates, &fast_net(2), 4);
         assert_eq!(m, mapping);
         assert!((p.throughput - 1.0).abs() < 1e-9);
     }
@@ -166,7 +165,7 @@ mod tests {
         let profile = PipelineProfile::uniform(vec![4.0, 1.0], 0);
         let mapping = Mapping::from_assignment(&[n(0), n(1)]);
         let rates = [1.0, 1.0, 0.0];
-        let (m, _) = improve(&profile, mapping, &rates, &fast_net(3), 4);
+        let (m, _) = improved(&profile, mapping, &rates, &fast_net(3), 4);
         assert!(
             !m.placement(0).contains(n(2)),
             "dead node must not receive replicas"
@@ -186,7 +185,7 @@ mod tests {
         let mapping = Mapping::from_assignment(&[n(0), n(1)]);
         let rates = [1.0, 1.0, 1.0];
         let before = evaluate(&profile, &mapping, &rates, &topo);
-        let (m, p) = improve(&profile, mapping, &rates, &topo, 4);
+        let (m, p) = improved(&profile, mapping, &rates, &topo, 4);
         assert!(p.throughput >= before.throughput);
         assert!(
             !m.placement(0).contains(n(2)),

@@ -10,10 +10,27 @@
 //!
 //! A final greedy replication pass ([`crate::replicate`]) widens
 //! stateless bottleneck stages either way.
+//!
+//! ## The inner loop
+//!
+//! One [`plan`] scores thousands of candidate mappings, so all three
+//! optimisers share one [`Evaluator`] built at the top of `plan` and
+//! show it their candidates **in place**: a move is applied to the one
+//! working [`Mapping`], scored, and undone ([`for_each_neighbour`];
+//! [`Assignments`] advances an odometer), and a [`Prediction`] with its
+//! per-node vector is materialised only for the mapping `plan` returns.
+//! Each score is taken against the incumbent's throughput as a
+//! [`Floor`], so a candidate whose node loads alone rule it out never
+//! walks the links.
+//!
+//! A local-search pass compares every candidate with the *running*
+//! best, but every candidate is a neighbour of the mapping the step
+//! *started* from: the pass only remembers the best move, and applies
+//! it when the pass is over.
 
-use crate::enumerate::{assignment_count, neighbours, Assignments};
+use crate::enumerate::{assignment_count, for_each_neighbour, Assignments, Move};
 use crate::mapping::{ContiguousMapping, Mapping};
-use crate::model::{evaluate, PipelineProfile, Prediction};
+use crate::model::{Bottleneck, Evaluator, Floor, PipelineProfile, Prediction, Score};
 use crate::replicate;
 use adapipe_gridsim::net::Topology;
 use adapipe_gridsim::node::NodeId;
@@ -66,22 +83,24 @@ pub enum Strategy {
     LocalSearch,
 }
 
-/// `true` iff `a` is a strictly better prediction than `b`: higher
+/// `true` iff `a` is a strictly better score than `b`: higher
 /// throughput; then lower latency; then better load balance (lower sum
 /// of squared node loads). The final tie-break matters: among the many
 /// equal-throughput optima of a symmetric instance, the most *spread*
 /// mapping is the best launch point for the greedy replication pass,
 /// which only takes single steps.
-fn better(a: &Prediction, b: &Prediction) -> bool {
+fn better(a: &Score, b: &Score) -> bool {
     if a.throughput != b.throughput {
         return a.throughput > b.throughput;
     }
     if a.latency != b.latency {
         return a.latency < b.latency;
     }
-    let sumsq = |p: &Prediction| p.node_load.iter().map(|l| l * l).sum::<f64>();
-    sumsq(a) < sumsq(b)
+    a.balance < b.balance
 }
+
+/// Throughputs this close count as tied on the exhaustive frontier.
+const TIE_EPS: f64 = 1e-12;
 
 /// Exhaustively evaluates every unreplicated assignment.
 ///
@@ -94,11 +113,12 @@ pub fn exhaustive_best(
     topology: &Topology,
     cap: u64,
 ) -> Plan {
-    let frontier = exhaustive_frontier(profile, rates, topology, cap, 1);
-    let (mapping, prediction) = frontier.into_iter().next().expect("non-empty frontier");
+    let mut ev = Evaluator::new(profile, rates, topology);
+    let frontier = exhaustive_frontier(&mut ev, cap, 1);
+    let (mapping, _) = frontier.into_iter().next().expect("non-empty frontier");
     Plan {
+        prediction: ev.prediction(&mapping),
         mapping,
-        prediction,
         strategy: Strategy::Exhaustive,
     }
 }
@@ -114,44 +134,50 @@ pub fn exhaustive_best(
 ///
 /// # Panics
 /// Panics if `np^ns` exceeds `cap` or `k` is zero.
-pub fn exhaustive_frontier(
-    profile: &PipelineProfile,
-    rates: &[f64],
-    topology: &Topology,
-    cap: u64,
-    k: usize,
-) -> Vec<(Mapping, Prediction)> {
+pub fn exhaustive_frontier(ev: &mut Evaluator<'_>, cap: u64, k: usize) -> Vec<(Mapping, Score)> {
     assert!(k > 0, "frontier size must be positive");
-    let ns = profile.stages();
-    let np = rates.len();
+    let ns = ev.profile().stages();
+    let np = ev.rates().len();
     assignment_count(ns, np)
         .filter(|&c| c <= cap)
         .expect("instance too large for exhaustive search");
-    let mut frontier: Vec<(Mapping, Prediction)> = Vec::with_capacity(k + 1);
-    for mapping in Assignments::new(ns, np) {
-        let pred = evaluate(profile, &mapping, rates, topology);
-        match frontier.first() {
-            None => frontier.push((mapping, pred)),
-            Some((_, best)) => {
-                let tied = (pred.throughput - best.throughput).abs() <= 1e-12;
-                if better(&pred, best) && !tied {
-                    frontier.clear();
-                    frontier.push((mapping, pred));
-                } else if tied {
-                    // Insert in `better` order, truncating to k entries.
-                    let pos = frontier
-                        .iter()
-                        .position(|(_, p)| better(&pred, p))
-                        .unwrap_or(frontier.len());
-                    if pos < k {
-                        frontier.insert(pos, (mapping, pred));
-                        frontier.truncate(k);
+    let mut frontier: Vec<(Mapping, Score)> = Vec::with_capacity(k + 1);
+    let mut assignments = Assignments::new(ns, np);
+    loop {
+        let mapping = assignments.current();
+        // Only an assignment tied with the best so far, or above it,
+        // can enter the frontier. The floor sits ten tie windows under
+        // the best, not one, so that rounding in the subtraction can
+        // never cut an assignment the tie test below would admit.
+        let floor = frontier.first().map_or(f64::NEG_INFINITY, |(_, best)| {
+            best.throughput - 10.0 * TIE_EPS
+        });
+        if let Some(score) = ev.score_against(mapping, Floor::AtLeast(floor)) {
+            match frontier.first() {
+                None => frontier.push((mapping.clone(), score)),
+                Some((_, best)) => {
+                    let tied = (score.throughput - best.throughput).abs() <= TIE_EPS;
+                    if better(&score, best) && !tied {
+                        frontier.clear();
+                        frontier.push((mapping.clone(), score));
+                    } else if tied {
+                        // Insert in `better` order, truncating to k entries.
+                        let pos = frontier
+                            .iter()
+                            .position(|(_, s)| better(&score, s))
+                            .unwrap_or(frontier.len());
+                        if pos < k {
+                            frontier.insert(pos, (mapping.clone(), score));
+                            frontier.truncate(k);
+                        }
                     }
                 }
             }
         }
+        if !assignments.advance() {
+            return frontier;
+        }
     }
-    frontier
 }
 
 /// Contiguous DP: splits the stage chain into `hosts.len()` consecutive
@@ -163,7 +189,7 @@ pub fn exhaustive_frontier(
 /// coalesce-vs-spread trade-off. Groups are contiguous in *stage-id
 /// order* — exact for chains, a seed approximation for wider graphs;
 /// `dp_seed` permutes explicit DAGs into topological order first, and
-/// every candidate is re-scored by the graph-aware [`evaluate`] before
+/// every candidate is re-scored by the graph-aware [`Evaluator`] before
 /// anything is adopted.
 pub fn contiguous_dp(
     profile: &PipelineProfile,
@@ -188,18 +214,22 @@ pub fn contiguous_dp(
 /// topological order is the identity permutation, so this reproduces
 /// the historical contiguous seed exactly; on explicit DAGs it keeps
 /// each group a causally-consecutive slice of the pipeline even when
-/// stage ids were declared out of dependency order.
+/// stage ids were declared out of dependency order. Writes the seed
+/// into `assignment` (one host per stage id); `false` when no
+/// finite-cost split exists.
 fn dp_seed(
     profile: &PipelineProfile,
     rates: &[f64],
     topology: &Topology,
     hosts: &[NodeId],
-) -> Option<Mapping> {
+    assignment: &mut [NodeId],
+) -> bool {
     let topo = profile.graph.topo_order();
     let work: Vec<f64> = topo.iter().map(|&s| profile.stage_work[s]).collect();
     let ingress: Vec<u64> = topo.iter().map(|&s| profile.boundary_bytes[s]).collect();
-    let ends = contiguous_dp_ends(&work, &ingress, rates, topology, hosts)?;
-    let mut assignment = vec![NodeId(0); profile.stages()];
+    let Some(ends) = contiguous_dp_ends(&work, &ingress, rates, topology, hosts) else {
+        return false;
+    };
     let mut start = 0usize;
     for (g, &end) in ends.iter().enumerate() {
         for &stage in &topo[start..end] {
@@ -207,7 +237,7 @@ fn dp_seed(
         }
         start = end;
     }
-    Some(Mapping::from_assignment(&assignment))
+    true
 }
 
 /// Core of the contiguous DP over an abstract stage sequence:
@@ -248,27 +278,27 @@ fn contiguous_dp_ends(
         compute + transfer
     };
 
-    // dp[g][s] = minimal bottleneck for stages 0..s in groups 0..=g,
+    // dp[at(g, s)] = minimal bottleneck for stages 0..s in groups 0..=g,
     // with group g ending exactly at s.
-    let mut dp = vec![vec![f64::INFINITY; ns + 1]; k];
-    let mut back = vec![vec![0usize; ns + 1]; k];
-    #[allow(clippy::needless_range_loop)] // `s` is a DP index across two tables
+    let at = |g: usize, s: usize| g * (ns + 1) + s;
+    let mut dp = vec![f64::INFINITY; k * (ns + 1)];
+    let mut back = vec![0usize; k * (ns + 1)];
     for s in 1..=ns {
-        dp[0][s] = group_cost(0, s, 0);
+        dp[at(0, s)] = group_cost(0, s, 0);
     }
     for g in 1..k {
         for s in (g + 1)..=ns {
             // Previous group ends at p; every group needs ≥ 1 stage.
             for p in g..s {
-                let cand = dp[g - 1][p].max(group_cost(p, s, g));
-                if cand < dp[g][s] {
-                    dp[g][s] = cand;
-                    back[g][s] = p;
+                let cand = dp[at(g - 1, p)].max(group_cost(p, s, g));
+                if cand < dp[at(g, s)] {
+                    dp[at(g, s)] = cand;
+                    back[at(g, s)] = p;
                 }
             }
         }
     }
-    if !dp[k - 1][ns].is_finite() {
+    if !dp[at(k - 1, ns)].is_finite() {
         return None;
     }
     // Recover the split points.
@@ -276,72 +306,77 @@ fn contiguous_dp_ends(
     ends[k - 1] = ns;
     let mut s = ns;
     for g in (1..k).rev() {
-        s = back[g][s];
+        s = back[at(g, s)];
         ends[g - 1] = s;
     }
     Some(ends)
 }
 
-/// Steepest-descent local search from `start`.
+/// Steepest-descent local search: descends from the mapping in
+/// `current`, in place, and returns the score of where it stopped.
 ///
 /// Each step first explores only moves touching the current *bottleneck*
 /// nodes (the only moves that can raise throughput); when that
 /// neighbourhood stalls, one full-neighbourhood pass runs to pick up
 /// latency/balance polish, and the search stops when that stalls too.
 pub fn local_search(
-    profile: &PipelineProfile,
-    rates: &[f64],
-    topology: &Topology,
-    start: Mapping,
+    ev: &mut Evaluator<'_>,
+    current: &mut Mapping,
     max_width: usize,
     max_steps: usize,
-) -> (Mapping, Prediction) {
-    let np = rates.len();
-    let mut current = start;
-    let mut current_pred = evaluate(profile, &current, rates, topology);
+) -> Score {
+    let mut current_score = ev.score(current);
     for _ in 0..max_steps {
-        let focus: Vec<NodeId> = match current_pred.bottleneck {
-            crate::model::Bottleneck::Node(n) => vec![n],
-            crate::model::Bottleneck::Link(a, b) => vec![a, b],
+        let (focus, focus_len) = match current_score.bottleneck {
+            Bottleneck::Node(n) => ([n, n], 1),
+            Bottleneck::Link(a, b) => ([a, b], 2),
         };
-        let mut improved = false;
-        for (_, cand) in crate::enumerate::neighbours_touching(
-            &current,
-            np,
-            &profile.stateless,
-            &profile.replica_cap,
-            max_width,
-            Some(&focus),
-        ) {
-            let pred = evaluate(profile, &cand, rates, topology);
-            if better(&pred, &current_pred) {
-                current = cand;
-                current_pred = pred;
-                improved = true;
-            }
-        }
-        if !improved {
+        let focus = Some(&focus[..focus_len]);
+        let step = best_move(ev, current, current_score, max_width, focus)
             // One full pass for polish; stop if even that cannot help.
-            for (_, cand) in neighbours(
-                &current,
-                np,
-                &profile.stateless,
-                &profile.replica_cap,
-                max_width,
-            ) {
-                let pred = evaluate(profile, &cand, rates, topology);
-                if better(&pred, &current_pred) {
-                    current = cand;
-                    current_pred = pred;
-                    improved = true;
+            .or_else(|| best_move(ev, current, current_score, max_width, None));
+        let Some((mv, score)) = step else { break };
+        mv.apply(current);
+        current_score = score;
+    }
+    current_score
+}
+
+/// One pass over the neighbourhood of `current` (restricted to stages
+/// on a `focus` node, when given): the move leading to the best
+/// neighbour that beats `current_score`, with that neighbour's score.
+/// `current` is walked in place and is unchanged on return.
+fn best_move(
+    ev: &mut Evaluator<'_>,
+    current: &mut Mapping,
+    current_score: Score,
+    max_width: usize,
+    focus: Option<&[NodeId]>,
+) -> Option<(Move, Score)> {
+    let profile = ev.profile();
+    let mut best_score = current_score;
+    let mut best_move = None;
+    for_each_neighbour(
+        current,
+        ev.rates().len(),
+        &profile.stateless,
+        &profile.replica_cap,
+        max_width,
+        focus,
+        |mv, cand| {
+            // A candidate below the running best's throughput loses
+            // whatever its latency; one that equals it may still win
+            // the tie-break.
+            let floor = Floor::AtLeast(best_score.throughput);
+            if let Some(score) = ev.score_against(cand, floor) {
+                if better(&score, &best_score) {
+                    best_score = score;
+                    best_move = Some(mv);
                 }
             }
-            if !improved {
-                break;
-            }
-        }
-    }
-    (current, current_pred)
+        },
+    );
+    best_move.map(|mv| (mv, best_score))
 }
 
 /// The planner facade: produces the best mapping it can find for the
@@ -355,64 +390,52 @@ pub fn plan(
     topology: &Topology,
     config: &PlannerConfig,
 ) -> Plan {
-    profile.validate();
+    let mut ev = Evaluator::new(profile, rates, topology);
     assert!(!rates.is_empty(), "need at least one node");
     assert_eq!(rates.len(), topology.len(), "rates must cover the topology");
-    let ns = profile.stages();
-    let np = rates.len();
+    let exhaustive =
+        assignment_count(profile.stages(), rates.len()).is_some_and(|c| c <= config.exhaustive_cap);
+    let replicate = config.max_width > 1;
 
-    if assignment_count(ns, np).is_some_and(|c| c <= config.exhaustive_cap) {
+    let mapping = if exhaustive {
         // Improve the whole tied frontier: equal-throughput optima differ
         // in spread, and only some admit single-step replication gains.
-        let frontier_k = if config.max_width > 1 { 16 } else { 1 };
-        let frontier =
-            exhaustive_frontier(profile, rates, topology, config.exhaustive_cap, frontier_k);
-        let mut best: Option<(Mapping, Prediction)> = None;
-        for (mapping, prediction) in frontier {
-            let (mapping, prediction) = if config.max_width > 1 {
-                replicate::improve(profile, mapping, rates, topology, config.max_width)
-            } else {
-                (mapping, prediction)
-            };
-            if best.as_ref().is_none_or(|(_, b)| better(&prediction, b)) {
-                best = Some((mapping, prediction));
+        let frontier_k = if replicate { 16 } else { 1 };
+        let mut best: Option<(Mapping, Score)> = None;
+        for (mut mapping, mut score) in
+            exhaustive_frontier(&mut ev, config.exhaustive_cap, frontier_k)
+        {
+            if replicate {
+                score = replicate::improve(&mut ev, &mut mapping, config.max_width);
+            }
+            if best.as_ref().is_none_or(|(_, b)| better(&score, b)) {
+                best = Some((mapping, score));
             }
         }
-        let (mapping, prediction) = best.expect("non-empty frontier");
-        return Plan {
-            mapping,
-            prediction,
-            strategy: Strategy::Exhaustive,
-        };
-    }
-
-    let base = plan_large(profile, rates, topology, config);
-    if config.max_width > 1 {
-        let (mapping, prediction) = replicate::improve(
-            profile,
-            base.mapping.clone(),
-            rates,
-            topology,
-            config.max_width,
-        );
-        if better(&prediction, &base.prediction) {
-            return Plan {
-                mapping,
-                prediction,
-                strategy: base.strategy,
-            };
+        best.expect("non-empty frontier").0
+    } else {
+        let mut mapping = plan_large(&mut ev, config);
+        if replicate {
+            // Leaves its input alone or lifts its throughput, so what
+            // it leaves is the plan.
+            replicate::improve(&mut ev, &mut mapping, config.max_width);
         }
+        mapping
+    };
+    Plan {
+        prediction: ev.prediction(&mapping),
+        mapping,
+        strategy: if exhaustive {
+            Strategy::Exhaustive
+        } else {
+            Strategy::LocalSearch
+        },
     }
-    base
 }
 
 /// Large-instance path: DP seed on the fastest nodes + random restarts.
-fn plan_large(
-    profile: &PipelineProfile,
-    rates: &[f64],
-    topology: &Topology,
-    config: &PlannerConfig,
-) -> Plan {
+fn plan_large(ev: &mut Evaluator<'_>, config: &PlannerConfig) -> Mapping {
+    let (profile, rates, topology) = (ev.profile(), ev.rates(), ev.topology());
     let ns = profile.stages();
     let np = rates.len();
     let mut rng = Rng64::new(config.seed);
@@ -425,67 +448,49 @@ fn plan_large(
             .expect("rates must not be NaN")
     });
 
-    let mut best: Option<(Mapping, Prediction)> = None;
-    let consider =
-        |mapping: Mapping, pred: Prediction, best: &mut Option<(Mapping, Prediction)>| {
-            let replace = match best {
-                None => true,
-                Some((_, b)) => better(&pred, b),
-            };
-            if replace {
-                *best = Some((mapping, pred));
-            }
-        };
+    // Every seed descends on `working`; the best descent so far is kept
+    // by swapping the two mappings, so eight searches allocate two.
+    let mut working = Mapping::all_on(NodeId(0), ns);
+    let mut best = working.clone();
+    let mut best_score: Option<Score> = None;
+    let mut descend_from = |assignment: &[NodeId]| {
+        working.assign(assignment);
+        let score = local_search(ev, &mut working, config.max_width, config.max_steps);
+        if best_score.is_none_or(|b| better(&score, &b)) {
+            std::mem::swap(&mut working, &mut best);
+            best_score = Some(score);
+        }
+    };
+    let mut assignment = vec![NodeId(0); ns];
 
     // Seed 1: contiguous DP over the graph's topological order on the
     // fastest k nodes, for geometrically spaced k (every k would
     // multiply planning cost ~linearly in np for marginal gain — the
     // local search bridges nearby k anyway).
     let k_max = ns.min(np);
-    let mut ks: Vec<usize> = std::iter::successors(Some(1usize), |&k| Some(k * 2))
+    let ks = std::iter::successors(Some(1usize), |&k| Some(k * 2))
         .take_while(|&k| k < k_max)
-        .collect();
-    ks.push(k_max);
+        .chain([k_max]);
     for k in ks {
-        if let Some(seed) = dp_seed(profile, rates, topology, &by_rate[..k]) {
-            let (m, p) = local_search(
-                profile,
-                rates,
-                topology,
-                seed,
-                config.max_width,
-                config.max_steps,
-            );
-            consider(m, p, &mut best);
+        if dp_seed(profile, rates, topology, &by_rate[..k], &mut assignment) {
+            descend_from(&assignment);
         }
     }
 
     // Seed 2: random restarts.
     for _ in 0..config.restarts {
-        let assignment: Vec<NodeId> = (0..ns).map(|_| NodeId(rng.next_range(np))).collect();
-        let seed = Mapping::from_assignment(&assignment);
-        let (m, p) = local_search(
-            profile,
-            rates,
-            topology,
-            seed,
-            config.max_width,
-            config.max_steps,
-        );
-        consider(m, p, &mut best);
+        assignment.fill_with(|| NodeId(rng.next_range(np)));
+        descend_from(&assignment);
     }
 
-    let (mapping, prediction) = best.expect("at least one seed ran");
-    Plan {
-        mapping,
-        prediction,
-        strategy: Strategy::LocalSearch,
-    }
+    assert!(best_score.is_some(), "at least one seed ran");
+    best
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::evaluate;
     use adapipe_gridsim::net::LinkSpec;
     use adapipe_gridsim::time::SimDuration;
 
@@ -582,25 +587,13 @@ mod tests {
         profile.replica_cap[0] = 1;
         let rates = [1.0; 4];
         let topo = fast_net(4);
-        let (m, _) = local_search(
-            &profile,
-            &rates,
-            &topo,
-            Mapping::from_assignment(&[n(0)]),
-            4,
-            200,
-        );
+        let mut m = Mapping::from_assignment(&[n(0)]);
+        local_search(&mut Evaluator::new(&profile, &rates, &topo), &mut m, 4, 200);
         assert_eq!(m.placement(0).width(), 1, "cap violated: {m}");
         // With the cap lifted the identical search must widen.
         profile.replica_cap[0] = usize::MAX;
-        let (m, _) = local_search(
-            &profile,
-            &rates,
-            &topo,
-            Mapping::from_assignment(&[n(0)]),
-            4,
-            200,
-        );
+        let mut m = Mapping::from_assignment(&[n(0)]);
+        local_search(&mut Evaluator::new(&profile, &rates, &topo), &mut m, 4, 200);
         assert!(m.placement(0).width() > 1, "uncapped search must widen");
     }
 
@@ -609,8 +602,8 @@ mod tests {
         let profile = PipelineProfile::uniform(vec![1.0, 1.0, 1.0], 0);
         let rates = [1.0, 1.0, 1.0];
         let topo = fast_net(3);
-        let seed = Mapping::all_on(n(0), 3);
-        let (m, p) = local_search(&profile, &rates, &topo, seed, 1, 100);
+        let mut m = Mapping::all_on(n(0), 3);
+        let p = local_search(&mut Evaluator::new(&profile, &rates, &topo), &mut m, 1, 100);
         assert!((p.throughput - 1.0).abs() < 1e-9, "tput={}", p.throughput);
         assert_eq!(m.nodes_used().len(), 3);
     }

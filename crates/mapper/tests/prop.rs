@@ -5,10 +5,12 @@
 //! seeded instances. Failures print the offending case, which
 //! reproduces exactly.
 
+use adapipe_gridsim::fault::FaultPlan;
+use adapipe_gridsim::grid::testbed_hetero8;
 use adapipe_gridsim::net::{LinkSpec, Topology};
 use adapipe_gridsim::node::NodeId;
 use adapipe_gridsim::rng::Rng64;
-use adapipe_gridsim::time::SimDuration;
+use adapipe_gridsim::time::{SimDuration, SimTime};
 use adapipe_mapper::prelude::*;
 
 fn fast_net(np: usize) -> Topology {
@@ -103,7 +105,12 @@ fn replication_pass_never_regresses() {
         let base = to_mapping(&assignment);
         let topo = Topology::uniform(rates.len(), LinkSpec::lan());
         let before = evaluate(&profile, &base, &rates, &topo);
-        let (_, after) = improve(&profile, base, &rates, &topo, 4);
+        let mut widened = base;
+        let after = improve(
+            &mut Evaluator::new(&profile, &rates, &topo),
+            &mut widened,
+            4,
+        );
         assert!(after.throughput >= before.throughput - 1e-12, "case {case}");
     }
 }
@@ -352,4 +359,694 @@ fn unified_walk_matches_a_longest_path_reference_on_series_parallel_shapes() {
             1.0 / got.throughput
         );
     }
+}
+
+/// One seeded planner instance of the golden table.
+struct Golden {
+    profile: PipelineProfile,
+    rates: Vec<f64>,
+    topology: Topology,
+    config: PlannerConfig,
+}
+
+/// A random DAG over `ns` stages with one entry and one exit, its stage
+/// ids shuffled so that they are *not* in dependency order.
+fn shuffled_dag(rng: &mut Rng64, ns: usize) -> StageGraph {
+    let mut edges: Vec<(usize, usize)> = Vec::new();
+    for to in 1..ns {
+        let first = rng.next_range(to);
+        edges.push((first, to));
+        let second = rng.next_range(to);
+        if second != first && rng.next_range(2) == 0 {
+            edges.push((second, to));
+        }
+    }
+    for from in 0..ns - 1 {
+        if !edges.iter().any(|&(f, _)| f == from) {
+            edges.push((from, ns - 1));
+        }
+    }
+    let mut perm: Vec<usize> = (0..ns).collect();
+    for i in (1..ns).rev() {
+        perm.swap(i, rng.next_range(i + 1));
+    }
+    edges
+        .into_iter()
+        .fold(StageGraph::dag(ns), |g, (f, t)| g.edge(perm[f], perm[t]))
+        .build()
+        .expect("generated DAG is valid")
+}
+
+/// Case `case` of the golden table. The must-cover features (shape,
+/// optimiser, dead node, caps, width, source/sink, fusion, symmetry)
+/// are derived from the case index so every one of them appears; the
+/// numbers come from the seeded generator.
+fn golden_instance(case: u64) -> Golden {
+    let mut rng = Rng64::new(0x601D + case);
+    let large = (case / 3) % 2 == 1;
+    let (ns, np) = if large {
+        (6 + rng.next_range(3), 7 + rng.next_range(3))
+    } else {
+        (3 + rng.next_range(3), 3 + rng.next_range(3))
+    };
+    let graph = match case % 3 {
+        0 => StageGraph::linear(ns),
+        1 => {
+            let tail = rng.next_range(ns - 2);
+            let head = ns - 3 - tail;
+            StageGraph::builder()
+                .stages(head)
+                .split(&[1, 1])
+                .stages(tail)
+                .build()
+        }
+        _ => shuffled_dag(&mut rng, ns),
+    };
+    assert_eq!(graph.len(), ns);
+    // Every fourth case is symmetric (equal work, equal rates, uniform
+    // links): throughput and latency tie constantly there, so the
+    // balance tie-break and the frontier order decide the plan.
+    let symmetric = case % 4 == 3;
+    let work: Vec<f64> = (0..ns)
+        .map(|_| {
+            let w = 0.2 + 3.8 * rng.next_unit();
+            if symmetric {
+                1.0
+            } else {
+                w
+            }
+        })
+        .collect();
+    let mut profile = PipelineProfile::uniform(work, 0);
+    let uniform_bytes = rng.next_range(2) == 0;
+    let bytes = 1_000 + rng.next_range(400_000) as u64;
+    profile.boundary_bytes = (0..=ns)
+        .map(|_| {
+            let b = rng.next_range(400_000) as u64;
+            if uniform_bytes {
+                bytes
+            } else {
+                b
+            }
+        })
+        .collect();
+    profile.graph = graph;
+    match case % 5 {
+        1 => profile.replica_cap[rng.next_range(ns)] = 1,
+        2 => {
+            // Keyed state: replicable up to the shard count.
+            profile.replica_cap[rng.next_range(ns)] = 2;
+            profile.replica_cap[rng.next_range(ns)] = 8;
+        }
+        3 => {
+            let s = rng.next_range(ns);
+            profile.stateless[s] = false;
+            profile.replica_cap[s] = 1;
+        }
+        _ => {}
+    }
+    if case % 4 == 1 {
+        profile.source = Some(NodeId(rng.next_range(np)));
+    }
+    if case % 8 >= 5 {
+        profile.sink = Some(NodeId(rng.next_range(np)));
+    }
+    profile.fuses_colocated = case % 6 >= 4;
+
+    let mut rates: Vec<f64> = (0..np)
+        .map(|_| {
+            let r = 0.3 + 3.7 * rng.next_unit();
+            if symmetric {
+                1.0
+            } else {
+                r
+            }
+        })
+        .collect();
+    if case % 7 == 2 {
+        rates[rng.next_range(np)] = 0.0;
+    }
+    let mut topology = if case % 2 == 1 {
+        Topology::clustered(np, 2 + rng.next_range(2), LinkSpec::lan(), LinkSpec::wan())
+    } else {
+        Topology::uniform(np, LinkSpec::lan())
+    };
+    if !symmetric {
+        for _ in 0..rng.next_range(3) {
+            let (a, b) = (rng.next_range(np), rng.next_range(np));
+            if a != b {
+                topology.set(
+                    NodeId(a),
+                    NodeId(b),
+                    LinkSpec::new(SimDuration::from_millis(2 + rng.next_range(40) as u64), 2e6),
+                );
+            }
+        }
+    }
+    let config = PlannerConfig {
+        max_width: [4, 1, 4, 2][(case % 4) as usize],
+        seed: 0xADA9 + case,
+        ..PlannerConfig::default()
+    };
+    Golden {
+        profile,
+        rates,
+        topology,
+        config,
+    }
+}
+
+/// The adaptive simulation scenario (`adabench`'s `sim_*` workloads):
+/// `s0 → (s1 ‖ s2) → s3 → s4 → s5` with ramped work on the hetero8
+/// testbed, whose fastest node drops to 15 % at t = 60 s; planned at
+/// `at_secs`.
+fn sim_scenario(at_secs: f64) -> Golden {
+    let mut profile = PipelineProfile::uniform(vec![0.4, 0.6, 0.8, 1.0, 1.2, 1.4], 32 << 10);
+    profile.graph = StageGraph::builder()
+        .stages(1)
+        .split(&[1, 1])
+        .stages(2)
+        .build();
+    let mut grid = testbed_hetero8(7);
+    FaultPlan::new()
+        .slowdown(
+            NodeId(0),
+            SimTime::from_secs_f64(60.0),
+            SimTime::from_secs_f64(1e9),
+            0.15,
+        )
+        .apply(&mut grid);
+    Golden {
+        profile,
+        rates: grid.rates_at(SimTime::from_secs_f64(at_secs)),
+        topology: grid.topology().clone(),
+        config: PlannerConfig::default(),
+    }
+}
+
+/// `plan()` on the golden instances as generated at the commit *before*
+/// the planner's inner loop moved onto the in-place `Evaluator`
+/// workspace: mapping notation, `throughput.to_bits()`,
+/// `latency.to_bits()`, strategy (`E`xhaustive / `L`ocal search). The
+/// planner may get faster; it may not decide differently by one bit.
+const GOLDEN: &[(&str, u64, u64, char)] = &[
+    (
+        "(n2 n0 {n1,n2} n1)",
+        0x3fd4e74f4d53449d,
+        0x402139ebd29e274c,
+        'E',
+    ),
+    ("(n0 n1 n2)", 0x3ff0fbef6c3f3ab0, 0x3ffc122f8f73a732, 'E'),
+    (
+        "(n1 n1 n1 n2 n2)",
+        0x3fd398048e7029c6,
+        0x401a9e3ad80fd18e,
+        'E',
+    ),
+    (
+        "(n0 n1 {n2,n3} {n3,n4} {n4,n5} {n5,n7} {n6,n7})",
+        0x3ff0000000000000,
+        0x401c359c9518f8c2,
+        'L',
+    ),
+    (
+        "({n0,n2,n3,n7} {n1,n8} n5 {n4,n6,n8} {n0,n1,n2,n4} {n0,n1,n4,n7} {n0,n4,n5,n8})",
+        0x3ff2f6428e5e3b17,
+        0x401951d80dce286d,
+        'L',
+    ),
+    (
+        "(n2 n8 n3 n1 n7 n4 n6)",
+        0x3fee1dac1489dbd1,
+        0x400f17f03b1042dc,
+        'L',
+    ),
+    (
+        "(n0 n1 n0 n3 {n1,n2})",
+        0x3fe4848c44cf20ee,
+        0x4015fa722b3746d8,
+        'E',
+    ),
+    ("(n1 n2 n0)", 0x3ff0000000000000, 0x400037ada8d65eac, 'E'),
+    (
+        "(n4 {n0,n2,n3} n2 {n0,n4} n1)",
+        0x3fed2e127fe801aa,
+        0x400fd06fcf2f2d85,
+        'E',
+    ),
+    (
+        "(n3 n5 n2 n2 n3 n5 n1 n0)",
+        0x3fecbb721f8b1652,
+        0x4014b8e2e36f91c5,
+        'L',
+    ),
+    (
+        "(n2 n4 {n2,n6} n1 {n1,n3,n5} n0 {n3,n6} {n3,n6})",
+        0x3feb0900b39dfc77,
+        0x40186887c35cdf5c,
+        'L',
+    ),
+    (
+        "({n1,n4} n2 n3 {n0,n5} {n1,n5} {n6,n7})",
+        0x3ff0000000000000,
+        0x40102a188dd5ec05,
+        'L',
+    ),
+    ("(n2 n0 n1 n0)", 0x3feafcde18cdf85c, 0x400a0778aceaa4da, 'E'),
+    ("(n0 n0 n3 n2)", 0x3fddb7c8566b6fb1, 0x400d3f84543de340, 'E'),
+    ("(n2 n0 n2 n0)", 0x3fe02578d047a618, 0x400fba4857b5fa9c, 'E'),
+    (
+        "({n0,n1} n3 n2 n5 n4 n7 n6)",
+        0x3ff0000000000000,
+        0x401c6930e6db496f,
+        'L',
+    ),
+    (
+        "({n0,n2,n3,n6} n4 n4 n1 {n2,n5} {n0,n2,n3,n6} {n0,n2})",
+        0x3feafd01d5383eac,
+        0x4018764285e8c15e,
+        'L',
+    ),
+    (
+        "(n1 n4 n3 n5 n5 n6 n7 n3)",
+        0x3ff0e9b222d9a38b,
+        0x40066cd95bf79b6f,
+        'L',
+    ),
+    (
+        "({n0,n2} n1 n0 {n1,n2} n1)",
+        0x3fd9a4c06277d806,
+        0x401c9a55284774ae,
+        'E',
+    ),
+    ("(n0 n1 n2 n3)", 0x3ff0000000000000, 0x400848088c047473, 'E'),
+    ("(n1 n1 n0 n2)", 0x3fd743368dbb22a2, 0x401da17cc6288298, 'E'),
+    (
+        "(n3 n7 n8 n8 n8 n3)",
+        0x3feebb67c095817a,
+        0x4006911d30e65de2,
+        'L',
+    ),
+    (
+        "(n6 {n0,n5} {n1,n4} {n1,n5,n7} {n2,n3,n4,n6} {n1,n3} {n2,n3})",
+        0x3fee40903ac39398,
+        0x401ac8bb92b4a496,
+        'L',
+    ),
+    (
+        "({n0,n1} n6 n0 n3 {n4,n5} n4 n1 n5)",
+        0x3fe5555555555555,
+        0x40102aff7f73f5e8,
+        'L',
+    ),
+    (
+        "(n0 n2 n1 n0 n3)",
+        0x3ff259376bc99d6f,
+        0x40065e2ea99990ab,
+        'E',
+    ),
+    ("(n1 n3 n1)", 0x3fe6ad4248769dfe, 0x3ff8ef84991733e3, 'E'),
+    (
+        "(n2 n0 n0 n2 n1)",
+        0x3fd3d27ec5733038,
+        0x401d386caa249a58,
+        'E',
+    ),
+    (
+        "({n0,n1} {n1,n2} {n2,n3} {n3,n4} {n4,n5} {n5,n7} {n6,n7})",
+        0x3ff0000000000000,
+        0x401c2e9ac3eeb55d,
+        'L',
+    ),
+    (
+        "({n0,n3,n4} n2 n7 {n3,n5} n3 n4 {n0,n2,n4} n1)",
+        0x3fecc494e1d5a635,
+        0x4019708a1fac4c1a,
+        'L',
+    ),
+    (
+        "(n1 n0 n2 n7 n3 n0)",
+        0x3fe60595d3ea60e2,
+        0x4016439b209b036a,
+        'L',
+    ),
+    (
+        "({n1,n4} {n0,n1,n2,n4} {n1,n4})",
+        0x4000435762124304,
+        0x3ffb37a5d4bf746a,
+        'E',
+    ),
+    ("(n0 n1 n2 n3)", 0x3ff0000000000000, 0x40086427efa1fdb0, 'E'),
+    ("(n1 n2 n0)", 0x3fffc9c4c56c2cdc, 0x3ff41abcb6534906, 'E'),
+    (
+        "(n1 n2 n3 n1 n7 n7 n6 n3)",
+        0x3fe098889436203f,
+        0x402202129831018e,
+        'L',
+    ),
+    (
+        "({n0,n2,n7} {n1,n5,n7,n8} {n4,n5,n6,n8} {n2,n4,n6} {n0,n3,n4,n5} n4 {n2,n4,n7})",
+        0x3ffc133cff9a7d1d,
+        0x4011a71f446676ff,
+        'L',
+    ),
+    (
+        "(n5 {n0,n2} {n3,n4} {n0,n1} {n2,n4} n6)",
+        0x3ff0000000000000,
+        0x40102e5e2d9d4724,
+        'L',
+    ),
+    (
+        "({n1,n2} n0 {n0,n1})",
+        0x3fe041bc5eaa7d73,
+        0x4014fd9668a43d55,
+        'E',
+    ),
+    ("(n1 n1 n0 n1)", 0x3fd91c813874cd03, 0x40106a82b1d88f40, 'E'),
+    ("(n1 n3 n0)", 0x3ff0ff35d6e2f0e5, 0x40051e01000e55bc, 'E'),
+    (
+        "(n0 n1 n2 n3 n4 n5)",
+        0x3ff0000000000000,
+        0x4018231dc7104a4f,
+        'L',
+    ),
+    (
+        "({n4,n5,n7,n8} n5 {n1,n4,n7,n8} {n0,n3,n4,n7} {n0,n8} {n0,n7} {n2,n6,n7} n4)",
+        0x3fed0a084ac61d65,
+        0x401e6761f1d08c76,
+        'L',
+    ),
+    (
+        "(n5 n2 n4 n1 n3 n4)",
+        0x3fefff2ad06ec7bf,
+        0x40052d7220a41e05,
+        'L',
+    ),
+    (
+        "(n3 {n1,n2} n0 n1)",
+        0x3fec41a187d7be18,
+        0x40120ae3a0e4feee,
+        'E',
+    ),
+    (
+        "(n0 n1 n2 n3 n4)",
+        0x3ff0000000000000,
+        0x40102aa92eeb837a,
+        'E',
+    ),
+    ("(n1 n3 n2)", 0x3fee212fb1a85f09, 0x40069052c07f2f4c, 'E'),
+    (
+        "(n3 n3 n3 n6 n6 n5)",
+        0x3fec87ea0941cb5e,
+        0x4006879458049f92,
+        'L',
+    ),
+    (
+        "({n0,n7} {n0,n1,n4,n5} n4 {n0,n1,n2} {n0,n1,n5,n6} n6 {n3,n6})",
+        0x3ff8241dd5b60954,
+        0x40127547b231bec8,
+        'L',
+    ),
+    (
+        "(n5 {n2,n6} n4 n3 n0 n1)",
+        0x3ff0000000000000,
+        0x40103aa5ae587616,
+        'L',
+    ),
+    (
+        "(n4 n2 {n0,n3,n4,n5} n1 {n0,n2,n3,n6} n0)",
+        0x3ff9435e50d79436,
+        0x400bcd9d63b0e17f,
+        'L',
+    ),
+    (
+        "({n1,n3} {n1,n4} n1 n2 {n4,n5} {n0,n2,n3,n6})",
+        0x3ff1c71c71c71c72,
+        0x4014574e63c01d9a,
+        'L',
+    ),
+];
+
+#[test]
+fn plan_matches_the_golden_table_bit_for_bit() {
+    let rows: Vec<(String, u64, u64, char)> = (0..48)
+        .map(golden_instance)
+        .chain([sim_scenario(0.0), sim_scenario(90.0)])
+        .map(|g| {
+            let plan = plan(&g.profile, &g.rates, &g.topology, &g.config);
+            let strategy = match plan.strategy {
+                Strategy::Exhaustive => 'E',
+                Strategy::LocalSearch => 'L',
+            };
+            (
+                plan.mapping.notation(),
+                plan.prediction.throughput.to_bits(),
+                plan.prediction.latency.to_bits(),
+                strategy,
+            )
+        })
+        .collect();
+    let same = rows.len() == GOLDEN.len()
+        && rows
+            .iter()
+            .zip(GOLDEN)
+            .all(|(r, g)| (r.0.as_str(), r.1, r.2, r.3) == *g);
+    if !same {
+        for (case, r) in rows.iter().enumerate() {
+            let mark = match GOLDEN.get(case) {
+                Some(g) if (r.0.as_str(), r.1, r.2, r.3) == *g => "",
+                _ => " // DIFFERS",
+            };
+            println!(
+                "    ({:?}, {:#018x}, {:#018x}, {:?}),{mark}",
+                r.0, r.1, r.2, r.3
+            );
+        }
+        panic!("plan() no longer reproduces the golden table (actual rows printed above)");
+    }
+}
+
+/// The model written the obvious way, one mapping at a time: per-call
+/// vectors, a map of link cells, `transfer_time` asked of the topology
+/// for every replica pair. It accumulates in the order the
+/// [`Evaluator`] does — stage order for node loads, topological edge
+/// order for link cells — so the two must agree to the last bit.
+fn naive_prediction(
+    p: &PipelineProfile,
+    m: &Mapping,
+    rates: &[f64],
+    topo: &Topology,
+) -> Prediction {
+    let hosts = |s: usize| m.placement(s).hosts();
+    let mut node_load = vec![0.0f64; rates.len()];
+    let mut dead = false;
+    for s in 0..p.stages() {
+        let share = 1.0 / hosts(s).len() as f64;
+        for h in hosts(s) {
+            if rates[h.index()] <= 0.0 {
+                dead = true;
+            } else {
+                node_load[h.index()] += p.stage_work[s] / rates[h.index()] * share;
+            }
+        }
+    }
+    let mut busiest_node = (0.0f64, 0usize);
+    for (i, &load) in node_load.iter().enumerate() {
+        if load > busiest_node.0 {
+            busiest_node = (load, i);
+        }
+    }
+    if dead {
+        return Prediction {
+            throughput: 0.0,
+            latency: f64::INFINITY,
+            bottleneck: Bottleneck::Node(NodeId(busiest_node.1)),
+            node_load,
+        };
+    }
+
+    let mut links = std::collections::BTreeMap::<(NodeId, NodeId), f64>::new();
+    let mut wire = |from: &[NodeId], to: &[NodeId], bytes: u64| -> f64 {
+        if bytes == 0 {
+            return 0.0;
+        }
+        let frac = 1.0 / (from.len() * to.len()) as f64;
+        let mut expected = 0.0;
+        for &a in from {
+            for &b in to {
+                let t = topo.transfer_time(a, b, bytes).as_secs_f64();
+                expected += frac * t;
+                if a != b {
+                    *links.entry((a, b)).or_insert(0.0) += frac * t;
+                }
+            }
+        }
+        expected
+    };
+    let fused = |f: usize, t: usize| {
+        p.fuses_colocated
+            && p.stateless[t]
+            && p.graph.succs(f) == [t]
+            && p.graph.preds(t) == [f]
+            && hosts(f).len() == 1
+            && hosts(f) == hosts(t)
+    };
+    let mut done = vec![0.0f64; p.stages()];
+    for &s in p.graph.topo_order() {
+        let mut arrive = 0.0f64;
+        if p.graph.preds(s).is_empty() {
+            if let Some(src) = p.source {
+                arrive = wire(&[src], hosts(s), p.boundary_bytes[0]);
+            }
+        }
+        for &f in p.graph.preds(s) {
+            let hop = if fused(f, s) {
+                0.0
+            } else {
+                wire(hosts(f), hosts(s), p.boundary_bytes[f + 1])
+            };
+            arrive = arrive.max(done[f] + hop);
+        }
+        let service = hosts(s)
+            .iter()
+            .map(|h| p.stage_work[s] / rates[h.index()])
+            .sum::<f64>()
+            / hosts(s).len() as f64;
+        done[s] = arrive + service;
+    }
+    let exit = p.graph.exit();
+    let mut latency = done[exit];
+    if let Some(dst) = p.sink {
+        latency += wire(hosts(exit), &[dst], p.boundary_bytes[exit + 1]);
+    }
+    let mut busiest_link = (0.0f64, NodeId(0), NodeId(0));
+    for (&(a, b), &secs) in &links {
+        if secs > busiest_link.0 {
+            busiest_link = (secs, a, b);
+        }
+    }
+    let (bottleneck, period) = if busiest_link.0 > busiest_node.0 {
+        (
+            Bottleneck::Link(busiest_link.1, busiest_link.2),
+            busiest_link.0,
+        )
+    } else {
+        (Bottleneck::Node(NodeId(busiest_node.1)), busiest_node.0)
+    };
+    Prediction {
+        throughput: if period > 0.0 {
+            1.0 / period
+        } else {
+            f64::INFINITY
+        },
+        latency,
+        bottleneck,
+        node_load,
+    }
+}
+
+/// A random, possibly replicated mapping of `ns` stages over `np` nodes.
+fn replicated_mapping(rng: &mut Rng64, ns: usize, np: usize) -> Mapping {
+    Mapping::new(
+        (0..ns)
+            .map(|_| {
+                let width = 1 + rng.next_range(3);
+                Placement::replicated((0..width).map(|_| NodeId(rng.next_range(np))).collect())
+            })
+            .collect(),
+    )
+}
+
+/// The workspace evaluator and the one-shot `evaluate` both equal the
+/// naive model on every field, over the golden instances (chains,
+/// blocks, shuffled DAGs, dead nodes, source/sink, fusion, mixed
+/// boundary sizes) under random replicated mappings — and one
+/// evaluator scoring mapping after mapping carries nothing over.
+#[test]
+fn evaluator_equals_the_naive_model_on_every_field() {
+    for case in 0..48 {
+        let g = golden_instance(case);
+        let mut rng = Rng64::new(0xE7A1 + case);
+        let mut ev = Evaluator::new(&g.profile, &g.rates, &g.topology);
+        for _ in 0..8 {
+            let m = replicated_mapping(&mut rng, g.profile.stages(), g.rates.len());
+            let want = naive_prediction(&g.profile, &m, &g.rates, &g.topology);
+            for got in [
+                ev.prediction(&m),
+                evaluate(&g.profile, &m, &g.rates, &g.topology),
+            ] {
+                assert_eq!(got.throughput, want.throughput, "case {case}: {m}");
+                assert_eq!(got.latency, want.latency, "case {case}: {m}");
+                assert_eq!(got.bottleneck, want.bottleneck, "case {case}: {m}");
+                assert_eq!(got.node_load, want.node_load, "case {case}: {m}");
+            }
+            let score = ev.score(&m);
+            let sumsq = want.node_load.iter().map(|l| l * l).sum::<f64>();
+            assert_eq!(
+                (
+                    score.throughput,
+                    score.latency,
+                    score.bottleneck,
+                    score.balance
+                ),
+                (want.throughput, want.latency, want.bottleneck, sumsq),
+                "case {case}: {m}"
+            );
+        }
+    }
+}
+
+/// The floor is exact. Whenever `score_against` declines to score a
+/// mapping, the full score's throughput really is under the floor
+/// (`<` for `AtLeast`, `<=` for `Above`); whenever it does score, the
+/// score is the full one. Floors sit around, and exactly on, both the
+/// mapping's throughput and the bound its node loads give.
+#[test]
+fn a_pruned_candidate_is_always_below_the_floor() {
+    let (mut pruned, mut scored) = (0, 0);
+    for case in 0..48 {
+        let g = golden_instance(case);
+        let mut rng = Rng64::new(0xF100 + case);
+        let mut ev = Evaluator::new(&g.profile, &g.rates, &g.topology);
+        for _ in 0..8 {
+            let m = replicated_mapping(&mut rng, g.profile.stages(), g.rates.len());
+            let full = ev.score(&m);
+            let pred = ev.prediction(&m);
+            let node_bound = 1.0 / pred.node_load.iter().fold(0.0f64, |a, &b| a.max(b));
+            let spread = 0.5 + rng.next_unit();
+            for at in [
+                full.throughput,
+                node_bound,
+                full.throughput * spread,
+                node_bound * spread,
+                0.0,
+            ] {
+                for floor in [Floor::AtLeast(at), Floor::Above(at)] {
+                    match ev.score_against(&m, floor) {
+                        Some(score) => {
+                            scored += 1;
+                            assert_eq!(score, full, "case {case}: {m} against {floor:?}");
+                        }
+                        None => {
+                            pruned += 1;
+                            let below = match floor {
+                                Floor::AtLeast(least) => full.throughput < least,
+                                Floor::Above(bar) => full.throughput <= bar,
+                            };
+                            assert!(
+                                below,
+                                "case {case}: {m} pruned against {floor:?} but scores {}",
+                                full.throughput
+                            );
+                            assert!(full.throughput > 0.0, "case {case}: dead {m} was pruned");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        pruned > 200 && scored > 200,
+        "pruned {pruned}, scored {scored}"
+    );
 }

@@ -32,6 +32,7 @@ use adapipe_gridsim::net::Topology;
 use adapipe_gridsim::time::{SimDuration, SimTime};
 use adapipe_mapper::mapping::Mapping;
 use adapipe_mapper::model::{evaluate, PipelineProfile};
+use adapipe_mapper::search::Plan;
 use adapipe_monitor::sensor::NoisyChannel;
 use adapipe_state::{owner_of, StateAccess};
 use std::sync::RwLock;
@@ -394,9 +395,12 @@ impl AdaptationLoop {
             remaining,
             &self.cfg.state_bytes,
         );
-        let new_mapping = accepted?;
-        self.expected_tput =
-            evaluate(&self.cfg.profile, &new_mapping, &rates, &self.cfg.topology).throughput;
+        let Plan {
+            mapping: new_mapping,
+            prediction,
+            ..
+        } = accepted?;
+        self.expected_tput = prediction.throughput;
         // Never arm the regret guard on a recovery mapping: a revert
         // would re-adopt the mapping that includes the dead node.
         self.guard_prev = None;
@@ -553,10 +557,13 @@ impl AdaptationLoop {
                 remaining,
                 &self.cfg.state_bytes,
             );
-            if let Some(new_mapping) = accepted {
-                self.expected_tput =
-                    evaluate(&self.cfg.profile, &new_mapping, &rates, &self.cfg.topology)
-                        .throughput;
+            if let Some(Plan {
+                mapping: new_mapping,
+                prediction,
+                ..
+            }) = accepted
+            {
+                self.expected_tput = prediction.throughput;
                 self.guard_prev = Some((current, self.ticks_seen));
                 self.guard_bad = 0;
                 committed = Some(self.apply(backend, routing, new_mapping, now));

@@ -17,7 +17,7 @@ use adapipe_gridsim::time::{SimDuration, SimTime};
 use adapipe_mapper::decide::{should_remap, Decision, DecisionConfig};
 use adapipe_mapper::mapping::Mapping;
 use adapipe_mapper::model::{evaluate, PipelineProfile, Prediction};
-use adapipe_mapper::search::{plan, PlannerConfig};
+use adapipe_mapper::search::{plan, Plan, PlannerConfig};
 use adapipe_monitor::periodicity::PeriodicityDetector;
 use adapipe_monitor::sensor::{ForecasterKind, MetricBank};
 
@@ -194,9 +194,10 @@ impl Controller {
         cost
     }
 
-    /// One full adaptation cycle. Returns the accepted new mapping and
-    /// the recorded [`AdaptationEvent`], or `None` to keep the current
-    /// mapping.
+    /// One full adaptation cycle. Returns the accepted plan — the new
+    /// mapping with the model's prediction for it under `rates` — and
+    /// records an [`AdaptationEvent`], or returns `None` to keep the
+    /// current mapping.
     #[allow(clippy::too_many_arguments)]
     pub fn consider(
         &mut self,
@@ -207,7 +208,7 @@ impl Controller {
         current: &Mapping,
         remaining_items: u64,
         state_bytes: &[u64],
-    ) -> Option<Mapping> {
+    ) -> Option<Plan> {
         self.plans_evaluated += 1;
         let candidate = plan(profile, rates, topology, &self.cfg.planner);
         if candidate.mapping == *current {
@@ -248,7 +249,7 @@ impl Controller {
                     migration_cost: migration,
                 };
                 self.events.push(event);
-                Some(candidate.mapping)
+                Some(candidate)
             }
         }
     }
@@ -343,7 +344,13 @@ mod tests {
         };
         // First verdict is only a vote (confirm_ticks = 2 by default).
         assert!(consider(&mut c, 20.0).is_none(), "first vote must not act");
-        let new = consider(&mut c, 25.0).expect("second consecutive vote acts");
+        let accepted = consider(&mut c, 25.0).expect("second consecutive vote acts");
+        let new = &accepted.mapping;
+        // The verdict carries the model's prediction for the accepted
+        // mapping, so the runtime need not evaluate it again.
+        let again = evaluate(&profile, new, &rates, &topo(3));
+        assert_eq!(accepted.prediction.throughput, again.throughput);
+        assert_eq!(accepted.prediction.node_load, again.node_load);
         assert!(
             !new.placements()
                 .iter()

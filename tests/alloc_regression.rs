@@ -1,17 +1,29 @@
-//! Allocation regression gate for the threaded hot path.
+//! Allocation regression gate for the threaded hot path and for the
+//! planner's inner loop.
 //!
 //! The data plane promises O(batches) — not O(items) — heap traffic in
 //! steady state: payloads ≤ 3 words ride inline in `Payload`, envelope
 //! and sink buffers recycle through pools, and the stride-sampled fast
-//! path batches its bookkeeping. This test pins that property with a
-//! counting global allocator: growing the stream by 100k items must add
-//! far fewer than one allocation per item. It lives alone in this
-//! binary so no concurrent test pollutes the counter.
+//! path batches its bookkeeping. The planner promises that scoring a
+//! candidate mapping allocates nothing: one `Evaluator` workspace per
+//! `plan()`, candidates shown in place on one working mapping. These
+//! tests pin both with a counting global allocator. The counter is
+//! process-wide, so the tests of this binary take turns ([`exclusive`]).
 
 use adapipe::api::{Backend, Pipeline, RunConfig};
 use adapipe_engine::vnode::VNodeSpec;
+use adapipe_gridsim::fault::FaultPlan;
+use adapipe_gridsim::grid::testbed_hetero8;
+use adapipe_gridsim::net::{LinkSpec, Topology};
+use adapipe_gridsim::node::NodeId;
+use adapipe_gridsim::time::SimTime;
+use adapipe_mapper::graph::StageGraph;
+use adapipe_mapper::mapping::Mapping;
+use adapipe_mapper::model::{Evaluator, PipelineProfile};
+use adapipe_mapper::search::{local_search, plan, PlannerConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Counts every allocation (and reallocation — a grow is new heap
 /// traffic) while delegating to the system allocator.
@@ -38,6 +50,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Held by a test while it reads the counter: another test's
+/// allocations must not land in its measurement.
+fn exclusive() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    // A failed test poisons the lock; the others still measure alone.
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Allocations made while `f` runs.
+fn allocations_in<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let out = f();
+    (out, ALLOCS.load(Ordering::Relaxed) - before)
+}
+
 /// The hotpath bench shape: two trivial stages, batched envelopes.
 fn run(items: u64) {
     let outcome = Pipeline::<u64>::builder()
@@ -60,6 +87,7 @@ fn run(items: u64) {
 
 #[test]
 fn steady_state_allocations_do_not_scale_per_item() {
+    let _turn = exclusive();
     // Warm-up: fills the buffer pools, lazy statics, and thread-local
     // machinery so both measured runs start from the same steady state.
     run(20_000);
@@ -81,5 +109,68 @@ fn steady_state_allocations_do_not_scale_per_item() {
         "100k extra items cost {delta} extra allocations \
          (small run {small}, large run {large}) — something on the hot \
          path allocates per item"
+    );
+}
+
+/// One planning cycle of the adaptive simulation scenario (`adabench`'s
+/// `sim_*` workloads): `s0 → (s1 ‖ s2) → s3 → s4 → s5` with ramped
+/// work on the hetero8 testbed, 30 s after its fastest node dropped to
+/// 15 %. 8^6 assignments: the local-search path, ~4,000 candidates.
+#[test]
+fn one_plan_allocates_a_bounded_handful() {
+    let _turn = exclusive();
+    let mut profile = PipelineProfile::uniform(vec![0.4, 0.6, 0.8, 1.0, 1.2, 1.4], 32 << 10);
+    profile.graph = StageGraph::builder()
+        .stages(1)
+        .split(&[1, 1])
+        .stages(2)
+        .build();
+    let mut grid = testbed_hetero8(7);
+    FaultPlan::new()
+        .slowdown(
+            NodeId(0),
+            SimTime::from_secs_f64(60.0),
+            SimTime::from_secs_f64(1e9),
+            0.15,
+        )
+        .apply(&mut grid);
+    let rates = grid.rates_at(SimTime::from_secs_f64(90.0));
+    let config = PlannerConfig::default();
+
+    let (planned, allocs) = allocations_in(|| plan(&profile, &rates, grid.topology(), &config));
+    assert!(planned.prediction.throughput > 0.0);
+    // The workspace, eight seeds (DP tables, seed mappings), placements
+    // growing as they widen, the returned prediction. Cloning a mapping
+    // per candidate cost ~40,000.
+    assert!(
+        allocs <= 100,
+        "one plan() made {allocs} allocations — a candidate allocates again"
+    );
+}
+
+/// A long local search — twelve stages all on one of sixteen nodes, a
+/// dozen steps of ~200–400 candidates each — allocates per *stage*
+/// (a placement's host list grows the first time it widens), not per
+/// step and not per candidate.
+#[test]
+fn local_search_allocates_per_stage_not_per_candidate() {
+    let _turn = exclusive();
+    let (ns, np) = (12, 16);
+    let work = (0..ns).map(|s| 1.0 + 0.1 * s as f64).collect();
+    let profile = PipelineProfile::uniform(work, 1_000);
+    let rates = vec![1.0; np];
+    let topology = Topology::uniform(np, LinkSpec::lan());
+    let start = Mapping::all_on(NodeId(0), ns);
+    let mut ev = Evaluator::new(&profile, &rates, &topology);
+
+    let mut found = start.clone();
+    let (score, allocs) = allocations_in(|| local_search(&mut ev, &mut found, 4, 200));
+    let steps = start.diff(&found).len();
+    assert!(steps >= ns - 1, "the search barely moved: {found}");
+    assert!(score.throughput > 0.5, "{found} scores {score:?}");
+    let budget = 2 * ns as u64 + 4;
+    assert!(
+        allocs <= budget,
+        "{steps}+ steps made {allocs} allocations (budget {budget})"
     );
 }
