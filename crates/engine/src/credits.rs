@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 /// item, the collector releases it at the sink. See the module docs for
 /// why the bound is end-to-end rather than per-channel blocking sends.
 pub(crate) struct Credits {
-    available: Mutex<u64>,
+    gate: Mutex<Gate>,
     freed: Condvar,
     /// Raised at fatal teardown: nothing will ever release a slot
     /// again, so blocked pushers must wake and give up instead of
@@ -19,11 +19,29 @@ pub(crate) struct Credits {
     broken: AtomicBool,
 }
 
+struct Gate {
+    available: u64,
+    /// Pushers inside `freed.wait` right now. A release notifies only
+    /// when there is one: on a futex condvar `notify_*` is a system
+    /// call whether or not anyone listens, and the collector releases
+    /// once per finished envelope.
+    waiters: u32,
+}
+
+impl Gate {
+    fn take(&mut self) {
+        self.available = self.available.saturating_sub(1);
+    }
+}
+
 impl Credits {
     pub(crate) fn new(capacity: u64) -> Self {
         assert!(capacity > 0, "credit capacity must be positive");
         Credits {
-            available: Mutex::new(capacity),
+            gate: Mutex::new(Gate {
+                available: capacity,
+                waiters: 0,
+            }),
             freed: Condvar::new(),
             broken: AtomicBool::new(false),
         }
@@ -33,16 +51,18 @@ impl Credits {
     /// `None` if a slot was immediately available (or the gate broke).
     #[inline]
     pub(crate) fn acquire(&self) -> Option<Duration> {
-        let mut available = self.available.lock().expect("credit lock poisoned");
-        if *available > 0 || self.broken.load(Ordering::SeqCst) {
-            *available = available.saturating_sub(1);
+        let mut gate = self.gate.lock().expect("credit lock poisoned");
+        if gate.available > 0 || self.broken.load(Ordering::SeqCst) {
+            gate.take();
             return None;
         }
         let t0 = Instant::now();
-        while *available == 0 && !self.broken.load(Ordering::SeqCst) {
-            available = self.freed.wait(available).expect("credit lock poisoned");
+        gate.waiters += 1;
+        while gate.available == 0 && !self.broken.load(Ordering::SeqCst) {
+            gate = self.freed.wait(gate).expect("credit lock poisoned");
         }
-        *available = available.saturating_sub(1);
+        gate.waiters -= 1;
+        gate.take();
         Some(t0.elapsed())
     }
 
@@ -52,9 +72,9 @@ impl Credits {
     /// it can keep buffering input or must flush before blocking.
     #[inline]
     pub(crate) fn try_acquire(&self) -> bool {
-        let mut available = self.available.lock().expect("credit lock poisoned");
-        if *available > 0 || self.broken.load(Ordering::SeqCst) {
-            *available = available.saturating_sub(1);
+        let mut gate = self.gate.lock().expect("credit lock poisoned");
+        if gate.available > 0 || self.broken.load(Ordering::SeqCst) {
+            gate.take();
             true
         } else {
             false
@@ -63,8 +83,13 @@ impl Credits {
 
     #[inline]
     pub(crate) fn release_n(&self, n: u64) {
-        let mut available = self.available.lock().expect("credit lock poisoned");
-        *available += n;
+        let mut gate = self.gate.lock().expect("credit lock poisoned");
+        gate.available += n;
+        // A waiter registers under this lock before it waits, so a
+        // zero here means nobody can be asleep on `freed`.
+        if gate.waiters == 0 {
+            return;
+        }
         if n == 1 {
             self.freed.notify_one();
         } else {
@@ -74,7 +99,7 @@ impl Credits {
 
     /// Wakes every blocked pusher permanently (fatal teardown).
     pub(crate) fn break_gate(&self) {
-        let _guard = self.available.lock().expect("credit lock poisoned");
+        let _guard = self.gate.lock().expect("credit lock poisoned");
         self.broken.store(true, Ordering::SeqCst);
         self.freed.notify_all();
     }

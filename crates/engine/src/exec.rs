@@ -1,9 +1,11 @@
 //! The threaded execution engine.
 //!
 //! One worker thread per virtual node; items travel in type-erased
-//! *batched envelopes* (up to `EngineConfig::batch_size` items each)
-//! through per-worker inboxes. Routing is lock-free on the hot path:
-//! senders route each batch against an immutable [`RoutingSnapshot`]
+//! *batched envelopes* (up to `EngineConfig::batch_size` items each as
+//! sent; a worker that finds a backlog of them merges it, one clock
+//! window at a time) through per-worker inboxes. Routing is lock-free
+//! on the hot path: senders route each batch against an immutable
+//! [`RoutingSnapshot`]
 //! cached per thread and revalidated with one atomic epoch load — the
 //! controller re-maps a *running* pipeline by publishing a new snapshot
 //! (never by stalling readers behind a lock). Every envelope carries
@@ -113,7 +115,7 @@ use adapipe_runtime::session::{RunError, RunEvent, RunHooks, SessionControl, Ses
 use adapipe_state::{shard_of, StateAccess, StateSnapshot};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -170,9 +172,11 @@ pub struct EngineConfig {
     /// Envelope batch granularity: the session coalesces up to this
     /// many pushed items into one routed envelope, and stage exits ship
     /// their outputs in like-sized batches, amortising channel-send,
-    /// routing, and credit overhead. `1` (the default) reproduces the
-    /// per-item wire behaviour exactly; the credit gate always accounts
-    /// per *item* regardless. Buffered input is flushed on
+    /// routing, and credit overhead. A sender-side choice only: at `1`
+    /// (the default) every push ships at once, and a worker that finds
+    /// a backlog merges it into stride-sized envelopes itself (the
+    /// inbox's `pop`). The credit gate always accounts per *item*
+    /// regardless. Buffered input is flushed on
     /// [`EngineSession::close`], on any output-side call, and whenever
     /// the credit gate would block.
     pub batch_size: usize,
@@ -501,6 +505,14 @@ pub(crate) struct Shared {
     /// Workers that have processed this tenant's [`Ctrl::TenantGone`];
     /// teardown waits for all of them before reading `accs`.
     detached: AtomicU64,
+    /// Per stage, the stamp stride ([`FusionPlan`]) of the worker that
+    /// adapted it last: how many of the stage's items fit one clock
+    /// window. Inboxes read it as the budget for merging a backlog of
+    /// envelopes into one ([`crate::inbox::InboxQueue::pop`]). A hint —
+    /// relaxed, last writer wins between replicas — and `1` until a
+    /// worker has measured the stage, so a stage that never earns a
+    /// wider window is served envelope by envelope.
+    pub(crate) stride: Vec<AtomicU32>,
 }
 
 impl Shared {
@@ -629,7 +641,11 @@ static FIN_BUFS: Mutex<Vec<Vec<Finished>>> = Mutex::new(Vec::new());
 
 fn take_slot_buf(cap: usize) -> Vec<ItemSlot> {
     if let Ok(mut pool) = SLOT_BUFS.try_lock() {
-        if let Some(buf) = pool.pop() {
+        if let Some(mut buf) = pool.pop() {
+            drop(pool);
+            // The pool mixes shapes (a per-item session's buffers hold
+            // one slot): grow once here, not by doubling under pushes.
+            buf.reserve(cap);
             return buf;
         }
     }
@@ -639,7 +655,7 @@ fn take_slot_buf(cap: usize) -> Vec<ItemSlot> {
 /// Returns an item buffer to the pool. Clearing happens here — on the
 /// thread that owned the buffer — so any unconsumed payloads drop
 /// before the buffer is offered to another thread.
-fn put_slot_buf(mut buf: Vec<ItemSlot>) {
+pub(crate) fn put_slot_buf(mut buf: Vec<ItemSlot>) {
     buf.clear();
     if buf.capacity() == 0 {
         return;
@@ -1647,6 +1663,7 @@ where
         evicting: AtomicBool::new(false),
         accs: (0..np).map(|_| Mutex::new(WorkerAcc::default())).collect(),
         detached: AtomicU64::new(0),
+        stride: (0..ns).map(|_| AtomicU32::new(1)).collect(),
     });
 
     // --- collector ---------------------------------------------------
@@ -2055,7 +2072,7 @@ fn next_msg(me: usize, pool: &Pool) -> Msg {
             if !inbox.idle.load(Ordering::SeqCst) {
                 break; // a sender cleared the flag: re-scan for steals
             }
-            q = inbox.ready.wait(q).expect("inbox lock poisoned");
+            q = inbox.park(q);
         }
     }
 }
@@ -2431,7 +2448,9 @@ pub(crate) fn push_onward(onward: &mut Vec<(usize, Vec<ItemSlot>)>, stage: usize
 /// `stride` rides along because it is the other per-stage hot-path
 /// knob: the adaptive clock-sampling window of [`process_batch`]'s
 /// fast path. It deliberately survives epoch changes — a re-map does
-/// not forget how coarse a stage's timing windows can safely be.
+/// not forget how coarse a stage's timing windows can safely be. Every
+/// change is published to `Shared::stride`, where the inboxes read it
+/// as their merge budget: a backlog is served one window at a time.
 struct FusionPlan {
     /// Routing epoch `next` was computed for (`u64::MAX` = never).
     epoch: u64,
@@ -2713,8 +2732,10 @@ fn process_batch(
                 let stride = &mut fusion.stride[stage];
                 if w < STRIDE_GROW_BELOW && *stride < MAX_STAMP_STRIDE {
                     *stride *= 2;
+                    shared.stride[stage].store(*stride, Ordering::Relaxed);
                 } else if w > STRIDE_SHRINK_ABOVE && *stride > 1 {
                     *stride /= 2;
+                    shared.stride[stage].store(*stride, Ordering::Relaxed);
                 }
             }
             t_win = t_end;

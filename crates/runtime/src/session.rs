@@ -901,10 +901,12 @@ pub struct RunConfig {
     /// Envelope batch granularity for the threaded backend: up to this
     /// many pushed items ship as one routed envelope, and stage exits
     /// batch their outputs the same way, amortising channel-send,
-    /// routing, and credit overhead across the batch. `1` (the default)
-    /// reproduces the per-item wire behaviour exactly; raise it (64–256
-    /// is typical) for small-item high-rate streams where per-item
-    /// overhead dominates. Buffered input flushes on `close()`, on any
+    /// routing, and credit overhead across the batch. A sender-side
+    /// choice between latency and throughput: at `1` (the default)
+    /// every push ships at once, and a worker that finds a backlog of
+    /// such envelopes merges it itself, one clock window (≤ 64 items,
+    /// ≤ 1 ms) at a time; raise it (64–256 is typical) when the pushing
+    /// thread is the bottleneck. Buffered input flushes on `close()`, on any
     /// output-side call, and before blocking on the credit gate, so
     /// batching never deadlocks against `queue_capacity`; the credit
     /// gate still accounts per item. The simulation backend models no

@@ -65,8 +65,9 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (out, ALLOCS.load(Ordering::Relaxed) - before)
 }
 
-/// The hotpath bench shape: two trivial stages, batched envelopes.
-fn run(items: u64) {
+/// The hotpath bench shape: two trivial stages, `batch_size` items per
+/// pushed envelope, at most `queue_capacity` items per stage boundary.
+fn run(items: u64, batch_size: usize, queue_capacity: Option<usize>) {
     let outcome = Pipeline::<u64>::builder()
         .stage("inc", |x: u64| x + 1)
         .stage("double", |x: u64| x * 2)
@@ -77,7 +78,8 @@ fn run(items: u64) {
             Backend::Threads(vec![VNodeSpec::free("v0"), VNodeSpec::free("v1")]),
             RunConfig {
                 items,
-                batch_size: 256,
+                batch_size,
+                queue_capacity,
                 ..RunConfig::default()
             },
         )
@@ -85,30 +87,46 @@ fn run(items: u64) {
     assert_eq!(outcome.report.completed, items);
 }
 
+/// Extra allocations 100k extra items cost a warmed-up run.
+fn steady_state_cost_of_100k_items(batch_size: usize, queue_capacity: Option<usize>) -> u64 {
+    // Warm-up: fills the buffer pools, lazy statics, and thread-local
+    // machinery so both measured runs start from the same steady state.
+    run(20_000, batch_size, queue_capacity);
+    let ((), small) = allocations_in(|| run(20_000, batch_size, queue_capacity));
+    let ((), large) = allocations_in(|| run(120_000, batch_size, queue_capacity));
+    large.saturating_sub(small)
+}
+
 #[test]
 fn steady_state_allocations_do_not_scale_per_item() {
     let _turn = exclusive();
-    // Warm-up: fills the buffer pools, lazy statics, and thread-local
-    // machinery so both measured runs start from the same steady state.
-    run(20_000);
-
-    let before_small = ALLOCS.load(Ordering::Relaxed);
-    run(20_000);
-    let small = ALLOCS.load(Ordering::Relaxed) - before_small;
-
-    let before_large = ALLOCS.load(Ordering::Relaxed);
-    run(120_000);
-    let large = ALLOCS.load(Ordering::Relaxed) - before_large;
-
-    // 100k extra items. Per-envelope machinery (256-item batches → ~390
-    // extra envelopes), output-vector growth, and channel nodes are all
-    // allowed; a per-item allocation anywhere would cost ≥ 100k.
-    let delta = large.saturating_sub(small);
+    // Per-envelope machinery (256-item batches → ~390 extra envelopes),
+    // output-vector growth, and channel nodes are all allowed; a
+    // per-item allocation anywhere would cost ≥ 100k.
+    let delta = steady_state_cost_of_100k_items(256, None);
     assert!(
         delta < 25_000,
-        "100k extra items cost {delta} extra allocations \
-         (small run {small}, large run {large}) — something on the hot \
-         path allocates per item"
+        "100k extra items cost {delta} extra allocations — something \
+         on the hot path allocates per item"
+    );
+}
+
+/// One item per pushed envelope through a bounded queue — the default
+/// granularity, and the only one a latency-bound stream can use. The
+/// pusher still pays for the envelope it ships (its item buffer, when
+/// the pool of 64 runs dry: ~0.7 per item), but the worker's inbox
+/// merges a backlog into stride-sized envelopes, so everything
+/// downstream of the pop — chain set-up, onward envelope, sink message,
+/// output batch — is paid per merged envelope. Before the merge every
+/// one of those was per item: ~10 allocations each on this shape.
+#[test]
+fn per_item_envelopes_allocate_at_most_one_and_a_half_times_per_item() {
+    let _turn = exclusive();
+    let delta = steady_state_cost_of_100k_items(1, Some(64));
+    assert!(
+        delta <= 150_000,
+        "100k extra single-item envelopes cost {delta} extra \
+         allocations — a backlog pays per-envelope costs per item again"
     );
 }
 

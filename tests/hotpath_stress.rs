@@ -8,8 +8,18 @@
 //! debug assertions, active in this build) no envelope may ever be
 //! processed against a retired routing epoch on a host that no longer
 //! serves its stage.
+//!
+//! Beside it, the wake protocol's own legs: senders skip the condvar
+//! notify when the receiving worker (or the pusher at the credit gate)
+//! is not parked, so a wrong "nobody is parked" is a thread asleep for
+//! good. Two ping-pong streams park every thread on nearly every item
+//! and run under a progress watchdog: a lost wake-up fails the test
+//! instead of hanging the suite.
 
 use adapipe::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, RecvTimeoutError};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn n(i: usize) -> NodeId {
@@ -133,4 +143,118 @@ fn remap_node_churn_and_stealing_stay_exactly_once() {
     assert_eq!(outputs, expected, "lost, duplicated, or reordered items");
     assert_eq!(handle.report.completed, ITEMS);
     assert!(!handle.report.truncated, "report claims truncation");
+}
+
+/// Items per ping-pong leg.
+const PING_PONG_ITEMS: u64 = 200_000;
+
+/// No thread of a ping-pong leg legitimately sleeps longer than one
+/// stage call plus a thread hand-off.
+const STALL: Duration = Duration::from_secs(20);
+
+/// Runs `body` on a thread of its own and panics if the counter it is
+/// handed stops moving for [`STALL`] — a lost wake-up — rather than
+/// waiting forever on a stream that will never finish.
+fn watchdog(body: impl FnOnce(&AtomicU64) + Send + 'static) {
+    let progress = Arc::new(AtomicU64::new(0));
+    let (done_tx, done_rx) = channel();
+    let runner = {
+        let progress = Arc::clone(&progress);
+        std::thread::spawn(move || {
+            body(&progress);
+            let _ = done_tx.send(());
+        })
+    };
+    let mut seen = 0;
+    loop {
+        match done_rx.recv_timeout(STALL) {
+            Ok(()) => break,
+            Err(RecvTimeoutError::Timeout) => {
+                let now = progress.load(Ordering::Relaxed);
+                assert!(
+                    now > seen,
+                    "stuck at item {now} for {STALL:?} — a wake-up was lost"
+                );
+                seen = now;
+            }
+            // The body panicked: its own message is the useful one.
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
+    }
+    if let Err(panic) = runner.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
+
+/// One trivial stage behind a one-slot queue, one item per envelope.
+/// The first half streams against the credit gate (two credits: the
+/// pusher parks in `acquire` on nearly every push, and each completion
+/// must wake it); the second half is a strict round trip (push, block
+/// for the output), where the worker finds its inbox empty after every
+/// item and the next send must wake it.
+fn ping_pong(vnodes: Vec<VNodeSpec>, mapping: Mapping, queue_capacity: usize) {
+    watchdog(move |progress| {
+        let mut session = Pipeline::<u64>::builder()
+            .stage("inc", |x: u64| x + 1)
+            .build()
+            .expect("valid pipeline")
+            .spawn(
+                Backend::Threads(vnodes),
+                RunConfig {
+                    items: PING_PONG_ITEMS,
+                    initial_mapping: Some(mapping),
+                    queue_capacity: Some(queue_capacity),
+                    batch_size: 1,
+                    ..RunConfig::default()
+                },
+            )
+            .expect("spawn threads session");
+        let mut next_out = 0u64;
+        let mut check = |out: u64| {
+            next_out += 1;
+            assert_eq!(out, next_out, "lost, duplicated, or reordered items");
+        };
+        for i in 0..PING_PONG_ITEMS / 2 {
+            session.push(i).expect("a live session accepts pushes");
+            while let TryNext::Item(out) = session.try_next() {
+                check(out);
+            }
+            progress.store(i, Ordering::Relaxed);
+        }
+        for i in PING_PONG_ITEMS / 2..PING_PONG_ITEMS {
+            session.push(i).expect("a live session accepts pushes");
+            // In-order delivery: everything before `i` comes out first.
+            for out in session.by_ref() {
+                check(out);
+                if out == i + 1 {
+                    break;
+                }
+            }
+            progress.store(i, Ordering::Relaxed);
+        }
+        let handle = session.drain();
+        assert!(handle.error.is_none(), "run errored: {:?}", handle.error);
+        assert!(handle.outputs.is_empty(), "every output was pulled");
+        assert_eq!(next_out, PING_PONG_ITEMS);
+        assert_eq!(handle.report.completed, PING_PONG_ITEMS);
+    });
+}
+
+#[test]
+fn ping_pong_through_a_one_slot_queue_loses_no_wake_up() {
+    ping_pong(vec![VNodeSpec::free("v0")], Mapping::all_on(n(0), 1), 1);
+}
+
+/// The same stream over two replicas of the stage and a queue deep
+/// enough for a backlog (four per boundary: a sender sees more than
+/// `STEAL_WAKE_DEPTH` envelopes on one inbox), so `dispatch` also calls
+/// `wake_if_idle` on the sibling — while that sibling, out of work of
+/// its own, is parking or parked.
+#[test]
+fn ping_pong_over_two_replicas_loses_no_wake_up() {
+    ping_pong(
+        vec![VNodeSpec::free("v0"), VNodeSpec::free("v1")],
+        Mapping::new(vec![Placement::replicated(vec![n(0), n(1)])]),
+        4,
+    );
 }
