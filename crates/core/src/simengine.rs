@@ -21,23 +21,22 @@
 //!
 //! ## Steppable execution
 //!
-//! The event loop is exposed as a cooperative [`SimStepper`]: a driver
-//! injects arrivals one at a time ([`SimStepper::push_at`]), advances
-//! the world event by event ([`SimStepper::step`]) or completion by
-//! completion ([`SimStepper::next_completion`]), and closes the stream
-//! when the caller says so. Two drivers exist. The batch [`run`] entry
-//! point is a thin wrapper — schedule every arrival up front, close,
-//! step to completion — that reproduces the pre-stepper event order
-//! exactly (arrivals first, then the control events), so batch results
-//! are bit-identical to the historical monolithic loop. The live one is
+//! Inside the crate the event loop is a cooperative stepper
+//! (`SimStepper`, crate-private): a driver injects arrivals one at a
+//! time, advances the world event by event, and closes the stream when
+//! the caller says so. Two drivers exist, and they are this backend's
+//! API. The batch [`run`] entry point is a thin wrapper — schedule
+//! every arrival up front, close, step to completion — that reproduces
+//! the pre-stepper event order exactly (arrivals first, then the
+//! control events), so batch results are bit-identical to the
+//! historical monolithic loop. The live one is
 //! [`crate::simsession::SimSession`], which also runs the real stage
 //! functions (through the [`crate::item`] kernel) at push time: the
 //! world itself executes cost metadata only, so the session tells it
 //! each item's observed fate — retries per stage, a dead-letter
 //! diversion — and the world charges the attempts and diverts the item
-//! at the fated stage. Crate-private hooks serve that driver alone
-//! (`push_at_with_fate`, `pop_completion`, `next_event_at` for a pool's
-//! merged clock).
+//! at the fated stage (`push_at_with_fate`, `pop_completion`, and
+//! `next_event_at` for a pool's merged clock serve that driver alone).
 
 use crate::spec::{Next, PipelineSpec};
 use adapipe_gridsim::event::EventQueue;
@@ -180,7 +179,7 @@ enum Ev {
 /// This is the simulation *backend* entry point; applications should
 /// prefer the unified `adapipe::api::Pipeline` builder, which delegates
 /// here via `Backend::Sim`. Batch execution is sugar over the
-/// [`SimStepper`]: every arrival is injected up front, the stream is
+/// crate's stepper: every arrival is injected up front, the stream is
 /// closed, and the stepper runs to completion — the same event order
 /// the historical monolithic loop produced.
 pub fn run(grid: &GridSpec, spec: &PipelineSpec, cfg: &SimConfig) -> RunReport {
@@ -291,7 +290,7 @@ struct SimWorld<'a> {
     report: ReportBuilder,
     stage_metrics: crate::metrics::StageMetrics,
     /// Completion log (item indices in completion order) a live session
-    /// drains through [`SimStepper::next_completion`]. Comparable in
+    /// drains through [`SimStepper::pop_completion`]. Comparable in
     /// footprint to the per-item latency samples the report keeps.
     completed_log: VecDeque<u64>,
 }
@@ -303,7 +302,7 @@ struct SimWorld<'a> {
 /// Lifecycle: [`SimStepper::push_at`] any number of items (their
 /// simulated arrival instants must be non-decreasing against the
 /// stepper's clock — past times clamp to *now*), interleaved with
-/// [`SimStepper::step`] / [`SimStepper::next_completion`]; then
+/// [`SimStepper::step`] / [`SimStepper::pop_completion`]; then
 /// [`SimStepper::close`] to declare the stream complete and
 /// [`SimStepper::finish`] for the standard [`RunReport`].
 ///
@@ -311,7 +310,7 @@ struct SimWorld<'a> {
 /// exactly (the world is a pure function of its event insertions). The
 /// batch [`run`] wrapper inserts all arrivals before the first step, so
 /// it reproduces the historical event order bit for bit.
-pub struct SimStepper<'a> {
+pub(crate) struct SimStepper<'a> {
     world: SimWorld<'a>,
     routing: RwLock<RoutingTable>,
     aloop: AdaptationLoop,
@@ -338,7 +337,7 @@ impl<'a> SimStepper<'a> {
     /// remaining-work amortisation (the real stream length is declared
     /// by [`SimStepper::close`]); `cfg.arrivals` is ignored — arrival
     /// instants come from `push_at`.
-    pub fn new(grid: &'a GridSpec, spec: PipelineSpec, cfg: &SimConfig) -> Self {
+    pub(crate) fn new(grid: &'a GridSpec, spec: PipelineSpec, cfg: &SimConfig) -> Self {
         let profile = spec.profile();
         profile.validate();
         // Fault physics: the plan rewrites the load models of a private
@@ -471,23 +470,23 @@ impl<'a> SimStepper<'a> {
     }
 
     /// Items injected so far.
-    pub fn pushed(&self) -> u64 {
+    pub(crate) fn pushed(&self) -> u64 {
         self.pushed
     }
 
     /// Items that reached the sink so far.
-    pub fn completed(&self) -> u64 {
+    pub(crate) fn completed(&self) -> u64 {
         self.world.report.completed()
     }
 
     /// True once the stream is closed and every pushed item completed.
-    pub fn all_done(&self) -> bool {
+    pub(crate) fn all_done(&self) -> bool {
         self.world.report.all_done()
     }
 
     /// True once no further event can ever fire (queue starved or the
     /// safety horizon was crossed) — the run is over, complete or not.
-    pub fn is_exhausted(&self) -> bool {
+    pub(crate) fn is_exhausted(&self) -> bool {
         self.exhausted
     }
 
@@ -497,7 +496,7 @@ impl<'a> SimStepper<'a> {
     ///
     /// # Panics
     /// Panics if the stream was already closed.
-    pub fn push_at(&mut self, at: SimTime) -> u64 {
+    pub(crate) fn push_at(&mut self, at: SimTime) -> u64 {
         assert!(!self.closed, "cannot push into a closed stream");
         let item = self.pushed;
         self.pushed += 1;
@@ -531,7 +530,7 @@ impl<'a> SimStepper<'a> {
     }
 
     /// Items settled so far: completions plus dead-lettered items.
-    pub fn accounted(&self) -> u64 {
+    pub(crate) fn accounted(&self) -> u64 {
         self.world.report.accounted()
     }
 
@@ -553,7 +552,7 @@ impl<'a> SimStepper<'a> {
     /// the expected item count becomes the number pushed (so
     /// [`SimStepper::all_done`] and the report's `truncated` flag mean
     /// what they say).
-    pub fn close(&mut self) {
+    pub(crate) fn close(&mut self) {
         self.closed = true;
         self.world.report.set_expected(self.pushed);
     }
@@ -561,7 +560,7 @@ impl<'a> SimStepper<'a> {
     /// Processes one event. Returns `false` — permanently — once the
     /// event queue is starved or the next event lies beyond the safety
     /// horizon.
-    pub fn step(&mut self) -> bool {
+    pub(crate) fn step(&mut self) -> bool {
         if self.exhausted {
             return false;
         }
@@ -688,30 +687,10 @@ impl<'a> SimStepper<'a> {
         self.world.completed_log.pop_front()
     }
 
-    /// Advances the world until one more item settles — completing at
-    /// the sink or diverting to the dead-letter channel — returning its
-    /// sequence number, or `None` when nothing further can settle (no
-    /// item in flight, queue starved, or horizon crossed). Whether a
-    /// drained sequence number carries an output is the caller's to
-    /// know.
-    pub fn next_completion(&mut self) -> Option<u64> {
-        loop {
-            if let Some(item) = self.world.completed_log.pop_front() {
-                return Some(item);
-            }
-            if self.accounted() >= self.pushed {
-                return None; // nothing in flight: stepping cannot help
-            }
-            if !self.step() {
-                return None;
-            }
-        }
-    }
-
     /// Consumes the stepper and assembles the standard [`RunReport`].
     /// An unclosed stream is settled first (expected = pushed), so an
     /// aborted session reports `truncated` iff items were lost.
-    pub fn finish(mut self) -> RunReport {
+    pub(crate) fn finish(mut self) -> RunReport {
         if !self.closed {
             self.close();
         }
@@ -1251,6 +1230,20 @@ mod tests {
     /// 3 identical free nodes, 3 balanced unit-work stages, no bytes.
     fn balanced_setup() -> (GridSpec, PipelineSpec) {
         (testbed_small3(), PipelineSpec::balanced(3, 1.0, 0))
+    }
+
+    /// Steps the world until one more item settles (completes or
+    /// dead-letters) and returns its sequence number; `None` when
+    /// nothing is in flight or no further event can fire.
+    fn next_settled(stepper: &mut SimStepper<'_>) -> Option<u64> {
+        loop {
+            if let Some(item) = stepper.pop_completion() {
+                return Some(item);
+            }
+            if stepper.accounted() >= stepper.pushed() || !stepper.step() {
+                return None;
+            }
+        }
     }
 
     #[test]
@@ -1888,7 +1881,7 @@ mod tests {
         }
         stepper.close();
         let mut seen = Vec::new();
-        while let Some(item) = stepper.next_completion() {
+        while let Some(item) = next_settled(&mut stepper) {
             seen.push(item);
         }
         assert_eq!(seen.len() as u64, cfg.items);
@@ -1920,7 +1913,7 @@ mod tests {
             stepper.push_at(stepper.world.events.now());
         }
         let mut first = Vec::new();
-        while let Some(item) = stepper.next_completion() {
+        while let Some(item) = next_settled(&mut stepper) {
             first.push(item);
         }
         assert_eq!(first, vec![0, 1, 2]);
@@ -1933,7 +1926,7 @@ mod tests {
         }
         stepper.close();
         let mut second = Vec::new();
-        while let Some(item) = stepper.next_completion() {
+        while let Some(item) = next_settled(&mut stepper) {
             second.push(item);
         }
         assert_eq!(second, vec![3, 4]);
@@ -1952,7 +1945,7 @@ mod tests {
             stepper.push_at(SimTime::ZERO);
         }
         // Deliver just one completion, then abandon the rest.
-        assert_eq!(stepper.next_completion(), Some(0));
+        assert_eq!(next_settled(&mut stepper), Some(0));
         let report = stepper.finish();
         assert_eq!(report.completed, 1);
         assert!(report.truncated, "3 items were pushed but never drained");

@@ -1,5 +1,5 @@
 //! The simulation backend's live session: the typed push/pull surface
-//! over a [`SimStepper`] world, mirroring the threaded engine's
+//! over a stepped `simengine` world, mirroring the threaded engine's
 //! `EngineSession` method for method.
 //!
 //! [`attach`] enrols a session as a tenant of a [`SimPool`], whose
@@ -86,8 +86,7 @@ pub fn spawn<'g, I, O>(
 /// order, otherwise in completion order.
 ///
 /// # Panics
-/// Panics under the [`SimStepper::new`] conditions (a launch mapping
-/// that does not fit the pipeline or the grid).
+/// Panics if the launch mapping does not fit the pipeline or the grid.
 pub fn attach<'g, I, O>(
     pool: &SimPool<'g>,
     grid: &'g GridSpec,

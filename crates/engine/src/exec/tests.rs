@@ -1,0 +1,943 @@
+use super::*;
+use crate::vnode::spin_for;
+use adapipe_core::pipeline::PipelineBuilder;
+use adapipe_core::spec::StageSpec;
+use adapipe_core::stage::DynStage;
+use adapipe_gridsim::load::LoadModel;
+use adapipe_gridsim::node::NodeId;
+
+fn n(i: usize) -> NodeId {
+    NodeId(i)
+}
+
+/// A stage spinning for `ms` milliseconds per item.
+fn spin_stage(name: &str, ms: u64) -> (StageSpec, impl FnMut(u64) -> u64 + Send + Clone) {
+    (
+        StageSpec::balanced(name, ms as f64 / 1000.0, 8),
+        move |x: u64| {
+            spin_for(Duration::from_millis(ms));
+            x + 1
+        },
+    )
+}
+
+fn free_nodes(k: usize) -> Vec<VNodeSpec> {
+    (0..k).map(|i| VNodeSpec::free(format!("v{i}"))).collect()
+}
+
+/// Wall-clock speedup assertions need real hardware parallelism; on
+/// an undersized host only correctness is asserted.
+fn multicore(k: usize) -> bool {
+    std::thread::available_parallelism()
+        .map(|p| p.get() >= k)
+        .unwrap_or(false)
+}
+
+#[test]
+fn outputs_are_complete_and_ordered() {
+    let (s0, f0) = spin_stage("a", 1);
+    let (s1, f1) = spin_stage("b", 1);
+    let pipeline = PipelineBuilder::<u64>::new()
+        .stage(s0, f0)
+        .stage(s1, f1)
+        .build();
+    let cfg = EngineConfig::new(free_nodes(2));
+    let inputs: Vec<u64> = (0..50).collect();
+    let outcome = execute(pipeline, inputs, &cfg);
+    assert_eq!(outcome.report.completed, 50);
+    assert!(!outcome.report.truncated);
+    // Each item passed both stages exactly once: x + 2, in order.
+    let expect: Vec<u64> = (0..50).map(|x| x + 2).collect();
+    assert_eq!(outcome.outputs, expect);
+}
+
+#[test]
+fn session_streams_outputs_while_pushing() {
+    let (s0, f0) = spin_stage("a", 1);
+    let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
+    let cfg = EngineConfig::new(free_nodes(2));
+    let mut session = spawn(pipeline, &cfg, 20);
+    let mut got = Vec::new();
+    for i in 0..20u64 {
+        session.push(i).unwrap();
+        // Interleave pulls with pushes — the pipeline is live.
+        if let TryNext::Item(o) = session.try_next() {
+            got.push(o);
+        }
+    }
+    assert!(session.in_flight() <= 20);
+    let outcome = session.drain();
+    got.extend(outcome.outputs);
+    assert_eq!(got, (1..=20).collect::<Vec<_>>());
+    assert_eq!(outcome.report.completed, 20);
+    assert!(!outcome.report.truncated);
+}
+
+#[test]
+fn session_next_blocks_until_each_output() {
+    let (s0, f0) = spin_stage("a", 1);
+    let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
+    let cfg = EngineConfig::new(free_nodes(1));
+    let mut session = spawn(pipeline, &cfg, 5);
+    for i in 0..5u64 {
+        session.push(i).unwrap();
+    }
+    session.close();
+    let mut got = Vec::new();
+    for o in session.by_ref() {
+        got.push(o);
+    }
+    assert_eq!(got, vec![1, 2, 3, 4, 5]);
+    let outcome = session.drain();
+    assert!(outcome.outputs.is_empty(), "everything already pulled");
+    assert_eq!(outcome.report.completed, 5);
+}
+
+#[test]
+fn bounded_session_blocks_push_under_stall() {
+    // capacity 1 over a 1-stage pipeline ⇒ 2 in-flight slots. The
+    // stage takes ≥ 20 ms per item, so pushing 8 items must block
+    // the source for roughly (8 − 2) × 20 ms.
+    let (s0, f0) = spin_stage("slow", 20);
+    let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
+    let mut cfg = EngineConfig::new(free_nodes(1));
+    cfg.queue_capacity = Some(1);
+    let events = cfg.hooks.events.subscribe();
+    let mut session = spawn(pipeline, &cfg, 8);
+    let t0 = Instant::now();
+    for i in 0..8u64 {
+        session.push(i).unwrap();
+    }
+    let pushing = t0.elapsed();
+    assert!(
+        pushing >= Duration::from_millis(80),
+        "8 pushes through 2 slots of a 20 ms stage took only {pushing:?}"
+    );
+    let outcome = session.drain();
+    assert_eq!(outcome.report.completed, 8);
+    assert_eq!(outcome.outputs, (1..=8).collect::<Vec<_>>());
+    let stalls = events
+        .try_iter()
+        .filter(|e| matches!(e, RunEvent::BackpressureStall { .. }))
+        .count();
+    assert!(stalls >= 4, "expected repeated stalls, saw {stalls}");
+}
+
+#[test]
+fn abort_discards_backlog_instead_of_draining_it() {
+    // 200 queued items of a 5 ms stage ≈ 1 s of backlog; abort must
+    // return after at most the item in flight, not chew through it.
+    let (s0, f0) = spin_stage("slow", 5);
+    let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
+    let cfg = EngineConfig::new(free_nodes(1));
+    let mut session = spawn(pipeline, &cfg, 200);
+    for i in 0..200u64 {
+        session.push(i).unwrap();
+    }
+    let t0 = Instant::now();
+    let report = session.abort();
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_millis(400),
+        "abort must not drain the ~1 s backlog, took {took:?}"
+    );
+    assert!(report.truncated);
+}
+
+#[test]
+fn dropping_a_session_reclaims_its_threads() {
+    // A session abandoned without drain()/abort() (error path) must
+    // shut its workers, collector, and adaptation thread down via
+    // Drop — promptly, even with a deep backlog queued.
+    let (s0, f0) = spin_stage("slow", 5);
+    let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
+    let mut cfg = EngineConfig::new(free_nodes(2));
+    cfg.policy = Policy::Periodic {
+        interval: SimDuration::from_millis(100),
+    };
+    let mut session = spawn(pipeline, &cfg, 100);
+    for i in 0..100u64 {
+        session.push(i).unwrap();
+    }
+    let t0 = Instant::now();
+    drop(session);
+    assert!(
+        t0.elapsed() < Duration::from_millis(400),
+        "drop must join all threads without draining the backlog"
+    );
+}
+
+#[test]
+fn abort_reports_truncation() {
+    let (s0, f0) = spin_stage("slow", 20);
+    let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
+    let cfg = EngineConfig::new(free_nodes(1));
+    let mut session = spawn(pipeline, &cfg, 50);
+    for i in 0..50u64 {
+        session.push(i).unwrap();
+    }
+    let report = session.abort();
+    assert!(
+        report.truncated || report.completed == 50,
+        "an aborted run either lost items (truncated) or got lucky"
+    );
+}
+
+#[test]
+fn pipeline_parallelism_beats_sequential_time() {
+    // 3 stages × 8 ms on 3 nodes: sequential would be n×24 ms; a
+    // pipeline approaches n×8 ms.
+    let (s0, f0) = spin_stage("a", 8);
+    let (s1, f1) = spin_stage("b", 8);
+    let (s2, f2) = spin_stage("c", 8);
+    let pipeline = PipelineBuilder::<u64>::new()
+        .stage(s0, f0)
+        .stage(s1, f1)
+        .stage(s2, f2)
+        .build();
+    let mut cfg = EngineConfig::new(free_nodes(3));
+    cfg.initial_mapping = Some(Mapping::from_assignment(&[n(0), n(1), n(2)]));
+    let items = 40u64;
+    let outcome = execute(pipeline, (0..items).collect(), &cfg);
+    assert_eq!(outcome.report.completed, items);
+    if multicore(4) {
+        let makespan = outcome.report.makespan.as_secs_f64();
+        let sequential = items as f64 * 0.024;
+        assert!(
+            makespan < sequential * 0.75,
+            "makespan {makespan:.3}s should be well under sequential {sequential:.3}s"
+        );
+    }
+}
+
+#[test]
+fn slow_vnode_slows_its_stage() {
+    let (s0, f0) = spin_stage("a", 5);
+    let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
+    // Same stage on a full-speed vs a quarter-speed node.
+    let mut fast_cfg = EngineConfig::new(vec![VNodeSpec::free("fast")]);
+    fast_cfg.initial_mapping = Some(Mapping::all_on(n(0), 1));
+    let mut slow_cfg = EngineConfig::new(vec![VNodeSpec::with_speed("slow", 0.25)]);
+    slow_cfg.initial_mapping = Some(Mapping::all_on(n(0), 1));
+    let fast = execute(
+        PipelineBuilder::<u64>::new()
+            .stage(spin_stage("a", 5).0, spin_stage("a", 5).1)
+            .build(),
+        (0..20).collect(),
+        &fast_cfg,
+    );
+    let slow = execute(pipeline, (0..20).collect(), &slow_cfg);
+    let ratio = slow.report.makespan.as_secs_f64() / fast.report.makespan.as_secs_f64();
+    assert!(
+        ratio > 2.0,
+        "quarter-speed node should be ≳4× slower, measured ratio {ratio:.2}"
+    );
+}
+
+#[test]
+fn stateful_stage_migrates_with_state_intact() {
+    // A stateful running-sum stage must produce exactly-once,
+    // order-insensitive totals even across a migration.
+    let sum_spec = StageSpec::balanced("sum", 0.003, 8).with_state(8);
+    let pipeline = PipelineBuilder::<u64>::new()
+        .stateful_stage(sum_spec, {
+            let mut acc = 0u64;
+            move |x: u64| {
+                spin_for(Duration::from_millis(3));
+                acc += x;
+                acc
+            }
+        })
+        .build();
+    // The host collapses to 5 % almost immediately, so hundreds of
+    // items remain when the controller first looks — migration is
+    // unambiguously worthwhile.
+    let vnodes = vec![
+        VNodeSpec::free("v0").with_load(LoadModel::step(1.0, 0.05, SimTime::from_secs_f64(0.1))),
+        VNodeSpec::free("v1"),
+    ];
+    let mut cfg = EngineConfig::new(vnodes);
+    cfg.initial_mapping = Some(Mapping::all_on(n(0), 1));
+    cfg.policy = Policy::Periodic {
+        interval: SimDuration::from_millis(150),
+    };
+    let items: Vec<u64> = (1..=300).collect();
+    let outcome = execute(pipeline, items, &cfg);
+    assert_eq!(outcome.report.completed, 300);
+    // The final (largest) accumulator value must be the total sum:
+    // every item added exactly once.
+    let max = outcome.outputs.iter().max().copied().unwrap();
+    assert_eq!(max, 45150, "state lost or duplicated across migration");
+    assert!(outcome.report.adaptation_count() >= 1);
+}
+
+#[test]
+fn vnode_crash_mid_run_loses_nothing() {
+    // Stage "slow" starts pinned to v1; v1 crashes at 150 ms with a
+    // deep backlog queued. The fault wake-up must mark it down,
+    // force a re-map onto a live vnode, and replay the stranded
+    // envelopes — every output delivered exactly once, in order.
+    let (s0, f0) = spin_stage("slow", 4);
+    let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
+    let mut cfg = EngineConfig::new(free_nodes(2));
+    cfg.initial_mapping = Some(Mapping::all_on(n(1), 1));
+    cfg.policy = Policy::Periodic {
+        interval: SimDuration::from_millis(100),
+    };
+    cfg.faults = FaultPlan::new().crash(n(1), SimTime::from_secs_f64(0.15));
+    let events = cfg.hooks.events.subscribe();
+    let mut session = spawn(pipeline, &cfg, 100);
+    for i in 0..100u64 {
+        session.push(i).unwrap();
+    }
+    let outcome = session.drain();
+    assert_eq!(outcome.report.completed, 100, "items lost to the crash");
+    assert!(!outcome.report.truncated);
+    assert_eq!(outcome.outputs, (1..=100).collect::<Vec<_>>());
+    assert!(outcome.report.replays > 0, "backlog must replay");
+    assert!(!outcome.report.final_mapping.nodes_used().contains(&n(1)));
+    assert!(outcome.report.node_downtime[1] > SimDuration::ZERO);
+    let seen: Vec<_> = events.try_iter().collect();
+    assert!(seen
+        .iter()
+        .any(|e| matches!(e, RunEvent::NodeDown { node: 1, .. })));
+    assert!(seen
+        .iter()
+        .any(|e| matches!(e, RunEvent::ItemReplayed { .. })));
+}
+
+#[test]
+fn branched_pipeline_joins_every_item_exactly_once() {
+    use adapipe_core::spec::{PipelineSpec, StageGraph};
+    use adapipe_core::stage::{fan_out_fn, FnStage, MergeStage};
+    // (x+1 ‖ x*2) → sum, assembled from erased graph parts.
+    let spec = PipelineSpec::with_graph(
+        vec![
+            StageSpec::balanced("a", 0.001, 8),
+            StageSpec::balanced("b", 0.001, 8),
+            StageSpec::balanced("join", 0.001, 8),
+        ],
+        StageGraph::builder().split(&[1, 1]).build(),
+    );
+    let stages: Vec<Box<dyn DynStage>> = vec![
+        Box::new(FnStage::new("a", |x: u64| x + 1)),
+        Box::new(FnStage::new("b", |x: u64| x * 2)),
+        Box::new(MergeStage::new("join", |parts: Vec<u64>| {
+            parts[0] * 1000 + parts[1]
+        })),
+    ];
+    let pipeline: Pipeline<u64, u64> =
+        Pipeline::from_parts(spec, stages, vec![fan_out_fn::<u64>(2)], vec![None; 3]);
+    let cfg = EngineConfig::new(free_nodes(3));
+    let outcome = execute(pipeline, (0..100).collect(), &cfg);
+    assert_eq!(outcome.report.completed, 100);
+    assert!(!outcome.report.truncated);
+    // Branch order is part of the merge contract: parts[0] is always
+    // branch a, parts[1] always branch b.
+    let expect: Vec<u64> = (0..100).map(|x| (x + 1) * 1000 + x * 2).collect();
+    assert_eq!(outcome.outputs, expect);
+}
+
+#[test]
+fn wrong_typed_item_fails_session_with_typed_error() {
+    // Assemble a deliberately mis-typed pipeline from erased parts:
+    // the stage declares u64 but the session pushes strings. The
+    // run must fail with StageTypeMismatch on the session — not
+    // panic a worker thread and hang the drain.
+    use adapipe_core::spec::StageSpec;
+    use adapipe_core::stage::FnStage;
+    let spec = adapipe_core::spec::PipelineSpec::new(vec![StageSpec::balanced("typed", 0.001, 8)]);
+    let stages: Vec<Box<dyn DynStage>> = vec![Box::new(FnStage::new("typed", |x: u64| x + 1))];
+    let pipeline: Pipeline<String, u64> =
+        Pipeline::from_parts(spec, stages, Vec::new(), vec![None]);
+    let cfg = EngineConfig::new(free_nodes(1));
+    let mut session = spawn(pipeline, &cfg, 4);
+    for i in 0..4 {
+        session.push(format!("item {i}")).unwrap();
+    }
+    // The failure is asynchronous; drain unwinds cleanly.
+    let outcome = session.drain();
+    assert!(outcome.report.truncated);
+    assert!(outcome.report.completed < 4);
+}
+
+#[test]
+fn wrong_typed_item_error_is_readable_before_drain() {
+    use adapipe_core::spec::StageSpec;
+    use adapipe_core::stage::FnStage;
+    let spec = adapipe_core::spec::PipelineSpec::new(vec![StageSpec::balanced("typed", 0.001, 8)]);
+    let stages: Vec<Box<dyn DynStage>> = vec![Box::new(FnStage::new("typed", |x: u64| x + 1))];
+    let pipeline: Pipeline<String, u64> =
+        Pipeline::from_parts(spec, stages, Vec::new(), vec![None]);
+    let cfg = EngineConfig::new(free_nodes(1));
+    let mut session = spawn(pipeline, &cfg, 1);
+    session.push("oops".to_string()).unwrap();
+    let t0 = Instant::now();
+    while session.error().is_none() && t0.elapsed() < Duration::from_secs(5) {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(
+        session.error(),
+        Some(RunError::StageTypeMismatch {
+            stage: "typed".into()
+        })
+    );
+    let _ = session.drain(); // unwinds, no hang
+}
+
+#[test]
+fn link_emulation_slows_cross_node_boundaries() {
+    let mk_pipeline = || {
+        let (s0, f0) = spin_stage("a", 1);
+        let (s1, f1) = spin_stage("b", 1);
+        let mut p = PipelineBuilder::<u64>::new().stage(s0, f0).stage(s1, f1);
+        p = p.input_bytes(0);
+        p.build()
+    };
+    let slow_link = Topology::uniform(2, LinkSpec::new(SimDuration::from_millis(10), 1e9));
+    let mk_cfg = |emulate: bool| {
+        let mut cfg = EngineConfig::new(free_nodes(2));
+        cfg.initial_mapping = Some(Mapping::from_assignment(&[n(0), n(1)]));
+        cfg.topology = Some(slow_link.clone());
+        cfg.emulate_links = emulate;
+        cfg
+    };
+    let items = 30u64;
+    let without = execute(mk_pipeline(), (0..items).collect(), &mk_cfg(false));
+    let with = execute(mk_pipeline(), (0..items).collect(), &mk_cfg(true));
+    assert_eq!(with.report.completed, items);
+    // Each boundary crossing pays ≥ 10 ms of sender serialisation:
+    // the emulated run must be visibly slower.
+    assert!(
+        with.report.makespan.as_secs_f64() > without.report.makespan.as_secs_f64() + 0.1,
+        "emulated {} vs plain {}",
+        with.report.makespan,
+        without.report.makespan
+    );
+    let expect: Vec<u64> = (0..items).map(|x| x + 2).collect();
+    assert_eq!(with.outputs, expect);
+}
+
+#[test]
+fn empty_input_returns_immediately() {
+    let (s0, f0) = spin_stage("a", 1);
+    let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
+    let cfg = EngineConfig::new(free_nodes(1));
+    let outcome = execute(pipeline, vec![], &cfg);
+    assert_eq!(outcome.report.completed, 0);
+    assert!(outcome.outputs.is_empty());
+}
+
+#[test]
+fn pacing_limits_throughput() {
+    let (s0, f0) = spin_stage("a", 1);
+    let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
+    let mut cfg = EngineConfig::new(free_nodes(1));
+    cfg.arrivals = ArrivalProcess::Uniform { rate: 100.0 }; // 10 ms between items
+    let outcome = execute(pipeline, (0..30).collect(), &cfg);
+    // 30 items at 100/s ≥ 0.29 s regardless of stage speed.
+    assert!(outcome.report.makespan.as_secs_f64() > 0.25);
+    assert_eq!(outcome.report.completed, 30);
+}
+
+#[test]
+fn replicated_hot_stage_uses_multiple_nodes() {
+    // One 10 ms stage, 3 nodes: the planner should replicate it, and
+    // the engine must produce exactly-once outputs anyway.
+    let (s0, f0) = spin_stage("hot", 10);
+    let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
+    let cfg = EngineConfig::new(free_nodes(3));
+    let outcome = execute(pipeline, (0..60).collect(), &cfg);
+    assert_eq!(outcome.report.completed, 60);
+    let expect: Vec<u64> = (0..60).map(|x| x + 1).collect();
+    assert_eq!(outcome.outputs, expect);
+    // With ≥2 replicas the makespan beats the single-node 600 ms —
+    // only observable with real hardware parallelism.
+    if multicore(4) && outcome.report.final_mapping.placement(0).width() > 1 {
+        assert!(outcome.report.makespan.as_secs_f64() < 0.55);
+    }
+}
+
+#[test]
+fn batched_envelopes_preserve_order_and_exactly_once() {
+    // batch_size 16 over a 2-stage pipeline: outputs must be the
+    // same complete ordered stream the per-item wire produces.
+    let (s0, f0) = spin_stage("a", 1);
+    let (s1, f1) = spin_stage("b", 1);
+    let pipeline = PipelineBuilder::<u64>::new()
+        .stage(s0, f0)
+        .stage(s1, f1)
+        .build();
+    let mut cfg = EngineConfig::new(free_nodes(2));
+    cfg.batch_size = 16;
+    let outcome = execute(pipeline, (0..100).collect(), &cfg);
+    assert_eq!(outcome.report.completed, 100);
+    assert!(!outcome.report.truncated);
+    let expect: Vec<u64> = (0..100).map(|x| x + 2).collect();
+    assert_eq!(outcome.outputs, expect);
+}
+
+#[test]
+fn batched_branched_pipeline_joins_exactly_once() {
+    use adapipe_core::spec::{PipelineSpec, StageGraph};
+    use adapipe_core::stage::{fan_out_fn, FnStage, MergeStage};
+    // Fan-out/join with batch_size 8: per-item fan-out and join
+    // accounting inside batches must not lose or duplicate parts.
+    let spec = PipelineSpec::with_graph(
+        vec![
+            StageSpec::balanced("a", 0.001, 8),
+            StageSpec::balanced("b", 0.001, 8),
+            StageSpec::balanced("join", 0.001, 8),
+        ],
+        StageGraph::builder().split(&[1, 1]).build(),
+    );
+    let stages: Vec<Box<dyn DynStage>> = vec![
+        Box::new(FnStage::new("a", |x: u64| x + 1)),
+        Box::new(FnStage::new("b", |x: u64| x * 2)),
+        Box::new(MergeStage::new("join", |parts: Vec<u64>| {
+            parts[0] * 1000 + parts[1]
+        })),
+    ];
+    let pipeline: Pipeline<u64, u64> =
+        Pipeline::from_parts(spec, stages, vec![fan_out_fn::<u64>(2)], vec![None; 3]);
+    let mut cfg = EngineConfig::new(free_nodes(3));
+    cfg.batch_size = 8;
+    let outcome = execute(pipeline, (0..100).collect(), &cfg);
+    assert_eq!(outcome.report.completed, 100);
+    let expect: Vec<u64> = (0..100).map(|x| (x + 1) * 1000 + x * 2).collect();
+    assert_eq!(outcome.outputs, expect);
+}
+
+#[test]
+fn push_batch_respects_bounded_credits() {
+    // batch_size 8 against a 2-slot in-flight window: push_batch
+    // must flush buffered input before blocking on the credit gate
+    // (buffered items hold credits only completions can return) —
+    // anything else deadlocks here.
+    let (s0, f0) = spin_stage("slow", 2);
+    let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
+    let mut cfg = EngineConfig::new(free_nodes(1));
+    cfg.queue_capacity = Some(1);
+    cfg.batch_size = 8;
+    let mut session = spawn(pipeline, &cfg, 50);
+    let pushed = session.push_batch(0..50u64).unwrap();
+    assert_eq!(pushed, 50);
+    let outcome = session.drain();
+    assert_eq!(outcome.report.completed, 50);
+    assert_eq!(outcome.outputs, (1..=50).collect::<Vec<_>>());
+}
+
+#[test]
+fn pending_input_flushes_on_output_interaction() {
+    // 3 items buffered under a batch_size far larger than the
+    // stream: next() must flush them or it would wait forever.
+    let (s0, f0) = spin_stage("a", 1);
+    let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
+    let mut cfg = EngineConfig::new(free_nodes(1));
+    cfg.batch_size = 64;
+    let mut session = spawn(pipeline, &cfg, 3);
+    for i in 0..3u64 {
+        session.push(i).unwrap();
+    }
+    let mut got = Vec::new();
+    for _ in 0..3 {
+        got.push(session.next().expect("pending input must flush"));
+    }
+    assert_eq!(got, vec![1, 2, 3]);
+    session.close();
+    let outcome = session.drain();
+    assert_eq!(outcome.report.completed, 3);
+}
+
+#[test]
+fn idle_replica_steals_from_a_loaded_sibling() {
+    use adapipe_mapper::mapping::Placement;
+    // One stateless stage replicated on a quarter-speed and a free
+    // vnode. Round-robin deals half the stream to each; the fast
+    // replica drains its share early and must steal from the slow
+    // one's backlog instead of idling. Exactly-once and ordering
+    // must survive the steals.
+    let (s0, f0) = spin_stage("hot", 2);
+    let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
+    let mut cfg = EngineConfig::new(vec![
+        VNodeSpec::with_speed("slow", 0.25),
+        VNodeSpec::free("fast"),
+    ]);
+    cfg.initial_mapping = Some(Mapping::new(vec![Placement::replicated(vec![n(0), n(1)])]));
+    let mut session = spawn(pipeline, &cfg, 40);
+    for i in 0..40u64 {
+        session.push(i).unwrap();
+    }
+    session.close();
+    let mut got = Vec::new();
+    for o in session.by_ref() {
+        got.push(o);
+    }
+    assert_eq!(got, (1..=40).collect::<Vec<_>>());
+    assert!(
+        session.steals() > 0,
+        "fast replica should have stolen from the slow one's backlog"
+    );
+    let outcome = session.drain();
+    assert_eq!(outcome.report.completed, 40);
+    assert!(!outcome.report.truncated);
+}
+
+#[test]
+fn fused_colocated_chain_is_item_identical_to_spread() {
+    use adapipe_runtime::session::ResiliencePolicy;
+    // Three cheap stateless stages. Coalesced on one vnode the
+    // fusion plan collapses both boundaries into direct calls
+    // (counted per hop); spread over three vnodes nothing may
+    // fuse. Outputs must be bit-identical either way.
+    let build = || {
+        PipelineBuilder::<u64>::new()
+            .stage(StageSpec::balanced("a", 0.001, 8), |x: u64| x + 1)
+            .stage(StageSpec::balanced("b", 0.001, 8), |x: u64| x * 3)
+            .stage(StageSpec::balanced("c", 0.001, 8), |x: u64| x - 2)
+            .build()
+    };
+    let expect: Vec<u64> = (0..500u64).map(|x| (x + 1) * 3 - 2).collect();
+
+    let mut co_cfg = EngineConfig::new(free_nodes(1));
+    co_cfg.initial_mapping = Some(Mapping::all_on(n(0), 3));
+    let mut session = spawn(build(), &co_cfg, 500);
+    for i in 0..500u64 {
+        session.push(i).unwrap();
+    }
+    session.close();
+    let got: Vec<u64> = session.by_ref().collect();
+    assert_eq!(got, expect);
+    assert!(
+        session.fused_hops() > 0,
+        "co-located stateless chain must fuse"
+    );
+    let outcome = session.drain();
+    assert_eq!(outcome.report.completed, 500);
+    assert!(!outcome.report.truncated);
+
+    let mut sp_cfg = EngineConfig::new(free_nodes(3));
+    sp_cfg.initial_mapping = Some(Mapping::from_assignment(&[n(0), n(1), n(2)]));
+    let mut session = spawn(build(), &sp_cfg, 500);
+    for i in 0..500u64 {
+        session.push(i).unwrap();
+    }
+    session.close();
+    let got: Vec<u64> = session.by_ref().collect();
+    assert_eq!(got, expect);
+    assert_eq!(
+        session.fused_hops(),
+        0,
+        "cross-node boundaries must not fuse"
+    );
+    let outcome = session.drain();
+    assert_eq!(outcome.report.completed, 500);
+
+    // A resilient *entry* stage still fuses into its stateless
+    // successor (the slow path walks the chain per item), so the
+    // retry bookkeeping on the entry hop costs nothing downstream.
+    let pipeline = PipelineBuilder::<u64>::new()
+        .stage(
+            StageSpec::balanced("a", 0.001, 8).with_resilience(ResiliencePolicy::new().retries(2)),
+            |x: u64| x + 1,
+        )
+        .stage(StageSpec::balanced("b", 0.001, 8), |x: u64| x * 3)
+        .build();
+    let mut cfg = EngineConfig::new(free_nodes(1));
+    cfg.initial_mapping = Some(Mapping::all_on(n(0), 2));
+    let mut session = spawn(pipeline, &cfg, 100);
+    for i in 0..100u64 {
+        session.push(i).unwrap();
+    }
+    session.close();
+    let got: Vec<u64> = session.by_ref().collect();
+    assert_eq!(got, (0..100u64).map(|x| (x + 1) * 3).collect::<Vec<_>>());
+    assert!(
+        session.fused_hops() > 0,
+        "resilient entry must not block fusing its successor"
+    );
+    session.drain();
+}
+
+#[test]
+fn stateful_or_resilient_successors_refuse_fusion() {
+    use adapipe_runtime::session::ResiliencePolicy;
+    // a → sum, co-located, but sum is stateful: fusing would route
+    // items around the state-migration bookkeeping, so the plan
+    // must refuse.
+    let pipeline = PipelineBuilder::<u64>::new()
+        .stage(StageSpec::balanced("a", 0.001, 8), |x: u64| x + 1)
+        .stateful_stage(StageSpec::balanced("sum", 0.001, 8).with_state(8), {
+            let mut acc = 0u64;
+            move |x: u64| {
+                acc += x;
+                acc
+            }
+        })
+        .build();
+    let mut cfg = EngineConfig::new(free_nodes(1));
+    cfg.initial_mapping = Some(Mapping::all_on(n(0), 2));
+    let mut session = spawn(pipeline, &cfg, 100);
+    for i in 0..100u64 {
+        session.push(i).unwrap();
+    }
+    session.close();
+    let got: Vec<u64> = session.by_ref().collect();
+    let max = got.iter().max().copied().unwrap();
+    assert_eq!(max, (1..=100u64).sum::<u64>(), "sum lost or doubled");
+    assert_eq!(session.fused_hops(), 0, "stateful successor fused");
+    session.drain();
+
+    // Same refusal for a resilient successor: its retry/dead-letter
+    // accounting is per-envelope and must keep receiving envelopes.
+    let pipeline = PipelineBuilder::<u64>::new()
+        .stage(StageSpec::balanced("a", 0.001, 8), |x: u64| x + 1)
+        .stage(
+            StageSpec::balanced("b", 0.001, 8).with_resilience(ResiliencePolicy::new().retries(2)),
+            |x: u64| x * 2,
+        )
+        .build();
+    let mut cfg = EngineConfig::new(free_nodes(1));
+    cfg.initial_mapping = Some(Mapping::all_on(n(0), 2));
+    let mut session = spawn(pipeline, &cfg, 100);
+    for i in 0..100u64 {
+        session.push(i).unwrap();
+    }
+    session.close();
+    let got: Vec<u64> = session.by_ref().collect();
+    assert_eq!(got, (0..100u64).map(|x| (x + 1) * 2).collect::<Vec<_>>());
+    assert_eq!(session.fused_hops(), 0, "resilient successor fused");
+    session.drain();
+}
+
+#[test]
+fn forced_remap_fuses_newly_colocated_stages() {
+    // Stages start spread (nothing fuses); v1 crashes mid-run, the
+    // forced re-map lands both stages on v0, and the refreshed plan
+    // starts fusing — while replay keeps the stream exactly-once.
+    let (s0, f0) = spin_stage("a", 2);
+    let (s1, f1) = spin_stage("b", 2);
+    let pipeline = PipelineBuilder::<u64>::new()
+        .stage(s0, f0)
+        .stage(s1, f1)
+        .build();
+    let mut cfg = EngineConfig::new(free_nodes(2));
+    cfg.initial_mapping = Some(Mapping::from_assignment(&[n(0), n(1)]));
+    cfg.policy = Policy::Periodic {
+        interval: SimDuration::from_millis(100),
+    };
+    cfg.faults = FaultPlan::new().crash(n(1), SimTime::from_secs_f64(0.15));
+    let mut session = spawn(pipeline, &cfg, 100);
+    for i in 0..100u64 {
+        session.push(i).unwrap();
+    }
+    session.close();
+    let got: Vec<u64> = session.by_ref().collect();
+    assert_eq!(got, (2..=101).collect::<Vec<_>>());
+    assert!(
+        session.fused_hops() > 0,
+        "post-crash co-location must start fusing"
+    );
+    let outcome = session.drain();
+    assert_eq!(outcome.report.completed, 100);
+    assert!(!outcome.report.final_mapping.nodes_used().contains(&n(1)));
+}
+
+#[test]
+fn planner_unfuses_when_spreading_wins() {
+    // Two equal spin stages start coalesced (fused); the periodic
+    // controller finds that spreading doubles predicted throughput
+    // — the fusion latency discount must not override the
+    // bottleneck term — re-maps, and the plan un-fuses. Outputs
+    // stay exact through the transition.
+    let (s0, f0) = spin_stage("a", 3);
+    let (s1, f1) = spin_stage("b", 3);
+    let pipeline = PipelineBuilder::<u64>::new()
+        .stage(s0, f0)
+        .stage(s1, f1)
+        .build();
+    let mut cfg = EngineConfig::new(free_nodes(2));
+    cfg.initial_mapping = Some(Mapping::all_on(n(0), 2));
+    cfg.policy = Policy::Periodic {
+        interval: SimDuration::from_millis(100),
+    };
+    let mut session = spawn(pipeline, &cfg, 150);
+    for i in 0..150u64 {
+        session.push(i).unwrap();
+    }
+    session.close();
+    let got: Vec<u64> = session.by_ref().collect();
+    assert_eq!(got, (2..=151).collect::<Vec<_>>());
+    assert!(
+        session.fused_hops() > 0,
+        "coalesced start must fuse until the re-map"
+    );
+    let outcome = session.drain();
+    assert_eq!(outcome.report.completed, 150);
+    assert!(
+        outcome
+            .report
+            .adaptations
+            .iter()
+            .any(|e| e.to.nodes_used().len() == 2),
+        "controller must commit a re-map to the spread mapping"
+    );
+    // On a loaded host with fewer cores than threads the controller
+    // may then legitimately re-coalesce; `mapper`'s
+    // `planner_spreads_equal_stages_despite_the_fusion_discount`
+    // pins the planning decision itself deterministically.
+    if multicore(3) {
+        assert_eq!(
+            outcome.report.final_mapping.nodes_used().len(),
+            2,
+            "final mapping must be spread"
+        );
+    }
+}
+
+#[test]
+fn push_after_close_returns_typed_error() {
+    let (s0, f0) = spin_stage("a", 1);
+    let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
+    let cfg = EngineConfig::new(free_nodes(1));
+    let mut session = spawn(pipeline, &cfg, 2);
+    session.push(1).unwrap();
+    session.close();
+    assert_eq!(session.push(2), Err(RunError::SessionClosed));
+    assert_eq!(session.push_batch(3..5), Err(RunError::SessionClosed));
+    let outcome = session.drain();
+    assert_eq!(outcome.report.completed, 1, "rejected pushes never ran");
+}
+
+#[test]
+fn eviction_rejects_new_pushes_but_drains_in_flight() {
+    let (s0, f0) = spin_stage("a", 1);
+    let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
+    let cfg = EngineConfig::new(free_nodes(1));
+    let mut session = spawn(pipeline, &cfg, 10);
+    for i in 0..10u64 {
+        session.push(i).unwrap();
+    }
+    let handle = session.tenant_handle();
+    handle.begin_eviction();
+    let id = session.session_id();
+    assert_eq!(session.push(10), Err(RunError::Evicted { session: id }));
+    // Graceful: everything already accepted still completes.
+    let outcome = session.drain();
+    assert_eq!(outcome.report.completed, 10);
+    assert!(!outcome.report.truncated);
+}
+
+#[test]
+fn concurrent_tenants_share_one_pool_exactly_once() {
+    // Three heterogeneous sessions attached to one 2-worker pool,
+    // pushed interleaved: each must finish complete, ordered, and
+    // isolated (disjoint transforms prove no cross-tenant leakage).
+    let pool = Pool::launch(free_nodes(2), FaultPlan::new());
+    let cfg = EngineConfig::new(free_nodes(2));
+    let mk = |add: u64| {
+        let (s0, _) = spin_stage("t", 1);
+        PipelineBuilder::<u64>::new()
+            .stage(s0, move |x: u64| {
+                spin_for(Duration::from_millis(1));
+                x + add
+            })
+            .build()
+    };
+    let mut a = attach(&pool, mk(100), &cfg, 30, false);
+    let mut b = attach(&pool, mk(1000), &cfg, 30, false);
+    let mut c = attach(&pool, mk(10000), &cfg, 30, false);
+    assert_ne!(a.session_id(), b.session_id());
+    for i in 0..30u64 {
+        a.push(i).unwrap();
+        b.push(i).unwrap();
+        c.push(i).unwrap();
+    }
+    let (oa, ob, oc) = (a.drain(), b.drain(), c.drain());
+    assert_eq!(oa.outputs, (0..30).map(|x| x + 100).collect::<Vec<_>>());
+    assert_eq!(ob.outputs, (0..30).map(|x| x + 1000).collect::<Vec<_>>());
+    assert_eq!(oc.outputs, (0..30).map(|x| x + 10000).collect::<Vec<_>>());
+    assert!(!oa.report.truncated && !ob.report.truncated && !oc.report.truncated);
+    pool.shutdown();
+}
+
+#[test]
+fn forced_eviction_leaves_co_tenants_running() {
+    let pool = Pool::launch(free_nodes(2), FaultPlan::new());
+    let cfg = EngineConfig::new(free_nodes(2));
+    let (s0, f0) = spin_stage("keep", 1);
+    let keep = PipelineBuilder::<u64>::new().stage(s0, f0).build();
+    let (s1, f1) = spin_stage("goner", 2);
+    let goner = PipelineBuilder::<u64>::new().stage(s1, f1).build();
+    let mut survivor = attach(&pool, keep, &cfg, 40, false);
+    let mut victim = attach(&pool, goner, &cfg, 200, false);
+    for i in 0..200u64 {
+        victim.push(i).unwrap();
+    }
+    let handle = victim.tenant_handle();
+    handle.evict_now();
+    assert_eq!(
+        handle.error(),
+        Some(RunError::Evicted {
+            session: handle.session()
+        })
+    );
+    let report = {
+        // The evicted session unwinds truncated, promptly.
+        let t0 = Instant::now();
+        let outcome = victim.drain();
+        assert!(t0.elapsed() < Duration::from_secs(2));
+        outcome.report
+    };
+    assert!(report.truncated);
+    // The co-tenant is unaffected: full exactly-once stream.
+    for i in 0..40u64 {
+        survivor.push(i).unwrap();
+    }
+    let outcome = survivor.drain();
+    assert_eq!(outcome.outputs, (1..=40).collect::<Vec<_>>());
+    assert!(!outcome.report.truncated);
+    pool.shutdown();
+}
+
+#[test]
+fn weighted_shares_bias_worker_capacity() {
+    // Two identical spin-heavy tenants flood one single-worker pool;
+    // tenant A holds 4× the share of tenant B. Weighted-fair lane
+    // service must let A finish its stream well before B finishes
+    // its own (both streams are equal length).
+    let pool = Pool::launch(free_nodes(1), FaultPlan::new());
+    let cfg = EngineConfig::new(free_nodes(1));
+    let mk = || {
+        let (s0, f0) = spin_stage("w", 2);
+        PipelineBuilder::<u64>::new().stage(s0, f0).build()
+    };
+    let mut a = attach(&pool, mk(), &cfg, 60, false);
+    let mut b = attach(&pool, mk(), &cfg, 60, false);
+    a.tenant_handle().set_share(0.8);
+    b.tenant_handle().set_share(0.2);
+    // Envelope-per-item keeps many envelopes queued per lane.
+    for i in 0..60u64 {
+        a.push(i).unwrap();
+        b.push(i).unwrap();
+    }
+    a.close();
+    b.close();
+    let a_handle = a.tenant_handle();
+    let b_handle = b.tenant_handle();
+    // Wait until A's stream completes; B must still have backlog.
+    let t0 = Instant::now();
+    while a_handle.completed() < 60 && t0.elapsed() < Duration::from_secs(30) {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(a_handle.completed(), 60, "high-share tenant finished");
+    let b_done = b_handle.completed();
+    assert!(
+        b_done < 60,
+        "low-share tenant should lag the high-share one (completed {b_done})"
+    );
+    let (oa, ob) = (a.drain(), b.drain());
+    assert_eq!(oa.report.completed, 60);
+    assert_eq!(ob.report.completed, 60);
+    pool.shutdown();
+}

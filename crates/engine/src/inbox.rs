@@ -1,14 +1,69 @@
 //! Worker inboxes: control messages first, then one weighted-fair lane
-//! per tenant (start-time fair queueing over item counts).
+//! per tenant (start-time fair queueing over item counts) — and the
+//! protocol by which a worker waits on its inbox, is woken, and takes
+//! work off a sibling's.
 //!
-//! `pop`, `send_work` and `wake_if_idle` are `#[inline]`: every envelope
-//! crosses them, and their callers (the worker loop, `dispatch`) live in
-//! `exec` — without the hint `wire_item` reads a few percent lower.
+//! That protocol is this file's alone: the queue, its lanes, the
+//! `parked` flag senders consult before paying for a notify, and the
+//! `idle` flag that keeps a thief from sleeping through a wake-up are
+//! private here. A worker sees [`Inbox::recv`] (block for the next
+//! message, stealing before sleeping) and [`Inbox::steal`] (give up one
+//! envelope the worker's own legality rule allows); senders see
+//! [`Inbox::send_work`], [`Inbox::send_ctrl`] and
+//! [`Inbox::wake_if_idle`]. Deterministic-interleaving yield points, when
+//! they come, go at the flag transitions in `recv`, `park`, `wake_owner`
+//! and `wake_if_idle` and nowhere else.
+//!
+//! `recv`, `send_work` and `wake_if_idle` are `#[inline]`: every
+//! envelope crosses them, and their callers (the worker loop,
+//! `deliver_env`) live in `worker` — without the hint `wire_item` reads
+//! a few percent lower.
 
-use crate::exec::{put_slot_buf, Ctrl, Envelope, Msg, Shared};
+use crate::exec::ItemSlot;
+use crate::fusion::SLOT_BUFS;
+use crate::tenant::Shared;
+use adapipe_runtime::routing::RoutingSnapshot;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+
+/// A routed batch of items bound for one stage on one worker.
+pub(crate) struct Envelope {
+    pub(crate) stage: usize,
+    /// The routing epoch the sender routed this envelope under. A
+    /// receiver that no longer hosts `stage` uses the mismatch with its
+    /// own (current) epoch as proof the envelope is stale and re-homes
+    /// it; a current-epoch envelope always lands on a current host.
+    pub(crate) epoch: u64,
+    pub(crate) items: Vec<ItemSlot>,
+}
+
+/// Control-plane messages, served strictly before work envelopes.
+pub(crate) enum Ctrl {
+    /// Deposit `tenant`'s (stateful) instance of `stage` back into the
+    /// depot.
+    Relinquish { tenant: Arc<Shared>, stage: usize },
+    /// Pure wake-up: re-run the post-message service scan (a stateful
+    /// instance landed in the depot, a node changed health, or a tenant
+    /// tore down fatally and its blocked peers must re-check).
+    Wake,
+    /// `tenant` is detaching from the pool: drop its lane and local
+    /// state, flush its accounting, and ack via `Shared::detached`.
+    TenantGone { tenant: Arc<Shared> },
+    /// Pool teardown sentinel: the worker exits after processing it.
+    Shutdown,
+}
+
+/// One message popped from an inbox: a control message, or a work
+/// envelope tagged with the tenant it belongs to.
+pub(crate) enum Msg {
+    Work { tenant: Arc<Shared>, env: Envelope },
+    Ctrl(Ctrl),
+}
+
+/// How deep into a lane's backlog (from the tail) a thief scans for a
+/// stealable envelope.
+const STEAL_SCAN: usize = 8;
 
 /// One tenant's queue inside a worker inbox, with its weighted-fair
 /// virtual-time tag (start-time fair queueing): serving an envelope of
@@ -17,17 +72,17 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 /// congested window each tenant receives worker capacity proportional
 /// to its share, and a spiking tenant's deep backlog cannot starve a
 /// steady co-tenant's shallow one.
-pub(crate) struct Lane {
-    pub(crate) tenant: Arc<Shared>,
-    pub(crate) queue: VecDeque<Envelope>,
+struct Lane {
+    tenant: Arc<Shared>,
+    queue: VecDeque<Envelope>,
     vtime: f64,
 }
 
 /// The guarded state of one worker inbox: control messages (served
 /// first) plus one weighted-fair lane per tenant.
-pub(crate) struct InboxQueue {
+struct InboxQueue {
     ctrl: VecDeque<Ctrl>,
-    pub(crate) lanes: Vec<Lane>,
+    lanes: Vec<Lane>,
     /// The inbox's virtual clock: the start tag of the lane served
     /// last. A lane going from empty to backlogged is clamped up to it,
     /// so idle periods bank no credit.
@@ -53,7 +108,7 @@ impl InboxQueue {
     /// millisecond. An envelope is never split, and nothing waits for
     /// a run to fill: what is not queued yet travels in the next pop.
     #[inline]
-    pub(crate) fn pop(&mut self) -> Option<Msg> {
+    fn pop(&mut self) -> Option<Msg> {
         if let Some(c) = self.ctrl.pop_front() {
             return Some(Msg::Ctrl(c));
         }
@@ -86,7 +141,7 @@ impl InboxQueue {
             env.items.reserve(merged - env.items.len());
             for mut donor in lane.queue.drain(..run) {
                 env.items.append(&mut donor.items);
-                put_slot_buf(donor.items);
+                SLOT_BUFS.put(donor.items);
             }
         }
         let weight = lane.tenant.share().max(MIN_LANE_WEIGHT);
@@ -114,9 +169,9 @@ impl InboxQueue {
 /// it and notifies; one that finds it down has nobody to wake — the
 /// owner re-checks the queue under the same lock before it parks.
 pub(crate) struct Inbox {
-    pub(crate) queue: Mutex<InboxQueue>,
+    queue: Mutex<InboxQueue>,
     ready: Condvar,
-    pub(crate) idle: AtomicBool,
+    idle: AtomicBool,
 }
 
 impl Inbox {
@@ -178,11 +233,78 @@ impl Inbox {
 
     /// Parks the owning worker on its (empty) queue until someone
     /// notifies; spurious returns are the caller's loop to absorb.
-    pub(crate) fn park<'a>(&self, mut q: MutexGuard<'a, InboxQueue>) -> MutexGuard<'a, InboxQueue> {
+    fn park<'a>(&self, mut q: MutexGuard<'a, InboxQueue>) -> MutexGuard<'a, InboxQueue> {
         q.parked = true;
         let mut q = self.ready.wait(q).expect("inbox lock poisoned");
         q.parked = false;
         q
+    }
+
+    /// Blocks until a message is available for the owning worker: its
+    /// own queue first, then `steal` (the worker's scan of its siblings'
+    /// inboxes), then a condvar wait. The idle flag is up from before
+    /// the scan until a message is in hand, so a sender that calls
+    /// [`Inbox::wake_if_idle`] at any point in between finds it, clears
+    /// it, and thereby sends the owner round the loop again — a thief is
+    /// never left asleep on a notification that came while it scanned.
+    #[inline]
+    pub(crate) fn recv(&self, mut steal: impl FnMut() -> Option<Msg>) -> Msg {
+        loop {
+            if let Some(msg) = self.queue.lock().expect("inbox lock poisoned").pop() {
+                return msg;
+            }
+            // Out of local work: advertise idleness, then go stealing.
+            self.idle.store(true, Ordering::SeqCst);
+            if let Some(msg) = steal() {
+                self.idle.store(false, Ordering::SeqCst);
+                return msg;
+            }
+            let mut q = self.queue.lock().expect("inbox lock poisoned");
+            loop {
+                if let Some(msg) = q.pop() {
+                    self.idle.store(false, Ordering::SeqCst);
+                    return msg;
+                }
+                if !self.idle.load(Ordering::SeqCst) {
+                    break; // a sender cleared the flag: re-scan for steals
+                }
+                q = self.park(q);
+            }
+        }
+    }
+
+    /// Gives up one work envelope to an idle sibling: the newest one
+    /// within [`STEAL_SCAN`] of a lane's tail that `legal` allows, given
+    /// the lane's tenant and its routing snapshot as of now. What may be
+    /// stolen is the worker's rule, not the inbox's. A stolen envelope
+    /// is not charged to the lane's virtual clock — the thief was idle,
+    /// so the capacity was surplus.
+    pub(crate) fn steal(
+        &self,
+        legal: impl Fn(&Shared, &RoutingSnapshot, &Envelope) -> bool,
+    ) -> Option<(Arc<Shared>, Envelope)> {
+        // Never wait on a victim's lock: a missed steal is cheap, a
+        // stalled thief is not.
+        let mut q = self.queue.try_lock().ok()?;
+        for lane in &mut q.lanes {
+            if lane.queue.is_empty() {
+                continue;
+            }
+            // The per-tenant snapshot read happens under this inbox's
+            // lock; safe because no path takes an inbox lock while
+            // holding a routing lock (remap commits and fault hooks run
+            // after the adaptation loop released it).
+            let snap = lane.tenant.snapshot();
+            let lo = lane.queue.len().saturating_sub(STEAL_SCAN);
+            let hit = (lo..lane.queue.len())
+                .rev()
+                .find(|&i| legal(&lane.tenant, &snap, &lane.queue[i]));
+            if let Some(i) = hit {
+                let env = lane.queue.remove(i).expect("index in range");
+                return Some((Arc::clone(&lane.tenant), env));
+            }
+        }
+        None
     }
 
     /// Enqueues a control message (served before any lane).
@@ -448,6 +570,192 @@ mod tests {
         assert_eq!((items_a, items_b), (48, 24));
 
         drop((a, b));
+        pool.shutdown();
+    }
+
+    // --- the wake-and-steal seam ---------------------------------------
+
+    use crate::worker::may_steal;
+    use adapipe_gridsim::node::NodeId;
+    use adapipe_mapper::mapping::{Mapping, Placement};
+    use std::sync::mpsc::channel;
+    use std::time::Duration;
+
+    /// Stage indices of [`replicated_tenant`]'s pipeline.
+    const HOT: usize = 0;
+    const COUNT: usize = 1;
+    const SOLO: usize = 2;
+
+    /// How long a step of the hand-off may take before the test calls
+    /// it a lost wake-up.
+    const WATCHDOG: Duration = Duration::from_secs(20);
+
+    /// A pool of three vnodes nobody pushes into (its workers stay
+    /// parked) and one tenant on it: `hot`, stateless, replicated on v0
+    /// and v1; `count`, keyed, on the same two; `solo`, stateless, on
+    /// v0 alone. The inboxes under test are the tests' own.
+    fn replicated_tenant() -> (Arc<Pool>, Session) {
+        let vnodes: Vec<VNodeSpec> = (0..3).map(|i| VNodeSpec::free(format!("v{i}"))).collect();
+        let pool = Pool::launch(vnodes.clone(), FaultPlan::new());
+        let pipeline = PipelineBuilder::<u64>::new()
+            .stage(StageSpec::balanced("hot", 1.0, 0), |x: u64| x)
+            .keyed_stage(
+                StageSpec::balanced("count", 1.0, 0).with_keyed_state(2, 8),
+                |x: &u64| *x,
+                || 0u64,
+                |seen: &mut u64, x: u64| {
+                    *seen += 1;
+                    x
+                },
+            )
+            .stage(StageSpec::balanced("solo", 1.0, 0), |x: u64| x)
+            .build();
+        let both = || Placement::replicated(vec![NodeId(0), NodeId(1)]);
+        let mut cfg = EngineConfig::new(vnodes);
+        cfg.initial_mapping = Some(Mapping::new(vec![
+            both(),
+            both(),
+            Placement::single(NodeId(0)),
+        ]));
+        let session = attach(&pool, pipeline, &cfg, 0, false);
+        (pool, session)
+    }
+
+    #[test]
+    fn only_a_legal_envelope_is_stolen_and_a_steal_costs_the_lane_nothing() {
+        let (pool, session) = replicated_tenant();
+        let shared = Arc::clone(&session.tenant_handle().shared);
+        let snap = shared.snapshot();
+        let now = snap.epoch();
+        // One envelope queued at `victim`; the sequence number `thief`
+        // gets away with, if any.
+        let attempt = |thief: usize, victim: usize, env: Envelope| {
+            let inbox = Inbox::new();
+            inbox.send_work(&shared, env);
+            inbox
+                .steal(|t, s, e| may_steal(thief, victim, t, s, e))
+                .map(|(tenant, env)| (tenant.id, env.items[0].seq))
+        };
+        let one = |stage, epoch| envelope(stage, epoch, 5..6);
+
+        assert_eq!(attempt(1, 0, one(HOT, now)), Some((shared.id, 5)));
+        assert_eq!(attempt(1, 0, one(COUNT, now)), None, "stateful stage");
+        assert_eq!(attempt(1, 0, one(HOT, now + 1)), None, "stale epoch");
+        assert_eq!(attempt(2, 0, one(HOT, now)), None, "not a co-host");
+        // `solo` lives on v0 alone: even v0 may not take it from v1.
+        assert_eq!(attempt(0, 1, one(SOLO, now)), None, "single-host stage");
+        snap.mark_down(NodeId(1));
+        assert_eq!(attempt(1, 0, one(HOT, now)), None, "down thief");
+        snap.mark_up(NodeId(1));
+        snap.mark_down(NodeId(0));
+        assert_eq!(attempt(1, 0, one(HOT, now)), None, "down victim");
+        snap.mark_up(NodeId(0));
+        assert_eq!(attempt(1, 0, one(HOT, now)), Some((shared.id, 5)));
+
+        // From a backlog the thief takes the newest legal envelope
+        // within the scan depth of the tail — and the lane's virtual
+        // clock does not move: the capacity was surplus.
+        let victim = Inbox::new();
+        for seq in 0..10 {
+            victim.send_work(&shared, envelope(HOT, now, seq..seq + 1));
+        }
+        victim.send_work(&shared, envelope(HOT, now + 1, 10..11));
+        let vtime = |inbox: &Inbox| inbox.queue.lock().unwrap().lanes[0].vtime;
+        let before = vtime(&victim);
+        let stolen = victim.steal(|t, s, e| may_steal(1, 0, t, s, e));
+        assert_eq!(stolen.map(|(_, env)| env.items[0].seq), Some(9));
+        assert_eq!(vtime(&victim), before, "a steal is not charged");
+        assert_eq!(victim.queued_for(shared.id), 10);
+        pop_work(&mut victim.queue.lock().unwrap());
+        assert!(vtime(&victim) > before, "a pop is");
+        // Nothing legal within the scan depth: the rest is the owner's.
+        for seq in 11..11 + STEAL_SCAN as u64 {
+            victim.send_work(&shared, envelope(HOT, now + 1, seq..seq + 1));
+        }
+        assert!(victim.steal(|t, s, e| may_steal(1, 0, t, s, e)).is_none());
+
+        shared.done.store(true, Ordering::SeqCst);
+        assert_eq!(attempt(1, 0, one(HOT, now)), None, "tenant tearing down");
+
+        drop(session);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn an_idle_owner_released_by_wake_if_idle_steals_instead_of_sleeping_on() {
+        let (pool, session) = replicated_tenant();
+        let shared = Arc::clone(&session.tenant_handle().shared);
+        let now = shared.snapshot().epoch();
+        // Worker 1's inbox and its sibling's (worker 0's).
+        let (own, sibling) = (Arc::new(Inbox::new()), Arc::new(Inbox::new()));
+        let (scanned_tx, scanned_rx) = channel();
+        let (got_tx, got_rx) = channel();
+        let owner = {
+            let (own, sibling, shared) =
+                (Arc::clone(&own), Arc::clone(&sibling), Arc::clone(&shared));
+            std::thread::spawn(move || {
+                let seq_of = |msg| match msg {
+                    Msg::Work { env, .. } => env.items[0].seq,
+                    Msg::Ctrl(_) => panic!("only work was sent"),
+                };
+                let scan = || {
+                    let loot = sibling.steal(|t, s, e| may_steal(1, 0, t, s, e));
+                    scanned_tx.send(loot.is_some()).unwrap();
+                    loot.map(|(tenant, env)| Msg::Work { tenant, env })
+                };
+                got_tx.send(seq_of(own.recv(scan))).unwrap();
+
+                // Second round, the wake landing *while* the owner
+                // scans: a sender fills the sibling's inbox just after
+                // the scan passed it and clears the idle flag. The
+                // owner must notice before it parks.
+                let mut raced = false;
+                let racing_scan = || {
+                    if !std::mem::replace(&mut raced, true) {
+                        sibling.send_work(&shared, envelope(HOT, now, 42..43));
+                        assert!(own.wake_if_idle(), "idle is up during the scan");
+                        return None;
+                    }
+                    scan()
+                };
+                got_tx.send(seq_of(own.recv(racing_scan))).unwrap();
+            })
+        };
+
+        // The first scan finds nothing, and the owner parks with its
+        // idle flag up. Wait for the park itself, not for a while.
+        assert_eq!(scanned_rx.recv_timeout(WATCHDOG), Ok(false));
+        let deadline = Instant::now() + WATCHDOG;
+        while !own.queue.lock().unwrap().parked {
+            assert!(Instant::now() < deadline, "the owner never parked");
+            std::thread::yield_now();
+        }
+        assert!(own.idle.load(Ordering::SeqCst));
+        // What a sender does when a sibling's inbox backs up: enqueue
+        // there, then wake an idle co-host.
+        sibling.send_work(&shared, envelope(HOT, now, 41..42));
+        assert!(own.wake_if_idle(), "the owner advertised idleness");
+        assert!(!own.wake_if_idle(), "and one sender took the flag");
+        assert_eq!(
+            scanned_rx.recv_timeout(WATCHDOG),
+            Ok(true),
+            "the owner slept through the notification"
+        );
+        assert_eq!(got_rx.recv_timeout(WATCHDOG), Ok(41));
+
+        assert_eq!(
+            scanned_rx.recv_timeout(WATCHDOG),
+            Ok(true),
+            "the owner parked on a flag a sender had already cleared"
+        );
+        assert_eq!(got_rx.recv_timeout(WATCHDOG), Ok(42));
+        owner.join().unwrap();
+        assert!(
+            !own.idle.load(Ordering::SeqCst),
+            "down with a message in hand"
+        );
+
+        drop(session);
         pool.shutdown();
     }
 }

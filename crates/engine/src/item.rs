@@ -4,7 +4,9 @@
 //! sleeps, wall-clock timeout stamps, the event bus, and the per-item
 //! join map that worker threads share.
 
-use crate::exec::{fatal_teardown, push_onward, Finished, ItemSlot, Shared};
+use crate::exec::{Finished, ItemSlot};
+use crate::tenant::{fatal_teardown, Shared};
+use crate::worker::push_onward;
 use adapipe_core::item::{self, GaveUp, Hops, JoinSlots};
 use adapipe_core::payload::Payload;
 use adapipe_core::spec::Next;

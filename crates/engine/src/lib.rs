@@ -7,18 +7,23 @@
 //! * [`vnode`] — virtual nodes: per-worker speed factors and wall-clock
 //!   background-load schedules (the calibration band's "synthetic
 //!   heterogeneity on one box");
-//! * [`exec`] — the engine proper: one worker thread per vnode, shared
-//!   routing table, live re-mapping with stateful-instance hand-off, an
-//!   order-preserving collector, and the same monitoring/planning
-//!   controller the simulator uses; the worker pool ([`exec::Pool`])
-//!   serves any number of concurrent tenant sessions under
-//!   weighted-fair envelope admission. Three seams of it are modules
-//!   of their own: the worker `inbox` (control first, then
-//!   start-time-fair tenant lanes), the `credits` gate behind
-//!   `queue_capacity`, and `item` — what a worker does with one item at
-//!   one stage, as thin callers of the backend-independent kernel
-//!   [`adapipe_core::item`] (pool, session, worker loop and fusion are
-//!   still in `exec`);
+//! * [`exec`] — the engine's public face: [`exec::EngineConfig`], the
+//!   live [`exec::EngineSession`] (push / pull, backpressure, its
+//!   order-preserving collector), [`exec::TenantHandle`], and the entry
+//!   points `spawn` / `attach` / `execute` / `execute_fed`. The worker
+//!   pool ([`exec::Pool`]) serves any number of concurrent tenant
+//!   sessions under weighted-fair envelope admission. The machinery
+//!   underneath is one private module per protocol: `pool` (one worker
+//!   thread per vnode, node health, shutdown), `inbox` (control first,
+//!   then start-time-fair tenant lanes; waiting, waking and stealing),
+//!   `worker` (the loop, the placement decision, shipping), `fusion`
+//!   (the batch loop, stage fusion, stamp strides), `tenant` (what the
+//!   threads share about one session: stage depot, routing table and
+//!   cache, live re-mapping with stateful-instance hand-off — the same
+//!   monitoring/planning controller the simulator uses), the `credits`
+//!   gate behind `queue_capacity`, and `item` — what a worker does with
+//!   one item at one stage, as thin callers of the backend-independent
+//!   kernel [`adapipe_core::item`];
 //! * [`inject`] — optional *real* CPU burners for demonstrations of
 //!   genuine contention.
 //!
@@ -30,10 +35,14 @@
 
 mod credits;
 pub mod exec;
+mod fusion;
 mod inbox;
 pub mod inject;
 mod item;
+mod pool;
+mod tenant;
 pub mod vnode;
+mod worker;
 
 /// Convenient glob-import surface.
 pub mod prelude {

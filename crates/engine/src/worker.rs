@@ -1,0 +1,625 @@
+//! What one pool thread does: wait on its inbox, decide where each
+//! envelope belongs, and serve, park, re-deal or re-home it.
+//!
+//! Replicated stateless stages form a *work-stealing pool*: each worker
+//! pulls from its own inbox, and when it runs dry it scans the tail of
+//! its siblings' inboxes for envelopes it may serve ([`may_steal`])
+//! instead of going to sleep. A sender whose destination inbox is
+//! backing up additionally wakes one idle co-host ([`deliver_env`]), so a
+//! hot replica sheds load without waiting for the controller to
+//! rebalance. The waiting, waking and taking are `inbox`'s protocol;
+//! this file only says what is legal.
+//!
+//! What a worker may do with an envelope it cannot serve at once
+//! follows the stage's declared access pattern, and is decided in one
+//! place — [`place`] — for fresh envelopes and parked backlog alike.
+
+use crate::exec::ItemSlot;
+use crate::fusion::{process_batch, FusionPlan, SLOT_BUFS};
+use crate::inbox::{Ctrl, Envelope, Msg};
+use crate::pool::Pool;
+use crate::tenant::{RouteCache, Shared};
+use adapipe_core::metrics::StageMetrics;
+use adapipe_core::stage::{quiesce, DynStage};
+use adapipe_gridsim::node::NodeId;
+use adapipe_runtime::routing::RoutingSnapshot;
+use adapipe_state::{shard_of, StateAccess};
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Duration;
+
+/// Inbox depth beyond which a sender tries to wake an idle co-host of
+/// the destination's stage (work-stealing assist).
+const STEAL_WAKE_DEPTH: usize = 2;
+
+/// A worker's thread-local view of one tenant: its stage instances,
+/// parked envelopes, routing cache, and accounting (flushed into
+/// `Shared::accs` when the tenant detaches).
+pub(crate) struct TenantLocal {
+    pub(crate) tenant: Arc<Shared>,
+    /// Held stage instances, keyed by `(stage, slot)` — slot is the
+    /// shard for keyed stages and `0` for everything else.
+    pub(crate) local: HashMap<(usize, usize), Box<dyn DynStage>>,
+    /// Parked envelopes per `(stage, slot)`: the instance is in transit
+    /// (migration), or this vnode is down and the items await rescue.
+    /// A queue is taken out whole when it is served, so none is empty.
+    waiting: HashMap<(usize, usize), VecDeque<Envelope>>,
+    cache: RouteCache,
+    pub(crate) busy: Duration,
+    pub(crate) metrics: StageMetrics,
+    /// Stage-fusion plan and stamp strides, refreshed lazily per
+    /// routing epoch.
+    pub(crate) fusion: FusionPlan,
+}
+
+impl TenantLocal {
+    fn new(tenant: Arc<Shared>) -> Self {
+        let cache = RouteCache::new(&tenant);
+        let ns = tenant.spec.len();
+        TenantLocal {
+            tenant,
+            local: HashMap::new(),
+            waiting: HashMap::new(),
+            cache,
+            busy: Duration::ZERO,
+            metrics: StageMetrics::new(ns),
+            fusion: FusionPlan::new(ns),
+        }
+    }
+
+    /// Flushes this worker's accounting for the tenant into the shared
+    /// per-worker slot (detach / worker exit).
+    fn flush_acc(self, me: usize) {
+        let mut acc = self.tenant.accs[me]
+            .lock()
+            .expect("worker accounting poisoned");
+        acc.busy += self.busy;
+        match &mut acc.metrics {
+            Some(m) => m.absorb(&self.metrics),
+            None => acc.metrics = Some(self.metrics),
+        }
+    }
+}
+
+/// Worker body: serve envelopes for every attached tenant, honour
+/// migrations, account busy time per tenant. Blocks on the inbox
+/// (stealing from siblings before sleeping); the only exit is the
+/// [`Ctrl::Shutdown`] sentinel (or the pool's done flag).
+pub(crate) fn worker_loop(me: usize, pool: Arc<Pool>) {
+    let mut tenants: HashMap<u64, TenantLocal> = HashMap::new();
+
+    loop {
+        let msg = pool.inboxes[me].recv(|| try_steal(me, &pool));
+        // Pool teardown discards every backlog: the flag is raised
+        // before the Shutdown sentinels, so a worker deep in queued work
+        // exits here instead of serving the rest of its inbox first.
+        if pool.done.load(Ordering::Relaxed) {
+            break;
+        }
+        match msg {
+            Msg::Work { tenant, env } => {
+                // An aborted/fatally-failed tenant's backlog is
+                // discarded, not served — its co-tenants keep running.
+                if !tenant.done.load(Ordering::Relaxed) {
+                    let tl = tenants
+                        .entry(tenant.id)
+                        .or_insert_with(|| TenantLocal::new(Arc::clone(&tenant)));
+                    handle_work(me, env, tl);
+                }
+            }
+            Msg::Ctrl(Ctrl::Relinquish { tenant, stage }) => {
+                let tl = tenants
+                    .entry(tenant.id)
+                    .or_insert_with(|| TenantLocal::new(Arc::clone(&tenant)));
+                relinquish(me, &pool, &tenant, stage, tl);
+            }
+            Msg::Ctrl(Ctrl::Wake) => {} // wake-up only; service below
+            Msg::Ctrl(Ctrl::TenantGone { tenant }) => {
+                // Detach: flush accounting, drop local state and the
+                // inbox lane, then ack so teardown can read `accs`.
+                if let Some(tl) = tenants.remove(&tenant.id) {
+                    tl.flush_acc(me);
+                }
+                pool.inboxes[me].drop_lane(tenant.id);
+                tenant.detached.fetch_add(1, Ordering::SeqCst);
+            }
+            Msg::Ctrl(Ctrl::Shutdown) => break,
+        }
+        // After every message, serve or re-route anything that became
+        // actionable for any tenant: buffered items whose instance
+        // landed in the depot, or whose stage has moved away meanwhile.
+        for tl in tenants.values_mut() {
+            if tl.tenant.done.load(Ordering::Relaxed) {
+                // Aborted tenant: discard its parked backlog.
+                tl.waiting.clear();
+                continue;
+            }
+            serve_waiting(me, tl);
+        }
+    }
+    // Pool shutdown with tenants still attached (cluster torn down
+    // under live sessions): flush what accounting we have — their
+    // teardown ack-waits escape on the pool flag.
+    for (_, tl) in tenants.drain() {
+        tl.flush_acc(me);
+    }
+}
+
+/// Surrenders this worker's instances of `stage` for a migration — the
+/// [`Ctrl::Relinquish`] a re-map commit sends to every old host. What
+/// "surrender" means follows the stage's declared access pattern:
+///
+/// * **Stateless** — the replica is dropped; the depot keeps the
+///   prototype and new hosts replicate their own.
+/// * **Accumulator** — the local partial is snapshotted into the
+///   stage's merge inbox for a surviving replica to absorb, then
+///   dropped (the depot prototype seeds new replicas).
+/// * **Keyed** — every locally-held shard instance is quiesced
+///   (snapshot → fresh shell → restore, proving the state serializes)
+///   and deposited in its shard's depot slot for the new owner.
+/// * **Exclusive / Opaque** — the unique instance is quiesced and
+///   deposited in slot 0; opaque closures cannot snapshot, so
+///   [`quiesce`] passes the live box through unchanged.
+///
+/// Afterwards the stage's current hosts are woken: items they buffered
+/// while the instance was in transit can be served now. The wake also
+/// covers the case where this worker never held the instance (it sat in
+/// the depot through a double migration) — the notification is
+/// idempotent.
+fn relinquish(me: usize, pool: &Pool, tenant: &Arc<Shared>, stage: usize, tl: &mut TenantLocal) {
+    let state = tenant.spec.stages[stage].state;
+    match state {
+        StateAccess::Stateless => {
+            tl.local.remove(&(stage, 0));
+            return; // nothing migrates; no one is blocked on a depot slot
+        }
+        StateAccess::Accumulator => {
+            if let Some(mut inst) = tl.local.remove(&(stage, 0)) {
+                if let Some(snap) = inst.snapshot() {
+                    tenant.merge_inbox[stage]
+                        .lock()
+                        .expect("merge inbox poisoned")
+                        .push(snap);
+                }
+            }
+        }
+        StateAccess::Keyed { .. } | StateAccess::Exclusive | StateAccess::Opaque => {
+            for slot in 0..state.shards().max(1) {
+                if let Some(inst) = tl.local.remove(&(stage, slot)) {
+                    let (inst, _bytes) = quiesce(inst);
+                    tenant.depot[stage][slot]
+                        .lock()
+                        .expect("depot lock poisoned")
+                        .replace(inst);
+                }
+            }
+        }
+    }
+    let snap = tl.cache.current(tenant).clone();
+    for &h in snap.hosts(stage) {
+        if h.index() != me {
+            pool.inboxes[h.index()].send_ctrl(Ctrl::Wake);
+        }
+    }
+}
+
+/// Scans the sibling inboxes, nearest first, for one envelope idle
+/// worker `me` may serve.
+fn try_steal(me: usize, pool: &Pool) -> Option<Msg> {
+    let np = pool.inboxes.len();
+    (1..np).map(|off| (me + off) % np).find_map(|victim| {
+        let (tenant, env) =
+            pool.inboxes[victim].steal(|t, snap, env| may_steal(me, victim, t, snap, env))?;
+        tenant.steals.fetch_add(1, Ordering::Relaxed);
+        Some(Msg::Work { tenant, env })
+    })
+}
+
+/// Whether idle worker `thief` may serve `env`, queued at `victim` for
+/// `tenant`: the stage must be stateless (stateful instances are
+/// pinned) and currently replicated onto the thief under the tenant's
+/// *current* routing epoch (stale envelopes belong to their addressee,
+/// which re-homes them on arrival). A down worker never steals; down
+/// victims keep their backlog for the replay/rescue path, which does
+/// the fault accounting; a tenant tearing down has nothing worth
+/// serving.
+pub(crate) fn may_steal(
+    thief: usize,
+    victim: usize,
+    tenant: &Shared,
+    snap: &RoutingSnapshot,
+    env: &Envelope,
+) -> bool {
+    !tenant.done.load(Ordering::Relaxed)
+        && !snap.is_down(NodeId(thief))
+        && !snap.is_down(NodeId(victim))
+        && tenant.spec.stages[env.stage].stateless
+        && env.epoch == snap.epoch()
+        && snap.contains(env.stage, NodeId(thief))
+        && snap.hosts(env.stage).len() > 1
+}
+
+/// Serves one fresh work envelope: whole for an unkeyed stage, split
+/// per shard for a keyed one — each shard is served against its own
+/// instance slot, and a shard's keys pin to its owner.
+fn handle_work(me: usize, env: Envelope, tl: &mut TenantLocal) {
+    let stage = env.stage;
+    let snap = tl.cache.current(&tl.tenant).clone();
+    let shards = tl.tenant.spec.stages[stage].state.shards();
+    if shards == 0 {
+        return place(me, tl, &snap, stage, 0, Some(env));
+    }
+    let mut per_shard: Vec<(usize, Vec<ItemSlot>)> = Vec::new();
+    for slot in env.items {
+        let shard = shard_of(tl.tenant.key_hash(stage, &slot), shards);
+        push_onward(&mut per_shard, shard, slot);
+    }
+    for (shard, items) in per_shard {
+        let piece = Envelope {
+            stage,
+            epoch: env.epoch,
+            items,
+        };
+        place(me, tl, &snap, stage, shard, Some(piece));
+    }
+}
+
+/// Serves every waiting queue that became actionable.
+fn serve_waiting(me: usize, tl: &mut TenantLocal) {
+    if tl.waiting.is_empty() {
+        return;
+    }
+    let snap = tl.cache.current(&tl.tenant).clone();
+    let slots: Vec<(usize, usize)> = tl.waiting.keys().copied().collect();
+    for (stage, slot) in slots {
+        place(me, tl, &snap, stage, slot, None);
+    }
+}
+
+/// The one placement decision: what this worker does with the items it
+/// holds for `(stage, slot)` — the backlog parked earlier, oldest first,
+/// then the `fresh` envelope just received, if any — under `snap`, the
+/// routing state as of this message. In order:
+///
+/// * **not owned** — the stage, or this shard of it, is mapped
+///   elsewhere: re-home the items to the current owner (counted in
+///   `Shared::rehomed`). Off a down vnode this is the post-re-map
+///   rescue, and each item counts as a replay.
+/// * **this vnode is down** — it must not serve. Re-deal what a live
+///   replica can absorb and park the rest; keyed items pin to their
+///   shard owner and all park. The forced re-map moves the stage away,
+///   and the wake-up its Relinquish sends lands here again.
+/// * **instance in transit** — park behind whatever is parked already:
+///   the previous host has not deposited the instance yet. The
+///   post-message scan ([`serve_waiting`]) retries.
+/// * **otherwise** — serve ([`process_batch`]), the backlog first.
+fn place(
+    me: usize,
+    tl: &mut TenantLocal,
+    snap: &Arc<RoutingSnapshot>,
+    stage: usize,
+    slot: usize,
+    fresh: Option<Envelope>,
+) {
+    let key = (stage, slot);
+    let shared = &tl.tenant;
+    let me_down = snap.is_down(NodeId(me));
+    let keyed = shared.spec.stages[stage].state.shards() > 0;
+    // Shard ownership, not mere stage hosting: a co-host that lost this
+    // shard in a re-balance must forward its items.
+    let owned =
+        snap.contains(stage, NodeId(me)) && (!keyed || snap.shard_owner(stage, slot).index() == me);
+    let park = if !owned {
+        false
+    } else if me_down {
+        keyed
+    } else {
+        !try_acquire(shared, &mut tl.local, stage, slot)
+    };
+    if park {
+        tl.waiting.entry(key).or_default().extend(fresh);
+        return;
+    }
+    let parked = tl.waiting.remove(&key);
+    for env in parked.into_iter().flatten().chain(fresh) {
+        if !owned {
+            // The sender routed by a snapshot no newer than ours (the
+            // inbox hand-off orders its epoch load before ours), and
+            // ownership is immutable per snapshot — so a current-epoch
+            // envelope always lands on a current owner, and a parked
+            // one was owned under the epoch it was parked in. Arriving
+            // here proves the envelope is stale.
+            debug_assert_ne!(
+                env.epoch,
+                snap.epoch(),
+                "current-epoch envelope held by a non-owner of stage {stage}"
+            );
+            let shared = &tl.tenant;
+            shared
+                .rehomed
+                .fetch_add(env.items.len() as u64, Ordering::Relaxed);
+            if me_down {
+                for item in &env.items {
+                    shared.note_replay(item.seq, stage, me);
+                }
+            }
+            ship(shared, snap, Some(me), stage, env.items);
+        } else if me_down {
+            let items = redeal(&tl.tenant, snap, me, stage, env.items);
+            if !items.is_empty() {
+                let env = Envelope {
+                    stage,
+                    epoch: snap.epoch(),
+                    items,
+                };
+                tl.waiting.entry(key).or_default().push_back(env);
+            }
+        } else {
+            process_batch(me, tl, snap, env, slot);
+        }
+    }
+}
+
+/// Re-deals a down vnode's items to live replicas (counted and
+/// announced as replays), returning the remainder to park — every
+/// replica is down, so only a re-map can rescue those, and the rescue
+/// flush happens on the Relinquish wake-up that re-map sends here. The
+/// snapshot is lock-free, so a deep stranded backlog cannot contend the
+/// adaptation thread's recovery re-map.
+fn redeal(
+    shared: &Arc<Shared>,
+    snap: &RoutingSnapshot,
+    me: usize,
+    stage: usize,
+    items: Vec<ItemSlot>,
+) -> Vec<ItemSlot> {
+    deal(shared, snap, None, stage, items, |slot| {
+        let dest = snap.route(stage);
+        let live = dest.index() != me && !snap.is_down(dest);
+        if live {
+            shared.note_replay(slot.seq, stage, me);
+        }
+        live.then_some(dest.index())
+    })
+}
+
+/// Ensures `local` holds an instance of `(stage, slot)`; true on
+/// success. Stateless and accumulator stages replicate from the depot
+/// prototype (every host gets its own replica / partial); keyed stages
+/// take their shard's unique instance, exclusive and opaque stages the
+/// stage's unique instance — `false` while a migration still has it in
+/// transit (the previous host has not deposited it yet).
+pub(crate) fn try_acquire(
+    shared: &Shared,
+    local: &mut HashMap<(usize, usize), Box<dyn DynStage>>,
+    stage: usize,
+    slot: usize,
+) -> bool {
+    if local.contains_key(&(stage, slot)) {
+        return true;
+    }
+    match shared.spec.stages[stage].state {
+        StateAccess::Stateless | StateAccess::Accumulator => {
+            let proto = shared.depot[stage][0].lock().expect("depot lock poisoned");
+            if let Some(proto) = proto.as_ref() {
+                if let Some(replica) = proto.replicate() {
+                    local.insert((stage, slot), replica);
+                    return true;
+                }
+            }
+            false
+        }
+        StateAccess::Keyed { .. } | StateAccess::Exclusive | StateAccess::Opaque => {
+            let mut cell = shared.depot[stage][slot]
+                .lock()
+                .expect("depot lock poisoned");
+            match cell.take() {
+                Some(inst) => {
+                    local.insert((stage, slot), inst);
+                    true
+                }
+                None => false, // still held by the previous host
+            }
+        }
+    }
+}
+
+/// Appends `slot` to the onward batch for `stage`, creating the bucket
+/// on first use (from the buffer pool). Linear pipelines keep exactly
+/// one bucket, so this is a length-1 scan — no per-item allocation.
+pub(crate) fn push_onward(onward: &mut Vec<(usize, Vec<ItemSlot>)>, stage: usize, slot: ItemSlot) {
+    match onward.iter_mut().find(|(s, _)| *s == stage) {
+        Some((_, batch)) => batch.push(slot),
+        None => {
+            let mut batch = SLOT_BUFS.take(0);
+            batch.push(slot);
+            onward.push((stage, batch));
+        }
+    }
+}
+
+/// Routes `items` of `stage` against `snap` and delivers them bucketed
+/// per destination worker. The single-host case (linear pipelines)
+/// skips per-item routing entirely; replicated stages keep per-item
+/// round-robin dealing inside the batch. `from` is the sending worker
+/// (`None` for the source), used for link emulation.
+pub(crate) fn ship(
+    shared: &Arc<Shared>,
+    snap: &RoutingSnapshot,
+    from: Option<usize>,
+    stage: usize,
+    items: Vec<ItemSlot>,
+) {
+    if items.is_empty() {
+        SLOT_BUFS.put(items);
+        return;
+    }
+    let hosts = snap.hosts(stage);
+    if hosts.len() == 1 {
+        let dest = hosts[0].index();
+        deliver_env(shared, snap, from, stage, dest, items);
+    } else if shared.spec.stages[stage].state.shards() > 0 {
+        // Keyed stage: every item is pinned to its key's shard owner —
+        // never dealt round-robin, never detoured around a down owner
+        // (the state lives there; a re-map moves it, then the items).
+        deal(shared, snap, from, stage, items, |slot| {
+            let hash = shared.key_hash(stage, slot);
+            Some(snap.route_keyed(stage, hash).index())
+        });
+    } else {
+        deal(shared, snap, from, stage, items, |_| {
+            Some(snap.route(stage).index())
+        });
+    }
+}
+
+/// Deals `items` of `stage` into one bucket per destination worker —
+/// `dest_of` names each item's, or `None` to keep it back — and
+/// delivers every non-empty bucket as one envelope. Returns the items
+/// kept back.
+fn deal(
+    shared: &Arc<Shared>,
+    snap: &RoutingSnapshot,
+    from: Option<usize>,
+    stage: usize,
+    mut items: Vec<ItemSlot>,
+    mut dest_of: impl FnMut(&ItemSlot) -> Option<usize>,
+) -> Vec<ItemSlot> {
+    let cap = items.len();
+    let mut buckets: Vec<Vec<ItemSlot>> = (0..shared.pool.inboxes.len())
+        .map(|_| SLOT_BUFS.take(cap))
+        .collect();
+    let mut kept = Vec::new();
+    for slot in items.drain(..) {
+        match dest_of(&slot) {
+            Some(dest) => buckets[dest].push(slot),
+            None => kept.push(slot),
+        }
+    }
+    SLOT_BUFS.put(items);
+    for (dest, batch) in buckets.into_iter().enumerate() {
+        if !batch.is_empty() {
+            deliver_env(shared, snap, from, stage, dest, batch);
+        } else {
+            SLOT_BUFS.put(batch);
+        }
+    }
+    kept
+}
+
+/// Enqueues one envelope on `dest`'s inbox lane for this tenant,
+/// paying the emulated link cost first when enabled (NIC-serialisation semantics: the sender sleeps the
+/// transfer time of the whole batch — latency is paid once per
+/// envelope, which is exactly the amortisation batching buys).
+fn deliver_env(
+    shared: &Arc<Shared>,
+    snap: &RoutingSnapshot,
+    from: Option<usize>,
+    stage: usize,
+    dest: usize,
+    items: Vec<ItemSlot>,
+) {
+    if let Some(from) = from {
+        if shared.emulate_links && from != dest {
+            let bytes = shared.bytes_into[stage].saturating_mul(items.len() as u64);
+            let d = shared
+                .topology
+                .transfer_time(NodeId(from), NodeId(dest), bytes)
+                .as_secs_f64();
+            if d > 0.0 {
+                std::thread::sleep(Duration::from_secs_f64(d));
+            }
+        }
+    }
+    let env = Envelope {
+        stage,
+        epoch: snap.epoch(),
+        items,
+    };
+    let depth = shared.pool.inboxes[dest].send_work(shared, env);
+    // If the inbox is backing up and the stage has live sibling
+    // replicas, wake one idle co-host so it starts stealing instead of
+    // sleeping through the backlog.
+    if depth > STEAL_WAKE_DEPTH && shared.spec.stages[stage].stateless {
+        let hosts = snap.hosts(stage);
+        if hosts.len() > 1 {
+            for &h in hosts {
+                if h.index() != dest
+                    && !snap.is_down(h)
+                    && shared.pool.inboxes[h.index()].wake_if_idle()
+                {
+                    break;
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::{attach, EngineConfig, Pool};
+    use crate::vnode::VNodeSpec;
+    use adapipe_core::payload::Payload;
+    use adapipe_core::pipeline::PipelineBuilder;
+    use adapipe_core::spec::StageSpec;
+    use adapipe_gridsim::fault::FaultPlan;
+    use adapipe_mapper::mapping::Mapping;
+    use std::time::Instant;
+
+    #[test]
+    fn a_parked_backlog_shipped_to_the_new_owner_counts_as_rehomed() {
+        // One stateful stage on v0 of a pool nobody pushes into; this
+        // test plays worker 0 with a `TenantLocal` of its own.
+        let vnodes: Vec<VNodeSpec> = (0..2).map(|i| VNodeSpec::free(format!("v{i}"))).collect();
+        let pool = Pool::launch(vnodes.clone(), FaultPlan::new());
+        let pipeline = PipelineBuilder::<u64>::new()
+            .stateful_stage(StageSpec::balanced("sum", 1.0, 0).with_state(8), |x: u64| x)
+            .build();
+        let mut cfg = EngineConfig::new(vnodes);
+        cfg.initial_mapping = Some(Mapping::all_on(NodeId(0), 1));
+        let session = attach(&pool, pipeline, &cfg, 0, false);
+        let shared = Arc::clone(&session.tenant_handle().shared);
+        let mut tl = TenantLocal::new(Arc::clone(&shared));
+
+        // The instance is in transit (a migration's previous host has
+        // not deposited it yet): a fresh envelope parks.
+        let in_transit = shared.depot[0][0].lock().unwrap().take();
+        assert!(in_transit.is_some());
+        let items = (0..3)
+            .map(|seq| ItemSlot {
+                seq,
+                born: Instant::now(),
+                payload: Payload::new(seq),
+            })
+            .collect();
+        let (stage, epoch) = (0, shared.snapshot().epoch());
+        handle_work(
+            0,
+            Envelope {
+                stage,
+                epoch,
+                items,
+            },
+            &mut tl,
+        );
+        assert_eq!(tl.waiting[&(0, 0)].len(), 1);
+        assert_eq!(shared.rehomed.load(Ordering::Relaxed), 0);
+
+        // The migration stalls and the controller moves the stage on:
+        // the next scan ships the backlog to v1 — a re-homing like any
+        // other, and counted as one.
+        shared
+            .routing
+            .write()
+            .unwrap()
+            .install(Mapping::all_on(NodeId(1), 1));
+        serve_waiting(0, &mut tl);
+        assert!(tl.waiting.is_empty());
+        assert_eq!(shared.rehomed.load(Ordering::Relaxed), 3);
+
+        drop(session);
+        pool.shutdown();
+    }
+}
