@@ -13,7 +13,8 @@
 //!    set completes;
 //! 3. [`forward`] — the one walk of [`Next`]: exit, plain consumer,
 //!    fan-out over plain and slotted targets in edge order, join slot,
-//!    each sent to the backend's [`Hops`].
+//!    each sent to the backend's [`Hops`], the fan-out's copies passing
+//!    through a scratch vector the backend keeps between items.
 //!
 //! The kernel owns no clock, no queue and no lock. Backends supply
 //! those: the threaded engine's workers call it from their slow path
@@ -137,11 +138,17 @@ impl JoinSlots {
 }
 
 /// Where [`forward`] sends payloads: a backend's queues, sink and join
-/// state behind three hops. (A trait rather than one callback taking an
-/// enum: the hops sit in the threaded engine's per-item loop, where
-/// packing a payload into an enum for the callback to unpack again
-/// measurably costs throughput.)
+/// state behind three hops, plus the vector a fan-out writes its copies
+/// into on their way to those hops. (A trait rather than one callback
+/// taking an enum: the hops sit in the threaded engine's per-item loop,
+/// where packing a payload into an enum for the callback to unpack
+/// again measurably costs throughput.)
 pub trait Hops {
+    /// The backend's fan-out scratch vector: [`forward`] borrows it
+    /// for one fan-out, fills and drains it, and hands it back empty
+    /// with its capacity — so the backend keeps one for as long as it
+    /// forwards (per envelope, per session) and no item allocates one.
+    fn copies(&mut self) -> &mut Vec<BoxedItem>;
     /// The payload is the pipeline's output.
     fn exit(&mut self, payload: BoxedItem);
     /// The payload is `stage`'s next input.
@@ -174,18 +181,23 @@ pub fn forward(
         Next::Stage(stage) => to.stage(stage, payload),
         Next::Join { block, branch } => to.slot(block, branch, payload),
         Next::FanOut { block } => {
-            let parts = fanouts[block](payload)?;
-            for (target, part) in graph.fan_targets(block).iter().zip(parts) {
-                match target.slot {
-                    None => to.stage(target.stage, part),
-                    Some(slot) => {
-                        let block = graph
-                            .merge_block_of(target.stage)
-                            .expect("slotted fan target joins");
-                        to.slot(block, slot, part);
+            let mut copies = std::mem::take(to.copies());
+            let copied = fanouts[block](payload, &mut copies);
+            if copied.is_ok() {
+                for (target, part) in graph.fan_targets(block).iter().zip(copies.drain(..)) {
+                    match target.slot {
+                        None => to.stage(target.stage, part),
+                        Some(slot) => {
+                            let block = graph
+                                .merge_block_of(target.stage)
+                                .expect("slotted fan target joins");
+                            to.slot(block, slot, part);
+                        }
                     }
                 }
             }
+            *to.copies() = copies;
+            copied?;
         }
     }
     Ok(())
@@ -347,16 +359,26 @@ mod tests {
         payload.downcast::<u64>().unwrap()
     }
 
-    impl Hops for Vec<Seen> {
+    /// Records every hop.
+    #[derive(Default)]
+    struct Recorder {
+        seen: Vec<Seen>,
+        copies: Vec<BoxedItem>,
+    }
+
+    impl Hops for Recorder {
+        fn copies(&mut self) -> &mut Vec<BoxedItem> {
+            &mut self.copies
+        }
         fn exit(&mut self, payload: BoxedItem) {
-            self.push(Seen::Exit(read(payload)));
+            self.seen.push(Seen::Exit(read(payload)));
         }
         fn stage(&mut self, stage: usize, payload: BoxedItem) {
-            self.push(Seen::Stage(stage, read(payload)));
+            self.seen.push(Seen::Stage(stage, read(payload)));
         }
         fn slot(&mut self, block: usize, slot: usize, part: BoxedItem) {
             let part = read(part);
-            self.push(Seen::Slot { block, slot, part });
+            self.seen.push(Seen::Slot { block, slot, part });
         }
     }
 
@@ -377,10 +399,11 @@ mod tests {
             .map(|b| fan_out_fn::<u64>(graph.fan_targets(b).len()))
             .collect();
         let walk = |next: Next| {
-            let mut seen = Vec::new();
-            forward(&graph, &fanouts, &next, Payload::new(9u64), &mut seen)
+            let mut to = Recorder::default();
+            forward(&graph, &fanouts, &next, Payload::new(9u64), &mut to)
                 .expect("u64 payloads fan out");
-            seen
+            assert!(to.copies.is_empty(), "the scratch vector comes back empty");
+            to.seen
         };
         assert_eq!(walk(graph.entry()), vec![Seen::Stage(0, 9)]);
         assert_eq!(
@@ -410,21 +433,29 @@ mod tests {
             .expect("valid wiring");
         let fanouts = vec![fan_out_fn::<u64>(2)];
         let join2 = shortcut.merge_block_of(2).unwrap();
-        let mut seen = Vec::new();
+        let mut to = Recorder::default();
         let after0 = shortcut.after(0);
-        forward(&shortcut, &fanouts, &after0, Payload::new(4u64), &mut seen).unwrap();
+        forward(&shortcut, &fanouts, &after0, Payload::new(4u64), &mut to).unwrap();
         let into_join = Seen::Slot {
             block: join2,
             slot: 0,
             part: 4,
         };
-        assert_eq!(seen, vec![Seen::Stage(1, 4), into_join]);
+        assert_eq!(to.seen, vec![Seen::Stage(1, 4), into_join]);
+        // The scratch vector is the backend's to keep: the second item
+        // fans out through the allocation the first one made.
+        let kept = (to.copies.as_ptr(), to.copies.capacity());
+        assert!(kept.1 >= 2);
+        forward(&shortcut, &fanouts, &after0, Payload::new(5u64), &mut to).unwrap();
+        assert_eq!((to.copies.as_ptr(), to.copies.capacity()), kept);
+        assert_eq!(to.seen.len(), 4);
 
         // A payload the duplicator cannot read is the typed error, and
         // nothing was sent.
         let text = Payload::new("text".to_string());
-        let err = forward(&shortcut, &fanouts, &after0, text, &mut seen).unwrap_err();
+        let err = forward(&shortcut, &fanouts, &after0, text, &mut to).unwrap_err();
         assert_eq!(err.stage, "fan-out");
-        assert_eq!(seen.len(), 2);
+        assert_eq!(to.seen.len(), 4);
+        assert!(to.copies.is_empty());
     }
 }

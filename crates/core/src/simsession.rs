@@ -106,6 +106,7 @@ pub fn attach<'g, I, O>(
                 .collect(),
             ready: VecDeque::new(),
             exit: None,
+            copies: Vec::new(),
         },
         stages,
         specs: spec.stages.clone(),
@@ -347,9 +348,15 @@ struct Inflight {
     ready: VecDeque<(usize, BoxedItem)>,
     /// The pipeline output, once the exit stage produced it.
     exit: Option<BoxedItem>,
+    /// Fan-out scratch, kept for the session's life.
+    copies: Vec<BoxedItem>,
 }
 
 impl Hops for Inflight {
+    fn copies(&mut self) -> &mut Vec<BoxedItem> {
+        &mut self.copies
+    }
+
     fn exit(&mut self, payload: BoxedItem) {
         self.exit = Some(payload);
     }

@@ -40,21 +40,51 @@ pub fn key_fn<I: Send + 'static>(key: impl Fn(&I) -> u64 + Send + Sync + 'static
     Arc::new(move |item: &BoxedItem| item.downcast_ref::<I>().map(&key))
 }
 
-/// Clones one erased item into independent copies, one per branch of a
-/// parallel block — the fan-out half of a series-parallel stage graph.
-/// Built by [`fan_out_fn`] from the typed builder (which knows the item
-/// type is `Clone`); shared behind an `Arc` so pipelines stay cloneable.
-pub type FanOutFn = Arc<dyn Fn(BoxedItem) -> Result<Vec<BoxedItem>, StageTypeError> + Send + Sync>;
+/// Copies one erased item once per target of a fan block — the fan-out
+/// half of a stage graph — *into a vector the caller owns*: the copies
+/// are appended in edge order, and the caller drains them into its hops
+/// and keeps the vector for the next item, so a fan-out allocates
+/// nothing per item. On a type mismatch nothing is appended. Built by
+/// [`fan_out_fn`] / [`fan_out_from_clone`]; shared behind an `Arc` so
+/// pipelines stay cloneable.
+pub type FanOutFn =
+    Arc<dyn Fn(BoxedItem, &mut Vec<BoxedItem>) -> Result<(), StageTypeError> + Send + Sync>;
 
 /// Builds the [`FanOutFn`] duplicating items of type `T` to `branches`
 /// copies (in branch order).
 pub fn fan_out_fn<T: Clone + Send + 'static>(branches: usize) -> FanOutFn {
-    Arc::new(move |item: BoxedItem| {
-        let item = item.downcast::<T>().map_err(|_| StageTypeError {
-            stage: "fan-out".to_string(),
-            expected: std::any::type_name::<T>(),
-        })?;
-        Ok((0..branches).map(|_| Payload::new(item.clone())).collect())
+    fan_out_from_clone(
+        "fan-out".to_string(),
+        std::any::type_name::<T>(),
+        clone_fn::<T>(),
+        branches,
+    )
+}
+
+/// Builds a [`FanOutFn`] from the producer's [`CloneFn`]: `n - 1` clones
+/// and then the original itself, in edge order (every copy carries the
+/// same value). A payload the clone function cannot read is the usual
+/// typed mis-assembly error, naming `stage` and the `expected` type.
+pub fn fan_out_from_clone(
+    stage: String,
+    expected: &'static str,
+    clone: CloneFn,
+    n: usize,
+) -> FanOutFn {
+    Arc::new(move |item: BoxedItem, copies: &mut Vec<BoxedItem>| {
+        let sent = copies.len();
+        for _ in 1..n {
+            let Some(copy) = clone(&item) else {
+                copies.truncate(sent);
+                return Err(StageTypeError {
+                    stage: stage.clone(),
+                    expected,
+                });
+            };
+            copies.push(copy);
+        }
+        copies.push(item);
+        Ok(())
     })
 }
 
@@ -850,7 +880,8 @@ mod tests {
     #[test]
     fn fan_out_clones_and_merge_folds() {
         let split = fan_out_fn::<u64>(3);
-        let parts = split(Payload::new(7u64)).expect("typed item splits");
+        let mut parts = Vec::new();
+        split(Payload::new(7u64), &mut parts).expect("typed item splits");
         assert_eq!(parts.len(), 3);
         let mut m = MergeStage::new("sum", |xs: Vec<u64>| xs.iter().sum::<u64>());
         let joined: BoxedItem = Payload::new(parts);
@@ -862,8 +893,11 @@ mod tests {
     #[test]
     fn fan_out_and_merge_report_type_mismatches() {
         let split = fan_out_fn::<u64>(2);
-        let err = split(Payload::new("nope")).unwrap_err();
+        let mut parts = vec![Payload::new(0u64)];
+        let err = split(Payload::new("nope"), &mut parts).unwrap_err();
         assert_eq!(err.stage, "fan-out");
+        assert_eq!(err.expected, std::any::type_name::<u64>());
+        assert_eq!(parts.len(), 1, "a refused item appends nothing");
         let mut m = MergeStage::new("j", |xs: Vec<u64>| xs[0]);
         // Not a joined vector at all.
         assert!(m.process(Payload::new(1u64)).is_err());

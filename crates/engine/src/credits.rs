@@ -29,8 +29,10 @@ struct Gate {
 }
 
 impl Gate {
-    fn take(&mut self) {
-        self.available = self.available.saturating_sub(1);
+    /// Takes `n` slots. Saturating, because a broken gate admits a
+    /// pusher whatever is left.
+    fn take(&mut self, n: u64) {
+        self.available = self.available.saturating_sub(n);
     }
 }
 
@@ -53,7 +55,7 @@ impl Credits {
     pub(crate) fn acquire(&self) -> Option<Duration> {
         let mut gate = self.gate.lock().expect("credit lock poisoned");
         if gate.available > 0 || self.broken.load(Ordering::SeqCst) {
-            gate.take();
+            gate.take(1);
             return None;
         }
         let t0 = Instant::now();
@@ -62,23 +64,27 @@ impl Credits {
             gate = self.freed.wait(gate).expect("credit lock poisoned");
         }
         gate.waiters -= 1;
-        gate.take();
+        gate.take(1);
         Some(t0.elapsed())
     }
 
-    /// Non-blocking acquire; true if a slot was taken (or the gate is
-    /// broken — same contract as [`Credits::acquire`], which also
-    /// proceeds when broken). The session uses this to decide whether
-    /// it can keep buffering input or must flush before blocking.
+    /// Non-blocking acquire of up to `n` slots under one lock; returns
+    /// how many were taken — never more than were available, except
+    /// that a broken gate grants all `n` (same contract as
+    /// [`Credits::acquire`], which also proceeds when broken). Zero
+    /// tells the session it can no longer keep buffering input and
+    /// must flush before blocking; slots taken and then not spent go
+    /// back through [`Credits::release_n`].
     #[inline]
-    pub(crate) fn try_acquire(&self) -> bool {
+    pub(crate) fn try_acquire_n(&self, n: u64) -> u64 {
         let mut gate = self.gate.lock().expect("credit lock poisoned");
-        if gate.available > 0 || self.broken.load(Ordering::SeqCst) {
-            gate.take();
-            true
+        let granted = if self.broken.load(Ordering::SeqCst) {
+            n
         } else {
-            false
-        }
+            n.min(gate.available)
+        };
+        gate.take(granted);
+        granted
     }
 
     #[inline]
@@ -95,6 +101,12 @@ impl Credits {
         } else {
             self.freed.notify_all();
         }
+    }
+
+    /// Slots free right now.
+    #[cfg(test)]
+    pub(crate) fn available(&self) -> u64 {
+        self.gate.lock().expect("credit lock poisoned").available
     }
 
     /// Wakes every blocked pusher permanently (fatal teardown).
@@ -136,9 +148,9 @@ mod tests {
     #[test]
     fn every_release_and_a_broken_gate_wake_exactly_who_they_should() {
         let credits = Arc::new(Credits::new(2));
-        assert!(credits.try_acquire());
+        assert_eq!(credits.try_acquire_n(1), 1);
         assert!(credits.acquire().is_none(), "a free slot never blocks");
-        assert!(!credits.try_acquire(), "both slots are taken");
+        assert_eq!(credits.try_acquire_n(1), 0, "both slots are taken");
 
         let (handles, through) = waiters(&credits, 3);
         assert!(
@@ -166,7 +178,7 @@ mod tests {
         }
 
         // Zero slots again; breaking the gate frees everyone, for good.
-        assert!(!credits.try_acquire());
+        assert_eq!(credits.try_acquire_n(1), 0);
         let (handles, through) = waiters(&credits, 2);
         assert!(through.recv_timeout(NOT_YET).is_err());
         credits.break_gate();
@@ -178,7 +190,72 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert!(credits.try_acquire(), "a broken gate admits everything");
+        assert_eq!(
+            credits.try_acquire_n(1),
+            1,
+            "a broken gate admits everything"
+        );
         assert!(credits.acquire().is_none());
+    }
+
+    #[test]
+    fn try_acquire_n_never_overdraws_and_a_broken_gate_grants_it_all() {
+        let credits = Credits::new(10);
+        assert_eq!(credits.try_acquire_n(4), 4);
+        assert_eq!(credits.try_acquire_n(0), 0);
+        assert_eq!(
+            credits.try_acquire_n(256),
+            6,
+            "what is left, not what was asked"
+        );
+        assert_eq!(credits.try_acquire_n(256), 0);
+        assert_eq!(credits.available(), 0);
+        // Unspent slots go back the way finished items' slots do.
+        credits.release_n(3);
+        assert_eq!(credits.try_acquire_n(2), 2);
+        assert_eq!(credits.available(), 1);
+
+        // Nothing will ever be released again: every request is
+        // granted in full, and the count stops at zero.
+        credits.break_gate();
+        assert_eq!(credits.try_acquire_n(256), 256);
+        assert_eq!(credits.available(), 0);
+        assert_eq!(credits.try_acquire_n(7), 7);
+    }
+
+    /// Eight threads draw random-sized requests against a gate that a
+    /// ninth keeps refilling: whatever the interleaving, the grants add
+    /// up to exactly what was put in, so no request was ever granted a
+    /// slot that was not there.
+    #[test]
+    fn concurrent_try_acquire_n_grants_exactly_what_was_released() {
+        const CAPACITY: u64 = 64;
+        const REFILLS: u64 = 2_000;
+        let credits = Arc::new(Credits::new(CAPACITY));
+        let stop = Arc::new(AtomicBool::new(false));
+        let takers: Vec<_> = (0..8u64)
+            .map(|t| {
+                let (credits, stop) = (Arc::clone(&credits), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    let (mut granted, mut x) = (0, 0x9E37_79B9 + t);
+                    while !stop.load(Ordering::SeqCst) {
+                        x = x
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let want = 1 + (x >> 33) % 96;
+                        let got = credits.try_acquire_n(want);
+                        assert!(got <= want);
+                        granted += got;
+                    }
+                    granted
+                })
+            })
+            .collect();
+        for _ in 0..REFILLS {
+            credits.release_n(3);
+        }
+        stop.store(true, Ordering::SeqCst);
+        let granted: u64 = takers.into_iter().map(|t| t.join().unwrap()).sum();
+        assert_eq!(granted + credits.available(), CAPACITY + 3 * REFILLS);
     }
 }

@@ -54,6 +54,8 @@
 //! pipeline deadlock. A worker therefore never blocks; only the source
 //! does, which is exactly where backpressure belongs, and every
 //! inter-stage queue's occupancy is still bounded by the same total.
+//! [`EngineSession::push_batch`] takes its credits an envelope's worth
+//! per trip to the gate and hands back any it did not spend.
 //!
 //! Workers block on their inbox (`recv`) and are woken by messages
 //! only — work envelopes, depot hand-over notifications, and an
@@ -78,7 +80,12 @@
 //! launches a private pool and shuts it down at drain.
 //!
 //! Ordering: with `preserve_order` (default) outputs are resequenced by
-//! item index. During a migration window a *stateful* stage may observe
+//! item index, in a window over the sequence numbers (`exec/reorder.rs`):
+//! an output that finishes early waits in slot `seq − cursor`, an
+//! in-order stream leaves the window empty and untouched, and the
+//! window is never longer than what is pushed and not yet delivered —
+//! the in-flight credit, when `queue_capacity` is set. During a
+//! migration window a *stateful* stage may observe
 //! items slightly out of sequence order (items forwarded from the old
 //! host race items routed directly to the new one) — the same asynchrony
 //! a real grid deployment exhibits; applications needing strict
@@ -109,7 +116,8 @@ use adapipe_runtime::controller::ControllerConfig;
 use adapipe_runtime::policy::Policy;
 use adapipe_runtime::report::{DeadLetter, ReportBuilder, RunReport};
 use adapipe_runtime::session::{RunError, RunEvent, RunHooks, SessionControl, SessionId, TryNext};
-use std::collections::{BTreeMap, VecDeque};
+use reorder::Reorder;
+use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
@@ -239,10 +247,7 @@ fn push_entry(shared: &Arc<Shared>, cache: &mut RouteCache, mut items: Vec<ItemS
     }
     // A pipeline has at least one stage: nothing exits at the entry,
     // `finished` stays empty.
-    let mut outbox = Outbox {
-        finished: Vec::new(),
-        onward: Vec::new(),
-    };
+    let mut outbox = Outbox::new(Vec::new());
     for slot in items.drain(..) {
         let (seq, born) = (slot.seq, slot.born);
         if outbox
@@ -253,9 +258,7 @@ fn push_entry(shared: &Arc<Shared>, cache: &mut RouteCache, mut items: Vec<ItemS
         }
     }
     SLOT_BUFS.put(items);
-    for (stage, batch) in outbox.onward {
-        ship(shared, &snap, None, stage, batch);
-    }
+    outbox.dispatch(shared, &snap, None);
 }
 
 /// A live threaded pipeline: workers are running, the caller feeds
@@ -287,11 +290,8 @@ pub struct EngineSession<I, O> {
     pushed: u64,
     closed: bool,
     preserve_order: bool,
-    /// Resequencing buffer (`preserve_order` only); bounded by the
-    /// in-flight credit when `queue_capacity` is set. In-order arrivals
-    /// bypass it entirely.
-    reorder: BTreeMap<u64, O>,
-    next_seq: u64,
+    /// Resequencer (`preserve_order` only).
+    reorder: Reorder<O>,
     _types: PhantomData<fn(I) -> O>,
 }
 
@@ -314,14 +314,20 @@ where
     /// session (in-flight items still drain). The item is dropped in
     /// both cases.
     pub fn push(&mut self, item: I) -> Result<u64, RunError> {
-        self.push_born(item, Instant::now())
+        let born = Instant::now();
+        self.admit()?;
+        if self
+            .credits
+            .as_ref()
+            .is_some_and(|credits| credits.try_acquire_n(1) == 0)
+        {
+            self.wait_for_credit();
+        }
+        Ok(self.enqueue(item, born))
     }
 
-    /// [`EngineSession::push`] with an explicit birth stamp, so a batch
-    /// push pays one clock read for the whole batch (every item of a
-    /// batch arrives at the call instant — the same arrival semantics
-    /// the all-at-once batch feed declares).
-    fn push_born(&mut self, item: I, born: Instant) -> Result<u64, RunError> {
+    /// The lifecycle check every push passes before it takes a credit.
+    fn admit(&self) -> Result<(), RunError> {
         if self.closed {
             return Err(RunError::SessionClosed);
         }
@@ -330,22 +336,29 @@ where
                 session: SessionId(self.shared.id),
             });
         }
-        let seq = self.pushed;
-        if let Some(credits) = &self.credits {
-            if !credits.try_acquire() {
-                // The buffered items hold credits that only completions
-                // can return — flush them into the pipeline, then wait.
-                self.flush_pending();
-                let credits = self.credits.as_ref().expect("checked above");
-                if let Some(waited) = credits.acquire() {
-                    self.events.emit(RunEvent::BackpressureStall {
-                        session: SessionId(self.shared.id),
-                        seq,
-                        waited: SimDuration::from_secs_f64(waited.as_secs_f64()),
-                    });
-                }
-            }
+        Ok(())
+    }
+
+    /// The gate is empty. The buffered items hold credits that only
+    /// completions can return — flush them into the pipeline, then
+    /// block for one credit.
+    fn wait_for_credit(&mut self) {
+        self.flush_pending();
+        let credits = self.credits.as_ref().expect("only a bounded session waits");
+        if let Some(waited) = credits.acquire() {
+            self.events.emit(RunEvent::BackpressureStall {
+                session: SessionId(self.shared.id),
+                seq: self.pushed,
+                waited: SimDuration::from_secs_f64(waited.as_secs_f64()),
+            });
         }
+    }
+
+    /// Buffers one admitted item, its credit already taken, under the
+    /// next sequence number (returned), and ships the envelope once it
+    /// is full.
+    fn enqueue(&mut self, item: I, born: Instant) -> u64 {
+        let seq = self.pushed;
         self.pushed += 1;
         self.pending.push(ItemSlot {
             seq,
@@ -355,30 +368,59 @@ where
         if self.pending.len() >= self.batch_size {
             self.flush_pending();
         }
-        Ok(seq)
+        seq
     }
 
     /// Feeds a whole batch of items through the batched envelope path,
     /// flushing any remainder at the end of the call (so the batch is
     /// fully in flight when this returns). Returns the number of items
     /// pushed. Blocks like [`EngineSession::push`] under a bounded
-    /// in-flight budget.
+    /// in-flight budget, but takes its credits an envelope's worth at a
+    /// time: one trip to the gate per envelope, not per item. One clock
+    /// read stamps the whole batch (every item of a batch arrives at
+    /// the call instant — the same arrival semantics the all-at-once
+    /// batch feed declares).
     ///
     /// # Errors
     /// Same lifecycle errors as [`EngineSession::push`]; items pushed
     /// before the error remain in flight (and are flushed first).
     pub fn push_batch(&mut self, items: impl IntoIterator<Item = I>) -> Result<u64, RunError> {
         let born = Instant::now();
+        let credits = self.credits.clone();
+        let mut items = items.into_iter();
         let mut n = 0;
-        for item in items {
-            if let Err(e) = self.push_born(item, born) {
-                self.flush_pending();
-                return Err(e);
+        // Credits taken and not yet spent. Topped up only at zero, so
+        // the blocking wait never sits on credits of its own.
+        let mut held = 0;
+        let mut outcome = Ok(());
+        while let Some(item) = items.next() {
+            if let Err(e) = self.admit() {
+                outcome = Err(e);
+                break;
             }
+            if let Some(credits) = &credits {
+                if held == 0 {
+                    // For this item and the ones the caller says will
+                    // follow, as far as the envelope being filled.
+                    let room = self.batch_size - self.pending.len();
+                    let want = room.min(items.size_hint().0.saturating_add(1));
+                    held = credits.try_acquire_n(want as u64);
+                    if held == 0 {
+                        self.wait_for_credit();
+                        held = 1;
+                    }
+                }
+                held -= 1;
+            }
+            self.enqueue(item, born);
             n += 1;
         }
+        if let Some(credits) = credits.filter(|_| held > 0) {
+            // An error part-way, or an iterator shorter than its hint.
+            credits.release_n(held);
+        }
         self.flush_pending();
-        Ok(n)
+        outcome.map(|()| n)
     }
 
     /// Ships the buffered input as one routed envelope (routing the
@@ -498,7 +540,7 @@ where
                 }
                 Err(TryRecvError::Empty) => return TryNext::Pending,
                 Err(TryRecvError::Disconnected) => {
-                    return match self.flush_reorder() {
+                    return match self.reorder.flush() {
                         Some(o) => TryNext::Item(o),
                         None => TryNext::Done,
                     }
@@ -513,44 +555,17 @@ where
             .downcast::<O>()
             .expect("pipeline output type mismatch");
         if self.preserve_order {
-            self.skip_dead();
-            // In-order fast path: the common case (single-replica
-            // stages, no remap in flight) never touches the tree.
-            if fin.seq == self.next_seq {
-                self.next_seq += 1;
-                Some(out)
-            } else {
-                self.reorder.insert(fin.seq, out);
-                self.pop_ordered()
-            }
+            let shared = &self.shared;
+            self.reorder
+                .deliver(fin.seq, out, |seq| shared.is_dead(seq))
         } else {
             Some(out)
         }
     }
 
-    /// Advances the resequencing cursor past dead-lettered sequence
-    /// numbers: a diverted item never produces an output, so ordered
-    /// delivery must not wait for it.
-    fn skip_dead(&mut self) {
-        while self.shared.is_dead(self.next_seq) {
-            self.next_seq += 1;
-        }
-    }
-
     fn pop_ordered(&mut self) -> Option<O> {
-        self.skip_dead();
-        let o = self.reorder.remove(&self.next_seq)?;
-        self.next_seq += 1;
-        Some(o)
-    }
-
-    /// After the collector is gone, deliver whatever the resequencing
-    /// buffer still holds, in sequence order (gaps — aborted items —
-    /// are skipped).
-    fn flush_reorder(&mut self) -> Option<O> {
-        let (&seq, _) = self.reorder.iter().next()?;
-        self.next_seq = seq + 1;
-        self.reorder.remove(&seq)
+        let shared = &self.shared;
+        self.reorder.pop_ordered(|seq| shared.is_dead(seq))
     }
 
     /// Graceful shutdown: closes the stream, waits for every pushed
@@ -797,7 +812,7 @@ where
                     self.inbuf.extend(batch.drain(..));
                     FIN_BUFS.put(batch);
                 }
-                Err(_) => return self.flush_reorder(),
+                Err(_) => return self.reorder.flush(),
             }
         }
     }
@@ -950,8 +965,7 @@ where
         pushed: 0,
         closed: false,
         preserve_order: cfg.preserve_order,
-        reorder: BTreeMap::new(),
-        next_seq: 0,
+        reorder: Reorder::new(),
         _types: PhantomData,
     }
 }
@@ -1127,5 +1141,6 @@ where
     session.drain()
 }
 
+mod reorder;
 #[cfg(test)]
 mod tests;

@@ -13,8 +13,8 @@
 use crate::exec::{Finished, ItemSlot};
 use crate::inbox::Envelope;
 use crate::item::{fail_stage, process_resilient, Outbox, ResilientOut};
-use crate::tenant::{Shared, SinkMsg};
-use crate::worker::{ship, try_acquire, TenantLocal};
+use crate::tenant::Shared;
+use crate::worker::{try_acquire, TenantLocal};
 use adapipe_core::metrics::StageMetrics;
 use adapipe_core::spec::Next;
 use adapipe_core::stage::{BoxedItem, DynStage};
@@ -250,19 +250,15 @@ impl Batch {
             after: shared.spec.graph.after(s),
             stages,
             insts,
-            outbox: Outbox {
-                finished: FIN_BUFS.take(0),
-                onward: Vec::new(),
-            },
+            outbox: Outbox::new(FIN_BUFS.take(0)),
             busy: Duration::ZERO,
             fused_hops: 0,
             fatal: false,
         }
     }
 
-    /// Puts the instances back and ships what the envelope produced:
-    /// one sink message for the finished items, one onward envelope per
-    /// consuming stage.
+    /// Puts the instances back and ships what the envelope produced
+    /// ([`Outbox::dispatch`]).
     fn finish(self, me: usize, tl: &mut TenantLocal, snap: &RoutingSnapshot, slot: usize) {
         for (ci, (s, inst)) in self.stages.into_iter().zip(self.insts).enumerate() {
             tl.local.insert((s, if ci == 0 { slot } else { 0 }), inst);
@@ -272,20 +268,10 @@ impl Batch {
         if self.fused_hops > 0 {
             shared.fused.fetch_add(self.fused_hops, Ordering::Relaxed);
         }
-        let Outbox { finished, onward } = self.outbox;
-        if self.fatal || finished.is_empty() {
-            // Fatal: nothing ships — the collector already received
-            // `Fatal` and the report shows truncation.
-            FIN_BUFS.put(finished);
-        } else {
-            let _ = shared.sink.send(SinkMsg::Done(finished));
-        }
-        for (next, items) in onward {
-            if self.fatal {
-                SLOT_BUFS.put(items);
-            } else {
-                ship(shared, snap, Some(me), next, items);
-            }
+        // Fatal: nothing ships — the collector already received
+        // `Fatal` and the report shows truncation.
+        if !self.fatal {
+            self.outbox.dispatch(shared, snap, Some(me));
         }
     }
 

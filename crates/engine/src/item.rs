@@ -2,46 +2,22 @@
 //! callers of the backend-independent kernel, [`adapipe_core::item`],
 //! adding what only this backend has — atomic counters, real backoff
 //! sleeps, wall-clock timeout stamps, the event bus, and the per-item
-//! join map that worker threads share.
+//! join map that worker threads share — which an envelope's outputs
+//! reach through its [`Outbox`], under one lock per envelope.
 
 use crate::exec::{Finished, ItemSlot};
-use crate::tenant::{fatal_teardown, Shared};
-use crate::worker::push_onward;
+use crate::fusion::{FIN_BUFS, SLOT_BUFS};
+use crate::tenant::{fatal_teardown, Shared, SinkMsg};
+use crate::worker::{push_bucket, ship};
 use adapipe_core::item::{self, GaveUp, Hops, JoinSlots};
 use adapipe_core::payload::Payload;
 use adapipe_core::spec::Next;
 use adapipe_core::stage::{BoxedItem, DynStage, StageError};
+use adapipe_runtime::routing::RoutingSnapshot;
 use adapipe_runtime::session::{RunError, RunEvent, SessionId};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Deposits one input into join `block`'s slot `slot` for item `seq`.
-/// Returns the assembled parts (slot order) when this deposit completes
-/// the set; `None` while siblings are still outstanding — or when the
-/// item already dead-lettered on another branch, in which case the
-/// input is dropped rather than parked forever.
-pub(crate) fn deposit_join(
-    shared: &Shared,
-    block: usize,
-    slot: usize,
-    seq: u64,
-    part: BoxedItem,
-) -> Option<Vec<BoxedItem>> {
-    let mut joins = shared.joins[block].lock().expect("join lock poisoned");
-    // Checked under the join lock: `Shared::divert_dead` marks the item
-    // dead *before* it sweeps this map, so a deposit that still reads
-    // "alive" here is one the sweep has yet to come for.
-    if shared.is_dead(seq) {
-        return None;
-    }
-    let parts = joins
-        .entry(seq)
-        .or_insert_with(|| JoinSlots::new(shared.spec.graph.join_width(block)))
-        .deposit(slot, part)?;
-    joins.remove(&seq);
-    Some(parts)
-}
 
 /// Outcome of one item's trip through a stage under the stage's
 /// [`adapipe_runtime::session::ResiliencePolicy`].
@@ -143,18 +119,33 @@ pub(crate) fn fail_stage(shared: &Arc<Shared>, stage: usize, seq: u64, err: Stag
 }
 
 /// Where an envelope's items go when they leave their stage: the sink
-/// batch, and the onward batches per consuming stage.
+/// batch, the onward batches per consuming stage, and the join inputs
+/// per `(block, slot)`. Join inputs wait here until [`Outbox::dispatch`], so
+/// a block's lock is taken once per envelope rather than once per item.
 pub(crate) struct Outbox {
     pub(crate) finished: Vec<Finished>,
-    pub(crate) onward: Vec<(usize, Vec<ItemSlot>)>,
+    onward: Vec<(usize, Vec<ItemSlot>)>,
+    joining: Vec<((usize, usize), Vec<ItemSlot>)>,
+    /// Fan-out scratch (`Hops::copies`), kept across the envelope.
+    copies: Vec<BoxedItem>,
 }
 
 impl Outbox {
+    /// An empty outbox collecting its sink batch in `finished`.
+    pub(crate) fn new(finished: Vec<Finished>) -> Self {
+        Outbox {
+            finished,
+            onward: Vec::new(),
+            joining: Vec::new(),
+            copies: Vec::new(),
+        }
+    }
+
     /// Routes one stage output (or one source item entering the
     /// pipeline) wherever `next` says — the kernel's walk, landing in
-    /// this outbox and the join map the workers share. `Err(())` means
-    /// a fan-out type mismatch: the session is already failed and torn
-    /// down, and the caller must abandon the rest of its batch.
+    /// this outbox. `Err(())` means a fan-out type mismatch: the
+    /// session is already failed and torn down, and the caller must
+    /// abandon the rest of its batch.
     #[inline]
     pub(crate) fn send(
         &mut self,
@@ -166,7 +157,6 @@ impl Outbox {
         payload: BoxedItem,
     ) -> Result<(), ()> {
         let mut leaving = Leaving {
-            shared,
             seq,
             born,
             done,
@@ -190,18 +180,87 @@ impl Outbox {
             )
         })
     }
+
+    /// Ships what the envelope produced: the join inputs into the map
+    /// the workers share (completed sets go onward to the joining
+    /// stage), one sink message for the finished items, one onward
+    /// envelope per consuming stage. `from` is the sending worker
+    /// (`None` for the source).
+    pub(crate) fn dispatch(
+        mut self,
+        shared: &Arc<Shared>,
+        snap: &RoutingSnapshot,
+        from: Option<usize>,
+    ) {
+        self.settle_joins(shared);
+        if self.finished.is_empty() {
+            FIN_BUFS.put(self.finished);
+        } else {
+            let _ = shared.sink.send(SinkMsg::Done(self.finished));
+        }
+        for (stage, items) in self.onward {
+            ship(shared, snap, from, stage, items);
+        }
+    }
+
+    /// Deposits every bucketed join input, one lock per bucket — which
+    /// is one per join block: a stage has at most one edge into any
+    /// join (the graph rejects duplicates), so no two buckets of one
+    /// envelope share a block. A deposit completing its item's set
+    /// sends the assembled parts (slot order) onward to the joining
+    /// stage — which must receive that vector, not a raw copy to
+    /// process; an input whose item already dead-lettered on another
+    /// branch is dropped rather than parked forever.
+    fn settle_joins(&mut self, shared: &Shared) {
+        let graph = &shared.spec.graph;
+        for ((block, slot), mut inputs) in std::mem::take(&mut self.joining) {
+            let (joiner, width) = (graph.merge_of(block), graph.join_width(block));
+            let mut joins = shared.joins[block].lock().expect("join lock poisoned");
+            for ItemSlot { seq, born, payload } in inputs.drain(..) {
+                // Checked under the join lock: `Shared::divert_dead`
+                // marks the item dead *before* it sweeps this map, so a
+                // deposit that still reads "alive" here is one the sweep
+                // has yet to come for.
+                if shared.is_dead(seq) {
+                    continue;
+                }
+                let set = joins.entry(seq).or_insert_with(|| JoinSlots::new(width));
+                if let Some(parts) = set.deposit(slot, payload) {
+                    joins.remove(&seq);
+                    let payload = Payload::new(parts);
+                    push_bucket(&mut self.onward, joiner, ItemSlot { seq, born, payload });
+                }
+            }
+            drop(joins);
+            SLOT_BUFS.put(inputs);
+        }
+    }
 }
 
 /// One item on its way into an [`Outbox`].
 struct Leaving<'a> {
-    shared: &'a Shared,
     seq: u64,
     born: Instant,
     done: Instant,
     outbox: &'a mut Outbox,
 }
 
+impl Leaving<'_> {
+    fn slot_of(&self, payload: BoxedItem) -> ItemSlot {
+        ItemSlot {
+            seq: self.seq,
+            born: self.born,
+            payload,
+        }
+    }
+}
+
 impl Hops for Leaving<'_> {
+    #[inline]
+    fn copies(&mut self) -> &mut Vec<BoxedItem> {
+        &mut self.outbox.copies
+    }
+
     #[inline]
     fn exit(&mut self, payload: BoxedItem) {
         self.outbox.finished.push(Finished {
@@ -214,37 +273,37 @@ impl Hops for Leaving<'_> {
 
     #[inline]
     fn stage(&mut self, stage: usize, payload: BoxedItem) {
-        let (seq, born) = (self.seq, self.born);
-        push_onward(
-            &mut self.outbox.onward,
-            stage,
-            ItemSlot { seq, born, payload },
-        );
+        let slot = self.slot_of(payload);
+        push_bucket(&mut self.outbox.onward, stage, slot);
     }
 
-    /// The joining stage must receive the assembled vector, not a raw
-    /// copy to process.
     #[inline]
     fn slot(&mut self, block: usize, slot: usize, part: BoxedItem) {
-        if let Some(parts) = deposit_join(self.shared, block, slot, self.seq, part) {
-            let joiner = self.shared.spec.graph.merge_of(block);
-            self.stage(joiner, Payload::new(parts));
-        }
+        let part = self.slot_of(part);
+        push_bucket(&mut self.outbox.joining, (block, slot), part);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{spawn, EngineConfig};
+    use crate::exec::{spawn, EngineConfig, EngineOutcome, TenantHandle};
     use crate::vnode::VNodeSpec;
     use adapipe_core::pipeline::Pipeline;
     use adapipe_core::spec::{PipelineSpec, ResiliencePolicy, StageGraph, StageSpec};
     use adapipe_core::stage::{fan_out_fn, FallibleFnStage, FnStage, MergeStage};
+    use adapipe_gridsim::node::NodeId;
+    use adapipe_mapper::mapping::{Mapping, Placement};
+    use std::sync::Mutex;
 
     /// fetch → {parse, audit} → combine, where parse rejects every
-    /// value ending in 4 and dead-letters it after one retry.
-    fn fallible_diamond() -> Pipeline<u64, u64> {
+    /// value ending in 4 and dead-letters it after one retry. `audit`
+    /// and `parse_hook` (called as `parse` takes an item up) are the
+    /// test's to instrument.
+    fn fallible_diamond(
+        mut parse_hook: impl FnMut() + Send + Clone + 'static,
+        audit: impl FnMut(u64) -> u64 + Send + Clone + 'static,
+    ) -> Pipeline<u64, u64> {
         let stage = |name: &str| StageSpec::balanced(name, 0.001, 8);
         let spec = PipelineSpec::with_graph(
             vec![
@@ -263,14 +322,15 @@ mod tests {
         );
         let stages: Vec<Box<dyn DynStage>> = vec![
             Box::new(FnStage::new("fetch", |x: u64| x + 1)),
-            Box::new(FallibleFnStage::new("parse", |v: u64| {
+            Box::new(FallibleFnStage::new("parse", move |v: u64| {
+                parse_hook();
                 if v % 10 == 4 {
                     Err(format!("indigestible payload {v}"))
                 } else {
                     Ok(v * 10)
                 }
             })),
-            Box::new(FnStage::new("audit", |v: u64| v + 100)),
+            Box::new(FnStage::new("audit", audit)),
             Box::new(MergeStage::new("combine", |parts: Vec<u64>| {
                 parts[0] + parts[1]
             })),
@@ -278,28 +338,116 @@ mod tests {
         Pipeline::from_parts(spec, stages, vec![fan_out_fn::<u64>(2)], vec![None; 4])
     }
 
+    fn audit(v: u64) -> u64 {
+        v + 100
+    }
+
+    /// What the diamond makes of input `x`; `None` if parse diverts it.
+    fn expected(x: u64) -> Option<u64> {
+        let v = x + 1;
+        (v % 10 != 4).then_some(v * 10 + audit(v))
+    }
+
+    fn parked(shared: &Shared) -> usize {
+        shared.joins.iter().map(|j| j.lock().unwrap().len()).sum()
+    }
+
+    /// Every pushed item is accounted for exactly once — an output, in
+    /// push order, or a dead letter — and no join input outlives the
+    /// run, whichever side of the diversion it arrived on.
+    fn assert_settled(items: u64, outcome: &EngineOutcome<u64>, tenant: &TenantHandle) {
+        let outputs: Vec<u64> = (0..items).filter_map(expected).collect();
+        assert_eq!(outcome.outputs, outputs, "no duplicate, no loss");
+        let dead = items - outputs.len() as u64;
+        assert_eq!(outcome.report.dead_letters, dead);
+        assert_eq!(outcome.report.retries, dead);
+        assert_eq!(outcome.report.completed + dead, items);
+        assert!(!outcome.report.truncated);
+        assert_eq!(parked(&tenant.shared), 0);
+    }
+
     #[test]
     fn dead_lettered_items_leave_no_join_state_behind() {
-        let vnodes = (0..3).map(|i| VNodeSpec::free(format!("v{i}"))).collect();
-        let mut session = spawn(fallible_diamond(), &EngineConfig::new(vnodes), 50);
-        let tenant = session.tenant_handle();
-        for i in 0..50 {
-            session.push(i).unwrap();
+        // Per item on three vnodes; in 64-item envelopes on two.
+        for (vnodes, batch_size, items) in [(3, 1, 50), (2, 64, 1000)] {
+            let vnodes = (0..vnodes).map(|i| VNodeSpec::free(format!("v{i}")));
+            let mut cfg = EngineConfig::new(vnodes.collect());
+            cfg.batch_size = batch_size;
+            let mut session = spawn(fallible_diamond(|| (), audit), &cfg, items);
+            let tenant = session.tenant_handle();
+            session.push_batch(0..items).unwrap();
+            let outcome = session.drain();
+            assert_settled(items, &outcome, &tenant);
+
+            // A deposit for an item already diverted is refused outright.
+            let shared = &tenant.shared;
+            let dead_seq = outcome.report.dead_letter_log[0].seq;
+            let now = Instant::now();
+            let mut late = Outbox::new(Vec::new());
+            let into_join = Next::Join {
+                block: 0,
+                branch: 1,
+            };
+            late.send(shared, &into_join, dead_seq, now, now, Payload::new(1u64))
+                .unwrap();
+            late.dispatch(shared, &shared.snapshot(), None);
+            assert_eq!(parked(shared), 0);
         }
-        let outcome = session.drain();
-        assert_eq!(outcome.report.dead_letters, 5);
-        assert_eq!(outcome.report.completed, 45);
-        assert_eq!(outcome.report.retries, 5);
-        // The audit copies of the five diverted items reached the join
-        // before, during or after the diversion; none may be parked.
-        let shared = &tenant.shared;
-        let parked = |shared: &Shared| -> usize {
-            shared.joins.iter().map(|j| j.lock().unwrap().len()).sum()
+    }
+
+    /// The interleaving batching adds: a whole envelope of `audit`
+    /// outputs sits bucketed in its worker's outbox while `parse`, on
+    /// the other vnode, dead-letters their siblings — so every sweep of
+    /// the join map comes and goes before the deposits it was meant to
+    /// cancel arrive. They must be refused when the outbox settles.
+    #[test]
+    fn deposits_bucketed_while_their_item_dead_letters_are_refused_at_settle() {
+        const ITEMS: u64 = 63;
+        const PATIENCE: Duration = Duration::from_secs(20);
+        let dead = (0..ITEMS).filter(|&x| expected(x).is_none()).count();
+        assert!(dead > 0 && expected(ITEMS - 1).is_some());
+        let vnodes = (0..2).map(|i| VNodeSpec::free(format!("v{i}")));
+        let mut cfg = EngineConfig::new(vnodes.collect());
+        cfg.batch_size = ITEMS as usize;
+        // `audit` alone on v1: one envelope, one outbox.
+        let on = |v| Placement::single(NodeId(v));
+        cfg.initial_mapping = Some(Mapping::new(vec![on(0), on(0), on(1), on(0)]));
+        let events = Arc::new(Mutex::new(cfg.hooks.events.subscribe()));
+        let (at_gate, gate) = std::sync::mpsc::channel::<()>();
+        let gate = Arc::new(Mutex::new(Some(gate)));
+        let forced = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        // `parse` starts only once `audit` is on its envelope's last
+        // item, every other output bucketed behind it ...
+        let held_parse = move || {
+            if let Some(gate) = gate.lock().unwrap().take() {
+                let _ = gate.recv_timeout(PATIENCE);
+            }
         };
-        assert_eq!(parked(shared), 0);
-        // A deposit for an item already diverted is refused outright.
-        let dead_seq = outcome.report.dead_letter_log[0].seq;
-        assert!(deposit_join(shared, 0, 1, dead_seq, Payload::new(1u64)).is_none());
-        assert_eq!(parked(shared), 0);
+        // ... and `audit` finishes only once `parse` has diverted every
+        // item it is going to (the event follows the sweep).
+        let held_audit = {
+            let forced = Arc::clone(&forced);
+            move |v: u64| {
+                if v == ITEMS {
+                    at_gate.send(()).unwrap();
+                    let events = events.lock().unwrap();
+                    let diverted = std::iter::from_fn(|| events.recv_timeout(PATIENCE).ok())
+                        .filter(|e| matches!(e, RunEvent::ItemDeadLettered { .. }))
+                        .take(dead)
+                        .count();
+                    forced.store(diverted == dead, Ordering::SeqCst);
+                }
+                audit(v)
+            }
+        };
+        let mut session = spawn(fallible_diamond(held_parse, held_audit), &cfg, ITEMS);
+        let tenant = session.tenant_handle();
+        session.push_batch(0..ITEMS).unwrap();
+        let outcome = session.drain();
+        assert!(
+            forced.load(Ordering::SeqCst),
+            "the interleaving was not forced"
+        );
+        assert_settled(ITEMS, &outcome, &tenant);
     }
 }

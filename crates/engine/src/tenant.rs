@@ -28,6 +28,7 @@ use adapipe_runtime::routing::{RoutingSnapshot, RoutingTable, Selection};
 use adapipe_runtime::session::{RunEvent, RunHooks, SessionControl, SessionId};
 use adapipe_state::StateSnapshot;
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, RwLock};
@@ -70,6 +71,34 @@ pub(crate) enum SinkMsg {
     Fatal,
 }
 
+/// One join block's open sets, by item sequence number.
+pub(crate) type JoinMap = HashMap<u64, JoinSlots, BuildHasherDefault<SeqHasher>>;
+
+/// Hashes a sequence number with one multiply. The keys are the
+/// session's own push counter — consecutive, never chosen by a caller —
+/// so the default hasher's flood protection buys nothing here, and its
+/// SipHash rounds were paid twice per join input. An odd multiplier
+/// keeps consecutive numbers in distinct buckets (the low bits) and
+/// spreads them over the table's tag bits (the high ones).
+#[derive(Default)]
+pub(crate) struct SeqHasher(u64);
+
+impl Hasher for SeqHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a u64 key hashes through write_u64");
+    }
+
+    #[inline]
+    fn write_u64(&mut self, seq: u64) {
+        self.0 = seq.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Per-worker accounting for one tenant, flushed by the worker when the
 /// tenant detaches ([`Ctrl::TenantGone`]) and read by the session's
 /// teardown after every worker has acked.
@@ -96,8 +125,9 @@ pub(crate) struct Shared {
     /// Join state per join block: inputs collected per item until the
     /// set completes and the assembled envelope ships to the joining
     /// stage's host. Global (not per-worker), so deposited inputs
-    /// survive the loss of any vnode.
-    pub(crate) joins: Vec<Mutex<HashMap<u64, JoinSlots>>>,
+    /// survive the loss of any vnode. Locked once per envelope of
+    /// inputs (`item::Outbox::dispatch`) and once per diverted item.
+    pub(crate) joins: Vec<Mutex<JoinMap>>,
     /// Planning topology; also drives link emulation when enabled.
     pub(crate) topology: Topology,
     pub(crate) emulate_links: bool,
@@ -232,7 +262,7 @@ impl Shared {
             bytes_into,
             fanouts,
             joins: (0..spec.graph.join_blocks())
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(JoinMap::default()))
                 .collect(),
             spec,
             topology,

@@ -253,7 +253,7 @@ fn handle_work(me: usize, env: Envelope, tl: &mut TenantLocal) {
     let mut per_shard: Vec<(usize, Vec<ItemSlot>)> = Vec::new();
     for slot in env.items {
         let shard = shard_of(tl.tenant.key_hash(stage, &slot), shards);
-        push_onward(&mut per_shard, shard, slot);
+        push_bucket(&mut per_shard, shard, slot);
     }
     for (shard, items) in per_shard {
         let piece = Envelope {
@@ -425,16 +425,21 @@ pub(crate) fn try_acquire(
     }
 }
 
-/// Appends `slot` to the onward batch for `stage`, creating the bucket
-/// on first use (from the buffer pool). Linear pipelines keep exactly
-/// one bucket, so this is a length-1 scan — no per-item allocation.
-pub(crate) fn push_onward(onward: &mut Vec<(usize, Vec<ItemSlot>)>, stage: usize, slot: ItemSlot) {
-    match onward.iter_mut().find(|(s, _)| *s == stage) {
+/// Appends `slot` to the batch bucketed under `key` — the consuming
+/// stage, the shard, the join slot — creating the bucket on first use
+/// (from the buffer pool). Linear pipelines keep exactly one bucket, so
+/// this is a length-1 scan — no per-item allocation.
+pub(crate) fn push_bucket<K: PartialEq>(
+    buckets: &mut Vec<(K, Vec<ItemSlot>)>,
+    key: K,
+    slot: ItemSlot,
+) {
+    match buckets.iter_mut().find(|(k, _)| *k == key) {
         Some((_, batch)) => batch.push(slot),
         None => {
             let mut batch = SLOT_BUFS.take(0);
             batch.push(slot);
-            onward.push((stage, batch));
+            buckets.push((key, batch));
         }
     }
 }

@@ -114,9 +114,8 @@ use adapipe_core::spec::{
     PipelineSpec, ResiliencePolicy, StageGraph, StageGraphBuilder, StageSpec,
 };
 use adapipe_core::stage::{
-    clone_fn, fan_out_fn, AccumStage, BoxedItem, CloneFn, DynStage, FallibleFnStage, FanOutFn,
-    FnStage, KeyFn, KeyedStage, MergeStage, SealedStage, SnapStage, StageTypeError,
-    StatefulFnStage,
+    clone_fn, fan_out_fn, fan_out_from_clone, AccumStage, CloneFn, DynStage, FallibleFnStage,
+    FanOutFn, FnStage, KeyFn, KeyedStage, MergeStage, SealedStage, SnapStage, StatefulFnStage,
 };
 use adapipe_engine::exec::{self, EngineConfig, EngineSession};
 use adapipe_engine::vnode::VNodeSpec;
@@ -133,7 +132,6 @@ use adapipe_state::StateCodec;
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::mpsc::Receiver;
-use std::sync::Arc;
 use std::time::Duration;
 
 pub use adapipe_mapper::share::ShareQuota;
@@ -1661,24 +1659,6 @@ impl<In: Send + 'static, B: Send + 'static> ParallelBuilder<In, B> {
     }
 }
 
-/// Builds a [`FanOutFn`] from a producer's [`CloneFn`]: `n - 1` clones
-/// plus the original, in edge order (every copy carries the same
-/// value). A payload the clone function cannot read is the usual typed
-/// mis-assembly error.
-fn fan_out_from_clone(stage: String, clone: CloneFn, n: usize) -> FanOutFn {
-    Arc::new(move |item: BoxedItem| {
-        let mut parts: Vec<BoxedItem> = Vec::with_capacity(n);
-        for _ in 1..n {
-            parts.push(clone(&item).ok_or_else(|| StageTypeError {
-                stage: stage.clone(),
-                expected: "the producer's declared (cloneable) output type",
-            })?);
-        }
-        parts.push(item);
-        Ok(parts)
-    })
-}
-
 /// Builder for a pipeline over a *general DAG* of named stages: declare
 /// stages with [`DagBuilder::node`] / [`DagBuilder::try_node`] /
 /// [`DagBuilder::join`], wire them with [`DagBuilder::edge`], and
@@ -1935,6 +1915,7 @@ impl<In: Clone + Send + 'static> DagBuilder<In> {
         } = self;
         let keys = vec![None; self.stages.len()];
         let names: Vec<String> = self.specs.iter().map(|s| s.name.clone()).collect();
+        let expected = "the producer's declared (cloneable) output type";
         self.run.finish(
             self.specs,
             self.stages,
@@ -1958,8 +1939,8 @@ impl<In: Clone + Send + 'static> DagBuilder<In> {
                 dag.build().map_err(|e| graph_build_error(e, &names))
             },
             |source, n| match source {
-                Some(s) => fan_out_from_clone(names[s].clone(), clones[s].clone(), n),
-                None => fan_out_from_clone("input".to_string(), entry_clone.clone(), n),
+                Some(s) => fan_out_from_clone(names[s].clone(), expected, clones[s].clone(), n),
+                None => fan_out_from_clone("input".into(), expected, entry_clone.clone(), n),
             },
         )
     }

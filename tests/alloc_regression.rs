@@ -10,7 +10,7 @@
 //! tests pin both with a counting global allocator. The counter is
 //! process-wide, so the tests of this binary take turns ([`exclusive`]).
 
-use adapipe::api::{Backend, Pipeline, RunConfig};
+use adapipe::api::{Backend, Branch, Pipeline, RunConfig};
 use adapipe_engine::vnode::VNodeSpec;
 use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::grid::testbed_hetero8;
@@ -127,6 +127,50 @@ fn per_item_envelopes_allocate_at_most_one_and_a_half_times_per_item() {
         delta <= 150_000,
         "100k extra single-item envelopes cost {delta} extra \
          allocations — a backlog pays per-envelope costs per item again"
+    );
+}
+
+/// A diamond, `fetch → [a ‖ b] → merge`, over `u64`s in 256-item
+/// envelopes. What a join costs per item is two vectors: the slots its
+/// inputs are assembled in (which leave as the joined vector) and the
+/// typed vector `merge` unpacks that into. The fan-out writes its
+/// copies into a vector the envelope's outbox keeps, the join map and
+/// the buckets on the way to it are per envelope; a third allocation
+/// per item means one of those went back to per-item.
+#[test]
+fn a_diamond_allocates_its_two_join_vectors_per_item_and_nothing_else() {
+    let _turn = exclusive();
+    let run = |items: u64| {
+        let outcome = Pipeline::<u64>::builder()
+            .stage("fetch", |x: u64| x + 1)
+            .parallel(vec![
+                Branch::new().stage("a", |x: u64| x * 2),
+                Branch::new().stage("b", |x: u64| x + 7),
+            ])
+            .merge("merge", |parts: Vec<u64>| parts[0] + parts[1])
+            .feed(|i| i)
+            .build()
+            .expect("valid pipeline")
+            .run(
+                Backend::Threads(vec![VNodeSpec::free("v0"), VNodeSpec::free("v1")]),
+                RunConfig {
+                    items,
+                    batch_size: 256,
+                    queue_capacity: Some(4096),
+                    ..RunConfig::default()
+                },
+            )
+            .expect("batch run");
+        assert_eq!(outcome.report.completed, items);
+    };
+    run(20_000);
+    let ((), small) = allocations_in(|| run(20_000));
+    let ((), large) = allocations_in(|| run(120_000));
+    let delta = large.saturating_sub(small);
+    assert!(
+        delta <= 250_000,
+        "100k extra items through a diamond cost {delta} extra \
+         allocations — more than the join's two vectors per item"
     );
 }
 
