@@ -5,9 +5,11 @@
 
 use adapipe_core::policy::Policy;
 use adapipe_core::simengine::{run, SimConfig};
-use adapipe_core::spec::PipelineSpec;
+use adapipe_core::spec::{PipelineSpec, StageGraph, StageSpec, UniformWork};
+use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::grid::{testbed_hetero8, testbed_small3};
-use adapipe_gridsim::time::SimDuration;
+use adapipe_gridsim::node::NodeId;
+use adapipe_gridsim::time::{SimDuration, SimTime};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 
@@ -49,6 +51,48 @@ fn bench_sim(c: &mut Criterion) {
             ..SimConfig::default()
         };
         b.iter(|| run(&grid, &spec, &cfg));
+    });
+
+    // The shape `adabench`'s `sim_static` workload runs, and the one the
+    // event loop is tuned on: six stages with one parallel block and
+    // ramped, jittered costs on hetero8, the fastest node stepped to
+    // 15 % at t = 60 s, a static planned mapping, the whole stream
+    // present at t = 0 — no planning, so the time is the event loop's.
+    group.bench_function("hetero8_static_dag_60k_items", |b| {
+        let mut grid = testbed_hetero8(7);
+        FaultPlan::new()
+            .slowdown(
+                NodeId(0),
+                SimTime::from_secs_f64(60.0),
+                SimTime::from_secs_f64(1e9),
+                0.15,
+            )
+            .apply(&mut grid);
+        let work = [0.4, 0.6, 0.8, 1.0, 1.2, 1.4];
+        let stages = (0..6)
+            .map(|i| {
+                StageSpec::balanced(format!("s{i}"), work[i], 32 << 10)
+                    .with_work(Box::new(UniformWork::new(work[i], 0.2, 42 + i as u64)))
+            })
+            .collect();
+        let mut spec = PipelineSpec::with_graph(
+            stages,
+            StageGraph::builder()
+                .stages(1)
+                .split(&[1, 1])
+                .stages(2)
+                .build(),
+        );
+        spec.input_bytes = 32 << 10;
+        let cfg = SimConfig {
+            items: 60_000,
+            ..SimConfig::default()
+        };
+        b.iter(|| {
+            let report = run(&grid, &spec, &cfg);
+            assert_eq!(report.completed, 60_000);
+            report
+        });
     });
 
     group.finish();

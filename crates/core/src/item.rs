@@ -16,6 +16,10 @@
 //!    each sent to the backend's [`Hops`], the fan-out's copies passing
 //!    through a scratch vector the backend keeps between items.
 //!
+//! Beside them sits [`SeqMap`], the table both backends key their
+//! per-item bookkeeping by: sequence numbers, hashed by [`SeqHasher`]
+//! with one multiply.
+//!
 //! The kernel owns no clock, no queue and no lock. Backends supply
 //! those: the threaded engine's workers call it from their slow path
 //! (`adapipe-engine`'s `item` module adds counters, backoff sleeps and
@@ -26,6 +30,8 @@
 use crate::spec::{Next, StageGraph, StageSpec};
 use crate::stage::{BoxedItem, DynStage, FanOutFn, StageError, StageTypeError};
 use adapipe_runtime::session::RunError;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Why a stage stopped trying an item.
 #[derive(Debug, PartialEq)]
@@ -134,6 +140,34 @@ impl JoinSlots {
     /// Drops whatever an item that ended early left behind.
     pub fn clear(&mut self) {
         self.slots.clear();
+    }
+}
+
+/// A table keyed by item sequence number.
+pub type SeqMap<V> = HashMap<u64, V, BuildHasherDefault<SeqHasher>>;
+
+/// Hashes a sequence number with one multiply. The keys are a
+/// session's own push counter — consecutive, never chosen by a caller —
+/// so the default hasher's flood protection buys nothing here, and its
+/// SipHash rounds are paid on every lookup. An odd multiplier keeps
+/// consecutive numbers in distinct buckets (the low bits) and spreads
+/// them over the table's tag bits (the high ones).
+#[derive(Default)]
+pub struct SeqHasher(u64);
+
+impl Hasher for SeqHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a u64 key hashes through write_u64");
+    }
+
+    #[inline]
+    fn write_u64(&mut self, seq: u64) {
+        self.0 = seq.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 

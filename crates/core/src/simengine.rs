@@ -38,6 +38,7 @@
 //! at the fated stage (`push_at_with_fate`, `pop_completion`, and
 //! `next_event_at` for a pool's merged clock serve that driver alone).
 
+use crate::item::{SeqHasher, SeqMap};
 use crate::spec::{Next, PipelineSpec};
 use adapipe_gridsim::event::EventQueue;
 use adapipe_gridsim::fault::FaultPlan;
@@ -54,7 +55,10 @@ use adapipe_runtime::report::{DeadLetter, ReportBuilder, RunReport};
 use adapipe_runtime::routing::{RoutingTable, Selection};
 use adapipe_runtime::session::{RunEvent, RunHooks, SessionControl, SessionId};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashSet, VecDeque};
+use std::hash::BuildHasherDefault;
+use std::ops::{Index, IndexMut};
 use std::sync::RwLock;
 
 pub use adapipe_runtime::arrivals::ArrivalProcess;
@@ -216,6 +220,53 @@ pub(crate) struct ItemFate {
     pub(crate) dead: Option<(usize, String)>,
 }
 
+/// A dense table addressed `(row, col)`. The world's per-(stage, node)
+/// and per-(node, node) state lives in these, sized once per session:
+/// the key space is the fixed stage × node grid, so a cell is index
+/// arithmetic away and "no entry yet" is the fill value.
+struct Table<T> {
+    cols: usize,
+    cells: Vec<T>,
+}
+
+impl<T: Clone> Table<T> {
+    fn new(rows: usize, cols: usize, fill: T) -> Self {
+        Table {
+            cols,
+            cells: vec![fill; rows * cols],
+        }
+    }
+}
+
+impl<T> Index<(usize, usize)> for Table<T> {
+    type Output = T;
+
+    fn index(&self, (row, col): (usize, usize)) -> &T {
+        debug_assert!(col < self.cols);
+        &self.cells[row * self.cols + col]
+    }
+}
+
+impl<T> IndexMut<(usize, usize)> for Table<T> {
+    fn index_mut(&mut self, (row, col): (usize, usize)) -> &mut T {
+        debug_assert!(col < self.cols);
+        &mut self.cells[row * self.cols + col]
+    }
+}
+
+/// One in-flight join of one item: how many branch outputs have landed
+/// at the merge stage, and the merge replica they converge on.
+#[derive(Default)]
+struct Join {
+    /// Branch outputs that reached the merge stage so far; the merge
+    /// task is enqueued when the count hits the block's join width.
+    arrived: usize,
+    /// The merge replica chosen for the item, fixed at the first branch
+    /// exit so every branch output converges on one host (`None` while
+    /// only directly fed inputs have landed).
+    dest: Option<usize>,
+}
+
 /// The physically simulated world: event queue, node queues, transfers.
 /// Implements [`ExecutionBackend`] so the shared [`AdaptationLoop`] can
 /// sense it and commit re-mappings into it.
@@ -247,16 +298,21 @@ struct SimWorld<'a> {
 
     events: EventQueue<Ev>,
     now: SimTime,
-    queues: HashMap<(usize, usize), VecDeque<u64>>,
-    ready_at: HashMap<(usize, usize), SimTime>,
+    /// Items waiting per `(stage, node)`.
+    queues: Table<VecDeque<u64>>,
+    /// When a migrated stateful instance's state lands, per
+    /// `(stage, node)`; `SimTime::ZERO` — never in the future — where
+    /// nothing is awaited.
+    ready_at: Table<SimTime>,
     free_cores: Vec<u32>,
     rr_exec: Vec<usize>,
-    link_q: HashMap<(usize, usize), LinkQueue>,
+    /// Per-direction link occupancy, `(from, to)`.
+    link_q: Table<LinkQueue>,
 
     /// Arrival instant of every *in-flight* item (removed at
     /// completion), so an open-ended session's footprint tracks the
     /// in-flight window, not the stream length.
-    arrival_time: HashMap<u64, SimTime>,
+    arrival_time: SeqMap<SimTime>,
     /// Per-stage in-edge bytes, precomputed once from the stage graph
     /// ([`crate::spec::StageGraph::feed_bytes`]) — hot-path forwarding
     /// must not walk the graph per item. A merge stage's in-transit
@@ -269,23 +325,18 @@ struct SimWorld<'a> {
     /// Branch entry stages per parallel block, precomputed once —
     /// fan-out dispatch must not allocate a fresh `Vec` per item.
     block_entries: Vec<Vec<usize>>,
-    /// Branch outputs that reached a merge stage so far, per
-    /// `(block, item)`; the merge task is enqueued when the count hits
-    /// the block's branch count. Entries live only while a join is in
-    /// flight.
-    join_arrived: HashMap<(usize, u64), usize>,
-    /// The merge replica chosen for an item's join, fixed at the first
-    /// branch exit so every branch output of the item converges on one
-    /// host.
-    merge_dest: HashMap<(usize, u64), usize>,
+    /// The joins in flight, per join block and item. An entry opens at
+    /// the item's first branch exit or merge arrival and closes when
+    /// its last branch output lands (or the item dead-letters).
+    joins: Vec<SeqMap<Join>>,
     /// Resolved resilience outcomes for items that did *not* process
     /// cleanly ([`SimStepper::push_at_with_fate`]); entries are removed
     /// when the item settles. Clean items never enter the map.
-    fates: HashMap<u64, ItemFate>,
+    fates: SeqMap<ItemFate>,
     /// Items diverted to the dead-letter channel. Their copies still in
     /// flight on sibling branches must not open (or re-open) a join
     /// that can never complete.
-    dead: HashSet<u64>,
+    dead: HashSet<u64, BuildHasherDefault<SeqHasher>>,
     node_busy: Vec<SimDuration>,
     report: ReportBuilder,
     stage_metrics: crate::metrics::StageMetrics,
@@ -422,6 +473,9 @@ impl<'a> SimStepper<'a> {
         let block_entries = (0..spec.graph.blocks())
             .map(|b| spec.graph.fan_targets(b).iter().map(|t| t.stage).collect())
             .collect();
+        let joins = (0..spec.graph.join_blocks())
+            .map(|_| SeqMap::default())
+            .collect();
         let world = SimWorld {
             grid,
             ns,
@@ -434,19 +488,18 @@ impl<'a> SimStepper<'a> {
             hooks: cfg.hooks.clone(),
             events: EventQueue::new(),
             now: SimTime::ZERO,
-            queues: HashMap::new(),
-            ready_at: HashMap::new(),
+            queues: Table::new(ns, np, VecDeque::new()),
+            ready_at: Table::new(ns, np, SimTime::ZERO),
             free_cores,
             rr_exec: vec![0; np],
-            link_q: HashMap::new(),
-            arrival_time: HashMap::new(),
+            link_q: Table::new(np, np, LinkQueue::new()),
+            arrival_time: SeqMap::default(),
             bytes_into,
             entry_stages,
             block_entries,
-            join_arrived: HashMap::new(),
-            merge_dest: HashMap::new(),
-            fates: HashMap::new(),
-            dead: HashSet::new(),
+            joins,
+            fates: SeqMap::default(),
+            dead: HashSet::default(),
             node_busy: vec![SimDuration::ZERO; np],
             // The stream length is open until `close()`.
             report,
@@ -534,11 +587,10 @@ impl<'a> SimStepper<'a> {
         self.world.report.accounted()
     }
 
-    /// Per-item join bookkeeping currently held: joins counting
-    /// arrivals plus merge-host pins.
+    /// Joins currently in flight, over every join block.
     #[cfg(test)]
     pub(crate) fn join_state(&self) -> usize {
-        self.world.join_arrived.len() + self.world.merge_dest.len()
+        self.world.joins.iter().map(|open| open.len()).sum()
     }
 
     /// Moves the coalesced arrival run (if any) into the event queue.
@@ -595,17 +647,19 @@ impl<'a> SimStepper<'a> {
             return false;
         }
         self.world.now = now;
+        // `&mut self` is exclusive access already: read the routing
+        // table in place. (The lock is there for the adaptation loop,
+        // which installs re-mappings through it.)
+        let table = self.routing.get_mut().expect("routing lock poisoned");
         match ev {
             Ev::Arrive { first, count } => {
-                let table = self.routing.read().expect("routing lock poisoned");
                 for item in first..first + count {
-                    self.world.on_arrive(&table, item, now);
+                    self.world.on_arrive(table, item, now);
                 }
             }
             Ev::StageIn { item, stage, node } => {
-                let table = self.routing.read().expect("routing lock poisoned");
                 self.world
-                    .stage_arrival(&table, item, stage, node, now, false);
+                    .stage_arrival(table, item, stage, node, now, false);
             }
             Ev::Done {
                 item,
@@ -613,17 +667,14 @@ impl<'a> SimStepper<'a> {
                 node,
                 started,
             } => {
-                let table = self.routing.read().expect("routing lock poisoned");
-                self.world.on_done(&table, item, stage, node, started, now);
+                self.world.on_done(table, item, stage, node, started, now);
             }
             Ev::Rehome { item, stage, node } => {
-                let table = self.routing.read().expect("routing lock poisoned");
                 self.world
-                    .stage_arrival(&table, item, stage, node, now, true);
+                    .stage_arrival(table, item, stage, node, now, true);
             }
             Ev::Retry { node } => {
-                let table = self.routing.read().expect("routing lock poisoned");
-                self.world.try_dispatch(&table, node, now);
+                self.world.try_dispatch(table, node, now);
             }
             Ev::Tick => {
                 let _ = self.aloop.tick(&mut self.world, &self.routing);
@@ -731,7 +782,7 @@ impl SimWorld<'_> {
         self.arrival_time.insert(item, now);
         for i in 0..self.entry_stages.len() {
             let stage = self.entry_stages[i];
-            let dest = self.route_item(routing, stage, item);
+            let dest = route_item(&self.spec, &self.queues, routing, stage, item);
             let at = match self.spec.source {
                 Some(src) => self.transfer(src.index(), dest, self.spec.input_bytes, now),
                 None => now,
@@ -767,7 +818,7 @@ impl SimWorld<'_> {
         if !routing.contains(stage, NodeId(node)) {
             // The stage moved while this item was in transit: forward
             // it, preserving its joined-ness.
-            let dest = self.route_item(routing, stage, item);
+            let dest = route_item(&self.spec, &self.queues, routing, stage, item);
             let bytes = self.bytes_into[stage];
             let at = self.transfer(node, dest, bytes, now);
             let ev = if rejoined {
@@ -795,19 +846,18 @@ impl SimWorld<'_> {
                 // the branch outputs as they land and enqueue only the
                 // last one.
                 let needed = self.spec.graph.join_width(block);
-                let count = self.join_arrived.entry((block, item)).or_insert(0);
-                *count += 1;
-                if *count < needed {
+                let mut join = match self.joins[block].entry(item) {
+                    Entry::Occupied(open) => open,
+                    Entry::Vacant(slot) => slot.insert_entry(Join::default()),
+                };
+                join.get_mut().arrived += 1;
+                if join.get().arrived < needed {
                     return;
                 }
-                self.join_arrived.remove(&(block, item));
-                self.merge_dest.remove(&(block, item));
+                join.remove();
             }
         }
-        self.queues
-            .entry((stage, node))
-            .or_default()
-            .push_back(item);
+        self.queues[(stage, node)].push_back(item);
         self.try_dispatch(routing, node, now);
     }
 
@@ -865,9 +915,8 @@ impl SimWorld<'_> {
             // Whatever the item's sibling branches already parked at a
             // join waits for an input that will never come.
             self.dead.insert(item);
-            for block in 0..self.spec.graph.join_blocks() {
-                self.join_arrived.remove(&(block, item));
-                self.merge_dest.remove(&(block, item));
+            for open in &mut self.joins {
+                open.remove(&item);
             }
             self.report.record_dead_letter(DeadLetter {
                 seq: item,
@@ -906,7 +955,7 @@ impl SimWorld<'_> {
                 None => self.record_completion(item, now),
             },
             Next::Stage(next) => {
-                let dest = self.route_item(routing, next, item);
+                let dest = route_item(&self.spec, &self.queues, routing, next, item);
                 let at = self.transfer(node, dest, out_bytes, now);
                 self.events.schedule(
                     at,
@@ -921,7 +970,7 @@ impl SimWorld<'_> {
                 // One copy per branch, dispatched in branch order.
                 for i in 0..self.block_entries[block].len() {
                     let entry = self.block_entries[block][i];
-                    let dest = self.route_item(routing, entry, item);
+                    let dest = route_item(&self.spec, &self.queues, routing, entry, item);
                     let at = self.transfer(node, dest, out_bytes, now);
                     self.events.schedule(
                         at,
@@ -941,15 +990,16 @@ impl SimWorld<'_> {
                 // down — is re-routed (the join count is keyed by item,
                 // not host, so arrivals still pair up).
                 let merge = self.spec.graph.merge_of(block);
-                let dest = match self.merge_dest.get(&(block, item)) {
-                    Some(&d)
+                let join = self.joins[block].entry(item).or_default();
+                let dest = match join.dest {
+                    Some(d)
                         if routing.contains(merge, NodeId(d)) && !routing.is_down(NodeId(d)) =>
                     {
                         d
                     }
                     _ => {
-                        let d = self.route_item(routing, merge, item);
-                        self.merge_dest.insert((block, item), d);
+                        let d = route_item(&self.spec, &self.queues, routing, merge, item);
+                        join.dest = Some(d);
                         d
                     }
                 };
@@ -969,24 +1019,6 @@ impl SimWorld<'_> {
 
     // --- mechanics --------------------------------------------------------
 
-    /// Destination replica for `item` at `stage`. A stage with declared
-    /// keyed state routes by key hash so every item of a key lands on
-    /// its shard's owner (the simulator models items by sequence number,
-    /// which stands in for the key hash — the real hash only exists on
-    /// the executing backend); every other stage follows the configured
-    /// selection policy (least-loaded probes the simulated queue
-    /// depths).
-    fn route_item(&self, routing: &RoutingTable, stage: usize, item: u64) -> usize {
-        if self.spec.stages[stage].state.shards() > 0 {
-            return routing.route_keyed(stage, item).index();
-        }
-        routing
-            .route_with_load(stage, |n| {
-                self.queues.get(&(stage, n.index())).map_or(0, |q| q.len())
-            })
-            .index()
-    }
-
     /// Arrival time of `bytes` moved `from → to` starting at `now`.
     fn transfer(&mut self, from: usize, to: usize, bytes: u64, now: SimTime) -> SimTime {
         let d = self
@@ -994,7 +1026,7 @@ impl SimWorld<'_> {
             .topology()
             .transfer_time(NodeId(from), NodeId(to), bytes);
         if self.link_contention && from != to {
-            self.link_q.entry((from, to)).or_default().schedule(now, d)
+            self.link_q[(from, to)].schedule(now, d)
         } else {
             now + d
         }
@@ -1006,10 +1038,7 @@ impl SimWorld<'_> {
             let Some(stage) = self.pick_ready_stage(routing, node, now) else {
                 break;
             };
-            let item = self
-                .queues
-                .get_mut(&(stage, node))
-                .expect("picked stage has a queue")
+            let item = self.queues[(stage, node)]
                 .pop_front()
                 .expect("picked stage queue is non-empty");
             // A fractional pool share stretches service: the node spends
@@ -1032,10 +1061,7 @@ impl SimWorld<'_> {
                 // The node cannot finish this task within the run horizon
                 // (it is dead or as good as dead): park the item; only a
                 // re-mapping can rescue this queue.
-                self.queues
-                    .get_mut(&(stage, node))
-                    .expect("queue exists")
-                    .push_front(item);
+                self.queues[(stage, node)].push_front(item);
                 break;
             }
             self.free_cores[node] -= 1;
@@ -1064,24 +1090,16 @@ impl SimWorld<'_> {
         let start = self.rr_exec[node];
         for off in 0..ns {
             let stage = (start + off) % ns;
-            if !routing.contains(stage, NodeId(node)) {
-                continue;
-            }
-            if self
-                .ready_at
-                .get(&(stage, node))
-                .is_some_and(|&ready| ready > now)
+            // Cheapest test first: most stages have nothing queued here,
+            // and the hosting test searches a placement.
+            if self.queues[(stage, node)].is_empty()
+                || self.ready_at[(stage, node)] > now
+                || !routing.contains(stage, NodeId(node))
             {
                 continue;
             }
-            if self
-                .queues
-                .get(&(stage, node))
-                .is_some_and(|q| !q.is_empty())
-            {
-                self.rr_exec[node] = (stage + 1) % ns;
-                return Some(stage);
-            }
+            self.rr_exec[node] = (stage + 1) % ns;
+            return Some(stage);
         }
         None
     }
@@ -1103,6 +1121,30 @@ impl SimWorld<'_> {
         self.fates.remove(&item);
         self.completed_log.push_back(item);
     }
+}
+
+/// Destination replica for `item` at `stage`. A stage with declared
+/// keyed state routes by key hash so every item of a key lands on its
+/// shard's owner (the simulator models items by sequence number, which
+/// stands in for the key hash — the real hash only exists on the
+/// executing backend); every other stage follows the configured
+/// selection policy (least-loaded probes the simulated queue depths).
+///
+/// A function of the world's fields rather than a method, so a caller
+/// holding one of its other tables open (a join entry) can still route.
+fn route_item(
+    spec: &PipelineSpec,
+    queues: &Table<VecDeque<u64>>,
+    routing: &RoutingTable,
+    stage: usize,
+    item: u64,
+) -> usize {
+    if spec.stages[stage].state.shards() > 0 {
+        return routing.route_keyed(stage, item).index();
+    }
+    routing
+        .route_with_load(stage, |n| queues[(stage, n.index())].len())
+        .index()
 }
 
 impl ExecutionBackend for SimWorld<'_> {
@@ -1149,9 +1191,8 @@ impl ExecutionBackend for SimWorld<'_> {
             let mut orphans: Vec<(u64, usize)> = Vec::new();
             for host in plan.from.placement(stage).hosts() {
                 if !new_placement.contains(*host) {
-                    if let Some(q) = self.queues.get_mut(&(stage, host.index())) {
-                        orphans.extend(q.drain(..).map(|item| (item, host.index())));
-                    }
+                    let queue = &mut self.queues[(stage, host.index())];
+                    orphans.extend(queue.drain(..).map(|item| (item, host.index())));
                 }
             }
             // Re-home orphans over the new hosts — keyed stages pin
@@ -1195,7 +1236,7 @@ impl ExecutionBackend for SimWorld<'_> {
             // state lands.
             if !self.spec.stages[stage].stateless {
                 for &host in new_placement.hosts() {
-                    self.ready_at.insert((stage, host.index()), ready);
+                    self.ready_at[(stage, host.index())] = ready;
                     self.events
                         .schedule(ready, Ev::Retry { node: host.index() });
                 }

@@ -14,7 +14,7 @@ use crate::credits::Credits;
 use crate::exec::{EngineConfig, Finished, ItemSlot};
 use crate::inbox::Ctrl;
 use crate::pool::Pool;
-use adapipe_core::item::JoinSlots;
+use adapipe_core::item::{JoinSlots, SeqMap};
 use adapipe_core::pipeline::Pipeline;
 use adapipe_core::spec::PipelineSpec;
 use adapipe_core::stage::{DynStage, FanOutFn, KeyFn};
@@ -27,8 +27,7 @@ use adapipe_runtime::report::AdaptationEvent;
 use adapipe_runtime::routing::{RoutingSnapshot, RoutingTable, Selection};
 use adapipe_runtime::session::{RunEvent, RunHooks, SessionControl, SessionId};
 use adapipe_state::StateSnapshot;
-use std::collections::{BTreeSet, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, RwLock};
@@ -72,32 +71,7 @@ pub(crate) enum SinkMsg {
 }
 
 /// One join block's open sets, by item sequence number.
-pub(crate) type JoinMap = HashMap<u64, JoinSlots, BuildHasherDefault<SeqHasher>>;
-
-/// Hashes a sequence number with one multiply. The keys are the
-/// session's own push counter — consecutive, never chosen by a caller —
-/// so the default hasher's flood protection buys nothing here, and its
-/// SipHash rounds were paid twice per join input. An odd multiplier
-/// keeps consecutive numbers in distinct buckets (the low bits) and
-/// spreads them over the table's tag bits (the high ones).
-#[derive(Default)]
-pub(crate) struct SeqHasher(u64);
-
-impl Hasher for SeqHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("a u64 key hashes through write_u64");
-    }
-
-    #[inline]
-    fn write_u64(&mut self, seq: u64) {
-        self.0 = seq.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
+pub(crate) type JoinMap = SeqMap<JoinSlots>;
 
 /// Per-worker accounting for one tenant, flushed by the worker when the
 /// tenant detaches ([`Ctrl::TenantGone`]) and read by the session's

@@ -68,13 +68,34 @@ impl PiecewiseConst {
     /// The next time strictly after `t` at which the value may change,
     /// or `None` if the function is constant from `t` on.
     pub fn next_change(&self, t: SimTime) -> Option<SimTime> {
+        // Which cycle are we in, and where within it?
+        let (base, local) = match self.cycle {
+            None => (0, t),
+            Some(cycle) => {
+                let base = t.as_nanos() / cycle.as_nanos() * cycle.as_nanos();
+                (base, SimTime::from_nanos(t.as_nanos() - base))
+            }
+        };
+        let after = self.points.partition_point(|&(start, _)| start <= local);
+        match (self.points.get(after), self.cycle) {
+            (Some(&(start, _)), _) => Some(SimTime::from_nanos(base + start.as_nanos())),
+            // Wrap to the start of the next cycle.
+            (None, Some(cycle)) => Some(SimTime::from_nanos(base + cycle.as_nanos())),
+            (None, None) => None,
+        }
+    }
+
+    /// [`PiecewiseConst::next_change`] as it was before the binary
+    /// search — two linear scans — kept as the reference the tests
+    /// check the search against.
+    #[cfg(test)]
+    fn next_change_linear(&self, t: SimTime) -> Option<SimTime> {
         match self.cycle {
             None => {
                 let idx = self.points.iter().position(|&(start, _)| start > t)?;
                 Some(self.points[idx].0)
             }
             Some(cycle) => {
-                // Which cycle are we in, and where within it?
                 let cycle_ns = cycle.as_nanos();
                 let base = t.as_nanos() / cycle_ns * cycle_ns;
                 let local = SimTime::from_nanos(t.as_nanos() - base);
@@ -83,7 +104,6 @@ impl PiecewiseConst {
                         return Some(SimTime::from_nanos(base + start.as_nanos()));
                     }
                 }
-                // Wrap to the start of the next cycle.
                 Some(SimTime::from_nanos(base + cycle_ns))
             }
         }
@@ -564,6 +584,90 @@ mod tests {
         assert_eq!(p.next_change(secs(10.5)), Some(secs(13.0)));
         assert_eq!(p.value_at(secs(12.0)), 1.0);
         assert_eq!(p.value_at(secs(13.5)), 0.5);
+    }
+
+    /// A seeded trace of `n` irregularly spaced segments, the cyclic
+    /// one closing up to 3 s after its last breakpoint.
+    fn random_trace(seed: u64, n: usize, cyclic: bool) -> PiecewiseConst {
+        let mut rng = crate::rng::Rng64::new(seed);
+        let mut at = 0u64;
+        let mut points = Vec::with_capacity(n);
+        for _ in 0..n {
+            points.push((SimTime::from_nanos(at), rng.next_unit()));
+            at += 1 + rng.next_range(3_000_000_000) as u64;
+        }
+        PiecewiseConst::new(points, cyclic.then(|| SimDuration::from_nanos(at)))
+    }
+
+    /// Instants around every breakpoint of `trace`, in its first period
+    /// and — if it repeats — several periods out.
+    fn probes(trace: &PiecewiseConst) -> Vec<SimTime> {
+        let last = trace.points.last().expect("non-empty").0.as_nanos();
+        let period = trace.cycle.map_or(last + 10, |c| c.as_nanos());
+        let mut local = vec![0, last + (period - last) / 2, period - 1];
+        for &(start, _) in &trace.points {
+            let b = start.as_nanos();
+            local.extend([b.saturating_sub(1), b, b + 1]);
+        }
+        // Whole periods out: the next cycles of a cyclic trace, the
+        // flat tail of one that is not.
+        let periods_out = [0, 1, 2, 7, 1_000];
+        periods_out
+            .iter()
+            .flat_map(|k| {
+                local
+                    .iter()
+                    .map(move |t| SimTime::from_nanos(k * period + t))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn binary_search_next_change_matches_the_linear_scan() {
+        for case in 0..48u64 {
+            let n = [1, 2, 300][case as usize % 3];
+            let cyclic = case % 2 == 0;
+            let trace = random_trace(0xB5EA_7C00 + case, n, cyclic);
+            for t in probes(&trace) {
+                assert_eq!(
+                    trace.next_change(t),
+                    trace.next_change_linear(t),
+                    "case {case}: n={n} cyclic={cyclic} t={t:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn next_change_walks_every_segment_of_a_cycle_in_order() {
+        for case in 0..12u64 {
+            let n = [1, 2, 300][case as usize % 3];
+            let trace = random_trace(0x5E6_0000 + case, n, true);
+            let cycle = trace.cycle.expect("cyclic").as_nanos();
+            // Three periods, hopping breakpoint to breakpoint.
+            let mut t = SimTime::ZERO;
+            for hop in 0..3 * n {
+                let (start, value) = trace.points[hop % n];
+                let period = (hop / n) as u64;
+                assert_eq!(t.as_nanos(), period * cycle + start.as_nanos());
+                assert_eq!(trace.value_at(t), value, "case {case} hop {hop}");
+                let next = trace.next_change(t).expect("a cyclic trace always changes");
+                assert_eq!(Some(next), trace.next_change_linear(t));
+                t = next;
+            }
+            assert_eq!(t.as_nanos(), 3 * cycle);
+        }
+        // Without a cycle the walk ends at the last breakpoint.
+        let flat = random_trace(9, 300, false);
+        let mut t = SimTime::ZERO;
+        let mut hops = 0;
+        while let Some(next) = flat.next_change(t) {
+            hops += 1;
+            assert_eq!(next, flat.points[hops].0);
+            assert_eq!(flat.value_at(next), flat.points[hops].1);
+            t = next;
+        }
+        assert_eq!(hops, 299);
     }
 
     #[test]
