@@ -1056,7 +1056,12 @@ impl SimWorld<'_> {
                     backoff = backoff.saturating_add(policy.backoff_delay(retry));
                 }
             }
-            let done_at = self.grid.node(NodeId(node)).completion_time(now, work) + backoff;
+            // "Never" (`SimTime::MAX`, a crashed node) stays never.
+            let done_at = self
+                .grid
+                .node(NodeId(node))
+                .completion_time(now, work)
+                .saturating_add(backoff);
             if done_at > self.horizon {
                 // The node cannot finish this task within the run horizon
                 // (it is dead or as good as dead): park the item; only a

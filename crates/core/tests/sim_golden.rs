@@ -240,6 +240,38 @@ fn crash_replays_orphans() {
     check("crash_replay", &record(&report));
 }
 
+/// `Node::completion_time` under a crash on a *cyclic* load trace (the
+/// odd hetero8 nodes carry a 600 s random walk): the heavy stage's host
+/// crashes with a task in service and a backlog behind it. Before the
+/// zero-capacity skip this spun, hopping the trace's breakpoints towards
+/// the end of time at rate 0; the first dispatch after the crash must
+/// see "never" and park.
+#[test]
+fn crash_on_a_cyclic_trace_node() {
+    let grid = testbed_hetero8(7);
+    let mut spec = PipelineSpec::new(vec![
+        jittered("s0", 0.3, 5_000, 71),
+        jittered("s1", 0.9, 5_000, 72),
+        jittered("s2", 0.5, 5_000, 73),
+        jittered("s3", 0.4, 5_000, 74),
+    ]);
+    spec.input_bytes = 5_000;
+    let cfg = SimConfig {
+        items: 400,
+        initial_mapping: Some(Mapping::from_assignment(&[n(0), n(1), n(2), n(3)])),
+        policy: periodic(),
+        faults: FaultPlan::new()
+            .crash(n(1), secs(20.0))
+            .outage(n(3), secs(45.0), secs(70.0)),
+        ..SimConfig::default()
+    };
+    let report = run(&grid, &spec, &cfg);
+    assert_eq!(report.completed, 400);
+    assert!(report.replays > 0, "the crashed node's backlog must replay");
+    assert!(!report.final_mapping.nodes_used().contains(&n(1)));
+    check("crash_cyclic_trace", &record(&report));
+}
+
 /// `join_arrived` / `merge_dest` / `dead`: pre → {left, right} → merge,
 /// the merge replicated over two hosts throughout, `left` dead-lettering
 /// one item after a retry and retrying thirty more. The controller moves

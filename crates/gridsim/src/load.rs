@@ -393,6 +393,20 @@ impl LoadModel {
         }
     }
 
+    /// The end of the outage (zero-cap overlay window) covering `t`, if
+    /// there is one: availability is 0 on all of `[t, end)` whatever the
+    /// base model does. With nested overlays, the latest such end.
+    pub fn outage_end(&self, t: SimTime) -> Option<SimTime> {
+        let LoadModel::Overlay { base, windows } = self else {
+            return None;
+        };
+        let own = windows
+            .iter()
+            .find(|w| w.cap == 0.0 && t >= w.from && t < w.to)
+            .map(|w| w.to);
+        own.max(base.outage_end(t))
+    }
+
     /// Mean availability over `[from, to)`, integrating across breakpoints.
     pub fn mean_availability(&self, from: SimTime, to: SimTime) -> f64 {
         assert!(to > from, "empty interval");

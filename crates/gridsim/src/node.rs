@@ -1,5 +1,6 @@
 //! Grid nodes: heterogeneous processors with time-varying availability.
 
+use crate::fault::FOREVER;
 use crate::load::LoadModel;
 use crate::time::{SimDuration, SimTime};
 use std::fmt;
@@ -95,6 +96,19 @@ impl Node {
         let mut remaining = work;
         loop {
             let rate = self.rate_at(t);
+            if rate <= 0.0 {
+                // Inside an outage nothing gets done whatever the base
+                // model does: go to its end in one step (`0 × span` would
+                // add nothing per breakpoint), and a crash has none — a
+                // cyclic base has breakpoints all the way to `FOREVER`.
+                if let Some(end) = self.load.outage_end(t) {
+                    if end >= FOREVER {
+                        return SimTime::MAX;
+                    }
+                    t = end;
+                    continue;
+                }
+            }
             let next = self.load.next_breakpoint(t);
             match next {
                 Some(bp) => {
@@ -199,6 +213,63 @@ mod tests {
         // 2 units: 1 before the outage, 1 after it ends at t=4.
         let done = n.completion_time(secs(0.0), 2.0);
         assert!((done.as_secs_f64() - 5.0).abs() < 1e-6, "done={done}");
+    }
+
+    /// A node whose availability is a cyclic trace: breakpoints forever.
+    fn random_walk_node(seed: u64) -> Node {
+        let walk = LoadModel::random_walk(
+            seed,
+            0.9,
+            0.05,
+            SimDuration::from_secs(2),
+            0.3,
+            1.0,
+            SimDuration::from_secs(600),
+        );
+        Node::new(NodeSpec::new("a", 1.0, 1), walk)
+    }
+
+    #[test]
+    fn crash_on_a_cyclic_trace_never_completes_and_says_so_at_once() {
+        let mut n = random_walk_node(7);
+        n.load = n.load.with_outages(&[(secs(20.0), FOREVER)]);
+        // Finishes before the crash; cut off by it; started after it.
+        assert!(n.completion_time(secs(0.0), 5.0) < secs(20.0));
+        assert_eq!(n.completion_time(secs(15.0), 50.0), SimTime::MAX);
+        assert_eq!(n.completion_time(secs(30.0), 0.1), SimTime::MAX);
+    }
+
+    /// Skipping an outage in one step gives the instant that integrating
+    /// it breakpoint by breakpoint gives, to the nanosecond.
+    #[test]
+    fn outage_skip_equals_hopping_every_breakpoint() {
+        let hop = |n: &Node, start: SimTime, work: f64| {
+            let (mut t, mut remaining) = (start, work);
+            loop {
+                let rate = n.rate_at(t);
+                let bp = n.load.next_breakpoint(t).expect("cyclic trace");
+                let can_do = rate * (bp - t).as_secs_f64();
+                if can_do >= remaining {
+                    return t + SimDuration::from_secs_f64(remaining / rate);
+                }
+                remaining -= can_do;
+                t = bp;
+            }
+        };
+        for seed in 0..20 {
+            let mut n = random_walk_node(seed);
+            n.load = n
+                .load
+                .with_outages(&[(secs(11.0), secs(47.5)), (secs(300.0), secs(1900.0))])
+                .with_outages(&[(secs(40.0), secs(90.0))]);
+            for (start, work) in [(0.0, 3.0), (5.0, 9.0), (20.0, 1.0), (250.0, 100.0)] {
+                assert_eq!(
+                    n.completion_time(secs(start), work),
+                    hop(&n, secs(start), work),
+                    "seed {seed}, {work} units from {start} s"
+                );
+            }
+        }
     }
 
     #[test]

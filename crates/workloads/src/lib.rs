@@ -5,7 +5,7 @@
 //!
 //! * [`cost`] — per-item work distributions (exponential, Pareto,
 //!   bimodal) implementing [`adapipe_core::spec::WorkModel`];
-//! * [`imaging`] — a real image-processing pipeline (3×3 convolution,
+//! * [`imaging`] — a real image-processing pipeline (3×3 box blur,
 //!   Sobel, quantisation) over deterministic synthetic frames;
 //! * [`signal`] — a real FIR filter-chain pipeline over synthetic sample
 //!   frames;
@@ -24,7 +24,7 @@ pub mod signal;
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::cost::{BimodalWork, ExponentialWork, ParetoWork};
-    pub use crate::imaging::{blur, convolve3x3, imaging_pipeline, quantise, sobel, Image};
+    pub use crate::imaging::{blur, imaging_pipeline, quantise, sobel, Image};
     pub use crate::scenario::{synth_items, synth_pipeline, synthetic_spec, CostShape, SynthItem};
     pub use crate::signal::{fir, lowpass_taps, signal_pipeline, Frame};
 }

@@ -6,11 +6,14 @@
 //! and sink buffers recycle through pools, and the stride-sampled fast
 //! path batches its bookkeeping. The planner promises that scoring a
 //! candidate mapping allocates nothing: one `Evaluator` workspace per
-//! `plan()`, candidates shown in place on one working mapping. These
-//! tests pin both with a counting global allocator. The counter is
+//! `plan()`, candidates shown in place on one working mapping. The
+//! imaging stages promise that a frame's pixels are allocated once, by
+//! whoever makes the frame. These tests pin all three with a counting
+//! global allocator. The counter is
 //! process-wide, so the tests of this binary take turns ([`exclusive`]).
 
 use adapipe::api::{Backend, Branch, Pipeline, RunConfig};
+use adapipe_core::payload::Payload;
 use adapipe_engine::vnode::VNodeSpec;
 use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::grid::testbed_hetero8;
@@ -21,6 +24,7 @@ use adapipe_mapper::graph::StageGraph;
 use adapipe_mapper::mapping::Mapping;
 use adapipe_mapper::model::{Evaluator, PipelineProfile};
 use adapipe_mapper::search::{local_search, plan, PlannerConfig};
+use adapipe_workloads::imaging::{imaging_pipeline, Image};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -171,6 +175,40 @@ fn a_diamond_allocates_its_two_join_vectors_per_item_and_nothing_else() {
         delta <= 250_000,
         "100k extra items through a diamond cost {delta} extra \
          allocations — more than the join's two vectors per item"
+    );
+}
+
+/// The four `imaging_pipeline` stage objects, driven in process on 192²
+/// frames. Blur and sobel write into a frame they own and keep the one
+/// they were handed, quantise rewrites in place, the checksum drops the
+/// frame: once the first frame has sized the scratch, a frame costs no
+/// allocation at all, frame-sized or other. Each hop's `Image` is 40
+/// bytes, over `Payload`'s three inline words, so it spills — into the
+/// payload pool's 64-byte class, which the warm-up frame also fills.
+/// Allocating kernels cost three frame-sized blocks per frame: blur's
+/// and sobel's outputs and quantise's clone.
+#[test]
+fn imaging_stages_allocate_nothing_per_frame_after_warm_up() {
+    let _turn = exclusive();
+    let side = 192;
+    let (_, mut stages, ..) = imaging_pipeline(side).into_parts();
+    let mut checksum = |frame: Image| {
+        let mut item = Payload::new(frame);
+        for stage in &mut stages {
+            item = stage.process(item).expect("stages are type-aligned");
+        }
+        item.downcast::<u64>().expect("a checksum")
+    };
+    // The frames are the caller's: made before the count starts.
+    let frames: Vec<Image> = (1..=64).map(|i| Image::synthetic(side, side, i)).collect();
+    assert!(checksum(Image::synthetic(side, side, 0)) > 0);
+
+    let (total, allocs) = allocations_in(|| frames.into_iter().map(&mut checksum).sum::<u64>());
+    assert!(total > 0);
+    assert_eq!(
+        allocs, 0,
+        "64 frames cost {allocs} allocations — a stage allocates its \
+         output again, or the payload pool stopped recycling"
     );
 }
 
