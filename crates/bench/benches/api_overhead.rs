@@ -1,7 +1,7 @@
 //! Builder/session-layer overhead: the unified `adapipe::api` path must
 //! add no measurable cost over calling the simulation backend directly.
 //! Each "builder" iteration pays the *whole* new surface — stage
-//! declaration, validation, config translation — on top of the
+//! declaration, validation, delegation — on top of the
 //! identical simulated run, so the pair bounds the API tax from above.
 //!
 //! `cargo bench -p adapipe-bench --bench api_overhead`
@@ -11,11 +11,13 @@
 //!     cargo bench -p adapipe-bench --bench api_overhead`
 
 use adapipe::api::{Backend, PipelineBuilder, RunConfig};
+use adapipe_bench::under;
 use adapipe_core::policy::Policy;
-use adapipe_core::simengine::{run, SimConfig};
+use adapipe_core::simengine::run;
 use adapipe_core::spec::PipelineSpec;
 use adapipe_gridsim::grid::{testbed_hetero8, testbed_small3};
 use adapipe_gridsim::time::SimDuration;
+use adapipe_runtime::session::Session;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 
@@ -30,11 +32,11 @@ fn bench_api_overhead(c: &mut Criterion) {
     group.bench_function("small3_static_1k_direct", |b| {
         let grid = testbed_small3();
         let spec = PipelineSpec::balanced(3, 1.0, 10_000);
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items: 1_000,
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        b.iter(|| run(&grid, &spec, &cfg));
+        b.iter(|| run(&grid, &spec, &Session::default(), &cfg));
     });
     group.bench_function("small3_static_1k_builder", |b| {
         let grid = testbed_small3();
@@ -57,14 +59,12 @@ fn bench_api_overhead(c: &mut Criterion) {
     group.bench_function("hetero8_adaptive_1k_direct", |b| {
         let grid = testbed_hetero8(3);
         let spec = PipelineSpec::balanced(4, 1.0, 10_000);
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items: 1_000,
-            policy: Policy::Periodic {
-                interval: SimDuration::from_secs(5),
-            },
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        b.iter(|| run(&grid, &spec, &cfg));
+        let session = under(Policy::periodic_default());
+        b.iter(|| run(&grid, &spec, &session, &cfg));
     });
     group.bench_function("hetero8_adaptive_1k_builder", |b| {
         let grid = testbed_hetero8(3);

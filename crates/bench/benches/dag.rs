@@ -20,13 +20,14 @@
 //! `ADAPIPE_BENCH_JSON=$PWD/BENCH_dag.json \
 //!     cargo bench -p adapipe-bench --bench dag`
 
-use adapipe_core::simengine::{run, SimConfig};
+use adapipe_core::simengine::run;
 use adapipe_core::spec::{PipelineSpec, StageGraph, StageSpec};
 use adapipe_gridsim::grid::GridSpec;
 use adapipe_gridsim::load::LoadModel;
 use adapipe_gridsim::net::{LinkSpec, Topology};
 use adapipe_gridsim::node::{Node, NodeId, NodeSpec};
 use adapipe_mapper::mapping::Mapping;
+use adapipe_runtime::session::{RunConfig, Session};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 
@@ -76,13 +77,13 @@ fn grid() -> GridSpec {
     GridSpec::new(nodes, Topology::uniform(STAGES, LinkSpec::lan()))
 }
 
-fn cfg() -> SimConfig {
-    SimConfig {
+fn cfg() -> RunConfig {
+    RunConfig {
         items: ITEMS,
         initial_mapping: Some(Mapping::from_assignment(
             &(0..STAGES).map(NodeId).collect::<Vec<_>>(),
         )),
-        ..SimConfig::default()
+        ..RunConfig::default()
     }
 }
 
@@ -94,16 +95,16 @@ fn bench_dag(c: &mut Criterion) {
 
     let grid = grid();
     group.bench_function("diamond_2x4", |b| {
-        b.iter(|| run(&grid, &diamond_spec(), &cfg()))
+        b.iter(|| run(&grid, &diamond_spec(), &Session::default(), &cfg()))
     });
     group.bench_function("serial_chain_11", |b| {
-        b.iter(|| run(&grid, &chain_spec(), &cfg()))
+        b.iter(|| run(&grid, &chain_spec(), &Session::default(), &cfg()))
     });
     group.finish();
 
     // --- the gate: simulated makespan ratio ---------------------------
-    let diamond = run(&grid, &diamond_spec(), &cfg());
-    let chain = run(&grid, &chain_spec(), &cfg());
+    let diamond = run(&grid, &diamond_spec(), &Session::default(), &cfg());
+    let chain = run(&grid, &chain_spec(), &Session::default(), &cfg());
     assert_eq!(diamond.completed, ITEMS);
     assert_eq!(chain.completed, ITEMS);
     let ratio = chain.makespan.as_secs_f64() / diamond.makespan.as_secs_f64();

@@ -15,13 +15,14 @@
 //! `ADAPIPE_BENCH_JSON=$PWD/BENCH_graph.json \
 //!     cargo bench -p adapipe-bench --bench graph`
 
-use adapipe_core::simengine::{run, SimConfig};
+use adapipe_core::simengine::run;
 use adapipe_core::spec::{PipelineSpec, StageGraph, StageSpec};
 use adapipe_gridsim::grid::GridSpec;
 use adapipe_gridsim::load::LoadModel;
 use adapipe_gridsim::net::{LinkSpec, Topology};
 use adapipe_gridsim::node::{Node, NodeId, NodeSpec};
 use adapipe_mapper::mapping::Mapping;
+use adapipe_runtime::session::{RunConfig, Session};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 
@@ -58,14 +59,14 @@ fn grid() -> GridSpec {
     GridSpec::new(nodes, Topology::uniform(np, LinkSpec::lan()))
 }
 
-fn cfg() -> SimConfig {
+fn cfg() -> RunConfig {
     let np = 2 * BRANCH_DEPTH + 1;
-    SimConfig {
+    RunConfig {
         items: ITEMS,
         initial_mapping: Some(Mapping::from_assignment(
             &(0..np).map(NodeId).collect::<Vec<_>>(),
         )),
-        ..SimConfig::default()
+        ..RunConfig::default()
     }
 }
 
@@ -77,16 +78,16 @@ fn bench_graph(c: &mut Criterion) {
 
     let grid = grid();
     group.bench_function("branched_2x4", |b| {
-        b.iter(|| run(&grid, &branched_spec(), &cfg()))
+        b.iter(|| run(&grid, &branched_spec(), &Session::default(), &cfg()))
     });
     group.bench_function("serial_chain_8", |b| {
-        b.iter(|| run(&grid, &chain_spec(), &cfg()))
+        b.iter(|| run(&grid, &chain_spec(), &Session::default(), &cfg()))
     });
     group.finish();
 
     // --- the gate: simulated makespan ratio ---------------------------
-    let branched = run(&grid, &branched_spec(), &cfg());
-    let chain = run(&grid, &chain_spec(), &cfg());
+    let branched = run(&grid, &branched_spec(), &Session::default(), &cfg());
+    let chain = run(&grid, &chain_spec(), &Session::default(), &cfg());
     assert_eq!(branched.completed, ITEMS);
     assert_eq!(chain.completed, ITEMS);
     let ratio = chain.makespan.as_secs_f64() / branched.makespan.as_secs_f64();

@@ -3,13 +3,15 @@
 //!
 //! `cargo bench -p adapipe-bench --bench simulation`
 
+use adapipe_bench::under;
 use adapipe_core::policy::Policy;
-use adapipe_core::simengine::{run, SimConfig};
+use adapipe_core::simengine::run;
 use adapipe_core::spec::{PipelineSpec, StageGraph, StageSpec, UniformWork};
 use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::grid::{testbed_hetero8, testbed_small3};
 use adapipe_gridsim::node::NodeId;
-use adapipe_gridsim::time::{SimDuration, SimTime};
+use adapipe_gridsim::time::SimTime;
+use adapipe_runtime::session::{RunConfig, Session};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 
@@ -22,35 +24,33 @@ fn bench_sim(c: &mut Criterion) {
     group.bench_function("small3_static_1k_items", |b| {
         let grid = testbed_small3();
         let spec = PipelineSpec::balanced(3, 1.0, 10_000);
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items: 1_000,
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        b.iter(|| run(&grid, &spec, &cfg));
+        b.iter(|| run(&grid, &spec, &Session::default(), &cfg));
     });
 
     group.bench_function("hetero8_adaptive_1k_items", |b| {
         let grid = testbed_hetero8(3);
         let spec = PipelineSpec::balanced(4, 1.0, 10_000);
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items: 1_000,
-            policy: Policy::Periodic {
-                interval: SimDuration::from_secs(5),
-            },
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        b.iter(|| run(&grid, &spec, &cfg));
+        let session = under(Policy::periodic_default());
+        b.iter(|| run(&grid, &spec, &session, &cfg));
     });
 
     group.bench_function("hetero8_contention_1k_items", |b| {
         let grid = testbed_hetero8(3);
         let spec = PipelineSpec::balanced(4, 1.0, 100_000);
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items: 1_000,
             link_contention: true,
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        b.iter(|| run(&grid, &spec, &cfg));
+        b.iter(|| run(&grid, &spec, &Session::default(), &cfg));
     });
 
     // The shape `adabench`'s `sim_static` workload runs, and the one the
@@ -84,12 +84,12 @@ fn bench_sim(c: &mut Criterion) {
                 .build(),
         );
         spec.input_bytes = 32 << 10;
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items: 60_000,
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
         b.iter(|| {
-            let report = run(&grid, &spec, &cfg);
+            let report = run(&grid, &spec, &Session::default(), &cfg);
             assert_eq!(report.completed, 60_000);
             report
         });

@@ -7,7 +7,7 @@
 //! should match the best individual family without knowing in advance
 //! which one that is — that is precisely its job.
 
-use adapipe_bench::{banner, Table};
+use adapipe_bench::{banner, under, Table};
 use adapipe_core::prelude::*;
 use adapipe_core::simengine::run as sim_run;
 use adapipe_gridsim::prelude::*;
@@ -69,16 +69,18 @@ fn main() {
         let mut cells = vec![kind.name().to_string()];
         let mut sum = 0.0;
         for &seed in &seeds {
-            let mut cfg = SimConfig {
+            let mut cfg = RunConfig {
                 items,
-                policy: Policy::Periodic {
-                    interval: SimDuration::from_secs(5),
-                },
                 initial_mapping: Some(mapping.clone()),
-                ..SimConfig::default()
+                ..RunConfig::default()
             };
             cfg.controller.forecaster = kind;
-            let report = sim_run(&volatile_grid(seed), &spec, &cfg);
+            let report = sim_run(
+                &volatile_grid(seed),
+                &spec,
+                &under(Policy::periodic_default()),
+                &cfg,
+            );
             let s = report.makespan.as_secs_f64();
             sum += s;
             cells.push(format!("{s:.1}"));

@@ -14,7 +14,7 @@
 //! pays for every hallucinated move and `confirm` takes over; `bare` is
 //! dominated everywhere it differs.
 
-use adapipe_bench::{banner, Table};
+use adapipe_bench::{banner, under, Table};
 use adapipe_core::prelude::*;
 use adapipe_core::simengine::run as sim_run;
 use adapipe_gridsim::prelude::*;
@@ -51,10 +51,11 @@ fn main() {
     let static_r = sim_run(
         &wave_grid(),
         &spec,
-        &SimConfig {
+        &Session::default(),
+        &RunConfig {
             items,
             initial_mapping: Some(mapping.clone()),
-            ..SimConfig::default()
+            ..RunConfig::default()
         },
     );
     println!("static baseline: {:.1}s\n", static_r.makespan.as_secs_f64());
@@ -70,13 +71,10 @@ fn main() {
     ]);
     for overhead_ms in [0u64, 100, 1_000, 5_000, 20_000] {
         let run = |confirm: u32, guard: bool| {
-            let mut cfg = SimConfig {
+            let mut cfg = RunConfig {
                 items,
-                policy: Policy::Periodic {
-                    interval: SimDuration::from_secs(5),
-                },
                 initial_mapping: Some(mapping.clone()),
-                ..SimConfig::default()
+                ..RunConfig::default()
             };
             cfg.controller.remap_overhead = SimDuration::from_millis(overhead_ms);
             cfg.controller.confirm_ticks = confirm;
@@ -84,7 +82,12 @@ fn main() {
                 cfg.controller.guard_bad_ticks = 0;
                 cfg.controller.warmup_ticks = 0;
             }
-            sim_run(&wave_grid(), &spec, &cfg)
+            sim_run(
+                &wave_grid(),
+                &spec,
+                &under(Policy::periodic_default()),
+                &cfg,
+            )
         };
         let chase = run(1, true);
         let confirm = run(2, true);

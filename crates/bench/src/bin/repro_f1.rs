@@ -57,15 +57,17 @@ fn main() {
     let mut series: Vec<Series> = Vec::new();
     for policy in policies {
         let grid = mk_grid();
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items,
-            arrivals: ArrivalProcess::Uniform { rate },
-            policy,
             initial_mapping: Some(mapping.clone()),
-            timeline_bucket: bucket,
-            ..SimConfig::default()
+            timeline_bucket: Some(bucket),
+            ..RunConfig::default()
         };
-        let report = sim_run(&grid, &spec, &cfg);
+        // Static and reactive under a paced stream are the figure's
+        // deliberate baselines.
+        let session = Session::baseline(policy, ArrivalProcess::Uniform { rate })
+            .expect("a valid policy and rate");
+        let report = sim_run(&grid, &spec, &session, &cfg);
         series.push((
             policy.name().to_string(),
             report.timeline.series(),

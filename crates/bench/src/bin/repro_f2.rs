@@ -5,7 +5,7 @@
 //! Adaptation costs a fixed overhead per re-mapping, so its advantage
 //! must *grow* with N as the cost amortises.
 
-use adapipe_bench::{banner, Table};
+use adapipe_bench::{banner, under, Table};
 use adapipe_core::prelude::*;
 use adapipe_core::simengine::run as sim_run;
 use adapipe_gridsim::prelude::*;
@@ -49,10 +49,10 @@ fn main() {
             sim_run(
                 &mk_grid(),
                 &spec,
-                &SimConfig {
+                &under(policy),
+                &RunConfig {
                     items: n,
-                    policy,
-                    ..SimConfig::default()
+                    ..RunConfig::default()
                 },
             )
         };

@@ -51,9 +51,10 @@ fn main() {
         let report = sim_run(
             &uniform_grid(1),
             &spec,
-            &SimConfig {
+            &Session::default(),
+            &RunConfig {
                 items,
-                ..SimConfig::default()
+                ..RunConfig::default()
             },
         );
         base[i] = report.makespan.as_secs_f64();
@@ -64,12 +65,12 @@ fn main() {
         for (i, (shape, _)) in shapes.iter().enumerate() {
             let spec = synthetic_spec(8, *shape, 1.0, 10_000, 0.0, 3);
             for max_width in [1usize, 4] {
-                let mut cfg = SimConfig {
+                let mut cfg = RunConfig {
                     items,
-                    ..SimConfig::default()
+                    ..RunConfig::default()
                 };
                 cfg.controller.planner.max_width = max_width;
-                let report = sim_run(&uniform_grid(np), &spec, &cfg);
+                let report = sim_run(&uniform_grid(np), &spec, &Session::default(), &cfg);
                 let speedup = base[i] / report.makespan.as_secs_f64();
                 cells.push(format!("{speedup:.2}"));
             }

@@ -12,7 +12,7 @@
 //!   loses to static here;
 //! * period ≫ interval — adaptation pays off fully.
 
-use adapipe_bench::{banner, Table};
+use adapipe_bench::{banner, under, Table};
 use adapipe_core::prelude::*;
 use adapipe_core::simengine::run as sim_run;
 use adapipe_gridsim::prelude::*;
@@ -74,11 +74,10 @@ fn main() {
         // `stable` = the full stability stack (hysteresis + warm-up +
         // regret guard); `naive` strips all three.
         let run = |policy: Policy, stable: bool| {
-            let mut cfg = SimConfig {
+            let mut cfg = RunConfig {
                 items,
-                policy,
                 initial_mapping: Some(mapping.clone()),
-                ..SimConfig::default()
+                ..RunConfig::default()
             };
             if !stable {
                 cfg.controller.decision = DecisionConfig {
@@ -88,7 +87,7 @@ fn main() {
                 cfg.controller.warmup_ticks = 0;
                 cfg.controller.guard_bad_ticks = 0;
             }
-            sim_run(&grid_with_wave(period), &spec, &cfg)
+            sim_run(&grid_with_wave(period), &spec, &under(policy), &cfg)
         };
 
         let static_r = run(Policy::Static, true);

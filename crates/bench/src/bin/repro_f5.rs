@@ -7,7 +7,7 @@
 //! and there is a broad plateau of good settings in between (the pattern
 //! is not fragile).
 
-use adapipe_bench::{banner, Table};
+use adapipe_bench::{banner, under, Table};
 use adapipe_core::prelude::*;
 use adapipe_core::simengine::run as sim_run;
 use adapipe_gridsim::prelude::*;
@@ -46,10 +46,11 @@ fn main() {
     let static_r = sim_run(
         &scenario_grid(),
         &spec,
-        &SimConfig {
+        &Session::default(),
+        &RunConfig {
             items,
             initial_mapping: Some(mapping.clone()),
-            ..SimConfig::default()
+            ..RunConfig::default()
         },
     );
     println!("static baseline: {:.1}s\n", static_r.makespan.as_secs_f64());
@@ -64,18 +65,22 @@ fn main() {
     for &interval_s in &intervals {
         let mut row = vec![interval_s.to_string()];
         for &window in &windows {
-            let mut cfg = SimConfig {
+            let mut cfg = RunConfig {
                 items,
-                policy: Policy::Periodic {
-                    interval: SimDuration::from_secs(interval_s),
-                },
                 initial_mapping: Some(mapping.clone()),
                 observation_noise: 0.10,
                 noise_seed: 7,
-                ..SimConfig::default()
+                ..RunConfig::default()
             };
             cfg.controller.monitor_window = window;
-            let report = sim_run(&scenario_grid(), &spec, &cfg);
+            let report = sim_run(
+                &scenario_grid(),
+                &spec,
+                &under(Policy::Periodic {
+                    interval: SimDuration::from_secs(interval_s),
+                }),
+                &cfg,
+            );
             row.push(format!("{:.1}", report.makespan.as_secs_f64()));
         }
         table.row(row);

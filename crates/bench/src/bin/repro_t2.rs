@@ -118,11 +118,12 @@ fn main() {
             let report = sim_run(
                 &grid,
                 &spec,
-                &SimConfig {
+                &Session::default(),
+                &RunConfig {
                     items,
                     initial_mapping: Some(mapping.clone()),
                     link_contention: true,
-                    ..SimConfig::default()
+                    ..RunConfig::default()
                 },
             );
             let tput = report.mean_throughput();

@@ -48,11 +48,12 @@ fn main() {
             sim_run(
                 &grid,
                 &spec,
-                &SimConfig {
+                &Session::default(),
+                &RunConfig {
                     items,
                     initial_mapping: Some(mapping.clone()),
                     link_contention: contention,
-                    ..SimConfig::default()
+                    ..RunConfig::default()
                 },
             )
             .mean_throughput()

@@ -24,7 +24,16 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+use adapipe_runtime::arrivals::ArrivalProcess;
+use adapipe_runtime::policy::Policy;
+use adapipe_runtime::session::Session;
 use std::time::Instant;
+
+/// The session running `policy` over a stream that is all present at
+/// `t = 0`.
+pub fn under(policy: Policy) -> Session {
+    Session::new(policy, ArrivalProcess::AllAtOnce).expect("a valid policy")
+}
 
 /// An aligned text table that doubles as CSV.
 pub struct Table {

@@ -18,9 +18,9 @@
 //!   can use them);
 //! * [`sim`] — [`sim::SimCluster`]: the deterministic counterpart. No
 //!   arbiter thread: each admitted session is granted a *static* share
-//!   (`adapipe_core::simengine::SimConfig::rate_scale`), and the
-//!   tenants' simulated worlds interleave through the merged event
-//!   clock of `adapipe_core::simsession::SimPool`.
+//!   (the `share` it is attached with), and the tenants' simulated
+//!   worlds interleave through the merged event clock of
+//!   `adapipe_core::simsession::SimPool`.
 //!
 //! Applications normally reach all of this through the facade's
 //! `Cluster::new` / `admit` / `evict`, whose every method delegates to

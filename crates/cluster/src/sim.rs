@@ -3,10 +3,10 @@
 //!
 //! There is no arbiter thread here. [`SimCluster::admit`] grants each
 //! tenant a *static* share — its quota ceiling — which the tenant's
-//! world applies to every service time and sensed rate
-//! (`SimConfig::rate_scale`); the granted ceilings may not
-//! oversubscribe the pool. The tenants' worlds interleave through the
-//! core's [`SimPool`] merged event clock, earliest event first.
+//! world applies to every service time and sensed rate; the granted
+//! ceilings may not oversubscribe the pool. The tenants' worlds
+//! interleave through the core's [`SimPool`] merged event clock,
+//! earliest event first.
 //!
 //! Eviction is two-speed, as on the threaded backend:
 //! [`SimCluster::evict`] stops new pushes and lets in-flight work
@@ -14,12 +14,11 @@
 //! typed `RunError::Evicted`.
 
 use adapipe_core::pipeline::Pipeline;
-use adapipe_core::simengine::SimConfig;
 use adapipe_core::simsession::{attach, SimPool, SimSession, SimTenant};
 use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::grid::GridSpec;
 use adapipe_mapper::share::ShareQuota;
-use adapipe_runtime::session::{BuildError, SessionId};
+use adapipe_runtime::session::{BuildError, RunConfig, Session, SessionId};
 
 /// One simulated grid shared by many sessions under static shares.
 pub struct SimCluster<'g> {
@@ -47,10 +46,10 @@ impl<'g> SimCluster<'g> {
         self.grid
     }
 
-    /// Admits `pipeline` as a new tenant under `cfg`, overriding the
-    /// three fields the pool owns: the session id (next in admission
-    /// order), the fault plan (the pool's) and the capacity share
-    /// (`quota.max_share`, granted statically).
+    /// Admits `pipeline` as a new tenant running `session` under `cfg`.
+    /// The pool supplies what it owns: the tenant's id (next in
+    /// admission order), its capacity share (`quota.max_share`, granted
+    /// statically), and the fault plan, which replaces `cfg.faults`.
     ///
     /// # Errors
     /// [`BuildError::PoolOversubscribed`] when the share would exceed
@@ -58,9 +57,9 @@ impl<'g> SimCluster<'g> {
     pub fn admit<I, O>(
         &mut self,
         pipeline: Pipeline<I, O>,
-        mut cfg: SimConfig,
+        session: &Session,
+        mut cfg: RunConfig,
         quota: ShareQuota,
-        preserve_order: bool,
     ) -> Result<SimSession<'g, I, O>, BuildError> {
         let share = quota.max_share;
         let taken: f64 = self.pool.tenants().iter().map(SimTenant::share).sum();
@@ -70,16 +69,11 @@ impl<'g> SimCluster<'g> {
                 available: (1.0 - taken).max(0.0),
             });
         }
-        cfg.rate_scale = share;
-        cfg.session = SessionId(self.next_id);
         cfg.faults = self.faults.clone();
+        let id = SessionId(self.next_id);
         self.next_id += 1;
         Ok(attach(
-            &self.pool,
-            self.grid,
-            pipeline,
-            &cfg,
-            preserve_order,
+            &self.pool, self.grid, pipeline, session, &cfg, id, share,
         ))
     }
 
@@ -129,22 +123,30 @@ mod tests {
             .build()
     }
 
+    /// Admits [`inc`] under the defaults with `max_share` as its ceiling.
+    fn admit<'g>(
+        cluster: &mut SimCluster<'g>,
+        max_share: f64,
+    ) -> Result<SimSession<'g, u64, u64>, BuildError> {
+        cluster.admit(
+            inc(),
+            &Session::default(),
+            RunConfig::default(),
+            ShareQuota::bounded(0.0, max_share),
+        )
+    }
+
     #[test]
     fn static_shares_are_granted_in_admission_order_and_bounded_by_the_pool() {
         let grid = testbed_small3();
         let mut cluster = SimCluster::new(&grid, FaultPlan::new());
-        let cfg = SimConfig::default;
-        let mut a = cluster
-            .admit(inc(), cfg(), ShareQuota::bounded(0.0, 0.5), true)
-            .expect("half the pool is free");
-        let b = cluster
-            .admit(inc(), cfg(), ShareQuota::bounded(0.0, 0.5), true)
-            .expect("the other half too");
+        let mut a = admit(&mut cluster, 0.5).expect("half the pool is free");
+        let b = admit(&mut cluster, 0.5).expect("the other half too");
         let (ida, idb) = (a.session_id(), b.session_id());
         assert_eq!(cluster.sessions(), vec![ida, idb]);
         assert_eq!(cluster.share_of(idb), Some(0.5));
         assert!(matches!(
-            cluster.admit(inc(), cfg(), ShareQuota::bounded(0.0, 0.25), true),
+            admit(&mut cluster, 0.25),
             Err(BuildError::PoolOversubscribed { .. })
         ));
 
@@ -155,9 +157,7 @@ mod tests {
         assert!(!report.truncated);
         assert_eq!(cluster.sessions(), vec![idb]);
         assert!(!cluster.evict(ida), "no longer a tenant");
-        let _c = cluster
-            .admit(inc(), cfg(), ShareQuota::bounded(0.0, 0.5), true)
-            .expect("A's half is free again");
+        let _c = admit(&mut cluster, 0.5).expect("A's half is free again");
 
         // Forced eviction frees a share at once.
         assert!(cluster.evict_now(idb));

@@ -238,8 +238,9 @@ impl Drop for ThreadCluster {
 mod tests {
     use super::*;
     use adapipe_core::pipeline::PipelineBuilder;
-    use adapipe_engine::exec::{attach, EngineConfig};
+    use adapipe_engine::exec::attach;
     use adapipe_engine::vnode::spin_for;
+    use adapipe_runtime::session::{RunConfig, Session};
 
     fn free_nodes(n: usize) -> Vec<VNodeSpec> {
         (0..n).map(|i| VNodeSpec::free(format!("v{i}"))).collect()
@@ -261,9 +262,9 @@ mod tests {
     fn arbiter_splits_capacity_by_weight_under_contention() {
         let cluster =
             ThreadCluster::launch(free_nodes(1), FaultPlan::new(), Duration::from_millis(20));
-        let cfg = EngineConfig::new(free_nodes(1));
-        let mut a = attach(cluster.pool(), spin_pipeline("a", 1), &cfg, 400, false);
-        let mut b = attach(cluster.pool(), spin_pipeline("b", 1), &cfg, 400, false);
+        let (fixed, cfg) = (Session::default(), RunConfig::default());
+        let mut a = attach(cluster.pool(), spin_pipeline("a", 1), &fixed, &cfg, false);
+        let mut b = attach(cluster.pool(), spin_pipeline("b", 1), &fixed, &cfg, false);
         cluster.register(a.tenant_handle(), ShareQuota::weighted(3.0));
         cluster.register(b.tenant_handle(), ShareQuota::weighted(1.0));
         // Registration already applies the static fair split.
@@ -288,9 +289,9 @@ mod tests {
     fn finished_tenant_releases_its_share_to_the_survivors() {
         let cluster =
             ThreadCluster::launch(free_nodes(1), FaultPlan::new(), Duration::from_millis(10));
-        let cfg = EngineConfig::new(free_nodes(1));
-        let mut a = attach(cluster.pool(), spin_pipeline("a", 1), &cfg, 50, false);
-        let mut b = attach(cluster.pool(), spin_pipeline("b", 1), &cfg, 400, false);
+        let (fixed, cfg) = (Session::default(), RunConfig::default());
+        let mut a = attach(cluster.pool(), spin_pipeline("a", 1), &fixed, &cfg, false);
+        let mut b = attach(cluster.pool(), spin_pipeline("b", 1), &fixed, &cfg, false);
         cluster.register(a.tenant_handle(), ShareQuota::default());
         cluster.register(b.tenant_handle(), ShareQuota::default());
         let b_id = b.session_id();
@@ -329,9 +330,9 @@ mod tests {
             FaultPlan::new(),
             Duration::from_millis(500), // effectively no dynamic window
         );
-        let cfg = EngineConfig::new(free_nodes(1));
-        let mut keep = attach(cluster.pool(), spin_pipeline("k", 1), &cfg, 30, false);
-        let mut goner = attach(cluster.pool(), spin_pipeline("g", 1), &cfg, 200, false);
+        let (fixed, cfg) = (Session::default(), RunConfig::default());
+        let mut keep = attach(cluster.pool(), spin_pipeline("k", 1), &fixed, &cfg, false);
+        let mut goner = attach(cluster.pool(), spin_pipeline("g", 1), &fixed, &cfg, false);
         cluster.register(keep.tenant_handle(), ShareQuota::default());
         cluster.register(goner.tenant_handle(), ShareQuota::default());
         for i in 0..200u64 {

@@ -13,7 +13,7 @@
 //! insertion into a longer pipeline.
 
 use crate::pipeline::{Pipeline, PipelineBuilder};
-use crate::spec::{PipelineSpec, StageSpec};
+use crate::spec::StageSpec;
 use adapipe_runtime::session::BuildError;
 use adapipe_state::StateCodec;
 
@@ -101,30 +101,33 @@ where
         .build())
 }
 
-/// The simulation-side counterpart: a one-stage [`PipelineSpec`] with
-/// the given per-item work and output size.
-pub fn farm_spec(work: f64, bytes: u64) -> PipelineSpec {
-    let mut spec = PipelineSpec::new(vec![StageSpec::balanced("farm", work, bytes)]);
-    spec.input_bytes = bytes;
-    spec
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::Policy;
-    use crate::simengine::{run, SimConfig};
+    use crate::simengine::run;
+    use crate::spec::PipelineSpec;
     use adapipe_gridsim::grid::GridSpec;
     use adapipe_gridsim::load::LoadModel;
     use adapipe_gridsim::net::{LinkSpec, Topology};
     use adapipe_gridsim::node::{Node, NodeSpec};
     use adapipe_gridsim::time::SimDuration;
+    use adapipe_runtime::arrivals::ArrivalProcess;
+    use adapipe_runtime::session::{RunConfig, Session};
 
     fn uniform_grid(np: usize) -> GridSpec {
         let nodes = (0..np)
             .map(|i| Node::new(NodeSpec::new(format!("n{i}"), 1.0, 1), LoadModel::free()))
             .collect();
         GridSpec::new(nodes, Topology::uniform(np, LinkSpec::lan()))
+    }
+
+    /// The simulation side of a farm: a one-stage spec with the given
+    /// per-item work and item size.
+    fn farm_spec(work: f64, bytes: u64) -> PipelineSpec {
+        let mut spec = PipelineSpec::new(vec![StageSpec::balanced("farm", work, bytes)]);
+        spec.input_bytes = bytes;
+        spec
     }
 
     #[test]
@@ -141,12 +144,12 @@ mod tests {
         let items = 200u64;
         let mut makespans = Vec::new();
         for np in [1usize, 2, 4, 8] {
-            let mut cfg = SimConfig {
+            let mut cfg = RunConfig {
                 items,
-                ..SimConfig::default()
+                ..RunConfig::default()
             };
             cfg.controller.planner.max_width = 8;
-            let report = run(&uniform_grid(np), &spec, &cfg);
+            let report = run(&uniform_grid(np), &spec, &Session::default(), &cfg);
             assert_eq!(report.completed, items);
             makespans.push(report.makespan.as_secs_f64());
         }
@@ -168,15 +171,19 @@ mod tests {
             .crash(NodeId(2), SimTime::from_secs_f64(20.0))
             .apply(&mut grid);
         let spec = farm_spec(1.0, 0);
-        let mut cfg = SimConfig {
+        let mut cfg = RunConfig {
             items: 300,
-            policy: Policy::Periodic {
-                interval: SimDuration::from_secs(5),
-            },
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
         cfg.controller.planner.max_width = 4;
-        let report = run(&grid, &spec, &cfg);
+        let session = Session::new(
+            Policy::Periodic {
+                interval: SimDuration::from_secs(5),
+            },
+            ArrivalProcess::AllAtOnce,
+        )
+        .expect("a valid policy");
+        let report = run(&grid, &spec, &session, &cfg);
         assert_eq!(report.completed, 300, "farm must re-spread after the crash");
         assert!(report.adaptation_count() >= 1);
         assert!(!report.final_mapping.placement(0).contains(NodeId(2)));

@@ -57,10 +57,11 @@
 //!
 //! let grid = testbed_small3();
 //! let spec = PipelineSpec::balanced(3, 1.0, 0);
-//! let report = simengine::run(&grid, &spec, &SimConfig {
+//! let cfg = RunConfig {
 //!     items: 50,
-//!     ..SimConfig::default()
-//! });
+//!     ..RunConfig::default()
+//! };
+//! let report = simengine::run(&grid, &spec, &Session::default(), &cfg);
 //! assert_eq!(report.completed, 50);
 //! ```
 
@@ -92,12 +93,11 @@ pub use adapipe_runtime::{controller, metrics, policy, report};
 /// [`crate::pipeline`] directly.
 pub mod prelude {
     pub use crate::controller::{Controller, ControllerConfig};
-    pub use crate::farm::{farm, farm_spec};
+    pub use crate::farm::farm;
     pub use crate::metrics::{StageMetrics, StageStats};
     pub use crate::payload::Payload;
     pub use crate::policy::Policy;
     pub use crate::report::{AdaptationEvent, DeadLetter, RunReport};
-    pub use crate::simengine::{ArrivalProcess, SimConfig};
     pub use crate::spec::{
         ConstantWork, PipelineSpec, ResiliencePolicy, StageGraph, StageGraphBuilder, StageSpec,
         UniformWork, WorkModel,
@@ -106,10 +106,10 @@ pub mod prelude {
         clone_fn, fan_out_fn, BoxedItem, CloneFn, DynStage, FallibleFnStage, FanOutFn, FnStage,
         MergeStage, SealedStage, StageError, StatefulFnStage,
     };
-    pub use adapipe_runtime::adapt::{AdaptationLoop, RuntimeConfig};
+    pub use adapipe_runtime::arrivals::ArrivalProcess;
     pub use adapipe_runtime::backend::{ExecutionBackend, RemapPlan};
     pub use adapipe_runtime::routing::{RoutingTable, Selection};
-    pub use adapipe_runtime::session::{BuildError, RunConfig, RunHooks};
+    pub use adapipe_runtime::session::{BuildError, RunConfig, RunHooks, Session};
     pub use adapipe_state::{StateAccess, StateCodec, StateSnapshot};
 }
 

@@ -1,7 +1,8 @@
 //! Pipeline execution on the discrete-event grid simulator.
 //!
 //! Items flow through stage instances placed on grid nodes according to
-//! the current [`Mapping`]. Each node is a `cores`-server FCFS queue:
+//! the current [`adapipe_mapper::mapping::Mapping`]. Each node is a
+//! `cores`-server FCFS queue:
 //! coalesced stages time-share their host by queueing behind each other,
 //! replicated stages receive items round-robin. Task durations integrate
 //! the node's availability function exactly, so background load slows
@@ -41,19 +42,15 @@
 use crate::item::{SeqHasher, SeqMap};
 use crate::spec::{Next, PipelineSpec};
 use adapipe_gridsim::event::EventQueue;
-use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::grid::GridSpec;
 use adapipe_gridsim::net::LinkQueue;
 use adapipe_gridsim::node::NodeId;
 use adapipe_gridsim::time::{SimDuration, SimTime};
-use adapipe_mapper::mapping::Mapping;
 use adapipe_runtime::adapt::{AdaptationLoop, RuntimeConfig};
 use adapipe_runtime::backend::{ExecutionBackend, RemapPlan};
-use adapipe_runtime::controller::ControllerConfig;
-use adapipe_runtime::policy::Policy;
 use adapipe_runtime::report::{DeadLetter, ReportBuilder, RunReport};
-use adapipe_runtime::routing::{RoutingTable, Selection};
-use adapipe_runtime::session::{RunEvent, RunHooks, SessionControl, SessionId};
+use adapipe_runtime::routing::RoutingTable;
+use adapipe_runtime::session::{RunConfig, RunEvent, RunHooks, Session, SessionId};
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{HashSet, VecDeque};
@@ -61,79 +58,9 @@ use std::hash::BuildHasherDefault;
 use std::ops::{Index, IndexMut};
 use std::sync::RwLock;
 
-pub use adapipe_runtime::arrivals::ArrivalProcess;
-
-/// Simulation run configuration.
-#[derive(Clone, Debug)]
-pub struct SimConfig {
-    /// Stream length.
-    pub items: u64,
-    /// Arrival process.
-    pub arrivals: ArrivalProcess,
-    /// Adaptation policy.
-    pub policy: Policy,
-    /// Controller tunables (planner, hysteresis, monitoring window).
-    pub controller: ControllerConfig,
-    /// Launch mapping; `None` plans one from availability at `t = 0`.
-    pub initial_mapping: Option<Mapping>,
-    /// How items are dealt among a replicated stage's hosts.
-    pub selection: Selection,
-    /// Relative magnitude of availability observation noise (0 = clean).
-    pub observation_noise: f64,
-    /// Seed for the observation noise stream.
-    pub noise_seed: u64,
-    /// Bucket width of the reported throughput timeline.
-    pub timeline_bucket: SimDuration,
-    /// Serialise per-direction link transfers (adds contention the
-    /// analytic model ignores).
-    pub link_contention: bool,
-    /// Safety horizon: the run stops (truncated) past this time.
-    pub max_sim_time: SimDuration,
-    /// Live observation callbacks (invoked at the simulated instant).
-    pub hooks: RunHooks,
-    /// In-flight steering flags (pause/resume/force re-map) shared with
-    /// a live session driving this run.
-    pub control: SessionControl,
-    /// Scheduled faults: applied to a private copy of the grid's load
-    /// models before the run starts (the original `GridSpec` is never
-    /// mutated), with down/up transitions driven through the shared
-    /// adaptation loop at their exact simulated instants.
-    pub faults: FaultPlan,
-    /// Static capacity share granted to this session when several
-    /// sessions time-share one simulated pool (`adapipe-cluster`'s
-    /// `SimCluster` sets it from the tenant's quota). Every sensed and
-    /// oracle node rate is scaled by this factor, so the session's
-    /// planner sees — and its service model uses — only its slice of
-    /// the pool. `1.0` (the default) is the single-tenant case.
-    pub rate_scale: f64,
-    /// The session id stamped onto every emitted [`RunEvent`]
-    /// (`SessionId(0)` for standalone runs); a multi-tenant cluster
-    /// assigns distinct ids so merged event streams demultiplex.
-    pub session: SessionId,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            items: 1_000,
-            arrivals: ArrivalProcess::AllAtOnce,
-            policy: Policy::Static,
-            controller: ControllerConfig::default(),
-            initial_mapping: None,
-            selection: Selection::RoundRobin,
-            observation_noise: 0.0,
-            noise_seed: 1,
-            timeline_bucket: SimDuration::from_secs(5),
-            link_contention: false,
-            max_sim_time: SimDuration::from_secs(7 * 24 * 3600),
-            hooks: RunHooks::default(),
-            control: SessionControl::default(),
-            faults: FaultPlan::new(),
-            rate_scale: 1.0,
-            session: SessionId(0),
-        }
-    }
-}
+/// Bucket width of the reported throughput timeline when
+/// [`RunConfig::timeline_bucket`] is `None`, in simulated time.
+const DEFAULT_TIMELINE_BUCKET: SimDuration = SimDuration::from_secs(5);
 
 #[derive(Debug)]
 enum Ev {
@@ -178,7 +105,8 @@ enum Ev {
     Fault,
 }
 
-/// Runs `spec` on `grid` under `cfg` and reports the outcome.
+/// Runs `spec` on `grid` as `session` under `cfg` and reports the
+/// outcome: `cfg.items` items on `session`'s arrival schedule.
 ///
 /// This is the simulation *backend* entry point; applications should
 /// prefer the unified `adapipe::api::Pipeline` builder, which delegates
@@ -186,9 +114,9 @@ enum Ev {
 /// crate's stepper: every arrival is injected up front, the stream is
 /// closed, and the stepper runs to completion — the same event order
 /// the historical monolithic loop produced.
-pub fn run(grid: &GridSpec, spec: &PipelineSpec, cfg: &SimConfig) -> RunReport {
-    let mut stepper = SimStepper::new(grid, spec.clone(), cfg);
-    for &at in &cfg.arrivals.schedule(cfg.items) {
+pub fn run(grid: &GridSpec, spec: &PipelineSpec, session: &Session, cfg: &RunConfig) -> RunReport {
+    let mut stepper = SimStepper::new(grid, spec.clone(), session, cfg, SessionId(0), 1.0);
+    for &at in &session.arrivals().schedule(cfg.items) {
         stepper.push_at(at);
     }
     stepper.close();
@@ -279,11 +207,10 @@ struct SimWorld<'a> {
     ns: usize,
     horizon: SimTime,
     link_contention: bool,
-    /// Capacity share of the pool granted to this session
-    /// ([`SimConfig::rate_scale`]): stretches every service time by its
-    /// inverse and scales every sensed/oracle rate, so co-tenant
-    /// sessions time-sharing one simulated pool each see and get only
-    /// their slice.
+    /// Capacity share of the pool granted to this session: stretches
+    /// every service time by its inverse and scales every sensed/oracle
+    /// rate, so co-tenant sessions time-sharing one simulated pool each
+    /// see and get only their slice.
     rate_scale: f64,
     /// The session id stamped onto events emitted by the world itself
     /// (replays); the adaptation loop stamps its own.
@@ -386,11 +313,23 @@ impl<'a> SimStepper<'a> {
     /// Creates a steppable world for `spec` on `grid` under `cfg`, with
     /// no arrivals scheduled. `cfg.items` is only the planning hint for
     /// remaining-work amortisation (the real stream length is declared
-    /// by [`SimStepper::close`]); `cfg.arrivals` is ignored — arrival
-    /// instants come from `push_at`.
-    pub(crate) fn new(grid: &'a GridSpec, spec: PipelineSpec, cfg: &SimConfig) -> Self {
-        let profile = spec.profile();
-        profile.validate();
+    /// by [`SimStepper::close`]); `session`'s arrival process is not
+    /// read — arrival instants come from `push_at`.
+    ///
+    /// `id` is stamped onto every emitted [`RunEvent`], and `share` is
+    /// the static capacity share of the pool granted to this session —
+    /// the two values only a pool of several sessions knows
+    /// (`adapipe-cluster`'s `SimCluster` assigns distinct ids and sets
+    /// the share from the tenant's quota). A standalone run is
+    /// `SessionId(0)` with share `1.0`.
+    pub(crate) fn new(
+        grid: &'a GridSpec,
+        spec: PipelineSpec,
+        session: &Session,
+        cfg: &RunConfig,
+        id: SessionId,
+        share: f64,
+    ) -> Self {
         // Fault physics: the plan rewrites the load models of a private
         // copy of the grid, so availability — and therefore every
         // integrated service time — reflects the scheduled degradation
@@ -403,61 +342,35 @@ impl<'a> SimStepper<'a> {
             Cow::Owned(faulted)
         };
         let np = grid.len();
-        let speeds: Vec<f64> = grid.node_ids().map(|id| grid.node(id).spec.speed).collect();
 
         assert!(
-            cfg.rate_scale.is_finite() && cfg.rate_scale > 0.0 && cfg.rate_scale <= 1.0,
-            "rate_scale must lie in (0, 1], got {}",
-            cfg.rate_scale
+            share.is_finite() && share > 0.0 && share <= 1.0,
+            "a session's pool share must lie in (0, 1], got {share}"
         );
-        // Launch mapping: supplied, or planned from availability at t=0
-        // (what a launch-time scheduler with fresh information would do).
-        // A fractional pool share scales the planning rates too, so the
-        // launch plan reflects the capacity the session will really get.
+        // Launch rates: availability at t=0 (what a launch-time
+        // scheduler with fresh information would plan from). A
+        // fractional pool share scales them too, so the launch plan
+        // reflects the capacity the session will really get.
         let launch_rates: Vec<f64> = grid
             .rates_at(SimTime::ZERO)
             .iter()
-            .map(|r| r * cfg.rate_scale)
+            .map(|r| r * share)
             .collect();
-        let mapping = cfg.initial_mapping.clone().unwrap_or_else(|| {
-            adapipe_mapper::search::plan(
-                &profile,
-                &launch_rates,
-                grid.topology(),
-                &cfg.controller.planner,
-            )
-            .mapping
-        });
-        assert_eq!(mapping.len(), spec.len(), "mapping must cover every stage");
-        for node in mapping.nodes_used() {
-            assert!(
-                node.index() < np,
-                "mapping uses node {node} outside the grid"
-            );
-        }
-
-        let runtime_cfg = RuntimeConfig {
-            policy: cfg.policy,
-            controller: cfg.controller.clone(),
-            profile,
+        let substrate = RuntimeConfig {
+            profile: spec.profile(),
             topology: grid.topology().clone(),
-            speeds,
+            speeds: grid.node_ids().map(|id| grid.node(id).spec.speed).collect(),
             state_bytes: spec.stages.iter().map(|s| s.state_bytes).collect(),
-            stateless: spec.stages.iter().map(|s| s.state.replicable()).collect(),
             state_access: spec.stages.iter().map(|s| s.state).collect(),
             faults: cfg.faults.clone(),
-            total_items: cfg.items,
-            observation_noise: cfg.observation_noise,
-            noise_seed: cfg.noise_seed,
-            hooks: cfg.hooks.clone(),
-            control: cfg.control.clone(),
-            session: cfg.session,
+            session: id,
         };
-        let aloop = AdaptationLoop::new(runtime_cfg, &mapping, &launch_rates);
+        let (aloop, mapping) = AdaptationLoop::launch(substrate, session, cfg, &launch_rates);
 
         let ns = spec.len();
         let stage_shards: Vec<usize> = spec.stages.iter().map(|s| s.state.shards()).collect();
-        let mut report = ReportBuilder::new(cfg.timeline_bucket, u64::MAX);
+        let bucket = cfg.timeline_bucket.unwrap_or(DEFAULT_TIMELINE_BUCKET);
+        let mut report = ReportBuilder::new(bucket, u64::MAX);
         if !cfg.faults.is_empty() {
             report.set_faults(cfg.faults.clone(), np);
         }
@@ -480,10 +393,10 @@ impl<'a> SimStepper<'a> {
             grid,
             ns,
             spec,
-            horizon: SimTime::ZERO + cfg.max_sim_time,
+            horizon: SimTime::ZERO.saturating_add(cfg.max_sim_time),
             link_contention: cfg.link_contention,
-            rate_scale: cfg.rate_scale,
-            session: cfg.session,
+            rate_scale: share,
+            session: id,
             down: vec![false; np],
             hooks: cfg.hooks.clone(),
             events: EventQueue::new(),
@@ -1070,7 +983,6 @@ impl SimWorld<'_> {
                 break;
             }
             self.free_cores[node] -= 1;
-            self.on_dispatch(stage, node, item);
             self.events.schedule(
                 done_at,
                 Ev::Done {
@@ -1262,8 +1174,12 @@ impl ExecutionBackend for SimWorld<'_> {
 mod tests {
     use super::*;
     use adapipe_gridsim::fault::FaultPlan;
-    use adapipe_gridsim::grid::{testbed_hetero8, testbed_small3, GridSpec};
+    use adapipe_gridsim::grid::{testbed_hetero8, testbed_small3};
     use adapipe_gridsim::load::LoadModel;
+    use adapipe_mapper::mapping::Mapping;
+    use adapipe_runtime::arrivals::ArrivalProcess;
+    use adapipe_runtime::policy::Policy;
+    use adapipe_runtime::routing::Selection;
 
     fn secs(s: f64) -> SimTime {
         SimTime::from_secs_f64(s)
@@ -1271,6 +1187,33 @@ mod tests {
 
     fn n(i: usize) -> NodeId {
         NodeId(i)
+    }
+
+    /// `policy` over a stream that is all present at `t = 0`.
+    fn under(policy: Policy) -> Session {
+        Session::new(policy, ArrivalProcess::AllAtOnce).expect("a valid policy")
+    }
+
+    /// The static baseline under a paced open stream.
+    fn paced(arrivals: ArrivalProcess) -> Session {
+        Session::baseline(Policy::Static, arrivals).expect("a valid rate")
+    }
+
+    /// [`run`] for a session granted `share` of the pool.
+    fn run_with_share(
+        grid: &GridSpec,
+        spec: &PipelineSpec,
+        cfg: &RunConfig,
+        share: f64,
+    ) -> RunReport {
+        let session = Session::default();
+        let mut stepper = SimStepper::new(grid, spec.clone(), &session, cfg, SessionId(0), share);
+        for _ in 0..cfg.items {
+            stepper.push_at(SimTime::ZERO);
+        }
+        stepper.close();
+        while !stepper.all_done() && stepper.step() {}
+        stepper.finish()
     }
 
     /// 3 identical free nodes, 3 balanced unit-work stages, no bytes.
@@ -1295,12 +1238,12 @@ mod tests {
     #[test]
     fn balanced_pipeline_achieves_model_throughput() {
         let (grid, spec) = balanced_setup();
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items: 200,
             initial_mapping: Some(Mapping::from_assignment(&[n(0), n(1), n(2)])),
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let report = run(&grid, &spec, &cfg);
+        let report = run(&grid, &spec, &Session::default(), &cfg);
         assert_eq!(report.completed, 200);
         assert!(!report.truncated);
         // Model: latency 3 s + 199 items at 1 item/s = 202 s.
@@ -1311,12 +1254,12 @@ mod tests {
     #[test]
     fn coalesced_mapping_halves_throughput() {
         let (grid, spec) = balanced_setup();
-        let all_on_one = SimConfig {
+        let all_on_one = RunConfig {
             items: 100,
             initial_mapping: Some(Mapping::all_on(n(0), 3)),
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let report = run(&grid, &spec, &all_on_one);
+        let report = run(&grid, &spec, &Session::default(), &all_on_one);
         assert_eq!(report.completed, 100);
         // 3 units of work per item on one unit-speed node ⇒ ≈ 300 s.
         let makespan = report.makespan.as_secs_f64();
@@ -1327,14 +1270,13 @@ mod tests {
     #[test]
     fn rate_scale_stretches_service_proportionally() {
         let (grid, spec) = balanced_setup();
-        let mk = |scale| SimConfig {
+        let cfg = RunConfig {
             items: 100,
             initial_mapping: Some(Mapping::from_assignment(&[n(0), n(1), n(2)])),
-            rate_scale: scale,
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let full = run(&grid, &spec, &mk(1.0));
-        let half = run(&grid, &spec, &mk(0.5));
+        let full = run_with_share(&grid, &spec, &cfg, 1.0);
+        let half = run_with_share(&grid, &spec, &cfg, 0.5);
         assert_eq!(full.completed, 100);
         assert_eq!(half.completed, 100);
         // Half the pool share ⇒ every service takes twice as long ⇒
@@ -1346,11 +1288,12 @@ mod tests {
     #[test]
     fn stepper_surfaces_next_event_and_buffered_completions() {
         let (grid, spec) = balanced_setup();
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             initial_mapping: Some(Mapping::from_assignment(&[n(0), n(1), n(2)])),
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let mut stepper = SimStepper::new(&grid, spec, &cfg);
+        let mut stepper =
+            SimStepper::new(&grid, spec, &Session::default(), &cfg, SessionId(0), 1.0);
         assert_eq!(stepper.next_event_at(), None);
         stepper.push_at(secs(3.0));
         // The buffered (not yet flushed) arrival is visible.
@@ -1369,13 +1312,12 @@ mod tests {
     fn simulation_is_deterministic() {
         let grid = testbed_hetero8(42);
         let spec = PipelineSpec::balanced(4, 1.0, 10_000);
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items: 300,
-            policy: Policy::periodic_default(),
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let a = run(&grid, &spec, &cfg);
-        let b = run(&grid, &spec, &cfg);
+        let a = run(&grid, &spec, &under(Policy::periodic_default()), &cfg);
+        let b = run(&grid, &spec, &under(Policy::periodic_default()), &cfg);
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.adaptations.len(), b.adaptations.len());
@@ -1389,18 +1331,20 @@ mod tests {
         let planned = run(
             &grid,
             &spec,
-            &SimConfig {
+            &Session::default(),
+            &RunConfig {
                 items: 200,
-                ..SimConfig::default()
+                ..RunConfig::default()
             },
         );
         let bad = run(
             &grid,
             &spec,
-            &SimConfig {
+            &Session::default(),
+            &RunConfig {
                 items: 200,
                 initial_mapping: Some(Mapping::all_on(n(7), 4)), // slowest node
-                ..SimConfig::default()
+                ..RunConfig::default()
             },
         );
         assert!(planned.makespan < bad.makespan);
@@ -1416,22 +1360,23 @@ mod tests {
         let spec = PipelineSpec::balanced(3, 1.0, 0);
         let mapping = Mapping::from_assignment(&[n(0), n(1), n(2)]);
 
-        let static_cfg = SimConfig {
+        let static_cfg = RunConfig {
             items: 500,
             initial_mapping: Some(mapping.clone()),
-            policy: Policy::Static,
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let adaptive_cfg = SimConfig {
+        let adaptive_cfg = RunConfig {
             items: 500,
             initial_mapping: Some(mapping),
-            policy: Policy::Periodic {
-                interval: SimDuration::from_secs(5),
-            },
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let static_report = run(&grid, &spec, &static_cfg);
-        let adaptive_report = run(&grid, &spec, &adaptive_cfg);
+        let static_report = run(&grid, &spec, &under(Policy::Static), &static_cfg);
+        let adaptive_report = run(
+            &grid,
+            &spec,
+            &under(Policy::periodic_default()),
+            &adaptive_cfg,
+        );
 
         assert_eq!(static_report.completed, 500);
         assert_eq!(adaptive_report.completed, 500);
@@ -1454,25 +1399,19 @@ mod tests {
             .apply(&mut grid);
         let spec = PipelineSpec::balanced(3, 1.0, 0);
         let mapping = Mapping::from_assignment(&[n(0), n(1), n(2)]);
-        let mk = |policy| SimConfig {
+        let cfg = RunConfig {
             items: 400,
-            initial_mapping: Some(mapping.clone()),
-            policy,
-            ..SimConfig::default()
+            initial_mapping: Some(mapping),
+            ..RunConfig::default()
         };
-        let adaptive = run(
-            &grid,
-            &spec,
-            &mk(Policy::Periodic {
-                interval: SimDuration::from_secs(5),
-            }),
-        );
+        let adaptive = run(&grid, &spec, &under(Policy::periodic_default()), &cfg);
         let oracle = run(
             &grid,
             &spec,
-            &mk(Policy::Oracle {
+            &under(Policy::Oracle {
                 interval: SimDuration::from_secs(5),
             }),
+            &cfg,
         );
         // Allow a small tolerance: the oracle plans on interval means, so
         // pathological tie-breaks can cost it a hair.
@@ -1492,16 +1431,20 @@ mod tests {
             .apply(&mut grid);
         let spec = PipelineSpec::balanced(3, 1.0, 0);
         let mapping = Mapping::from_assignment(&[n(0), n(1), n(2)]);
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items: 400,
             initial_mapping: Some(mapping),
-            policy: Policy::Reactive {
+            ..RunConfig::default()
+        };
+        let report = run(
+            &grid,
+            &spec,
+            &under(Policy::Reactive {
                 interval: SimDuration::from_secs(5),
                 degradation: 0.7,
-            },
-            ..SimConfig::default()
-        };
-        let report = run(&grid, &spec, &cfg);
+            }),
+            &cfg,
+        );
         assert_eq!(report.completed, 400);
         assert!(report.adaptation_count() >= 1);
         // The first adaptation happens after the fault, not before.
@@ -1517,12 +1460,12 @@ mod tests {
             adapipe_mapper::mapping::Placement::replicated(vec![n(0), n(1)]),
             adapipe_mapper::mapping::Placement::single(n(2)),
         ]);
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items: 100,
             initial_mapping: Some(mapping),
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let report = run(&grid, &spec, &cfg);
+        let report = run(&grid, &spec, &Session::default(), &cfg);
         assert_eq!(report.completed, 100);
         // Hot stage is halved: bottleneck = max(2/2, 1) = 1 s/item.
         assert!((report.makespan.as_secs_f64() - 102.0).abs() < 3.0);
@@ -1541,15 +1484,24 @@ mod tests {
             n(0),
             n(1),
         ])]);
-        let mk = |selection| SimConfig {
+        let mk = |selection| RunConfig {
             items: 200,
             initial_mapping: Some(mapping.clone()),
-            arrivals: ArrivalProcess::Uniform { rate: 1.2 },
             selection,
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let rr = run(&grid, &spec, &mk(Selection::RoundRobin));
-        let ll = run(&grid, &spec, &mk(Selection::LeastLoaded));
+        let rr = run(
+            &grid,
+            &spec,
+            &paced(ArrivalProcess::Uniform { rate: 1.2 }),
+            &mk(Selection::RoundRobin),
+        );
+        let ll = run(
+            &grid,
+            &spec,
+            &paced(ArrivalProcess::Uniform { rate: 1.2 }),
+            &mk(Selection::LeastLoaded),
+        );
         assert_eq!(rr.completed, 200);
         assert_eq!(ll.completed, 200);
         assert!(
@@ -1570,15 +1522,12 @@ mod tests {
             .apply(&mut grid);
         let mut spec = PipelineSpec::balanced(3, 1.0, 0);
         spec.stages[1] = crate::spec::StageSpec::balanced("stateful", 1.0, 0).with_state(100 << 20);
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items: 300,
             initial_mapping: Some(Mapping::from_assignment(&[n(0), n(1), n(2)])),
-            policy: Policy::Periodic {
-                interval: SimDuration::from_secs(5),
-            },
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let report = run(&grid, &spec, &cfg);
+        let report = run(&grid, &spec, &under(Policy::periodic_default()), &cfg);
         assert_eq!(report.completed, 300);
         assert!(report.adaptation_count() >= 1);
         let migration = report.adaptations[0].migration_cost;
@@ -1591,24 +1540,21 @@ mod tests {
     #[test]
     fn config_fault_plan_replays_items_and_reports_downtime() {
         // The same crash as crash_under_adaptive_policy_completes, but
-        // declared on SimConfig: the grid passed in stays pristine, the
+        // declared on the run config: the grid passed in stays pristine, the
         // run survives, stranded items count as replays, and the report
         // carries per-node downtime.
         let grid = testbed_small3();
         let spec = PipelineSpec::balanced(3, 1.0, 0);
         let hooks = adapipe_runtime::session::RunHooks::default();
         let events = hooks.events.subscribe();
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items: 200,
             initial_mapping: Some(Mapping::from_assignment(&[n(0), n(1), n(2)])),
-            policy: Policy::Periodic {
-                interval: SimDuration::from_secs(5),
-            },
             faults: FaultPlan::new().crash(n(1), secs(10.0)),
             hooks,
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let report = run(&grid, &spec, &cfg);
+        let report = run(&grid, &spec, &under(Policy::periodic_default()), &cfg);
         assert_eq!(report.completed, 200, "crash must be survived");
         assert!(!report.truncated);
         // The caller's grid was not mutated by the fault plan.
@@ -1633,7 +1579,7 @@ mod tests {
 
     #[test]
     fn config_faults_match_manually_applied_plan() {
-        // Declaring a slowdown through SimConfig must produce the exact
+        // Declaring a slowdown through the run config must produce the exact
         // run a manually pre-faulted grid produces: same physics, and
         // a slowdown alone adds no control-plane interference.
         let plan = FaultPlan::new().slowdown(n(1), secs(50.0), secs(100_000.0), 0.05);
@@ -1647,23 +1593,23 @@ mod tests {
         let manual = run(
             &pre_faulted,
             &spec,
-            &SimConfig {
+            &under(policy),
+            &RunConfig {
                 items: 300,
                 initial_mapping: Some(mapping.clone()),
-                policy,
-                ..SimConfig::default()
+                ..RunConfig::default()
             },
         );
         let grid = testbed_small3();
         let declared = run(
             &grid,
             &spec,
-            &SimConfig {
+            &under(policy),
+            &RunConfig {
                 items: 300,
                 initial_mapping: Some(mapping),
-                policy,
                 faults: plan,
-                ..SimConfig::default()
+                ..RunConfig::default()
             },
         );
         assert_eq!(declared.completed, manual.completed);
@@ -1678,13 +1624,12 @@ mod tests {
         let mut grid = testbed_small3();
         FaultPlan::new().crash(n(1), secs(10.0)).apply(&mut grid);
         let spec = PipelineSpec::balanced(3, 1.0, 0);
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items: 200,
             initial_mapping: Some(Mapping::from_assignment(&[n(0), n(1), n(2)])),
-            policy: Policy::Static,
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let report = run(&grid, &spec, &cfg);
+        let report = run(&grid, &spec, &under(Policy::Static), &cfg);
         assert!(report.truncated, "static run must starve after the crash");
         assert!(report.completed < 200);
     }
@@ -1694,15 +1639,12 @@ mod tests {
         let mut grid = testbed_small3();
         FaultPlan::new().crash(n(1), secs(10.0)).apply(&mut grid);
         let spec = PipelineSpec::balanced(3, 1.0, 0);
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items: 200,
             initial_mapping: Some(Mapping::from_assignment(&[n(0), n(1), n(2)])),
-            policy: Policy::Periodic {
-                interval: SimDuration::from_secs(5),
-            },
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let report = run(&grid, &spec, &cfg);
+        let report = run(&grid, &spec, &under(Policy::periodic_default()), &cfg);
         assert_eq!(report.completed, 200, "adaptive run must survive the crash");
         assert!(!report.truncated);
     }
@@ -1710,13 +1652,17 @@ mod tests {
     #[test]
     fn poisson_arrivals_spread_completions() {
         let (grid, spec) = balanced_setup();
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items: 100,
-            arrivals: ArrivalProcess::Poisson { rate: 0.5, seed: 3 },
             initial_mapping: Some(Mapping::from_assignment(&[n(0), n(1), n(2)])),
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let report = run(&grid, &spec, &cfg);
+        let report = run(
+            &grid,
+            &spec,
+            &paced(ArrivalProcess::Poisson { rate: 0.5, seed: 3 }),
+            &cfg,
+        );
         assert_eq!(report.completed, 100);
         // Arrival-limited: makespan ≈ 100/0.5 = 200 s, definitely > 150.
         assert!(report.makespan.as_secs_f64() > 150.0);
@@ -1725,13 +1671,17 @@ mod tests {
     #[test]
     fn uniform_arrivals_respect_rate() {
         let (grid, spec) = balanced_setup();
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items: 50,
-            arrivals: ArrivalProcess::Uniform { rate: 0.25 },
             initial_mapping: Some(Mapping::from_assignment(&[n(0), n(1), n(2)])),
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let report = run(&grid, &spec, &cfg);
+        let report = run(
+            &grid,
+            &spec,
+            &paced(ArrivalProcess::Uniform { rate: 0.25 }),
+            &cfg,
+        );
         assert_eq!(report.completed, 50);
         // Last arrival at 49/0.25 = 196 s + ~3 s latency.
         assert!((report.makespan.as_secs_f64() - 199.0).abs() < 3.0);
@@ -1740,12 +1690,12 @@ mod tests {
     #[test]
     fn mean_latency_matches_pipeline_depth() {
         let (grid, spec) = balanced_setup();
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items: 1,
             initial_mapping: Some(Mapping::from_assignment(&[n(0), n(1), n(2)])),
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let report = run(&grid, &spec, &cfg);
+        let report = run(&grid, &spec, &Session::default(), &cfg);
         // One item: latency = 3 stages × 1 s (+ negligible LAN hops).
         assert!((report.mean_latency.as_secs_f64() - 3.0).abs() < 0.1);
     }
@@ -1758,14 +1708,14 @@ mod tests {
         let mut spec = PipelineSpec::balanced(2, 0.01, 0);
         spec.stages[0].out_bytes = 12_500_000; // 12.5 MB over 1 Gbit/s LAN = 0.1 s
         let mapping = Mapping::from_assignment(&[n(0), n(1)]);
-        let mk = |contention| SimConfig {
+        let mk = |contention| RunConfig {
             items: 100,
             initial_mapping: Some(mapping.clone()),
             link_contention: contention,
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let without = run(&grid, &spec, &mk(false));
-        let with = run(&grid, &spec, &mk(true));
+        let without = run(&grid, &spec, &Session::default(), &mk(false));
+        let with = run(&grid, &spec, &Session::default(), &mk(true));
         assert!(with.makespan >= without.makespan);
         assert_eq!(with.completed, 100);
     }
@@ -1787,12 +1737,12 @@ mod tests {
     fn branched_pipeline_completes_every_item_exactly_once() {
         let grid = testbed_small3();
         let spec = two_branch_spec(1.0);
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items: 50,
             initial_mapping: Some(Mapping::from_assignment(&[n(0), n(1), n(2)])),
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let report = run(&grid, &spec, &cfg);
+        let report = run(&grid, &spec, &Session::default(), &cfg);
         assert_eq!(report.completed, 50);
         assert!(!report.truncated);
         // Every join consumed both branch outputs: the bottleneck stays
@@ -1811,10 +1761,11 @@ mod tests {
             run(
                 &grid,
                 spec,
-                &SimConfig {
+                &Session::default(),
+                &RunConfig {
                     items: 1,
                     initial_mapping: Some(mapping.clone()),
-                    ..SimConfig::default()
+                    ..RunConfig::default()
                 },
             )
         };
@@ -1846,16 +1797,13 @@ mod tests {
             ],
             crate::spec::StageGraph::builder().split(&[1, 1]).build(),
         );
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items: 100,
             initial_mapping: Some(Mapping::from_assignment(&[n(0), n(1), n(2)])),
-            policy: Policy::Periodic {
-                interval: SimDuration::from_secs(5),
-            },
             faults: FaultPlan::new().crash(n(2), secs(20.0)),
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let report = run(&grid, &spec, &cfg);
+        let report = run(&grid, &spec, &under(Policy::periodic_default()), &cfg);
         assert_eq!(
             report.completed, 100,
             "joined items stranded at the crashed merge host"
@@ -1880,13 +1828,12 @@ mod tests {
                 .split(&[1, 1])
                 .build(),
         );
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items: 120,
-            policy: Policy::periodic_default(),
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let a = run(&grid, &spec, &cfg);
-        let b = run(&grid, &spec, &cfg);
+        let a = run(&grid, &spec, &under(Policy::periodic_default()), &cfg);
+        let b = run(&grid, &spec, &under(Policy::periodic_default()), &cfg);
         assert_eq!(a.completed, 120);
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.final_mapping, b.final_mapping);
@@ -1896,11 +1843,11 @@ mod tests {
     #[test]
     fn zero_items_complete_instantly() {
         let (grid, spec) = balanced_setup();
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items: 0,
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let report = run(&grid, &spec, &cfg);
+        let report = run(&grid, &spec, &Session::default(), &cfg);
         assert_eq!(report.completed, 0);
         assert_eq!(report.makespan, SimTime::ZERO);
         assert!(!report.truncated);
@@ -1914,15 +1861,15 @@ mod tests {
         // fed all at once.
         let grid = testbed_hetero8(42);
         let spec = PipelineSpec::balanced(4, 1.0, 10_000);
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items: 120,
-            policy: Policy::periodic_default(),
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let batch = run(&grid, &spec, &cfg);
+        let session = under(Policy::periodic_default());
+        let batch = run(&grid, &spec, &session, &cfg);
 
-        let mut stepper = SimStepper::new(&grid, spec.clone(), &cfg);
-        for &at in &cfg.arrivals.schedule(cfg.items) {
+        let mut stepper = SimStepper::new(&grid, spec.clone(), &session, &cfg, SessionId(0), 1.0);
+        for &at in &session.arrivals().schedule(cfg.items) {
             stepper.push_at(at);
         }
         stepper.close();
@@ -1949,12 +1896,13 @@ mod tests {
         // more — the world keeps its clock and the report accounts for
         // everything exactly once.
         let (grid, spec) = balanced_setup();
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items: 10, // amortisation hint only
             initial_mapping: Some(Mapping::from_assignment(&[n(0), n(1), n(2)])),
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let mut stepper = SimStepper::new(&grid, spec, &cfg);
+        let mut stepper =
+            SimStepper::new(&grid, spec, &Session::default(), &cfg, SessionId(0), 1.0);
         for _ in 0..3 {
             stepper.push_at(stepper.world.events.now());
         }
@@ -1983,10 +1931,26 @@ mod tests {
     }
 
     #[test]
+    fn a_horizon_past_the_clock_range_means_never() {
+        // `from_secs(1 << 40)` saturates; so must the horizon built from
+        // it, where the checked `SimTime + SimDuration` would panic.
+        let (grid, spec) = balanced_setup();
+        let cfg = RunConfig {
+            items: 10,
+            max_sim_time: SimDuration::from_secs(1 << 40),
+            ..RunConfig::default()
+        };
+        let report = run(&grid, &spec, &Session::default(), &cfg);
+        assert_eq!(report.completed, 10);
+        assert!(!report.truncated);
+    }
+
+    #[test]
     fn unfinished_stepper_reports_truncation() {
         let (grid, spec) = balanced_setup();
-        let cfg = SimConfig::default();
-        let mut stepper = SimStepper::new(&grid, spec, &cfg);
+        let cfg = RunConfig::default();
+        let mut stepper =
+            SimStepper::new(&grid, spec, &Session::default(), &cfg, SessionId(0), 1.0);
         for _ in 0..4 {
             stepper.push_at(SimTime::ZERO);
         }
@@ -2003,12 +1967,12 @@ mod tests {
         let mut grid = testbed_small3();
         grid.set_load(n(0), LoadModel::constant(0.5));
         let spec = PipelineSpec::balanced(1, 1.0, 0);
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items: 10,
             initial_mapping: Some(Mapping::from_assignment(&[n(0)])),
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let report = run(&grid, &spec, &cfg);
+        let report = run(&grid, &spec, &Session::default(), &cfg);
         assert!((report.makespan.as_secs_f64() - 20.0).abs() < 0.5);
     }
 }

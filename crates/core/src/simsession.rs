@@ -20,14 +20,14 @@
 use crate::item::{self, GaveUp, Hops, JoinSlots};
 use crate::payload::Payload;
 use crate::pipeline::Pipeline;
-use crate::simengine::{ItemFate, SimConfig, SimStepper};
+use crate::simengine::{ItemFate, SimStepper};
 use crate::spec::{StageGraph, StageSpec};
 use crate::stage::{BoxedItem, DynStage, FanOutFn};
 use adapipe_gridsim::grid::GridSpec;
 use adapipe_gridsim::time::SimTime;
 use adapipe_runtime::arrivals::ArrivalStream;
 use adapipe_runtime::report::RunReport;
-use adapipe_runtime::session::{RunError, SessionControl, SessionId, TryNext};
+use adapipe_runtime::session::{RunConfig, RunError, Session, SessionControl, SessionId, TryNext};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -63,36 +63,48 @@ pub struct SimSession<'g, I, O> {
 }
 
 /// Starts `pipeline` on the simulated `grid` as the only tenant of a
-/// pool of its own — see [`attach`].
+/// pool of its own (`SessionId(0)`, the whole grid) — see [`attach`].
 pub fn spawn<'g, I, O>(
     grid: &'g GridSpec,
     pipeline: Pipeline<I, O>,
-    cfg: &SimConfig,
-    preserve_order: bool,
+    session: &Session,
+    cfg: &RunConfig,
 ) -> SimSession<'g, I, O> {
-    attach(&SimPool::new(), grid, pipeline, cfg, preserve_order)
+    attach(
+        &SimPool::new(),
+        grid,
+        pipeline,
+        session,
+        cfg,
+        SessionId(0),
+        1.0,
+    )
 }
 
-/// Starts `pipeline` on the simulated `grid` as one tenant of `pool`
-/// and returns the live session: its world is stepped through the
-/// pool's merged event clock, and the pool hands out its [`SimTenant`]
-/// handle (id `cfg.session`, share `cfg.rate_scale`) for eviction. Each
-/// tenant simulates the whole `grid`, scaled to its share.
+/// Starts `pipeline` on the simulated `grid` as tenant `id` of `pool`,
+/// granted the static capacity `share` of it, and returns the live
+/// session: its world is stepped through the pool's merged event
+/// clock, and the pool hands out its [`SimTenant`] handle for eviction.
+/// Each tenant simulates the whole `grid`, scaled to its share, under
+/// `cfg.faults` — a pool passes every tenant the same plan.
 ///
 /// `cfg.items` only seeds the adaptation loop's remaining-work
 /// amortisation (the true stream length is whatever is pushed before
 /// [`SimSession::close`]); pushed items take their arrival instants
-/// from `cfg.arrivals`. With `preserve_order` outputs come in push
-/// order, otherwise in completion order.
+/// from `session`'s arrival process. With `cfg.preserve_order` outputs
+/// come in push order, otherwise in completion order.
 ///
 /// # Panics
-/// Panics if the launch mapping does not fit the pipeline or the grid.
+/// Panics if the launch mapping does not fit the pipeline or the grid,
+/// or if `share` lies outside `(0, 1]`.
 pub fn attach<'g, I, O>(
     pool: &SimPool<'g>,
     grid: &'g GridSpec,
     pipeline: Pipeline<I, O>,
-    cfg: &SimConfig,
-    preserve_order: bool,
+    session: &Session,
+    cfg: &RunConfig,
+    id: SessionId,
+    share: f64,
 ) -> SimSession<'g, I, O> {
     let (spec, stages, fanouts, _keys) = pipeline.into_parts();
     let graph = spec.graph.clone();
@@ -113,10 +125,12 @@ pub fn attach<'g, I, O>(
         graph,
         fanouts,
     };
-    let stepper = Arc::new(Mutex::new(SimStepper::new(grid, spec, cfg)));
+    let stepper = Arc::new(Mutex::new(SimStepper::new(
+        grid, spec, session, cfg, id, share,
+    )));
     let tenant = SimTenant {
-        id: cfg.session,
-        share: cfg.rate_scale,
+        id,
+        share,
         stepper: Arc::downgrade(&stepper),
         flags: Arc::default(),
         control: cfg.control.clone(),
@@ -128,11 +142,11 @@ pub fn attach<'g, I, O>(
         tenant,
         closed: false,
         exec,
-        arrivals: cfg.arrivals.stream(),
+        arrivals: session.arrivals().stream(),
         outputs: HashMap::new(),
         done: BTreeSet::new(),
         next_seq: 0,
-        preserve_order,
+        preserve_order: cfg.preserve_order,
         _types: PhantomData,
     }
 }
@@ -608,7 +622,12 @@ mod tests {
     #[test]
     fn dead_lettered_items_leave_no_join_state_behind() {
         let grid = testbed_small3();
-        let mut session = spawn(&grid, fallible_diamond(), &SimConfig::default(), true);
+        let mut session = spawn(
+            &grid,
+            fallible_diamond(),
+            &Session::default(),
+            &RunConfig::default(),
+        );
         for i in 0..50 {
             session.push(i).unwrap();
         }

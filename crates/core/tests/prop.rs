@@ -12,6 +12,11 @@ use adapipe_gridsim::prelude::*;
 use adapipe_gridsim::rng::{unit_at, Rng64};
 use adapipe_mapper::prelude::*;
 
+/// `policy` over a stream that is all present at `t = 0`.
+fn under(policy: Policy) -> Session {
+    Session::new(policy, ArrivalProcess::AllAtOnce).expect("a valid policy")
+}
+
 fn uniform_grid(np: usize, speeds_seed: u64) -> GridSpec {
     let nodes = (0..np)
         .map(|i| {
@@ -34,17 +39,14 @@ fn simulation_is_deterministic() {
         let noise = 0.2 * rng.next_unit();
         let grid = testbed_hetero8(seed);
         let spec = PipelineSpec::balanced(ns, 1.0, 5_000);
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items,
-            policy: Policy::Periodic {
-                interval: SimDuration::from_secs(5),
-            },
             observation_noise: noise,
             noise_seed: seed,
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let a = sim_run(&grid, &spec, &cfg);
-        let b = sim_run(&grid, &spec, &cfg);
+        let a = sim_run(&grid, &spec, &under(Policy::periodic_default()), &cfg);
+        let b = sim_run(&grid, &spec, &under(Policy::periodic_default()), &cfg);
         assert_eq!(a.completed, b.completed, "case {case}");
         assert_eq!(a.makespan, b.makespan, "case {case}");
         assert_eq!(a.adaptations.len(), b.adaptations.len(), "case {case}");
@@ -66,9 +68,10 @@ fn all_items_complete_exactly_once() {
         let report = sim_run(
             &grid,
             &spec,
-            &SimConfig {
+            &Session::default(),
+            &RunConfig {
                 items,
-                ..SimConfig::default()
+                ..RunConfig::default()
             },
         );
         assert_eq!(report.completed, items, "case {case} (ns={ns} np={np})");
@@ -91,9 +94,10 @@ fn makespan_grows_with_stream_length() {
             sim_run(
                 &grid,
                 &spec,
-                &SimConfig {
+                &Session::default(),
+                &RunConfig {
                     items,
-                    ..SimConfig::default()
+                    ..RunConfig::default()
                 },
             )
         };
@@ -130,10 +134,11 @@ fn model_agrees_with_simulation() {
         let report = sim_run(
             &grid,
             &spec,
-            &SimConfig {
+            &Session::default(),
+            &RunConfig {
                 items,
                 initial_mapping: Some(mapping),
-                ..SimConfig::default()
+                ..RunConfig::default()
             },
         );
         let predicted = pred.completion_time(items);
@@ -159,20 +164,19 @@ fn adaptation_never_loses_badly() {
         let static_r = sim_run(
             &grid,
             &spec,
-            &SimConfig {
+            &Session::default(),
+            &RunConfig {
                 items,
-                ..SimConfig::default()
+                ..RunConfig::default()
             },
         );
         let adaptive_r = sim_run(
             &grid,
             &spec,
-            &SimConfig {
+            &under(Policy::periodic_default()),
+            &RunConfig {
                 items,
-                policy: Policy::Periodic {
-                    interval: SimDuration::from_secs(5),
-                },
-                ..SimConfig::default()
+                ..RunConfig::default()
             },
         );
         assert_eq!(adaptive_r.completed, items);

@@ -19,12 +19,13 @@
 //! the reference): `ADAPIPE_GOLDEN_WRITE=1 cargo test -p adapipe-core
 //! --test sim_golden`.
 
-use adapipe_core::pipeline::Pipeline;
+use adapipe_core::pipeline::{Pipeline, PipelineBuilder};
 use adapipe_core::prelude::*;
 use adapipe_core::simengine::run;
-use adapipe_core::simsession;
+use adapipe_core::simsession::{self, SimPool};
 use adapipe_gridsim::prelude::*;
 use adapipe_mapper::mapping::{Mapping, Placement};
+use adapipe_runtime::session::SessionId;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -40,6 +41,16 @@ fn periodic() -> Policy {
     Policy::Periodic {
         interval: SimDuration::from_secs(5),
     }
+}
+
+/// `policy` over a stream that is all present at `t = 0`.
+fn under(policy: Policy) -> Session {
+    Session::new(policy, ArrivalProcess::AllAtOnce).expect("a valid policy")
+}
+
+/// The static baseline under a paced open stream.
+fn paced(arrivals: ArrivalProcess) -> Session {
+    Session::baseline(Policy::Static, arrivals).expect("a valid rate")
 }
 
 /// A stage whose per-item work varies ± 20 % around `work`.
@@ -118,7 +129,7 @@ fn link_contention() {
     spec.input_bytes = 1_000_000;
     spec.source = Some(n(7));
     spec.sink = Some(n(6));
-    let cfg = SimConfig {
+    let cfg = RunConfig {
         items: 400,
         initial_mapping: Some(Mapping::new(vec![
             Placement::single(n(0)),
@@ -127,13 +138,14 @@ fn link_contention() {
             Placement::single(n(2)),
         ])),
         link_contention: true,
-        ..SimConfig::default()
+        ..RunConfig::default()
     };
-    let with = run(&grid, &spec, &cfg);
+    let with = run(&grid, &spec, &Session::default(), &cfg);
     let without = run(
         &grid,
         &spec,
-        &SimConfig {
+        &Session::default(),
+        &RunConfig {
             link_contention: false,
             ..cfg.clone()
         },
@@ -159,14 +171,17 @@ fn stateful_migration_across_the_load_step() {
         jittered("s3", 0.4, 20_000, 24),
     ]);
     spec.input_bytes = 20_000;
-    let cfg = SimConfig {
+    let cfg = RunConfig {
         items: 600,
-        arrivals: ArrivalProcess::Uniform { rate: 1.5 },
         initial_mapping: Some(Mapping::from_assignment(&[n(1), n(0), n(2), n(3)])),
-        policy: periodic(),
-        ..SimConfig::default()
+        ..RunConfig::default()
     };
-    let report = run(&grid, &spec, &cfg);
+    let report = run(
+        &grid,
+        &spec,
+        &Session::new(periodic(), ArrivalProcess::Uniform { rate: 1.5 }).unwrap(),
+        &cfg,
+    );
     assert_eq!(report.completed, 600);
     assert!(
         report
@@ -195,15 +210,24 @@ fn least_loaded_selection() {
         Placement::replicated(vec![n(1), n(3), n(6)]),
         Placement::single(n(2)),
     ]);
-    let mk = |selection| SimConfig {
+    let mk = |selection| RunConfig {
         items: 500,
-        arrivals: ArrivalProcess::Poisson { rate: 2.0, seed: 9 },
         initial_mapping: Some(mapping.clone()),
         selection,
-        ..SimConfig::default()
+        ..RunConfig::default()
     };
-    let ll = run(&grid, &spec, &mk(Selection::LeastLoaded));
-    let rr = run(&grid, &spec, &mk(Selection::RoundRobin));
+    let ll = run(
+        &grid,
+        &spec,
+        &paced(ArrivalProcess::Poisson { rate: 2.0, seed: 9 }),
+        &mk(Selection::LeastLoaded),
+    );
+    let rr = run(
+        &grid,
+        &spec,
+        &paced(ArrivalProcess::Poisson { rate: 2.0, seed: 9 }),
+        &mk(Selection::RoundRobin),
+    );
     assert_eq!(ll.completed, 500);
     assert!(
         ll.makespan < rr.makespan,
@@ -224,16 +248,15 @@ fn crash_replays_orphans() {
         jittered("s3", 0.4, 5_000, 44),
     ]);
     spec.input_bytes = 5_000;
-    let cfg = SimConfig {
+    let cfg = RunConfig {
         items: 400,
         initial_mapping: Some(Mapping::from_assignment(&[n(1), n(0), n(2), n(3)])),
-        policy: periodic(),
         faults: FaultPlan::new()
             .crash(n(0), secs(20.0))
             .outage(n(2), secs(45.0), secs(70.0)),
-        ..SimConfig::default()
+        ..RunConfig::default()
     };
-    let report = run(&grid, &spec, &cfg);
+    let report = run(&grid, &spec, &under(periodic()), &cfg);
     assert_eq!(report.completed, 400);
     assert!(report.replays > 0, "the crashed node's backlog must replay");
     assert!(!report.final_mapping.nodes_used().contains(&n(0)));
@@ -256,16 +279,15 @@ fn crash_on_a_cyclic_trace_node() {
         jittered("s3", 0.4, 5_000, 74),
     ]);
     spec.input_bytes = 5_000;
-    let cfg = SimConfig {
+    let cfg = RunConfig {
         items: 400,
         initial_mapping: Some(Mapping::from_assignment(&[n(0), n(1), n(2), n(3)])),
-        policy: periodic(),
         faults: FaultPlan::new()
             .crash(n(1), secs(20.0))
             .outage(n(3), secs(45.0), secs(70.0)),
-        ..SimConfig::default()
+        ..RunConfig::default()
     };
-    let report = run(&grid, &spec, &cfg);
+    let report = run(&grid, &spec, &under(periodic()), &cfg);
     assert_eq!(report.completed, 400);
     assert!(report.replays > 0, "the crashed node's backlog must replay");
     assert!(!report.final_mapping.nodes_used().contains(&n(1)));
@@ -311,20 +333,20 @@ fn replicated_merge_with_a_dead_letter() {
     ];
     let pipeline: Pipeline<u64, u64> =
         Pipeline::from_parts(spec, stages, vec![fan_out_fn::<u64>(2)], vec![None; 4]);
-    let cfg = SimConfig {
+    let cfg = RunConfig {
         items: 300,
-        arrivals: ArrivalProcess::Uniform { rate: 2.0 },
         initial_mapping: Some(Mapping::new(vec![
             Placement::single(n(3)),
             Placement::single(n(1)),
             Placement::single(n(4)),
             Placement::replicated(vec![n(0), n(2)]),
         ])),
-        policy: periodic(),
         faults: FaultPlan::new().crash(n(2), secs(40.0)),
-        ..SimConfig::default()
+        preserve_order: false,
+        ..RunConfig::default()
     };
-    let mut session = simsession::spawn(&grid, pipeline, &cfg, false);
+    let paced_periodic = Session::new(periodic(), ArrivalProcess::Uniform { rate: 2.0 }).unwrap();
+    let mut session = simsession::spawn(&grid, pipeline, &paced_periodic, &cfg);
     let mut outputs: Vec<u64> = Vec::new();
     for i in 0..300u64 {
         session.push(i).expect("an open session accepts pushes");
@@ -352,25 +374,35 @@ fn replicated_merge_with_a_dead_letter() {
     check("replicated_merge_dead_letter", &text);
 }
 
-/// `rate_scale`: half the pool, under the periodic controller across the
-/// load step.
+/// A tenant's pool share: half the pool, under the periodic controller
+/// across the load step. Only a pool grants a share, so the stream is
+/// pushed whole through a session attached at one half and then
+/// drained — the event order of a batch run.
 #[test]
 fn half_share_of_the_pool() {
     let grid = hetero8_with_step();
-    let mut spec = PipelineSpec::new(vec![
-        jittered("s0", 0.4, 10_000, 61),
-        jittered("s1", 0.8, 10_000, 62),
-        jittered("s2", 0.6, 10_000, 63),
-    ]);
-    spec.input_bytes = 10_000;
-    let cfg = SimConfig {
+    let pipeline = PipelineBuilder::<u64>::new()
+        .input_bytes(10_000)
+        .stage(jittered("s0", 0.4, 10_000, 61), |x: u64| x)
+        .stage(jittered("s1", 0.8, 10_000, 62), |x: u64| x)
+        .stage(jittered("s2", 0.6, 10_000, 63), |x: u64| x)
+        .build();
+    let cfg = RunConfig {
         items: 300,
-        arrivals: ArrivalProcess::Uniform { rate: 0.8 },
-        policy: periodic(),
-        rate_scale: 0.5,
-        ..SimConfig::default()
+        ..RunConfig::default()
     };
-    let report = run(&grid, &spec, &cfg);
+    let paced_periodic = Session::new(periodic(), ArrivalProcess::Uniform { rate: 0.8 }).unwrap();
+    let mut session = simsession::attach(
+        &SimPool::new(),
+        &grid,
+        pipeline,
+        &paced_periodic,
+        &cfg,
+        SessionId(0),
+        0.5,
+    );
+    session.push_batch(0..300).expect("an open session");
+    let (_, report) = session.drain();
     assert_eq!(report.completed, 300);
     check("rate_scale_half", &record(&report));
 }
@@ -394,11 +426,11 @@ fn static_dag_all_at_once() {
             .build(),
     );
     spec.input_bytes = 32 << 10;
-    let cfg = SimConfig {
+    let cfg = RunConfig {
         items: 2_000,
-        ..SimConfig::default()
+        ..RunConfig::default()
     };
-    let report = run(&grid, &spec, &cfg);
+    let report = run(&grid, &spec, &Session::default(), &cfg);
     assert_eq!(report.completed, 2_000);
     check("static_dag", &record(&report));
 }

@@ -1,7 +1,7 @@
 //! The threaded execution engine.
 //!
 //! One worker thread per virtual node; items travel in type-erased
-//! *batched envelopes* (up to `EngineConfig::batch_size` items each as
+//! *batched envelopes* (up to `RunConfig::batch_size` items each as
 //! sent; a worker that finds a backlog of them merges it, one clock
 //! window at a time) through per-worker inboxes. Routing is lock-free
 //! on the hot path: senders route each batch against an immutable
@@ -24,9 +24,10 @@
 //! threaded: workers, channels, the stage depot, and the re-mapping
 //! *commit* (telling vacated hosts to relinquish their stage instances).
 //!
-//! This file is the engine's public face — [`EngineConfig`], the live
-//! [`EngineSession`] with its collector, [`TenantHandle`], and the entry
-//! points. The machinery underneath is one module per protocol: `pool`
+//! This file is the engine's public face — the live [`EngineSession`]
+//! with its collector, [`TenantHandle`], and the entry points, which
+//! take the run's validated [`Session`] and its [`RunConfig`] as they
+//! are. The machinery underneath is one module per protocol: `pool`
 //! (the threads and their health), `inbox` (waiting, waking, stealing,
 //! weighted-fair lanes), `worker` (the loop, placement, shipping),
 //! `fusion` (the batch loop and stage fusion), `tenant` (what those
@@ -42,7 +43,7 @@
 //! The batch entry points ([`execute`], [`execute_fed`]) are thin
 //! wrappers — spawn, feed the arrival schedule, drain.
 //!
-//! With `EngineConfig::queue_capacity` set, the session enforces a
+//! With `RunConfig::queue_capacity` set, the session enforces a
 //! bounded-queue discipline: the total number of in-flight items is
 //! capped at `capacity × (stages + 1)` — one bounded buffer per stage
 //! boundary, source and sink boundaries included — and
@@ -106,16 +107,12 @@ use adapipe_core::payload::Payload;
 use adapipe_core::pipeline::Pipeline;
 use adapipe_core::spec::Next;
 use adapipe_core::stage::BoxedItem;
-use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::net::{LinkSpec, Topology};
 use adapipe_gridsim::time::{SimDuration, SimTime};
-use adapipe_mapper::mapping::Mapping;
 use adapipe_runtime::adapt::{AdaptationLoop, RuntimeConfig};
 use adapipe_runtime::arrivals::ArrivalProcess;
-use adapipe_runtime::controller::ControllerConfig;
-use adapipe_runtime::policy::Policy;
 use adapipe_runtime::report::{DeadLetter, ReportBuilder, RunReport};
-use adapipe_runtime::session::{RunError, RunEvent, RunHooks, SessionControl, SessionId, TryNext};
+use adapipe_runtime::session::{RunConfig, RunError, RunEvent, Session, SessionId, TryNext};
 use reorder::Reorder;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -125,91 +122,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Threaded-engine configuration.
-#[derive(Clone, Debug)]
-pub struct EngineConfig {
-    /// The virtual nodes (one worker thread each).
-    pub vnodes: Vec<VNodeSpec>,
-    /// Adaptation policy (intervals are interpreted as wall time).
-    pub policy: Policy,
-    /// Controller tunables.
-    pub controller: ControllerConfig,
-    /// Launch mapping; `None` plans from availability at start.
-    pub initial_mapping: Option<Mapping>,
-    /// Resequence outputs by item index (the `Pipeline1for1` contract).
-    pub preserve_order: bool,
-    /// Arrival process pacing the batch entry points against the wall
-    /// clock (the same backend-independent schedule the simulator
-    /// materialises as events). Sessions ignore it — a pushed item
-    /// arrives when the caller pushes it.
-    pub arrivals: ArrivalProcess,
-    /// Topology used for *planning* (the box itself has uniform cheap
-    /// links); `None` = uniform local links.
-    pub topology: Option<Topology>,
-    /// Relative availability observation noise.
-    pub observation_noise: f64,
-    /// Noise stream seed.
-    pub noise_seed: u64,
-    /// Timeline bucket width.
-    pub timeline_bucket: SimDuration,
-    /// Emulate network cost on stage boundaries: before handing an item
-    /// to a *different* vnode, the sending worker sleeps the planning
-    /// topology's transfer time for the boundary's declared bytes
-    /// (NIC-serialisation semantics). Off by default: a single box has
-    /// no real network, and the planner then treats links as free.
-    pub emulate_links: bool,
-    /// Live observation callbacks (invoked on the adaptation thread).
-    pub hooks: RunHooks,
-    /// Per-stage-boundary queue bound: caps total in-flight items at
-    /// `capacity × (stages + 1)` so `push()` blocks under backpressure.
-    /// `None` = unbounded (the legacy batch behaviour). Must be ≥ 1.
-    pub queue_capacity: Option<usize>,
-    /// Envelope batch granularity: the session coalesces up to this
-    /// many pushed items into one routed envelope, and stage exits ship
-    /// their outputs in like-sized batches, amortising channel-send,
-    /// routing, and credit overhead. A sender-side choice only: at `1`
-    /// (the default) every push ships at once, and a worker that finds
-    /// a backlog merges it into stride-sized envelopes itself (the
-    /// inbox's `pop`). The credit gate always accounts per *item*
-    /// regardless. Buffered input is flushed on
-    /// [`EngineSession::close`], on any output-side call, and whenever
-    /// the credit gate would block.
-    pub batch_size: usize,
-    /// In-flight steering flags shared with a live session.
-    pub control: SessionControl,
-    /// Scheduled faults, with times read as wall-clock offsets from
-    /// engine start. Slowdowns and outages rewrite the named vnodes'
-    /// load schedules; outages and crashes additionally take the vnode
-    /// *down*: its worker stops serving (in-flight items are re-dealt
-    /// to live replicas or parked until the forced re-map rescues
-    /// them), routing excludes it, and `RunEvent::NodeDown` fires.
-    pub faults: FaultPlan,
-}
-
-impl EngineConfig {
-    /// A sensible default over the given virtual nodes.
-    pub fn new(vnodes: Vec<VNodeSpec>) -> Self {
-        assert!(!vnodes.is_empty(), "engine needs at least one vnode");
-        EngineConfig {
-            vnodes,
-            policy: Policy::Static,
-            controller: ControllerConfig::default(),
-            initial_mapping: None,
-            preserve_order: true,
-            arrivals: ArrivalProcess::AllAtOnce,
-            topology: None,
-            observation_noise: 0.0,
-            noise_seed: 1,
-            timeline_bucket: SimDuration::from_millis(500),
-            emulate_links: false,
-            hooks: RunHooks::default(),
-            queue_capacity: None,
-            batch_size: 1,
-            control: SessionControl::default(),
-            faults: FaultPlan::new(),
-        }
-    }
-}
+/// Bucket width of the reported throughput timeline when
+/// [`RunConfig::timeline_bucket`] is `None`, in wall time.
+const DEFAULT_TIMELINE_BUCKET: SimDuration = SimDuration::from_millis(500);
 
 /// Result of a threaded run: typed outputs plus the standard report.
 pub struct EngineOutcome<O> {
@@ -818,10 +733,12 @@ where
     }
 }
 
-/// Starts `pipeline` on the configured virtual nodes and returns the
-/// live [`EngineSession`]. `items_hint` seeds the adaptation loop's
-/// remaining-work amortisation (a session's true length is unknown
-/// until it closes); batch wrappers pass the exact stream length.
+/// Starts `pipeline` on `vnodes` (one worker thread each) as `session`
+/// under `cfg` and returns the live [`EngineSession`]. `cfg.items`
+/// seeds the adaptation loop's remaining-work amortisation (a session's
+/// true length is unknown until it closes); `session`'s policy
+/// intervals and `cfg.faults`' times are read as wall time since engine
+/// start.
 ///
 /// This is the single-session path: it launches a private [`Pool`]
 /// (applying `cfg.faults` pool-wide) and attaches the one session as
@@ -830,12 +747,14 @@ where
 /// session.
 ///
 /// # Panics
-/// Panics if the initial mapping references unknown nodes or covers the
-/// wrong number of stages, or if `queue_capacity` is zero.
+/// Panics if `vnodes` is empty, if the initial mapping references
+/// unknown nodes or covers the wrong number of stages, or if
+/// `queue_capacity` is zero.
 pub fn spawn<I, O>(
     pipeline: Pipeline<I, O>,
-    cfg: &EngineConfig,
-    items_hint: u64,
+    vnodes: Vec<VNodeSpec>,
+    session: &Session,
+    cfg: &RunConfig,
 ) -> EngineSession<I, O>
 where
     I: Send + 'static,
@@ -847,8 +766,8 @@ where
     // availability → sleep machinery. The down/up control plane
     // (routing exclusion, forced re-maps, replay) runs through the
     // shared adaptation loop.
-    let pool = Pool::launch(cfg.vnodes.clone(), cfg.faults.clone());
-    attach(&pool, pipeline, cfg, items_hint, true)
+    let pool = Pool::launch(vnodes, cfg.faults.clone());
+    attach(&pool, pipeline, session, cfg, true)
 }
 
 /// Attaches `pipeline` as one tenant of a running [`Pool`] and returns
@@ -858,11 +777,10 @@ where
 /// exactly-once replay isolation, while sharing the pool's worker
 /// threads under weighted-fair envelope admission.
 ///
-/// Planning and fault handling use the *pool's* vnodes and fault plan —
-/// `cfg.vnodes` and `cfg.faults` are ignored here (faults are a
-/// pool-wide physical property, applied once at [`Pool::launch`]).
-/// `owns_pool` makes the session shut the pool down at teardown (the
-/// [`spawn`] cluster-of-one case).
+/// Planning and fault handling use the *pool's* vnodes and fault plan
+/// (faults are a pool-wide physical property, applied once at
+/// [`Pool::launch`]). `owns_pool` makes the session shut the pool down
+/// at teardown (the [`spawn`] cluster-of-one case).
 ///
 /// # Panics
 /// Panics if the initial mapping references unknown nodes or covers the
@@ -871,76 +789,46 @@ where
 pub fn attach<I, O>(
     pool: &Arc<Pool>,
     pipeline: Pipeline<I, O>,
-    cfg: &EngineConfig,
-    items_hint: u64,
+    session: &Session,
+    cfg: &RunConfig,
     owns_pool: bool,
 ) -> EngineSession<I, O>
 where
     I: Send + 'static,
     O: Send + 'static,
 {
-    let np = pool.vnodes.len();
     let spec = pipeline.spec();
     let vnodes = &pool.vnodes;
 
     let topology = cfg
         .topology
         .clone()
-        .unwrap_or_else(|| Topology::uniform(np, LinkSpec::local()));
-    assert_eq!(topology.len(), np, "topology must cover every vnode");
-
+        .unwrap_or_else(|| Topology::uniform(vnodes.len(), LinkSpec::local()));
     let mut profile = spec.profile();
     // This engine fuses co-located stateless chain edges into direct
     // calls (see `fusion::FusionPlan`), so the planner may discount them.
     profile.fuses_colocated = true;
-    profile.validate();
     let launch_rates: Vec<f64> = vnodes
         .iter()
         .map(|v| v.effective_rate(SimTime::ZERO))
         .collect();
-    let initial_mapping = cfg.initial_mapping.clone().unwrap_or_else(|| {
-        adapipe_mapper::search::plan(&profile, &launch_rates, &topology, &cfg.controller.planner)
-            .mapping
-    });
-    assert_eq!(
-        initial_mapping.len(),
-        spec.len(),
-        "mapping must cover every stage"
-    );
-    for node in initial_mapping.nodes_used() {
-        assert!(
-            node.index() < np,
-            "mapping uses vnode {node} outside the engine"
-        );
-    }
-
     let session_id = pool.next_session.fetch_add(1, Ordering::SeqCst);
-    let runtime_cfg = RuntimeConfig {
-        policy: cfg.policy,
-        controller: cfg.controller.clone(),
+    let substrate = RuntimeConfig {
         profile,
         topology: topology.clone(),
         speeds: vnodes.iter().map(|v| v.speed).collect(),
         state_bytes: spec.stages.iter().map(|s| s.state_bytes).collect(),
-        // "Stateless" to the planner means *replicable*: keyed and
-        // accumulator stages run many live instances too.
-        stateless: spec.stages.iter().map(|s| s.state.replicable()).collect(),
         state_access: spec.stages.iter().map(|s| s.state).collect(),
         faults: pool.faults.clone(),
-        total_items: items_hint,
-        observation_noise: cfg.observation_noise,
-        noise_seed: cfg.noise_seed,
-        hooks: cfg.hooks.clone(),
-        control: cfg.control.clone(),
         session: SessionId(session_id),
     };
-    let aloop = AdaptationLoop::new(runtime_cfg, &initial_mapping, &launch_rates);
+    let (aloop, initial_mapping) = AdaptationLoop::launch(substrate, session, cfg, &launch_rates);
 
     let (shared, sink_rx) = Shared::new(session_id, pool, pipeline, cfg, topology, initial_mapping);
     let (out_tx, out_rx) = channel::<Vec<Finished>>();
     let collector = {
         let shared = Arc::clone(&shared);
-        let bucket = cfg.timeline_bucket;
+        let bucket = cfg.timeline_bucket.unwrap_or(DEFAULT_TIMELINE_BUCKET);
         std::thread::spawn(move || collect(&shared, sink_rx, out_tx, bucket))
     };
     let adaptation = {
@@ -1052,60 +940,70 @@ fn collect(
     report
 }
 
-/// Runs `pipeline` over `inputs` on the configured virtual nodes.
+/// Runs `pipeline` over `inputs` on `vnodes`: [`execute_fed`] with the
+/// inputs as the feed, and their count — not `cfg.items` — as the
+/// stream length.
 ///
 /// This is the threaded *backend* batch entry point; applications
 /// should prefer the unified `adapipe::api::Pipeline` builder, which
 /// delegates here via `Backend::Threads`.
 ///
 /// # Panics
-/// Panics if the initial mapping references unknown nodes or covers the
-/// wrong number of stages.
+/// As [`spawn`].
 pub fn execute<I, O>(
     pipeline: Pipeline<I, O>,
     inputs: Vec<I>,
-    cfg: &EngineConfig,
+    vnodes: Vec<VNodeSpec>,
+    session: &Session,
+    cfg: &RunConfig,
 ) -> EngineOutcome<O>
 where
     I: Send + 'static,
     O: Send + 'static,
 {
-    let n_items = inputs.len() as u64;
+    let cfg = RunConfig {
+        items: inputs.len() as u64,
+        ..cfg.clone()
+    };
     let mut it = inputs.into_iter();
     execute_fed(
         pipeline,
-        n_items,
-        move |_| it.next().expect("iterator covers n_items"),
-        cfg,
+        move |_| it.next().expect("iterator covers the stream"),
+        vnodes,
+        session,
+        &cfg,
     )
 }
 
-/// Like [`execute`], but draws each input lazily from `feed` at its
-/// scheduled arrival time — memory stays proportional to the in-flight
-/// window, not the whole stream, which matters for paced open streams
-/// of large items.
+/// Runs `pipeline` over `cfg.items` inputs, each drawn lazily from
+/// `feed` at its scheduled arrival time — memory stays proportional to
+/// the in-flight window, not the whole stream, which matters for paced
+/// open streams of large items.
 ///
 /// Batch execution is sugar over the streaming session: [`spawn`], feed
-/// the arrival schedule (pacing the pushes against the wall clock),
-/// [`EngineSession::drain`].
+/// `session`'s arrival schedule (pacing the pushes against the wall
+/// clock — the same backend-independent schedule the simulator
+/// materialises as events), [`EngineSession::drain`].
 ///
 /// # Panics
-/// Panics if the initial mapping references unknown nodes or covers the
-/// wrong number of stages.
+/// As [`spawn`].
 pub fn execute_fed<I, O, F>(
     pipeline: Pipeline<I, O>,
-    n_items: u64,
     feed: F,
-    cfg: &EngineConfig,
+    vnodes: Vec<VNodeSpec>,
+    session: &Session,
+    cfg: &RunConfig,
 ) -> EngineOutcome<O>
 where
     I: Send + 'static,
     O: Send + 'static,
     F: FnMut(u64) -> I + Send + 'static,
 {
-    let mut session = spawn(pipeline, cfg, n_items);
+    let n_items = cfg.items;
+    let arrivals = session.arrivals();
+    let mut session = spawn(pipeline, vnodes, session, cfg);
     let mut feed = feed;
-    match cfg.arrivals {
+    match arrivals {
         // Everything is due at t = 0: feed the whole stream through the
         // batched envelope path in one call.
         ArrivalProcess::AllAtOnce => {

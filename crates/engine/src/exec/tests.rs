@@ -3,11 +3,48 @@ use crate::vnode::spin_for;
 use adapipe_core::pipeline::PipelineBuilder;
 use adapipe_core::spec::StageSpec;
 use adapipe_core::stage::DynStage;
+use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::load::LoadModel;
 use adapipe_gridsim::node::NodeId;
+use adapipe_mapper::mapping::Mapping;
+use adapipe_runtime::policy::Policy;
 
 fn n(i: usize) -> NodeId {
     NodeId(i)
+}
+
+/// Re-planning every `ms` milliseconds, the stream present at `t = 0`.
+fn every(ms: u64) -> Session {
+    let interval = SimDuration::from_millis(ms);
+    Session::new(Policy::Periodic { interval }, ArrivalProcess::AllAtOnce).expect("valid")
+}
+
+/// The default run config launched on `mapping`.
+fn mapped(mapping: Mapping) -> RunConfig {
+    RunConfig {
+        initial_mapping: Some(mapping),
+        ..RunConfig::default()
+    }
+}
+
+/// [`spawn`] as the default session: a static mapping, the stream
+/// present at `t = 0`.
+fn spawn_static<I: Send + 'static, O: Send + 'static>(
+    pipeline: Pipeline<I, O>,
+    vnodes: Vec<VNodeSpec>,
+    cfg: &RunConfig,
+) -> EngineSession<I, O> {
+    spawn(pipeline, vnodes, &Session::default(), cfg)
+}
+
+/// [`execute`] as the default session.
+fn execute_static<I: Send + 'static, O: Send + 'static>(
+    pipeline: Pipeline<I, O>,
+    inputs: Vec<I>,
+    vnodes: Vec<VNodeSpec>,
+    cfg: &RunConfig,
+) -> EngineOutcome<O> {
+    execute(pipeline, inputs, vnodes, &Session::default(), cfg)
 }
 
 /// A stage spinning for `ms` milliseconds per item.
@@ -41,9 +78,8 @@ fn outputs_are_complete_and_ordered() {
         .stage(s0, f0)
         .stage(s1, f1)
         .build();
-    let cfg = EngineConfig::new(free_nodes(2));
     let inputs: Vec<u64> = (0..50).collect();
-    let outcome = execute(pipeline, inputs, &cfg);
+    let outcome = execute_static(pipeline, inputs, free_nodes(2), &RunConfig::default());
     assert_eq!(outcome.report.completed, 50);
     assert!(!outcome.report.truncated);
     // Each item passed both stages exactly once: x + 2, in order.
@@ -55,8 +91,7 @@ fn outputs_are_complete_and_ordered() {
 fn session_streams_outputs_while_pushing() {
     let (s0, f0) = spin_stage("a", 1);
     let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
-    let cfg = EngineConfig::new(free_nodes(2));
-    let mut session = spawn(pipeline, &cfg, 20);
+    let mut session = spawn_static(pipeline, free_nodes(2), &RunConfig::default());
     let mut got = Vec::new();
     for i in 0..20u64 {
         session.push(i).unwrap();
@@ -77,8 +112,7 @@ fn session_streams_outputs_while_pushing() {
 fn session_next_blocks_until_each_output() {
     let (s0, f0) = spin_stage("a", 1);
     let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
-    let cfg = EngineConfig::new(free_nodes(1));
-    let mut session = spawn(pipeline, &cfg, 5);
+    let mut session = spawn_static(pipeline, free_nodes(1), &RunConfig::default());
     for i in 0..5u64 {
         session.push(i).unwrap();
     }
@@ -100,10 +134,12 @@ fn bounded_session_blocks_push_under_stall() {
     // the source for roughly (8 − 2) × 20 ms.
     let (s0, f0) = spin_stage("slow", 20);
     let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
-    let mut cfg = EngineConfig::new(free_nodes(1));
-    cfg.queue_capacity = Some(1);
+    let cfg = RunConfig {
+        queue_capacity: Some(1),
+        ..RunConfig::default()
+    };
     let events = cfg.hooks.events.subscribe();
-    let mut session = spawn(pipeline, &cfg, 8);
+    let mut session = spawn_static(pipeline, free_nodes(1), &cfg);
     let t0 = Instant::now();
     for i in 0..8u64 {
         session.push(i).unwrap();
@@ -129,8 +165,7 @@ fn abort_discards_backlog_instead_of_draining_it() {
     // return after at most the item in flight, not chew through it.
     let (s0, f0) = spin_stage("slow", 5);
     let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
-    let cfg = EngineConfig::new(free_nodes(1));
-    let mut session = spawn(pipeline, &cfg, 200);
+    let mut session = spawn_static(pipeline, free_nodes(1), &RunConfig::default());
     for i in 0..200u64 {
         session.push(i).unwrap();
     }
@@ -151,11 +186,11 @@ fn dropping_a_session_reclaims_its_threads() {
     // Drop — promptly, even with a deep backlog queued.
     let (s0, f0) = spin_stage("slow", 5);
     let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
-    let mut cfg = EngineConfig::new(free_nodes(2));
-    cfg.policy = Policy::Periodic {
-        interval: SimDuration::from_millis(100),
+    let cfg = RunConfig {
+        items: 100,
+        ..RunConfig::default()
     };
-    let mut session = spawn(pipeline, &cfg, 100);
+    let mut session = spawn(pipeline, free_nodes(2), &every(100), &cfg);
     for i in 0..100u64 {
         session.push(i).unwrap();
     }
@@ -171,8 +206,7 @@ fn dropping_a_session_reclaims_its_threads() {
 fn abort_reports_truncation() {
     let (s0, f0) = spin_stage("slow", 20);
     let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
-    let cfg = EngineConfig::new(free_nodes(1));
-    let mut session = spawn(pipeline, &cfg, 50);
+    let mut session = spawn_static(pipeline, free_nodes(1), &RunConfig::default());
     for i in 0..50u64 {
         session.push(i).unwrap();
     }
@@ -195,10 +229,9 @@ fn pipeline_parallelism_beats_sequential_time() {
         .stage(s1, f1)
         .stage(s2, f2)
         .build();
-    let mut cfg = EngineConfig::new(free_nodes(3));
-    cfg.initial_mapping = Some(Mapping::from_assignment(&[n(0), n(1), n(2)]));
+    let cfg = mapped(Mapping::from_assignment(&[n(0), n(1), n(2)]));
     let items = 40u64;
-    let outcome = execute(pipeline, (0..items).collect(), &cfg);
+    let outcome = execute_static(pipeline, (0..items).collect(), free_nodes(3), &cfg);
     assert_eq!(outcome.report.completed, items);
     if multicore(4) {
         let makespan = outcome.report.makespan.as_secs_f64();
@@ -215,18 +248,22 @@ fn slow_vnode_slows_its_stage() {
     let (s0, f0) = spin_stage("a", 5);
     let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
     // Same stage on a full-speed vs a quarter-speed node.
-    let mut fast_cfg = EngineConfig::new(vec![VNodeSpec::free("fast")]);
-    fast_cfg.initial_mapping = Some(Mapping::all_on(n(0), 1));
-    let mut slow_cfg = EngineConfig::new(vec![VNodeSpec::with_speed("slow", 0.25)]);
-    slow_cfg.initial_mapping = Some(Mapping::all_on(n(0), 1));
-    let fast = execute(
+    let fast_cfg = mapped(Mapping::all_on(n(0), 1));
+    let slow_cfg = mapped(Mapping::all_on(n(0), 1));
+    let fast = execute_static(
         PipelineBuilder::<u64>::new()
             .stage(spin_stage("a", 5).0, spin_stage("a", 5).1)
             .build(),
         (0..20).collect(),
+        vec![VNodeSpec::free("fast")],
         &fast_cfg,
     );
-    let slow = execute(pipeline, (0..20).collect(), &slow_cfg);
+    let slow = execute_static(
+        pipeline,
+        (0..20).collect(),
+        vec![VNodeSpec::with_speed("slow", 0.25)],
+        &slow_cfg,
+    );
     let ratio = slow.report.makespan.as_secs_f64() / fast.report.makespan.as_secs_f64();
     assert!(
         ratio > 2.0,
@@ -256,13 +293,9 @@ fn stateful_stage_migrates_with_state_intact() {
         VNodeSpec::free("v0").with_load(LoadModel::step(1.0, 0.05, SimTime::from_secs_f64(0.1))),
         VNodeSpec::free("v1"),
     ];
-    let mut cfg = EngineConfig::new(vnodes);
-    cfg.initial_mapping = Some(Mapping::all_on(n(0), 1));
-    cfg.policy = Policy::Periodic {
-        interval: SimDuration::from_millis(150),
-    };
+    let cfg = mapped(Mapping::all_on(n(0), 1));
     let items: Vec<u64> = (1..=300).collect();
-    let outcome = execute(pipeline, items, &cfg);
+    let outcome = execute(pipeline, items, vnodes, &every(150), &cfg);
     assert_eq!(outcome.report.completed, 300);
     // The final (largest) accumulator value must be the total sum:
     // every item added exactly once.
@@ -279,14 +312,14 @@ fn vnode_crash_mid_run_loses_nothing() {
     // envelopes — every output delivered exactly once, in order.
     let (s0, f0) = spin_stage("slow", 4);
     let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
-    let mut cfg = EngineConfig::new(free_nodes(2));
-    cfg.initial_mapping = Some(Mapping::all_on(n(1), 1));
-    cfg.policy = Policy::Periodic {
-        interval: SimDuration::from_millis(100),
+    let mut cfg = RunConfig {
+        initial_mapping: Some(Mapping::all_on(n(1), 1)),
+        faults: FaultPlan::new().crash(n(1), SimTime::from_secs_f64(0.15)),
+        ..RunConfig::default()
     };
-    cfg.faults = FaultPlan::new().crash(n(1), SimTime::from_secs_f64(0.15));
     let events = cfg.hooks.events.subscribe();
-    let mut session = spawn(pipeline, &cfg, 100);
+    cfg.items = 100;
+    let mut session = spawn(pipeline, free_nodes(2), &every(100), &cfg);
     for i in 0..100u64 {
         session.push(i).unwrap();
     }
@@ -328,8 +361,12 @@ fn branched_pipeline_joins_every_item_exactly_once() {
     ];
     let pipeline: Pipeline<u64, u64> =
         Pipeline::from_parts(spec, stages, vec![fan_out_fn::<u64>(2)], vec![None; 3]);
-    let cfg = EngineConfig::new(free_nodes(3));
-    let outcome = execute(pipeline, (0..100).collect(), &cfg);
+    let outcome = execute_static(
+        pipeline,
+        (0..100).collect(),
+        free_nodes(3),
+        &RunConfig::default(),
+    );
     assert_eq!(outcome.report.completed, 100);
     assert!(!outcome.report.truncated);
     // Branch order is part of the merge contract: parts[0] is always
@@ -350,8 +387,7 @@ fn wrong_typed_item_fails_session_with_typed_error() {
     let stages: Vec<Box<dyn DynStage>> = vec![Box::new(FnStage::new("typed", |x: u64| x + 1))];
     let pipeline: Pipeline<String, u64> =
         Pipeline::from_parts(spec, stages, Vec::new(), vec![None]);
-    let cfg = EngineConfig::new(free_nodes(1));
-    let mut session = spawn(pipeline, &cfg, 4);
+    let mut session = spawn_static(pipeline, free_nodes(1), &RunConfig::default());
     for i in 0..4 {
         session.push(format!("item {i}")).unwrap();
     }
@@ -369,8 +405,7 @@ fn wrong_typed_item_error_is_readable_before_drain() {
     let stages: Vec<Box<dyn DynStage>> = vec![Box::new(FnStage::new("typed", |x: u64| x + 1))];
     let pipeline: Pipeline<String, u64> =
         Pipeline::from_parts(spec, stages, Vec::new(), vec![None]);
-    let cfg = EngineConfig::new(free_nodes(1));
-    let mut session = spawn(pipeline, &cfg, 1);
+    let mut session = spawn_static(pipeline, free_nodes(1), &RunConfig::default());
     session.push("oops".to_string()).unwrap();
     let t0 = Instant::now();
     while session.error().is_none() && t0.elapsed() < Duration::from_secs(5) {
@@ -395,16 +430,23 @@ fn link_emulation_slows_cross_node_boundaries() {
         p.build()
     };
     let slow_link = Topology::uniform(2, LinkSpec::new(SimDuration::from_millis(10), 1e9));
-    let mk_cfg = |emulate: bool| {
-        let mut cfg = EngineConfig::new(free_nodes(2));
-        cfg.initial_mapping = Some(Mapping::from_assignment(&[n(0), n(1)]));
-        cfg.topology = Some(slow_link.clone());
-        cfg.emulate_links = emulate;
-        cfg
+    let mk_cfg = |emulate: bool| RunConfig {
+        initial_mapping: Some(Mapping::from_assignment(&[n(0), n(1)])),
+        topology: Some(slow_link.clone()),
+        emulate_links: emulate,
+        ..RunConfig::default()
     };
     let items = 30u64;
-    let without = execute(mk_pipeline(), (0..items).collect(), &mk_cfg(false));
-    let with = execute(mk_pipeline(), (0..items).collect(), &mk_cfg(true));
+    let run = |emulate: bool| {
+        execute_static(
+            mk_pipeline(),
+            (0..items).collect(),
+            free_nodes(2),
+            &mk_cfg(emulate),
+        )
+    };
+    let without = run(false);
+    let with = run(true);
     assert_eq!(with.report.completed, items);
     // Each boundary crossing pays ≥ 10 ms of sender serialisation:
     // the emulated run must be visibly slower.
@@ -422,8 +464,7 @@ fn link_emulation_slows_cross_node_boundaries() {
 fn empty_input_returns_immediately() {
     let (s0, f0) = spin_stage("a", 1);
     let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
-    let cfg = EngineConfig::new(free_nodes(1));
-    let outcome = execute(pipeline, vec![], &cfg);
+    let outcome = execute_static(pipeline, vec![], free_nodes(1), &RunConfig::default());
     assert_eq!(outcome.report.completed, 0);
     assert!(outcome.outputs.is_empty());
 }
@@ -432,9 +473,10 @@ fn empty_input_returns_immediately() {
 fn pacing_limits_throughput() {
     let (s0, f0) = spin_stage("a", 1);
     let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
-    let mut cfg = EngineConfig::new(free_nodes(1));
-    cfg.arrivals = ArrivalProcess::Uniform { rate: 100.0 }; // 10 ms between items
-    let outcome = execute(pipeline, (0..30).collect(), &cfg);
+    let rate = 100.0; // 10 ms between items: the static baseline under a paced stream
+    let paced = Session::baseline(Policy::Static, ArrivalProcess::Uniform { rate }).unwrap();
+    let cfg = RunConfig::default();
+    let outcome = execute(pipeline, (0..30).collect(), free_nodes(1), &paced, &cfg);
     // 30 items at 100/s ≥ 0.29 s regardless of stage speed.
     assert!(outcome.report.makespan.as_secs_f64() > 0.25);
     assert_eq!(outcome.report.completed, 30);
@@ -446,8 +488,12 @@ fn replicated_hot_stage_uses_multiple_nodes() {
     // the engine must produce exactly-once outputs anyway.
     let (s0, f0) = spin_stage("hot", 10);
     let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
-    let cfg = EngineConfig::new(free_nodes(3));
-    let outcome = execute(pipeline, (0..60).collect(), &cfg);
+    let outcome = execute_static(
+        pipeline,
+        (0..60).collect(),
+        free_nodes(3),
+        &RunConfig::default(),
+    );
     assert_eq!(outcome.report.completed, 60);
     let expect: Vec<u64> = (0..60).map(|x| x + 1).collect();
     assert_eq!(outcome.outputs, expect);
@@ -468,9 +514,11 @@ fn batched_envelopes_preserve_order_and_exactly_once() {
         .stage(s0, f0)
         .stage(s1, f1)
         .build();
-    let mut cfg = EngineConfig::new(free_nodes(2));
-    cfg.batch_size = 16;
-    let outcome = execute(pipeline, (0..100).collect(), &cfg);
+    let cfg = RunConfig {
+        batch_size: 16,
+        ..RunConfig::default()
+    };
+    let outcome = execute_static(pipeline, (0..100).collect(), free_nodes(2), &cfg);
     assert_eq!(outcome.report.completed, 100);
     assert!(!outcome.report.truncated);
     let expect: Vec<u64> = (0..100).map(|x| x + 2).collect();
@@ -500,9 +548,11 @@ fn batched_branched_pipeline_joins_exactly_once() {
     ];
     let pipeline: Pipeline<u64, u64> =
         Pipeline::from_parts(spec, stages, vec![fan_out_fn::<u64>(2)], vec![None; 3]);
-    let mut cfg = EngineConfig::new(free_nodes(3));
-    cfg.batch_size = 8;
-    let outcome = execute(pipeline, (0..100).collect(), &cfg);
+    let cfg = RunConfig {
+        batch_size: 8,
+        ..RunConfig::default()
+    };
+    let outcome = execute_static(pipeline, (0..100).collect(), free_nodes(3), &cfg);
     assert_eq!(outcome.report.completed, 100);
     let expect: Vec<u64> = (0..100).map(|x| (x + 1) * 1000 + x * 2).collect();
     assert_eq!(outcome.outputs, expect);
@@ -516,10 +566,12 @@ fn push_batch_respects_bounded_credits() {
     // anything else deadlocks here.
     let (s0, f0) = spin_stage("slow", 2);
     let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
-    let mut cfg = EngineConfig::new(free_nodes(1));
-    cfg.queue_capacity = Some(1);
-    cfg.batch_size = 8;
-    let mut session = spawn(pipeline, &cfg, 50);
+    let cfg = RunConfig {
+        queue_capacity: Some(1),
+        batch_size: 8,
+        ..RunConfig::default()
+    };
+    let mut session = spawn_static(pipeline, free_nodes(1), &cfg);
     let pushed = session.push_batch(0..50u64).unwrap();
     assert_eq!(pushed, 50);
     let outcome = session.drain();
@@ -533,9 +585,11 @@ fn pending_input_flushes_on_output_interaction() {
     // stream: next() must flush them or it would wait forever.
     let (s0, f0) = spin_stage("a", 1);
     let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
-    let mut cfg = EngineConfig::new(free_nodes(1));
-    cfg.batch_size = 64;
-    let mut session = spawn(pipeline, &cfg, 3);
+    let cfg = RunConfig {
+        batch_size: 64,
+        ..RunConfig::default()
+    };
+    let mut session = spawn_static(pipeline, free_nodes(1), &cfg);
     for i in 0..3u64 {
         session.push(i).unwrap();
     }
@@ -559,12 +613,12 @@ fn idle_replica_steals_from_a_loaded_sibling() {
     // must survive the steals.
     let (s0, f0) = spin_stage("hot", 2);
     let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
-    let mut cfg = EngineConfig::new(vec![
-        VNodeSpec::with_speed("slow", 0.25),
-        VNodeSpec::free("fast"),
-    ]);
-    cfg.initial_mapping = Some(Mapping::new(vec![Placement::replicated(vec![n(0), n(1)])]));
-    let mut session = spawn(pipeline, &cfg, 40);
+    let cfg = mapped(Mapping::new(vec![Placement::replicated(vec![n(0), n(1)])]));
+    let mut session = spawn_static(
+        pipeline,
+        vec![VNodeSpec::with_speed("slow", 0.25), VNodeSpec::free("fast")],
+        &cfg,
+    );
     for i in 0..40u64 {
         session.push(i).unwrap();
     }
@@ -599,9 +653,8 @@ fn fused_colocated_chain_is_item_identical_to_spread() {
     };
     let expect: Vec<u64> = (0..500u64).map(|x| (x + 1) * 3 - 2).collect();
 
-    let mut co_cfg = EngineConfig::new(free_nodes(1));
-    co_cfg.initial_mapping = Some(Mapping::all_on(n(0), 3));
-    let mut session = spawn(build(), &co_cfg, 500);
+    let co_cfg = mapped(Mapping::all_on(n(0), 3));
+    let mut session = spawn_static(build(), free_nodes(1), &co_cfg);
     for i in 0..500u64 {
         session.push(i).unwrap();
     }
@@ -616,9 +669,8 @@ fn fused_colocated_chain_is_item_identical_to_spread() {
     assert_eq!(outcome.report.completed, 500);
     assert!(!outcome.report.truncated);
 
-    let mut sp_cfg = EngineConfig::new(free_nodes(3));
-    sp_cfg.initial_mapping = Some(Mapping::from_assignment(&[n(0), n(1), n(2)]));
-    let mut session = spawn(build(), &sp_cfg, 500);
+    let sp_cfg = mapped(Mapping::from_assignment(&[n(0), n(1), n(2)]));
+    let mut session = spawn_static(build(), free_nodes(3), &sp_cfg);
     for i in 0..500u64 {
         session.push(i).unwrap();
     }
@@ -643,9 +695,8 @@ fn fused_colocated_chain_is_item_identical_to_spread() {
         )
         .stage(StageSpec::balanced("b", 0.001, 8), |x: u64| x * 3)
         .build();
-    let mut cfg = EngineConfig::new(free_nodes(1));
-    cfg.initial_mapping = Some(Mapping::all_on(n(0), 2));
-    let mut session = spawn(pipeline, &cfg, 100);
+    let cfg = mapped(Mapping::all_on(n(0), 2));
+    let mut session = spawn_static(pipeline, free_nodes(1), &cfg);
     for i in 0..100u64 {
         session.push(i).unwrap();
     }
@@ -675,9 +726,8 @@ fn stateful_or_resilient_successors_refuse_fusion() {
             }
         })
         .build();
-    let mut cfg = EngineConfig::new(free_nodes(1));
-    cfg.initial_mapping = Some(Mapping::all_on(n(0), 2));
-    let mut session = spawn(pipeline, &cfg, 100);
+    let cfg = mapped(Mapping::all_on(n(0), 2));
+    let mut session = spawn_static(pipeline, free_nodes(1), &cfg);
     for i in 0..100u64 {
         session.push(i).unwrap();
     }
@@ -697,9 +747,8 @@ fn stateful_or_resilient_successors_refuse_fusion() {
             |x: u64| x * 2,
         )
         .build();
-    let mut cfg = EngineConfig::new(free_nodes(1));
-    cfg.initial_mapping = Some(Mapping::all_on(n(0), 2));
-    let mut session = spawn(pipeline, &cfg, 100);
+    let cfg = mapped(Mapping::all_on(n(0), 2));
+    let mut session = spawn_static(pipeline, free_nodes(1), &cfg);
     for i in 0..100u64 {
         session.push(i).unwrap();
     }
@@ -721,13 +770,13 @@ fn forced_remap_fuses_newly_colocated_stages() {
         .stage(s0, f0)
         .stage(s1, f1)
         .build();
-    let mut cfg = EngineConfig::new(free_nodes(2));
-    cfg.initial_mapping = Some(Mapping::from_assignment(&[n(0), n(1)]));
-    cfg.policy = Policy::Periodic {
-        interval: SimDuration::from_millis(100),
+    let cfg = RunConfig {
+        initial_mapping: Some(Mapping::from_assignment(&[n(0), n(1)])),
+        faults: FaultPlan::new().crash(n(1), SimTime::from_secs_f64(0.15)),
+        items: 100,
+        ..RunConfig::default()
     };
-    cfg.faults = FaultPlan::new().crash(n(1), SimTime::from_secs_f64(0.15));
-    let mut session = spawn(pipeline, &cfg, 100);
+    let mut session = spawn(pipeline, free_nodes(2), &every(100), &cfg);
     for i in 0..100u64 {
         session.push(i).unwrap();
     }
@@ -756,12 +805,12 @@ fn planner_unfuses_when_spreading_wins() {
         .stage(s0, f0)
         .stage(s1, f1)
         .build();
-    let mut cfg = EngineConfig::new(free_nodes(2));
-    cfg.initial_mapping = Some(Mapping::all_on(n(0), 2));
-    cfg.policy = Policy::Periodic {
-        interval: SimDuration::from_millis(100),
+    let cfg = RunConfig {
+        initial_mapping: Some(Mapping::all_on(n(0), 2)),
+        items: 150,
+        ..RunConfig::default()
     };
-    let mut session = spawn(pipeline, &cfg, 150);
+    let mut session = spawn(pipeline, free_nodes(2), &every(100), &cfg);
     for i in 0..150u64 {
         session.push(i).unwrap();
     }
@@ -799,8 +848,7 @@ fn planner_unfuses_when_spreading_wins() {
 fn push_after_close_returns_typed_error() {
     let (s0, f0) = spin_stage("a", 1);
     let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
-    let cfg = EngineConfig::new(free_nodes(1));
-    let mut session = spawn(pipeline, &cfg, 2);
+    let mut session = spawn_static(pipeline, free_nodes(1), &RunConfig::default());
     session.push(1).unwrap();
     session.close();
     assert_eq!(session.push(2), Err(RunError::SessionClosed));
@@ -813,8 +861,7 @@ fn push_after_close_returns_typed_error() {
 fn eviction_rejects_new_pushes_but_drains_in_flight() {
     let (s0, f0) = spin_stage("a", 1);
     let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
-    let cfg = EngineConfig::new(free_nodes(1));
-    let mut session = spawn(pipeline, &cfg, 10);
+    let mut session = spawn_static(pipeline, free_nodes(1), &RunConfig::default());
     for i in 0..10u64 {
         session.push(i).unwrap();
     }
@@ -834,7 +881,6 @@ fn concurrent_tenants_share_one_pool_exactly_once() {
     // pushed interleaved: each must finish complete, ordered, and
     // isolated (disjoint transforms prove no cross-tenant leakage).
     let pool = Pool::launch(free_nodes(2), FaultPlan::new());
-    let cfg = EngineConfig::new(free_nodes(2));
     let mk = |add: u64| {
         let (s0, _) = spin_stage("t", 1);
         PipelineBuilder::<u64>::new()
@@ -844,9 +890,10 @@ fn concurrent_tenants_share_one_pool_exactly_once() {
             })
             .build()
     };
-    let mut a = attach(&pool, mk(100), &cfg, 30, false);
-    let mut b = attach(&pool, mk(1000), &cfg, 30, false);
-    let mut c = attach(&pool, mk(10000), &cfg, 30, false);
+    let (fixed, cfg) = (Session::default(), RunConfig::default());
+    let mut a = attach(&pool, mk(100), &fixed, &cfg, false);
+    let mut b = attach(&pool, mk(1000), &fixed, &cfg, false);
+    let mut c = attach(&pool, mk(10000), &fixed, &cfg, false);
     assert_ne!(a.session_id(), b.session_id());
     for i in 0..30u64 {
         a.push(i).unwrap();
@@ -864,13 +911,13 @@ fn concurrent_tenants_share_one_pool_exactly_once() {
 #[test]
 fn forced_eviction_leaves_co_tenants_running() {
     let pool = Pool::launch(free_nodes(2), FaultPlan::new());
-    let cfg = EngineConfig::new(free_nodes(2));
     let (s0, f0) = spin_stage("keep", 1);
     let keep = PipelineBuilder::<u64>::new().stage(s0, f0).build();
     let (s1, f1) = spin_stage("goner", 2);
     let goner = PipelineBuilder::<u64>::new().stage(s1, f1).build();
-    let mut survivor = attach(&pool, keep, &cfg, 40, false);
-    let mut victim = attach(&pool, goner, &cfg, 200, false);
+    let (fixed, cfg) = (Session::default(), RunConfig::default());
+    let mut survivor = attach(&pool, keep, &fixed, &cfg, false);
+    let mut victim = attach(&pool, goner, &fixed, &cfg, false);
     for i in 0..200u64 {
         victim.push(i).unwrap();
     }
@@ -907,13 +954,13 @@ fn weighted_shares_bias_worker_capacity() {
     // service must let A finish its stream well before B finishes
     // its own (both streams are equal length).
     let pool = Pool::launch(free_nodes(1), FaultPlan::new());
-    let cfg = EngineConfig::new(free_nodes(1));
     let mk = || {
         let (s0, f0) = spin_stage("w", 2);
         PipelineBuilder::<u64>::new().stage(s0, f0).build()
     };
-    let mut a = attach(&pool, mk(), &cfg, 60, false);
-    let mut b = attach(&pool, mk(), &cfg, 60, false);
+    let (fixed, cfg) = (Session::default(), RunConfig::default());
+    let mut a = attach(&pool, mk(), &fixed, &cfg, false);
+    let mut b = attach(&pool, mk(), &fixed, &cfg, false);
     a.tenant_handle().set_share(0.8);
     b.tenant_handle().set_share(0.2);
     // Envelope-per-item keeps many envelopes queued per lane.
@@ -946,10 +993,12 @@ fn weighted_shares_bias_worker_capacity() {
 fn an_erroring_push_batch_returns_every_unspent_credit() {
     let (s0, f0) = spin_stage("a", 0);
     let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
-    let mut cfg = EngineConfig::new(free_nodes(1));
-    cfg.queue_capacity = Some(32);
-    cfg.batch_size = 8;
-    let mut session = spawn(pipeline, &cfg, 100);
+    let cfg = RunConfig {
+        queue_capacity: Some(32),
+        batch_size: 8,
+        ..RunConfig::default()
+    };
+    let mut session = spawn_static(pipeline, free_nodes(1), &cfg);
     let tenant = session.tenant_handle();
     let credits = Arc::clone(tenant.shared.credits.as_ref().expect("bounded session"));
     let capacity = credits.available();
@@ -988,7 +1037,7 @@ fn an_erroring_push_batch_returns_every_unspent_credit() {
     }
     let (s0, f0) = spin_stage("a", 0);
     let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
-    let mut session = spawn(pipeline, &cfg, 100);
+    let mut session = spawn_static(pipeline, free_nodes(1), &cfg);
     let tenant = session.tenant_handle();
     assert_eq!(session.push_batch(Short(21)), Ok(21));
     assert_eq!(session.drain().report.completed, 21);

@@ -359,12 +359,13 @@ pub(crate) const MIN_LANE_WEIGHT: f64 = 0.01;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{attach, EngineConfig, ItemSlot, Pool};
+    use crate::exec::{attach, ItemSlot, Pool};
     use crate::vnode::VNodeSpec;
     use adapipe_core::payload::Payload;
     use adapipe_core::pipeline::PipelineBuilder;
     use adapipe_core::spec::StageSpec;
     use adapipe_gridsim::fault::FaultPlan;
+    use adapipe_runtime::session::RunConfig;
     use std::time::Instant;
 
     #[test]
@@ -380,8 +381,8 @@ mod tests {
             attach(
                 &pool,
                 pipeline,
-                &EngineConfig::new(vnodes.clone()),
-                0,
+                &Default::default(),
+                &Default::default(),
                 false,
             )
         };
@@ -449,8 +450,8 @@ mod tests {
             attach(
                 &pool,
                 pipeline,
-                &EngineConfig::new(vnodes.clone()),
-                0,
+                &Default::default(),
+                &Default::default(),
                 false,
             )
         };
@@ -611,13 +612,15 @@ mod tests {
             .stage(StageSpec::balanced("solo", 1.0, 0), |x: u64| x)
             .build();
         let both = || Placement::replicated(vec![NodeId(0), NodeId(1)]);
-        let mut cfg = EngineConfig::new(vnodes);
-        cfg.initial_mapping = Some(Mapping::new(vec![
-            both(),
-            both(),
-            Placement::single(NodeId(0)),
-        ]));
-        let session = attach(&pool, pipeline, &cfg, 0, false);
+        let cfg = RunConfig {
+            initial_mapping: Some(Mapping::new(vec![
+                both(),
+                both(),
+                Placement::single(NodeId(0)),
+            ])),
+            ..RunConfig::default()
+        };
+        let session = attach(&pool, pipeline, &Default::default(), &cfg, false);
         (pool, session)
     }
 

@@ -287,13 +287,14 @@ impl Hops for Leaving<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{spawn, EngineConfig, EngineOutcome, TenantHandle};
+    use crate::exec::{spawn, EngineOutcome, TenantHandle};
     use crate::vnode::VNodeSpec;
     use adapipe_core::pipeline::Pipeline;
     use adapipe_core::spec::{PipelineSpec, ResiliencePolicy, StageGraph, StageSpec};
     use adapipe_core::stage::{fan_out_fn, FallibleFnStage, FnStage, MergeStage};
     use adapipe_gridsim::node::NodeId;
     use adapipe_mapper::mapping::{Mapping, Placement};
+    use adapipe_runtime::session::{RunConfig, Session};
     use std::sync::Mutex;
 
     /// fetch → {parse, audit} → combine, where parse rejects every
@@ -371,9 +372,16 @@ mod tests {
         // Per item on three vnodes; in 64-item envelopes on two.
         for (vnodes, batch_size, items) in [(3, 1, 50), (2, 64, 1000)] {
             let vnodes = (0..vnodes).map(|i| VNodeSpec::free(format!("v{i}")));
-            let mut cfg = EngineConfig::new(vnodes.collect());
-            cfg.batch_size = batch_size;
-            let mut session = spawn(fallible_diamond(|| (), audit), &cfg, items);
+            let cfg = RunConfig {
+                batch_size,
+                ..RunConfig::default()
+            };
+            let mut session = spawn(
+                fallible_diamond(|| (), audit),
+                vnodes.collect(),
+                &Session::default(),
+                &cfg,
+            );
             let tenant = session.tenant_handle();
             session.push_batch(0..items).unwrap();
             let outcome = session.drain();
@@ -407,8 +415,10 @@ mod tests {
         let dead = (0..ITEMS).filter(|&x| expected(x).is_none()).count();
         assert!(dead > 0 && expected(ITEMS - 1).is_some());
         let vnodes = (0..2).map(|i| VNodeSpec::free(format!("v{i}")));
-        let mut cfg = EngineConfig::new(vnodes.collect());
-        cfg.batch_size = ITEMS as usize;
+        let mut cfg = RunConfig {
+            batch_size: ITEMS as usize,
+            ..RunConfig::default()
+        };
         // `audit` alone on v1: one envelope, one outbox.
         let on = |v| Placement::single(NodeId(v));
         cfg.initial_mapping = Some(Mapping::new(vec![on(0), on(0), on(1), on(0)]));
@@ -440,7 +450,12 @@ mod tests {
                 audit(v)
             }
         };
-        let mut session = spawn(fallible_diamond(held_parse, held_audit), &cfg, ITEMS);
+        let mut session = spawn(
+            fallible_diamond(held_parse, held_audit),
+            vnodes.collect(),
+            &Session::default(),
+            &cfg,
+        );
         let tenant = session.tenant_handle();
         session.push_batch(0..ITEMS).unwrap();
         let outcome = session.drain();

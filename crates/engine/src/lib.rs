@@ -7,10 +7,12 @@
 //! * [`vnode`] — virtual nodes: per-worker speed factors and wall-clock
 //!   background-load schedules (the calibration band's "synthetic
 //!   heterogeneity on one box");
-//! * [`exec`] — the engine's public face: [`exec::EngineConfig`], the
-//!   live [`exec::EngineSession`] (push / pull, backpressure, its
+//! * [`exec`] — the engine's public face: the live
+//!   [`exec::EngineSession`] (push / pull, backpressure, its
 //!   order-preserving collector), [`exec::TenantHandle`], and the entry
-//!   points `spawn` / `attach` / `execute` / `execute_fed`. The worker
+//!   points `spawn` / `attach` / `execute` / `execute_fed`, which take
+//!   the vnodes (or a running pool) and then the run's `Session` and
+//!   `RunConfig` as the facade received them. The worker
 //!   pool ([`exec::Pool`]) serves any number of concurrent tenant
 //!   sessions under weighted-fair envelope admission. The machinery
 //!   underneath is one private module per protocol: `pool` (one worker
@@ -47,8 +49,7 @@ mod worker;
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::exec::{
-        attach, execute, execute_fed, spawn, EngineConfig, EngineOutcome, EngineSession, Pool,
-        TenantHandle,
+        attach, execute, execute_fed, spawn, EngineOutcome, EngineSession, Pool, TenantHandle,
     };
     pub use crate::inject::LoadInjector;
     pub use crate::vnode::{calibrate_host, spin_for, VNodeSpec, MIN_WALL_AVAILABILITY};

@@ -11,7 +11,7 @@
 //! meanwhile).
 
 use crate::credits::Credits;
-use crate::exec::{EngineConfig, Finished, ItemSlot};
+use crate::exec::{Finished, ItemSlot};
 use crate::inbox::Ctrl;
 use crate::pool::Pool;
 use adapipe_core::item::{JoinSlots, SeqMap};
@@ -25,7 +25,7 @@ use adapipe_runtime::adapt::AdaptationLoop;
 use adapipe_runtime::backend::{ExecutionBackend, RemapPlan};
 use adapipe_runtime::report::AdaptationEvent;
 use adapipe_runtime::routing::{RoutingSnapshot, RoutingTable, Selection};
-use adapipe_runtime::session::{RunEvent, RunHooks, SessionControl, SessionId};
+use adapipe_runtime::session::{RunConfig, RunEvent, RunHooks, SessionControl, SessionId};
 use adapipe_state::StateSnapshot;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -189,7 +189,7 @@ impl Shared {
         id: u64,
         pool: &Arc<Pool>,
         pipeline: Pipeline<I, O>,
-        cfg: &EngineConfig,
+        cfg: &RunConfig,
         topology: Topology,
         mapping: Mapping,
     ) -> (Arc<Shared>, Receiver<SinkMsg>) {

@@ -564,13 +564,14 @@ fn deliver_env(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{attach, EngineConfig, Pool};
+    use crate::exec::{attach, Pool};
     use crate::vnode::VNodeSpec;
     use adapipe_core::payload::Payload;
     use adapipe_core::pipeline::PipelineBuilder;
     use adapipe_core::spec::StageSpec;
     use adapipe_gridsim::fault::FaultPlan;
     use adapipe_mapper::mapping::Mapping;
+    use adapipe_runtime::session::{RunConfig, Session};
     use std::time::Instant;
 
     #[test]
@@ -582,9 +583,11 @@ mod tests {
         let pipeline = PipelineBuilder::<u64>::new()
             .stateful_stage(StageSpec::balanced("sum", 1.0, 0).with_state(8), |x: u64| x)
             .build();
-        let mut cfg = EngineConfig::new(vnodes);
-        cfg.initial_mapping = Some(Mapping::all_on(NodeId(0), 1));
-        let session = attach(&pool, pipeline, &cfg, 0, false);
+        let cfg = RunConfig {
+            initial_mapping: Some(Mapping::all_on(NodeId(0), 1)),
+            ..RunConfig::default()
+        };
+        let session = attach(&pool, pipeline, &Session::default(), &cfg, false);
         let shared = Arc::clone(&session.tenant_handle().shared);
         let mut tl = TenantLocal::new(Arc::clone(&shared));
 

@@ -61,7 +61,7 @@ pub mod prelude {
     pub use crate::net::{LinkQueue, LinkSpec, Topology};
     pub use crate::node::{Node, NodeId, NodeSpec};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::trace::{ThroughputTimeline, TimeSeries, UtilisationMeter};
+    pub use crate::trace::ThroughputTimeline;
 }
 
 pub use prelude::*;

@@ -86,9 +86,11 @@ impl SimDuration {
         SimDuration(ms * 1_000_000)
     }
 
-    /// Builds a duration from whole seconds.
+    /// Builds a duration from whole seconds, saturating at
+    /// [`SimDuration::MAX`] (a "practically forever" horizon such as
+    /// `from_secs(1 << 40)` must not wrap into a short one).
     pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * NANOS_PER_SEC)
+        SimDuration(s.saturating_mul(NANOS_PER_SEC))
     }
 
     /// Builds a duration from fractional seconds, rounding to nanoseconds.
@@ -241,6 +243,19 @@ mod tests {
             SimDuration::ZERO
         );
         assert_eq!(SimDuration::MAX.mul_f64(2.0), SimDuration::MAX);
+        // 2^40 s is past u64 nanoseconds: it must clamp, not wrap to
+        // ~1.1e10 s.
+        assert_eq!(SimDuration::from_secs(1 << 40), SimDuration::MAX);
+        assert_eq!(
+            SimDuration::from_secs(u64::MAX / NANOS_PER_SEC).as_nanos(),
+            u64::MAX / NANOS_PER_SEC * NANOS_PER_SEC
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "SimTime overflow")]
+    fn clock_overflow_still_panics() {
+        let _ = SimTime::MAX + SimDuration::from_nanos(1);
     }
 
     #[test]

@@ -1,74 +1,9 @@
-//! Run recording: time series, throughput timelines, utilisation.
+//! Run recording: the throughput timeline.
 //!
-//! Experiments consume these records to print the figure series; nothing
-//! here affects simulation behaviour.
+//! Reports carry it and experiments print the figure series from it;
+//! nothing here affects simulation behaviour.
 
 use crate::time::{SimDuration, SimTime};
-
-/// An append-only `(time, value)` series.
-#[derive(Clone, Debug, Default)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        TimeSeries { points: Vec::new() }
-    }
-
-    /// Appends a sample. Samples must be recorded in non-decreasing time
-    /// order.
-    pub fn push(&mut self, t: SimTime, v: f64) {
-        if let Some(&(last, _)) = self.points.last() {
-            assert!(t >= last, "time series must be recorded in order");
-        }
-        self.points.push((t, v));
-    }
-
-    /// The recorded samples.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True if no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Arithmetic mean of the values, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.points.is_empty() {
-            return None;
-        }
-        Some(self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64)
-    }
-
-    /// Minimum value, or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        self.points.iter().map(|&(_, v)| v).fold(None, |acc, v| {
-            Some(match acc {
-                None => v,
-                Some(a) => a.min(v),
-            })
-        })
-    }
-
-    /// Maximum value, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        self.points.iter().map(|&(_, v)| v).fold(None, |acc, v| {
-            Some(match acc {
-                None => v,
-                Some(a) => a.max(v),
-            })
-        })
-    }
-}
 
 /// Buckets completion events into fixed windows and reports the rate per
 /// window — the "throughput over time" series of figures F1/F6.
@@ -134,72 +69,12 @@ impl ThroughputTimeline {
     }
 }
 
-/// Accumulates per-entity busy time to report utilisation.
-#[derive(Clone, Debug, Default)]
-pub struct UtilisationMeter {
-    busy: SimDuration,
-}
-
-impl UtilisationMeter {
-    /// Creates an idle meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a busy interval.
-    pub fn add_busy(&mut self, span: SimDuration) {
-        self.busy = self.busy.saturating_add(span);
-    }
-
-    /// Total busy time.
-    pub fn busy(&self) -> SimDuration {
-        self.busy
-    }
-
-    /// Utilisation over a horizon: `busy / horizon`, clamped to `[0, 1]`.
-    pub fn utilisation(&self, horizon: SimDuration) -> f64 {
-        if horizon.is_zero() {
-            return 0.0;
-        }
-        (self.busy.as_secs_f64() / horizon.as_secs_f64()).clamp(0.0, 1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn secs(s: f64) -> SimTime {
         SimTime::from_secs_f64(s)
-    }
-
-    #[test]
-    fn series_tracks_stats() {
-        let mut s = TimeSeries::new();
-        assert!(s.is_empty());
-        s.push(secs(0.0), 2.0);
-        s.push(secs(1.0), 4.0);
-        s.push(secs(2.0), 6.0);
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.mean(), Some(4.0));
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(6.0));
-    }
-
-    #[test]
-    fn empty_series_has_no_stats() {
-        let s = TimeSeries::new();
-        assert_eq!(s.mean(), None);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "in order")]
-    fn out_of_order_push_panics() {
-        let mut s = TimeSeries::new();
-        s.push(secs(2.0), 1.0);
-        s.push(secs(1.0), 1.0);
     }
 
     #[test]
@@ -222,15 +97,5 @@ mod tests {
         let tl = ThroughputTimeline::new(SimDuration::from_secs(1));
         assert!(tl.series().is_empty());
         assert_eq!(tl.total(), 0);
-    }
-
-    #[test]
-    fn utilisation_is_busy_over_horizon() {
-        let mut u = UtilisationMeter::new();
-        u.add_busy(SimDuration::from_secs(3));
-        u.add_busy(SimDuration::from_secs(2));
-        assert!((u.utilisation(SimDuration::from_secs(10)) - 0.5).abs() < 1e-12);
-        assert_eq!(u.utilisation(SimDuration::ZERO), 0.0);
-        assert_eq!(u.busy(), SimDuration::from_secs(5));
     }
 }

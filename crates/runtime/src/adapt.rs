@@ -21,30 +21,27 @@
 //! events, the engine sleeps on a wall clock) — never *what* happens.
 
 use crate::backend::{ExecutionBackend, RemapPlan};
-use crate::controller::{Controller, ControllerConfig};
+use crate::controller::Controller;
 use crate::fault::{FaultTracker, FaultTransition};
 use crate::policy::Policy;
 use crate::report::AdaptationEvent;
 use crate::routing::RoutingTable;
-use crate::session::{RunError, RunEvent};
+use crate::session::{RunConfig, RunError, RunEvent, RunHooks, Session, SessionControl, SessionId};
 use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::net::Topology;
 use adapipe_gridsim::time::{SimDuration, SimTime};
 use adapipe_mapper::mapping::Mapping;
 use adapipe_mapper::model::{evaluate, PipelineProfile};
-use adapipe_mapper::search::Plan;
+use adapipe_mapper::search::{plan, Plan};
 use adapipe_monitor::sensor::NoisyChannel;
 use adapipe_state::{owner_of, StateAccess};
 use std::sync::RwLock;
 
-/// Everything the shared runtime needs to adapt one pipeline run,
-/// independent of which backend executes it.
+/// The substrate one run adapts on: what the runtime cannot read from
+/// the run's [`RunConfig`] and [`Session`], because only the backend
+/// (and, for a shared pool, whoever owns it) knows it.
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
-    /// Adaptation policy.
-    pub policy: Policy,
-    /// Controller tunables (planner, hysteresis, monitoring window).
-    pub controller: ControllerConfig,
     /// The mapper's view of the pipeline.
     pub profile: PipelineProfile,
     /// Planning topology.
@@ -54,54 +51,36 @@ pub struct RuntimeConfig {
     pub speeds: Vec<f64>,
     /// Migratable state per stage, in bytes.
     pub state_bytes: Vec<u64>,
-    /// Replicability per stage (`StateAccess::replicable`): replicable
-    /// stages re-deal their stranded items at-least-once when a node
-    /// goes down, and finite outages park-and-recover.
-    pub stateless: Vec<bool>,
-    /// Declared state-access pattern per stage. Only a stage with
-    /// *opaque* (undeclared) state pinned to a permanently lost node is
-    /// a fatal [`RunError::StatefulStageLost`]; declared state (keyed,
+    /// Declared state-access pattern per stage. Replicable stages
+    /// re-deal their stranded items at-least-once when a node goes
+    /// down; only a stage with *opaque* (undeclared) state pinned to a
+    /// permanently lost node is a fatal
+    /// [`RunError::StatefulStageLost`]. Declared state (keyed,
     /// accumulator, exclusive) is snapshottable, so the loop forces a
     /// recovery re-map and the backend live-migrates the state instead.
-    /// Backends that predate declarations leave this empty: a missing
-    /// entry on a non-replicable stage is treated as opaque.
     pub state_access: Vec<StateAccess>,
-    /// Scheduled faults of this run. The backend applies the physics
-    /// (degraded load schedules) itself; the loop owns the control
-    /// plane — down/up transitions, routing exclusion, forced re-maps,
-    /// and replay orchestration — identically for every backend.
+    /// The faults in force on the nodes this run executes on — the
+    /// pool's plan when the run is one tenant of a shared pool, else
+    /// the run's own. The backend applies the physics (degraded load
+    /// schedules) itself; the loop owns the control plane — down/up
+    /// transitions, routing exclusion, forced re-maps, and replay
+    /// orchestration — identically for every backend.
     pub faults: FaultPlan,
-    /// Stream length (drives remaining-work amortisation).
-    pub total_items: u64,
-    /// Relative magnitude of availability observation noise (0 = clean).
-    pub observation_noise: f64,
-    /// Seed for the observation noise stream.
-    pub noise_seed: u64,
-    /// Live observation callbacks (invoked as the run progresses).
-    pub hooks: crate::session::RunHooks,
-    /// In-flight steering flags a live session may flip (pause/resume
-    /// adaptation, force a planning cycle). Checked here — not in the
-    /// backends — so every backend honours them identically.
-    pub control: crate::session::SessionControl,
     /// The session this loop adapts, stamped onto every emitted
     /// [`RunEvent`] so a multi-tenant cluster can merge many loops'
     /// streams onto one bus. `SessionId(0)` for standalone runs.
-    pub session: crate::session::SessionId,
-}
-
-impl RuntimeConfig {
-    fn noise(&self) -> NoisyChannel {
-        if self.observation_noise > 0.0 {
-            NoisyChannel::new(self.noise_seed, self.observation_noise)
-        } else {
-            NoisyChannel::clean()
-        }
-    }
+    pub session: SessionId,
 }
 
 /// The adaptation state machine shared by every backend.
 pub struct AdaptationLoop {
     cfg: RuntimeConfig,
+    /// The run's policy, stream-length hint, hooks and steering flags,
+    /// taken from its [`Session`] and [`RunConfig`] at launch.
+    policy: Policy,
+    total_items: u64,
+    hooks: RunHooks,
+    control: SessionControl,
     controller: Controller,
     noise: NoisyChannel,
     /// Model-predicted throughput of the mapping currently in force.
@@ -144,17 +123,70 @@ pub struct FaultOutcome {
 }
 
 impl AdaptationLoop {
-    /// Creates the loop for one run. `initial` is the launch mapping and
-    /// `launch_rates` the effective rates it was planned against (they
-    /// seed the expected-throughput baseline the regret guard and the
-    /// reactive policy compare in).
-    pub fn new(cfg: RuntimeConfig, initial: &Mapping, launch_rates: &[f64]) -> Self {
-        let controller = Controller::new(cfg.speeds.len(), cfg.controller.clone());
-        let expected_tput = evaluate(&cfg.profile, initial, launch_rates, &cfg.topology).throughput;
-        let noise = cfg.noise();
-        let tracker = FaultTracker::new(&cfg.faults, cfg.speeds.len());
-        AdaptationLoop {
-            controller,
+    /// Launches the loop for one run on the backend's `substrate` and
+    /// returns it with the launch mapping: `cfg.initial_mapping`, or
+    /// one planned from `launch_rates` — the effective node rates at
+    /// start, which also seed the expected-throughput baseline the
+    /// regret guard and the reactive policy compare in. Everything else
+    /// the loop needs (policy, controller tunables, stream-length hint,
+    /// observation noise, hooks, steering flags) it reads from
+    /// `session` and `cfg`.
+    ///
+    /// # Panics
+    /// Panics if the profile is malformed, if the topology does not
+    /// cover every node, or if the launch mapping does not cover every
+    /// stage or names a node the backend does not have.
+    pub fn launch(
+        substrate: RuntimeConfig,
+        session: &Session,
+        cfg: &RunConfig,
+        launch_rates: &[f64],
+    ) -> (Self, Mapping) {
+        let np = substrate.speeds.len();
+        substrate.profile.validate();
+        assert_eq!(
+            substrate.topology.len(),
+            np,
+            "topology must cover every node"
+        );
+        let mapping = cfg.initial_mapping.clone().unwrap_or_else(|| {
+            plan(
+                &substrate.profile,
+                launch_rates,
+                &substrate.topology,
+                &cfg.controller.planner,
+            )
+            .mapping
+        });
+        assert_eq!(
+            mapping.len(),
+            substrate.state_access.len(),
+            "mapping must cover every stage"
+        );
+        for node in mapping.nodes_used() {
+            assert!(
+                node.index() < np,
+                "mapping uses node {node} outside the {np}-node backend"
+            );
+        }
+        let expected_tput = evaluate(
+            &substrate.profile,
+            &mapping,
+            launch_rates,
+            &substrate.topology,
+        )
+        .throughput;
+        let noise = if cfg.observation_noise > 0.0 {
+            NoisyChannel::new(cfg.noise_seed, cfg.observation_noise)
+        } else {
+            NoisyChannel::clean()
+        };
+        let aloop = AdaptationLoop {
+            policy: session.policy(),
+            total_items: cfg.items,
+            hooks: cfg.hooks.clone(),
+            control: cfg.control.clone(),
+            controller: Controller::new(np, cfg.controller.clone()),
             noise,
             expected_tput,
             last_tick_completed: 0,
@@ -162,27 +194,14 @@ impl AdaptationLoop {
             guard_prev: None,
             guard_bad: 0,
             hold_until_tick: 0,
-            tracker,
+            tracker: FaultTracker::new(&substrate.faults, np),
             fault_remap_pending: false,
             fatal: false,
             migrations: 0,
             state_bytes_moved: 0,
-            cfg,
-        }
-    }
-
-    /// The declared access pattern of stage `s`. Backends that predate
-    /// declarations leave `state_access` empty; a missing entry falls
-    /// back to the replicability flag — replicable reads as stateless,
-    /// non-replicable as opaque (the legacy "cannot move it" semantics).
-    fn stage_access(&self, s: usize) -> StateAccess {
-        self.cfg.state_access.get(s).copied().unwrap_or({
-            if self.cfg.stateless.get(s).copied().unwrap_or(true) {
-                StateAccess::Stateless
-            } else {
-                StateAccess::Opaque
-            }
-        })
+            cfg: substrate,
+        };
+        (aloop, mapping)
     }
 
     /// True once a fault transition proved the run unrecoverable (the
@@ -195,14 +214,14 @@ impl AdaptationLoop {
 
     /// The adaptation interval, or `None` under [`Policy::Static`].
     pub fn interval(&self) -> Option<SimDuration> {
-        self.cfg.policy.interval()
+        self.policy.interval()
     }
 
     /// Sub-interval spacing of availability observations, or `None`
     /// under [`Policy::Static`] (nothing ever consumes the samples).
     pub fn sample_dt(&self) -> Option<SimDuration> {
-        let interval = self.cfg.policy.interval()?;
-        let divisions = self.cfg.controller.samples_per_interval.max(1);
+        let interval = self.policy.interval()?;
+        let divisions = self.controller.config().samples_per_interval.max(1);
         Some(SimDuration::from_nanos(
             (interval.as_nanos() / divisions as u64).max(1),
         ))
@@ -210,7 +229,7 @@ impl AdaptationLoop {
 
     /// Observations per adaptation interval (≥ 1).
     pub fn samples_per_interval(&self) -> u32 {
-        self.cfg.controller.samples_per_interval.max(1)
+        self.controller.config().samples_per_interval.max(1)
     }
 
     /// One availability observation on every node (the NWS stand-in).
@@ -282,10 +301,10 @@ impl AdaptationLoop {
                     // host: declared state is snapshottable, so the
                     // recovery re-map below migrates it instead.
                     let lost_stateful = (0..table.len()).find(|&s| {
-                        self.stage_access(s) == StateAccess::Opaque && table.contains(s, node)
+                        self.cfg.state_access[s] == StateAccess::Opaque && table.contains(s, node)
                     });
                     drop(table);
-                    self.cfg.hooks.events.emit(RunEvent::NodeDown {
+                    self.hooks.events.emit(RunEvent::NodeDown {
                         session: self.cfg.session,
                         node: node.index(),
                         at,
@@ -296,7 +315,7 @@ impl AdaptationLoop {
                     // its state) comes back at the scheduled recovery.
                     if let Some(stage) = lost_stateful {
                         if self.tracker.is_permanently_down(node.index()) {
-                            self.cfg.control.fail(RunError::StatefulStageLost {
+                            self.control.fail(RunError::StatefulStageLost {
                                 stage,
                                 node: node.index(),
                             });
@@ -304,13 +323,13 @@ impl AdaptationLoop {
                         }
                     }
                     if self.tracker.all_down() {
-                        self.cfg.control.fail(RunError::AllNodesDown);
+                        self.control.fail(RunError::AllNodesDown);
                         outcome.fatal = true;
                     }
                     // A permanent loss of a hosting node under a policy
                     // that never re-maps can never be recovered: fail
                     // now instead of starving forever.
-                    if self.cfg.policy.interval().is_none()
+                    if self.policy.interval().is_none()
                         && self.tracker.is_permanently_down(node.index())
                         && routing
                             .read()
@@ -319,8 +338,7 @@ impl AdaptationLoop {
                             .nodes_used()
                             .contains(&node)
                     {
-                        self.cfg
-                            .control
+                        self.control
                             .fail(RunError::NodeLostUnderStatic { node: node.index() });
                         outcome.fatal = true;
                     }
@@ -328,7 +346,7 @@ impl AdaptationLoop {
                 }
                 FaultTransition::Up { node, at } => {
                     routing.read().expect("routing lock poisoned").mark_up(node);
-                    self.cfg.hooks.events.emit(RunEvent::NodeUp {
+                    self.hooks.events.emit(RunEvent::NodeUp {
                         session: self.cfg.session,
                         node: node.index(),
                         at,
@@ -375,17 +393,13 @@ impl AdaptationLoop {
         // Static policy never re-maps, faults included: the run honours
         // the paper's baseline semantics and starves (the session
         // surfaces no progress; the simulator truncates).
-        self.cfg.policy.interval()?;
+        self.policy.interval()?;
         let mut rates = self.controller.forecast_rates(&self.cfg.speeds);
         self.tracker.mask_rates(&mut rates);
         // Stranded items guarantee work remains even when the
         // remaining-items hint has run out — never let the amortisation
         // veto crash recovery.
-        let remaining = self
-            .cfg
-            .total_items
-            .saturating_sub(backend.completed())
-            .max(1);
+        let remaining = self.total_items.saturating_sub(backend.completed()).max(1);
         let accepted = self.controller.consider(
             now,
             &self.cfg.profile,
@@ -421,7 +435,7 @@ impl AdaptationLoop {
         backend: &mut B,
         routing: &RwLock<RoutingTable>,
     ) -> Option<RemapPlan> {
-        let interval = self.cfg.policy.interval()?;
+        let interval = self.policy.interval()?;
         let now = backend.now();
         let completed = backend.completed();
 
@@ -440,19 +454,16 @@ impl AdaptationLoop {
             completed.saturating_sub(self.last_tick_completed) as f64 / interval.as_secs_f64();
         self.last_tick_completed = completed;
 
-        let paused = self.cfg.control.is_paused();
-        if !self.cfg.hooks.events.is_idle() {
-            self.cfg
-                .hooks
-                .events
-                .emit(crate::session::RunEvent::WindowStats {
-                    session: self.cfg.session,
-                    at: now,
-                    realized,
-                    expected: self.expected_tput,
-                    completed,
-                    paused,
-                });
+        let paused = self.control.is_paused();
+        if !self.hooks.events.is_idle() {
+            self.hooks.events.emit(RunEvent::WindowStats {
+                session: self.cfg.session,
+                at: now,
+                realized,
+                expected: self.expected_tput,
+                completed,
+                paused,
+            });
         }
         // Paused: sensing and window reporting continue (above), but
         // nothing may commit — not the planner, not the regret guard. A
@@ -460,7 +471,7 @@ impl AdaptationLoop {
         if paused {
             return None;
         }
-        let forced = self.cfg.control.take_force_remap();
+        let forced = self.control.take_force_remap();
 
         let mut committed: Option<RemapPlan> = fault.committed;
 
@@ -480,13 +491,13 @@ impl AdaptationLoop {
         // 2. Regret guard: compare what the adopted mapping delivers
         // against what the model promised; on sustained shortfall revert
         // and hold planning down.
-        let guard_ticks = self.cfg.controller.guard_bad_ticks;
+        let guard_ticks = self.controller.config().guard_bad_ticks;
         if guard_ticks > 0 {
             if let Some((prev, adopted_tick)) = self.guard_prev.clone() {
                 // Skip the adoption tick itself: migration transients
                 // depress throughput legitimately.
                 if self.ticks_seen > adopted_tick + 1 && self.expected_tput > 0.0 {
-                    if realized < self.cfg.controller.guard_tolerance * self.expected_tput {
+                    if realized < self.controller.config().guard_tolerance * self.expected_tput {
                         self.guard_bad += 1;
                     } else {
                         self.guard_bad = 0;
@@ -504,7 +515,7 @@ impl AdaptationLoop {
                         self.guard_prev = None;
                         self.guard_bad = 0;
                         self.hold_until_tick =
-                            self.ticks_seen + self.cfg.controller.guard_hold_ticks;
+                            self.ticks_seen + self.controller.config().guard_hold_ticks;
                     }
                 }
             }
@@ -515,11 +526,11 @@ impl AdaptationLoop {
         // A forced tick (SessionControl::force_remap) bypasses the
         // warm-up gate, any hold-down, and the reactive trigger: the
         // caller asked for one planning cycle *now*.
-        let warmed_up = self.ticks_seen > self.cfg.controller.warmup_ticks
+        let warmed_up = self.ticks_seen > self.controller.config().warmup_ticks
             && self.ticks_seen >= self.hold_until_tick;
-        let remaining = self.cfg.total_items.saturating_sub(completed);
-        let rates: Option<Vec<f64>> = match self.cfg.policy {
-            _ if forced => match self.cfg.policy {
+        let remaining = self.total_items.saturating_sub(completed);
+        let rates: Option<Vec<f64>> = match self.policy {
+            _ if forced => match self.policy {
                 Policy::Oracle { .. } => Some(backend.oracle_rates(now, now + interval)),
                 _ => Some(self.controller.forecast_rates(&self.cfg.speeds)),
             },
@@ -598,11 +609,11 @@ impl AdaptationLoop {
             ready_at: now + migration_cost,
         };
         backend.commit_remap(&plan);
-        if let Some(hook) = &self.cfg.hooks.on_remap {
+        if let Some(hook) = &self.hooks.on_remap {
             hook(&plan);
         }
-        if !self.cfg.hooks.events.is_idle() {
-            self.cfg.hooks.events.emit(crate::session::RunEvent::Remap {
+        if !self.hooks.events.is_idle() {
+            self.hooks.events.emit(RunEvent::Remap {
                 session: self.cfg.session,
                 plan: plan.clone(),
             });
@@ -622,7 +633,7 @@ impl AdaptationLoop {
             if old.is_empty() || new.is_empty() {
                 continue;
             }
-            match self.stage_access(s) {
+            match self.cfg.state_access[s] {
                 StateAccess::Stateless => {}
                 // A shard moves when its owner (by the shared
                 // `owner_of` rule over the placement width) changes
@@ -681,6 +692,7 @@ impl AdaptationLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arrivals::ArrivalProcess;
     use adapipe_gridsim::net::LinkSpec;
     use adapipe_gridsim::node::NodeId;
 
@@ -718,33 +730,53 @@ mod tests {
         NodeId(i)
     }
 
-    fn rig(policy: Policy, np: usize) -> (RuntimeConfig, Mapping) {
-        let profile = PipelineProfile::uniform(vec![1.0; np.min(3)], 0);
-        let mapping = Mapping::from_assignment(&(0..np.min(3)).map(n).collect::<Vec<_>>());
-        let cfg = RuntimeConfig {
-            policy,
-            controller: ControllerConfig::default(),
-            profile,
+    /// A three-stage unit-work chain on `np` unit-speed nodes: the
+    /// substrate, session and run config one launch takes.
+    struct Rig {
+        substrate: RuntimeConfig,
+        session: Session,
+        run: RunConfig,
+    }
+
+    impl Rig {
+        fn launch(self) -> AdaptationLoop {
+            let rates = vec![1.0; self.substrate.speeds.len()];
+            AdaptationLoop::launch(self.substrate, &self.session, &self.run, &rates).0
+        }
+    }
+
+    /// The rig launched one stage per node, with that mapping.
+    fn rig(policy: Policy, np: usize) -> (Rig, Mapping) {
+        let mapping = Mapping::from_assignment(&(0..3).map(n).collect::<Vec<_>>());
+        let substrate = RuntimeConfig {
+            profile: PipelineProfile::uniform(vec![1.0; 3], 0),
             topology: Topology::uniform(np, LinkSpec::lan()),
             speeds: vec![1.0; np],
-            state_bytes: vec![0; np.min(3)],
-            stateless: vec![true; np.min(3)],
-            state_access: vec![],
+            state_bytes: vec![0; 3],
+            state_access: vec![StateAccess::Stateless; 3],
             faults: FaultPlan::new(),
-            total_items: 10_000,
-            observation_noise: 0.0,
-            noise_seed: 1,
-            hooks: crate::session::RunHooks::default(),
-            control: crate::session::SessionControl::default(),
-            session: crate::session::SessionId(0),
+            session: SessionId(0),
         };
-        (cfg, mapping)
+        let run = RunConfig {
+            items: 10_000,
+            initial_mapping: Some(mapping.clone()),
+            ..RunConfig::default()
+        };
+        let session = Session::new(policy, ArrivalProcess::AllAtOnce).expect("valid policy");
+        (
+            Rig {
+                substrate,
+                session,
+                run,
+            },
+            mapping,
+        )
     }
 
     #[test]
     fn static_policy_never_ticks() {
-        let (cfg, mapping) = rig(Policy::Static, 3);
-        let mut aloop = AdaptationLoop::new(cfg, &mapping, &[1.0; 3]);
+        let (rig, mapping) = rig(Policy::Static, 3);
+        let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::new(mapping));
         let mut backend = TestBackend {
             avail: vec![1.0; 3],
@@ -762,9 +794,9 @@ mod tests {
 
     #[test]
     fn periodic_remaps_off_collapsed_node_after_warmup() {
-        let (cfg, mapping) = rig(Policy::periodic_default(), 3);
-        let warmup = cfg.controller.warmup_ticks;
-        let mut aloop = AdaptationLoop::new(cfg, &mapping, &[1.0; 3]);
+        let (rig, mapping) = rig(Policy::periodic_default(), 3);
+        let warmup = rig.run.controller.warmup_ticks;
+        let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::new(mapping.clone()));
         let mut backend = TestBackend {
             avail: vec![1.0, 0.05, 1.0], // node 1 collapsed
@@ -798,15 +830,15 @@ mod tests {
     fn remap_hook_fires_on_commit() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
-        let (mut cfg, mapping) = rig(Policy::periodic_default(), 3);
+        let (mut rig, mapping) = rig(Policy::periodic_default(), 3);
         let fired = Arc::new(AtomicUsize::new(0));
         let seen = Arc::clone(&fired);
-        cfg.hooks = crate::session::RunHooks::on_remap(move |plan| {
+        rig.run.hooks = RunHooks::on_remap(move |plan| {
             assert!(!plan.moved.is_empty());
             seen.fetch_add(1, Ordering::SeqCst);
         });
-        let warmup = cfg.controller.warmup_ticks;
-        let mut aloop = AdaptationLoop::new(cfg, &mapping, &[1.0; 3]);
+        let warmup = rig.run.controller.warmup_ticks;
+        let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::new(mapping));
         let mut backend = TestBackend {
             avail: vec![1.0, 0.05, 1.0],
@@ -826,12 +858,12 @@ mod tests {
 
     #[test]
     fn paused_loop_senses_but_never_commits() {
-        let (mut cfg, mapping) = rig(Policy::periodic_default(), 3);
-        let control = crate::session::SessionControl::new();
-        cfg.control = control.clone();
-        let events = cfg.hooks.events.subscribe();
-        let warmup = cfg.controller.warmup_ticks;
-        let mut aloop = AdaptationLoop::new(cfg, &mapping, &[1.0; 3]);
+        let (mut rig, mapping) = rig(Policy::periodic_default(), 3);
+        let control = SessionControl::new();
+        rig.run.control = control.clone();
+        let events = rig.run.hooks.events.subscribe();
+        let warmup = rig.run.controller.warmup_ticks;
+        let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::new(mapping.clone()));
         let mut backend = TestBackend {
             avail: vec![1.0, 0.05, 1.0], // would force a re-map if live
@@ -852,10 +884,9 @@ mod tests {
         // Window statistics kept flowing while paused.
         let stats: Vec<_> = events.try_iter().collect();
         assert_eq!(stats.len() as u32, warmup + 4);
-        assert!(stats.iter().all(|e| matches!(
-            e,
-            crate::session::RunEvent::WindowStats { paused: true, .. }
-        )));
+        assert!(stats
+            .iter()
+            .all(|e| matches!(e, RunEvent::WindowStats { paused: true, .. })));
         // Resuming lets the collapsed node force the usual re-map.
         control.resume_adaptation();
         let mut committed = false;
@@ -873,16 +904,16 @@ mod tests {
 
     #[test]
     fn forced_tick_bypasses_warmup_and_emits_remap_event() {
-        let (mut cfg, mapping) = rig(Policy::periodic_default(), 3);
+        let (mut rig, mapping) = rig(Policy::periodic_default(), 3);
         // Make acceptance easy so the forced cycle visibly commits.
-        cfg.controller.decision = adapipe_mapper::decide::DecisionConfig {
+        rig.run.controller.decision = adapipe_mapper::decide::DecisionConfig {
             min_relative_gain: 0.0,
             cost_benefit_factor: 0.0,
         };
-        let control = crate::session::SessionControl::new();
-        cfg.control = control.clone();
-        let events = cfg.hooks.events.subscribe();
-        let mut aloop = AdaptationLoop::new(cfg, &mapping, &[1.0; 3]);
+        let control = SessionControl::new();
+        rig.run.control = control.clone();
+        let events = rig.run.hooks.events.subscribe();
+        let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::new(mapping));
         let mut backend = TestBackend {
             avail: vec![1.0, 0.05, 1.0],
@@ -901,21 +932,21 @@ mod tests {
         assert!(!plan.moved.is_empty());
         let remaps: Vec<_> = events
             .try_iter()
-            .filter(|e| matches!(e, crate::session::RunEvent::Remap { .. }))
+            .filter(|e| matches!(e, RunEvent::Remap { .. }))
             .collect();
         assert_eq!(remaps.len(), 1, "Remap event mirrors the commit");
     }
 
     #[test]
     fn reactive_plans_only_on_degradation() {
-        let (cfg, mapping) = rig(
+        let (rig, mapping) = rig(
             Policy::Reactive {
                 interval: SimDuration::from_secs(5),
                 degradation: 0.7,
             },
             3,
         );
-        let mut aloop = AdaptationLoop::new(cfg, &mapping, &[1.0; 3]);
+        let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::new(mapping));
         let mut backend = TestBackend {
             avail: vec![1.0, 0.05, 1.0],
@@ -948,11 +979,11 @@ mod tests {
 
     #[test]
     fn crash_forces_committed_remap_off_dead_node_before_warmup() {
-        let (mut cfg, mapping) = rig(Policy::periodic_default(), 3);
-        cfg.faults = FaultPlan::new().crash(n(1), SimTime::from_secs_f64(2.0));
-        let control = cfg.control.clone();
-        let events = cfg.hooks.events.subscribe();
-        let mut aloop = AdaptationLoop::new(cfg, &mapping, &[1.0; 3]);
+        let (mut rig, mapping) = rig(Policy::periodic_default(), 3);
+        rig.substrate.faults = FaultPlan::new().crash(n(1), SimTime::from_secs_f64(2.0));
+        let control = rig.run.control.clone();
+        let events = rig.run.hooks.events.subscribe();
+        let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::with_selection(
             mapping.clone(),
             crate::routing::Selection::RoundRobin,
@@ -981,10 +1012,8 @@ mod tests {
         let kinds: Vec<_> = events.try_iter().collect();
         assert!(kinds
             .iter()
-            .any(|e| matches!(e, crate::session::RunEvent::NodeDown { node: 1, .. })));
-        assert!(kinds
-            .iter()
-            .any(|e| matches!(e, crate::session::RunEvent::Remap { .. })));
+            .any(|e| matches!(e, RunEvent::NodeDown { node: 1, .. })));
+        assert!(kinds.iter().any(|e| matches!(e, RunEvent::Remap { .. })));
         // Idempotent: polling again does nothing further.
         let again = aloop.poll_faults(&mut backend, &routing);
         assert!(again.committed.is_none() && !again.fatal);
@@ -992,13 +1021,13 @@ mod tests {
 
     #[test]
     fn outage_marks_down_then_up_in_routing() {
-        let (mut cfg, mapping) = rig(Policy::periodic_default(), 3);
-        cfg.faults = FaultPlan::new().outage(
+        let (mut rig, mapping) = rig(Policy::periodic_default(), 3);
+        rig.substrate.faults = FaultPlan::new().outage(
             n(2),
             SimTime::from_secs_f64(1.0),
             SimTime::from_secs_f64(4.0),
         );
-        let mut aloop = AdaptationLoop::new(cfg, &mapping, &[1.0; 3]);
+        let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::with_selection(
             mapping,
             crate::routing::Selection::RoundRobin,
@@ -1020,11 +1049,11 @@ mod tests {
 
     #[test]
     fn stateful_stage_on_crashed_node_is_fatal() {
-        let (mut cfg, mapping) = rig(Policy::periodic_default(), 3);
-        cfg.stateless = vec![true, false, true]; // stage 1 stateful on n1
-        cfg.faults = FaultPlan::new().crash(n(1), SimTime::from_secs_f64(1.0));
-        let control = cfg.control.clone();
-        let mut aloop = AdaptationLoop::new(cfg, &mapping, &[1.0; 3]);
+        let (mut rig, mapping) = rig(Policy::periodic_default(), 3);
+        rig.substrate.state_access[1] = StateAccess::Opaque; // stage 1 stateful on n1
+        rig.substrate.faults = FaultPlan::new().crash(n(1), SimTime::from_secs_f64(1.0));
+        let control = rig.run.control.clone();
+        let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::with_selection(
             mapping,
             crate::routing::Selection::RoundRobin,
@@ -1040,7 +1069,7 @@ mod tests {
         assert!(outcome.fatal);
         assert_eq!(
             control.error(),
-            Some(crate::session::RunError::StatefulStageLost { stage: 1, node: 1 })
+            Some(RunError::StatefulStageLost { stage: 1, node: 1 })
         );
     }
 
@@ -1050,17 +1079,16 @@ mod tests {
         // the stage *declares* its state: keyed shards are
         // snapshottable, so the loop forces a recovery re-map that
         // moves the shards — no typed abort.
-        let (mut cfg, mapping) = rig(Policy::periodic_default(), 3);
-        cfg.stateless = vec![true, true, true]; // keyed is replicable
-        cfg.state_access = vec![
+        let (mut rig, mapping) = rig(Policy::periodic_default(), 3);
+        rig.substrate.state_access = vec![
             StateAccess::Stateless,
             StateAccess::Keyed { shards: 4 },
             StateAccess::Stateless,
         ];
-        cfg.state_bytes = vec![0, 4096, 0];
-        cfg.faults = FaultPlan::new().crash(n(1), SimTime::from_secs_f64(1.0));
-        let control = cfg.control.clone();
-        let mut aloop = AdaptationLoop::new(cfg, &mapping, &[1.0; 3]);
+        rig.substrate.state_bytes = vec![0, 4096, 0];
+        rig.substrate.faults = FaultPlan::new().crash(n(1), SimTime::from_secs_f64(1.0));
+        let control = rig.run.control.clone();
+        let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::with_selection(
             mapping,
             crate::routing::Selection::RoundRobin,
@@ -1086,17 +1114,16 @@ mod tests {
     fn exclusive_state_migrates_as_one_unit_on_crash() {
         // Declared exclusive state on the crashed node: one
         // whole-instance migration, full byte charge, no abort.
-        let (mut cfg, mapping) = rig(Policy::periodic_default(), 3);
-        cfg.stateless = vec![true, false, true];
-        cfg.state_access = vec![
+        let (mut rig, mapping) = rig(Policy::periodic_default(), 3);
+        rig.substrate.state_access = vec![
             StateAccess::Stateless,
             StateAccess::Exclusive,
             StateAccess::Stateless,
         ];
-        cfg.state_bytes = vec![0, 1000, 0];
-        cfg.faults = FaultPlan::new().crash(n(1), SimTime::from_secs_f64(1.0));
-        let control = cfg.control.clone();
-        let mut aloop = AdaptationLoop::new(cfg, &mapping, &[1.0; 3]);
+        rig.substrate.state_bytes = vec![0, 1000, 0];
+        rig.substrate.faults = FaultPlan::new().crash(n(1), SimTime::from_secs_f64(1.0));
+        let control = rig.run.control.clone();
+        let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::with_selection(
             mapping,
             crate::routing::Selection::RoundRobin,
@@ -1121,15 +1148,15 @@ mod tests {
     fn stateful_stage_survives_a_finite_outage() {
         // An outage is recoverable: the stage's items park and the node
         // (with its state) comes back — no fatal error, unlike a crash.
-        let (mut cfg, mapping) = rig(Policy::periodic_default(), 3);
-        cfg.stateless = vec![true, false, true]; // stage 1 stateful on n1
-        cfg.faults = FaultPlan::new().outage(
+        let (mut rig, mapping) = rig(Policy::periodic_default(), 3);
+        rig.substrate.state_access[1] = StateAccess::Opaque; // stage 1 stateful on n1
+        rig.substrate.faults = FaultPlan::new().outage(
             n(1),
             SimTime::from_secs_f64(1.0),
             SimTime::from_secs_f64(3.0),
         );
-        let control = cfg.control.clone();
-        let mut aloop = AdaptationLoop::new(cfg, &mapping, &[1.0; 3]);
+        let control = rig.run.control.clone();
+        let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::with_selection(
             mapping,
             crate::routing::Selection::RoundRobin,
@@ -1150,13 +1177,13 @@ mod tests {
 
     #[test]
     fn all_nodes_down_is_fatal() {
-        let (mut cfg, mapping) = rig(Policy::periodic_default(), 3);
-        cfg.faults = FaultPlan::new()
+        let (mut rig, mapping) = rig(Policy::periodic_default(), 3);
+        rig.substrate.faults = FaultPlan::new()
             .crash(n(0), SimTime::from_secs_f64(1.0))
             .crash(n(1), SimTime::from_secs_f64(1.0))
             .crash(n(2), SimTime::from_secs_f64(1.0));
-        let control = cfg.control.clone();
-        let mut aloop = AdaptationLoop::new(cfg, &mapping, &[1.0; 3]);
+        let control = rig.run.control.clone();
+        let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::with_selection(
             mapping,
             crate::routing::Selection::RoundRobin,
@@ -1169,18 +1196,15 @@ mod tests {
             completed: 0,
         };
         assert!(aloop.poll_faults(&mut backend, &routing).fatal);
-        assert_eq!(
-            control.error(),
-            Some(crate::session::RunError::AllNodesDown)
-        );
+        assert_eq!(control.error(), Some(RunError::AllNodesDown));
     }
 
     #[test]
     fn static_policy_marks_down_but_never_remaps_and_fails_on_permanent_loss() {
-        let (mut cfg, mapping) = rig(Policy::Static, 3);
-        cfg.faults = FaultPlan::new().crash(n(1), SimTime::from_secs_f64(1.0));
-        let control = cfg.control.clone();
-        let mut aloop = AdaptationLoop::new(cfg, &mapping, &[1.0; 3]);
+        let (mut rig, mapping) = rig(Policy::Static, 3);
+        rig.substrate.faults = FaultPlan::new().crash(n(1), SimTime::from_secs_f64(1.0));
+        let control = rig.run.control.clone();
+        let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::with_selection(
             mapping.clone(),
             crate::routing::Selection::RoundRobin,
@@ -1201,21 +1225,21 @@ mod tests {
         assert!(outcome.fatal);
         assert_eq!(
             control.error(),
-            Some(crate::session::RunError::NodeLostUnderStatic { node: 1 })
+            Some(RunError::NodeLostUnderStatic { node: 1 })
         );
     }
 
     #[test]
     fn regret_guard_reverts_underperforming_mapping() {
-        let (mut cfg, mapping) = rig(Policy::periodic_default(), 3);
+        let (mut rig, mapping) = rig(Policy::periodic_default(), 3);
         // Make the planner remap-happy and the guard fast.
-        cfg.controller.decision = adapipe_mapper::decide::DecisionConfig {
+        rig.run.controller.decision = adapipe_mapper::decide::DecisionConfig {
             min_relative_gain: 0.0,
             cost_benefit_factor: 0.0,
         };
-        cfg.controller.guard_bad_ticks = 2;
-        let guard_hold = cfg.controller.guard_hold_ticks;
-        let mut aloop = AdaptationLoop::new(cfg, &mapping, &[1.0; 3]);
+        rig.run.controller.guard_bad_ticks = 2;
+        let guard_hold = rig.run.controller.guard_hold_ticks;
+        let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::new(mapping.clone()));
         let mut backend = TestBackend {
             avail: vec![1.0, 0.05, 1.0],
@@ -1261,5 +1285,29 @@ mod tests {
                 "hold-down violated"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "mapping must cover every stage")]
+    fn launch_rejects_a_mapping_of_the_wrong_arity() {
+        let (mut rig, _) = rig(Policy::Static, 3);
+        rig.run.initial_mapping = Some(Mapping::from_assignment(&[n(0), n(1)]));
+        rig.launch();
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 3-node backend")]
+    fn launch_rejects_a_mapping_onto_a_node_the_backend_lacks() {
+        let (mut rig, _) = rig(Policy::Static, 3);
+        rig.run.initial_mapping = Some(Mapping::from_assignment(&[n(0), n(1), n(3)]));
+        rig.launch();
+    }
+
+    #[test]
+    #[should_panic(expected = "topology must cover every node")]
+    fn launch_rejects_a_topology_that_does_not_cover_the_pool() {
+        let (mut rig, _) = rig(Policy::Static, 3);
+        rig.substrate.topology = Topology::uniform(2, LinkSpec::lan());
+        rig.launch();
     }
 }

@@ -67,13 +67,6 @@ pub trait ExecutionBackend {
     /// routing table has already been swapped when this is called.
     fn commit_remap(&mut self, plan: &RemapPlan);
 
-    /// Instrumentation hook a backend invokes on itself when it starts
-    /// an item on a stage replica (the simulation backend calls it from
-    /// its dispatch path; backends whose dispatch is distributed across
-    /// worker threads, like the threaded engine, cannot). The default
-    /// does nothing; override to count or trace per-replica dispatch.
-    fn on_dispatch(&mut self, _stage: usize, _node: usize, _item: u64) {}
-
     /// A node of the run's fault plan went down at `at` (the routing
     /// table has already been updated to exclude it). Backends override
     /// this to do the physical part: the threaded engine wakes the dead

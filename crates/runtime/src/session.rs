@@ -8,9 +8,8 @@
 //!   return instead of panicking;
 //! * [`Session`] — a validated (policy, arrivals) pair: constructing one
 //!   enforces every policy/arrival compatibility rule;
-//! * [`RunConfig`] — the single run-time knob set shared by all
-//!   backends, replacing the per-backend halves of `SimConfig` and
-//!   `EngineConfig`;
+//! * [`RunConfig`] — the one run configuration: every backend, and the
+//!   adaptation loop under them, reads it in place;
 //! * [`RunHooks`] — live observation callbacks the adaptation loop
 //!   invokes while the pipeline runs;
 //! * [`RunEvent`] / [`EventBus`] — the broadcast generalisation of
@@ -843,10 +842,26 @@ pub enum TryNext<O> {
     Done,
 }
 
-/// Backend-independent run-time knobs for one pipeline run — the single
-/// config every backend consumes. Fields a backend cannot honour are
-/// documented as such and ignored there (they do not error: a scenario
-/// parameterised by backend sets them once).
+/// The run configuration of one pipeline run — the only one: every
+/// backend takes it beside the validated [`Session`] and reads it in
+/// place, as does the adaptation loop they launch.
+///
+/// A field a backend has no use for is ignored there and does not
+/// error, so a scenario parameterised by backend sets it once:
+///
+/// | field | simulation | threads |
+/// |---|---|---|
+/// | `selection` | honoured | round-robin only (the facade rejects `LeastLoaded`) |
+/// | `timeline_bucket: None` | 5 s, simulated | 500 ms, wall |
+/// | `topology` | ignored: plans on the grid's own | honoured |
+/// | `link_contention` | honoured | ignored |
+/// | `emulate_links` | ignored | honoured |
+/// | `max_sim_time` | honoured | ignored |
+/// | `queue_capacity` | ignored: no wall-clock memory pressure | honoured |
+/// | `batch_size` | ignored: no per-message overhead | honoured |
+///
+/// Every other field means the same on both. A shared pool (a cluster)
+/// runs all its tenants under its own fault plan in place of `faults`.
 #[derive(Clone, Debug)]
 pub struct RunConfig {
     /// Stream length for batch `run()`. A streaming session's true
@@ -858,35 +873,36 @@ pub struct RunConfig {
     /// Launch mapping; `None` plans one from availability at start.
     pub initial_mapping: Option<Mapping>,
     /// How items are dealt among a replicated stage's hosts.
-    /// Least-loaded needs a queue-depth probe and is rejected by the
-    /// threaded backend.
+    /// Least-loaded needs a queue-depth probe.
     pub selection: Selection,
     /// Relative magnitude of availability observation noise (0 = clean).
     pub observation_noise: f64,
     /// Seed for the observation noise stream.
     pub noise_seed: u64,
     /// Bucket width of the reported throughput timeline; `None` uses
-    /// the backend's native default (5 s simulated, 500 ms wall).
+    /// the backend's own default.
     pub timeline_bucket: Option<SimDuration>,
-    /// Planning topology override. The simulation backend always plans
-    /// on the grid's own topology; the threaded backend defaults to
-    /// uniform local links.
+    /// Planning topology; `None` is uniform local links.
     pub topology: Option<Topology>,
-    /// Serialise per-direction link transfers (simulation backend only).
+    /// Serialise per-direction link transfers (adds contention the
+    /// analytic model ignores).
     pub link_contention: bool,
-    /// Emulate network cost on cross-node boundaries (threaded backend
-    /// only).
+    /// Emulate network cost on stage boundaries: before handing an item
+    /// to a *different* node, the sending worker sleeps the planning
+    /// topology's transfer time for the boundary's declared bytes
+    /// (NIC-serialisation semantics). Off, the planner treats links as
+    /// free.
     pub emulate_links: bool,
-    /// Resequence outputs by item index (threaded backend only).
+    /// A live session delivers outputs in push order (resequenced by
+    /// item index); off, in completion order.
     pub preserve_order: bool,
-    /// Safety horizon: a simulated run stops (truncated) past this time.
+    /// Safety horizon: the run stops (truncated) past this time.
     pub max_sim_time: SimDuration,
     /// Live observation callbacks.
     pub hooks: RunHooks,
     /// Per-stage-boundary queue bound for streaming sessions. `None`
-    /// leaves queues unbounded (the legacy batch behaviour). With
-    /// `Some(c)` the threaded backend caps the total in-flight item
-    /// count at `c × (stages + 1)` — one bounded buffer per stage
+    /// leaves queues unbounded (the legacy batch behaviour). `Some(c)`
+    /// caps the total in-flight item count at `c × (stages + 1)` — one bounded buffer per stage
     /// boundary, source and sink included — so `push()` blocks under
     /// real backpressure instead of queueing without limit. The bound
     /// is enforced end-to-end (a completion frees a slot) rather than
@@ -894,23 +910,21 @@ pub struct RunConfig {
     /// per-channel blocking sends can deadlock (worker A full and
     /// blocked sending to full worker B, which is blocked sending back
     /// to A), while an end-to-end credit never blocks a worker and
-    /// still bounds every inter-stage queue by the same total. The
-    /// simulation backend models no wall-clock memory pressure and
-    /// ignores the knob.
+    /// still bounds every inter-stage queue by the same total. Must be
+    /// ≥ 1.
     pub queue_capacity: Option<usize>,
-    /// Envelope batch granularity for the threaded backend: up to this
-    /// many pushed items ship as one routed envelope, and stage exits
-    /// batch their outputs the same way, amortising channel-send,
-    /// routing, and credit overhead across the batch. A sender-side
-    /// choice between latency and throughput: at `1` (the default)
-    /// every push ships at once, and a worker that finds a backlog of
-    /// such envelopes merges it itself, one clock window (≤ 64 items,
-    /// ≤ 1 ms) at a time; raise it (64–256 is typical) when the pushing
-    /// thread is the bottleneck. Buffered input flushes on `close()`, on any
-    /// output-side call, and before blocking on the credit gate, so
-    /// batching never deadlocks against `queue_capacity`; the credit
-    /// gate still accounts per item. The simulation backend models no
-    /// per-message overhead and ignores the knob.
+    /// Envelope batch granularity: up to this many pushed items ship as
+    /// one routed envelope, and stage exits batch their outputs the
+    /// same way, amortising channel-send, routing, and credit overhead
+    /// across the batch. A sender-side choice between latency and
+    /// throughput: at `1` (the default) every push ships at once, and a
+    /// worker that finds a backlog of such envelopes merges it itself,
+    /// one clock window (≤ 64 items, ≤ 1 ms) at a time; raise it
+    /// (64–256 is typical) when the pushing thread is the bottleneck.
+    /// Buffered input flushes on `close()`, on any output-side call,
+    /// and before blocking on the credit gate, so batching never
+    /// deadlocks against `queue_capacity`; the credit gate still
+    /// accounts per item.
     pub batch_size: usize,
     /// In-flight steering flags (pause/resume/force re-map) shared with
     /// the session that owns the run.
@@ -990,6 +1004,17 @@ impl Session {
     /// The arrival process.
     pub fn arrivals(&self) -> ArrivalProcess {
         self.arrivals
+    }
+}
+
+/// A static mapping over a stream that is all present at `t = 0` — the
+/// pair a run that declares neither gets.
+impl Default for Session {
+    fn default() -> Self {
+        Session {
+            policy: Policy::Static,
+            arrivals: ArrivalProcess::AllAtOnce,
+        }
     }
 }
 

@@ -3,8 +3,6 @@
 //! Workload generators and domain kernels for the adaptive-pipeline
 //! evaluation:
 //!
-//! * [`cost`] — per-item work distributions (exponential, Pareto,
-//!   bimodal) implementing [`adapipe_core::spec::WorkModel`];
 //! * [`imaging`] — a real image-processing pipeline (3×3 box blur,
 //!   Sobel, quantisation) over deterministic synthetic frames;
 //! * [`signal`] — a real FIR filter-chain pipeline over synthetic sample
@@ -16,14 +14,12 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod cost;
 pub mod imaging;
 pub mod scenario;
 pub mod signal;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::cost::{BimodalWork, ExponentialWork, ParetoWork};
     pub use crate::imaging::{blur, imaging_pipeline, quantise, sobel, Image};
     pub use crate::scenario::{synth_items, synth_pipeline, synthetic_spec, CostShape, SynthItem};
     pub use crate::signal::{fir, lowpass_taps, signal_pipeline, Frame};

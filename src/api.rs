@@ -108,7 +108,7 @@
 use adapipe_cluster::sim::SimCluster;
 use adapipe_cluster::threads::ThreadCluster;
 use adapipe_core::pipeline::Pipeline as CorePipeline;
-use adapipe_core::simengine::{self, SimConfig};
+use adapipe_core::simengine;
 use adapipe_core::simsession::{self, SimSession};
 use adapipe_core::spec::{
     PipelineSpec, ResiliencePolicy, StageGraph, StageGraphBuilder, StageSpec,
@@ -117,7 +117,7 @@ use adapipe_core::stage::{
     clone_fn, fan_out_fn, fan_out_from_clone, AccumStage, CloneFn, DynStage, FallibleFnStage,
     FanOutFn, FnStage, KeyFn, KeyedStage, MergeStage, SealedStage, SnapStage, StatefulFnStage,
 };
-use adapipe_engine::exec::{self, EngineConfig, EngineSession};
+use adapipe_engine::exec::{self, EngineSession};
 use adapipe_engine::vnode::VNodeSpec;
 use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::grid::GridSpec;
@@ -325,17 +325,18 @@ impl<I: Send + 'static, O: Send + 'static> Pipeline<I, O> {
         let control = cfg.control.clone();
         let bus = cfg.hooks.events.clone();
         let inner = match backend {
-            Backend::Sim(grid) => {
-                let preserve_order = cfg.preserve_order;
-                let sim_cfg = sim_config(&self.session, cfg);
-                let sim = simsession::spawn(grid, self.core, &sim_cfg, preserve_order);
-                SessionInner::Sim(Box::new(sim))
-            }
-            Backend::Threads(vnodes) => {
-                let items = cfg.items;
-                let engine_cfg = engine_config(&self.session, vnodes, cfg);
-                SessionInner::Threads(Box::new(exec::spawn(self.core, &engine_cfg, items)))
-            }
+            Backend::Sim(grid) => SessionInner::Sim(Box::new(simsession::spawn(
+                grid,
+                self.core,
+                &self.session,
+                &cfg,
+            ))),
+            Backend::Threads(vnodes) => SessionInner::Threads(Box::new(exec::spawn(
+                self.core,
+                vnodes,
+                &self.session,
+                &cfg,
+            ))),
         };
         Ok(RunSession {
             inner,
@@ -362,17 +363,15 @@ impl<I: Send + 'static, O: Send + 'static> Pipeline<I, O> {
         self.validate_run(&backend, &cfg)?;
         let control = cfg.control.clone();
         let (outputs, report) = match backend {
-            Backend::Sim(grid) => {
-                let sim_cfg = sim_config(&self.session, cfg);
-                (Vec::new(), simengine::run(grid, self.spec(), &sim_cfg))
-            }
+            Backend::Sim(grid) => (
+                Vec::new(),
+                simengine::run(grid, self.spec(), &self.session, &cfg),
+            ),
             Backend::Threads(vnodes) => {
                 let feed = self
                     .feed
                     .ok_or(BuildError::MissingFeed { backend: "threads" })?;
-                let items = cfg.items;
-                let engine_cfg = engine_config(&self.session, vnodes, cfg);
-                let outcome = exec::execute_fed(self.core, items, feed, &engine_cfg);
+                let outcome = exec::execute_fed(self.core, feed, vnodes, &self.session, &cfg);
                 (outcome.outputs, outcome.report)
             }
         };
@@ -381,56 +380,6 @@ impl<I: Send + 'static, O: Send + 'static> Pipeline<I, O> {
             report,
             error: control.error(),
         })
-    }
-}
-
-/// Translates the backend-independent [`RunConfig`] (plus the validated
-/// session's policy/arrivals) into the threaded backend's config — the
-/// one place `spawn()`, batch `run()` and [`Cluster::admit`] all go
-/// through.
-fn engine_config(session: &Session, vnodes: Vec<VNodeSpec>, cfg: RunConfig) -> EngineConfig {
-    let mut engine_cfg = EngineConfig::new(vnodes);
-    engine_cfg.policy = session.policy();
-    engine_cfg.controller = cfg.controller;
-    engine_cfg.initial_mapping = cfg.initial_mapping;
-    engine_cfg.preserve_order = cfg.preserve_order;
-    engine_cfg.arrivals = session.arrivals();
-    engine_cfg.topology = cfg.topology;
-    engine_cfg.observation_noise = cfg.observation_noise;
-    engine_cfg.noise_seed = cfg.noise_seed;
-    if let Some(bucket) = cfg.timeline_bucket {
-        engine_cfg.timeline_bucket = bucket;
-    }
-    engine_cfg.emulate_links = cfg.emulate_links;
-    engine_cfg.hooks = cfg.hooks;
-    engine_cfg.queue_capacity = cfg.queue_capacity;
-    engine_cfg.batch_size = cfg.batch_size;
-    engine_cfg.control = cfg.control;
-    engine_cfg.faults = cfg.faults;
-    engine_cfg
-}
-
-/// [`engine_config`]'s counterpart for the simulation backend: a
-/// standalone session owning the whole grid (a cluster overrides the
-/// share, the id and the fault plan at admission).
-fn sim_config(session: &Session, cfg: RunConfig) -> SimConfig {
-    let defaults = SimConfig::default();
-    SimConfig {
-        items: cfg.items,
-        arrivals: session.arrivals(),
-        policy: session.policy(),
-        controller: cfg.controller,
-        initial_mapping: cfg.initial_mapping,
-        selection: cfg.selection,
-        observation_noise: cfg.observation_noise,
-        noise_seed: cfg.noise_seed,
-        timeline_bucket: cfg.timeline_bucket.unwrap_or(defaults.timeline_bucket),
-        link_contention: cfg.link_contention,
-        max_sim_time: cfg.max_sim_time,
-        hooks: cfg.hooks,
-        control: cfg.control,
-        faults: cfg.faults,
-        ..defaults
     }
 }
 
@@ -801,17 +750,14 @@ impl<'g> Cluster<'g> {
         let inner = match &mut self.inner {
             ClusterInner::Sim(sc) => {
                 pipeline.validate_run(&Backend::Sim(sc.grid()), &cfg.run)?;
-                let preserve_order = cfg.run.preserve_order;
-                let sim_cfg = sim_config(&pipeline.session, cfg.run);
-                let sim = sc.admit(pipeline.core, sim_cfg, cfg.quota, preserve_order)?;
+                let sim = sc.admit(pipeline.core, &pipeline.session, cfg.run, cfg.quota)?;
                 SessionInner::Sim(Box::new(sim))
             }
             ClusterInner::Threads(tc) => {
                 let vnodes = tc.pool().vnode_specs().to_vec();
-                pipeline.validate_run(&Backend::Threads(vnodes.clone()), &cfg.run)?;
-                let items = cfg.run.items;
-                let engine_cfg = engine_config(&pipeline.session, vnodes, cfg.run);
-                let engine = exec::attach(tc.pool(), pipeline.core, &engine_cfg, items, false);
+                pipeline.validate_run(&Backend::Threads(vnodes), &cfg.run)?;
+                let engine =
+                    exec::attach(tc.pool(), pipeline.core, &pipeline.session, &cfg.run, false);
                 tc.register(engine.tenant_handle(), cfg.quota);
                 SessionInner::Threads(Box::new(engine))
             }

@@ -28,9 +28,9 @@
 //! assembly, fan-out order) is written once in [`core::item`]; the
 //! threaded workers and the simulator's
 //! [`core::simsession::SimSession`] both call it; and [`api`] only
-//! validates, translates [`api::RunConfig`] into the backend's config,
-//! and delegates every session and cluster method to the backend's own
-//! type — it executes no stage. The stage topology is
+//! validates, hands the backend the pipeline's session and the caller's
+//! [`api::RunConfig`] as they are, and delegates every session and
+//! cluster method to the backend's own type — it executes no stage. The stage topology is
 //! one first-class *DAG*: [`api::PipelineBuilder::stage`] chains and
 //! [`api::PipelineBuilder::parallel`] / [`api::ParallelBuilder::merge`]
 //! blocks are sugar that emits edges, [`api::DagBuilder`] (via

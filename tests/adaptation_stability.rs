@@ -7,6 +7,10 @@
 
 use adapipe::core::simengine::run as sim_run;
 use adapipe::prelude::*;
+/// `policy` over a stream that is all present at `t = 0`.
+fn under(policy: Policy) -> Session {
+    Session::new(policy, ArrivalProcess::AllAtOnce).expect("a valid policy")
+}
 
 /// Two of four nodes oscillate 1.0 ↔ 0.1 with a period near the
 /// adaptation interval — the adversarial regime.
@@ -37,20 +41,13 @@ fn oscillating_load_never_causes_large_loss() {
     for period_s in [4u64, 10, 20] {
         let grid = wave_grid(period_s);
         let spec = PipelineSpec::balanced(4, 1.0, 10_000);
-        let mk = |policy| SimConfig {
+        let cfg = RunConfig {
             items: 400,
-            policy,
             initial_mapping: Some(spread4()),
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let static_r = sim_run(&grid, &spec, &mk(Policy::Static));
-        let adaptive_r = sim_run(
-            &grid,
-            &spec,
-            &mk(Policy::Periodic {
-                interval: SimDuration::from_secs(5),
-            }),
-        );
+        let static_r = sim_run(&grid, &spec, &under(Policy::Static), &cfg);
+        let adaptive_r = sim_run(&grid, &spec, &under(Policy::periodic_default()), &cfg);
         assert_eq!(adaptive_r.completed, 400);
         let ratio = adaptive_r.makespan.as_secs_f64() / static_r.makespan.as_secs_f64();
         assert!(
@@ -68,13 +65,10 @@ fn oscillating_load_never_causes_large_loss() {
 fn confirmation_limits_churn() {
     let grid = wave_grid(10);
     let spec = PipelineSpec::balanced(4, 1.0, 10_000);
-    let mut confirmed_cfg = SimConfig {
+    let mut confirmed_cfg = RunConfig {
         items: 400,
-        policy: Policy::Periodic {
-            interval: SimDuration::from_secs(5),
-        },
         initial_mapping: Some(spread4()),
-        ..SimConfig::default()
+        ..RunConfig::default()
     };
     confirmed_cfg.controller.warmup_ticks = 2;
     confirmed_cfg.controller.confirm_ticks = 2;
@@ -87,8 +81,9 @@ fn confirmation_limits_churn() {
         cost_benefit_factor: 0.0,
     };
 
-    let confirmed = sim_run(&grid, &spec, &confirmed_cfg);
-    let naive = sim_run(&grid, &spec, &naive_cfg);
+    let periodic = under(Policy::periodic_default());
+    let confirmed = sim_run(&grid, &spec, &periodic, &confirmed_cfg);
+    let naive = sim_run(&grid, &spec, &periodic, &naive_cfg);
     assert!(
         confirmed.adaptation_count() <= naive.adaptation_count(),
         "confirmation must not re-map more than naive ({} vs {})",
@@ -119,17 +114,14 @@ fn warmup_delays_first_adaptation() {
         )
         .apply(&mut grid);
     let spec = PipelineSpec::balanced(3, 1.0, 0);
-    let mut cfg = SimConfig {
+    let mut cfg = RunConfig {
         items: 300,
-        policy: Policy::Periodic {
-            interval: SimDuration::from_secs(5),
-        },
         initial_mapping: Some(Mapping::from_assignment(&[NodeId(0), NodeId(1), NodeId(2)])),
-        ..SimConfig::default()
+        ..RunConfig::default()
     };
     cfg.controller.warmup_ticks = 4;
     cfg.controller.confirm_ticks = 2;
-    let report = sim_run(&grid, &spec, &cfg);
+    let report = sim_run(&grid, &spec, &under(Policy::periodic_default()), &cfg);
     assert!(
         report.adaptation_count() >= 1,
         "fault must eventually be handled"
@@ -150,20 +142,20 @@ fn reactive_plans_less_than_periodic() {
     let grid = testbed_small3();
     let spec = PipelineSpec::balanced(3, 1.0, 0);
     let interval = SimDuration::from_secs(5);
-    let mk = |policy| SimConfig {
+    let cfg = RunConfig {
         items: 400,
-        policy,
         initial_mapping: Some(Mapping::from_assignment(&[NodeId(0), NodeId(1), NodeId(2)])),
-        ..SimConfig::default()
+        ..RunConfig::default()
     };
-    let periodic = sim_run(&grid, &spec, &mk(Policy::Periodic { interval }));
+    let periodic = sim_run(&grid, &spec, &under(Policy::Periodic { interval }), &cfg);
     let reactive = sim_run(
         &grid,
         &spec,
-        &mk(Policy::Reactive {
+        &under(Policy::Reactive {
             interval,
             degradation: 0.7,
         }),
+        &cfg,
     );
     assert!(periodic.planning_cycles > 0);
     assert_eq!(
@@ -180,17 +172,14 @@ fn noise_alone_never_triggers_remapping() {
     let grid = testbed_small3();
     let spec = PipelineSpec::balanced(3, 1.0, 0);
     for seed in [1u64, 2, 3] {
-        let cfg = SimConfig {
+        let cfg = RunConfig {
             items: 300,
-            policy: Policy::Periodic {
-                interval: SimDuration::from_secs(5),
-            },
             initial_mapping: Some(Mapping::from_assignment(&[NodeId(0), NodeId(1), NodeId(2)])),
             observation_noise: 0.10,
             noise_seed: seed,
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let report = sim_run(&grid, &spec, &cfg);
+        let report = sim_run(&grid, &spec, &under(Policy::periodic_default()), &cfg);
         assert_eq!(
             report.adaptation_count(),
             0,
@@ -213,16 +202,13 @@ fn observation_noise_does_not_break_adaptation() {
         )
         .apply(&mut grid);
     let spec = PipelineSpec::balanced(3, 1.0, 0);
-    let cfg = SimConfig {
+    let cfg = RunConfig {
         items: 400,
         initial_mapping: Some(Mapping::from_assignment(&[NodeId(0), NodeId(1), NodeId(2)])),
-        policy: Policy::Periodic {
-            interval: SimDuration::from_secs(5),
-        },
         observation_noise: 0.10,
-        ..SimConfig::default()
+        ..RunConfig::default()
     };
-    let report = sim_run(&grid, &spec, &cfg);
+    let report = sim_run(&grid, &spec, &under(Policy::periodic_default()), &cfg);
     assert_eq!(report.completed, 400);
     assert!(report.adaptation_count() >= 1);
 }
@@ -237,13 +223,10 @@ fn regret_guard_reverts_underperforming_remap() {
     let spec = PipelineSpec::balanced(4, 1.0, 0);
     let mapping = spread4();
 
-    let mut with_guard = SimConfig {
+    let mut with_guard = RunConfig {
         items: 400,
-        policy: Policy::Periodic {
-            interval: SimDuration::from_secs(5),
-        },
         initial_mapping: Some(mapping.clone()),
-        ..SimConfig::default()
+        ..RunConfig::default()
     };
     with_guard.controller.decision = adapipe::mapper::decide::DecisionConfig {
         min_relative_gain: 0.0,
@@ -253,15 +236,16 @@ fn regret_guard_reverts_underperforming_remap() {
     let mut without_guard = with_guard.clone();
     without_guard.controller.guard_bad_ticks = 0; // disable
 
-    let static_cfg = SimConfig {
+    let static_cfg = RunConfig {
         items: 400,
         initial_mapping: Some(mapping),
-        ..SimConfig::default()
+        ..RunConfig::default()
     };
 
-    let guarded = sim_run(&grid, &spec, &with_guard);
-    let unguarded = sim_run(&grid, &spec, &without_guard);
-    let static_r = sim_run(&grid, &spec, &static_cfg);
+    let periodic = under(Policy::periodic_default());
+    let guarded = sim_run(&grid, &spec, &periodic, &with_guard);
+    let unguarded = sim_run(&grid, &spec, &periodic, &without_guard);
+    let static_r = sim_run(&grid, &spec, &Session::default(), &static_cfg);
     assert_eq!(guarded.completed, 400);
     assert_eq!(unguarded.completed, 400);
     // The guard must not make things worse than the unguarded

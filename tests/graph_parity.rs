@@ -133,18 +133,18 @@ fn sugar_built_graph_is_its_edge_wired_twin_to_model_and_planner() {
 
 #[test]
 fn sugar_and_edge_wired_specs_produce_equal_sim_run_reports() {
-    use adapipe::core::simengine::{run, SimConfig};
+    use adapipe::core::simengine::run;
     let (sugar, wired) = sugar_and_wired_specs();
     let grid = testbed_hetero8(42);
-    let cfg = SimConfig {
+    let cfg = RunConfig {
         items: 250,
-        policy: Policy::periodic_default(),
         observation_noise: 0.05,
         noise_seed: 1234,
-        ..SimConfig::default()
+        ..RunConfig::default()
     };
-    let a = run(&grid, &sugar, &cfg);
-    let b = run(&grid, &wired, &cfg);
+    let session = Session::new(Policy::periodic_default(), ArrivalProcess::AllAtOnce).unwrap();
+    let a = run(&grid, &sugar, &session, &cfg);
+    let b = run(&grid, &wired, &session, &cfg);
     assert_eq!(a.makespan, b.makespan);
     assert_eq!(a.mean_latency, b.mean_latency);
     assert_eq!(a.final_mapping, b.final_mapping);

@@ -20,10 +20,11 @@ fn measured_service_times_match_configuration() {
     let report = sim_run(
         &grid,
         &spec,
-        &SimConfig {
+        &Session::default(),
+        &RunConfig {
             items: 100,
             initial_mapping: Some(Mapping::from_assignment(&[NodeId(0), NodeId(1), NodeId(2)])),
-            ..SimConfig::default()
+            ..RunConfig::default()
         },
     );
     for (s, want) in [(0usize, 1.0f64), (1, 2.0), (2, 3.0)] {
@@ -48,10 +49,11 @@ fn measured_effective_rate_reflects_background_load() {
     let report = sim_run(
         &grid,
         &spec,
-        &SimConfig {
+        &Session::default(),
+        &RunConfig {
             items: 50,
             initial_mapping: Some(Mapping::from_assignment(&[NodeId(0)])),
-            ..SimConfig::default()
+            ..RunConfig::default()
         },
     );
     let rate = report.stage_metrics.stage(0).effective_rate().unwrap();
@@ -66,8 +68,13 @@ fn threaded_engine_reports_stage_metrics() {
             x
         })
         .build();
-    let cfg = EngineConfig::new(vec![VNodeSpec::free("v0")]);
-    let outcome = run_pipeline(pipeline, (0..30).collect(), &cfg);
+    let outcome = run_pipeline(
+        pipeline,
+        (0..30).collect(),
+        vec![VNodeSpec::free("v0")],
+        &Session::default(),
+        &RunConfig::default(),
+    );
     let stats = outcome.report.stage_metrics.stage(0);
     assert_eq!(stats.count(), 30);
     let mean_ms = stats.mean_service().unwrap().as_secs_f64() * 1e3;
@@ -89,10 +96,17 @@ fn slowdown_is_visible_in_measured_service() {
             })
             .build()
     };
-    let fast_cfg = EngineConfig::new(vec![VNodeSpec::free("fast")]);
-    let slow_cfg = EngineConfig::new(vec![VNodeSpec::with_speed("slow", 0.25)]);
-    let fast = run_pipeline(mk(), (0..20).collect(), &fast_cfg);
-    let slow = run_pipeline(mk(), (0..20).collect(), &slow_cfg);
+    let on = |vnode| {
+        run_pipeline(
+            mk(),
+            (0..20).collect(),
+            vec![vnode],
+            &Session::default(),
+            &RunConfig::default(),
+        )
+    };
+    let fast = on(VNodeSpec::free("fast"));
+    let slow = on(VNodeSpec::with_speed("slow", 0.25));
     let fast_mean = fast.report.stage_metrics.stage(0).mean_service().unwrap();
     let slow_mean = slow.report.stage_metrics.stage(0).mean_service().unwrap();
     let ratio = slow_mean.as_secs_f64() / fast_mean.as_secs_f64();

@@ -4,18 +4,21 @@
 
 use adapipe::core::simengine::run as sim_run;
 use adapipe::prelude::*;
+/// `policy` over a stream that is all present at `t = 0`.
+fn under(policy: Policy) -> Session {
+    Session::new(policy, ArrivalProcess::AllAtOnce).expect("a valid policy")
+}
 
 fn secs(s: f64) -> SimTime {
     SimTime::from_secs_f64(s)
 }
 
 fn run_policy(grid: &GridSpec, spec: &PipelineSpec, items: u64, policy: Policy) -> RunReport {
-    let cfg = SimConfig {
+    let cfg = RunConfig {
         items,
-        policy,
-        ..SimConfig::default()
+        ..RunConfig::default()
     };
-    sim_run(grid, spec, &cfg)
+    sim_run(grid, spec, &under(policy), &cfg)
 }
 
 /// Load step on one host: adaptive must end between oracle and static.
@@ -87,10 +90,11 @@ fn model_matches_simulation_on_static_grid() {
     let report = sim_run(
         &grid,
         &spec,
-        &SimConfig {
+        &Session::default(),
+        &RunConfig {
             items,
             initial_mapping: Some(mapping),
-            ..SimConfig::default()
+            ..RunConfig::default()
         },
     );
     let predicted = prediction.completion_time(items);
@@ -114,21 +118,21 @@ fn reactive_is_lazier_but_recovers() {
     let spec = PipelineSpec::balanced(3, 1.0, 0);
     let mapping = Mapping::from_assignment(&[NodeId(0), NodeId(1), NodeId(2)]);
 
-    let mk = |policy| SimConfig {
+    let cfg = RunConfig {
         items: 500,
-        policy,
-        initial_mapping: Some(mapping.clone()),
-        ..SimConfig::default()
+        initial_mapping: Some(mapping),
+        ..RunConfig::default()
     };
     let reactive = sim_run(
         &grid,
         &spec,
-        &mk(Policy::Reactive {
+        &under(Policy::Reactive {
             interval,
             degradation: 0.7,
         }),
+        &cfg,
     );
-    let static_r = sim_run(&grid, &spec, &mk(Policy::Static));
+    let static_r = sim_run(&grid, &spec, &under(Policy::Static), &cfg);
     assert!(reactive.adaptation_count() >= 1);
     assert!(
         reactive.makespan.as_secs_f64() < 0.6 * static_r.makespan.as_secs_f64(),
@@ -151,14 +155,13 @@ fn adaptation_gain_amortises_with_stream_length() {
             .apply(&mut grid);
         let spec = PipelineSpec::balanced(3, 1.0, 0);
         let mapping = Mapping::from_assignment(&[NodeId(0), NodeId(1), NodeId(2)]);
-        let mk = |policy| SimConfig {
+        let cfg = RunConfig {
             items,
-            policy,
             initial_mapping: Some(mapping.clone()),
-            ..SimConfig::default()
+            ..RunConfig::default()
         };
-        let adaptive = sim_run(&grid, &spec, &mk(Policy::Periodic { interval }));
-        let static_r = sim_run(&grid, &spec, &mk(Policy::Static));
+        let adaptive = sim_run(&grid, &spec, &under(Policy::Periodic { interval }), &cfg);
+        let static_r = sim_run(&grid, &spec, &under(Policy::Static), &cfg);
         ratios.push(adaptive.makespan.as_secs_f64() / static_r.makespan.as_secs_f64());
     }
     assert!(

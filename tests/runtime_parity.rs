@@ -28,15 +28,21 @@ fn stage_spec(name: &str) -> StageSpec {
 /// work (the threaded backend runs them; the simulator runs the
 /// metadata), under `policy`, fed by the item index.
 fn scenario(policy: Policy) -> Pipeline<u64, u64> {
+    scenario_spinning(policy, true)
+}
+
+/// [`scenario`], with the spin optional: a live simulated session runs
+/// the stage functions too, and has no use for their wall time.
+fn scenario_spinning(policy: Policy, spin: bool) -> Pipeline<u64, u64> {
+    let work = move |x: u64| {
+        if spin {
+            spin_for(Duration::from_secs_f64(STAGE_SECS));
+        }
+        x + 1
+    };
     Pipeline::<u64>::builder()
-        .stage_with(stage_spec("a"), |x: u64| {
-            spin_for(Duration::from_secs_f64(STAGE_SECS));
-            x + 1
-        })
-        .stage_with(stage_spec("b"), |x: u64| {
-            spin_for(Duration::from_secs_f64(STAGE_SECS));
-            x + 1
-        })
+        .stage_with(stage_spec("a"), work)
+        .stage_with(stage_spec("b"), work)
         .policy(policy)
         .feed(|i| i)
         .build()
@@ -57,10 +63,19 @@ fn scenario_cfg(noise_seed: u64) -> RunConfig {
 
 /// The simulated grid twin of the vnode box.
 fn scenario_grid() -> GridSpec {
+    grid_with(collapse())
+}
+
+fn scenario_vnodes() -> Vec<VNodeSpec> {
+    vnodes_with(collapse())
+}
+
+/// Three unit nodes, the middle one under `load`.
+fn grid_with(load: LoadModel) -> GridSpec {
     let nodes = (0..3)
         .map(|i| {
             let load = if i == 1 {
-                collapse()
+                load.clone()
             } else {
                 LoadModel::free()
             };
@@ -70,10 +85,10 @@ fn scenario_grid() -> GridSpec {
     GridSpec::new(nodes, Topology::uniform(3, LinkSpec::local()))
 }
 
-fn scenario_vnodes() -> Vec<VNodeSpec> {
+fn vnodes_with(load: LoadModel) -> Vec<VNodeSpec> {
     vec![
         VNodeSpec::free("v0"),
-        VNodeSpec::free("v1").with_load(collapse()),
+        VNodeSpec::free("v1").with_load(load),
         VNodeSpec::free("v2"),
     ]
 }
@@ -306,4 +321,194 @@ fn planning_cycles_are_reported() {
         )
         .expect("threaded run");
     assert!(outcome.report.planning_cycles >= 1);
+}
+
+// --- the one-config seam ----------------------------------------------
+// `RunConfig` is handed to both backends as it is. Each backend-neutral
+// field is set away from its default here and has to be *observed* in
+// the run, on the simulator and on real threads alike.
+
+/// Node 1 drops to a fifth at t = 0.3 s: enough for the planner to move
+/// stage `b` off it, mild enough that a run which may not re-map still
+/// ends in a few seconds.
+fn sag() -> LoadModel {
+    LoadModel::step(1.0, 0.2, SimTime::from_secs_f64(0.3))
+}
+
+fn periodic() -> Policy {
+    Policy::Periodic {
+        interval: SimDuration::from_millis(200),
+    }
+}
+
+/// Every backend-neutral field away from its default; the launch
+/// mapping puts stage `b` on the node that sags.
+fn seam_cfg(items: u64) -> RunConfig {
+    let mut cfg = RunConfig {
+        items,
+        initial_mapping: Some(Mapping::from_assignment(&[n(0), n(1)])),
+        observation_noise: 0.05,
+        noise_seed: 7,
+        timeline_bucket: Some(SimDuration::from_millis(250)),
+        preserve_order: false,
+        faults: FaultPlan::new().outage(
+            n(2),
+            SimTime::from_secs_f64(0.05),
+            SimTime::from_secs_f64(0.10),
+        ),
+        ..RunConfig::default()
+    };
+    cfg.controller.warmup_ticks = 1;
+    cfg
+}
+
+/// Spawns the scenario under `policy` and `cfg` on each backend in
+/// turn, pushes the stream, drains, and hands `check` the backend's
+/// name, what came out and the events the run put on `cfg`'s bus.
+fn on_both_backends(
+    policy: Policy,
+    cfg: impl Fn() -> RunConfig,
+    check: impl Fn(&str, RunHandle<u64>, Vec<RunEvent>),
+) {
+    let grid = grid_with(sag());
+    for (name, backend) in [
+        ("sim", Backend::Sim(&grid)),
+        ("threads", Backend::Threads(vnodes_with(sag()))),
+    ] {
+        let cfg = cfg();
+        let events = cfg.hooks.events.subscribe();
+        let mut session = scenario_spinning(policy, name == "threads")
+            .spawn(backend, cfg)
+            .expect("spawn");
+        session.push_batch(0..ITEMS).expect("an open session");
+        let handle = session.drain();
+        assert_eq!(handle.report.completed, ITEMS, "{name} lost items");
+        let mut outputs = handle.outputs.clone();
+        outputs.sort_unstable();
+        assert_eq!(outputs, (2..ITEMS + 2).collect::<Vec<_>>(), "{name}");
+        check(name, handle, events.try_iter().collect());
+    }
+}
+
+#[test]
+fn every_neutral_run_config_field_is_observed_on_both_backends() {
+    // The launch mapping, the bucket width, the fault plan, the event
+    // bus — and `items` as the amortisation hint: the sagging node is
+    // worth leaving only while the loop believes work remains.
+    on_both_backends(
+        periodic(),
+        || seam_cfg(ITEMS),
+        |name, run, events| {
+            assert_eq!(
+                run.report.timeline.window(),
+                SimDuration::from_millis(250),
+                "{name}: Some(bucket) is the bucket"
+            );
+            assert!(
+                run.report.adaptation_count() >= 1,
+                "{name}: hinted {ITEMS} items to go, never left the sagging node"
+            );
+            let first_window = events.iter().find_map(|e| match e {
+                RunEvent::WindowStats { paused, .. } => Some(*paused),
+                _ => None,
+            });
+            assert_eq!(
+                first_window,
+                Some(false),
+                "{name}: no WindowStats on the bus"
+            );
+            assert!(
+                events
+                    .iter()
+                    .any(|e| matches!(e, RunEvent::NodeDown { node: 2, .. })),
+                "{name}: the run's fault plan never took node 2 down"
+            );
+        },
+    );
+    // The same run told nothing remains: it plans, and stays put.
+    on_both_backends(
+        periodic(),
+        || seam_cfg(0),
+        |name, run, _| {
+            assert!(run.report.planning_cycles >= 1, "{name}");
+            assert_eq!(
+                run.report.adaptation_count(),
+                0,
+                "{name}: re-mapped with a hint of zero items to go"
+            );
+        },
+    );
+    // Paused before spawn: windows are still reported, nothing commits.
+    on_both_backends(
+        periodic(),
+        || {
+            let cfg = seam_cfg(ITEMS);
+            cfg.control.pause_adaptation();
+            cfg
+        },
+        |name, run, events| {
+            assert_eq!(
+                run.report.adaptation_count(),
+                0,
+                "{name}: re-mapped while paused"
+            );
+            assert!(
+                events
+                    .iter()
+                    .any(|e| matches!(e, RunEvent::WindowStats { paused: true, .. })),
+                "{name}: the paused loop reported no window"
+            );
+        },
+    );
+    // Static: the launch mapping is the final one, and `None` resolves
+    // to each backend's own bucket — the one default that differs.
+    on_both_backends(
+        Policy::Static,
+        || RunConfig {
+            timeline_bucket: None,
+            ..seam_cfg(ITEMS)
+        },
+        |name, run, _| {
+            assert_eq!(
+                run.report.final_mapping,
+                Mapping::from_assignment(&[n(0), n(1)]),
+                "{name}"
+            );
+            let native = if name == "sim" {
+                SimDuration::from_secs(5)
+            } else {
+                SimDuration::from_millis(500)
+            };
+            assert_eq!(run.report.timeline.window(), native, "{name}");
+        },
+    );
+}
+
+#[test]
+fn execute_hints_the_loop_with_the_input_count_not_cfg_items() {
+    // The engine's batch entry point over a `Vec` knows the stream
+    // length: `cfg.items = 0`, which keeps a spawned session on the
+    // sagging node (above), must not reach the loop here.
+    use adapipe::core::pipeline::PipelineBuilder;
+    let work = |x: u64| {
+        spin_for(Duration::from_secs_f64(STAGE_SECS));
+        x + 1
+    };
+    let pipeline = PipelineBuilder::<u64>::new()
+        .stage(stage_spec("a"), work)
+        .stage(stage_spec("b"), work)
+        .build();
+    let session = Session::new(periodic(), ArrivalProcess::AllAtOnce).expect("a valid policy");
+    let outcome = adapipe::engine::exec::execute(
+        pipeline,
+        (0..ITEMS).collect(),
+        vnodes_with(sag()),
+        &session,
+        &seam_cfg(0),
+    );
+    assert_eq!(outcome.report.completed, ITEMS);
+    assert!(
+        outcome.report.adaptation_count() >= 1,
+        "execute() planned as if nothing remained"
+    );
 }
