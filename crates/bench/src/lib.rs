@@ -1,32 +1,25 @@
 //! # adapipe-bench
 //!
-//! The experiment-reproduction harness: one `repro_*` binary per table
-//! and figure of the (reconstructed) evaluation, plus criterion
-//! micro-benchmarks for the timing-sensitive claims.
+//! The experiment-reproduction harness: [`repro`] holds one function per
+//! table and figure of the (reconstructed) evaluation, each returning
+//! its rows; the `repro` binary prints them; criterion micro-benchmarks
+//! cover the timing-sensitive claims.
 //!
-//! Every binary prints a self-describing header, an aligned table for
-//! humans, and machine-readable CSV lines prefixed with `csv,` so plots
-//! can be regenerated with a one-line grep.
-//!
-//! | Binary | Experiment |
-//! |---|---|
-//! | `repro_t1` | Table 1 — testbed inventory |
-//! | `repro_t2` | Table 2 — model-selected vs simulated-best mapping |
-//! | `repro_f1` | Figure 1 — throughput timeline under a load step |
-//! | `repro_f2` | Figure 2 — completion time vs stream length |
-//! | `repro_f3` | Figure 3 — speedup vs processor count (replication on/off) |
-//! | `repro_f4` | Figure 4 — adaptivity gain vs load volatility |
-//! | `repro_t3` | Table 3 — adaptation decision cost |
-//! | `repro_f5` | Figure 5 — monitoring/adaptation knob sensitivity |
-//! | `repro_f6` | Figure 6 — threaded engine, one box, wall clock |
-//! | `repro_t4` | Table 4 — forecaster accuracy per load class |
+//! Every experiment prints a self-describing header, an aligned table
+//! for humans, and machine-readable CSV lines prefixed with `csv,` so
+//! plots can be regenerated with a one-line grep. `REPRODUCTION.md` at
+//! the repository root maps each experiment to the paper's claim, its
+//! committed CSV and the assertion that gates it.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod repro;
+
 use adapipe_runtime::arrivals::ArrivalProcess;
 use adapipe_runtime::policy::Policy;
 use adapipe_runtime::session::Session;
+use std::fmt;
 use std::time::Instant;
 
 /// The session running `policy` over a stream that is all present at
@@ -56,8 +49,29 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Prints the aligned table followed by `csv,`-prefixed lines.
-    pub fn print(&self) {
+    /// The column headers.
+    pub fn headers(&self) -> &[String] {
+        &self.headers
+    }
+
+    /// The data rows, in insertion order.
+    pub fn rows(&self) -> &[Vec<String>] {
+        &self.rows
+    }
+
+    /// The `csv,`-prefixed lines: the header, then one per row.
+    pub fn csv(&self) -> String {
+        let mut out = format!("csv,{}\n", self.headers.join(","));
+        for row in &self.rows {
+            out += &format!("csv,{}\n", row.join(","));
+        }
+        out
+    }
+}
+
+/// The aligned table, a blank line, then [`Table::csv`].
+impl fmt::Display for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (i, cell) in row.iter().enumerate() {
@@ -70,39 +84,17 @@ impl Table {
                 .enumerate()
                 .map(|(i, c)| format!("{c:>w$}", w = widths[i]))
                 .collect();
-            println!("  {}", joined.join("  "));
+            format!("  {}", joined.join("  "))
         };
-        line(&self.headers);
+        writeln!(f, "{}", line(&self.headers))?;
         let total: usize = widths.iter().sum::<usize>() + 2 * widths.len();
-        println!("  {}", "-".repeat(total));
+        writeln!(f, "  {}", "-".repeat(total))?;
         for row in &self.rows {
-            line(row);
+            writeln!(f, "{}", line(row))?;
         }
-        println!();
-        println!("csv,{}", self.headers.join(","));
-        for row in &self.rows {
-            println!("csv,{}", row.join(","));
-        }
+        writeln!(f)?;
+        f.write_str(&self.csv())
     }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if no rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-}
-
-/// Prints the standard experiment banner.
-pub fn banner(id: &str, title: &str, expectation: &str) {
-    println!("==============================================================");
-    println!("{id}: {title}");
-    println!("expected shape: {expectation}");
-    println!("==============================================================");
-    println!();
 }
 
 /// Times `f` over `iters` runs, returning mean seconds per run.
@@ -134,9 +126,9 @@ mod tests {
     fn table_accepts_matching_rows() {
         let mut t = Table::new(&["a", "b"]);
         t.row(vec!["1".into(), "2".into()]);
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
-        t.print(); // must not panic
+        assert_eq!(t.rows().len(), 1);
+        assert_eq!(t.csv(), "csv,a,b\ncsv,1,2\n");
+        assert!(t.to_string().ends_with(&t.csv()));
     }
 
     #[test]

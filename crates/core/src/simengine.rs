@@ -1781,6 +1781,80 @@ mod tests {
         assert!((serial - 2.0).abs() < 0.1, "chain latency {serial}");
     }
 
+    /// Simulated makespan of the same `stages` flattened into a chain
+    /// over that of `graph`: a burst of six items, one stage per free LAN
+    /// node. Throughput is resource-bound either way; what the branches
+    /// win is fill / drain latency.
+    fn chain_over_graph(
+        stages: Vec<crate::spec::StageSpec>,
+        graph: crate::spec::StageGraph,
+    ) -> f64 {
+        use adapipe_gridsim::net::{LinkSpec, Topology};
+        use adapipe_gridsim::node::{Node, NodeSpec};
+        let np = stages.len();
+        let nodes = (0..np)
+            .map(|i| Node::new(NodeSpec::new(format!("n{i}"), 1.0, 1), LoadModel::free()))
+            .collect();
+        let grid = GridSpec::new(nodes, Topology::uniform(np, LinkSpec::lan()));
+        let cfg = RunConfig {
+            items: 6,
+            initial_mapping: Some(Mapping::from_assignment(
+                &(0..np).map(NodeId).collect::<Vec<_>>(),
+            )),
+            ..RunConfig::default()
+        };
+        let mk = |spec: PipelineSpec| {
+            let report = run(&grid, &spec, &Session::default(), &cfg);
+            assert_eq!(report.completed, 6);
+            report.makespan.as_secs_f64()
+        };
+        mk(PipelineSpec::new(stages.clone())) / mk(PipelineSpec::with_graph(stages, graph))
+    }
+
+    /// `names.len()` stages of 2 s each.
+    fn heavy(names: impl IntoIterator<Item = String>) -> Vec<crate::spec::StageSpec> {
+        names
+            .into_iter()
+            .map(|name| crate::spec::StageSpec::balanced(name, 2.0, 1_000))
+            .collect()
+    }
+
+    #[test]
+    fn two_branch_graph_beats_its_serialized_chain_by_1_3x() {
+        // (4 stages ‖ 4 stages) → join through the series-parallel
+        // `split` sugar: one item's critical path is 4 heavy stages, not 8.
+        let mut stages = heavy((0..8).map(|i| format!("s{i}")));
+        stages.push(crate::spec::StageSpec::balanced("join", 0.1, 1_000));
+        let graph = crate::spec::StageGraph::builder().split(&[4, 4]).build();
+        let ratio = chain_over_graph(stages, graph);
+        assert!(ratio >= 1.3, "chain / branched makespan {ratio:.3}");
+    }
+
+    #[test]
+    fn diamond_dag_beats_its_serialized_chain_by_1_2x() {
+        // fetch ─┬─ b0s0 … b0s3 ─┐
+        //        └─ b1s0 … b1s3 ─┴─ combine → sink, declared edge by edge —
+        // the path every explicitly wired `Pipeline::dag()` program takes.
+        let mut stages = heavy(
+            std::iter::once("fetch".to_string())
+                .chain((0..8).map(|i| format!("b{}s{}", i / 4, i % 4))),
+        );
+        stages.push(crate::spec::StageSpec::balanced("combine", 0.1, 1_000));
+        stages.push(crate::spec::StageSpec::balanced("sink", 0.1, 1_000));
+        let (combine, sink) = (9, 10);
+        let mut dag = crate::spec::StageGraph::dag(stages.len());
+        for first in [1, 5] {
+            dag = dag.edge(0, first);
+            for s in first..first + 3 {
+                dag = dag.edge(s, s + 1);
+            }
+            dag = dag.edge(first + 3, combine);
+        }
+        let graph = dag.edge(combine, sink).build().expect("a valid DAG");
+        let ratio = chain_over_graph(stages, graph);
+        assert!(ratio >= 1.2, "chain / diamond makespan {ratio:.3}");
+    }
+
     #[test]
     fn merge_host_crash_rescues_queued_joined_items() {
         // Fast branches feed a slow merge, so a deep queue of *joined*
