@@ -17,12 +17,15 @@ use crate::spec::StageSpec;
 use adapipe_runtime::session::BuildError;
 use adapipe_state::StateCodec;
 
-/// Builds a task farm: a single stateless stage intended for replication
-/// across grid nodes.
+/// Builds a task farm: a single replicable stage intended for
+/// replication across grid nodes.
 ///
-/// `spec` carries the cost metadata (work per item, output size); the
-/// planner decides the replication width at run time, bounded by
-/// `PlannerConfig::max_width`.
+/// `spec` carries the cost metadata (work per item, output size) and
+/// the state declaration; the planner decides the replication width at
+/// run time, bounded by `PlannerConfig::max_width`. The worker is built
+/// like every plain closure ([`crate::stage::declared`]): it replicates
+/// iff the declaration is replicable — exactly the declarations a farm
+/// accepts.
 ///
 /// ```
 /// use adapipe_core::farm::farm;
@@ -36,12 +39,12 @@ use adapipe_state::StateCodec;
 /// # Errors
 /// Returns [`BuildError::StatefulFarm`] when `spec` carries state the
 /// replication pass cannot split — *opaque* (undeclared) or *exclusive*
-/// state. A spec with **declared keyed state** builds: the farm then
-/// runs shard-per-worker through [`farm_keyed`]'s machinery, which is
-/// the API to reach for when the worker actually needs the managed
-/// per-key state. (Historically any statefulness was a
-/// construction-time panic; it is now typed, consistent with the
-/// unified builder's other validations.)
+/// state. A spec with **declared keyed or accumulator state** builds:
+/// the plain worker holds no managed state, so its items shard by
+/// sequence number; [`farm_keyed`] is the API to reach for when the
+/// worker actually needs the managed per-key state. (Historically any
+/// statefulness was a construction-time panic; it is now typed,
+/// consistent with the unified builder's other validations.)
 pub fn farm<I, O, F>(spec: StageSpec, worker: F) -> Result<Pipeline<I, O>, BuildError>
 where
     I: Send + 'static,
@@ -53,19 +56,7 @@ where
             stage: spec.name.clone(),
         });
     }
-    if spec.stateless {
-        Ok(PipelineBuilder::<I>::new().stage(spec, worker).build())
-    } else {
-        // Declared replicable state (keyed/accumulator) with a plain
-        // worker function: the worker holds no managed state, but the
-        // declaration legitimately bounds width and routing, so build
-        // the stage as a replicable closure under the declared spec.
-        let name = spec.name.clone();
-        let stage = Box::new(crate::stage::FnStage::new(name, worker));
-        Ok(PipelineBuilder::<I>::new()
-            .erased_stage::<O>(spec, stage, None)
-            .build())
-    }
+    Ok(PipelineBuilder::<I>::new().stage(spec, worker).build())
 }
 
 /// Builds a task farm over *declared keyed state*: items hash to shards
@@ -134,7 +125,7 @@ mod tests {
     fn farm_is_a_one_stage_pipeline() {
         let f = farm(StageSpec::balanced("w", 1.0, 8), |x: u32| x + 1).expect("stateless");
         assert_eq!(f.len(), 1);
-        assert!(f.spec().profile().stateless[0]);
+        assert!(f.spec().profile().state[0].replicable());
     }
 
     #[test]
@@ -199,7 +190,7 @@ mod tests {
         )
         .expect("declared keyed state is farmable");
         let profile = f.spec().profile();
-        assert!(profile.stateless[0], "keyed farms replicate");
+        assert!(profile.state[0].replicable(), "keyed farms replicate");
         assert_eq!(profile.replica_cap, vec![4], "one shard per worker max");
     }
 

@@ -17,7 +17,7 @@
 //! [`PipelineSpec`] metadata the planner needs.
 
 use crate::spec::{PipelineSpec, StageSpec};
-use crate::stage::{DynStage, FanOutFn, FnStage, KeyFn, KeyedStage, StatefulFnStage};
+use crate::stage::{declared, DynStage, FanOutFn, FnStage, KeyFn, KeyedStage, StatefulFnStage};
 use adapipe_gridsim::node::NodeId;
 use adapipe_state::StateCodec;
 use std::marker::PhantomData;
@@ -163,24 +163,16 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
         self
     }
 
-    /// Appends a stateless stage. The closure must be `Clone` so the
-    /// runtime can replicate the stage across nodes.
-    ///
-    /// # Panics
-    /// Panics if `spec` is marked stateful — use
-    /// [`PipelineBuilder::stateful_stage`] for stateful stages.
+    /// Appends a plain-closure stage. The closure must be `Clone`: the
+    /// stage replicates iff `spec`'s declared state is replicable, and
+    /// runs as one sealed instance otherwise (see [`declared`]).
     pub fn stage<Out, F>(mut self, spec: StageSpec, f: F) -> PipelineBuilder<In, Out>
     where
         Out: Send + 'static,
         F: FnMut(Cur) -> Out + Send + Clone + 'static,
     {
-        assert!(
-            spec.stateless,
-            "stage '{}' is declared stateful; use stateful_stage()",
-            spec.name
-        );
         self.stages
-            .push(Box::new(FnStage::new(spec.name.clone(), f)));
+            .push(declared(&spec, FnStage::new(spec.name.clone(), f)));
         self.spec_stages.push(spec);
         self.keys.push(None);
         self.retype()
@@ -188,16 +180,18 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
 
     /// Appends a stateful stage with *opaque* closure state: it will
     /// never be replicated, and a permanent loss of its host aborts the
-    /// run. Prefer [`PipelineBuilder::keyed_stage`] (or the unified
-    /// builder's declared-state methods) for state the runtime should
-    /// be able to move.
+    /// run. The closure need not be `Clone`, so a replicable declaration
+    /// is normalised to opaque. Prefer [`PipelineBuilder::keyed_stage`]
+    /// (or the unified builder's declared-state methods) for state the
+    /// runtime should be able to move.
     pub fn stateful_stage<Out, F>(mut self, spec: StageSpec, f: F) -> PipelineBuilder<In, Out>
     where
         Out: Send + 'static,
         F: FnMut(Cur) -> Out + Send + 'static,
     {
-        let spec = if spec.stateless {
-            spec.with_state(0)
+        let spec = if spec.state.replicable() {
+            let bytes = spec.state_bytes;
+            spec.with_state(bytes)
         } else {
             spec
         };
@@ -238,24 +232,6 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
         self.keys.push(Some(stage.routing_key()));
         self.stages.push(Box::new(stage));
         self.spec_stages.push(spec);
-        self.retype()
-    }
-
-    /// Appends an already-erased stage (with optional routing key) under
-    /// `spec`. The caller asserts the type discipline; the unified
-    /// `adapipe::api` builder uses this for its declared-state stages.
-    pub fn erased_stage<Out>(
-        mut self,
-        spec: StageSpec,
-        stage: Box<dyn DynStage>,
-        key: Option<KeyFn>,
-    ) -> PipelineBuilder<In, Out>
-    where
-        Out: Send + 'static,
-    {
-        self.stages.push(stage);
-        self.spec_stages.push(spec);
-        self.keys.push(key);
         self.retype()
     }
 
@@ -334,7 +310,7 @@ mod tests {
                 }
             })
             .build();
-        assert_eq!(p.spec().profile().stateless, vec![false]);
+        assert!(!p.spec().profile().state[0].replicable());
         let (_, mut stages, ..) = p.into_parts();
         assert!(stages[0].replicate().is_none());
         assert_eq!(
@@ -408,10 +384,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "stateful")]
-    fn stateless_api_rejects_stateful_spec() {
-        let _ = PipelineBuilder::<u8>::new()
-            .stage(StageSpec::balanced("x", 1.0, 0).with_state(64), |x: u8| x);
+    fn stage_seals_a_stateful_spec() {
+        let p = PipelineBuilder::<u8>::new()
+            .stage(StageSpec::balanced("x", 1.0, 0).with_state(64), |x: u8| x)
+            .stage(
+                StageSpec::balanced("k", 1.0, 0).with_keyed_state(4, 64),
+                |x: u8| x,
+            )
+            .build();
+        let (_, stages, ..) = p.into_parts();
+        assert!(stages[0].replicate().is_none(), "opaque state is sealed");
+        assert!(stages[1].replicate().is_some(), "keyed state replicates");
     }
 
     #[test]

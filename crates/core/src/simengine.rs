@@ -361,7 +361,6 @@ impl<'a> SimStepper<'a> {
             topology: grid.topology().clone(),
             speeds: grid.node_ids().map(|id| grid.node(id).spec.speed).collect(),
             state_bytes: spec.stages.iter().map(|s| s.state_bytes).collect(),
-            state_access: spec.stages.iter().map(|s| s.state).collect(),
             faults: cfg.faults.clone(),
             session: id,
         };
@@ -1122,7 +1121,7 @@ impl ExecutionBackend for SimWorld<'_> {
             let shards = self.spec.stages[stage].state.shards();
             for (k, (item, from)) in orphans.into_iter().enumerate() {
                 if self.down[from] {
-                    self.report.record_replay();
+                    self.report.record_replay(1);
                     self.hooks.events.emit(RunEvent::ItemReplayed {
                         session: self.session,
                         seq: item,
@@ -1151,7 +1150,7 @@ impl ExecutionBackend for SimWorld<'_> {
             }
             // Stateful stages cannot serve on the new hosts until their
             // state lands.
-            if !self.spec.stages[stage].stateless {
+            if !self.spec.stages[stage].state.is_stateless() {
                 for &host in new_placement.hosts() {
                     self.ready_at[(stage, host.index())] = ready;
                     self.events

@@ -97,16 +97,17 @@ pub struct StageSpec {
     pub out_bytes: u64,
     /// Bytes of internal state a migration must move (0 for stateless).
     pub state_bytes: u64,
-    /// True if the stage keeps no per-item state and may be replicated.
-    /// Kept in lockstep with `state`: true iff `state.is_stateless()`.
-    pub stateless: bool,
     /// Declared replica-width cap for the planner (`usize::MAX` leaves
     /// the width to the planner's global `max_width`; folded together
     /// with the state pattern's own bound by [`StageSpec::replica_cap`]).
     pub max_replicas: usize,
-    /// Declared state-access pattern (Danelutto/Torquati taxonomy):
-    /// decides replicability, shard routing, and whether the state can
-    /// migrate off a dying node instead of aborting the run.
+    /// Declared state-access pattern (Danelutto/Torquati taxonomy): the
+    /// one statefulness datum, read in place by the builders, the
+    /// planner and both backends. It decides replicability and the
+    /// instance type of a plain closure (`replicable`), stealing and
+    /// fusion (`is_stateless`), shard routing (`shards`), and whether
+    /// the state can migrate off a dying node instead of aborting the
+    /// run (`migratable`).
     pub state: StateAccess,
     /// Per-item failure handling (retries, timeout, dead-letter,
     /// trace). The default is fail-fast: the first item a fallible
@@ -123,7 +124,6 @@ impl StageSpec {
             work: Box::new(ConstantWork(work)),
             out_bytes,
             state_bytes: 0,
-            stateless: true,
             max_replicas: usize::MAX,
             state: StateAccess::Stateless,
             resilience: ResiliencePolicy::default(),
@@ -143,7 +143,6 @@ impl StageSpec {
     /// [`Self::with_accumulator_state`], [`Self::with_exclusive_state`] —
     /// which replicate and/or migrate instead.
     pub fn with_state(mut self, state_bytes: u64) -> Self {
-        self.stateless = false;
         self.state_bytes = state_bytes;
         self.state = StateAccess::Opaque;
         self
@@ -155,7 +154,6 @@ impl StageSpec {
     /// owner changes.
     pub fn with_keyed_state(mut self, shards: usize, state_bytes: u64) -> Self {
         assert!(shards > 0, "keyed state needs at least one shard");
-        self.stateless = false;
         self.state_bytes = state_bytes;
         self.state = StateAccess::Keyed { shards };
         self
@@ -165,7 +163,6 @@ impl StageSpec {
     /// with a commutative merge. Replicas keep partials; a vacating
     /// replica's partial is absorbed by a survivor.
     pub fn with_accumulator_state(mut self, state_bytes: u64) -> Self {
-        self.stateless = false;
         self.state_bytes = state_bytes;
         self.state = StateAccess::Accumulator;
         self
@@ -175,7 +172,6 @@ impl StageSpec {
     /// one live instance, which can still snapshot and move off a dying
     /// node instead of aborting the run.
     pub fn with_exclusive_state(mut self, state_bytes: u64) -> Self {
-        self.stateless = false;
         self.state_bytes = state_bytes;
         self.state = StateAccess::Exclusive;
         self
@@ -218,7 +214,6 @@ impl std::fmt::Debug for StageSpec {
             .field("mean_work", &self.work.mean())
             .field("out_bytes", &self.out_bytes)
             .field("state_bytes", &self.state_bytes)
-            .field("stateless", &self.stateless)
             .field("max_replicas", &self.max_replicas)
             .field("state", &self.state)
             .field("resilience", &self.resilience)
@@ -309,14 +304,15 @@ impl PipelineSpec {
         self.stages[stage].work.draw(item)
     }
 
-    /// The mapper's view: mean work, boundary bytes, replicability.
+    /// The mapper's view: mean work, boundary bytes, declared state.
     ///
-    /// The profile's `stateless` flag carries the planner-relevant
-    /// property — *may this stage run more than one live instance* —
-    /// so declared keyed and accumulator stages replicate even though
-    /// they hold state; only exclusive and opaque state pins to one
-    /// host. Replica caps fold each stage's declared `max_replicas`
-    /// with its state pattern's own bound ([`StageSpec::replica_cap`]):
+    /// The profile carries each stage's [`StateAccess`] as declared;
+    /// the planner asks it `replicable()` — declared keyed and
+    /// accumulator stages replicate even though they hold state, only
+    /// exclusive and opaque state pins to one host — and the model asks
+    /// it `is_stateless()`, the engine's fusion predicate. Replica caps
+    /// fold each stage's declared `max_replicas` with its state
+    /// pattern's own bound ([`StageSpec::replica_cap`]):
     /// a keyed stage never runs wider than its shard count, and
     /// single-instance patterns clamp to one. A declared bound of zero
     /// passes through — the unified builder rejects it at `build()`
@@ -333,7 +329,7 @@ impl PipelineSpec {
             stage_work: self.stages.iter().map(|s| s.work.mean()).collect(),
             boundary_bytes,
             graph: self.graph.clone(),
-            stateless: self.stages.iter().map(|s| s.state.replicable()).collect(),
+            state: self.stages.iter().map(|s| s.state).collect(),
             replica_cap: self.stages.iter().map(|s| s.replica_cap()).collect(),
             source: self.source,
             sink: self.sink,
@@ -389,17 +385,17 @@ mod tests {
         profile.validate();
         assert_eq!(profile.stage_work, vec![1.5, 1.5, 1.5]);
         assert_eq!(profile.boundary_bytes, vec![100; 4]);
-        assert!(profile.stateless.iter().all(|&s| s));
+        assert!(profile.state.iter().all(|s| s.replicable()));
         assert_eq!(spec.total_mean_work(), 4.5);
     }
 
     #[test]
     fn with_state_marks_stateful() {
         let s = StageSpec::balanced("acc", 1.0, 10).with_state(4096);
-        assert!(!s.stateless);
+        assert!(!s.state.is_stateless());
         assert_eq!(s.state_bytes, 4096);
         let spec = PipelineSpec::new(vec![s]);
-        assert_eq!(spec.profile().stateless, vec![false]);
+        assert!(!spec.profile().state[0].replicable());
     }
 
     #[test]
@@ -429,7 +425,8 @@ mod tests {
         profile.validate();
         // Keyed and accumulator stages are replicable despite state;
         // exclusive and opaque state pins to one instance.
-        assert_eq!(profile.stateless, vec![true, true, false, false]);
+        let replicable: Vec<bool> = profile.state.iter().map(|s| s.replicable()).collect();
+        assert_eq!(replicable, vec![true, true, false, false]);
         assert_eq!(profile.replica_cap, vec![4, usize::MAX, 1, 1]);
         assert_eq!(spec.stages[0].state, StateAccess::Keyed { shards: 4 });
         assert!(spec.stages[0].state.migratable());

@@ -10,9 +10,11 @@
 //!
 //! Stage *functions* are `FnMut`: a stage may carry state (e.g. a running
 //! histogram), in which case it must be declared stateful and will never
-//! be replicated.
+//! be replicated. Which instance a plain closure runs as is read off its
+//! spec's declared state in one place, [`declared`].
 
 use crate::payload::Payload;
+use crate::spec::StageSpec;
 use adapipe_state::{StateCodec, StateSnapshot};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -462,7 +464,7 @@ where
 }
 
 /// A stage wrapper that refuses replication regardless of the closure —
-/// used for stages declared stateful.
+/// used for plain closures under a non-replicable declaration.
 pub struct SealedStage {
     inner: Box<dyn DynStage>,
 }
@@ -478,11 +480,29 @@ impl DynStage for SealedStage {
     fn process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageTypeError> {
         self.inner.process(item)
     }
+    fn try_process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageError> {
+        self.inner.try_process(item)
+    }
     fn replicate(&self) -> Option<Box<dyn DynStage>> {
         None
     }
     fn name(&self) -> &str {
         self.inner.name()
+    }
+}
+
+/// The instance a plain-closure stage — [`FnStage`], [`FallibleFnStage`]
+/// or [`MergeStage`] — runs as under `spec`'s declared state: the stage
+/// itself when the declaration is `replicable()` (stateless, or keyed /
+/// accumulator state the runtime shards or merges around the closure),
+/// [`SealedStage`]-wrapped otherwise (exclusive and opaque state run as
+/// exactly one instance). Every builder's plain-closure site calls this;
+/// it is the one place a declaration picks an instance type.
+pub fn declared(spec: &StageSpec, stage: impl DynStage + 'static) -> Box<dyn DynStage> {
+    if spec.state.replicable() {
+        Box::new(stage)
+    } else {
+        Box::new(SealedStage::new(Box::new(stage)))
     }
 }
 
@@ -875,6 +895,23 @@ mod tests {
         let s = SealedStage::new(Box::new(FnStage::new("st", |x: i32| x)));
         assert!(s.replicate().is_none());
         assert_eq!(s.name(), "st");
+    }
+
+    #[test]
+    fn sealed_fallible_stage_keeps_item_failures_retryable() {
+        let spec = StageSpec::balanced("f", 1.0, 0).with_exclusive_state(0);
+        let mut s = declared(
+            &spec,
+            FallibleFnStage::new("f", |x: u64| Err::<u64, _>(format!("{x}"))),
+        );
+        assert!(s.replicate().is_none(), "exclusive state is sealed");
+        match s.try_process(Payload::new(7u64)) {
+            Err(StageError::Item { reason, item }) => {
+                assert_eq!(reason, "7");
+                assert_eq!(item.downcast::<u64>().unwrap(), 7);
+            }
+            other => panic!("expected a retryable item failure, got {other:?}"),
+        }
     }
 
     #[test]

@@ -522,9 +522,9 @@ where
             .expect("collector joined twice")
             .join()
             .expect("collector panicked");
-        report.set_replays(self.shared.replays.load(Ordering::Relaxed));
-        report.set_retries(self.shared.retries.load(Ordering::Relaxed));
-        report.set_timeouts(self.shared.timeouts.load(Ordering::Relaxed));
+        report.record_replay(self.shared.replays.load(Ordering::Relaxed));
+        report.record_retries(self.shared.retries.load(Ordering::Relaxed));
+        report.record_timeouts(self.shared.timeouts.load(Ordering::Relaxed));
         self.detach();
         let np = self.shared.pool.vnodes.len();
         let (adaptations, planning_cycles, migrations, state_bytes_moved) = self
@@ -818,7 +818,6 @@ where
         topology: topology.clone(),
         speeds: vnodes.iter().map(|v| v.speed).collect(),
         state_bytes: spec.stages.iter().map(|s| s.state_bytes).collect(),
-        state_access: spec.stages.iter().map(|s| s.state).collect(),
         faults: pool.faults.clone(),
         session: SessionId(session_id),
     };

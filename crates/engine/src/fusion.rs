@@ -136,7 +136,7 @@ impl FusionPlan {
         for s in 0..self.next.len() {
             self.next[s] = match shared.spec.graph.after(s) {
                 Next::Stage(t)
-                    if shared.spec.stages[t].state == StateAccess::Stateless
+                    if shared.spec.stages[t].state.is_stateless()
                         && shared.spec.stages[t].resilience.is_default() =>
                 {
                     let hosts = snap.hosts(t);
@@ -513,4 +513,83 @@ fn run_chain(
         }
     }
     Some(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::exec::spawn;
+    use crate::vnode::VNodeSpec;
+    use adapipe_core::pipeline::Pipeline;
+    use adapipe_core::spec::{PipelineSpec, StageSpec};
+    use adapipe_core::stage::{DynStage, FnStage};
+    use adapipe_gridsim::net::{LinkSpec, Topology};
+    use adapipe_gridsim::node::NodeId;
+    use adapipe_mapper::mapping::Mapping;
+    use adapipe_mapper::model::evaluate;
+    use adapipe_runtime::session::{RunConfig, Session};
+
+    /// The model prices fusion exactly as the engine fuses: a 2-stage
+    /// chain, co-located and unreplicated, with a 1 MB boundary, the
+    /// successor under each of the five declarations. The prediction
+    /// carries the fused-edge discount iff the worker's [`super::FusionPlan`]
+    /// fuses the edge.
+    #[test]
+    fn model_discounts_exactly_the_edges_the_engine_fuses() {
+        let declarations: [fn(StageSpec) -> StageSpec; 5] = [
+            |s| s,
+            |s| s.with_keyed_state(4, 64),
+            |s| s.with_accumulator_state(64),
+            |s| s.with_exclusive_state(64),
+            |s| s.with_state(64),
+        ];
+        let mapping = Mapping::all_on(NodeId(0), 2);
+        let topology = Topology::uniform(1, LinkSpec::lan());
+        let items = 200u64;
+        let mut disagree = Vec::new();
+        for declare in declarations {
+            let spec = PipelineSpec::new(vec![
+                StageSpec::balanced("a", 1.0, 1_000_000),
+                declare(StageSpec::balanced("b", 1.0, 8)),
+            ]);
+            let label = spec.stages[1].state.label();
+            let mut profile = spec.profile();
+            profile.fuses_colocated = true;
+            let fused = evaluate(&profile, &mapping, &[1.0], &topology).latency;
+            profile.fuses_colocated = false;
+            let routed = evaluate(&profile, &mapping, &[1.0], &topology).latency;
+            let discounted = fused < routed;
+
+            let stages: Vec<Box<dyn DynStage>> = vec![
+                Box::new(FnStage::new("a", |x: u64| x + 1)),
+                Box::new(FnStage::new("b", |x: u64| x * 2)),
+            ];
+            let pipeline =
+                Pipeline::<u64, u64>::from_parts(spec, stages, Vec::new(), vec![None; 2]);
+            let cfg = RunConfig {
+                initial_mapping: Some(mapping.clone()),
+                ..RunConfig::default()
+            };
+            let vnodes = vec![VNodeSpec::free("v0")];
+            let mut session = spawn(pipeline, vnodes, &Session::default(), &cfg);
+            for i in 0..items {
+                session.push(i).unwrap();
+            }
+            session.close();
+            let got: Vec<u64> = session.by_ref().collect();
+            assert_eq!(got, (0..items).map(|x| (x + 1) * 2).collect::<Vec<_>>());
+            let fuses = session.fused_hops() > 0;
+            session.drain();
+            println!(
+                "{label:>11}: predicted {fused:.6} s (routed {routed:.6} s), \
+                 model discounts {discounted}, engine fuses {fuses}"
+            );
+            if discounted != fuses {
+                disagree.push(label);
+            }
+        }
+        assert!(
+            disagree.is_empty(),
+            "the model's fused-edge discount disagrees with FusionPlan for {disagree:?} successors"
+        );
+    }
 }

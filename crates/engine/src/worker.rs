@@ -234,7 +234,7 @@ pub(crate) fn may_steal(
     !tenant.done.load(Ordering::Relaxed)
         && !snap.is_down(NodeId(thief))
         && !snap.is_down(NodeId(victim))
-        && tenant.spec.stages[env.stage].stateless
+        && tenant.spec.stages[env.stage].state.is_stateless()
         && env.epoch == snap.epoch()
         && snap.contains(env.stage, NodeId(thief))
         && snap.hosts(env.stage).len() > 1
@@ -546,7 +546,7 @@ fn deliver_env(
     // If the inbox is backing up and the stage has live sibling
     // replicas, wake one idle co-host so it starts stealing instead of
     // sleeping through the backlog.
-    if depth > STEAL_WAKE_DEPTH && shared.spec.stages[stage].stateless {
+    if depth > STEAL_WAKE_DEPTH && shared.spec.stages[stage].state.is_stateless() {
         let hosts = snap.hosts(stage);
         if hosts.len() > 1 {
             for &h in hosts {

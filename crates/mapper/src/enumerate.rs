@@ -8,6 +8,7 @@
 //! [`Mapping`] instead of handing out a clone per candidate.
 
 use crate::mapping::Mapping;
+use crate::model::PipelineProfile;
 use adapipe_gridsim::node::NodeId;
 
 /// Number of unreplicated assignments of `ns` stages to `np` nodes
@@ -174,9 +175,10 @@ impl Move {
 /// this order:
 ///
 /// * a single-host stage is re-hosted on every other node;
-/// * a replicable stage gains one replica on every node not already
-///   hosting it, while its width is below both `max_width` and the
-///   stage's declared `replica_cap` (the shard count for keyed state);
+/// * a replicable stage (`profile.state[stage].replicable()`) gains one
+///   replica on every node not already hosting it, while its width is
+///   below both `max_width` and the stage's declared
+///   `profile.replica_cap` (the shard count for keyed state);
 /// * a replicated stage drops each of its hosts in turn.
 ///
 /// With `focus`, only stages hosted on one of the focus nodes move.
@@ -188,14 +190,12 @@ impl Move {
 pub fn for_each_neighbour(
     mapping: &mut Mapping,
     np: usize,
-    stateless: &[bool],
-    replica_cap: &[usize],
+    profile: &PipelineProfile,
     max_width: usize,
     focus: Option<&[NodeId]>,
     mut visit: impl FnMut(Move, &Mapping),
 ) {
-    assert_eq!(stateless.len(), mapping.len(), "one flag per stage");
-    assert_eq!(replica_cap.len(), mapping.len(), "one cap per stage");
+    assert_eq!(profile.stages(), mapping.len(), "one stage per placement");
     let mut try_move = |mapping: &mut Mapping, mv: Move| {
         let undo = mv.apply(mapping);
         visit(mv, mapping);
@@ -213,7 +213,7 @@ pub fn for_each_neighbour(
                 try_move(mapping, Move::MoveStage { stage, to });
             }
         }
-        if stateless[stage] && width < max_width.min(replica_cap[stage]) {
+        if profile.state[stage].replicable() && width < max_width.min(profile.replica_cap[stage]) {
             for node in (0..np).map(NodeId) {
                 if !mapping.placement(stage).contains(node) {
                     try_move(mapping, Move::AddReplica { stage, node });
@@ -233,6 +233,7 @@ pub fn for_each_neighbour(
 mod tests {
     use super::*;
     use crate::mapping::Placement;
+    use adapipe_state::StateAccess;
 
     fn n(i: usize) -> NodeId {
         NodeId(i)
@@ -281,28 +282,33 @@ mod tests {
 
     /// The neighbourhood as a list, checking on the way that every
     /// candidate is one move away and that the walk restores `mapping`.
+    /// A stage is `replicable` as `Stateless`, pinned as `Opaque`.
     fn neighbours(
         mapping: &Mapping,
         np: usize,
-        stateless: &[bool],
+        replicable: &[bool],
         replica_cap: &[usize],
         max_width: usize,
         focus: Option<&[NodeId]>,
     ) -> Vec<(Move, Mapping)> {
+        let mut profile = PipelineProfile::uniform(vec![1.0; replicable.len()], 0);
+        profile.state = replicable
+            .iter()
+            .map(|&r| {
+                if r {
+                    StateAccess::Stateless
+                } else {
+                    StateAccess::Opaque
+                }
+            })
+            .collect();
+        profile.replica_cap = replica_cap.to_vec();
         let mut work = mapping.clone();
         let mut out = Vec::new();
-        for_each_neighbour(
-            &mut work,
-            np,
-            stateless,
-            replica_cap,
-            max_width,
-            focus,
-            |mv, cand| {
-                assert_eq!(mapping.diff(cand).len(), 1, "{mv:?} is not one move");
-                out.push((mv, cand.clone()));
-            },
-        );
+        for_each_neighbour(&mut work, np, &profile, max_width, focus, |mv, cand| {
+            assert_eq!(mapping.diff(cand).len(), 1, "{mv:?} is not one move");
+            out.push((mv, cand.clone()));
+        });
         assert_eq!(&work, mapping, "the walk must undo every move");
         out
     }

@@ -7,7 +7,7 @@
 //!
 //! * [`mapping`] — the mapping representation: per-stage host sets with
 //!   coalescing (consecutive stages sharing a host) and replication
-//!   (stateless stages fanned over several hosts);
+//!   (replicable stages fanned over several hosts);
 //! * [`graph`] — stage graphs: the pipeline *shape* as one DAG of
 //!   ordered predecessor/successor lists over flattened stage ids; the
 //!   chain and parallel-block builders are sugar that emits edges into
@@ -23,7 +23,7 @@
 //! * [`search`] — exhaustive search (small instances), contiguous dynamic
 //!   programming, steepest-descent local search with restarts, and the
 //!   [`search::plan`] facade;
-//! * [`replicate`] — greedy widening of stateless bottleneck stages;
+//! * [`replicate`] — greedy widening of replicable bottleneck stages;
 //! * [`decide`] — hysteresis + cost/benefit re-mapping rule;
 //! * [`share`] — cross-tenant capacity arbitration: weighted
 //!   progressive filling of one pool over many sessions under

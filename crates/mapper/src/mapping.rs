@@ -2,10 +2,12 @@
 //!
 //! A [`Mapping`] records, for every pipeline stage, the set of grid nodes
 //! hosting it. One host is the common case; multiple hosts mean the stage
-//! is *replicated* (legal only for stateless stages — enforced by the
-//! planner, not by this type) with items dealt round-robin among the
-//! hosts. Consecutive stages sharing a host are *coalesced*: items move
-//! between them without touching the network.
+//! is *replicated* (legal only for stages whose declared state is
+//! replicable — stateless, keyed or accumulator; enforced by the planner
+//! and the builders' mapping validation, not by this type) with items
+//! dealt round-robin among the hosts, or by shard for keyed state.
+//! Consecutive stages sharing a host are *coalesced*: items move between
+//! them without touching the network.
 
 use adapipe_gridsim::node::NodeId;
 use std::fmt;

@@ -15,6 +15,7 @@ use crate::graph::{Next, StageGraph};
 use crate::mapping::Mapping;
 use adapipe_gridsim::net::Topology;
 use adapipe_gridsim::node::NodeId;
+use adapipe_state::StateAccess;
 
 /// Static per-pipeline quantities the model needs.
 #[derive(Clone, Debug)]
@@ -28,11 +29,13 @@ pub struct PipelineProfile {
     pub boundary_bytes: Vec<u64>,
     /// The stage topology (a DAG) over flattened stage ids.
     pub graph: StageGraph,
-    /// Which stages may run more than one live instance: truly
-    /// stateless stages, plus *declared* keyed or accumulator state
-    /// (the runtime shards or merges it behind the planner's back).
-    /// Exclusive and opaque state pins a stage to width one.
-    pub stateless: Vec<bool>,
+    /// Each stage's declared state-access pattern (`len = Ns`), read in
+    /// place: `replicable()` decides which stages may run more than one
+    /// live instance (stateless, plus keyed or accumulator state the
+    /// runtime shards or merges behind the planner's back — exclusive
+    /// and opaque state pins a stage to width one), and
+    /// `is_stateless()` which co-located edges a fusing backend fuses.
+    pub state: Vec<StateAccess>,
     /// Per-stage replica-width caps declared by the programmer
     /// (`len = Ns`, every entry ≥ 1). `usize::MAX` leaves the width to
     /// the planner's global `max_width`; exclusive/opaque stages carry
@@ -62,7 +65,7 @@ impl PipelineProfile {
         assert!(ns > 0, "pipeline needs at least one stage");
         PipelineProfile {
             boundary_bytes: vec![bytes_per_item; ns + 1],
-            stateless: vec![true; ns],
+            state: vec![StateAccess::Stateless; ns],
             replica_cap: vec![usize::MAX; ns],
             graph: StageGraph::linear(ns),
             stage_work,
@@ -89,11 +92,7 @@ impl PipelineProfile {
             ns + 1,
             "need Ns+1 boundary sizes"
         );
-        assert_eq!(
-            self.stateless.len(),
-            ns,
-            "need one statefulness flag per stage"
-        );
+        assert_eq!(self.state.len(), ns, "need one state declaration per stage");
         assert_eq!(self.replica_cap.len(), ns, "need one replica cap per stage");
         assert!(
             self.replica_cap.iter().all(|&c| c >= 1),
@@ -115,7 +114,8 @@ impl PipelineProfile {
 /// True when the executing backend would *fuse* the edge `from → to`
 /// under `mapping`: the backend fuses at all (`fuses_colocated`, set by
 /// the threaded engine and nothing else), `to` is `from`'s sole linear
-/// successor, declared stateless, and both stages sit unreplicated on
+/// successor, declared stateless (`is_stateless()`, the predicate the
+/// engine's `FusionPlan` applies), and both stages sit unreplicated on
 /// the same host. A fused boundary is a direct call — no envelope, no
 /// inbox hop — so the model charges it no transfer latency. (The engine
 /// additionally requires a default resilience policy on the successor,
@@ -125,7 +125,7 @@ impl PipelineProfile {
 /// rankings anyway.) Same-host hops never contributed to the link busy
 /// budget, so the throughput term is untouched.
 fn fused_edge(profile: &PipelineProfile, mapping: &Mapping, from: usize, to: usize) -> bool {
-    if !profile.fuses_colocated || !profile.stateless[to] {
+    if !profile.fuses_colocated || !profile.state[to].is_stateless() {
         return false;
     }
     // `Next::Stage` structurally implies `to` has in-degree 1: fan-out
@@ -785,7 +785,7 @@ mod tests {
         // 0→1 pays the self-link again. (1→2 stays fused — its target
         // is stateless.)
         let mut stateful = fused.clone();
-        stateful.stateless[1] = false;
+        stateful.state[1] = StateAccess::Opaque;
         let ps = evaluate(&stateful, &m, &rates, &fast_net(2));
         assert!(ps.latency > pf.latency);
         // Throughput is untouched either way: same-host hops never
@@ -842,7 +842,7 @@ mod tests {
         let rates = [1.0];
         let pf = evaluate(&profile, &m, &rates, &fast_net(1));
         let mut stateful_post = profile.clone();
-        stateful_post.stateless[4] = false;
+        stateful_post.state[4] = StateAccess::Opaque;
         let ps = evaluate(&stateful_post, &m, &rates, &fast_net(1));
         // Un-fusing merge→post adds exactly one self-link hop.
         let self_hop = fast_net(1)

@@ -13,7 +13,7 @@ use crate::mapping::Mapping;
 use crate::model::{Evaluator, Floor, Score};
 use adapipe_gridsim::node::NodeId;
 
-/// Greedily adds replicas to stateless stages of `mapping`, in place,
+/// Greedily adds replicas to replicable stages of `mapping`, in place,
 /// while doing so strictly improves predicted throughput. Returns the
 /// score of what it leaves (which may be the input unchanged).
 ///
@@ -47,7 +47,7 @@ fn best_single_widening(
     let rates = ev.rates();
     let mut best: Option<(Move, Score)> = None;
     for stage in 0..current.len() {
-        if !profile.stateless[stage]
+        if !profile.state[stage].replicable()
             || current.placement(stage).width() >= max_width.min(profile.replica_cap[stage])
         {
             continue;
@@ -117,7 +117,7 @@ mod tests {
     #[test]
     fn respects_stateful_stages() {
         let mut profile = PipelineProfile::uniform(vec![4.0, 1.0], 0);
-        profile.stateless[0] = false;
+        profile.state[0] = adapipe_state::StateAccess::Opaque;
         let mapping = Mapping::from_assignment(&[n(0), n(1)]);
         let rates = [1.0, 1.0, 1.0];
         let (m, p) = improved(&profile, mapping.clone(), &rates, &fast_net(3), 4);

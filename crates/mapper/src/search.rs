@@ -9,7 +9,7 @@
 //!   descent local search with random restarts.
 //!
 //! A final greedy replication pass ([`crate::replicate`]) widens
-//! stateless bottleneck stages either way.
+//! replicable bottleneck stages either way.
 //!
 //! ## The inner loop
 //!
@@ -359,8 +359,7 @@ fn best_move(
     for_each_neighbour(
         current,
         ev.rates().len(),
-        &profile.stateless,
-        &profile.replica_cap,
+        profile,
         max_width,
         focus,
         |mv, cand| {

@@ -12,6 +12,7 @@ use adapipe_gridsim::node::NodeId;
 use adapipe_gridsim::rng::Rng64;
 use adapipe_gridsim::time::{SimDuration, SimTime};
 use adapipe_mapper::prelude::*;
+use adapipe_state::StateAccess;
 
 fn fast_net(np: usize) -> Topology {
     Topology::uniform(np, LinkSpec::new(SimDuration::from_nanos(1), 1e12))
@@ -262,7 +263,7 @@ fn reference(p: &PipelineProfile, m: &Mapping, rates: &[f64], topo: &Topology) -
     let hosts = |s: usize| m.placement(s).hosts();
     let fused = |f: usize, t: usize| {
         p.fuses_colocated
-            && p.stateless[t]
+            && p.state[t].is_stateless()
             && p.graph.succs(f) == [t]
             && p.graph.preds(t) == [f]
             && hosts(f).len() == 1
@@ -324,7 +325,15 @@ fn unified_walk_matches_a_longest_path_reference_on_series_parallel_shapes() {
         let mut profile =
             PipelineProfile::uniform((0..ns).map(|_| 0.1 + 9.9 * rng.next_unit()).collect(), 0);
         profile.boundary_bytes = (0..=ns).map(|_| rng.next_range(200_000) as u64).collect();
-        profile.stateless = (0..ns).map(|_| rng.next_range(4) > 0).collect();
+        profile.state = (0..ns)
+            .map(|_| {
+                if rng.next_range(4) > 0 {
+                    StateAccess::Stateless
+                } else {
+                    StateAccess::Opaque
+                }
+            })
+            .collect();
         profile.fuses_colocated = rng.next_range(2) == 0;
         profile.source = (rng.next_range(2) == 0).then(|| NodeId(rng.next_range(np)));
         profile.sink = (rng.next_range(2) == 0).then(|| NodeId(rng.next_range(np)));
@@ -460,7 +469,7 @@ fn golden_instance(case: u64) -> Golden {
         }
         3 => {
             let s = rng.next_range(ns);
-            profile.stateless[s] = false;
+            profile.state[s] = StateAccess::Opaque;
             profile.replica_cap[s] = 1;
         }
         _ => {}
@@ -885,7 +894,7 @@ fn naive_prediction(
     };
     let fused = |f: usize, t: usize| {
         p.fuses_colocated
-            && p.stateless[t]
+            && p.state[t].is_stateless()
             && p.graph.succs(f) == [t]
             && p.graph.preds(t) == [f]
             && hosts(f).len() == 1

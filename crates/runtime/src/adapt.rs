@@ -42,23 +42,16 @@ use std::sync::RwLock;
 /// (and, for a shared pool, whoever owns it) knows it.
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
-    /// The mapper's view of the pipeline.
+    /// The mapper's view of the pipeline, declared state included.
     pub profile: PipelineProfile,
     /// Planning topology.
     pub topology: Topology,
     /// Nominal node speeds (forecast rates = speed × predicted
     /// availability).
     pub speeds: Vec<f64>,
-    /// Migratable state per stage, in bytes.
+    /// Migratable state per stage, in bytes (the pattern it follows is
+    /// the stage's declaration, `profile.state`).
     pub state_bytes: Vec<u64>,
-    /// Declared state-access pattern per stage. Replicable stages
-    /// re-deal their stranded items at-least-once when a node goes
-    /// down; only a stage with *opaque* (undeclared) state pinned to a
-    /// permanently lost node is a fatal
-    /// [`RunError::StatefulStageLost`]. Declared state (keyed,
-    /// accumulator, exclusive) is snapshottable, so the loop forces a
-    /// recovery re-map and the backend live-migrates the state instead.
-    pub state_access: Vec<StateAccess>,
     /// The faults in force on the nodes this run executes on — the
     /// pool's plan when the run is one tenant of a shared pool, else
     /// the run's own. The backend applies the physics (degraded load
@@ -160,7 +153,7 @@ impl AdaptationLoop {
         });
         assert_eq!(
             mapping.len(),
-            substrate.state_access.len(),
+            substrate.profile.stages(),
             "mapping must cover every stage"
         );
         for node in mapping.nodes_used() {
@@ -298,10 +291,12 @@ impl AdaptationLoop {
                     let table = routing.read().expect("routing lock poisoned");
                     table.mark_down(node);
                     // Only *opaque* (undeclared) state dies with its
-                    // host: declared state is snapshottable, so the
-                    // recovery re-map below migrates it instead.
+                    // host (a fatal `StatefulStageLost`): declared state
+                    // is snapshottable, so the recovery re-map below
+                    // migrates it instead, and replicable stages re-deal
+                    // their stranded items at-least-once.
                     let lost_stateful = (0..table.len()).find(|&s| {
-                        self.cfg.state_access[s] == StateAccess::Opaque && table.contains(s, node)
+                        !self.cfg.profile.state[s].migratable() && table.contains(s, node)
                     });
                     drop(table);
                     self.hooks.events.emit(RunEvent::NodeDown {
@@ -633,7 +628,7 @@ impl AdaptationLoop {
             if old.is_empty() || new.is_empty() {
                 continue;
             }
-            match self.cfg.state_access[s] {
+            match self.cfg.profile.state[s] {
                 StateAccess::Stateless => {}
                 // A shard moves when its owner (by the shared
                 // `owner_of` rule over the placement width) changes
@@ -753,7 +748,6 @@ mod tests {
             topology: Topology::uniform(np, LinkSpec::lan()),
             speeds: vec![1.0; np],
             state_bytes: vec![0; 3],
-            state_access: vec![StateAccess::Stateless; 3],
             faults: FaultPlan::new(),
             session: SessionId(0),
         };
@@ -1050,7 +1044,7 @@ mod tests {
     #[test]
     fn stateful_stage_on_crashed_node_is_fatal() {
         let (mut rig, mapping) = rig(Policy::periodic_default(), 3);
-        rig.substrate.state_access[1] = StateAccess::Opaque; // stage 1 stateful on n1
+        rig.substrate.profile.state[1] = StateAccess::Opaque; // stage 1 stateful on n1
         rig.substrate.faults = FaultPlan::new().crash(n(1), SimTime::from_secs_f64(1.0));
         let control = rig.run.control.clone();
         let mut aloop = rig.launch();
@@ -1080,7 +1074,7 @@ mod tests {
         // snapshottable, so the loop forces a recovery re-map that
         // moves the shards — no typed abort.
         let (mut rig, mapping) = rig(Policy::periodic_default(), 3);
-        rig.substrate.state_access = vec![
+        rig.substrate.profile.state = vec![
             StateAccess::Stateless,
             StateAccess::Keyed { shards: 4 },
             StateAccess::Stateless,
@@ -1115,7 +1109,7 @@ mod tests {
         // Declared exclusive state on the crashed node: one
         // whole-instance migration, full byte charge, no abort.
         let (mut rig, mapping) = rig(Policy::periodic_default(), 3);
-        rig.substrate.state_access = vec![
+        rig.substrate.profile.state = vec![
             StateAccess::Stateless,
             StateAccess::Exclusive,
             StateAccess::Stateless,
@@ -1149,7 +1143,7 @@ mod tests {
         // An outage is recoverable: the stage's items park and the node
         // (with its state) comes back — no fatal error, unlike a crash.
         let (mut rig, mapping) = rig(Policy::periodic_default(), 3);
-        rig.substrate.state_access[1] = StateAccess::Opaque; // stage 1 stateful on n1
+        rig.substrate.profile.state[1] = StateAccess::Opaque; // stage 1 stateful on n1
         rig.substrate.faults = FaultPlan::new().outage(
             n(1),
             SimTime::from_secs_f64(1.0),

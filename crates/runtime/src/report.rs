@@ -331,17 +331,13 @@ impl ReportBuilder {
         self.faults = Some((plan, node_count));
     }
 
-    /// Records one item re-dealt to a live host after its assigned node
-    /// went down.
-    pub fn record_replay(&mut self) {
-        self.replays += 1;
-    }
-
-    /// Overwrites the replay counter — for backends that count replays
-    /// outside the builder (e.g. an atomic shared across worker
-    /// threads) and settle it at teardown.
-    pub fn set_replays(&mut self, replays: u64) {
-        self.replays = replays;
+    /// Records `n` items re-dealt to a live host after their assigned
+    /// node went down. The simulator records each replay as it
+    /// happens; the threaded engine counts in an atomic shared across
+    /// its workers and records the total once, at teardown — the same
+    /// call either way.
+    pub fn record_replay(&mut self, n: u64) {
+        self.replays += n;
     }
 
     /// Settles the state-migration totals — both backends count moves
@@ -363,22 +359,10 @@ impl ReportBuilder {
         self.retries += n;
     }
 
-    /// Overwrites the retry counter — for backends that count retries
-    /// in an atomic shared across worker threads and settle at
-    /// teardown.
-    pub fn set_retries(&mut self, retries: u64) {
-        self.retries = retries;
-    }
-
     /// Records `n` attempts that exceeded their stage's declared
     /// per-item timeout.
     pub fn record_timeouts(&mut self, n: u64) {
         self.timeouts += n;
-    }
-
-    /// Overwrites the timeout counter (atomic-settling backends).
-    pub fn set_timeouts(&mut self, timeouts: u64) {
-        self.timeouts = timeouts;
     }
 
     /// Diverts one poison item into the dead-letter channel. A
@@ -416,6 +400,14 @@ impl ReportBuilder {
         if at > self.last_completion {
             self.last_completion = at;
         }
+        self.sample_latency(latency);
+    }
+
+    /// Counts one completion's latency: into the exact sum always, and
+    /// into the retained samples every `latency_stride`-th completion,
+    /// halving the samples and doubling the stride whenever they reach
+    /// [`LATENCY_SAMPLE_CAP`].
+    fn sample_latency(&mut self, latency: SimDuration) {
         self.latency_sum = self.latency_sum.saturating_add(latency);
         if self.latencies.len() >= LATENCY_SAMPLE_CAP {
             let mut keep = false;
@@ -446,19 +438,7 @@ impl ReportBuilder {
     pub fn record_envelope(&mut self, at: SimTime, latencies: impl Iterator<Item = SimDuration>) {
         let before = self.completed;
         for latency in latencies {
-            self.latency_sum = self.latency_sum.saturating_add(latency);
-            if self.latencies.len() >= LATENCY_SAMPLE_CAP {
-                let mut keep = false;
-                self.latencies.retain(|_| {
-                    keep = !keep;
-                    keep
-                });
-                self.latency_stride *= 2;
-            }
-            if self.completed.is_multiple_of(self.latency_stride) {
-                self.latencies.push(latency);
-            }
-            self.completed += 1;
+            self.sample_latency(latency);
         }
         let n = self.completed - before;
         if n == 0 {
@@ -608,8 +588,8 @@ mod tests {
         let mut b = ReportBuilder::new(SimDuration::from_secs(1), 2);
         b.record_completion(SimTime::from_secs_f64(10.0), SimDuration::from_secs(1));
         b.record_completion(SimTime::from_secs_f64(40.0), SimDuration::from_secs(1));
-        b.record_replay();
-        b.record_replay();
+        b.record_replay(1);
+        b.record_replay(1);
         // Node 1 is out [5, 15) and crashed at 30: downtime clamps to
         // the 40 s makespan → 10 + 10 = 20 s.
         let plan = FaultPlan::new()

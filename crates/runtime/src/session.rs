@@ -53,6 +53,7 @@ use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::net::Topology;
 use adapipe_gridsim::time::{SimDuration, SimTime};
 use adapipe_mapper::mapping::Mapping;
+use adapipe_state::StateAccess;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -1080,29 +1081,28 @@ pub fn validate_policy_arrivals(
 
 /// Validates a supplied launch mapping against the declared stage
 /// properties and the backend's node set: arity must match, no stage
-/// may be mapped wider than its legal replica bound (non-replicable —
-/// exclusive or opaque state — = 1, replicable = declared cap, which
-/// for keyed stages is the shard count), and every host must exist. The backends
-/// assert the same invariants — this turns the panic into a typed
+/// may be mapped wider than its legal replica bound `replica_cap` (one
+/// per stage, as `StageSpec::replica_cap` folds it: 1 for exclusive or
+/// opaque state, the shard count for keyed state, the declared bound
+/// otherwise), and every host must exist. The backends assert the same
+/// invariants — this turns the panic into a typed
 /// [`BuildError::InvalidMapping`] at the unified surface.
 pub fn validate_mapping(
     mapping: &Mapping,
-    stateless: &[bool],
     replica_cap: &[usize],
     node_count: usize,
 ) -> Result<(), BuildError> {
-    if mapping.len() != stateless.len() {
+    if mapping.len() != replica_cap.len() {
         return Err(BuildError::InvalidMapping {
             detail: format!(
                 "mapping covers {} stages, pipeline declares {}",
                 mapping.len(),
-                stateless.len()
+                replica_cap.len()
             ),
         });
     }
-    for s in 0..mapping.len() {
+    for (s, &cap) in replica_cap.iter().enumerate() {
         let placement = mapping.placement(s);
-        let cap = if stateless[s] { replica_cap[s] } else { 1 };
         if placement.width() > cap {
             return Err(BuildError::InvalidMapping {
                 detail: format!(
@@ -1153,19 +1153,19 @@ pub fn validate_stage_names<S: AsRef<str>>(names: &[S]) -> Result<(), BuildError
     Ok(())
 }
 
-/// Validates one stage's declared replica bound against its
-/// replicability (`stateless` here means "may run more than one live
-/// instance" — declared keyed and accumulator state qualifies).
+/// Validates one stage's declared replica bound against its declared
+/// state: only a `replicable()` pattern may run more than one live
+/// instance (declared keyed and accumulator state qualifies).
 /// `usize::MAX` is the *unset* default ("planner decides") and is
 /// always legal; an explicit bound above one on a non-replicable
 /// stage declares replication the runtime must refuse.
-pub fn validate_replicas(stage: &str, stateless: bool, bound: usize) -> Result<(), BuildError> {
+pub fn validate_replicas(stage: &str, state: StateAccess, bound: usize) -> Result<(), BuildError> {
     if bound == 0 {
         return Err(BuildError::ZeroReplicas {
             stage: stage.to_string(),
         });
     }
-    if !stateless && bound > 1 && bound != usize::MAX {
+    if !state.replicable() && bound > 1 && bound != usize::MAX {
         return Err(BuildError::StatefulReplicated {
             stage: stage.to_string(),
         });
@@ -1255,16 +1255,16 @@ mod tests {
 
     #[test]
     fn replica_rules() {
-        assert!(validate_replicas("s", true, 4).is_ok());
-        assert!(validate_replicas("s", false, 1).is_ok());
+        assert!(validate_replicas("s", StateAccess::Stateless, 4).is_ok());
+        assert!(validate_replicas("s", StateAccess::Opaque, 1).is_ok());
         // The unset default (usize::MAX) never trips the stateful check.
-        assert!(validate_replicas("s", false, usize::MAX).is_ok());
+        assert!(validate_replicas("s", StateAccess::Opaque, usize::MAX).is_ok());
         assert_eq!(
-            validate_replicas("s", true, 0),
+            validate_replicas("s", StateAccess::Stateless, 0),
             Err(BuildError::ZeroReplicas { stage: "s".into() })
         );
         assert_eq!(
-            validate_replicas("s", false, 2),
+            validate_replicas("s", StateAccess::Opaque, 2),
             Err(BuildError::StatefulReplicated { stage: "s".into() })
         );
     }
@@ -1287,25 +1287,25 @@ mod tests {
         use adapipe_mapper::mapping::Placement;
         let wide = Mapping::new(vec![Placement::replicated(vec![NodeId(0), NodeId(1)])]);
         // Stateless within cap and node set: fine.
-        assert!(validate_mapping(&wide, &[true], &[2], 3).is_ok());
+        assert!(validate_mapping(&wide, &[2], 3).is_ok());
         // Stateful stage mapped wide: rejected.
         assert!(matches!(
-            validate_mapping(&wide, &[false], &[1], 3),
+            validate_mapping(&wide, &[1], 3),
             Err(BuildError::InvalidMapping { .. })
         ));
         // Width above the declared cap: rejected.
         assert!(matches!(
-            validate_mapping(&wide, &[true], &[1], 3),
+            validate_mapping(&wide, &[1], 3),
             Err(BuildError::InvalidMapping { .. })
         ));
         // Arity mismatch: rejected.
         assert!(matches!(
-            validate_mapping(&wide, &[true, true], &[2, 2], 3),
+            validate_mapping(&wide, &[2, 2], 3),
             Err(BuildError::InvalidMapping { .. })
         ));
         // Host outside the backend: rejected.
         assert!(matches!(
-            validate_mapping(&wide, &[true], &[2], 1),
+            validate_mapping(&wide, &[2], 1),
             Err(BuildError::InvalidMapping { .. })
         ));
     }

@@ -114,8 +114,8 @@ use adapipe_core::spec::{
     PipelineSpec, ResiliencePolicy, StageGraph, StageGraphBuilder, StageSpec,
 };
 use adapipe_core::stage::{
-    clone_fn, fan_out_fn, fan_out_from_clone, AccumStage, CloneFn, DynStage, FallibleFnStage,
-    FanOutFn, FnStage, KeyFn, KeyedStage, MergeStage, SealedStage, SnapStage, StatefulFnStage,
+    clone_fn, declared, fan_out_fn, fan_out_from_clone, AccumStage, CloneFn, DynStage,
+    FallibleFnStage, FanOutFn, FnStage, KeyFn, KeyedStage, MergeStage, SnapStage, StatefulFnStage,
 };
 use adapipe_engine::exec::{self, EngineSession};
 use adapipe_engine::vnode::VNodeSpec;
@@ -287,13 +287,9 @@ impl<I: Send + 'static, O: Send + 'static> Pipeline<I, O> {
         }
         let node_count = backend.node_count();
         if let Some(mapping) = &cfg.initial_mapping {
-            // "Stateless" to the validator means *replicable*: keyed and
-            // accumulator stages legally run many live instances, with
-            // the keyed width capped at the declared shard count.
             let stages = &self.spec().stages;
-            let stateless: Vec<bool> = stages.iter().map(|s| s.state.replicable()).collect();
             let replica_cap: Vec<usize> = stages.iter().map(|s| s.replica_cap()).collect();
-            session::validate_mapping(mapping, &stateless, &replica_cap, node_count)?;
+            session::validate_mapping(mapping, &replica_cap, node_count)?;
         }
         session::validate_faults(&cfg.faults, node_count)?;
         if matches!(backend, Backend::Threads(_)) && cfg.selection == Selection::LeastLoaded {
@@ -905,7 +901,7 @@ impl<In> RunDecl<In> {
         let names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
         session::validate_stage_names(&names)?;
         for spec in &specs {
-            session::validate_replicas(&spec.name, spec.state.replicable(), spec.max_replicas)?;
+            session::validate_replicas(&spec.name, spec.state, spec.max_replicas)?;
         }
         let session = if self.baseline {
             Session::baseline(self.policy, self.arrivals)?
@@ -966,15 +962,14 @@ impl PipelineBuilder<u64, u64> {
             .stages
             .iter()
             .enumerate()
-            .map(|(i, s)| -> Box<dyn DynStage> {
+            .map(|(i, s)| {
                 if graph.merge_block_of(i).is_some() {
-                    Box::new(MergeStage::new(s.name.clone(), |mut parts: Vec<u64>| {
-                        parts.swap_remove(0)
-                    }))
-                } else if s.stateless {
-                    Box::new(FnStage::new(s.name.clone(), |x: u64| x))
+                    declared(
+                        s,
+                        MergeStage::new(s.name.clone(), |mut parts: Vec<u64>| parts.swap_remove(0)),
+                    )
                 } else {
-                    Box::new(StatefulFnStage::new(s.name.clone(), |x: u64| x))
+                    declared(s, FnStage::new(s.name.clone(), |x: u64| x))
                 }
             })
             .collect();
@@ -1100,18 +1095,16 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
         self.stage_with(StageSpec::balanced(name, 1.0, 0).with_replicas(replicas), f)
     }
 
-    /// Appends a stage with explicit cost metadata. A spec marked
-    /// stateful produces a stateful (never-replicated) stage instance.
+    /// Appends a stage with explicit cost metadata. The stage
+    /// replicates iff `spec`'s declared state is replicable (stateless,
+    /// keyed, accumulator); exclusive and opaque declarations run it as
+    /// one sealed instance.
     pub fn stage_with<Out, F>(self, spec: StageSpec, f: F) -> PipelineBuilder<In, Out>
     where
         Out: Send + 'static,
         F: FnMut(Cur) -> Out + Send + Clone + 'static,
     {
-        let stage: Box<dyn DynStage> = if spec.stateless {
-            Box::new(FnStage::new(spec.name.clone(), f))
-        } else {
-            Box::new(StatefulFnStage::new(spec.name.clone(), f))
-        };
+        let stage = declared(&spec, FnStage::new(spec.name.clone(), f));
         self.append(spec, stage, None)
     }
 
@@ -1123,14 +1116,17 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
     /// patterns ([`PipelineBuilder::keyed_stage`],
     /// [`PipelineBuilder::accumulator_stage`],
     /// [`PipelineBuilder::exclusive_stage`]), which replicate and/or
-    /// live-migrate instead. The closure needs no `Clone` bound.
+    /// live-migrate instead. The closure needs no `Clone` bound, so it
+    /// cannot replicate: a replicable declaration is normalised to
+    /// opaque.
     pub fn stateful_stage<Out, F>(self, spec: StageSpec, f: F) -> PipelineBuilder<In, Out>
     where
         Out: Send + 'static,
         F: FnMut(Cur) -> Out + Send + 'static,
     {
-        let spec = if spec.stateless {
-            spec.with_state(0)
+        let spec = if spec.state.replicable() {
+            let bytes = spec.state_bytes;
+            spec.with_state(bytes)
         } else {
             spec
         };
@@ -1155,14 +1151,16 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
         self.try_stage_with(StageSpec::balanced(name, 1.0, 0), f)
     }
 
-    /// Appends a fallible stage with explicit cost metadata.
+    /// Appends a fallible stage with explicit cost metadata; it
+    /// replicates iff the declared state does, as on
+    /// [`PipelineBuilder::stage_with`].
     pub fn try_stage_with<Out, F>(self, spec: StageSpec, f: F) -> PipelineBuilder<In, Out>
     where
         Cur: Clone,
         Out: Send + 'static,
         F: FnMut(Cur) -> Result<Out, String> + Send + Clone + 'static,
     {
-        let stage = Box::new(FallibleFnStage::new(spec.name.clone(), f));
+        let stage = declared(&spec, FallibleFnStage::new(spec.name.clone(), f));
         self.append(spec, stage, None)
     }
 
@@ -1396,10 +1394,11 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
             } = branch;
             lens.push(specs.len());
             for mut spec in specs {
-                // The per-branch replication cap tightens each stateless
-                // stage's own declared bound; stateful stages stay
-                // pinned to width one by the usual rules.
-                if spec.stateless {
+                // The per-branch replication cap tightens each
+                // replicable stage's own declared bound; exclusive and
+                // opaque stages stay pinned to width one by the usual
+                // rules.
+                if spec.state.replicable() {
                     spec.max_replicas = spec.max_replicas.min(cap);
                 }
                 self.specs.push(spec);
@@ -1521,20 +1520,15 @@ impl<I: Send + 'static, Cur: Send + 'static> Branch<I, Cur> {
         self.stage_with(StageSpec::balanced(name, 1.0, 0).with_replicas(replicas), f)
     }
 
-    /// Appends a stage with explicit cost metadata (stateful specs
-    /// produce never-replicated stage instances, as on the main
-    /// builder).
+    /// Appends a stage with explicit cost metadata; it replicates iff
+    /// the declared state does, as on the main builder.
     pub fn stage_with<Out, F>(mut self, spec: StageSpec, f: F) -> Branch<I, Out>
     where
         Out: Send + 'static,
         F: FnMut(Cur) -> Out + Send + Clone + 'static,
     {
-        let stage: Box<dyn DynStage> = if spec.stateless {
-            Box::new(FnStage::new(spec.name.clone(), f))
-        } else {
-            Box::new(StatefulFnStage::new(spec.name.clone(), f))
-        };
-        self.stages.push(stage);
+        self.stages
+            .push(declared(&spec, FnStage::new(spec.name.clone(), f)));
         self.specs.push(spec);
         Branch {
             specs: self.specs,
@@ -1577,23 +1571,18 @@ impl<In: Send + 'static, B: Send + 'static> ParallelBuilder<In, B> {
     }
 
     /// Closes the parallel block with a merge stage carrying explicit
-    /// cost metadata. A spec marked stateful pins the merge to width
-    /// one (it may accumulate across items).
+    /// cost metadata. The merge replicates iff the declared state does;
+    /// an exclusive or opaque declaration pins it to width one (it may
+    /// accumulate across items).
     pub fn merge_with<Out, F>(self, spec: StageSpec, f: F) -> PipelineBuilder<In, Out>
     where
         Out: Send + 'static,
         F: FnMut(Vec<B>) -> Out + Send + Clone + 'static,
     {
         let mut builder = self.builder;
-        let stage: Box<dyn DynStage> = if spec.stateless {
-            Box::new(MergeStage::new(spec.name.clone(), f))
-        } else {
-            Box::new(SealedStage::new(Box::new(MergeStage::new(
-                spec.name.clone(),
-                f,
-            ))))
-        };
-        builder.stages.push(stage);
+        builder
+            .stages
+            .push(declared(&spec, MergeStage::new(spec.name.clone(), f)));
         builder.keys.push(None);
         builder.specs.push(spec);
         // A mis-declared block has already failed the build; its edges
@@ -1681,19 +1670,16 @@ impl<In: Clone + Send + 'static> DagBuilder<In> {
         self.node_with(StageSpec::balanced(name, 1.0, 0), f)
     }
 
-    /// Declares a named stage with explicit cost metadata (a spec
-    /// marked stateful produces a never-replicated stage instance).
+    /// Declares a named stage with explicit cost metadata; it
+    /// replicates iff the declared state does, as on
+    /// [`PipelineBuilder::stage_with`].
     pub fn node_with<A, B, F>(mut self, spec: StageSpec, f: F) -> Self
     where
         A: Send + 'static,
         B: Clone + Send + 'static,
         F: FnMut(A) -> B + Send + Clone + 'static,
     {
-        let stage: Box<dyn DynStage> = if spec.stateless {
-            Box::new(FnStage::new(spec.name.clone(), f))
-        } else {
-            Box::new(StatefulFnStage::new(spec.name.clone(), f))
-        };
+        let stage = declared(&spec, FnStage::new(spec.name.clone(), f));
         self.push_stage(spec, stage, clone_fn::<B>());
         self
     }
@@ -1711,14 +1697,15 @@ impl<In: Clone + Send + 'static> DagBuilder<In> {
         self.try_node_with(StageSpec::balanced(name, 1.0, 0), f)
     }
 
-    /// Declares a fallible stage with explicit cost metadata.
+    /// Declares a fallible stage with explicit cost metadata; it
+    /// replicates iff the declared state does.
     pub fn try_node_with<A, B, F>(mut self, spec: StageSpec, f: F) -> Self
     where
         A: Clone + Send + 'static,
         B: Clone + Send + 'static,
         F: FnMut(A) -> Result<B, String> + Send + Clone + 'static,
     {
-        let stage: Box<dyn DynStage> = Box::new(FallibleFnStage::new(spec.name.clone(), f));
+        let stage = declared(&spec, FallibleFnStage::new(spec.name.clone(), f));
         self.push_stage(spec, stage, clone_fn::<B>());
         self
     }
@@ -1737,8 +1724,9 @@ impl<In: Clone + Send + 'static> DagBuilder<In> {
         self.join_with(StageSpec::balanced(name, 1.0, 0), f, inputs)
     }
 
-    /// Declares a joining stage with explicit cost metadata (a spec
-    /// marked stateful pins the join to width one).
+    /// Declares a joining stage with explicit cost metadata; it
+    /// replicates iff the declared state does (an exclusive or opaque
+    /// declaration pins the join to width one).
     pub fn join_with<B, Out, F>(mut self, spec: StageSpec, f: F, inputs: &[&str]) -> Self
     where
         B: Send + 'static,
@@ -1755,11 +1743,7 @@ impl<In: Clone + Send + 'static> DagBuilder<In> {
             });
         }
         let name = spec.name.clone();
-        let stage: Box<dyn DynStage> = if spec.stateless {
-            Box::new(MergeStage::new(name.clone(), f))
-        } else {
-            Box::new(SealedStage::new(Box::new(MergeStage::new(name.clone(), f))))
-        };
+        let stage = declared(&spec, MergeStage::new(name.clone(), f));
         self.push_stage(spec, stage, clone_fn::<Out>());
         for input in inputs {
             self.edges.push(((*input).to_string(), name.clone()));

@@ -1,6 +1,6 @@
 //! Stage-graph acceptance suite.
 //!
-//! Three contracts are pinned here:
+//! Four contracts are pinned here:
 //!
 //! 1. **Sugar is pure sugar** — a graph declared through the chain and
 //!    parallel-block builders *is* the graph wired edge by edge: equal
@@ -21,7 +21,11 @@
 //!    letters, the default policy failing fast with the same typed
 //!    error from either builder on either backend), and mis-wired
 //!    declarations fail `build()` with typed errors instead of
-//!    panicking mid-run.
+//!    panicking mid-run;
+//! 4. **One declaration, every constructor** — each plain-closure
+//!    constructor builds, under each of the five state declarations, a
+//!    stage that completes the same stream with the same outputs on
+//!    both backends.
 
 use adapipe::prelude::*;
 use std::time::Duration;
@@ -1182,5 +1186,164 @@ fn seeded_sweep_of_shapes_and_policies_keeps_both_ledgers_equal() {
     assert!(
         joins >= 10 && retries >= 100 && dead >= 20,
         "the generator went soft: {joins} joined shapes, {retries} retries, {dead} dead letters"
+    );
+}
+
+// --- 6. every plain-closure constructor honours every declaration -------
+
+/// Stream length of one constructor × declaration run.
+const DECLARED_ITEMS: u64 = 100;
+/// How long one run may take before it counts as stalled: a stage
+/// instance no worker can ever acquire parks its items for good, and
+/// the watchdog fails the test instead of wedging the suite.
+const STALL: Duration = Duration::from_secs(30);
+
+const CONSTRUCTORS: [&str; 8] = [
+    "stage_with",
+    "Branch::stage_with",
+    "node_with",
+    "merge_with",
+    "join_with",
+    "try_stage_with",
+    "try_node_with",
+    "stateful_stage",
+];
+
+/// The five state declarations, on the stage named "subject".
+fn declarations() -> [StageSpec; 5] {
+    let spec = || StageSpec::balanced("subject", 1.0, 8);
+    [
+        spec(),
+        spec().with_keyed_state(4, 64),
+        spec().with_accumulator_state(64),
+        spec().with_exclusive_state(64),
+        spec().with_state(64),
+    ]
+}
+
+/// A pipeline computing `x ↦ 3x + 1` in which `ctor` builds the stage
+/// "subject" from a plain closure under `spec`.
+fn constructed(ctor: &str, spec: StageSpec) -> Pipeline<u64, u64> {
+    let triple = |x: u64| 3 * x;
+    let one = |_: u64| 1u64;
+    let sum = |outs: Vec<u64>| outs[0] + outs[1];
+    let built = match ctor {
+        "stage_with" => Pipeline::<u64>::builder()
+            .stage_with(spec, |x: u64| 3 * x + 1)
+            .build(),
+        "Branch::stage_with" => Pipeline::<u64>::builder()
+            .parallel(vec![
+                Branch::new().stage_with(spec, triple),
+                Branch::new().stage("one", one),
+            ])
+            .merge("sum", sum)
+            .build(),
+        "node_with" => Pipeline::<u64>::dag()
+            .node("triple", triple)
+            .node_with(spec, |x: u64| x + 1)
+            .edge("triple", "subject")
+            .build::<u64>(),
+        "merge_with" => Pipeline::<u64>::builder()
+            .parallel(vec![
+                Branch::new().stage("triple", triple),
+                Branch::new().stage("one", one),
+            ])
+            .merge_with(spec, sum)
+            .build(),
+        "join_with" => Pipeline::<u64>::dag()
+            .node("triple", triple)
+            .node("one", one)
+            .join_with(spec, sum, &["triple", "one"])
+            .build::<u64>(),
+        "try_stage_with" => Pipeline::<u64>::builder()
+            .try_stage_with(spec, |x: u64| Ok(3 * x + 1))
+            .build(),
+        "try_node_with" => Pipeline::<u64>::dag()
+            .node("triple", triple)
+            .try_node_with(spec, |x: u64| Ok(x + 1))
+            .edge("triple", "subject")
+            .build::<u64>(),
+        "stateful_stage" => Pipeline::<u64>::builder()
+            .stateful_stage(spec, |x: u64| 3 * x + 1)
+            .build(),
+        other => unreachable!("unknown constructor {other}"),
+    };
+    built.unwrap_or_else(|e| panic!("{ctor} builds: {e}"))
+}
+
+/// Runs `body` on a thread of its own: its result, or why there is
+/// none — a panic, or no result within [`STALL`] (the stalled thread
+/// is left detached: nothing can wake it).
+fn watchdog<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> Result<T, String> {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    let (tx, rx) = channel();
+    let runner = std::thread::spawn(move || {
+        let _ = tx.send(body());
+    });
+    match rx.recv_timeout(STALL) {
+        Ok(out) => {
+            runner.join().expect("the runner returned after sending");
+            Ok(out)
+        }
+        Err(RecvTimeoutError::Timeout) => Err(format!("stalled: no result in {STALL:?}")),
+        Err(RecvTimeoutError::Disconnected) => {
+            let panic = runner.join().expect_err("the runner sent nothing");
+            let msg = panic
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            Err(format!("panicked: {msg}"))
+        }
+    }
+}
+
+#[test]
+fn every_plain_closure_constructor_honours_every_declaration_on_both_backends() {
+    let expected: Vec<u64> = (0..DECLARED_ITEMS).map(|x| 3 * x + 1).collect();
+    let mut failures = Vec::new();
+    for ctor in CONSTRUCTORS {
+        for spec in declarations() {
+            let label = spec.state.label();
+            let mut outputs = Vec::new();
+            for backend in ["sim", "threads"] {
+                let spec = spec.clone();
+                let run = watchdog(move || {
+                    let grid = scenario_grid();
+                    let backend = match backend {
+                        "sim" => Backend::Sim(&grid),
+                        _ => Backend::Threads(scenario_vnodes()),
+                    };
+                    let cfg = RunConfig {
+                        items: DECLARED_ITEMS,
+                        ..RunConfig::default()
+                    };
+                    let mut session = constructed(ctor, spec).spawn(backend, cfg).expect("spawn");
+                    for i in 0..DECLARED_ITEMS {
+                        session.push(i).unwrap();
+                    }
+                    let handle = session.drain();
+                    (handle.report.completed, handle.outputs, handle.error)
+                });
+                match run {
+                    Ok((completed, got, None)) if completed == DECLARED_ITEMS => outputs.push(got),
+                    Ok((completed, _, error)) => failures.push(format!(
+                        "{ctor} × {label} on {backend}: {completed} completed, {error:?}"
+                    )),
+                    Err(why) => failures.push(format!("{ctor} × {label} on {backend}: {why}")),
+                }
+            }
+            if outputs.len() == 2 && (outputs[0] != expected || outputs[1] != expected) {
+                failures.push(format!(
+                    "{ctor} × {label}: outputs are not 3x + 1 on both backends"
+                ));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} failed:\n{}",
+        failures.len(),
+        failures.join("\n")
     );
 }
