@@ -9,8 +9,13 @@
 //! 1. the predicted throughput gain is at least `min_relative_gain`, and
 //! 2. the predicted time saved on the *remaining* stream exceeds the
 //!    migration cost by `cost_benefit_factor`.
+//!
+//! One rule runs *before* the search: [`certified_keep`] proves, from
+//! the current mapping's prediction and the forecast rates alone, that
+//! [`should_remap`] would keep whatever candidate the search returned,
+//! so a planning cycle it certifies need not search at all.
 
-use crate::model::Prediction;
+use crate::model::{PipelineProfile, Prediction};
 
 /// Tunables for [`should_remap`].
 #[derive(Clone, Copy, Debug)]
@@ -113,6 +118,52 @@ pub fn should_remap(
         net_gain_seconds,
         speedup,
     }
+}
+
+/// The highest throughput any mapping of `profile` can reach under
+/// `rates`: total speed ÷ total work, the classic period bound for
+/// pipeline mappings (Benoit / Rehn-Sonigo / Robert).
+///
+/// Proof: each of stage `s`'s `width` hosts `n` is busy
+/// `stage_work[s] / rates[n] / width` seconds per item, so
+/// `Σ_n rates[n] · node_load[n] = Σ_s stage_work[s] = W` however the
+/// stages are replicated. A mapping on a dead node scores zero; on live
+/// nodes the busiest load `L` then satisfies `W ≤ L · R`, `R` the sum
+/// of the positive rates. Links can only make the busiest resource
+/// busier, so `throughput ≤ 1 / L ≤ R / W`.
+pub fn throughput_ceiling(profile: &PipelineProfile, rates: &[f64]) -> f64 {
+    let speed: f64 = rates.iter().filter(|&&r| r > 0.0).sum();
+    speed / profile.total_work()
+}
+
+/// Relative slack on [`throughput_ceiling`] for rounding: the ceiling
+/// and a candidate's throughput are each a few correctly rounded
+/// operations, ~1e-16 apart from exact arithmetic.
+const CEILING_MARGIN: f64 = 1e-9;
+
+/// True when [`should_remap`] is certain to keep `current` whatever
+/// candidate a search over `rates` would propose, so the search can be
+/// skipped:
+///
+/// * nothing remains to process: the verdict is `StreamExhausted`
+///   before any candidate is looked at;
+/// * or the [`throughput_ceiling`] is under `1 + min_relative_gain`
+///   times the current throughput: no candidate can clear the
+///   hysteresis threshold, so the verdict is `NoImprovement` or
+///   `BelowThreshold` (or the search returns `current` itself).
+///
+/// The second rule never certifies a dead current mapping (zero
+/// throughput): recovery always searches.
+pub fn certified_keep(
+    profile: &PipelineProfile,
+    rates: &[f64],
+    current: &Prediction,
+    remaining_items: u64,
+    config: &DecisionConfig,
+) -> bool {
+    remaining_items == 0
+        || throughput_ceiling(profile, rates) * (1.0 + CEILING_MARGIN)
+            < (1.0 + config.min_relative_gain) * current.throughput
 }
 
 #[cfg(test)]
@@ -258,6 +309,22 @@ mod tests {
             should_remap(&pred(1.0), &pred(2.0), 1000, 10.0, &lax),
             Decision::Remap { .. }
         ));
+    }
+
+    #[test]
+    fn certificate_needs_the_ceiling_below_the_threshold() {
+        // Work 4 over rates 1 + 1 (+ a dead node): ceiling 0.5 items/s.
+        let profile = PipelineProfile::uniform(vec![1.0, 3.0], 0);
+        let rates = [1.0, 1.0, 0.0];
+        assert_eq!(throughput_ceiling(&profile, &rates), 0.5);
+        let cfg = DecisionConfig::default();
+        // 0.5 < 1.1 × 0.46: no mapping can be 10 % better.
+        assert!(certified_keep(&profile, &rates, &pred(0.46), 10, &cfg));
+        // 0.5 ≥ 1.1 × 0.45: one might be, so search.
+        assert!(!certified_keep(&profile, &rates, &pred(0.45), 10, &cfg));
+        // A dead mapping always searches, unless nothing remains.
+        assert!(!certified_keep(&profile, &rates, &pred(0.0), 10, &cfg));
+        assert!(certified_keep(&profile, &rates, &pred(0.0), 0, &cfg));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! [`for_each_neighbour`] — show every candidate on one working
 //! [`Mapping`] instead of handing out a clone per candidate.
 
-use crate::mapping::Mapping;
+use crate::mapping::{Mapping, Placement};
 use crate::model::PipelineProfile;
 use adapipe_gridsim::node::NodeId;
 
@@ -168,6 +168,31 @@ impl Move {
     }
 }
 
+/// Which stages a neighbourhood walk moves, by the nodes that host
+/// them. `Only(nodes)` and `Except(nodes)` split the walk of `All` in
+/// two: each stage falls in exactly one of them, and each keeps the
+/// order `All` shows its moves in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Focus<'a> {
+    /// Every stage.
+    All,
+    /// Only the stages hosted on at least one of these nodes.
+    Only(&'a [NodeId]),
+    /// Every stage that [`Focus::Only`] with these nodes leaves out.
+    Except(&'a [NodeId]),
+}
+
+impl Focus<'_> {
+    fn admits(self, placement: &Placement) -> bool {
+        let hosted = |nodes: &[NodeId]| nodes.iter().any(|&n| placement.contains(n));
+        match self {
+            Focus::All => true,
+            Focus::Only(nodes) => hosted(nodes),
+            Focus::Except(nodes) => !hosted(nodes),
+        }
+    }
+}
+
 /// Walks the one-move neighbourhood of `mapping` over `np` nodes **in
 /// place**: each move is applied to `mapping`, shown to `visit`, and
 /// undone, so a pass over the neighbourhood clones nothing and
@@ -181,18 +206,19 @@ impl Move {
 ///   `profile.replica_cap` (the shard count for keyed state);
 /// * a replicated stage drops each of its hosts in turn.
 ///
-/// With `focus`, only stages hosted on one of the focus nodes move.
-/// Local search passes the *bottleneck* nodes: a move that does not
-/// unload the bottleneck resource cannot raise throughput, so the
-/// restriction loses (almost) nothing while shrinking a step from
-/// `O(Ns·Np)` candidates to `O(b·Np)`, `b` the number of
-/// bottleneck-hosted stages.
+/// Only the stages `focus` admits move. Local search first passes
+/// [`Focus::Only`] the *bottleneck* nodes: a move that does not unload
+/// the bottleneck resource cannot raise throughput, so the restriction
+/// loses (almost) nothing while shrinking a step from `O(Ns·Np)`
+/// candidates to `O(b·Np)`, `b` the number of bottleneck-hosted stages.
+/// When that stalls, its polish pass walks [`Focus::Except`] the same
+/// nodes: the moves it leaves out were just scored.
 pub fn for_each_neighbour(
     mapping: &mut Mapping,
     np: usize,
     profile: &PipelineProfile,
     max_width: usize,
-    focus: Option<&[NodeId]>,
+    focus: Focus<'_>,
     mut visit: impl FnMut(Move, &Mapping),
 ) {
     assert_eq!(profile.stages(), mapping.len(), "one stage per placement");
@@ -203,7 +229,7 @@ pub fn for_each_neighbour(
     };
     for stage in 0..mapping.len() {
         let placement = mapping.placement(stage);
-        if focus.is_some_and(|focus| !focus.iter().any(|&n| placement.contains(n))) {
+        if !focus.admits(placement) {
             continue;
         }
         let width = placement.width();
@@ -232,7 +258,6 @@ pub fn for_each_neighbour(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::Placement;
     use adapipe_state::StateAccess;
 
     fn n(i: usize) -> NodeId {
@@ -289,7 +314,7 @@ mod tests {
         replicable: &[bool],
         replica_cap: &[usize],
         max_width: usize,
-        focus: Option<&[NodeId]>,
+        focus: Focus<'_>,
     ) -> Vec<(Move, Mapping)> {
         let mut profile = PipelineProfile::uniform(vec![1.0; replicable.len()], 0);
         profile.state = replicable
@@ -320,7 +345,7 @@ mod tests {
     #[test]
     fn neighbours_move_stages() {
         let m = Mapping::from_assignment(&[n(0), n(1)]);
-        let nb = neighbours(&m, 3, &[false, false], &[usize::MAX; 2], 1, None);
+        let nb = neighbours(&m, 3, &[false, false], &[usize::MAX; 2], 1, Focus::All);
         // Each stage can move to 2 other nodes; no replication allowed.
         let moves: Vec<Move> = nb.iter().map(|&(mv, _)| mv).collect();
         let mv = |stage, to| Move::MoveStage { stage, to: n(to) };
@@ -331,7 +356,7 @@ mod tests {
     #[test]
     fn neighbours_replicate_stateless_only() {
         let m = Mapping::from_assignment(&[n(0), n(1)]);
-        let nb = neighbours(&m, 3, &[true, false], &[usize::MAX; 2], 2, None);
+        let nb = neighbours(&m, 3, &[true, false], &[usize::MAX; 2], 2, Focus::All);
         let adds: Vec<_> = nb.iter().filter(|(mv, _)| is_add(mv)).collect();
         // Only stage 0 may replicate, onto the two nodes not hosting it.
         assert_eq!(adds.len(), 2);
@@ -341,7 +366,7 @@ mod tests {
     #[test]
     fn neighbours_drop_replicas() {
         let m = Mapping::new(vec![Placement::replicated(vec![n(0), n(1)])]);
-        let nb = neighbours(&m, 2, &[true], &[usize::MAX], 2, None);
+        let nb = neighbours(&m, 2, &[true], &[usize::MAX], 2, Focus::All);
         let drops: Vec<_> = nb
             .iter()
             .filter(|(mv, _)| matches!(mv, Move::DropReplica { .. }))
@@ -360,7 +385,7 @@ mod tests {
             Placement::single(n(0)),
             Placement::replicated(vec![n(0), n(2)]),
         ]);
-        let nb = neighbours(&m, 3, &[true, true], &[usize::MAX; 2], 3, None);
+        let nb = neighbours(&m, 3, &[true, true], &[usize::MAX; 2], 3, Focus::All);
         let moves: Vec<Move> = nb.iter().map(|&(mv, _)| mv).collect();
         assert_eq!(
             moves,
@@ -398,15 +423,40 @@ mod tests {
             Placement::single(n(1)),
             Placement::replicated(vec![n(1), n(2)]),
         ]);
-        let all = neighbours(&m, 3, &[true; 3], &[usize::MAX; 3], 2, None);
-        let focused = neighbours(&m, 3, &[true; 3], &[usize::MAX; 3], 2, Some(&[n(2)]));
+        let walk = |focus: Focus<'_>| neighbours(&m, 3, &[true; 3], &[usize::MAX; 3], 2, focus);
+        let all = walk(Focus::All);
+        let focused = walk(Focus::Only(&[n(2)]));
         // Only stage 2 touches n2; its moves are the unfocused walk's.
         let of_stage_2: Vec<_> = all
-            .into_iter()
+            .iter()
             .filter(|(_, cand)| m.diff(cand) == [2])
+            .cloned()
             .collect();
         assert!(!focused.is_empty());
         assert_eq!(focused, of_stage_2);
+
+        // `Only` and `Except` the same nodes split the unfocused walk in
+        // two, each in the unfocused order: what local search's polish
+        // pass skips is exactly what its bottleneck pass scored.
+        for nodes in [
+            &[n(2)][..],
+            &[n(1)],
+            &[n(0), n(2)],
+            &[n(0), n(1), n(2)],
+            &[],
+        ] {
+            let hosted = |(_, cand): &(Move, Mapping)| {
+                let stage = m.diff(cand)[0];
+                nodes.iter().any(|&node| m.placement(stage).contains(node))
+            };
+            let (on, off): (Vec<_>, Vec<_>) = all.iter().cloned().partition(hosted);
+            let only = walk(Focus::Only(nodes));
+            let except = walk(Focus::Except(nodes));
+            assert_eq!(only, on, "{nodes:?}");
+            assert_eq!(except, off, "{nodes:?}");
+            assert!(only.iter().all(|c| !except.contains(c)), "{nodes:?}");
+            assert_eq!(only.len() + except.len(), all.len(), "{nodes:?}");
+        }
     }
 
     #[test]
@@ -437,7 +487,7 @@ mod tests {
     #[test]
     fn max_width_caps_replication() {
         let m = Mapping::new(vec![Placement::replicated(vec![n(0), n(1)])]);
-        let nb = neighbours(&m, 4, &[true], &[usize::MAX], 2, None);
+        let nb = neighbours(&m, 4, &[true], &[usize::MAX], 2, Focus::All);
         assert!(nb.iter().all(|(mv, _)| !is_add(mv)));
     }
 
@@ -446,13 +496,13 @@ mod tests {
         // Global max_width would allow widening, but the stage's
         // declared bound of 1 forbids it.
         let m = Mapping::from_assignment(&[n(0)]);
-        let nb = neighbours(&m, 4, &[true], &[1], 4, None);
+        let nb = neighbours(&m, 4, &[true], &[1], 4, Focus::All);
         assert!(nb.iter().all(|(mv, _)| !is_add(mv)));
         // A cap of 2 admits replicas up to width 2 and no further.
-        let nb = neighbours(&m, 4, &[true], &[2], 4, None);
+        let nb = neighbours(&m, 4, &[true], &[2], 4, Focus::All);
         assert!(nb.iter().any(|(mv, _)| is_add(mv)));
         let wide = Mapping::new(vec![Placement::replicated(vec![n(0), n(1)])]);
-        let nb = neighbours(&wide, 4, &[true], &[2], 4, None);
+        let nb = neighbours(&wide, 4, &[true], &[2], 4, Focus::All);
         assert!(nb.iter().all(|(mv, _)| !is_add(mv)));
     }
 }

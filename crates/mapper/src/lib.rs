@@ -24,7 +24,8 @@
 //!   programming, steepest-descent local search with restarts, and the
 //!   [`search::plan`] facade;
 //! * [`replicate`] — greedy widening of replicable bottleneck stages;
-//! * [`decide`] — hysteresis + cost/benefit re-mapping rule;
+//! * [`decide`] — hysteresis + cost/benefit re-mapping rule, and the
+//!   throughput ceiling that certifies a keep without searching;
 //! * [`share`] — cross-tenant capacity arbitration: weighted
 //!   progressive filling of one pool over many sessions under
 //!   `min_share`/`max_share` quotas.
@@ -57,9 +58,11 @@ pub mod share;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::decide::{should_remap, Decision, DecisionConfig, KeepReason};
+    pub use crate::decide::{
+        certified_keep, should_remap, throughput_ceiling, Decision, DecisionConfig, KeepReason,
+    };
     pub use crate::enumerate::{
-        assignment_count, compositions, for_each_neighbour, Assignments, Move,
+        assignment_count, compositions, for_each_neighbour, Assignments, Focus, Move,
     };
     pub use crate::graph::{Next, StageGraph, StageGraphBuilder};
     pub use crate::mapping::{ContiguousMapping, Mapping, Placement};

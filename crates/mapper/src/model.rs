@@ -224,14 +224,16 @@ pub enum Floor {
 
 /// The model bound to one planning problem — profile, forecast rates,
 /// topology — with everything that does not depend on the candidate
-/// mapping done once: the profile is validated, the transfer seconds of
-/// every boundary over every node pair are tabulated, and the node-load
-/// and link accumulators are allocated. An optimiser builds one per
-/// `plan()` and scores thousands of candidates on it without touching
-/// the heap.
+/// mapping done once: the profile is validated, the compute seconds of
+/// every stage on every node and the transfer seconds of every boundary
+/// over every node pair are tabulated, and the node-load and link
+/// accumulators are allocated. An optimiser builds one per `plan()` and
+/// scores thousands of candidates on it without touching the heap or
+/// dividing.
 pub struct Evaluator<'a> {
     profile: &'a PipelineProfile,
     rates: &'a [f64],
+    compute: ComputeSecs,
     transfer: TransferSecs<'a>,
     /// Busy seconds per item on each node, for the last mapping scored.
     node_load: Vec<f64>,
@@ -253,8 +255,10 @@ impl<'a> Evaluator<'a> {
     }
 
     /// `tabulate: false` is the one-shot [`evaluate`]: a single mapping
-    /// reads a handful of the table's cells, so filling it would cost
-    /// more than the walk it serves.
+    /// reads a handful of the transfer table's cells, so filling it
+    /// would cost more than the walk it serves. The compute table is
+    /// `Ns × Np` divisions, which one mapping costs anyway, so it is
+    /// always built.
     fn build(
         profile: &'a PipelineProfile,
         rates: &'a [f64],
@@ -273,6 +277,7 @@ impl<'a> Evaluator<'a> {
         Evaluator {
             profile,
             rates,
+            compute: ComputeSecs::new(&profile.stage_work, rates),
             transfer: TransferSecs::new(&profile.boundary_bytes, topology, tabulate),
             node_load: vec![0.0; rates.len()],
             scratch: vec![0.0; n * n + profile.stages()],
@@ -353,11 +358,10 @@ impl<'a> Evaluator<'a> {
                     "node {host} outside rate vector"
                 );
                 assert!(host.index() < n, "node {host} outside topology");
-                let rate = self.rates[host.index()];
-                if rate <= 0.0 {
+                if self.rates[host.index()] <= 0.0 {
                     dead_node_used = true;
                 } else {
-                    self.node_load[host.index()] += profile.stage_work[s] / rate * share;
+                    self.node_load[host.index()] += self.compute.get(s, host) * share;
                 }
             }
         }
@@ -396,7 +400,7 @@ impl<'a> Evaluator<'a> {
         let latency = walk(
             profile,
             mapping,
-            self.rates,
+            &self.compute,
             &self.transfer,
             link_seconds,
             done,
@@ -431,6 +435,31 @@ fn throughput_of(period: f64) -> f64 {
     } else {
         // Degenerate profile: zero work, zero communication.
         f64::INFINITY
+    }
+}
+
+/// Seconds one item of stage `s` keeps node `n` busy, `stage_work[s] /
+/// rates[n]`: the same quotients the walk would divide per candidate,
+/// divided once. A dead node's cells (rate ≤ 0) are never read.
+struct ComputeSecs {
+    np: usize,
+    table: Vec<f64>,
+}
+
+impl ComputeSecs {
+    fn new(work: &[f64], rates: &[f64]) -> Self {
+        let mut table = Vec::with_capacity(work.len() * rates.len());
+        for &w in work {
+            table.extend(rates.iter().map(|&r| w / r));
+        }
+        ComputeSecs {
+            np: rates.len(),
+            table,
+        }
+    }
+
+    fn get(&self, stage: usize, node: NodeId) -> f64 {
+        self.table[stage * self.np + node.index()]
     }
 }
 
@@ -501,7 +530,7 @@ impl<'a> TransferSecs<'a> {
 fn walk(
     profile: &PipelineProfile,
     mapping: &Mapping,
-    rates: &[f64],
+    compute: &ComputeSecs,
     transfer: &TransferSecs<'_>,
     link_seconds: &mut [f64],
     done: &mut [f64],
@@ -511,7 +540,7 @@ fn walk(
         placement
             .hosts()
             .iter()
-            .map(|&h| profile.stage_work[s] / rates[h.index()])
+            .map(|&h| compute.get(s, h))
             .sum::<f64>()
             / placement.width() as f64
     };

@@ -28,7 +28,7 @@
 //! *started* from: the pass only remembers the best move, and applies
 //! it when the pass is over.
 
-use crate::enumerate::{assignment_count, for_each_neighbour, Assignments, Move};
+use crate::enumerate::{assignment_count, for_each_neighbour, Assignments, Focus, Move};
 use crate::mapping::{ContiguousMapping, Mapping};
 use crate::model::{Bottleneck, Evaluator, Floor, PipelineProfile, Prediction, Score};
 use crate::replicate;
@@ -317,8 +317,16 @@ fn contiguous_dp_ends(
 ///
 /// Each step first explores only moves touching the current *bottleneck*
 /// nodes (the only moves that can raise throughput); when that
-/// neighbourhood stalls, one full-neighbourhood pass runs to pick up
-/// latency/balance polish, and the search stops when that stalls too.
+/// neighbourhood stalls, one pass over the rest of the neighbourhood
+/// runs to pick up latency/balance polish, and the search stops when
+/// that stalls too.
+///
+/// The polish pass skips the bottleneck moves, and the step it picks is
+/// the one a pass over the whole neighbourhood would pick: the stalled
+/// pass proved that no bottleneck move beats the current score, the
+/// polish pass's running best only ever rises from that score, and the
+/// ranking (throughput, then latency, then balance) is a transitive
+/// order, so a skipped move could never have won.
 pub fn local_search(
     ev: &mut Evaluator<'_>,
     current: &mut Mapping,
@@ -331,10 +339,10 @@ pub fn local_search(
             Bottleneck::Node(n) => ([n, n], 1),
             Bottleneck::Link(a, b) => ([a, b], 2),
         };
-        let focus = Some(&focus[..focus_len]);
-        let step = best_move(ev, current, current_score, max_width, focus)
-            // One full pass for polish; stop if even that cannot help.
-            .or_else(|| best_move(ev, current, current_score, max_width, None));
+        let focus = &focus[..focus_len];
+        let step = best_move(ev, current, current_score, max_width, Focus::Only(focus))
+            // One polish pass; stop if even that cannot help.
+            .or_else(|| best_move(ev, current, current_score, max_width, Focus::Except(focus)));
         let Some((mv, score)) = step else { break };
         mv.apply(current);
         current_score = score;
@@ -342,16 +350,16 @@ pub fn local_search(
     current_score
 }
 
-/// One pass over the neighbourhood of `current` (restricted to stages
-/// on a `focus` node, when given): the move leading to the best
-/// neighbour that beats `current_score`, with that neighbour's score.
-/// `current` is walked in place and is unchanged on return.
+/// One pass over the neighbourhood of `current` (restricted to the
+/// stages `focus` admits): the move leading to the best neighbour that
+/// beats `current_score`, with that neighbour's score. `current` is
+/// walked in place and is unchanged on return.
 fn best_move(
     ev: &mut Evaluator<'_>,
     current: &mut Mapping,
     current_score: Score,
     max_width: usize,
-    focus: Option<&[NodeId]>,
+    focus: Focus<'_>,
 ) -> Option<(Move, Score)> {
     let profile = ev.profile();
     let mut best_score = current_score;

@@ -1059,3 +1059,69 @@ fn a_pruned_candidate_is_always_below_the_floor() {
         "pruned {pruned}, scored {scored}"
     );
 }
+
+/// The certified keep is exact. Over the golden instances (chains,
+/// blocks, shuffled DAGs, both optimisers, dead nodes, source/sink,
+/// fusion, keyed caps) under their own rates and a drifted copy, with
+/// current mappings that are the plan before the drift and random
+/// replicated ones:
+///
+/// * (a) no mapping — whatever `plan()` or `exhaustive_best` returns,
+///   and every current mapping — is scored above the throughput
+///   ceiling (up to rounding);
+/// * (b) whenever `certified_keep` fires, `should_remap` keeps the
+///   current mapping against what `plan()` returns;
+/// * (c) the sweep certifies a pinned number of cycles, so (b) is not
+///   vacuous.
+#[test]
+fn a_certified_keep_is_a_keep_whatever_the_search_returns() {
+    let decision = DecisionConfig::default();
+    let mut certified = 0;
+    for case in 0..48 {
+        let g = golden_instance(case);
+        let mut rng = Rng64::new(0xCE27 + case);
+        let before = plan(&g.profile, &g.rates, &g.topology, &g.config).mapping;
+        let drifted: Vec<f64> = g
+            .rates
+            .iter()
+            .map(|&r| r * (0.9 + 0.2 * rng.next_unit()))
+            .collect();
+        let ns = g.profile.stages();
+        let np = g.rates.len();
+        let currents = [
+            before,
+            replicated_mapping(&mut rng, ns, np),
+            replicated_mapping(&mut rng, ns, np),
+        ];
+        for rates in [&g.rates, &drifted] {
+            let ceiling = throughput_ceiling(&g.profile, rates);
+            let under = |throughput: f64, what: &str| {
+                assert!(
+                    throughput <= ceiling * (1.0 + 1e-12),
+                    "case {case}: {what} scores {throughput} over the ceiling {ceiling}"
+                );
+            };
+            let searched = plan(&g.profile, rates, &g.topology, &g.config);
+            under(searched.prediction.throughput, "plan()");
+            let cap = g.config.exhaustive_cap;
+            if assignment_count(ns, np).is_some_and(|c| c <= cap) {
+                let best = exhaustive_best(&g.profile, rates, &g.topology, cap);
+                under(best.prediction.throughput, "exhaustive_best");
+            }
+            for current in &currents {
+                let now = evaluate(&g.profile, current, rates, &g.topology);
+                under(now.throughput, "the current mapping");
+                if certified_keep(&g.profile, rates, &now, 10_000, &decision) {
+                    certified += 1;
+                    let verdict = should_remap(&now, &searched.prediction, 10_000, 0.0, &decision);
+                    assert!(
+                        matches!(verdict, Decision::Keep { .. }),
+                        "case {case}: certified {current} but the search found {} ({verdict:?})",
+                        searched.mapping
+                    );
+                }
+            }
+        }
+    }
+    assert_eq!(certified, 25, "certified cycles");
+}

@@ -8,7 +8,7 @@
 //! [`Forecaster`]; [`Ensemble`] performs the dynamic selection.
 
 use crate::series::ObservationWindow;
-use crate::stats::median;
+use crate::stats::quantile_sorted;
 
 /// A single-quantity time-series predictor.
 ///
@@ -123,6 +123,10 @@ impl Forecaster for SlidingMean {
 #[derive(Clone, Debug)]
 pub struct SlidingMedian {
     window: ObservationWindow,
+    /// The window's values, kept sorted as a stable sort of the window
+    /// would order them (equal values oldest first), so `predict` reads
+    /// the median without copying or sorting.
+    sorted: Vec<f64>,
 }
 
 impl SlidingMedian {
@@ -130,23 +134,34 @@ impl SlidingMedian {
     pub fn new(w: usize) -> Self {
         SlidingMedian {
             window: ObservationWindow::new(w),
+            sorted: Vec::with_capacity(w),
         }
     }
 }
 
 impl Forecaster for SlidingMedian {
     fn observe(&mut self, t: f64, value: f64) {
+        assert!(!value.is_nan(), "NaN in median input");
+        if self.window.len() == self.window.capacity() {
+            // The evicted value is the oldest, so the first of its equals.
+            let (_, evicted) = self.window.oldest().expect("a full window");
+            let at = self.sorted.partition_point(|&x| x < evicted);
+            self.sorted.remove(at);
+        }
         self.window.push(t, value);
+        // The newest value goes after its equals.
+        let at = self.sorted.partition_point(|&x| x <= value);
+        self.sorted.insert(at, value);
     }
     fn predict(&self) -> Option<f64> {
-        let vals: Vec<f64> = self.window.values().collect();
-        median(&vals)
+        (!self.sorted.is_empty()).then(|| quantile_sorted(&self.sorted, 0.5))
     }
     fn name(&self) -> &'static str {
         "sliding_median"
     }
     fn reset(&mut self) {
         self.window.clear();
+        self.sorted.clear();
     }
 }
 
@@ -414,6 +429,44 @@ mod tests {
         let mut f = SlidingMedian::new(5);
         feed(&mut f, &[1.0, 1.0, 1.0, 1.0, 100.0]);
         assert_eq!(f.predict(), Some(1.0));
+    }
+
+    #[test]
+    fn sliding_median_equals_the_median_of_its_window_bit_for_bit() {
+        use crate::stats::median;
+        use std::collections::VecDeque;
+        // A seeded stream over few distinct values, ±0 among them, so
+        // duplicates and evictions of equal values are the common case.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            match state % 11 {
+                0 => -0.0,
+                1 => 0.0,
+                k => (k % 6) as f64 * 0.25,
+            }
+        };
+        for w in [1, 2, 5, 16] {
+            let mut f = SlidingMedian::new(w);
+            let mut window = VecDeque::new();
+            for i in 0..10_000 {
+                if i == 5_000 {
+                    f.reset();
+                    window.clear();
+                    assert_eq!(f.predict(), None);
+                }
+                let v = draw();
+                f.observe(i as f64, v);
+                window.push_back(v);
+                if window.len() > w {
+                    window.pop_front();
+                }
+                let want = median(window.make_contiguous()).map(f64::to_bits);
+                assert_eq!(f.predict().map(f64::to_bits), want, "w {w}, step {i}");
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! 1. **Monitor** — per-node availability observations feed an NWS-style
 //!    forecaster bank;
 //! 2. **Plan** — the mapper searches for the best mapping under the
-//!    forecast effective rates;
+//!    forecast effective rates, unless the current mapping is already
+//!    within the hysteresis threshold of the throughput ceiling, which
+//!    no mapping exceeds (a certified keep, no search);
 //! 3. **Decide** — hysteresis and cost/benefit rules accept or reject the
 //!    candidate, pricing migration as state transfer plus a fixed drain
 //!    overhead.
@@ -14,7 +16,7 @@
 use crate::report::AdaptationEvent;
 use adapipe_gridsim::net::Topology;
 use adapipe_gridsim::time::{SimDuration, SimTime};
-use adapipe_mapper::decide::{should_remap, Decision, DecisionConfig};
+use adapipe_mapper::decide::{certified_keep, should_remap, Decision, DecisionConfig};
 use adapipe_mapper::mapping::Mapping;
 use adapipe_mapper::model::{evaluate, PipelineProfile, Prediction};
 use adapipe_mapper::search::{plan, Plan, PlannerConfig};
@@ -102,6 +104,8 @@ pub struct Controller {
     periodicity: Vec<PeriodicityDetector>,
     events: Vec<AdaptationEvent>,
     plans_evaluated: u64,
+    /// Planning cycles that ran the search (not certified keeps).
+    searches: u64,
     /// Consecutive ticks whose verdict was "re-map".
     remap_votes: u32,
 }
@@ -119,6 +123,7 @@ impl Controller {
             periodicity,
             events: Vec::new(),
             plans_evaluated: 0,
+            searches: 0,
             remap_votes: 0,
         }
     }
@@ -210,6 +215,19 @@ impl Controller {
         state_bytes: &[u64],
     ) -> Option<Plan> {
         self.plans_evaluated += 1;
+        let current_pred = evaluate(profile, current, rates, topology);
+        if certified_keep(
+            profile,
+            rates,
+            &current_pred,
+            remaining_items,
+            &self.cfg.decision,
+        ) {
+            // The verdict is a keep whatever the search would return.
+            self.remap_votes = 0;
+            return None;
+        }
+        self.searches += 1;
         let candidate = plan(profile, rates, topology, &self.cfg.planner);
         if candidate.mapping == *current {
             // "Current is best" is a keep verdict: clear any pending
@@ -217,7 +235,6 @@ impl Controller {
             self.remap_votes = 0;
             return None;
         }
-        let current_pred = evaluate(profile, current, rates, topology);
         let migration = self.migration_cost(current, &candidate.mapping, state_bytes, topology);
         let decision = should_remap(
             &current_pred,
@@ -270,6 +287,12 @@ impl Controller {
         self.plans_evaluated
     }
 
+    /// How many of those cycles ran the mapping search: the rest were
+    /// keeps [`certified_keep`] proved without one.
+    pub fn searches(&self) -> u64 {
+        self.searches
+    }
+
     /// The controller's configuration.
     pub fn config(&self) -> &ControllerConfig {
         &self.cfg
@@ -286,6 +309,7 @@ mod tests {
     use super::*;
     use adapipe_gridsim::net::LinkSpec;
     use adapipe_gridsim::node::NodeId;
+    use adapipe_mapper::decide::throughput_ceiling;
 
     fn n(i: usize) -> NodeId {
         NodeId(i)
@@ -452,6 +476,37 @@ mod tests {
         assert!(out.is_none(), "balanced mapping must be kept");
         assert!(c.events().is_empty());
         assert_eq!(c.plans_evaluated(), 1);
+    }
+
+    #[test]
+    fn a_keep_near_the_throughput_ceiling_skips_the_search() {
+        // Four unit stages one per node, no data: throughput 1.0.
+        let profile = PipelineProfile::uniform(vec![1.0; 4], 0);
+        let current = Mapping::from_assignment(&[n(0), n(1), n(2), n(3)]);
+        let mut c = Controller::new(5, ControllerConfig::default());
+        let consider = |c: &mut Controller, rates: &[f64]| {
+            let topo = topo(rates.len());
+            let out = c.consider(
+                SimTime::ZERO,
+                &profile,
+                &topo,
+                rates,
+                &current,
+                10_000,
+                &[0; 4],
+            );
+            assert!(out.is_none(), "no mapping beats 1.0 by 10 %");
+            evaluate(&profile, &current, rates, &topo).throughput
+                / throughput_ceiling(&profile, rates)
+        };
+        // Four unit nodes: the ceiling is 1.0, the current mapping is on
+        // it, so the cycle keeps without a search.
+        assert_eq!(consider(&mut c, &[1.0; 4]), 1.0);
+        assert_eq!((c.plans_evaluated(), c.searches()), (1, 0));
+        // A fifth node lifts the ceiling to 1.25: at 80 % of it, a 10 %
+        // better mapping might exist, so the cycle searches.
+        assert_eq!(consider(&mut c, &[1.0; 5]), 0.8);
+        assert_eq!((c.plans_evaluated(), c.searches()), (2, 1));
     }
 
     #[test]
