@@ -109,7 +109,7 @@ pub mod prelude {
     pub use adapipe_runtime::arrivals::ArrivalProcess;
     pub use adapipe_runtime::backend::{ExecutionBackend, RemapPlan};
     pub use adapipe_runtime::routing::{RoutingTable, Selection};
-    pub use adapipe_runtime::session::{BuildError, RunConfig, RunHooks, Session};
+    pub use adapipe_runtime::session::{BuildError, RunConfig, Session};
     pub use adapipe_state::{StateAccess, StateCodec, StateSnapshot};
 }
 

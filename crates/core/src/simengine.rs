@@ -50,7 +50,7 @@ use adapipe_runtime::adapt::{AdaptationLoop, RuntimeConfig};
 use adapipe_runtime::backend::{ExecutionBackend, RemapPlan};
 use adapipe_runtime::report::{DeadLetter, ReportBuilder, RunReport};
 use adapipe_runtime::routing::RoutingTable;
-use adapipe_runtime::session::{RunConfig, RunEvent, RunHooks, Session, SessionId};
+use adapipe_runtime::session::{EventBus, RunConfig, RunEvent, Session, SessionId};
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{HashSet, VecDeque};
@@ -221,7 +221,7 @@ struct SimWorld<'a> {
     /// re-home.
     down: Vec<bool>,
     /// Event bus for replay notifications.
-    hooks: RunHooks,
+    bus: EventBus,
 
     events: EventQueue<Ev>,
     now: SimTime,
@@ -397,7 +397,7 @@ impl<'a> SimStepper<'a> {
             rate_scale: share,
             session: id,
             down: vec![false; np],
-            hooks: cfg.hooks.clone(),
+            bus: cfg.events.clone(),
             events: EventQueue::new(),
             now: SimTime::ZERO,
             queues: Table::new(ns, np, VecDeque::new()),
@@ -589,7 +589,7 @@ impl<'a> SimStepper<'a> {
                 self.world.try_dispatch(table, node, now);
             }
             Ev::Tick => {
-                let _ = self.aloop.tick(&mut self.world, &self.routing);
+                self.aloop.tick(&mut self.world, &self.routing);
                 // Only a *fatal* fault exhausts the run — the error slot
                 // alone may carry non-fatal errors (a wrong-typed push
                 // completes as a marker and the stream continues).
@@ -610,8 +610,8 @@ impl<'a> SimStepper<'a> {
                 }
             }
             Ev::Fault => {
-                let outcome = self.aloop.poll_faults(&mut self.world, &self.routing);
-                if outcome.fatal {
+                self.aloop.poll_faults(&mut self.world, &self.routing);
+                if self.aloop.is_fatal() {
                     self.exhausted = true; // error recorded on `control`
                     return true;
                 }
@@ -663,8 +663,6 @@ impl<'a> SimStepper<'a> {
             aloop,
             ..
         } = self;
-        let (migrations, state_bytes_moved) = aloop.migration_totals();
-        let (adaptations, planning_cycles) = aloop.finish();
         let final_mapping = routing
             .into_inner()
             .expect("routing lock poisoned")
@@ -676,14 +674,8 @@ impl<'a> SimStepper<'a> {
             stage_metrics,
             ..
         } = world;
-        report.set_migrations(migrations, state_bytes_moved);
-        report.finish(
-            final_mapping,
-            adaptations,
-            planning_cycles,
-            node_busy,
-            stage_metrics,
-        )
+        aloop.finish(&mut report);
+        report.finish(final_mapping, node_busy, stage_metrics)
     }
 }
 
@@ -807,7 +799,7 @@ impl SimWorld<'_> {
             }
         }
         if policy.trace {
-            self.hooks.events.emit(RunEvent::ItemTrace {
+            self.bus.emit(RunEvent::ItemTrace {
                 session: self.session,
                 seq: item,
                 stage,
@@ -836,7 +828,7 @@ impl SimWorld<'_> {
                 attempts: failed + 1,
                 reason,
             });
-            self.hooks.events.emit(RunEvent::ItemDeadLettered {
+            self.bus.emit(RunEvent::ItemDeadLettered {
                 session: self.session,
                 seq: item,
                 stage,
@@ -1122,7 +1114,7 @@ impl ExecutionBackend for SimWorld<'_> {
             for (k, (item, from)) in orphans.into_iter().enumerate() {
                 if self.down[from] {
                     self.report.record_replay(1);
-                    self.hooks.events.emit(RunEvent::ItemReplayed {
+                    self.bus.emit(RunEvent::ItemReplayed {
                         session: self.session,
                         seq: item,
                         stage,
@@ -1232,6 +1224,75 @@ mod tests {
                 return None;
             }
         }
+    }
+
+    /// Every tick's verdict reaches the bus, and the verdicts tally with
+    /// what the run reports: the re-maps are the report's adaptations,
+    /// the keeps, confirmations and re-maps are its planning cycles, and
+    /// the certified keeps are the cycles that ran no search. The
+    /// scenario is `sim_adaptive`'s in short: its six-stage DAG on
+    /// hetero8, whose fastest node drops to 15 % at t = 60 s, under a
+    /// periodic controller and a paced stream.
+    #[test]
+    fn tick_verdicts_tally_with_the_report() {
+        let mut grid = testbed_hetero8(7);
+        FaultPlan::new()
+            .slowdown(n(0), secs(60.0), secs(1e9), 0.15)
+            .apply(&mut grid);
+        let work = [0.4, 0.6, 0.8, 1.0, 1.2, 1.4];
+        let stages = (0..6)
+            .map(|i| crate::spec::StageSpec::balanced(format!("s{i}"), work[i], 32 << 10))
+            .collect();
+        let graph = crate::spec::StageGraph::builder()
+            .stages(1)
+            .split(&[1, 1])
+            .stages(2)
+            .build();
+        let spec = PipelineSpec::with_graph(stages, graph);
+        let events = EventBus::default();
+        let ticks = events.subscribe();
+        let cfg = RunConfig {
+            items: 600,
+            events,
+            ..RunConfig::default()
+        };
+        let periodic = Policy::Periodic {
+            interval: SimDuration::from_secs(5),
+        };
+        let session = Session::new(periodic, ArrivalProcess::Uniform { rate: 1.6 }).unwrap();
+        let mut stepper = SimStepper::new(&grid, spec, &session, &cfg, SessionId(0), 1.0);
+        for &at in &session.arrivals().schedule(cfg.items) {
+            stepper.push_at(at);
+        }
+        stepper.close();
+        while !stepper.all_done() && stepper.step() {}
+        let searches = stepper.aloop.controller().searches();
+        let report = stepper.finish();
+        let mut tally = std::collections::BTreeMap::new();
+        for event in ticks.try_iter() {
+            if let RunEvent::Tick { verdict, .. } = event {
+                *tally.entry(verdict.kind()).or_insert(0u64) += 1;
+            }
+        }
+        let count = |planned: fn(&str) -> bool| -> u64 {
+            tally
+                .iter()
+                .filter(|(k, _)| planned(k))
+                .map(|(_, n)| n)
+                .sum()
+        };
+        assert_eq!(report.completed, 600);
+        assert_eq!(count(|k| k == "remap"), report.adaptation_count() as u64);
+        assert_eq!(
+            count(|k| k.starts_with("keep:") || k == "confirming" || k == "remap"),
+            report.planning_cycles
+        );
+        let certified = tally.get("keep:certified").copied().unwrap_or(0);
+        assert_eq!(certified, report.planning_cycles - searches);
+        assert!(
+            report.adaptation_count() > 0 && certified > 0 && searches > 0,
+            "the scenario must re-map, search and certify: {tally:?}"
+        );
     }
 
     #[test]
@@ -1544,13 +1605,13 @@ mod tests {
         // carries per-node downtime.
         let grid = testbed_small3();
         let spec = PipelineSpec::balanced(3, 1.0, 0);
-        let hooks = adapipe_runtime::session::RunHooks::default();
-        let events = hooks.events.subscribe();
+        let bus = EventBus::default();
+        let events = bus.subscribe();
         let cfg = RunConfig {
             items: 200,
             initial_mapping: Some(Mapping::from_assignment(&[n(0), n(1), n(2)])),
             faults: FaultPlan::new().crash(n(1), secs(10.0)),
-            hooks,
+            events: bus,
             ..RunConfig::default()
         };
         let report = run(&grid, &spec, &under(Policy::periodic_default()), &cfg);

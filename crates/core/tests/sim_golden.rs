@@ -9,6 +9,9 @@
 //! orphans replayed, an item dead-lettered), so a fixture cannot go
 //! quiet.
 //!
+//! Two scenarios also pin how many adaptation ticks ended in each
+//! verdict — why the controller moved, and why it held still.
+//!
 //! A record is `RunReport::to_json`, then what that leaves out and
 //! event or accumulation order shows in: the per-stage service
 //! statistics (Welford mean and deviation, order-sensitive in the last
@@ -25,9 +28,11 @@ use adapipe_core::simengine::run;
 use adapipe_core::simsession::{self, SimPool};
 use adapipe_gridsim::prelude::*;
 use adapipe_mapper::mapping::{Mapping, Placement};
-use adapipe_runtime::session::SessionId;
+use adapipe_runtime::session::{EventBus, RunEvent, SessionId};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::mpsc::Receiver;
 
 fn n(i: usize) -> NodeId {
     NodeId(i)
@@ -95,6 +100,19 @@ fn record(report: &RunReport) -> String {
         .expect("writing to a String");
     }
     out
+}
+
+/// How many adaptation ticks ended in each verdict, from the run's
+/// `Tick` events: `kind=count`, by kind.
+fn verdict_tally(events: &Receiver<RunEvent>) -> String {
+    let mut tally = BTreeMap::new();
+    for event in events.try_iter() {
+        if let RunEvent::Tick { verdict, .. } = event {
+            *tally.entry(verdict.kind()).or_insert(0) += 1;
+        }
+    }
+    let kinds: Vec<String> = tally.iter().map(|(k, n)| format!("{k}={n}")).collect();
+    kinds.join(" ")
 }
 
 /// Compares `got` with the fixture `name`, or rewrites the fixture when
@@ -171,9 +189,12 @@ fn stateful_migration_across_the_load_step() {
         jittered("s3", 0.4, 20_000, 24),
     ]);
     spec.input_bytes = 20_000;
+    let events = EventBus::new();
+    let ticks = events.subscribe();
     let cfg = RunConfig {
         items: 600,
         initial_mapping: Some(Mapping::from_assignment(&[n(1), n(0), n(2), n(3)])),
+        events,
         ..RunConfig::default()
     };
     let report = run(
@@ -189,6 +210,12 @@ fn stateful_migration_across_the_load_step() {
             .iter()
             .any(|e| e.migrated_stages.contains(&1)),
         "the stateful stage must migrate"
+    );
+    // Why it moved, and why it held still: the guard reverted one
+    // re-map and held planning down after it.
+    assert_eq!(
+        verdict_tally(&ticks),
+        "held-down=7 keep:below-threshold=7 keep:no-improvement=58 remap=5 revert=1 warming-up=2"
     );
     check("stateful_migration", &record(&report));
 }
@@ -248,18 +275,27 @@ fn crash_replays_orphans() {
         jittered("s3", 0.4, 5_000, 44),
     ]);
     spec.input_bytes = 5_000;
+    let events = EventBus::new();
+    let ticks = events.subscribe();
     let cfg = RunConfig {
         items: 400,
         initial_mapping: Some(Mapping::from_assignment(&[n(1), n(0), n(2), n(3)])),
         faults: FaultPlan::new()
             .crash(n(0), secs(20.0))
             .outage(n(2), secs(45.0), secs(70.0)),
+        events,
         ..RunConfig::default()
     };
     let report = run(&grid, &spec, &under(periodic()), &cfg);
     assert_eq!(report.completed, 400);
     assert!(report.replays > 0, "the crashed node's backlog must replay");
     assert!(!report.final_mapping.nodes_used().contains(&n(0)));
+    // The crash recovery commits outside the ticks (no `Tick` of its
+    // own); these are the periodic ticks around it.
+    assert_eq!(
+        verdict_tally(&ticks),
+        "keep:below-threshold=6 keep:no-improvement=21 remap=5 warming-up=2"
+    );
     check("crash_replay", &record(&report));
 }
 

@@ -98,9 +98,7 @@ use crate::fusion::{FIN_BUFS, SLOT_BUFS};
 use crate::inbox::{Ctrl, MIN_LANE_WEIGHT};
 use crate::item::Outbox;
 pub use crate::pool::Pool;
-use crate::tenant::{
-    adaptation_thread, fatal_teardown, AdaptationOutcome, RouteCache, Shared, SinkMsg,
-};
+use crate::tenant::{adaptation_thread, fatal_teardown, RouteCache, Shared, SinkMsg};
 use crate::vnode::VNodeSpec;
 use crate::worker::ship;
 use adapipe_core::payload::Payload;
@@ -190,7 +188,7 @@ pub struct EngineSession<I, O> {
     /// sessions leave the pool running for their co-tenants.
     owns_pool: bool,
     collector: Option<JoinHandle<ReportBuilder>>,
-    adaptation: Option<JoinHandle<AdaptationOutcome>>,
+    adaptation: Option<JoinHandle<AdaptationLoop>>,
     out_rx: Receiver<Vec<Finished>>,
     events: adapipe_runtime::session::EventBus,
     /// The pusher's lock-free routing view.
@@ -527,13 +525,12 @@ where
         report.record_timeouts(self.shared.timeouts.load(Ordering::Relaxed));
         self.detach();
         let np = self.shared.pool.vnodes.len();
-        let (adaptations, planning_cycles, migrations, state_bytes_moved) = self
-            .adaptation
+        self.adaptation
             .take()
             .expect("adaptation joined twice")
             .join()
-            .expect("adaptation thread panicked");
-        report.set_migrations(migrations, state_bytes_moved);
+            .expect("adaptation thread panicked")
+            .finish(&mut report);
         report.set_stage_shards(
             self.shared
                 .spec
@@ -559,13 +556,7 @@ where
             .expect("routing lock poisoned")
             .mapping()
             .clone();
-        let report = report.finish(
-            final_mapping,
-            adaptations,
-            planning_cycles,
-            node_busy,
-            stage_metrics,
-        );
+        let report = report.finish(final_mapping, node_busy, stage_metrics);
         if self.owns_pool {
             self.shared.pool.shutdown();
         }
@@ -844,7 +835,7 @@ where
         collector: Some(collector),
         adaptation: Some(adaptation),
         out_rx,
-        events: cfg.hooks.events.clone(),
+        events: cfg.events.clone(),
         cache,
         pending: Vec::with_capacity(batch_size),
         batch_size,

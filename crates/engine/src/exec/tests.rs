@@ -138,7 +138,7 @@ fn bounded_session_blocks_push_under_stall() {
         queue_capacity: Some(1),
         ..RunConfig::default()
     };
-    let events = cfg.hooks.events.subscribe();
+    let events = cfg.events.subscribe();
     let mut session = spawn_static(pipeline, free_nodes(1), &cfg);
     let t0 = Instant::now();
     for i in 0..8u64 {
@@ -317,7 +317,7 @@ fn vnode_crash_mid_run_loses_nothing() {
         faults: FaultPlan::new().crash(n(1), SimTime::from_secs_f64(0.15)),
         ..RunConfig::default()
     };
-    let events = cfg.hooks.events.subscribe();
+    let events = cfg.events.subscribe();
     cfg.items = 100;
     let mut session = spawn(pipeline, free_nodes(2), &every(100), &cfg);
     for i in 0..100u64 {

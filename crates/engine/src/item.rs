@@ -70,7 +70,7 @@ pub(crate) fn process_resilient(
     match verdict {
         Ok((out, attempts)) => {
             if policy.trace {
-                shared.hooks.events.emit(RunEvent::ItemTrace {
+                shared.events.emit(RunEvent::ItemTrace {
                     session: SessionId(shared.id),
                     seq,
                     stage,
@@ -422,7 +422,7 @@ mod tests {
         // `audit` alone on v1: one envelope, one outbox.
         let on = |v| Placement::single(NodeId(v));
         cfg.initial_mapping = Some(Mapping::new(vec![on(0), on(0), on(1), on(0)]));
-        let events = Arc::new(Mutex::new(cfg.hooks.events.subscribe()));
+        let events = Arc::new(Mutex::new(cfg.events.subscribe()));
         let (at_gate, gate) = std::sync::mpsc::channel::<()>();
         let gate = Arc::new(Mutex::new(Some(gate)));
         let forced = Arc::new(std::sync::atomic::AtomicBool::new(false));

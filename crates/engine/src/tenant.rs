@@ -23,9 +23,8 @@ use adapipe_gridsim::time::SimTime;
 use adapipe_mapper::mapping::Mapping;
 use adapipe_runtime::adapt::AdaptationLoop;
 use adapipe_runtime::backend::{ExecutionBackend, RemapPlan};
-use adapipe_runtime::report::AdaptationEvent;
 use adapipe_runtime::routing::{RoutingSnapshot, RoutingTable, Selection};
-use adapipe_runtime::session::{RunConfig, RunEvent, RunHooks, SessionControl, SessionId};
+use adapipe_runtime::session::{EventBus, RunConfig, RunEvent, SessionControl, SessionId};
 use adapipe_state::StateSnapshot;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -36,11 +35,6 @@ use std::time::{Duration, Instant};
 /// One depot slot: a quiesced stage instance parked for its (possibly
 /// new) owner to collect — `None` while the instance is live on a host.
 pub(crate) type DepotSlot = Mutex<Option<Box<dyn DynStage>>>;
-
-/// What the adaptation thread hands back at teardown: committed
-/// adaptation events, planning cycles, migrations, and declared state
-/// bytes moved.
-pub(crate) type AdaptationOutcome = (Vec<AdaptationEvent>, u64, u64, u64);
 
 /// Collector-side control plane, multiplexed with finished items.
 pub(crate) enum SinkMsg {
@@ -127,7 +121,7 @@ pub(crate) struct Shared {
     pub(crate) done: AtomicBool,
     /// Event bus + error slot shared with the session (fault
     /// notifications, replay announcements, fatal failures).
-    pub(crate) hooks: RunHooks,
+    pub(crate) events: EventBus,
     pub(crate) control: SessionControl,
     /// Items re-dealt to a live host after their vnode went down.
     pub(crate) replays: AtomicU64,
@@ -254,7 +248,7 @@ impl Shared {
             sink,
             completed: AtomicU64::new(0),
             done: AtomicBool::new(false),
-            hooks: cfg.hooks.clone(),
+            events: cfg.events.clone(),
             control: cfg.control.clone(),
             replays: AtomicU64::new(0),
             retries: AtomicU64::new(0),
@@ -330,7 +324,7 @@ impl Shared {
         for join in &self.joins {
             join.lock().expect("join lock poisoned").remove(&seq);
         }
-        self.hooks.events.emit(RunEvent::ItemDeadLettered {
+        self.events.emit(RunEvent::ItemDeadLettered {
             session: SessionId(self.id),
             seq,
             stage,
@@ -347,7 +341,7 @@ impl Shared {
     /// Records one item rescued off the down vnode `from`.
     pub(crate) fn note_replay(&self, seq: u64, stage: usize, from: usize) {
         self.replays.fetch_add(1, Ordering::Relaxed);
-        self.hooks.events.emit(RunEvent::ItemReplayed {
+        self.events.emit(RunEvent::ItemReplayed {
             session: SessionId(self.id),
             seq,
             stage,
@@ -479,10 +473,9 @@ impl ExecutionBackend for EngineBackend {
 /// transitions get their own wake-ups at their exact scheduled wall
 /// offsets — even under `Policy::Static`, where no sampling runs but
 /// nodes must still go down (and fatal losses must still surface).
-pub(crate) fn adaptation_thread(
-    shared: Arc<Shared>,
-    mut aloop: AdaptationLoop,
-) -> AdaptationOutcome {
+/// Hands the loop back at teardown, for the session to settle its part
+/// of the report.
+pub(crate) fn adaptation_thread(shared: Arc<Shared>, mut aloop: AdaptationLoop) -> AdaptationLoop {
     let sample_wall = aloop
         .sample_dt()
         .map(|dt| Duration::from_secs_f64(dt.as_secs_f64()));
@@ -516,8 +509,8 @@ pub(crate) fn adaptation_thread(
         }
 
         if next_fault.is_some_and(|f| f <= Instant::now()) {
-            let outcome = aloop.poll_faults(&mut backend, &shared.routing);
-            if outcome.fatal {
+            aloop.poll_faults(&mut backend, &shared.routing);
+            if aloop.is_fatal() {
                 fatal_teardown(&shared);
                 break 'run;
             }
@@ -531,7 +524,7 @@ pub(crate) fn adaptation_thread(
                     // Planning happens once per interval; sensing every
                     // round. The tick also settles due fault transitions;
                     // an unrecoverable one latches the loop's fatal flag.
-                    let _ = aloop.tick(&mut backend, &shared.routing);
+                    aloop.tick(&mut backend, &shared.routing);
                     if aloop.is_fatal() {
                         fatal_teardown(&shared);
                         break 'run;
@@ -540,7 +533,5 @@ pub(crate) fn adaptation_thread(
             }
         }
     }
-    let (migrations, state_bytes_moved) = aloop.migration_totals();
-    let (adaptations, planning_cycles) = aloop.finish();
-    (adaptations, planning_cycles, migrations, state_bytes_moved)
+    aloop
 }

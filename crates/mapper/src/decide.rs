@@ -65,6 +65,9 @@ pub enum KeepReason {
     NotWorthMigration,
     /// Nothing left to process; adaptation is pointless.
     StreamExhausted,
+    /// [`certified_keep`] proved the keep before any search ran: no
+    /// candidate could have passed [`should_remap`].
+    Certified,
 }
 
 /// Decides whether to migrate from `current` to `candidate` given

@@ -38,7 +38,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod forecast;
-pub mod periodicity;
 pub mod sensor;
 pub mod series;
 pub mod stats;
@@ -49,7 +48,6 @@ pub mod prelude {
         AdaptiveEwma, Ensemble, Ewma, Forecaster, LastValue, RunningMean, SlidingMean,
         SlidingMedian,
     };
-    pub use crate::periodicity::{autocorrelation, dominant_period, PeriodicityDetector};
     pub use crate::sensor::{ForecasterKind, MetricBank, NoisyChannel};
     pub use crate::series::ObservationWindow;
     pub use crate::stats::{median, quantile_sorted, ErrorStats, Welford};

@@ -10,12 +10,26 @@
 //!   availability per node, perturbed by observation noise, several
 //!   times per adaptation interval (point samples alias against load
 //!   oscillating near the sensing frequency);
-//! * **deciding** ([`AdaptationLoop::tick`]) — once per interval:
+//! * **deciding** ([`AdaptationLoop::step`]) — once per interval, a
+//!   function of the loop's own state and one [`TickInput`]: pause,
 //!   realized-throughput regret guard, warm-up and hold-down gating,
-//!   policy-specific rate selection, then one
-//!   [`Controller::consider`] cycle; accepted mappings are swapped into
-//!   the [`RoutingTable`] and handed to the backend as a
+//!   policy-specific rate selection, then one [`Controller::consider`]
+//!   cycle. It returns the [`Verdict`] naming the exit it took, and
+//!   touches no backend, routing table or event bus;
+//! * **applying** ([`AdaptationLoop::tick`]) — settles the fault
+//!   transitions due, reads the backend and the [`RoutingTable`] into a
+//!   [`TickInput`], runs `step`, publishes the verdict as
+//!   [`RunEvent::Tick`], and commits a `Remap` or `Revert`: the mapping
+//!   is swapped into the routing table and handed to the backend as a
 //!   [`RemapPlan`] to commit physically.
+//!
+//! Fault recovery ([`AdaptationLoop::poll_faults`]) runs the same
+//! planning cycle as `step` and commits through the same applier.
+//!
+//! A tick commits at most one plan: a `Revert` ends the tick. A force
+//! request ([`SessionControl::force_remap`]) is spent only by a tick
+//! that reaches planning; on a paused or reverting tick it stays pending
+//! for the next one.
 //!
 //! Backends only choose *when* to call these (the simulator schedules
 //! events, the engine sleeps on a wall clock) — never *what* happens.
@@ -24,15 +38,16 @@ use crate::backend::{ExecutionBackend, RemapPlan};
 use crate::controller::Controller;
 use crate::fault::{FaultTracker, FaultTransition};
 use crate::policy::Policy;
-use crate::report::AdaptationEvent;
+use crate::report::{AdaptationEvent, ReportBuilder};
 use crate::routing::RoutingTable;
-use crate::session::{RunConfig, RunError, RunEvent, RunHooks, Session, SessionControl, SessionId};
+use crate::session::{EventBus, RunConfig, RunError, RunEvent, Session, SessionControl, SessionId};
 use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::net::Topology;
 use adapipe_gridsim::time::{SimDuration, SimTime};
+use adapipe_mapper::decide::KeepReason;
 use adapipe_mapper::mapping::Mapping;
 use adapipe_mapper::model::{evaluate, PipelineProfile};
-use adapipe_mapper::search::{plan, Plan};
+use adapipe_mapper::search::plan;
 use adapipe_monitor::sensor::NoisyChannel;
 use adapipe_state::{owner_of, StateAccess};
 use std::sync::RwLock;
@@ -65,14 +80,101 @@ pub struct RuntimeConfig {
     pub session: SessionId,
 }
 
+/// What one adaptation tick decided: one variant per exit of
+/// [`AdaptationLoop::step`].
+#[non_exhaustive]
+#[derive(Clone, Debug, PartialEq)]
+pub enum Verdict {
+    /// Adaptation is paused ([`SessionControl::pause_adaptation`]):
+    /// sensing and reporting continue, nothing commits.
+    Paused,
+    /// Within the first `warmup_ticks` ticks: too little observation
+    /// history to plan from.
+    WarmingUp,
+    /// A regret-guard revert holds planning down for
+    /// `guard_hold_ticks` ticks.
+    HeldDown,
+    /// The policy called for no planning cycle: the reactive trigger
+    /// held (realized ≥ degradation × expected throughput), or the
+    /// policy is static.
+    NotTriggered,
+    /// A planning cycle ran and kept the current mapping.
+    Keep(KeepReason),
+    /// A planning cycle voted to re-map, with `votes` consecutive votes
+    /// so far — short of `confirm_ticks`.
+    Confirming {
+        /// Consecutive re-map votes, this one included.
+        votes: u32,
+    },
+    /// A planning cycle chose a new mapping.
+    Remap {
+        /// The mapping to adopt.
+        to: Mapping,
+        /// Its model-predicted throughput under the planning rates.
+        throughput: f64,
+        /// Predicted throughput ratio, new over current.
+        speedup: f64,
+        /// Migration cost charged (state transfer + drain overhead).
+        migration_cost: SimDuration,
+    },
+    /// The regret guard tripped: the adopted mapping under-delivered
+    /// its prediction, so the loop reverts to the one before it.
+    Revert {
+        /// The mapping to return to.
+        to: Mapping,
+    },
+}
+
+impl Verdict {
+    /// A stable short name for the verdict, keeps split by reason —
+    /// the key of a why-table.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Verdict::Paused => "paused",
+            Verdict::WarmingUp => "warming-up",
+            Verdict::HeldDown => "held-down",
+            Verdict::NotTriggered => "not-triggered",
+            Verdict::Keep(KeepReason::NoImprovement) => "keep:no-improvement",
+            Verdict::Keep(KeepReason::BelowThreshold) => "keep:below-threshold",
+            Verdict::Keep(KeepReason::NotWorthMigration) => "keep:not-worth-migration",
+            Verdict::Keep(KeepReason::StreamExhausted) => "keep:stream-exhausted",
+            Verdict::Keep(KeepReason::Certified) => "keep:certified",
+            Verdict::Confirming { .. } => "confirming",
+            Verdict::Remap { .. } => "remap",
+            Verdict::Revert { .. } => "revert",
+        }
+    }
+}
+
+/// Everything [`AdaptationLoop::step`] reads from outside the loop at
+/// one tick.
+#[derive(Clone, Debug)]
+pub struct TickInput {
+    /// Backend time of the tick.
+    pub now: SimTime,
+    /// Items completed so far.
+    pub completed: u64,
+    /// A planning cycle was requested ([`SessionControl::force_remap`]):
+    /// it bypasses warm-up, any hold-down and the reactive trigger.
+    pub forced: bool,
+    /// Adaptation is paused.
+    pub paused: bool,
+    /// The mapping in force.
+    pub current: Mapping,
+    /// Under [`Policy::Oracle`], the true effective rates over the
+    /// coming interval, which a planning cycle then plans from; `None`
+    /// under every other policy, whose cycles plan from the forecast.
+    pub oracle_rates: Option<Vec<f64>>,
+}
+
 /// The adaptation state machine shared by every backend.
 pub struct AdaptationLoop {
     cfg: RuntimeConfig,
-    /// The run's policy, stream-length hint, hooks and steering flags,
-    /// taken from its [`Session`] and [`RunConfig`] at launch.
+    /// The run's policy, stream-length hint, event bus and steering
+    /// flags, taken from its [`Session`] and [`RunConfig`] at launch.
     policy: Policy,
     total_items: u64,
-    hooks: RunHooks,
+    events: EventBus,
     control: SessionControl,
     controller: Controller,
     noise: NoisyChannel,
@@ -83,6 +185,8 @@ pub struct AdaptationLoop {
     /// Mapping to revert to if the regret guard trips, with the tick the
     /// current mapping was adopted.
     guard_prev: Option<(Mapping, u32)>,
+    /// Consecutive under-delivering ticks of the armed guard (restarts
+    /// when the guard is armed; meaningless while it is not).
     guard_bad: u32,
     hold_until_tick: u32,
     /// Node-health state machine for the run's fault plan.
@@ -92,27 +196,19 @@ pub struct AdaptationLoop {
     /// down node.
     fault_remap_pending: bool,
     /// Latched once a fault transition proved the run unrecoverable
-    /// (see [`FaultOutcome::fatal`]). Distinct from the session's error
-    /// slot, which may carry non-fatal errors (e.g. the simulator's
-    /// marker-semantics type mismatch).
+    /// (see [`AdaptationLoop::poll_faults`]). Distinct from the
+    /// session's error slot, which may carry non-fatal errors (e.g. the
+    /// simulator's marker-semantics type mismatch).
     fatal: bool,
+    /// Committed re-maps, planned or fault-driven; a guard revert undoes
+    /// one and is not one.
+    adaptations: Vec<AdaptationEvent>,
     /// State migrations implied by committed re-maps (shard, partial,
     /// or whole-instance moves), counted centrally from mapping diffs
     /// so both backends report identical totals.
     migrations: u64,
     /// Declared-state bytes those migrations shipped.
     state_bytes_moved: u64,
-}
-
-/// What [`AdaptationLoop::poll_faults`] did about the transitions due.
-#[derive(Debug, Default)]
-pub struct FaultOutcome {
-    /// A fault-driven re-map committed by this poll, if any.
-    pub committed: Option<RemapPlan>,
-    /// True if the run can no longer proceed (stateful stage lost,
-    /// every node down): the error is recorded on the session control
-    /// and the backend should tear the run down.
-    pub fatal: bool,
 }
 
 impl AdaptationLoop {
@@ -122,7 +218,7 @@ impl AdaptationLoop {
     /// start, which also seed the expected-throughput baseline the
     /// regret guard and the reactive policy compare in. Everything else
     /// the loop needs (policy, controller tunables, stream-length hint,
-    /// observation noise, hooks, steering flags) it reads from
+    /// observation noise, event bus, steering flags) it reads from
     /// `session` and `cfg`.
     ///
     /// # Panics
@@ -177,7 +273,7 @@ impl AdaptationLoop {
         let aloop = AdaptationLoop {
             policy: session.policy(),
             total_items: cfg.items,
-            hooks: cfg.hooks.clone(),
+            events: cfg.events.clone(),
             control: cfg.control.clone(),
             controller: Controller::new(np, cfg.controller.clone()),
             noise,
@@ -190,6 +286,7 @@ impl AdaptationLoop {
             tracker: FaultTracker::new(&substrate.faults, np),
             fault_remap_pending: false,
             fatal: false,
+            adaptations: Vec::new(),
             migrations: 0,
             state_bytes_moved: 0,
             cfg: substrate,
@@ -252,11 +349,6 @@ impl AdaptationLoop {
         self.tracker.next_transition_at()
     }
 
-    /// True if `node` is currently down per the processed fault plan.
-    pub fn is_node_down(&self, node: usize) -> bool {
-        self.tracker.is_down(node)
-    }
-
     /// Processes every fault transition due at the backend's current
     /// time. For each node going **down**: mark it down in the routing
     /// table (all selection policies skip it from now on), emit
@@ -271,6 +363,9 @@ impl AdaptationLoop {
     /// every down node. Nodes coming back **up** are re-admitted to
     /// routing and left for the regular adaptation cycle to re-adopt.
     ///
+    /// A fatal loss latches [`AdaptationLoop::is_fatal`], which the
+    /// backend reads after the call to tear the run down.
+    ///
     /// Idempotent and cheap when nothing is due; called from every
     /// [`AdaptationLoop::tick`] and from the backends' fault wake-ups,
     /// so both backends run the identical recovery sequence.
@@ -278,12 +373,11 @@ impl AdaptationLoop {
         &mut self,
         backend: &mut B,
         routing: &RwLock<RoutingTable>,
-    ) -> FaultOutcome {
+    ) {
         let now = backend.now();
-        let mut outcome = FaultOutcome::default();
         let due = self.tracker.poll(now);
         if due.is_empty() && !self.fault_remap_pending {
-            return outcome;
+            return;
         }
         for transition in due {
             match transition {
@@ -298,8 +392,9 @@ impl AdaptationLoop {
                     let lost_stateful = (0..table.len()).find(|&s| {
                         !self.cfg.profile.state[s].migratable() && table.contains(s, node)
                     });
+                    let hosting = table.mapping().nodes_used().contains(&node);
                     drop(table);
-                    self.hooks.events.emit(RunEvent::NodeDown {
+                    self.events.emit(RunEvent::NodeDown {
                         session: self.cfg.session,
                         node: node.index(),
                         at,
@@ -314,34 +409,29 @@ impl AdaptationLoop {
                                 stage,
                                 node: node.index(),
                             });
-                            outcome.fatal = true;
+                            self.fatal = true;
                         }
                     }
                     if self.tracker.all_down() {
                         self.control.fail(RunError::AllNodesDown);
-                        outcome.fatal = true;
+                        self.fatal = true;
                     }
                     // A permanent loss of a hosting node under a policy
                     // that never re-maps can never be recovered: fail
                     // now instead of starving forever.
-                    if self.policy.interval().is_none()
+                    if hosting
+                        && self.policy.interval().is_none()
                         && self.tracker.is_permanently_down(node.index())
-                        && routing
-                            .read()
-                            .expect("routing lock poisoned")
-                            .mapping()
-                            .nodes_used()
-                            .contains(&node)
                     {
                         self.control
                             .fail(RunError::NodeLostUnderStatic { node: node.index() });
-                        outcome.fatal = true;
+                        self.fatal = true;
                     }
                     self.fault_remap_pending = true;
                 }
                 FaultTransition::Up { node, at } => {
                     routing.read().expect("routing lock poisoned").mark_up(node);
-                    self.hooks.events.emit(RunEvent::NodeUp {
+                    self.events.emit(RunEvent::NodeUp {
                         session: self.cfg.session,
                         node: node.index(),
                         at,
@@ -350,270 +440,283 @@ impl AdaptationLoop {
                 }
             }
         }
-        if outcome.fatal {
-            self.fatal = true;
-            return outcome;
+        if !self.fatal && self.fault_remap_pending {
+            self.recover(backend, routing, now);
         }
-        if self.fault_remap_pending {
-            outcome.committed = self.fault_remap(backend, routing, now);
-        }
-        outcome
     }
 
-    /// One forced planning cycle away from the down nodes. Bypasses
-    /// warm-up (recovery cannot wait for observation history — forecast
-    /// rates of down nodes are masked to zero, and the controller's
-    /// dead-mapping bypass skips confirmation). Clears the pending flag
-    /// only once the mapping in force excludes every down node.
-    fn fault_remap<B: ExecutionBackend>(
+    /// One planning cycle away from the down nodes, committed at once.
+    /// Bypasses warm-up (recovery cannot wait for observation history —
+    /// forecast rates of down nodes are masked to zero, and the
+    /// controller's dead-mapping bypass skips confirmation). Clears the
+    /// pending flag only once the mapping in force excludes every down
+    /// node.
+    fn recover<B: ExecutionBackend>(
         &mut self,
         backend: &mut B,
         routing: &RwLock<RoutingTable>,
         now: SimTime,
-    ) -> Option<RemapPlan> {
-        let current = routing
-            .read()
-            .expect("routing lock poisoned")
-            .mapping()
-            .clone();
-        let touches_down = |m: &Mapping| {
-            m.placements()
-                .iter()
-                .any(|p| p.hosts().iter().any(|h| self.tracker.is_down(h.index())))
-        };
-        if !touches_down(&current) {
+    ) {
+        let current = in_force(routing);
+        if !self.touches_down(&current) {
             self.fault_remap_pending = false;
-            return None;
+            return;
         }
         // Static policy never re-maps, faults included: the run honours
         // the paper's baseline semantics and starves (the session
         // surfaces no progress; the simulator truncates).
-        self.policy.interval()?;
-        let mut rates = self.controller.forecast_rates(&self.cfg.speeds);
-        self.tracker.mask_rates(&mut rates);
+        if self.policy.interval().is_none() {
+            return;
+        }
+        let rates = self.controller.forecast_rates(&self.cfg.speeds);
         // Stranded items guarantee work remains even when the
         // remaining-items hint has run out — never let the amortisation
         // veto crash recovery.
         let remaining = self.total_items.saturating_sub(backend.completed()).max(1);
-        let accepted = self.controller.consider(
-            now,
-            &self.cfg.profile,
-            &self.cfg.topology,
-            &rates,
-            &current,
-            remaining,
-            &self.cfg.state_bytes,
-        );
-        let Plan {
-            mapping: new_mapping,
-            prediction,
-            ..
-        } = accepted?;
-        self.expected_tput = prediction.throughput;
-        // Never arm the regret guard on a recovery mapping: a revert
-        // would re-adopt the mapping that includes the dead node.
-        self.guard_prev = None;
-        self.guard_bad = 0;
-        if !touches_down(&new_mapping) {
-            self.fault_remap_pending = false;
+        let verdict = self.plan_cycle(rates, &current, remaining);
+        if let Verdict::Remap { to, .. } = &verdict {
+            // Never arm the regret guard on a recovery mapping: a revert
+            // would re-adopt the mapping that includes the dead node.
+            self.guard_prev = None;
+            if !self.touches_down(to) {
+                self.fault_remap_pending = false;
+            }
+            self.apply(backend, routing, &verdict, now);
         }
-        Some(self.apply(backend, routing, new_mapping, now))
     }
 
-    /// One adaptation tick: fault transitions, regret guard, warm-up
-    /// gating, policy rate selection, plan/decide, and — on acceptance —
-    /// the routing-table swap plus backend commit. Returns the committed
-    /// [`RemapPlan`], if any (guard reverts and fault-driven recovery
-    /// re-maps also surface here).
+    /// One adaptation tick: settles the fault transitions due, then
+    /// decides with [`AdaptationLoop::step`] on what the backend and
+    /// the routing table show, publishes [`RunEvent::Tick`], and commits
+    /// a `Remap` or `Revert` verdict — the routing-table swap plus the
+    /// backend commit.
+    ///
+    /// Returns the verdict, or `None` when the tick decided nothing: the
+    /// policy is static (it has no ticks), or a fault transition due at
+    /// the tick proved the run unrecoverable ([`AdaptationLoop::is_fatal`]).
     pub fn tick<B: ExecutionBackend>(
         &mut self,
         backend: &mut B,
         routing: &RwLock<RoutingTable>,
-    ) -> Option<RemapPlan> {
+    ) -> Option<Verdict> {
         let interval = self.policy.interval()?;
-        let now = backend.now();
-        let completed = backend.completed();
-
-        // 0. Fault transitions due since the last look (and pending
+        // Fault transitions due since the last look (and pending
         // recovery re-maps) are settled before anything else senses or
         // plans: the rest of the tick must see the post-fault world.
-        let fault = self.poll_faults(backend, routing);
-        if fault.fatal {
-            return fault.committed;
+        self.poll_faults(backend, routing);
+        if self.fatal {
+            return None;
         }
-
-        // 1. Realized throughput over the elapsed tick: the one signal
-        // immune to the forecast pathologies the guard exists for.
-        self.ticks_seen += 1;
-        let realized =
-            completed.saturating_sub(self.last_tick_completed) as f64 / interval.as_secs_f64();
-        self.last_tick_completed = completed;
-
-        let paused = self.control.is_paused();
-        if !self.hooks.events.is_idle() {
-            self.hooks.events.emit(RunEvent::WindowStats {
+        let now = backend.now();
+        let completed = backend.completed();
+        let input = TickInput {
+            now,
+            completed,
+            forced: self.control.take_force_remap(),
+            paused: self.control.is_paused(),
+            current: in_force(routing),
+            oracle_rates: matches!(self.policy, Policy::Oracle { .. })
+                .then(|| backend.oracle_rates(now, now + interval)),
+        };
+        let realized = self.realized(completed, interval);
+        let expected = self.expected_tput;
+        let verdict = self.step(&input);
+        if input.forced && matches!(verdict, Verdict::Paused | Verdict::Revert { .. }) {
+            self.control.force_remap(); // not spent: still pending
+        }
+        if !self.events.is_idle() {
+            self.events.emit(RunEvent::Tick {
                 session: self.cfg.session,
                 at: now,
                 realized,
-                expected: self.expected_tput,
+                expected,
                 completed,
-                paused,
+                verdict: verdict.clone(),
             });
         }
-        // Paused: sensing and window reporting continue (above), but
-        // nothing may commit — not the planner, not the regret guard. A
-        // pending force request stays pending until resumed.
-        if paused {
-            return None;
-        }
-        let forced = self.control.take_force_remap();
-
-        let mut committed: Option<RemapPlan> = fault.committed;
-
-        // A guard revert must never re-adopt a mapping that touches a
-        // node now known to be down.
-        if let Some((prev, _)) = &self.guard_prev {
-            if prev
-                .placements()
-                .iter()
-                .any(|p| p.hosts().iter().any(|h| self.tracker.is_down(h.index())))
-            {
-                self.guard_prev = None;
-                self.guard_bad = 0;
-            }
-        }
-
-        // 2. Regret guard: compare what the adopted mapping delivers
-        // against what the model promised; on sustained shortfall revert
-        // and hold planning down.
-        let guard_ticks = self.controller.config().guard_bad_ticks;
-        if guard_ticks > 0 {
-            if let Some((prev, adopted_tick)) = self.guard_prev.clone() {
-                // Skip the adoption tick itself: migration transients
-                // depress throughput legitimately.
-                if self.ticks_seen > adopted_tick + 1 && self.expected_tput > 0.0 {
-                    if realized < self.controller.config().guard_tolerance * self.expected_tput {
-                        self.guard_bad += 1;
-                    } else {
-                        self.guard_bad = 0;
-                        // The mapping has proven itself: stop guarding it.
-                        if self.ticks_seen > adopted_tick + 3 {
-                            self.guard_prev = None;
-                        }
-                    }
-                    if self.guard_bad >= guard_ticks {
-                        let rates = self.controller.forecast_rates(&self.cfg.speeds);
-                        self.expected_tput =
-                            evaluate(&self.cfg.profile, &prev, &rates, &self.cfg.topology)
-                                .throughput;
-                        committed = Some(self.apply(backend, routing, prev, now));
-                        self.guard_prev = None;
-                        self.guard_bad = 0;
-                        self.hold_until_tick =
-                            self.ticks_seen + self.controller.config().guard_hold_ticks;
-                    }
-                }
-            }
-        }
-
-        // 3. Policy-specific planning — but never before the warm-up
-        // observation history exists, and not during a guard hold-down.
-        // A forced tick (SessionControl::force_remap) bypasses the
-        // warm-up gate, any hold-down, and the reactive trigger: the
-        // caller asked for one planning cycle *now*.
-        let warmed_up = self.ticks_seen > self.controller.config().warmup_ticks
-            && self.ticks_seen >= self.hold_until_tick;
-        let remaining = self.total_items.saturating_sub(completed);
-        let rates: Option<Vec<f64>> = match self.policy {
-            _ if forced => match self.policy {
-                Policy::Oracle { .. } => Some(backend.oracle_rates(now, now + interval)),
-                _ => Some(self.controller.forecast_rates(&self.cfg.speeds)),
-            },
-            _ if !warmed_up => None,
-            Policy::Static => None,
-            Policy::Periodic { .. } => Some(self.controller.forecast_rates(&self.cfg.speeds)),
-            Policy::Reactive { degradation, .. } => {
-                if realized < degradation * self.expected_tput {
-                    Some(self.controller.forecast_rates(&self.cfg.speeds))
-                } else {
-                    None
-                }
-            }
-            Policy::Oracle { .. } => Some(backend.oracle_rates(now, now + interval)),
-        };
-        // No planning path may map work onto a node known to be down,
-        // even before the forecast catches up with the failure.
-        let rates = rates.map(|mut r| {
-            self.tracker.mask_rates(&mut r);
-            r
-        });
-
-        if let Some(rates) = rates {
-            let current = routing
-                .read()
-                .expect("routing lock poisoned")
-                .mapping()
-                .clone();
-            let accepted = self.controller.consider(
-                now,
-                &self.cfg.profile,
-                &self.cfg.topology,
-                &rates,
-                &current,
-                remaining,
-                &self.cfg.state_bytes,
-            );
-            if let Some(Plan {
-                mapping: new_mapping,
-                prediction,
-                ..
-            }) = accepted
-            {
-                self.expected_tput = prediction.throughput;
-                self.guard_prev = Some((current, self.ticks_seen));
-                self.guard_bad = 0;
-                committed = Some(self.apply(backend, routing, new_mapping, now));
-            }
-        }
-        committed
+        self.apply(backend, routing, &verdict, now);
+        Some(verdict)
     }
 
-    /// Swaps `new` into the routing table and hands the priced plan to
-    /// the backend for physical commit.
+    /// Decides one tick from the loop's state and `input` alone — the
+    /// regret guard, the warm-up and hold-down gates, the policy's rate
+    /// choice and one planning cycle, in that order — and updates the
+    /// loop's state as if the verdict were applied. Touches no backend,
+    /// routing table or event bus: [`AdaptationLoop::tick`] commits.
+    pub fn step(&mut self, input: &TickInput) -> Verdict {
+        let Some(interval) = self.policy.interval() else {
+            return Verdict::NotTriggered; // a static policy never plans
+        };
+        // Realized throughput over the elapsed tick: the one signal
+        // immune to the forecast pathologies the guard exists for.
+        self.ticks_seen += 1;
+        let realized = self.realized(input.completed, interval);
+        self.last_tick_completed = input.completed;
+        // Paused: sensing and window reporting continue, but nothing may
+        // commit — not the planner, not the regret guard.
+        if input.paused {
+            return Verdict::Paused;
+        }
+        if let Some(to) = self.regret_guard(realized) {
+            return Verdict::Revert { to };
+        }
+        // Never plan before the warm-up observation history exists, nor
+        // during a guard hold-down — unless the caller asked for one
+        // planning cycle *now*.
+        if !input.forced {
+            if self.ticks_seen <= self.controller.config().warmup_ticks {
+                return Verdict::WarmingUp;
+            }
+            if self.ticks_seen < self.hold_until_tick {
+                return Verdict::HeldDown;
+            }
+        }
+        if let Policy::Reactive { degradation, .. } = self.policy {
+            let degraded = realized < degradation * self.expected_tput;
+            if !degraded && !input.forced {
+                return Verdict::NotTriggered;
+            }
+        }
+        let rates = match &input.oracle_rates {
+            Some(oracle) => oracle.clone(),
+            None => self.controller.forecast_rates(&self.cfg.speeds),
+        };
+        let remaining = self.total_items.saturating_sub(input.completed);
+        let verdict = self.plan_cycle(rates, &input.current, remaining);
+        if matches!(verdict, Verdict::Remap { .. }) {
+            self.guard_prev = Some((input.current.clone(), self.ticks_seen));
+            self.guard_bad = 0;
+        }
+        verdict
+    }
+
+    /// Regret guard: compares what the adopted mapping delivers against
+    /// what the model promised. On sustained shortfall it returns the
+    /// mapping to revert to, with the model's expectation reset to it
+    /// and planning held down.
+    fn regret_guard(&mut self, realized: f64) -> Option<Mapping> {
+        let cfg = self.controller.config();
+        let (prev, adopted_tick) = self.guard_prev.as_ref()?;
+        let adopted_tick = *adopted_tick;
+        // A revert must never re-adopt a mapping that touches a node now
+        // known to be down.
+        if self.touches_down(prev) {
+            self.guard_prev = None;
+            return None;
+        }
+        // Skip the adoption tick itself: migration transients depress
+        // throughput legitimately.
+        let armed = cfg.guard_bad_ticks > 0
+            && self.ticks_seen > adopted_tick + 1
+            && self.expected_tput > 0.0;
+        if !armed {
+            return None;
+        }
+        if realized < cfg.guard_tolerance * self.expected_tput {
+            self.guard_bad += 1;
+        } else {
+            self.guard_bad = 0;
+            // The mapping has proven itself: stop guarding it.
+            if self.ticks_seen > adopted_tick + 3 {
+                self.guard_prev = None;
+            }
+        }
+        if self.guard_bad < cfg.guard_bad_ticks {
+            return None;
+        }
+        let (prev, _) = self.guard_prev.take()?;
+        let rates = self.controller.forecast_rates(&self.cfg.speeds);
+        self.expected_tput =
+            evaluate(&self.cfg.profile, &prev, &rates, &self.cfg.topology).throughput;
+        self.hold_until_tick = self.ticks_seen + cfg.guard_hold_ticks;
+        Some(prev)
+    }
+
+    /// The one planning cycle, shared by [`AdaptationLoop::step`] and
+    /// fault recovery: `rates` masked so that no path maps work onto a
+    /// node known to be down (even before the forecast catches up with
+    /// the failure), then [`Controller::consider`]. A re-map's
+    /// prediction becomes the expected throughput; callers arm or
+    /// disarm the regret guard.
+    fn plan_cycle(&mut self, mut rates: Vec<f64>, current: &Mapping, remaining: u64) -> Verdict {
+        self.tracker.mask_rates(&mut rates);
+        let verdict = self.controller.consider(
+            &self.cfg.profile,
+            &self.cfg.topology,
+            &rates,
+            current,
+            remaining,
+            &self.cfg.state_bytes,
+        );
+        if let Verdict::Remap { throughput, .. } = verdict {
+            self.expected_tput = throughput;
+        }
+        verdict
+    }
+
+    /// Items per second completed since the last tick.
+    fn realized(&self, completed: u64, interval: SimDuration) -> f64 {
+        completed.saturating_sub(self.last_tick_completed) as f64 / interval.as_secs_f64()
+    }
+
+    /// True if `mapping` places any replica on a node currently down.
+    fn touches_down(&self, mapping: &Mapping) -> bool {
+        mapping
+            .placements()
+            .iter()
+            .any(|p| p.hosts().iter().any(|h| self.tracker.is_down(h.index())))
+    }
+
+    /// Commits a `Remap` or `Revert` verdict: swaps its mapping into the
+    /// routing table, hands the priced plan to the backend, tallies the
+    /// state migrations it implies, records a `Remap` as an adaptation,
+    /// and publishes [`RunEvent::Remap`]. Any other verdict commits
+    /// nothing.
     fn apply<B: ExecutionBackend>(
         &mut self,
         backend: &mut B,
         routing: &RwLock<RoutingTable>,
-        new: Mapping,
+        verdict: &Verdict,
         now: SimTime,
-    ) -> RemapPlan {
+    ) {
+        let (to, speedup) = match verdict {
+            Verdict::Remap { to, speedup, .. } => (to, Some(*speedup)),
+            Verdict::Revert { to } => (to, None),
+            _ => return,
+        };
         let mut table = routing.write().expect("routing lock poisoned");
         let from = table.mapping().clone();
         let migration_cost =
             self.controller
-                .migration_cost(&from, &new, &self.cfg.state_bytes, &self.cfg.topology);
-        self.count_migrations(&from, &new);
-        let moved = table.install(new.clone());
+                .migration_cost(&from, to, &self.cfg.state_bytes, &self.cfg.topology);
+        self.count_migrations(&from, to);
+        let moved = table.install(to.clone());
         drop(table);
         let plan = RemapPlan {
             from,
-            to: new,
+            to: to.clone(),
             moved,
             migration_cost,
             at: now,
             ready_at: now + migration_cost,
         };
         backend.commit_remap(&plan);
-        if let Some(hook) = &self.hooks.on_remap {
-            hook(&plan);
-        }
-        if !self.hooks.events.is_idle() {
-            self.hooks.events.emit(RunEvent::Remap {
-                session: self.cfg.session,
-                plan: plan.clone(),
+        if let Some(predicted_speedup) = speedup {
+            self.adaptations.push(AdaptationEvent {
+                at: now,
+                from: plan.from.clone(),
+                to: plan.to.clone(),
+                migrated_stages: plan.moved.clone(),
+                predicted_speedup,
+                migration_cost,
             });
         }
-        plan
+        if !self.events.is_idle() {
+            self.events.emit(RunEvent::Remap {
+                session: self.cfg.session,
+                plan,
+            });
+        }
     }
 
     /// Tallies the state migrations a committed re-map implies, from
@@ -658,30 +761,30 @@ impl AdaptationLoop {
         }
     }
 
-    /// Total state migrations and bytes shipped so far — backends read
-    /// this at teardown and settle it into the report via
-    /// [`crate::report::ReportBuilder::set_migrations`].
-    pub fn migration_totals(&self) -> (u64, u64) {
-        (self.migrations, self.state_bytes_moved)
-    }
-
     /// The wrapped controller (diagnostics).
     pub fn controller(&self) -> &Controller {
         &self.controller
     }
 
-    /// Adaptation ticks seen so far.
-    pub fn ticks_seen(&self) -> u32 {
-        self.ticks_seen
+    /// Consumes the loop and settles its part of the run's report: the
+    /// committed re-maps, the planning cycles run, and the state
+    /// migrations those re-maps implied — assembled identically for
+    /// every backend.
+    pub fn finish(self, report: &mut ReportBuilder) {
+        report.adaptations = self.adaptations;
+        report.planning_cycles = self.controller.plans_evaluated();
+        report.migrations = self.migrations;
+        report.state_bytes_moved = self.state_bytes_moved;
     }
+}
 
-    /// Consumes the loop, returning the accepted re-mapping events and
-    /// the number of planning cycles run — the report's adaptation
-    /// fields, assembled identically for every backend.
-    pub fn finish(self) -> (Vec<AdaptationEvent>, u64) {
-        let cycles = self.controller.plans_evaluated();
-        (self.controller.into_events(), cycles)
-    }
+/// The mapping the routing table has in force.
+fn in_force(routing: &RwLock<RoutingTable>) -> Mapping {
+    routing
+        .read()
+        .expect("routing lock poisoned")
+        .mapping()
+        .clone()
 }
 
 #[cfg(test)]
@@ -767,6 +870,14 @@ mod tests {
         )
     }
 
+    /// The loop's part of the report, as [`AdaptationLoop::finish`]
+    /// settles it.
+    fn settle(aloop: AdaptationLoop) -> ReportBuilder {
+        let mut report = ReportBuilder::new(SimDuration::from_secs(1), 0);
+        aloop.finish(&mut report);
+        report
+    }
+
     #[test]
     fn static_policy_never_ticks() {
         let (rig, mapping) = rig(Policy::Static, 3);
@@ -780,10 +891,10 @@ mod tests {
         };
         assert!(aloop.interval().is_none());
         assert!(aloop.sample_dt().is_none());
-        assert!(aloop.tick(&mut backend, &routing).is_none());
-        let (events, cycles) = aloop.finish();
-        assert!(events.is_empty());
-        assert_eq!(cycles, 0);
+        assert_eq!(aloop.tick(&mut backend, &routing), None);
+        let report = settle(aloop);
+        assert!(report.adaptations.is_empty());
+        assert_eq!(report.planning_cycles, 0);
     }
 
     #[test]
@@ -798,56 +909,35 @@ mod tests {
             completed: 0,
             commits: vec![],
         };
-        let mut committed = None;
         for k in 0..warmup + 4 {
             backend.now = SimTime::from_secs_f64((k + 1) as f64 * 5.0);
             aloop.sample(&backend);
-            if let Some(plan) = aloop.tick(&mut backend, &routing) {
-                assert!(k >= warmup, "acted during warm-up at tick {k}");
-                committed = Some(plan);
+            let verdict = aloop
+                .tick(&mut backend, &routing)
+                .expect("an adaptive tick");
+            if k < warmup {
+                assert_eq!(verdict, Verdict::WarmingUp, "tick {k}");
+            }
+            if matches!(verdict, Verdict::Remap { .. }) {
                 break;
             }
         }
-        let plan = committed.expect("collapsed node must force a re-map");
+        assert_eq!(
+            backend.commits.len(),
+            1,
+            "collapsed node must force a re-map"
+        );
+        let plan = &backend.commits[0];
         assert!(!plan.moved.is_empty());
-        assert_eq!(backend.commits.len(), 1);
         // The routing table now points at the new mapping.
         let table = routing.read().unwrap();
         assert_eq!(table.mapping(), &plan.to);
         assert_ne!(table.mapping(), &mapping);
-        let (events, cycles) = aloop.finish();
-        assert_eq!(events.len(), 1);
-        assert!(cycles >= 1);
-    }
-
-    #[test]
-    fn remap_hook_fires_on_commit() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        let (mut rig, mapping) = rig(Policy::periodic_default(), 3);
-        let fired = Arc::new(AtomicUsize::new(0));
-        let seen = Arc::clone(&fired);
-        rig.run.hooks = RunHooks::on_remap(move |plan| {
-            assert!(!plan.moved.is_empty());
-            seen.fetch_add(1, Ordering::SeqCst);
-        });
-        let warmup = rig.run.controller.warmup_ticks;
-        let mut aloop = rig.launch();
-        let routing = RwLock::new(RoutingTable::new(mapping));
-        let mut backend = TestBackend {
-            avail: vec![1.0, 0.05, 1.0],
-            now: SimTime::ZERO,
-            completed: 0,
-            commits: vec![],
-        };
-        for k in 0..warmup + 4 {
-            backend.now = SimTime::from_secs_f64((k + 1) as f64 * 5.0);
-            aloop.sample(&backend);
-            if aloop.tick(&mut backend, &routing).is_some() {
-                break;
-            }
-        }
-        assert_eq!(fired.load(Ordering::SeqCst), 1, "hook must fire once");
+        drop(table);
+        let report = settle(aloop);
+        assert_eq!(report.adaptations.len(), 1);
+        assert_eq!(report.adaptations[0].to, plan.to);
+        assert!(report.planning_cycles >= 1);
     }
 
     #[test]
@@ -855,7 +945,7 @@ mod tests {
         let (mut rig, mapping) = rig(Policy::periodic_default(), 3);
         let control = SessionControl::new();
         rig.run.control = control.clone();
-        let events = rig.run.hooks.events.subscribe();
+        let events = rig.run.events.subscribe();
         let warmup = rig.run.controller.warmup_ticks;
         let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::new(mapping.clone()));
@@ -869,25 +959,34 @@ mod tests {
         for k in 0..warmup + 4 {
             backend.now = SimTime::from_secs_f64((k + 1) as f64 * 5.0);
             aloop.sample(&backend);
-            assert!(
-                aloop.tick(&mut backend, &routing).is_none(),
-                "paused loop committed at tick {k}"
+            assert_eq!(
+                aloop.tick(&mut backend, &routing),
+                Some(Verdict::Paused),
+                "tick {k}"
             );
         }
         assert_eq!(routing.read().unwrap().mapping(), &mapping);
+        assert!(backend.commits.is_empty());
         // Window statistics kept flowing while paused.
         let stats: Vec<_> = events.try_iter().collect();
         assert_eq!(stats.len() as u32, warmup + 4);
-        assert!(stats
-            .iter()
-            .all(|e| matches!(e, RunEvent::WindowStats { paused: true, .. })));
+        assert!(stats.iter().all(|e| matches!(
+            e,
+            RunEvent::Tick {
+                verdict: Verdict::Paused,
+                ..
+            }
+        )));
         // Resuming lets the collapsed node force the usual re-map.
         control.resume_adaptation();
         let mut committed = false;
         for k in 0..4 {
             backend.now += SimDuration::from_secs(5);
             aloop.sample(&backend);
-            if aloop.tick(&mut backend, &routing).is_some() {
+            if matches!(
+                aloop.tick(&mut backend, &routing),
+                Some(Verdict::Remap { .. })
+            ) {
                 committed = true;
                 break;
             }
@@ -906,7 +1005,7 @@ mod tests {
         };
         let control = SessionControl::new();
         rig.run.control = control.clone();
-        let events = rig.run.hooks.events.subscribe();
+        let events = rig.run.events.subscribe();
         let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::new(mapping));
         let mut backend = TestBackend {
@@ -920,15 +1019,31 @@ mod tests {
         backend.now = SimTime::from_secs_f64(5.0);
         aloop.sample(&backend);
         control.force_remap();
-        let plan = aloop
-            .tick(&mut backend, &routing)
-            .expect("forced tick must plan");
-        assert!(!plan.moved.is_empty());
-        let remaps: Vec<_> = events
-            .try_iter()
-            .filter(|e| matches!(e, RunEvent::Remap { .. }))
-            .collect();
-        assert_eq!(remaps.len(), 1, "Remap event mirrors the commit");
+        let verdict = aloop.tick(&mut backend, &routing);
+        assert!(
+            matches!(verdict, Some(Verdict::Remap { .. })),
+            "forced tick must plan: {verdict:?}"
+        );
+        assert!(!backend.commits[0].moved.is_empty());
+        assert!(
+            !control.take_force_remap(),
+            "the planning tick spent the force"
+        );
+        // The tick's verdict, then the commit it decided.
+        let events: Vec<_> = events.try_iter().collect();
+        assert!(
+            matches!(
+                events.as_slice(),
+                [
+                    RunEvent::Tick {
+                        verdict: Verdict::Remap { .. },
+                        ..
+                    },
+                    RunEvent::Remap { .. }
+                ]
+            ),
+            "{events:?}"
+        );
     }
 
     #[test]
@@ -954,7 +1069,13 @@ mod tests {
             backend.now = SimTime::from_secs_f64((k + 1) as f64 * 5.0);
             backend.completed = (k + 1) * 5;
             aloop.sample(&backend);
-            assert!(aloop.tick(&mut backend, &routing).is_none());
+            let verdict = aloop
+                .tick(&mut backend, &routing)
+                .expect("an adaptive tick");
+            assert!(
+                matches!(verdict, Verdict::WarmingUp | Verdict::NotTriggered),
+                "tick {k}: {verdict:?}"
+            );
         }
         let cycles_before = aloop.controller().plans_evaluated();
         assert_eq!(cycles_before, 0, "healthy reactive run must not plan");
@@ -963,7 +1084,10 @@ mod tests {
         for k in 8..12u64 {
             backend.now = SimTime::from_secs_f64((k + 1) as f64 * 5.0);
             aloop.sample(&backend);
-            if aloop.tick(&mut backend, &routing).is_some() {
+            if matches!(
+                aloop.tick(&mut backend, &routing),
+                Some(Verdict::Remap { .. })
+            ) {
                 remapped = true;
                 break;
             }
@@ -976,7 +1100,7 @@ mod tests {
         let (mut rig, mapping) = rig(Policy::periodic_default(), 3);
         rig.substrate.faults = FaultPlan::new().crash(n(1), SimTime::from_secs_f64(2.0));
         let control = rig.run.control.clone();
-        let events = rig.run.hooks.events.subscribe();
+        let events = rig.run.events.subscribe();
         let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::with_selection(
             mapping.clone(),
@@ -992,15 +1116,15 @@ mod tests {
         assert_eq!(aloop.next_fault_at(), Some(SimTime::from_secs_f64(2.0)));
         // Well inside warm-up, no samples at all: recovery still plans
         // and commits immediately.
-        let outcome = aloop.poll_faults(&mut backend, &routing);
-        assert!(!outcome.fatal);
-        let plan = outcome.committed.expect("crash must force a re-map");
+        aloop.poll_faults(&mut backend, &routing);
+        assert!(!aloop.is_fatal());
+        let plan = backend.commits.last().expect("crash must force a re-map");
         assert!(
             !plan.to.nodes_used().contains(&n(1)),
             "recovery mapping still uses the dead node: {}",
             plan.to
         );
-        assert!(aloop.is_node_down(1));
+        assert!(aloop.tracker.is_down(1));
         assert!(routing.read().unwrap().is_down(n(1)));
         assert_eq!(control.error(), None);
         let kinds: Vec<_> = events.try_iter().collect();
@@ -1009,8 +1133,11 @@ mod tests {
             .any(|e| matches!(e, RunEvent::NodeDown { node: 1, .. })));
         assert!(kinds.iter().any(|e| matches!(e, RunEvent::Remap { .. })));
         // Idempotent: polling again does nothing further.
-        let again = aloop.poll_faults(&mut backend, &routing);
-        assert!(again.committed.is_none() && !again.fatal);
+        aloop.poll_faults(&mut backend, &routing);
+        assert_eq!(backend.commits.len(), 1);
+        assert!(!aloop.is_fatal());
+        // The recovery re-map is an adaptation in the report.
+        assert_eq!(settle(aloop).adaptations.len(), 1);
     }
 
     #[test]
@@ -1033,10 +1160,10 @@ mod tests {
             commits: vec![],
             completed: 0,
         };
-        let _ = aloop.poll_faults(&mut backend, &routing);
+        aloop.poll_faults(&mut backend, &routing);
         assert!(routing.read().unwrap().is_down(n(2)));
         backend.now = SimTime::from_secs_f64(4.5);
-        let _ = aloop.poll_faults(&mut backend, &routing);
+        aloop.poll_faults(&mut backend, &routing);
         assert!(!routing.read().unwrap().is_down(n(2)));
         assert_eq!(aloop.next_fault_at(), None);
     }
@@ -1059,8 +1186,8 @@ mod tests {
             commits: vec![],
             completed: 0,
         };
-        let outcome = aloop.poll_faults(&mut backend, &routing);
-        assert!(outcome.fatal);
+        aloop.poll_faults(&mut backend, &routing);
+        assert!(aloop.is_fatal());
         assert_eq!(
             control.error(),
             Some(RunError::StatefulStageLost { stage: 1, node: 1 })
@@ -1094,14 +1221,17 @@ mod tests {
             commits: vec![],
             completed: 0,
         };
-        let outcome = aloop.poll_faults(&mut backend, &routing);
-        assert!(!outcome.fatal, "declared state must migrate, not abort");
+        aloop.poll_faults(&mut backend, &routing);
+        assert!(!aloop.is_fatal(), "declared state must migrate, not abort");
         assert_eq!(control.error(), None);
-        let plan = outcome.committed.expect("crash must force a re-map");
+        let plan = backend.commits.last().expect("crash must force a re-map");
         assert!(!plan.to.nodes_used().contains(&n(1)));
-        let (migrations, bytes) = aloop.migration_totals();
-        assert!(migrations > 0, "shard moves must be counted");
-        assert!(bytes > 0, "moved shards carry their bytes");
+        let report = settle(aloop);
+        assert!(report.migrations > 0, "shard moves must be counted");
+        assert!(
+            report.state_bytes_moved > 0,
+            "moved shards carry their bytes"
+        );
     }
 
     #[test]
@@ -1129,13 +1259,13 @@ mod tests {
             commits: vec![],
             completed: 0,
         };
-        let outcome = aloop.poll_faults(&mut backend, &routing);
-        assert!(!outcome.fatal);
+        aloop.poll_faults(&mut backend, &routing);
+        assert!(!aloop.is_fatal());
         assert_eq!(control.error(), None);
-        assert!(outcome.committed.is_some());
-        let (migrations, bytes) = aloop.migration_totals();
-        assert_eq!(migrations, 1, "exclusive state moves as one unit");
-        assert_eq!(bytes, 1000);
+        assert_eq!(backend.commits.len(), 1);
+        let report = settle(aloop);
+        assert_eq!(report.migrations, 1, "exclusive state moves as one unit");
+        assert_eq!(report.state_bytes_moved, 1000);
     }
 
     #[test]
@@ -1162,9 +1292,8 @@ mod tests {
             commits: vec![],
             completed: 0,
         };
-        let outcome = aloop.poll_faults(&mut backend, &routing);
-        assert!(!outcome.fatal, "a finite outage must not be fatal");
-        assert!(!aloop.is_fatal());
+        aloop.poll_faults(&mut backend, &routing);
+        assert!(!aloop.is_fatal(), "a finite outage must not be fatal");
         assert_eq!(control.error(), None);
         assert!(routing.read().unwrap().is_down(n(1)));
     }
@@ -1189,7 +1318,8 @@ mod tests {
             commits: vec![],
             completed: 0,
         };
-        assert!(aloop.poll_faults(&mut backend, &routing).fatal);
+        aloop.poll_faults(&mut backend, &routing);
+        assert!(aloop.is_fatal());
         assert_eq!(control.error(), Some(RunError::AllNodesDown));
     }
 
@@ -1210,13 +1340,13 @@ mod tests {
             commits: vec![],
             completed: 0,
         };
-        let outcome = aloop.poll_faults(&mut backend, &routing);
-        assert!(outcome.committed.is_none(), "static must not re-map");
+        aloop.poll_faults(&mut backend, &routing);
+        assert!(backend.commits.is_empty(), "static must not re-map");
         assert!(routing.read().unwrap().is_down(n(1)));
         assert_eq!(routing.read().unwrap().mapping(), &mapping);
         // A permanent loss of a hosting node can never complete under
         // static: surfaced as the typed fatal error.
-        assert!(outcome.fatal);
+        assert!(aloop.is_fatal());
         assert_eq!(
             control.error(),
             Some(RunError::NodeLostUnderStatic { node: 1 })
@@ -1247,7 +1377,10 @@ mod tests {
             tick += 1;
             backend.now = SimTime::from_secs_f64(tick as f64 * 5.0);
             aloop.sample(&backend);
-            if aloop.tick(&mut backend, &routing).is_some() {
+            if matches!(
+                aloop.tick(&mut backend, &routing),
+                Some(Verdict::Remap { .. })
+            ) {
                 break;
             }
             assert!(tick < 20, "no initial re-map");
@@ -1255,29 +1388,177 @@ mod tests {
         let adopted = routing.read().unwrap().mapping().clone();
         // …then starve realized throughput (completed never moves): the
         // guard must revert to the original mapping within a few ticks.
-        let mut reverted = None;
+        let mut reverted = false;
         for _ in 0..4 {
             tick += 1;
             backend.now = SimTime::from_secs_f64(tick as f64 * 5.0);
             aloop.sample(&backend);
-            if let Some(plan) = aloop.tick(&mut backend, &routing) {
-                reverted = Some(plan);
+            let verdict = aloop
+                .tick(&mut backend, &routing)
+                .expect("an adaptive tick");
+            assert!(!matches!(verdict, Verdict::Remap { .. }), "{verdict:?}");
+            if let Verdict::Revert { to } = verdict {
+                assert_eq!(to, mapping, "revert restores the guarded mapping");
+                reverted = true;
                 break;
             }
         }
-        let plan = reverted.expect("guard must revert");
+        assert!(reverted, "guard must revert");
+        let plan = backend.commits.last().expect("the revert committed");
         assert_eq!(plan.from, adopted);
-        assert_eq!(plan.to, mapping, "revert restores the guarded mapping");
+        assert_eq!(plan.to, mapping);
         // Planning is held down afterwards.
-        let held_until = aloop.ticks_seen() + guard_hold;
-        for _ in aloop.ticks_seen()..held_until.saturating_sub(1) {
+        let held_until = aloop.ticks_seen + guard_hold;
+        for _ in aloop.ticks_seen..held_until.saturating_sub(1) {
             tick += 1;
             backend.now = SimTime::from_secs_f64(tick as f64 * 5.0);
             aloop.sample(&backend);
-            assert!(
-                aloop.tick(&mut backend, &routing).is_none(),
+            assert_eq!(
+                aloop.tick(&mut backend, &routing),
+                Some(Verdict::HeldDown),
                 "hold-down violated"
             );
+        }
+        // A revert undoes an adaptation; it is not one.
+        assert_eq!(settle(aloop).adaptations.len(), 1);
+    }
+
+    #[test]
+    fn a_revert_ends_the_tick_and_a_force_request_waits_for_the_next() {
+        let (mut rig, mapping) = rig(Policy::periodic_default(), 3);
+        rig.run.controller.decision = adapipe_mapper::decide::DecisionConfig {
+            min_relative_gain: 0.0,
+            cost_benefit_factor: 0.0,
+        };
+        rig.run.controller.guard_bad_ticks = 1;
+        let control = rig.run.control.clone();
+        let mut aloop = rig.launch();
+        let routing = RwLock::new(RoutingTable::new(mapping.clone()));
+        let mut backend = TestBackend {
+            avail: vec![1.0, 0.05, 1.0],
+            now: SimTime::ZERO,
+            completed: 0,
+            commits: vec![],
+        };
+        let tick = |aloop: &mut AdaptationLoop, backend: &mut TestBackend| {
+            backend.now += SimDuration::from_secs(5);
+            aloop.sample(backend);
+            aloop.tick(backend, &routing).expect("an adaptive tick")
+        };
+        while !matches!(tick(&mut aloop, &mut backend), Verdict::Remap { .. }) {
+            assert!(aloop.ticks_seen < 20, "no initial re-map");
+        }
+        // Completions never move, so the guard trips; a force request
+        // arrives on the very tick it reverts.
+        let verdict = loop {
+            let commits = backend.commits.len();
+            control.force_remap();
+            let verdict = tick(&mut aloop, &mut backend);
+            if matches!(verdict, Verdict::Revert { .. }) {
+                assert_eq!(backend.commits.len(), commits + 1, "one commit per tick");
+                break verdict;
+            }
+            assert!(aloop.ticks_seen < 20, "the guard never tripped");
+            control.take_force_remap();
+        };
+        assert_eq!(verdict, Verdict::Revert { to: mapping });
+        // The request survived the revert: the next tick plans through
+        // the hold-down, and spends it.
+        let next = tick(&mut aloop, &mut backend);
+        assert!(
+            matches!(next, Verdict::Remap { .. } | Verdict::Keep(_)),
+            "{next:?}"
+        );
+        assert!(!control.take_force_remap());
+        assert_eq!(tick(&mut aloop, &mut backend), Verdict::HeldDown);
+    }
+
+    /// The control schedule swept at the pure `step`: seeded sequences
+    /// of pause and force requests and completion counts, under random
+    /// availability the fault plan does not show (the forecast lags the
+    /// failure), a crash and an outage advanced through the loop's own
+    /// tracker, random controller tunables, and each adaptive policy.
+    #[test]
+    fn control_schedule_sweep_keeps_the_loop_invariants() {
+        use adapipe_gridsim::rng::Rng64;
+        let interval = SimDuration::from_secs(5);
+        let mut seen = std::collections::BTreeMap::new();
+        for seed in 0..300u64 {
+            let mut rng = Rng64::new(seed);
+            let np = 3 + rng.next_range(3);
+            let policy = match rng.next_range(3) {
+                0 => Policy::Periodic { interval },
+                1 => Policy::Reactive {
+                    interval,
+                    degradation: 0.9,
+                },
+                _ => Policy::Oracle { interval },
+            };
+            let (mut rig, mapping) = rig(policy, np);
+            let at = |tick: usize| SimTime::from_secs_f64(5.0 * tick as f64 + 2.5);
+            let outage = rng.next_range(25);
+            rig.substrate.faults = FaultPlan::new()
+                .crash(n(rng.next_range(np)), at(rng.next_range(30)))
+                .outage(
+                    n(rng.next_range(np)),
+                    at(outage),
+                    at(outage + 1 + rng.next_range(8)),
+                );
+            let c = &mut rig.run.controller;
+            c.decision = adapipe_mapper::decide::DecisionConfig {
+                min_relative_gain: 0.0,
+                cost_benefit_factor: 0.0,
+            };
+            c.warmup_ticks = rng.next_range(4) as u32;
+            c.confirm_ticks = 1 + rng.next_range(2) as u32;
+            c.guard_bad_ticks = rng.next_range(3) as u32;
+            c.guard_hold_ticks = rng.next_range(4) as u32;
+            let warmup = c.warmup_ticks;
+            let mut aloop = rig.launch();
+            let mut current = mapping;
+            let mut completed = 0;
+            for k in 1..=40u32 {
+                let now = SimTime::from_secs_f64(5.0 * k as f64);
+                aloop.tracker.poll(now);
+                let avail: Vec<f64> = (0..np).map(|_| 0.05 + 0.95 * rng.next_unit()).collect();
+                for (node, &a) in avail.iter().enumerate() {
+                    aloop
+                        .controller
+                        .observe_availability(node, now.as_secs_f64(), a);
+                }
+                completed += rng.next_range(12) as u64;
+                let input = TickInput {
+                    now,
+                    completed,
+                    forced: rng.next_range(4) == 0,
+                    paused: rng.next_range(5) == 0,
+                    current: current.clone(),
+                    oracle_rates: matches!(policy, Policy::Oracle { .. }).then(|| avail.clone()),
+                };
+                let verdict = aloop.step(&input);
+                *seen.entry(verdict.kind()).or_insert(0u32) += 1;
+                let down = |m: &Mapping| {
+                    m.nodes_used()
+                        .iter()
+                        .any(|h| aloop.tracker.is_down(h.index()))
+                };
+                let at = format!("seed {seed} tick {k}: {verdict:?}");
+                match &verdict {
+                    Verdict::Remap { to, .. } | Verdict::Revert { to } => {
+                        assert!(!input.paused, "{at} while paused");
+                        assert!(!down(to), "{at} adopts a mapping on a down node");
+                        current = to.clone();
+                    }
+                    Verdict::WarmingUp => {
+                        assert!(!input.forced && k <= warmup, "{at} after warm-up")
+                    }
+                    _ => {}
+                }
+            }
+        }
+        // The sweep reached every exit the invariants are about.
+        for kind in ["paused", "warming-up", "held-down", "remap", "revert"] {
+            assert!(seen.contains_key(kind), "no {kind} verdict in {seen:?}");
         }
     }
 

@@ -11,16 +11,20 @@
 //!    no mapping exceeds (a certified keep, no search);
 //! 3. **Decide** — hysteresis and cost/benefit rules accept or reject the
 //!    candidate, pricing migration as state transfer plus a fixed drain
-//!    overhead.
+//!    overhead, and debounce acceptance over `confirm_ticks` cycles.
+//!
+//! [`Controller::consider`] returns the cycle's [`Verdict`] — a keep
+//! with its reason, a pending confirmation, or a re-map — and keeps no
+//! log of its own: the [`crate::adapt::AdaptationLoop`] applies a
+//! re-map and records it.
 
-use crate::report::AdaptationEvent;
+use crate::adapt::Verdict;
 use adapipe_gridsim::net::Topology;
-use adapipe_gridsim::time::{SimDuration, SimTime};
-use adapipe_mapper::decide::{certified_keep, should_remap, Decision, DecisionConfig};
+use adapipe_gridsim::time::SimDuration;
+use adapipe_mapper::decide::{certified_keep, should_remap, Decision, DecisionConfig, KeepReason};
 use adapipe_mapper::mapping::Mapping;
-use adapipe_mapper::model::{evaluate, PipelineProfile, Prediction};
-use adapipe_mapper::search::{plan, Plan, PlannerConfig};
-use adapipe_monitor::periodicity::PeriodicityDetector;
+use adapipe_mapper::model::{evaluate, PipelineProfile};
+use adapipe_mapper::search::{plan, PlannerConfig};
 use adapipe_monitor::sensor::{ForecasterKind, MetricBank};
 
 /// Controller tunables.
@@ -99,10 +103,6 @@ pub struct Controller {
     cfg: ControllerConfig,
     /// One availability forecaster per node.
     bank: MetricBank,
-    /// One oscillation detector per node (diagnostic; see
-    /// [`Controller::oscillating_nodes`]).
-    periodicity: Vec<PeriodicityDetector>,
-    events: Vec<AdaptationEvent>,
     plans_evaluated: u64,
     /// Planning cycles that ran the search (not certified keeps).
     searches: u64,
@@ -114,14 +114,9 @@ impl Controller {
     /// Creates a controller monitoring `np` nodes.
     pub fn new(np: usize, cfg: ControllerConfig) -> Self {
         let bank = MetricBank::with_kind(np, cfg.monitor_window, cfg.forecaster);
-        let periodicity = (0..np)
-            .map(|_| PeriodicityDetector::new(64.max(cfg.monitor_window * 4), 0.5))
-            .collect();
         Controller {
             cfg,
             bank,
-            periodicity,
-            events: Vec::new(),
             plans_evaluated: 0,
             searches: 0,
             remap_votes: 0,
@@ -131,22 +126,7 @@ impl Controller {
     /// Feeds one availability observation for node `node_idx` at time
     /// `t` (seconds).
     pub fn observe_availability(&mut self, node_idx: usize, t: f64, availability: f64) {
-        let v = availability.clamp(0.0, 1.0);
-        self.bank.observe(node_idx, t, v);
-        self.periodicity[node_idx].observe(v);
-    }
-
-    /// Nodes whose availability currently looks *periodic*, with the
-    /// detected period in observation-sample units. Periodic load near
-    /// the control period is the adversarial regime for forecast-driven
-    /// adaptation (ablation A2); deployments can use this diagnostic to
-    /// lengthen the adaptation interval or raise `confirm_ticks`.
-    pub fn oscillating_nodes(&self) -> Vec<(usize, usize)> {
-        self.periodicity
-            .iter()
-            .enumerate()
-            .filter_map(|(i, d)| d.period().map(|p| (i, p)))
-            .collect()
+        self.bank.observe(node_idx, t, availability.clamp(0.0, 1.0));
     }
 
     /// Forecast effective rates: nominal speed × predicted availability
@@ -158,17 +138,6 @@ impl Controller {
             .enumerate()
             .map(|(i, &s)| s * self.bank.predict_or(i, 1.0).clamp(0.0, 1.0))
             .collect()
-    }
-
-    /// Model prediction for `mapping` under `rates`.
-    pub fn predict(
-        &self,
-        profile: &PipelineProfile,
-        mapping: &Mapping,
-        rates: &[f64],
-        topology: &Topology,
-    ) -> Prediction {
-        evaluate(profile, mapping, rates, topology)
     }
 
     /// Estimated migration cost from `from` to `to`: per moved stage,
@@ -199,22 +168,25 @@ impl Controller {
         cost
     }
 
-    /// One full adaptation cycle. Returns the accepted plan — the new
-    /// mapping with the model's prediction for it under `rates` — and
-    /// records an [`AdaptationEvent`], or returns `None` to keep the
-    /// current mapping.
-    #[allow(clippy::too_many_arguments)]
+    /// One full adaptation cycle: the current mapping kept (with the
+    /// reason), a re-map verdict still short of `confirm_ticks`
+    /// consecutive votes, or a confirmed re-map carrying the new mapping,
+    /// the model's throughput for it under `rates`, the predicted
+    /// speedup and the migration cost.
     pub fn consider(
         &mut self,
-        now: SimTime,
         profile: &PipelineProfile,
         topology: &Topology,
         rates: &[f64],
         current: &Mapping,
         remaining_items: u64,
         state_bytes: &[u64],
-    ) -> Option<Plan> {
+    ) -> Verdict {
         self.plans_evaluated += 1;
+        // Re-map votes survive only a cycle that votes again: a keep of
+        // any kind clears them, so flapping forecasts never accumulate a
+        // confirmation, and an acted-on vote starts the count afresh.
+        let votes = std::mem::take(&mut self.remap_votes) + 1;
         let current_pred = evaluate(profile, current, rates, topology);
         if certified_keep(
             profile,
@@ -224,16 +196,12 @@ impl Controller {
             &self.cfg.decision,
         ) {
             // The verdict is a keep whatever the search would return.
-            self.remap_votes = 0;
-            return None;
+            return Verdict::Keep(KeepReason::Certified);
         }
         self.searches += 1;
         let candidate = plan(profile, rates, topology, &self.cfg.planner);
         if candidate.mapping == *current {
-            // "Current is best" is a keep verdict: clear any pending
-            // re-map votes so flapping forecasts never accumulate one.
-            self.remap_votes = 0;
-            return None;
+            return Verdict::Keep(KeepReason::NoImprovement);
         }
         let migration = self.migration_cost(current, &candidate.mapping, state_bytes, topology);
         let decision = should_remap(
@@ -243,42 +211,23 @@ impl Controller {
             migration.as_secs_f64(),
             &self.cfg.decision,
         );
-        match decision {
-            Decision::Keep { .. } => {
-                self.remap_votes = 0;
-                None
-            }
-            Decision::Remap { speedup, .. } => {
-                self.remap_votes += 1;
-                // Debounce: act only on a confirmed verdict, unless the
-                // current mapping is dead (crash recovery is immediate).
-                let dead_current = current_pred.throughput <= 0.0;
-                if !dead_current && self.remap_votes < self.cfg.confirm_ticks {
-                    return None;
-                }
-                self.remap_votes = 0;
-                let event = AdaptationEvent {
-                    at: now,
-                    from: current.clone(),
-                    to: candidate.mapping.clone(),
-                    migrated_stages: current.diff(&candidate.mapping),
-                    predicted_speedup: speedup,
-                    migration_cost: migration,
-                };
-                self.events.push(event);
-                Some(candidate)
-            }
+        let speedup = match decision {
+            Decision::Keep { reason } => return Verdict::Keep(reason),
+            Decision::Remap { speedup, .. } => speedup,
+        };
+        // Debounce: act only on a confirmed verdict, unless the current
+        // mapping is dead (crash recovery is immediate).
+        let dead_current = current_pred.throughput <= 0.0;
+        if !dead_current && votes < self.cfg.confirm_ticks {
+            self.remap_votes = votes;
+            return Verdict::Confirming { votes };
         }
-    }
-
-    /// All re-mappings accepted so far.
-    pub fn events(&self) -> &[AdaptationEvent] {
-        &self.events
-    }
-
-    /// Consumes the controller, returning its event log.
-    pub fn into_events(self) -> Vec<AdaptationEvent> {
-        self.events
+        Verdict::Remap {
+            to: candidate.mapping,
+            throughput: candidate.prediction.throughput,
+            speedup,
+            migration_cost: migration,
+        }
     }
 
     /// How many planning cycles ran (accepted or not) — adaptation
@@ -296,11 +245,6 @@ impl Controller {
     /// The controller's configuration.
     pub fn config(&self) -> &ControllerConfig {
         &self.cfg
-    }
-
-    /// Direct access to the forecaster bank (diagnostics).
-    pub fn bank(&self) -> &MetricBank {
-        &self.bank
     }
 }
 
@@ -355,49 +299,36 @@ mod tests {
         let current = Mapping::from_assignment(&[n(0), n(1), n(2)]);
         let rates = c.forecast_rates(&[1.0, 1.0, 1.0]);
         let state = [0u64, 0, 0];
-        let consider = |c: &mut Controller, t: f64| {
-            c.consider(
-                SimTime::from_secs_f64(t),
-                &profile,
-                &topo(3),
-                &rates,
-                &current,
-                10_000,
-                &state,
-            )
+        let consider =
+            |c: &mut Controller| c.consider(&profile, &topo(3), &rates, &current, 10_000, &state);
+        // First verdict is only a vote (confirm_ticks = 2 here).
+        assert_eq!(
+            consider(&mut c),
+            Verdict::Confirming { votes: 1 },
+            "first vote must not act"
+        );
+        let Verdict::Remap {
+            to: new,
+            throughput,
+            speedup,
+            ..
+        } = consider(&mut c)
+        else {
+            panic!("second consecutive vote acts");
         };
-        // First verdict is only a vote (confirm_ticks = 2 by default).
-        assert!(consider(&mut c, 20.0).is_none(), "first vote must not act");
-        let accepted = consider(&mut c, 25.0).expect("second consecutive vote acts");
-        let new = &accepted.mapping;
         // The verdict carries the model's prediction for the accepted
         // mapping, so the runtime need not evaluate it again.
-        let again = evaluate(&profile, new, &rates, &topo(3));
-        assert_eq!(accepted.prediction.throughput, again.throughput);
-        assert_eq!(accepted.prediction.node_load, again.node_load);
+        assert_eq!(
+            throughput,
+            evaluate(&profile, &new, &rates, &topo(3)).throughput
+        );
         assert!(
             !new.placements()
                 .iter()
                 .any(|p| p.contains(n(0)) && p.is_single()),
             "stage still pinned to degraded node: {new}"
         );
-        assert_eq!(c.events().len(), 1);
-        assert!(c.events()[0].predicted_speedup > 1.1);
-    }
-
-    #[test]
-    fn oscillation_diagnostic_flags_wavy_nodes() {
-        let mut c = Controller::new(2, ControllerConfig::default());
-        // Node 0: square wave with period 8 samples; node 1: constant.
-        for i in 0..128 {
-            let wave = if (i / 4) % 2 == 0 { 1.0 } else { 0.1 };
-            c.observe_availability(0, i as f64, wave);
-            c.observe_availability(1, i as f64, 0.8);
-        }
-        let flagged = c.oscillating_nodes();
-        assert_eq!(flagged.len(), 1, "only the wavy node flags: {flagged:?}");
-        assert_eq!(flagged[0].0, 0);
-        assert_eq!(flagged[0].1, 8, "period in sample units");
+        assert!(speedup > 1.1);
     }
 
     #[test]
@@ -408,18 +339,10 @@ mod tests {
         // Node 0 is fully dead: the current mapping predicts zero
         // throughput, so the very first verdict must act.
         let rates = [0.0, 1.0];
-        let new = c.consider(
-            SimTime::ZERO,
-            &profile,
-            &topo(2),
-            &rates,
-            &current,
-            100,
-            &[0],
-        );
+        let verdict = c.consider(&profile, &topo(2), &rates, &current, 100, &[0]);
         assert!(
-            new.is_some(),
-            "crash recovery must not wait for confirmation"
+            matches!(verdict, Verdict::Remap { .. }),
+            "crash recovery must not wait for confirmation: {verdict:?}"
         );
     }
 
@@ -441,21 +364,12 @@ mod tests {
             } else {
                 [1.0, 1.0, 1.0]
             };
-            let out = c.consider(
-                SimTime::from_secs_f64(k as f64 * 5.0),
-                &profile,
-                &topo(3),
-                &rates,
-                &current,
-                10_000,
-                &state,
-            );
+            let out = c.consider(&profile, &topo(3), &rates, &current, 10_000, &state);
             assert!(
-                out.is_none(),
-                "flapping forecast must never trigger a re-map"
+                matches!(out, Verdict::Keep(_) | Verdict::Confirming { votes: 1 }),
+                "flapping forecast must never trigger a re-map: {out:?}"
             );
         }
-        assert!(c.events().is_empty());
     }
 
     #[test]
@@ -464,17 +378,11 @@ mod tests {
         let profile = profile3();
         let current = Mapping::from_assignment(&[n(0), n(1), n(2)]);
         let rates = [1.0, 1.0, 1.0];
-        let out = c.consider(
-            SimTime::ZERO,
-            &profile,
-            &topo(3),
-            &rates,
-            &current,
-            10_000,
-            &[0, 0, 0],
+        let out = c.consider(&profile, &topo(3), &rates, &current, 10_000, &[0, 0, 0]);
+        assert!(
+            matches!(out, Verdict::Keep(_)),
+            "balanced mapping must be kept: {out:?}"
         );
-        assert!(out.is_none(), "balanced mapping must be kept");
-        assert!(c.events().is_empty());
         assert_eq!(c.plans_evaluated(), 1);
     }
 
@@ -486,27 +394,26 @@ mod tests {
         let mut c = Controller::new(5, ControllerConfig::default());
         let consider = |c: &mut Controller, rates: &[f64]| {
             let topo = topo(rates.len());
-            let out = c.consider(
-                SimTime::ZERO,
-                &profile,
-                &topo,
-                rates,
-                &current,
-                10_000,
-                &[0; 4],
+            let out = c.consider(&profile, &topo, rates, &current, 10_000, &[0; 4]);
+            assert!(
+                matches!(out, Verdict::Keep(_)),
+                "no mapping beats 1.0 by 10 %: {out:?}"
             );
-            assert!(out.is_none(), "no mapping beats 1.0 by 10 %");
             evaluate(&profile, &current, rates, &topo).throughput
                 / throughput_ceiling(&profile, rates)
         };
         // Four unit nodes: the ceiling is 1.0, the current mapping is on
-        // it, so the cycle keeps without a search.
+        // it, so the cycle keeps without a search — and says so.
         assert_eq!(consider(&mut c, &[1.0; 4]), 1.0);
-        assert_eq!((c.plans_evaluated(), c.searches()), (1, 0));
+        assert_eq!(
+            c.consider(&profile, &topo(4), &[1.0; 4], &current, 10_000, &[0; 4]),
+            Verdict::Keep(KeepReason::Certified)
+        );
+        assert_eq!((c.plans_evaluated(), c.searches()), (2, 0));
         // A fifth node lifts the ceiling to 1.25: at 80 % of it, a 10 %
         // better mapping might exist, so the cycle searches.
         assert_eq!(consider(&mut c, &[1.0; 5]), 0.8);
-        assert_eq!((c.plans_evaluated(), c.searches()), (2, 1));
+        assert_eq!((c.plans_evaluated(), c.searches()), (3, 1));
     }
 
     #[test]
@@ -543,7 +450,7 @@ mod tests {
         let profile = PipelineProfile::uniform(vec![1.0], 0);
         let current = Mapping::from_assignment(&[n(0)]);
         let rates = c.forecast_rates(&[1.0, 1.0]);
-        let out = c.consider(SimTime::ZERO, &profile, &topo(2), &rates, &current, 0, &[0]);
-        assert!(out.is_none());
+        let out = c.consider(&profile, &topo(2), &rates, &current, 0, &[0]);
+        assert_eq!(out, Verdict::Keep(KeepReason::Certified));
     }
 }

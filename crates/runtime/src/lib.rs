@@ -13,10 +13,11 @@
 //! * [`routing`] — the [`routing::RoutingTable`]: live stage→replica-set
 //!   routing with round-robin or least-loaded selection, swappable under
 //!   a running pipeline;
-//! * [`adapt`] — the [`adapt::AdaptationLoop`]: windowed sensing,
-//!   warm-up, policy dispatch, and the realized-throughput regret guard,
-//!   driving the [`controller::Controller`] identically for every
-//!   backend;
+//! * [`adapt`] — the [`adapt::AdaptationLoop`]: windowed sensing, and
+//!   a backend-free `step` — warm-up, policy dispatch, the
+//!   realized-throughput regret guard, one [`controller::Controller`]
+//!   cycle — that names each tick's [`adapt::Verdict`], applied
+//!   identically for every backend;
 //! * [`controller`] — monitor → plan → decide, with hysteresis and
 //!   migration-cost accounting;
 //! * [`fault`] — the [`fault::FaultTracker`] node-health state machine:
@@ -30,7 +31,7 @@
 //! * [`metrics`] — per-stage service instrumentation;
 //! * [`session`] — the backend-agnostic half of the unified `Pipeline`
 //!   API: typed [`session::BuildError`] validation, the shared
-//!   [`session::RunConfig`], and live [`session::RunHooks`].
+//!   [`session::RunConfig`], and the live [`session::RunEvent`] stream.
 //!
 //! Concrete backends live elsewhere: the discrete-event simulation
 //! backend in `adapipe-core::simengine`, the threaded vnode backend in
@@ -54,7 +55,7 @@ pub mod session;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::adapt::{AdaptationLoop, FaultOutcome, RuntimeConfig};
+    pub use crate::adapt::{AdaptationLoop, RuntimeConfig, TickInput, Verdict};
     pub use crate::arrivals::ArrivalProcess;
     pub use crate::backend::{ExecutionBackend, RemapPlan};
     pub use crate::controller::{Controller, ControllerConfig};
@@ -64,7 +65,7 @@ pub mod prelude {
     pub use crate::report::{AdaptationEvent, DeadLetter, ReportBuilder, RunReport};
     pub use crate::routing::{RoutingTable, Selection};
     pub use crate::session::{
-        BuildError, ResiliencePolicy, RunConfig, RunError, RunHooks, Session, SessionId,
+        BuildError, EventBus, ResiliencePolicy, RunConfig, RunError, Session, SessionId,
     };
     pub use adapipe_gridsim::fault::{Fault, FaultPlan};
 }

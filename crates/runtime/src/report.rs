@@ -282,8 +282,12 @@ pub struct ReportBuilder {
     last_completion: SimTime,
     timeline: ThroughputTimeline,
     replays: u64,
-    migrations: u64,
-    state_bytes_moved: u64,
+    /// The adaptation loop's part of the report, settled by
+    /// [`crate::adapt::AdaptationLoop::finish`].
+    pub(crate) adaptations: Vec<AdaptationEvent>,
+    pub(crate) planning_cycles: u64,
+    pub(crate) migrations: u64,
+    pub(crate) state_bytes_moved: u64,
     stage_shards: Vec<usize>,
     retries: u64,
     timeouts: u64,
@@ -308,6 +312,8 @@ impl ReportBuilder {
             last_completion: SimTime::ZERO,
             timeline: ThroughputTimeline::new(bucket),
             replays: 0,
+            adaptations: Vec::new(),
+            planning_cycles: 0,
             migrations: 0,
             state_bytes_moved: 0,
             stage_shards: Vec::new(),
@@ -338,14 +344,6 @@ impl ReportBuilder {
     /// call either way.
     pub fn record_replay(&mut self, n: u64) {
         self.replays += n;
-    }
-
-    /// Settles the state-migration totals — both backends count moves
-    /// centrally in the adaptation loop (from mapping diffs) and hand
-    /// the totals here at teardown.
-    pub fn set_migrations(&mut self, migrations: u64, state_bytes_moved: u64) {
-        self.migrations = migrations;
-        self.state_bytes_moved = state_bytes_moved;
     }
 
     /// Declares the per-stage shard counts (0 for stages without keyed
@@ -466,8 +464,6 @@ impl ReportBuilder {
     pub fn finish(
         self,
         final_mapping: Mapping,
-        adaptations: Vec<AdaptationEvent>,
-        planning_cycles: u64,
         node_busy: Vec<SimDuration>,
         stage_metrics: StageMetrics,
     ) -> RunReport {
@@ -486,10 +482,10 @@ impl ReportBuilder {
             },
             latencies: self.latencies,
             timeline: self.timeline,
-            adaptations,
+            adaptations: self.adaptations,
             node_busy,
             final_mapping,
-            planning_cycles,
+            planning_cycles: self.planning_cycles,
             stage_metrics,
             truncated,
             replays: self.replays,
@@ -602,8 +598,6 @@ mod tests {
         b.set_faults(plan, 2);
         let r = b.finish(
             Mapping::from_assignment(&[NodeId(0)]),
-            vec![],
-            0,
             vec![SimDuration::ZERO; 2],
             StageMetrics::new(1),
         );
@@ -620,12 +614,11 @@ mod tests {
     fn migration_totals_flow_into_the_report_and_json() {
         let mut b = ReportBuilder::new(SimDuration::from_secs(1), 1);
         b.record_completion(SimTime::from_secs_f64(1.0), SimDuration::from_secs(1));
-        b.set_migrations(3, 1024);
+        b.migrations = 3;
+        b.state_bytes_moved = 1024;
         b.set_stage_shards(vec![4, 0]);
         let r = b.finish(
             Mapping::from_assignment(&[NodeId(0)]),
-            vec![],
-            0,
             vec![SimDuration::ZERO],
             StageMetrics::new(1),
         );
@@ -658,8 +651,6 @@ mod tests {
         assert!(b.all_done());
         let r = b.finish(
             Mapping::from_assignment(&[NodeId(0)]),
-            vec![],
-            0,
             vec![SimDuration::ZERO],
             StageMetrics::new(1),
         );
@@ -697,10 +688,9 @@ mod tests {
         b.record_completion(SimTime::from_secs_f64(3.0), SimDuration::from_secs(3));
         assert_eq!(b.completed(), 2);
         assert!(!b.all_done());
+        b.planning_cycles = 4;
         let r = b.finish(
             Mapping::from_assignment(&[NodeId(0)]),
-            vec![],
-            4,
             vec![SimDuration::from_secs(2)],
             StageMetrics::new(1),
         );
@@ -717,8 +707,6 @@ mod tests {
         assert!(b.all_done());
         let r = b.finish(
             Mapping::from_assignment(&[NodeId(0)]),
-            vec![],
-            0,
             vec![],
             StageMetrics::new(1),
         );
@@ -750,8 +738,6 @@ mod tests {
         assert!(b.latencies.len() > LATENCY_SAMPLE_CAP / 4);
         let r = b.finish(
             Mapping::from_assignment(&[NodeId(0)]),
-            vec![],
-            0,
             vec![SimDuration::ZERO],
             StageMetrics::new(1),
         );
@@ -803,8 +789,6 @@ mod tests {
         assert!(b.latencies.len() > LATENCY_SAMPLE_CAP / 4);
         let r = b.finish(
             Mapping::from_assignment(&[NodeId(0)]),
-            vec![],
-            0,
             vec![SimDuration::ZERO],
             StageMetrics::new(1),
         );
@@ -820,8 +804,6 @@ mod tests {
         assert!(b.all_done());
         let r = b.finish(
             Mapping::from_assignment(&[NodeId(0)]),
-            vec![],
-            0,
             vec![SimDuration::ZERO],
             StageMetrics::new(1),
         );

@@ -10,11 +10,9 @@
 //!   enforces every policy/arrival compatibility rule;
 //! * [`RunConfig`] — the one run configuration: every backend, and the
 //!   adaptation loop under them, reads it in place;
-//! * [`RunHooks`] — live observation callbacks the adaptation loop
-//!   invokes while the pipeline runs;
-//! * [`RunEvent`] / [`EventBus`] — the broadcast generalisation of
-//!   those callbacks: streaming sessions subscribe to re-mappings,
-//!   window statistics, and backpressure stalls as they happen;
+//! * [`RunEvent`] / [`EventBus`] — live observation: subscribers see
+//!   every tick's verdict, re-mappings, faults, and backpressure stalls
+//!   as they happen;
 //! * [`SessionControl`] — in-flight steering (pause/resume adaptation,
 //!   force a re-map) shared between a live session and the adaptation
 //!   loop, honoured identically by every backend.
@@ -45,6 +43,7 @@
 //!   keeps realized throughput at the arrival rate regardless of grid
 //!   health, misfiring the trigger every interval.
 
+use crate::adapt::Verdict;
 use crate::backend::RemapPlan;
 use crate::controller::ControllerConfig;
 use crate::policy::Policy;
@@ -426,13 +425,10 @@ impl ResiliencePolicy {
     }
 }
 
-/// A shareable callback observing committed re-mappings.
-pub type RemapHook = Arc<dyn Fn(&RemapPlan) + Send + Sync>;
-
 /// One live occurrence inside a running pipeline, published to every
-/// [`EventBus`] subscriber. Generalises the single `on_remap` callback:
-/// a streaming session can watch re-mappings, per-interval window
-/// statistics, and backpressure stalls while the run is in flight.
+/// [`EventBus`] subscriber: a streaming session can watch each tick's
+/// verdict, re-mappings, faults, and backpressure stalls while the run
+/// is in flight.
 ///
 /// Every variant carries the [`SessionId`] of the run that produced it,
 /// so a multi-tenant cluster can merge many sessions' streams onto one
@@ -441,29 +437,32 @@ pub type RemapHook = Arc<dyn Fn(&RemapPlan) + Send + Sync>;
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub enum RunEvent {
-    /// The controller committed a re-mapping (including regret-guard
-    /// reverts). Mirrors the `on_remap` hook exactly: both fire once
-    /// per committed plan, in the same order.
+    /// The controller committed a re-mapping: a planned one, a fault
+    /// recovery, or a regret-guard revert. Fires once per committed
+    /// plan, after the `Tick` that decided it.
     Remap {
         /// The session whose controller committed the plan.
         session: SessionId,
         /// The committed re-mapping.
         plan: RemapPlan,
     },
-    /// One adaptation interval elapsed: what the loop observed.
-    WindowStats {
+    /// One adaptation interval elapsed: what the loop observed, and
+    /// what it decided.
+    Tick {
         /// The session the interval belongs to.
         session: SessionId,
         /// Backend time of the tick.
         at: SimTime,
         /// Realized throughput over the elapsed interval (items/s).
         realized: f64,
-        /// Model-predicted throughput of the mapping in force.
+        /// Model-predicted throughput of the mapping in force before the
+        /// decision.
         expected: f64,
         /// Items completed so far.
         completed: u64,
-        /// True while [`SessionControl::pause_adaptation`] is in force.
-        paused: bool,
+        /// The tick's decision; [`Verdict::Paused`] while
+        /// [`SessionControl::pause_adaptation`] is in force.
+        verdict: Verdict,
     },
     /// A `push()` blocked on a full bounded queue (threaded backend).
     BackpressureStall {
@@ -678,7 +677,7 @@ impl std::fmt::Display for SessionId {
 /// each receiving every event emitted after it subscribed. Cloning the
 /// bus shares the subscriber list (it is a handle, not a copy).
 /// Emission with no subscribers is a cheap no-op, so the bus rides in
-/// [`RunHooks`] unconditionally.
+/// [`RunConfig`] unconditionally.
 #[derive(Clone, Default)]
 pub struct EventBus {
     subs: Arc<Mutex<Vec<Sender<RunEvent>>>>,
@@ -768,8 +767,10 @@ impl SessionControl {
 
     /// Requests one forced planning cycle at the next adaptation tick,
     /// bypassing warm-up gating, guard hold-downs, and the reactive
-    /// policy's degradation trigger. No-op under `Policy::Static`
-    /// (a static run has no adaptation ticks to force).
+    /// policy's degradation trigger. A paused tick, or one whose regret
+    /// guard reverts, leaves the request pending for the next tick.
+    /// No-op under `Policy::Static` (a static run has no adaptation
+    /// ticks to force).
     pub fn force_remap(&self) {
         self.flags.force_remap.store(true, Ordering::SeqCst);
     }
@@ -795,39 +796,6 @@ impl SessionControl {
             .lock()
             .expect("error slot poisoned")
             .clone()
-    }
-}
-
-/// Live observation callbacks for a run. Cloned into the adaptation
-/// loop; invoked on the thread (or at the simulated instant) the event
-/// occurs, while the pipeline keeps running.
-#[derive(Clone, Default)]
-pub struct RunHooks {
-    /// Called after every committed re-mapping (including regret-guard
-    /// reverts) with the priced plan.
-    pub on_remap: Option<RemapHook>,
-    /// Broadcast stream of [`RunEvent`]s — the generalised, multi-
-    /// subscriber form of the callbacks above. `RunSession::events()`
-    /// subscribes to this bus.
-    pub events: EventBus,
-}
-
-impl RunHooks {
-    /// Hooks that observe committed re-mappings.
-    pub fn on_remap(f: impl Fn(&RemapPlan) + Send + Sync + 'static) -> Self {
-        RunHooks {
-            on_remap: Some(Arc::new(f)),
-            events: EventBus::default(),
-        }
-    }
-}
-
-impl std::fmt::Debug for RunHooks {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunHooks")
-            .field("on_remap", &self.on_remap.as_ref().map(|_| "Fn"))
-            .field("events", &self.events)
-            .finish()
     }
 }
 
@@ -899,8 +867,9 @@ pub struct RunConfig {
     pub preserve_order: bool,
     /// Safety horizon: the run stops (truncated) past this time.
     pub max_sim_time: SimDuration,
-    /// Live observation callbacks.
-    pub hooks: RunHooks,
+    /// Broadcast stream of [`RunEvent`]s; `RunSession::events()`
+    /// subscribes to it.
+    pub events: EventBus,
     /// Per-stage-boundary queue bound for streaming sessions. `None`
     /// leaves queues unbounded (the legacy batch behaviour). `Some(c)`
     /// caps the total in-flight item count at `c × (stages + 1)` — one bounded buffer per stage
@@ -958,7 +927,7 @@ impl Default for RunConfig {
             emulate_links: false,
             preserve_order: true,
             max_sim_time: SimDuration::from_secs(7 * 24 * 3600),
-            hooks: RunHooks::default(),
+            events: EventBus::default(),
             queue_capacity: None,
             batch_size: 1,
             control: SessionControl::default(),
@@ -1330,13 +1299,13 @@ mod tests {
         }
         // A dropped subscriber is pruned on the next emission.
         drop(a);
-        bus.emit(RunEvent::WindowStats {
+        bus.emit(RunEvent::Tick {
             session: SessionId(0),
             at: SimTime::ZERO,
             realized: 1.0,
             expected: 1.0,
             completed: 0,
-            paused: false,
+            verdict: Verdict::WarmingUp,
         });
         assert_eq!(bus.subs.lock().unwrap().len(), 1);
         assert_eq!(b.try_iter().count(), 1);
@@ -1363,7 +1332,7 @@ mod tests {
         let cfg = RunConfig::default();
         assert_eq!(cfg.queue_capacity, None);
         assert!(!cfg.control.is_paused());
-        assert!(cfg.hooks.events.is_idle());
+        assert!(cfg.events.is_idle());
     }
 
     #[test]

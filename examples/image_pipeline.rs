@@ -5,7 +5,7 @@
 //! Frames pass through blur → Sobel → quantise → checksum with genuine
 //! pixel arithmetic; virtual node `v1` loses 90 % of its capacity 0.5 s
 //! into the run and the periodic controller re-maps around it — watch
-//! it happen live through the `on_remap` hook.
+//! it happen live through an event-bus subscriber.
 //!
 //! Run with: `cargo run --release --example image_pipeline`
 
@@ -39,6 +39,21 @@ fn main() {
     );
     println!("processing {n_frames} frames of {side}x{side} px; v1 degrades to 10% at t=0.5s\n");
 
+    // Live observation: a subscriber prints each re-mapping as it
+    // commits, while the run is still going.
+    let events = EventBus::new();
+    let remaps = events.subscribe();
+    let printer = std::thread::spawn(move || {
+        for event in remaps {
+            if let RunEvent::Remap { plan, .. } = event {
+                println!(
+                    "  [live] re-mapped at t={:.2}s: stages {:?} moved",
+                    plan.at.as_secs_f64(),
+                    plan.moved,
+                );
+            }
+        }
+    });
     let cfg = RunConfig {
         items: n_frames,
         // Put the heavy Sobel stage on the node that is about to
@@ -49,20 +64,15 @@ fn main() {
             NodeId(2),
             NodeId(3),
         ])),
-        // Live observation: print each re-mapping as it commits.
-        hooks: RunHooks::on_remap(|plan| {
-            println!(
-                "  [live] re-mapped at t={:.2}s: stages {:?} moved",
-                plan.at.as_secs_f64(),
-                plan.moved,
-            );
-        }),
+        events,
         ..RunConfig::default()
     };
 
     let handle = pipeline
         .run(Backend::Threads(vnodes), cfg)
         .expect("a compatible backend");
+    // The run has dropped its handle on the bus: the stream ends.
+    printer.join().expect("the event printer panicked");
     let report = handle.report();
 
     println!(

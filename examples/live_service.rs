@@ -11,15 +11,17 @@
 //!    source instead of buffering without limit;
 //! 2. push steady traffic; mid-run, node 1 collapses to 5 %
 //!    availability (the "load spike") and the arrival rate doubles;
-//! 3. watch the live `RunEvent` stream — window statistics, the
-//!    committed re-mapping away from the loaded node, and any
-//!    backpressure stalls — while outputs are consumed concurrently;
-//! 4. drain gracefully and emit the machine-readable report
-//!    (`RunReport::to_json`).
+//! 3. watch the live `RunEvent` stream — every adaptation tick's
+//!    verdict, the committed re-mapping away from the loaded node, and
+//!    any backpressure stalls — while outputs are consumed concurrently;
+//! 4. drain gracefully, print the why-table (how many ticks ended in
+//!    each verdict: why the controller re-mapped, or held still), and
+//!    emit the machine-readable report (`RunReport::to_json`).
 //!
 //! Run with: `cargo run --release --example live_service`
 
 use adapipe::prelude::*;
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// Per-item work each stage spins for, per phase: ~3 ms.
@@ -102,7 +104,7 @@ fn main() {
     // What the live event stream saw, while we were serving.
     let mut remaps = 0u32;
     let mut stalls = 0u32;
-    let mut windows = 0u32;
+    let mut why: BTreeMap<&'static str, u32> = BTreeMap::new();
     for ev in events.try_iter() {
         match ev {
             RunEvent::Remap { plan, .. } => {
@@ -124,14 +126,19 @@ fn main() {
                     );
                 }
             }
-            RunEvent::WindowStats { .. } => windows += 1,
+            RunEvent::Tick { verdict, .. } => *why.entry(verdict.kind()).or_default() += 1,
             _ => {} // future event kinds: not this example's business
         }
     }
 
+    let ticks: u32 = why.values().sum();
+    println!("\nwhy-table: {ticks} adaptation ticks, by verdict");
+    for (kind, count) in &why {
+        println!("  {kind:<26} {count:>4}");
+    }
     println!(
-        "\nserved {} / {} requests | {} re-mappings | {} stall(s) | {} windows observed",
-        report.completed, offered, remaps, stalls, windows
+        "\nserved {} / {} requests | {} re-mappings | {} stall(s)",
+        report.completed, offered, remaps, stalls
     );
     println!(
         "final mapping {} (collapsed node evacuated: {})",

@@ -70,9 +70,8 @@
 //! freeze and thaw re-mapping, [`RunSession::force_remap`] demands one
 //! planning cycle now, [`RunSession::abort`] kills the run (vs. the
 //! graceful [`RunSession::drain`]), and [`RunSession::events`]
-//! subscribes to the live [`RunEvent`] stream (re-mappings, window
-//! statistics, backpressure stalls) that generalises the one-callback
-//! [`RunHooks`].
+//! subscribes to the live [`RunEvent`] stream (each tick's [`Verdict`],
+//! re-mappings, faults, backpressure stalls).
 //!
 //! The same session API runs on the simulator: the discrete-event world
 //! advances cooperatively as the session is driven (`next()`/`drain()`
@@ -90,10 +89,9 @@
 //! delegation, and what happens to an item at a stage is decided in
 //! one place both backends call, `adapipe_core::item`.
 //!
-//! Live observation goes through [`RunConfig`]'s [`RunHooks`]
-//! (`on_remap` fires at each committed re-mapping while the pipeline
-//! runs) or the richer [`RunSession::events`] stream; post-run
-//! observation through the [`RunHandle`].
+//! Live observation goes through [`RunConfig`]'s [`EventBus`] (a
+//! batch `run` subscribes before it starts) or [`RunSession::events`];
+//! post-run observation through the [`RunHandle`].
 //!
 //! ## Multi-tenant clusters
 //!
@@ -127,7 +125,7 @@ use adapipe_runtime::metrics::StageStats;
 use adapipe_runtime::policy::Policy;
 use adapipe_runtime::report::{AdaptationEvent, RunReport};
 use adapipe_runtime::routing::Selection;
-use adapipe_runtime::session::{self, EventBus, Session, SessionControl};
+use adapipe_runtime::session::{self, Session, SessionControl};
 use adapipe_state::StateCodec;
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -135,8 +133,9 @@ use std::sync::mpsc::Receiver;
 use std::time::Duration;
 
 pub use adapipe_mapper::share::ShareQuota;
+pub use adapipe_runtime::adapt::Verdict;
 pub use adapipe_runtime::session::{
-    ArrivalProcess, BuildError, RunConfig, RunError, RunEvent, RunHooks, SessionId, TryNext,
+    ArrivalProcess, BuildError, EventBus, RunConfig, RunError, RunEvent, SessionId, TryNext,
 };
 
 /// Which execution backend a built [`Pipeline`] runs on.
@@ -319,7 +318,7 @@ impl<I: Send + 'static, O: Send + 'static> Pipeline<I, O> {
         cfg.faults = self.faults.clone().merge(&cfg.faults);
         self.validate_run(&backend, &cfg)?;
         let control = cfg.control.clone();
-        let bus = cfg.hooks.events.clone();
+        let bus = cfg.events.clone();
         let inner = match backend {
             Backend::Sim(grid) => SessionInner::Sim(Box::new(simsession::spawn(
                 grid,
@@ -741,7 +740,7 @@ impl<'g> Cluster<'g> {
         // Every tenant's events merge onto the cluster-wide bus (demux
         // by each event's `session` field); subscriptions made through
         // `RunSession::events` see the same merged stream.
-        cfg.run.hooks.events = self.bus.clone();
+        cfg.run.events = self.bus.clone();
         let control = cfg.run.control.clone();
         let inner = match &mut self.inner {
             ClusterInner::Sim(sc) => {

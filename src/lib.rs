@@ -122,7 +122,7 @@
 //!     )
 //!     .expect("spawn");
 //!
-//! let events = session.events(); // live remaps / window stats / stalls
+//! let events = session.events(); // live verdicts / remaps / stalls
 //! let mut outputs = Vec::new();
 //! for i in 0..20 {
 //!     session.push(i).unwrap(); // blocks only when the bounded queues are full
@@ -169,9 +169,9 @@ pub use adapipe_workloads as workloads;
 /// builder remains at [`core::pipeline`].
 pub mod prelude {
     pub use crate::api::{
-        ArrivalProcess, Backend, Branch, BuildError, Cluster, ClusterConfig, DagBuilder,
+        ArrivalProcess, Backend, Branch, BuildError, Cluster, ClusterConfig, DagBuilder, EventBus,
         ParallelBuilder, Pipeline, PipelineBuilder, RunConfig, RunError, RunEvent, RunHandle,
-        RunHooks, RunSession, SessionConfig, SessionId, ShareQuota, TryNext,
+        RunSession, SessionConfig, SessionId, ShareQuota, TryNext, Verdict,
     };
     pub use adapipe_core::prelude::*;
     pub use adapipe_engine::prelude::*;

@@ -30,13 +30,18 @@ fn crash_plan() -> FaultPlan {
 /// The scenario program: two spinning stages under a fast periodic
 /// policy, launch-mapped onto [n0, n1] so the crash strands stage "b".
 fn scenario(plan: FaultPlan) -> Pipeline<u64, u64> {
+    scenario_with_b(plan, STAGE_SECS)
+}
+
+/// The scenario with stage "b" costing `b_secs` per item.
+fn scenario_with_b(plan: FaultPlan, b_secs: f64) -> Pipeline<u64, u64> {
     Pipeline::<u64>::builder()
         .stage_with(StageSpec::balanced("a", STAGE_SECS, 8), |x: u64| {
             spin_for(Duration::from_secs_f64(STAGE_SECS));
             x + 1
         })
-        .stage_with(StageSpec::balanced("b", STAGE_SECS, 8), |x: u64| {
-            spin_for(Duration::from_secs_f64(STAGE_SECS));
+        .stage_with(StageSpec::balanced("b", b_secs, 8), move |x: u64| {
+            spin_for(Duration::from_secs_f64(b_secs));
             x + 1
         })
         .policy(Policy::Periodic {
@@ -77,10 +82,10 @@ struct ChaosOutcome {
     remaps: Vec<Mapping>,
 }
 
-/// Drives one live session to completion under the scenario and
-/// collects every fault-relevant observation.
-fn drive(backend: Backend<'_>, plan: FaultPlan) -> ChaosOutcome {
-    let mut session = scenario(plan)
+/// Drives one live session of `pipeline` to completion and collects
+/// every fault-relevant observation.
+fn drive(backend: Backend<'_>, pipeline: Pipeline<u64, u64>) -> ChaosOutcome {
+    let mut session = pipeline
         .spawn(backend, scenario_cfg())
         .expect("session spawns");
     let events = session.events();
@@ -149,12 +154,16 @@ fn assert_zero_loss_and_exclusion(tag: &str, outcome: &ChaosOutcome) {
 /// The acceptance-criterion parity test: the identical fault schedule
 /// through `RunSession` on both backends — zero lost items, the
 /// `NodeDown` transition, and a committed re-map excluding the crashed
-/// node on each; outputs item-identical across backends.
+/// node on each; outputs item-identical across backends. Stage "b" costs
+/// twice stage "a", so the crashed node holds a backlog at the crash by
+/// construction, on either clock: the replays below never hang on how
+/// the threads happened to be scheduled.
 #[test]
 fn crash_parity_across_backends() {
     let grid = grid3();
-    let sim = drive(Backend::Sim(&grid), crash_plan());
-    let threads = drive(Backend::Threads(vnodes3()), crash_plan());
+    let scenario = || scenario_with_b(crash_plan(), 2.0 * STAGE_SECS);
+    let sim = drive(Backend::Sim(&grid), scenario());
+    let threads = drive(Backend::Threads(vnodes3()), scenario());
     assert_zero_loss_and_exclusion("sim", &sim);
     assert_zero_loss_and_exclusion("threads", &threads);
     assert_eq!(sim.outputs, threads.outputs, "outputs diverge");
@@ -186,8 +195,11 @@ fn composed_fault_plan_runs_on_both_backends() {
     };
     let grid = grid3();
     for (tag, outcome) in [
-        ("sim", drive(Backend::Sim(&grid), plan())),
-        ("threads", drive(Backend::Threads(vnodes3()), plan())),
+        ("sim", drive(Backend::Sim(&grid), scenario(plan()))),
+        (
+            "threads",
+            drive(Backend::Threads(vnodes3()), scenario(plan())),
+        ),
     ] {
         assert_eq!(outcome.report.completed, ITEMS, "{tag}: items lost");
         assert!(!outcome.report.truncated, "{tag}");
@@ -684,8 +696,11 @@ fn finite_outage_under_adaptive_policy_loses_nothing() {
     let plan = || FaultPlan::new().outage(n(1), secs(0.1), secs(0.25));
     let grid = grid3();
     for (tag, outcome) in [
-        ("sim", drive(Backend::Sim(&grid), plan())),
-        ("threads", drive(Backend::Threads(vnodes3()), plan())),
+        ("sim", drive(Backend::Sim(&grid), scenario(plan()))),
+        (
+            "threads",
+            drive(Backend::Threads(vnodes3()), scenario(plan())),
+        ),
     ] {
         assert_eq!(outcome.report.completed, ITEMS, "{tag}");
         assert_eq!(outcome.error, None, "{tag}");

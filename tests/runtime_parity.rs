@@ -376,7 +376,7 @@ fn on_both_backends(
         ("threads", Backend::Threads(vnodes_with(sag()))),
     ] {
         let cfg = cfg();
-        let events = cfg.hooks.events.subscribe();
+        let events = cfg.events.subscribe();
         let mut session = scenario_spinning(policy, name == "threads")
             .spawn(backend, cfg)
             .expect("spawn");
@@ -409,14 +409,10 @@ fn every_neutral_run_config_field_is_observed_on_both_backends() {
                 "{name}: hinted {ITEMS} items to go, never left the sagging node"
             );
             let first_window = events.iter().find_map(|e| match e {
-                RunEvent::WindowStats { paused, .. } => Some(*paused),
+                RunEvent::Tick { verdict, .. } => Some(*verdict == Verdict::Paused),
                 _ => None,
             });
-            assert_eq!(
-                first_window,
-                Some(false),
-                "{name}: no WindowStats on the bus"
-            );
+            assert_eq!(first_window, Some(false), "{name}: no Tick on the bus");
             assert!(
                 events
                     .iter()
@@ -453,9 +449,13 @@ fn every_neutral_run_config_field_is_observed_on_both_backends() {
                 "{name}: re-mapped while paused"
             );
             assert!(
-                events
-                    .iter()
-                    .any(|e| matches!(e, RunEvent::WindowStats { paused: true, .. })),
+                events.iter().any(|e| matches!(
+                    e,
+                    RunEvent::Tick {
+                        verdict: Verdict::Paused,
+                        ..
+                    }
+                )),
                 "{name}: the paused loop reported no window"
             );
         },

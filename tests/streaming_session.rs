@@ -1,12 +1,11 @@
 //! The streaming session API, exercised end to end: one scenario
 //! written once against `RunSession` must behave identically on
 //! `Backend::Sim` and `Backend::Threads` — item-exact output parity,
-//! matching committed re-mappings (via both `RunHooks::on_remap` and
-//! the `RunEvent::Remap` stream), real backpressure under a bounded
-//! `queue_capacity`, and in-flight control (pause/resume/force/abort).
+//! matching committed re-mappings on the `RunEvent::Remap` stream, real
+//! backpressure under a bounded `queue_capacity`, and in-flight control
+//! (pause/resume/force/abort).
 
 use adapipe::prelude::*;
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn n(i: usize) -> NodeId {
@@ -71,8 +70,6 @@ fn scenario_vnodes() -> Vec<VNodeSpec> {
 struct ScenarioOutcome {
     outputs: Vec<u64>,
     report: RunReport,
-    /// (from, to) of every commit seen by the `on_remap` hook, in order.
-    hook_remaps: Vec<(Mapping, Mapping)>,
     /// (from, to) of every `RunEvent::Remap`, in order.
     event_remaps: Vec<(Mapping, Mapping)>,
 }
@@ -83,17 +80,10 @@ struct ScenarioOutcome {
 /// producing, graceful drain.
 fn run_scenario(backend: Backend<'_>) -> ScenarioOutcome {
     let wall_paced = matches!(backend, Backend::Threads(_));
-    let hook_log: Arc<Mutex<Vec<(Mapping, Mapping)>>> = Arc::default();
-    let sink = Arc::clone(&hook_log);
     let cfg = RunConfig {
         items: ITEMS,
         initial_mapping: Some(Mapping::from_assignment(&[n(0), n(1)])),
         timeline_bucket: Some(SimDuration::from_millis(500)),
-        hooks: RunHooks::on_remap(move |plan| {
-            sink.lock()
-                .expect("hook log")
-                .push((plan.from.clone(), plan.to.clone()));
-        }),
         ..RunConfig::default()
     };
     let mut session = scenario_pipeline().spawn(backend, cfg).expect("spawn");
@@ -125,11 +115,9 @@ fn run_scenario(backend: Backend<'_>) -> ScenarioOutcome {
             _ => None,
         })
         .collect();
-    let hook_remaps = hook_log.lock().expect("hook log").clone();
     ScenarioOutcome {
         outputs,
         report: handle.report,
-        hook_remaps,
         event_remaps,
     }
 }
@@ -151,29 +139,23 @@ fn one_session_scenario_runs_identically_on_both_backends() {
 }
 
 #[test]
-fn remap_events_mirror_hooks_and_agree_across_backends() {
+fn remap_events_agree_across_backends() {
     let grid = scenario_grid();
     let sim = run_scenario(Backend::Sim(&grid));
     let threads = run_scenario(Backend::Threads(scenario_vnodes()));
 
     for (name, outcome) in [("sim", &sim), ("threads", &threads)] {
         assert!(
-            !outcome.hook_remaps.is_empty(),
+            !outcome.event_remaps.is_empty(),
             "{name}: the collapse must force at least one re-map"
         );
-        // RunEvent::Remap is the multi-subscriber generalisation of the
-        // on_remap hook: identical commits, identical order.
-        assert_eq!(
-            outcome.event_remaps, outcome.hook_remaps,
-            "{name}: event stream must mirror the hook exactly"
-        );
-        // The hooks see every commit, the report logs planner-accepted
-        // re-maps (guard reverts fire the hook but are not adaptation
+        // The stream sees every commit, the report logs accepted
+        // re-maps (guard reverts are commits but not adaptation
         // events), so the live stream is a superset.
         assert!(
-            outcome.hook_remaps.len() >= outcome.report.adaptation_count(),
+            outcome.event_remaps.len() >= outcome.report.adaptation_count(),
             "{name}: live commits ({}) must cover the report log ({})",
-            outcome.hook_remaps.len(),
+            outcome.event_remaps.len(),
             outcome.report.adaptation_count()
         );
         // Every commit moves work; the final mapping shuns the
@@ -189,8 +171,8 @@ fn remap_events_mirror_hooks_and_agree_across_backends() {
     // re-mapping (identical launch mapping, load schedule, policy, and
     // shared planner) on both backends.
     assert_eq!(
-        sim.hook_remaps.first(),
-        threads.hook_remaps.first(),
+        sim.event_remaps.first(),
+        threads.event_remaps.first(),
         "first committed re-mapping must agree across backends"
     );
 }
