@@ -11,9 +11,11 @@
 //!     cargo bench -p adapipe-bench --bench model`
 //! (`BENCH_model.json` also keeps, under group `model_evaluate@dbded3c`,
 //! the rows measured at the last commit that priced chains, parallel
-//! blocks and wired DAGs with three separate walks, and under
-//! `…@f3c98c3` the rows of the last commit whose optimisers cloned a
-//! mapping and called `evaluate` per candidate.)
+//! blocks and wired DAGs with three separate walks; under `…@f3c98c3`
+//! the rows of the last commit whose optimisers cloned a mapping and
+//! called `evaluate` per candidate; and under `model_plan@ff49339` the
+//! rows of the last commit whose local search applied every move before
+//! its node loads could rule it out.)
 
 use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::grid::testbed_hetero8;

@@ -4,8 +4,9 @@
 //! full assignment enumeration (small instances), compositions for
 //! contiguous groupings, and neighbourhood moves for local search.
 //! The two the optimisers' inner loops run on — [`Assignments`] and
-//! [`for_each_neighbour`] — show every candidate on one working
-//! [`Mapping`] instead of handing out a clone per candidate.
+//! [`for_each_neighbour`] — show every candidate (for the neighbourhood,
+//! every move) on one working [`Mapping`] instead of handing out a
+//! clone per candidate.
 
 use crate::mapping::{Mapping, Placement};
 use crate::model::PipelineProfile;
@@ -145,6 +146,15 @@ pub enum Move {
 }
 
 impl Move {
+    /// The stage the move changes.
+    pub(crate) fn stage(self) -> usize {
+        match self {
+            Move::MoveStage { stage, .. }
+            | Move::AddReplica { stage, .. }
+            | Move::DropReplica { stage, .. } => stage,
+        }
+    }
+
     /// Applies the move to `mapping` in place and returns the move that
     /// undoes it (host lists are kept sorted, so undoing restores the
     /// mapping exactly).
@@ -194,10 +204,13 @@ impl Focus<'_> {
 }
 
 /// Walks the one-move neighbourhood of `mapping` over `np` nodes **in
-/// place**: each move is applied to `mapping`, shown to `visit`, and
-/// undone, so a pass over the neighbourhood clones nothing and
-/// `mapping` is unchanged when the walk returns. Stage by stage, in
-/// this order:
+/// place**: each move is shown to `visit` with the mapping it would
+/// change, *before* it is applied. A visitor that wants the candidate
+/// applies the move and undoes it again ([`Move::apply`] returns the
+/// undo) before it returns; one that can rule the move out without
+/// looking at the candidate skips both. So a pass over the
+/// neighbourhood clones nothing, and `mapping` is unchanged when the
+/// walk returns. Stage by stage, in this order:
 ///
 /// * a single-host stage is re-hosted on every other node;
 /// * a replicable stage (`profile.state[stage].replicable()`) gains one
@@ -219,14 +232,9 @@ pub fn for_each_neighbour(
     profile: &PipelineProfile,
     max_width: usize,
     focus: Focus<'_>,
-    mut visit: impl FnMut(Move, &Mapping),
+    mut visit: impl FnMut(Move, &mut Mapping),
 ) {
     assert_eq!(profile.stages(), mapping.len(), "one stage per placement");
-    let mut try_move = |mapping: &mut Mapping, mv: Move| {
-        let undo = mv.apply(mapping);
-        visit(mv, mapping);
-        undo.apply(mapping);
-    };
     for stage in 0..mapping.len() {
         let placement = mapping.placement(stage);
         if !focus.admits(placement) {
@@ -236,20 +244,20 @@ pub fn for_each_neighbour(
         if width == 1 {
             let current = placement.primary();
             for to in (0..np).map(NodeId).filter(|&to| to != current) {
-                try_move(mapping, Move::MoveStage { stage, to });
+                visit(Move::MoveStage { stage, to }, mapping);
             }
         }
         if profile.state[stage].replicable() && width < max_width.min(profile.replica_cap[stage]) {
             for node in (0..np).map(NodeId) {
                 if !mapping.placement(stage).contains(node) {
-                    try_move(mapping, Move::AddReplica { stage, node });
+                    visit(Move::AddReplica { stage, node }, mapping);
                 }
             }
         }
         if width > 1 {
             for i in 0..width {
                 let node = mapping.placement(stage).hosts()[i];
-                try_move(mapping, Move::DropReplica { stage, node });
+                visit(Move::DropReplica { stage, node }, mapping);
             }
         }
     }
@@ -330,9 +338,12 @@ mod tests {
         profile.replica_cap = replica_cap.to_vec();
         let mut work = mapping.clone();
         let mut out = Vec::new();
-        for_each_neighbour(&mut work, np, &profile, max_width, focus, |mv, cand| {
-            assert_eq!(mapping.diff(cand).len(), 1, "{mv:?} is not one move");
-            out.push((mv, cand.clone()));
+        for_each_neighbour(&mut work, np, &profile, max_width, focus, |mv, shown| {
+            assert_eq!(shown, mapping, "{mv:?} is shown on the mapping it moves");
+            let undo = mv.apply(shown);
+            assert_eq!(mapping.diff(shown).len(), 1, "{mv:?} is not one move");
+            out.push((mv, shown.clone()));
+            undo.apply(shown);
         });
         assert_eq!(&work, mapping, "the walk must undo every move");
         out

@@ -67,7 +67,7 @@ pub mod prelude {
     pub use crate::graph::{Next, StageGraph, StageGraphBuilder};
     pub use crate::mapping::{ContiguousMapping, Mapping, Placement};
     pub use crate::model::{
-        evaluate, Bottleneck, Evaluator, Floor, PipelineProfile, Prediction, Score,
+        evaluate, Bottleneck, Candidates, Evaluator, Floor, PipelineProfile, Prediction, Score,
     };
     pub use crate::replicate::improve;
     pub use crate::search::{

@@ -11,6 +11,7 @@
 //! are separate resources); contention inside a link direction is what
 //! the simulator adds on top, and experiment T2 quantifies the gap.
 
+use crate::enumerate::Move;
 use crate::graph::{Next, StageGraph};
 use crate::mapping::Mapping;
 use adapipe_gridsim::net::Topology;
@@ -222,6 +223,30 @@ pub enum Floor {
     Above(f64),
 }
 
+impl Floor {
+    /// True when `throughput` falls short of the floor.
+    fn excludes(self, throughput: f64) -> bool {
+        match self {
+            Floor::AtLeast(least) => throughput < least,
+            Floor::Above(bar) => throughput <= bar,
+        }
+    }
+}
+
+/// What became of the candidates one [`Evaluator`] was shown: the
+/// planner's own account of where a `plan()` spends its time.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Candidates {
+    /// Ruled out from the incumbent's node loads before their move was
+    /// applied: never applied, scored or undone.
+    pub bounded: u64,
+    /// Applied, then dropped on their own node loads before the link
+    /// walk.
+    pub pruned: u64,
+    /// Scored in full: links walked, or a dead node ranked.
+    pub scored: u64,
+}
+
 /// The model bound to one planning problem — profile, forecast rates,
 /// topology — with everything that does not depend on the candidate
 /// mapping done once: the profile is validated, the compute seconds of
@@ -242,6 +267,21 @@ pub struct Evaluator<'a> {
     /// HashMap here dominated planning time on 32-node grids, and the
     /// finish times ride in the same allocation.
     scratch: Vec<f64>,
+    /// The mapping a neighbourhood pass walks from, as
+    /// [`Evaluator::bounds_out`] reads it.
+    incumbent: Incumbent,
+    candidates: Candidates,
+}
+
+/// Node loads of a neighbourhood pass's incumbent.
+struct Incumbent {
+    /// Busy seconds per item on each node, from the loop `score_against`
+    /// runs.
+    load: Vec<f64>,
+    /// Every node, busiest first.
+    busiest: Vec<NodeId>,
+    /// The incumbent uses a dead node, whose load `load` leaves out.
+    dead: bool,
 }
 
 impl<'a> Evaluator<'a> {
@@ -274,6 +314,9 @@ impl<'a> Evaluator<'a> {
             end_in_range(profile.source, 0) && end_in_range(profile.sink, profile.graph.exit() + 1),
             "node out of range"
         );
+        // The one-shot form walks no neighbourhood, so it keeps no
+        // incumbent.
+        let walked_nodes = if tabulate { rates.len() } else { 0 };
         Evaluator {
             profile,
             rates,
@@ -281,6 +324,12 @@ impl<'a> Evaluator<'a> {
             transfer: TransferSecs::new(&profile.boundary_bytes, topology, tabulate),
             node_load: vec![0.0; rates.len()],
             scratch: vec![0.0; n * n + profile.stages()],
+            incumbent: Incumbent {
+                load: vec![0.0; walked_nodes],
+                busiest: (0..walked_nodes).map(NodeId).collect(),
+                dead: false,
+            },
+            candidates: Candidates::default(),
         }
     }
 
@@ -347,24 +396,9 @@ impl<'a> Evaluator<'a> {
         let n = self.transfer.topology.len();
 
         // --- Node busy time per item -------------------------------------
-        self.node_load.fill(0.0);
-        let mut dead_node_used = false;
-        for s in 0..ns {
-            let placement = mapping.placement(s);
-            let share = 1.0 / placement.width() as f64;
-            for &host in placement.hosts() {
-                assert!(
-                    host.index() < self.rates.len(),
-                    "node {host} outside rate vector"
-                );
-                assert!(host.index() < n, "node {host} outside topology");
-                if self.rates[host.index()] <= 0.0 {
-                    dead_node_used = true;
-                } else {
-                    self.node_load[host.index()] += self.compute.get(s, host) * share;
-                }
-            }
-        }
+        let dead_node_used = self
+            .compute
+            .node_loads(mapping, self.rates, n, &mut self.node_load);
         let (max_node_load, max_node) =
             self.node_load
                 .iter()
@@ -378,6 +412,7 @@ impl<'a> Evaluator<'a> {
                 });
         let balance = |node_load: &[f64]| node_load.iter().map(|l| l * l).sum::<f64>();
         if dead_node_used {
+            self.candidates.scored += 1;
             return Some(Score {
                 throughput: 0.0,
                 latency: f64::INFINITY,
@@ -385,14 +420,11 @@ impl<'a> Evaluator<'a> {
                 balance: balance(&self.node_load),
             });
         }
-        let node_bound = throughput_of(max_node_load);
-        let hopeless = match floor {
-            Floor::AtLeast(least) => node_bound < least,
-            Floor::Above(bar) => node_bound <= bar,
-        };
-        if hopeless {
+        if floor.excludes(throughput_of(max_node_load)) {
+            self.candidates.pruned += 1;
             return None;
         }
+        self.candidates.scored += 1;
 
         // --- Link busy time per item, one-item latency ---------------------
         let (link_seconds, done) = self.scratch.split_at_mut(n * n);
@@ -424,6 +456,98 @@ impl<'a> Evaluator<'a> {
             bottleneck,
             balance: balance(&self.node_load),
         })
+    }
+
+    /// What became of the candidates this evaluator has been shown.
+    pub(crate) fn candidates(&self) -> Candidates {
+        self.candidates
+    }
+
+    /// Keeps `mapping`'s node loads, and its nodes busiest first, as the
+    /// incumbent that [`Evaluator::bounds_out`] bounds moves from.
+    pub(crate) fn set_incumbent(&mut self, mapping: &Mapping) {
+        let n = self.transfer.topology.len();
+        let Incumbent {
+            load,
+            busiest,
+            dead,
+        } = &mut self.incumbent;
+        *dead = self.compute.node_loads(mapping, self.rates, n, load);
+        busiest.sort_unstable_by(|a, b| load[b.index()].total_cmp(&load[a.index()]));
+    }
+
+    /// Rules `mv` out without applying it: true when the candidate it
+    /// would make of `incumbent` (the mapping last passed to
+    /// [`Evaluator::set_incumbent`], unchanged since) is one that
+    /// `score_against(candidate, floor)` would drop on its node loads.
+    /// It reads the incumbent's loads in O(width) instead of applying
+    /// the move and summing every stage again.
+    ///
+    /// The cut is exact, not a heuristic. A node's load is a sum over
+    /// the stages it hosts, so a move of stage `s` changes only the
+    /// loads of the nodes that host `s` before or after it:
+    /// * every other node keeps its incumbent load to the bit (the same
+    ///   terms, summed in the same stage order);
+    /// * the destination gains `c / w'`, with `c` the compute seconds of
+    ///   `s` there and `w'` its new width;
+    /// * each host `s` keeps while its width goes from `w` to `w'`
+    ///   trades `c / w` for `c / w'`;
+    /// * a host `s` leaves is left out, which can only lower the bound.
+    ///
+    /// The terms are non-negative and `c / w` is at most the load it is
+    /// taken from, so a touched node's estimate is off the candidate's
+    /// own sum by at most a few `Ns · 2⁻⁵³` of its load, far inside the
+    /// `1 − 1e-9` the bound is scaled by. So the bound is at most the
+    /// candidate's busiest node load. A correctly rounded reciprocal is
+    /// monotone, so the candidate's node bound is at most the throughput
+    /// this bound gives, and whenever that falls under the floor,
+    /// `score_against` drops the candidate too. A move onto a dead node,
+    /// or from an incumbent that uses one, is never ruled out, because
+    /// `score_against` always scores a mapping on a dead node.
+    pub(crate) fn bounds_out(&mut self, incumbent: &Mapping, mv: Move, floor: Floor) -> bool {
+        let out = self
+            .load_after(incumbent, mv)
+            .is_some_and(|load| floor.excludes(throughput_of(load)));
+        self.candidates.bounded += u64::from(out);
+        out
+    }
+
+    /// A lower bound on the busiest node's load after `mv`, or `None`
+    /// when the move or the incumbent uses a dead node.
+    fn load_after(&self, incumbent: &Mapping, mv: Move) -> Option<f64> {
+        let Incumbent {
+            load,
+            busiest,
+            dead,
+        } = &self.incumbent;
+        let stage = mv.stage();
+        let placement = incumbent.placement(stage);
+        let width = placement.width();
+        let (to, dropped, new_width) = match mv {
+            Move::MoveStage { to, .. } => (Some(to), None, width),
+            Move::AddReplica { node, .. } => (Some(node), None, width + 1),
+            Move::DropReplica { node, .. } => (None, Some(node), width - 1),
+        };
+        if *dead || to.is_some_and(|to| self.rates[to.index()] <= 0.0) {
+            return None;
+        }
+        let (share, new_share) = (1.0 / width as f64, 1.0 / new_width as f64);
+        let touched = |node: NodeId| placement.contains(node) || Some(node) == to;
+        // The busiest node the move leaves alone.
+        let mut bound = busiest
+            .iter()
+            .find(|&&node| !touched(node))
+            .map_or(0.0, |node| load[node.index()]);
+        if let Some(to) = to {
+            bound = bound.max(load[to.index()] + self.compute.get(stage, to) * new_share);
+        }
+        if new_width != width {
+            for &host in placement.hosts().iter().filter(|&&h| Some(h) != dropped) {
+                let c = self.compute.get(stage, host);
+                bound = bound.max(load[host.index()] - c * share + c * new_share);
+            }
+        }
+        Some(bound * (1.0 - 1e-9))
     }
 }
 
@@ -460,6 +584,34 @@ impl ComputeSecs {
 
     fn get(&self, stage: usize, node: NodeId) -> f64 {
         self.table[stage * self.np + node.index()]
+    }
+
+    /// Fills `load` with each node's busy seconds per item under
+    /// `mapping`, summed in stage order, each replica taking an equal
+    /// share; `true` when the mapping uses a dead node (rate ≤ 0), whose
+    /// load is left out.
+    ///
+    /// # Panics
+    /// Panics if a host is outside `rates` or the `n`-node topology.
+    fn node_loads(&self, mapping: &Mapping, rates: &[f64], n: usize, load: &mut [f64]) -> bool {
+        load.fill(0.0);
+        let mut dead_node_used = false;
+        for (s, placement) in mapping.placements().iter().enumerate() {
+            let share = 1.0 / placement.width() as f64;
+            for &host in placement.hosts() {
+                assert!(
+                    host.index() < rates.len(),
+                    "node {host} outside rate vector"
+                );
+                assert!(host.index() < n, "node {host} outside topology");
+                if rates[host.index()] <= 0.0 {
+                    dead_node_used = true;
+                } else {
+                    load[host.index()] += self.get(s, host) * share;
+                }
+            }
+        }
+        dead_node_used
     }
 }
 
@@ -617,8 +769,10 @@ fn edge_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::enumerate::{for_each_neighbour, Focus};
     use crate::mapping::Placement;
     use adapipe_gridsim::net::LinkSpec;
+    use adapipe_gridsim::rng::Rng64;
     use adapipe_gridsim::time::SimDuration;
 
     fn n(i: usize) -> NodeId {
@@ -883,6 +1037,124 @@ mod tests {
             ps.latency - pf.latency
         );
         assert_eq!(pf.throughput.to_bits(), ps.throughput.to_bits());
+    }
+
+    /// A seeded instance for the bound's soundness sweep: a chain, a
+    /// parallel block or a shuffled DAG; replicable, capped and pinned
+    /// stages; a zero-work stage; heavy boundaries over a slow link; and
+    /// in every other case a dead node.
+    fn bound_instance(case: u64, rng: &mut Rng64) -> (PipelineProfile, Vec<f64>, Topology) {
+        let ns = 4 + rng.next_range(3);
+        let np = 3 + rng.next_range(4);
+        let graph = match case % 3 {
+            0 => StageGraph::linear(ns),
+            // pre → (a ‖ b…) → merge
+            1 => StageGraph::builder().stages(1).split(&[1, ns - 3]).build(),
+            _ => {
+                let mut perm: Vec<usize> = (0..ns).collect();
+                for i in (1..ns).rev() {
+                    perm.swap(i, rng.next_range(i + 1));
+                }
+                let mut dag = StageGraph::dag(ns);
+                let mut fans_out = vec![false; ns];
+                for to in 1..ns {
+                    let from = rng.next_range(to);
+                    fans_out[from] = true;
+                    dag = dag.edge(perm[from], perm[to]);
+                }
+                for from in (1..ns - 1).filter(|&from| !fans_out[from]) {
+                    dag = dag.edge(perm[from], perm[ns - 1]);
+                }
+                dag.build().expect("one entry, one exit, no cycle")
+            }
+        };
+        let mut profile =
+            PipelineProfile::uniform((0..ns).map(|_| 4.0 * rng.next_unit()).collect(), 0);
+        profile.stage_work[rng.next_range(ns)] = 0.0;
+        profile.boundary_bytes = (0..=ns).map(|_| rng.next_range(2_000_000) as u64).collect();
+        profile.graph = graph;
+        for s in 0..ns {
+            match rng.next_range(4) {
+                0 => profile.replica_cap[s] = 2,
+                1 => {
+                    profile.state[s] = StateAccess::Opaque;
+                    profile.replica_cap[s] = 1;
+                }
+                _ => {}
+            }
+        }
+        let mut rates: Vec<f64> = (0..np).map(|_| 0.2 + 3.8 * rng.next_unit()).collect();
+        if case.is_multiple_of(2) {
+            rates[rng.next_range(np)] = 0.0;
+        }
+        let mut topology = Topology::uniform(np, LinkSpec::lan());
+        topology.set(n(0), n(1), LinkSpec::new(SimDuration::from_millis(5), 1e6));
+        (profile, rates, topology)
+    }
+
+    /// The move bound is sound. Over every neighbourhood move of random
+    /// replicated mappings (dead nodes included) of the seeded
+    /// instances, with floors at, just above and just below each
+    /// candidate's exact node bound: whenever `bounds_out` rules a move
+    /// out, `score_against` drops the candidate it makes. The sweep also
+    /// checks that every move kind was both ruled out and kept.
+    #[test]
+    fn a_bounded_out_move_is_one_score_against_drops() {
+        const JUST: f64 = 1e-7;
+        // [move kind][kept, ruled out]
+        let mut seen = [[0u32; 2]; 3];
+        for case in 0..120 {
+            let mut rng = Rng64::new(0xB0B0 + case);
+            let (profile, rates, topology) = bound_instance(case, &mut rng);
+            let (ns, np) = (profile.stages(), rates.len());
+            let mut ev = Evaluator::new(&profile, &rates, &topology);
+            for _ in 0..4 {
+                let mut incumbent = Mapping::new(
+                    (0..ns)
+                        .map(|_| {
+                            let width = 1 + rng.next_range(3);
+                            Placement::replicated(
+                                (0..width).map(|_| n(rng.next_range(np))).collect(),
+                            )
+                        })
+                        .collect(),
+                );
+                let max_width = 1 + rng.next_range(4);
+                ev.set_incumbent(&incumbent);
+                let walk = Focus::All;
+                for_each_neighbour(&mut incumbent, np, &profile, max_width, walk, |mv, inc| {
+                    let undo = mv.apply(inc);
+                    let candidate = inc.clone();
+                    undo.apply(inc);
+                    let busiest = ev.prediction(&candidate).node_load.into_iter();
+                    let exact = throughput_of(busiest.fold(0.0, f64::max));
+                    let kind = match mv {
+                        Move::MoveStage { .. } => 0,
+                        Move::AddReplica { .. } => 1,
+                        Move::DropReplica { .. } => 2,
+                    };
+                    for at in [exact, exact * (1.0 + JUST), exact * (1.0 - JUST)] {
+                        for floor in [Floor::AtLeast(at), Floor::Above(at)] {
+                            let out = ev.bounds_out(inc, mv, floor);
+                            seen[kind][usize::from(out)] += 1;
+                            if out {
+                                assert_eq!(
+                                    ev.score_against(&candidate, floor),
+                                    None,
+                                    "case {case}: {mv:?} on {inc} ruled out against {floor:?}"
+                                );
+                            }
+                        }
+                    }
+                });
+            }
+        }
+        for (kind, [kept, out]) in ["move", "add", "drop"].iter().zip(seen) {
+            assert!(
+                kept > 100 && out > 100,
+                "{kind}: kept {kept}, ruled out {out}"
+            );
+        }
     }
 
     #[test]

@@ -835,6 +835,21 @@ fn plan_matches_the_golden_table_bit_for_bit() {
     }
 }
 
+/// Where the golden table's two `sim_scenario` plans spend their
+/// candidates. Most local-search moves are ruled out from the
+/// incumbent's node loads before they are applied; most of the rest
+/// are dropped on their own node loads before the link walk.
+#[test]
+fn the_sim_scenario_plans_bound_out_most_candidates() {
+    let counts = |at_secs: f64| {
+        let g = sim_scenario(at_secs);
+        let c = plan(&g.profile, &g.rates, &g.topology, &g.config).candidates;
+        (c.bounded, c.pruned, c.scored)
+    };
+    assert_eq!(counts(0.0), (2477, 39, 731), "before the slowdown");
+    assert_eq!(counts(90.0), (2000, 41, 740), "30 s after it");
+}
+
 /// The model written the obvious way, one mapping at a time: per-call
 /// vectors, a map of link cells, `transfer_time` asked of the topology
 /// for every replica pair. It accumulates in the order the

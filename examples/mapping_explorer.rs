@@ -70,6 +70,33 @@ fn main() {
     println!("there — exactly the trade-offs the adaptive pattern");
     println!("re-evaluates every monitoring period.");
 
+    // Where one planning cycle's candidates go, on an instance too large
+    // to enumerate: a 6-stage pipeline with one parallel block on the
+    // 8-node heterogeneous testbed (8^6 assignments, so local search).
+    let mut split = PipelineProfile::uniform(vec![0.4, 0.6, 0.8, 1.0, 1.2, 1.4], 32 << 10);
+    split.graph = StageGraph::builder()
+        .stages(1)
+        .split(&[1, 1])
+        .stages(2)
+        .build();
+    let grid = testbed_hetero8(7);
+    let cycle = plan(
+        &split,
+        &grid.rates_at(SimTime::ZERO),
+        grid.topology(),
+        &PlannerConfig::default(),
+    );
+    let c = cycle.candidates;
+    let shown = c.bounded + c.pruned + c.scored;
+    println!("\n== one planning cycle, 6 stages on 8 nodes ==\n");
+    println!("plan {}: {shown} candidates", cycle.mapping.notation());
+    println!(
+        "  {:>5} ruled out from the incumbent's node loads, never applied",
+        c.bounded
+    );
+    println!("  {:>5} dropped on their own node loads", c.pruned);
+    println!("  {:>5} scored in full (links walked)", c.scored);
+
     // The planner consumes a *stage graph*, not a list: linear chains
     // and series-parallel splits are special cases of a general DAG.
     // Print the topology the cost model walks for the README's diamond.

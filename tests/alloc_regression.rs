@@ -239,9 +239,10 @@ fn one_plan_allocates_a_bounded_handful() {
 
     let (planned, allocs) = allocations_in(|| plan(&profile, &rates, grid.topology(), &config));
     assert!(planned.prediction.throughput > 0.0);
-    // The workspace, eight seeds (DP tables, seed mappings), placements
-    // growing as they widen, the returned prediction. Cloning a mapping
-    // per candidate cost ~40,000.
+    // The workspace (the incumbent's node loads included), eight seeds
+    // (DP tables, seed mappings), placements growing as they widen, the
+    // returned prediction: 63. Cloning a mapping per candidate cost
+    // ~40,000.
     assert!(
         allocs <= 100,
         "one plan() made {allocs} allocations — a candidate allocates again"
