@@ -68,7 +68,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod farm;
 pub mod item;
 pub mod payload;
 pub mod pipeline;
@@ -93,7 +92,6 @@ pub use adapipe_runtime::{controller, metrics, policy, report};
 /// [`crate::pipeline`] directly.
 pub mod prelude {
     pub use crate::controller::{Controller, ControllerConfig};
-    pub use crate::farm::farm;
     pub use crate::metrics::{StageMetrics, StageStats};
     pub use crate::payload::Payload;
     pub use crate::policy::Policy;

@@ -95,7 +95,7 @@ enum Ev {
     },
     /// Planning tick.
     Tick,
-    /// Availability observation (scheduled `samples_per_interval` times
+    /// Availability observation (scheduled `SAMPLES_PER_INTERVAL` times
     /// per planning tick).
     Sample,
     /// Wake a node whose instance became ready after migration.
@@ -778,27 +778,15 @@ impl SimWorld<'_> {
         self.node_busy[node] = self.node_busy[node].saturating_add(now - started);
         self.stage_metrics
             .record(stage, now - started, self.spec.draw_work(stage, item));
-        // Resilience accounting for the hop: retries consumed, timeout
-        // checks, the opt-in per-hop trace — and, terminally, the
-        // dead-letter diversion for an item that exhausted this stage's
-        // budget (it settles here and never reaches the sink).
+        // Resilience accounting for the hop: retries consumed, the
+        // opt-in per-hop trace — and, terminally, the dead-letter
+        // diversion for an item that exhausted this stage's budget (it
+        // settles here and never reaches the sink).
         let failed = self.failed_attempts(stage, item).unwrap_or(0);
-        let policy = &self.spec.stages[stage].resilience;
         if failed > 0 {
             self.report.record_retries(u64::from(failed));
         }
-        if let Some(bound) = policy.timeout {
-            // All attempts of a hop share one simulated duration: the
-            // service span net of backoff, split evenly across them.
-            let mut span = (now - started).as_secs_f64();
-            for retry in 1..=failed {
-                span -= policy.backoff_delay(retry).as_secs_f64();
-            }
-            if span / f64::from(failed + 1) > bound.as_secs_f64() {
-                self.report.record_timeouts(u64::from(failed + 1));
-            }
-        }
-        if policy.trace {
+        if self.spec.stages[stage].resilience.trace {
             self.bus.emit(RunEvent::ItemTrace {
                 session: self.session,
                 seq: item,
@@ -1164,9 +1152,12 @@ impl ExecutionBackend for SimWorld<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::StageSpec;
     use adapipe_gridsim::fault::FaultPlan;
     use adapipe_gridsim::grid::{testbed_hetero8, testbed_small3};
     use adapipe_gridsim::load::LoadModel;
+    use adapipe_gridsim::net::{LinkSpec, Topology};
+    use adapipe_gridsim::node::{Node, NodeSpec};
     use adapipe_mapper::mapping::Mapping;
     use adapipe_runtime::arrivals::ArrivalProcess;
     use adapipe_runtime::policy::Policy;
@@ -1529,6 +1520,69 @@ mod tests {
         assert_eq!(report.completed, 100);
         // Hot stage is halved: bottleneck = max(2/2, 1) = 1 s/item.
         assert!((report.makespan.as_secs_f64() - 102.0).abs() < 3.0);
+    }
+
+    fn uniform_grid(np: usize) -> GridSpec {
+        let nodes = (0..np)
+            .map(|i| Node::new(NodeSpec::new(format!("n{i}"), 1.0, 1), LoadModel::free()))
+            .collect();
+        GridSpec::new(nodes, Topology::uniform(np, LinkSpec::lan()))
+    }
+
+    /// A task farm: a one-stage spec with the given per-item work and
+    /// item size, which the planner may replicate.
+    fn farm_spec(work: f64, bytes: u64) -> PipelineSpec {
+        let mut spec = PipelineSpec::new(vec![StageSpec::balanced("farm", work, bytes)]);
+        spec.input_bytes = bytes;
+        spec
+    }
+
+    #[test]
+    fn simulated_farm_scales_with_nodes() {
+        // 1 unit of work per item; the planner may replicate up to 8 wide.
+        let spec = farm_spec(1.0, 1_000);
+        let items = 200u64;
+        let mut makespans = Vec::new();
+        for np in [1usize, 2, 4, 8] {
+            let mut cfg = RunConfig {
+                items,
+                ..RunConfig::default()
+            };
+            cfg.controller.planner.max_width = 8;
+            let report = run(&uniform_grid(np), &spec, &Session::default(), &cfg);
+            assert_eq!(report.completed, items);
+            makespans.push(report.makespan.as_secs_f64());
+        }
+        // Farm throughput scales near-linearly: 8 nodes ≥ 6x faster than 1.
+        let speedup = makespans[0] / makespans[3];
+        assert!(speedup > 6.0, "8-node farm speedup {speedup:.2}");
+        // And monotone in between.
+        assert!(makespans.windows(2).all(|w| w[1] <= w[0] * 1.01));
+    }
+
+    #[test]
+    fn adaptive_farm_survives_worker_loss() {
+        let mut grid = uniform_grid(4);
+        FaultPlan::new()
+            .crash(NodeId(2), SimTime::from_secs_f64(20.0))
+            .apply(&mut grid);
+        let spec = farm_spec(1.0, 0);
+        let mut cfg = RunConfig {
+            items: 300,
+            ..RunConfig::default()
+        };
+        cfg.controller.planner.max_width = 4;
+        let session = Session::new(
+            Policy::Periodic {
+                interval: SimDuration::from_secs(5),
+            },
+            ArrivalProcess::AllAtOnce,
+        )
+        .expect("a valid policy");
+        let report = run(&grid, &spec, &session, &cfg);
+        assert_eq!(report.completed, 300, "farm must re-spread after the crash");
+        assert!(report.adaptation_count() >= 1);
+        assert!(!report.final_mapping.placement(0).contains(NodeId(2)));
     }
 
     #[test]

@@ -109,10 +109,10 @@ pub struct StageSpec {
     /// the state can migrate off a dying node instead of aborting the
     /// run (`migratable`).
     pub state: StateAccess,
-    /// Per-item failure handling (retries, timeout, dead-letter,
-    /// trace). The default is fail-fast: the first item a fallible
-    /// stage rejects ends the run with `RunError::PoisonItem`
-    /// (`attempts == 1`) on either backend.
+    /// Per-item failure handling (retries, dead-letter, trace). The
+    /// default is fail-fast: the first item a fallible stage rejects
+    /// ends the run with `RunError::PoisonItem` (`attempts == 1`) on
+    /// either backend.
     pub resilience: ResiliencePolicy,
 }
 
@@ -131,7 +131,7 @@ impl StageSpec {
     }
 
     /// Declares this stage's failure handling: retries with backoff,
-    /// per-item timeout, dead-letter diversion, per-hop tracing.
+    /// dead-letter diversion, per-hop tracing.
     pub fn with_resilience(mut self, resilience: ResiliencePolicy) -> Self {
         self.resilience = resilience;
         self

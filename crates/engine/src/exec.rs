@@ -156,7 +156,7 @@ fn push_entry(shared: &Arc<Shared>, cache: &mut RouteCache, mut items: Vec<ItemS
     let snap = cache.current(shared).clone();
     let entry = shared.spec.graph.entry();
     if let Next::Stage(stage) = entry {
-        return ship(shared, &snap, None, stage, items);
+        return ship(shared, &snap, stage, items);
     }
     // A pipeline has at least one stage: nothing exits at the entry,
     // `finished` stays empty.
@@ -171,7 +171,7 @@ fn push_entry(shared: &Arc<Shared>, cache: &mut RouteCache, mut items: Vec<ItemS
         }
     }
     SLOT_BUFS.put(items);
-    outbox.dispatch(shared, &snap, None);
+    outbox.dispatch(shared, &snap);
 }
 
 /// A live threaded pipeline: workers are running, the caller feeds
@@ -522,7 +522,6 @@ where
             .expect("collector panicked");
         report.record_replay(self.shared.replays.load(Ordering::Relaxed));
         report.record_retries(self.shared.retries.load(Ordering::Relaxed));
-        report.record_timeouts(self.shared.timeouts.load(Ordering::Relaxed));
         self.detach();
         let np = self.shared.pool.vnodes.len();
         self.adaptation
@@ -775,8 +774,7 @@ where
 ///
 /// # Panics
 /// Panics if the initial mapping references unknown nodes or covers the
-/// wrong number of stages, if a provided topology does not cover the
-/// pool, or if `queue_capacity` is zero.
+/// wrong number of stages, or if `queue_capacity` is zero.
 pub fn attach<I, O>(
     pool: &Arc<Pool>,
     pipeline: Pipeline<I, O>,
@@ -791,10 +789,6 @@ where
     let spec = pipeline.spec();
     let vnodes = &pool.vnodes;
 
-    let topology = cfg
-        .topology
-        .clone()
-        .unwrap_or_else(|| Topology::uniform(vnodes.len(), LinkSpec::local()));
     let mut profile = spec.profile();
     // This engine fuses co-located stateless chain edges into direct
     // calls (see `fusion::FusionPlan`), so the planner may discount them.
@@ -806,7 +800,8 @@ where
     let session_id = pool.next_session.fetch_add(1, Ordering::SeqCst);
     let substrate = RuntimeConfig {
         profile,
-        topology: topology.clone(),
+        // One machine: every vnode pair talks over a local link.
+        topology: Topology::uniform(vnodes.len(), LinkSpec::local()),
         speeds: vnodes.iter().map(|v| v.speed).collect(),
         state_bytes: spec.stages.iter().map(|s| s.state_bytes).collect(),
         faults: pool.faults.clone(),
@@ -814,7 +809,7 @@ where
     };
     let (aloop, initial_mapping) = AdaptationLoop::launch(substrate, session, cfg, &launch_rates);
 
-    let (shared, sink_rx) = Shared::new(session_id, pool, pipeline, cfg, topology, initial_mapping);
+    let (shared, sink_rx) = Shared::new(session_id, pool, pipeline, cfg, initial_mapping);
     let (out_tx, out_rx) = channel::<Vec<Finished>>();
     let collector = {
         let shared = Arc::clone(&shared);

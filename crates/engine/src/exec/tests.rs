@@ -421,46 +421,6 @@ fn wrong_typed_item_error_is_readable_before_drain() {
 }
 
 #[test]
-fn link_emulation_slows_cross_node_boundaries() {
-    let mk_pipeline = || {
-        let (s0, f0) = spin_stage("a", 1);
-        let (s1, f1) = spin_stage("b", 1);
-        let mut p = PipelineBuilder::<u64>::new().stage(s0, f0).stage(s1, f1);
-        p = p.input_bytes(0);
-        p.build()
-    };
-    let slow_link = Topology::uniform(2, LinkSpec::new(SimDuration::from_millis(10), 1e9));
-    let mk_cfg = |emulate: bool| RunConfig {
-        initial_mapping: Some(Mapping::from_assignment(&[n(0), n(1)])),
-        topology: Some(slow_link.clone()),
-        emulate_links: emulate,
-        ..RunConfig::default()
-    };
-    let items = 30u64;
-    let run = |emulate: bool| {
-        execute_static(
-            mk_pipeline(),
-            (0..items).collect(),
-            free_nodes(2),
-            &mk_cfg(emulate),
-        )
-    };
-    let without = run(false);
-    let with = run(true);
-    assert_eq!(with.report.completed, items);
-    // Each boundary crossing pays ≥ 10 ms of sender serialisation:
-    // the emulated run must be visibly slower.
-    assert!(
-        with.report.makespan.as_secs_f64() > without.report.makespan.as_secs_f64() + 0.1,
-        "emulated {} vs plain {}",
-        with.report.makespan,
-        without.report.makespan
-    );
-    let expect: Vec<u64> = (0..items).map(|x| x + 2).collect();
-    assert_eq!(with.outputs, expect);
-}
-
-#[test]
 fn empty_input_returns_immediately() {
     let (s0, f0) = spin_stage("a", 1);
     let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();

@@ -200,7 +200,7 @@ pub(crate) fn process_batch(
     // fatal), so the buffer recycles empty with its payloads released.
     drop(it);
     SLOT_BUFS.put(items);
-    batch.finish(me, tl, snap, slot);
+    batch.finish(tl, snap, slot);
 }
 
 impl Batch {
@@ -259,7 +259,7 @@ impl Batch {
 
     /// Puts the instances back and ships what the envelope produced
     /// ([`Outbox::dispatch`]).
-    fn finish(self, me: usize, tl: &mut TenantLocal, snap: &RoutingSnapshot, slot: usize) {
+    fn finish(self, tl: &mut TenantLocal, snap: &RoutingSnapshot, slot: usize) {
         for (ci, (s, inst)) in self.stages.into_iter().zip(self.insts).enumerate() {
             tl.local.insert((s, if ci == 0 { slot } else { 0 }), inst);
         }
@@ -271,7 +271,7 @@ impl Batch {
         // Fatal: nothing ships — the collector already received
         // `Fatal` and the report shows truncation.
         if !self.fatal {
-            self.outbox.dispatch(shared, snap, Some(me));
+            self.outbox.dispatch(shared, snap);
         }
     }
 

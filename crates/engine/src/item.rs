@@ -1,9 +1,9 @@
 //! What the threaded workers do with one item at one stage: thin
 //! callers of the backend-independent kernel, [`adapipe_core::item`],
 //! adding what only this backend has — atomic counters, real backoff
-//! sleeps, wall-clock timeout stamps, the event bus, and the per-item
-//! join map that worker threads share — which an envelope's outputs
-//! reach through its [`Outbox`], under one lock per envelope.
+//! sleeps, the event bus, and the per-item join map that worker threads
+//! share — which an envelope's outputs reach through its [`Outbox`],
+//! under one lock per envelope.
 
 use crate::exec::{Finished, ItemSlot};
 use crate::fusion::{FIN_BUFS, SLOT_BUFS};
@@ -34,11 +34,9 @@ pub(crate) enum ResilientOut {
 
 /// Runs one item through `inst` under `stage`'s resilience policy: the
 /// kernel's retry loop, with this backend's share of each failed
-/// attempt — count it, stamp its service time against the per-attempt
-/// bound (observational: a running closure cannot be interrupted, so an
-/// overrun is counted, never cancelled), sleep out the backoff — then
-/// opt-in per-hop tracing on success, dead-letter diversion or a typed
-/// fatal error once the budget is spent.
+/// attempt — count it, sleep out the backoff — then opt-in per-hop
+/// tracing on success, dead-letter diversion or a typed fatal error
+/// once the budget is spent.
 pub(crate) fn process_resilient(
     inst: &mut dyn DynStage,
     shared: &Arc<Shared>,
@@ -48,25 +46,13 @@ pub(crate) fn process_resilient(
 ) -> ResilientOut {
     let spec = &shared.spec.stages[stage];
     let policy = &spec.resilience;
-    let bound = policy
-        .timeout
-        .map(|t| Duration::from_secs_f64(t.as_secs_f64()));
-    let stamp = |started: Instant| {
-        if bound.is_some_and(|b| started.elapsed() > b) {
-            shared.timeouts.fetch_add(1, Ordering::Relaxed);
-        }
-    };
-    let mut started = Instant::now();
     let verdict = item::attempt(inst, spec, seq, payload, |failed| {
-        stamp(started);
         shared.retries.fetch_add(1, Ordering::Relaxed);
         let delay = policy.backoff_delay(failed);
         if delay.as_secs_f64() > 0.0 {
             std::thread::sleep(Duration::from_secs_f64(delay.as_secs_f64()));
         }
-        started = Instant::now();
     });
-    stamp(started);
     match verdict {
         Ok((out, attempts)) => {
             if policy.trace {
@@ -184,14 +170,8 @@ impl Outbox {
     /// Ships what the envelope produced: the join inputs into the map
     /// the workers share (completed sets go onward to the joining
     /// stage), one sink message for the finished items, one onward
-    /// envelope per consuming stage. `from` is the sending worker
-    /// (`None` for the source).
-    pub(crate) fn dispatch(
-        mut self,
-        shared: &Arc<Shared>,
-        snap: &RoutingSnapshot,
-        from: Option<usize>,
-    ) {
+    /// envelope per consuming stage.
+    pub(crate) fn dispatch(mut self, shared: &Arc<Shared>, snap: &RoutingSnapshot) {
         self.settle_joins(shared);
         if self.finished.is_empty() {
             FIN_BUFS.put(self.finished);
@@ -199,7 +179,7 @@ impl Outbox {
             let _ = shared.sink.send(SinkMsg::Done(self.finished));
         }
         for (stage, items) in self.onward {
-            ship(shared, snap, from, stage, items);
+            ship(shared, snap, stage, items);
         }
     }
 
@@ -398,7 +378,7 @@ mod tests {
             };
             late.send(shared, &into_join, dead_seq, now, now, Payload::new(1u64))
                 .unwrap();
-            late.dispatch(shared, &shared.snapshot(), None);
+            late.dispatch(shared, &shared.snapshot());
             assert_eq!(parked(shared), 0);
         }
     }

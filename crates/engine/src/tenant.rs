@@ -18,11 +18,11 @@ use adapipe_core::item::{JoinSlots, SeqMap};
 use adapipe_core::pipeline::Pipeline;
 use adapipe_core::spec::PipelineSpec;
 use adapipe_core::stage::{DynStage, FanOutFn, KeyFn};
-use adapipe_gridsim::net::Topology;
 use adapipe_gridsim::time::SimTime;
 use adapipe_mapper::mapping::Mapping;
 use adapipe_runtime::adapt::AdaptationLoop;
 use adapipe_runtime::backend::{ExecutionBackend, RemapPlan};
+use adapipe_runtime::controller::SAMPLES_PER_INTERVAL;
 use adapipe_runtime::routing::{RoutingSnapshot, RoutingTable, Selection};
 use adapipe_runtime::session::{EventBus, RunConfig, RunEvent, SessionControl, SessionId};
 use adapipe_state::StateSnapshot;
@@ -84,10 +84,6 @@ pub(crate) struct Shared {
     pub(crate) id: u64,
     pub(crate) pool: Arc<Pool>,
     pub(crate) spec: PipelineSpec,
-    /// Per-stage in-edge bytes, precomputed once from the stage graph
-    /// (`StageGraph::feed_bytes`) — link emulation must not walk the
-    /// graph per envelope.
-    pub(crate) bytes_into: Vec<u64>,
     /// Per-parallel-block fan-out duplicators (block order).
     pub(crate) fanouts: Vec<FanOutFn>,
     /// Join state per join block: inputs collected per item until the
@@ -96,9 +92,6 @@ pub(crate) struct Shared {
     /// survive the loss of any vnode. Locked once per envelope of
     /// inputs (`item::Outbox::dispatch`) and once per diverted item.
     pub(crate) joins: Vec<Mutex<JoinMap>>,
-    /// Planning topology; also drives link emulation when enabled.
-    pub(crate) topology: Topology,
-    pub(crate) emulate_links: bool,
     pub(crate) routing: RwLock<RoutingTable>,
     /// Per stage, per slot: prototype (stateless/accumulator, slot 0),
     /// the unique instance (exclusive/opaque, slot 0), or one instance
@@ -128,10 +121,6 @@ pub(crate) struct Shared {
     /// Retries performed across all stages (in-place re-attempts under
     /// a per-stage [`adapipe_runtime::session::ResiliencePolicy`]).
     pub(crate) retries: AtomicU64,
-    /// Attempts whose service time exceeded their stage's declared
-    /// per-attempt bound (observational: a running closure cannot be
-    /// interrupted, so the overrun is counted, not cancelled).
-    pub(crate) timeouts: AtomicU64,
     /// Sequence numbers diverted to the dead-letter channel. Consulted
     /// by ordered delivery (a dead seq will never arrive — skip it) and
     /// by join deposits (a sibling branch of a dead item must not park
@@ -184,7 +173,6 @@ impl Shared {
         pool: &Arc<Pool>,
         pipeline: Pipeline<I, O>,
         cfg: &RunConfig,
-        topology: Topology,
         mapping: Mapping,
     ) -> (Arc<Shared>, Receiver<SinkMsg>) {
         let (spec, stages, fanouts, keys) = pipeline.into_parts();
@@ -195,12 +183,6 @@ impl Shared {
         let credits = cfg
             .queue_capacity
             .map(|c| Arc::new(Credits::new((c * (ns + 1)) as u64)));
-        let boundary: Vec<u64> = std::iter::once(spec.input_bytes)
-            .chain(spec.stages.iter().map(|s| s.out_bytes))
-            .collect();
-        let bytes_into = (0..ns)
-            .map(|s| spec.graph.feed_bytes(s, &boundary))
-            .collect();
         // Depot: one slot per stage, except keyed stages get one per shard —
         // the built instance takes slot 0 and fresh (empty) shells seed the
         // rest; each shard accumulates exactly the keys routed to it.
@@ -227,14 +209,11 @@ impl Shared {
             depot,
             keys,
             merge_inbox: (0..ns).map(|_| Mutex::new(Vec::new())).collect(),
-            bytes_into,
             fanouts,
             joins: (0..spec.graph.join_blocks())
                 .map(|_| Mutex::new(JoinMap::default()))
                 .collect(),
             spec,
-            topology,
-            emulate_links: cfg.emulate_links,
             // Health flags are the pool's: any tenant's fault tracker
             // marking a node down excludes it for every tenant's routing.
             routing: RwLock::new(
@@ -252,7 +231,6 @@ impl Shared {
             control: cfg.control.clone(),
             replays: AtomicU64::new(0),
             retries: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
             dead: Mutex::new(BTreeSet::new()),
             dead_count: AtomicU64::new(0),
             steals: AtomicU64::new(0),
@@ -467,7 +445,7 @@ impl ExecutionBackend for EngineBackend {
     }
 }
 
-/// The monitoring/adaptation thread: wakes `samples_per_interval` times
+/// The monitoring/adaptation thread: wakes [`SAMPLES_PER_INTERVAL`] times
 /// per adaptation interval to feed the shared loop an observation, and
 /// once per interval lets it tick (plan/decide/re-map). Fault
 /// transitions get their own wake-ups at their exact scheduled wall
@@ -479,7 +457,6 @@ pub(crate) fn adaptation_thread(shared: Arc<Shared>, mut aloop: AdaptationLoop) 
     let sample_wall = aloop
         .sample_dt()
         .map(|dt| Duration::from_secs_f64(dt.as_secs_f64()));
-    let divisions = aloop.samples_per_interval();
     let mut backend = EngineBackend {
         shared: Arc::clone(&shared),
     };
@@ -520,7 +497,7 @@ pub(crate) fn adaptation_thread(shared: Arc<Shared>, mut aloop: AdaptationLoop) 
                 next_sample = Some(due + sample_wall.expect("sample schedule implies width"));
                 aloop.sample(&backend);
                 rounds += 1;
-                if rounds.is_multiple_of(divisions) {
+                if rounds.is_multiple_of(SAMPLES_PER_INTERVAL) {
                     // Planning happens once per interval; sensing every
                     // round. The tick also settles due fault transitions;
                     // an unrecoverable one latches the loop's fatal flag.

@@ -344,7 +344,7 @@ fn place(
                     shared.note_replay(item.seq, stage, me);
                 }
             }
-            ship(shared, snap, Some(me), stage, env.items);
+            ship(shared, snap, stage, env.items);
         } else if me_down {
             let items = redeal(&tl.tenant, snap, me, stage, env.items);
             if !items.is_empty() {
@@ -374,7 +374,7 @@ fn redeal(
     stage: usize,
     items: Vec<ItemSlot>,
 ) -> Vec<ItemSlot> {
-    deal(shared, snap, None, stage, items, |slot| {
+    deal(shared, snap, stage, items, |slot| {
         let dest = snap.route(stage);
         let live = dest.index() != me && !snap.is_down(dest);
         if live {
@@ -447,12 +447,10 @@ pub(crate) fn push_bucket<K: PartialEq>(
 /// Routes `items` of `stage` against `snap` and delivers them bucketed
 /// per destination worker. The single-host case (linear pipelines)
 /// skips per-item routing entirely; replicated stages keep per-item
-/// round-robin dealing inside the batch. `from` is the sending worker
-/// (`None` for the source), used for link emulation.
+/// round-robin dealing inside the batch.
 pub(crate) fn ship(
     shared: &Arc<Shared>,
     snap: &RoutingSnapshot,
-    from: Option<usize>,
     stage: usize,
     items: Vec<ItemSlot>,
 ) {
@@ -463,17 +461,17 @@ pub(crate) fn ship(
     let hosts = snap.hosts(stage);
     if hosts.len() == 1 {
         let dest = hosts[0].index();
-        deliver_env(shared, snap, from, stage, dest, items);
+        deliver_env(shared, snap, stage, dest, items);
     } else if shared.spec.stages[stage].state.shards() > 0 {
         // Keyed stage: every item is pinned to its key's shard owner —
         // never dealt round-robin, never detoured around a down owner
         // (the state lives there; a re-map moves it, then the items).
-        deal(shared, snap, from, stage, items, |slot| {
+        deal(shared, snap, stage, items, |slot| {
             let hash = shared.key_hash(stage, slot);
             Some(snap.route_keyed(stage, hash).index())
         });
     } else {
-        deal(shared, snap, from, stage, items, |_| {
+        deal(shared, snap, stage, items, |_| {
             Some(snap.route(stage).index())
         });
     }
@@ -486,7 +484,6 @@ pub(crate) fn ship(
 fn deal(
     shared: &Arc<Shared>,
     snap: &RoutingSnapshot,
-    from: Option<usize>,
     stage: usize,
     mut items: Vec<ItemSlot>,
     mut dest_of: impl FnMut(&ItemSlot) -> Option<usize>,
@@ -505,7 +502,7 @@ fn deal(
     SLOT_BUFS.put(items);
     for (dest, batch) in buckets.into_iter().enumerate() {
         if !batch.is_empty() {
-            deliver_env(shared, snap, from, stage, dest, batch);
+            deliver_env(shared, snap, stage, dest, batch);
         } else {
             SLOT_BUFS.put(batch);
         }
@@ -513,30 +510,14 @@ fn deal(
     kept
 }
 
-/// Enqueues one envelope on `dest`'s inbox lane for this tenant,
-/// paying the emulated link cost first when enabled (NIC-serialisation semantics: the sender sleeps the
-/// transfer time of the whole batch — latency is paid once per
-/// envelope, which is exactly the amortisation batching buys).
+/// Enqueues one envelope on `dest`'s inbox lane for this tenant.
 fn deliver_env(
     shared: &Arc<Shared>,
     snap: &RoutingSnapshot,
-    from: Option<usize>,
     stage: usize,
     dest: usize,
     items: Vec<ItemSlot>,
 ) {
-    if let Some(from) = from {
-        if shared.emulate_links && from != dest {
-            let bytes = shared.bytes_into[stage].saturating_mul(items.len() as u64);
-            let d = shared
-                .topology
-                .transfer_time(NodeId(from), NodeId(dest), bytes)
-                .as_secs_f64();
-            if d > 0.0 {
-                std::thread::sleep(Duration::from_secs_f64(d));
-            }
-        }
-    }
     let env = Envelope {
         stage,
         epoch: snap.epoch(),

@@ -3,8 +3,8 @@
 //! The adaptation controller calls [`plan`] with the current resource
 //! forecast; `plan` picks a strategy by instance size:
 //!
-//! * small instances (`np^ns` under a cap) — exhaustive enumeration,
-//!   provably optimal within the unreplicated space;
+//! * small instances (`np^ns` at most [`EXHAUSTIVE_CAP`]) — exhaustive
+//!   enumeration, provably optimal within the unreplicated space;
 //! * larger instances — a contiguous dynamic program seeds a steepest-
 //!   descent local search with random restarts.
 //!
@@ -48,12 +48,6 @@ use adapipe_gridsim::rng::Rng64;
 /// Tunables for the planner.
 #[derive(Clone, Debug)]
 pub struct PlannerConfig {
-    /// Use exhaustive search when `np^ns` is at most this.
-    pub exhaustive_cap: u64,
-    /// Random restarts for local search on large instances.
-    pub restarts: usize,
-    /// Maximum steepest-descent steps per restart.
-    pub max_steps: usize,
     /// Maximum replicas per stage (1 disables replication).
     pub max_width: usize,
     /// Seed for the restart RNG.
@@ -63,14 +57,20 @@ pub struct PlannerConfig {
 impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
-            exhaustive_cap: 50_000,
-            restarts: 4,
-            max_steps: 200,
             max_width: 4,
             seed: 0xADA9,
         }
     }
 }
+
+/// [`plan`] enumerates exhaustively when `np^ns` is at most this.
+pub const EXHAUSTIVE_CAP: u64 = 50_000;
+
+/// Random restarts of the local search on larger instances.
+const RESTARTS: usize = 4;
+
+/// Steepest-descent steps per local-search descent, at most.
+const MAX_STEPS: usize = 200;
 
 /// A mapping with its predicted performance.
 #[derive(Clone, Debug)]
@@ -326,7 +326,8 @@ fn contiguous_dp_ends(
 }
 
 /// Steepest-descent local search: descends from the mapping in
-/// `current`, in place, and returns the score of where it stopped.
+/// `current`, in place, for at most `MAX_STEPS` (200) steps, and returns
+/// the score of where it stopped.
 ///
 /// Each step first explores only moves touching the current *bottleneck*
 /// nodes (the only moves that can raise throughput); when that
@@ -340,14 +341,9 @@ fn contiguous_dp_ends(
 /// polish pass's running best only ever rises from that score, and the
 /// ranking (throughput, then latency, then balance) is a transitive
 /// order, so a skipped move could never have won.
-pub fn local_search(
-    ev: &mut Evaluator<'_>,
-    current: &mut Mapping,
-    max_width: usize,
-    max_steps: usize,
-) -> Score {
+pub fn local_search(ev: &mut Evaluator<'_>, current: &mut Mapping, max_width: usize) -> Score {
     let mut current_score = ev.score(current);
-    for _ in 0..max_steps {
+    for _ in 0..MAX_STEPS {
         let (focus, focus_len) = match current_score.bottleneck {
             Bottleneck::Node(n) => ([n, n], 1),
             Bottleneck::Link(a, b) => ([a, b], 2),
@@ -419,7 +415,7 @@ pub fn plan(
     assert!(!rates.is_empty(), "need at least one node");
     assert_eq!(rates.len(), topology.len(), "rates must cover the topology");
     let exhaustive =
-        assignment_count(profile.stages(), rates.len()).is_some_and(|c| c <= config.exhaustive_cap);
+        assignment_count(profile.stages(), rates.len()).is_some_and(|c| c <= EXHAUSTIVE_CAP);
     let replicate = config.max_width > 1;
 
     let mapping = if exhaustive {
@@ -427,9 +423,7 @@ pub fn plan(
         // in spread, and only some admit single-step replication gains.
         let frontier_k = if replicate { 16 } else { 1 };
         let mut best: Option<(Mapping, Score)> = None;
-        for (mut mapping, mut score) in
-            exhaustive_frontier(&mut ev, config.exhaustive_cap, frontier_k)
-        {
+        for (mut mapping, mut score) in exhaustive_frontier(&mut ev, EXHAUSTIVE_CAP, frontier_k) {
             if replicate {
                 score = replicate::improve(&mut ev, &mut mapping, config.max_width);
             }
@@ -482,7 +476,7 @@ fn plan_large(ev: &mut Evaluator<'_>, config: &PlannerConfig) -> Mapping {
     let mut best_score: Option<Score> = None;
     let mut descend_from = |assignment: &[NodeId]| {
         working.assign(assignment);
-        let score = local_search(ev, &mut working, config.max_width, config.max_steps);
+        let score = local_search(ev, &mut working, config.max_width);
         if best_score.is_none_or(|b| better(&score, &b)) {
             std::mem::swap(&mut working, &mut best);
             best_score = Some(score);
@@ -505,7 +499,7 @@ fn plan_large(ev: &mut Evaluator<'_>, config: &PlannerConfig) -> Mapping {
     }
 
     // Seed 2: random restarts.
-    for _ in 0..config.restarts {
+    for _ in 0..RESTARTS {
         assignment.fill_with(|| NodeId(rng.next_range(np)));
         descend_from(&assignment);
     }
@@ -615,12 +609,12 @@ mod tests {
         let rates = [1.0; 4];
         let topo = fast_net(4);
         let mut m = Mapping::from_assignment(&[n(0)]);
-        local_search(&mut Evaluator::new(&profile, &rates, &topo), &mut m, 4, 200);
+        local_search(&mut Evaluator::new(&profile, &rates, &topo), &mut m, 4);
         assert_eq!(m.placement(0).width(), 1, "cap violated: {m}");
         // With the cap lifted the identical search must widen.
         profile.replica_cap[0] = usize::MAX;
         let mut m = Mapping::from_assignment(&[n(0)]);
-        local_search(&mut Evaluator::new(&profile, &rates, &topo), &mut m, 4, 200);
+        local_search(&mut Evaluator::new(&profile, &rates, &topo), &mut m, 4);
         assert!(m.placement(0).width() > 1, "uncapped search must widen");
     }
 
@@ -630,7 +624,7 @@ mod tests {
         let rates = [1.0, 1.0, 1.0];
         let topo = fast_net(3);
         let mut m = Mapping::all_on(n(0), 3);
-        let p = local_search(&mut Evaluator::new(&profile, &rates, &topo), &mut m, 1, 100);
+        let p = local_search(&mut Evaluator::new(&profile, &rates, &topo), &mut m, 1);
         assert!((p.throughput - 1.0).abs() < 1e-9, "tput={}", p.throughput);
         assert_eq!(m.nodes_used().len(), 3);
     }

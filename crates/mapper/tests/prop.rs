@@ -12,6 +12,7 @@ use adapipe_gridsim::node::NodeId;
 use adapipe_gridsim::rng::Rng64;
 use adapipe_gridsim::time::{SimDuration, SimTime};
 use adapipe_mapper::prelude::*;
+use adapipe_mapper::search::EXHAUSTIVE_CAP;
 use adapipe_state::StateAccess;
 
 fn fast_net(np: usize) -> Topology {
@@ -515,7 +516,6 @@ fn golden_instance(case: u64) -> Golden {
     let config = PlannerConfig {
         max_width: [4, 1, 4, 2][(case % 4) as usize],
         seed: 0xADA9 + case,
-        ..PlannerConfig::default()
     };
     Golden {
         profile,
@@ -1118,9 +1118,8 @@ fn a_certified_keep_is_a_keep_whatever_the_search_returns() {
             };
             let searched = plan(&g.profile, rates, &g.topology, &g.config);
             under(searched.prediction.throughput, "plan()");
-            let cap = g.config.exhaustive_cap;
-            if assignment_count(ns, np).is_some_and(|c| c <= cap) {
-                let best = exhaustive_best(&g.profile, rates, &g.topology, cap);
+            if assignment_count(ns, np).is_some_and(|c| c <= EXHAUSTIVE_CAP) {
+                let best = exhaustive_best(&g.profile, rates, &g.topology, EXHAUSTIVE_CAP);
                 under(best.prediction.throughput, "exhaustive_best");
             }
             for current in &currents {

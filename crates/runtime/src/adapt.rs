@@ -35,7 +35,7 @@
 //! events, the engine sleeps on a wall clock) — never *what* happens.
 
 use crate::backend::{ExecutionBackend, RemapPlan};
-use crate::controller::Controller;
+use crate::controller::{Controller, GUARD_HOLD_TICKS, GUARD_TOLERANCE, SAMPLES_PER_INTERVAL};
 use crate::fault::{FaultTracker, FaultTransition};
 use crate::policy::Policy;
 use crate::report::{AdaptationEvent, ReportBuilder};
@@ -92,7 +92,7 @@ pub enum Verdict {
     /// history to plan from.
     WarmingUp,
     /// A regret-guard revert holds planning down for
-    /// `guard_hold_ticks` ticks.
+    /// `GUARD_HOLD_TICKS` (8) ticks.
     HeldDown,
     /// The policy called for no planning cycle: the reactive trigger
     /// held (realized ≥ degradation × expected throughput), or the
@@ -311,15 +311,9 @@ impl AdaptationLoop {
     /// under [`Policy::Static`] (nothing ever consumes the samples).
     pub fn sample_dt(&self) -> Option<SimDuration> {
         let interval = self.policy.interval()?;
-        let divisions = self.controller.config().samples_per_interval.max(1);
         Some(SimDuration::from_nanos(
-            (interval.as_nanos() / divisions as u64).max(1),
+            (interval.as_nanos() / u64::from(SAMPLES_PER_INTERVAL)).max(1),
         ))
-    }
-
-    /// Observations per adaptation interval (≥ 1).
-    pub fn samples_per_interval(&self) -> u32 {
-        self.controller.config().samples_per_interval.max(1)
     }
 
     /// One availability observation on every node (the NWS stand-in).
@@ -612,7 +606,7 @@ impl AdaptationLoop {
         if !armed {
             return None;
         }
-        if realized < cfg.guard_tolerance * self.expected_tput {
+        if realized < GUARD_TOLERANCE * self.expected_tput {
             self.guard_bad += 1;
         } else {
             self.guard_bad = 0;
@@ -628,7 +622,7 @@ impl AdaptationLoop {
         let rates = self.controller.forecast_rates(&self.cfg.speeds);
         self.expected_tput =
             evaluate(&self.cfg.profile, &prev, &rates, &self.cfg.topology).throughput;
-        self.hold_until_tick = self.ticks_seen + cfg.guard_hold_ticks;
+        self.hold_until_tick = self.ticks_seen + GUARD_HOLD_TICKS;
         Some(prev)
     }
 
@@ -1362,7 +1356,6 @@ mod tests {
             cost_benefit_factor: 0.0,
         };
         rig.run.controller.guard_bad_ticks = 2;
-        let guard_hold = rig.run.controller.guard_hold_ticks;
         let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::new(mapping.clone()));
         let mut backend = TestBackend {
@@ -1408,7 +1401,7 @@ mod tests {
         assert_eq!(plan.from, adopted);
         assert_eq!(plan.to, mapping);
         // Planning is held down afterwards.
-        let held_until = aloop.ticks_seen + guard_hold;
+        let held_until = aloop.ticks_seen + GUARD_HOLD_TICKS;
         for _ in aloop.ticks_seen..held_until.saturating_sub(1) {
             tick += 1;
             backend.now = SimTime::from_secs_f64(tick as f64 * 5.0);
@@ -1512,7 +1505,6 @@ mod tests {
             c.warmup_ticks = rng.next_range(4) as u32;
             c.confirm_ticks = 1 + rng.next_range(2) as u32;
             c.guard_bad_ticks = rng.next_range(3) as u32;
-            c.guard_hold_ticks = rng.next_range(4) as u32;
             let warmup = c.warmup_ticks;
             let mut aloop = rig.launch();
             let mut current = mapping;

@@ -47,11 +47,6 @@ pub struct ControllerConfig {
     /// deployment the grid information service supplies history, and a
     /// fresh run must accumulate a minimum of its own.
     pub warmup_ticks: u32,
-    /// Availability observations per adaptation interval (the monitor
-    /// samples faster than the planner acts, as NWS sensors do). Faster
-    /// sensing shortens the staleness of the data behind each decision,
-    /// which is what makes tracking oscillating load profitable at all.
-    pub samples_per_interval: u32,
     /// Consecutive ticks the "re-map" verdict must repeat before the
     /// controller acts (decision debouncing). A dead current mapping
     /// (zero predicted throughput) bypasses confirmation: crash recovery
@@ -66,19 +61,28 @@ pub struct ControllerConfig {
     /// migrations are so expensive that any churn is intolerable.
     pub confirm_ticks: u32,
     /// Regret guard: when a re-mapping's *realized* throughput stays
-    /// below `guard_tolerance ×` its predicted throughput for
-    /// `guard_bad_ticks` consecutive ticks, the engine reverts to the
-    /// previous mapping and suppresses planning for `guard_hold_ticks`.
-    /// Forecast-driven decisions can be fooled by loads the predictor
-    /// family cannot represent (e.g. oscillation phase-locked to the
-    /// control period); measured throughput cannot.
-    pub guard_tolerance: f64,
-    /// Consecutive under-performing ticks before the guard reverts
-    /// (0 disables the guard).
+    /// below `GUARD_TOLERANCE` (0.6) × its predicted throughput for
+    /// this many consecutive ticks, the loop reverts to the previous
+    /// mapping and suppresses planning for `GUARD_HOLD_TICKS` (8) ticks
+    /// (0 disables the guard). Forecast-driven decisions can be fooled
+    /// by loads the predictor family cannot represent (e.g. oscillation
+    /// phase-locked to the control period); measured throughput cannot.
     pub guard_bad_ticks: u32,
-    /// Planning hold-down after a guard revert, in ticks.
-    pub guard_hold_ticks: u32,
 }
+
+/// Availability observations per adaptation interval: the monitor
+/// samples faster than the planner acts, as NWS sensors do. Faster
+/// sensing shortens the staleness of the data behind each decision,
+/// which is what makes tracking oscillating load profitable at all.
+pub const SAMPLES_PER_INTERVAL: u32 = 4;
+
+/// The regret guard counts a tick as under-delivering when realized
+/// throughput falls below this fraction of the adopted mapping's
+/// prediction.
+pub(crate) const GUARD_TOLERANCE: f64 = 0.6;
+
+/// Ticks of planning hold-down after a regret-guard revert.
+pub(crate) const GUARD_HOLD_TICKS: u32 = 8;
 
 impl Default for ControllerConfig {
     fn default() -> Self {
@@ -89,11 +93,8 @@ impl Default for ControllerConfig {
             forecaster: ForecasterKind::default(),
             remap_overhead: SimDuration::from_millis(100),
             warmup_ticks: 2,
-            samples_per_interval: 4,
             confirm_ticks: 1,
-            guard_tolerance: 0.6,
             guard_bad_ticks: 2,
-            guard_hold_ticks: 8,
         }
     }
 }

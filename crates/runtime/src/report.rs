@@ -90,9 +90,6 @@ pub struct RunReport {
     /// Retry attempts consumed across all stages (each re-presentation
     /// of a failed item counts once).
     pub retries: u64,
-    /// Attempts whose service time exceeded the stage's declared
-    /// per-item timeout.
-    pub timeouts: u64,
     /// Poison items diverted to the dead-letter channel instead of
     /// completing (`== dead_letter_log.len()`).
     pub dead_letters: u64,
@@ -220,7 +217,7 @@ impl RunReport {
              \"mean_latency_secs\":{},\"latency_p50_secs\":{},\"latency_p95_secs\":{},\
              \"latency_p99_secs\":{},\"adaptation_count\":{},\"total_migration_cost_secs\":{},\
              \"planning_cycles\":{},\"truncated\":{},\"replays\":{},\"migrations\":{},\
-             \"state_bytes_moved\":{},\"retries\":{},\"timeouts\":{},\"dead_letters\":{},\
+             \"state_bytes_moved\":{},\"retries\":{},\"dead_letters\":{},\
              \"stage_shards\":[{}],\"node_busy_secs\":[{}],\
              \"node_downtime_secs\":[{}],\"final_mapping\":{},\"adaptations\":[{}]}}",
             self.completed,
@@ -239,7 +236,6 @@ impl RunReport {
             self.migrations,
             self.state_bytes_moved,
             self.retries,
-            self.timeouts,
             self.dead_letters,
             stage_shards.join(","),
             node_busy.join(","),
@@ -290,7 +286,6 @@ pub struct ReportBuilder {
     pub(crate) state_bytes_moved: u64,
     stage_shards: Vec<usize>,
     retries: u64,
-    timeouts: u64,
     dead_letter_log: Vec<DeadLetter>,
     /// The run's fault plan and node count; per-node downtime is
     /// settled against the makespan at [`ReportBuilder::finish`].
@@ -318,7 +313,6 @@ impl ReportBuilder {
             state_bytes_moved: 0,
             stage_shards: Vec::new(),
             retries: 0,
-            timeouts: 0,
             dead_letter_log: Vec::new(),
             faults: None,
         }
@@ -355,12 +349,6 @@ impl ReportBuilder {
     /// Records `n` retry attempts (re-presentations of failed items).
     pub fn record_retries(&mut self, n: u64) {
         self.retries += n;
-    }
-
-    /// Records `n` attempts that exceeded their stage's declared
-    /// per-item timeout.
-    pub fn record_timeouts(&mut self, n: u64) {
-        self.timeouts += n;
     }
 
     /// Diverts one poison item into the dead-letter channel. A
@@ -494,7 +482,6 @@ impl ReportBuilder {
             state_bytes_moved: self.state_bytes_moved,
             stage_shards: self.stage_shards,
             retries: self.retries,
-            timeouts: self.timeouts,
             dead_letters: self.dead_letter_log.len() as u64,
             dead_letter_log: self.dead_letter_log,
         }
@@ -525,7 +512,6 @@ mod tests {
             state_bytes_moved: 0,
             stage_shards: Vec::new(),
             retries: 0,
-            timeouts: 0,
             dead_letters: 0,
             dead_letter_log: Vec::new(),
         }
@@ -637,7 +623,6 @@ mod tests {
         b.record_completion(SimTime::from_secs_f64(1.0), SimDuration::from_secs(1));
         b.record_completion(SimTime::from_secs_f64(2.0), SimDuration::from_secs(1));
         b.record_retries(4);
-        b.record_timeouts(1);
         assert!(!b.all_done(), "2 of 3 settled");
         b.record_dead_letter(DeadLetter {
             seq: 1,
@@ -656,12 +641,12 @@ mod tests {
         );
         assert!(!r.truncated);
         assert_eq!(r.completed, 2);
-        assert_eq!((r.retries, r.timeouts, r.dead_letters), (4, 1, 1));
+        assert_eq!((r.retries, r.dead_letters), (4, 1));
         assert_eq!(r.dead_letter_log.len(), 1);
         assert_eq!(r.dead_letter_log[0].stage, 2);
         assert_eq!(r.dead_letter_log[0].attempts, 3);
         let json = r.to_json();
-        for key in ["\"retries\":4", "\"timeouts\":1", "\"dead_letters\":1"] {
+        for key in ["\"retries\":4", "\"dead_letters\":1"] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
     }

@@ -49,7 +49,6 @@ use crate::controller::ControllerConfig;
 use crate::policy::Policy;
 use crate::routing::Selection;
 use adapipe_gridsim::fault::FaultPlan;
-use adapipe_gridsim::net::Topology;
 use adapipe_gridsim::time::{SimDuration, SimTime};
 use adapipe_mapper::mapping::Mapping;
 use adapipe_state::StateAccess;
@@ -79,14 +78,6 @@ pub enum BuildError {
     },
     /// A stateful stage declared a replica bound above one.
     StatefulReplicated {
-        /// The offending stage.
-        stage: String,
-    },
-    /// A farm was built around a worker with *opaque* (undeclared) or
-    /// *exclusive* state — a farm exists to be replicated, which such
-    /// state forbids. Declared keyed or accumulator state builds: the
-    /// farm then runs shard-per-worker (or merges partials).
-    StatefulFarm {
         /// The offending stage.
         stage: String,
     },
@@ -215,12 +206,6 @@ impl std::fmt::Display for BuildError {
             BuildError::StatefulReplicated { stage } => {
                 write!(f, "stateful stage '{stage}' cannot be replicated")
             }
-            BuildError::StatefulFarm { stage } => {
-                write!(
-                    f,
-                    "farm worker '{stage}' is stateful; a farm exists to be replicated"
-                )
-            }
             BuildError::TooFewBranches { block } => {
                 write!(f, "parallel block {block} needs at least two branches")
             }
@@ -313,17 +298,13 @@ impl std::error::Error for BuildError {}
 /// Per-stage failure handling, honoured identically by both backends.
 ///
 /// The default policy is the historical behaviour: no retries, no
-/// timeout accounting, no dead-letter diversion, no tracing — a stage
-/// error fails the run. Each knob opts one stage into one recovery
-/// behaviour:
+/// dead-letter diversion, no tracing — a stage error fails the run.
+/// Each knob opts one stage into one recovery behaviour:
 ///
 /// * **retries** — a failed item is re-presented to the stage up to
 ///   `max_retries` more times, waiting `backoff × factor^(n-1)` before
 ///   the n-th retry (backend clock: simulated seconds, or a real
 ///   `thread::sleep` on the threaded engine);
-/// * **timeout** — a single attempt whose service time exceeds the
-///   bound counts in `RunReport::timeouts` (and, where the item can be
-///   safely re-presented, is retried like a failure);
 /// * **dead-letter** — an item that exhausts its retries is *diverted*
 ///   (with its originating stage, attempt count, and error) into the
 ///   report's dead-letter channel instead of failing the session;
@@ -337,8 +318,6 @@ pub struct ResiliencePolicy {
     pub backoff: SimDuration,
     /// Multiplier applied to the delay for each further retry.
     pub backoff_factor: f64,
-    /// Per-attempt service-time bound, if any.
-    pub timeout: Option<SimDuration>,
     /// Divert exhausted items to the dead-letter channel instead of
     /// failing the run with [`RunError::PoisonItem`].
     pub dead_letter: bool,
@@ -352,7 +331,6 @@ impl Default for ResiliencePolicy {
             max_retries: 0,
             backoff: SimDuration::ZERO,
             backoff_factor: 2.0,
-            timeout: None,
             dead_letter: false,
             trace: false,
         }
@@ -386,13 +364,6 @@ impl ResiliencePolicy {
         self
     }
 
-    /// Sets the per-attempt service-time bound.
-    #[must_use]
-    pub fn timeout(mut self, bound: SimDuration) -> Self {
-        self.timeout = Some(bound);
-        self
-    }
-
     /// Diverts exhausted items to the dead-letter channel instead of
     /// failing the run.
     #[must_use]
@@ -409,19 +380,24 @@ impl ResiliencePolicy {
     }
 
     /// Delay before retry number `retry` (1-based): `backoff ×
-    /// factor^(retry-1)`.
+    /// factor^(retry-1)`, saturating at [`SimDuration::MAX`] once the
+    /// product overflows.
     pub fn backoff_delay(&self, retry: u32) -> SimDuration {
         if retry == 0 || self.backoff == SimDuration::ZERO {
             return SimDuration::ZERO;
         }
-        let scale = self.backoff_factor.powi(retry.saturating_sub(1) as i32);
-        SimDuration::from_secs_f64(self.backoff.as_secs_f64() * scale)
+        let exponent = i32::try_from(retry - 1).unwrap_or(i32::MAX);
+        let secs = self.backoff.as_secs_f64() * self.backoff_factor.powi(exponent);
+        if !secs.is_finite() {
+            return SimDuration::MAX;
+        }
+        SimDuration::from_secs_f64(secs)
     }
 
     /// True when every knob is at its default — the fast path both
     /// backends take for stages with no declared resilience.
     pub fn is_default(&self) -> bool {
-        self.max_retries == 0 && self.timeout.is_none() && !self.dead_letter && !self.trace
+        self.max_retries == 0 && !self.dead_letter && !self.trace
     }
 }
 
@@ -822,9 +798,7 @@ pub enum TryNext<O> {
 /// |---|---|---|
 /// | `selection` | honoured | round-robin only (the facade rejects `LeastLoaded`) |
 /// | `timeline_bucket: None` | 5 s, simulated | 500 ms, wall |
-/// | `topology` | ignored: plans on the grid's own | honoured |
 /// | `link_contention` | honoured | ignored |
-/// | `emulate_links` | ignored | honoured |
 /// | `max_sim_time` | honoured | ignored |
 /// | `queue_capacity` | ignored: no wall-clock memory pressure | honoured |
 /// | `batch_size` | ignored: no per-message overhead | honoured |
@@ -851,17 +825,9 @@ pub struct RunConfig {
     /// Bucket width of the reported throughput timeline; `None` uses
     /// the backend's own default.
     pub timeline_bucket: Option<SimDuration>,
-    /// Planning topology; `None` is uniform local links.
-    pub topology: Option<Topology>,
     /// Serialise per-direction link transfers (adds contention the
     /// analytic model ignores).
     pub link_contention: bool,
-    /// Emulate network cost on stage boundaries: before handing an item
-    /// to a *different* node, the sending worker sleeps the planning
-    /// topology's transfer time for the boundary's declared bytes
-    /// (NIC-serialisation semantics). Off, the planner treats links as
-    /// free.
-    pub emulate_links: bool,
     /// A live session delivers outputs in push order (resequenced by
     /// item index); off, in completion order.
     pub preserve_order: bool,
@@ -922,9 +888,7 @@ impl Default for RunConfig {
             observation_noise: 0.0,
             noise_seed: 1,
             timeline_bucket: None,
-            topology: None,
             link_contention: false,
-            emulate_links: false,
             preserve_order: true,
             max_sim_time: SimDuration::from_secs(7 * 24 * 3600),
             events: EventBus::default(),
@@ -1381,18 +1345,34 @@ mod tests {
         let p = ResiliencePolicy::new()
             .retries(3)
             .backoff(SimDuration::from_secs(1), 2.0)
-            .timeout(SimDuration::from_secs(10))
             .dead_letter()
             .trace();
         assert!(!p.is_default());
         assert_eq!(p.max_retries, 3);
-        assert_eq!(p.timeout, Some(SimDuration::from_secs(10)));
         assert!(p.dead_letter && p.trace);
         // Exponential: 1 s, 2 s, 4 s before retries 1, 2, 3.
         assert_eq!(p.backoff_delay(1), SimDuration::from_secs(1));
         assert_eq!(p.backoff_delay(2), SimDuration::from_secs(2));
         assert_eq!(p.backoff_delay(3), SimDuration::from_secs(4));
         assert_eq!(p.backoff_delay(0), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn backoff_delay_saturates_instead_of_overflowing() {
+        let doubling = ResiliencePolicy::new().backoff(SimDuration::from_millis(1), 2.0);
+        // 2^1024 overflows an f64: the delay is "forever", not a panic.
+        assert_eq!(doubling.backoff_delay(1025), SimDuration::MAX);
+        assert_eq!(doubling.backoff_delay(u32::MAX), SimDuration::MAX);
+        let steep = ResiliencePolicy::new().backoff(SimDuration::from_secs(1), 1e10);
+        assert_eq!(steep.backoff_delay(32), SimDuration::MAX);
+        // Past i32::MAX retries the exponent must not wrap negative and
+        // shrink the delay.
+        let flat = ResiliencePolicy::new().backoff(SimDuration::from_secs(3), 1.0);
+        assert_eq!(flat.backoff_delay(u32::MAX), SimDuration::from_secs(3));
+        let gentle = ResiliencePolicy::new().backoff(SimDuration::from_nanos(1), 1.000_000_01);
+        assert!(gentle.backoff_delay((1 << 31) + 1) > gentle.backoff_delay(1 << 30));
+        // Finite products keep their exact value.
+        assert_eq!(doubling.backoff_delay(11), SimDuration::from_millis(1024));
     }
 
     #[test]

@@ -1165,8 +1165,8 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
 
     /// Declares the failure-handling policy of the most recently
     /// appended stage: bounded retries with exponential backoff,
-    /// per-attempt timeout accounting, dead-letter diversion, per-hop
-    /// tracing — honoured identically by both backends. A call before
+    /// dead-letter diversion, per-hop tracing — honoured identically
+    /// by both backends. A call before
     /// any stage was appended is ignored.
     pub fn resilience(mut self, policy: ResiliencePolicy) -> Self {
         if let Some(spec) = self.specs.last_mut() {
@@ -1767,7 +1767,7 @@ impl<In: Clone + Send + 'static> DagBuilder<In> {
     }
 
     /// Declares the failure-handling policy of the most recently
-    /// declared stage (retries, backoff, timeout, dead-letter, trace) —
+    /// declared stage (retries, backoff, dead-letter, trace) —
     /// honoured identically by both backends. A call before any stage
     /// was declared is ignored.
     pub fn resilience(mut self, policy: ResiliencePolicy) -> Self {

@@ -37,7 +37,7 @@
 //! `Pipeline::dag()`) wires arbitrary topologies edge-by-edge, and both
 //! end in the same graph, the same cost-model walk and the same
 //! executors. Per-stage [`runtime::session::ResiliencePolicy`] (retry,
-//! timeout, dead-letter, trace) is opt-in; the default fails fast with
+//! dead-letter, trace) is opt-in; the default fails fast with
 //! [`api::RunError::PoisonItem`] —
 //! all executed with item-identical outputs on both backends (see the
 //! README's "Composing skeletons" and "General DAGs & resilience

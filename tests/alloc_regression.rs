@@ -265,7 +265,7 @@ fn local_search_allocates_per_stage_not_per_candidate() {
     let mut ev = Evaluator::new(&profile, &rates, &topology);
 
     let mut found = start.clone();
-    let (score, allocs) = allocations_in(|| local_search(&mut ev, &mut found, 4, 200));
+    let (score, allocs) = allocations_in(|| local_search(&mut ev, &mut found, 4));
     let steps = start.diff(&found).len();
     assert!(steps >= ns - 1, "the search barely moved: {found}");
     assert!(score.throughput > 0.5, "{found} scores {score:?}");

@@ -201,3 +201,169 @@ fn one_decision_path() {
          planning function, shared by step and fault recovery"
     );
 }
+
+/// The run configuration structs, with the file that defines each.
+const RUN_SETTINGS: [(&str, &str); 4] = [
+    ("RunConfig", "crates/runtime/src/session.rs"),
+    ("ControllerConfig", "crates/runtime/src/controller.rs"),
+    ("PlannerConfig", "crates/mapper/src/search.rs"),
+    ("DecisionConfig", "crates/mapper/src/decide.rs"),
+];
+
+/// Fields no library code sets, each kept for a named reason.
+const UNSET_BUT_KEPT: [&str; 4] = [
+    // The `least_loaded` golden fixture pins it, and adabench's probe
+    // constructs `Selection`.
+    "RunConfig::selection",
+    // The `replicated_merge_dead_letter` fixture records completion-order
+    // output.
+    "RunConfig::preserve_order",
+    // A shared steering handle, not a tunable.
+    "RunConfig::control",
+    // The 50-row golden plan table varies it per case.
+    "PlannerConfig::seed",
+];
+
+/// `text` without its `#[cfg(test)]` items and its comment lines.
+fn non_test_code(text: &str) -> String {
+    let mut kept = String::new();
+    let mut lines = text.lines();
+    while let Some(line) = lines.next() {
+        let trimmed = line.trim_start();
+        if trimmed.starts_with("//") {
+            continue;
+        }
+        if trimmed.starts_with("#[cfg(test)]") {
+            // Skip the item the attribute gates: to its closing brace,
+            // or to its `;` when it has no body.
+            let mut depth = 0;
+            for line in lines.by_ref() {
+                depth += line.matches('{').count() as i32 - line.matches('}').count() as i32;
+                let braced = line.contains(['{', '}']);
+                if depth <= 0 && (braced || line.trim_end().ends_with(';')) {
+                    break;
+                }
+            }
+            continue;
+        }
+        kept.push_str(line);
+        kept.push('\n');
+    }
+    kept
+}
+
+/// The `pub` field names of `pub struct name { … }` in `text`.
+fn pub_fields(text: &str, name: &str) -> Vec<String> {
+    let head = format!("pub struct {name} {{");
+    let body = text
+        .split_once(&head)
+        .unwrap_or_else(|| panic!("no `{head}`"))
+        .1;
+    let body = &body[..body.find("\n}").expect("the struct closes")];
+    body.lines()
+        .filter_map(|l| l.trim().strip_prefix("pub ")?.split_once(':'))
+        .map(|(field, _)| field.trim().to_string())
+        .collect()
+}
+
+fn is_ident(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// The fields set in each `name { … }` struct literal of `code`: the
+/// identifiers followed by a single `:` directly inside its braces.
+fn literal_fields(code: &str, name: &str) -> Vec<String> {
+    let opener = format!("{name} {{");
+    let mut fields = Vec::new();
+    for (at, _) in code.match_indices(&opener) {
+        let before = &code[..at];
+        let word = before.trim_end().rsplit(|c| !is_ident(c)).next();
+        if before.ends_with(is_ident) || matches!(word, Some("struct" | "impl" | "for")) {
+            continue; // a longer name, or the declaration itself
+        }
+        let body: Vec<char> = code[at + opener.len()..].chars().collect();
+        let (mut depth, mut i) = (1, 0);
+        while depth > 0 && i < body.len() {
+            let c = body[i];
+            if depth == 1 && is_ident(c) && (i == 0 || !is_ident(body[i - 1])) {
+                let start = i;
+                while i < body.len() && is_ident(body[i]) {
+                    i += 1;
+                }
+                let mut next = i;
+                while next < body.len() && body[next].is_whitespace() {
+                    next += 1;
+                }
+                let colon = body.get(next) == Some(&':') && body.get(next + 1) != Some(&':');
+                let in_path = start > 0 && body[start - 1] == ':';
+                if colon && !in_path {
+                    fields.push(body[start..i].iter().collect());
+                }
+                continue;
+            }
+            match c {
+                '{' | '(' | '[' => depth += 1,
+                '}' | ')' | ']' => depth -= 1,
+                _ => {}
+            }
+            i += 1;
+        }
+    }
+    fields
+}
+
+/// The fields a line assigns through a path — `x.name = …` or
+/// `x.name.inner = …` — on the left of its first ` = `.
+fn assigned_fields(line: &str) -> Vec<String> {
+    let trimmed = line.trim_start();
+    if trimmed.starts_with("let ") {
+        return Vec::new();
+    }
+    let Some((lhs, _)) = line.split_once(" = ") else {
+        return Vec::new();
+    };
+    lhs.split('.')
+        .skip(1)
+        .map(|seg| seg.chars().take_while(|&c| is_ident(c)).collect::<String>())
+        .filter(|field| !field.is_empty())
+        .collect()
+}
+
+/// Every setting has a user: each `pub` field of the run configuration
+/// structs is set by some library source — the facade, a crate, or the
+/// bench crate's `repro` experiments and `adabench` — outside the file
+/// that defines it, in a struct literal or an assignment. Test code does
+/// not count. A knob only tests turn is a code path the product never
+/// takes; it goes, or its default becomes a named constant.
+#[test]
+fn every_run_setting_has_a_user() {
+    let sources: Vec<(PathBuf, String)> = library_sources()
+        .into_iter()
+        .filter(|p| !p.ends_with("tests.rs"))
+        .map(|p| {
+            let code = non_test_code(&read(&p));
+            (p, code)
+        })
+        .collect();
+    let mut unset = Vec::new();
+    for (name, home) in RUN_SETTINGS {
+        let home = root().join(home);
+        let mut set = std::collections::BTreeSet::new();
+        for (_, code) in sources.iter().filter(|(p, _)| *p != home) {
+            set.extend(literal_fields(code, name));
+            set.extend(code.lines().flat_map(assigned_fields));
+        }
+        for field in pub_fields(&read(&home), name) {
+            let qualified = format!("{name}::{field}");
+            if !set.contains(&field) && !UNSET_BUT_KEPT.contains(&qualified.as_str()) {
+                unset.push(qualified);
+            }
+        }
+    }
+    assert!(
+        unset.is_empty(),
+        "settings no library code sets; delete them or make them named \
+         constants (or allow-list one with its reason):\n{}",
+        unset.join("\n")
+    );
+}
