@@ -14,7 +14,7 @@
 //! result prints as a human line and, when `ADAPIPE_BENCH_JSON` names a
 //! file, appends one JSON object per line (JSONL) with the group, name,
 //! mean/min seconds per iteration and iteration count — the hook the
-//! repo's `BENCH_baseline.json` is generated through.
+//! repo's `BENCH_*.json` files are written through.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -27,19 +27,50 @@
 //! `gx = s[x+1] − s[x−1]` and `gy = d[x−1] + 2·d[x] + d[x+1]`.
 //!
 //! The Sobel magnitude is `⌊√(gx² + gy²)⌋` saturating at 255, which
-//! the naive kernel took as `(n as f64).sqrt().min(255.0) as u8`. Single
-//! precision is enough: with `|gx|, |gy| ≤ 1020` the sum is at most
-//! 2·1020² < 2²⁴, so it converts to `f32` exactly, and a correctly
-//! rounded `f32` root of such an integer cannot reach the next integer
-//! from below (the gap under `k` is `1/2k`, thousands of ulps here), so
-//! `(n as f32).sqrt() as u8` is the same byte. The kernel goes one step
-//! further and takes the root's *nearest* integer out of the float's
-//! mantissa, fixing it up in integers (`root_u8`), because an `as` cast
-//! from float does not vectorise. The tests check all three forms
-//! against each other on every reachable sum.
+//! the naive kernel took as `(n as f64).sqrt().min(255.0) as u8`.
+//! `magnitude` computes the same byte in 16-bit lanes:
+//!
+//! - It clamps `|gx|` and `|gy|` to 255. A component of 255 or more puts
+//!   the root at 255 or more, where the output saturates, and so does the
+//!   clamped one, so no byte moves; and each square is now at most
+//!   255² = 65025, which a `u16` holds.
+//! - It adds the squares saturating at 65535 and caps the sum at 255²:
+//!   every sum from there up is the byte 255.
+//! - For `n ≤ 255²`, `⌊√n⌋` is the nearest integer to `√n − 0.499`.
+//!   Below the next square `k²` the root is under `k − 1/2k`, so
+//!   `√n − 0.499` stays under `⌊√n⌋ + 0.5` by more than 0.0009, over 60
+//!   ulps of an `f32` near 255; at a perfect square it is 0.001 above
+//!   `√n − 0.5`. A bias of 0.5 would put every perfect square on a tie,
+//!   which rounds to even, so odd roots would come out one low.
+//! - `n` converts to `f32` exactly and IEEE `sqrt` is correctly rounded.
+//!   Adding `1.5 · 2²³` rounds the biased root to the nearest integer
+//!   and leaves it in the low mantissa bits, which are the byte. A float
+//!   → integer `as` cast would saturate, which does not vectorise.
+//!
+//! A test sweeps every reachable `(gx, gy)` through both compiled copies.
 //!
 //! Quantise is a 256-entry table, filled once by the floating-point
-//! formula, applied in place.
+//! formula, applied in place. The checksum stage sums pixels in `u16`
+//! runs of 257 (257 × 255 = 65535 is the most a `u16` holds) and widens
+//! each run's sum to `u64` once.
+//!
+//! # Two compiled copies
+//!
+//! Blur, Sobel and the pixel sum are each one body that `two_copies!`
+//! compiles twice: for the build's target (SSE2 on x86-64, 8 `u16`
+//! lanes) and with AVX2 (16 lanes). Each call runs the AVX2 copy when
+//! `is_x86_feature_detected!` finds AVX2. Both copies give the same
+//! byte: the integer operations are exact at any width, IEEE `sqrt`,
+//! `+` and `−` round each lane exactly as the scalar expression does,
+//! and Rust never contracts a multiply and an add into an FMA.
+//!
+//! The body is `#[inline(always)]` and called directly from the
+//! `#[target_feature]` copy, so its loops are compiled with the feature.
+//! A generic wrapper that runs a closure with the feature enabled,
+//! `wide(|| kernel(..))`, does not work: the closure is compiled as a
+//! function of its own, without the feature. A prototype built that way
+//! had no `vsqrtps` in its binary and gained only what the narrower
+//! lanes gave.
 //!
 //! # Who owns the frames
 //!
@@ -133,63 +164,132 @@ fn replicate_ends<T: Copy>(row: &mut [T]) {
     row[n - 1] = row[n - 2];
 }
 
-/// [`blur`] into `dst`, re-fitted to `src`; `cols` is the scratch row.
-fn blur_into(src: &Image, dst: &mut Image, cols: &mut Vec<u16>) {
-    let w = src.width;
-    dst.fit(w, src.height);
-    cols.resize(w + 2, 0);
-    for (y, out) in dst.pixels.chunks_exact_mut(w).enumerate() {
-        let [r0, r1, r2] = src.rows_around(y);
-        for (((c, &a), &b), &d) in cols[1..=w].iter_mut().zip(r0).zip(r1).zip(r2) {
-            *c = u16::from(a) + u16::from(b) + u16::from(d);
+/// Defines a kernel from one body compiled twice: `$name::baseline` for
+/// the build's target, and on x86-64 an AVX2 copy that `$name::avx2`
+/// hands out when the CPU has AVX2. The function `$name` runs the AVX2
+/// copy when there is one. The body is `#[inline(always)]`, so each copy
+/// holds its own loops, compiled with its own features (see the module
+/// docs for why a closure will not do).
+macro_rules! two_copies {
+    ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)? $body:block) => {
+        $(#[$doc])*
+        fn $name($($arg: $ty),*) $(-> $ret)? {
+            $name::avx2().unwrap_or($name::baseline)($($arg),*)
         }
-        replicate_ends(cols);
-        let taps = cols[..w].iter().zip(&cols[1..]).zip(&cols[2..]);
-        for (o, ((&a, &b), &c)) in out.iter_mut().zip(taps) {
-            *o = ((a + b + c) / 9) as u8;
+
+        /// The two compiled copies of the kernel of the same name.
+        mod $name {
+            use super::*;
+
+            #[inline(always)]
+            fn body($($arg: $ty),*) $(-> $ret)? $body
+
+            /// The body compiled for the build's target.
+            pub(super) fn baseline($($arg: $ty),*) $(-> $ret)? {
+                body($($arg),*)
+            }
+
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2")]
+            fn avx2_copy($($arg: $ty),*) $(-> $ret)? {
+                body($($arg),*)
+            }
+
+            /// The body compiled with AVX2, when this CPU has it.
+            pub(super) fn avx2() -> Option<fn($($ty),*) $(-> $ret)?> {
+                #[cfg(target_arch = "x86_64")]
+                if std::is_x86_feature_detected!("avx2") {
+                    // SAFETY: `avx2_copy` needs no more than AVX2, and
+                    // the line above checked that this CPU has it.
+                    return Some(|$($arg),*| unsafe { avx2_copy($($arg),*) });
+                }
+                None
+            }
+
+            /// Each copy this CPU can run, named.
+            #[cfg(test)]
+            pub(super) fn copies() -> Vec<(&'static str, fn($($ty),*) $(-> $ret)?)> {
+                let mut all = vec![("baseline", baseline as fn($($ty),*) $(-> $ret)?)];
+                all.extend(avx2().map(|f| ("avx2", f)));
+                all
+            }
+        }
+    };
+}
+
+two_copies! {
+    /// [`blur`] into `dst`, re-fitted to `src`; `cols` is the scratch row.
+    fn blur_into(src: &Image, dst: &mut Image, cols: &mut Vec<u16>) {
+        let w = src.width;
+        dst.fit(w, src.height);
+        cols.resize(w + 2, 0);
+        for (y, out) in dst.pixels.chunks_exact_mut(w).enumerate() {
+            let [r0, r1, r2] = src.rows_around(y);
+            for (((c, &a), &b), &d) in cols[1..=w].iter_mut().zip(r0).zip(r1).zip(r2) {
+                *c = u16::from(a) + u16::from(b) + u16::from(d);
+            }
+            replicate_ends(cols);
+            let taps = cols[..w].iter().zip(&cols[1..]).zip(&cols[2..]);
+            for (o, ((&a, &b), &c)) in out.iter_mut().zip(taps) {
+                *o = ((a + b + c) / 9) as u8;
+            }
         }
     }
 }
 
-/// `⌊√n⌋` saturating at 255, for `n ≥ 0`, without a float → integer
-/// `as` cast: that cast saturates, which compiles to a scalar clamp and
-/// convert per lane and doubles the time of [`sobel_into`]'s row.
-///
-/// Adding 2²³ to a float in `[0, 2²²)` rounds it to an integer and
-/// leaves that integer in the low mantissa bits. The root's nearest
-/// integer `r` is the floor or one above it, and `r² > n` tells which,
-/// exactly.
-#[inline]
-fn root_u8(n: i32) -> u8 {
-    let n = n.min(255 * 255);
-    let r = ((n as f32).sqrt() + 8_388_608.0).to_bits() as i32 & 0xFF;
-    (r - i32::from(r * r > n)) as u8
+/// `1.5 · 2²³`: added to an `f32` in `(−2²², 2²²)` it rounds that value
+/// to the nearest integer (ties to even) and leaves the integer in the
+/// low mantissa bits.
+const ROUND_TO_MANTISSA: f32 = 12_582_912.0;
+
+/// The Sobel magnitude `⌊√(gx² + gy²)⌋` saturating at 255, in `u16`
+/// lanes and without a float → integer `as` cast (see the module docs).
+#[inline(always)]
+fn magnitude(gx: i16, gy: i16) -> u8 {
+    let (x, y) = (gx.abs().min(255) as u16, gy.abs().min(255) as u16);
+    let n = (x * x).saturating_add(y * y).min(255 * 255);
+    (f32::from(n).sqrt() - 0.499 + ROUND_TO_MANTISSA).to_bits() as u8
 }
 
-/// [`sobel`] into `dst`, re-fitted to `src`; `rows` holds the two
-/// scratch rows.
-fn sobel_into(src: &Image, dst: &mut Image, rows: &mut Vec<i16>) {
-    let w = src.width;
-    dst.fit(w, src.height);
-    rows.resize(2 * (w + 2), 0);
-    let (smooth, diff) = rows.split_at_mut(w + 2);
-    for (y, out) in dst.pixels.chunks_exact_mut(w).enumerate() {
-        let [r0, r1, r2] = src.rows_around(y);
-        let vertical = smooth[1..=w].iter_mut().zip(&mut diff[1..=w]);
-        for ((((s, d), &a), &b), &c) in vertical.zip(r0).zip(r1).zip(r2) {
-            let (a, b, c) = (i16::from(a), i16::from(b), i16::from(c));
-            *s = a + 2 * b + c;
-            *d = c - a;
+two_copies! {
+    /// [`sobel`] into `dst`, re-fitted to `src`; `rows` holds the two
+    /// scratch rows.
+    fn sobel_into(src: &Image, dst: &mut Image, rows: &mut Vec<i16>) {
+        let w = src.width;
+        dst.fit(w, src.height);
+        rows.resize(2 * (w + 2), 0);
+        let (smooth, diff) = rows.split_at_mut(w + 2);
+        for (y, out) in dst.pixels.chunks_exact_mut(w).enumerate() {
+            let [r0, r1, r2] = src.rows_around(y);
+            let vertical = smooth[1..=w].iter_mut().zip(&mut diff[1..=w]);
+            for ((((s, d), &a), &b), &c) in vertical.zip(r0).zip(r1).zip(r2) {
+                let (a, b, c) = (i16::from(a), i16::from(b), i16::from(c));
+                *s = a + 2 * b + c;
+                *d = c - a;
+            }
+            replicate_ends(smooth);
+            replicate_ends(diff);
+            let gx = smooth[2..].iter().zip(&smooth[..w]);
+            let gy = diff[..w].iter().zip(&diff[1..]).zip(&diff[2..]);
+            for (o, ((&s2, &s0), ((&d0, &d1), &d2))) in out.iter_mut().zip(gx.zip(gy)) {
+                *o = magnitude(s2 - s0, d0 + 2 * d1 + d2);
+            }
         }
-        replicate_ends(smooth);
-        replicate_ends(diff);
-        let gx = smooth[2..].iter().zip(&smooth[..w]);
-        let gy = diff[..w].iter().zip(&diff[1..]).zip(&diff[2..]);
-        for (o, ((&s2, &s0), ((&d0, &d1), &d2))) in out.iter_mut().zip(gx.zip(gy)) {
-            let gx = i32::from(s2 - s0);
-            let gy = i32::from(d0 + 2 * d1 + d2);
-            *o = root_u8(gx * gx + gy * gy);
-        }
+    }
+}
+
+/// Pixels per `u16` run of [`pixel_sum()`]: 257 × 255 = 65535 is the
+/// most a `u16` holds.
+const SUM_RUN: usize = 257;
+
+two_copies! {
+    /// The sum of `pixels`, in `u16` runs of [`SUM_RUN`] pixels, each
+    /// widened to `u64` once.
+    fn pixel_sum(pixels: &[u8]) -> u64 {
+        pixels
+            .chunks(SUM_RUN)
+            .map(|run| u64::from(run.iter().map(|&p| u16::from(p)).sum::<u16>()))
+            .sum()
     }
 }
 
@@ -249,14 +349,15 @@ fn ping_pong<T: Clone + Send + 'static>(
 /// threaded engine: blur → sobel → quantise → checksum.
 ///
 /// Work metadata is expressed in seconds-of-compute per frame on a unit
-/// node, in the ratio the stages measure in process on 192² frames
-/// (7.4 : 38 : 9.4 : 6.5 µs on the development host, rounded). The
+/// node. The weights 1 : 5 : 1.25 : 0.9 are a fixed cost shape, kept as
+/// the kernels get faster because the simulated scenario of
+/// `tests/grand_tour.rs` reads them. Measured in process on 192² frames
+/// the stages now take about 7 : 21 : 12 : 1 µs on a 2-vCPU AVX2 Xeon
+/// container. The
 /// engine's planner only needs *relative* weights; absolute wall times
 /// depend on the host and are measured, not assumed.
 pub fn imaging_pipeline(side: usize) -> Pipeline<Image, u64> {
     let frame_bytes = (side * side) as u64;
-    // Relative weights: sobel's square root per pixel makes it the
-    // heavy stage; the checksum's share includes dropping the frame.
     let w_blur = 1.0;
     let w_sobel = 5.0;
     let w_quant = 1.25;
@@ -280,7 +381,7 @@ pub fn imaging_pipeline(side: usize) -> Pipeline<Image, u64> {
             },
         )
         .stage(StageSpec::balanced("checksum", w_sum, 8), |img: Image| {
-            img.pixels.iter().map(|&p| p as u64).sum::<u64>()
+            pixel_sum(&img.pixels)
         })
         .build()
 }
@@ -494,6 +595,14 @@ mod tests {
         [raw, hard, plane]
     }
 
+    type Kernel<T> = fn(&Image, &mut Image, &mut Vec<T>);
+
+    fn run<T>(kernel: Kernel<T>, src: &Image) -> Image {
+        let mut out = Image::unsized_scratch();
+        kernel(src, &mut out, &mut Vec::new());
+        out
+    }
+
     #[test]
     fn row_passes_equal_the_oracle_byte_for_byte() {
         let dims = [
@@ -507,26 +616,33 @@ mod tests {
             (64, 33),
             (192, 192),
         ];
-        let mut saturated = 0;
-        for (w, h) in dims {
-            for seed in 0..20 {
-                for (v, img) in variants(w, h, seed).iter().enumerate() {
-                    let at = format!("{w}x{h}, seed {seed}, variant {v}");
-                    let blurred = blur(img);
-                    assert_eq!(blurred, oracle::blur(img), "blur, {at}");
-                    let edges = sobel(img);
-                    assert_eq!(edges, oracle::sobel(img), "sobel, {at}");
-                    // What the pipeline's sobel stage is handed.
-                    assert_eq!(
-                        sobel(&blurred),
-                        oracle::sobel(&blurred),
-                        "sobel ∘ blur, {at}"
-                    );
-                    saturated += edges.pixels.iter().filter(|&&p| p == 255).count();
+        for ((name, blur_k), (_, sobel_k)) in
+            blur_into::copies().into_iter().zip(sobel_into::copies())
+        {
+            let mut saturated = 0;
+            for (w, h) in dims {
+                for seed in 0..20 {
+                    for (v, img) in variants(w, h, seed).iter().enumerate() {
+                        let at = format!("{name}, {w}x{h}, seed {seed}, variant {v}");
+                        let blurred = run(blur_k, img);
+                        assert_eq!(blurred, oracle::blur(img), "blur, {at}");
+                        let edges = run(sobel_k, img);
+                        assert_eq!(edges, oracle::sobel(img), "sobel, {at}");
+                        // What the pipeline's sobel stage is handed.
+                        assert_eq!(
+                            run(sobel_k, &blurred),
+                            oracle::sobel(&blurred),
+                            "sobel ∘ blur, {at}"
+                        );
+                        saturated += edges.pixels.iter().filter(|&&p| p == 255).count();
+                    }
                 }
             }
+            assert!(
+                saturated > 10_000,
+                "{name}: only {saturated} saturated magnitudes"
+            );
         }
-        assert!(saturated > 10_000, "only {saturated} saturated magnitudes");
     }
 
     #[test]
@@ -545,38 +661,84 @@ mod tests {
         }
     }
 
-    /// Every `gx² + gy²` the Sobel kernel can produce (`|gx|, |gy| ≤
-    /// 4 × 255`): `root_u8`, the plain `f32` cast it stands in for, and
-    /// the oracle's `f64` expression give the same byte.
+    two_copies! {
+        /// [`magnitude`] of each `(gx[i], gy[i])`, at the kernel's
+        /// vector width in each copy.
+        #[allow(dead_code)] // the test calls each copy, not the dispatch
+        fn magnitudes(gx: &[i16], gy: &[i16], out: &mut [u8]) {
+            for ((o, &x), &y) in out.iter_mut().zip(gx).zip(gy) {
+                *o = magnitude(x, y);
+            }
+        }
+    }
+
+    /// Every `(gx, gy)` the Sobel kernel can produce (`|gx|, |gy| ≤
+    /// 4 × 255`): each copy's magnitude is the oracle's `f64` expression.
     #[test]
-    fn root_u8_equals_the_f32_and_f64_roots_on_every_reachable_sum() {
-        for n in 0..=2 * 1020 * 1020i32 {
-            let oracle = (n as f64).sqrt().min(255.0) as u8;
-            assert_eq!(root_u8(n), oracle, "n = {n}");
-            assert_eq!((n as f32).sqrt() as u8, oracle, "n = {n}");
+    fn magnitude_equals_the_f64_root_on_every_reachable_gradient() {
+        let gy: Vec<i16> = (-1020..=1020).collect();
+        let mut out = vec![0; gy.len()];
+        for (name, kernel) in magnitudes::copies() {
+            for gx in -1020..=1020i16 {
+                kernel(&vec![gx; gy.len()], &gy, &mut out);
+                for (&y, &got) in gy.iter().zip(&out) {
+                    let n = i32::from(gx).pow(2) + i32::from(y).pow(2);
+                    let oracle = (n as f64).sqrt().min(255.0) as u8;
+                    assert_eq!(got, oracle, "{name}: gx = {gx}, gy = {y}");
+                }
+            }
+        }
+    }
+
+    /// All-255 frames whose lengths straddle multiples of the `u16` run,
+    /// where a run one pixel longer would wrap, and seeded frames.
+    #[test]
+    fn pixel_sum_equals_the_u64_sum_across_run_boundaries() {
+        let lengths = [1, 2, 255, 256, 257, 258, 513, 514, 515, 771, 36_864, 36_865];
+        for (name, sum) in pixel_sum::copies() {
+            for len in lengths {
+                assert_eq!(
+                    sum(&vec![255; len]),
+                    255 * len as u64,
+                    "{name}, {len} × 255"
+                );
+                let frame = Image::synthetic(len, 1, len as u64);
+                let naive: u64 = frame.pixels.iter().map(|&p| u64::from(p)).sum();
+                assert_eq!(sum(&frame.pixels), naive, "{name}, seeded {len}");
+            }
         }
     }
 
     /// Frames of two sizes alternate through one set of stage objects:
     /// each stage's scratch is the other size's previous frame, so a
     /// kernel that failed to re-fit it, or left a pixel unwritten, would
-    /// change a checksum.
+    /// change a checksum. The pipeline's own stages run, then ping-pong
+    /// stages over each compiled copy.
     #[test]
     fn ping_pong_scratch_refits_and_never_leaks_stale_pixels() {
+        let frame = |i: u64| {
+            let (w, h) = [(16, 16), (5, 9)][i as usize % 2];
+            Image::synthetic(w, h, 100 + i)
+        };
+        let expected = |i| {
+            let out = oracle::quantise(&oracle::sobel(&oracle::blur(&frame(i))), 8);
+            out.pixels.iter().map(|&p| p as u64).sum::<u64>()
+        };
         let (_, mut stages, ..) = imaging_pipeline(16).into_parts();
         for i in 0..12u64 {
-            let (w, h) = if i % 2 == 0 { (16, 16) } else { (5, 9) };
-            let frame = Image::synthetic(w, h, 100 + i);
-            let expected: u64 = quantise(&sobel(&blur(&frame)), 8)
-                .pixels
-                .iter()
-                .map(|&p| p as u64)
-                .sum();
-            let mut item: BoxedItem = Payload::new(frame);
+            let mut item: BoxedItem = Payload::new(frame(i));
             for s in &mut stages {
                 item = s.process(item).expect("stages are type-aligned");
             }
-            assert_eq!(item.downcast::<u64>().unwrap(), expected, "frame {i}");
+            assert_eq!(item.downcast::<u64>().unwrap(), expected(i), "frame {i}");
+        }
+        let kernels = blur_into::copies().into_iter().zip(sobel_into::copies());
+        for (((name, blur_k), (_, sobel_k)), (_, sum)) in kernels.zip(pixel_sum::copies()) {
+            let (mut blur_stage, mut sobel_stage) = (ping_pong(blur_k), ping_pong(sobel_k));
+            for i in 0..12u64 {
+                let out = quantise(&sobel_stage(blur_stage(frame(i))), 8);
+                assert_eq!(sum(&out.pixels), expected(i), "{name}, frame {i}");
+            }
         }
     }
 }

@@ -5,7 +5,9 @@
 //! Frames pass through blur → Sobel → quantise → checksum with genuine
 //! pixel arithmetic; virtual node `v1` loses 90 % of its capacity 0.5 s
 //! into the run and the periodic controller re-maps around it — watch
-//! it happen live through an event-bus subscriber.
+//! it happen live through an event-bus subscriber. The feed is paced at
+//! 200 frames/s, so the run lasts two seconds and outlives the step;
+//! the example exits non-zero unless a re-map moved Sobel off `v1`.
 //!
 //! Run with: `cargo run --release --example image_pipeline`
 
@@ -13,8 +15,8 @@ use adapipe::prelude::*;
 use adapipe::workloads::imaging::{imaging_pipeline, Image};
 
 fn main() {
-    let side = 96; // 96×96 frames: a few ms of real kernels each
-    let n_frames = 120u64;
+    let side = 96; // 96×96 frames: tens of µs of real kernels each
+    let n_frames = 400u64;
 
     let vnodes = vec![
         VNodeSpec::free("v0"),
@@ -30,6 +32,7 @@ fn main() {
             interval: SimDuration::from_millis(250),
         })
         .feed(move |i| Image::synthetic(side, side, i))
+        .arrivals(ArrivalProcess::Uniform { rate: 200.0 })
         .build()
         .expect("a valid pipeline");
 
@@ -37,7 +40,9 @@ fn main() {
         "== imaging pipeline on 4 virtual nodes (host rate {:.0} Mspin/s) ==",
         calibrate_host() / 1e6
     );
-    println!("processing {n_frames} frames of {side}x{side} px; v1 degrades to 10% at t=0.5s\n");
+    println!(
+        "processing {n_frames} frames of {side}x{side} px at 200/s; v1 degrades to 10% at t=0.5s\n"
+    );
 
     // Live observation: a subscriber prints each re-mapping as it
     // commits, while the run is still going.
@@ -101,4 +106,13 @@ fn main() {
 
     // Show one output so the kernels demonstrably ran.
     println!("\nchecksum of frame 0: {}", handle.outputs[0]);
+
+    let sobel_left_v1 = handle
+        .adaptations()
+        .iter()
+        .any(|event| !event.to.placement(1).contains(NodeId(1)));
+    if !sobel_left_v1 {
+        eprintln!("no committed re-map moved the Sobel stage off the degraded v1");
+        std::process::exit(1);
+    }
 }

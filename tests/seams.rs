@@ -367,3 +367,60 @@ fn every_run_setting_has_a_user() {
         unset.join("\n")
     );
 }
+
+/// The library files that may say `unsafe`, each with the number of
+/// code lines that do and the reason.
+const UNSAFE_SITES: [(&str, usize); 4] = [
+    // The type-erased item: inline storage, pooled spill blocks and the
+    // vtable's drop.
+    ("crates/core/src/payload.rs", 16),
+    // The one dispatch to a kernel's AVX2 copy, behind
+    // `is_x86_feature_detected!`.
+    ("crates/workloads/src/imaging.rs", 1),
+    // adabench's counting global allocator and its `mallopt` call.
+    ("crates/bench/src/bin/adabench/alloc.rs", 10),
+    // adabench's `sched_getaffinity` / `sched_setaffinity` calls.
+    ("crates/bench/src/bin/adabench/affinity.rs", 2),
+];
+
+/// Whether a line of code, not a comment, has the word `unsafe`.
+fn says_unsafe(line: &str) -> bool {
+    !line.trim_start().starts_with("//")
+        && line.match_indices("unsafe").any(|(at, m)| {
+            let before = line[..at].chars().next_back();
+            let after = line[at + m.len()..].chars().next();
+            !before.is_some_and(is_ident) && !after.is_some_and(is_ident)
+        })
+}
+
+/// `unsafe` is deliberate: blocks, fns and impls appear only in the
+/// allow-listed library files, each as often as its entry says, so a
+/// new site fails here until it is listed with its reason.
+#[test]
+fn unsafe_stays_where_it_is_listed() {
+    let mut found = std::collections::BTreeMap::new();
+    for hit in lines_matching(&library_sources(), says_unsafe) {
+        let file = hit.split(':').next().expect("a path").to_string();
+        found.entry(file).or_insert_with(Vec::new).push(hit);
+    }
+    let mut stray = Vec::new();
+    for (file, hits) in &found {
+        let listed = UNSAFE_SITES.iter().find(|(f, _)| f == file);
+        let n = listed.map_or(0, |&(_, n)| n);
+        if n != hits.len() {
+            stray.push(format!("{file}: {} lines, {n} listed", hits.len()));
+            stray.extend(hits.iter().cloned());
+        }
+    }
+    for (file, n) in UNSAFE_SITES {
+        if !found.contains_key(file) {
+            stray.push(format!("{file}: 0 lines, {n} listed"));
+        }
+    }
+    assert!(
+        stray.is_empty(),
+        "`unsafe` where UNSAFE_SITES does not list it; remove it, or list \
+         the file and count with the reason:\n{}",
+        stray.join("\n")
+    );
+}
