@@ -23,9 +23,12 @@
 //!   `adapipe_core::simsession::SimPool`.
 //!
 //! Applications normally reach all of this through the facade's
-//! `Cluster::new` / `admit` / `evict`, whose every method delegates to
-//! one of the two clusters here; this crate is the backend-facing
-//! machinery.
+//! `Cluster::new` / `admit` / `evict`, which matches on which of the two
+//! clusters here it holds: `admit` is generic in the tenant's item
+//! types, so the pair cannot sit behind one trait object the way the
+//! two backends' sessions sit behind `LiveSession`. An admitted tenant's
+//! session is returned as that boxed `LiveSession`. This crate is the
+//! backend-facing machinery.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

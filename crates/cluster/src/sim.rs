@@ -116,6 +116,7 @@ mod tests {
     use adapipe_core::pipeline::PipelineBuilder;
     use adapipe_core::spec::StageSpec;
     use adapipe_gridsim::grid::testbed_small3;
+    use adapipe_runtime::session::LiveSession;
 
     fn inc() -> Pipeline<u64, u64> {
         PipelineBuilder::<u64>::new()
@@ -152,7 +153,7 @@ mod tests {
 
         // A finished tenant's share returns to the pool.
         a.push(1).unwrap();
-        let (outputs, report) = a.drain();
+        let (outputs, report) = a.drain().into_parts();
         assert_eq!(outputs, vec![2]);
         assert!(!report.truncated);
         assert_eq!(cluster.sessions(), vec![idb]);

@@ -240,7 +240,7 @@ mod tests {
     use adapipe_core::pipeline::PipelineBuilder;
     use adapipe_engine::exec::attach;
     use adapipe_engine::vnode::spin_for;
-    use adapipe_runtime::session::{RunConfig, Session};
+    use adapipe_runtime::session::{LiveSession, RunConfig, Session};
 
     fn free_nodes(n: usize) -> Vec<VNodeSpec> {
         (0..n).map(|i| VNodeSpec::free(format!("v{i}"))).collect()

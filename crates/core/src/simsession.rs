@@ -1,6 +1,7 @@
 //! The simulation backend's live session: the typed push/pull surface
-//! over a stepped `simengine` world, mirroring the threaded engine's
-//! `EngineSession` method for method.
+//! over a stepped `simengine` world, one implementation of the
+//! [`LiveSession`] trait the threaded engine's `EngineSession` also
+//! implements.
 //!
 //! [`attach`] enrols a session as a tenant of a [`SimPool`], whose
 //! merged event clock interleaves every tenant's world earliest event
@@ -27,7 +28,9 @@ use adapipe_gridsim::grid::GridSpec;
 use adapipe_gridsim::time::SimTime;
 use adapipe_runtime::arrivals::ArrivalStream;
 use adapipe_runtime::report::RunReport;
-use adapipe_runtime::session::{RunConfig, RunError, Session, SessionControl, SessionId, TryNext};
+use adapipe_runtime::session::{
+    LiveSession, RunConfig, RunError, RunHandle, Session, SessionControl, SessionId, TryNext,
+};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -35,7 +38,8 @@ use std::sync::{Arc, Mutex, Weak};
 
 /// A live simulated pipeline run. Obtained from [`spawn`] or
 /// [`attach`]; applications should prefer the unified
-/// `adapipe::api::Pipeline::spawn`, which wraps this per backend.
+/// `adapipe::api::Pipeline::spawn`, which holds it as a boxed
+/// [`LiveSession`].
 pub struct SimSession<'g, I, O> {
     /// The steppable world. Shared (`Arc`) so the pool's merged event
     /// clock can reach it through the tenant's weak handle; the session
@@ -45,7 +49,7 @@ pub struct SimSession<'g, I, O> {
     pool: SimPool<'g>,
     /// Identity, share and eviction flags (shared with the pool).
     tenant: SimTenant<'g>,
-    /// `true` after [`SimSession::close`]: further pushes are a typed
+    /// `true` after [`LiveSession::close`]: further pushes are a typed
     /// [`RunError::SessionClosed`].
     closed: bool,
     exec: PushExec,
@@ -90,7 +94,7 @@ pub fn spawn<'g, I, O>(
 ///
 /// `cfg.items` only seeds the adaptation loop's remaining-work
 /// amortisation (the true stream length is whatever is pushed before
-/// [`SimSession::close`]); pushed items take their arrival instants
+/// [`LiveSession::close`]); pushed items take their arrival instants
 /// from `session`'s arrival process. With `cfg.preserve_order` outputs
 /// come in push order, otherwise in completion order.
 ///
@@ -156,29 +160,6 @@ impl<'g, I, O> SimSession<'g, I, O> {
         self.stepper.lock().expect("sim stepper poisoned")
     }
 
-    /// Declares the input stream complete: no further pushes; `drain`
-    /// and `next` now have a definite end.
-    pub fn close(&mut self) {
-        self.closed = true;
-        self.world().close();
-    }
-
-    /// The session's identity (`SessionId(0)` unless a cluster assigned
-    /// one), tagged on every event it emits.
-    pub fn session_id(&self) -> SessionId {
-        self.tenant.id
-    }
-
-    /// Items pushed so far.
-    pub fn pushed(&self) -> u64 {
-        self.world().pushed()
-    }
-
-    /// Items that reached the sink so far.
-    pub fn completed(&self) -> u64 {
-        self.world().completed()
-    }
-
     /// Takes the next deliverable output among the completions buffered
     /// in the world — possibly completed by a co-tenant's stepping of
     /// the merged clock — without advancing virtual time. Items that
@@ -232,16 +213,27 @@ impl<'g, I, O> SimSession<'g, I, O> {
 }
 
 impl<I: Send + 'static, O: Send + 'static> SimSession<'_, I, O> {
-    /// Feeds one item into the pipeline, returning its sequence number.
+    /// Graceful shutdown: closes the stream, steps the world until
+    /// every pushed item has settled, and returns the remaining
+    /// (un-pulled) outputs plus the standard report.
+    pub fn drain(mut self) -> RunHandle<O> {
+        self.close();
+        let outputs: Vec<O> = self.by_ref().collect();
+        let error = self.tenant.control.error();
+        RunHandle {
+            outputs,
+            report: self.abort(),
+            error,
+        }
+    }
+}
+
+impl<I: Send + 'static, O: Send + 'static> LiveSession<I, O> for SimSession<'_, I, O> {
     /// Its arrival instant comes from the declared arrival process
     /// (clamped to the world's current virtual time), its stage
     /// functions run now, in push order, and the output is withheld
     /// until the simulated world completes the item.
-    ///
-    /// # Errors
-    /// [`RunError::SessionClosed`] after [`SimSession::close`];
-    /// [`RunError::Evicted`] once the pool began evicting this session.
-    pub fn push(&mut self, item: I) -> Result<u64, RunError> {
+    fn push(&mut self, item: I) -> Result<u64, RunError> {
         if self.closed {
             return Err(RunError::SessionClosed);
         }
@@ -266,12 +258,8 @@ impl<I: Send + 'static, O: Send + 'static> SimSession<'_, I, O> {
         Ok(seq)
     }
 
-    /// Pushes each item in order, returning how many were pushed.
-    ///
-    /// # Errors
-    /// Same lifecycle errors as [`SimSession::push`]; items already
-    /// admitted before the error stay in flight.
-    pub fn push_batch(&mut self, items: impl IntoIterator<Item = I>) -> Result<u64, RunError> {
+    /// Pushes each item in order.
+    fn push_batch(&mut self, items: &mut dyn Iterator<Item = I>) -> Result<u64, RunError> {
         let mut n = 0;
         for item in items {
             self.push(item)?;
@@ -280,12 +268,33 @@ impl<I: Send + 'static, O: Send + 'static> SimSession<'_, I, O> {
         Ok(n)
     }
 
-    /// Non-blocking poll of the output side. Never advances virtual
-    /// time — it only surfaces outputs that earlier `next()`/`drain()`
-    /// stepping (this session's or a co-tenant's) already completed.
-    /// An idle *open* stream is `Pending`, not `Done`: the caller may
-    /// still push.
-    pub fn try_next(&mut self) -> TryNext<O> {
+    fn close(&mut self) {
+        self.closed = true;
+        self.world().close();
+    }
+
+    fn session_id(&self) -> SessionId {
+        self.tenant.id
+    }
+
+    fn pushed(&self) -> u64 {
+        self.world().pushed()
+    }
+
+    fn completed(&self) -> u64 {
+        self.world().completed()
+    }
+
+    fn in_flight(&self) -> u64 {
+        let world = self.world();
+        world.pushed().saturating_sub(world.accounted())
+    }
+
+    /// Never advances virtual time — it only surfaces outputs that
+    /// earlier `next()`/`drain()` stepping (this session's or a
+    /// co-tenant's) already completed. An idle *open* stream is
+    /// `Pending`, not `Done`: the caller may still push.
+    fn try_next(&mut self) -> TryNext<O> {
         if let Some(out) = self.pop_ready() {
             return TryNext::Item(downcast_output(out));
         }
@@ -300,13 +309,12 @@ impl<I: Send + 'static, O: Send + 'static> SimSession<'_, I, O> {
         }
     }
 
-    /// Graceful shutdown: closes the stream, steps the world until
-    /// every pushed item has settled, and returns the remaining
-    /// (un-pulled) outputs plus the standard report.
-    pub fn drain(mut self) -> (Vec<O>, RunReport) {
-        self.close();
-        let outputs: Vec<O> = self.by_ref().collect();
-        (outputs, self.abort())
+    fn drain(self: Box<Self>) -> RunHandle<O> {
+        SimSession::drain(*self)
+    }
+
+    fn abort(self: Box<Self>) -> RunReport {
+        SimSession::abort(*self)
     }
 }
 
@@ -643,7 +651,7 @@ mod tests {
         // none may still be counted there or pinned to a merge host.
         assert_eq!(session.world().accounted(), 50);
         assert_eq!(session.world().join_state(), 0);
-        let (rest, report) = session.drain();
+        let (rest, report) = session.drain().into_parts();
         assert!(rest.is_empty());
         assert_eq!(report.dead_letters, 5);
         assert_eq!(report.retries, 5);

@@ -28,7 +28,7 @@ use adapipe_core::simengine::run;
 use adapipe_core::simsession::{self, SimPool};
 use adapipe_gridsim::prelude::*;
 use adapipe_mapper::mapping::{Mapping, Placement};
-use adapipe_runtime::session::{EventBus, RunEvent, SessionId};
+use adapipe_runtime::session::{EventBus, LiveSession, RunEvent, SessionId};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -391,7 +391,7 @@ fn replicated_merge_with_a_dead_letter() {
             outputs.extend(session.by_ref().take(20));
         }
     }
-    let (rest, report) = session.drain();
+    let (rest, report) = session.drain().into_parts();
     outputs.extend(rest);
     assert_eq!(report.completed, 299);
     assert_eq!(report.dead_letters, 1);
@@ -437,8 +437,8 @@ fn half_share_of_the_pool() {
         SessionId(0),
         0.5,
     );
-    session.push_batch(0..300).expect("an open session");
-    let (_, report) = session.drain();
+    session.push_batch(&mut (0..300)).expect("an open session");
+    let report = session.drain().report;
     assert_eq!(report.completed, 300);
     check("rate_scale_half", &record(&report));
 }

@@ -47,7 +47,7 @@
 //! bounded-queue discipline: the total number of in-flight items is
 //! capped at `capacity × (stages + 1)` — one bounded buffer per stage
 //! boundary, source and sink boundaries included — and
-//! [`EngineSession::push`] blocks until a completion frees a slot. The
+//! [`LiveSession::push`] blocks until a completion frees a slot. The
 //! bound is enforced end-to-end with a credit counter rather than with
 //! per-channel blocking sends: stages may be *coalesced* on one worker,
 //! and with blocking channel sends two workers hosting interleaved
@@ -55,7 +55,7 @@
 //! pipeline deadlock. A worker therefore never blocks; only the source
 //! does, which is exactly where backpressure belongs, and every
 //! inter-stage queue's occupancy is still bounded by the same total.
-//! [`EngineSession::push_batch`] takes its credits an envelope's worth
+//! [`LiveSession::push_batch`] takes its credits an envelope's worth
 //! per trip to the gate and hands back any it did not spend.
 //!
 //! Workers block on their inbox (`recv`) and are woken by messages
@@ -110,7 +110,9 @@ use adapipe_gridsim::time::{SimDuration, SimTime};
 use adapipe_runtime::adapt::{AdaptationLoop, RuntimeConfig};
 use adapipe_runtime::arrivals::ArrivalProcess;
 use adapipe_runtime::report::{DeadLetter, ReportBuilder, RunReport};
-use adapipe_runtime::session::{RunConfig, RunError, RunEvent, Session, SessionId, TryNext};
+use adapipe_runtime::session::{
+    LiveSession, RunConfig, RunError, RunEvent, RunHandle, Session, SessionId, TryNext,
+};
 use reorder::Reorder;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -123,15 +125,6 @@ use std::time::{Duration, Instant};
 /// Bucket width of the reported throughput timeline when
 /// [`RunConfig::timeline_bucket`] is `None`, in wall time.
 const DEFAULT_TIMELINE_BUCKET: SimDuration = SimDuration::from_millis(500);
-
-/// Result of a threaded run: typed outputs plus the standard report.
-pub struct EngineOutcome<O> {
-    /// Pipeline outputs (resequenced if `preserve_order`).
-    pub outputs: Vec<O>,
-    /// Run metrics in the same shape the simulator reports (times are
-    /// wall-clock seconds since engine start).
-    pub report: RunReport,
-}
 
 /// One in-flight item: its sequence number, birth time, and payload.
 pub(crate) struct ItemSlot {
@@ -179,7 +172,8 @@ fn push_entry(shared: &Arc<Shared>, cache: &mut RouteCache, mut items: Vec<ItemS
 /// module docs for the backpressure discipline.
 ///
 /// Obtained from [`spawn`]; applications should prefer the unified
-/// `adapipe::api::Pipeline::spawn`, which wraps this per backend.
+/// `adapipe::api::Pipeline::spawn`, which holds it as a boxed
+/// [`LiveSession`].
 pub struct EngineSession<I, O> {
     shared: Arc<Shared>,
     credits: Option<Arc<Credits>>,
@@ -213,32 +207,6 @@ where
     I: Send + 'static,
     O: Send + 'static,
 {
-    /// Feeds one item into the pipeline. The item joins the pending
-    /// envelope and ships when `batch_size` items have accumulated (or
-    /// on `close`/output interaction/credit pressure). Blocks while the
-    /// bounded in-flight budget is exhausted (emitting
-    /// [`RunEvent::BackpressureStall`]); buffered input is flushed
-    /// *before* blocking so the items holding credits can complete.
-    /// Returns the item's sequence number.
-    ///
-    /// # Errors
-    /// [`RunError::SessionClosed`] after [`EngineSession::close`];
-    /// [`RunError::Evicted`] once the cluster began evicting this
-    /// session (in-flight items still drain). The item is dropped in
-    /// both cases.
-    pub fn push(&mut self, item: I) -> Result<u64, RunError> {
-        let born = Instant::now();
-        self.admit()?;
-        if self
-            .credits
-            .as_ref()
-            .is_some_and(|credits| credits.try_acquire_n(1) == 0)
-        {
-            self.wait_for_credit();
-        }
-        Ok(self.enqueue(item, born))
-    }
-
     /// The lifecycle check every push passes before it takes a credit.
     fn admit(&self) -> Result<(), RunError> {
         if self.closed {
@@ -284,58 +252,6 @@ where
         seq
     }
 
-    /// Feeds a whole batch of items through the batched envelope path,
-    /// flushing any remainder at the end of the call (so the batch is
-    /// fully in flight when this returns). Returns the number of items
-    /// pushed. Blocks like [`EngineSession::push`] under a bounded
-    /// in-flight budget, but takes its credits an envelope's worth at a
-    /// time: one trip to the gate per envelope, not per item. One clock
-    /// read stamps the whole batch (every item of a batch arrives at
-    /// the call instant — the same arrival semantics the all-at-once
-    /// batch feed declares).
-    ///
-    /// # Errors
-    /// Same lifecycle errors as [`EngineSession::push`]; items pushed
-    /// before the error remain in flight (and are flushed first).
-    pub fn push_batch(&mut self, items: impl IntoIterator<Item = I>) -> Result<u64, RunError> {
-        let born = Instant::now();
-        let credits = self.credits.clone();
-        let mut items = items.into_iter();
-        let mut n = 0;
-        // Credits taken and not yet spent. Topped up only at zero, so
-        // the blocking wait never sits on credits of its own.
-        let mut held = 0;
-        let mut outcome = Ok(());
-        while let Some(item) = items.next() {
-            if let Err(e) = self.admit() {
-                outcome = Err(e);
-                break;
-            }
-            if let Some(credits) = &credits {
-                if held == 0 {
-                    // For this item and the ones the caller says will
-                    // follow, as far as the envelope being filled.
-                    let room = self.batch_size - self.pending.len();
-                    let want = room.min(items.size_hint().0.saturating_add(1));
-                    held = credits.try_acquire_n(want as u64);
-                    if held == 0 {
-                        self.wait_for_credit();
-                        held = 1;
-                    }
-                }
-                held -= 1;
-            }
-            self.enqueue(item, born);
-            n += 1;
-        }
-        if let Some(credits) = credits.filter(|_| held > 0) {
-            // An error part-way, or an iterator shorter than its hint.
-            credits.release_n(held);
-        }
-        self.flush_pending();
-        outcome.map(|()| n)
-    }
-
     /// Ships the buffered input as one routed envelope (routing the
     /// pipeline entry — or fanning each item out when the graph opens
     /// with a parallel block, still one credit per *item*).
@@ -347,43 +263,10 @@ where
         push_entry(&self.shared, &mut self.cache, items);
     }
 
-    /// Declares the input stream complete (flushing buffered input).
-    /// Idempotent; pushing after close returns
-    /// [`RunError::SessionClosed`].
-    pub fn close(&mut self) {
-        if !self.closed {
-            self.flush_pending();
-            self.closed = true;
-            let _ = self.shared.sink.send(SinkMsg::Closed {
-                expected: self.pushed,
-            });
-        }
-    }
-
-    /// Items pushed so far.
-    pub fn pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Items that reached the sink so far.
-    pub fn completed(&self) -> u64 {
-        self.shared.completed.load(Ordering::Relaxed)
-    }
-
-    /// Items currently between source and sink.
-    pub fn in_flight(&self) -> u64 {
-        self.pushed.saturating_sub(self.completed())
-    }
-
     /// The pool's wall-clock epoch (all report times are relative to
     /// it).
     pub fn epoch(&self) -> Instant {
         self.shared.pool.epoch
-    }
-
-    /// This session's pool-unique id.
-    pub fn session_id(&self) -> SessionId {
-        SessionId(self.shared.id)
     }
 
     /// A cloneable cluster-side handle to this tenant: share control,
@@ -429,39 +312,6 @@ where
         self.shared.fused.load(Ordering::Relaxed)
     }
 
-    /// Non-blocking poll of the output side (flushes buffered input
-    /// first — waiting for output while input sits buffered would
-    /// deadlock).
-    pub fn try_next(&mut self) -> TryNext<O> {
-        self.flush_pending();
-        loop {
-            if self.preserve_order {
-                if let Some(o) = self.pop_ordered() {
-                    return TryNext::Item(o);
-                }
-            }
-            if let Some(fin) = self.inbuf.pop_front() {
-                if let Some(o) = self.deliver(fin) {
-                    return TryNext::Item(o);
-                }
-                continue;
-            }
-            match self.out_rx.try_recv() {
-                Ok(mut batch) => {
-                    self.inbuf.extend(batch.drain(..));
-                    FIN_BUFS.put(batch);
-                }
-                Err(TryRecvError::Empty) => return TryNext::Pending,
-                Err(TryRecvError::Disconnected) => {
-                    return match self.reorder.flush() {
-                        Some(o) => TryNext::Item(o),
-                        None => TryNext::Done,
-                    }
-                }
-            }
-        }
-    }
-
     fn deliver(&mut self, fin: Finished) -> Option<O> {
         let out = fin
             .payload
@@ -482,15 +332,12 @@ where
     }
 
     /// Graceful shutdown: closes the stream, waits for every pushed
-    /// item to complete, and returns the remaining (un-pulled) outputs
-    /// plus the standard report. Items already pulled via
-    /// [`EngineSession::next`] are not repeated.
-    pub fn drain(mut self) -> EngineOutcome<O> {
+    /// item to complete, and returns the remaining (un-pulled) outputs,
+    /// the standard report and the run's fatal error. Items already
+    /// pulled via `next` are not repeated.
+    pub fn drain(mut self) -> RunHandle<O> {
         self.close();
-        let mut outputs = Vec::new();
-        for o in self.by_ref() {
-            outputs.push(o);
-        }
+        let outputs = self.by_ref().collect();
         self.teardown(outputs)
     }
 
@@ -513,7 +360,7 @@ where
     /// Detaches this tenant from the pool and assembles the report. The
     /// collector must already be on its way out (stream closed and
     /// delivered, or aborted).
-    fn teardown(&mut self, outputs: Vec<O>) -> EngineOutcome<O> {
+    fn teardown(&mut self, outputs: Vec<O>) -> RunHandle<O> {
         let mut report = self
             .collector
             .take()
@@ -559,7 +406,149 @@ where
         if self.owns_pool {
             self.shared.pool.shutdown();
         }
-        EngineOutcome { outputs, report }
+        RunHandle {
+            outputs,
+            report,
+            error: self.shared.control.error(),
+        }
+    }
+}
+
+impl<I, O> LiveSession<I, O> for EngineSession<I, O>
+where
+    I: Send + 'static,
+    O: Send + 'static,
+{
+    /// The item joins the pending envelope and ships when `batch_size`
+    /// items have accumulated (or on `close`/output interaction/credit
+    /// pressure). Blocks while the bounded in-flight budget is
+    /// exhausted (emitting [`RunEvent::BackpressureStall`]); buffered
+    /// input is flushed *before* blocking so the items holding credits
+    /// can complete. A refused item is dropped.
+    fn push(&mut self, item: I) -> Result<u64, RunError> {
+        let born = Instant::now();
+        self.admit()?;
+        if self
+            .credits
+            .as_ref()
+            .is_some_and(|credits| credits.try_acquire_n(1) == 0)
+        {
+            self.wait_for_credit();
+        }
+        Ok(self.enqueue(item, born))
+    }
+
+    /// Feeds the batched envelope path, flushing any remainder at the
+    /// end of the call (so the batch is fully in flight when this
+    /// returns). Blocks like `push` under a bounded in-flight budget,
+    /// but takes its credits an envelope's worth at a time: one trip to
+    /// the gate per envelope, not per item. One clock read stamps the
+    /// whole batch (every item of a batch arrives at the call instant —
+    /// the same arrival semantics the all-at-once batch feed declares).
+    fn push_batch(&mut self, items: &mut dyn Iterator<Item = I>) -> Result<u64, RunError> {
+        let born = Instant::now();
+        let credits = self.credits.clone();
+        let mut n = 0;
+        // Credits taken and not yet spent. Topped up only at zero, so
+        // the blocking wait never sits on credits of its own.
+        let mut held = 0;
+        let mut outcome = Ok(());
+        while let Some(item) = items.next() {
+            if let Err(e) = self.admit() {
+                outcome = Err(e);
+                break;
+            }
+            if let Some(credits) = &credits {
+                if held == 0 {
+                    // For this item and the ones the caller says will
+                    // follow, as far as the envelope being filled.
+                    let room = self.batch_size - self.pending.len();
+                    let want = room.min(items.size_hint().0.saturating_add(1));
+                    held = credits.try_acquire_n(want as u64);
+                    if held == 0 {
+                        self.wait_for_credit();
+                        held = 1;
+                    }
+                }
+                held -= 1;
+            }
+            self.enqueue(item, born);
+            n += 1;
+        }
+        if let Some(credits) = credits.filter(|_| held > 0) {
+            // An error part-way, or an iterator shorter than its hint.
+            credits.release_n(held);
+        }
+        self.flush_pending();
+        outcome.map(|()| n)
+    }
+
+    /// Flushes buffered input first.
+    fn close(&mut self) {
+        if !self.closed {
+            self.flush_pending();
+            self.closed = true;
+            let _ = self.shared.sink.send(SinkMsg::Closed {
+                expected: self.pushed,
+            });
+        }
+    }
+
+    fn session_id(&self) -> SessionId {
+        SessionId(self.shared.id)
+    }
+
+    fn pushed(&self) -> u64 {
+        self.pushed
+    }
+
+    fn completed(&self) -> u64 {
+        self.shared.completed.load(Ordering::Relaxed)
+    }
+
+    fn in_flight(&self) -> u64 {
+        let dead = self.shared.dead_count.load(Ordering::Relaxed);
+        self.pushed.saturating_sub(self.completed() + dead)
+    }
+
+    /// Flushes buffered input first — waiting for output while input
+    /// sits buffered would deadlock.
+    fn try_next(&mut self) -> TryNext<O> {
+        self.flush_pending();
+        loop {
+            if self.preserve_order {
+                if let Some(o) = self.pop_ordered() {
+                    return TryNext::Item(o);
+                }
+            }
+            if let Some(fin) = self.inbuf.pop_front() {
+                if let Some(o) = self.deliver(fin) {
+                    return TryNext::Item(o);
+                }
+                continue;
+            }
+            match self.out_rx.try_recv() {
+                Ok(mut batch) => {
+                    self.inbuf.extend(batch.drain(..));
+                    FIN_BUFS.put(batch);
+                }
+                Err(TryRecvError::Empty) => return TryNext::Pending,
+                Err(TryRecvError::Disconnected) => {
+                    return match self.reorder.flush() {
+                        Some(o) => TryNext::Item(o),
+                        None => TryNext::Done,
+                    }
+                }
+            }
+        }
+    }
+
+    fn drain(self: Box<Self>) -> RunHandle<O> {
+        EngineSession::drain(*self)
+    }
+
+    fn abort(self: Box<Self>) -> RunReport {
+        EngineSession::abort(*self)
     }
 }
 
@@ -941,7 +930,7 @@ pub fn execute<I, O>(
     vnodes: Vec<VNodeSpec>,
     session: &Session,
     cfg: &RunConfig,
-) -> EngineOutcome<O>
+) -> RunHandle<O>
 where
     I: Send + 'static,
     O: Send + 'static,
@@ -978,7 +967,7 @@ pub fn execute_fed<I, O, F>(
     vnodes: Vec<VNodeSpec>,
     session: &Session,
     cfg: &RunConfig,
-) -> EngineOutcome<O>
+) -> RunHandle<O>
 where
     I: Send + 'static,
     O: Send + 'static,
@@ -993,7 +982,7 @@ where
         // batched envelope path in one call.
         ArrivalProcess::AllAtOnce => {
             session
-                .push_batch((0..n_items).map(&mut feed))
+                .push_batch(&mut (0..n_items).map(&mut feed))
                 .expect("batch feed pushes into an open session");
         }
         // Stream the backend-independent arrival schedule (O(1) state)

@@ -43,7 +43,7 @@ fn execute_static<I: Send + 'static, O: Send + 'static>(
     inputs: Vec<I>,
     vnodes: Vec<VNodeSpec>,
     cfg: &RunConfig,
-) -> EngineOutcome<O> {
+) -> RunHandle<O> {
     execute(pipeline, inputs, vnodes, &Session::default(), cfg)
 }
 
@@ -532,7 +532,7 @@ fn push_batch_respects_bounded_credits() {
         ..RunConfig::default()
     };
     let mut session = spawn_static(pipeline, free_nodes(1), &cfg);
-    let pushed = session.push_batch(0..50u64).unwrap();
+    let pushed = session.push_batch(&mut (0..50u64)).unwrap();
     assert_eq!(pushed, 50);
     let outcome = session.drain();
     assert_eq!(outcome.report.completed, 50);
@@ -812,7 +812,10 @@ fn push_after_close_returns_typed_error() {
     session.push(1).unwrap();
     session.close();
     assert_eq!(session.push(2), Err(RunError::SessionClosed));
-    assert_eq!(session.push_batch(3..5), Err(RunError::SessionClosed));
+    assert_eq!(
+        session.push_batch(&mut (3..5)),
+        Err(RunError::SessionClosed)
+    );
     let outcome = session.drain();
     assert_eq!(outcome.report.completed, 1, "rejected pushes never ran");
 }
@@ -967,14 +970,14 @@ fn an_erroring_push_batch_returns_every_unspent_credit() {
     // Eviction begins as the iterator yields item 37: four envelopes
     // and five items are in, and three credits of the fifth envelope's
     // eight are taken and will never be spent.
-    let evicting = (0..100u64).inspect(|&i| {
+    let mut evicting = (0..100u64).inspect(|&i| {
         if i == 37 {
             tenant.begin_eviction();
         }
     });
     let id = session.session_id();
     assert_eq!(
-        session.push_batch(evicting),
+        session.push_batch(&mut evicting),
         Err(RunError::Evicted { session: id })
     );
     assert_eq!(session.pushed(), 37);
@@ -999,7 +1002,7 @@ fn an_erroring_push_batch_returns_every_unspent_credit() {
     let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
     let mut session = spawn_static(pipeline, free_nodes(1), &cfg);
     let tenant = session.tenant_handle();
-    assert_eq!(session.push_batch(Short(21)), Ok(21));
+    assert_eq!(session.push_batch(&mut Short(21)), Ok(21));
     assert_eq!(session.drain().report.completed, 21);
     let credits = tenant.shared.credits.as_ref().expect("bounded session");
     assert_eq!(credits.available(), capacity, "a credit leaked");

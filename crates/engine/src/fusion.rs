@@ -526,7 +526,7 @@ mod tests {
     use adapipe_gridsim::node::NodeId;
     use adapipe_mapper::mapping::Mapping;
     use adapipe_mapper::model::evaluate;
-    use adapipe_runtime::session::{RunConfig, Session};
+    use adapipe_runtime::session::{LiveSession, RunConfig, Session};
 
     /// The model prices fusion exactly as the engine fuses: a 2-stage
     /// chain, co-located and unreplicated, with a 1 MB boundary, the

@@ -267,14 +267,14 @@ impl Hops for Leaving<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{spawn, EngineOutcome, TenantHandle};
+    use crate::exec::{spawn, TenantHandle};
     use crate::vnode::VNodeSpec;
     use adapipe_core::pipeline::Pipeline;
     use adapipe_core::spec::{PipelineSpec, ResiliencePolicy, StageGraph, StageSpec};
     use adapipe_core::stage::{fan_out_fn, FallibleFnStage, FnStage, MergeStage};
     use adapipe_gridsim::node::NodeId;
     use adapipe_mapper::mapping::{Mapping, Placement};
-    use adapipe_runtime::session::{RunConfig, Session};
+    use adapipe_runtime::session::{LiveSession, RunConfig, RunHandle, Session};
     use std::sync::Mutex;
 
     /// fetch → {parse, audit} → combine, where parse rejects every
@@ -336,7 +336,7 @@ mod tests {
     /// Every pushed item is accounted for exactly once — an output, in
     /// push order, or a dead letter — and no join input outlives the
     /// run, whichever side of the diversion it arrived on.
-    fn assert_settled(items: u64, outcome: &EngineOutcome<u64>, tenant: &TenantHandle) {
+    fn assert_settled(items: u64, outcome: &RunHandle<u64>, tenant: &TenantHandle) {
         let outputs: Vec<u64> = (0..items).filter_map(expected).collect();
         assert_eq!(outcome.outputs, outputs, "no duplicate, no loss");
         let dead = items - outputs.len() as u64;
@@ -363,7 +363,7 @@ mod tests {
                 &cfg,
             );
             let tenant = session.tenant_handle();
-            session.push_batch(0..items).unwrap();
+            session.push_batch(&mut (0..items)).unwrap();
             let outcome = session.drain();
             assert_settled(items, &outcome, &tenant);
 
@@ -437,7 +437,7 @@ mod tests {
             &cfg,
         );
         let tenant = session.tenant_handle();
-        session.push_batch(0..ITEMS).unwrap();
+        session.push_batch(&mut (0..ITEMS)).unwrap();
         let outcome = session.drain();
         assert!(
             forced.load(Ordering::SeqCst),

@@ -48,9 +48,7 @@ mod worker;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::exec::{
-        attach, execute, execute_fed, spawn, EngineOutcome, EngineSession, Pool, TenantHandle,
-    };
+    pub use crate::exec::{attach, execute, execute_fed, spawn, EngineSession, Pool, TenantHandle};
     pub use crate::inject::LoadInjector;
     pub use crate::vnode::{calibrate_host, spin_for, VNodeSpec, MIN_WALL_AVAILABILITY};
 }

@@ -83,11 +83,6 @@ impl Pool {
         self.vnodes.len()
     }
 
-    /// The pool's vnode specs (fault-rewritten), for tenant planning.
-    pub fn vnode_specs(&self) -> &[VNodeSpec] {
-        &self.vnodes
-    }
-
     /// The pool-wide fault plan.
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.faults

@@ -31,7 +31,9 @@
 //! * [`metrics`] — per-stage service instrumentation;
 //! * [`session`] — the backend-agnostic half of the unified `Pipeline`
 //!   API: typed [`session::BuildError`] validation, the shared
-//!   [`session::RunConfig`], and the live [`session::RunEvent`] stream.
+//!   [`session::RunConfig`], the live [`session::RunEvent`] stream, and
+//!   the [`session::LiveSession`] trait both backends' sessions
+//!   implement.
 //!
 //! Concrete backends live elsewhere: the discrete-event simulation
 //! backend in `adapipe-core::simengine`, the threaded vnode backend in
@@ -65,7 +67,8 @@ pub mod prelude {
     pub use crate::report::{AdaptationEvent, DeadLetter, ReportBuilder, RunReport};
     pub use crate::routing::{RoutingTable, Selection};
     pub use crate::session::{
-        BuildError, EventBus, ResiliencePolicy, RunConfig, RunError, Session, SessionId,
+        BuildError, EventBus, LiveSession, ResiliencePolicy, RunConfig, RunError, RunHandle,
+        Session, SessionId,
     };
     pub use adapipe_gridsim::fault::{Fault, FaultPlan};
 }

@@ -15,7 +15,10 @@
 //!   as they happen;
 //! * [`SessionControl`] — in-flight steering (pause/resume adaptation,
 //!   force a re-map) shared between a live session and the adaptation
-//!   loop, honoured identically by every backend.
+//!   loop, honoured identically by every backend;
+//! * [`LiveSession`] / [`RunHandle`] — the one live-session surface
+//!   every backend's session implements, and what a finished run hands
+//!   back.
 //!
 //! ## Validation rules
 //!
@@ -46,7 +49,9 @@
 use crate::adapt::Verdict;
 use crate::backend::RemapPlan;
 use crate::controller::ControllerConfig;
+use crate::metrics::StageStats;
 use crate::policy::Policy;
+use crate::report::{AdaptationEvent, RunReport};
 use crate::routing::Selection;
 use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::time::{SimDuration, SimTime};
@@ -785,6 +790,94 @@ pub enum TryNext<O> {
     /// The stream is finished: every output has been delivered (or the
     /// run was aborted/starved) and no further item will ever arrive.
     Done,
+}
+
+/// A live pipeline run, as every backend's session exposes it: the input
+/// side (`push`, `push_batch`, `close`), the output side (`next` through
+/// [`Iterator`], `try_next`), the counters, and the two ways to end it.
+/// The facade's `RunSession` holds one boxed and never asks which
+/// backend is underneath.
+pub trait LiveSession<I, O>: Iterator<Item = O> {
+    /// Feeds one item, returning its sequence number.
+    ///
+    /// # Errors
+    /// [`RunError::SessionClosed`] after `close`; [`RunError::Evicted`]
+    /// once a cluster began evicting the session.
+    fn push(&mut self, item: I) -> Result<u64, RunError>;
+
+    /// Feeds every item of `items` in order, returning how many were
+    /// pushed; items admitted before an error stay in flight.
+    ///
+    /// # Errors
+    /// As [`LiveSession::push`].
+    fn push_batch(&mut self, items: &mut dyn Iterator<Item = I>) -> Result<u64, RunError>;
+
+    /// Declares the input stream complete. Idempotent.
+    fn close(&mut self);
+
+    /// The session's identity: `SessionId(0)` unless a cluster assigned
+    /// one.
+    fn session_id(&self) -> SessionId;
+
+    /// Items pushed so far.
+    fn pushed(&self) -> u64;
+
+    /// Items that reached the sink so far.
+    fn completed(&self) -> u64;
+
+    /// Pushed items not yet settled: neither completed at the sink nor
+    /// diverted to the dead-letter channel.
+    fn in_flight(&self) -> u64;
+
+    /// Non-blocking poll of the output side.
+    fn try_next(&mut self) -> TryNext<O>;
+
+    /// Graceful shutdown: closes the stream, waits until every pushed
+    /// item has settled, and returns the un-pulled outputs, the report
+    /// and the run's first fatal error.
+    fn drain(self: Box<Self>) -> RunHandle<O>;
+
+    /// Immediate shutdown: in-flight items are dropped and the report
+    /// comes back `truncated` if anything was lost.
+    fn abort(self: Box<Self>) -> RunReport;
+}
+
+/// The outcome of one run: typed outputs plus the backend-independent
+/// [`RunReport`] — a single shape for every backend.
+#[derive(Debug)]
+pub struct RunHandle<O> {
+    /// Pipeline outputs in item order (empty for a batch simulated run,
+    /// which executes cost metadata only).
+    pub outputs: Vec<O>,
+    /// Run metrics, shape-identical across backends.
+    pub report: RunReport,
+    /// The run's fatal error, if one occurred (a stateful stage lost to
+    /// a crashed node, every node down, a wrong-typed item). A failed
+    /// run still returns its partial outputs and an honest, `truncated`
+    /// report.
+    pub error: Option<RunError>,
+}
+
+impl<O> RunHandle<O> {
+    /// The run report.
+    pub fn report(&self) -> &RunReport {
+        &self.report
+    }
+
+    /// Every re-mapping the controller committed, in order.
+    pub fn adaptations(&self) -> &[AdaptationEvent] {
+        &self.report.adaptations
+    }
+
+    /// Observed service statistics of one stage.
+    pub fn stage_stats(&self, stage: usize) -> &StageStats {
+        self.report.stage_metrics.stage(stage)
+    }
+
+    /// Splits the handle into outputs and report.
+    pub fn into_parts(self) -> (Vec<O>, RunReport) {
+        (self.outputs, self.report)
+    }
 }
 
 /// The run configuration of one pipeline run — the only one: every

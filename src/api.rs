@@ -81,13 +81,16 @@
 //! in push order — so one scenario written against [`RunSession`]
 //! produces item-identical outputs on either backend.
 //!
-//! This module runs neither backend. A [`RunSession`] wraps the
+//! This module runs neither backend. A [`RunSession`] holds the
 //! backend's own session (`adapipe_core::simsession::SimSession` or
-//! `adapipe_engine::exec::EngineSession`, same method set) and a
-//! [`Cluster`] the backend's own cluster (`adapipe_cluster`'s
-//! `SimCluster` or `ThreadCluster`); every method here is a two-arm
-//! delegation, and what happens to an item at a stage is decided in
-//! one place both backends call, `adapipe_core::item`.
+//! `adapipe_engine::exec::EngineSession`) as a boxed
+//! [`LiveSession`], so each of
+//! its methods is one call that never asks which backend is underneath.
+//! A [`Cluster`] wraps the backend's own cluster (`adapipe_cluster`'s
+//! `SimCluster` or `ThreadCluster`) and matches on it, because
+//! admission is generic in the tenant's item types. What happens to an
+//! item at a stage is decided in one place both backends call,
+//! `adapipe_core::item`.
 //!
 //! Live observation goes through [`RunConfig`]'s [`EventBus`] (a
 //! batch `run` subscribes before it starts) or [`RunSession::events`];
@@ -107,7 +110,7 @@ use adapipe_cluster::sim::SimCluster;
 use adapipe_cluster::threads::ThreadCluster;
 use adapipe_core::pipeline::Pipeline as CorePipeline;
 use adapipe_core::simengine;
-use adapipe_core::simsession::{self, SimSession};
+use adapipe_core::simsession;
 use adapipe_core::spec::{
     PipelineSpec, ResiliencePolicy, StageGraph, StageGraphBuilder, StageSpec,
 };
@@ -115,17 +118,16 @@ use adapipe_core::stage::{
     clone_fn, declared, fan_out_fn, fan_out_from_clone, AccumStage, CloneFn, DynStage,
     FallibleFnStage, FanOutFn, FnStage, KeyFn, KeyedStage, MergeStage, SnapStage, StatefulFnStage,
 };
-use adapipe_engine::exec::{self, EngineSession};
+use adapipe_engine::exec;
 use adapipe_engine::vnode::VNodeSpec;
 use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::grid::GridSpec;
 use adapipe_gridsim::node::NodeId;
 use adapipe_mapper::graph::GraphError;
-use adapipe_runtime::metrics::StageStats;
 use adapipe_runtime::policy::Policy;
-use adapipe_runtime::report::{AdaptationEvent, RunReport};
+use adapipe_runtime::report::RunReport;
 use adapipe_runtime::routing::Selection;
-use adapipe_runtime::session::{self, Session, SessionControl};
+use adapipe_runtime::session::{self, LiveSession, Session, SessionControl};
 use adapipe_state::StateCodec;
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -135,7 +137,8 @@ use std::time::Duration;
 pub use adapipe_mapper::share::ShareQuota;
 pub use adapipe_runtime::adapt::Verdict;
 pub use adapipe_runtime::session::{
-    ArrivalProcess, BuildError, EventBus, RunConfig, RunError, RunEvent, SessionId, TryNext,
+    ArrivalProcess, BuildError, EventBus, RunConfig, RunError, RunEvent, RunHandle, SessionId,
+    TryNext,
 };
 
 /// Which execution backend a built [`Pipeline`] runs on.
@@ -152,57 +155,11 @@ pub enum Backend<'a> {
 }
 
 impl Backend<'_> {
-    /// Short backend name for errors and tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Backend::Sim(_) => "sim",
-            Backend::Threads(_) => "threads",
-        }
-    }
-
     fn node_count(&self) -> usize {
         match self {
             Backend::Sim(grid) => grid.len(),
             Backend::Threads(vnodes) => vnodes.len(),
         }
-    }
-}
-
-/// The outcome of one run: typed outputs (threaded backend) plus the
-/// backend-independent [`RunReport`] — a single shape for every
-/// backend.
-#[derive(Debug)]
-pub struct RunHandle<O> {
-    /// Pipeline outputs in item order (empty under [`Backend::Sim`]).
-    pub outputs: Vec<O>,
-    /// Run metrics, shape-identical across backends.
-    pub report: RunReport,
-    /// The run's fatal error, if one occurred (a stateful stage lost to
-    /// a crashed node, every node down, a wrong-typed item). A failed
-    /// run still returns its partial outputs and an honest, `truncated`
-    /// report.
-    pub error: Option<RunError>,
-}
-
-impl<O> RunHandle<O> {
-    /// The run report.
-    pub fn report(&self) -> &RunReport {
-        &self.report
-    }
-
-    /// Every re-mapping the controller committed, in order.
-    pub fn adaptations(&self) -> &[AdaptationEvent] {
-        &self.report.adaptations
-    }
-
-    /// Observed service statistics of one stage.
-    pub fn stage_stats(&self, stage: usize) -> &StageStats {
-        self.report.stage_metrics.stage(stage)
-    }
-
-    /// Splits the handle into outputs and report.
-    pub fn into_parts(self) -> (Vec<O>, RunReport) {
-        (self.outputs, self.report)
     }
 }
 
@@ -273,25 +230,30 @@ impl<I: Send + 'static, O: Send + 'static> Pipeline<I, O> {
         self.session.arrivals()
     }
 
-    /// Shared `run()`/`spawn()` validation: the launch mapping must
+    /// Shared `run()`/`spawn()`/`admit()` validation against a backend
+    /// of `node_count` nodes, threaded or not: the launch mapping must
     /// honour the declared stage properties (statefulness, replica
     /// bounds) and the backend's node set — otherwise the
     /// typed-validation contract would be silently bypassed by the one
     /// knob that places stages directly — a declared queue bound must
     /// be able to admit at least one item, and the (merged) fault plan
     /// may only name nodes the backend has.
-    fn validate_run(&self, backend: &Backend<'_>, cfg: &RunConfig) -> Result<(), BuildError> {
+    fn validate_run(
+        &self,
+        node_count: usize,
+        threads: bool,
+        cfg: &RunConfig,
+    ) -> Result<(), BuildError> {
         if cfg.queue_capacity == Some(0) {
             return Err(BuildError::ZeroQueueCapacity);
         }
-        let node_count = backend.node_count();
         if let Some(mapping) = &cfg.initial_mapping {
             let stages = &self.spec().stages;
             let replica_cap: Vec<usize> = stages.iter().map(|s| s.replica_cap()).collect();
             session::validate_mapping(mapping, &replica_cap, node_count)?;
         }
         session::validate_faults(&cfg.faults, node_count)?;
-        if matches!(backend, Backend::Threads(_)) && cfg.selection == Selection::LeastLoaded {
+        if threads && cfg.selection == Selection::LeastLoaded {
             return Err(BuildError::UnsupportedSelection { backend: "threads" });
         }
         Ok(())
@@ -316,27 +278,18 @@ impl<I: Send + 'static, O: Send + 'static> Pipeline<I, O> {
         // The effective fault plan: whatever the pipeline declared at
         // build time, then the run's own faults on top.
         cfg.faults = self.faults.clone().merge(&cfg.faults);
-        self.validate_run(&backend, &cfg)?;
-        let control = cfg.control.clone();
-        let bus = cfg.events.clone();
-        let inner = match backend {
-            Backend::Sim(grid) => SessionInner::Sim(Box::new(simsession::spawn(
-                grid,
-                self.core,
-                &self.session,
-                &cfg,
-            ))),
-            Backend::Threads(vnodes) => SessionInner::Threads(Box::new(exec::spawn(
-                self.core,
-                vnodes,
-                &self.session,
-                &cfg,
-            ))),
+        let threads = matches!(backend, Backend::Threads(_));
+        self.validate_run(backend.node_count(), threads, &cfg)?;
+        let inner: Box<dyn LiveSession<I, O> + 'g> = match backend {
+            Backend::Sim(grid) => Box::new(simsession::spawn(grid, self.core, &self.session, &cfg)),
+            Backend::Threads(vnodes) => {
+                Box::new(exec::spawn(self.core, vnodes, &self.session, &cfg))
+            }
         };
         Ok(RunSession {
             inner,
-            control,
-            bus,
+            control: cfg.control,
+            bus: cfg.events,
         })
     }
 
@@ -355,26 +308,27 @@ impl<I: Send + 'static, O: Send + 'static> Pipeline<I, O> {
         // Declaration errors (bad mapping, unsupported selection)
         // surface before a missing feed does.
         cfg.faults = self.faults.clone().merge(&cfg.faults);
-        self.validate_run(&backend, &cfg)?;
-        let control = cfg.control.clone();
-        let (outputs, report) = match backend {
-            Backend::Sim(grid) => (
-                Vec::new(),
-                simengine::run(grid, self.spec(), &self.session, &cfg),
-            ),
+        let threads = matches!(backend, Backend::Threads(_));
+        self.validate_run(backend.node_count(), threads, &cfg)?;
+        match backend {
+            Backend::Sim(grid) => Ok(RunHandle {
+                outputs: Vec::new(),
+                report: simengine::run(grid, self.spec(), &self.session, &cfg),
+                error: cfg.control.error(),
+            }),
             Backend::Threads(vnodes) => {
                 let feed = self
                     .feed
                     .ok_or(BuildError::MissingFeed { backend: "threads" })?;
-                let outcome = exec::execute_fed(self.core, feed, vnodes, &self.session, &cfg);
-                (outcome.outputs, outcome.report)
+                Ok(exec::execute_fed(
+                    self.core,
+                    feed,
+                    vnodes,
+                    &self.session,
+                    &cfg,
+                ))
             }
-        };
-        Ok(RunHandle {
-            outputs,
-            report,
-            error: control.error(),
-        })
+        }
     }
 }
 
@@ -391,31 +345,20 @@ impl<I: Send + 'static, O: Send + 'static> Pipeline<I, O> {
 ///   [`RunSession::drain`] vs. immediate [`RunSession::abort`], and the
 ///   [`RunSession::events`] subscription stream.
 pub struct RunSession<'g, I, O> {
-    inner: SessionInner<'g, I, O>,
+    /// The backend's own session: `SimSession` (cooperatively stepped)
+    /// or `EngineSession` (live threads).
+    inner: Box<dyn LiveSession<I, O> + 'g>,
     control: SessionControl,
     bus: EventBus,
 }
 
 impl<I, O> std::fmt::Debug for RunSession<'_, I, O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let backend = match &self.inner {
-            SessionInner::Sim(_) => "sim",
-            SessionInner::Threads(_) => "threads",
-        };
         f.debug_struct("RunSession")
-            .field("backend", &backend)
+            .field("session", &self.inner.session_id())
             .field("control", &self.control)
             .finish()
     }
-}
-
-enum SessionInner<'g, I, O> {
-    /// Cooperative discrete-event session (boxed: the simulated world
-    /// is much larger than the threaded handle).
-    Sim(Box<SimSession<'g, I, O>>),
-    /// Live threaded session (boxed: the pending input buffer and
-    /// routing cache make the handle chunky too).
-    Threads(Box<EngineSession<I, O>>),
 }
 
 impl<I: Send + 'static, O: Send + 'static> RunSession<'_, I, O> {
@@ -435,10 +378,7 @@ impl<I: Send + 'static, O: Send + 'static> RunSession<'_, I, O> {
     /// [`RunSession::drain`] began, [`RunError::Evicted`] once a
     /// cluster evicted this session — on both backends.
     pub fn push(&mut self, item: I) -> Result<u64, RunError> {
-        match &mut self.inner {
-            SessionInner::Sim(sim) => sim.push(item),
-            SessionInner::Threads(engine) => engine.push(item),
-        }
+        self.inner.push(item)
     }
 
     /// Feeds a whole batch of items, returning how many were pushed.
@@ -455,60 +395,43 @@ impl<I: Send + 'static, O: Send + 'static> RunSession<'_, I, O> {
     /// Same lifecycle errors as [`RunSession::push`]; items already
     /// admitted before the error stay in flight.
     pub fn push_batch(&mut self, items: impl IntoIterator<Item = I>) -> Result<u64, RunError> {
-        match &mut self.inner {
-            SessionInner::Sim(sim) => sim.push_batch(items),
-            SessionInner::Threads(engine) => engine.push_batch(items),
-        }
+        self.inner.push_batch(&mut items.into_iter())
     }
 
     /// Declares the input stream complete: no further pushes; `drain`
     /// and `next` now have a definite end.
     pub fn close(&mut self) {
-        match &mut self.inner {
-            SessionInner::Sim(sim) => sim.close(),
-            SessionInner::Threads(engine) => engine.close(),
-        }
+        self.inner.close();
     }
 
     /// The session's cluster-wide identity. Standalone `spawn` sessions
     /// report `SessionId(0)`; cluster-admitted sessions carry the id
     /// tagged on every [`RunEvent`] they emit.
     pub fn session_id(&self) -> SessionId {
-        match &self.inner {
-            SessionInner::Sim(sim) => sim.session_id(),
-            SessionInner::Threads(engine) => engine.session_id(),
-        }
+        self.inner.session_id()
     }
 
     /// Items pushed so far.
     pub fn pushed(&self) -> u64 {
-        match &self.inner {
-            SessionInner::Sim(sim) => sim.pushed(),
-            SessionInner::Threads(engine) => engine.pushed(),
-        }
+        self.inner.pushed()
     }
 
     /// Items that reached the sink so far.
     pub fn completed(&self) -> u64 {
-        match &self.inner {
-            SessionInner::Sim(sim) => sim.completed(),
-            SessionInner::Threads(engine) => engine.completed(),
-        }
+        self.inner.completed()
     }
 
-    /// Items currently between source and sink.
+    /// Items pushed and not yet settled: neither completed at the sink
+    /// nor diverted to the dead-letter channel.
     pub fn in_flight(&self) -> u64 {
-        self.pushed().saturating_sub(self.completed())
+        self.inner.in_flight()
     }
 
     /// Non-blocking poll of the output side. Under [`Backend::Sim`]
     /// this never advances virtual time — it only surfaces outputs that
     /// earlier `next()`/`drain()` stepping already completed.
     pub fn try_next(&mut self) -> TryNext<O> {
-        match &mut self.inner {
-            SessionInner::Sim(sim) => sim.try_next(),
-            SessionInner::Threads(engine) => engine.try_next(),
-        }
+        self.inner.try_next()
     }
 
     /// Freezes adaptation: sensing and window statistics continue, but
@@ -547,33 +470,17 @@ impl<I: Send + 'static, O: Send + 'static> RunSession<'_, I, O> {
     }
 
     /// Graceful shutdown: closes the stream, waits until every pushed
-    /// item has completed, and returns the remaining (un-pulled)
-    /// outputs plus the standard report. Items already pulled via
-    /// [`RunSession::next`] are not repeated.
-    pub fn drain(mut self) -> RunHandle<O> {
-        self.close();
-        let error = self.control.error();
-        let (outputs, report) = match self.inner {
-            SessionInner::Sim(sim) => sim.drain(),
-            SessionInner::Threads(engine) => {
-                let outcome = engine.drain();
-                (outcome.outputs, outcome.report)
-            }
-        };
-        RunHandle {
-            outputs,
-            report,
-            error: error.or_else(|| self.control.error()),
-        }
+    /// item has settled, and returns the remaining (un-pulled) outputs,
+    /// the standard report and the run's first fatal error. Items
+    /// already pulled via [`RunSession::next`] are not repeated.
+    pub fn drain(self) -> RunHandle<O> {
+        self.inner.drain()
     }
 
     /// Immediate shutdown: in-flight items are dropped and the report
     /// comes back `truncated` if anything was lost.
     pub fn abort(self) -> RunReport {
-        match self.inner {
-            SessionInner::Sim(sim) => sim.abort(),
-            SessionInner::Threads(engine) => engine.abort(),
-        }
+        self.inner.abort()
     }
 }
 
@@ -590,10 +497,7 @@ impl<I: Send + 'static, O: Send + 'static> Iterator for RunSession<'_, I, O> {
     type Item = O;
 
     fn next(&mut self) -> Option<O> {
-        match &mut self.inner {
-            SessionInner::Sim(sim) => sim.next(),
-            SessionInner::Threads(engine) => engine.next(),
-        }
+        self.inner.next()
     }
 }
 
@@ -741,20 +645,18 @@ impl<'g> Cluster<'g> {
         // by each event's `session` field); subscriptions made through
         // `RunSession::events` see the same merged stream.
         cfg.run.events = self.bus.clone();
+        let threads = matches!(self.inner, ClusterInner::Threads(_));
+        pipeline.validate_run(self.node_count(), threads, &cfg.run)?;
         let control = cfg.run.control.clone();
-        let inner = match &mut self.inner {
+        let inner: Box<dyn LiveSession<I, O> + 'g> = match &mut self.inner {
             ClusterInner::Sim(sc) => {
-                pipeline.validate_run(&Backend::Sim(sc.grid()), &cfg.run)?;
-                let sim = sc.admit(pipeline.core, &pipeline.session, cfg.run, cfg.quota)?;
-                SessionInner::Sim(Box::new(sim))
+                Box::new(sc.admit(pipeline.core, &pipeline.session, cfg.run, cfg.quota)?)
             }
             ClusterInner::Threads(tc) => {
-                let vnodes = tc.pool().vnode_specs().to_vec();
-                pipeline.validate_run(&Backend::Threads(vnodes), &cfg.run)?;
                 let engine =
                     exec::attach(tc.pool(), pipeline.core, &pipeline.session, &cfg.run, false);
                 tc.register(engine.tenant_handle(), cfg.quota);
-                SessionInner::Threads(Box::new(engine))
+                Box::new(engine)
             }
         };
         Ok(RunSession {

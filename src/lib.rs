@@ -29,8 +29,9 @@
 //! threaded workers and the simulator's
 //! [`core::simsession::SimSession`] both call it; and [`api`] only
 //! validates, hands the backend the pipeline's session and the caller's
-//! [`api::RunConfig`] as they are, and delegates every session and
-//! cluster method to the backend's own type — it executes no stage. The stage topology is
+//! [`api::RunConfig`] as they are, and holds the backend's own session
+//! behind the one [`runtime::session::LiveSession`] trait (and its own
+//! cluster behind a two-arm match) — it executes no stage. The stage topology is
 //! one first-class *DAG*: [`api::PipelineBuilder::stage`] chains and
 //! [`api::PipelineBuilder::parallel`] / [`api::ParallelBuilder::merge`]
 //! blocks are sugar that emits edges, [`api::DagBuilder`] (via

@@ -68,7 +68,8 @@ fn any_of<'a>(needles: &'a [&'a str]) -> impl Fn(&str) -> bool + 'a {
 /// own session and cluster types, handing them the pipeline's `Session`
 /// and the caller's `RunConfig` as they are. It must not execute stages,
 /// drive the simulated world again — that is how item semantics came to
-/// be written twice — or build the adaptation loop's substrate view.
+/// be written twice — or build the adaptation loop's substrate view. Nor
+/// may it write the session's method set out once per backend.
 #[test]
 fn the_facade_runs_nothing() {
     let hits = lines_matching(
@@ -86,6 +87,23 @@ fn the_facade_runs_nothing() {
         "src/api.rs mentions stage execution, the sim stepper or the runtime's \
          substrate; that code belongs in adapipe-core (item, simsession) or the \
          backends:\n{}",
+        hits.join("\n")
+    );
+    // A `RunSession` holds one boxed `LiveSession`: no per-backend enum
+    // to match on in every method, and one `RunHandle` as the shape of
+    // every finished run.
+    let hits = lines_matching(&[root().join("src/api.rs")], any_of(&["SessionInner"]));
+    assert!(
+        hits.is_empty(),
+        "RunSession matches on its backend again; hold a \
+         Box<dyn LiveSession> and make each method one call:\n{}",
+        hits.join("\n")
+    );
+    let hits = lines_matching(&library_sources(), any_of(&["EngineOutcome"]));
+    assert!(
+        hits.is_empty(),
+        "a backend returns its own run outcome again; every drain and batch \
+         run returns adapipe_runtime::session::RunHandle:\n{}",
         hits.join("\n")
     );
 }

@@ -442,26 +442,44 @@ fn try_next_distinguishes_pending_from_done() {
     assert_eq!(session.try_next(), TryNext::Done);
 }
 
+/// A dead-lettered item settles without completing, so once the stream
+/// is fully delivered nothing is left in flight — on either backend.
 #[test]
 fn session_counters_track_progress() {
-    let pipeline = Pipeline::<u64>::builder()
-        .stage("id", |x: u64| x)
-        .build()
-        .expect("builds");
-    let mut session = pipeline
-        .spawn(
-            Backend::Threads(vec![VNodeSpec::free("v0")]),
-            RunConfig::default(),
-        )
-        .expect("spawn");
-    assert_eq!(session.pushed(), 0);
-    for i in 0..10u64 {
-        session.push(i).unwrap();
+    let grid = testbed_small3();
+    for backend in [
+        Backend::Sim(&grid),
+        Backend::Threads(vec![VNodeSpec::free("v0")]),
+    ] {
+        let pipeline = Pipeline::<u64>::builder()
+            .try_stage("every_tenth_fails", |x: u64| {
+                if x % 10 == 9 {
+                    Err(format!("rejected {x}"))
+                } else {
+                    Ok(x)
+                }
+            })
+            .resilience(ResiliencePolicy::new().dead_letter())
+            .build()
+            .expect("builds");
+        let mut session = pipeline
+            .spawn(backend, RunConfig::default())
+            .expect("spawn");
+        assert_eq!(session.pushed(), 0);
+        for i in 0..50u64 {
+            session.push(i).unwrap();
+        }
+        assert_eq!(session.pushed(), 50);
+        assert!(session.in_flight() <= 50);
+        session.close();
+        let outputs: Vec<u64> = session.by_ref().collect();
+        assert_eq!(outputs.len(), 45);
+        assert_eq!(session.completed(), 45);
+        assert_eq!(session.in_flight(), 0, "5 dead letters are settled");
+        let handle = session.drain();
+        assert_eq!(handle.report.completed, 45);
+        assert_eq!(handle.report.dead_letters, 5);
     }
-    assert_eq!(session.pushed(), 10);
-    assert!(session.in_flight() <= 10);
-    let handle = session.drain();
-    assert_eq!(handle.report.completed, 10);
 }
 
 #[test]
