@@ -93,11 +93,10 @@ enum Ev {
         stage: usize,
         node: usize,
     },
-    /// Planning tick.
+    /// Planning tick, once per adaptation interval: the loop first
+    /// observes the availability windows that ended since its last
+    /// look.
     Tick,
-    /// Availability observation (scheduled `SAMPLES_PER_INTERVAL` times
-    /// per planning tick).
-    Sample,
     /// Wake a node whose instance became ready after migration.
     Retry { node: usize },
     /// A fault-plan transition (node down/up) is due; the next one is
@@ -292,7 +291,7 @@ pub(crate) struct SimStepper<'a> {
     world: SimWorld<'a>,
     routing: RwLock<RoutingTable>,
     aloop: AdaptationLoop,
-    /// Tick/Sample events are scheduled lazily at the first step so
+    /// Tick and fault events are scheduled lazily at the first step so
     /// batch arrivals keep their historical head position in the event
     /// order.
     control_scheduled: bool,
@@ -540,8 +539,6 @@ impl<'a> SimStepper<'a> {
             if let Some(interval) = self.aloop.interval() {
                 let now = self.world.events.now();
                 self.world.events.schedule(now + interval, Ev::Tick);
-                let sample_dt = self.aloop.sample_dt().expect("interval implies samples");
-                self.world.events.schedule(now + sample_dt, Ev::Sample);
             }
             // Fault transitions fire at their exact simulated instants,
             // chained one event at a time (independent of the policy:
@@ -602,13 +599,6 @@ impl<'a> SimStepper<'a> {
                     self.world.events.schedule(now + interval, Ev::Tick);
                 }
             }
-            Ev::Sample => {
-                self.aloop.sample(&self.world);
-                if !self.world.report.all_done() {
-                    let sample_dt = self.aloop.sample_dt().expect("sample implies interval");
-                    self.world.events.schedule(now + sample_dt, Ev::Sample);
-                }
-            }
             Ev::Fault => {
                 self.aloop.poll_faults(&mut self.world, &self.routing);
                 if self.aloop.is_fatal() {
@@ -629,7 +619,7 @@ impl<'a> SimStepper<'a> {
     /// several steppers over one pool steps whichever session's next
     /// event is earliest, giving one coherent merged event clock.
     ///
-    /// Control events (ticks, samples, faults) are scheduled lazily at
+    /// Control events (ticks, faults) are scheduled lazily at
     /// the first [`SimStepper::step`], so before any stepping this
     /// reflects arrivals only.
     pub(crate) fn next_event_at(&self) -> Option<SimTime> {

@@ -624,12 +624,6 @@ impl TenantHandle {
         self.shared.completed.load(Ordering::Relaxed)
     }
 
-    /// Items queued for this tenant across all pool inboxes (backlog —
-    /// the arbiter's demand signal alongside the completion rate).
-    pub fn queued(&self) -> u64 {
-        self.shared.pool.queued_for(self.session())
-    }
-
     /// The tenant's current capacity share.
     pub fn share(&self) -> f64 {
         self.shared.share()
@@ -782,10 +776,10 @@ where
     // This engine fuses co-located stateless chain edges into direct
     // calls (see `fusion::FusionPlan`), so the planner may discount them.
     profile.fuses_colocated = true;
-    let launch_rates: Vec<f64> = vnodes
-        .iter()
-        .map(|v| v.effective_rate(SimTime::ZERO))
-        .collect();
+    // Plan from the pool's availability now: a tenant attached to a
+    // running pool starts on the world as it is, not as it was at launch.
+    let now = pool.now();
+    let launch_rates: Vec<f64> = vnodes.iter().map(|v| v.effective_rate(now)).collect();
     let session_id = pool.next_session.fetch_add(1, Ordering::SeqCst);
     let substrate = RuntimeConfig {
         profile,

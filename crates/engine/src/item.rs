@@ -61,7 +61,7 @@ pub(crate) fn process_resilient(
                     seq,
                     stage,
                     attempts,
-                    at: shared.now(),
+                    at: shared.pool.now(),
                 });
             }
             ResilientOut::Done(out)

@@ -8,6 +8,7 @@ use crate::vnode::VNodeSpec;
 use crate::worker::worker_loop;
 use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::node::NodeId;
+use adapipe_gridsim::time::SimTime;
 use adapipe_runtime::session::SessionId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -86,6 +87,12 @@ impl Pool {
     /// The pool-wide fault plan.
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.faults
+    }
+
+    /// Wall time since the pool launched: the clock every tenant's
+    /// adaptation loop, report and load schedule runs on.
+    pub(crate) fn now(&self) -> SimTime {
+        SimTime::from_secs_f64(self.epoch.elapsed().as_secs_f64())
     }
 
     /// Items currently queued at worker inboxes for `session`.

@@ -22,7 +22,6 @@ use adapipe_gridsim::time::SimTime;
 use adapipe_mapper::mapping::Mapping;
 use adapipe_runtime::adapt::AdaptationLoop;
 use adapipe_runtime::backend::{ExecutionBackend, RemapPlan};
-use adapipe_runtime::controller::SAMPLES_PER_INTERVAL;
 use adapipe_runtime::routing::{RoutingSnapshot, RoutingTable, Selection};
 use adapipe_runtime::session::{EventBus, RunConfig, RunEvent, SessionControl, SessionId};
 use adapipe_state::StateSnapshot;
@@ -246,10 +245,6 @@ impl Shared {
         (shared, sink_rx)
     }
 
-    pub(crate) fn now(&self) -> SimTime {
-        SimTime::from_secs_f64(self.pool.epoch.elapsed().as_secs_f64())
-    }
-
     /// The routing state in force right now (takes the table's read
     /// lock; threads that route per batch go through [`RouteCache`]).
     pub(crate) fn snapshot(&self) -> Arc<RoutingSnapshot> {
@@ -394,7 +389,7 @@ impl ExecutionBackend for EngineBackend {
     }
 
     fn now(&self) -> SimTime {
-        self.shared.now()
+        self.shared.pool.now()
     }
 
     fn mean_availability(&self, node: usize, from: SimTime, to: SimTime) -> f64 {
@@ -445,31 +440,27 @@ impl ExecutionBackend for EngineBackend {
     }
 }
 
-/// The monitoring/adaptation thread: wakes [`SAMPLES_PER_INTERVAL`] times
-/// per adaptation interval to feed the shared loop an observation, and
-/// once per interval lets it tick (plan/decide/re-map). Fault
-/// transitions get their own wake-ups at their exact scheduled wall
-/// offsets — even under `Policy::Static`, where no sampling runs but
-/// nodes must still go down (and fatal losses must still surface).
-/// Hands the loop back at teardown, for the session to settle its part
-/// of the report.
+/// The adaptation thread: wakes once per adaptation interval to let the
+/// shared loop tick (sense the windows that ended since the last tick,
+/// plan, decide, re-map), and at each fault transition's exact scheduled
+/// wall offset — even under `Policy::Static`, which never ticks but
+/// whose nodes must still go down (and whose fatal losses must still
+/// surface). Hands the loop back at teardown, for the session to settle
+/// its part of the report.
 pub(crate) fn adaptation_thread(shared: Arc<Shared>, mut aloop: AdaptationLoop) -> AdaptationLoop {
-    let sample_wall = aloop
-        .sample_dt()
-        .map(|dt| Duration::from_secs_f64(dt.as_secs_f64()));
+    let interval = aloop.interval().map(|i| Duration::from_nanos(i.as_nanos()));
     let mut backend = EngineBackend {
         shared: Arc::clone(&shared),
     };
 
-    let mut next_sample = sample_wall.map(|w| Instant::now() + w);
-    let mut rounds: u32 = 0;
+    let mut next_tick = interval.map(|i| Instant::now() + i);
     'run: loop {
         let next_fault = aloop
             .next_fault_at()
             .map(|at| shared.pool.epoch + Duration::from_secs_f64(at.as_secs_f64()));
-        let next_wake = match (next_sample, next_fault) {
-            (Some(s), Some(f)) => s.min(f),
-            (Some(s), None) => s,
+        let next_wake = match (next_tick, next_fault) {
+            (Some(t), Some(f)) => t.min(f),
+            (Some(t), None) => t,
             (None, Some(f)) => f,
             // Static policy and no further faults: nothing to do, ever.
             (None, None) => break 'run,
@@ -487,27 +478,16 @@ pub(crate) fn adaptation_thread(shared: Arc<Shared>, mut aloop: AdaptationLoop) 
 
         if next_fault.is_some_and(|f| f <= Instant::now()) {
             aloop.poll_faults(&mut backend, &shared.routing);
-            if aloop.is_fatal() {
-                fatal_teardown(&shared);
-                break 'run;
-            }
         }
-        if let Some(due) = next_sample {
-            if due <= Instant::now() {
-                next_sample = Some(due + sample_wall.expect("sample schedule implies width"));
-                aloop.sample(&backend);
-                rounds += 1;
-                if rounds.is_multiple_of(SAMPLES_PER_INTERVAL) {
-                    // Planning happens once per interval; sensing every
-                    // round. The tick also settles due fault transitions;
-                    // an unrecoverable one latches the loop's fatal flag.
-                    aloop.tick(&mut backend, &shared.routing);
-                    if aloop.is_fatal() {
-                        fatal_teardown(&shared);
-                        break 'run;
-                    }
-                }
-            }
+        if let Some(due) = next_tick.filter(|&due| due <= Instant::now()) {
+            next_tick = interval.map(|i| due + i);
+            aloop.tick(&mut backend, &shared.routing);
+        }
+        // An unrecoverable fault transition, settled by either call,
+        // latches the loop's fatal flag.
+        if aloop.is_fatal() {
+            fatal_teardown(&shared);
+            break 'run;
         }
     }
     aloop

@@ -10,6 +10,26 @@
 //! Communication is assumed overlapped with computation (links and CPUs
 //! are separate resources); contention inside a link direction is what
 //! the simulator adds on top, and experiment T2 quantifies the gap.
+//!
+//! On an interval mapping of an unreplicated chain, one interval per
+//! node and identical links, this is the *overlap* model of Benoit,
+//! Rehn-Sonigo and Robert. Interval `k` computes work `W_k` on a node of
+//! rate `r_k`, receives `in_k` and sends `out_k`; `x/b` is the link's
+//! time to carry `x`, its latency included:
+//!
+//! ```text
+//! period  = max_k max(in_k/b, W_k/r_k, out_k/b)
+//! latency = Σ_k (in_k/b + W_k/r_k) + out_last/b
+//! ```
+//!
+//! `tests/prop.rs` holds [`evaluate`] to this closed form. Their
+//! *no-overlap* model, in which a node receives, computes and sends in
+//! turn, charges the same mapping a longer period, by at most a factor
+//! of three:
+//!
+//! ```text
+//! period_no_overlap = max_k (in_k/b + W_k/r_k + out_k/b)
+//! ```
 
 use crate::enumerate::Move;
 use crate::graph::{Next, StageGraph};

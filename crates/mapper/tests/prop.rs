@@ -379,6 +379,101 @@ struct Golden {
     config: PlannerConfig,
 }
 
+/// Benoit / Rehn-Sonigo / Robert's closed form for an interval mapping
+/// of an unreplicated chain, one interval per node, every link costing
+/// `link.transfer_time(bytes)`: interval `k` covers stages
+/// `cuts[k]..cuts[k + 1]` of total work `W` on a node of rate `rates[k]`,
+/// receives `in` and sends `out`. With communication overlapping
+/// computation, the period is `max_k max(in/b, W/r, out/b)` and the
+/// latency `Σ_k (in/b + W/r) + out_last/b`. The first interval's `in`
+/// and the last one's `out` are zero unless `ends` pins a source and a
+/// sink. Returns `(period, latency)`.
+fn interval_closed_form(
+    work: &[f64],
+    bytes: &[u64],
+    cuts: &[usize],
+    rates: &[f64],
+    link: LinkSpec,
+    ends: bool,
+) -> (f64, f64) {
+    let comm = |boundary: usize| link.transfer_time(bytes[boundary]).as_secs_f64();
+    let intervals = cuts.len() - 1;
+    let (mut period, mut latency) = (0.0f64, 0.0);
+    for k in 0..intervals {
+        let (first, end) = (cuts[k], cuts[k + 1]);
+        let input = if k > 0 || ends { comm(first) } else { 0.0 };
+        let output = if k + 1 < intervals || ends {
+            comm(end)
+        } else {
+            0.0
+        };
+        let compute = work[first..end].iter().sum::<f64>() / rates[k];
+        period = period.max(input).max(compute).max(output);
+        latency += input + compute;
+    }
+    (period, latency + if ends { comm(work.len()) } else { 0.0 })
+}
+
+/// The model equals the closed form on seeded interval mappings of
+/// chains over identical links, with source and sink unset and then
+/// pinned to a node no interval uses. As in the closed form, an
+/// interval's internal edges cost nothing: the profile is that of a
+/// backend that fuses co-located stages.
+#[test]
+fn interval_mappings_of_chains_match_the_closed_form() {
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs());
+    for ends in [false, true] {
+        for case in 0..CASES {
+            let mut rng = Rng64::new(0xC105 + case);
+            let ns = 1 + rng.next_range(8);
+            let work: Vec<f64> = (0..ns).map(|_| 0.1 + 4.9 * rng.next_unit()).collect();
+            let bytes: Vec<u64> = (0..=ns)
+                .map(|_| 1 + rng.next_range(10_000_000) as u64)
+                .collect();
+            let mut cuts: Vec<usize> = std::iter::once(0)
+                .chain((1..ns).filter(|_| rng.next_range(2) == 0))
+                .collect();
+            cuts.push(ns);
+            let intervals = cuts.len() - 1;
+            // One node per interval, one spare for the source and sink.
+            let np = intervals + 1 + rng.next_range(2);
+            let mut nodes: Vec<usize> = (0..np).collect();
+            for i in (1..np).rev() {
+                nodes.swap(i, rng.next_range(i + 1));
+            }
+            let rates: Vec<f64> = (0..np).map(|_| 0.1 + 1.9 * rng.next_unit()).collect();
+            let latency = SimDuration::from_micros(1 + rng.next_range(50_000) as u64);
+            let link = LinkSpec::new(latency, 1e5 + 1e7 * rng.next_unit());
+            let mut profile = PipelineProfile::uniform(work.clone(), 0);
+            profile.boundary_bytes = bytes.clone();
+            profile.fuses_colocated = true;
+            if ends {
+                profile.source = Some(NodeId(nodes[intervals]));
+                profile.sink = Some(NodeId(nodes[intervals]));
+            }
+            let assignment: Vec<usize> = (0..intervals)
+                .flat_map(|k| std::iter::repeat_n(nodes[k], cuts[k + 1] - cuts[k]))
+                .collect();
+            let interval_rates: Vec<f64> = nodes[..intervals].iter().map(|&n| rates[n]).collect();
+            let (period, latency) =
+                interval_closed_form(&work, &bytes, &cuts, &interval_rates, link, ends);
+            let topo = Topology::uniform(np, link);
+            let p = evaluate(&profile, &to_mapping(&assignment), &rates, &topo);
+            let at = format!("case {case} (ends {ends}) cuts {cuts:?}");
+            assert!(
+                close(1.0 / p.throughput, period),
+                "{at}: period {} vs {period}",
+                1.0 / p.throughput
+            );
+            assert!(
+                close(p.latency, latency),
+                "{at}: latency {} vs {latency}",
+                p.latency
+            );
+        }
+    }
+}
+
 /// A random DAG over `ns` stages with one entry and one exit, its stage
 /// ids shuffled so that they are *not* in dependency order.
 fn shuffled_dag(rng: &mut Rng64, ns: usize) -> StageGraph {

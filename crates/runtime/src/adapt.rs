@@ -6,10 +6,12 @@
 //! threaded engine, for instance, never gained the regret guard. The
 //! [`AdaptationLoop`] is the single implementation both drive now:
 //!
-//! * **sensing** ([`AdaptationLoop::sample`]) — windowed mean
-//!   availability per node, perturbed by observation noise, several
-//!   times per adaptation interval (point samples alias against load
-//!   oscillating near the sensing frequency);
+//! * **sensing** — windowed mean availability per node, perturbed by
+//!   observation noise, over several windows per adaptation interval
+//!   (point samples alias against load oscillating near the sensing
+//!   frequency). The loop owns the schedule: before every forecast read
+//!   (each tick, and fault recovery) it observes each window that ended
+//!   since the last one it read;
 //! * **deciding** ([`AdaptationLoop::step`]) — once per interval, a
 //!   function of the loop's own state and one [`TickInput`]: pause,
 //!   realized-throughput regret guard, warm-up and hold-down gating,
@@ -31,8 +33,10 @@
 //! that reaches planning; on a paused or reverting tick it stays pending
 //! for the next one.
 //!
-//! Backends only choose *when* to call these (the simulator schedules
-//! events, the engine sleeps on a wall clock) — never *what* happens.
+//! Backends only choose *when* to call these — `tick` once per interval
+//! and `poll_faults` at [`AdaptationLoop::next_fault_at`] (the simulator
+//! schedules events, the engine sleeps on a wall clock) — never *what*
+//! happens.
 
 use crate::backend::{ExecutionBackend, RemapPlan};
 use crate::controller::{Controller, GUARD_HOLD_TICKS, GUARD_TOLERANCE, SAMPLES_PER_INTERVAL};
@@ -178,6 +182,9 @@ pub struct AdaptationLoop {
     control: SessionControl,
     controller: Controller,
     noise: NoisyChannel,
+    /// Index `j` of the last availability window `[(j−1)·dt, j·dt]`
+    /// observed (0: none yet).
+    sensed: u64,
     /// Model-predicted throughput of the mapping currently in force.
     expected_tput: f64,
     last_tick_completed: u64,
@@ -277,6 +284,7 @@ impl AdaptationLoop {
             control: cfg.control.clone(),
             controller: Controller::new(np, cfg.controller.clone()),
             noise,
+            sensed: 0,
             expected_tput,
             last_tick_completed: 0,
             ticks_seen: 0,
@@ -307,33 +315,42 @@ impl AdaptationLoop {
         self.policy.interval()
     }
 
-    /// Sub-interval spacing of availability observations, or `None`
-    /// under [`Policy::Static`] (nothing ever consumes the samples).
-    pub fn sample_dt(&self) -> Option<SimDuration> {
-        let interval = self.policy.interval()?;
-        Some(SimDuration::from_nanos(
-            (interval.as_nanos() / u64::from(SAMPLES_PER_INTERVAL)).max(1),
-        ))
-    }
-
-    /// One availability observation on every node (the NWS stand-in).
-    /// Like NWS's CPU sensor, the observation is the *mean* availability
-    /// over the elapsed sample window, not a point sample: point-sampling
+    /// Observes every availability window not yet seen — each
+    /// `[(j−1)·dt, j·dt]` after the last one observed that ended strictly
+    /// before the backend's clock, `dt` being the interval over
+    /// [`SAMPLES_PER_INTERVAL`] — window by window, node by node, through
+    /// the noise channel, and at most the last `SAMPLES_PER_INTERVAL` of
+    /// them. Like NWS's CPU sensor, each observation is the *mean*
+    /// availability over its window, not a point sample: point-sampling
     /// a load oscillating near the sensing frequency aliases into
     /// forecast flapping and re-mapping churn.
-    pub fn sample<B: ExecutionBackend>(&mut self, backend: &B) {
-        let Some(dt) = self.sample_dt() else { return };
-        let now = backend.now();
-        let window_start = SimTime::from_nanos(now.as_nanos().saturating_sub(dt.as_nanos()));
-        if window_start >= now {
-            return; // no elapsed window yet (t = 0): nothing to observe
+    ///
+    /// The bound is strict so that a tick at `k·I` never sees the window
+    /// ending at `k·I`, as in the simulator's event order, whenever the
+    /// backend wakes. The cap limits a tenant attached late to a running
+    /// pool to the interval before its first tick.
+    fn sense<B: ExecutionBackend>(&mut self, backend: &B) {
+        let Some(interval) = self.policy.interval() else {
+            return; // a static policy never forecasts
+        };
+        let dt = (interval.as_nanos() / u64::from(SAMPLES_PER_INTERVAL)).max(1);
+        let Some(last) = backend.now().as_nanos().checked_sub(1).map(|ns| ns / dt) else {
+            return; // t = 0: no window has ended
+        };
+        let first = (self.sensed + 1).max((last + 1).saturating_sub(SAMPLES_PER_INTERVAL.into()));
+        for j in first..=last {
+            let (from, to) = (
+                SimTime::from_nanos((j - 1) * dt),
+                SimTime::from_nanos(j * dt),
+            );
+            let t = to.as_secs_f64();
+            for node in 0..backend.node_count() {
+                let truth = backend.mean_availability(node, from, to);
+                let observed = self.noise.perturb(truth).clamp(0.0, 1.0);
+                self.controller.observe_availability(node, t, observed);
+            }
         }
-        let t = now.as_secs_f64();
-        for node in 0..backend.node_count() {
-            let truth = backend.mean_availability(node, window_start, now);
-            let observed = self.noise.perturb(truth).clamp(0.0, 1.0);
-            self.controller.observe_availability(node, t, observed);
-        }
+        self.sensed = self.sensed.max(last);
     }
 
     /// The instant of the next unprocessed fault transition, if any —
@@ -462,6 +479,7 @@ impl AdaptationLoop {
         if self.policy.interval().is_none() {
             return;
         }
+        self.sense(backend);
         let rates = self.controller.forecast_rates(&self.cfg.speeds);
         // Stranded items guarantee work remains even when the
         // remaining-items hint has run out — never let the amortisation
@@ -479,8 +497,9 @@ impl AdaptationLoop {
         }
     }
 
-    /// One adaptation tick: settles the fault transitions due, then
-    /// decides with [`AdaptationLoop::step`] on what the backend and
+    /// One adaptation tick: observes the availability windows that
+    /// ended since the last look, settles the fault transitions due,
+    /// then decides with [`AdaptationLoop::step`] on what the backend and
     /// the routing table show, publishes [`RunEvent::Tick`], and commits
     /// a `Remap` or `Revert` verdict — the routing-table swap plus the
     /// backend commit.
@@ -494,9 +513,10 @@ impl AdaptationLoop {
         routing: &RwLock<RoutingTable>,
     ) -> Option<Verdict> {
         let interval = self.policy.interval()?;
+        self.sense(backend);
         // Fault transitions due since the last look (and pending
-        // recovery re-maps) are settled before anything else senses or
-        // plans: the rest of the tick must see the post-fault world.
+        // recovery re-maps) are settled before anything else plans: the
+        // rest of the tick must see the post-fault world.
         self.poll_faults(backend, routing);
         if self.fatal {
             return None;
@@ -789,12 +809,26 @@ mod tests {
     use adapipe_gridsim::node::NodeId;
 
     /// A minimal in-memory backend: constant availability per node,
-    /// scripted completion counter, records committed plans.
+    /// scripted completion counter, records the availability windows it
+    /// is asked about and the plans it commits.
     struct TestBackend {
         avail: Vec<f64>,
         now: SimTime,
         completed: u64,
+        reads: std::cell::RefCell<Vec<(usize, SimTime, SimTime)>>,
         commits: Vec<RemapPlan>,
+    }
+
+    impl TestBackend {
+        fn new(avail: Vec<f64>, now: SimTime) -> Self {
+            TestBackend {
+                avail,
+                now,
+                completed: 0,
+                reads: Default::default(),
+                commits: vec![],
+            }
+        }
     }
 
     impl ExecutionBackend for TestBackend {
@@ -804,7 +838,8 @@ mod tests {
         fn now(&self) -> SimTime {
             self.now
         }
-        fn mean_availability(&self, node: usize, _from: SimTime, _to: SimTime) -> f64 {
+        fn mean_availability(&self, node: usize, from: SimTime, to: SimTime) -> f64 {
+            self.reads.borrow_mut().push((node, from, to));
             self.avail[node]
         }
         fn completed(&self) -> u64 {
@@ -877,15 +912,11 @@ mod tests {
         let (rig, mapping) = rig(Policy::Static, 3);
         let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::new(mapping));
-        let mut backend = TestBackend {
-            avail: vec![1.0; 3],
-            now: SimTime::from_secs_f64(10.0),
-            completed: 5,
-            commits: vec![],
-        };
+        let mut backend = TestBackend::new(vec![1.0; 3], SimTime::from_secs_f64(10.0));
+        backend.completed = 5;
         assert!(aloop.interval().is_none());
-        assert!(aloop.sample_dt().is_none());
         assert_eq!(aloop.tick(&mut backend, &routing), None);
+        assert!(backend.reads.borrow().is_empty(), "static never senses");
         let report = settle(aloop);
         assert!(report.adaptations.is_empty());
         assert_eq!(report.planning_cycles, 0);
@@ -897,15 +928,10 @@ mod tests {
         let warmup = rig.run.controller.warmup_ticks;
         let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::new(mapping.clone()));
-        let mut backend = TestBackend {
-            avail: vec![1.0, 0.05, 1.0], // node 1 collapsed
-            now: SimTime::ZERO,
-            completed: 0,
-            commits: vec![],
-        };
+        // Node 1 collapsed.
+        let mut backend = TestBackend::new(vec![1.0, 0.05, 1.0], SimTime::ZERO);
         for k in 0..warmup + 4 {
             backend.now = SimTime::from_secs_f64((k + 1) as f64 * 5.0);
-            aloop.sample(&backend);
             let verdict = aloop
                 .tick(&mut backend, &routing)
                 .expect("an adaptive tick");
@@ -943,16 +969,11 @@ mod tests {
         let warmup = rig.run.controller.warmup_ticks;
         let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::new(mapping.clone()));
-        let mut backend = TestBackend {
-            avail: vec![1.0, 0.05, 1.0], // would force a re-map if live
-            now: SimTime::ZERO,
-            completed: 0,
-            commits: vec![],
-        };
+        // Would force a re-map if live.
+        let mut backend = TestBackend::new(vec![1.0, 0.05, 1.0], SimTime::ZERO);
         control.pause_adaptation();
         for k in 0..warmup + 4 {
             backend.now = SimTime::from_secs_f64((k + 1) as f64 * 5.0);
-            aloop.sample(&backend);
             assert_eq!(
                 aloop.tick(&mut backend, &routing),
                 Some(Verdict::Paused),
@@ -976,7 +997,6 @@ mod tests {
         let mut committed = false;
         for k in 0..4 {
             backend.now += SimDuration::from_secs(5);
-            aloop.sample(&backend);
             if matches!(
                 aloop.tick(&mut backend, &routing),
                 Some(Verdict::Remap { .. })
@@ -1002,16 +1022,10 @@ mod tests {
         let events = rig.run.events.subscribe();
         let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::new(mapping));
-        let mut backend = TestBackend {
-            avail: vec![1.0, 0.05, 1.0],
-            now: SimTime::ZERO,
-            completed: 0,
-            commits: vec![],
-        };
+        let mut backend = TestBackend::new(vec![1.0, 0.05, 1.0], SimTime::ZERO);
         // One observation, then a forced tick *inside* the warm-up
         // window: it must plan (and here commit) anyway.
         backend.now = SimTime::from_secs_f64(5.0);
-        aloop.sample(&backend);
         control.force_remap();
         let verdict = aloop.tick(&mut backend, &routing);
         assert!(
@@ -1051,18 +1065,12 @@ mod tests {
         );
         let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::new(mapping));
-        let mut backend = TestBackend {
-            avail: vec![1.0, 0.05, 1.0],
-            now: SimTime::ZERO,
-            completed: 0,
-            commits: vec![],
-        };
+        let mut backend = TestBackend::new(vec![1.0, 0.05, 1.0], SimTime::ZERO);
         // Healthy throughput (≥ expected 1 item/s × 5 s per tick): the
         // forecast sees a collapsed node, but reactive never even plans.
         for k in 0..8u64 {
             backend.now = SimTime::from_secs_f64((k + 1) as f64 * 5.0);
             backend.completed = (k + 1) * 5;
-            aloop.sample(&backend);
             let verdict = aloop
                 .tick(&mut backend, &routing)
                 .expect("an adaptive tick");
@@ -1077,7 +1085,6 @@ mod tests {
         let mut remapped = false;
         for k in 8..12u64 {
             backend.now = SimTime::from_secs_f64((k + 1) as f64 * 5.0);
-            aloop.sample(&backend);
             if matches!(
                 aloop.tick(&mut backend, &routing),
                 Some(Verdict::Remap { .. })
@@ -1101,14 +1108,10 @@ mod tests {
             crate::routing::Selection::RoundRobin,
             3,
         ));
-        let mut backend = TestBackend {
-            avail: vec![1.0; 3], // the forecast has not seen the crash
-            now: SimTime::from_secs_f64(2.5),
-            completed: 0,
-            commits: vec![],
-        };
+        // The forecast has not seen the crash.
+        let mut backend = TestBackend::new(vec![1.0; 3], SimTime::from_secs_f64(2.5));
         assert_eq!(aloop.next_fault_at(), Some(SimTime::from_secs_f64(2.0)));
-        // Well inside warm-up, no samples at all: recovery still plans
+        // Well inside warm-up, one window sensed: recovery still plans
         // and commits immediately.
         aloop.poll_faults(&mut backend, &routing);
         assert!(!aloop.is_fatal());
@@ -1148,12 +1151,7 @@ mod tests {
             crate::routing::Selection::RoundRobin,
             3,
         ));
-        let mut backend = TestBackend {
-            avail: vec![1.0; 3],
-            now: SimTime::from_secs_f64(1.5),
-            commits: vec![],
-            completed: 0,
-        };
+        let mut backend = TestBackend::new(vec![1.0; 3], SimTime::from_secs_f64(1.5));
         aloop.poll_faults(&mut backend, &routing);
         assert!(routing.read().unwrap().is_down(n(2)));
         backend.now = SimTime::from_secs_f64(4.5);
@@ -1174,12 +1172,7 @@ mod tests {
             crate::routing::Selection::RoundRobin,
             3,
         ));
-        let mut backend = TestBackend {
-            avail: vec![1.0; 3],
-            now: SimTime::from_secs_f64(1.5),
-            commits: vec![],
-            completed: 0,
-        };
+        let mut backend = TestBackend::new(vec![1.0; 3], SimTime::from_secs_f64(1.5));
         aloop.poll_faults(&mut backend, &routing);
         assert!(aloop.is_fatal());
         assert_eq!(
@@ -1209,12 +1202,7 @@ mod tests {
             crate::routing::Selection::RoundRobin,
             3,
         ));
-        let mut backend = TestBackend {
-            avail: vec![1.0; 3],
-            now: SimTime::from_secs_f64(1.5),
-            commits: vec![],
-            completed: 0,
-        };
+        let mut backend = TestBackend::new(vec![1.0; 3], SimTime::from_secs_f64(1.5));
         aloop.poll_faults(&mut backend, &routing);
         assert!(!aloop.is_fatal(), "declared state must migrate, not abort");
         assert_eq!(control.error(), None);
@@ -1247,12 +1235,7 @@ mod tests {
             crate::routing::Selection::RoundRobin,
             3,
         ));
-        let mut backend = TestBackend {
-            avail: vec![1.0; 3],
-            now: SimTime::from_secs_f64(1.5),
-            commits: vec![],
-            completed: 0,
-        };
+        let mut backend = TestBackend::new(vec![1.0; 3], SimTime::from_secs_f64(1.5));
         aloop.poll_faults(&mut backend, &routing);
         assert!(!aloop.is_fatal());
         assert_eq!(control.error(), None);
@@ -1280,12 +1263,7 @@ mod tests {
             crate::routing::Selection::RoundRobin,
             3,
         ));
-        let mut backend = TestBackend {
-            avail: vec![1.0; 3],
-            now: SimTime::from_secs_f64(1.5),
-            commits: vec![],
-            completed: 0,
-        };
+        let mut backend = TestBackend::new(vec![1.0; 3], SimTime::from_secs_f64(1.5));
         aloop.poll_faults(&mut backend, &routing);
         assert!(!aloop.is_fatal(), "a finite outage must not be fatal");
         assert_eq!(control.error(), None);
@@ -1306,12 +1284,7 @@ mod tests {
             crate::routing::Selection::RoundRobin,
             3,
         ));
-        let mut backend = TestBackend {
-            avail: vec![1.0; 3],
-            now: SimTime::from_secs_f64(2.0),
-            commits: vec![],
-            completed: 0,
-        };
+        let mut backend = TestBackend::new(vec![1.0; 3], SimTime::from_secs_f64(2.0));
         aloop.poll_faults(&mut backend, &routing);
         assert!(aloop.is_fatal());
         assert_eq!(control.error(), Some(RunError::AllNodesDown));
@@ -1328,12 +1301,7 @@ mod tests {
             crate::routing::Selection::RoundRobin,
             3,
         ));
-        let mut backend = TestBackend {
-            avail: vec![1.0; 3],
-            now: SimTime::from_secs_f64(1.5),
-            commits: vec![],
-            completed: 0,
-        };
+        let mut backend = TestBackend::new(vec![1.0; 3], SimTime::from_secs_f64(1.5));
         aloop.poll_faults(&mut backend, &routing);
         assert!(backend.commits.is_empty(), "static must not re-map");
         assert!(routing.read().unwrap().is_down(n(1)));
@@ -1358,18 +1326,12 @@ mod tests {
         rig.run.controller.guard_bad_ticks = 2;
         let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::new(mapping.clone()));
-        let mut backend = TestBackend {
-            avail: vec![1.0, 0.05, 1.0],
-            now: SimTime::ZERO,
-            completed: 0,
-            commits: vec![],
-        };
+        let mut backend = TestBackend::new(vec![1.0, 0.05, 1.0], SimTime::ZERO);
         // Drive until the forecast-led re-map happens…
         let mut tick = 0u64;
         loop {
             tick += 1;
             backend.now = SimTime::from_secs_f64(tick as f64 * 5.0);
-            aloop.sample(&backend);
             if matches!(
                 aloop.tick(&mut backend, &routing),
                 Some(Verdict::Remap { .. })
@@ -1385,7 +1347,6 @@ mod tests {
         for _ in 0..4 {
             tick += 1;
             backend.now = SimTime::from_secs_f64(tick as f64 * 5.0);
-            aloop.sample(&backend);
             let verdict = aloop
                 .tick(&mut backend, &routing)
                 .expect("an adaptive tick");
@@ -1405,7 +1366,6 @@ mod tests {
         for _ in aloop.ticks_seen..held_until.saturating_sub(1) {
             tick += 1;
             backend.now = SimTime::from_secs_f64(tick as f64 * 5.0);
-            aloop.sample(&backend);
             assert_eq!(
                 aloop.tick(&mut backend, &routing),
                 Some(Verdict::HeldDown),
@@ -1427,15 +1387,9 @@ mod tests {
         let control = rig.run.control.clone();
         let mut aloop = rig.launch();
         let routing = RwLock::new(RoutingTable::new(mapping.clone()));
-        let mut backend = TestBackend {
-            avail: vec![1.0, 0.05, 1.0],
-            now: SimTime::ZERO,
-            completed: 0,
-            commits: vec![],
-        };
+        let mut backend = TestBackend::new(vec![1.0, 0.05, 1.0], SimTime::ZERO);
         let tick = |aloop: &mut AdaptationLoop, backend: &mut TestBackend| {
             backend.now += SimDuration::from_secs(5);
-            aloop.sample(backend);
             aloop.tick(backend, &routing).expect("an adaptive tick")
         };
         while !matches!(tick(&mut aloop, &mut backend), Verdict::Remap { .. }) {
@@ -1464,6 +1418,80 @@ mod tests {
         );
         assert!(!control.take_force_remap());
         assert_eq!(tick(&mut aloop, &mut backend), Verdict::HeldDown);
+    }
+
+    /// The loop's sensing schedule, read off the windows a recording
+    /// backend is asked about. Ticks at `k·I`, and one fault recovery
+    /// between two of them, each read every window that ended strictly
+    /// before them, contiguously from the last one read, window by
+    /// window and node by node: none twice, at most
+    /// `SAMPLES_PER_INTERVAL` per read. A loop first ticked long after
+    /// launch reads only the last `SAMPLES_PER_INTERVAL` windows.
+    #[test]
+    fn sensing_reads_each_elapsed_window_once_before_it_forecasts() {
+        const DT: u64 = 1_250_000_000; // the 5 s interval over four windows
+        let window = |j: u64| {
+            (
+                SimTime::from_nanos((j - 1) * DT),
+                SimTime::from_nanos(j * DT),
+            )
+        };
+        let (mut crashing, mapping) = rig(Policy::periodic_default(), 3);
+        crashing.substrate.faults = FaultPlan::new().crash(n(1), SimTime::from_secs_f64(12.0));
+        let mut aloop = crashing.launch();
+        let routing = RwLock::new(RoutingTable::with_selection(
+            mapping,
+            crate::routing::Selection::RoundRobin,
+            3,
+        ));
+        let mut backend = TestBackend::new(vec![1.0, 0.5, 1.0], SimTime::ZERO);
+        let mut last = 0; // the last window read
+        for at in [5.0, 10.0, 12.0, 15.0, 20.0, 25.0, 30.0] {
+            backend.now = SimTime::from_secs_f64(at);
+            if at == 12.0 {
+                aloop.poll_faults(&mut backend, &routing);
+                assert_eq!(backend.commits.len(), 1, "the crash forces a recovery");
+            } else {
+                aloop
+                    .tick(&mut backend, &routing)
+                    .expect("an adaptive tick");
+            }
+            let reads = backend.reads.take();
+            let windows = (reads.len() / 3) as u64;
+            assert!(
+                (1..=u64::from(SAMPLES_PER_INTERVAL)).contains(&windows),
+                "{at} s read {windows} windows"
+            );
+            for (j, nodes) in (last + 1..).zip(reads.chunks(3)) {
+                let (from, to) = window(j);
+                let expected: Vec<_> = (0..3).map(|node| (node, from, to)).collect();
+                assert_eq!(nodes, expected.as_slice(), "{at} s: window {j}");
+                assert!(to < backend.now, "window {j} had not ended at {at} s");
+            }
+            last += windows;
+            assert!(
+                window(last + 1).1 >= backend.now,
+                "{at} s left window {} unread",
+                last + 1
+            );
+        }
+        // A loop first ticked long after launch, as a tenant attached late
+        // to a running pool is: the cap keeps the interval before the tick.
+        let (late, mapping) = rig(Policy::periodic_default(), 3);
+        let mut aloop = late.launch();
+        let routing = RwLock::new(RoutingTable::new(mapping));
+        let mut backend = TestBackend::new(vec![1.0; 3], SimTime::from_nanos(80 * DT));
+        aloop
+            .tick(&mut backend, &routing)
+            .expect("an adaptive tick");
+        let windows: Vec<_> = backend
+            .reads
+            .take()
+            .iter()
+            .step_by(3)
+            .map(|r| (r.1, r.2))
+            .collect();
+        assert_eq!(windows, (76..80).map(window).collect::<Vec<_>>());
     }
 
     /// The control schedule swept at the pure `step`: seeded sequences

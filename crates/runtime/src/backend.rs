@@ -51,7 +51,10 @@ pub trait ExecutionBackend {
     /// Ground-truth mean availability of `node` over `[from, to]`; the
     /// adaptation loop guarantees `from < to`, and perturbs the result
     /// with observation noise before the forecaster sees it, mirroring
-    /// an imperfect grid sensor.
+    /// an imperfect grid sensor. The loop asks only about windows that
+    /// have already ended (`to < now()`), possibly as late as its next
+    /// tick or fault recovery, so a backend that measures rather than
+    /// reads a schedule must keep answering for past windows.
     fn mean_availability(&self, node: usize, from: SimTime, to: SimTime) -> f64;
 
     /// Items that have reached the sink so far.

@@ -70,11 +70,13 @@ pub struct ControllerConfig {
     pub guard_bad_ticks: u32,
 }
 
-/// Availability observations per adaptation interval: the monitor
-/// samples faster than the planner acts, as NWS sensors do. Faster
-/// sensing shortens the staleness of the data behind each decision,
-/// which is what makes tracking oscillating load profitable at all.
-pub const SAMPLES_PER_INTERVAL: u32 = 4;
+/// Availability windows per adaptation interval: the monitor observes
+/// at a finer grain than the planner acts, as NWS sensors do, and the
+/// adaptation loop reads every window that ended before each forecast.
+/// Finer sensing shortens the staleness of the data behind each
+/// decision, which is what makes tracking oscillating load profitable
+/// at all.
+pub(crate) const SAMPLES_PER_INTERVAL: u32 = 4;
 
 /// The regret guard counts a tick as under-delivering when realized
 /// throughput falls below this fraction of the adopted mapping's

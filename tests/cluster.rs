@@ -398,3 +398,46 @@ fn sim_static_shares_stretch_service_deterministically() {
         "equal co-tenants diverged — sim cluster lost determinism"
     );
 }
+
+/// A tenant attached to a running threaded pool plans its launch
+/// mapping from the pool's availability at attach, not at the pool's
+/// t = 0: v0 was the faster node until its load stepped up at 20 ms,
+/// so a tenant admitted at 100 ms must start on v1.
+#[test]
+fn late_tenant_plans_from_the_pool_clock_at_attach() {
+    let vnodes = vec![
+        VNodeSpec::free("v0").with_load(LoadModel::step(1.0, 0.05, secs(0.02))),
+        VNodeSpec::with_speed("v1", 0.25),
+    ];
+    let mut cluster =
+        Cluster::new(Backend::Threads(vnodes), ClusterConfig::default()).expect("cluster launches");
+    std::thread::sleep(Duration::from_millis(100));
+    let pipeline = Pipeline::<u64>::builder()
+        .stage_with(
+            StageSpec::balanced("inc", 1e-4, 8).with_replicas(1),
+            |x: u64| x + 1,
+        )
+        .policy(Policy::Static)
+        .build()
+        .expect("one-stage pipeline builds");
+    let mut session = cluster
+        .admit(
+            pipeline,
+            SessionConfig {
+                run: RunConfig {
+                    items: 4,
+                    ..RunConfig::default()
+                },
+                quota: ShareQuota::default(),
+            },
+        )
+        .expect("tenant admitted");
+    session.push_batch(0..4).expect("pushes admitted");
+    let report = session.drain().report;
+    assert_eq!(report.completed, 4);
+    assert_eq!(
+        report.final_mapping,
+        Mapping::from_assignment(&[n(1)]),
+        "launch mapping planned from t = 0 availability"
+    );
+}

@@ -199,10 +199,11 @@ fn the_inbox_owns_its_protocol_and_no_engine_file_passes_1200_lines() {
 }
 
 /// One decision path: every adaptation decision is a `Verdict` that one
-/// planning function reaches through `Controller::consider`, and the
-/// event bus is the only live observer. A second planning call, or a
-/// callback beside the bus, is how the recovery cycle and the remap hook
-/// came to be side channels.
+/// planning function reaches through `Controller::consider`, the event
+/// bus is the only live observer, and the forecasters hear only from the
+/// loop's own sensing. A second planning call, a callback beside the
+/// bus, or a backend's sample clock is how the recovery cycle, the remap
+/// hook and the sensing path came to be side channels.
 #[test]
 fn one_decision_path() {
     let hits = lines_matching(&library_sources(), any_of(&["on_remap", "RunHooks"]));
@@ -217,6 +218,30 @@ fn one_decision_path() {
         calls, 1,
         "crates/runtime/src/adapt.rs must reach Controller::consider from one \
          planning function, shared by step and fault recovery"
+    );
+    // Sensing has one owner: the loop reads each elapsed availability
+    // window itself before it forecasts, so no backend keeps a sample
+    // clock of its own.
+    let observers: Vec<String> = library_sources()
+        .iter()
+        .flat_map(|p| {
+            let shown = p.strip_prefix(root()).unwrap_or(p).display().to_string();
+            let calls = non_test_code(&read(p))
+                .matches(".observe_availability(")
+                .count();
+            std::iter::repeat_n(shown, calls)
+        })
+        .collect();
+    assert_eq!(
+        observers,
+        ["crates/runtime/src/adapt.rs"],
+        "availability is observed once, by the adaptation loop's own sensing"
+    );
+    let hits = lines_matching(&library_sources(), any_of(&["sample_dt", "Ev::Sample"]));
+    assert!(
+        hits.is_empty(),
+        "a backend-driven sample clock is back; the loop senses inside tick:\n{}",
+        hits.join("\n")
     );
 }
 
