@@ -317,10 +317,10 @@ impl<'a> SimStepper<'a> {
     ///
     /// `id` is stamped onto every emitted [`RunEvent`], and `share` is
     /// the static capacity share of the pool granted to this session —
-    /// the two values only a pool of several sessions knows
-    /// (`adapipe-cluster`'s `SimCluster` assigns distinct ids and sets
-    /// the share from the tenant's quota). A standalone run is
-    /// `SessionId(0)` with share `1.0`.
+    /// the two values the pool supplies (`SimPool::admit` assigns ids
+    /// in admission order and sets the share from the tenant's quota).
+    /// A standalone run, a pool of one, is `SessionId(0)` with share
+    /// `1.0`.
     pub(crate) fn new(
         grid: &'a GridSpec,
         spec: PipelineSpec,
@@ -1052,15 +1052,6 @@ impl ExecutionBackend for SimWorld<'_> {
 
     fn completed(&self) -> u64 {
         self.report.completed()
-    }
-
-    fn oracle_rates(&self, from: SimTime, to: SimTime) -> Vec<f64> {
-        (0..self.grid.len())
-            .map(|i| {
-                let node = self.grid.node(NodeId(i));
-                node.spec.speed * node.load.mean_availability(from, to) * self.rate_scale
-            })
-            .collect()
     }
 
     /// Applies an accepted re-mapping: queued items of moved stages

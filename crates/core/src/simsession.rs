@@ -3,9 +3,10 @@
 //! [`LiveSession`] trait the threaded engine's `EngineSession` also
 //! implements.
 //!
-//! [`attach`] enrols a session as a tenant of a [`SimPool`], whose
-//! merged event clock interleaves every tenant's world earliest event
-//! first; [`spawn`] is the pool of one.
+//! [`SimPool::admit`] enrols a session as a tenant of a [`SimPool`] —
+//! one simulated grid shared by many sessions under static shares —
+//! whose merged event clock interleaves every tenant's world earliest
+//! event first; [`spawn`] is the pool of one.
 //! Virtual time never advances on its own: `next()` and `drain()` step
 //! the world, `try_next()` only collects what earlier stepping
 //! completed.
@@ -24,20 +25,23 @@ use crate::pipeline::Pipeline;
 use crate::simengine::{ItemFate, SimStepper};
 use crate::spec::{StageGraph, StageSpec};
 use crate::stage::{BoxedItem, DynStage, FanOutFn};
+use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::grid::GridSpec;
 use adapipe_gridsim::time::SimTime;
+use adapipe_mapper::share::ShareQuota;
 use adapipe_runtime::arrivals::ArrivalStream;
 use adapipe_runtime::report::RunReport;
 use adapipe_runtime::session::{
-    LiveSession, RunConfig, RunError, RunHandle, Session, SessionControl, SessionId, TryNext,
+    BuildError, LiveSession, RunConfig, RunError, RunHandle, Session, SessionControl, SessionId,
+    TryNext,
 };
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 /// A live simulated pipeline run. Obtained from [`spawn`] or
-/// [`attach`]; applications should prefer the unified
+/// [`SimPool::admit`]; applications should prefer the unified
 /// `adapipe::api::Pipeline::spawn`, which holds it as a boxed
 /// [`LiveSession`].
 pub struct SimSession<'g, I, O> {
@@ -45,8 +49,9 @@ pub struct SimSession<'g, I, O> {
     /// clock can reach it through the tenant's weak handle; the session
     /// is the sole owner.
     stepper: Arc<Mutex<SimStepper<'g>>>,
-    /// The pool this session is a tenant of (its own, when standalone).
-    pool: SimPool<'g>,
+    /// The registry of the pool this session is a tenant of (its own,
+    /// when standalone).
+    tenants: Tenants<'g>,
     /// Identity, share and eviction flags (shared with the pool).
     tenant: SimTenant<'g>,
     /// `true` after [`LiveSession::close`]: further pushes are a typed
@@ -66,93 +71,19 @@ pub struct SimSession<'g, I, O> {
     _types: PhantomData<fn(I) -> O>,
 }
 
-/// Starts `pipeline` on the simulated `grid` as the only tenant of a
-/// pool of its own (`SessionId(0)`, the whole grid) — see [`attach`].
+/// Starts `pipeline` on the simulated `grid` under `cfg.faults` as the
+/// only tenant of a pool of its own, admitted under
+/// [`ShareQuota::default`]: `SessionId(0)`, the whole grid — see
+/// [`SimPool::admit`].
 pub fn spawn<'g, I, O>(
     grid: &'g GridSpec,
     pipeline: Pipeline<I, O>,
     session: &Session,
     cfg: &RunConfig,
 ) -> SimSession<'g, I, O> {
-    attach(
-        &SimPool::new(),
-        grid,
-        pipeline,
-        session,
-        cfg,
-        SessionId(0),
-        1.0,
-    )
-}
-
-/// Starts `pipeline` on the simulated `grid` as tenant `id` of `pool`,
-/// granted the static capacity `share` of it, and returns the live
-/// session: its world is stepped through the pool's merged event
-/// clock, and the pool hands out its [`SimTenant`] handle for eviction.
-/// Each tenant simulates the whole `grid`, scaled to its share, under
-/// `cfg.faults` — a pool passes every tenant the same plan.
-///
-/// `cfg.items` only seeds the adaptation loop's remaining-work
-/// amortisation (the true stream length is whatever is pushed before
-/// [`LiveSession::close`]); pushed items take their arrival instants
-/// from `session`'s arrival process. With `cfg.preserve_order` outputs
-/// come in push order, otherwise in completion order.
-///
-/// # Panics
-/// Panics if the launch mapping does not fit the pipeline or the grid,
-/// or if `share` lies outside `(0, 1]`.
-pub fn attach<'g, I, O>(
-    pool: &SimPool<'g>,
-    grid: &'g GridSpec,
-    pipeline: Pipeline<I, O>,
-    session: &Session,
-    cfg: &RunConfig,
-    id: SessionId,
-    share: f64,
-) -> SimSession<'g, I, O> {
-    let (spec, stages, fanouts, _keys) = pipeline.into_parts();
-    let graph = spec.graph.clone();
-    let exec = PushExec {
-        inflight: Inflight {
-            joiners: (0..graph.join_blocks())
-                .map(|b| graph.merge_of(b))
-                .collect(),
-            joins: (0..graph.join_blocks())
-                .map(|b| JoinSlots::new(graph.join_width(b)))
-                .collect(),
-            ready: VecDeque::new(),
-            exit: None,
-            copies: Vec::new(),
-        },
-        stages,
-        specs: spec.stages.clone(),
-        graph,
-        fanouts,
-    };
-    let stepper = Arc::new(Mutex::new(SimStepper::new(
-        grid, spec, session, cfg, id, share,
-    )));
-    let tenant = SimTenant {
-        id,
-        share,
-        stepper: Arc::downgrade(&stepper),
-        flags: Arc::default(),
-        control: cfg.control.clone(),
-    };
-    pool.lock().push(tenant.clone());
-    SimSession {
-        stepper,
-        pool: pool.clone(),
-        tenant,
-        closed: false,
-        exec,
-        arrivals: session.arrivals().stream(),
-        outputs: HashMap::new(),
-        done: BTreeSet::new(),
-        next_seq: 0,
-        preserve_order: cfg.preserve_order,
-        _types: PhantomData,
-    }
+    SimPool::new(grid, cfg.faults.clone())
+        .admit(pipeline, session, cfg.clone(), ShareQuota::default())
+        .expect("a pool of one has the whole grid free")
 }
 
 impl<'g, I, O> SimSession<'g, I, O> {
@@ -198,11 +129,11 @@ impl<'g, I, O> SimSession<'g, I, O> {
     }
 
     /// Immediate shutdown: in-flight items are dropped and the report
-    /// comes back `truncated` if anything was lost. (Leaves the pool,
-    /// recovers sole ownership of the world — the pool holds only weak
-    /// handles — and produces the final report.)
+    /// comes back `truncated` if anything was lost. (Recovers sole
+    /// ownership of the world — the pool holds only weak handles, so
+    /// the session leaves the pool with it — and produces the final
+    /// report.)
     pub fn abort(self) -> RunReport {
-        self.pool.lock().retain(|t| t.id != self.tenant.id);
         Arc::try_unwrap(self.stepper)
             .ok()
             .expect("sim stepper uniquely owned at run end")
@@ -333,7 +264,7 @@ impl<I: Send + 'static, O: Send + 'static> Iterator for SimSession<'_, I, O> {
             if let Some(out) = self.pop_ready() {
                 return Some(downcast_output(out));
             }
-            if !self.pending() || !self.pool.step_earliest() {
+            if !self.pending() || !self.tenants.step_earliest() {
                 return None;
             }
         }
@@ -477,11 +408,10 @@ struct TenantFlags {
     killed: AtomicBool,
 }
 
-/// A cluster-side handle to one simulated tenant — the counterpart of
-/// the threaded engine's `TenantHandle`: identity, granted share, and
-/// eviction. Cloneable and independent of the typed [`SimSession`].
+/// The pool's handle on one simulated tenant: identity, granted share,
+/// and eviction. Independent of the typed [`SimSession`].
 #[derive(Clone)]
-pub struct SimTenant<'g> {
+struct SimTenant<'g> {
     id: SessionId,
     share: f64,
     stepper: Weak<Mutex<SimStepper<'g>>>,
@@ -490,62 +420,39 @@ pub struct SimTenant<'g> {
 }
 
 impl SimTenant<'_> {
-    /// The tenant's session id.
-    pub fn session(&self) -> SessionId {
-        self.id
-    }
-
-    /// The static capacity share granted at admission.
-    pub fn share(&self) -> f64 {
-        self.share
-    }
-
     /// True once the tenant was force-evicted or its session is gone.
-    pub fn is_done(&self) -> bool {
+    fn is_done(&self) -> bool {
         self.flags.killed.load(Ordering::SeqCst) || self.stepper.strong_count() == 0
-    }
-
-    /// Begins graceful eviction: the session's further pushes return
-    /// [`RunError::Evicted`], while everything already in flight drains
-    /// normally.
-    pub fn begin_eviction(&self) {
-        self.flags.evicting.store(true, Ordering::SeqCst);
     }
 
     /// Forced eviction: the session fails with [`RunError::Evicted`],
     /// its world stops taking part in the merged clock, and its report
     /// comes back truncated. Co-tenants are untouched.
-    pub fn evict_now(&self) {
+    fn evict_now(&self) {
         self.flags.evicting.store(true, Ordering::SeqCst);
         self.flags.killed.store(true, Ordering::SeqCst);
         self.control.fail(RunError::Evicted { session: self.id });
     }
 }
 
-/// Sessions time-sharing one simulated pool: the tenant registry and
-/// the merged event clock over their worlds. Cheap to clone (a shared
+/// The tenant registry of one pool, shared with its sessions — the
+/// merged event clock steps through it. Cheap to clone (a shared
 /// handle).
 #[derive(Clone, Default)]
-pub struct SimPool<'g> {
-    tenants: Arc<Mutex<Vec<SimTenant<'g>>>>,
-}
+struct Tenants<'g>(Arc<Mutex<Vec<SimTenant<'g>>>>);
 
-impl<'g> SimPool<'g> {
-    /// An empty pool; sessions join through [`attach`].
-    pub fn new() -> Self {
-        Self::default()
+impl<'g> Tenants<'g> {
+    fn lock(&self) -> MutexGuard<'_, Vec<SimTenant<'g>>> {
+        self.0.lock().expect("sim pool registry poisoned")
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<SimTenant<'g>>> {
-        self.tenants.lock().expect("sim pool registry poisoned")
-    }
-
-    /// The live tenants, admission order. Tenants that finished, were
-    /// dropped or were force-evicted leave the registry here.
-    pub fn tenants(&self) -> Vec<SimTenant<'g>> {
+    /// The registry of live tenants: done tenants (drained, aborted,
+    /// dropped or force-evicted) leave it here, before the caller sees
+    /// it.
+    fn live(&self) -> MutexGuard<'_, Vec<SimTenant<'g>>> {
         let mut tenants = self.lock();
         tenants.retain(|t| !t.is_done());
-        tenants.clone()
+        tenants
     }
 
     /// Advances virtual time by one event — one tick of the merged event
@@ -584,9 +491,165 @@ impl<'g> SimPool<'g> {
     }
 }
 
+/// One simulated grid time-shared by many sessions, deterministically:
+/// the grid, the pool's fault plan, the tenant registry and the next
+/// session id.
+///
+/// There is no arbiter here. [`SimPool::admit`] grants each tenant a
+/// *static* share — its quota ceiling — which the tenant's world
+/// applies to every service time and sensed rate; the granted ceilings
+/// may not oversubscribe the pool. The tenants' worlds interleave
+/// through the merged event clock, earliest event first.
+///
+/// Eviction is two-speed, as on the threaded backend:
+/// [`SimPool::evict`] stops new pushes and lets in-flight work drain,
+/// [`SimPool::evict_now`] fails the tenant immediately with a typed
+/// [`RunError::Evicted`].
+pub struct SimPool<'g> {
+    grid: &'g GridSpec,
+    /// Node churn of the shared pool: every tenant's world applies the
+    /// same plan, so outages hit all tenants at the same instants.
+    faults: FaultPlan,
+    next_id: u64,
+    tenants: Tenants<'g>,
+}
+
+impl<'g> SimPool<'g> {
+    /// An empty pool over `grid` whose every tenant runs under `faults`.
+    pub fn new(grid: &'g GridSpec, faults: FaultPlan) -> Self {
+        SimPool {
+            grid,
+            faults,
+            next_id: 0,
+            tenants: Tenants::default(),
+        }
+    }
+
+    /// Number of nodes in the shared grid.
+    pub fn node_count(&self) -> usize {
+        self.grid.len()
+    }
+
+    /// Admits `pipeline` as a new tenant running `session` under `cfg`
+    /// and returns its live session. The pool supplies what it owns:
+    /// the tenant's id (next in admission order), its capacity share
+    /// (`quota.max_share`, granted statically), and the fault plan,
+    /// which replaces `cfg.faults`. Each tenant simulates the whole
+    /// grid, scaled to its share.
+    ///
+    /// `cfg.items` only seeds the adaptation loop's remaining-work
+    /// amortisation (the true stream length is whatever is pushed
+    /// before [`LiveSession::close`]); pushed items take their arrival
+    /// instants from `session`'s arrival process. With
+    /// `cfg.preserve_order` outputs come in push order, otherwise in
+    /// completion order.
+    ///
+    /// # Errors
+    /// [`BuildError::PoolOversubscribed`] when the share would exceed
+    /// what the live tenants' grants leave of the pool.
+    ///
+    /// # Panics
+    /// Panics if the launch mapping does not fit the pipeline or the
+    /// grid, or if the share is zero.
+    pub fn admit<I, O>(
+        &mut self,
+        pipeline: Pipeline<I, O>,
+        session: &Session,
+        mut cfg: RunConfig,
+        quota: ShareQuota,
+    ) -> Result<SimSession<'g, I, O>, BuildError> {
+        let share = quota.max_share;
+        let taken: f64 = self.tenants.live().iter().map(|t| t.share).sum();
+        if share > 1.0 - taken + 1e-9 {
+            return Err(BuildError::PoolOversubscribed {
+                requested: share,
+                available: (1.0 - taken).max(0.0),
+            });
+        }
+        cfg.faults = self.faults.clone();
+        let id = SessionId(self.next_id);
+        self.next_id += 1;
+        let (spec, stages, fanouts, _keys) = pipeline.into_parts();
+        let graph = spec.graph.clone();
+        let exec = PushExec {
+            inflight: Inflight {
+                joiners: (0..graph.join_blocks())
+                    .map(|b| graph.merge_of(b))
+                    .collect(),
+                joins: (0..graph.join_blocks())
+                    .map(|b| JoinSlots::new(graph.join_width(b)))
+                    .collect(),
+                ready: VecDeque::new(),
+                exit: None,
+                copies: Vec::new(),
+            },
+            stages,
+            specs: spec.stages.clone(),
+            graph,
+            fanouts,
+        };
+        let stepper = Arc::new(Mutex::new(SimStepper::new(
+            self.grid, spec, session, &cfg, id, share,
+        )));
+        let tenant = SimTenant {
+            id,
+            share,
+            stepper: Arc::downgrade(&stepper),
+            flags: Arc::default(),
+            control: cfg.control.clone(),
+        };
+        self.tenants.lock().push(tenant.clone());
+        Ok(SimSession {
+            stepper,
+            tenants: self.tenants.clone(),
+            tenant,
+            closed: false,
+            exec,
+            arrivals: session.arrivals().stream(),
+            outputs: HashMap::new(),
+            done: BTreeSet::new(),
+            next_seq: 0,
+            preserve_order: cfg.preserve_order,
+            _types: PhantomData,
+        })
+    }
+
+    /// Live tenants, in admission order.
+    pub fn sessions(&self) -> Vec<SessionId> {
+        self.tenants.live().iter().map(|t| t.id).collect()
+    }
+
+    /// Runs `f` on the live tenant `session`, if there is one.
+    fn with_tenant<T>(&self, session: SessionId, f: impl FnOnce(&SimTenant<'g>) -> T) -> Option<T> {
+        self.tenants.live().iter().find(|t| t.id == session).map(f)
+    }
+
+    /// The static share granted to `session`, if it is a live tenant.
+    pub fn share_of(&self, session: SessionId) -> Option<f64> {
+        self.with_tenant(session, |t| t.share)
+    }
+
+    /// Graceful eviction: the session stops admitting new pushes
+    /// ([`RunError::Evicted`]) but its in-flight items drain normally.
+    /// Returns false if the session is not a live tenant.
+    pub fn evict(&self, session: SessionId) -> bool {
+        self.with_tenant(session, |t| t.flags.evicting.store(true, Ordering::SeqCst))
+            .is_some()
+    }
+
+    /// Forced eviction: the session fails immediately with
+    /// [`RunError::Evicted`], its report comes back truncated, and its
+    /// share returns to the pool. Returns false if the session is not a
+    /// live tenant.
+    pub fn evict_now(&self, session: SessionId) -> bool {
+        self.with_tenant(session, SimTenant::evict_now).is_some()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::PipelineBuilder;
     use crate::spec::{PipelineSpec, ResiliencePolicy};
     use crate::stage::{fan_out_fn, FallibleFnStage, FnStage, MergeStage};
     use adapipe_gridsim::grid::testbed_small3;
@@ -656,5 +719,54 @@ mod tests {
         assert_eq!(report.dead_letters, 5);
         assert_eq!(report.retries, 5);
         assert!(!report.truncated);
+    }
+
+    fn inc() -> Pipeline<u64, u64> {
+        PipelineBuilder::<u64>::new()
+            .stage(StageSpec::balanced("inc", 1.0, 0), |x: u64| x + 1)
+            .build()
+    }
+
+    /// Admits [`inc`] under the defaults with `max_share` as its ceiling.
+    fn admit<'g>(
+        pool: &mut SimPool<'g>,
+        max_share: f64,
+    ) -> Result<SimSession<'g, u64, u64>, BuildError> {
+        pool.admit(
+            inc(),
+            &Session::default(),
+            RunConfig::default(),
+            ShareQuota::bounded(0.0, max_share),
+        )
+    }
+
+    #[test]
+    fn static_shares_are_granted_in_admission_order_and_bounded_by_the_pool() {
+        let grid = testbed_small3();
+        let mut pool = SimPool::new(&grid, FaultPlan::new());
+        let mut a = admit(&mut pool, 0.5).expect("half the pool is free");
+        let b = admit(&mut pool, 0.5).expect("the other half too");
+        let (ida, idb) = (a.session_id(), b.session_id());
+        assert_eq!(pool.sessions(), vec![ida, idb]);
+        assert_eq!(pool.share_of(idb), Some(0.5));
+        assert!(matches!(
+            admit(&mut pool, 0.25),
+            Err(BuildError::PoolOversubscribed { .. })
+        ));
+
+        // A finished tenant's share returns to the pool.
+        a.push(1).unwrap();
+        let (outputs, report) = a.drain().into_parts();
+        assert_eq!(outputs, vec![2]);
+        assert!(!report.truncated);
+        assert_eq!(pool.sessions(), vec![idb]);
+        assert!(!pool.evict(ida), "no longer a tenant");
+        let _c = admit(&mut pool, 0.5).expect("A's half is free again");
+
+        // Forced eviction frees a share at once.
+        assert!(pool.evict_now(idb));
+        assert!(!pool.evict_now(idb), "already gone");
+        assert_eq!(pool.share_of(idb), None);
+        drop(b);
     }
 }

@@ -28,7 +28,8 @@ use adapipe_core::simengine::run;
 use adapipe_core::simsession::{self, SimPool};
 use adapipe_gridsim::prelude::*;
 use adapipe_mapper::mapping::{Mapping, Placement};
-use adapipe_runtime::session::{EventBus, LiveSession, RunEvent, SessionId};
+use adapipe_mapper::share::ShareQuota;
+use adapipe_runtime::session::{EventBus, LiveSession, RunEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -428,15 +429,14 @@ fn half_share_of_the_pool() {
         ..RunConfig::default()
     };
     let paced_periodic = Session::new(periodic(), ArrivalProcess::Uniform { rate: 0.8 }).unwrap();
-    let mut session = simsession::attach(
-        &SimPool::new(),
-        &grid,
-        pipeline,
-        &paced_periodic,
-        &cfg,
-        SessionId(0),
-        0.5,
-    );
+    let mut session = SimPool::new(&grid, FaultPlan::new())
+        .admit(
+            pipeline,
+            &paced_periodic,
+            cfg,
+            ShareQuota::bounded(0.0, 0.5),
+        )
+        .expect("half of an empty pool is free");
     session.push_batch(&mut (0..300)).expect("an open session");
     let report = session.drain().report;
     assert_eq!(report.completed, 300);

@@ -25,10 +25,11 @@
 //! *commit* (telling vacated hosts to relinquish their stage instances).
 //!
 //! This file is the engine's public face — the live [`EngineSession`]
-//! with its collector, [`TenantHandle`], and the entry points, which
-//! take the run's validated [`Session`] and its [`RunConfig`] as they
-//! are. The machinery underneath is one module per protocol: `pool`
-//! (the threads and their health), `inbox` (waiting, waking, stealing,
+//! with its collector, and the entry points, which take the run's
+//! validated [`Session`] and its [`RunConfig`] as they are. The
+//! machinery underneath is one module per protocol: `pool` (the
+//! threads and their health), `arbiter` (the pool's tenant registry
+//! and a cluster's capacity arbiter), `inbox` (waiting, waking, stealing,
 //! weighted-fair lanes), `worker` (the loop, placement, shipping),
 //! `fusion` (the batch loop and stage fusion), `tenant` (what those
 //! threads share about one session: depot, routing, the adaptation
@@ -69,16 +70,18 @@
 //! number of concurrent sessions (heterogeneous stage graphs) attach to
 //! one pool with [`attach`], each keeping its own typed push/pull API,
 //! routing table, adaptation loop, collector, credit gate, and
-//! exactly-once replay isolation. Worker inboxes hold one weighted-fair
+//! exactly-once replay isolation, and each registered with the pool
+//! under its capacity quota. Worker inboxes hold one weighted-fair
 //! *lane* per tenant (start-time fair queueing over item counts), so a
-//! spiking tenant's backlog cannot starve a steady co-tenant; the
-//! cluster arbiter moves capacity between tenants by setting shares
-//! ([`TenantHandle::set_share`]), which reweights both lane service and
-//! each tenant's planner view of the pool. Node health is pool-wide
-//! (one tenant's fault tracker marking a node down excludes it for
+//! spiking tenant's backlog cannot starve a steady co-tenant; a
+//! cluster's pool runs an arbiter that moves capacity between tenants
+//! by setting shares, which reweights both lane service and each
+//! tenant's planner view of the pool. Node health is pool-wide (one
+//! tenant's fault tracker marking a node down excludes it for
 //! everyone), while replay, eviction, and fatal teardown stay strictly
-//! tenant-scoped. [`spawn`] is the degenerate cluster-of-one: it
-//! launches a private pool and shuts it down at drain.
+//! tenant-scoped. [`spawn`] is the pool of one: it launches a private
+//! pool with no arbiter, attaches the session under the default quota
+//! (the whole pool), and shuts the pool down at drain.
 //!
 //! Ordering: with `preserve_order` (default) outputs are resequenced by
 //! item index, in a window over the sequence numbers (`exec/reorder.rs`):
@@ -95,10 +98,10 @@
 
 use crate::credits::Credits;
 use crate::fusion::{FIN_BUFS, SLOT_BUFS};
-use crate::inbox::{Ctrl, MIN_LANE_WEIGHT};
+use crate::inbox::Ctrl;
 use crate::item::Outbox;
 pub use crate::pool::Pool;
-use crate::tenant::{adaptation_thread, fatal_teardown, RouteCache, Shared, SinkMsg};
+use crate::tenant::{adaptation_thread, RouteCache, Shared, SinkMsg};
 use crate::vnode::VNodeSpec;
 use crate::worker::ship;
 use adapipe_core::payload::Payload;
@@ -107,6 +110,7 @@ use adapipe_core::spec::Next;
 use adapipe_core::stage::BoxedItem;
 use adapipe_gridsim::net::{LinkSpec, Topology};
 use adapipe_gridsim::time::{SimDuration, SimTime};
+use adapipe_mapper::share::ShareQuota;
 use adapipe_runtime::adapt::{AdaptationLoop, RuntimeConfig};
 use adapipe_runtime::arrivals::ArrivalProcess;
 use adapipe_runtime::report::{DeadLetter, ReportBuilder, RunReport};
@@ -175,7 +179,7 @@ fn push_entry(shared: &Arc<Shared>, cache: &mut RouteCache, mut items: Vec<ItemS
 /// `adapipe::api::Pipeline::spawn`, which holds it as a boxed
 /// [`LiveSession`].
 pub struct EngineSession<I, O> {
-    shared: Arc<Shared>,
+    pub(crate) shared: Arc<Shared>,
     credits: Option<Arc<Credits>>,
     /// True when this session launched its own pool ([`spawn`]): the
     /// pool is shut down when the session tears down. Cluster-attached
@@ -267,15 +271,6 @@ where
     /// it).
     pub fn epoch(&self) -> Instant {
         self.shared.pool.epoch
-    }
-
-    /// A cloneable cluster-side handle to this tenant: share control,
-    /// demand sensing, and eviction. Used by the cluster arbiter; a
-    /// plain session never needs it.
-    pub fn tenant_handle(&self) -> TenantHandle {
-        TenantHandle {
-            shared: Arc::clone(&self.shared),
-        }
     }
 
     /// The run's fatal error, if one was recorded (stateful stage lost
@@ -557,7 +552,8 @@ impl<I, O> EngineSession<I, O> {
     /// gone ([`Ctrl::TenantGone`]) and waits for their acks: each has
     /// then flushed this tenant's accounting into `Shared::accs` and
     /// dropped its lane. The wait escapes early if the whole pool is
-    /// shutting down underneath us.
+    /// shutting down underneath us. The tenant then leaves the pool's
+    /// registry.
     fn detach(&self) {
         let (shared, pool) = (&self.shared, &self.shared.pool);
         shared.done.store(true, Ordering::SeqCst);
@@ -571,6 +567,7 @@ impl<I, O> EngineSession<I, O> {
         {
             std::thread::sleep(Duration::from_micros(200));
         }
+        pool.prune();
     }
 }
 
@@ -602,71 +599,6 @@ impl<I, O> Drop for EngineSession<I, O> {
         if self.owns_pool {
             self.shared.pool.shutdown();
         }
-    }
-}
-
-/// A cluster-side handle to one tenant on a pool: read demand signals,
-/// set the granted share, drive eviction. Cloneable and independent of
-/// the typed [`EngineSession`] (the arbiter is type-erased).
-#[derive(Clone)]
-pub struct TenantHandle {
-    pub(crate) shared: Arc<Shared>,
-}
-
-impl TenantHandle {
-    /// The tenant's session id.
-    pub fn session(&self) -> SessionId {
-        SessionId(self.shared.id)
-    }
-
-    /// Items that reached this tenant's sink so far.
-    pub fn completed(&self) -> u64 {
-        self.shared.completed.load(Ordering::Relaxed)
-    }
-
-    /// The tenant's current capacity share.
-    pub fn share(&self) -> f64 {
-        self.shared.share()
-    }
-
-    /// Grants the tenant `share` of pool capacity (clamped to
-    /// `[0.01, 1.0]` — a zero share would freeze the tenant's fair-
-    /// queueing clock instead of throttling it). Takes effect on the
-    /// next envelope pop and the next planning window.
-    pub fn set_share(&self, share: f64) {
-        let clamped = share.clamp(MIN_LANE_WEIGHT, 1.0);
-        self.shared
-            .share
-            .store(clamped.to_bits(), Ordering::Relaxed);
-    }
-
-    /// True once the tenant finished or was torn down.
-    pub fn is_done(&self) -> bool {
-        self.shared.done.load(Ordering::SeqCst)
-    }
-
-    /// The tenant's fatal error, if any.
-    pub fn error(&self) -> Option<RunError> {
-        self.shared.control.error()
-    }
-
-    /// Begins graceful eviction: the session's further pushes return
-    /// [`RunError::Evicted`], while everything already in flight drains
-    /// normally. The caller still drains/closes the session itself.
-    pub fn begin_eviction(&self) {
-        self.shared.evicting.store(true, Ordering::SeqCst);
-    }
-
-    /// Forced eviction (pool shrink): fails the session with
-    /// [`RunError::Evicted`] and tears its data plane down immediately;
-    /// in-flight items are dropped and the report shows truncation.
-    /// Co-tenants are untouched.
-    pub fn evict_now(&self) {
-        self.shared.evicting.store(true, Ordering::SeqCst);
-        self.shared.control.fail(RunError::Evicted {
-            session: SessionId(self.shared.id),
-        });
-        fatal_teardown(&self.shared);
     }
 }
 
@@ -713,11 +645,12 @@ where
 /// intervals and `cfg.faults`' times are read as wall time since engine
 /// start.
 ///
-/// This is the single-session path: it launches a private [`Pool`]
-/// (applying `cfg.faults` pool-wide) and attaches the one session as
-/// its owning tenant, so the pool is shut down when the session drains.
-/// Multi-tenant serving launches the pool once and calls [`attach`] per
-/// session.
+/// This is the single-session path, a pool of one: it launches a
+/// private [`Pool`] with no arbiter (applying `cfg.faults` pool-wide)
+/// and attaches the one session under [`ShareQuota::default`] — the
+/// whole pool — as its owning tenant, so the pool is shut down when the
+/// session drains. Multi-tenant serving launches the pool once and
+/// calls [`attach`] per session.
 ///
 /// # Panics
 /// Panics if `vnodes` is empty, if the initial mapping references
@@ -739,31 +672,37 @@ where
     // availability → sleep machinery. The down/up control plane
     // (routing exclusion, forced re-maps, replay) runs through the
     // shared adaptation loop.
-    let pool = Pool::launch(vnodes, cfg.faults.clone());
-    attach(&pool, pipeline, session, cfg, true)
+    let pool = Pool::launch(vnodes, cfg.faults.clone(), None);
+    let mut session = attach(&pool, pipeline, session, cfg, ShareQuota::default());
+    session.owns_pool = true;
+    session
 }
 
-/// Attaches `pipeline` as one tenant of a running [`Pool`] and returns
-/// its live [`EngineSession`]. Any number of sessions (heterogeneous
-/// stage graphs) may be attached concurrently; each keeps its own typed
-/// push/pull API, routing table, adaptation loop, collector, and
-/// exactly-once replay isolation, while sharing the pool's worker
-/// threads under weighted-fair envelope admission.
+/// Attaches `pipeline` as one tenant of a running [`Pool`], registered
+/// with the pool under `quota`, and returns its live [`EngineSession`].
+/// Any number of sessions (heterogeneous stage graphs) may be attached
+/// concurrently; each keeps its own typed push/pull API, routing table,
+/// adaptation loop, collector, and exactly-once replay isolation, while
+/// sharing the pool's worker threads under weighted-fair envelope
+/// admission. Registration re-divides the pool by the static fair split
+/// of the tenants' quotas; a pool launched with an arbitration window
+/// re-divides it by demand from then on. The session leaves the pool
+/// running for its co-tenants when it tears down.
 ///
 /// Planning and fault handling use the *pool's* vnodes and fault plan
 /// (faults are a pool-wide physical property, applied once at
-/// [`Pool::launch`]). `owns_pool` makes the session shut the pool down
-/// at teardown (the [`spawn`] cluster-of-one case).
+/// [`Pool::launch`]).
 ///
 /// # Panics
 /// Panics if the initial mapping references unknown nodes or covers the
-/// wrong number of stages, or if `queue_capacity` is zero.
+/// wrong number of stages, if `queue_capacity` is zero, or if the quota
+/// is invalid ([`ShareQuota::is_valid`]).
 pub fn attach<I, O>(
     pool: &Arc<Pool>,
     pipeline: Pipeline<I, O>,
     session: &Session,
     cfg: &RunConfig,
-    owns_pool: bool,
+    quota: ShareQuota,
 ) -> EngineSession<I, O>
 where
     I: Send + 'static,
@@ -793,6 +732,7 @@ where
     let (aloop, initial_mapping) = AdaptationLoop::launch(substrate, session, cfg, &launch_rates);
 
     let (shared, sink_rx) = Shared::new(session_id, pool, pipeline, cfg, initial_mapping);
+    pool.register(Arc::clone(&shared), quota);
     let (out_tx, out_rx) = channel::<Vec<Finished>>();
     let collector = {
         let shared = Arc::clone(&shared);
@@ -809,7 +749,7 @@ where
     EngineSession {
         credits: shared.credits.clone(),
         shared,
-        owns_pool,
+        owns_pool: false,
         collector: Some(collector),
         adaptation: Some(adaptation),
         out_rx,

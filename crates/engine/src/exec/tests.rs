@@ -7,6 +7,7 @@ use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::load::LoadModel;
 use adapipe_gridsim::node::NodeId;
 use adapipe_mapper::mapping::Mapping;
+use adapipe_mapper::share::ShareQuota;
 use adapipe_runtime::policy::Policy;
 
 fn n(i: usize) -> NodeId {
@@ -828,9 +829,8 @@ fn eviction_rejects_new_pushes_but_drains_in_flight() {
     for i in 0..10u64 {
         session.push(i).unwrap();
     }
-    let handle = session.tenant_handle();
-    handle.begin_eviction();
     let id = session.session_id();
+    assert!(session.shared.pool.evict(id));
     assert_eq!(session.push(10), Err(RunError::Evicted { session: id }));
     // Graceful: everything already accepted still completes.
     let outcome = session.drain();
@@ -843,7 +843,7 @@ fn concurrent_tenants_share_one_pool_exactly_once() {
     // Three heterogeneous sessions attached to one 2-worker pool,
     // pushed interleaved: each must finish complete, ordered, and
     // isolated (disjoint transforms prove no cross-tenant leakage).
-    let pool = Pool::launch(free_nodes(2), FaultPlan::new());
+    let pool = Pool::launch(free_nodes(2), FaultPlan::new(), None);
     let mk = |add: u64| {
         let (s0, _) = spin_stage("t", 1);
         PipelineBuilder::<u64>::new()
@@ -854,9 +854,9 @@ fn concurrent_tenants_share_one_pool_exactly_once() {
             .build()
     };
     let (fixed, cfg) = (Session::default(), RunConfig::default());
-    let mut a = attach(&pool, mk(100), &fixed, &cfg, false);
-    let mut b = attach(&pool, mk(1000), &fixed, &cfg, false);
-    let mut c = attach(&pool, mk(10000), &fixed, &cfg, false);
+    let mut a = attach(&pool, mk(100), &fixed, &cfg, ShareQuota::default());
+    let mut b = attach(&pool, mk(1000), &fixed, &cfg, ShareQuota::default());
+    let mut c = attach(&pool, mk(10000), &fixed, &cfg, ShareQuota::default());
     assert_ne!(a.session_id(), b.session_id());
     for i in 0..30u64 {
         a.push(i).unwrap();
@@ -873,25 +873,20 @@ fn concurrent_tenants_share_one_pool_exactly_once() {
 
 #[test]
 fn forced_eviction_leaves_co_tenants_running() {
-    let pool = Pool::launch(free_nodes(2), FaultPlan::new());
+    let pool = Pool::launch(free_nodes(2), FaultPlan::new(), None);
     let (s0, f0) = spin_stage("keep", 1);
     let keep = PipelineBuilder::<u64>::new().stage(s0, f0).build();
     let (s1, f1) = spin_stage("goner", 2);
     let goner = PipelineBuilder::<u64>::new().stage(s1, f1).build();
     let (fixed, cfg) = (Session::default(), RunConfig::default());
-    let mut survivor = attach(&pool, keep, &fixed, &cfg, false);
-    let mut victim = attach(&pool, goner, &fixed, &cfg, false);
+    let mut survivor = attach(&pool, keep, &fixed, &cfg, ShareQuota::default());
+    let mut victim = attach(&pool, goner, &fixed, &cfg, ShareQuota::default());
     for i in 0..200u64 {
         victim.push(i).unwrap();
     }
-    let handle = victim.tenant_handle();
-    handle.evict_now();
-    assert_eq!(
-        handle.error(),
-        Some(RunError::Evicted {
-            session: handle.session()
-        })
-    );
+    let id = victim.session_id();
+    assert!(pool.evict_now(id));
+    assert_eq!(victim.error(), Some(RunError::Evicted { session: id }));
     let report = {
         // The evicted session unwinds truncated, promptly.
         let t0 = Instant::now();
@@ -916,16 +911,16 @@ fn weighted_shares_bias_worker_capacity() {
     // tenant A holds 4× the share of tenant B. Weighted-fair lane
     // service must let A finish its stream well before B finishes
     // its own (both streams are equal length).
-    let pool = Pool::launch(free_nodes(1), FaultPlan::new());
+    let pool = Pool::launch(free_nodes(1), FaultPlan::new(), None);
     let mk = || {
         let (s0, f0) = spin_stage("w", 2);
         PipelineBuilder::<u64>::new().stage(s0, f0).build()
     };
     let (fixed, cfg) = (Session::default(), RunConfig::default());
-    let mut a = attach(&pool, mk(), &fixed, &cfg, false);
-    let mut b = attach(&pool, mk(), &fixed, &cfg, false);
-    a.tenant_handle().set_share(0.8);
-    b.tenant_handle().set_share(0.2);
+    let mut a = attach(&pool, mk(), &fixed, &cfg, ShareQuota::default());
+    let mut b = attach(&pool, mk(), &fixed, &cfg, ShareQuota::default());
+    a.shared.set_share(0.8);
+    b.shared.set_share(0.2);
     // Envelope-per-item keeps many envelopes queued per lane.
     for i in 0..60u64 {
         a.push(i).unwrap();
@@ -933,15 +928,19 @@ fn weighted_shares_bias_worker_capacity() {
     }
     a.close();
     b.close();
-    let a_handle = a.tenant_handle();
-    let b_handle = b.tenant_handle();
+    let (a_handle, b_handle) = (Arc::clone(&a.shared), Arc::clone(&b.shared));
     // Wait until A's stream completes; B must still have backlog.
     let t0 = Instant::now();
-    while a_handle.completed() < 60 && t0.elapsed() < Duration::from_secs(30) {
+    while a_handle.completed.load(Ordering::Relaxed) < 60 && t0.elapsed() < Duration::from_secs(30)
+    {
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert_eq!(a_handle.completed(), 60, "high-share tenant finished");
-    let b_done = b_handle.completed();
+    assert_eq!(
+        a_handle.completed.load(Ordering::Relaxed),
+        60,
+        "high-share tenant finished"
+    );
+    let b_done = b_handle.completed.load(Ordering::Relaxed);
     assert!(
         b_done < 60,
         "low-share tenant should lag the high-share one (completed {b_done})"
@@ -962,20 +961,20 @@ fn an_erroring_push_batch_returns_every_unspent_credit() {
         ..RunConfig::default()
     };
     let mut session = spawn_static(pipeline, free_nodes(1), &cfg);
-    let tenant = session.tenant_handle();
-    let credits = Arc::clone(tenant.shared.credits.as_ref().expect("bounded session"));
+    let pool = Arc::clone(&session.shared.pool);
+    let credits = Arc::clone(session.shared.credits.as_ref().expect("bounded session"));
     let capacity = credits.available();
     assert_eq!(capacity, 64, "32 per boundary, two boundaries");
 
     // Eviction begins as the iterator yields item 37: four envelopes
     // and five items are in, and three credits of the fifth envelope's
     // eight are taken and will never be spent.
+    let id = session.session_id();
     let mut evicting = (0..100u64).inspect(|&i| {
         if i == 37 {
-            tenant.begin_eviction();
+            assert!(pool.evict(id));
         }
     });
-    let id = session.session_id();
     assert_eq!(
         session.push_batch(&mut evicting),
         Err(RunError::Evicted { session: id })
@@ -1001,10 +1000,9 @@ fn an_erroring_push_batch_returns_every_unspent_credit() {
     let (s0, f0) = spin_stage("a", 0);
     let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
     let mut session = spawn_static(pipeline, free_nodes(1), &cfg);
-    let tenant = session.tenant_handle();
+    let credits = Arc::clone(session.shared.credits.as_ref().expect("bounded session"));
     assert_eq!(session.push_batch(&mut Short(21)), Ok(21));
     assert_eq!(session.drain().report.completed, 21);
-    let credits = tenant.shared.credits.as_ref().expect("bounded session");
     assert_eq!(credits.available(), capacity, "a credit leaked");
 }
 

@@ -365,6 +365,7 @@ mod tests {
     use adapipe_core::pipeline::PipelineBuilder;
     use adapipe_core::spec::StageSpec;
     use adapipe_gridsim::fault::FaultPlan;
+    use adapipe_mapper::share::ShareQuota;
     use adapipe_runtime::session::RunConfig;
     use std::time::Instant;
 
@@ -373,7 +374,7 @@ mod tests {
         // Two real tenants (a lane is keyed by, and weighted through, its
         // `Shared`), but an inbox of our own that no worker drains.
         let vnodes = vec![VNodeSpec::free("v0")];
-        let pool = Pool::launch(vnodes.clone(), FaultPlan::new());
+        let pool = Pool::launch(vnodes.clone(), FaultPlan::new(), None);
         let tenant = || {
             let pipeline = PipelineBuilder::<u64>::new()
                 .stage(StageSpec::balanced("id", 1.0, 0), |x: u64| x)
@@ -383,14 +384,13 @@ mod tests {
                 pipeline,
                 &Default::default(),
                 &Default::default(),
-                false,
+                ShareQuota::default(),
             )
         };
         let (a, b) = (tenant(), tenant());
-        a.tenant_handle().set_share(0.5);
-        b.tenant_handle().set_share(0.25);
-        let (ta, tb) = (a.tenant_handle(), b.tenant_handle());
-        let (ta, tb) = (&ta.shared, &tb.shared);
+        a.shared.set_share(0.5);
+        b.shared.set_share(0.25);
+        let (ta, tb) = (&a.shared, &b.shared);
 
         let inbox = Inbox::new();
         let one_item = || Envelope {
@@ -441,7 +441,7 @@ mod tests {
     /// tests that fill an inbox of their own by hand.
     fn two_tenants() -> (Arc<Pool>, Session, Session) {
         let vnodes = vec![VNodeSpec::free("v0")];
-        let pool = Pool::launch(vnodes.clone(), FaultPlan::new());
+        let pool = Pool::launch(vnodes.clone(), FaultPlan::new(), None);
         let tenant = || {
             let pipeline = PipelineBuilder::<u64>::new()
                 .stage(StageSpec::balanced("a", 1.0, 0), |x: u64| x)
@@ -452,7 +452,7 @@ mod tests {
                 pipeline,
                 &Default::default(),
                 &Default::default(),
-                false,
+                ShareQuota::default(),
             )
         };
         let (a, b) = (tenant(), tenant());
@@ -484,7 +484,7 @@ mod tests {
     #[test]
     fn pop_merges_the_run_behind_an_envelope_in_fifo_order_within_the_stride() {
         let (pool, a, b) = two_tenants();
-        let shared = Arc::clone(&a.tenant_handle().shared);
+        let shared = Arc::clone(&a.shared);
         for stage in 0..2 {
             shared.stride[stage].store(8, Ordering::Relaxed);
         }
@@ -538,10 +538,9 @@ mod tests {
     #[test]
     fn merged_pops_still_share_a_congested_inbox_by_weight() {
         let (pool, a, b) = two_tenants();
-        a.tenant_handle().set_share(0.5);
-        b.tenant_handle().set_share(0.25);
-        let (ta, tb) = (a.tenant_handle(), b.tenant_handle());
-        let (ta, tb) = (&ta.shared, &tb.shared);
+        a.shared.set_share(0.5);
+        b.shared.set_share(0.25);
+        let (ta, tb) = (&a.shared, &b.shared);
         ta.stride[0].store(8, Ordering::Relaxed);
         tb.stride[0].store(8, Ordering::Relaxed);
 
@@ -597,7 +596,7 @@ mod tests {
     /// v0 alone. The inboxes under test are the tests' own.
     fn replicated_tenant() -> (Arc<Pool>, Session) {
         let vnodes: Vec<VNodeSpec> = (0..3).map(|i| VNodeSpec::free(format!("v{i}"))).collect();
-        let pool = Pool::launch(vnodes.clone(), FaultPlan::new());
+        let pool = Pool::launch(vnodes.clone(), FaultPlan::new(), None);
         let pipeline = PipelineBuilder::<u64>::new()
             .stage(StageSpec::balanced("hot", 1.0, 0), |x: u64| x)
             .keyed_stage(
@@ -620,14 +619,20 @@ mod tests {
             ])),
             ..RunConfig::default()
         };
-        let session = attach(&pool, pipeline, &Default::default(), &cfg, false);
+        let session = attach(
+            &pool,
+            pipeline,
+            &Default::default(),
+            &cfg,
+            ShareQuota::default(),
+        );
         (pool, session)
     }
 
     #[test]
     fn only_a_legal_envelope_is_stolen_and_a_steal_costs_the_lane_nothing() {
         let (pool, session) = replicated_tenant();
-        let shared = Arc::clone(&session.tenant_handle().shared);
+        let shared = Arc::clone(&session.shared);
         let snap = shared.snapshot();
         let now = snap.epoch();
         // One envelope queued at `victim`; the sequence number `thief`
@@ -687,7 +692,7 @@ mod tests {
     #[test]
     fn an_idle_owner_released_by_wake_if_idle_steals_instead_of_sleeping_on() {
         let (pool, session) = replicated_tenant();
-        let shared = Arc::clone(&session.tenant_handle().shared);
+        let shared = Arc::clone(&session.shared);
         let now = shared.snapshot().epoch();
         // Worker 1's inbox and its sibling's (worker 0's).
         let (own, sibling) = (Arc::new(Inbox::new()), Arc::new(Inbox::new()));

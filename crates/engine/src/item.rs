@@ -267,7 +267,7 @@ impl Hops for Leaving<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{spawn, TenantHandle};
+    use crate::exec::spawn;
     use crate::vnode::VNodeSpec;
     use adapipe_core::pipeline::Pipeline;
     use adapipe_core::spec::{PipelineSpec, ResiliencePolicy, StageGraph, StageSpec};
@@ -336,7 +336,7 @@ mod tests {
     /// Every pushed item is accounted for exactly once — an output, in
     /// push order, or a dead letter — and no join input outlives the
     /// run, whichever side of the diversion it arrived on.
-    fn assert_settled(items: u64, outcome: &RunHandle<u64>, tenant: &TenantHandle) {
+    fn assert_settled(items: u64, outcome: &RunHandle<u64>, tenant: &Shared) {
         let outputs: Vec<u64> = (0..items).filter_map(expected).collect();
         assert_eq!(outcome.outputs, outputs, "no duplicate, no loss");
         let dead = items - outputs.len() as u64;
@@ -344,7 +344,7 @@ mod tests {
         assert_eq!(outcome.report.retries, dead);
         assert_eq!(outcome.report.completed + dead, items);
         assert!(!outcome.report.truncated);
-        assert_eq!(parked(&tenant.shared), 0);
+        assert_eq!(parked(tenant), 0);
     }
 
     #[test]
@@ -362,13 +362,13 @@ mod tests {
                 &Session::default(),
                 &cfg,
             );
-            let tenant = session.tenant_handle();
+            let tenant = Arc::clone(&session.shared);
             session.push_batch(&mut (0..items)).unwrap();
             let outcome = session.drain();
             assert_settled(items, &outcome, &tenant);
 
             // A deposit for an item already diverted is refused outright.
-            let shared = &tenant.shared;
+            let shared = &tenant;
             let dead_seq = outcome.report.dead_letter_log[0].seq;
             let now = Instant::now();
             let mut late = Outbox::new(Vec::new());
@@ -436,7 +436,7 @@ mod tests {
             &Session::default(),
             &cfg,
         );
-        let tenant = session.tenant_handle();
+        let tenant = Arc::clone(&session.shared);
         session.push_batch(&mut (0..ITEMS)).unwrap();
         let outcome = session.drain();
         assert!(

@@ -9,14 +9,18 @@
 //!   heterogeneity on one box");
 //! * [`exec`] — the engine's public face: the live
 //!   [`exec::EngineSession`] (push / pull, backpressure, its
-//!   order-preserving collector), [`exec::TenantHandle`], and the entry
-//!   points `spawn` / `attach` / `execute` / `execute_fed`, which take
-//!   the vnodes (or a running pool) and then the run's `Session` and
-//!   `RunConfig` as the facade received them. The worker
-//!   pool ([`exec::Pool`]) serves any number of concurrent tenant
-//!   sessions under weighted-fair envelope admission. The machinery
-//!   underneath is one private module per protocol: `pool` (one worker
-//!   thread per vnode, node health, shutdown), `inbox` (control first,
+//!   order-preserving collector) and the entry points `spawn` /
+//!   `attach` / `execute` / `execute_fed`, which take the vnodes (or a
+//!   running pool) and then the run's `Session` and `RunConfig` as the
+//!   facade received them. The worker pool ([`exec::Pool`]) serves any
+//!   number of concurrent tenant sessions under weighted-fair envelope
+//!   admission; it keeps the registry of its tenants and, for a
+//!   cluster, runs the arbiter that re-divides capacity between them
+//!   every window. `spawn` is a pool of one, with no arbiter. The
+//!   machinery underneath is one private module per protocol: `pool`
+//!   (one worker thread per vnode, node health, shutdown), `arbiter`
+//!   (the tenant registry and a cluster's capacity arbiter), `inbox`
+//!   (control first,
 //!   then start-time-fair tenant lanes; waiting, waking and stealing),
 //!   `worker` (the loop, the placement decision, shipping), `fusion`
 //!   (the batch loop, stage fusion, stamp strides), `tenant` (what the
@@ -35,6 +39,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod arbiter;
 mod credits;
 pub mod exec;
 mod fusion;
@@ -48,7 +53,7 @@ mod worker;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::exec::{attach, execute, execute_fed, spawn, EngineSession, Pool, TenantHandle};
+    pub use crate::exec::{attach, execute, execute_fed, spawn, EngineSession, Pool};
     pub use crate::inject::LoadInjector;
     pub use crate::vnode::{calibrate_host, spin_for, VNodeSpec, MIN_WALL_AVAILABILITY};
 }

@@ -12,7 +12,7 @@
 
 use crate::credits::Credits;
 use crate::exec::{Finished, ItemSlot};
-use crate::inbox::Ctrl;
+use crate::inbox::{Ctrl, MIN_LANE_WEIGHT};
 use crate::pool::Pool;
 use adapipe_core::item::{JoinSlots, SeqMap};
 use adapipe_core::pipeline::Pipeline;
@@ -23,7 +23,9 @@ use adapipe_mapper::mapping::Mapping;
 use adapipe_runtime::adapt::AdaptationLoop;
 use adapipe_runtime::backend::{ExecutionBackend, RemapPlan};
 use adapipe_runtime::routing::{RoutingSnapshot, RoutingTable, Selection};
-use adapipe_runtime::session::{EventBus, RunConfig, RunEvent, SessionControl, SessionId};
+use adapipe_runtime::session::{
+    EventBus, RunConfig, RunError, RunEvent, SessionControl, SessionId,
+};
 use adapipe_state::StateSnapshot;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -141,12 +143,12 @@ pub(crate) struct Shared {
     /// blocked `push()`).
     pub(crate) credits: Option<Arc<Credits>>,
     /// This tenant's granted fraction of pool capacity (f64 bits),
-    /// written by the cluster arbiter, read by the fair-queueing lanes
+    /// written by the pool's arbiter, read by the fair-queueing lanes
     /// and the share-scaled planner backend. `1.0` for a tenant that
     /// owns its pool.
     pub(crate) share: AtomicU64,
     /// Raised by graceful eviction: further pushes return
-    /// [`adapipe_runtime::session::RunError::Evicted`] while in-flight items drain normally.
+    /// [`RunError::Evicted`] while in-flight items drain normally.
     pub(crate) evicting: AtomicBool,
     /// Per-worker busy/metrics accounting, flushed at detach.
     pub(crate) accs: Vec<Mutex<WorkerAcc>>,
@@ -257,6 +259,27 @@ impl Shared {
     /// The tenant's current capacity share in `(0, 1]`.
     pub(crate) fn share(&self) -> f64 {
         f64::from_bits(self.share.load(Ordering::Relaxed))
+    }
+
+    /// Grants the tenant `share` of pool capacity (clamped to
+    /// `[0.01, 1.0]` — a zero share would freeze the tenant's fair-
+    /// queueing clock instead of throttling it). Takes effect on the
+    /// next envelope pop and the next planning window.
+    pub(crate) fn set_share(&self, share: f64) {
+        let clamped = share.clamp(MIN_LANE_WEIGHT, 1.0);
+        self.share.store(clamped.to_bits(), Ordering::Relaxed);
+    }
+
+    /// Forced eviction: fails the session with [`RunError::Evicted`]
+    /// and tears its data plane down immediately; in-flight items are
+    /// dropped and the report shows truncation. Co-tenants are
+    /// untouched.
+    pub(crate) fn evict_now(&self) {
+        self.evicting.store(true, Ordering::SeqCst);
+        self.control.fail(RunError::Evicted {
+            session: SessionId(self.id),
+        });
+        fatal_teardown(self);
     }
 
     /// True once this tenant — or the whole pool — is tearing down.
@@ -401,16 +424,6 @@ impl ExecutionBackend for EngineBackend {
 
     fn completed(&self) -> u64 {
         self.shared.completed.load(Ordering::Relaxed)
-    }
-
-    fn oracle_rates(&self, from: SimTime, to: SimTime) -> Vec<f64> {
-        let share = self.shared.share();
-        self.shared
-            .pool
-            .vnodes
-            .iter()
-            .map(|v| v.speed * v.load.mean_availability(from, to) * share)
-            .collect()
     }
 
     fn commit_remap(&mut self, plan: &RemapPlan) {

@@ -552,6 +552,7 @@ mod tests {
     use adapipe_core::spec::StageSpec;
     use adapipe_gridsim::fault::FaultPlan;
     use adapipe_mapper::mapping::Mapping;
+    use adapipe_mapper::share::ShareQuota;
     use adapipe_runtime::session::{RunConfig, Session};
     use std::time::Instant;
 
@@ -560,7 +561,7 @@ mod tests {
         // One stateful stage on v0 of a pool nobody pushes into; this
         // test plays worker 0 with a `TenantLocal` of its own.
         let vnodes: Vec<VNodeSpec> = (0..2).map(|i| VNodeSpec::free(format!("v{i}"))).collect();
-        let pool = Pool::launch(vnodes.clone(), FaultPlan::new());
+        let pool = Pool::launch(vnodes.clone(), FaultPlan::new(), None);
         let pipeline = PipelineBuilder::<u64>::new()
             .stateful_stage(StageSpec::balanced("sum", 1.0, 0).with_state(8), |x: u64| x)
             .build();
@@ -568,8 +569,14 @@ mod tests {
             initial_mapping: Some(Mapping::all_on(NodeId(0), 1)),
             ..RunConfig::default()
         };
-        let session = attach(&pool, pipeline, &Session::default(), &cfg, false);
-        let shared = Arc::clone(&session.tenant_handle().shared);
+        let session = attach(
+            &pool,
+            pipeline,
+            &Session::default(),
+            &cfg,
+            ShareQuota::default(),
+        );
+        let shared = Arc::clone(&session.shared);
         let mut tl = TenantLocal::new(Arc::clone(&shared));
 
         // The instance is in transit (a migration's previous host has

@@ -55,19 +55,9 @@ impl GridSpec {
         &self.nodes[id.0]
     }
 
-    /// Mutable access to a node (used by fault injection).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.0]
-    }
-
     /// The interconnect.
     pub fn topology(&self) -> &Topology {
         &self.topology
-    }
-
-    /// Mutable access to the interconnect.
-    pub fn topology_mut(&mut self) -> &mut Topology {
-        &mut self.topology
     }
 
     /// Replaces the load model of `id`, returning the previous one.
@@ -78,11 +68,6 @@ impl GridSpec {
     /// Effective rate of every node at `t` (speed × availability).
     pub fn rates_at(&self, t: SimTime) -> Vec<f64> {
         self.nodes.iter().map(|n| n.rate_at(t)).collect()
-    }
-
-    /// Sum of nominal speeds — an upper bound on aggregate compute.
-    pub fn total_speed(&self) -> f64 {
-        self.nodes.iter().map(|n| n.spec.speed).sum()
     }
 }
 

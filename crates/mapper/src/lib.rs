@@ -26,7 +26,8 @@
 //! * [`replicate`] — greedy widening of replicable bottleneck stages;
 //! * [`decide`] — hysteresis + cost/benefit re-mapping rule, and the
 //!   throughput ceiling that certifies a keep without searching;
-//! * [`share`] — cross-tenant capacity arbitration: weighted
+//! * [`share`] — cross-tenant capacity arbitration: each tenant's
+//!   per-window demand (progress and backlog), then weighted
 //!   progressive filling of one pool over many sessions under
 //!   `min_share`/`max_share` quotas.
 //!

@@ -345,11 +345,6 @@ impl ContiguousMapping {
         (start, self.group_end[g])
     }
 
-    /// Host of group `g`.
-    pub fn group_node(&self, g: usize) -> NodeId {
-        self.nodes[g]
-    }
-
     /// Expands to a full per-stage [`Mapping`].
     pub fn to_mapping(&self) -> Mapping {
         let stages = *self.group_end.last().expect("non-empty");

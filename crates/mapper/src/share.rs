@@ -4,10 +4,26 @@
 //! A multi-tenant cluster runs many pipelines over one node pool; each
 //! tenant declares a [`ShareQuota`] — a guaranteed floor (`min_share`),
 //! a cap (`max_share`), and a `weight` for dividing what is left. Per
-//! sensing window the cluster's arbiter measures every tenant's
-//! *demand* (the capacity fraction the tenant could productively use)
-//! and calls [`arbitrate`], which implements weighted progressive
-//! filling (max-min fairness):
+//! sensing window the pool's arbiter observes, for every live tenant,
+//! two cheap counters — whether it *progressed* (completed anything
+//! since the last window) and how many of its items sit *backlogged* in
+//! the pool's worker inboxes ([`TenantSignal`]) — and derives each
+//! tenant's **demand**, the capacity fraction it could productively use
+//! ([`window_demands`]):
+//!
+//! * backlogged ⇒ the tenant is supply-limited: it could use the whole
+//!   pool (demand 1.0);
+//! * progressing without backlog ⇒ the tenant keeps up with its current
+//!   grant: demand = current share (its surplus, if any, is released
+//!   only when it goes idle — a keeping-up tenant is never squeezed);
+//! * idle (no progress, no backlog) ⇒ demand decays to zero after a
+//!   grace period of [`IDLE_GRACE`] windows, releasing even the
+//!   tenant's `min_share` floor to the others. The grace period keeps a
+//!   briefly quiet tenant (e.g. between request bursts) from losing its
+//!   guarantee and having to re-earn it with queueing delay.
+//!
+//! The demands feed [`arbitrate`], which implements weighted
+//! progressive filling (max-min fairness):
 //!
 //! 1. every active tenant is granted its `min_share` floor;
 //! 2. the remaining capacity is poured over the unsatisfied tenants in
@@ -183,10 +199,47 @@ pub fn arbitrate(demand: &[f64], quotas: &[ShareQuota]) -> Vec<f64> {
 }
 
 /// The static fair split: what [`arbitrate`] grants when every tenant
-/// demands the whole pool. Used where per-window demand sensing is
-/// unavailable (e.g. the deterministic simulator backend).
+/// demands the whole pool. Used where no window has been sensed yet
+/// (a tenant just joined or left the pool).
 pub fn fair_shares(quotas: &[ShareQuota]) -> Vec<f64> {
     arbitrate(&vec![f64::INFINITY; quotas.len()], quotas)
+}
+
+/// Idle windows a tenant may coast before its demand — and with it its
+/// `min_share` floor — is released to the other tenants.
+pub const IDLE_GRACE: u32 = 3;
+
+/// What the arbiter observed about one tenant over one sensing window.
+#[derive(Clone, Copy, Debug)]
+pub struct TenantSignal {
+    /// Items of this tenant currently queued in the pool's inboxes.
+    pub backlog: u64,
+    /// True if the tenant completed at least one item this window.
+    pub progressed: bool,
+    /// Consecutive fully idle windows so far (maintained by the
+    /// caller; reset to zero whenever the tenant progresses or queues).
+    pub idle_windows: u32,
+    /// The share currently granted to the tenant.
+    pub share: f64,
+}
+
+/// Derives each tenant's demand — the capacity fraction it could
+/// productively use — from its window signal (see the module docs).
+pub fn window_demands(signals: &[TenantSignal]) -> Vec<f64> {
+    signals
+        .iter()
+        .map(|s| {
+            if s.backlog > 0 {
+                1.0
+            } else if s.progressed || s.idle_windows < IDLE_GRACE {
+                // Keeping up, or within the idle grace period: hold the
+                // current grant (never squeeze a live tenant mid-burst).
+                s.share
+            } else {
+                0.0
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -529,8 +529,14 @@ impl AdaptationLoop {
             forced: self.control.take_force_remap(),
             paused: self.control.is_paused(),
             current: in_force(routing),
-            oracle_rates: matches!(self.policy, Policy::Oracle { .. })
-                .then(|| backend.oracle_rates(now, now + interval)),
+            // The clairvoyant rates: nominal speed × true mean
+            // availability over the coming interval.
+            oracle_rates: matches!(self.policy, Policy::Oracle { .. }).then(|| {
+                let speeds = self.cfg.speeds.iter().enumerate();
+                speeds
+                    .map(|(i, s)| s * backend.mean_availability(i, now, now + interval))
+                    .collect()
+            }),
         };
         let realized = self.realized(completed, interval);
         let expected = self.expected_tput;
@@ -844,9 +850,6 @@ mod tests {
         }
         fn completed(&self) -> u64 {
             self.completed
-        }
-        fn oracle_rates(&self, _from: SimTime, _to: SimTime) -> Vec<f64> {
-            self.avail.clone()
         }
         fn commit_remap(&mut self, plan: &RemapPlan) {
             self.commits.push(plan.clone());

@@ -49,21 +49,19 @@ pub trait ExecutionBackend {
     fn now(&self) -> SimTime;
 
     /// Ground-truth mean availability of `node` over `[from, to]`; the
-    /// adaptation loop guarantees `from < to`, and perturbs the result
-    /// with observation noise before the forecaster sees it, mirroring
-    /// an imperfect grid sensor. The loop asks only about windows that
-    /// have already ended (`to < now()`), possibly as late as its next
-    /// tick or fault recovery, so a backend that measures rather than
-    /// reads a schedule must keep answering for past windows.
+    /// adaptation loop guarantees `from < to`. Sensing perturbs the
+    /// result with observation noise before the forecaster sees it,
+    /// mirroring an imperfect grid sensor, and asks only about windows
+    /// that have already ended (`to < now()`), possibly as late as its
+    /// next tick or fault recovery, so a backend that measures rather
+    /// than reads a schedule must keep answering for past windows.
+    /// [`crate::policy::Policy::Oracle`] alone also asks about the
+    /// coming interval, unperturbed: its clairvoyant rates are each
+    /// node's nominal speed × this mean.
     fn mean_availability(&self, node: usize, from: SimTime, to: SimTime) -> f64;
 
     /// Items that have reached the sink so far.
     fn completed(&self) -> u64;
-
-    /// Clairvoyant effective rates over `[from, to]` for
-    /// [`crate::policy::Policy::Oracle`]: nominal speed × true mean
-    /// availability of the window.
-    fn oracle_rates(&self, from: SimTime, to: SimTime) -> Vec<f64>;
 
     /// Realises an accepted re-mapping: re-home queued items, hand over
     /// stateful instances, release replicas on vacated hosts. The

@@ -6,10 +6,9 @@
 //! (instrument → forecast → plan → re-map); this crate is that skeleton,
 //! factored out so every execution backend shares one implementation:
 //!
-//! * [`backend`] — the [`backend::ExecutionBackend`] trait: the five
+//! * [`backend`] — the [`backend::ExecutionBackend`] trait: the four
 //!   things a backend must expose to be adapted (time source,
-//!   availability probe, completion counter, oracle rates, physical
-//!   re-map commit);
+//!   availability probe, completion counter, physical re-map commit);
 //! * [`routing`] — the [`routing::RoutingTable`]: live stage→replica-set
 //!   routing with round-robin or least-loaded selection, swappable under
 //!   a running pipeline;

@@ -5,7 +5,7 @@
 //! through it, and the adaptation loop re-points a *running* pipeline by
 //! [`RoutingTable::install`]ing a new mapping: items already in flight
 //! towards an old host are forwarded on arrival (backends check
-//! [`RoutingTable::contains`]), new items go straight to the new hosts.
+//! [`RoutingSnapshot::contains`]), new items go straight to the new hosts.
 //!
 //! ## Epoch snapshots
 //!
@@ -33,6 +33,7 @@
 use adapipe_gridsim::node::NodeId;
 use adapipe_mapper::mapping::Mapping;
 use adapipe_state::{owner_of, shard_of};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -46,7 +47,7 @@ pub enum Selection {
     /// Send each item to the replica with the smallest reported load
     /// (queue depth); ties break towards the lowest node id. Requires
     /// the backend to supply a load probe via
-    /// [`RoutingTable::route_least_loaded`].
+    /// [`RoutingSnapshot::route_least_loaded`].
     LeastLoaded,
 }
 
@@ -247,8 +248,9 @@ impl RoutingSnapshot {
 }
 
 /// The shared stage→replica-set routing table: a publish cell over the
-/// current [`RoutingSnapshot`]. All read methods delegate to the
-/// current snapshot; [`RoutingTable::install`] publishes a new one.
+/// current [`RoutingSnapshot`]. Every read goes to the current
+/// snapshot, which the table derefs to; [`RoutingTable::install`]
+/// publishes a new one.
 #[derive(Debug)]
 pub struct RoutingTable {
     snap: Arc<RoutingSnapshot>,
@@ -350,103 +352,6 @@ impl RoutingTable {
         Arc::clone(&self.epoch_cell)
     }
 
-    /// The current snapshot's epoch.
-    pub fn epoch(&self) -> u64 {
-        self.snap.epoch
-    }
-
-    /// The mapping currently in force.
-    pub fn mapping(&self) -> &Mapping {
-        self.snap.mapping()
-    }
-
-    /// The selection policy.
-    pub fn selection(&self) -> Selection {
-        self.snap.selection()
-    }
-
-    /// Number of stages routed.
-    pub fn len(&self) -> usize {
-        self.snap.len()
-    }
-
-    /// True if the table routes no stages (not constructible).
-    pub fn is_empty(&self) -> bool {
-        self.snap.is_empty()
-    }
-
-    /// The replica hosts of `stage`.
-    pub fn hosts(&self, stage: usize) -> &[NodeId] {
-        self.snap.hosts(stage)
-    }
-
-    /// True if `node` currently hosts `stage` — backends use this to
-    /// detect items that were in flight across a re-mapping and must be
-    /// forwarded.
-    pub fn contains(&self, stage: usize, node: NodeId) -> bool {
-        self.snap.contains(stage, node)
-    }
-
-    /// Marks `node` down: every selection policy skips it while any
-    /// alternative host is alive. Out-of-range nodes are ignored.
-    pub fn mark_down(&self, node: NodeId) {
-        self.snap.mark_down(node);
-    }
-
-    /// Lifts a [`RoutingTable::mark_down`].
-    pub fn mark_up(&self, node: NodeId) {
-        self.snap.mark_up(node);
-    }
-
-    /// True if `node` is currently marked down.
-    pub fn is_down(&self, node: NodeId) -> bool {
-        self.snap.is_down(node)
-    }
-
-    /// True if every host of `stage` is currently marked down — routing
-    /// cannot avoid a dead destination and items will park until a
-    /// re-map rescues them.
-    pub fn all_hosts_down(&self, stage: usize) -> bool {
-        self.snap.all_hosts_down(stage)
-    }
-
-    /// Picks the destination replica for the next item of `stage`,
-    /// always round-robin (see [`RoutingSnapshot::route`]).
-    pub fn route(&self, stage: usize) -> NodeId {
-        self.snap.route(stage)
-    }
-
-    /// Picks the destination replica for the next item of `stage` using
-    /// the configured selection policy; `load` reports the backend's
-    /// current queue depth per node (only consulted under
-    /// [`Selection::LeastLoaded`]).
-    pub fn route_with_load(&self, stage: usize, load: impl Fn(NodeId) -> usize) -> NodeId {
-        self.snap.route_with_load(stage, load)
-    }
-
-    /// Picks the currently least-loaded replica of `stage` (see
-    /// [`RoutingSnapshot::route_least_loaded`]).
-    pub fn route_least_loaded(&self, stage: usize, load: impl Fn(NodeId) -> usize) -> NodeId {
-        self.snap.route_least_loaded(stage, load)
-    }
-
-    /// The declared shard count of `stage` (`0` for unkeyed stages).
-    pub fn shard_count(&self, stage: usize) -> usize {
-        self.snap.shard_count(stage)
-    }
-
-    /// The host owning `shard` of `stage` under the current mapping
-    /// (see [`RoutingSnapshot::shard_owner`]).
-    pub fn shard_owner(&self, stage: usize, shard: usize) -> NodeId {
-        self.snap.shard_owner(stage, shard)
-    }
-
-    /// Routes an item of a keyed stage by its key hash (see
-    /// [`RoutingSnapshot::route_keyed`]).
-    pub fn route_keyed(&self, stage: usize, hash: u64) -> NodeId {
-        self.snap.route_keyed(stage, hash)
-    }
-
     /// Publishes a new snapshot routing by `new` (epoch + 1), returning
     /// the stages whose placement changed. Selection cursors of moved
     /// stages restart at zero so post-remap routing is deterministic;
@@ -478,6 +383,15 @@ impl RoutingTable {
         });
         self.epoch_cell.store(epoch, Ordering::Release);
         moved
+    }
+}
+
+/// Reads — hosts, health, routing — are the current snapshot's.
+impl Deref for RoutingTable {
+    type Target = RoutingSnapshot;
+
+    fn deref(&self) -> &RoutingSnapshot {
+        &self.snap
     }
 }
 

@@ -49,7 +49,6 @@
 use crate::adapt::Verdict;
 use crate::backend::RemapPlan;
 use crate::controller::ControllerConfig;
-use crate::metrics::StageStats;
 use crate::policy::Policy;
 use crate::report::{AdaptationEvent, RunReport};
 use crate::routing::Selection;
@@ -867,11 +866,6 @@ impl<O> RunHandle<O> {
     /// Every re-mapping the controller committed, in order.
     pub fn adaptations(&self) -> &[AdaptationEvent] {
         &self.report.adaptations
-    }
-
-    /// Observed service statistics of one stage.
-    pub fn stage_stats(&self, stage: usize) -> &StageStats {
-        self.report.stage_metrics.stage(stage)
     }
 
     /// Splits the handle into outputs and report.

@@ -86,9 +86,10 @@
 //! `adapipe_engine::exec::EngineSession`) as a boxed
 //! [`LiveSession`], so each of
 //! its methods is one call that never asks which backend is underneath.
-//! A [`Cluster`] wraps the backend's own cluster (`adapipe_cluster`'s
-//! `SimCluster` or `ThreadCluster`) and matches on it, because
-//! admission is generic in the tenant's item types. What happens to an
+//! A [`Cluster`] wraps the backend's own pool
+//! (`adapipe_core::simsession::SimPool` or `adapipe_engine::exec::Pool`),
+//! which owns its tenants, and matches on it, because admission is
+//! generic in the tenant's item types. What happens to an
 //! item at a stage is decided in one place both backends call,
 //! `adapipe_core::item`.
 //!
@@ -106,11 +107,9 @@
 //! gracefully or forcibly. See the `Cluster` docs for the capacity
 //! arbitration and fairness semantics.
 
-use adapipe_cluster::sim::SimCluster;
-use adapipe_cluster::threads::ThreadCluster;
 use adapipe_core::pipeline::Pipeline as CorePipeline;
 use adapipe_core::simengine;
-use adapipe_core::simsession;
+use adapipe_core::simsession::{self, SimPool};
 use adapipe_core::spec::{
     PipelineSpec, ResiliencePolicy, StageGraph, StageGraphBuilder, StageSpec,
 };
@@ -118,7 +117,7 @@ use adapipe_core::stage::{
     clone_fn, declared, fan_out_fn, fan_out_from_clone, AccumStage, CloneFn, DynStage,
     FallibleFnStage, FanOutFn, FnStage, KeyFn, KeyedStage, MergeStage, SnapStage, StatefulFnStage,
 };
-use adapipe_engine::exec;
+use adapipe_engine::exec::{self, Pool};
 use adapipe_engine::vnode::VNodeSpec;
 use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::grid::GridSpec;
@@ -132,6 +131,7 @@ use adapipe_state::StateCodec;
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::mpsc::Receiver;
+use std::sync::Arc;
 use std::time::Duration;
 
 pub use adapipe_mapper::share::ShareQuota;
@@ -577,9 +577,9 @@ pub struct Cluster<'g> {
 enum ClusterInner<'g> {
     /// Deterministic shared-pool simulation: static shares plus the
     /// merged event clock.
-    Sim(SimCluster<'g>),
+    Sim(SimPool<'g>),
     /// Live threaded pool with the background capacity arbiter.
-    Threads(ThreadCluster),
+    Threads(Arc<Pool>),
 }
 
 impl std::fmt::Debug for Cluster<'_> {
@@ -602,9 +602,9 @@ impl<'g> Cluster<'g> {
     pub fn new(backend: Backend<'g>, cfg: ClusterConfig) -> Result<Cluster<'g>, BuildError> {
         session::validate_faults(&cfg.faults, backend.node_count())?;
         let inner = match backend {
-            Backend::Sim(grid) => ClusterInner::Sim(SimCluster::new(grid, cfg.faults)),
+            Backend::Sim(grid) => ClusterInner::Sim(SimPool::new(grid, cfg.faults)),
             Backend::Threads(vnodes) => {
-                ClusterInner::Threads(ThreadCluster::launch(vnodes, cfg.faults, cfg.window))
+                ClusterInner::Threads(Pool::launch(vnodes, cfg.faults, Some(cfg.window)))
             }
         };
         Ok(Cluster {
@@ -649,15 +649,16 @@ impl<'g> Cluster<'g> {
         pipeline.validate_run(self.node_count(), threads, &cfg.run)?;
         let control = cfg.run.control.clone();
         let inner: Box<dyn LiveSession<I, O> + 'g> = match &mut self.inner {
-            ClusterInner::Sim(sc) => {
-                Box::new(sc.admit(pipeline.core, &pipeline.session, cfg.run, cfg.quota)?)
+            ClusterInner::Sim(pool) => {
+                Box::new(pool.admit(pipeline.core, &pipeline.session, cfg.run, cfg.quota)?)
             }
-            ClusterInner::Threads(tc) => {
-                let engine =
-                    exec::attach(tc.pool(), pipeline.core, &pipeline.session, &cfg.run, false);
-                tc.register(engine.tenant_handle(), cfg.quota);
-                Box::new(engine)
-            }
+            ClusterInner::Threads(pool) => Box::new(exec::attach(
+                pool,
+                pipeline.core,
+                &pipeline.session,
+                &cfg.run,
+                cfg.quota,
+            )),
         };
         Ok(RunSession {
             inner,
@@ -672,8 +673,8 @@ impl<'g> Cluster<'g> {
     /// a complete report. Returns `false` for an unknown session.
     pub fn evict(&self, id: SessionId) -> bool {
         match &self.inner {
-            ClusterInner::Sim(sc) => sc.evict(id),
-            ClusterInner::Threads(tc) => tc.evict(id),
+            ClusterInner::Sim(pool) => pool.evict(id),
+            ClusterInner::Threads(pool) => pool.evict(id),
         }
     }
 
@@ -683,16 +684,16 @@ impl<'g> Cluster<'g> {
     /// the survivors. Returns `false` for an unknown session.
     pub fn evict_now(&mut self, id: SessionId) -> bool {
         match &self.inner {
-            ClusterInner::Sim(sc) => sc.evict_now(id),
-            ClusterInner::Threads(tc) => tc.evict_now(id),
+            ClusterInner::Sim(pool) => pool.evict_now(id),
+            ClusterInner::Threads(pool) => pool.evict_now(id),
         }
     }
 
     /// The ids of the currently attached sessions, admission order.
     pub fn sessions(&self) -> Vec<SessionId> {
         match &self.inner {
-            ClusterInner::Sim(sc) => sc.sessions(),
-            ClusterInner::Threads(tc) => tc.sessions(),
+            ClusterInner::Sim(pool) => pool.sessions(),
+            ClusterInner::Threads(pool) => pool.sessions(),
         }
     }
 
@@ -701,16 +702,16 @@ impl<'g> Cluster<'g> {
     /// on the threaded backend. `None` for an unknown session.
     pub fn share_of(&self, id: SessionId) -> Option<f64> {
         match &self.inner {
-            ClusterInner::Sim(sc) => sc.share_of(id),
-            ClusterInner::Threads(tc) => tc.share_of(id),
+            ClusterInner::Sim(pool) => pool.share_of(id),
+            ClusterInner::Threads(pool) => pool.share_of(id),
         }
     }
 
     /// Number of nodes in the shared pool.
     pub fn node_count(&self) -> usize {
         match &self.inner {
-            ClusterInner::Sim(sc) => sc.grid().len(),
-            ClusterInner::Threads(tc) => tc.pool().node_count(),
+            ClusterInner::Sim(pool) => pool.node_count(),
+            ClusterInner::Threads(pool) => pool.node_count(),
         }
     }
 
@@ -721,15 +722,20 @@ impl<'g> Cluster<'g> {
         self.bus.subscribe()
     }
 
-    /// Shuts the shared pool down. Threaded backend: stops the arbiter
-    /// and joins the workers (attached sessions, if any remain, unwind
-    /// with truncated reports). Simulation backend: drops the registry;
-    /// outstanding sessions keep their own worlds and finish
-    /// independently.
+    /// Shuts the shared pool down, as dropping the cluster does.
+    /// Threaded backend: stops the arbiter and joins the workers
+    /// (attached sessions, if any remain, unwind with truncated
+    /// reports). Simulation backend: drops the registry; outstanding
+    /// sessions keep their own worlds and finish independently.
     pub fn shutdown(self) {
-        match self.inner {
-            ClusterInner::Sim(_) => {}
-            ClusterInner::Threads(tc) => tc.shutdown(),
+        drop(self);
+    }
+}
+
+impl Drop for Cluster<'_> {
+    fn drop(&mut self) {
+        if let ClusterInner::Threads(pool) = &self.inner {
+            pool.shutdown();
         }
     }
 }

@@ -16,8 +16,8 @@
 //! | [`mapper`] | stage DAGs, throughput model + mapping optimisers |
 //! | [`state`] | state-access taxonomy, shard math, snapshot codec — how stateful stages declare, shard, and move their state |
 //! | [`runtime`] | backend-agnostic adaptive runtime: routing table, adaptation loop, controller, policies, reports, sessions |
-//! | [`core`] | the skeleton: stages, specs, stage graphs, the item-semantics kernel ([`core::item`]), and the simulation backend ([`core::simsession`] over [`core::simengine`]) |
-//! | [`engine`] | threaded backend with synthetic heterogeneity |
+//! | [`core`] | the skeleton: stages, specs, stage graphs, the item-semantics kernel ([`core::item`]), and the simulation backend ([`core::simsession`] over [`core::simengine`]), whose [`core::simsession::SimPool`] shares one simulated grid between sessions |
+//! | [`engine`] | threaded backend with synthetic heterogeneity, whose worker [`engine::exec::Pool`] serves many sessions and, for a cluster, runs the capacity arbiter |
 //! | [`workloads`] | cost models, imaging & signal pipelines, scenarios |
 //!
 //! Both execution backends sit under the shared [`runtime`] layer and
@@ -30,8 +30,10 @@
 //! [`core::simsession::SimSession`] both call it; and [`api`] only
 //! validates, hands the backend the pipeline's session and the caller's
 //! [`api::RunConfig`] as they are, and holds the backend's own session
-//! behind the one [`runtime::session::LiveSession`] trait (and its own
-//! cluster behind a two-arm match) — it executes no stage. The stage topology is
+//! behind the one [`runtime::session::LiveSession`] trait (and, for an
+//! [`api::Cluster`], the backend's own pool behind a two-arm match; each
+//! pool keeps the registry of its tenants) — it executes no stage. The
+//! stage topology is
 //! one first-class *DAG*: [`api::PipelineBuilder::stage`] chains and
 //! [`api::PipelineBuilder::parallel`] / [`api::ParallelBuilder::merge`]
 //! blocks are sugar that emits edges, [`api::DagBuilder`] (via

@@ -279,6 +279,82 @@ fn forced_eviction_fails_the_run_typed_threads() {
     assert_forced_eviction(Backend::Threads(vnodes3()), "threads");
 }
 
+/// Admits a five-item [`tenant_pipeline`] holding at most half the pool.
+fn admit_half<'g>(cluster: &mut Cluster<'g>) -> RunSession<'g, u64, u64> {
+    cluster
+        .admit(
+            tenant_pipeline(1),
+            SessionConfig {
+                run: RunConfig {
+                    items: 5,
+                    ..RunConfig::default()
+                },
+                quota: ShareQuota::bounded(0.0, 0.5),
+            },
+        )
+        .expect("tenant admitted")
+}
+
+/// One prune rule on both backends: a drained tenant leaves the pool's
+/// registry at once — it is not listed, has no share, and there is
+/// nothing to evict. The arbiter's window is far longer than the test,
+/// so the threaded registry cannot count on the arbiter pruning first.
+fn assert_drained_tenant_leaves_at_once(backend: Backend<'_>, tag: &str) {
+    let mut cluster = Cluster::new(
+        backend,
+        ClusterConfig {
+            window: Duration::from_secs(10),
+            ..ClusterConfig::default()
+        },
+    )
+    .expect("cluster launches");
+    let mut drained = admit_half(&mut cluster);
+    let live = admit_half(&mut cluster);
+    let (gone, kept) = (drained.session_id(), live.session_id());
+    for i in 0..5 {
+        drained.push(i).unwrap();
+    }
+    let handle = drained.drain();
+    assert_eq!(
+        handle.report.completed, 5,
+        "{tag}: drained tenant lost items"
+    );
+    assert_eq!(
+        cluster.sessions(),
+        vec![kept],
+        "{tag}: sessions after drain"
+    );
+    assert_eq!(
+        cluster.share_of(gone),
+        None,
+        "{tag}: drained tenant's share"
+    );
+    assert!(!cluster.evict(gone), "{tag}: drained tenant evicted");
+    assert!(
+        !cluster.evict_now(gone),
+        "{tag}: drained tenant force-evicted"
+    );
+    assert!(
+        cluster.share_of(kept).is_some(),
+        "{tag}: live tenant's share"
+    );
+    assert!(
+        !live.drain().report.truncated,
+        "{tag}: live tenant truncated"
+    );
+}
+
+#[test]
+fn drained_tenant_leaves_the_registry_at_once_sim() {
+    let grid = grid3();
+    assert_drained_tenant_leaves_at_once(Backend::Sim(&grid), "sim");
+}
+
+#[test]
+fn drained_tenant_leaves_the_registry_at_once_threads() {
+    assert_drained_tenant_leaves_at_once(Backend::Threads(vnodes3()), "threads");
+}
+
 /// Admission rules: malformed quotas, per-session fault plans, and
 /// (sim) oversubscribed static shares are rejected with typed errors.
 #[test]

@@ -245,6 +245,38 @@ fn one_decision_path() {
     );
 }
 
+/// One registry per pool: each backend's pool keeps the list of the
+/// sessions sharing it, and the facade's `Cluster` matches on the two
+/// pools directly. A cluster type beside the pool, or a registration
+/// step the facade runs after attaching, is how the tenant list came to
+/// be kept twice on each backend.
+#[test]
+fn one_registry_per_pool() {
+    let hits = lines_matching(
+        &library_sources(),
+        any_of(&[
+            "struct SimCluster",
+            "struct ThreadCluster",
+            "struct TenantHandle",
+        ]),
+    );
+    assert!(
+        hits.is_empty(),
+        "a second tenant registry is back; the backend's pool owns its tenants:\n{}",
+        hits.join("\n")
+    );
+    let hits = lines_matching(&[root().join("src/api.rs")], any_of(&[".register("]));
+    assert!(
+        hits.is_empty(),
+        "the facade registers tenants; attaching to the pool registers them:\n{}",
+        hits.join("\n")
+    );
+    assert!(
+        !root().join("crates/cluster").exists(),
+        "crates/cluster is back; the pools in core and engine own their tenants"
+    );
+}
+
 /// The run configuration structs, with the file that defines each.
 const RUN_SETTINGS: [(&str, &str); 4] = [
     ("RunConfig", "crates/runtime/src/session.rs"),
