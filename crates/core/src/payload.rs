@@ -308,7 +308,9 @@ unsafe fn spill_dealloc(block: *mut u8, size: usize, align: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adapipe_gridsim::rng::splitmix64;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc::{channel, Receiver, Sender};
     use std::sync::Arc;
 
     #[test]
@@ -407,6 +409,274 @@ mod tests {
         let p = Payload::new(1u8);
         let s = format!("{p:?}");
         assert!(s.contains("u8"), "{s}");
+    }
+
+    /// Drops counted per side (0: the `Payload` under test, 1: the
+    /// `Box<dyn Any>` model) and per [`Body::KIND`].
+    static DROPS: [[AtomicUsize; 7]; 2] = [const { [const { AtomicUsize::new(0) }; 7] }; 2];
+
+    /// A value of each size class the model test covers.
+    trait Body: Send + PartialEq + std::fmt::Debug + 'static {
+        const KIND: usize;
+        /// Whether `Payload` should hold it inline.
+        const INLINE: bool;
+        fn of(tag: u64) -> Self;
+    }
+
+    impl Body for () {
+        const KIND: usize = 0;
+        const INLINE: bool = true;
+        fn of(_: u64) -> Self {}
+    }
+
+    impl Body for u64 {
+        const KIND: usize = 1;
+        const INLINE: bool = true;
+        fn of(tag: u64) -> Self {
+            tag
+        }
+    }
+
+    impl Body for [u64; 3] {
+        const KIND: usize = 2;
+        const INLINE: bool = true;
+        fn of(tag: u64) -> Self {
+            [tag, !tag, tag ^ 3]
+        }
+    }
+
+    /// One byte over the inline slot: the smallest spill, class 32.
+    impl Body for [u8; 25] {
+        const KIND: usize = 3;
+        const INLINE: bool = false;
+        fn of(tag: u64) -> Self {
+            std::array::from_fn(|i| (tag >> (i % 8 * 8)) as u8 ^ i as u8)
+        }
+    }
+
+    /// The size of an `Image` (a `Vec` and two `usize`s): class 64,
+    /// the block every hop of the imaging pipeline spills into.
+    impl Body for [u64; 5] {
+        const KIND: usize = 4;
+        const INLINE: bool = false;
+        fn of(tag: u64) -> Self {
+            std::array::from_fn(|i| tag.rotate_left(i as u32))
+        }
+    }
+
+    /// Over `CLASS_MAX`: bypasses the pool.
+    impl Body for [u64; 512] {
+        const KIND: usize = 5;
+        const INLINE: bool = false;
+        fn of(tag: u64) -> Self {
+            std::array::from_fn(|i| tag.wrapping_mul(i as u64 + 1))
+        }
+    }
+
+    /// Over `CLASS_ALIGN`: bypasses the pool.
+    #[repr(align(64))]
+    #[derive(PartialEq, Debug)]
+    struct Aligned(u64);
+
+    impl Body for Aligned {
+        const KIND: usize = 6;
+        const INLINE: bool = false;
+        fn of(tag: u64) -> Self {
+            Aligned(tag)
+        }
+    }
+
+    /// A body on side `S` whose drop counts in `DROPS[S][B::KIND]`.
+    #[derive(PartialEq, Debug)]
+    struct Val<const S: usize, B: Body>(B);
+
+    impl<const S: usize, B: Body> Drop for Val<S, B> {
+        fn drop(&mut self) {
+            DROPS[S][B::KIND].fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// One live value, held by both sides.
+    struct Slot {
+        kind: usize,
+        tag: u64,
+        subject: Payload,
+        model: Box<dyn std::any::Any + Send>,
+    }
+
+    /// Values dropped so far, by [`Body::KIND`]: what the model says
+    /// each side's `DROPS` row must read.
+    type Dropped = [usize; 7];
+
+    /// One step of the model test: make a new `B` tagged from `r`, or
+    /// act on the live `B` at `slots[at]` as `r` picks.
+    fn op<B: Body>(r: u64, at: Option<usize>, slots: &mut Vec<Slot>, dropped: &mut Dropped) {
+        let tag = r >> 16;
+        let Some(at) = at else {
+            let subject = Payload::new(Val::<0, B>(B::of(tag)));
+            assert_eq!(subject.vt.inline, B::INLINE, "{}", subject.type_name());
+            slots.push(Slot {
+                kind: B::KIND,
+                tag,
+                subject,
+                model: Box::new(Val::<1, B>(B::of(tag))),
+            });
+            return;
+        };
+        let expected = B::of(slots[at].tag);
+        match r % 5 {
+            0 => {
+                let Slot { subject, model, .. } = slots.swap_remove(at);
+                let got = subject.downcast::<Val<0, B>>().unwrap();
+                let want = model.downcast::<Val<1, B>>().unwrap();
+                assert_eq!((&got.0, &want.0), (&expected, &expected));
+                dropped[B::KIND] += 1;
+            }
+            1 => {
+                // Wrong types: the other side's `Val`, the bare body and
+                // an unrelated type. Each hands the value back intact.
+                let slot = &mut slots[at];
+                let subject = std::mem::replace(&mut slot.subject, Payload::new(()));
+                let subject = subject.downcast::<Val<1, B>>().unwrap_err();
+                let subject = subject.downcast::<B>().unwrap_err();
+                let subject = subject.downcast::<String>().unwrap_err();
+                assert!(slot.model.downcast_ref::<Val<0, B>>().is_none());
+                assert_eq!(subject.downcast_ref::<Val<0, B>>().unwrap().0, expected);
+                slot.subject = subject;
+            }
+            2 => {
+                let slot = &slots[at];
+                assert!(slot.subject.downcast_ref::<Val<1, B>>().is_none());
+                let got = slot.subject.downcast_ref::<Val<0, B>>().unwrap();
+                let want = slot.model.downcast_ref::<Val<1, B>>().unwrap();
+                assert_eq!((&got.0, &want.0), (&expected, &expected));
+            }
+            3 => {
+                let slot = &mut slots[at];
+                assert!(slot.subject.downcast_mut::<B>().is_none());
+                slot.tag = tag;
+                slot.subject.downcast_mut::<Val<0, B>>().unwrap().0 = B::of(tag);
+                slot.model.downcast_mut::<Val<1, B>>().unwrap().0 = B::of(tag);
+            }
+            _ => {
+                drop(slots.swap_remove(at));
+                dropped[B::KIND] += 1;
+            }
+        }
+    }
+
+    /// Runs [`op`] on the type of `kind`.
+    fn op_on(kind: usize, r: u64, at: Option<usize>, slots: &mut Vec<Slot>, d: &mut Dropped) {
+        match kind {
+            0 => op::<()>(r, at, slots, d),
+            1 => op::<u64>(r, at, slots, d),
+            2 => op::<[u64; 3]>(r, at, slots, d),
+            3 => op::<[u8; 25]>(r, at, slots, d),
+            4 => op::<[u64; 5]>(r, at, slots, d),
+            5 => op::<[u64; 512]>(r, at, slots, d),
+            _ => op::<Aligned>(r, at, slots, d),
+        }
+    }
+
+    /// Both sides' drop counts, by kind.
+    fn drops() -> [Dropped; 2] {
+        DROPS
+            .each_ref()
+            .map(|side| side.each_ref().map(|n| n.load(Ordering::SeqCst)))
+    }
+
+    /// The live values and the model's drop counts, handed from thread
+    /// to thread with the random state and the round number.
+    type Baton = (u64, usize, Vec<Slot>, Dropped);
+
+    /// Rounds per seed of the model test, each of 64 steps.
+    const ROUNDS: usize = 16;
+
+    /// Runs each baton it receives for one round and hands it to
+    /// `next`, until the last round, whose values it returns. When the
+    /// other relay ends or panics, its channels close and this one
+    /// returns `None`.
+    fn relay(rx: Receiver<Baton>, next: Sender<Baton>) -> Option<(Vec<Slot>, Dropped)> {
+        for (mut r, round, mut slots, mut dropped) in rx {
+            if round == ROUNDS {
+                return Some((slots, dropped));
+            }
+            for _ in 0..64 {
+                r = splitmix64(r);
+                let at = (r % 6 != 0 && !slots.is_empty()).then(|| (r >> 8) as usize % slots.len());
+                let kind = at.map_or((r >> 3) as usize % 7, |i| slots[i].kind);
+                op_on(kind, r / 6, at, &mut slots, &mut dropped);
+                assert_eq!(drops(), [dropped; 2]);
+            }
+            next.send((r, round + 1, slots, dropped)).ok()?;
+        }
+        None
+    }
+
+    /// Seeded runs of `new`, `downcast` to the right and wrong types,
+    /// `downcast_ref`, `downcast_mut` and drop over seven types, from a
+    /// ZST to a 4 KiB and an over-aligned value, each held by a
+    /// `Payload` and by a `Box<dyn Any>`. The live values pass back and
+    /// forth between two threads, so spill blocks are freed into, and
+    /// reused from, a pool other than the one that made them. Every
+    /// value read equals the model's, and after every step each type's
+    /// drops on both sides equal the count of values the run let go.
+    #[test]
+    fn payload_matches_a_boxed_any_model() {
+        assert_eq!(class_of(size_of::<[u8; 25]>(), 1), Some(0));
+        assert_eq!(class_of(size_of::<[u64; 5]>(), 8), Some(1));
+        assert_eq!(class_of(size_of::<[u64; 512]>(), 8), None);
+        assert_eq!(class_of(size_of::<Aligned>(), align_of::<Aligned>()), None);
+        let mut dropped = drops()[0];
+        for seed in 0..12 {
+            let (to_first, first) = channel();
+            let (to_second, second) = channel();
+            to_first.send((seed, 0, Vec::new(), dropped)).unwrap();
+            let (slots, mut after) = std::thread::scope(|scope| {
+                let a = scope.spawn(move || relay(first, to_second));
+                let b = scope.spawn(move || relay(second, to_first));
+                let (a, b) = (a.join().unwrap(), b.join().unwrap());
+                a.or(b).expect("one relay ran the last round")
+            });
+            for slot in slots {
+                after[slot.kind] += 1;
+            }
+            dropped = after;
+            assert_eq!(drops(), [dropped; 2], "seed {seed}");
+        }
+        assert!(dropped.iter().all(|&n| n > 20), "{dropped:?}");
+    }
+
+    /// A value whose `Drop` panics, caught by `catch_unwind`: the drop
+    /// runs once and the panic reaches the caller. A spilled value's
+    /// block is leaked, neither freed nor pooled, because the drop
+    /// unwinds before `spill_dealloc`; that is memory-safe, and the
+    /// thread's pool serves the next payload as before.
+    #[test]
+    fn a_panicking_drop_runs_once_and_leaks_only_its_block() {
+        struct Bomb<const N: usize>(Arc<AtomicUsize>, [u64; N]);
+        impl<const N: usize> Drop for Bomb<N> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+                panic!("drop of a {}-word bomb", N + 1);
+            }
+        }
+        let pooled = || SPILL_POOL.with(|pool| pool.borrow().classes[1].len());
+        let runs = Arc::new(AtomicUsize::new(0));
+        let inline = Payload::new(Bomb(Arc::clone(&runs), [0; 1]));
+        let spilled = Payload::new(Bomb(Arc::clone(&runs), [0; 4]));
+        assert!(inline.vt.inline && !spilled.vt.inline);
+        drop(Payload::new([0u64; 5])); // leaves a class-64 block pooled
+        let before = pooled();
+        for p in [inline, spilled] {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(p)));
+            assert!(caught.is_err(), "the panic reaches the caller");
+        }
+        assert_eq!(runs.load(Ordering::SeqCst), 2, "each drop ran once");
+        assert_eq!(pooled(), before, "the spilled bomb's block is not pooled");
+        let next = Payload::new([7u64; 5]);
+        assert_eq!(pooled(), before - 1, "the pool still serves");
+        assert_eq!(next.downcast::<[u64; 5]>().unwrap(), [7; 5]);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! An image-processing pipeline with real computational kernels.
 //!
 //! The canonical motivating application for pipeline skeletons: a stream
-//! of frames passes through *generate → blur → edge-detect → quantise*
-//! stages. The kernels are genuine (3×3 box blur, Sobel operator,
-//! histogram quantisation over `u8` grids), so the threaded engine runs
-//! them as real compute while the simulator plans with their measured
-//! cost shape.
+//! of frames passes through *generate → blur → edge-detect → quantise →
+//! checksum* stages. The kernels are genuine (3×3 box blur, Sobel
+//! operator, uniform posterisation and a pixel sum over `u8` grids), so
+//! the threaded engine runs them as real compute while the simulator
+//! plans with their measured cost shape.
 //!
 //! # Kernel shape
 //!
@@ -49,20 +49,32 @@
 //!
 //! A test sweeps every reachable `(gx, gy)` through both compiled copies.
 //!
-//! Quantise is a 256-entry table, filled once by the floating-point
-//! formula, applied in place. The checksum stage sums pixels in `u16`
-//! runs of 257 (257 × 255 = 65535 is the most a `u16` holds) and widens
-//! each run's sum to `u64` once.
+//! Quantise posterises to `levels = 2^k` grey levels. Its formula as
+//! first written is `f64`: with `step = 256 / levels`, grey `px` falls
+//! in bucket `⌊px / step⌋` and maps to `bucket · step + step / 2`. For a
+//! power of two every term is exact: `step = 2^(8−k)` and `step / 2`
+//! are exact in `f64`, the bucket is `px >> (8 − k)`, and
+//! `bucket · step` is `px` with its low `8 − k` bits cleared. `step / 2`
+//! is one of those low bits, so adding it sets it, and the byte is
+//! `(px & !(step − 1)) | step / 2`: one mask and one or per pixel,
+//! applied in place. Off the powers of two the `f64` formula is no clean
+//! definition (for 186 levels it puts grey 128 one bucket below
+//! `⌊128 · levels / 256⌋`), so [`quantise`] takes powers of two only.
+//!
+//! The checksum stage sums pixels in `u16` runs of 257 (257 × 255 =
+//! 65535 is the most a `u16` holds) and widens each run's sum to `u64`
+//! once.
 //!
 //! # Two compiled copies
 //!
-//! Blur, Sobel and the pixel sum are each one body that `two_copies!`
-//! compiles twice: for the build's target (SSE2 on x86-64, 8 `u16`
-//! lanes) and with AVX2 (16 lanes). Each call runs the AVX2 copy when
-//! `is_x86_feature_detected!` finds AVX2. Both copies give the same
-//! byte: the integer operations are exact at any width, IEEE `sqrt`,
-//! `+` and `−` round each lane exactly as the scalar expression does,
-//! and Rust never contracts a multiply and an add into an FMA.
+//! Blur, Sobel, posterisation and the pixel sum are each one body that
+//! `two_copies!` compiles twice: for the build's target (SSE2 on x86-64:
+//! 8 `u16` or 16 `u8` lanes) and with AVX2 (16 `u16` or 32 `u8`). Each
+//! call runs the AVX2 copy when `is_x86_feature_detected!` finds AVX2.
+//! Both copies give the same byte: the integer operations are exact at
+//! any width, IEEE `sqrt`, `+` and `−` round each lane exactly as the
+//! scalar expression does, and Rust never contracts a multiply and an
+//! add into an FMA.
 //!
 //! The body is `#[inline(always)]` and called directly from the
 //! `#[target_feature]` copy, so its loops are compiled with the feature.
@@ -179,6 +191,7 @@ macro_rules! two_copies {
 
         /// The two compiled copies of the kernel of the same name.
         mod $name {
+            #[allow(unused_imports)] // a body may name nothing from the module
             use super::*;
 
             #[inline(always)]
@@ -293,21 +306,27 @@ two_copies! {
     }
 }
 
-/// What [`quantise`] maps each grey value to.
-fn quantise_table(levels: u8) -> [u8; 256] {
-    assert!(levels >= 2, "need at least two levels");
-    let step = 256.0 / levels as f64;
-    std::array::from_fn(|px| {
-        let bucket = (px as f64 / step).floor().min(levels as f64 - 1.0);
-        (bucket * step + step / 2.0) as u8
-    })
+two_copies! {
+    /// Each pixel's high bits kept by `mask` and its low bits set to
+    /// `half`: posterisation to a power-of-two level count (see
+    /// [`level_bits`]).
+    fn posterise(pixels: &mut [u8], mask: u8, half: u8) {
+        for px in pixels {
+            *px = (*px & mask) | half;
+        }
+    }
 }
 
-/// [`quantise`] in place, by the table of its level count.
-fn quantise_in_place(img: &mut Image, table: &[u8; 256]) {
-    for px in &mut img.pixels {
-        *px = table[usize::from(*px)];
-    }
+/// The `(mask, half)` that [`posterise()`] takes for `levels`, a power
+/// of two in `2..=128`: each level is `step = 256 / levels` grey values
+/// wide and maps to its middle value.
+fn level_bits(levels: u8) -> (u8, u8) {
+    assert!(
+        levels >= 2 && levels.is_power_of_two(),
+        "levels must be a power of two in 2..=128, got {levels}"
+    );
+    let step = 256 / u16::from(levels);
+    (!(step - 1) as u8, (step / 2) as u8)
 }
 
 /// Box blur: the mean of the 3×3 neighbourhood, edge pixels clamped.
@@ -324,10 +343,16 @@ pub fn sobel(src: &Image) -> Image {
     out
 }
 
-/// Quantises to `levels` grey levels (posterisation).
+/// Quantises to `levels` grey levels (uniform posterisation): grey
+/// `px` maps to the middle of its `256 / levels`-wide bucket.
+///
+/// # Panics
+///
+/// Unless `levels` is a power of two in `2..=128`.
 pub fn quantise(src: &Image, levels: u8) -> Image {
+    let (mask, half) = level_bits(levels);
     let mut out = src.clone();
-    quantise_in_place(&mut out, &quantise_table(levels));
+    posterise(&mut out.pixels, mask, half);
     out
 }
 
@@ -352,17 +377,17 @@ fn ping_pong<T: Clone + Send + 'static>(
 /// node. The weights 1 : 5 : 1.25 : 0.9 are a fixed cost shape, kept as
 /// the kernels get faster because the simulated scenario of
 /// `tests/grand_tour.rs` reads them. Measured in process on 192² frames
-/// the stages now take about 7 : 21 : 12 : 1 µs on a 2-vCPU AVX2 Xeon
-/// container. The
-/// engine's planner only needs *relative* weights; absolute wall times
-/// depend on the host and are measured, not assumed.
+/// (best of 300 calls of each stage) the stages now take about
+/// 8 : 25 : 0.7 : 1.2 µs on a 2-vCPU AVX2 Xeon container. The engine's
+/// planner only needs *relative* weights; absolute wall times depend on
+/// the host and are measured, not assumed.
 pub fn imaging_pipeline(side: usize) -> Pipeline<Image, u64> {
     let frame_bytes = (side * side) as u64;
     let w_blur = 1.0;
     let w_sobel = 5.0;
     let w_quant = 1.25;
     let w_sum = 0.9;
-    let table = quantise_table(8);
+    let (mask, half) = level_bits(8);
     PipelineBuilder::<Image>::new()
         .input_bytes(frame_bytes)
         .stage(
@@ -376,7 +401,7 @@ pub fn imaging_pipeline(side: usize) -> Pipeline<Image, u64> {
         .stage(
             StageSpec::balanced("quantise", w_quant, frame_bytes),
             move |mut img: Image| {
-                quantise_in_place(&mut img, &table);
+                posterise(&mut img.pixels, mask, half);
                 img
             },
         )
@@ -645,20 +670,41 @@ mod tests {
         }
     }
 
+    /// Every power-of-two level count on every grey value (the ramp)
+    /// and on seeded slices whose lengths straddle the 16- and 32-lane
+    /// vector widths: each copy of the kernel equals the `f64` formula.
     #[test]
-    fn quantise_table_equals_the_oracle_on_every_grey_value() {
+    fn posterise_equals_the_oracle_on_every_power_of_two_and_grey_value() {
         let ramp = Image {
             width: 256,
             height: 1,
             pixels: (0..=255).collect(),
         };
-        for levels in [2, 3, 4, 7, 8, 16, 255] {
-            assert_eq!(
-                quantise(&ramp, levels),
-                oracle::quantise(&ramp, levels),
-                "{levels} levels"
-            );
+        let lengths = [1, 15, 16, 17, 31, 32, 33, 36_864, 36_865];
+        let frames = lengths.map(|len| Image::synthetic(len, 1, len as u64));
+        for levels in (1..8).map(|k| 1u8 << k) {
+            let (mask, half) = level_bits(levels);
+            for img in std::iter::once(&ramp).chain(&frames) {
+                let expected = oracle::quantise(img, levels);
+                for (name, kernel) in posterise::copies() {
+                    let mut pixels = img.pixels.clone();
+                    kernel(&mut pixels, mask, half);
+                    assert_eq!(
+                        pixels,
+                        expected.pixels,
+                        "{name}, {levels} levels, length {}",
+                        img.pixels.len()
+                    );
+                }
+                assert_eq!(quantise(img, levels), expected, "{levels} levels");
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn quantise_rejects_a_level_count_off_the_powers_of_two() {
+        quantise(&Image::synthetic(4, 4, 0), 3);
     }
 
     two_copies! {

@@ -4,7 +4,8 @@
 //! evaluation:
 //!
 //! * [`imaging`] — a real image-processing pipeline (3×3 box blur,
-//!   Sobel, quantisation) over deterministic synthetic frames;
+//!   Sobel, uniform posterisation, pixel-sum checksum) over
+//!   deterministic synthetic frames;
 //! * [`signal`] — a real FIR filter-chain pipeline over synthetic sample
 //!   frames;
 //! * [`scenario`] — the named synthetic pipeline shapes the experiments
