@@ -65,7 +65,7 @@ pub fn attempt(
 ) -> Result<(BoxedItem, u32), GaveUp> {
     let mut attempts: u32 = 1;
     loop {
-        match stage.try_process(payload) {
+        match stage.process(payload) {
             Ok(out) => return Ok((out, attempts)),
             Err(StageError::Item { item, .. }) if attempts <= spec.resilience.max_retries => {
                 retrying(attempts);

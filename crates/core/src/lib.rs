@@ -102,7 +102,7 @@ pub mod prelude {
     };
     pub use crate::stage::{
         clone_fn, fan_out_fn, BoxedItem, CloneFn, DynStage, FallibleFnStage, FanOutFn, FnStage,
-        MergeStage, SealedStage, StageError, StatefulFnStage,
+        MergeStage, StageError,
     };
     pub use adapipe_runtime::arrivals::ArrivalProcess;
     pub use adapipe_runtime::backend::{ExecutionBackend, RemapPlan};

@@ -17,7 +17,7 @@
 //! [`PipelineSpec`] metadata the planner needs.
 
 use crate::spec::{PipelineSpec, StageSpec};
-use crate::stage::{declared, DynStage, FanOutFn, FnStage, KeyFn, KeyedStage, StatefulFnStage};
+use crate::stage::{DynStage, FanOutFn, FnStage, KeyFn, KeyedStage};
 use adapipe_gridsim::node::NodeId;
 use adapipe_state::StateCodec;
 use std::marker::PhantomData;
@@ -165,23 +165,24 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
 
     /// Appends a plain-closure stage. The closure must be `Clone`: the
     /// stage replicates iff `spec`'s declared state is replicable, and
-    /// runs as one sealed instance otherwise (see [`declared`]).
+    /// runs as one instance otherwise.
     pub fn stage<Out, F>(mut self, spec: StageSpec, f: F) -> PipelineBuilder<In, Out>
     where
         Out: Send + 'static,
         F: FnMut(Cur) -> Out + Send + Clone + 'static,
     {
         self.stages
-            .push(declared(&spec, FnStage::new(spec.name.clone(), f)));
+            .push(Box::new(FnStage::new(spec.name.clone(), f)));
         self.spec_stages.push(spec);
         self.keys.push(None);
         self.retype()
     }
 
-    /// Appends a stateful stage with *opaque* closure state: it will
-    /// never be replicated, and a permanent loss of its host aborts the
-    /// run. The closure need not be `Clone`, so a replicable declaration
-    /// is normalised to opaque. Prefer [`PipelineBuilder::keyed_stage`]
+    /// Appends a stateful stage with *opaque* closure state
+    /// ([`FnStage::opaque`]): it runs as one instance that is never
+    /// copied, and a permanent loss of its host aborts the run. The
+    /// closure need not be `Clone`, so a replicable declaration is
+    /// normalised to opaque. Prefer [`PipelineBuilder::keyed_stage`]
     /// (or the unified builder's declared-state methods) for state the
     /// runtime should be able to move.
     pub fn stateful_stage<Out, F>(mut self, spec: StageSpec, f: F) -> PipelineBuilder<In, Out>
@@ -196,7 +197,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
             spec
         };
         self.stages
-            .push(Box::new(StatefulFnStage::new(spec.name.clone(), f)));
+            .push(Box::new(FnStage::opaque(spec.name.clone(), f)));
         self.spec_stages.push(spec);
         self.keys.push(None);
         self.retype()
@@ -312,7 +313,6 @@ mod tests {
             .build();
         assert!(!p.spec().profile().state[0].replicable());
         let (_, mut stages, ..) = p.into_parts();
-        assert!(stages[0].replicate().is_none());
         assert_eq!(
             stages[0]
                 .process(crate::payload::Payload::new(2u64))
@@ -392,9 +392,9 @@ mod tests {
                 |x: u8| x,
             )
             .build();
-        let (_, stages, ..) = p.into_parts();
-        assert!(stages[0].replicate().is_none(), "opaque state is sealed");
-        assert!(stages[1].replicate().is_some(), "keyed state replicates");
+        let state = p.spec().profile().state;
+        assert!(!state[0].replicable(), "opaque state runs as one instance");
+        assert!(state[1].replicable(), "keyed state replicates");
     }
 
     #[test]

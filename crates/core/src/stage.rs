@@ -9,12 +9,12 @@
 //!   hosts without generic plumbing.
 //!
 //! Stage *functions* are `FnMut`: a stage may carry state (e.g. a running
-//! histogram), in which case it must be declared stateful and will never
-//! be replicated. Which instance a plain closure runs as is read off its
-//! spec's declared state in one place, [`declared`].
+//! histogram), in which case its [`StageSpec`](crate::spec::StageSpec)
+//! must declare that state. An instance only processes items, makes a
+//! fresh copy of itself and moves its state; whether it is copied at
+//! all, and how many instances run, is its declaration's decision alone.
 
 use crate::payload::Payload;
-use crate::spec::StageSpec;
 use adapipe_state::{StateCodec, StateSnapshot};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -127,7 +127,7 @@ pub fn clone_fn<T: Clone + Send + 'static>() -> CloneFn {
     Arc::new(|item: &BoxedItem| item.downcast_ref::<T>().map(|i| Payload::new(i.clone())))
 }
 
-/// A failed stage attempt, as seen through [`DynStage::try_process`].
+/// A failed stage attempt, as returned by [`DynStage::process`].
 ///
 /// `Type` is the historical mis-assembly error (fatal: retrying cannot
 /// fix a wrong dynamic type). `Item` is a *processing* failure from a
@@ -159,39 +159,38 @@ impl std::fmt::Debug for StageError {
     }
 }
 
+/// `item` as the `T` stage `stage` declared as its input, or the typed
+/// mis-assembly error naming both.
+fn downcast_input<T: 'static>(stage: &str, item: BoxedItem) -> Result<T, StageError> {
+    item.downcast::<T>().map_err(|_| {
+        StageError::Type(StageTypeError {
+            stage: stage.to_string(),
+            expected: std::any::type_name::<T>(),
+        })
+    })
+}
+
 /// The execution engines' view of a stage.
 pub trait DynStage: Send {
     /// Processes one item. Engines guarantee items of the declared
     /// input type when pipelines come from the typed builder; a
-    /// mismatch (mis-assembled erased parts) surfaces as a typed
-    /// [`StageTypeError`] the engine turns into a session-level run
-    /// error instead of a worker-thread panic.
-    fn process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageTypeError>;
-
-    /// Processes one item, distinguishing *retryable* item failures from
-    /// fatal type mismatches. Engines call this (not [`Self::process`])
-    /// so stages built from fallible closures ([`FallibleFnStage`]) can
-    /// hand the input back for a retry. The default forwards to
-    /// `process`, so infallible stages need no change.
-    fn try_process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageError> {
-        self.process(item).map_err(StageError::Type)
-    }
-
-    /// Creates an independent instance for replication, or `None` if the
-    /// stage cannot be replicated (it is stateful or its closure is not
-    /// cloneable).
-    fn replicate(&self) -> Option<Box<dyn DynStage>>;
+    /// mismatch (mis-assembled erased parts) is a fatal
+    /// [`StageError::Type`] the engine turns into a session-level run
+    /// error instead of a worker-thread panic. A fallible stage
+    /// ([`FallibleFnStage`]) that rejects the item returns it in a
+    /// [`StageError::Item`], so the engine can retry it.
+    fn process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageError>;
 
     /// Stage name for logs and reports.
     fn name(&self) -> &str;
 
-    /// An *empty shell* of the same stage type (state reset to init),
-    /// regardless of whether the planner may replicate it — the target
-    /// a migration restores a snapshot into. `None` for stages whose
-    /// closure cannot be recreated (opaque state).
-    fn fresh(&self) -> Option<Box<dyn DynStage>> {
-        self.replicate()
-    }
+    /// A new instance of the same stage with its state reset to init:
+    /// a replica or partial where the declaration lets the stage run
+    /// wide, an empty shard shell for keyed state, and the target a
+    /// migration restores a snapshot into. `None` when the closure
+    /// cannot be copied (opaque state). The instance never decides
+    /// whether it is copied; its declaration does.
+    fn fresh(&self) -> Option<Box<dyn DynStage>>;
 
     /// Serializes this instance's state for a migration hand-off, or
     /// `None` for stages with no movable state (stateless or opaque).
@@ -214,13 +213,17 @@ pub trait DynStage: Send {
     }
 }
 
-/// A stage built from a closure `I -> O`.
+/// A stage built from a closure `I -> O`. Whatever state the closure
+/// captures is opaque to the runtime: it can neither snapshot nor
+/// merge it, only copy the closure (when it is `Clone`) as a fresh
+/// instance.
 pub struct FnStage<I, O, F>
 where
     F: FnMut(I) -> O + Send,
 {
     name: String,
     f: F,
+    copy: Option<fn(&F) -> F>,
     _types: std::marker::PhantomData<fn(I) -> O>,
 }
 
@@ -230,11 +233,28 @@ where
     O: Send + 'static,
     F: FnMut(I) -> O + Send,
 {
-    /// Wraps `f` as a named stage.
-    pub fn new(name: impl Into<String>, f: F) -> Self {
+    /// Wraps `f` as a named stage; [`DynStage::fresh`] clones `f`.
+    pub fn new(name: impl Into<String>, f: F) -> Self
+    where
+        F: Clone,
+    {
         FnStage {
             name: name.into(),
             f,
+            copy: Some(F::clone),
+            _types: std::marker::PhantomData,
+        }
+    }
+
+    /// Wraps a closure that cannot be copied as a named stage: the
+    /// closure needs no `Clone` bound, and [`DynStage::fresh`] is
+    /// `None`, so it needs a declaration that never copies an instance
+    /// (the builders' `stateful_stage` declares it opaque).
+    pub fn opaque(name: impl Into<String>, f: F) -> Self {
+        FnStage {
+            name: name.into(),
+            f,
+            copy: None,
             _types: std::marker::PhantomData,
         }
     }
@@ -244,20 +264,18 @@ impl<I, O, F> DynStage for FnStage<I, O, F>
 where
     I: Send + 'static,
     O: Send + 'static,
-    F: FnMut(I) -> O + Send + Clone + 'static,
+    F: FnMut(I) -> O + Send + 'static,
 {
-    fn process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageTypeError> {
-        let input = item.downcast::<I>().map_err(|_| StageTypeError {
-            stage: self.name.clone(),
-            expected: std::any::type_name::<I>(),
-        })?;
-        Ok(Payload::new((self.f)(input)))
+    fn process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageError> {
+        Ok(Payload::new((self.f)(downcast_input(&self.name, item)?)))
     }
 
-    fn replicate(&self) -> Option<Box<dyn DynStage>> {
+    fn fresh(&self) -> Option<Box<dyn DynStage>> {
+        let copy = self.copy?;
         Some(Box::new(FnStage {
             name: self.name.clone(),
-            f: self.f.clone(),
+            f: copy(&self.f),
+            copy: self.copy,
             _types: std::marker::PhantomData,
         }))
     }
@@ -304,27 +322,8 @@ where
     O: Send + 'static,
     F: FnMut(I) -> Result<O, String> + Send + Clone + 'static,
 {
-    fn process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageTypeError> {
-        // Compatibility shim for callers that have not migrated to
-        // `try_process`; an item failure has no spelling here and
-        // degrades to a stage-level error.
-        match self.try_process(item) {
-            Ok(out) => Ok(out),
-            Err(StageError::Type(e)) => Err(e),
-            Err(StageError::Item { .. }) => Err(StageTypeError {
-                stage: self.name.clone(),
-                expected: "an item this fallible stage accepts (use try_process)",
-            }),
-        }
-    }
-
-    fn try_process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageError> {
-        let input = item.downcast::<I>().map_err(|_| {
-            StageError::Type(StageTypeError {
-                stage: self.name.clone(),
-                expected: std::any::type_name::<I>(),
-            })
-        })?;
+    fn process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageError> {
+        let input: I = downcast_input(&self.name, item)?;
         match (self.f)(input.clone()) {
             Ok(out) => Ok(Payload::new(out)),
             Err(reason) => Err(StageError::Item {
@@ -334,62 +333,12 @@ where
         }
     }
 
-    fn replicate(&self) -> Option<Box<dyn DynStage>> {
+    fn fresh(&self) -> Option<Box<dyn DynStage>> {
         Some(Box::new(FallibleFnStage {
             name: self.name.clone(),
             f: self.f.clone(),
             _types: std::marker::PhantomData,
         }))
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-/// A stage built from a stateful closure: never replicable, and the
-/// closure needs no `Clone` bound.
-pub struct StatefulFnStage<I, O, F>
-where
-    F: FnMut(I) -> O + Send,
-{
-    name: String,
-    f: F,
-    _types: std::marker::PhantomData<fn(I) -> O>,
-}
-
-impl<I, O, F> StatefulFnStage<I, O, F>
-where
-    I: Send + 'static,
-    O: Send + 'static,
-    F: FnMut(I) -> O + Send,
-{
-    /// Wraps `f` as a named stateful stage.
-    pub fn new(name: impl Into<String>, f: F) -> Self {
-        StatefulFnStage {
-            name: name.into(),
-            f,
-            _types: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<I, O, F> DynStage for StatefulFnStage<I, O, F>
-where
-    I: Send + 'static,
-    O: Send + 'static,
-    F: FnMut(I) -> O + Send + 'static,
-{
-    fn process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageTypeError> {
-        let input = item.downcast::<I>().map_err(|_| StageTypeError {
-            stage: self.name.clone(),
-            expected: std::any::type_name::<I>(),
-        })?;
-        Ok(Payload::new((self.f)(input)))
-    }
-
-    fn replicate(&self) -> Option<Box<dyn DynStage>> {
-        None
     }
 
     fn name(&self) -> &str {
@@ -433,24 +382,21 @@ where
     O: Send + 'static,
     F: FnMut(Vec<B>) -> O + Send + Clone + 'static,
 {
-    fn process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageTypeError> {
-        let parts = item
-            .downcast::<Vec<BoxedItem>>()
-            .map_err(|_| StageTypeError {
+    fn process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageError> {
+        let parts = item.downcast::<Vec<BoxedItem>>().map_err(|_| {
+            StageError::Type(StageTypeError {
                 stage: self.name.clone(),
                 expected: "a joined Vec of branch outputs",
-            })?;
+            })
+        })?;
         let mut typed = Vec::with_capacity(parts.len());
         for part in parts {
-            typed.push(part.downcast::<B>().map_err(|_| StageTypeError {
-                stage: self.name.clone(),
-                expected: std::any::type_name::<B>(),
-            })?);
+            typed.push(downcast_input::<B>(&self.name, part)?);
         }
         Ok(Payload::new((self.f)(typed)))
     }
 
-    fn replicate(&self) -> Option<Box<dyn DynStage>> {
+    fn fresh(&self) -> Option<Box<dyn DynStage>> {
         Some(Box::new(MergeStage {
             name: self.name.clone(),
             f: self.f.clone(),
@@ -463,53 +409,10 @@ where
     }
 }
 
-/// A stage wrapper that refuses replication regardless of the closure —
-/// used for plain closures under a non-replicable declaration.
-pub struct SealedStage {
-    inner: Box<dyn DynStage>,
-}
-
-impl SealedStage {
-    /// Seals `inner` against replication.
-    pub fn new(inner: Box<dyn DynStage>) -> Self {
-        SealedStage { inner }
-    }
-}
-
-impl DynStage for SealedStage {
-    fn process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageTypeError> {
-        self.inner.process(item)
-    }
-    fn try_process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageError> {
-        self.inner.try_process(item)
-    }
-    fn replicate(&self) -> Option<Box<dyn DynStage>> {
-        None
-    }
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-}
-
-/// The instance a plain-closure stage — [`FnStage`], [`FallibleFnStage`]
-/// or [`MergeStage`] — runs as under `spec`'s declared state: the stage
-/// itself when the declaration is `replicable()` (stateless, or keyed /
-/// accumulator state the runtime shards or merges around the closure),
-/// [`SealedStage`]-wrapped otherwise (exclusive and opaque state run as
-/// exactly one instance). Every builder's plain-closure site calls this;
-/// it is the one place a declaration picks an instance type.
-pub fn declared(spec: &StageSpec, stage: impl DynStage + 'static) -> Box<dyn DynStage> {
-    if spec.state.replicable() {
-        Box::new(stage)
-    } else {
-        Box::new(SealedStage::new(Box::new(stage)))
-    }
-}
-
 /// A stage with *keyed* state: per-key values of type `S`, partitioned
 /// by key hash. Each live instance owns a disjoint slice of the key
 /// space (the router guarantees a key always meets the same instance),
-/// so instances replicate as empty shells and their contents migrate as
+/// so fresh instances are empty shells and their contents migrate as
 /// codec-encoded `HashMap<key-hash, S>` snapshots.
 pub struct KeyedStage<I, O, S, K, F>
 where
@@ -568,19 +471,16 @@ where
     K: Fn(&I) -> u64 + Send + Sync + 'static,
     F: FnMut(&mut S, I) -> O + Send + Clone + 'static,
 {
-    fn process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageTypeError> {
-        let input = item.downcast::<I>().map_err(|_| StageTypeError {
-            stage: self.name.clone(),
-            expected: std::any::type_name::<I>(),
-        })?;
+    fn process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageError> {
+        let input: I = downcast_input(&self.name, item)?;
         let hash = (self.key)(&input);
         let state = self.states.entry(hash).or_insert_with(|| (self.init)());
         Ok(Payload::new((self.f)(state, input)))
     }
 
-    fn replicate(&self) -> Option<Box<dyn DynStage>> {
-        // Replicas start empty: each one owns whichever keys the router
-        // sends it, so fresh shells are the correct seed.
+    fn fresh(&self) -> Option<Box<dyn DynStage>> {
+        // Shells start empty: each one owns whichever keys the router
+        // sends it.
         Some(Box::new(KeyedStage {
             name: self.name.clone(),
             key: Arc::clone(&self.key),
@@ -627,31 +527,36 @@ where
     }
 }
 
-/// A stage with *accumulator* state: one logical value with a
-/// commutative merge. Every replica keeps a partial seeded from `init`;
-/// a replica vacating a host snapshots its partial for a survivor to
-/// [`DynStage::absorb`] via `merge`.
-pub struct AccumStage<I, O, S, F, M>
+/// The merge operator of an accumulator: folds the right partial into
+/// the left.
+type MergeFn<S> = Arc<dyn Fn(&mut S, S) + Send + Sync>;
+
+/// A stage with one value of declared state, seeded from `init`, that
+/// snapshots and restores through its codec. Under an *accumulator*
+/// declaration the value has a commutative merge: every replica keeps
+/// a partial, and a replica vacating a host snapshots its partial for
+/// a survivor to [`DynStage::absorb`]. Under an *exclusive* declaration
+/// there is no merge: one instance runs, and a migration moves its
+/// value whole.
+pub struct AccumStage<I, O, S, F>
 where
     F: FnMut(&mut S, I) -> O + Send,
-    M: Fn(&mut S, S) + Send + Sync,
 {
     name: String,
     init: Arc<dyn Fn() -> S + Send + Sync>,
     f: F,
-    merge: Arc<M>,
+    merge: Option<MergeFn<S>>,
     state: S,
     version: u64,
     _types: std::marker::PhantomData<fn(I) -> O>,
 }
 
-impl<I, O, S, F, M> AccumStage<I, O, S, F, M>
+impl<I, O, S, F> AccumStage<I, O, S, F>
 where
     I: Send + 'static,
     O: Send + 'static,
     S: StateCodec + Send + 'static,
     F: FnMut(&mut S, I) -> O + Send + Clone + 'static,
-    M: Fn(&mut S, S) + Send + Sync + 'static,
 {
     /// Wraps `f` as a named accumulator stage with merge operator
     /// `merge` (folds the right partial into the left).
@@ -659,15 +564,33 @@ where
         name: impl Into<String>,
         init: impl Fn() -> S + Send + Sync + 'static,
         f: F,
-        merge: M,
+        merge: impl Fn(&mut S, S) + Send + Sync + 'static,
     ) -> Self {
-        let init = Arc::new(init);
+        Self::with_merge(name, Arc::new(init), f, Some(Arc::new(merge)))
+    }
+
+    /// Wraps `f` as a named exclusive-state stage seeded from `init`:
+    /// it has no merge, so [`DynStage::absorb`] refuses every partial.
+    pub fn exclusive(
+        name: impl Into<String>,
+        init: impl Fn() -> S + Send + Sync + 'static,
+        f: F,
+    ) -> Self {
+        Self::with_merge(name, Arc::new(init), f, None)
+    }
+
+    fn with_merge(
+        name: impl Into<String>,
+        init: Arc<dyn Fn() -> S + Send + Sync>,
+        f: F,
+        merge: Option<MergeFn<S>>,
+    ) -> Self {
         let state = init();
         AccumStage {
             name: name.into(),
             init,
             f,
-            merge: Arc::new(merge),
+            merge,
             state,
             version: 0,
             _types: std::marker::PhantomData,
@@ -675,32 +598,25 @@ where
     }
 }
 
-impl<I, O, S, F, M> DynStage for AccumStage<I, O, S, F, M>
+impl<I, O, S, F> DynStage for AccumStage<I, O, S, F>
 where
     I: Send + 'static,
     O: Send + 'static,
     S: StateCodec + Send + 'static,
     F: FnMut(&mut S, I) -> O + Send + Clone + 'static,
-    M: Fn(&mut S, S) + Send + Sync + 'static,
 {
-    fn process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageTypeError> {
-        let input = item.downcast::<I>().map_err(|_| StageTypeError {
-            stage: self.name.clone(),
-            expected: std::any::type_name::<I>(),
-        })?;
+    fn process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageError> {
+        let input: I = downcast_input(&self.name, item)?;
         Ok(Payload::new((self.f)(&mut self.state, input)))
     }
 
-    fn replicate(&self) -> Option<Box<dyn DynStage>> {
-        Some(Box::new(AccumStage {
-            name: self.name.clone(),
-            init: Arc::clone(&self.init),
-            f: self.f.clone(),
-            merge: Arc::clone(&self.merge),
-            state: (self.init)(),
-            version: 0,
-            _types: std::marker::PhantomData,
-        }))
+    fn fresh(&self) -> Option<Box<dyn DynStage>> {
+        Some(Box::new(Self::with_merge(
+            self.name.clone(),
+            Arc::clone(&self.init),
+            self.f.clone(),
+            self.merge.clone(),
+        )))
     }
 
     fn name(&self) -> &str {
@@ -724,107 +640,16 @@ where
     }
 
     fn absorb(&mut self, snap: StateSnapshot) -> bool {
+        let Some(merge) = &self.merge else {
+            return false;
+        };
         match S::from_bytes(&snap.bytes) {
             Some(partial) => {
-                (self.merge)(&mut self.state, partial);
+                merge(&mut self.state, partial);
                 self.version = self.version.max(snap.version);
                 true
             }
             None => false,
-        }
-    }
-}
-
-/// A stage with *exclusive* declared state: serializable but
-/// indivisible. The planner never replicates it ([`DynStage::replicate`]
-/// is `None`), but unlike opaque closure state it can quiesce,
-/// snapshot, and resume on another host — so a node death migrates it
-/// instead of aborting the run.
-pub struct SnapStage<I, O, S, F>
-where
-    F: FnMut(&mut S, I) -> O + Send,
-{
-    name: String,
-    init: Arc<dyn Fn() -> S + Send + Sync>,
-    f: F,
-    state: S,
-    version: u64,
-    _types: std::marker::PhantomData<fn(I) -> O>,
-}
-
-impl<I, O, S, F> SnapStage<I, O, S, F>
-where
-    I: Send + 'static,
-    O: Send + 'static,
-    S: StateCodec + Send + 'static,
-    F: FnMut(&mut S, I) -> O + Send + Clone + 'static,
-{
-    /// Wraps `f` as a named exclusive-state stage seeded from `init`.
-    pub fn new(
-        name: impl Into<String>,
-        init: impl Fn() -> S + Send + Sync + 'static,
-        f: F,
-    ) -> Self {
-        let init = Arc::new(init);
-        let state = init();
-        SnapStage {
-            name: name.into(),
-            init,
-            f,
-            state,
-            version: 0,
-            _types: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<I, O, S, F> DynStage for SnapStage<I, O, S, F>
-where
-    I: Send + 'static,
-    O: Send + 'static,
-    S: StateCodec + Send + 'static,
-    F: FnMut(&mut S, I) -> O + Send + Clone + 'static,
-{
-    fn process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageTypeError> {
-        let input = item.downcast::<I>().map_err(|_| StageTypeError {
-            stage: self.name.clone(),
-            expected: std::any::type_name::<I>(),
-        })?;
-        Ok(Payload::new((self.f)(&mut self.state, input)))
-    }
-
-    fn replicate(&self) -> Option<Box<dyn DynStage>> {
-        None
-    }
-
-    fn fresh(&self) -> Option<Box<dyn DynStage>> {
-        Some(Box::new(SnapStage {
-            name: self.name.clone(),
-            init: Arc::clone(&self.init),
-            f: self.f.clone(),
-            state: (self.init)(),
-            version: 0,
-            _types: std::marker::PhantomData,
-        }))
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn snapshot(&mut self) -> Option<StateSnapshot> {
-        self.version += 1;
-        Some(StateSnapshot::new(self.version, self.state.to_bytes()))
-    }
-
-    fn restore(&mut self, snap: StateSnapshot) -> bool {
-        match S::from_bytes(&snap.bytes) {
-            Some(state) if snap.version >= self.version => {
-                self.state = state;
-                self.version = snap.version;
-                true
-            }
-            _ => false,
         }
     }
 }
@@ -877,7 +702,7 @@ mod tests {
             }
         });
         let mut a: Box<dyn DynStage> = Box::new(counter_stage);
-        let mut b = a.replicate().expect("cloneable");
+        let mut b = a.fresh().expect("cloneable");
         let run = |s: &mut Box<dyn DynStage>| {
             s.process(Payload::new(0u64))
                 .expect("typed item")
@@ -891,30 +716,6 @@ mod tests {
     }
 
     #[test]
-    fn sealed_stage_refuses_replication() {
-        let s = SealedStage::new(Box::new(FnStage::new("st", |x: i32| x)));
-        assert!(s.replicate().is_none());
-        assert_eq!(s.name(), "st");
-    }
-
-    #[test]
-    fn sealed_fallible_stage_keeps_item_failures_retryable() {
-        let spec = StageSpec::balanced("f", 1.0, 0).with_exclusive_state(0);
-        let mut s = declared(
-            &spec,
-            FallibleFnStage::new("f", |x: u64| Err::<u64, _>(format!("{x}"))),
-        );
-        assert!(s.replicate().is_none(), "exclusive state is sealed");
-        match s.try_process(Payload::new(7u64)) {
-            Err(StageError::Item { reason, item }) => {
-                assert_eq!(reason, "7");
-                assert_eq!(item.downcast::<u64>().unwrap(), 7);
-            }
-            other => panic!("expected a retryable item failure, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn fan_out_clones_and_merge_folds() {
         let split = fan_out_fn::<u64>(3);
         let mut parts = Vec::new();
@@ -924,7 +725,7 @@ mod tests {
         let joined: BoxedItem = Payload::new(parts);
         let out = m.process(joined).expect("typed parts merge");
         assert_eq!(out.downcast::<u64>().unwrap(), 21);
-        assert!(m.replicate().is_some(), "stateless merges replicate");
+        assert!(m.fresh().is_some(), "merges copy");
     }
 
     #[test]
@@ -940,7 +741,10 @@ mod tests {
         assert!(m.process(Payload::new(1u64)).is_err());
         // A joined vector of the wrong element type.
         let bad: Vec<BoxedItem> = vec![Payload::new("x"), Payload::new("y")];
-        assert_eq!(m.process(Payload::new(bad)).unwrap_err().stage, "j");
+        match m.process(Payload::new(bad)) {
+            Err(StageError::Type(err)) => assert_eq!(err.stage, "j"),
+            other => panic!("expected a type mismatch, got {other:?}"),
+        }
     }
 
     #[test]
@@ -968,8 +772,8 @@ mod tests {
         assert!(moved > 0, "keyed state must actually ship bytes");
         assert_eq!(run(b.as_mut(), 7), 3, "key 7 kept its count");
         assert_eq!(run(b.as_mut(), 9), 2);
-        // Replicas are empty shells: keys start over.
-        let mut c = b.replicate().expect("keyed stages replicate");
+        // Fresh instances are empty shells: keys start over.
+        let mut c = b.fresh().expect("keyed stages copy");
         assert_eq!(run(c.as_mut(), 7), 1);
     }
 
@@ -1012,8 +816,8 @@ mod tests {
         };
         let mut a = make();
         a.process(Payload::new(5u64)).unwrap();
-        // A replica is an independent partial seeded from init.
-        let mut b = a.replicate().expect("accumulators replicate");
+        // A fresh instance is an independent partial seeded from init.
+        let mut b = a.fresh().expect("accumulators copy");
         b.process(Payload::new(7u64)).unwrap();
         let snap = b.snapshot().expect("accumulators snapshot");
         assert!(a.absorb(snap), "partials merge");
@@ -1023,7 +827,7 @@ mod tests {
 
     #[test]
     fn exclusive_stage_migrates_but_never_replicates() {
-        let mut s = SnapStage::new(
+        let mut s = AccumStage::exclusive(
             "ledger",
             || 0i64,
             |acc: &mut i64, x: i64| {
@@ -1032,7 +836,11 @@ mod tests {
             },
         );
         s.process(Payload::new(40i64)).unwrap();
-        assert!(s.replicate().is_none(), "exclusive state is one instance");
+        // One instance runs because the declaration says so; the
+        // instance itself only refuses to merge a partial.
+        assert!(!adapipe_state::StateAccess::Exclusive.replicable());
+        let partial = s.fresh().expect("a fresh shell").snapshot().unwrap();
+        assert!(!s.absorb(partial), "exclusive state has no merge");
         let (mut moved, bytes) = quiesce(Box::new(s));
         assert_eq!(bytes, 8, "one i64 of state shipped");
         let out = moved.process(Payload::new(2i64)).unwrap();
@@ -1042,10 +850,11 @@ mod tests {
     #[test]
     fn quiesce_falls_back_to_the_live_box_for_opaque_state() {
         let mut total = 0u64;
-        let s = StatefulFnStage::new("opaque", move |x: u64| {
+        let s = FnStage::opaque("opaque", move |x: u64| {
             total += x;
             total
         });
+        assert!(s.fresh().is_none(), "an opaque closure cannot be copied");
         let (mut back, bytes) = quiesce(Box::new(s));
         assert_eq!(bytes, 0, "opaque state cannot ship");
         let out = back.process(Payload::new(3u64)).unwrap();
@@ -1054,7 +863,7 @@ mod tests {
 
     #[test]
     fn stale_snapshots_are_rejected() {
-        let mut s = SnapStage::new(
+        let mut s = AccumStage::exclusive(
             "v",
             || 0u64,
             |acc: &mut u64, x: u64| {
@@ -1090,9 +899,9 @@ mod tests {
                 Err(format!("odd input {x}"))
             }
         });
-        let out = s.try_process(Payload::new(4u64)).expect("even succeeds");
+        let out = s.process(Payload::new(4u64)).expect("even succeeds");
         assert_eq!(out.downcast::<u64>().unwrap(), 40);
-        match s.try_process(Payload::new(3u64)) {
+        match s.process(Payload::new(3u64)) {
             Err(StageError::Item { reason, item }) => {
                 assert_eq!(reason, "odd input 3");
                 // The original item comes back unconsumed, re-presentable.
@@ -1102,21 +911,10 @@ mod tests {
         }
         // A wrong dynamic type is fatal, not retryable.
         assert!(matches!(
-            s.try_process(Payload::new("nope")),
+            s.process(Payload::new("nope")),
             Err(StageError::Type(_))
         ));
-        assert!(s.replicate().is_some(), "fallible stages replicate");
-    }
-
-    #[test]
-    fn try_process_defaults_to_process_for_infallible_stages() {
-        let mut s = FnStage::new("double", |x: i64| x * 2);
-        let out = s.try_process(Payload::new(5i64)).expect("typed");
-        assert_eq!(out.downcast::<i64>().unwrap(), 10);
-        assert!(matches!(
-            s.try_process(Payload::new("x")),
-            Err(StageError::Type(_))
-        ));
+        assert!(s.fresh().is_some(), "fallible stages copy");
     }
 
     #[test]
@@ -1133,14 +931,16 @@ mod tests {
 
     #[test]
     fn type_mismatch_is_a_typed_error_not_a_panic() {
-        let mut s = FnStage::new("typed", |x: i64| x);
-        let err = s.process(Payload::new("not an i64")).unwrap_err();
+        let type_error = |s: &mut dyn DynStage, item: BoxedItem| match s.process(item) {
+            Err(StageError::Type(err)) => err,
+            other => panic!("expected a type mismatch, got {other:?}"),
+        };
+        let err = type_error(&mut FnStage::new("typed", |x: i64| x), Payload::new("no"));
         assert_eq!(err.stage, "typed");
         assert_eq!(err.expected, std::any::type_name::<i64>());
         assert!(err.to_string().contains("'typed'"));
-        // Stateful stages report identically.
-        let mut s = StatefulFnStage::new("acc", |x: u64| x);
-        let err = s.process(Payload::new(1i8)).unwrap_err();
+        // Opaque closures report identically.
+        let err = type_error(&mut FnStage::opaque("acc", |x: u64| x), Payload::new(1i8));
         assert_eq!(err.stage, "acc");
     }
 }

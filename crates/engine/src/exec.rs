@@ -326,6 +326,45 @@ where
         self.reorder.pop_ordered(|seq| shared.is_dead(seq))
     }
 
+    /// The next output: waits for one when `wait`, and otherwise
+    /// reports `Pending` while none has completed. Flushes buffered
+    /// input first — waiting for output while input sits buffered would
+    /// deadlock.
+    fn poll(&mut self, wait: bool) -> TryNext<O> {
+        self.flush_pending();
+        loop {
+            if self.preserve_order {
+                if let Some(o) = self.pop_ordered() {
+                    return TryNext::Item(o);
+                }
+            }
+            if let Some(fin) = self.inbuf.pop_front() {
+                if let Some(o) = self.deliver(fin) {
+                    return TryNext::Item(o);
+                }
+                continue;
+            }
+            let batch = if wait {
+                self.out_rx.recv().map_err(|_| TryRecvError::Disconnected)
+            } else {
+                self.out_rx.try_recv()
+            };
+            match batch {
+                Ok(mut batch) => {
+                    self.inbuf.extend(batch.drain(..));
+                    FIN_BUFS.put(batch);
+                }
+                Err(TryRecvError::Empty) => return TryNext::Pending,
+                Err(TryRecvError::Disconnected) => {
+                    return match self.reorder.flush() {
+                        Some(o) => TryNext::Item(o),
+                        None => TryNext::Done,
+                    }
+                }
+            }
+        }
+    }
+
     /// Graceful shutdown: closes the stream, waits for every pushed
     /// item to complete, and returns the remaining (un-pulled) outputs,
     /// the standard report and the run's fatal error. Items already
@@ -506,36 +545,8 @@ where
         self.pushed.saturating_sub(self.completed() + dead)
     }
 
-    /// Flushes buffered input first — waiting for output while input
-    /// sits buffered would deadlock.
     fn try_next(&mut self) -> TryNext<O> {
-        self.flush_pending();
-        loop {
-            if self.preserve_order {
-                if let Some(o) = self.pop_ordered() {
-                    return TryNext::Item(o);
-                }
-            }
-            if let Some(fin) = self.inbuf.pop_front() {
-                if let Some(o) = self.deliver(fin) {
-                    return TryNext::Item(o);
-                }
-                continue;
-            }
-            match self.out_rx.try_recv() {
-                Ok(mut batch) => {
-                    self.inbuf.extend(batch.drain(..));
-                    FIN_BUFS.put(batch);
-                }
-                Err(TryRecvError::Empty) => return TryNext::Pending,
-                Err(TryRecvError::Disconnected) => {
-                    return match self.reorder.flush() {
-                        Some(o) => TryNext::Item(o),
-                        None => TryNext::Done,
-                    }
-                }
-            }
-        }
+        self.poll(false)
     }
 
     fn drain(self: Box<Self>) -> RunHandle<O> {
@@ -614,26 +625,9 @@ where
     type Item = O;
 
     fn next(&mut self) -> Option<O> {
-        self.flush_pending();
-        loop {
-            if self.preserve_order {
-                if let Some(o) = self.pop_ordered() {
-                    return Some(o);
-                }
-            }
-            if let Some(fin) = self.inbuf.pop_front() {
-                if let Some(o) = self.deliver(fin) {
-                    return Some(o);
-                }
-                continue;
-            }
-            match self.out_rx.recv() {
-                Ok(mut batch) => {
-                    self.inbuf.extend(batch.drain(..));
-                    FIN_BUFS.put(batch);
-                }
-                Err(_) => return self.reorder.flush(),
-            }
+        match self.poll(true) {
+            TryNext::Item(o) => Some(o),
+            TryNext::Pending | TryNext::Done => None,
         }
     }
 }

@@ -487,7 +487,7 @@ fn run_chain(
     match samp {
         None => {
             for (inst, &cs) in insts.iter_mut().zip(chain) {
-                match inst.try_process(out) {
+                match inst.process(out) {
                     Ok(o) => out = o,
                     Err(err) => {
                         fail_stage(shared, cs, seq, err);
@@ -499,7 +499,7 @@ fn run_chain(
         Some(samp) => {
             let mut t_prev = Instant::now();
             for (ci, inst) in insts.iter_mut().enumerate() {
-                match inst.try_process(out) {
+                match inst.process(out) {
                     Ok(o) => out = o,
                     Err(err) => {
                         fail_stage(shared, chain[ci], seq, err);

@@ -147,8 +147,10 @@ pub(crate) fn worker_loop(me: usize, pool: Arc<Pool>) {
 }
 
 /// Surrenders this worker's instances of `stage` for a migration — the
-/// [`Ctrl::Relinquish`] a re-map commit sends to every old host. What
-/// "surrender" means follows the stage's declared access pattern:
+/// [`Ctrl::Relinquish`] a re-map commit sends to every old host. With
+/// [`try_acquire`] it is the one place a declaration picks what happens
+/// to a stage instance; "surrender" follows the declared access
+/// pattern:
 ///
 /// * **Stateless** — the replica is dropped; the depot keeps the
 ///   prototype and new hosts replicate their own.
@@ -385,11 +387,13 @@ fn redeal(
 }
 
 /// Ensures `local` holds an instance of `(stage, slot)`; true on
-/// success. Stateless and accumulator stages replicate from the depot
-/// prototype (every host gets its own replica / partial); keyed stages
-/// take their shard's unique instance, exclusive and opaque stages the
-/// stage's unique instance — `false` while a migration still has it in
-/// transit (the previous host has not deposited it yet).
+/// success. With [`relinquish`] it is the one place a declaration
+/// picks how many instances of a stage run: stateless and accumulator
+/// stages copy the depot prototype ([`DynStage::fresh`]: every host
+/// gets its own replica / partial); keyed stages take their shard's
+/// unique instance, exclusive and opaque stages the stage's unique
+/// instance, which is never copied — `false` while a migration still
+/// has it in transit (the previous host has not deposited it yet).
 pub(crate) fn try_acquire(
     shared: &Shared,
     local: &mut HashMap<(usize, usize), Box<dyn DynStage>>,
@@ -403,7 +407,7 @@ pub(crate) fn try_acquire(
         StateAccess::Stateless | StateAccess::Accumulator => {
             let proto = shared.depot[stage][0].lock().expect("depot lock poisoned");
             if let Some(proto) = proto.as_ref() {
-                if let Some(replica) = proto.replicate() {
+                if let Some(replica) = proto.fresh() {
                     local.insert((stage, slot), replica);
                     return true;
                 }

@@ -114,8 +114,8 @@ use adapipe_core::spec::{
     PipelineSpec, ResiliencePolicy, StageGraph, StageGraphBuilder, StageSpec,
 };
 use adapipe_core::stage::{
-    clone_fn, declared, fan_out_fn, fan_out_from_clone, AccumStage, CloneFn, DynStage,
-    FallibleFnStage, FanOutFn, FnStage, KeyFn, KeyedStage, MergeStage, SnapStage, StatefulFnStage,
+    clone_fn, fan_out_fn, fan_out_from_clone, AccumStage, CloneFn, DynStage, FallibleFnStage,
+    FanOutFn, FnStage, KeyFn, KeyedStage, MergeStage,
 };
 use adapipe_engine::exec::{self, Pool};
 use adapipe_engine::vnode::VNodeSpec;
@@ -869,14 +869,13 @@ impl PipelineBuilder<u64, u64> {
             .stages
             .iter()
             .enumerate()
-            .map(|(i, s)| {
+            .map(|(i, s)| -> Box<dyn DynStage> {
                 if graph.merge_block_of(i).is_some() {
-                    declared(
-                        s,
-                        MergeStage::new(s.name.clone(), |mut parts: Vec<u64>| parts.swap_remove(0)),
-                    )
+                    Box::new(MergeStage::new(s.name.clone(), |mut parts: Vec<u64>| {
+                        parts.swap_remove(0)
+                    }))
                 } else {
-                    declared(s, FnStage::new(s.name.clone(), |x: u64| x))
+                    Box::new(FnStage::new(s.name.clone(), |x: u64| x))
                 }
             })
             .collect();
@@ -1005,18 +1004,19 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
     /// Appends a stage with explicit cost metadata. The stage
     /// replicates iff `spec`'s declared state is replicable (stateless,
     /// keyed, accumulator); exclusive and opaque declarations run it as
-    /// one sealed instance.
+    /// one instance, never copied.
     pub fn stage_with<Out, F>(self, spec: StageSpec, f: F) -> PipelineBuilder<In, Out>
     where
         Out: Send + 'static,
         F: FnMut(Cur) -> Out + Send + Clone + 'static,
     {
-        let stage = declared(&spec, FnStage::new(spec.name.clone(), f));
+        let stage = Box::new(FnStage::new(spec.name.clone(), f));
         self.append(spec, stage, None)
     }
 
     /// Appends a stateful stage with *opaque* (undeclared) closure
-    /// state: it will never be replicated, migrating it costs
+    /// state: it runs as one instance that is never copied
+    /// ([`FnStage::opaque`]), migrating it costs
     /// `spec.state_bytes` of transfer, and losing its node permanently
     /// fails the run with `RunError::StatefulStageLost` — the runtime
     /// cannot move state it cannot serialize. Prefer the declared
@@ -1037,7 +1037,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
         } else {
             spec
         };
-        let stage = Box::new(StatefulFnStage::new(spec.name.clone(), f));
+        let stage = Box::new(FnStage::opaque(spec.name.clone(), f));
         self.append(spec, stage, None)
     }
 
@@ -1067,7 +1067,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
         Out: Send + 'static,
         F: FnMut(Cur) -> Result<Out, String> + Send + Clone + 'static,
     {
-        let stage = declared(&spec, FallibleFnStage::new(spec.name.clone(), f));
+        let stage = Box::new(FallibleFnStage::new(spec.name.clone(), f));
         self.append(spec, stage, None)
     }
 
@@ -1200,7 +1200,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
             let bytes = spec.state_bytes;
             spec.with_accumulator_state(bytes)
         };
-        let stage = AccumStage::<Cur, Out, S, F, M>::new(spec.name.clone(), init, f, merge);
+        let stage = AccumStage::<Cur, Out, S, F>::new(spec.name.clone(), init, f, merge);
         self.append(spec, Box::new(stage), None)
     }
 
@@ -1246,7 +1246,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
             let bytes = spec.state_bytes;
             spec.with_exclusive_state(bytes)
         };
-        let stage = SnapStage::<Cur, Out, S, F>::new(spec.name.clone(), init, f);
+        let stage = AccumStage::<Cur, Out, S, F>::exclusive(spec.name.clone(), init, f);
         self.append(spec, Box::new(stage), None)
     }
 
@@ -1435,7 +1435,7 @@ impl<I: Send + 'static, Cur: Send + 'static> Branch<I, Cur> {
         F: FnMut(Cur) -> Out + Send + Clone + 'static,
     {
         self.stages
-            .push(declared(&spec, FnStage::new(spec.name.clone(), f)));
+            .push(Box::new(FnStage::new(spec.name.clone(), f)));
         self.specs.push(spec);
         Branch {
             specs: self.specs,
@@ -1489,7 +1489,7 @@ impl<In: Send + 'static, B: Send + 'static> ParallelBuilder<In, B> {
         let mut builder = self.builder;
         builder
             .stages
-            .push(declared(&spec, MergeStage::new(spec.name.clone(), f)));
+            .push(Box::new(MergeStage::new(spec.name.clone(), f)));
         builder.keys.push(None);
         builder.specs.push(spec);
         // A mis-declared block has already failed the build; its edges
@@ -1586,7 +1586,7 @@ impl<In: Clone + Send + 'static> DagBuilder<In> {
         B: Clone + Send + 'static,
         F: FnMut(A) -> B + Send + Clone + 'static,
     {
-        let stage = declared(&spec, FnStage::new(spec.name.clone(), f));
+        let stage = Box::new(FnStage::new(spec.name.clone(), f));
         self.push_stage(spec, stage, clone_fn::<B>());
         self
     }
@@ -1612,7 +1612,7 @@ impl<In: Clone + Send + 'static> DagBuilder<In> {
         B: Clone + Send + 'static,
         F: FnMut(A) -> Result<B, String> + Send + Clone + 'static,
     {
-        let stage = declared(&spec, FallibleFnStage::new(spec.name.clone(), f));
+        let stage = Box::new(FallibleFnStage::new(spec.name.clone(), f));
         self.push_stage(spec, stage, clone_fn::<B>());
         self
     }
@@ -1650,7 +1650,7 @@ impl<In: Clone + Send + 'static> DagBuilder<In> {
             });
         }
         let name = spec.name.clone();
-        let stage = declared(&spec, MergeStage::new(name.clone(), f));
+        let stage = Box::new(MergeStage::new(name.clone(), f));
         self.push_stage(spec, stage, clone_fn::<Out>());
         for input in inputs {
             self.edges.push(((*input).to_string(), name.clone()));

@@ -5,6 +5,8 @@
 use adapipe::prelude::*;
 use adapipe::workloads::imaging::{self, Image};
 use adapipe::workloads::signal::{self, Frame};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// True if the host can actually run `k` threads in parallel. Wall-clock
 /// speedup assertions are gated on this: on an undersized host the OS
@@ -196,4 +198,70 @@ fn synthetic_twin_matches_sim_shape() {
             eng_narrow.report.makespan, eng_wide.report.makespan
         );
     }
+}
+
+/// A running sum that counts its clones: the state of a plain closure,
+/// which the runtime can neither snapshot nor merge, only copy.
+struct Tally {
+    sum: u64,
+    clones: Arc<AtomicUsize>,
+}
+
+impl Tally {
+    fn add(&mut self, x: u64) -> u64 {
+        self.sum += x;
+        self.sum
+    }
+}
+
+impl Clone for Tally {
+    fn clone(&self) -> Self {
+        self.clones.fetch_add(1, Ordering::SeqCst);
+        Tally {
+            sum: self.sum,
+            clones: Arc::clone(&self.clones),
+        }
+    }
+}
+
+/// The declaration alone decides how many instances run: the plain
+/// closure an exclusive declaration never copies (see
+/// `fault_tolerance::exclusive_state_migrates_where_opaque_state_aborts`)
+/// is copied for its hosts under a stateless one, and round-robin over
+/// both copies still delivers every item exactly once.
+#[test]
+fn a_stateless_declaration_copies_the_closure_per_host() {
+    let items = 200u64;
+    let clones = Arc::new(AtomicUsize::new(0));
+    let mut tally = Tally {
+        sum: 0,
+        clones: Arc::clone(&clones),
+    };
+    let mut outputs = Pipeline::<u64>::builder()
+        .stage_with(StageSpec::balanced("sum", 1.0, 8), move |x: u64| {
+            tally.add(x);
+            x
+        })
+        .feed(|i| i)
+        .build()
+        .expect("builds")
+        .run(
+            Backend::Threads(free_vnodes(2)),
+            RunConfig {
+                items,
+                initial_mapping: Some(Mapping::new(vec![Placement::replicated(vec![
+                    NodeId(0),
+                    NodeId(1),
+                ])])),
+                ..RunConfig::default()
+            },
+        )
+        .expect("threaded run")
+        .outputs;
+    assert!(
+        clones.load(Ordering::SeqCst) >= 1,
+        "no host copied the stage"
+    );
+    outputs.sort_unstable();
+    assert_eq!(outputs, (0..items).collect::<Vec<_>>(), "not exactly once");
 }

@@ -8,6 +8,8 @@
 //! to a dead node, permanent crash under a static policy).
 
 use adapipe::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn n(i: usize) -> NodeId {
@@ -509,27 +511,48 @@ fn keyed_state_survives_finite_outage_on_both_backends() {
     }
 }
 
+/// A running sum that counts its clones: the state of a plain closure,
+/// which the runtime can neither snapshot nor merge, only copy.
+struct Tally {
+    sum: u64,
+    clones: Arc<AtomicUsize>,
+}
+
+impl Tally {
+    fn add(&mut self, x: u64) -> u64 {
+        self.sum += x;
+        self.sum
+    }
+}
+
+impl Clone for Tally {
+    fn clone(&self) -> Self {
+        self.clones.fetch_add(1, Ordering::SeqCst);
+        Tally {
+            sum: self.sum,
+            clones: Arc::clone(&self.clones),
+        }
+    }
+}
+
 /// *Declared* exclusive state is the contrast to the opaque typed-error
 /// case above: the same permanent crash that raises
 /// `StatefulStageLost` for an undeclared closure is survived by an
-/// `exclusive_stage` via quiesce-snapshot-resume, on both backends.
+/// `exclusive_stage` via quiesce-snapshot-resume, on both backends. A
+/// plain `Clone` closure under the same exclusive declaration moves as
+/// its one live instance and is never copied: the declaration, not the
+/// closure's type, decides how many instances run.
 #[test]
 fn exclusive_state_migrates_where_opaque_state_aborts() {
-    let exclusive_scenario = || {
-        Pipeline::<u64>::builder()
-            .stage_with(StageSpec::balanced("a", STAGE_SECS, 8), |x: u64| {
-                spin_for(Duration::from_secs_f64(STAGE_SECS));
-                x + 1
-            })
-            .exclusive_stage_with(
-                StageSpec::balanced("sum", STAGE_SECS, 8).with_exclusive_state(8),
-                || 0u64,
-                |acc: &mut u64, x: u64| {
-                    spin_for(Duration::from_secs_f64(STAGE_SECS));
-                    *acc += x;
-                    *acc
-                },
-            )
+    let head = || {
+        Pipeline::<u64>::builder().stage_with(StageSpec::balanced("a", STAGE_SECS, 8), |x: u64| {
+            spin_for(Duration::from_secs_f64(STAGE_SECS));
+            x + 1
+        })
+    };
+    let sum_spec = || StageSpec::balanced("sum", STAGE_SECS, 8).with_exclusive_state(8);
+    let finish = |builder: PipelineBuilder<u64, u64>| {
+        builder
             .policy(Policy::Periodic {
                 interval: SimDuration::from_millis(100),
             })
@@ -537,6 +560,28 @@ fn exclusive_state_migrates_where_opaque_state_aborts() {
             .feed(|i| i)
             .build()
             .expect("builds")
+    };
+    let exclusive_scenario = || {
+        finish(head().exclusive_stage_with(
+            sum_spec(),
+            || 0u64,
+            |acc: &mut u64, x: u64| {
+                spin_for(Duration::from_secs_f64(STAGE_SECS));
+                *acc += x;
+                *acc
+            },
+        ))
+    };
+    let clones = Arc::new(AtomicUsize::new(0));
+    let closure_scenario = || {
+        let mut tally = Tally {
+            sum: 0,
+            clones: Arc::clone(&clones),
+        };
+        finish(head().stage_with(sum_spec(), move |x: u64| {
+            spin_for(Duration::from_secs_f64(STAGE_SECS));
+            tally.add(x)
+        }))
     };
     let grid = grid3();
     let run = |pipeline: Pipeline<u64, u64>, backend: Backend<'_>| {
@@ -552,6 +597,10 @@ fn exclusive_state_migrates_where_opaque_state_aborts() {
             "threads",
             run(exclusive_scenario(), Backend::Threads(vnodes3())),
         ),
+        (
+            "threads, closure state",
+            run(closure_scenario(), Backend::Threads(vnodes3())),
+        ),
     ] {
         assert_eq!(handle.error, None, "{tag}: declared state must migrate");
         assert_eq!(handle.report.completed, ITEMS, "{tag}: items lost");
@@ -563,6 +612,11 @@ fn exclusive_state_migrates_where_opaque_state_aborts() {
         assert_eq!(max, expect, "{tag}: state lost or duplicated in transit");
         assert!(handle.report.migrations > 0, "{tag}: no migration recorded");
     }
+    assert_eq!(
+        clones.load(Ordering::SeqCst),
+        0,
+        "an exclusive declaration never copies its instance"
+    );
 }
 
 /// A wrong-typed item on the simulation backend is *non-fatal* (marker

@@ -75,7 +75,7 @@ fn the_facade_runs_nothing() {
     let hits = lines_matching(
         &[root().join("src/api.rs")],
         any_of(&[
-            "try_process",
+            ".process(",
             "SimStepper",
             "ItemFate",
             "max_retries",
@@ -134,7 +134,9 @@ fn one_run_config() {
 /// only statefulness datum, read in place by builders, planner,
 /// adaptation loop and both backends. A bool copy of it — or a second
 /// per-stage vector of it — is how the model, the builders and the
-/// engine came to disagree.
+/// engine came to disagree. Nor may a stage instance encode it again:
+/// an instance processes, makes a fresh copy of itself and moves its
+/// state, and the declaration alone decides whether it is copied.
 #[test]
 fn one_state_declaration() {
     let bool_copy = |line: &str| {
@@ -152,6 +154,22 @@ fn one_state_declaration() {
         hits.is_empty(),
         "a bool or per-config copy of the state declaration is back; read \
          StageSpec::state / PipelineProfile::state in place:\n{}",
+        hits.join("\n")
+    );
+    let hits = lines_matching(
+        &library_sources(),
+        any_of(&[
+            "fn replicate(",
+            "fn try_process(",
+            "fn declared(",
+            "SealedStage",
+        ]),
+    );
+    assert!(
+        hits.is_empty(),
+        "a stage instance re-encodes its declaration again (a replication \
+         refusal, a sealing wrapper or a second stage call); DynStage has \
+         process and fresh, and worker::try_acquire reads the declaration:\n{}",
         hits.join("\n")
     );
 }
