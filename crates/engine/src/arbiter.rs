@@ -27,7 +27,7 @@ use adapipe_mapper::share::{arbitrate, fair_shares, window_demands, ShareQuota, 
 use adapipe_runtime::session::SessionId;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One registered tenant: its shared state, its capacity contract, and
 /// the arbiter's per-window sensing state.
@@ -71,6 +71,11 @@ impl TenantEntry {
 fn arbitrate_window(signals: &[TenantSignal], quotas: &[ShareQuota]) -> Vec<f64> {
     arbitrate(&window_demands(signals), quotas)
 }
+
+/// The shortest arbitration window the arbiter keeps: a shorter one
+/// (`ClusterConfig::window` is not validated) would have it re-lock
+/// the registry and re-arbitrate back to back.
+const MIN_WINDOW: Duration = Duration::from_micros(500);
 
 impl Pool {
     /// The registry of live tenants: done tenants leave it here, before
@@ -157,20 +162,23 @@ impl Pool {
     }
 
     /// The arbiter thread: re-divides capacity every `window` until the
-    /// pool shuts down, sleeping in small slices so shutdown is prompt
-    /// even under a long window.
+    /// pool shuts down (at most every [`MIN_WINDOW`]). It sleeps on the
+    /// pool's bell until the next window's deadline, so windows keep to
+    /// the wall clock and shutdown wakes it at once whatever the window.
     pub(crate) fn arbiter_loop(&self, window: Duration) {
-        let slice = window
-            .min(Duration::from_millis(10))
-            .max(Duration::from_micros(500));
-        let mut elapsed = Duration::ZERO;
-        while !self.done.load(Ordering::SeqCst) {
-            std::thread::sleep(slice);
-            elapsed += slice;
-            if elapsed < window {
-                continue;
+        let window = window.max(MIN_WINDOW);
+        let mut deadline = Instant::now() + window;
+        while !self
+            .bell
+            .wait(Some(deadline), || self.done.load(Ordering::SeqCst))
+        {
+            // A wake-up late by a whole window skips the missed one
+            // rather than sensing twice back to back.
+            deadline += window;
+            let now = Instant::now();
+            if deadline <= now {
+                deadline = now + window;
             }
-            elapsed = Duration::ZERO;
             let mut reg = self.tenants();
             let signals: Vec<TenantSignal> = reg.iter_mut().map(|t| t.sense(self)).collect();
             let quotas: Vec<ShareQuota> = reg.iter().map(|t| t.quota).collect();
@@ -196,7 +204,6 @@ mod tests {
     use adapipe_gridsim::fault::FaultPlan;
     use adapipe_mapper::share::IDLE_GRACE;
     use adapipe_runtime::session::{LiveSession, RunConfig, Session};
-    use std::time::Instant;
 
     fn free_nodes(n: usize) -> Vec<VNodeSpec> {
         (0..n).map(|i| VNodeSpec::free(format!("v{i}"))).collect()
@@ -319,6 +326,35 @@ mod tests {
         assert!(rg.report.truncated, "evicted tenant reports truncation");
         let rk = keep.drain();
         assert_eq!(rk.outputs.len(), 30, "survivor unaffected");
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_zero_window_arbitrates_no_faster_than_the_floor() {
+        let launched = Instant::now();
+        let pool = Pool::launch(free_nodes(1), FaultPlan::new(), Some(Duration::ZERO));
+        let (fixed, cfg) = (Session::default(), RunConfig::default());
+        let idle = attach(
+            &pool,
+            spin_pipeline("i", 0),
+            &fixed,
+            &cfg,
+            ShareQuota::default(),
+        );
+        // An idle tenant's grant is released at its IDLE_GRACE-th
+        // window, and window k ends no sooner than k floors after
+        // launch.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while (pool.share_of(idle.session_id()).unwrap() - 1.0).abs() < 1e-9 {
+            assert!(Instant::now() < deadline, "the arbiter never ran");
+            std::thread::yield_now();
+        }
+        assert!(
+            launched.elapsed() >= MIN_WINDOW * IDLE_GRACE,
+            "released after {:?}: windows shorter than {MIN_WINDOW:?}",
+            launched.elapsed()
+        );
+        drop(idle.drain());
         pool.shutdown();
     }
 

@@ -62,7 +62,19 @@
 //! Workers block on their inbox (`recv`) and are woken by messages
 //! only — work envelopes, depot hand-over notifications, and an
 //! explicit shutdown sentinel message at teardown. There is no
-//! polling timeout and no idle busy-wake.
+//! polling timeout and no idle busy-wake, and that holds for the
+//! lifecycle too: a detaching session sleeps until the last worker's
+//! ack wakes it, the adaptation thread until its next tick or fault
+//! (or teardown), the arbiter until its next window (or shutdown).
+//!
+//! ## Threads
+//!
+//! * per pool: one worker per vnode, plus the arbiter for a cluster's
+//!   pool (one launched with an arbitration window);
+//! * per session: the collector, plus an adaptation thread only when
+//!   the adaptation loop has a schedule — a tick interval or a pending
+//!   fault transition. A `Policy::Static` session on a fault-free pool
+//!   holds its loop without a thread, since the loop never wakes.
 //!
 //! ## Multi-tenant pools
 //!
@@ -101,7 +113,7 @@ use crate::fusion::{FIN_BUFS, SLOT_BUFS};
 use crate::inbox::Ctrl;
 use crate::item::Outbox;
 pub use crate::pool::Pool;
-use crate::tenant::{adaptation_thread, RouteCache, Shared, SinkMsg};
+use crate::tenant::{Adaptation, RouteCache, Shared, SinkMsg};
 use crate::vnode::VNodeSpec;
 use crate::worker::ship;
 use adapipe_core::payload::Payload;
@@ -186,7 +198,7 @@ pub struct EngineSession<I, O> {
     /// sessions leave the pool running for their co-tenants.
     owns_pool: bool,
     collector: Option<JoinHandle<ReportBuilder>>,
-    adaptation: Option<JoinHandle<AdaptationLoop>>,
+    adaptation: Option<Adaptation>,
     out_rx: Receiver<Vec<Finished>>,
     events: adapipe_runtime::session::EventBus,
     /// The pusher's lock-free routing view.
@@ -407,8 +419,8 @@ where
         let np = self.shared.pool.vnodes.len();
         self.adaptation
             .take()
-            .expect("adaptation joined twice")
-            .join()
+            .expect("adaptation stopped twice")
+            .stop(&self.shared)
             .expect("adaptation thread panicked")
             .finish(&mut report);
         report.set_stage_shards(
@@ -560,11 +572,11 @@ where
 
 impl<I, O> EngineSession<I, O> {
     /// Raises the tenant's done flag, tells every worker the tenant is
-    /// gone ([`Ctrl::TenantGone`]) and waits for their acks: each has
-    /// then flushed this tenant's accounting into `Shared::accs` and
-    /// dropped its lane. The wait escapes early if the whole pool is
-    /// shutting down underneath us. The tenant then leaves the pool's
-    /// registry.
+    /// gone ([`Ctrl::TenantGone`]) and sleeps on the pool's bell until
+    /// the last ack rings it: each worker has then flushed this tenant's
+    /// accounting into `Shared::accs` and dropped its lane. The wait
+    /// ends early if the whole pool shuts down underneath us, which
+    /// rings the same bell. The tenant then leaves the pool's registry.
     fn detach(&self) {
         let (shared, pool) = (&self.shared, &self.shared.pool);
         shared.done.store(true, Ordering::SeqCst);
@@ -573,11 +585,10 @@ impl<I, O> EngineSession<I, O> {
                 tenant: Arc::clone(shared),
             });
         }
-        while shared.detached.load(Ordering::SeqCst) < pool.inboxes.len() as u64
-            && !pool.done.load(Ordering::SeqCst)
-        {
-            std::thread::sleep(Duration::from_micros(200));
-        }
+        let workers = pool.inboxes.len() as u64;
+        pool.bell.wait(None, || {
+            shared.detached.load(Ordering::SeqCst) >= workers || pool.done.load(Ordering::SeqCst)
+        });
         pool.prune();
     }
 }
@@ -585,10 +596,10 @@ impl<I, O> EngineSession<I, O> {
 /// A session dropped without [`EngineSession::drain`] or
 /// [`EngineSession::abort`] (an error path, a panic unwind) must not
 /// leak its threads or its pool lanes: workers hold the pool alive on
-/// their own, so nothing disconnects by itself, and the adaptation
-/// thread sleeps in a loop until the done flag rises. Drop performs the
-/// abort shutdown — signal, detach, join — discarding outputs and the
-/// report (and shutting the pool down when this session owns it).
+/// their own, so nothing disconnects by itself, and an adaptation
+/// thread sleeps until its bell rings. Drop performs the abort
+/// shutdown — signal, detach, join — discarding outputs and the report
+/// (and shutting the pool down when this session owns it).
 impl<I, O> Drop for EngineSession<I, O> {
     fn drop(&mut self) {
         if self.collector.is_none() {
@@ -605,7 +616,7 @@ impl<I, O> Drop for EngineSession<I, O> {
         }
         self.detach();
         if let Some(adaptation) = self.adaptation.take() {
-            let _ = adaptation.join();
+            let _ = adaptation.stop(&self.shared);
         }
         if self.owns_pool {
             self.shared.pool.shutdown();
@@ -733,10 +744,7 @@ where
         let bucket = cfg.timeline_bucket.unwrap_or(DEFAULT_TIMELINE_BUCKET);
         std::thread::spawn(move || collect(&shared, sink_rx, out_tx, bucket))
     };
-    let adaptation = {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || adaptation_thread(shared, aloop))
-    };
+    let adaptation = Adaptation::start(&shared, aloop);
 
     let cache = RouteCache::new(&shared);
     let batch_size = cfg.batch_size.max(1);

@@ -204,6 +204,24 @@ fn dropping_a_session_reclaims_its_threads() {
 }
 
 #[test]
+fn only_a_loop_with_a_schedule_gets_a_thread() {
+    let threaded = |session: &Session, faults: FaultPlan| {
+        let (s0, f0) = spin_stage("a", 0);
+        let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
+        let cfg = RunConfig {
+            faults,
+            ..RunConfig::default()
+        };
+        let run = spawn(pipeline, free_nodes(2), session, &cfg);
+        matches!(run.adaptation, Some(Adaptation::Thread(_)))
+    };
+    let crash = FaultPlan::new().crash(n(1), SimTime::from_secs_f64(3600.0));
+    assert!(!threaded(&Session::default(), FaultPlan::new()));
+    assert!(threaded(&Session::default(), crash));
+    assert!(threaded(&every(3_600_000), FaultPlan::new()));
+}
+
+#[test]
 fn abort_reports_truncation() {
     let (s0, f0) = spin_stage("slow", 20);
     let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();

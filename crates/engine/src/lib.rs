@@ -33,6 +33,12 @@
 //! * [`inject`] — optional *real* CPU burners for demonstrations of
 //!   genuine contention.
 //!
+//! Threads: a pool runs one worker per vnode, plus the arbiter for a
+//! cluster; a session runs its collector, plus an adaptation thread
+//! only when its loop has a schedule (a tick interval or a pending
+//! fault transition). None of them polls: each sleeps until a message,
+//! a wake-up or its next deadline.
+//!
 //! The engine accepts the same [`adapipe_core::pipeline::Pipeline`] the
 //! simulator plans over, so an application written once runs under both.
 

@@ -1,8 +1,9 @@
 //! The worker pool: one thread per virtual node, their inboxes, node
-//! health and the wall-clock zero — launch, health, shutdown. What a
-//! worker thread does is in `worker`; what the pool's threads share
-//! about one tenant is in `tenant`; the pool's tenant registry and a
-//! cluster's capacity arbiter are in `arbiter`.
+//! health and the wall-clock zero — launch, health, shutdown — and the
+//! [`Bell`] every lifecycle wait sleeps on. What a worker thread does
+//! is in `worker`; what the pool's threads share about one tenant is in
+//! `tenant`; the pool's tenant registry and a cluster's capacity
+//! arbiter are in `arbiter`.
 
 use crate::arbiter::TenantEntry;
 use crate::inbox::{Ctrl, Inbox};
@@ -13,7 +14,7 @@ use adapipe_gridsim::node::NodeId;
 use adapipe_gridsim::time::SimTime;
 use adapipe_runtime::session::SessionId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -32,8 +33,11 @@ pub struct Pool {
     /// Wall-clock zero for every tenant admitted to this pool.
     pub(crate) epoch: Instant,
     /// Raised once by [`Pool::shutdown`]: the arbiter and the workers
-    /// exit, stray work is discarded, teardown ack-waits stop spinning.
+    /// exit, stray work is discarded, teardown ack-waits give up.
     pub(crate) done: AtomicBool,
+    /// Rung by a tenant's last detach ack and by [`Pool::shutdown`]:
+    /// what a detaching session and the arbiter sleep on.
+    pub(crate) bell: Bell,
     /// Node down flags, shared with every tenant's routing table
     /// (`RoutingTable::with_shared_health`): one tenant's fault tracker
     /// marking a node down excludes it for all tenants.
@@ -77,6 +81,7 @@ impl Pool {
             inboxes: (0..np).map(|_| Inbox::new()).collect(),
             epoch: Instant::now(),
             done: AtomicBool::new(false),
+            bell: Bell::default(),
             health: Arc::new((0..np).map(|_| AtomicBool::new(false)).collect()),
             threads: Mutex::new(Vec::new()),
             next_session: AtomicU64::new(0),
@@ -119,6 +124,7 @@ impl Pool {
     /// truncated reports (their ack-waits observe `done`).
     pub fn shutdown(&self) {
         self.done.store(true, Ordering::SeqCst);
+        self.bell.ring();
         for inbox in &self.inboxes {
             inbox.send_ctrl(Ctrl::Shutdown);
         }
@@ -126,5 +132,113 @@ impl Pool {
         for h in handles {
             let _ = h.join();
         }
+    }
+}
+
+/// What a lifecycle thread sleeps on: it waits until a condition holds
+/// or a deadline passes, and whoever makes the condition true rings.
+/// The condition is read under the bell's lock and a ringer takes that
+/// lock, so a ring that follows the change it announces is never lost.
+/// Nothing polls: a wait ends on a ring or on its deadline.
+#[derive(Default)]
+pub(crate) struct Bell {
+    lock: Mutex<()>,
+    rung: Condvar,
+}
+
+impl Bell {
+    /// Blocks until `stop()` holds — true — or until `deadline` passes
+    /// (never, with `None`) — false.
+    pub(crate) fn wait(&self, deadline: Option<Instant>, stop: impl Fn() -> bool) -> bool {
+        let mut guard = self.lock.lock().expect("bell lock poisoned");
+        loop {
+            if stop() {
+                return true;
+            }
+            guard = match deadline {
+                None => self.rung.wait(guard).expect("bell lock poisoned"),
+                Some(at) => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return false;
+                    }
+                    self.rung
+                        .wait_timeout(guard, left)
+                        .expect("bell lock poisoned")
+                        .0
+                }
+            };
+        }
+    }
+
+    /// Wakes every waiter to re-read its condition. Call it after the
+    /// change the waiters are waiting for.
+    pub(crate) fn ring(&self) {
+        let _guard = self.lock.lock().expect("bell lock poisoned");
+        self.rung.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::{spawn, EngineSession};
+    use adapipe_core::pipeline::PipelineBuilder;
+    use adapipe_core::spec::StageSpec;
+    use adapipe_gridsim::time::SimDuration;
+    use adapipe_runtime::arrivals::ArrivalProcess;
+    use adapipe_runtime::policy::Policy;
+    use adapipe_runtime::session::{LiveSession, RunConfig, Session};
+    use std::sync::mpsc::channel;
+
+    /// Far beyond any bound below: a wait that sleeps out one of these
+    /// deadlines instead of being woken fails its guard.
+    const HOUR: Duration = Duration::from_secs(3600);
+
+    /// Generous: only a wait that sleeps until its deadline misses it.
+    const PROMPT: Duration = Duration::from_secs(10);
+
+    /// Runs `f` on a thread of its own and fails unless it returns
+    /// within [`PROMPT`] (the thread is left behind if it does not).
+    fn promptly(what: &str, f: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = channel();
+        std::thread::spawn(move || {
+            f();
+            let _ = tx.send(());
+        });
+        assert!(
+            rx.recv_timeout(PROMPT).is_ok(),
+            "{what} slept past {PROMPT:?}"
+        );
+    }
+
+    /// A threaded session re-planning once an hour, a few items in.
+    fn hourly() -> EngineSession<u64, u64> {
+        let pipeline = PipelineBuilder::<u64>::new()
+            .stage(StageSpec::balanced("a", 0.0, 8), |x: u64| x + 1)
+            .build();
+        let interval = SimDuration::from_secs_f64(HOUR.as_secs_f64());
+        let session = Session::new(Policy::Periodic { interval }, ArrivalProcess::AllAtOnce)
+            .expect("valid session");
+        let vnodes = (0..2).map(|i| VNodeSpec::free(format!("v{i}"))).collect();
+        let mut run = spawn(pipeline, vnodes, &session, &RunConfig::default());
+        for i in 0..10 {
+            run.push(i).expect("open session takes the push");
+        }
+        run
+    }
+
+    #[test]
+    fn teardown_wakes_an_hourly_adaptation_thread() {
+        promptly("drain", || assert_eq!(hourly().drain().outputs.len(), 10));
+        promptly("abort", || drop(hourly().abort()));
+        promptly("drop", || drop(hourly()));
+    }
+
+    #[test]
+    fn shutdown_wakes_an_hourly_arbiter() {
+        let vnodes = (0..2).map(|i| VNodeSpec::free(format!("v{i}"))).collect();
+        let pool = Pool::launch(vnodes, FaultPlan::new(), Some(HOUR));
+        promptly("pool shutdown", move || pool.shutdown());
     }
 }

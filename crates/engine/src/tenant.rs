@@ -1,7 +1,7 @@
 //! What the pool's threads share about one tenant session: its
 //! pipeline and stage depot, its routing table and the per-thread cache
 //! over it, its sink and counters — and the adaptation thread that
-//! re-maps it while it runs.
+//! re-maps it while it runs, when the loop has a schedule.
 //!
 //! Stage instances live in the depot: stateless stages are replicated
 //! from a prototype on first use per worker; stateful stages exist
@@ -13,7 +13,7 @@
 use crate::credits::Credits;
 use crate::exec::{Finished, ItemSlot};
 use crate::inbox::{Ctrl, MIN_LANE_WEIGHT};
-use crate::pool::Pool;
+use crate::pool::{Bell, Pool};
 use adapipe_core::item::{JoinSlots, SeqMap};
 use adapipe_core::pipeline::Pipeline;
 use adapipe_core::spec::PipelineSpec;
@@ -31,6 +31,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, RwLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// One depot slot: a quiesced stage instance parked for its (possibly
@@ -113,6 +114,9 @@ pub(crate) struct Shared {
     /// Workers discard this tenant's envelopes once set; the pool keeps
     /// running for the other tenants.
     pub(crate) done: AtomicBool,
+    /// What the adaptation thread sleeps on between its deadlines;
+    /// rung once `done` is raised, so the thread exits at once.
+    pub(crate) bell: Bell,
     /// Event bus + error slot shared with the session (fault
     /// notifications, replay announcements, fatal failures).
     pub(crate) events: EventBus,
@@ -228,6 +232,7 @@ impl Shared {
             sink,
             completed: AtomicU64::new(0),
             done: AtomicBool::new(false),
+            bell: Bell::default(),
             events: cfg.events.clone(),
             control: cfg.control.clone(),
             replays: AtomicU64::new(0),
@@ -378,17 +383,18 @@ impl RouteCache {
 /// Irrecoverable failure *of one tenant* (stateful stage lost, every
 /// node down, wrong-typed item, forced eviction): record nothing
 /// further for it, stop its collector, raise its done flag, wake every
-/// worker (so tenant-scoped backlog gets discarded) and any of its
-/// pushers blocked on the credit gate. The typed error is already on
-/// `shared.control`; the session surfaces it via `error()` while
-/// `drain()`/`next()` unwind cleanly with a truncated report. Other
-/// tenants on the pool are untouched.
+/// worker (so tenant-scoped backlog gets discarded), its adaptation
+/// thread and any of its pushers blocked on the credit gate. The typed
+/// error is already on `shared.control`; the session surfaces it via
+/// `error()` while `drain()`/`next()` unwind cleanly with a truncated
+/// report. Other tenants on the pool are untouched.
 pub(crate) fn fatal_teardown(shared: &Shared) {
     shared.done.store(true, Ordering::SeqCst);
     let _ = shared.sink.send(SinkMsg::Fatal);
     for inbox in &shared.pool.inboxes {
         inbox.send_ctrl(Ctrl::Wake);
     }
+    shared.bell.ring();
     if let Some(credits) = &shared.credits {
         credits.break_gate();
     }
@@ -453,40 +459,67 @@ impl ExecutionBackend for EngineBackend {
     }
 }
 
+/// Where a session's [`AdaptationLoop`] lives. It gets a thread of its
+/// own only when it has something to wake for — a tick interval or a
+/// pending fault transition. Otherwise (`Policy::Static` on a fault-free
+/// pool) the session just holds it: a loop that never wakes needs no
+/// thread to sleep on.
+pub(crate) enum Adaptation {
+    /// No schedule: the loop never runs, and settles the report as is.
+    Held(Box<AdaptationLoop>),
+    /// The loop's [`adaptation_thread`], which hands it back on exit.
+    Thread(JoinHandle<AdaptationLoop>),
+}
+
+impl Adaptation {
+    /// Starts `aloop` for `shared`, on a thread if it has a schedule.
+    pub(crate) fn start(shared: &Arc<Shared>, aloop: AdaptationLoop) -> Self {
+        if aloop.interval().is_none() && aloop.next_fault_at().is_none() {
+            return Adaptation::Held(Box::new(aloop));
+        }
+        let shared = Arc::clone(shared);
+        Adaptation::Thread(std::thread::spawn(move || adaptation_thread(shared, aloop)))
+    }
+
+    /// Hands the loop back once the tenant is done (`Shared::done`
+    /// raised): wakes its thread, if it has one, and joins it.
+    pub(crate) fn stop(self, shared: &Shared) -> std::thread::Result<AdaptationLoop> {
+        match self {
+            Adaptation::Held(aloop) => Ok(*aloop),
+            Adaptation::Thread(thread) => {
+                shared.bell.ring();
+                thread.join()
+            }
+        }
+    }
+}
+
 /// The adaptation thread: wakes once per adaptation interval to let the
 /// shared loop tick (sense the windows that ended since the last tick,
 /// plan, decide, re-map), and at each fault transition's exact scheduled
 /// wall offset — even under `Policy::Static`, which never ticks but
 /// whose nodes must still go down (and whose fatal losses must still
-/// surface). Hands the loop back at teardown, for the session to settle
-/// its part of the report.
-pub(crate) fn adaptation_thread(shared: Arc<Shared>, mut aloop: AdaptationLoop) -> AdaptationLoop {
+/// surface). Between those deadlines it sleeps on the tenant's bell,
+/// which teardown and [`fatal_teardown`] ring, so it exits as soon as
+/// the tenant is done — or once nothing is left to wake for. Hands the
+/// loop back, for the session to settle its part of the report.
+fn adaptation_thread(shared: Arc<Shared>, mut aloop: AdaptationLoop) -> AdaptationLoop {
     let interval = aloop.interval().map(|i| Duration::from_nanos(i.as_nanos()));
     let mut backend = EngineBackend {
         shared: Arc::clone(&shared),
     };
 
     let mut next_tick = interval.map(|i| Instant::now() + i);
-    'run: loop {
+    loop {
         let next_fault = aloop
             .next_fault_at()
             .map(|at| shared.pool.epoch + Duration::from_secs_f64(at.as_secs_f64()));
-        let next_wake = match (next_tick, next_fault) {
-            (Some(t), Some(f)) => t.min(f),
-            (Some(t), None) => t,
-            (None, Some(f)) => f,
-            // Static policy and no further faults: nothing to do, ever.
-            (None, None) => break 'run,
+        // Static policy and no further faults: nothing to do, ever.
+        let Some(next_wake) = next_tick.into_iter().chain(next_fault).min() else {
+            break;
         };
-        // Sleep in short slices so shutdown is prompt.
-        while Instant::now() < next_wake {
-            if shared.finished() {
-                break 'run;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        if shared.finished() {
-            break 'run;
+        if shared.bell.wait(Some(next_wake), || shared.finished()) {
+            break;
         }
 
         if next_fault.is_some_and(|f| f <= Instant::now()) {
@@ -500,7 +533,7 @@ pub(crate) fn adaptation_thread(shared: Arc<Shared>, mut aloop: AdaptationLoop) 
         // latches the loop's fatal flag.
         if aloop.is_fatal() {
             fatal_teardown(&shared);
-            break 'run;
+            break;
         }
     }
     aloop

@@ -115,15 +115,7 @@ pub(crate) fn worker_loop(me: usize, pool: Arc<Pool>) {
                 relinquish(me, &pool, &tenant, stage, tl);
             }
             Msg::Ctrl(Ctrl::Wake) => {} // wake-up only; service below
-            Msg::Ctrl(Ctrl::TenantGone { tenant }) => {
-                // Detach: flush accounting, drop local state and the
-                // inbox lane, then ack so teardown can read `accs`.
-                if let Some(tl) = tenants.remove(&tenant.id) {
-                    tl.flush_acc(me);
-                }
-                pool.inboxes[me].drop_lane(tenant.id);
-                tenant.detached.fetch_add(1, Ordering::SeqCst);
-            }
+            Msg::Ctrl(Ctrl::TenantGone { tenant }) => tenant_gone(me, &pool, &mut tenants, &tenant),
             Msg::Ctrl(Ctrl::Shutdown) => break,
         }
         // After every message, serve or re-route anything that became
@@ -143,6 +135,23 @@ pub(crate) fn worker_loop(me: usize, pool: Arc<Pool>) {
     // teardown ack-waits escape on the pool flag.
     for (_, tl) in tenants.drain() {
         tl.flush_acc(me);
+    }
+}
+
+/// Detaches `tenant` from worker `me`: flushes its accounting, drops
+/// its local state and inbox lane, then acks. The last worker to ack
+/// rings the pool's bell, which the detaching session sleeps on before
+/// it reads `Shared::accs`. Once per tenant per worker, so out of the
+/// message loop's line.
+#[cold]
+fn tenant_gone(me: usize, pool: &Pool, tenants: &mut HashMap<u64, TenantLocal>, tenant: &Shared) {
+    if let Some(tl) = tenants.remove(&tenant.id) {
+        tl.flush_acc(me);
+    }
+    pool.inboxes[me].drop_lane(tenant.id);
+    let acked = tenant.detached.fetch_add(1, Ordering::SeqCst) + 1;
+    if acked == pool.inboxes.len() as u64 {
+        pool.bell.ring();
     }
 }
 
