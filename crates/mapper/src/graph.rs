@@ -633,9 +633,9 @@ impl StageGraphBuilder {
 /// Explicit DAG construction: `ns` stages wired by id-addressed edges.
 /// A stage receiving several edges joins its inputs, one slot per edge
 /// in declaration order; a stage feeding several edges fans a copy out
-/// to each consumer, in consumer-id order. Name-addressed wiring (and duplicate-name
-/// rejection) lives in the facade, which resolves names to ids before
-/// reaching here.
+/// to each consumer, in consumer-id order. Typed wiring (and duplicate-name
+/// rejection) lives in the facade, whose stage handles carry the ids
+/// it wires here.
 ///
 /// ```
 /// use adapipe_mapper::graph::StageGraph;

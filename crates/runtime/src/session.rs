@@ -170,27 +170,16 @@ pub enum BuildError {
         /// The share still unclaimed by live sessions.
         available: f64,
     },
-    /// The declared stage graph contains a cycle — a pipeline item
-    /// could revisit a stage forever.
-    GraphCycle {
-        /// A stage on the cycle (by name).
-        stage: String,
-    },
     /// A declared stage is wired into no path from source to sink —
     /// items could never reach (or never leave) it.
     UnreachableStage {
         /// The orphaned stage (by name).
         stage: String,
     },
-    /// An `edge(from, to)` call names a stage that was never declared
-    /// with `node(...)`.
-    UnknownStage {
-        /// The undeclared name the edge referenced.
-        name: String,
-    },
-    /// A declared edge is structurally invalid: a self-loop, a
-    /// duplicate wire, or a graph whose edges leave more than one
-    /// terminal stage (a pipeline has exactly one sink).
+    /// The declared wiring is structurally invalid: a join of fewer
+    /// than two stages or fed twice by one, a graph whose stages leave
+    /// more than one terminal stage (a pipeline has exactly one sink),
+    /// or an exit that is not that sink.
     InvalidEdge {
         /// What is wrong with the wiring.
         detail: String,
@@ -278,17 +267,11 @@ impl std::fmt::Display for BuildError {
                      {requested:.3} static share but only {available:.3} is unclaimed"
                 )
             }
-            BuildError::GraphCycle { stage } => {
-                write!(f, "stage graph has a cycle through '{stage}'")
-            }
             BuildError::UnreachableStage { stage } => {
                 write!(
                     f,
-                    "stage '{stage}' is on no source-to-sink path; wire it with edge()"
+                    "stage '{stage}' is on no source-to-sink path; give it a consumer"
                 )
-            }
-            BuildError::UnknownStage { name } => {
-                write!(f, "edge references undeclared stage '{name}'")
             }
             BuildError::InvalidEdge { detail } => {
                 write!(f, "invalid edge: {detail}")
@@ -1464,14 +1447,8 @@ mod tests {
 
     #[test]
     fn graph_build_errors_display_usefully() {
-        let e = BuildError::GraphCycle { stage: "b".into() };
-        assert!(e.to_string().contains("cycle"));
         let e = BuildError::UnreachableStage { stage: "c".into() };
         assert!(e.to_string().contains("'c'"));
-        let e = BuildError::UnknownStage {
-            name: "ghost".into(),
-        };
-        assert!(e.to_string().contains("ghost"));
         let e = BuildError::InvalidEdge {
             detail: "duplicate edge a -> b".into(),
         };

@@ -1,6 +1,7 @@
 //! DAG ETL: a diamond topology with per-stage resilience.
 //!
-//! The pipeline is a general DAG, not a chain:
+//! The pipeline is a general DAG, not a chain, wired through typed
+//! node handles — each stage names the stages it consumes:
 //!
 //! ```text
 //! fetch ─┬─ parse ─┐
@@ -29,36 +30,31 @@ fn main() {
     // 120), and are malformed beyond repair when payload % 40 == 7
     // (3 of 120). The sets are disjoint.
     let glitched: Arc<Mutex<HashSet<u64>>> = Arc::new(Mutex::new(HashSet::new()));
-    let pipeline = Pipeline::<u64>::dag()
-        .node("fetch", |x: u64| x + 1)
-        .try_node("parse", move |v: u64| {
-            if v % 40 == 7 {
-                return Err(format!("malformed record {v}"));
-            }
-            if v % 10 == 4 && glitched.lock().unwrap().insert(v) {
-                return Err(format!("transient glitch on record {v}"));
-            }
-            Ok(v * 10)
-        })
-        .resilience(
-            ResiliencePolicy::new()
-                .retries(2)
-                .backoff(SimDuration::from_millis(1), 2.0)
-                .dead_letter()
-                .trace(),
-        )
-        .node("audit", |v: u64| v + 100)
-        .edge("fetch", "parse")
-        .edge("fetch", "audit")
-        .join(
-            "combine",
-            |outs: Vec<u64>| outs[0] + outs[1],
-            &["parse", "audit"],
-        )
-        .node("sink", |x: u64| x)
-        .edge("combine", "sink")
-        .build::<u64>()
-        .expect("the diamond is a valid DAG");
+    let mut dag = Pipeline::<u64>::dag();
+    let fetch = dag.node("fetch", dag.input(), |x: u64| x + 1);
+    // Both `parse` and `audit` consume `fetch`, so its handle is cloned.
+    let parse = dag.try_node("parse", fetch.clone(), move |v: u64| {
+        if v % 40 == 7 {
+            return Err(format!("malformed record {v}"));
+        }
+        if v % 10 == 4 && glitched.lock().unwrap().insert(v) {
+            return Err(format!("transient glitch on record {v}"));
+        }
+        Ok(v * 10)
+    });
+    dag.resilience(
+        ResiliencePolicy::new()
+            .retries(2)
+            .backoff(SimDuration::from_millis(1), 2.0)
+            .dead_letter()
+            .trace(),
+    );
+    let audit = dag.node("audit", fetch, |v: u64| v + 100);
+    let combine = dag.join("combine", vec![parse, audit], |outs: Vec<u64>| {
+        outs[0] + outs[1]
+    });
+    let sink = dag.node("sink", combine, |x: u64| x);
+    let pipeline = dag.exit(sink).build().expect("the diamond is a valid DAG");
 
     let vnodes = (0..3).map(|i| VNodeSpec::free(format!("v{i}"))).collect();
     let mut session = pipeline

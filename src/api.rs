@@ -34,6 +34,17 @@
 //! [`PipelineBuilder::stateful_stage`] pins a stage to width one — so
 //! the runtime can replicate exactly what the programmer permitted.
 //!
+//! ## One graph builder
+//!
+//! A pipeline's stages form a DAG, declared through one builder.
+//! [`Pipeline::dag`] exposes it: each stage names its producers by the
+//! typed [`Node`] handles earlier declarations returned, so an edge
+//! between mismatched item types, or an exit of the wrong type, does not
+//! compile. [`Pipeline::builder`]'s chain and its
+//! [`PipelineBuilder::parallel`] blocks are sugar over the same
+//! [`DagBuilder`]: the chain holds a handle on its last stage, and a
+//! block clones it once per branch and joins the branch ends.
+//!
 //! ## Streaming sessions
 //!
 //! Batch `run()` is sugar. The primary execution surface is the live
@@ -110,12 +121,10 @@
 use adapipe_core::pipeline::Pipeline as CorePipeline;
 use adapipe_core::simengine;
 use adapipe_core::simsession::{self, SimPool};
-use adapipe_core::spec::{
-    PipelineSpec, ResiliencePolicy, StageGraph, StageGraphBuilder, StageSpec,
-};
+use adapipe_core::spec::{PipelineSpec, ResiliencePolicy, StageGraph, StageSpec};
 use adapipe_core::stage::{
-    clone_fn, fan_out_fn, fan_out_from_clone, AccumStage, CloneFn, DynStage, FallibleFnStage,
-    FanOutFn, FnStage, KeyFn, KeyedStage, MergeStage,
+    fan_out_fn, AccumStage, DynStage, FallibleFnStage, FanOutFn, FnStage, KeyFn, KeyedStage,
+    MergeStage,
 };
 use adapipe_engine::exec::{self, Pool};
 use adapipe_engine::vnode::VNodeSpec;
@@ -128,8 +137,8 @@ use adapipe_runtime::report::RunReport;
 use adapipe_runtime::routing::Selection;
 use adapipe_runtime::session::{self, LiveSession, Session, SessionControl};
 use adapipe_state::StateCodec;
-use std::collections::HashMap;
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Duration;
@@ -191,14 +200,12 @@ impl<I: Send + 'static> Pipeline<I, I> {
     pub fn builder() -> PipelineBuilder<I, I> {
         PipelineBuilder::new()
     }
-}
 
-impl<I: Clone + Send + 'static> Pipeline<I, I> {
     /// Starts a *DAG* builder for a pipeline whose inputs have type
-    /// `I`: named stages wired with explicit [`DagBuilder::edge`] /
-    /// [`DagBuilder::join`] calls instead of the linear /
-    /// series-parallel chain sugar. The input must be `Clone` — a DAG
-    /// may feed one item to several entry stages.
+    /// `I`: each stage names its producers by their typed [`Node`]
+    /// handles instead of following the chain and series-parallel
+    /// sugar, and [`DagBuilder::exit`] picks the node the pipeline
+    /// delivers.
     pub fn dag() -> DagBuilder<I> {
         DagBuilder::new()
     }
@@ -740,33 +747,23 @@ impl Drop for Cluster<'_> {
     }
 }
 
-/// Typed builder for the unified [`Pipeline`]; `Cur` is the item type
-/// flowing out of the last stage added so far, so stage `i+1` must
-/// accept exactly what stage `i` produces — checked at compile time.
-/// Everything else is checked by [`PipelineBuilder::build`], which
-/// returns a typed [`BuildError`] instead of panicking.
+/// Typed builder for the unified [`Pipeline`]: a [`DagBuilder`] graph
+/// plus its *tail*, the [`Node`] whose output the next appended stage
+/// consumes. `Cur` is the tail's item type, so stage `i+1` must accept
+/// exactly what stage `i` produces — checked at compile time. Chain
+/// stages, [`PipelineBuilder::parallel`] blocks and [`DagBuilder`]
+/// graphs all declare their stages on the same graph builder; everything
+/// else is checked by [`PipelineBuilder::build`], which returns a typed
+/// [`BuildError`] instead of panicking.
 pub struct PipelineBuilder<In, Cur = In> {
-    specs: Vec<StageSpec>,
-    stages: Vec<Box<dyn DynStage>>,
-    /// Per-stage routing-key extractors, in lockstep with `stages`
-    /// (`Some` for keyed stages only).
-    keys: Vec<Option<KeyFn>>,
-    /// The stage graph declared so far: every appended stage or block
-    /// adds the edges it implies.
-    graph: StageGraphBuilder,
-    /// The fan-out duplicators declared so far, each under the stage
-    /// whose output it copies (`None`: the pipeline input).
-    fanouts: Vec<(Option<usize>, FanOutFn)>,
-    /// First structural error of a `parallel()` declaration, surfaced
-    /// as the typed `build()` result.
-    graph_error: Option<BuildError>,
+    graph: DagBuilder<In>,
+    tail: Node<Cur>,
     run: RunDecl<In>,
-    _types: PhantomData<fn(In) -> Cur>,
 }
 
 /// What a builder declares about the run as a whole rather than about
 /// any one stage, and the `build()` tail that turns a declaration into
-/// a [`Pipeline`] — shared by [`PipelineBuilder`] and [`DagBuilder`].
+/// a [`Pipeline`].
 struct RunDecl<In> {
     input_bytes: u64,
     source: Option<NodeId>,
@@ -792,22 +789,22 @@ impl<In> RunDecl<In> {
         }
     }
 
-    /// Validates the declaration and assembles the pipeline: stage
-    /// names and replica bounds, the policy × arrival pairing, then the
-    /// stage graph (`wire`) and one fan-out duplicator per fan block of
-    /// it (`fan_out`, given the block's source stage — `None` for the
-    /// pipeline input — and its width).
+    /// Validates the declaration and assembles the pipeline whose
+    /// output is `exit`'s: the graph's first wiring error, stage names
+    /// and replica bounds, the policy × arrival pairing, then the stage
+    /// graph, that `exit` is its one sink, and one fan-out duplicator
+    /// per fan block of it.
     fn finish<Out>(
         self,
-        specs: Vec<StageSpec>,
-        stages: Vec<Box<dyn DynStage>>,
-        keys: Vec<Option<KeyFn>>,
-        wire: impl FnOnce() -> Result<StageGraph, BuildError>,
-        fan_out: impl Fn(Option<usize>, usize) -> FanOutFn,
+        dag: DagBuilder<In>,
+        exit: Node<Out>,
     ) -> Result<Pipeline<In, Out>, BuildError> {
-        let names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
+        if let Some(err) = dag.err {
+            return Err(err);
+        }
+        let names: Vec<&str> = dag.specs.iter().map(|s| s.name.as_str()).collect();
         session::validate_stage_names(&names)?;
-        for spec in &specs {
+        for spec in &dag.specs {
             session::validate_replicas(&spec.name, spec.state, spec.max_replicas)?;
         }
         let session = if self.baseline {
@@ -815,16 +812,44 @@ impl<In> RunDecl<In> {
         } else {
             Session::new(self.policy, self.arrivals)?
         };
-        let graph = wire()?;
+        let wiring = (dag.edges.iter()).fold(StageGraph::dag(names.len()), |w, &(from, to)| {
+            w.edge(from, to)
+        });
+        let graph = wiring.build().map_err(|e| graph_build_error(e, &names))?;
+        let name = |id: Option<usize>| {
+            id.map_or("the pipeline input".to_string(), |s| {
+                format!("'{}'", names[s])
+            })
+        };
+        if exit.id != Some(graph.exit()) {
+            return Err(BuildError::InvalidEdge {
+                detail: format!(
+                    "exit {} is not the graph's sink '{}'",
+                    name(exit.id),
+                    names[graph.exit()]
+                ),
+            });
+        }
         let fanouts = (0..graph.blocks())
-            .map(|b| fan_out(graph.fan_source(b), graph.fan_targets(b).len()))
-            .collect();
-        let mut spec = PipelineSpec::with_graph(specs, graph);
+            .map(|b| {
+                let source = graph.fan_source(b);
+                let (_, fan) = dag.fans.iter().find(|(s, _)| *s == source).ok_or_else(|| {
+                    BuildError::InvalidEdge {
+                        detail: format!(
+                            "{} feeds several stages, but its handle was not cloned",
+                            name(source)
+                        ),
+                    }
+                })?;
+                Ok(fan(graph.fan_targets(b).len()))
+            })
+            .collect::<Result<_, BuildError>>()?;
+        let mut spec = PipelineSpec::with_graph(dag.specs, graph);
         spec.input_bytes = self.input_bytes;
         spec.source = self.source;
         spec.sink = self.sink;
         Ok(Pipeline {
-            core: CorePipeline::from_parts(spec, stages, fanouts, keys),
+            core: CorePipeline::from_parts(spec, dag.stages, fanouts, dag.keys),
             session,
             feed: self.feed,
             faults: self.faults,
@@ -833,18 +858,12 @@ impl<In> RunDecl<In> {
 }
 
 impl<In: Send + 'static> PipelineBuilder<In, In> {
-    /// Starts a pipeline whose inputs have type `In`.
+    /// Starts a pipeline whose inputs have type `In`: a graph with no
+    /// stage yet, positioned at the pipeline input.
     pub fn new() -> Self {
-        PipelineBuilder {
-            specs: Vec::new(),
-            stages: Vec::new(),
-            keys: Vec::new(),
-            graph: StageGraph::builder(),
-            fanouts: Vec::new(),
-            graph_error: None,
-            run: RunDecl::new(),
-            _types: PhantomData,
-        }
+        let graph = DagBuilder::new();
+        let input = graph.input();
+        graph.exit(input)
     }
 }
 
@@ -895,21 +914,30 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
     /// apply, and stages appended afterwards consume its exit stage.
     pub fn from_pipeline(pipeline: CorePipeline<In, Cur>) -> Self {
         let (spec, stages, fanouts, keys) = pipeline.into_parts();
-        let sources = (0..spec.graph.blocks()).map(|b| spec.graph.fan_source(b));
+        let mut graph = DagBuilder::new();
+        let adopted = &spec.graph;
+        graph.edges = adopted.edges().collect();
+        // No adopted stage gains a consumer: the only handle on one is
+        // the tail, the exit, which feeds nothing yet. So each adopted
+        // duplicator keeps the width it was built for.
+        for (b, fan) in fanouts.into_iter().enumerate() {
+            graph
+                .fans
+                .push((adopted.fan_source(b), Box::new(move |_| fan.clone())));
+        }
+        let tail = graph.handle(Some(adopted.exit()));
+        graph.specs = spec.stages;
+        graph.stages = stages;
+        graph.keys = keys;
         PipelineBuilder {
-            graph: StageGraphBuilder::extending(&spec.graph),
-            fanouts: sources.zip(fanouts).collect(),
-            graph_error: None,
-            specs: spec.stages,
-            stages,
-            keys,
+            graph,
+            tail,
             run: RunDecl {
                 input_bytes: spec.input_bytes,
                 source: spec.source,
                 sink: spec.sink,
                 ..RunDecl::new()
             },
-            _types: PhantomData,
         }
     }
 
@@ -974,6 +1002,21 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
         self
     }
 
+    /// Declares one stage on the graph, fed by the tail, and makes it
+    /// the new tail.
+    fn then<Out>(
+        self,
+        declare: impl FnOnce(&mut DagBuilder<In>, Node<Cur>) -> Node<Out>,
+    ) -> PipelineBuilder<In, Out> {
+        let PipelineBuilder {
+            mut graph,
+            tail,
+            run,
+        } = self;
+        let tail = declare(&mut graph, tail);
+        PipelineBuilder { graph, tail, run }
+    }
+
     /// Appends a stateless stage with default cost metadata (1 work
     /// unit per item, no boundary bytes). The closure must be `Clone`
     /// so the runtime can replicate the stage across nodes.
@@ -1010,8 +1053,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
         Out: Send + 'static,
         F: FnMut(Cur) -> Out + Send + Clone + 'static,
     {
-        let stage = Box::new(FnStage::new(spec.name.clone(), f));
-        self.append(spec, stage, None)
+        self.then(|graph, tail| graph.node_with(spec, tail, f))
     }
 
     /// Appends a stateful stage with *opaque* (undeclared) closure
@@ -1038,7 +1080,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
             spec
         };
         let stage = Box::new(FnStage::opaque(spec.name.clone(), f));
-        self.append(spec, stage, None)
+        self.then(|graph, tail| graph.push(spec, stage, None, [tail]))
     }
 
     /// Appends a *fallible* stateless stage: the closure may reject an
@@ -1067,8 +1109,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
         Out: Send + 'static,
         F: FnMut(Cur) -> Result<Out, String> + Send + Clone + 'static,
     {
-        let stage = Box::new(FallibleFnStage::new(spec.name.clone(), f));
-        self.append(spec, stage, None)
+        self.then(|graph, tail| graph.try_node_with(spec, tail, f))
     }
 
     /// Declares the failure-handling policy of the most recently
@@ -1077,9 +1118,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
     /// by both backends. A call before
     /// any stage was appended is ignored.
     pub fn resilience(mut self, policy: ResiliencePolicy) -> Self {
-        if let Some(spec) = self.specs.last_mut() {
-            spec.resilience = policy;
-        }
+        self.graph.resilience(policy);
         self
     }
 
@@ -1150,7 +1189,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
         );
         let stage = KeyedStage::<Cur, Out, S, K, F>::new(spec.name.clone(), key, init, f);
         let key = stage.routing_key();
-        self.append(spec, Box::new(stage), Some(key))
+        self.then(|graph, tail| graph.push(spec, Box::new(stage), Some(key), [tail]))
     }
 
     /// Appends a stage with *accumulator* state: one logical value with
@@ -1201,7 +1240,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
             spec.with_accumulator_state(bytes)
         };
         let stage = AccumStage::<Cur, Out, S, F>::new(spec.name.clone(), init, f, merge);
-        self.append(spec, Box::new(stage), None)
+        self.then(|graph, tail| graph.push(spec, Box::new(stage), None, [tail]))
     }
 
     /// Appends a stage with *exclusive* declared state: serializable
@@ -1247,13 +1286,14 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
             spec.with_exclusive_state(bytes)
         };
         let stage = AccumStage::<Cur, Out, S, F>::exclusive(spec.name.clone(), init, f);
-        self.append(spec, Box::new(stage), None)
+        self.then(|graph, tail| graph.push(spec, Box::new(stage), None, [tail]))
     }
 
     /// Fans each item out to the given branch sub-pipelines — sugar for
-    /// the fan-out and join edges [`DagBuilder`] takes one by one. Every
-    /// branch receives its own clone of the item (hence `Cur: Clone`),
-    /// the branches execute concurrently (on the threaded backend) over
+    /// cloning the tail's [`Node`] once per branch and closing the block
+    /// with a [`DagBuilder::join`] of the branch ends. Every branch
+    /// receives its own clone of the item (hence `Cur: Clone`), the
+    /// branches execute concurrently (on the threaded backend) over
     /// their own placements, and the block must be closed with
     /// [`ParallelBuilder::merge`] (or
     /// [`ParallelBuilder::merge_with`]), which folds the branch outputs
@@ -1277,99 +1317,52 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
     /// Structural rules (typed errors at `build()`): a block needs at
     /// least two branches ([`BuildError::TooFewBranches`]) and every
     /// branch at least one stage ([`BuildError::EmptyBranch`]).
-    pub fn parallel<B>(mut self, branches: Vec<Branch<Cur, B>>) -> ParallelBuilder<In, B>
+    pub fn parallel<B>(self, branches: Vec<Branch<Cur, B>>) -> ParallelBuilder<In, B>
     where
         Cur: Clone,
         B: Send + 'static,
     {
-        let block = self.fanouts.len();
-        self.fanouts
-            .push((self.graph.tail(), fan_out_fn::<Cur>(branches.len())));
-        if branches.len() < 2 && self.graph_error.is_none() {
-            self.graph_error = Some(BuildError::TooFewBranches { block });
+        let PipelineBuilder {
+            mut graph,
+            tail,
+            run,
+        } = self;
+        // Blocks are numbered by their merges: those declared so far.
+        let joins = graph.edges.chunk_by(|a, b| a.1 == b.1);
+        let block = joins.filter(|inputs| inputs.len() > 1).count();
+        if branches.len() < 2 {
+            graph.fail(BuildError::TooFewBranches { block });
         }
-        if branches.iter().any(|b| b.specs.is_empty()) && self.graph_error.is_none() {
-            self.graph_error = Some(BuildError::EmptyBranch { block });
+        if branches.iter().any(|b| b.stages.is_empty()) {
+            graph.fail(BuildError::EmptyBranch { block });
         }
-        let mut lens = Vec::with_capacity(branches.len());
-        for branch in branches {
-            let Branch {
-                specs,
-                stages,
-                cap,
-                _types,
-            } = branch;
-            lens.push(specs.len());
-            for mut spec in specs {
-                // The per-branch replication cap tightens each
-                // replicable stage's own declared bound; exclusive and
-                // opaque stages stay pinned to width one by the usual
-                // rules.
-                if spec.state.replicable() {
-                    spec.max_replicas = spec.max_replicas.min(cap);
-                }
-                self.specs.push(spec);
-            }
-            self.keys.extend((0..stages.len()).map(|_| None));
-            self.stages.extend(stages);
-        }
-        ParallelBuilder {
-            builder: self.retype(),
-            branch_lens: lens,
-            _types: PhantomData,
-        }
-    }
-
-    /// Appends one series stage: it consumes the output of whatever was
-    /// declared last.
-    fn append<Out: Send + 'static>(
-        mut self,
-        spec: StageSpec,
-        stage: Box<dyn DynStage>,
-        key: Option<KeyFn>,
-    ) -> PipelineBuilder<In, Out> {
-        self.stages.push(stage);
-        self.keys.push(key);
-        self.specs.push(spec);
-        self.graph = self.graph.stages(1);
-        self.retype()
-    }
-
-    fn retype<Out: Send + 'static>(self) -> PipelineBuilder<In, Out> {
-        PipelineBuilder {
-            specs: self.specs,
-            stages: self.stages,
-            keys: self.keys,
-            graph: self.graph,
-            fanouts: self.fanouts,
-            graph_error: self.graph_error,
-            run: self.run,
-            _types: PhantomData,
-        }
+        let ends = branches
+            .into_iter()
+            .map(|Branch { stages, cap, .. }| {
+                let start: Node<()> = tail.clone().cast();
+                let end = stages.into_iter().fold(start, |end, (mut spec, stage)| {
+                    // The per-branch replication cap tightens each
+                    // replicable stage's own declared bound; exclusive
+                    // and opaque stages stay pinned to width one by the
+                    // usual rules.
+                    if spec.state.replicable() {
+                        spec.max_replicas = spec.max_replicas.min(cap);
+                    }
+                    graph.push(spec, stage, None, [end])
+                });
+                end.cast()
+            })
+            .collect();
+        ParallelBuilder { graph, ends, run }
     }
 
     /// Validates and finalises the pipeline. See the module docs (and
     /// [`adapipe_runtime::session`]) for the full rule set; branched
     /// declarations additionally require at least two branches per
-    /// parallel block and a non-empty stage list per branch.
+    /// parallel block and a non-empty stage list per branch, and a
+    /// [`DagBuilder`] graph one sink, which must be its exit node.
     pub fn build(self) -> Result<Pipeline<In, Cur>, BuildError> {
-        if let Some(err) = self.graph_error {
-            return Err(err);
-        }
-        let PipelineBuilder { graph, fanouts, .. } = self;
-        self.run.finish(
-            self.specs,
-            self.stages,
-            self.keys,
-            || Ok(graph.build()),
-            |source, _| {
-                let (_, fan_out) = fanouts
-                    .iter()
-                    .find(|(s, _)| *s == source)
-                    .expect("every fan-out of a sugar-built graph was declared by parallel()");
-                fan_out.clone()
-            },
-        )
+        self.run.finish(self.graph, self.tail)
     }
 }
 
@@ -1378,8 +1371,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
 /// branch output `Cur`. All branches of one block must end in the same
 /// output type (the merge receives `Vec` of it, in branch order).
 pub struct Branch<I, Cur = I> {
-    specs: Vec<StageSpec>,
-    stages: Vec<Box<dyn DynStage>>,
+    stages: Vec<(StageSpec, Box<dyn DynStage>)>,
     /// Per-branch replication cap, tightening each stage's own bound.
     cap: usize,
     _types: PhantomData<fn(I) -> Cur>,
@@ -1389,7 +1381,6 @@ impl<I: Send + 'static> Branch<I, I> {
     /// Starts a branch whose input (the fanned-out item) has type `I`.
     pub fn new() -> Self {
         Branch {
-            specs: Vec::new(),
             stages: Vec::new(),
             cap: usize::MAX,
             _types: PhantomData,
@@ -1434,11 +1425,9 @@ impl<I: Send + 'static, Cur: Send + 'static> Branch<I, Cur> {
         Out: Send + 'static,
         F: FnMut(Cur) -> Out + Send + Clone + 'static,
     {
-        self.stages
-            .push(Box::new(FnStage::new(spec.name.clone(), f)));
-        self.specs.push(spec);
+        let stage = Box::new(FnStage::new(spec.name.clone(), f));
+        self.stages.push((spec, stage));
         Branch {
-            specs: self.specs,
             stages: self.stages,
             cap: self.cap,
             _types: PhantomData,
@@ -1460,9 +1449,10 @@ impl<I: Send + 'static, Cur: Send + 'static> Branch<I, Cur> {
 /// [`ParallelBuilder::merge`] / [`ParallelBuilder::merge_with`], so an
 /// unmerged block is unrepresentable.
 pub struct ParallelBuilder<In, B> {
-    builder: PipelineBuilder<In, ()>,
-    branch_lens: Vec<usize>,
-    _types: PhantomData<fn() -> B>,
+    graph: DagBuilder<In>,
+    /// The last stage of each branch, in branch order.
+    ends: Vec<Node<B>>,
+    run: RunDecl<In>,
 }
 
 impl<In: Send + 'static, B: Send + 'static> ParallelBuilder<In, B> {
@@ -1486,328 +1476,362 @@ impl<In: Send + 'static, B: Send + 'static> ParallelBuilder<In, B> {
         Out: Send + 'static,
         F: FnMut(Vec<B>) -> Out + Send + Clone + 'static,
     {
-        let mut builder = self.builder;
-        builder
-            .stages
-            .push(Box::new(MergeStage::new(spec.name.clone(), f)));
-        builder.keys.push(None);
-        builder.specs.push(spec);
-        // A mis-declared block has already failed the build; its edges
-        // are never looked at.
-        if builder.graph_error.is_none() {
-            builder.graph = builder.graph.split(&self.branch_lens);
-        }
-        builder.retype()
+        let ParallelBuilder {
+            mut graph,
+            ends,
+            run,
+        } = self;
+        let tail = graph.join_with(spec, ends, f);
+        PipelineBuilder { graph, tail, run }
     }
 }
 
-/// Builder for a pipeline over a *general DAG* of named stages: declare
-/// stages with [`DagBuilder::node`] / [`DagBuilder::try_node`] /
-/// [`DagBuilder::join`], wire them with [`DagBuilder::edge`], and
-/// [`DagBuilder::build`] validates the wiring into a typed result —
-/// [`BuildError::GraphCycle`], [`BuildError::UnreachableStage`],
-/// [`BuildError::UnknownStage`], [`BuildError::InvalidEdge`],
-/// [`BuildError::DuplicateStage`] — instead of panicking mid-run.
+/// A typed handle on one stage of a [`DagBuilder`] graph, or on the
+/// pipeline input ([`DagBuilder::input`]): what a consumer names to be
+/// fed the `T`s it produces.
 ///
-/// A stage feeding several consumers fans copies out (its output type
-/// must be `Clone`, which every `node` declaration requires); a stage
-/// declared with `join` receives one `Vec` with the outputs of its
-/// inputs, in declaration order. Cross-edge type agreement is checked
-/// dynamically at run time (the same typed
-/// [`RunError::StageTypeMismatch`] contract as the chain builder).
+/// A handle moves into the one consumer it is passed to. To feed a
+/// second consumer, clone it — which needs `T: Clone`, because each
+/// consumer then receives its own copy of every item.
+pub struct Node<T> {
+    /// The graph that handed the handle out.
+    graph: u64,
+    /// The stage; `None` for the pipeline input.
+    id: Option<usize>,
+    /// Set on a clone: the duplicator of `T`s for a given consumer
+    /// count, which the graph records for the stage when it fans out.
+    fan: Option<fn(usize) -> FanOutFn>,
+    _item: PhantomData<fn() -> T>,
+}
+
+impl<T> Node<T> {
+    /// The same handle at another item type, for the builder's own
+    /// erased bookkeeping (branch stages of a `parallel` block).
+    fn cast<U>(self) -> Node<U> {
+        Node {
+            graph: self.graph,
+            id: self.id,
+            fan: self.fan,
+            _item: PhantomData,
+        }
+    }
+}
+
+impl<T: Clone + Send + 'static> Clone for Node<T> {
+    fn clone(&self) -> Self {
+        Node {
+            graph: self.graph,
+            id: self.id,
+            fan: Some(fan_out_fn::<T>),
+            _item: PhantomData,
+        }
+    }
+}
+
+/// Builder for a pipeline over a *general DAG* of named stages. Each
+/// declaration — [`DagBuilder::node`], [`DagBuilder::try_node`],
+/// [`DagBuilder::join`] — names its producers by their typed [`Node`]
+/// handles and returns the handle of the new stage, starting from
+/// [`DagBuilder::input`]. [`DagBuilder::exit`] names the node whose
+/// output the pipeline delivers and hands back a [`PipelineBuilder`] for
+/// the run declarations and `build()`.
+///
+/// A handle names only a stage that already exists, so every edge
+/// points backwards: the graph has no cycle, self-edge or unknown
+/// stage to report. Types are checked where the handle is passed: an
+/// edge from a `Node<u64>` into a stage that takes `String` does not
+/// compile, and neither does an exit whose type differs from the
+/// pipeline's output. A stage feeding several consumers fans copies
+/// out, so its handle must be cloned, which needs a `Clone` output; a
+/// stage declared with `join` receives one `Vec` with the outputs of
+/// its inputs, in the order given. What is left for `build()` returns a
+/// typed [`BuildError`]: [`BuildError::UnreachableStage`] and
+/// [`BuildError::InvalidEdge`] for a dangling node, a join of fewer
+/// than two stages, one handle given to a join twice, or an exit that
+/// is not the graph's one sink, plus every rule of
+/// [`PipelineBuilder::build`].
 ///
 /// ```
 /// use adapipe::prelude::*;
 ///
 /// // fetch ─┬─ parse ─┐
 /// //        └─ audit ─┴─ combine → sink
-/// let pipeline = Pipeline::<u64>::dag()
-///     .node("fetch", |x: u64| x + 1)
-///     .node("parse", |x: u64| x * 2)
-///     .node("audit", |x: u64| x * 10)
-///     .edge("fetch", "parse")
-///     .edge("fetch", "audit")
-///     .join("combine", |outs: Vec<u64>| outs[0] + outs[1], &["parse", "audit"])
-///     .node("sink", |x: u64| x)
-///     .edge("combine", "sink")
-///     .build::<u64>()
-///     .expect("valid DAG");
+/// let mut dag = Pipeline::<u64>::dag();
+/// let fetch = dag.node("fetch", dag.input(), |x: u64| x + 1);
+/// let parse = dag.node("parse", fetch.clone(), |x: u64| x * 2);
+/// let audit = dag.node("audit", fetch, |x: u64| x * 10);
+/// let combine = dag.join("combine", vec![parse, audit], |outs: Vec<u64>| {
+///     outs[0] + outs[1]
+/// });
+/// let sink = dag.node("sink", combine, |x: u64| x);
+/// let pipeline = dag.exit(sink).build().expect("valid DAG");
 /// assert_eq!(pipeline.len(), 5);
 /// ```
+///
+/// An edge into a stage of another input type does not compile:
+///
+/// ```compile_fail
+/// use adapipe::prelude::*;
+///
+/// let mut dag = Pipeline::<u64>::dag();
+/// let count = dag.node("count", dag.input(), |x: u64| x + 1);
+/// let _ = dag.node("shout", count, |s: String| s.to_uppercase());
+/// ```
+///
+/// Nor does an exit whose type is not the declared output:
+///
+/// ```compile_fail
+/// use adapipe::prelude::*;
+///
+/// let mut dag = Pipeline::<u64>::dag();
+/// let count = dag.node("count", dag.input(), |x: u64| x + 1);
+/// let _: Pipeline<u64, String> = dag.exit(count).build().unwrap();
+/// ```
+///
+/// Nor fanning out a stage whose output cannot be copied:
+///
+/// ```compile_fail
+/// use adapipe::prelude::*;
+///
+/// struct Frame(Vec<u8>); // not Clone
+/// let mut dag = Pipeline::<u64>::dag();
+/// let frame = dag.node("frame", dag.input(), |x: u64| Frame(vec![x as u8]));
+/// let size = dag.node("size", frame.clone(), |f: Frame| f.0.len());
+/// let head = dag.node("head", frame, |f: Frame| f.0[0] as usize);
+/// let _ = dag.join("both", vec![size, head], |v: Vec<usize>| v[0] + v[1]);
+/// ```
 pub struct DagBuilder<In> {
+    /// Tells this graph's handles from every other graph's.
+    id: u64,
     specs: Vec<StageSpec>,
     stages: Vec<Box<dyn DynStage>>,
-    /// Per stage: duplicator of its *output* type, used to synthesize
-    /// the fan-out of a multi-consumer stage.
-    clones: Vec<CloneFn>,
-    /// Declared edges, in declaration order (a join's input slots are
-    /// its in-edges in this order).
-    edges: Vec<(String, String)>,
-    /// Duplicator of the pipeline input (several entry stages fan the
-    /// input out).
-    entry_clone: CloneFn,
+    /// Per-stage routing-key extractors (`Some` for keyed stages only).
+    keys: Vec<Option<KeyFn>>,
+    /// `(producer, consumer)` stage pairs, grouped by consumer in
+    /// join-slot order; a stage the pipeline input feeds has none.
+    edges: Vec<(usize, usize)>,
+    /// How each producer that may fan out copies its output, by its
+    /// number of consumers (`None`: the pipeline input).
+    fans: Vec<(Option<usize>, FanFn)>,
     /// First structural error of the declaration, surfaced at `build()`.
     err: Option<BuildError>,
-    run: RunDecl<In>,
+    _input: PhantomData<fn(In)>,
 }
 
-impl<In: Clone + Send + 'static> DagBuilder<In> {
+/// A producer's fan-out duplicator, by its number of consumers.
+type FanFn = Box<dyn Fn(usize) -> FanOutFn + Send>;
+
+impl<In: Send + 'static> DagBuilder<In> {
     fn new() -> Self {
+        static GRAPHS: AtomicU64 = AtomicU64::new(0);
         DagBuilder {
+            id: GRAPHS.fetch_add(1, Ordering::Relaxed),
             specs: Vec::new(),
             stages: Vec::new(),
-            clones: Vec::new(),
+            keys: Vec::new(),
             edges: Vec::new(),
-            entry_clone: clone_fn::<In>(),
+            fans: Vec::new(),
             err: None,
-            run: RunDecl::new(),
+            _input: PhantomData,
         }
     }
 
-    /// Declares a named stateless stage with default cost metadata. Its
-    /// output must be `Clone` (any DAG stage may feed several
-    /// consumers); stages with no in-edge at `build()` are entry stages
-    /// fed by the pipeline input.
-    pub fn node<A, B, F>(self, name: impl Into<String>, f: F) -> Self
+    fn handle<T>(&self, id: Option<usize>) -> Node<T> {
+        Node {
+            graph: self.id,
+            id,
+            fan: None,
+            _item: PhantomData,
+        }
+    }
+
+    fn fail(&mut self, err: BuildError) {
+        self.err.get_or_insert(err);
+    }
+
+    /// The pipeline input: the producer of every entry stage. Feeding
+    /// it to several stages means cloning it, as for any handle.
+    pub fn input(&self) -> Node<In> {
+        self.handle(None)
+    }
+
+    /// Declares a named stateless stage with default cost metadata,
+    /// fed by `from`.
+    pub fn node<A, B, F>(&mut self, name: impl Into<String>, from: Node<A>, f: F) -> Node<B>
     where
         A: Send + 'static,
-        B: Clone + Send + 'static,
+        B: Send + 'static,
         F: FnMut(A) -> B + Send + Clone + 'static,
     {
-        self.node_with(StageSpec::balanced(name, 1.0, 0), f)
+        self.node_with(StageSpec::balanced(name, 1.0, 0), from, f)
     }
 
     /// Declares a named stage with explicit cost metadata; it
     /// replicates iff the declared state does, as on
     /// [`PipelineBuilder::stage_with`].
-    pub fn node_with<A, B, F>(mut self, spec: StageSpec, f: F) -> Self
+    pub fn node_with<A, B, F>(&mut self, spec: StageSpec, from: Node<A>, f: F) -> Node<B>
     where
         A: Send + 'static,
-        B: Clone + Send + 'static,
+        B: Send + 'static,
         F: FnMut(A) -> B + Send + Clone + 'static,
     {
         let stage = Box::new(FnStage::new(spec.name.clone(), f));
-        self.push_stage(spec, stage, clone_fn::<B>());
-        self
+        self.push(spec, stage, None, [from])
     }
 
     /// Declares a named *fallible* stage: the closure may reject an
     /// item with an error string, handled per the stage's
     /// [`DagBuilder::resilience`] policy. The input must be `Clone` so
     /// a failed attempt can be re-presented.
-    pub fn try_node<A, B, F>(self, name: impl Into<String>, f: F) -> Self
+    pub fn try_node<A, B, F>(&mut self, name: impl Into<String>, from: Node<A>, f: F) -> Node<B>
     where
         A: Clone + Send + 'static,
-        B: Clone + Send + 'static,
+        B: Send + 'static,
         F: FnMut(A) -> Result<B, String> + Send + Clone + 'static,
     {
-        self.try_node_with(StageSpec::balanced(name, 1.0, 0), f)
+        self.try_node_with(StageSpec::balanced(name, 1.0, 0), from, f)
     }
 
     /// Declares a fallible stage with explicit cost metadata; it
     /// replicates iff the declared state does.
-    pub fn try_node_with<A, B, F>(mut self, spec: StageSpec, f: F) -> Self
+    pub fn try_node_with<A, B, F>(&mut self, spec: StageSpec, from: Node<A>, f: F) -> Node<B>
     where
         A: Clone + Send + 'static,
-        B: Clone + Send + 'static,
+        B: Send + 'static,
         F: FnMut(A) -> Result<B, String> + Send + Clone + 'static,
     {
         let stage = Box::new(FallibleFnStage::new(spec.name.clone(), f));
-        self.push_stage(spec, stage, clone_fn::<B>());
-        self
+        self.push(spec, stage, None, [from])
     }
 
     /// Declares a named *joining* stage: it receives one `Vec` holding
-    /// the outputs of `inputs` (in that order) per item, and the edges
-    /// `inputs[i] → name` are wired implicitly. At least two inputs are
-    /// required — a single-input consumer is an ordinary `node` plus an
-    /// `edge`.
-    pub fn join<B, Out, F>(self, name: impl Into<String>, f: F, inputs: &[&str]) -> Self
+    /// the outputs of the stages `from` names, in that order, per item.
+    /// At least two stages are required — a single-input consumer is an
+    /// ordinary `node`.
+    pub fn join<B, Out, F>(
+        &mut self,
+        name: impl Into<String>,
+        from: Vec<Node<B>>,
+        f: F,
+    ) -> Node<Out>
     where
         B: Send + 'static,
-        Out: Clone + Send + 'static,
+        Out: Send + 'static,
         F: FnMut(Vec<B>) -> Out + Send + Clone + 'static,
     {
-        self.join_with(StageSpec::balanced(name, 1.0, 0), f, inputs)
+        self.join_with(StageSpec::balanced(name, 1.0, 0), from, f)
     }
 
     /// Declares a joining stage with explicit cost metadata; it
     /// replicates iff the declared state does (an exclusive or opaque
     /// declaration pins the join to width one).
-    pub fn join_with<B, Out, F>(mut self, spec: StageSpec, f: F, inputs: &[&str]) -> Self
+    pub fn join_with<B, Out, F>(&mut self, spec: StageSpec, from: Vec<Node<B>>, f: F) -> Node<Out>
     where
         B: Send + 'static,
-        Out: Clone + Send + 'static,
+        Out: Send + 'static,
         F: FnMut(Vec<B>) -> Out + Send + Clone + 'static,
     {
-        if inputs.len() < 2 && self.err.is_none() {
-            self.err = Some(BuildError::InvalidEdge {
+        if from.len() < 2 {
+            self.fail(BuildError::InvalidEdge {
                 detail: format!(
                     "join '{}' declares {} input(s); a join needs at least two",
                     spec.name,
-                    inputs.len()
+                    from.len()
                 ),
             });
         }
-        let name = spec.name.clone();
-        let stage = Box::new(MergeStage::new(name.clone(), f));
-        self.push_stage(spec, stage, clone_fn::<Out>());
-        for input in inputs {
-            self.edges.push(((*input).to_string(), name.clone()));
+        if from.iter().any(|node| node.id.is_none()) {
+            self.fail(BuildError::InvalidEdge {
+                detail: format!(
+                    "join '{}' takes the pipeline input; only stages can be joined",
+                    spec.name
+                ),
+            });
         }
-        self
-    }
-
-    fn push_stage(&mut self, spec: StageSpec, stage: Box<dyn DynStage>, clone: CloneFn) {
-        self.specs.push(spec);
-        self.stages.push(stage);
-        self.clones.push(clone);
-    }
-
-    /// Wires stage `from`'s output into stage `to`'s input. Declaring
-    /// several out-edges fans copies of `from`'s output to each
-    /// consumer; several in-edges are only legal on a
-    /// [`DagBuilder::join`] stage (which receives them as input slots,
-    /// in edge order).
-    pub fn edge(mut self, from: impl Into<String>, to: impl Into<String>) -> Self {
-        self.edges.push((from.into(), to.into()));
-        self
+        let stage = Box::new(MergeStage::new(spec.name.clone(), f));
+        self.push(spec, stage, None, from)
     }
 
     /// Declares the failure-handling policy of the most recently
     /// declared stage (retries, backoff, dead-letter, trace) —
     /// honoured identically by both backends. A call before any stage
     /// was declared is ignored.
-    pub fn resilience(mut self, policy: ResiliencePolicy) -> Self {
+    pub fn resilience(&mut self, policy: ResiliencePolicy) {
         if let Some(spec) = self.specs.last_mut() {
             spec.resilience = policy;
         }
-        self
     }
 
-    /// Declares how many bytes each input item carries into the entry
-    /// stages.
-    pub fn input_bytes(mut self, bytes: u64) -> Self {
-        self.run.input_bytes = bytes;
-        self
-    }
-
-    /// Pins the input source to a grid node.
-    pub fn source(mut self, node: NodeId) -> Self {
-        self.run.source = Some(node);
-        self
-    }
-
-    /// Pins the output sink to a grid node.
-    pub fn sink(mut self, node: NodeId) -> Self {
-        self.run.sink = Some(node);
-        self
-    }
-
-    /// Sets the adaptation policy (default [`Policy::Static`]).
-    pub fn policy(mut self, policy: Policy) -> Self {
-        self.run.policy = policy;
-        self
-    }
-
-    /// Sets the arrival process (default [`ArrivalProcess::AllAtOnce`]).
-    pub fn arrivals(mut self, arrivals: ArrivalProcess) -> Self {
-        self.run.arrivals = arrivals;
-        self
-    }
-
-    /// Acknowledges a deliberate baseline (waives the policy × arrival
-    /// pairing rule), as on [`PipelineBuilder::as_baseline`].
-    pub fn as_baseline(mut self) -> Self {
-        self.run.baseline = true;
-        self
-    }
-
-    /// Declares the input feed: item index → input.
-    pub fn feed(mut self, f: impl Fn(u64) -> In + Send + 'static) -> Self {
-        self.run.feed = Some(Box::new(f));
-        self
-    }
-
-    /// Declares scheduled faults the run must survive (see
-    /// [`PipelineBuilder::faults`]).
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.run.faults = plan;
-        self
-    }
-
-    /// Validates the declared DAG and finalises the pipeline. `Out` is
-    /// the output type of the exit stage (the unique stage with no
-    /// consumer); it is checked dynamically at delivery, like every
-    /// other cross-stage type agreement.
-    pub fn build<Out: Send + 'static>(self) -> Result<Pipeline<In, Out>, BuildError> {
-        if let Some(err) = self.err {
-            return Err(err);
+    /// Ends the graph at `node`, the one stage nothing consumes: the
+    /// returned [`PipelineBuilder`] delivers its output, takes the run
+    /// declarations, and can append further stages after it.
+    pub fn exit<Out>(mut self, node: Node<Out>) -> PipelineBuilder<In, Out> {
+        self.check(&node);
+        PipelineBuilder {
+            graph: self,
+            tail: node,
+            run: RunDecl::new(),
         }
-        let DagBuilder {
-            edges,
-            clones,
-            entry_clone,
-            ..
-        } = self;
-        let keys = vec![None; self.stages.len()];
-        let names: Vec<String> = self.specs.iter().map(|s| s.name.clone()).collect();
-        let expected = "the producer's declared (cloneable) output type";
-        self.run.finish(
-            self.specs,
-            self.stages,
-            keys,
-            || {
-                let index_of: HashMap<&str, usize> = names
-                    .iter()
-                    .enumerate()
-                    .map(|(i, n)| (n.as_str(), i))
-                    .collect();
-                let id = |name: &String| {
-                    index_of
-                        .get(name.as_str())
-                        .copied()
-                        .ok_or_else(|| BuildError::UnknownStage { name: name.clone() })
-                };
-                let mut dag = StageGraph::dag(names.len());
-                for (from, to) in &edges {
-                    dag = dag.edge(id(from)?, id(to)?);
+    }
+
+    /// Records a handle this graph did not hand out as the first error.
+    fn check<T>(&mut self, node: &Node<T>) {
+        if node.graph != self.id {
+            self.fail(BuildError::InvalidEdge {
+                detail: "a handle from another graph was passed in".into(),
+            });
+        }
+    }
+
+    /// Appends one stage: its declaration, its erased function, its
+    /// routing-key extractor, and the producers feeding it, in slot
+    /// order. A cloned producer handle records how that producer fans
+    /// out.
+    fn push<T, Out>(
+        &mut self,
+        spec: StageSpec,
+        stage: Box<dyn DynStage>,
+        key: Option<KeyFn>,
+        from: impl IntoIterator<Item = Node<T>>,
+    ) -> Node<Out> {
+        let id = self.specs.len();
+        for node in from {
+            self.check(&node);
+            if let Some(fan) = node.fan {
+                if !self.fans.iter().any(|(source, _)| *source == node.id) {
+                    self.fans.push((node.id, Box::new(fan)));
                 }
-                dag.build().map_err(|e| graph_build_error(e, &names))
-            },
-            |source, n| match source {
-                Some(s) => fan_out_from_clone(names[s].clone(), expected, clones[s].clone(), n),
-                None => fan_out_from_clone("input".into(), expected, entry_clone.clone(), n),
-            },
-        )
+            }
+            self.edges.extend(node.id.map(|producer| (producer, id)));
+        }
+        self.specs.push(spec);
+        self.stages.push(stage);
+        self.keys.push(key);
+        self.handle(Some(id))
     }
 }
 
 /// Maps the graph layer's structural [`GraphError`] (stage *ids*) to
-/// the facade's typed [`BuildError`] (stage *names*).
-fn graph_build_error(err: GraphError, names: &[String]) -> BuildError {
+/// the facade's typed [`BuildError`] (stage *names*). Handles point
+/// only backwards, so cycles, self-edges and unknown stages cannot
+/// occur; what can is a dangling stage or a join fed twice by one
+/// producer.
+fn graph_build_error(err: GraphError, names: &[&str]) -> BuildError {
     match err {
-        GraphError::Empty => BuildError::EmptyPipeline,
-        GraphError::Cycle { stage } => BuildError::GraphCycle {
-            stage: names[stage].clone(),
-        },
         GraphError::Unreachable { stage } => BuildError::UnreachableStage {
-            stage: names[stage].clone(),
-        },
-        GraphError::SelfEdge { stage } => BuildError::InvalidEdge {
-            detail: format!("stage '{}' feeds itself", names[stage]),
+            stage: names[stage].to_string(),
         },
         GraphError::DuplicateEdge { from, to } => BuildError::InvalidEdge {
-            detail: format!("edge '{}' → '{}' declared twice", names[from], names[to]),
+            detail: format!("'{}' feeds join '{}' twice", names[from], names[to]),
         },
         GraphError::MultipleExits { exits } => BuildError::InvalidEdge {
             detail: format!(
                 "several stages have no consumer: {:?} (a pipeline has one sink)",
-                exits.iter().map(|&s| names[s].as_str()).collect::<Vec<_>>()
+                exits.iter().map(|&s| names[s]).collect::<Vec<_>>()
             ),
         },
-        GraphError::StageOutOfRange { stage, stages } => BuildError::InvalidEdge {
-            detail: format!("edge names stage {stage}, but only {stages} exist"),
+        other => BuildError::InvalidEdge {
+            detail: other.to_string(),
         },
     }
 }

@@ -34,12 +34,13 @@
 //! [`api::Cluster`], the backend's own pool behind a two-arm match; each
 //! pool keeps the registry of its tenants) — it executes no stage. The
 //! stage topology is
-//! one first-class *DAG*: [`api::PipelineBuilder::stage`] chains and
+//! one first-class *DAG*, declared through one graph builder:
+//! [`api::DagBuilder`] (via `Pipeline::dag()`) wires arbitrary
+//! topologies through typed [`api::Node`] handles, so a mis-typed edge
+//! does not compile, and [`api::PipelineBuilder::stage`] chains and
 //! [`api::PipelineBuilder::parallel`] / [`api::ParallelBuilder::merge`]
-//! blocks are sugar that emits edges, [`api::DagBuilder`] (via
-//! `Pipeline::dag()`) wires arbitrary topologies edge-by-edge, and both
-//! end in the same graph, the same cost-model walk and the same
-//! executors. Per-stage [`runtime::session::ResiliencePolicy`] (retry,
+//! blocks are sugar over the same builder. Every declaration ends in the
+//! same graph, the same cost-model walk and the same executors. Per-stage [`runtime::session::ResiliencePolicy`] (retry,
 //! dead-letter, trace) is opt-in; the default fails fast with
 //! [`api::RunError::PoisonItem`] —
 //! all executed with item-identical outputs on both backends (see the

@@ -5,7 +5,9 @@
 //! 1. **Sugar is pure sugar** — a graph declared through the chain and
 //!    parallel-block builders *is* the graph wired edge by edge: equal
 //!    as a value, bit-equal under `evaluate`, mapping-equal under
-//!    `plan()`, and equal in its simulated `RunReport`. The planner
+//!    `plan()`, and equal in its simulated `RunReport`; the facade's
+//!    chain sugar, typed handles and an adopted spec build the same
+//!    graph with the same stage order. The planner
 //!    decisions recorded before the topology paths were unified (chain
 //!    formula, segment walk) are pinned as literals;
 //! 2. **Cross-backend branch parity** — the same branched scenario run
@@ -13,8 +15,8 @@
 //!    merged outputs, including under mid-stream loss of a node hosting
 //!    one branch (zero lost items, forced re-map excluding the dead
 //!    node, at-least-once replay with branch identity on the events);
-//! 3. **General DAGs + resilience** — an explicitly wired diamond
-//!    (`Pipeline::dag()`) produces item-identical outputs on both
+//! 3. **General DAGs + resilience** — a diamond wired through typed
+//!    handles (`Pipeline::dag()`) produces item-identical outputs on both
 //!    backends, per-stage retry/dead-letter policies are accounted
 //!    identically in the `RunReport` (poison items diverted with the
 //!    same attempt counts, transient faults absorbed with zero dead
@@ -209,6 +211,64 @@ fn from_spec_adopts_any_dag_spec_and_keeps_appending_after_its_exit() {
     assert!(sim.error.is_none() && threaded.error.is_none());
     assert_eq!(sim.outputs, (1..=20).collect::<Vec<u64>>());
     assert_eq!(threaded.outputs, sim.outputs);
+}
+
+#[test]
+fn chain_sugar_handles_and_an_adopted_spec_lower_to_one_graph() {
+    // `sugar_and_wired_specs`' shape, declared through the facade three
+    // ways: the lowering must number stages exactly as the graph sugar
+    // does (inside a block: branch 0, branch 1, then the merge).
+    let (_, wired) = sugar_and_wired_specs();
+    let stages = wired.stages.clone();
+    let spec = |i: usize| stages[i].clone();
+    let id = |x: u64| x;
+    let first = |outs: Vec<u64>| outs[0];
+    let sugar = Pipeline::<u64>::builder()
+        .stage_with(spec(0), id)
+        .parallel(vec![
+            Branch::new()
+                .stage_with(spec(1), id)
+                .stage_with(spec(2), id),
+            Branch::new().stage_with(spec(3), id),
+        ])
+        .merge_with(spec(4), first)
+        .stage_with(spec(5), id)
+        .input_bytes(10_000)
+        .source(n(0))
+        .sink(n(7))
+        .build()
+        .expect("sugar builds");
+    let mut dag = Pipeline::<u64>::dag();
+    let pre = dag.node_with(spec(0), dag.input(), id);
+    let a0 = dag.node_with(spec(1), pre.clone(), id);
+    let a1 = dag.node_with(spec(2), a0, id);
+    let b0 = dag.node_with(spec(3), pre, id);
+    let m = dag.join_with(spec(4), vec![a1, b0], first);
+    let post = dag.node_with(spec(5), m, id);
+    let handles = dag
+        .exit(post)
+        .input_bytes(10_000)
+        .source(n(0))
+        .sink(n(7))
+        .build()
+        .expect("handles build");
+    let adopted = PipelineBuilder::from_spec(wired.clone())
+        .build()
+        .expect("the spec builds");
+
+    let names = |p: &Pipeline<u64, u64>| -> Vec<String> {
+        p.spec().stages.iter().map(|s| s.name.clone()).collect()
+    };
+    assert_eq!(sugar.spec().graph, wired.graph);
+    for (how, built) in [("handles", &handles), ("from_spec", &adopted)] {
+        assert_eq!(built.spec().graph, sugar.spec().graph, "{how}: graph");
+        assert_eq!(names(built), names(&sugar), "{how}: stage order");
+        assert_eq!(
+            format!("{:?}", built.spec()),
+            format!("{:?}", sugar.spec()),
+            "{how}: the whole spec"
+        );
+    }
 }
 
 // --- 2. branched scenarios agree across backends ------------------------
@@ -438,7 +498,7 @@ fn parallel_block_structure_is_validated_typed() {
 /// The diamond from the README: fetch ─┬─ parse ─┐
 ///                                     └─ audit ─┴─ combine → sink
 /// with real per-item spin, expressed through the explicit DAG builder
-/// (named nodes + edges + a two-input join) rather than the
+/// (typed node handles + a two-input join) rather than the
 /// series-parallel sugar. Flattened ids: fetch=0, parse=1, audit=2,
 /// combine=3, sink=4.
 fn diamond_scenario() -> Pipeline<u64, u64> {
@@ -446,27 +506,29 @@ fn diamond_scenario() -> Pipeline<u64, u64> {
         spin_for(Duration::from_secs_f64(secs));
         x
     };
-    Pipeline::<u64>::dag()
-        .node_with(StageSpec::balanced("fetch", FAST_SECS, 8), move |x: u64| {
-            spin(FAST_SECS, x) + 1
-        })
-        .node_with(StageSpec::balanced("parse", FAST_SECS, 8), move |x: u64| {
-            spin(FAST_SECS, x) * 10
-        })
-        .node_with(StageSpec::balanced("audit", SLOW_SECS, 8), move |x: u64| {
-            spin(SLOW_SECS, x) + 100
-        })
-        .edge("fetch", "parse")
-        .edge("fetch", "audit")
-        .join_with(
-            StageSpec::balanced("combine", FAST_SECS, 8),
-            |outs: Vec<u64>| outs[0] + outs[1],
-            &["parse", "audit"],
-        )
-        .node("sink", |x: u64| x)
-        .edge("combine", "sink")
-        .build::<u64>()
-        .expect("diamond DAG builds")
+    let mut dag = Pipeline::<u64>::dag();
+    let fetch = dag.node_with(
+        StageSpec::balanced("fetch", FAST_SECS, 8),
+        dag.input(),
+        move |x: u64| spin(FAST_SECS, x) + 1,
+    );
+    let parse = dag.node_with(
+        StageSpec::balanced("parse", FAST_SECS, 8),
+        fetch.clone(),
+        move |x: u64| spin(FAST_SECS, x) * 10,
+    );
+    let audit = dag.node_with(
+        StageSpec::balanced("audit", SLOW_SECS, 8),
+        fetch,
+        move |x: u64| spin(SLOW_SECS, x) + 100,
+    );
+    let combine = dag.join_with(
+        StageSpec::balanced("combine", FAST_SECS, 8),
+        vec![parse, audit],
+        |outs: Vec<u64>| outs[0] + outs[1],
+    );
+    let sink = dag.node("sink", combine, |x: u64| x);
+    dag.exit(sink).build().expect("diamond DAG builds")
 }
 
 #[test]
@@ -502,14 +564,12 @@ fn dag_expressed_chain_matches_chain_builder_outputs() {
         .stage("c", |x: u64| x + 7)
         .build()
         .expect("chain builds");
-    let dag = Pipeline::<u64>::dag()
-        .node("a", |x: u64| x + 1)
-        .node("b", |x: u64| x * 3)
-        .node("c", |x: u64| x + 7)
-        .edge("a", "b")
-        .edge("b", "c")
-        .build::<u64>()
-        .expect("linear DAG builds");
+    let mut dag = Pipeline::<u64>::dag();
+    let a = dag.node("a", dag.input(), |x: u64| x + 1);
+    let b = dag.node("b", a, |x: u64| x * 3);
+    let c = dag.node("c", b, |x: u64| x + 7);
+    let dag = dag.exit(c).build().expect("linear DAG builds");
+    assert_eq!(dag.spec().graph, chain.spec().graph);
     let grid = scenario_grid();
     let cfg = || RunConfig {
         items: 40,
@@ -619,33 +679,27 @@ fn diamond_with_dead_letters_agrees_across_backends() {
     // join on both backends, healthy items must come out exactly once,
     // and the resilience accounting must be identical.
     let scenario = || {
-        Pipeline::<u64>::dag()
-            .node("fetch", |x: u64| x + 1)
-            .try_node("parse", |v: u64| {
-                if v % 10 == 4 {
-                    Err(format!("indigestible payload {v}"))
-                } else {
-                    Ok(v * 10)
-                }
-            })
-            .resilience(
-                ResiliencePolicy::new()
-                    .retries(2)
-                    .backoff(SimDuration::from_millis(1), 2.0)
-                    .dead_letter(),
-            )
-            .node("audit", |v: u64| v + 100)
-            .edge("fetch", "parse")
-            .edge("fetch", "audit")
-            .join(
-                "combine",
-                |outs: Vec<u64>| outs[0] + outs[1],
-                &["parse", "audit"],
-            )
-            .node("sink", |x: u64| x)
-            .edge("combine", "sink")
-            .build::<u64>()
-            .expect("fallible diamond builds")
+        let mut dag = Pipeline::<u64>::dag();
+        let fetch = dag.node("fetch", dag.input(), |x: u64| x + 1);
+        let parse = dag.try_node("parse", fetch.clone(), |v: u64| {
+            if v % 10 == 4 {
+                Err(format!("indigestible payload {v}"))
+            } else {
+                Ok(v * 10)
+            }
+        });
+        dag.resilience(
+            ResiliencePolicy::new()
+                .retries(2)
+                .backoff(SimDuration::from_millis(1), 2.0)
+                .dead_letter(),
+        );
+        let audit = dag.node("audit", fetch, |v: u64| v + 100);
+        let combine = dag.join("combine", vec![parse, audit], |outs: Vec<u64>| {
+            outs[0] + outs[1]
+        });
+        let sink = dag.node("sink", combine, |x: u64| x);
+        dag.exit(sink).build().expect("fallible diamond builds")
     };
     let cfg = || RunConfig {
         items: POISON_ITEMS,
@@ -807,12 +861,10 @@ fn default_policy_fails_fast_identically_from_either_builder_on_either_backend()
             .expect("chain builds")
     };
     let dag = move || {
-        Pipeline::<u64>::dag()
-            .node("decode", |x: u64| x + 1)
-            .try_node("fragile", fragile)
-            .edge("decode", "fragile")
-            .build::<u64>()
-            .expect("DAG builds")
+        let mut dag = Pipeline::<u64>::dag();
+        let decode = dag.node("decode", dag.input(), |x: u64| x + 1);
+        let last = dag.try_node("fragile", decode, fragile);
+        dag.exit(last).build().expect("DAG builds")
     };
     let run = |pipeline: Pipeline<u64, u64>, backend: Backend<'_>| {
         let cfg = RunConfig {
@@ -855,92 +907,74 @@ fn default_policy_fails_fast_identically_from_either_builder_on_either_backend()
     }
 }
 
+/// What handles still let a declaration get wrong. Unknown names,
+/// cycles and self-edges cannot be written: a handle names only a stage
+/// that already exists.
 #[test]
 fn dag_wiring_errors_are_typed_at_build() {
-    let unknown = Pipeline::<u64>::dag()
-        .node("fetch", |x: u64| x)
-        .edge("fetch", "nope")
-        .build::<u64>();
-    assert!(
-        matches!(unknown.unwrap_err(), BuildError::UnknownStage { ref name } if name == "nope")
-    );
+    let invalid_edge = |built: Result<Pipeline<u64, u64>, BuildError>| {
+        matches!(built.unwrap_err(), BuildError::InvalidEdge { .. })
+    };
 
-    let cycle = Pipeline::<u64>::dag()
-        .node("a", |x: u64| x)
-        .node("b", |x: u64| x)
-        .node("c", |x: u64| x)
-        .node("d", |x: u64| x)
-        .edge("a", "b")
-        .edge("b", "c")
-        .edge("c", "b")
-        .edge("b", "d")
-        .build::<u64>();
+    let mut dag = Pipeline::<u64>::dag();
+    let input = dag.input();
+    let a = dag.node("a", input.clone(), |x: u64| x);
+    let b = dag.node("b", a, |x: u64| x);
+    let _ = dag.node("orphan", input, |x: u64| x);
     assert!(matches!(
-        cycle.unwrap_err(),
-        BuildError::GraphCycle { ref stage } if stage == "b"
-    ));
-
-    let orphan = Pipeline::<u64>::dag()
-        .node("a", |x: u64| x)
-        .node("b", |x: u64| x)
-        .node("orphan", |x: u64| x)
-        .edge("a", "b")
-        .build::<u64>();
-    assert!(matches!(
-        orphan.unwrap_err(),
+        dag.exit(b).build().unwrap_err(),
         BuildError::UnreachableStage { ref stage } if stage == "orphan"
     ));
 
-    let self_edge = Pipeline::<u64>::dag()
-        .node("a", |x: u64| x)
-        .node("b", |x: u64| x)
-        .edge("a", "a")
-        .edge("a", "b")
-        .build::<u64>();
-    assert!(matches!(
-        self_edge.unwrap_err(),
-        BuildError::InvalidEdge { .. }
-    ));
+    let mut dag = Pipeline::<u64>::dag();
+    let a = dag.node("a", dag.input(), |x: u64| x);
+    let b = dag.node("b", a.clone(), |x: u64| x);
+    let _ = dag.node("c", a, |x: u64| x);
+    assert!(invalid_edge(dag.exit(b).build()), "two exits");
 
-    let duplicate_edge = Pipeline::<u64>::dag()
-        .node("a", |x: u64| x)
-        .node("b", |x: u64| x)
-        .edge("a", "b")
-        .edge("a", "b")
-        .build::<u64>();
-    assert!(matches!(
-        duplicate_edge.unwrap_err(),
-        BuildError::InvalidEdge { .. }
-    ));
+    let mut dag = Pipeline::<u64>::dag();
+    let a = dag.node("a", dag.input(), |x: u64| x);
+    let j = dag.join("j", vec![a.clone(), a], |outs: Vec<u64>| outs[0]);
+    assert!(
+        invalid_edge(dag.exit(j).build()),
+        "one producer joined twice"
+    );
 
-    let two_exits = Pipeline::<u64>::dag()
-        .node("a", |x: u64| x)
-        .node("b", |x: u64| x)
-        .node("c", |x: u64| x)
-        .edge("a", "b")
-        .edge("a", "c")
-        .build::<u64>();
-    assert!(matches!(
-        two_exits.unwrap_err(),
-        BuildError::InvalidEdge { .. }
-    ));
+    let mut dag = Pipeline::<u64>::dag();
+    let a = dag.node("a", dag.input(), |x: u64| x);
+    let j = dag.join("j", vec![a], |outs: Vec<u64>| outs[0]);
+    assert!(invalid_edge(dag.exit(j).build()), "narrow join");
 
-    let narrow_join = Pipeline::<u64>::dag()
-        .node("a", |x: u64| x)
-        .join("j", |outs: Vec<u64>| outs[0], &["a"])
-        .build::<u64>();
-    assert!(matches!(
-        narrow_join.unwrap_err(),
-        BuildError::InvalidEdge { .. }
-    ));
+    let mut dag = Pipeline::<u64>::dag();
+    let a = dag.node("a", dag.input(), |x: u64| x);
+    let _ = dag.node("b", a.clone(), |x: u64| x);
+    assert!(invalid_edge(dag.exit(a).build()), "exit is not the sink");
 
-    let dup_name = Pipeline::<u64>::dag()
-        .node("same", |x: u64| x)
-        .node("same", |x: u64| x)
-        .edge("same", "same")
-        .build::<u64>();
+    let mut dag = Pipeline::<u64>::dag();
+    let a = dag.node("a", dag.input(), |x: u64| x);
+    let b = dag.node("b", dag.input(), |x: u64| x);
+    let j = dag.join("j", vec![a, b], |outs: Vec<u64>| outs[0]);
+    assert!(
+        invalid_edge(dag.exit(j).build()),
+        "the input fanned out uncloned"
+    );
+
+    let mut dag = Pipeline::<u64>::dag();
+    let input = dag.input();
+    let a = dag.node("a", input.clone(), |x: u64| x);
+    let j = dag.join("j", vec![input, a], |outs: Vec<u64>| outs[0]);
+    assert!(invalid_edge(dag.exit(j).build()), "a join of the input");
+
+    let other = Pipeline::<u64>::dag();
+    let mut dag = Pipeline::<u64>::dag();
+    let a = dag.node("a", other.input(), |x: u64| x);
+    assert!(invalid_edge(dag.exit(a).build()), "a foreign handle");
+
+    let mut dag = Pipeline::<u64>::dag();
+    let first = dag.node("same", dag.input(), |x: u64| x);
+    let second = dag.node("same", first, |x: u64| x);
     assert!(matches!(
-        dup_name.unwrap_err(),
+        dag.exit(second).build().unwrap_err(),
         BuildError::DuplicateStage { .. }
     ));
 }
@@ -1061,6 +1095,7 @@ fn sweep_case(seed: u64) -> SweepCase {
 }
 
 fn sweep_pipeline(case: &SweepCase) -> Pipeline<Tagged, Tagged> {
+    use adapipe::api::Node;
     use std::collections::HashMap;
     use std::sync::{Arc, Mutex};
 
@@ -1071,27 +1106,24 @@ fn sweep_pipeline(case: &SweepCase) -> Pipeline<Tagged, Tagged> {
     // every replica of the stage.
     let presented: Arc<Mutex<HashMap<u64, u32>>> = Arc::default();
     let mut dag = Pipeline::<Tagged>::dag();
+    let mut nodes: Vec<Node<Tagged>> = Vec::new();
     for (i, inputs) in case.preds.iter().enumerate() {
         let stage = i as u64;
-        if inputs.len() > 1 {
-            let inputs: Vec<String> = inputs.iter().map(|&p| name(p)).collect();
-            let inputs: Vec<&str> = inputs.iter().map(String::as_str).collect();
-            dag = dag.join(
-                name(i),
-                move |parts: Vec<Tagged>| {
-                    let seq = parts[0].0;
-                    (seq, parts.iter().fold(stage, |acc, p| fold(acc, p.1)))
-                },
-                &inputs,
-            );
-            continue;
-        }
-        if case.policies[i].is_default() {
-            dag = dag.node(name(i), move |(seq, v): Tagged| (seq, fold(v, stage)));
+        let node = if inputs.len() > 1 {
+            let from = inputs.iter().map(|&p| nodes[p].clone()).collect();
+            dag.join(name(i), from, move |parts: Vec<Tagged>| {
+                let seq = parts[0].0;
+                (seq, parts.iter().fold(stage, |acc, p| fold(acc, p.1)))
+            })
         } else {
-            let (plan, presented) = (Arc::clone(&plan), Arc::clone(&presented));
-            dag = dag
-                .try_node(name(i), move |(seq, v): Tagged| {
+            let from = inputs
+                .first()
+                .map_or_else(|| dag.input(), |&p| nodes[p].clone());
+            if case.policies[i].is_default() {
+                dag.node(name(i), from, move |(seq, v): Tagged| (seq, fold(v, stage)))
+            } else {
+                let (plan, presented) = (Arc::clone(&plan), Arc::clone(&presented));
+                let node = dag.try_node(name(i), from, move |(seq, v): Tagged| {
                     if let Some((at, failures)) = plan[seq as usize] {
                         if at == i {
                             let mut presented = presented.lock().unwrap();
@@ -1103,14 +1135,17 @@ fn sweep_pipeline(case: &SweepCase) -> Pipeline<Tagged, Tagged> {
                         }
                     }
                     Ok((seq, fold(v, stage)))
-                })
-                .resilience(case.policies[i].clone());
-        }
-        if let Some(&p) = inputs.first() {
-            dag = dag.edge(name(p), name(i));
-        }
+                });
+                dag.resilience(case.policies[i].clone());
+                node
+            }
+        };
+        nodes.push(node);
     }
-    dag.build::<Tagged>()
+    // The generator leaves the graph at its last stage.
+    let exit = nodes.pop().expect("a generated DAG has stages");
+    dag.exit(exit)
+        .build()
         .expect("generated DAGs are well-formed")
 }
 
@@ -1238,11 +1273,12 @@ fn constructed(ctor: &str, spec: StageSpec) -> Pipeline<u64, u64> {
             ])
             .merge("sum", sum)
             .build(),
-        "node_with" => Pipeline::<u64>::dag()
-            .node("triple", triple)
-            .node_with(spec, |x: u64| x + 1)
-            .edge("triple", "subject")
-            .build::<u64>(),
+        "node_with" => {
+            let mut dag = Pipeline::<u64>::dag();
+            let tripled = dag.node("triple", dag.input(), triple);
+            let subject = dag.node_with(spec, tripled, |x: u64| x + 1);
+            dag.exit(subject).build()
+        }
         "merge_with" => Pipeline::<u64>::builder()
             .parallel(vec![
                 Branch::new().stage("triple", triple),
@@ -1250,19 +1286,23 @@ fn constructed(ctor: &str, spec: StageSpec) -> Pipeline<u64, u64> {
             ])
             .merge_with(spec, sum)
             .build(),
-        "join_with" => Pipeline::<u64>::dag()
-            .node("triple", triple)
-            .node("one", one)
-            .join_with(spec, sum, &["triple", "one"])
-            .build::<u64>(),
+        "join_with" => {
+            let mut dag = Pipeline::<u64>::dag();
+            let input = dag.input();
+            let tripled = dag.node("triple", input.clone(), triple);
+            let ones = dag.node("one", input, one);
+            let subject = dag.join_with(spec, vec![tripled, ones], sum);
+            dag.exit(subject).build()
+        }
         "try_stage_with" => Pipeline::<u64>::builder()
             .try_stage_with(spec, |x: u64| Ok(3 * x + 1))
             .build(),
-        "try_node_with" => Pipeline::<u64>::dag()
-            .node("triple", triple)
-            .try_node_with(spec, |x: u64| Ok(x + 1))
-            .edge("triple", "subject")
-            .build::<u64>(),
+        "try_node_with" => {
+            let mut dag = Pipeline::<u64>::dag();
+            let tripled = dag.node("triple", dag.input(), triple);
+            let subject = dag.try_node_with(spec, tripled, |x: u64| Ok(x + 1));
+            dag.exit(subject).build()
+        }
         "stateful_stage" => Pipeline::<u64>::builder()
             .stateful_stage(spec, |x: u64| 3 * x + 1)
             .build(),

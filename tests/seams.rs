@@ -108,6 +108,39 @@ fn the_facade_runs_nothing() {
     );
 }
 
+/// One graph builder: the facade declares every pipeline through typed
+/// handles on one graph builder, which the chain and `parallel` sugar
+/// lower onto, and builds its `StageGraph` in one place. A second
+/// builder stack, or stages wired by name, is how the chain, the blocks
+/// and the DAG builder came to keep three copies of stage appending and
+/// of the run setters, and a mis-typed graph came to build.
+#[test]
+fn one_graph_builder() {
+    let api = [root().join("src/api.rs")];
+    let calls = lines_matching(&api, any_of(&["StageGraph::dag("]));
+    assert_eq!(
+        calls.len(),
+        1,
+        "src/api.rs must build its stage graph in exactly one place:\n{}",
+        calls.join("\n")
+    );
+    let hits = lines_matching(
+        &api,
+        any_of(&[
+            "StageGraphBuilder",
+            ".split(",
+            "HashMap<&str",
+            "HashMap<String",
+        ]),
+    );
+    assert!(
+        hits.is_empty(),
+        "the facade wires stages by name or through the graph sugar again; \
+         declare them on the typed DagBuilder:\n{}",
+        hits.join("\n")
+    );
+}
+
 /// One config: `RunConfig` is the only run-configuration struct, read in
 /// place by every layer. A per-backend copy of it, or a function
 /// translating into one, is how one knob came to be declared four times.
