@@ -2,11 +2,14 @@
 //!
 //! Historically items travelled as `Box<dyn Any + Send>`: one heap
 //! allocation per item per hop, even for a `u64`. [`Payload`] keeps the
-//! same downcast-checked surface but stores values of up to three words
-//! (24 bytes on 64-bit, the size of a `String` or `Vec`) **inline** —
-//! no allocation at all — and spills larger values to a block drawn
-//! from a thread-local size-class pool, so even the spill path stops
-//! touching the global allocator in steady state.
+//! same downcast-checked surface but stores values of up to five words
+//! (40 bytes on 64-bit: a `String` or `Vec` plus two words, such as an
+//! image with its width and height, or a four-field record) **inline**
+//! — no allocation at all, and no cold block to chase at the next hop.
+//! Larger values spill to a block drawn from a thread-local size-class
+//! pool, so even the spill path stops touching the global allocator in
+//! steady state. A `Payload` is six words: the slot and a vtable
+//! pointer.
 //!
 //! Safety model: a `Payload` is a type-erased owned value. The static
 //! vtable generated per concrete type records how to identify, drop,
@@ -24,10 +27,10 @@ use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 use std::ptr;
 
 /// Number of machine words stored inline.
-const INLINE_WORDS: usize = 3;
+const INLINE_WORDS: usize = 5;
 const INLINE_BYTES: usize = INLINE_WORDS * size_of::<usize>();
 
-/// True when `T` fits the inline slot (size ≤ 3 words, word-aligned).
+/// True when `T` fits the inline slot (size ≤ 5 words, word-aligned).
 const fn fits_inline<T>() -> bool {
     size_of::<T>() <= INLINE_BYTES && align_of::<T>() <= align_of::<usize>()
 }
@@ -42,9 +45,9 @@ union Repr {
 /// `&'static` to it, so erased items cost no per-item metadata beyond
 /// one pointer.
 struct PayloadVtable {
-    /// Monomorphised `TypeId::of::<T>` (not const-evaluable, so stored
-    /// as a function rather than a value).
-    tid: fn() -> TypeId,
+    /// `TypeId::of::<T>()`: a downcast's type check is one compare, no
+    /// call.
+    tid: TypeId,
     /// Monomorphised `type_name::<T>` for diagnostics.
     type_name: fn() -> &'static str,
     /// Drops the value in place; for spilled values also returns the
@@ -61,7 +64,7 @@ struct VtOf<T>(std::marker::PhantomData<T>);
 
 impl<T: Send + 'static> VtOf<T> {
     const VT: PayloadVtable = PayloadVtable {
-        tid: TypeId::of::<T>,
+        tid: TypeId::of::<T>(),
         type_name: std::any::type_name::<T>,
         drop_fn: drop_value::<T>,
         size: size_of::<T>(),
@@ -85,7 +88,7 @@ unsafe fn drop_value<T>(repr: &mut Repr) {
 }
 
 /// A type-erased owned value: the unit the data plane moves between
-/// stages. Values of at most three words are stored inline (zero
+/// stages. Values of at most five words are stored inline (zero
 /// allocations); larger values live in a pooled spill block. Construct
 /// with [`Payload::new`], consume with [`Payload::downcast`].
 pub struct Payload {
@@ -99,7 +102,7 @@ pub struct Payload {
 unsafe impl Send for Payload {}
 
 impl Payload {
-    /// Erases `value`. Inline when `T` is at most three words;
+    /// Erases `value`. Inline when `T` is at most five words;
     /// otherwise spilled to a pooled block.
     pub fn new<T: Send + 'static>(value: T) -> Payload {
         let vt: &'static PayloadVtable = &VtOf::<T>::VT;
@@ -122,7 +125,7 @@ impl Payload {
     /// True when the held value is a `T`.
     #[inline]
     pub fn is<T: 'static>(&self) -> bool {
-        (self.vt.tid)() == TypeId::of::<T>()
+        self.vt.tid == TypeId::of::<T>()
     }
 
     /// The held value's type name (diagnostics only — not stable).
@@ -199,19 +202,22 @@ impl std::fmt::Debug for Payload {
 
 // --- spill pool ---------------------------------------------------------
 //
-// Blocks are drawn from power-of-two size classes (32..=1024 bytes,
-// 16-byte aligned) kept on capped thread-local free lists. The class —
+// Blocks are drawn from power-of-two size classes (64..=1024 bytes,
+// 16-byte aligned) kept on capped thread-local free lists. Anything
+// word-aligned that would fit a smaller class rides inline; only an
+// over-aligned small value (a `u128`, say) spills into the 64-byte
+// class. The class —
 // and therefore the alloc/dealloc layout — is a pure function of the
 // value's layout, so a block may be freed on any thread: it simply
 // joins that thread's list. Oversized or over-aligned values bypass the
 // pool entirely.
 
-const CLASS_MIN: usize = 32;
+const CLASS_MIN: usize = 64;
 const CLASS_MAX: usize = 1024;
 const CLASS_ALIGN: usize = 16;
-const NUM_CLASSES: usize = 6; // 32, 64, 128, 256, 512, 1024
-/// Retained blocks per class per thread (worst case 1024 B × 64 × 6
-/// classes ≈ 400 KiB per thread, only if every class saturates).
+const NUM_CLASSES: usize = 5; // 64, 128, 256, 512, 1024
+/// Retained blocks per class per thread (worst case 1024 B × 64 × 5
+/// classes ≈ 390 KiB per thread, only if every class saturates).
 const PER_CLASS_CAP: usize = 64;
 
 /// The size class of a layout, or `None` when it must bypass the pool.
@@ -327,6 +333,19 @@ mod tests {
         let v = Payload::new(vec![1u8, 2, 3]);
         assert!(v.vt.inline, "Vec is exactly 3 words");
         assert_eq!(v.downcast::<Vec<u8>>().unwrap(), vec![1, 2, 3]);
+
+        let record = (String::from("a frame"), 192usize, 192usize);
+        let r = Payload::new(record.clone());
+        assert!(r.vt.inline, "a Vec or String plus two words is 5 words");
+        assert_eq!(r.downcast::<(String, usize, usize)>().unwrap(), record);
+    }
+
+    /// The envelope is the five inline words and the vtable pointer: a
+    /// field added to `Payload` regrows every slot the engine moves.
+    #[test]
+    fn a_payload_is_six_words() {
+        assert_eq!(size_of::<Payload>(), 6 * size_of::<usize>());
+        assert_eq!(INLINE_BYTES, 5 * size_of::<usize>());
     }
 
     #[test]
@@ -413,7 +432,7 @@ mod tests {
 
     /// Drops counted per side (0: the `Payload` under test, 1: the
     /// `Box<dyn Any>` model) and per [`Body::KIND`].
-    static DROPS: [[AtomicUsize; 7]; 2] = [const { [const { AtomicUsize::new(0) }; 7] }; 2];
+    static DROPS: [[AtomicUsize; 8]; 2] = [const { [const { AtomicUsize::new(0) }; 8] }; 2];
 
     /// A value of each size class the model test covers.
     trait Body: Send + PartialEq + std::fmt::Debug + 'static {
@@ -445,8 +464,8 @@ mod tests {
         }
     }
 
-    /// One byte over the inline slot: the smallest spill, class 32.
-    impl Body for [u8; 25] {
+    /// One byte over the inline slot: the smallest spill, class 64.
+    impl Body for [u8; 41] {
         const KIND: usize = 3;
         const INLINE: bool = false;
         fn of(tag: u64) -> Self {
@@ -454,19 +473,29 @@ mod tests {
         }
     }
 
-    /// The size of an `Image` (a `Vec` and two `usize`s): class 64,
-    /// the block every hop of the imaging pipeline spills into.
+    /// The size of an `Image` (a `Vec` and two `usize`s): the whole
+    /// inline slot, so a frame crosses every hop without a block.
     impl Body for [u64; 5] {
         const KIND: usize = 4;
-        const INLINE: bool = false;
+        const INLINE: bool = true;
         fn of(tag: u64) -> Self {
             std::array::from_fn(|i| tag.rotate_left(i as u32))
         }
     }
 
+    /// One word over the inline slot: the smallest word-sized record
+    /// that spills, class 64.
+    impl Body for [u64; 6] {
+        const KIND: usize = 5;
+        const INLINE: bool = false;
+        fn of(tag: u64) -> Self {
+            std::array::from_fn(|i| tag ^ (i as u64).wrapping_mul(0x9e37_79b9))
+        }
+    }
+
     /// Over `CLASS_MAX`: bypasses the pool.
     impl Body for [u64; 512] {
-        const KIND: usize = 5;
+        const KIND: usize = 6;
         const INLINE: bool = false;
         fn of(tag: u64) -> Self {
             std::array::from_fn(|i| tag.wrapping_mul(i as u64 + 1))
@@ -479,7 +508,7 @@ mod tests {
     struct Aligned(u64);
 
     impl Body for Aligned {
-        const KIND: usize = 6;
+        const KIND: usize = 7;
         const INLINE: bool = false;
         fn of(tag: u64) -> Self {
             Aligned(tag)
@@ -506,7 +535,7 @@ mod tests {
 
     /// Values dropped so far, by [`Body::KIND`]: what the model says
     /// each side's `DROPS` row must read.
-    type Dropped = [usize; 7];
+    type Dropped = [usize; 8];
 
     /// One step of the model test: make a new `B` tagged from `r`, or
     /// act on the live `B` at `slots[at]` as `r` picks.
@@ -571,9 +600,10 @@ mod tests {
             0 => op::<()>(r, at, slots, d),
             1 => op::<u64>(r, at, slots, d),
             2 => op::<[u64; 3]>(r, at, slots, d),
-            3 => op::<[u8; 25]>(r, at, slots, d),
+            3 => op::<[u8; 41]>(r, at, slots, d),
             4 => op::<[u64; 5]>(r, at, slots, d),
-            5 => op::<[u64; 512]>(r, at, slots, d),
+            5 => op::<[u64; 6]>(r, at, slots, d),
+            6 => op::<[u64; 512]>(r, at, slots, d),
             _ => op::<Aligned>(r, at, slots, d),
         }
     }
@@ -604,7 +634,7 @@ mod tests {
             for _ in 0..64 {
                 r = splitmix64(r);
                 let at = (r % 6 != 0 && !slots.is_empty()).then(|| (r >> 8) as usize % slots.len());
-                let kind = at.map_or((r >> 3) as usize % 7, |i| slots[i].kind);
+                let kind = at.map_or((r >> 3) as usize % 8, |i| slots[i].kind);
                 op_on(kind, r / 6, at, &mut slots, &mut dropped);
                 assert_eq!(drops(), [dropped; 2]);
             }
@@ -614,7 +644,7 @@ mod tests {
     }
 
     /// Seeded runs of `new`, `downcast` to the right and wrong types,
-    /// `downcast_ref`, `downcast_mut` and drop over seven types, from a
+    /// `downcast_ref`, `downcast_mut` and drop over eight types, from a
     /// ZST to a 4 KiB and an over-aligned value, each held by a
     /// `Payload` and by a `Box<dyn Any>`. The live values pass back and
     /// forth between two threads, so spill blocks are freed into, and
@@ -623,8 +653,8 @@ mod tests {
     /// drops on both sides equal the count of values the run let go.
     #[test]
     fn payload_matches_a_boxed_any_model() {
-        assert_eq!(class_of(size_of::<[u8; 25]>(), 1), Some(0));
-        assert_eq!(class_of(size_of::<[u64; 5]>(), 8), Some(1));
+        assert_eq!(class_of(size_of::<[u8; 41]>(), 1), Some(0));
+        assert_eq!(class_of(size_of::<[u64; 6]>(), 8), Some(0));
         assert_eq!(class_of(size_of::<[u64; 512]>(), 8), None);
         assert_eq!(class_of(size_of::<Aligned>(), align_of::<Aligned>()), None);
         let mut dropped = drops()[0];
@@ -661,12 +691,12 @@ mod tests {
                 panic!("drop of a {}-word bomb", N + 1);
             }
         }
-        let pooled = || SPILL_POOL.with(|pool| pool.borrow().classes[1].len());
+        let pooled = || SPILL_POOL.with(|pool| pool.borrow().classes[0].len());
         let runs = Arc::new(AtomicUsize::new(0));
         let inline = Payload::new(Bomb(Arc::clone(&runs), [0; 1]));
-        let spilled = Payload::new(Bomb(Arc::clone(&runs), [0; 4]));
+        let spilled = Payload::new(Bomb(Arc::clone(&runs), [0; 5]));
         assert!(inline.vt.inline && !spilled.vt.inline);
-        drop(Payload::new([0u64; 5])); // leaves a class-64 block pooled
+        drop(Payload::new([0u64; 6])); // leaves a class-64 block pooled
         let before = pooled();
         for p in [inline, spilled] {
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(p)));
@@ -674,17 +704,18 @@ mod tests {
         }
         assert_eq!(runs.load(Ordering::SeqCst), 2, "each drop ran once");
         assert_eq!(pooled(), before, "the spilled bomb's block is not pooled");
-        let next = Payload::new([7u64; 5]);
+        let next = Payload::new([7u64; 6]);
         assert_eq!(pooled(), before - 1, "the pool still serves");
-        assert_eq!(next.downcast::<[u64; 5]>().unwrap(), [7; 5]);
+        assert_eq!(next.downcast::<[u64; 6]>().unwrap(), [7; 6]);
     }
 
     #[test]
     fn class_selection_is_a_pure_function_of_layout() {
         assert_eq!(class_of(1, 1), Some(0));
-        assert_eq!(class_of(32, 8), Some(0));
-        assert_eq!(class_of(33, 8), Some(1));
-        assert_eq!(class_of(1024, 16), Some(5));
+        assert_eq!(class_of(16, 16), Some(0), "u128 spills");
+        assert_eq!(class_of(64, 8), Some(0));
+        assert_eq!(class_of(65, 8), Some(1));
+        assert_eq!(class_of(1024, 16), Some(4));
         assert_eq!(class_of(1025, 8), None);
         assert_eq!(class_of(64, 32), None, "over-aligned bypasses the pool");
     }

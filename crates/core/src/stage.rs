@@ -389,10 +389,12 @@ where
                 expected: "a joined Vec of branch outputs",
             })
         })?;
-        let mut typed = Vec::with_capacity(parts.len());
-        for part in parts {
-            typed.push(downcast_input::<B>(&self.name, part)?);
-        }
+        // Collected in place: a `B` no larger than a `Payload` reuses the
+        // joined vector's block, so a join costs one allocation, not two.
+        let typed = parts
+            .into_iter()
+            .map(|part| downcast_input::<B>(&self.name, part))
+            .collect::<Result<Vec<B>, _>>()?;
         Ok(Payload::new((self.f)(typed)))
     }
 

@@ -142,17 +142,20 @@ use std::time::{Duration, Instant};
 /// [`RunConfig::timeline_bucket`] is `None`, in wall time.
 const DEFAULT_TIMELINE_BUCKET: SimDuration = SimDuration::from_millis(500);
 
-/// One in-flight item: its sequence number, birth time, and payload.
+/// One in-flight item: its sequence number, birth time on the pool
+/// clock ([`Pool::now`]), and payload.
 pub(crate) struct ItemSlot {
     pub(crate) seq: u64,
-    pub(crate) born: Instant,
+    pub(crate) born: SimTime,
     pub(crate) payload: BoxedItem,
 }
 
+/// One item that left the pipeline: birth and completion on the pool
+/// clock, and its output.
 pub(crate) struct Finished {
     pub(crate) seq: u64,
-    pub(crate) born: Instant,
-    pub(crate) done: Instant,
+    pub(crate) born: SimTime,
+    pub(crate) done: SimTime,
     pub(crate) payload: BoxedItem,
 }
 
@@ -162,10 +165,12 @@ pub(crate) struct Finished {
 /// envelope per entry (the in-flight credit still counts *items*, not
 /// copies).
 fn push_entry(shared: &Arc<Shared>, cache: &mut RouteCache, mut items: Vec<ItemSlot>) {
-    let snap = cache.current(shared).clone();
+    // Borrowed, not cloned: a per-item push ships one envelope per
+    // item, and a clone is two atomic read-modify-writes on each.
+    let snap = cache.current(shared);
     let entry = shared.spec.graph.entry();
     if let Next::Stage(stage) = entry {
-        return ship(shared, &snap, stage, items);
+        return ship(shared, snap, stage, items);
     }
     // A pipeline has at least one stage: nothing exits at the entry,
     // `finished` stays empty.
@@ -180,7 +185,7 @@ fn push_entry(shared: &Arc<Shared>, cache: &mut RouteCache, mut items: Vec<ItemS
         }
     }
     SLOT_BUFS.put(items);
-    outbox.dispatch(shared, &snap);
+    outbox.dispatch(shared, snap);
 }
 
 /// A live threaded pipeline: workers are running, the caller feeds
@@ -246,7 +251,7 @@ where
             self.events.emit(RunEvent::BackpressureStall {
                 session: SessionId(self.shared.id),
                 seq: self.pushed,
-                waited: SimDuration::from_secs_f64(waited.as_secs_f64()),
+                waited: SimDuration::from_duration(waited),
             });
         }
     }
@@ -254,7 +259,7 @@ where
     /// Buffers one admitted item, its credit already taken, under the
     /// next sequence number (returned), and ships the envelope once it
     /// is full.
-    fn enqueue(&mut self, item: I, born: Instant) -> u64 {
+    fn enqueue(&mut self, item: I, born: SimTime) -> u64 {
         let seq = self.pushed;
         self.pushed += 1;
         self.pending.push(ItemSlot {
@@ -436,7 +441,7 @@ where
         let mut stage_metrics = adapipe_core::metrics::StageMetrics::new(ns);
         for (i, acc) in self.shared.accs.iter().enumerate() {
             let acc = acc.lock().expect("worker accounting poisoned");
-            node_busy[i] = SimDuration::from_secs_f64(acc.busy.as_secs_f64());
+            node_busy[i] = SimDuration::from_duration(acc.busy);
             if let Some(m) = &acc.metrics {
                 stage_metrics.absorb(m);
             }
@@ -472,7 +477,7 @@ where
     /// input is flushed *before* blocking so the items holding credits
     /// can complete. A refused item is dropped.
     fn push(&mut self, item: I) -> Result<u64, RunError> {
-        let born = Instant::now();
+        let born = self.shared.pool.now();
         self.admit()?;
         if self
             .credits
@@ -492,7 +497,7 @@ where
     /// whole batch (every item of a batch arrives at the call instant —
     /// the same arrival semantics the all-at-once batch feed declares).
     fn push_batch(&mut self, items: &mut dyn Iterator<Item = I>) -> Result<u64, RunError> {
-        let born = Instant::now();
+        let born = self.shared.pool.now();
         let credits = self.credits.clone();
         let mut n = 0;
         // Credits taken and not yet spent. Topped up only at zero, so
@@ -795,15 +800,9 @@ fn collect(
                 // item: done stamps are non-decreasing within a batch,
                 // so the last one is the envelope's completion instant.
                 if let Some(last) = batch.last() {
-                    let at =
-                        SimTime::from_secs_f64(last.done.duration_since(pool.epoch).as_secs_f64());
                     report.record_envelope(
-                        at,
-                        batch.iter().map(|fin| {
-                            SimDuration::from_secs_f64(
-                                fin.done.duration_since(fin.born).as_secs_f64(),
-                            )
-                        }),
+                        last.done,
+                        batch.iter().map(|fin| fin.done.saturating_since(fin.born)),
                     );
                 }
                 shared

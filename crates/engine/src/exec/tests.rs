@@ -14,6 +14,16 @@ fn n(i: usize) -> NodeId {
     NodeId(i)
 }
 
+/// The records every envelope and sink batch carries per item: a
+/// six-word `Payload` plus pool-clock stamps. An `Instant` stamp, or a
+/// field added later, regrows them (to 72 B and 88 B with `Instant`s).
+#[test]
+fn per_item_records_stay_within_a_cache_line_and_a_word() {
+    use std::mem::size_of;
+    assert!(size_of::<ItemSlot>() <= 64, "{}", size_of::<ItemSlot>());
+    assert!(size_of::<Finished>() <= 72, "{}", size_of::<Finished>());
+}
+
 /// Re-planning every `ms` milliseconds, the stream present at `t = 0`.
 fn every(ms: u64) -> Session {
     let interval = SimDuration::from_millis(ms);

@@ -18,7 +18,7 @@ use crate::worker::{try_acquire, TenantLocal};
 use adapipe_core::metrics::StageMetrics;
 use adapipe_core::spec::Next;
 use adapipe_core::stage::{BoxedItem, DynStage};
-use adapipe_gridsim::time::{SimDuration, SimTime};
+use adapipe_gridsim::time::SimDuration;
 use adapipe_runtime::routing::RoutingSnapshot;
 use adapipe_state::{StateAccess, StateSnapshot};
 use std::sync::atomic::Ordering;
@@ -109,12 +109,15 @@ const STRIDE_SHRINK_ABOVE: Duration = Duration::from_millis(1);
 /// deliberately survives epoch changes — a re-map does not forget how
 /// coarse a stage's timing windows can safely be. Every change is
 /// published to `Shared::stride`, where the inboxes read it as their
-/// merge budget: a backlog is served one window at a time.
+/// merge budget: a backlog is served one window at a time. `samp` is
+/// the fast path's per-hop scratch, one slot per stage (no chain is
+/// longer), so serving an envelope allocates none.
 pub(crate) struct FusionPlan {
     /// Routing epoch `next` was computed for (`u64::MAX` = never).
     epoch: u64,
     next: Vec<Option<usize>>,
     stride: Vec<u32>,
+    samp: Vec<Duration>,
 }
 
 impl FusionPlan {
@@ -123,6 +126,7 @@ impl FusionPlan {
             epoch: u64::MAX,
             next: vec![None; ns],
             stride: vec![1; ns],
+            samp: vec![Duration::ZERO; ns],
         }
     }
 
@@ -289,7 +293,8 @@ impl Batch {
         let stride = &mut tl.fusion.stride[stage];
         // Per-hop durations of the window's sampled item (fused chains
         // only; a chain of one skips per-hop stamping altogether).
-        let mut samp = vec![Duration::ZERO; nseg];
+        let samp = &mut tl.fusion.samp[..nseg];
+        samp.fill(Duration::ZERO);
         let mut t_win = Instant::now();
         'windows: while it.len() > 0 {
             // An abort mid-batch (of this tenant or the whole pool)
@@ -321,12 +326,13 @@ impl Batch {
                         shared,
                         slot.seq,
                         slot.payload,
-                        Some(&mut samp),
+                        Some(&mut *samp),
                     )
                 };
+                // The sink stamp is a placeholder until the window ends.
                 let sent = out.map(|out| {
                     let (outbox, after) = (&mut self.outbox, &self.after);
-                    outbox.send(shared, after, slot.seq, slot.born, t_win, out)
+                    outbox.send(shared, after, slot.seq, slot.born, slot.born, out)
                 });
                 if sent != Some(Ok(())) {
                     self.fatal = true;
@@ -342,11 +348,12 @@ impl Batch {
             // stamp: stamps stay non-decreasing, and the per-item
             // error is bounded by one window, which the stride
             // adaptation keeps short.
+            let done = shared.pool.at(t_end);
             for f in &mut self.outbox.finished[win_fin_start..] {
-                f.done = t_end;
+                f.done = done;
             }
             if live > 0 {
-                self.record_window(&mut tl.metrics, &samp, w, live);
+                self.record_window(&mut tl.metrics, samp, w, live);
             }
             // Only full windows adapt the stride: a clipped tail
             // window is fast because it is short, not because the
@@ -439,10 +446,7 @@ impl Batch {
                 let took = if never_throttles {
                     compute
                 } else {
-                    let started_at = SimTime::from_secs_f64(
-                        t_end.duration_since(shared.pool.epoch).as_secs_f64(),
-                    );
-                    let sleep = vnode.slowdown_sleep(compute, started_at);
+                    let sleep = vnode.slowdown_sleep(compute, shared.pool.at(t_end));
                     if !sleep.is_zero() {
                         std::thread::sleep(sleep);
                         // The sleep must not be attributed to the next
@@ -452,11 +456,12 @@ impl Batch {
                     compute + sleep
                 };
                 self.busy += took;
-                let took = SimDuration::from_secs_f64(took.as_secs_f64());
-                tl.metrics.record(cs, took, self.works[ci]);
+                tl.metrics
+                    .record(cs, SimDuration::from_duration(took), self.works[ci]);
             }
             self.fused_hops += self.stages.len() as u64 - 1;
             let (outbox, after) = (&mut self.outbox, &self.after);
+            let done = shared.pool.at(done);
             if outbox
                 .send(shared, after, slot.seq, slot.born, done, out)
                 .is_err()

@@ -365,6 +365,7 @@ mod tests {
     use adapipe_core::pipeline::PipelineBuilder;
     use adapipe_core::spec::StageSpec;
     use adapipe_gridsim::fault::FaultPlan;
+    use adapipe_gridsim::time::SimTime;
     use adapipe_mapper::share::ShareQuota;
     use adapipe_runtime::session::RunConfig;
     use std::time::Instant;
@@ -398,7 +399,7 @@ mod tests {
             epoch: 0,
             items: vec![ItemSlot {
                 seq: 0,
-                born: Instant::now(),
+                born: SimTime::ZERO,
                 payload: Payload::new(0u64),
             }],
         };
@@ -466,7 +467,7 @@ mod tests {
             items: seqs
                 .map(|seq| ItemSlot {
                     seq,
-                    born: Instant::now(),
+                    born: SimTime::ZERO,
                     payload: Payload::new(seq),
                 })
                 .collect(),

@@ -13,11 +13,12 @@ use adapipe_core::item::{self, GaveUp, Hops, JoinSlots};
 use adapipe_core::payload::Payload;
 use adapipe_core::spec::Next;
 use adapipe_core::stage::{BoxedItem, DynStage, StageError};
+use adapipe_gridsim::time::SimTime;
 use adapipe_runtime::routing::RoutingSnapshot;
 use adapipe_runtime::session::{RunError, RunEvent, SessionId};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Outcome of one item's trip through a stage under the stage's
 /// [`adapipe_runtime::session::ResiliencePolicy`].
@@ -138,8 +139,8 @@ impl Outbox {
         shared: &Arc<Shared>,
         next: &Next,
         seq: u64,
-        born: Instant,
-        done: Instant,
+        born: SimTime,
+        done: SimTime,
         payload: BoxedItem,
     ) -> Result<(), ()> {
         let mut leaving = Leaving {
@@ -220,8 +221,8 @@ impl Outbox {
 /// One item on its way into an [`Outbox`].
 struct Leaving<'a> {
     seq: u64,
-    born: Instant,
-    done: Instant,
+    born: SimTime,
+    done: SimTime,
     outbox: &'a mut Outbox,
 }
 
@@ -370,7 +371,7 @@ mod tests {
             // A deposit for an item already diverted is refused outright.
             let shared = &tenant;
             let dead_seq = outcome.report.dead_letter_log[0].seq;
-            let now = Instant::now();
+            let now = shared.pool.now();
             let mut late = Outbox::new(Vec::new());
             let into_join = Next::Join {
                 block: 0,

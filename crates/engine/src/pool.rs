@@ -11,7 +11,7 @@ use crate::vnode::VNodeSpec;
 use crate::worker::worker_loop;
 use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::node::NodeId;
-use adapipe_gridsim::time::SimTime;
+use adapipe_gridsim::time::{SimDuration, SimTime};
 use adapipe_runtime::session::SessionId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -107,9 +107,17 @@ impl Pool {
     }
 
     /// Wall time since the pool launched: the clock every tenant's
-    /// adaptation loop, report and load schedule runs on.
+    /// adaptation loop, report, load schedule and item stamps run on.
     pub(crate) fn now(&self) -> SimTime {
-        SimTime::from_secs_f64(self.epoch.elapsed().as_secs_f64())
+        self.at(Instant::now())
+    }
+
+    /// `instant` on the pool clock, in whole nanoseconds since
+    /// [`Pool::epoch`] (zero for an instant before it).
+    #[inline]
+    pub(crate) fn at(&self, instant: Instant) -> SimTime {
+        let since = instant.saturating_duration_since(self.epoch);
+        SimTime::from_nanos(SimDuration::from_duration(since).as_nanos())
     }
 
     /// Items currently queued at worker inboxes for `session`.
@@ -185,7 +193,6 @@ mod tests {
     use crate::exec::{spawn, EngineSession};
     use adapipe_core::pipeline::PipelineBuilder;
     use adapipe_core::spec::StageSpec;
-    use adapipe_gridsim::time::SimDuration;
     use adapipe_runtime::arrivals::ArrivalProcess;
     use adapipe_runtime::policy::Policy;
     use adapipe_runtime::session::{LiveSession, RunConfig, Session};

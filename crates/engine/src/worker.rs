@@ -564,10 +564,10 @@ mod tests {
     use adapipe_core::pipeline::PipelineBuilder;
     use adapipe_core::spec::StageSpec;
     use adapipe_gridsim::fault::FaultPlan;
+    use adapipe_gridsim::time::SimTime;
     use adapipe_mapper::mapping::Mapping;
     use adapipe_mapper::share::ShareQuota;
     use adapipe_runtime::session::{RunConfig, Session};
-    use std::time::Instant;
 
     #[test]
     fn a_parked_backlog_shipped_to_the_new_owner_counts_as_rehomed() {
@@ -599,7 +599,7 @@ mod tests {
         let items = (0..3)
             .map(|seq| ItemSlot {
                 seq,
-                born: Instant::now(),
+                born: SimTime::ZERO,
                 payload: Payload::new(seq),
             })
             .collect();

@@ -7,6 +7,7 @@
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
+use std::time::Duration;
 
 /// Number of nanoseconds in one second.
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
@@ -103,6 +104,17 @@ impl SimDuration {
             "SimDuration seconds must be finite and non-negative, got {secs}"
         );
         SimDuration((secs * NANOS_PER_SEC as f64).round() as u64)
+    }
+
+    /// A wall-clock [`Duration`], exactly: its whole nanoseconds, with
+    /// no float round trip. Saturates at [`SimDuration::MAX`] (about
+    /// 584 years).
+    pub const fn from_duration(d: Duration) -> Self {
+        SimDuration(
+            d.as_secs()
+                .saturating_mul(NANOS_PER_SEC)
+                .saturating_add(d.subsec_nanos() as u64),
+        )
     }
 
     /// The duration as whole nanoseconds.
@@ -275,6 +287,27 @@ mod tests {
         let d = SimDuration::from_secs(2);
         assert_eq!(d.mul_f64(0.5), SimDuration::from_secs(1));
         assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
+    }
+
+    /// The integer conversion is `Duration::as_nanos` exactly, and
+    /// within a nanosecond of the float round trip it replaces.
+    #[test]
+    fn durations_convert_to_their_exact_nanoseconds() {
+        let spans = [
+            Duration::ZERO,
+            Duration::from_nanos(1),
+            Duration::from_nanos(999_999_999),
+            Duration::new(3, 141_592_653),
+            Duration::new(86_400 * 365, 7),
+            Duration::from_secs_f64(0.123_456_789),
+        ];
+        for d in spans {
+            let exact = SimDuration::from_duration(d).as_nanos();
+            assert_eq!(u128::from(exact), d.as_nanos(), "{d:?}");
+            let rounded = SimDuration::from_secs_f64(d.as_secs_f64()).as_nanos();
+            assert!(exact.abs_diff(rounded) <= 1, "{d:?}: {exact} vs {rounded}");
+        }
+        assert_eq!(SimDuration::from_duration(Duration::MAX), SimDuration::MAX);
     }
 
     #[test]

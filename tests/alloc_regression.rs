@@ -2,11 +2,13 @@
 //! planner's inner loop.
 //!
 //! The data plane promises O(batches) — not O(items) — heap traffic in
-//! steady state: payloads ≤ 3 words ride inline in `Payload`, envelope
-//! and sink buffers recycle through pools, and the stride-sampled fast
-//! path batches its bookkeeping. The planner promises that scoring a
-//! candidate mapping allocates nothing: one `Evaluator` workspace per
-//! `plan()`, candidates shown in place on one working mapping. The
+//! steady state: payloads ≤ 5 words (a `Vec` plus two words, or a
+//! four-field record) ride inline in `Payload`, envelope and sink
+//! buffers recycle through pools, and the stride-sampled fast path
+//! batches its bookkeeping. A join costs one vector per item. The
+//! planner promises that scoring a candidate mapping allocates
+//! nothing: one `Evaluator` workspace per `plan()`, candidates shown
+//! in place on one working mapping. The
 //! imaging stages promise that a frame's pixels are allocated once, by
 //! whoever makes the frame. These tests pin all three with a counting
 //! global allocator. The counter is
@@ -134,24 +136,26 @@ fn per_item_envelopes_allocate_at_most_one_and_a_half_times_per_item() {
     );
 }
 
-/// A diamond, `fetch → [a ‖ b] → merge`, over `u64`s in 256-item
-/// envelopes. What a join costs per item is two vectors: the slots its
-/// inputs are assembled in (which leave as the joined vector) and the
-/// typed vector `merge` unpacks that into. The fan-out writes its
-/// copies into a vector the envelope's outbox keeps, the join map and
-/// the buckets on the way to it are per envelope; a third allocation
-/// per item means one of those went back to per-item.
-#[test]
-fn a_diamond_allocates_its_two_join_vectors_per_item_and_nothing_else() {
-    let _turn = exclusive();
+/// Extra allocations 100k extra items cost a warmed-up diamond,
+/// `fetch → [a ‖ b] → merge`, over `T`s in 256-item envelopes on two
+/// vnodes.
+fn diamond_cost_of_100k_items<T>(
+    fetch: fn(u64) -> T,
+    a: fn(T) -> T,
+    b: fn(T) -> T,
+    merge: fn(Vec<T>) -> u64,
+) -> u64
+where
+    T: Clone + Send + 'static,
+{
     let run = |items: u64| {
         let outcome = Pipeline::<u64>::builder()
-            .stage("fetch", |x: u64| x + 1)
+            .stage("fetch", fetch)
             .parallel(vec![
-                Branch::new().stage("a", |x: u64| x * 2),
-                Branch::new().stage("b", |x: u64| x + 7),
+                Branch::new().stage("a", a),
+                Branch::new().stage("b", b),
             ])
-            .merge("merge", |parts: Vec<u64>| parts[0] + parts[1])
+            .merge("merge", merge)
             .feed(|i| i)
             .build()
             .expect("valid pipeline")
@@ -170,11 +174,65 @@ fn a_diamond_allocates_its_two_join_vectors_per_item_and_nothing_else() {
     run(20_000);
     let ((), small) = allocations_in(|| run(20_000));
     let ((), large) = allocations_in(|| run(120_000));
-    let delta = large.saturating_sub(small);
+    large.saturating_sub(small)
+}
+
+/// A `u64` diamond. What a join costs per item is one vector: the
+/// slots its inputs are assembled in, which leave as the joined vector
+/// and which `merge` unpacks its typed vector into, in place. The
+/// fan-out writes its copies into a vector the envelope's outbox keeps,
+/// the join map and the buckets on the way to it are per envelope; a
+/// second allocation per item means one of those went back to per-item.
+#[test]
+fn a_diamond_allocates_its_one_join_vector_per_item_and_nothing_else() {
+    let _turn = exclusive();
+    let delta =
+        diamond_cost_of_100k_items(|x| x + 1, |x| x * 2, |x| x + 7, |parts| parts[0] + parts[1]);
     assert!(
-        delta <= 250_000,
+        delta <= 150_000,
         "100k extra items through a diamond cost {delta} extra \
-         allocations — more than the join's two vectors per item"
+         allocations — more than the join's one vector per item"
+    );
+}
+
+/// A four-word record, the shape of a keyed workload's parsed and
+/// scored items: under `Payload`'s five inline words, so no hop spills.
+#[derive(Clone, Copy)]
+struct Record {
+    key: u64,
+    value: u64,
+    score: u64,
+    tag: u64,
+}
+
+/// The same diamond passing [`Record`]s: every hop's record rides
+/// inline, so the join's vector is still the only allocation per item.
+/// Spilling it (as at three inline words) costs a block per record per
+/// hop: about 4 allocations per item.
+#[test]
+fn a_diamond_of_four_word_records_spills_nothing() {
+    let _turn = exclusive();
+    let delta = diamond_cost_of_100k_items(
+        |x| Record {
+            key: x % 64,
+            value: x,
+            score: 0,
+            tag: 0,
+        },
+        |r| Record {
+            score: r.value * 3,
+            ..r
+        },
+        |r| Record {
+            tag: r.key ^ 5,
+            ..r
+        },
+        |parts| parts[0].score + parts[1].tag + parts[0].key,
+    );
+    assert!(
+        delta <= 150_000,
+        "100k extra 4-word records through a diamond cost {delta} \
+         extra allocations — a record spills out of the payload again"
     );
 }
 
@@ -183,10 +241,10 @@ fn a_diamond_allocates_its_two_join_vectors_per_item_and_nothing_else() {
 /// they were handed, quantise rewrites in place, the checksum drops the
 /// frame: once the first frame has sized the scratch, a frame costs no
 /// allocation at all, frame-sized or other. Each hop's `Image` is 40
-/// bytes, over `Payload`'s three inline words, so it spills — into the
-/// payload pool's 64-byte class, which the warm-up frame also fills.
-/// Allocating kernels cost three frame-sized blocks per frame: blur's
-/// and sobel's outputs and quantise's clone.
+/// bytes, exactly `Payload`'s five inline words, so it rides inline and
+/// no hop touches the payload pool. Allocating kernels cost three
+/// frame-sized blocks per frame: blur's and sobel's outputs and
+/// quantise's clone.
 #[test]
 fn imaging_stages_allocate_nothing_per_frame_after_warm_up() {
     let _turn = exclusive();
@@ -208,7 +266,7 @@ fn imaging_stages_allocate_nothing_per_frame_after_warm_up() {
     assert_eq!(
         allocs, 0,
         "64 frames cost {allocs} allocations — a stage allocates its \
-         output again, or the payload pool stopped recycling"
+         output again, or a frame spills out of the payload"
     );
 }
 
