@@ -2,8 +2,8 @@
 //!
 //! One worker thread per virtual node; items travel in type-erased
 //! *batched envelopes* (up to `RunConfig::batch_size` items each as
-//! sent; a worker that finds a backlog of them merges it, one clock
-//! window at a time) through per-worker inboxes. Routing is lock-free
+//! sent; a send that finds a backlog queued joins its tail envelope, one
+//! clock window at a time) through per-worker inboxes. Routing is lock-free
 //! on the hot path: senders route each batch against an immutable
 //! [`adapipe_runtime::routing::RoutingSnapshot`]
 //! cached per thread and revalidated with one atomic epoch load — the
@@ -163,8 +163,13 @@ pub(crate) struct Finished {
 /// to the entry stage, or — when the input fans out to several entry
 /// stages — the same walk every stage output takes, grouped into one
 /// envelope per entry (the in-flight credit still counts *items*, not
-/// copies).
-fn push_entry(shared: &Arc<Shared>, cache: &mut RouteCache, mut items: Vec<ItemSlot>) {
+/// copies). Returns `items`' emptied buffer when it comes back (see
+/// [`ship`]).
+fn push_entry(
+    shared: &Arc<Shared>,
+    cache: &mut RouteCache,
+    mut items: Vec<ItemSlot>,
+) -> Option<Vec<ItemSlot>> {
     // Borrowed, not cloned: a per-item push ships one envelope per
     // item, and a clone is two atomic read-modify-writes on each.
     let snap = cache.current(shared);
@@ -181,11 +186,11 @@ fn push_entry(shared: &Arc<Shared>, cache: &mut RouteCache, mut items: Vec<ItemS
             .send(shared, &entry, seq, born, born, slot.payload)
             .is_err()
         {
-            return; // typed failure recorded, session torn down
+            return None; // typed failure recorded, session torn down
         }
     }
-    SLOT_BUFS.put(items);
     outbox.dispatch(shared, snap);
+    Some(items)
 }
 
 /// A live threaded pipeline: workers are running, the caller feeds
@@ -275,13 +280,17 @@ where
 
     /// Ships the buffered input as one routed envelope (routing the
     /// pipeline entry — or fanning each item out when the graph opens
-    /// with a parallel block, still one credit per *item*).
+    /// with a parallel block, still one credit per *item*). The next
+    /// envelope fills the buffer that comes back, if one does — a
+    /// per-item push that joins a queued envelope costs no buffer —
+    /// and a pooled one otherwise.
     fn flush_pending(&mut self) {
         if self.pending.is_empty() {
             return;
         }
-        let items = std::mem::replace(&mut self.pending, SLOT_BUFS.take(self.batch_size));
-        push_entry(&self.shared, &mut self.cache, items);
+        let items = std::mem::take(&mut self.pending);
+        self.pending = push_entry(&self.shared, &mut self.cache, items)
+            .unwrap_or_else(|| SLOT_BUFS.take(self.batch_size));
     }
 
     /// The pool's wall-clock epoch (all report times are relative to

@@ -32,7 +32,11 @@ const BUF_POOL_CAP: usize = 64;
 /// A process-wide free list recycling one hot-path buffer shape. The
 /// buffers cross threads, hence shared pools rather than thread-locals;
 /// `try_lock` keeps them strictly off the critical path — under
-/// contention the caller just allocates.
+/// contention the caller just allocates. The pool is not what keeps a
+/// per-item pusher off the heap: a send whose items join the
+/// destination's queued tail envelope hands its buffer straight back to
+/// the sender (`Inbox::send_work`), so envelope buffers come and go
+/// here about once per *served* envelope, not once per push.
 pub(crate) struct BufPool<T>(Mutex<Vec<Vec<T>>>);
 
 /// Envelope item vectors (drained by whichever worker serves them).
@@ -75,14 +79,34 @@ impl<T> BufPool<T> {
 /// Hard ceiling on the stamp-sampling window (items per clock read) of
 /// the fast path.
 const MAX_STAMP_STRIDE: u32 = 64;
-/// A full sampling window completing faster than this doubles the
-/// stride: the clock reads themselves are a measurable share of the
-/// work.
+/// A sampling window completing faster than this — a clipped one
+/// scaled up to the full stride — doubles the stride: the clock reads
+/// themselves are a measurable share of the work.
 const STRIDE_GROW_BELOW: Duration = Duration::from_micros(200);
-/// A window slower than this halves the stride: sink stamps are fixed
+/// A full window slower than this halves the stride: sink stamps are fixed
 /// up at window boundaries, so the per-item latency error is bounded by
 /// one window and must stay small against real stage times.
 const STRIDE_SHRINK_ABOVE: Duration = Duration::from_millis(1);
+
+/// The stride after a fast-path window of `win` items that took `w`.
+///
+/// A clipped window (fewer items than the stride) is fast because it is
+/// short, so it grows the stride only at its pace, scaled up to a full
+/// window. It must count: a send joins a queued envelope within the
+/// stride as it stood then, so a backlog sent under a small stride
+/// arrives in envelopes shorter than the stride its first window
+/// earned. Only a full window shrinks it: one slow item says little
+/// about a window.
+fn next_stride(stride: u32, win: usize, w: Duration) -> u32 {
+    let paced = w * stride / win as u32;
+    if paced < STRIDE_GROW_BELOW && stride < MAX_STAMP_STRIDE {
+        stride * 2
+    } else if win == stride as usize && w > STRIDE_SHRINK_ABOVE && stride > 1 {
+        stride / 2
+    } else {
+        stride
+    }
+}
 
 /// A worker's per-tenant stage-fusion plan, recomputed lazily per
 /// routing epoch: which stage boundaries collapse into direct calls
@@ -109,7 +133,7 @@ const STRIDE_SHRINK_ABOVE: Duration = Duration::from_millis(1);
 /// deliberately survives epoch changes — a re-map does not forget how
 /// coarse a stage's timing windows can safely be. Every change is
 /// published to `Shared::stride`, where the inboxes read it as their
-/// merge budget: a backlog is served one window at a time. `samp` is
+/// coalescing budget: a backlog is served one window at a time. `samp` is
 /// the fast path's per-hop scratch, one slot per stage (no chain is
 /// longer), so serving an envelope allocates none.
 pub(crate) struct FusionPlan {
@@ -355,17 +379,10 @@ impl Batch {
             if live > 0 {
                 self.record_window(&mut tl.metrics, samp, w, live);
             }
-            // Only full windows adapt the stride: a clipped tail
-            // window is fast because it is short, not because the
-            // stage is.
-            if win == *stride as usize {
-                if w < STRIDE_GROW_BELOW && *stride < MAX_STAMP_STRIDE {
-                    *stride *= 2;
-                    shared.stride[stage].store(*stride, Ordering::Relaxed);
-                } else if w > STRIDE_SHRINK_ABOVE && *stride > 1 {
-                    *stride /= 2;
-                    shared.stride[stage].store(*stride, Ordering::Relaxed);
-                }
+            let next = next_stride(*stride, win, w);
+            if next != *stride {
+                *stride = next;
+                shared.stride[stage].store(next, Ordering::Relaxed);
             }
             t_win = t_end;
         }
@@ -522,6 +539,7 @@ fn run_chain(
 
 #[cfg(test)]
 mod tests {
+    use super::{next_stride, MAX_STAMP_STRIDE};
     use crate::exec::spawn;
     use crate::vnode::VNodeSpec;
     use adapipe_core::pipeline::Pipeline;
@@ -532,6 +550,7 @@ mod tests {
     use adapipe_mapper::mapping::Mapping;
     use adapipe_mapper::model::evaluate;
     use adapipe_runtime::session::{LiveSession, RunConfig, Session};
+    use std::time::Duration;
 
     /// The model prices fusion exactly as the engine fuses: a 2-stage
     /// chain, co-located and unreplicated, with a 1 MB boundary, the
@@ -596,5 +615,23 @@ mod tests {
             disagree.is_empty(),
             "the model's fused-edge discount disagrees with FusionPlan for {disagree:?} successors"
         );
+    }
+
+    #[test]
+    fn a_clipped_window_grows_the_stride_at_its_pace_and_never_shrinks_it() {
+        let us = Duration::from_micros;
+        // Full windows: fast doubles, slow halves, in between keeps.
+        assert_eq!(next_stride(8, 8, us(150)), 16);
+        assert_eq!(next_stride(8, 8, us(1500)), 4);
+        assert_eq!(next_stride(8, 8, us(500)), 8);
+        // One item of a stride-8 window: 10 µs paces a full window at
+        // 80 µs and grows it; 30 µs paces it at 240 µs and keeps it.
+        assert_eq!(next_stride(8, 1, us(10)), 16);
+        assert_eq!(next_stride(8, 1, us(30)), 8);
+        // However slow, a clipped window does not shrink the stride.
+        assert_eq!(next_stride(8, 1, us(5000)), 8);
+        // The bounds hold.
+        assert_eq!(next_stride(MAX_STAMP_STRIDE, 1, us(1)), MAX_STAMP_STRIDE);
+        assert_eq!(next_stride(1, 1, us(5000)), 1);
     }
 }

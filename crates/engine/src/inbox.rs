@@ -20,7 +20,6 @@
 //! a few percent lower.
 
 use crate::exec::ItemSlot;
-use crate::fusion::SLOT_BUFS;
 use crate::tenant::Shared;
 use adapipe_runtime::routing::RoutingSnapshot;
 use std::collections::VecDeque;
@@ -78,6 +77,13 @@ struct Lane {
     vtime: f64,
 }
 
+impl Lane {
+    /// Items queued on this lane.
+    fn items(&self) -> usize {
+        self.queue.iter().map(|env| env.items.len()).sum()
+    }
+}
+
 /// The guarded state of one worker inbox: control messages (served
 /// first) plus one weighted-fair lane per tenant.
 struct InboxQueue {
@@ -87,6 +93,9 @@ struct InboxQueue {
     /// last. A lane going from empty to backlogged is clamped up to it,
     /// so idle periods bank no credit.
     vnow: f64,
+    /// Items queued across all lanes: kept as a running count so a
+    /// sender reads the backlog without walking the lanes.
+    queued: usize,
     /// True while the owning worker sleeps in [`Inbox::park`] with no
     /// wake-up on its way. Only then does a sender owe it a
     /// `notify_one`, which on a futex condvar is a system call whether
@@ -96,17 +105,10 @@ struct InboxQueue {
 
 impl InboxQueue {
     /// Pops the next message: control first, then the backlogged lane
-    /// with the smallest virtual-time tag (charged by item count over
-    /// the tenant's current share).
-    ///
-    /// A backlog pays the per-envelope costs once: the popped envelope
-    /// absorbs the envelopes queued directly behind it for the same
-    /// stage under the same routing epoch, in FIFO order, while the
-    /// merged item count stays within the stage's stamp stride
-    /// (`Shared::stride`) — one clock window of the worker that
-    /// will serve it, which the stride adaptation keeps under a
-    /// millisecond. An envelope is never split, and nothing waits for
-    /// a run to fill: what is not queued yet travels in the next pop.
+    /// with the smallest virtual-time tag, charged the popped
+    /// envelope's item count over the tenant's current share. A
+    /// backlog arrives here already coalesced ([`Inbox::send_work`]),
+    /// so one envelope is one pop.
     #[inline]
     fn pop(&mut self) -> Option<Msg> {
         if let Some(c) = self.ctrl.pop_front() {
@@ -125,27 +127,10 @@ impl InboxQueue {
         let i = best?;
         let lane = &mut self.lanes[i];
         self.vnow = lane.vtime;
-        let mut env = lane.queue.pop_front().expect("lane checked non-empty");
-        let budget = lane.tenant.stride[env.stage].load(Ordering::Relaxed) as usize;
-        let mut merged = env.items.len();
-        let mut run = 0;
-        for next in &lane.queue {
-            let fits = merged + next.items.len() <= budget;
-            if !fits || next.stage != env.stage || next.epoch != env.epoch {
-                break;
-            }
-            merged += next.items.len();
-            run += 1;
-        }
-        if run > 0 {
-            env.items.reserve(merged - env.items.len());
-            for mut donor in lane.queue.drain(..run) {
-                env.items.append(&mut donor.items);
-                SLOT_BUFS.put(donor.items);
-            }
-        }
+        let env = lane.queue.pop_front().expect("lane checked non-empty");
+        self.queued -= env.items.len();
         let weight = lane.tenant.share().max(MIN_LANE_WEIGHT);
-        lane.vtime += merged.max(1) as f64 / weight;
+        lane.vtime += env.items.len().max(1) as f64 / weight;
         Some(Msg::Work {
             tenant: Arc::clone(&lane.tenant),
             env,
@@ -154,7 +139,8 @@ impl InboxQueue {
 }
 
 /// A worker's inbox: a mutex-guarded structure rather than an mpsc
-/// channel so that (a) senders learn the post-push work depth (the
+/// channel so that (a) a send can coalesce into the lane's tail
+/// envelope and senders learn the post-push backlog in items (the
 /// steal wake-up heuristic), (b) idle siblings can *steal* work
 /// envelopes from the lane tails, and (c) concurrent tenants get
 /// weighted-fair admission via per-tenant lanes instead of one FIFO a
@@ -181,6 +167,7 @@ impl Inbox {
                 ctrl: VecDeque::new(),
                 lanes: Vec::new(),
                 vnow: 0.0,
+                queued: 0,
                 parked: false,
             }),
             ready: Condvar::new(),
@@ -189,10 +176,27 @@ impl Inbox {
     }
 
     /// Enqueues a work envelope on `tenant`'s lane (created on first
-    /// use) and returns the resulting total work depth across lanes.
+    /// use) and returns the items then queued across lanes, with the
+    /// envelope's emptied buffer if its items were coalesced.
+    ///
+    /// A backlog pays the per-envelope costs once: the items join the
+    /// lane's tail envelope instead when it is for the same stage
+    /// under the same routing epoch and the merged count stays within
+    /// the stage's stamp stride (`Shared::stride`) — one clock window
+    /// of the worker that will serve it, which the stride adaptation
+    /// keeps under a millisecond. Only a queued envelope grows; one
+    /// already popped is the worker's, and an envelope is never split.
+    /// Nothing waits for a run to fill: an idle lane's envelope is
+    /// served as it arrives. The buffer handed back keeps its capacity,
+    /// for the sender's next envelope.
     #[inline]
-    pub(crate) fn send_work(&self, tenant: &Arc<Shared>, env: Envelope) -> usize {
+    pub(crate) fn send_work(
+        &self,
+        tenant: &Arc<Shared>,
+        mut env: Envelope,
+    ) -> (usize, Option<Vec<ItemSlot>>) {
         let mut q = self.queue.lock().expect("inbox lock poisoned");
+        q.queued += env.items.len();
         let vnow = q.vnow;
         let idx = match q.lanes.iter().position(|l| l.tenant.id == tenant.id) {
             Some(i) => i,
@@ -210,10 +214,24 @@ impl Inbox {
             // Re-activation: no banked credit from the idle period.
             lane.vtime = vnow;
         }
-        lane.queue.push_back(env);
-        let depth: usize = q.lanes.iter().map(|l| l.queue.len()).sum();
+        let budget = tenant.stride[env.stage].load(Ordering::Relaxed) as usize;
+        let spare = match lane.queue.back_mut() {
+            Some(tail)
+                if tail.stage == env.stage
+                    && tail.epoch == env.epoch
+                    && tail.items.len() + env.items.len() <= budget =>
+            {
+                tail.items.append(&mut env.items);
+                Some(env.items)
+            }
+            _ => {
+                lane.queue.push_back(env);
+                None
+            }
+        };
+        let depth = q.queued;
         self.wake_owner(q);
-        depth
+        (depth, spare)
     }
 
     /// Releases the queue lock after an enqueue and wakes the owner if
@@ -285,7 +303,8 @@ impl Inbox {
     ) -> Option<(Arc<Shared>, Envelope)> {
         // Never wait on a victim's lock: a missed steal is cheap, a
         // stalled thief is not.
-        let mut q = self.queue.try_lock().ok()?;
+        let mut guard = self.queue.try_lock().ok()?;
+        let q = &mut *guard;
         for lane in &mut q.lanes {
             if lane.queue.is_empty() {
                 continue;
@@ -301,6 +320,7 @@ impl Inbox {
                 .find(|&i| legal(&lane.tenant, &snap, &lane.queue[i]));
             if let Some(i) = hit {
                 let env = lane.queue.remove(i).expect("index in range");
+                q.queued -= env.items.len();
                 return Some((Arc::clone(&lane.tenant), env));
             }
         }
@@ -320,6 +340,7 @@ impl Inbox {
     pub(crate) fn drop_lane(&self, session: u64) {
         let mut q = self.queue.lock().expect("inbox lock poisoned");
         q.lanes.retain(|l| l.tenant.id != session);
+        q.queued = q.lanes.iter().map(Lane::items).sum();
     }
 
     /// Items currently queued for `session` on this inbox.
@@ -328,8 +349,7 @@ impl Inbox {
         q.lanes
             .iter()
             .filter(|l| l.tenant.id == session)
-            .flat_map(|l| l.queue.iter())
-            .map(|env| env.items.len() as u64)
+            .map(|l| l.items() as u64)
             .sum()
     }
 
@@ -410,7 +430,7 @@ mod tests {
         }
         let mut depth = 0;
         for _ in 0..5 {
-            depth = inbox.send_work(ta, one_item());
+            depth = inbox.send_work(ta, one_item()).0;
         }
         assert_eq!(depth, 7, "send_work reports the depth across lanes");
         assert_eq!(inbox.queued_for(ta.id), 5);
@@ -482,21 +502,39 @@ mod tests {
         }
     }
 
+    /// Pops every work envelope queued on the first lane: stage, epoch
+    /// and the sequence numbers each carries.
+    fn drain_lane(inbox: &Inbox) -> Vec<(usize, u64, Vec<u64>)> {
+        let mut q = inbox.queue.lock().unwrap();
+        let mut served = Vec::new();
+        while !q.lanes[0].queue.is_empty() {
+            let (_, env) = pop_work(&mut q);
+            let seqs = env.items.iter().map(|slot| slot.seq).collect();
+            served.push((env.stage, env.epoch, seqs));
+        }
+        served
+    }
+
+    fn run(r: std::ops::Range<u64>) -> Vec<u64> {
+        r.collect()
+    }
+
     #[test]
-    fn pop_merges_the_run_behind_an_envelope_in_fifo_order_within_the_stride() {
+    fn a_send_joins_the_queued_tail_in_fifo_order_within_the_stride() {
         let (pool, a, b) = two_tenants();
         let shared = Arc::clone(&a.shared);
         for stage in 0..2 {
             shared.stride[stage].store(8, Ordering::Relaxed);
         }
         let inbox = Inbox::new();
+        let mut joined = Vec::new();
         for env in [
             envelope(0, 0, 0..3),
             envelope(0, 0, 3..5),
-            // 5 + 4 items would pass the budget of 8: the run ends
-            // here, and this envelope is not split to top it up.
+            // 5 + 4 items would pass the budget of 8: the tail stays
+            // as it is, and this envelope is not split to top it up.
             envelope(0, 0, 5..9),
-            // Another stage ends a run ...
+            // Another stage starts a new envelope ...
             envelope(1, 0, 9..10),
             // ... and so does another routing epoch ...
             envelope(1, 1, 10..11),
@@ -505,23 +543,16 @@ mod tests {
             // whole and alone.
             envelope(0, 1, 12..24),
             envelope(0, 1, 24..25),
-            // The lane's end ends the last run.
         ] {
-            inbox.send_work(&shared, env);
+            let first = env.items[0].seq;
+            if inbox.send_work(&shared, env).1.is_some() {
+                joined.push(first);
+            }
         }
+        assert_eq!(joined, vec![3, 11], "only these joined a queued tail");
         assert_eq!(inbox.queued_for(shared.id), 25);
-
-        let mut q = inbox.queue.lock().unwrap();
-        let mut served = Vec::new();
-        while !q.lanes[0].queue.is_empty() {
-            let (_, env) = pop_work(&mut q);
-            let seqs: Vec<u64> = env.items.iter().map(|slot| slot.seq).collect();
-            served.push((env.stage, env.epoch, seqs));
-        }
-        drop(q);
-        let run = |r: std::ops::Range<u64>| r.collect::<Vec<u64>>();
         assert_eq!(
-            served,
+            drain_lane(&inbox),
             vec![
                 (0, 0, run(0..5)),
                 (0, 0, run(5..9)),
@@ -531,6 +562,96 @@ mod tests {
                 (0, 1, run(24..25)),
             ]
         );
+
+        // A popped envelope is the worker's: the next send starts a new
+        // one, however much room the budget leaves.
+        inbox.send_work(&shared, envelope(0, 0, 25..26));
+        let mut q = inbox.queue.lock().unwrap();
+        let (_, served) = pop_work(&mut q);
+        drop(q);
+        assert!(inbox.send_work(&shared, envelope(0, 0, 26..27)).1.is_none());
+        assert_eq!(served.items.len(), 1);
+        assert_eq!(drain_lane(&inbox), vec![(0, 0, run(26..27))]);
+
+        drop((a, b));
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_joined_send_hands_its_emptied_buffer_back() {
+        let (pool, a, b) = two_tenants();
+        let shared = Arc::clone(&a.shared);
+        shared.stride[0].store(8, Ordering::Relaxed);
+        let inbox = Inbox::new();
+        inbox.send_work(&shared, envelope(0, 0, 0..1));
+        let mut next = envelope(0, 0, 1..3);
+        next.items.reserve(30);
+        let (cap, buf) = (next.items.capacity(), next.items.as_ptr());
+        let spare = inbox.send_work(&shared, next).1.expect("joined the tail");
+        assert!(spare.is_empty(), "its items stay queued");
+        assert_eq!(spare.capacity(), cap, "with the capacity it had");
+        assert_eq!(spare.as_ptr(), buf, "the sender's own buffer");
+        assert_eq!(drain_lane(&inbox), vec![(0, 0, run(0..3))]);
+
+        drop((a, b));
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_stride_that_shrinks_after_a_join_leaves_the_joined_envelope_whole() {
+        let (pool, a, b) = two_tenants();
+        let shared = Arc::clone(&a.shared);
+        shared.stride[0].store(8, Ordering::Relaxed);
+        let inbox = Inbox::new();
+        for seq in 0..4 {
+            inbox.send_work(&shared, envelope(0, 0, seq..seq + 1));
+        }
+        // The serving worker measured a slower window: only sends
+        // from now on see the smaller budget.
+        shared.stride[0].store(1, Ordering::Relaxed);
+        assert!(inbox.send_work(&shared, envelope(0, 0, 4..5)).1.is_none());
+        assert_eq!(
+            drain_lane(&inbox),
+            vec![(0, 0, run(0..4)), (0, 0, run(4..5))]
+        );
+
+        drop((a, b));
+        pool.shutdown();
+    }
+
+    #[test]
+    fn the_depth_a_send_reports_counts_queued_items_across_lanes() {
+        let (pool, a, b) = two_tenants();
+        let (ta, tb) = (&a.shared, &b.shared);
+        ta.stride[0].store(8, Ordering::Relaxed);
+        let inbox = Inbox::new();
+        // Eight one-item sends pack into one envelope on A's lane (a
+        // stride of 8) and stay eight on B's (the default stride of 1):
+        // both are a backlog of eight.
+        let depths: Vec<usize> = (0..8)
+            .map(|seq| inbox.send_work(ta, envelope(0, 0, seq..seq + 1)).0)
+            .collect();
+        assert_eq!(depths, (1..=8).collect::<Vec<_>>());
+        for seq in 0..8 {
+            inbox.send_work(tb, envelope(0, 0, seq..seq + 1));
+        }
+        {
+            let q = inbox.queue.lock().unwrap();
+            let envelopes: Vec<usize> = q.lanes.iter().map(|l| l.queue.len()).collect();
+            assert_eq!(envelopes, vec![1, 8]);
+        }
+        let depth = |inbox: &Inbox| inbox.queue.lock().unwrap().queued;
+        assert_eq!(depth(&inbox), 16);
+        // A pop, a steal and a dropped lane each take their items off.
+        let (_, env) = pop_work(&mut inbox.queue.lock().unwrap());
+        assert_eq!(env.items.len(), 8);
+        assert_eq!(depth(&inbox), 8);
+        let stolen = inbox.steal(|_, _, _| true);
+        assert_eq!(stolen.map(|(_, env)| env.items.len()), Some(1));
+        assert_eq!(depth(&inbox), 7);
+        inbox.drop_lane(tb.id);
+        assert_eq!(depth(&inbox), 0);
+        assert_eq!(inbox.send_work(ta, envelope(0, 0, 0..3)).0, 3);
 
         drop((a, b));
         pool.shutdown();
@@ -565,9 +686,9 @@ mod tests {
             }
         }
         drop(q);
-        // A lane is charged what a pop merged, not one envelope: eight
-        // items cost A 16 and B 32 of virtual time, so A is served
-        // twice as often, eight items each time.
+        // A lane is charged the items a pop serves, not one envelope:
+        // eight items cost A 16 and B 32 of virtual time, so A is
+        // served twice as often, eight items each time.
         assert_eq!((items_a, items_b), (48, 24));
 
         drop((a, b));
@@ -677,6 +798,17 @@ mod tests {
         assert_eq!(victim.queued_for(shared.id), 10);
         pop_work(&mut victim.queue.lock().unwrap());
         assert!(vtime(&victim) > before, "a pop is");
+        // A tail that sends joined is stolen whole, as one envelope.
+        shared.stride[HOT].store(8, Ordering::Relaxed);
+        let joined = Inbox::new();
+        for seq in 0..6 {
+            joined.send_work(&shared, envelope(HOT, now, seq..seq + 1));
+        }
+        let stolen = joined.steal(|t, s, e| may_steal(1, 0, t, s, e));
+        let seqs = stolen.map(|(_, env)| env.items.iter().map(|slot| slot.seq).collect());
+        assert_eq!(seqs, Some((0..6).collect::<Vec<u64>>()));
+        assert_eq!(joined.queued_for(shared.id), 0);
+        shared.stride[HOT].store(1, Ordering::Relaxed);
         // Nothing legal within the scan depth: the rest is the owner's.
         for seq in 11..11 + STEAL_SCAN as u64 {
             victim.send_work(&shared, envelope(HOT, now + 1, seq..seq + 1));

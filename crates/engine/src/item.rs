@@ -180,7 +180,9 @@ impl Outbox {
             let _ = shared.sink.send(SinkMsg::Done(self.finished));
         }
         for (stage, items) in self.onward {
-            ship(shared, snap, stage, items);
+            if let Some(buf) = ship(shared, snap, stage, items) {
+                SLOT_BUFS.put(buf);
+            }
         }
     }
 

@@ -161,8 +161,8 @@ pub(crate) struct Shared {
     pub(crate) detached: AtomicU64,
     /// Per stage, the stamp stride (`fusion::FusionPlan`) of the worker that
     /// adapted it last: how many of the stage's items fit one clock
-    /// window. Inboxes read it as the budget for merging a backlog of
-    /// envelopes into one (the inbox's `pop`). A hint —
+    /// window. Inboxes read it as the budget for coalescing a send into
+    /// the lane's queued tail envelope (`Inbox::send_work`). A hint —
     /// relaxed, last writer wins between replicas — and `1` until a
     /// worker has measured the stage, so a stage that never earns a
     /// wider window is served envelope by envelope.

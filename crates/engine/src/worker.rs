@@ -29,8 +29,10 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Inbox depth beyond which a sender tries to wake an idle co-host of
-/// the destination's stage (work-stealing assist).
+/// Inbox backlog, in queued items, beyond which a sender tries to wake
+/// an idle co-host of the destination's stage (work-stealing assist).
+/// Items, not envelopes: a send may coalesce into the tail envelope,
+/// and the backlog a thief could relieve is the same either way.
 const STEAL_WAKE_DEPTH: usize = 2;
 
 /// A worker's thread-local view of one tenant: its stage instances,
@@ -355,7 +357,9 @@ fn place(
                     shared.note_replay(item.seq, stage, me);
                 }
             }
-            ship(shared, snap, stage, env.items);
+            if let Some(buf) = ship(shared, snap, stage, env.items) {
+                SLOT_BUFS.put(buf);
+            }
         } else if me_down {
             let items = redeal(&tl.tenant, snap, me, stage, env.items);
             if !items.is_empty() {
@@ -460,21 +464,20 @@ pub(crate) fn push_bucket<K: PartialEq>(
 /// Routes `items` of `stage` against `snap` and delivers them bucketed
 /// per destination worker. The single-host case (linear pipelines)
 /// skips per-item routing entirely; replicated stages keep per-item
-/// round-robin dealing inside the batch.
+/// round-robin dealing inside the batch. Returns `items`' emptied
+/// buffer when the single destination hands it back ([`deliver_env`]),
+/// for the caller to reuse or pool.
+#[must_use]
 pub(crate) fn ship(
     shared: &Arc<Shared>,
     snap: &RoutingSnapshot,
     stage: usize,
     items: Vec<ItemSlot>,
-) {
-    if items.is_empty() {
-        SLOT_BUFS.put(items);
-        return;
-    }
+) -> Option<Vec<ItemSlot>> {
     let hosts = snap.hosts(stage);
     if hosts.len() == 1 {
         let dest = hosts[0].index();
-        deliver_env(shared, snap, stage, dest, items);
+        return deliver_env(shared, snap, stage, dest, items);
     } else if shared.spec.stages[stage].state.shards() > 0 {
         // Keyed stage: every item is pinned to its key's shard owner —
         // never dealt round-robin, never detoured around a down owner
@@ -488,6 +491,7 @@ pub(crate) fn ship(
             Some(snap.route(stage).index())
         });
     }
+    None
 }
 
 /// Deals `items` of `stage` into one bucket per destination worker —
@@ -514,29 +518,33 @@ fn deal(
     }
     SLOT_BUFS.put(items);
     for (dest, batch) in buckets.into_iter().enumerate() {
-        if !batch.is_empty() {
-            deliver_env(shared, snap, stage, dest, batch);
-        } else {
-            SLOT_BUFS.put(batch);
+        if let Some(buf) = deliver_env(shared, snap, stage, dest, batch) {
+            SLOT_BUFS.put(buf);
         }
     }
     kept
 }
 
-/// Enqueues one envelope on `dest`'s inbox lane for this tenant.
+/// Enqueues one envelope on `dest`'s inbox lane for this tenant. The
+/// buffer comes back emptied if there was nothing to send or the inbox
+/// coalesced the items into the lane's tail
+/// ([`Inbox::send_work`](crate::inbox::Inbox::send_work)).
 fn deliver_env(
     shared: &Arc<Shared>,
     snap: &RoutingSnapshot,
     stage: usize,
     dest: usize,
     items: Vec<ItemSlot>,
-) {
+) -> Option<Vec<ItemSlot>> {
+    if items.is_empty() {
+        return Some(items);
+    }
     let env = Envelope {
         stage,
         epoch: snap.epoch(),
         items,
     };
-    let depth = shared.pool.inboxes[dest].send_work(shared, env);
+    let (depth, spare) = shared.pool.inboxes[dest].send_work(shared, env);
     // If the inbox is backing up and the stage has live sibling
     // replicas, wake one idle co-host so it starts stealing instead of
     // sleeping through the backlog.
@@ -553,6 +561,7 @@ fn deliver_env(
             }
         }
     }
+    spare
 }
 
 #[cfg(test)]

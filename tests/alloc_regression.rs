@@ -118,21 +118,26 @@ fn steady_state_allocations_do_not_scale_per_item() {
 }
 
 /// One item per pushed envelope through a bounded queue — the default
-/// granularity, and the only one a latency-bound stream can use. The
-/// pusher still pays for the envelope it ships (its item buffer, when
-/// the pool of 64 runs dry: ~0.7 per item), but the worker's inbox
-/// merges a backlog into stride-sized envelopes, so everything
+/// granularity, and the only one a latency-bound stream can use. A push
+/// whose item joins the envelope still queued at its inbox lane's tail
+/// gets its buffer back for the next push, and one that starts an
+/// envelope takes the buffer a worker pooled when it served the last
+/// one, so the pusher allocates no buffer per item. Everything
 /// downstream of the pop — chain set-up, onward envelope, sink message,
-/// output batch — is paid per merged envelope. Before the merge every
-/// one of those was per item: ~10 allocations each on this shape.
+/// output batch — is paid per coalesced envelope. On a 2-vCPU host
+/// this costs ~20k per 100k items confined to one CPU and 19–49k on
+/// both; with no coalescing at all it is ~840k, and when the worker
+/// merged the backlog at its pop (overflowing the buffer pool, then
+/// allocating per push) it was 32–90k.
 #[test]
-fn per_item_envelopes_allocate_at_most_one_and_a_half_times_per_item() {
+fn per_item_envelopes_allocate_under_three_quarters_per_item() {
     let _turn = exclusive();
     let delta = steady_state_cost_of_100k_items(1, Some(64));
     assert!(
-        delta <= 150_000,
+        delta <= 75_000,
         "100k extra single-item envelopes cost {delta} extra \
-         allocations — a backlog pays per-envelope costs per item again"
+         allocations — a backlog pays per-envelope costs per item again, \
+         or a push allocates its envelope's buffer"
     );
 }
 
