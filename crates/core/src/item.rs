@@ -137,6 +137,14 @@ impl JoinSlots {
         Some(full.map(|part| part.expect("every slot is full")).collect())
     }
 
+    /// Takes out the parts of an incomplete set, each with its slot, and
+    /// leaves every slot empty for the next item — for a backend that
+    /// hands an unfinished set on to be completed elsewhere.
+    pub fn drain(&mut self) -> impl Iterator<Item = (usize, BoxedItem)> + '_ {
+        let parts = self.slots.iter_mut().enumerate();
+        parts.filter_map(|(slot, part)| Some((slot, part.take()?)))
+    }
+
     /// Drops whatever an item that ended early left behind.
     pub fn clear(&mut self) {
         self.slots.clear();
@@ -375,6 +383,21 @@ mod tests {
         );
         let parts = join.deposit(0, Payload::new(4u64)).expect("set complete");
         assert_eq!(values(parts), vec![4, 5]);
+    }
+
+    #[test]
+    fn join_slots_drain_hands_on_a_partial_set_by_slot() {
+        let mut join = JoinSlots::new(3);
+        assert!(join.deposit(2, Payload::new(30u64)).is_none());
+        assert!(join.deposit(0, Payload::new(10u64)).is_none());
+        let parts: Vec<(usize, u64)> = join.drain().map(|(s, p)| (s, read(p))).collect();
+        assert_eq!(parts, vec![(0, 10), (2, 30)]);
+        assert_eq!(join.drain().count(), 0, "drained slots are empty");
+        // The next item starts from empty slots.
+        assert!(join.deposit(1, Payload::new(2u64)).is_none());
+        assert!(join.deposit(0, Payload::new(1u64)).is_none());
+        let parts = join.deposit(2, Payload::new(3u64)).expect("set complete");
+        assert_eq!(values(parts), vec![1, 2, 3]);
     }
 
     /// What one `forward` call sent, payloads read back as `u64`.

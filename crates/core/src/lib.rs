@@ -101,8 +101,7 @@ pub mod prelude {
         UniformWork, WorkModel,
     };
     pub use crate::stage::{
-        clone_fn, fan_out_fn, BoxedItem, CloneFn, DynStage, FallibleFnStage, FanOutFn, FnStage,
-        MergeStage, StageError,
+        fan_out_fn, BoxedItem, DynStage, FallibleFnStage, FanOutFn, FnStage, MergeStage, StageError,
     };
     pub use adapipe_runtime::arrivals::ArrivalProcess;
     pub use adapipe_runtime::backend::{ExecutionBackend, RemapPlan};

@@ -47,43 +47,25 @@ pub fn key_fn<I: Send + 'static>(key: impl Fn(&I) -> u64 + Send + Sync + 'static
 /// are appended in edge order, and the caller drains them into its hops
 /// and keeps the vector for the next item, so a fan-out allocates
 /// nothing per item. On a type mismatch nothing is appended. Built by
-/// [`fan_out_fn`] / [`fan_out_from_clone`]; shared behind an `Arc` so
-/// pipelines stay cloneable.
+/// [`fan_out_fn`]; shared behind an `Arc` so pipelines stay cloneable.
 pub type FanOutFn =
     Arc<dyn Fn(BoxedItem, &mut Vec<BoxedItem>) -> Result<(), StageTypeError> + Send + Sync>;
 
 /// Builds the [`FanOutFn`] duplicating items of type `T` to `branches`
-/// copies (in branch order).
+/// copies: `branches - 1` clones and then the original itself, in edge
+/// order (every copy carries the same value), in one call. A payload
+/// that is not a `T` is the usual typed mis-assembly error, naming the
+/// `fan-out` stage and the expected type.
 pub fn fan_out_fn<T: Clone + Send + 'static>(branches: usize) -> FanOutFn {
-    fan_out_from_clone(
-        "fan-out".to_string(),
-        std::any::type_name::<T>(),
-        clone_fn::<T>(),
-        branches,
-    )
-}
-
-/// Builds a [`FanOutFn`] from the producer's [`CloneFn`]: `n - 1` clones
-/// and then the original itself, in edge order (every copy carries the
-/// same value). A payload the clone function cannot read is the usual
-/// typed mis-assembly error, naming `stage` and the `expected` type.
-pub fn fan_out_from_clone(
-    stage: String,
-    expected: &'static str,
-    clone: CloneFn,
-    n: usize,
-) -> FanOutFn {
     Arc::new(move |item: BoxedItem, copies: &mut Vec<BoxedItem>| {
-        let sent = copies.len();
-        for _ in 1..n {
-            let Some(copy) = clone(&item) else {
-                copies.truncate(sent);
-                return Err(StageTypeError {
-                    stage: stage.clone(),
-                    expected,
-                });
-            };
-            copies.push(copy);
+        let Some(value) = item.downcast_ref::<T>() else {
+            return Err(StageTypeError {
+                stage: "fan-out".to_string(),
+                expected: std::any::type_name::<T>(),
+            });
+        };
+        for _ in 1..branches {
+            copies.push(Payload::new(value.clone()));
         }
         copies.push(item);
         Ok(())
@@ -114,18 +96,6 @@ impl std::fmt::Display for StageTypeError {
 }
 
 impl std::error::Error for StageTypeError {}
-
-/// Clones one erased item of a known concrete type — `None` when the
-/// item is not that type. The facade captures one per stage output so
-/// engines can duplicate items to multiple DAG consumers (and re-present
-/// timed-out items) without knowing the type. Shared behind an `Arc` so
-/// pipelines stay cloneable.
-pub type CloneFn = Arc<dyn Fn(&BoxedItem) -> Option<BoxedItem> + Send + Sync>;
-
-/// Builds the [`CloneFn`] for items of type `T`.
-pub fn clone_fn<T: Clone + Send + 'static>() -> CloneFn {
-    Arc::new(|item: &BoxedItem| item.downcast_ref::<T>().map(|i| Payload::new(i.clone())))
-}
 
 /// A failed stage attempt, as returned by [`DynStage::process`].
 ///
@@ -920,15 +890,21 @@ mod tests {
     }
 
     #[test]
-    fn clone_fn_duplicates_and_rejects() {
-        let cf = clone_fn::<String>();
-        let item: BoxedItem = Payload::new(String::from("dup"));
-        let copy = cf(&item).expect("same type clones");
-        assert_eq!(copy.downcast::<String>().unwrap(), "dup");
-        // The original is untouched.
-        assert_eq!(item.downcast::<String>().unwrap(), "dup");
-        let wrong: BoxedItem = Payload::new(3u8);
-        assert!(cf(&wrong).is_none());
+    fn fan_out_fn_duplicates_and_rejects() {
+        let split = fan_out_fn::<String>(3);
+        let mut copies = vec![Payload::new(String::from("kept"))];
+        split(Payload::new(String::from("dup")), &mut copies).expect("same type copies");
+        let copies: Vec<String> = copies
+            .into_iter()
+            .map(|c| c.downcast::<String>().unwrap())
+            .collect();
+        assert_eq!(copies, ["kept", "dup", "dup", "dup"]);
+        // A mismatch appends nothing and names the stage and the type.
+        let mut copies = Vec::new();
+        let err = split(Payload::new(3u8), &mut copies).unwrap_err();
+        assert!(copies.is_empty(), "a refused item appends nothing");
+        assert_eq!(err.stage, "fan-out");
+        assert_eq!(err.expected, std::any::type_name::<String>());
     }
 
     #[test]

@@ -179,7 +179,7 @@ fn push_entry(
     }
     // A pipeline has at least one stage: nothing exits at the entry,
     // `finished` stays empty.
-    let mut outbox = Outbox::new(Vec::new());
+    let mut outbox = Outbox::new(items.len());
     for slot in items.drain(..) {
         let (seq, born) = (slot.seq, slot.born);
         if outbox
@@ -323,12 +323,14 @@ where
         self.shared.rehomed.load(Ordering::Relaxed)
     }
 
-    /// Stage-boundary hand-offs executed *fused* so far: the producing
-    /// worker ran the consumer stage directly in its batch loop instead
-    /// of routing an envelope through an inbox, because the consumer is
-    /// stateless, default-policy, and mapped solely to that worker.
-    /// Re-maps that separate the pair un-fuse it automatically (the
-    /// fusion plan is epoch-scoped).
+    /// Stage runs executed *inline* so far: a worker ran the stage
+    /// directly in the batch loop of an envelope for an upstream stage
+    /// — after a plain edge, a fan-out, or a join whose parts all came
+    /// out of the same item's walk — instead of routing an envelope
+    /// through an inbox, because the stage is stateless, default-policy,
+    /// and mapped solely to that worker. Re-maps that separate a stage
+    /// from its producers un-fuse it automatically (the fusion plan is
+    /// epoch-scoped).
     pub fn fused_hops(&self) -> u64 {
         self.shared.fused.load(Ordering::Relaxed)
     }
@@ -731,8 +733,9 @@ where
     let vnodes = &pool.vnodes;
 
     let mut profile = spec.profile();
-    // This engine fuses co-located stateless chain edges into direct
-    // calls (see `fusion::FusionPlan`), so the planner may discount them.
+    // This engine runs co-located stateless stages inline — across
+    // plain, fan-out and join edges (see `fusion::FusionPlan`) — so the
+    // planner may discount those edges.
     profile.fuses_colocated = true;
     // Plan from the pool's availability now: a tenant attached to a
     // running pool starts on the world as it is, not as it was at launch.

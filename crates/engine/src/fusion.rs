@@ -1,24 +1,30 @@
 //! Stage fusion and the batch loop: what a worker does with one
 //! envelope once placement has decided to serve it.
 //!
-//! Co-located stateless successors are *fused* into the envelope's own
-//! loop ([`FusionPlan`]): the hand-off between them is a function call,
-//! not an envelope. [`process_batch`] acquires that chain of instances,
-//! runs the items through it under one of two bookkeeping regimes (a
-//! fast path that reads the clock once per *stride* of items, a slow
-//! path with exact per-item accounting), and flushes the results — one
-//! sink message, one onward envelope per consuming stage. The two
-//! recycled buffer shapes of that loop live here too.
+//! Co-located stateless stages run *inline* in the envelope's own loop
+//! ([`FusionPlan`]): the hand-off into them is a function call, not an
+//! envelope — across plain edges, fan-outs and joins alike.
+//! [`process_batch`] acquires the region of instances the envelope's
+//! stage reaches, walks each item through it (a fan-out's extra copies
+//! wait on a stack, a join's parts meet in per-walk slots) under one of
+//! two bookkeeping regimes (a fast path that reads the clock once per
+//! *stride* of items, a slow path with exact per-item accounting), and
+//! flushes the results — one sink message, one onward envelope per
+//! consuming stage, one shared-map deposit per join input the walk
+//! could not pair. The two recycled buffer shapes of that loop live
+//! here too.
 
 use crate::exec::{Finished, ItemSlot};
 use crate::inbox::Envelope;
-use crate::item::{fail_stage, process_resilient, Outbox, ResilientOut};
+use crate::item::{fail_mismatch, fail_stage, process_resilient, Outbox, ResilientOut};
 use crate::tenant::Shared;
 use crate::worker::{try_acquire, TenantLocal};
+use adapipe_core::item::{forward, Hops, JoinSlots};
 use adapipe_core::metrics::StageMetrics;
-use adapipe_core::spec::Next;
+use adapipe_core::payload::Payload;
+use adapipe_core::spec::{Next, PipelineSpec, StageGraph};
 use adapipe_core::stage::{BoxedItem, DynStage};
-use adapipe_gridsim::time::SimDuration;
+use adapipe_gridsim::time::{SimDuration, SimTime};
 use adapipe_runtime::routing::RoutingSnapshot;
 use adapipe_state::{StateAccess, StateSnapshot};
 use std::sync::atomic::Ordering;
@@ -109,48 +115,68 @@ fn next_stride(stride: u32, win: usize, w: Duration) -> u32 {
 }
 
 /// A worker's per-tenant stage-fusion plan, recomputed lazily per
-/// routing epoch: which stage boundaries collapse into direct calls
-/// inside [`process_batch`]'s loop — no envelope, no inbox hop, no
-/// re-routing.
+/// routing epoch: which stages run *inline* inside [`process_batch`]'s
+/// loop — as a direct call on the item the walk holds, with no
+/// envelope, no inbox hop, no re-routing and, at a join, no shared
+/// join map.
 ///
-/// `next[s] = Some(t)` iff `s`'s sole linear successor `t` is
-/// stateless with a default resilience policy and is currently mapped
-/// to exactly this worker — then every output of `s` produced here is
-/// necessarily an input of `t` here, and the hand-off can be a plain
-/// function call. The structural in-degree-1 requirement is implied:
-/// a multi-predecessor stage is reached through a fan-in
-/// ([`Next::Join`] or a slotted fan-out edge), never through
-/// [`Next::Stage`]. The *entry* stage of a fused chain may be stateful
-/// or resilient (a chain starts wherever the envelope landed); only
-/// the fused successors must be stateless and default-policy, so
-/// retry/dead-letter accounting and state migration keep their exact
-/// per-envelope semantics. The moment a re-map separates a pair (or
-/// replicates the successor), the epoch bump invalidates the plan and
-/// the boundary reverts to an envelope — un-fusing is automatic.
+/// `inline[t]` holds iff `t` is stateless, has the default resilience
+/// policy and is currently mapped to exactly this worker — then every
+/// input of `t` produced here is an input of `t` here, whatever the
+/// edge: a plain successor, one target of a fan-out, or a join whose
+/// parts all come out of one item's walk. An envelope's walk starts at
+/// its own stage, which may be stateful or resilient (a walk starts
+/// wherever the envelope landed), and reaches every inline stage
+/// downstream of it through inline stages (`reach`); only those must be
+/// stateless and default-policy, so retry/dead-letter accounting and
+/// state migration keep their exact per-envelope semantics. The moment
+/// a re-map separates a stage from its producers (or replicates it),
+/// the epoch bump invalidates the plan and its inputs revert to
+/// envelopes — un-fusing is automatic.
 ///
 /// `stride` rides along because it is the other per-stage hot-path
 /// knob: the adaptive clock-sampling window of the fast path. It
 /// deliberately survives epoch changes — a re-map does not forget how
 /// coarse a stage's timing windows can safely be. Every change is
 /// published to `Shared::stride`, where the inboxes read it as their
-/// coalescing budget: a backlog is served one window at a time. `samp` is
-/// the fast path's per-hop scratch, one slot per stage (no chain is
-/// longer), so serving an envelope allocates none.
+/// coalescing budget: a backlog is served one window at a time.
+/// `region` is the walk's scratch, sized once per tenant, so serving
+/// an envelope allocates none.
 pub(crate) struct FusionPlan {
-    /// Routing epoch `next` was computed for (`u64::MAX` = never).
+    /// Routing epoch `inline` was computed for (`u64::MAX` = never).
     epoch: u64,
-    next: Vec<Option<usize>>,
+    /// Per stage: runs inline wherever a walk on this worker reaches it.
+    inline: Vec<bool>,
+    /// Per stage: the inline stages a walk entering there reaches, in
+    /// topological order.
+    reach: Vec<Vec<usize>>,
+    /// Per stage: declared mean work, for the service metrics.
+    works: Vec<f64>,
     stride: Vec<u32>,
-    samp: Vec<Duration>,
+    region: Region,
 }
 
 impl FusionPlan {
-    pub(crate) fn new(ns: usize) -> Self {
+    pub(crate) fn new(spec: &PipelineSpec) -> Self {
+        let (ns, graph) = (spec.len(), &spec.graph);
         FusionPlan {
             epoch: u64::MAX,
-            next: vec![None; ns],
+            inline: vec![false; ns],
+            reach: vec![Vec::new(); ns],
+            works: spec.stages.iter().map(|s| s.work.mean()).collect(),
             stride: vec![1; ns],
-            samp: vec![Duration::ZERO; ns],
+            region: Region {
+                after: (0..ns).map(|s| graph.after(s)).collect(),
+                insts: (0..ns).map(|_| None).collect(),
+                held: Vec::new(),
+                stack: Vec::new(),
+                joins: (0..graph.join_blocks())
+                    .map(|b| JoinSlots::new(graph.join_width(b)))
+                    .collect(),
+                pending: 0,
+                runs: vec![0; ns],
+                samp: vec![Duration::ZERO; ns],
+            },
         }
     }
 
@@ -161,32 +187,237 @@ impl FusionPlan {
             return;
         }
         self.epoch = snap.epoch();
-        for s in 0..self.next.len() {
-            self.next[s] = match shared.spec.graph.after(s) {
-                Next::Stage(t)
-                    if shared.spec.stages[t].state.is_stateless()
-                        && shared.spec.stages[t].resilience.is_default() =>
-                {
-                    let hosts = snap.hosts(t);
-                    (hosts.len() == 1 && hosts[0].index() == me).then_some(t)
+        let spec = &shared.spec;
+        for (t, inline) in self.inline.iter_mut().enumerate() {
+            let (decl, hosts) = (&spec.stages[t], snap.hosts(t));
+            *inline = decl.state.is_stateless()
+                && decl.resilience.is_default()
+                && hosts.len() == 1
+                && hosts[0].index() == me;
+        }
+        let mut reached = vec![false; spec.len()];
+        for (s, reach) in self.reach.iter_mut().enumerate() {
+            reached.fill(false);
+            reached[s] = true;
+            reach.clear();
+            for &t in spec.graph.topo_order() {
+                if self.inline[t] && spec.graph.preds(t).iter().any(|&p| reached[p]) {
+                    reached[t] = true;
+                    reach.push(t);
                 }
-                _ => None,
-            };
+            }
         }
     }
 }
 
-/// One envelope being served: the chain of instances it runs through
-/// — its own stage plus every successor the plan fuses, taken out of
-/// the worker's map for the duration (each hop needs its own `&mut`
-/// inside the item loop) — and what the run accumulates.
+/// The instances one envelope's walks run through and the walks'
+/// scratch, all indexed by stage (or join block): kept in the plan
+/// between envelopes, so a walk allocates nothing but a completed
+/// join's vector.
+#[derive(Default)]
+struct Region {
+    /// Per stage: where its output goes (the graph's `after`).
+    after: Vec<Next>,
+    /// The instance of every stage the batch holds — its own stage
+    /// plus each inline stage it reaches — taken out of the worker's
+    /// map for the duration (each needs its own `&mut` in the walk).
+    insts: Vec<Option<Box<dyn DynStage>>>,
+    /// The stages `insts` holds, the envelope's own first.
+    held: Vec<usize>,
+    /// Inputs of held stages waiting their turn in the current walk:
+    /// the second and later copies of a fan-out, and the set a join
+    /// completed.
+    stack: Vec<(usize, BoxedItem)>,
+    /// Per join block: the parts the current walk deposited.
+    joins: Vec<JoinSlots>,
+    /// Parts in `joins` whose set is not complete yet.
+    pending: usize,
+    /// Per stage: items run since the last booking.
+    runs: Vec<u64>,
+    /// Per stage: how long the window's sampled item took there.
+    samp: Vec<Duration>,
+}
+
+impl Region {
+    /// Walks one item from the envelope's stage through every held
+    /// stage it reaches — [`forward`] driving a [`Hop`] — with
+    /// `run` presenting the item to each stage and `stop` saying how a
+    /// failure ends the walk. (The fast path's `run` returns
+    /// `DynStage::process`'s own result: converting it per stage cost a
+    /// fused chain 5–20 % in payload copies.) Parts of a join that
+    /// did not complete inside the walk go on to the shared join map
+    /// through `outbox`, so a block that is only partly co-located
+    /// still pairs exactly once. With `sample`, each stage's share of
+    /// the walk is stamped into `samp`. `Err(())`: the run failed (a
+    /// stage, or a fan-out type mismatch) and is already torn down.
+    #[inline]
+    fn walk<E>(
+        &mut self,
+        shared: &Arc<Shared>,
+        outbox: &mut Outbox,
+        (seq, born, payload): (u64, SimTime, BoxedItem),
+        sample: bool,
+        mut run: impl FnMut(usize, &mut dyn DynStage, BoxedItem) -> Result<BoxedItem, E>,
+        mut stop: impl FnMut(usize, E) -> Stop,
+    ) -> Result<(), ()> {
+        let graph = &shared.spec.graph;
+        let (mut stage, mut item) = (self.held[0], payload);
+        let mut t_prev = sample.then(Instant::now);
+        loop {
+            let inst = self.insts[stage]
+                .as_deref_mut()
+                .expect("walks run held stages");
+            item = match run(stage, inst, item) {
+                Ok(out) => out,
+                Err(err) => match stop(stage, err) {
+                    Stop::Dead => {
+                        // Settled on the dead-letter channel: nothing
+                        // of the item goes further.
+                        self.stack.clear();
+                        self.drop_parts();
+                        return Ok(());
+                    }
+                    Stop::Fatal => return Err(()),
+                },
+            };
+            self.runs[stage] += 1;
+            if let Some(t_prev) = &mut t_prev {
+                let t_now = Instant::now();
+                self.samp[stage] = t_now.duration_since(*t_prev);
+                *t_prev = t_now;
+            }
+            // A plain inline successor continues the walk: a chain
+            // costs one call per stage.
+            if let Next::Stage(t) = self.after[stage] {
+                if self.insts[t].is_some() {
+                    stage = t;
+                    continue;
+                }
+            }
+            let mut hop = Hop {
+                seq,
+                born,
+                graph,
+                outbox: &mut *outbox,
+                insts: &self.insts,
+                stack: &mut self.stack,
+                joins: &mut self.joins,
+                pending: &mut self.pending,
+                next: None,
+            };
+            forward(graph, &shared.fanouts, &self.after[stage], item, &mut hop)
+                .map_err(|type_err| fail_mismatch(shared, type_err))?;
+            match hop.next.or_else(|| self.stack.pop()) {
+                Some((t, input)) => (stage, item) = (t, input),
+                None => break,
+            }
+        }
+        if self.pending > 0 {
+            for (block, set) in self.joins.iter_mut().enumerate() {
+                for (slot, payload) in set.drain() {
+                    let part = ItemSlot { seq, born, payload };
+                    outbox.joining(block, slot, part);
+                }
+            }
+            self.pending = 0;
+        }
+        Ok(())
+    }
+
+    /// Drops the parts an abandoned walk left in the join slots.
+    fn drop_parts(&mut self) {
+        if self.pending > 0 {
+            self.joins
+                .iter_mut()
+                .for_each(|set| set.drain().for_each(drop));
+            self.pending = 0;
+        }
+    }
+
+    /// Clears the run counts, returning the inline runs among them —
+    /// every held stage's but the envelope's own.
+    fn take_inline_runs(&mut self) -> u64 {
+        let entry = self.held[0];
+        let runs = self
+            .held
+            .iter()
+            .map(|&s| (s, std::mem::take(&mut self.runs[s])));
+        runs.filter(|&(s, _)| s != entry).map(|(_, n)| n).sum()
+    }
+}
+
+/// Why a walk stops short.
+enum Stop {
+    /// The item settled on the dead-letter channel.
+    Dead,
+    /// The run failed and is already torn down.
+    Fatal,
+}
+
+/// Where one stage output of a walk goes: a held stage's input goes on
+/// with the walk (the first directly, the rest via the stack), a join
+/// part into the walk's slots, the rest into the envelope's [`Outbox`].
+struct Hop<'a> {
+    seq: u64,
+    born: SimTime,
+    graph: &'a StageGraph,
+    outbox: &'a mut Outbox,
+    insts: &'a [Option<Box<dyn DynStage>>],
+    stack: &'a mut Vec<(usize, BoxedItem)>,
+    joins: &'a mut [JoinSlots],
+    pending: &'a mut usize,
+    /// The input the walk runs next.
+    next: Option<(usize, BoxedItem)>,
+}
+
+impl Hops for Hop<'_> {
+    #[inline]
+    fn copies(&mut self) -> &mut Vec<BoxedItem> {
+        &mut self.outbox.copies
+    }
+
+    #[inline]
+    fn exit(&mut self, payload: BoxedItem) {
+        // The completion stamp is the caller's to fix up.
+        self.outbox.exit(Finished {
+            seq: self.seq,
+            born: self.born,
+            done: self.born,
+            payload,
+        });
+    }
+
+    #[inline]
+    fn stage(&mut self, stage: usize, payload: BoxedItem) {
+        if self.insts[stage].is_none() {
+            let (seq, born) = (self.seq, self.born);
+            self.outbox.onward(stage, ItemSlot { seq, born, payload });
+        } else if self.next.is_none() {
+            self.next = Some((stage, payload));
+        } else {
+            self.stack.push((stage, payload));
+        }
+    }
+
+    #[inline]
+    fn slot(&mut self, block: usize, slot: usize, part: BoxedItem) {
+        match self.joins[block].deposit(slot, part) {
+            None => *self.pending += 1,
+            Some(parts) => {
+                // The joining stage must receive the assembled vector,
+                // not a raw copy to process.
+                *self.pending -= parts.len() - 1;
+                self.stage(self.graph.merge_of(block), Payload::new(parts));
+            }
+        }
+    }
+}
+
+/// One envelope being served: the region's instances and scratch,
+/// moved out of the plan for the duration, and what the run
+/// accumulates.
 struct Batch {
-    stages: Vec<usize>,
-    insts: Vec<Box<dyn DynStage>>,
-    /// Declared mean work per stage, for the service metrics.
-    works: Vec<f64>,
-    /// Where the last stage's outputs go.
-    after: Next,
+    region: Region,
     outbox: Outbox,
     /// Occupied time.
     busy: Duration,
@@ -196,12 +427,13 @@ struct Batch {
 }
 
 /// Runs every item of one envelope through its stage — and, when the
-/// worker's [`FusionPlan`] fuses the stage with stateless successors
-/// mapped solely here, straight through the whole chain in the same
-/// loop, skipping the per-boundary envelope/inbox round-trip entirely.
-/// Results ship onward in per-destination-stage batches (one sink
-/// message per envelope that finished items); occupied time is added to
-/// the tenant's busy account.
+/// worker's [`FusionPlan`] runs stages downstream of it inline, through
+/// every one of them the item reaches, fan-outs and joins included, in
+/// the same loop, skipping the per-boundary envelope/inbox round-trip
+/// and the shared join map entirely. Results ship onward in
+/// per-destination-stage batches (one sink message per envelope that
+/// finished items); occupied time is added to the tenant's busy
+/// account.
 ///
 /// Two bookkeeping regimes: [`Batch::run_fast`] when the entry stage has
 /// the default resilience policy and the vnode can never throttle,
@@ -215,7 +447,7 @@ pub(crate) fn process_batch(
 ) {
     let stage = env.stage;
     tl.fusion.refresh(me, &tl.tenant, snap);
-    let mut batch = Batch::acquire(tl, stage, slot);
+    let mut batch = Batch::acquire(tl, stage, slot, env.items.len());
     let mut items = env.items;
     let mut it = items.drain(..);
     let never_throttles = tl.tenant.pool.vnodes[me].never_throttles();
@@ -232,31 +464,24 @@ pub(crate) fn process_batch(
 }
 
 impl Batch {
-    /// The chain: the envelope's stage (instance already acquired by
-    /// placement) plus every fused successor whose instance is
+    /// The region: the envelope's stage (instance already acquired by
+    /// placement) plus every inline stage it reaches whose instance is
     /// acquirable right now. An instance still in migration transit
-    /// truncates the chain — those items travel by envelope and buffer
-    /// at the receiver, exactly as unfused traffic would.
-    fn acquire(tl: &mut TenantLocal, stage: usize, slot: usize) -> Batch {
+    /// stays out — its inputs travel by envelope and buffer at the
+    /// receiver, exactly as unfused traffic would. The outbox sizes its
+    /// batches for the envelope's `hint` items.
+    fn acquire(tl: &mut TenantLocal, stage: usize, slot: usize, hint: usize) -> Batch {
         let shared = &tl.tenant;
-        let mut stages = vec![stage];
-        let mut s = stage;
-        while let Some(t) = tl.fusion.next[s] {
-            if !try_acquire(shared, &mut tl.local, t, 0) {
-                break;
+        let mut region = std::mem::take(&mut tl.fusion.region);
+        let entry = tl.local.remove(&(stage, slot));
+        region.insts[stage] = Some(entry.expect("instance acquired before process"));
+        region.held.push(stage);
+        for &t in &tl.fusion.reach[stage] {
+            if try_acquire(shared, &mut tl.local, t, 0) {
+                region.insts[t] = tl.local.remove(&(t, 0));
+                region.held.push(t);
             }
-            stages.push(t);
-            s = t;
         }
-        let mut insts: Vec<Box<dyn DynStage>> = stages
-            .iter()
-            .enumerate()
-            .map(|(ci, &s)| {
-                tl.local
-                    .remove(&(s, if ci == 0 { slot } else { 0 }))
-                    .expect("instance acquired before process")
-            })
-            .collect();
         if shared.spec.stages[stage].state == StateAccess::Accumulator {
             // Absorb partials parked by replicas that vacated their hosts —
             // state migrated in via the stage's merge operator, before any
@@ -266,19 +491,14 @@ impl Batch {
                 .expect("merge inbox poisoned")
                 .drain(..)
                 .collect();
+            let inst = region.insts[stage].as_mut().expect("just acquired");
             for snap in pending {
-                insts[0].absorb(snap);
+                inst.absorb(snap);
             }
         }
         Batch {
-            works: stages
-                .iter()
-                .map(|&s| shared.spec.stages[s].work.mean())
-                .collect(),
-            after: shared.spec.graph.after(s),
-            stages,
-            insts,
-            outbox: Outbox::new(FIN_BUFS.take(0)),
+            region,
+            outbox: Outbox::new(hint),
             busy: Duration::ZERO,
             fused_hops: 0,
             fatal: false,
@@ -287,10 +507,18 @@ impl Batch {
 
     /// Puts the instances back and ships what the envelope produced
     /// ([`Outbox::dispatch`]).
-    fn finish(self, tl: &mut TenantLocal, snap: &RoutingSnapshot, slot: usize) {
-        for (ci, (s, inst)) in self.stages.into_iter().zip(self.insts).enumerate() {
-            tl.local.insert((s, if ci == 0 { slot } else { 0 }), inst);
+    fn finish(mut self, tl: &mut TenantLocal, snap: &RoutingSnapshot, slot: usize) {
+        let region = &mut self.region;
+        // A walk the run's failure cut short leaves inputs and counts
+        // behind.
+        region.stack.clear();
+        region.drop_parts();
+        region.take_inline_runs();
+        for (i, s) in region.held.drain(..).enumerate() {
+            let inst = region.insts[s].take().expect("held");
+            tl.local.insert((s, if i == 0 { slot } else { 0 }), inst);
         }
+        tl.fusion.region = self.region;
         tl.busy += self.busy;
         let shared = &tl.tenant;
         if self.fused_hops > 0 {
@@ -306,19 +534,16 @@ impl Batch {
     /// The fast path: the clock is read once per *window* of stride
     /// items instead of per item, sink stamps are fixed up at the window
     /// boundary, and service metrics absorb each window as one
-    /// exact-count batch (`StageMetrics::record_batch`) — steady-state
-    /// bookkeeping is O(windows), not O(items). The stride adapts
-    /// between 1 and [`MAX_STAMP_STRIDE`] to keep windows in the
+    /// exact-count batch per stage (`StageMetrics::record_batch`) —
+    /// steady-state bookkeeping is O(windows), not O(items). The stride
+    /// adapts between 1 and [`MAX_STAMP_STRIDE`] to keep windows in the
     /// hundreds-of-microseconds band: cheap stages stop paying a clock
     /// read per item, slow stages keep honest latency stamps.
     fn run_fast(&mut self, tl: &mut TenantLocal, it: &mut Drain<'_, ItemSlot>) {
-        let shared = &tl.tenant;
-        let (stage, nseg) = (self.stages[0], self.stages.len());
-        let stride = &mut tl.fusion.stride[stage];
-        // Per-hop durations of the window's sampled item (fused chains
-        // only; a chain of one skips per-hop stamping altogether).
-        let samp = &mut tl.fusion.samp[..nseg];
-        samp.fill(Duration::ZERO);
+        let (shared, plan) = (&tl.tenant, &mut tl.fusion);
+        let stage = self.region.held[0];
+        // A region of one stage needs no per-stage split of its windows.
+        let per_stage = self.region.held.len() > 1;
         let mut t_win = Instant::now();
         'windows: while it.len() > 0 {
             // An abort mid-batch (of this tenant or the whole pool)
@@ -328,42 +553,34 @@ impl Batch {
             if shared.finished() {
                 break;
             }
-            let win = (*stride as usize).min(it.len());
+            let stride = plan.stride[stage];
+            let win = (stride as usize).min(it.len());
             let win_fin_start = self.outbox.finished.len();
-            let mut live: u64 = 0;
-            let mut sampled = nseg == 1;
+            // The window's first live item is the one stamped per stage.
+            let mut sample = per_stage;
             for slot in it.by_ref().take(win) {
                 // A sibling branch may have dead-lettered this item
                 // while this copy sat queued; its work is moot.
                 if shared.is_dead(slot.seq) {
                     continue;
                 }
-                // The window's first live item is the one stamped per hop.
-                let (insts, chain) = (&mut self.insts[..], &self.stages[..]);
-                let out = if sampled {
-                    run_chain(insts, chain, shared, slot.seq, slot.payload, None)
-                } else {
-                    sampled = true;
-                    run_chain(
-                        insts,
-                        chain,
-                        shared,
-                        slot.seq,
-                        slot.payload,
-                        Some(&mut *samp),
-                    )
-                };
-                // The sink stamp is a placeholder until the window ends.
-                let sent = out.map(|out| {
-                    let (outbox, after) = (&mut self.outbox, &self.after);
-                    outbox.send(shared, after, slot.seq, slot.born, slot.born, out)
-                });
-                if sent != Some(Ok(())) {
+                let item = (slot.seq, slot.born, slot.payload);
+                let walked = self.region.walk(
+                    shared,
+                    &mut self.outbox,
+                    item,
+                    std::mem::take(&mut sample),
+                    |_, inst, input| inst.process(input),
+                    |cs, err| {
+                        fail_stage(shared, cs, slot.seq, err);
+                        Stop::Fatal
+                    },
+                );
+                if walked.is_err() {
                     self.fatal = true;
                     self.busy += t_win.elapsed();
                     break 'windows;
                 }
-                live += 1;
             }
             let t_end = Instant::now();
             let w = t_end.duration_since(t_win);
@@ -376,165 +593,123 @@ impl Batch {
             for f in &mut self.outbox.finished[win_fin_start..] {
                 f.done = done;
             }
-            if live > 0 {
-                self.record_window(&mut tl.metrics, samp, w, live);
-            }
-            let next = next_stride(*stride, win, w);
-            if next != *stride {
-                *stride = next;
+            self.record_window(&mut tl.metrics, &plan.works, w);
+            let next = next_stride(stride, win, w);
+            if next != stride {
+                plan.stride[stage] = next;
                 shared.stride[stage].store(next, Ordering::Relaxed);
             }
             t_win = t_end;
         }
     }
 
-    /// Books one fast-path window of `live` items that took `w`. Fused
-    /// chains stamped one item per window hop-by-hop (`samp`) and split
-    /// the window's busy time across the chain's stages in those
+    /// Books one fast-path window that took `w`. Regions of several
+    /// stages stamped one item per window stage by stage (`samp`) and
+    /// split the window's busy time across the stages that ran in those
     /// proportions: counts and totals stay exact (the adaptation loop
     /// plans from declared rates, so the report is the only consumer).
-    /// A chain of one is never stamped; its all-zero `samp` gives the
-    /// one stage the whole window.
-    fn record_window(
-        &mut self,
-        metrics: &mut StageMetrics,
-        samp: &[Duration],
-        w: Duration,
-        live: u64,
-    ) {
-        let (wsecs, nseg) = (w.as_secs_f64(), samp.len());
-        let total: f64 = samp.iter().map(Duration::as_secs_f64).sum();
-        for (ci, &cs) in self.stages.iter().enumerate() {
-            let frac = if total > 0.0 {
-                samp[ci].as_secs_f64() / total
-            } else {
-                1.0 / nseg as f64
-            };
-            let took = SimDuration::from_secs_f64(wsecs * frac);
-            metrics.record_batch(cs, took, live, self.works[ci] * live as f64);
+    /// A region of one is never stamped; its one stage gets the whole
+    /// window.
+    fn record_window(&mut self, metrics: &mut StageMetrics, works: &[f64], w: Duration) {
+        let region = &mut self.region;
+        let ran: u64 = region.held.iter().map(|&s| region.runs[s]).sum();
+        if ran == 0 {
+            return;
         }
-        self.fused_hops += (nseg as u64 - 1) * live;
+        let wsecs = w.as_secs_f64();
+        let total: f64 = region
+            .held
+            .iter()
+            .map(|&s| region.samp[s].as_secs_f64())
+            .sum();
+        for &s in &region.held {
+            let (runs, samp) = (region.runs[s], std::mem::take(&mut region.samp[s]));
+            if runs > 0 {
+                let frac = if total > 0.0 {
+                    samp.as_secs_f64() / total
+                } else {
+                    runs as f64 / ran as f64
+                };
+                let took = SimDuration::from_secs_f64(wsecs * frac);
+                metrics.record_batch(s, took, runs, works[s] * runs as f64);
+            }
+        }
+        self.fused_hops += region.take_inline_runs();
     }
 
     /// The slow path (resilient entry stage, or a vnode with throttle
-    /// windows): exact per-item, per-hop accounting —
-    /// retry/backoff/dead-letter via [`process_resilient`], synthetic
-    /// slowdown sleeps and individual service samples on every hop.
+    /// windows): the same walk with exact per-item, per-stage
+    /// accounting — retry/backoff/dead-letter via [`process_resilient`],
+    /// synthetic slowdown sleeps and individual service samples on every
+    /// stage that runs.
     fn run_slow(&mut self, me: usize, tl: &mut TenantLocal, it: &mut Drain<'_, ItemSlot>) {
-        let shared = &tl.tenant;
+        let (shared, plan, metrics) = (&tl.tenant, &tl.fusion, &mut tl.metrics);
         let vnode = &shared.pool.vnodes[me];
         let never_throttles = vnode.never_throttles();
         let mut t_start = Instant::now();
-        'items: for slot in it {
+        for slot in it {
             if shared.finished() {
                 break;
             }
             if shared.is_dead(slot.seq) {
                 continue;
             }
-            let mut out = slot.payload;
-            let mut done = t_start;
-            for (ci, inst) in self.insts.iter_mut().enumerate() {
-                let cs = self.stages[ci];
-                // Every hop goes through its stage's policy; under the
-                // default one (every fused successor's) that is a
-                // single attempt which succeeds or ends the run.
-                match process_resilient(inst.as_mut(), shared, cs, slot.seq, out) {
-                    ResilientOut::Done(o) => out = o,
-                    ResilientOut::Dead => {
-                        // Diverted to the dead-letter channel: the
-                        // item is settled, nothing ships onward.
-                        // The attempt time still counts as busy.
-                        let t_end = Instant::now();
-                        self.busy += t_end.duration_since(t_start);
-                        t_start = t_end;
-                        continue 'items;
+            let (seq, fin_start) = (slot.seq, self.outbox.finished.len());
+            let (mut done, mut busy) = (t_start, Duration::ZERO);
+            let walked = self.region.walk(
+                shared,
+                &mut self.outbox,
+                (seq, slot.born, slot.payload),
+                false,
+                |cs, inst, input| {
+                    // Every stage goes through its policy; under the
+                    // default one (every inline stage's) that is a
+                    // single attempt which succeeds or ends the run.
+                    let out = match process_resilient(inst, shared, cs, seq, input) {
+                        ResilientOut::Done(out) => Ok(out),
+                        ResilientOut::Dead => Err(Stop::Dead),
+                        ResilientOut::Fatal => Err(Stop::Fatal),
+                    };
+                    let t_end = Instant::now();
+                    let compute = t_end.duration_since(t_start);
+                    t_start = t_end;
+                    if out.is_err() {
+                        // Dead-lettered or fatal: the attempt time
+                        // still counts as busy.
+                        busy += compute;
+                        return out;
                     }
-                    ResilientOut::Fatal => {
-                        self.busy += t_start.elapsed();
-                        self.fatal = true;
-                        break 'items;
-                    }
-                }
-                let t_end = Instant::now();
-                let compute = t_end.duration_since(t_start);
-                t_start = t_end;
-                done = t_end;
-                let took = if never_throttles {
-                    compute
-                } else {
-                    let sleep = vnode.slowdown_sleep(compute, shared.pool.at(t_end));
-                    if !sleep.is_zero() {
-                        std::thread::sleep(sleep);
-                        // The sleep must not be attributed to the next
-                        // hop's compute window.
-                        t_start = Instant::now();
-                    }
-                    compute + sleep
-                };
-                self.busy += took;
-                tl.metrics
-                    .record(cs, SimDuration::from_duration(took), self.works[ci]);
-            }
-            self.fused_hops += self.stages.len() as u64 - 1;
-            let (outbox, after) = (&mut self.outbox, &self.after);
-            let done = shared.pool.at(done);
-            if outbox
-                .send(shared, after, slot.seq, slot.born, done, out)
-                .is_err()
-            {
+                    done = t_end;
+                    let took = if never_throttles {
+                        compute
+                    } else {
+                        let sleep = vnode.slowdown_sleep(compute, shared.pool.at(t_end));
+                        if !sleep.is_zero() {
+                            std::thread::sleep(sleep);
+                            // The sleep must not be attributed to the
+                            // next stage's compute window.
+                            t_start = Instant::now();
+                        }
+                        compute + sleep
+                    };
+                    busy += took;
+                    metrics.record(cs, SimDuration::from_duration(took), plan.works[cs]);
+                    out
+                },
+                |_, stop| stop,
+            );
+            self.busy += busy;
+            if walked.is_err() {
                 self.fatal = true;
                 break;
             }
-        }
-    }
-}
-
-/// Runs item `seq`'s payload through every instance of the fused chain
-/// `chain` in order, under
-/// the default (fail-fast) policy. With `samp`, each hop is
-/// clock-stamped and its duration written there (the fast path
-/// measures one item per window this way to split window time
-/// across the chain's stages). `None` means a stage failed
-/// ([`fail_stage`]): the session is already failed and torn down,
-/// and the caller must abandon its batch.
-fn run_chain(
-    insts: &mut [Box<dyn DynStage>],
-    chain: &[usize],
-    shared: &Arc<Shared>,
-    seq: u64,
-    mut out: BoxedItem,
-    samp: Option<&mut [Duration]>,
-) -> Option<BoxedItem> {
-    match samp {
-        None => {
-            for (inst, &cs) in insts.iter_mut().zip(chain) {
-                match inst.process(out) {
-                    Ok(o) => out = o,
-                    Err(err) => {
-                        fail_stage(shared, cs, seq, err);
-                        return None;
-                    }
-                }
+            let done = shared.pool.at(done);
+            for f in &mut self.outbox.finished[fin_start..] {
+                f.done = done;
             }
         }
-        Some(samp) => {
-            let mut t_prev = Instant::now();
-            for (ci, inst) in insts.iter_mut().enumerate() {
-                match inst.process(out) {
-                    Ok(o) => out = o,
-                    Err(err) => {
-                        fail_stage(shared, chain[ci], seq, err);
-                        return None;
-                    }
-                }
-                let t_now = Instant::now();
-                samp[ci] = t_now.duration_since(t_prev);
-                t_prev = t_now;
-            }
-        }
+        self.fused_hops += self.region.take_inline_runs();
     }
-    Some(out)
 }
 
 #[cfg(test)]
@@ -543,20 +718,127 @@ mod tests {
     use crate::exec::spawn;
     use crate::vnode::VNodeSpec;
     use adapipe_core::pipeline::Pipeline;
-    use adapipe_core::spec::{PipelineSpec, StageSpec};
-    use adapipe_core::stage::{DynStage, FnStage};
+    use adapipe_core::spec::{PipelineSpec, ResiliencePolicy, StageGraph, StageSpec};
+    use adapipe_core::stage::{fan_out_fn, DynStage, FnStage, MergeStage};
     use adapipe_gridsim::net::{LinkSpec, Topology};
     use adapipe_gridsim::node::NodeId;
     use adapipe_mapper::mapping::Mapping;
-    use adapipe_mapper::model::evaluate;
+    use adapipe_mapper::model::{evaluate, fused_stages};
     use adapipe_runtime::session::{LiveSession, RunConfig, Session};
+    use std::sync::atomic::Ordering;
     use std::time::Duration;
+
+    /// A `u64` DAG over `edges`, assembled from erased parts: a
+    /// single-input stage `s` maps `x` to `3x + s + 1`, a joining stage
+    /// folds its parts in slot order (so a swapped slot shows), and every
+    /// fan-out copies. `declare` may change any stage's declaration.
+    fn u64_dag(
+        stages: usize,
+        edges: &[(usize, usize)],
+        declare: impl Fn(usize, StageSpec) -> StageSpec,
+    ) -> Pipeline<u64, u64> {
+        let graph = edges
+            .iter()
+            .fold(StageGraph::dag(stages), |g, &(from, to)| g.edge(from, to))
+            .build()
+            .expect("a valid DAG");
+        let specs = (0..stages)
+            .map(|s| declare(s, StageSpec::balanced(format!("s{s}"), 0.001, 8)))
+            .collect();
+        let insts: Vec<Box<dyn DynStage>> = (0..stages)
+            .map(|s| -> Box<dyn DynStage> {
+                let name = format!("s{s}");
+                if graph.preds(s).len() > 1 {
+                    Box::new(MergeStage::new(name, |parts: Vec<u64>| fold_parts(&parts)))
+                } else {
+                    Box::new(FnStage::new(name, move |x: u64| step(s, x)))
+                }
+            })
+            .collect();
+        let fanouts = (0..graph.blocks())
+            .map(|b| fan_out_fn::<u64>(graph.fan_targets(b).len()))
+            .collect();
+        let spec = PipelineSpec::with_graph(specs, graph);
+        Pipeline::from_parts(spec, insts, fanouts, vec![None; stages])
+    }
+
+    fn step(s: usize, x: u64) -> u64 {
+        x.wrapping_mul(3).wrapping_add(s as u64 + 1)
+    }
+
+    fn fold_parts(parts: &[u64]) -> u64 {
+        parts
+            .iter()
+            .fold(7, |acc, p| acc.wrapping_mul(1_000_003) ^ p)
+    }
+
+    /// What [`u64_dag`] makes of `items` inputs, computed stage by
+    /// stage (the exit is the last stage).
+    fn reference(stages: usize, edges: &[(usize, usize)], items: u64) -> Vec<u64> {
+        fn value(s: usize, edges: &[(usize, usize)], x: u64) -> u64 {
+            let preds: Vec<usize> = edges.iter().filter(|e| e.1 == s).map(|e| e.0).collect();
+            match preds.as_slice() {
+                [] => step(s, x),
+                [p] => step(s, value(*p, edges, x)),
+                _ => fold_parts(
+                    &preds
+                        .iter()
+                        .map(|&p| value(p, edges, x))
+                        .collect::<Vec<_>>(),
+                ),
+            }
+        }
+        (0..items).map(|x| value(stages - 1, edges, x)).collect()
+    }
+
+    /// One stage per vnode index in `at`.
+    fn placed(at: &[usize]) -> Mapping {
+        Mapping::from_assignment(&at.iter().map(|&v| NodeId(v)).collect::<Vec<_>>())
+    }
+
+    /// What a run of `pipeline` on `vnodes` under `mapping`, in 64-item
+    /// envelopes, showed: outputs, inline stage runs, and join inputs
+    /// that reached the shared join map.
+    struct Ran {
+        outputs: Vec<u64>,
+        inline: u64,
+        deposits: u64,
+    }
+
+    fn run_dag(pipeline: Pipeline<u64, u64>, vnodes: usize, mapping: Mapping, items: u64) -> Ran {
+        let cfg = RunConfig {
+            batch_size: 64,
+            initial_mapping: Some(mapping),
+            ..RunConfig::default()
+        };
+        let vnodes = (0..vnodes)
+            .map(|i| VNodeSpec::free(format!("v{i}")))
+            .collect();
+        let mut session = spawn(pipeline, vnodes, &Session::default(), &cfg);
+        session.push_batch(&mut (0..items)).unwrap();
+        session.close();
+        let outputs: Vec<u64> = session.by_ref().collect();
+        let inline = session.fused_hops();
+        let deposits = session.shared.deposits.load(Ordering::Relaxed);
+        let outcome = session.drain();
+        assert_eq!(outcome.report.completed, items);
+        assert!(!outcome.report.truncated);
+        Ran {
+            outputs,
+            inline,
+            deposits,
+        }
+    }
+
+    /// `0 → {1, 2} → 3 → 4`: a fan-out, a join and a tail.
+    const DIAMOND: [(usize, usize); 5] = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)];
 
     /// The model prices fusion exactly as the engine fuses: a 2-stage
     /// chain, co-located and unreplicated, with a 1 MB boundary, the
-    /// successor under each of the five declarations. The prediction
+    /// successor under each of the five declarations — the prediction
     /// carries the fused-edge discount iff the worker's [`super::FusionPlan`]
-    /// fuses the edge.
+    /// fuses the edge — and three diamonds, where the stages the model
+    /// runs inline ([`fused_stages`]) are the ones the engine does.
     #[test]
     fn model_discounts_exactly_the_edges_the_engine_fuses() {
         let declarations: [fn(StageSpec) -> StageSpec; 5] = [
@@ -615,6 +897,124 @@ mod tests {
             disagree.is_empty(),
             "the model's fused-edge discount disagrees with FusionPlan for {disagree:?} successors"
         );
+
+        // Diamonds: fully co-located, one branch on another vnode, the
+        // fan source on another vnode. The engine runs inline exactly
+        // the stages the model discounts, once per item.
+        for at in [[0, 0, 0, 0, 0], [0, 0, 1, 0, 0], [1, 0, 0, 0, 0]] {
+            let pipeline = u64_dag(5, &DIAMOND, |_, s| s);
+            let mut profile = pipeline.spec().profile();
+            profile.fuses_colocated = true;
+            let discounted = fused_stages(&profile, &placed(&at));
+            let expect = discounted.iter().filter(|&&d| d).count() as u64 * items;
+            let ran = run_dag(pipeline, 2, placed(&at), items);
+            assert_eq!(ran.outputs, reference(5, &DIAMOND, items));
+            assert_eq!(
+                ran.inline, expect,
+                "{at:?}: the model discounts {discounted:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_colocated_diamond_runs_inline_item_identical_to_spread() {
+        // On one vnode every stage downstream of the entry runs inline
+        // in the entry envelope's walk: the fan-out's copies, the join
+        // (paired in the walk, never in the shared map) and the tail.
+        let items = 600;
+        let expect = reference(5, &DIAMOND, items);
+        let co = run_dag(u64_dag(5, &DIAMOND, |_, s| s), 1, placed(&[0; 5]), items);
+        assert_eq!(co.outputs, expect);
+        assert_eq!(co.inline, 4 * items, "stages 1-4 run inline");
+        assert_eq!(co.deposits, 0, "no join input reaches the shared map");
+        // Spread over five vnodes nothing runs inline, and every join
+        // input pairs in the shared map.
+        let spread = placed(&[0, 1, 2, 3, 4]);
+        let sp = run_dag(u64_dag(5, &DIAMOND, |_, s| s), 5, spread, items);
+        assert_eq!(sp.outputs, expect);
+        assert_eq!((sp.inline, sp.deposits), (0, 2 * items));
+    }
+
+    #[test]
+    fn a_partly_colocated_diamond_pairs_every_item_exactly_once() {
+        let items = 600;
+        let expect = reference(5, &DIAMOND, items);
+        // One branch on v1: the other still runs inline in the entry's
+        // walk, but its part cannot pair there. It goes to the shared
+        // map, where the remote branch's part completes the set, and
+        // the join takes its input by envelope (the tail inline after).
+        let branch_away = placed(&[0, 0, 1, 0, 0]);
+        let ran = run_dag(u64_dag(5, &DIAMOND, |_, s| s), 2, branch_away, items);
+        assert_eq!(ran.outputs, expect);
+        assert_eq!((ran.inline, ran.deposits), (2 * items, 2 * items));
+        // The fan source on v1: each branch is an envelope's entry, both
+        // parts pair in the shared map, and only the tail runs inline.
+        let source_away = placed(&[1, 0, 0, 0, 0]);
+        let ran = run_dag(u64_dag(5, &DIAMOND, |_, s| s), 2, source_away, items);
+        assert_eq!(ran.outputs, expect);
+        assert_eq!((ran.inline, ran.deposits), (items, 2 * items));
+    }
+
+    #[test]
+    fn a_colocated_dag_with_nested_joins_runs_inline_item_identical() {
+        // 0 → {1, 2, 3}; {1, 2} → 4; {3, 4} → 5: a join feeding a join.
+        let edges = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 5), (4, 5)];
+        let items = 600;
+        let expect = reference(6, &edges, items);
+        let co = run_dag(u64_dag(6, &edges, |_, s| s), 1, placed(&[0; 6]), items);
+        assert_eq!(co.outputs, expect);
+        assert_eq!((co.inline, co.deposits), (5 * items, 0));
+        let spread = placed(&[0, 1, 0, 1, 0, 1]);
+        let sp = run_dag(u64_dag(6, &edges, |_, s| s), 2, spread, items);
+        assert_eq!(sp.outputs, expect);
+    }
+
+    #[test]
+    fn a_resilient_branch_refuses_to_run_inline() {
+        // Branch 2 keeps its per-envelope retry accounting: it takes its
+        // input by envelope, so its part and its sibling's meet in the
+        // shared map. Branch 1 and the tail still run inline.
+        let resilient = |s: usize, spec: StageSpec| {
+            if s == 2 {
+                spec.with_resilience(ResiliencePolicy::new().retries(2))
+            } else {
+                spec
+            }
+        };
+        let items = 600;
+        let ran = run_dag(u64_dag(5, &DIAMOND, resilient), 1, placed(&[0; 5]), items);
+        assert_eq!(ran.outputs, reference(5, &DIAMOND, items));
+        assert_eq!((ran.inline, ran.deposits), (2 * items, 2 * items));
+    }
+
+    #[test]
+    fn a_remap_separating_a_branch_unfuses_the_diamond_mid_stream() {
+        // The diamond starts co-located. Half-way through, a re-map
+        // moves branch 2 to v1: the epoch bump un-fuses the block and
+        // the second half pairs in the shared map. Every item comes out
+        // exactly once, in order.
+        let half = 300;
+        let cfg = RunConfig {
+            batch_size: 64,
+            initial_mapping: Some(placed(&[0; 5])),
+            ..RunConfig::default()
+        };
+        let vnodes = vec![VNodeSpec::free("v0"), VNodeSpec::free("v1")];
+        let pipeline = u64_dag(5, &DIAMOND, |_, s| s);
+        let mut session = spawn(pipeline, vnodes, &Session::default(), &cfg);
+        session.push_batch(&mut (0..half)).unwrap();
+        let mut outputs: Vec<u64> = session.by_ref().take(half as usize).collect();
+        assert_eq!(session.fused_hops(), 4 * half);
+        let split = placed(&[0, 0, 1, 0, 0]);
+        session.shared.routing.write().unwrap().install(split);
+        session.push_batch(&mut (half..2 * half)).unwrap();
+        session.close();
+        outputs.extend(session.by_ref());
+        assert_eq!(outputs, reference(5, &DIAMOND, 2 * half));
+        assert_eq!(session.fused_hops(), 4 * half + 2 * half);
+        assert_eq!(session.shared.deposits.load(Ordering::Relaxed), 2 * half);
+        let outcome = session.drain();
+        assert_eq!(outcome.report.completed, 2 * half);
     }
 
     #[test]

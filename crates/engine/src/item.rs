@@ -12,7 +12,7 @@ use crate::worker::{push_bucket, ship};
 use adapipe_core::item::{self, GaveUp, Hops, JoinSlots};
 use adapipe_core::payload::Payload;
 use adapipe_core::spec::Next;
-use adapipe_core::stage::{BoxedItem, DynStage, StageError};
+use adapipe_core::stage::{BoxedItem, DynStage, StageError, StageTypeError};
 use adapipe_gridsim::time::SimTime;
 use adapipe_runtime::routing::RoutingSnapshot;
 use adapipe_runtime::session::{RunError, RunEvent, SessionId};
@@ -105,23 +105,35 @@ pub(crate) fn fail_stage(shared: &Arc<Shared>, stage: usize, seq: u64, err: Stag
     );
 }
 
+/// A payload a fan-out could not copy: the same contract as a
+/// stage-level mismatch — the session fails typed and tears down.
+pub(crate) fn fail_mismatch(shared: &Shared, type_err: StageTypeError) {
+    let stage = type_err.stage;
+    fail_run(shared, RunError::StageTypeMismatch { stage });
+}
+
 /// Where an envelope's items go when they leave their stage: the sink
 /// batch, the onward batches per consuming stage, and the join inputs
 /// per `(block, slot)`. Join inputs wait here until [`Outbox::dispatch`], so
 /// a block's lock is taken once per envelope rather than once per item.
 pub(crate) struct Outbox {
+    /// Taken from the pool at the first exit, with room for `hint`.
     pub(crate) finished: Vec<Finished>,
+    /// How many items one bucket may expect: the size of the batch the
+    /// outputs come from.
+    hint: usize,
     onward: Vec<(usize, Vec<ItemSlot>)>,
     joining: Vec<((usize, usize), Vec<ItemSlot>)>,
     /// Fan-out scratch (`Hops::copies`), kept across the envelope.
-    copies: Vec<BoxedItem>,
+    pub(crate) copies: Vec<BoxedItem>,
 }
 
 impl Outbox {
-    /// An empty outbox collecting its sink batch in `finished`.
-    pub(crate) fn new(finished: Vec<Finished>) -> Self {
+    /// An empty outbox for the outputs of a batch of `hint` items.
+    pub(crate) fn new(hint: usize) -> Self {
         Outbox {
-            finished,
+            finished: Vec::new(),
+            hint,
             onward: Vec::new(),
             joining: Vec::new(),
             copies: Vec::new(),
@@ -156,16 +168,29 @@ impl Outbox {
             payload,
             &mut leaving,
         )
-        // Same contract as a stage-level mismatch: fail the
-        // session typed.
-        .map_err(|type_err| {
-            fail_run(
-                shared,
-                RunError::StageTypeMismatch {
-                    stage: type_err.stage,
-                },
-            )
-        })
+        .map_err(|type_err| fail_mismatch(shared, type_err))
+    }
+
+    /// Collects one pipeline output for the sink batch.
+    #[inline]
+    pub(crate) fn exit(&mut self, fin: Finished) {
+        if self.finished.capacity() == 0 {
+            self.finished = FIN_BUFS.take(self.hint);
+        }
+        self.finished.push(fin);
+    }
+
+    /// Buckets one input of `stage`, bound for its host.
+    #[inline]
+    pub(crate) fn onward(&mut self, stage: usize, slot: ItemSlot) {
+        push_bucket(&mut self.onward, stage, slot, self.hint);
+    }
+
+    /// Buckets one input of join `block`'s `slot`, bound for the shared
+    /// join map.
+    #[inline]
+    pub(crate) fn joining(&mut self, block: usize, slot: usize, part: ItemSlot) {
+        push_bucket(&mut self.joining, (block, slot), part, self.hint);
     }
 
     /// Ships what the envelope produced: the join inputs into the map
@@ -198,6 +223,8 @@ impl Outbox {
         let graph = &shared.spec.graph;
         for ((block, slot), mut inputs) in std::mem::take(&mut self.joining) {
             let (joiner, width) = (graph.merge_of(block), graph.join_width(block));
+            let deposited = inputs.len() as u64;
+            shared.deposits.fetch_add(deposited, Ordering::Relaxed);
             let mut joins = shared.joins[block].lock().expect("join lock poisoned");
             for ItemSlot { seq, born, payload } in inputs.drain(..) {
                 // Checked under the join lock: `Shared::divert_dead`
@@ -211,7 +238,8 @@ impl Outbox {
                 if let Some(parts) = set.deposit(slot, payload) {
                     joins.remove(&seq);
                     let payload = Payload::new(parts);
-                    push_bucket(&mut self.onward, joiner, ItemSlot { seq, born, payload });
+                    let slot = ItemSlot { seq, born, payload };
+                    push_bucket(&mut self.onward, joiner, slot, deposited as usize);
                 }
             }
             drop(joins);
@@ -246,7 +274,7 @@ impl Hops for Leaving<'_> {
 
     #[inline]
     fn exit(&mut self, payload: BoxedItem) {
-        self.outbox.finished.push(Finished {
+        self.outbox.exit(Finished {
             seq: self.seq,
             born: self.born,
             done: self.done,
@@ -257,13 +285,13 @@ impl Hops for Leaving<'_> {
     #[inline]
     fn stage(&mut self, stage: usize, payload: BoxedItem) {
         let slot = self.slot_of(payload);
-        push_bucket(&mut self.outbox.onward, stage, slot);
+        self.outbox.onward(stage, slot);
     }
 
     #[inline]
     fn slot(&mut self, block: usize, slot: usize, part: BoxedItem) {
         let part = self.slot_of(part);
-        push_bucket(&mut self.outbox.joining, (block, slot), part);
+        self.outbox.joining(block, slot, part);
     }
 }
 
@@ -374,7 +402,7 @@ mod tests {
             let shared = &tenant;
             let dead_seq = outcome.report.dead_letter_log[0].seq;
             let now = shared.pool.now();
-            let mut late = Outbox::new(Vec::new());
+            let mut late = Outbox::new(1);
             let into_join = Next::Join {
                 block: 0,
                 branch: 1,

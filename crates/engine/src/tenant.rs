@@ -92,7 +92,9 @@ pub(crate) struct Shared {
     /// set completes and the assembled envelope ships to the joining
     /// stage's host. Global (not per-worker), so deposited inputs
     /// survive the loss of any vnode. Locked once per envelope of
-    /// inputs (`item::Outbox::dispatch`) and once per diverted item.
+    /// inputs (`item::Outbox::dispatch`) and once per diverted item;
+    /// a join whose parts all come out of one worker's walk of the item
+    /// never reaches it.
     pub(crate) joins: Vec<Mutex<JoinMap>>,
     pub(crate) routing: RwLock<RoutingTable>,
     /// Per stage, per slot: prototype (stateless/accumulator, slot 0),
@@ -136,13 +138,16 @@ pub(crate) struct Shared {
     pub(crate) dead_count: AtomicU64,
     /// Work envelopes taken off a sibling's inbox by an idle co-host.
     pub(crate) steals: AtomicU64,
-    /// Stage-boundary hand-offs executed *fused*: the producing worker
-    /// ran the consumer stage directly in the same batch loop instead
-    /// of routing an envelope through an inbox (see `fusion::FusionPlan`).
+    /// Stage runs executed *inline*: a worker ran the stage directly in
+    /// the batch loop of an upstream stage's envelope instead of routing
+    /// an envelope through an inbox (see `fusion::FusionPlan`).
     pub(crate) fused: AtomicU64,
     /// Items that arrived under a retired routing epoch and were
     /// re-homed to their stage's current hosts.
     pub(crate) rehomed: AtomicU64,
+    /// Join inputs handed to `joins`: the parts no walk could pair
+    /// inside itself (see `fusion::Region::walk`).
+    pub(crate) deposits: AtomicU64,
     /// The in-flight credit gate (shared so fatal teardown can wake a
     /// blocked `push()`).
     pub(crate) credits: Option<Arc<Credits>>,
@@ -242,6 +247,7 @@ impl Shared {
             steals: AtomicU64::new(0),
             fused: AtomicU64::new(0),
             rehomed: AtomicU64::new(0),
+            deposits: AtomicU64::new(0),
             credits,
             share: AtomicU64::new(1.0f64.to_bits()),
             evicting: AtomicBool::new(false),

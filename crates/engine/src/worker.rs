@@ -58,7 +58,7 @@ pub(crate) struct TenantLocal {
 impl TenantLocal {
     fn new(tenant: Arc<Shared>) -> Self {
         let cache = RouteCache::new(&tenant);
-        let ns = tenant.spec.len();
+        let (ns, fusion) = (tenant.spec.len(), FusionPlan::new(&tenant.spec));
         TenantLocal {
             tenant,
             local: HashMap::new(),
@@ -66,7 +66,7 @@ impl TenantLocal {
             cache,
             busy: Duration::ZERO,
             metrics: StageMetrics::new(ns),
-            fusion: FusionPlan::new(ns),
+            fusion,
         }
     }
 
@@ -264,9 +264,10 @@ fn handle_work(me: usize, env: Envelope, tl: &mut TenantLocal) {
         return place(me, tl, &snap, stage, 0, Some(env));
     }
     let mut per_shard: Vec<(usize, Vec<ItemSlot>)> = Vec::new();
+    let cap = env.items.len().div_ceil(shards);
     for slot in env.items {
         let shard = shard_of(tl.tenant.key_hash(stage, &slot), shards);
-        push_bucket(&mut per_shard, shard, slot);
+        push_bucket(&mut per_shard, shard, slot, cap);
     }
     for (shard, items) in per_shard {
         let piece = Envelope {
@@ -444,17 +445,20 @@ pub(crate) fn try_acquire(
 
 /// Appends `slot` to the batch bucketed under `key` — the consuming
 /// stage, the shard, the join slot — creating the bucket on first use
-/// (from the buffer pool). Linear pipelines keep exactly one bucket, so
-/// this is a length-1 scan — no per-item allocation.
+/// (from the buffer pool, with room for the `cap` items the caller
+/// expects it to collect, so it does not regrow item by item). Linear
+/// pipelines keep exactly one bucket, so this is a length-1 scan — no
+/// per-item allocation.
 pub(crate) fn push_bucket<K: PartialEq>(
     buckets: &mut Vec<(K, Vec<ItemSlot>)>,
     key: K,
     slot: ItemSlot,
+    cap: usize,
 ) {
     match buckets.iter_mut().find(|(k, _)| *k == key) {
         Some((_, batch)) => batch.push(slot),
         None => {
-            let mut batch = SLOT_BUFS.take(0);
+            let mut batch = SLOT_BUFS.take(cap);
             batch.push(slot);
             buckets.push((key, batch));
         }

@@ -68,7 +68,8 @@ pub mod prelude {
     pub use crate::graph::{Next, StageGraph, StageGraphBuilder};
     pub use crate::mapping::{ContiguousMapping, Mapping, Placement};
     pub use crate::model::{
-        evaluate, Bottleneck, Candidates, Evaluator, Floor, PipelineProfile, Prediction, Score,
+        evaluate, fused_stages, Bottleneck, Candidates, Evaluator, Floor, PipelineProfile,
+        Prediction, Score,
     };
     pub use crate::replicate::improve;
     pub use crate::search::{

@@ -32,7 +32,7 @@
 //! ```
 
 use crate::enumerate::Move;
-use crate::graph::{Next, StageGraph};
+use crate::graph::StageGraph;
 use crate::mapping::Mapping;
 use adapipe_gridsim::net::Topology;
 use adapipe_gridsim::node::NodeId;
@@ -68,8 +68,8 @@ pub struct PipelineProfile {
     /// Node where outputs are delivered; `None` ignores output-edge
     /// transfer.
     pub sink: Option<NodeId>,
-    /// True when the executing backend *fuses* co-located stateless
-    /// chain edges into direct calls (the threaded engine does; the
+    /// True when the executing backend *fuses* the edges into co-located
+    /// stateless stages into direct calls (the threaded engine does; the
     /// simulator routes every boundary through its link model, self
     /// links included). Only a fusing backend may claim the fused-edge
     /// latency discount — otherwise the model would under-charge
@@ -132,31 +132,63 @@ impl PipelineProfile {
     }
 }
 
-/// True when the executing backend would *fuse* the edge `from → to`
-/// under `mapping`: the backend fuses at all (`fuses_colocated`, set by
-/// the threaded engine and nothing else), `to` is `from`'s sole linear
-/// successor, declared stateless (`is_stateless()`, the predicate the
-/// engine's `FusionPlan` applies), and both stages sit unreplicated on
-/// the same host. A fused boundary is a direct call — no envelope, no
-/// inbox hop — so the model charges it no transfer latency. (The engine
-/// additionally requires a default resilience policy on the successor,
-/// which the profile does not carry; a resilient stage that is also
-/// stateless and co-located is rare enough that the latency term's
-/// optimism there is noise — and latency only tie-breaks candidate
-/// rankings anyway.) Same-host hops never contributed to the link busy
-/// budget, so the throughput term is untouched.
-fn fused_edge(profile: &PipelineProfile, mapping: &Mapping, from: usize, to: usize) -> bool {
-    if !profile.fuses_colocated || !profile.state[to].is_stateless() {
-        return false;
+/// Where a fusing backend runs stage `s` under `mapping`: `Some(r)`
+/// when every input of `s` is produced inside the walk of stage `r` —
+/// the stage an envelope delivered the item to — so `s` runs there as a
+/// direct call, its in-edges cost no envelope and no inbox hop, and the
+/// model charges them no transfer latency. `None` when `s`'s input
+/// arrives by envelope (its walks then start at `s`). `root` holds the
+/// answer, or the stage itself, for every stage before `s` in
+/// topological order.
+///
+/// The predicate is the threaded engine's (`fusion::FusionPlan`): the
+/// backend fuses at all (`fuses_colocated`, checked by the caller), `s`
+/// is declared stateless (`is_stateless()`) and sits unreplicated on one
+/// host, and so does every predecessor — a plain or fan-out edge
+/// continues its producer's walk; a join completes inside one walk only
+/// when all its inputs come from the same one, so every predecessor must
+/// share a root. A join fed from several walks assembles in the shared
+/// join map and reaches `s` by envelope. (The engine additionally
+/// requires a default resilience policy, which the profile does not
+/// carry; a resilient stage that is also stateless and co-located is
+/// rare enough that the latency term's optimism there is noise — and
+/// latency only tie-breaks candidate rankings anyway.) Same-host hops
+/// never contributed to the link busy budget, so the throughput term is
+/// untouched.
+fn fused_root(
+    profile: &PipelineProfile,
+    mapping: &Mapping,
+    s: usize,
+    root: &[usize],
+) -> Option<usize> {
+    let host = mapping.placement(s).hosts();
+    if host.len() != 1 || !profile.state[s].is_stateless() {
+        return None;
     }
-    // `Next::Stage` structurally implies `to` has in-degree 1: fan-out
-    // and join boundaries never take this form.
-    if !matches!(profile.graph.after(from), Next::Stage(t) if t == to) {
-        return false;
+    let mut walk = None;
+    for &p in profile.graph.preds(s) {
+        if mapping.placement(p).hosts() != host || walk.is_some_and(|r| r != root[p]) {
+            return None;
+        }
+        walk = Some(root[p]);
     }
-    let fh = mapping.placement(from).hosts();
-    let th = mapping.placement(to).hosts();
-    fh.len() == 1 && th.len() == 1 && fh[0] == th[0]
+    walk
+}
+
+/// Per stage, whether a fusing backend runs it inline under `mapping`
+/// (every in-edge fused, see the model's fused-edge discount): the
+/// stages whose input hand-offs the engine counts in its fused hops.
+pub fn fused_stages(profile: &PipelineProfile, mapping: &Mapping) -> Vec<bool> {
+    let mut root: Vec<usize> = (0..profile.stages()).collect();
+    let mut fused = vec![false; profile.stages()];
+    if profile.fuses_colocated {
+        for &s in profile.graph.topo_order() {
+            if let Some(r) = fused_root(profile, mapping, s, &root) {
+                (root[s], fused[s]) = (r, true);
+            }
+        }
+    }
+    fused
 }
 
 /// Which resource limits throughput.
@@ -287,6 +319,9 @@ pub struct Evaluator<'a> {
     /// HashMap here dominated planning time on 32-node grids, and the
     /// finish times ride in the same allocation.
     scratch: Vec<f64>,
+    /// Per stage, the stage whose walk runs it (see [`fused_root`]), for
+    /// a fusing backend's discount.
+    roots: Vec<usize>,
     /// The mapping a neighbourhood pass walks from, as
     /// [`Evaluator::bounds_out`] reads it.
     incumbent: Incumbent,
@@ -344,6 +379,7 @@ impl<'a> Evaluator<'a> {
             transfer: TransferSecs::new(&profile.boundary_bytes, topology, tabulate),
             node_load: vec![0.0; rates.len()],
             scratch: vec![0.0; n * n + profile.stages()],
+            roots: vec![0; profile.stages()],
             incumbent: Incumbent {
                 load: vec![0.0; walked_nodes],
                 busiest: (0..walked_nodes).map(NodeId).collect(),
@@ -456,6 +492,7 @@ impl<'a> Evaluator<'a> {
             &self.transfer,
             link_seconds,
             done,
+            &mut self.roots,
         );
         let mut max_link: (f64, NodeId, NodeId) = (0.0, NodeId(0), NodeId(0));
         for (idx, &secs) in link_seconds.iter().enumerate() {
@@ -698,7 +735,9 @@ impl<'a> TransferSecs<'a> {
 /// cell per stage) when its *slowest* predecessor's output has arrived
 /// and its own replica-mean service is over, so parallel branches cost
 /// max, not sum, and the pipeline latency is the exit stage's finish
-/// time plus the sink hop when one is declared.
+/// time plus the sink hop when one is declared. A stage a fusing backend
+/// runs inline ([`fused_root`], one `root` cell per stage) receives its
+/// inputs free.
 fn walk(
     profile: &PipelineProfile,
     mapping: &Mapping,
@@ -706,6 +745,7 @@ fn walk(
     transfer: &TransferSecs<'_>,
     link_seconds: &mut [f64],
     done: &mut [f64],
+    root: &mut [usize],
 ) -> f64 {
     let service = |s: usize| -> f64 {
         let placement = mapping.placement(s);
@@ -719,6 +759,12 @@ fn walk(
     for &s in profile.graph.topo_order() {
         let to_hosts = mapping.placement(s).hosts();
         let preds = profile.graph.preds(s);
+        let walked_in = if profile.fuses_colocated {
+            fused_root(profile, mapping, s, root)
+        } else {
+            None
+        };
+        root[s] = walked_in.unwrap_or(s);
         let arrive = if preds.is_empty() {
             match profile.source {
                 Some(src) => edge_cost(transfer, 0, &[src], to_hosts, link_seconds),
@@ -727,7 +773,7 @@ fn walk(
         } else {
             let mut latest = 0.0f64;
             for &p in preds {
-                let hop = if fused_edge(profile, mapping, p, s) {
+                let hop = if walked_in.is_some() {
                     0.0
                 } else {
                     edge_cost(
@@ -1029,10 +1075,10 @@ mod tests {
     }
 
     #[test]
-    fn fused_discount_applies_to_graph_chain_edges_only() {
-        // pre → (a ‖ b) → merge → post, everything on one host. The
-        // merge→post edge is a plain linear edge (fusable); the fan-out
-        // and join edges are not, so they keep their self-link charges.
+    fn fused_discount_covers_a_colocated_diamond() {
+        // pre → (a ‖ b) → merge → post, everything on one host: the
+        // fan-out edges, the join edges and merge→post all run inline,
+        // so the latency is the critical path's service alone.
         let mut profile = PipelineProfile::uniform(vec![1.0; 5], 1_000_000);
         profile.fuses_colocated = true;
         profile.graph = crate::graph::StageGraph::builder()
@@ -1042,13 +1088,15 @@ mod tests {
             .build();
         profile.validate();
         let m = Mapping::from_assignment(&[n(0); 5]);
-        let rates = [1.0];
-        let pf = evaluate(&profile, &m, &rates, &fast_net(1));
+        let rates = [1.0, 1.0];
+        let pf = evaluate(&profile, &m, &rates, &fast_net(2));
+        assert!((pf.latency - 4.0).abs() < 1e-12, "latency={}", pf.latency);
+        assert_eq!(fused_stages(&profile, &m), [false, true, true, true, true]);
         let mut stateful_post = profile.clone();
         stateful_post.state[4] = StateAccess::Opaque;
-        let ps = evaluate(&stateful_post, &m, &rates, &fast_net(1));
+        let ps = evaluate(&stateful_post, &m, &rates, &fast_net(2));
         // Un-fusing merge→post adds exactly one self-link hop.
-        let self_hop = fast_net(1)
+        let self_hop = fast_net(2)
             .transfer_time(n(0), n(0), 1_000_000)
             .as_secs_f64();
         assert!(
@@ -1057,6 +1105,24 @@ mod tests {
             ps.latency - pf.latency
         );
         assert_eq!(pf.throughput.to_bits(), ps.throughput.to_bits());
+        // A branch on another host: its parts reach the join from
+        // another walk, so the merge takes its inputs by envelope; the
+        // co-located branch still runs inline in pre's walk.
+        let split = Mapping::from_assignment(&[n(0), n(0), n(1), n(0), n(0)]);
+        assert_eq!(
+            fused_stages(&profile, &split),
+            [false, true, false, false, true]
+        );
+        // The fan source elsewhere: neither branch shares its walk, and
+        // the join assembles from two.
+        let away = Mapping::from_assignment(&[n(1), n(0), n(0), n(0), n(0)]);
+        assert_eq!(
+            fused_stages(&profile, &away),
+            [false, false, false, false, true]
+        );
+        // A non-fusing backend fuses nothing.
+        profile.fuses_colocated = false;
+        assert_eq!(fused_stages(&profile, &m), [false; 5]);
     }
 
     /// A seeded instance for the bound's soundness sweep: a chain, a

@@ -238,6 +238,29 @@ fn completion_estimate_is_monotone() {
     }
 }
 
+/// The stage whose walk runs `s` on a fusing backend, by recursion: `s`
+/// itself, unless `s` is a stateless singleton whose every producer is
+/// a singleton on its host and all its producers run in one walk — then
+/// every edge into `s` is a direct call.
+fn walk_root(p: &PipelineProfile, m: &Mapping, s: usize) -> usize {
+    let preds = p.graph.preds(s);
+    let host = m.placement(s).hosts();
+    let fusable = p.fuses_colocated
+        && p.state[s].is_stateless()
+        && host.len() == 1
+        && !preds.is_empty()
+        && preds.iter().all(|&f| m.placement(f).hosts() == host);
+    if !fusable {
+        return s;
+    }
+    let roots: Vec<usize> = preds.iter().map(|&f| walk_root(p, m, f)).collect();
+    if roots.iter().all(|&r| r == roots[0]) {
+        roots[0]
+    } else {
+        s
+    }
+}
+
 /// Reference for [`evaluate`] on an arbitrary stage graph, written the
 /// slow obvious way: `(latency, busiest link's seconds per item)`.
 /// Every wire — graph edges, source → entries, exit → sink — costs its
@@ -262,14 +285,7 @@ fn reference(p: &PipelineProfile, m: &Mapping, rates: &[f64], topo: &Topology) -
         expected
     };
     let hosts = |s: usize| m.placement(s).hosts();
-    let fused = |f: usize, t: usize| {
-        p.fuses_colocated
-            && p.state[t].is_stateless()
-            && p.graph.succs(f) == [t]
-            && p.graph.preds(t) == [f]
-            && hosts(f).len() == 1
-            && hosts(f) == hosts(t)
-    };
+    let fused = |_: usize, t: usize| walk_root(p, m, t) != t;
     let mut done = vec![0.0f64; p.stages()];
     for &s in p.graph.topo_order() {
         let mut arrive = 0.0f64;
@@ -1002,14 +1018,7 @@ fn naive_prediction(
         }
         expected
     };
-    let fused = |f: usize, t: usize| {
-        p.fuses_colocated
-            && p.state[t].is_stateless()
-            && p.graph.succs(f) == [t]
-            && p.graph.preds(t) == [f]
-            && hosts(f).len() == 1
-            && hosts(f) == hosts(t)
-    };
+    let fused = |_: usize, t: usize| walk_root(p, m, t) != t;
     let mut done = vec![0.0f64; p.stages()];
     for &s in p.graph.topo_order() {
         let mut arrive = 0.0f64;
