@@ -4,18 +4,20 @@
 //! Co-located stateless stages run *inline* in the envelope's own loop
 //! ([`FusionPlan`]): the hand-off into them is a function call, not an
 //! envelope — across plain edges, fan-outs and joins alike.
-//! [`process_batch`] acquires the region of instances the envelope's
-//! stage reaches, walks each item through it (a fan-out's extra copies
-//! wait on a stack, a join's parts meet in per-walk slots) under one of
-//! two bookkeeping regimes (a fast path that reads the clock once per
-//! *stride* of items, a slow path with exact per-item accounting), and
-//! flushes the results — one sink message, one onward envelope per
-//! consuming stage, one shared-map deposit per join input the walk
-//! could not pair. The two recycled buffer shapes of that loop live
-//! here too.
+//! [`process_batch`] serves one message as one batch: the pieces
+//! placement kept (one for an unkeyed envelope, one per shard of a keyed
+//! one, parked backlog ahead of fresh items within a shard). It acquires
+//! the region of instances the stage reaches once, swapping the entry
+//! stage's shard instance between pieces, walks each item through it (a
+//! fan-out's extra copies wait on a stack, a join's parts meet in
+//! per-walk slots) under one of two bookkeeping regimes (a fast path
+//! that reads the clock once per *stride* of items, a slow path with
+//! exact per-item accounting), and flushes the results once — one sink
+//! message, one onward envelope per consuming stage, one shared-map
+//! deposit per join input the walk could not pair. The two recycled
+//! buffer shapes of that loop live here too.
 
 use crate::exec::{Finished, ItemSlot};
-use crate::inbox::Envelope;
 use crate::item::{fail_mismatch, fail_stage, process_resilient, Outbox, ResilientOut};
 use crate::tenant::Shared;
 use crate::worker::{try_acquire, TenantLocal};
@@ -27,6 +29,7 @@ use adapipe_core::stage::{BoxedItem, DynStage};
 use adapipe_gridsim::time::{SimDuration, SimTime};
 use adapipe_runtime::routing::RoutingSnapshot;
 use adapipe_state::{StateAccess, StateSnapshot};
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -413,11 +416,14 @@ impl Hops for Hop<'_> {
     }
 }
 
-/// One envelope being served: the region's instances and scratch,
+/// One message being served: the region's instances and scratch,
 /// moved out of the plan for the duration, and what the run
 /// accumulates.
 struct Batch {
     region: Region,
+    /// The shard (slot) whose instance of the entry stage the region
+    /// holds.
+    slot: usize,
     outbox: Outbox,
     /// Occupied time.
     busy: Duration,
@@ -426,13 +432,16 @@ struct Batch {
     fatal: bool,
 }
 
-/// Runs every item of one envelope through its stage — and, when the
+/// Runs every item of one message through its stage — and, when the
 /// worker's [`FusionPlan`] runs stages downstream of it inline, through
 /// every one of them the item reaches, fan-outs and joins included, in
 /// the same loop, skipping the per-boundary envelope/inbox round-trip
-/// and the shared join map entirely. Results ship onward in
-/// per-destination-stage batches (one sink message per envelope that
-/// finished items); occupied time is added to the tenant's busy
+/// and the shared join map entirely. `pieces` are what placement kept
+/// to serve, as `(slot, items)` in order — one for an unkeyed envelope,
+/// one per held shard of a keyed one — and leave emptied. They share
+/// one region and one [`Outbox`]: results ship onward in
+/// per-destination-stage batches, with one sink message per message
+/// that finished items; occupied time is added to the tenant's busy
 /// account.
 ///
 /// Two bookkeeping regimes: [`Batch::run_fast`] when the entry stage has
@@ -442,34 +451,39 @@ pub(crate) fn process_batch(
     me: usize,
     tl: &mut TenantLocal,
     snap: &RoutingSnapshot,
-    env: Envelope,
-    slot: usize,
+    stage: usize,
+    pieces: &mut Vec<(usize, Vec<ItemSlot>)>,
 ) {
-    let stage = env.stage;
     tl.fusion.refresh(me, &tl.tenant, snap);
-    let mut batch = Batch::acquire(tl, stage, slot, env.items.len());
-    let mut items = env.items;
-    let mut it = items.drain(..);
+    let len = pieces.iter().map(|(_, items)| items.len()).sum();
+    let mut batch = Batch::acquire(tl, stage, pieces[0].0, len);
     let never_throttles = tl.tenant.pool.vnodes[me].never_throttles();
-    if never_throttles && tl.tenant.spec.stages[stage].resilience.is_default() {
-        batch.run_fast(tl, &mut it);
-    } else {
-        batch.run_slow(me, tl, &mut it);
+    let fast = never_throttles && tl.tenant.spec.stages[stage].resilience.is_default();
+    for (slot, mut items) in pieces.drain(..) {
+        // A fatal failure ends the batch: later pieces do not run.
+        if !batch.fatal {
+            batch.enter(&mut tl.local, slot);
+            let mut it = items.drain(..);
+            if fast {
+                batch.run_fast(tl, &mut it);
+            } else {
+                batch.run_slow(me, tl, &mut it);
+            }
+        }
+        // Recycling clears any unprocessed remainder (abort / fatal),
+        // so the buffer goes back empty with its payloads released.
+        SLOT_BUFS.put(items);
     }
-    // Dropping the drain clears any unprocessed remainder (abort /
-    // fatal), so the buffer recycles empty with its payloads released.
-    drop(it);
-    SLOT_BUFS.put(items);
-    batch.finish(tl, snap, slot);
+    batch.finish(tl, snap);
 }
 
 impl Batch {
-    /// The region: the envelope's stage (instance already acquired by
+    /// The region: the stage's instance for `slot` (acquired by
     /// placement) plus every inline stage it reaches whose instance is
     /// acquirable right now. An instance still in migration transit
     /// stays out — its inputs travel by envelope and buffer at the
     /// receiver, exactly as unfused traffic would. The outbox sizes its
-    /// batches for the envelope's `hint` items.
+    /// batches for the message's `hint` items.
     fn acquire(tl: &mut TenantLocal, stage: usize, slot: usize, hint: usize) -> Batch {
         let shared = &tl.tenant;
         let mut region = std::mem::take(&mut tl.fusion.region);
@@ -498,6 +512,7 @@ impl Batch {
         }
         Batch {
             region,
+            slot,
             outbox: Outbox::new(hint),
             busy: Duration::ZERO,
             fused_hops: 0,
@@ -505,10 +520,23 @@ impl Batch {
         }
     }
 
-    /// Puts the instances back and ships what the envelope produced
+    /// Swaps the entry stage's instance for `slot`'s (acquired by
+    /// placement) when the next piece is another shard's.
+    fn enter(&mut self, local: &mut HashMap<(usize, usize), Box<dyn DynStage>>, slot: usize) {
+        if slot == self.slot {
+            return;
+        }
+        let stage = self.region.held[0];
+        let inst = local.remove(&(stage, slot));
+        let inst = inst.expect("placement acquired every piece's instance");
+        let out = self.region.insts[stage].replace(inst).expect("held");
+        local.insert((stage, std::mem::replace(&mut self.slot, slot)), out);
+    }
+
+    /// Puts the instances back and ships what the message produced
     /// ([`Outbox::dispatch`]).
-    fn finish(mut self, tl: &mut TenantLocal, snap: &RoutingSnapshot, slot: usize) {
-        let region = &mut self.region;
+    fn finish(mut self, tl: &mut TenantLocal, snap: &RoutingSnapshot) {
+        let (region, slot) = (&mut self.region, self.slot);
         // A walk the run's failure cut short leaves inputs and counts
         // behind.
         region.stack.clear();

@@ -12,7 +12,11 @@
 //!
 //! What a worker may do with an envelope it cannot serve at once
 //! follows the stage's declared access pattern, and is decided in one
-//! place — [`place`] — for fresh envelopes and parked backlog alike.
+//! place — [`place`] — for fresh envelopes and parked backlog alike,
+//! once per `(stage, shard)`. A keyed envelope is cut into one piece per
+//! shard for that decision only: the pieces placement keeps are served
+//! together, as one batch ([`process_batch`]) with one region, one
+//! outbox and one dispatch, however many shards the envelope spans.
 
 use crate::exec::ItemSlot;
 use crate::fusion::{process_batch, FusionPlan, SLOT_BUFS};
@@ -47,6 +51,13 @@ pub(crate) struct TenantLocal {
     /// (migration), or this vnode is down and the items await rescue.
     /// A queue is taken out whole when it is served, so none is empty.
     waiting: HashMap<(usize, usize), VecDeque<Envelope>>,
+    /// The pieces placement decided to serve for one message, as
+    /// `(slot, items)` in service order; [`serve`] hands them to one
+    /// batch. Empty between messages; kept for its capacity.
+    serving: Vec<(usize, Vec<ItemSlot>)>,
+    /// [`handle_work`]'s per-shard buckets. Empty between messages;
+    /// kept for its capacity.
+    buckets: Vec<(usize, Vec<ItemSlot>)>,
     cache: RouteCache,
     pub(crate) busy: Duration,
     pub(crate) metrics: StageMetrics,
@@ -63,6 +74,8 @@ impl TenantLocal {
             tenant,
             local: HashMap::new(),
             waiting: HashMap::new(),
+            serving: Vec::new(),
+            buckets: Vec::new(),
             cache,
             busy: Duration::ZERO,
             metrics: StageMetrics::new(ns),
@@ -253,48 +266,69 @@ pub(crate) fn may_steal(
         && snap.hosts(env.stage).len() > 1
 }
 
-/// Serves one fresh work envelope: whole for an unkeyed stage, split
-/// per shard for a keyed one — each shard is served against its own
-/// instance slot, and a shard's keys pin to its owner.
+/// Serves one fresh work envelope as one batch: whole for an unkeyed
+/// stage; for a keyed one, cut per shard so that [`place`] decides for
+/// each shard against its own instance slot (a shard's keys pin to its
+/// owner), then every piece placement keeps goes to one
+/// [`process_batch`].
 fn handle_work(me: usize, env: Envelope, tl: &mut TenantLocal) {
-    let stage = env.stage;
+    let (stage, epoch) = (env.stage, env.epoch);
     let snap = tl.cache.current(&tl.tenant).clone();
     let shards = tl.tenant.spec.stages[stage].state.shards();
     if shards == 0 {
-        return place(me, tl, &snap, stage, 0, Some(env));
+        place(me, tl, &snap, stage, 0, Some(env));
+    } else {
+        let mut buckets = std::mem::take(&mut tl.buckets);
+        let cap = env.items.len().div_ceil(shards);
+        for slot in env.items {
+            let shard = shard_of(tl.tenant.key_hash(stage, &slot), shards);
+            push_bucket(&mut buckets, shard, slot, cap);
+        }
+        for (shard, items) in buckets.drain(..) {
+            let piece = Envelope {
+                stage,
+                epoch,
+                items,
+            };
+            place(me, tl, &snap, stage, shard, Some(piece));
+        }
+        tl.buckets = buckets;
     }
-    let mut per_shard: Vec<(usize, Vec<ItemSlot>)> = Vec::new();
-    let cap = env.items.len().div_ceil(shards);
-    for slot in env.items {
-        let shard = shard_of(tl.tenant.key_hash(stage, &slot), shards);
-        push_bucket(&mut per_shard, shard, slot, cap);
-    }
-    for (shard, items) in per_shard {
-        let piece = Envelope {
-            stage,
-            epoch: env.epoch,
-            items,
-        };
-        place(me, tl, &snap, stage, shard, Some(piece));
-    }
+    serve(me, tl, &snap, stage);
 }
 
-/// Serves every waiting queue that became actionable.
+/// Serves every waiting queue that became actionable: each stage's
+/// shards placed in turn, then what they hold served as one batch.
 fn serve_waiting(me: usize, tl: &mut TenantLocal) {
     if tl.waiting.is_empty() {
         return;
     }
     let snap = tl.cache.current(&tl.tenant).clone();
-    let slots: Vec<(usize, usize)> = tl.waiting.keys().copied().collect();
-    for (stage, slot) in slots {
-        place(me, tl, &snap, stage, slot, None);
+    let mut keys: Vec<(usize, usize)> = tl.waiting.keys().copied().collect();
+    keys.sort_unstable();
+    for stage_keys in keys.chunk_by(|a, b| a.0 == b.0) {
+        let stage = stage_keys[0].0;
+        for &(_, slot) in stage_keys {
+            place(me, tl, &snap, stage, slot, None);
+        }
+        serve(me, tl, &snap, stage);
     }
+}
+
+/// Hands what [`place`] kept for `stage` to one [`process_batch`].
+fn serve(me: usize, tl: &mut TenantLocal, snap: &RoutingSnapshot, stage: usize) {
+    if tl.serving.is_empty() {
+        return;
+    }
+    let mut pieces = std::mem::take(&mut tl.serving);
+    process_batch(me, tl, snap, stage, &mut pieces);
+    tl.serving = pieces;
 }
 
 /// The one placement decision: what this worker does with the items it
 /// holds for `(stage, slot)` — the backlog parked earlier, oldest first,
-/// then the `fresh` envelope just received, if any — under `snap`, the
-/// routing state as of this message. In order:
+/// then the `fresh` envelope (or shard piece of one) just received, if
+/// any — under `snap`, the routing state as of this message. In order:
 ///
 /// * **not owned** — the stage, or this shard of it, is mapped
 ///   elsewhere: re-home the items to the current owner (counted in
@@ -307,7 +341,8 @@ fn serve_waiting(me: usize, tl: &mut TenantLocal) {
 /// * **instance in transit** — park behind whatever is parked already:
 ///   the previous host has not deposited the instance yet. The
 ///   post-message scan ([`serve_waiting`]) retries.
-/// * **otherwise** — serve ([`process_batch`]), the backlog first.
+/// * **otherwise** — queue for service, the backlog first: the caller
+///   ([`serve`]) runs every piece queued for the message in one batch.
 fn place(
     me: usize,
     tl: &mut TenantLocal,
@@ -372,7 +407,7 @@ fn place(
                 tl.waiting.entry(key).or_default().push_back(env);
             }
         } else {
-            process_batch(me, tl, snap, env, slot);
+            tl.serving.push((slot, env.items));
         }
     }
 }
@@ -569,79 +604,4 @@ fn deliver_env(
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::exec::{attach, Pool};
-    use crate::vnode::VNodeSpec;
-    use adapipe_core::payload::Payload;
-    use adapipe_core::pipeline::PipelineBuilder;
-    use adapipe_core::spec::StageSpec;
-    use adapipe_gridsim::fault::FaultPlan;
-    use adapipe_gridsim::time::SimTime;
-    use adapipe_mapper::mapping::Mapping;
-    use adapipe_mapper::share::ShareQuota;
-    use adapipe_runtime::session::{RunConfig, Session};
-
-    #[test]
-    fn a_parked_backlog_shipped_to_the_new_owner_counts_as_rehomed() {
-        // One stateful stage on v0 of a pool nobody pushes into; this
-        // test plays worker 0 with a `TenantLocal` of its own.
-        let vnodes: Vec<VNodeSpec> = (0..2).map(|i| VNodeSpec::free(format!("v{i}"))).collect();
-        let pool = Pool::launch(vnodes.clone(), FaultPlan::new(), None);
-        let pipeline = PipelineBuilder::<u64>::new()
-            .stateful_stage(StageSpec::balanced("sum", 1.0, 0).with_state(8), |x: u64| x)
-            .build();
-        let cfg = RunConfig {
-            initial_mapping: Some(Mapping::all_on(NodeId(0), 1)),
-            ..RunConfig::default()
-        };
-        let session = attach(
-            &pool,
-            pipeline,
-            &Session::default(),
-            &cfg,
-            ShareQuota::default(),
-        );
-        let shared = Arc::clone(&session.shared);
-        let mut tl = TenantLocal::new(Arc::clone(&shared));
-
-        // The instance is in transit (a migration's previous host has
-        // not deposited it yet): a fresh envelope parks.
-        let in_transit = shared.depot[0][0].lock().unwrap().take();
-        assert!(in_transit.is_some());
-        let items = (0..3)
-            .map(|seq| ItemSlot {
-                seq,
-                born: SimTime::ZERO,
-                payload: Payload::new(seq),
-            })
-            .collect();
-        let (stage, epoch) = (0, shared.snapshot().epoch());
-        handle_work(
-            0,
-            Envelope {
-                stage,
-                epoch,
-                items,
-            },
-            &mut tl,
-        );
-        assert_eq!(tl.waiting[&(0, 0)].len(), 1);
-        assert_eq!(shared.rehomed.load(Ordering::Relaxed), 0);
-
-        // The migration stalls and the controller moves the stage on:
-        // the next scan ships the backlog to v1 — a re-homing like any
-        // other, and counted as one.
-        shared
-            .routing
-            .write()
-            .unwrap()
-            .install(Mapping::all_on(NodeId(1), 1));
-        serve_waiting(0, &mut tl);
-        assert!(tl.waiting.is_empty());
-        assert_eq!(shared.rehomed.load(Ordering::Relaxed), 3);
-
-        drop(session);
-        pool.shutdown();
-    }
-}
+mod tests;

@@ -1017,13 +1017,22 @@ type Tagged = (u64, u64);
 
 /// One generated case: a DAG over stages `0..n` entered at stage 0 and
 /// left at stage `n - 1`, a resilience policy per single-input stage,
-/// and per item at most one stage failing it — a bounded number of
-/// times, or always.
+/// per item at most one stage failing it — a bounded number of times,
+/// or always — a declared state per stage, and where each stage starts.
 struct SweepCase {
     preds: Vec<Vec<usize>>,
     policies: Vec<ResiliencePolicy>,
     /// Per item: `(stage, failures)`, `u32::MAX` meaning every attempt.
     plan: Vec<Option<(usize, u32)>>,
+    /// Per stage: its shard count if keyed, `0` if stateless.
+    shards: Vec<usize>,
+    /// The initial mapping: each keyed stage replicated over two of the
+    /// three vnodes, so its envelopes split between two shard owners;
+    /// every other stage on one.
+    mapping: Mapping,
+    /// Items per envelope on the threaded backend: past one, a keyed
+    /// stage's envelopes span several shards and both owners.
+    batch_size: usize,
 }
 
 fn sweep_case(seed: u64) -> SweepCase {
@@ -1087,10 +1096,37 @@ fn sweep_case(seed: u64) -> SweepCase {
             Some((stage, failures))
         })
         .collect();
+    // Drawn after the shape, policies and failures, which so do not
+    // depend on these draws.
+    let shards: Vec<usize> = (0..n)
+        .map(|i| {
+            let plain = preds[i].len() <= 1 && policies[i].is_default();
+            if plain && rng.next_range(2) == 0 {
+                2 + rng.next_range(7)
+            } else {
+                0
+            }
+        })
+        .collect();
+    let placements = shards
+        .iter()
+        .map(|&shards| {
+            let host = rng.next_range(3);
+            if shards == 0 {
+                Placement::single(NodeId(host))
+            } else {
+                let other = (host + 1 + rng.next_range(2)) % 3;
+                Placement::replicated(vec![NodeId(host), NodeId(other)])
+            }
+        })
+        .collect();
     SweepCase {
         preds,
         policies,
         plan,
+        shards,
+        mapping: Mapping::new(placements),
+        batch_size: [1, 4, 16][rng.next_range(3)],
     }
 }
 
@@ -1119,7 +1155,13 @@ fn sweep_pipeline(case: &SweepCase) -> Pipeline<Tagged, Tagged> {
             let from = inputs
                 .first()
                 .map_or_else(|| dag.input(), |&p| nodes[p].clone());
-            if case.policies[i].is_default() {
+            if case.shards[i] > 0 {
+                // A plain closure under a keyed declaration: items route
+                // to shards by sequence number, so outputs do not depend
+                // on which owner serves them, or when.
+                let spec = StageSpec::balanced(name(i), 1.0, 0).with_keyed_state(case.shards[i], 0);
+                dag.node_with(spec, from, move |(seq, v): Tagged| (seq, fold(v, stage)))
+            } else if case.policies[i].is_default() {
                 dag.node(name(i), from, move |(seq, v): Tagged| (seq, fold(v, stage)))
             } else {
                 let (plan, presented) = (Arc::clone(&plan), Arc::clone(&presented));
@@ -1151,27 +1193,41 @@ fn sweep_pipeline(case: &SweepCase) -> Pipeline<Tagged, Tagged> {
 
 #[test]
 fn seeded_sweep_of_shapes_and_policies_keeps_both_ledgers_equal() {
-    let grid = scenario_grid();
-    // (cases with a join, retries, dead letters) over the whole sweep.
-    let mut exercised = (0u64, 0u64, 0u64);
+    // (cases with a join, retries, dead letters, a replicated keyed
+    // stage) over the whole sweep.
+    let mut exercised = (0u64, 0u64, 0u64, 0u64);
     for seed in 0..40u64 {
         let case = sweep_case(seed);
-        let run = |backend: Backend<'_>| {
-            let cfg = RunConfig {
-                items: SWEEP_ITEMS,
-                ..RunConfig::default()
-            };
-            let mut session = sweep_pipeline(&case).spawn(backend, cfg).expect("spawn");
-            for seq in 0..SWEEP_ITEMS {
-                session.push((seq, seq)).unwrap();
-            }
-            let mut handle = session.drain();
-            handle.outputs.sort_unstable();
-            handle.report.dead_letter_log.sort_by_key(|d| d.seq);
-            handle
+        // Each run under the watchdog: a generated case whose items
+        // park for good fails naming its seed instead of hanging.
+        let run = |backend: &'static str| {
+            let (pipeline, mapping) = (sweep_pipeline(&case), case.mapping.clone());
+            let batch_size = case.batch_size;
+            let run = watchdog(move || {
+                let grid = scenario_grid();
+                let backend = match backend {
+                    "sim" => Backend::Sim(&grid),
+                    _ => Backend::Threads(scenario_vnodes()),
+                };
+                let cfg = RunConfig {
+                    items: SWEEP_ITEMS,
+                    batch_size,
+                    initial_mapping: Some(mapping),
+                    ..RunConfig::default()
+                };
+                let mut session = pipeline.spawn(backend, cfg).expect("spawn");
+                for seq in 0..SWEEP_ITEMS {
+                    session.push((seq, seq)).unwrap();
+                }
+                let mut handle = session.drain();
+                handle.outputs.sort_unstable();
+                handle.report.dead_letter_log.sort_by_key(|d| d.seq);
+                handle
+            });
+            run.unwrap_or_else(|why| panic!("seed {seed} on {backend}: {why}"))
         };
-        let sim = run(Backend::Sim(&grid));
-        let threaded = run(Backend::Threads(scenario_vnodes()));
+        let sim = run("sim");
+        let threaded = run("threads");
 
         // What the plan says must happen, whoever executes it.
         let mut retries = 0u64;
@@ -1186,7 +1242,10 @@ fn seeded_sweep_of_shapes_and_policies_keeps_both_ledgers_equal() {
                 None => {}
             }
         }
-        let shape = format!("seed {seed}, preds {:?}", case.preds);
+        let shape = format!(
+            "seed {seed}, preds {:?}, shards {:?}, mapping {}, batch {}",
+            case.preds, case.shards, case.mapping, case.batch_size
+        );
         for (tag, handle) in [("sim", &sim), ("threads", &threaded)] {
             let report = &handle.report;
             assert!(handle.error.is_none(), "{shape}/{tag}: {:?}", handle.error);
@@ -1216,11 +1275,13 @@ fn seeded_sweep_of_shapes_and_policies_keeps_both_ledgers_equal() {
         exercised.0 += u64::from(case.preds.iter().any(|inputs| inputs.len() > 1));
         exercised.1 += retries;
         exercised.2 += dead.len() as u64;
+        exercised.3 += u64::from(case.shards.iter().any(|&shards| shards > 0));
     }
-    let (joins, retries, dead) = exercised;
+    let (joins, retries, dead, keyed) = exercised;
     assert!(
-        joins >= 10 && retries >= 100 && dead >= 20,
-        "the generator went soft: {joins} joined shapes, {retries} retries, {dead} dead letters"
+        joins >= 10 && retries >= 100 && dead >= 20 && keyed >= 10,
+        "the generator went soft: {joins} joined shapes, {retries} retries, \
+         {dead} dead letters, {keyed} with a replicated keyed stage"
     );
 }
 
