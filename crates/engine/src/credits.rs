@@ -1,16 +1,29 @@
 //! The end-to-end in-flight credit gate behind `queue_capacity`.
 //!
-//! The acquire/release methods are `#[inline]`: every item crosses them,
-//! and their callers (the session's push, the collector) live in `exec`.
+//! A session's pusher banks credits rather than taking one per item
+//! (`EngineSession::held`): a trip to the gate takes up to a window's
+//! worth with [`Credits::try_acquire_n`], and only a pusher that finds
+//! the gate empty blocks, in [`Credits::acquire_n`], for a whole window
+//! (Clark's rule against silly windows, RFC 813). The waiter's need is
+//! recorded on the gate, so a release wakes it only once that many
+//! slots are free, not once per finished envelope. Banked credits count
+//! as in flight; the session returns what is left when it closes.
+//!
+//! The acquire/release methods are `#[inline]`: every envelope crosses
+//! them, and their callers (the session's push, the collector) live in
+//! `exec`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// End-to-end in-flight credit gate: `push()` acquires one slot per
-/// item, the collector releases it at the sink. See the module docs for
-/// why the bound is end-to-end rather than per-channel blocking sends.
+/// End-to-end in-flight credit gate: a push spends one slot per item,
+/// the collector releases it at the sink. See the `exec` module docs
+/// for why the bound is end-to-end rather than per-channel blocking
+/// sends.
 pub(crate) struct Credits {
+    /// Slots in all: `queue_capacity × (stages + 1)`.
+    capacity: u64,
     gate: Mutex<Gate>,
     freed: Condvar,
     /// Raised at fatal teardown: nothing will ever release a slot
@@ -21,11 +34,14 @@ pub(crate) struct Credits {
 
 struct Gate {
     available: u64,
-    /// Pushers inside `freed.wait` right now. A release notifies only
-    /// when there is one: on a futex condvar `notify_*` is a system
-    /// call whether or not anyone listens, and the collector releases
-    /// once per finished envelope.
-    waiters: u32,
+    /// The smallest need of the pushers asleep on `freed`, `u64::MAX`
+    /// when none is. A release notifies only once it covers that need:
+    /// on a futex condvar `notify_*` is a system call whether or not
+    /// anyone listens, the collector releases once per finished
+    /// envelope, and a waiter woken short of its need only sleeps
+    /// again. Reset at each notify; every waiter that goes back to
+    /// sleep records its need again.
+    wanted: u64,
 }
 
 impl Gate {
@@ -40,41 +56,46 @@ impl Credits {
     pub(crate) fn new(capacity: u64) -> Self {
         assert!(capacity > 0, "credit capacity must be positive");
         Credits {
+            capacity,
             gate: Mutex::new(Gate {
                 available: capacity,
-                waiters: 0,
+                wanted: u64::MAX,
             }),
             freed: Condvar::new(),
             broken: AtomicBool::new(false),
         }
     }
 
-    /// Blocks until a slot frees; returns the blocked wall time, or
-    /// `None` if a slot was immediately available (or the gate broke).
+    /// Slots in all, free or not.
+    pub(crate) fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    /// Takes `n` slots, blocking until that many are free at once;
+    /// returns the blocked wall time, or `None` if they were free
+    /// immediately (or the gate broke). A broken gate grants all `n`,
+    /// as [`Credits::try_acquire_n`] does.
     #[inline]
-    pub(crate) fn acquire(&self) -> Option<Duration> {
+    pub(crate) fn acquire_n(&self, n: u64) -> Option<Duration> {
         let mut gate = self.gate.lock().expect("credit lock poisoned");
-        if gate.available > 0 || self.broken.load(Ordering::SeqCst) {
-            gate.take(1);
+        if gate.available >= n || self.broken.load(Ordering::SeqCst) {
+            gate.take(n);
             return None;
         }
         let t0 = Instant::now();
-        gate.waiters += 1;
-        while gate.available == 0 && !self.broken.load(Ordering::SeqCst) {
+        while gate.available < n && !self.broken.load(Ordering::SeqCst) {
+            gate.wanted = gate.wanted.min(n);
             gate = self.freed.wait(gate).expect("credit lock poisoned");
         }
-        gate.waiters -= 1;
-        gate.take(1);
+        gate.take(n);
         Some(t0.elapsed())
     }
 
     /// Non-blocking acquire of up to `n` slots under one lock; returns
     /// how many were taken — never more than were available, except
-    /// that a broken gate grants all `n` (same contract as
-    /// [`Credits::acquire`], which also proceeds when broken). Zero
-    /// tells the session it can no longer keep buffering input and
-    /// must flush before blocking; slots taken and then not spent go
-    /// back through [`Credits::release_n`].
+    /// that a broken gate grants all `n`. Zero sends the pusher to
+    /// [`Credits::acquire_n`]; slots taken and then not spent go back
+    /// through [`Credits::release_n`].
     #[inline]
     pub(crate) fn try_acquire_n(&self, n: u64) -> u64 {
         let mut gate = self.gate.lock().expect("credit lock poisoned");
@@ -91,14 +112,11 @@ impl Credits {
     pub(crate) fn release_n(&self, n: u64) {
         let mut gate = self.gate.lock().expect("credit lock poisoned");
         gate.available += n;
-        // A waiter registers under this lock before it waits, so a
-        // zero here means nobody can be asleep on `freed`.
-        if gate.waiters == 0 {
-            return;
-        }
-        if n == 1 {
-            self.freed.notify_one();
-        } else {
+        // A waiter records its need under this lock before it waits,
+        // so nobody asleep on `freed` can get through yet unless this
+        // covers the smallest need.
+        if gate.available >= gate.wanted {
+            gate.wanted = u64::MAX;
             self.freed.notify_all();
         }
     }
@@ -126,18 +144,19 @@ mod tests {
     const NOT_YET: Duration = Duration::from_millis(50);
     const SURELY: Duration = Duration::from_secs(10);
 
-    /// Spawns `n` threads blocking in `acquire`; each reports on `rx`
-    /// when it gets through.
+    /// Spawns `n` threads blocking in `acquire_n(need)`; each reports
+    /// on `rx` when it gets through.
     fn waiters(
         credits: &Arc<Credits>,
         n: usize,
+        need: u64,
     ) -> (Vec<std::thread::JoinHandle<()>>, Receiver<()>) {
         let (tx, rx) = channel();
         let handles = (0..n)
             .map(|_| {
                 let (credits, tx) = (Arc::clone(credits), tx.clone());
                 std::thread::spawn(move || {
-                    credits.acquire();
+                    credits.acquire_n(need);
                     tx.send(()).expect("test thread outlives its waiters");
                 })
             })
@@ -149,10 +168,10 @@ mod tests {
     fn every_release_and_a_broken_gate_wake_exactly_who_they_should() {
         let credits = Arc::new(Credits::new(2));
         assert_eq!(credits.try_acquire_n(1), 1);
-        assert!(credits.acquire().is_none(), "a free slot never blocks");
+        assert!(credits.acquire_n(1).is_none(), "a free slot never blocks");
         assert_eq!(credits.try_acquire_n(1), 0, "both slots are taken");
 
-        let (handles, through) = waiters(&credits, 3);
+        let (handles, through) = waiters(&credits, 3, 1);
         assert!(
             through.recv_timeout(NOT_YET).is_err(),
             "nothing was released"
@@ -179,7 +198,7 @@ mod tests {
 
         // Zero slots again; breaking the gate frees everyone, for good.
         assert_eq!(credits.try_acquire_n(1), 0);
-        let (handles, through) = waiters(&credits, 2);
+        let (handles, through) = waiters(&credits, 2, 1);
         assert!(through.recv_timeout(NOT_YET).is_err());
         credits.break_gate();
         for _ in 0..2 {
@@ -195,7 +214,47 @@ mod tests {
             1,
             "a broken gate admits everything"
         );
-        assert!(credits.acquire().is_none());
+        assert!(credits.acquire_n(1).is_none());
+    }
+
+    /// A pusher blocked for a window's worth sleeps through releases
+    /// that leave it short (it is not even woken: `wanted` holds its
+    /// need), gets through once that many are free at once, and takes
+    /// exactly its need; a broken gate frees it whatever is left.
+    #[test]
+    fn an_acquire_n_waiter_wakes_only_once_its_whole_need_is_free() {
+        let credits = Arc::new(Credits::new(8));
+        assert_eq!(credits.try_acquire_n(8), 8);
+        let (handles, through) = waiters(&credits, 1, 5);
+        for _ in 0..4 {
+            credits.release_n(1);
+            assert!(
+                through.recv_timeout(NOT_YET).is_err(),
+                "woke with {} of 5 free",
+                credits.available()
+            );
+        }
+        credits.release_n(1);
+        through
+            .recv_timeout(SURELY)
+            .expect("five free slots wake a waiter that needs five");
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(credits.available(), 0, "it took its whole need");
+
+        // Short of its need again; only a broken gate lets it through.
+        credits.release_n(3);
+        let (handles, through) = waiters(&credits, 1, 4);
+        assert!(through.recv_timeout(NOT_YET).is_err(), "3 of 4 free");
+        credits.break_gate();
+        through
+            .recv_timeout(SURELY)
+            .expect("a broken gate parks nobody");
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(credits.available(), 0);
     }
 
     #[test]

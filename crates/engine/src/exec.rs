@@ -56,8 +56,31 @@
 //! pipeline deadlock. A worker therefore never blocks; only the source
 //! does, which is exactly where backpressure belongs, and every
 //! inter-stage queue's occupancy is still bounded by the same total.
-//! [`LiveSession::push_batch`] takes its credits an envelope's worth
-//! per trip to the gate and hands back any it did not spend.
+//!
+//! The session *banks* credits: a trip to the gate takes up to a
+//! window's worth — a stamp stride for [`LiveSession::push`], the rest
+//! of the envelope being filled (as far as the iterator's hint) for
+//! [`LiveSession::push_batch`] — and the pushes spend them one per item.
+//! Banked credits count as in flight, so the bound above still covers
+//! everything, and `close` returns what is left. A push that finds the
+//! gate empty blocks until a window's worth is free at once, at most
+//! half the budget (Clark's remedy for silly windows, RFC 813), instead
+//! of waking for every credit a completion returns. A part-filled
+//! envelope keeps filling through that wait; it is flushed first only
+//! when its own items' credits are needed for the wait to end
+//! (`pending + need > capacity`), so every wait stays live.
+//!
+//! Born stamps are paid per window too. [`LiveSession::push`] reads the
+//! pool clock once per *stamp window* and stamps every push in the
+//! window with that reading. The window holds the session's stride of
+//! pushes, which adapts by the fast path's own rule (1–64 items, kept
+//! in the hundreds-of-microseconds band), and closes early at every
+//! output poll (`try_next`, `next`, `drain`, `close`) and every blocking
+//! credit wait; a window slower than a millisecond restarts the stride
+//! at 1, because a slow push window means the caller paused. So a born
+//! stamp is at most one window early — the bound sink stamps already
+//! have — and a paced stream is stamped exactly. `push_batch` stamps
+//! its whole call with one reading.
 //!
 //! Workers block on their inbox (`recv`) and are woken by messages
 //! only — work envelopes, depot hand-over notifications, and an
@@ -109,7 +132,7 @@
 //! sink.
 
 use crate::credits::Credits;
-use crate::fusion::{FIN_BUFS, SLOT_BUFS};
+use crate::fusion::{next_stride, FIN_BUFS, SLOT_BUFS, STRIDE_SHRINK_ABOVE};
 use crate::inbox::Ctrl;
 use crate::item::Outbox;
 pub use crate::pool::Pool;
@@ -157,6 +180,69 @@ pub(crate) struct Finished {
     pub(crate) born: SimTime,
     pub(crate) done: SimTime,
     pub(crate) payload: BoxedItem,
+}
+
+/// One clock reading shared by a run of per-item pushes: the born
+/// stamp of every push in the window. [`EngineSession::push`] reads the
+/// pool clock only to open a window; the window holds `stride` pushes
+/// and closes early at any output poll and at any blocking credit wait,
+/// so a stamp is at most one window early. The stride adapts by the
+/// fast path's own rule ([`next_stride`]) from each window's time — the
+/// pushes in it and whatever the caller did up to the push that opens
+/// the next — except that a window slower than [`STRIDE_SHRINK_ABOVE`]
+/// restarts it at 1: a slow push window means the caller paused, and
+/// the stamps after a pause must be exact again at once.
+struct StampWindow {
+    /// The window's clock reading.
+    born: SimTime,
+    stride: u32,
+    /// Pushes stamped in the window so far.
+    taken: u32,
+    /// Pushes the window still admits; zero when spent or closed.
+    left: u32,
+}
+
+impl StampWindow {
+    fn new() -> Self {
+        StampWindow {
+            born: SimTime::ZERO,
+            stride: 1,
+            taken: 0,
+            left: 0,
+        }
+    }
+
+    /// The next push's born stamp; reads `clock` only to open a window.
+    #[inline]
+    fn stamp(&mut self, clock: impl FnOnce() -> SimTime) -> SimTime {
+        if self.left == 0 {
+            self.open(clock());
+        }
+        self.left -= 1;
+        self.taken += 1;
+        self.born
+    }
+
+    /// Adapts the stride from the window that `now` ends, if one ran,
+    /// and opens the next at `now`.
+    fn open(&mut self, now: SimTime) {
+        if self.taken > 0 {
+            let w = Duration::from_nanos(now.saturating_since(self.born).as_nanos());
+            self.stride = if w > STRIDE_SHRINK_ABOVE {
+                1
+            } else {
+                next_stride(self.stride, self.taken as usize, w)
+            };
+        }
+        self.born = now;
+        self.taken = 0;
+        self.left = self.stride;
+    }
+
+    /// Ends the window early: the next push reads the clock.
+    fn close(&mut self) {
+        self.left = 0;
+    }
 }
 
 /// Feeds a batch of source items into the pipeline entry: one envelope
@@ -217,6 +303,11 @@ pub struct EngineSession<I, O> {
     /// each already holding a credit).
     pending: Vec<ItemSlot>,
     batch_size: usize,
+    /// Born stamps of per-item pushes (see [`StampWindow`]).
+    stamp: StampWindow,
+    /// Credits taken from the gate and not yet spent (bounded sessions
+    /// only). They count as in flight; `close` returns what is left.
+    held: u64,
     /// Finished items received from the collector but not yet delivered
     /// to the caller (tail of the last output batch).
     inbuf: VecDeque<Finished>,
@@ -246,19 +337,40 @@ where
         Ok(())
     }
 
-    /// The gate is empty. The buffered items hold credits that only
-    /// completions can return — flush them into the pipeline, then
-    /// block for one credit.
-    fn wait_for_credit(&mut self) {
-        self.flush_pending();
-        let credits = self.credits.as_ref().expect("only a bounded session waits");
-        if let Some(waited) = credits.acquire() {
-            self.events.emit(RunEvent::BackpressureStall {
-                session: SessionId(self.shared.id),
-                seq: self.pushed,
-                waited: SimDuration::from_duration(waited),
-            });
+    /// Spends one credit on the next item (bounded sessions only). An
+    /// empty bank takes up to `want` — the push's window, asked for only
+    /// then — from the gate in one trip. A gate found empty is Clark's
+    /// silly-window case: the pusher blocks until a window's worth is
+    /// free at once, `need = min(want, max(1, capacity / 2))`, rather
+    /// than waking for every credit that comes back. Buffered items hold
+    /// credits only completions can return, so they are flushed first
+    /// exactly when the wait could not end otherwise (`pending + need >
+    /// capacity`); a part-filled envelope keeps filling through every
+    /// other wait.
+    #[inline]
+    fn take_credit(&mut self, want: impl FnOnce(&Self) -> usize) {
+        if self.held == 0 {
+            let Some(credits) = &self.credits else { return };
+            let want = want(self);
+            self.held = credits.try_acquire_n(want as u64);
+            if self.held == 0 {
+                let credits = Arc::clone(credits);
+                let need = (want as u64).min((credits.capacity() / 2).max(1));
+                if self.pending.len() as u64 + need > credits.capacity() {
+                    self.flush_pending();
+                }
+                if let Some(waited) = credits.acquire_n(need) {
+                    self.stamp.close();
+                    self.events.emit(RunEvent::BackpressureStall {
+                        session: SessionId(self.shared.id),
+                        seq: self.pushed,
+                        waited: SimDuration::from_duration(waited),
+                    });
+                }
+                self.held = need;
+            }
         }
+        self.held -= 1;
     }
 
     /// Buffers one admitted item, its credit already taken, under the
@@ -360,6 +472,7 @@ where
     /// deadlock.
     fn poll(&mut self, wait: bool) -> TryNext<O> {
         self.flush_pending();
+        self.stamp.close();
         loop {
             if self.preserve_order {
                 if let Some(o) = self.pop_ordered() {
@@ -482,73 +595,71 @@ where
     O: Send + 'static,
 {
     /// The item joins the pending envelope and ships when `batch_size`
-    /// items have accumulated (or on `close`/output interaction/credit
-    /// pressure). Blocks while the bounded in-flight budget is
-    /// exhausted (emitting [`RunEvent::BackpressureStall`]); buffered
-    /// input is flushed *before* blocking so the items holding credits
-    /// can complete. A refused item is dropped.
+    /// items have accumulated (or on `close`, output interaction, or a
+    /// credit wait that could not end without it).
+    ///
+    /// **Born stamp:** the pool clock is read once per stamp window,
+    /// and every push in the window is born at that reading. A window holds up to the session's adaptive stride of
+    /// pushes and closes early at any output poll (`try_next`, `next`,
+    /// `drain`, `close`) and at any blocking credit wait, so a stamp is
+    /// at most one window early — under a few hundred microseconds in a
+    /// steady stream, the bound sink stamps already have — and pushes
+    /// spaced more than a millisecond apart are stamped exactly.
+    ///
+    /// **Credits:** a bounded session banks them. A trip to the gate
+    /// takes up to a stride's worth; while the gate is empty the push
+    /// blocks for a window's worth at once (emitting
+    /// [`RunEvent::BackpressureStall`]). A refused item is dropped.
     fn push(&mut self, item: I) -> Result<u64, RunError> {
-        let born = self.shared.pool.now();
+        let shared = &self.shared;
+        let born = self.stamp.stamp(|| shared.pool.now());
         self.admit()?;
-        if self
-            .credits
-            .as_ref()
-            .is_some_and(|credits| credits.try_acquire_n(1) == 0)
-        {
-            self.wait_for_credit();
-        }
+        self.take_credit(|s| s.stamp.stride as usize);
         Ok(self.enqueue(item, born))
     }
 
     /// Feeds the batched envelope path, flushing any remainder at the
     /// end of the call (so the batch is fully in flight when this
-    /// returns). Blocks like `push` under a bounded in-flight budget,
-    /// but takes its credits an envelope's worth at a time: one trip to
-    /// the gate per envelope, not per item. One clock read stamps the
-    /// whole batch (every item of a batch arrives at the call instant —
-    /// the same arrival semantics the all-at-once batch feed declares).
+    /// returns). One clock read stamps the whole batch (every item of a
+    /// batch arrives at the call instant — the same arrival semantics
+    /// the all-at-once batch feed declares). Under a bounded in-flight
+    /// budget it banks credits like `push`, a trip to the gate taking
+    /// the rest of the envelope being filled as far as the iterator's
+    /// hint, and blocks the same way: for the rest of the envelope (at
+    /// most half the budget) at once, flushing the part-filled envelope
+    /// first only when the wait could not end without it. Credits taken
+    /// and not spent — an error part-way, an iterator shorter than its
+    /// hint — stay banked for the next push.
     fn push_batch(&mut self, items: &mut dyn Iterator<Item = I>) -> Result<u64, RunError> {
         let born = self.shared.pool.now();
-        let credits = self.credits.clone();
         let mut n = 0;
-        // Credits taken and not yet spent. Topped up only at zero, so
-        // the blocking wait never sits on credits of its own.
-        let mut held = 0;
         let mut outcome = Ok(());
         while let Some(item) = items.next() {
             if let Err(e) = self.admit() {
                 outcome = Err(e);
                 break;
             }
-            if let Some(credits) = &credits {
-                if held == 0 {
-                    // For this item and the ones the caller says will
-                    // follow, as far as the envelope being filled.
-                    let room = self.batch_size - self.pending.len();
-                    let want = room.min(items.size_hint().0.saturating_add(1));
-                    held = credits.try_acquire_n(want as u64);
-                    if held == 0 {
-                        self.wait_for_credit();
-                        held = 1;
-                    }
-                }
-                held -= 1;
-            }
+            self.take_credit(|s| {
+                let room = s.batch_size - s.pending.len();
+                room.min(items.size_hint().0.saturating_add(1))
+            });
             self.enqueue(item, born);
             n += 1;
-        }
-        if let Some(credits) = credits.filter(|_| held > 0) {
-            // An error part-way, or an iterator shorter than its hint.
-            credits.release_n(held);
         }
         self.flush_pending();
         outcome.map(|()| n)
     }
 
-    /// Flushes buffered input first.
+    /// Flushes buffered input, closes the stamp window and returns the
+    /// banked credits.
     fn close(&mut self) {
         if !self.closed {
             self.flush_pending();
+            self.stamp.close();
+            if let Some(credits) = self.credits.as_ref().filter(|_| self.held > 0) {
+                credits.release_n(self.held);
+                self.held = 0;
+            }
             self.closed = true;
             let _ = self.shared.sink.send(SinkMsg::Closed {
                 expected: self.pushed,
@@ -776,6 +887,8 @@ where
         cache,
         pending: Vec::with_capacity(batch_size),
         batch_size,
+        stamp: StampWindow::new(),
+        held: 0,
         inbuf: VecDeque::new(),
         pushed: 0,
         closed: false,
@@ -962,4 +1075,4 @@ where
 
 mod reorder;
 #[cfg(test)]
-mod tests;
+pub(crate) mod tests;

@@ -10,7 +10,7 @@ use adapipe_mapper::mapping::Mapping;
 use adapipe_mapper::share::ShareQuota;
 use adapipe_runtime::policy::Policy;
 
-fn n(i: usize) -> NodeId {
+pub(crate) fn n(i: usize) -> NodeId {
     NodeId(i)
 }
 
@@ -25,13 +25,13 @@ fn per_item_records_stay_within_a_cache_line_and_a_word() {
 }
 
 /// Re-planning every `ms` milliseconds, the stream present at `t = 0`.
-fn every(ms: u64) -> Session {
+pub(crate) fn every(ms: u64) -> Session {
     let interval = SimDuration::from_millis(ms);
     Session::new(Policy::Periodic { interval }, ArrivalProcess::AllAtOnce).expect("valid")
 }
 
 /// The default run config launched on `mapping`.
-fn mapped(mapping: Mapping) -> RunConfig {
+pub(crate) fn mapped(mapping: Mapping) -> RunConfig {
     RunConfig {
         initial_mapping: Some(mapping),
         ..RunConfig::default()
@@ -40,7 +40,7 @@ fn mapped(mapping: Mapping) -> RunConfig {
 
 /// [`spawn`] as the default session: a static mapping, the stream
 /// present at `t = 0`.
-fn spawn_static<I: Send + 'static, O: Send + 'static>(
+pub(crate) fn spawn_static<I: Send + 'static, O: Send + 'static>(
     pipeline: Pipeline<I, O>,
     vnodes: Vec<VNodeSpec>,
     cfg: &RunConfig,
@@ -59,7 +59,10 @@ fn execute_static<I: Send + 'static, O: Send + 'static>(
 }
 
 /// A stage spinning for `ms` milliseconds per item.
-fn spin_stage(name: &str, ms: u64) -> (StageSpec, impl FnMut(u64) -> u64 + Send + Clone) {
+pub(crate) fn spin_stage(
+    name: &str,
+    ms: u64,
+) -> (StageSpec, impl FnMut(u64) -> u64 + Send + Clone) {
     (
         StageSpec::balanced(name, ms as f64 / 1000.0, 8),
         move |x: u64| {
@@ -69,13 +72,13 @@ fn spin_stage(name: &str, ms: u64) -> (StageSpec, impl FnMut(u64) -> u64 + Send 
     )
 }
 
-fn free_nodes(k: usize) -> Vec<VNodeSpec> {
+pub(crate) fn free_nodes(k: usize) -> Vec<VNodeSpec> {
     (0..k).map(|i| VNodeSpec::free(format!("v{i}"))).collect()
 }
 
 /// Wall-clock speedup assertions need real hardware parallelism; on
 /// an undersized host only correctness is asserted.
-fn multicore(k: usize) -> bool {
+pub(crate) fn multicore(k: usize) -> bool {
     std::thread::available_parallelism()
         .map(|p| p.get() >= k)
         .unwrap_or(false)
@@ -627,213 +630,6 @@ fn idle_replica_steals_from_a_loaded_sibling() {
 }
 
 #[test]
-fn fused_colocated_chain_is_item_identical_to_spread() {
-    use adapipe_runtime::session::ResiliencePolicy;
-    // Three cheap stateless stages. Coalesced on one vnode the
-    // fusion plan collapses both boundaries into direct calls
-    // (counted per hop); spread over three vnodes nothing may
-    // fuse. Outputs must be bit-identical either way.
-    let build = || {
-        PipelineBuilder::<u64>::new()
-            .stage(StageSpec::balanced("a", 0.001, 8), |x: u64| x + 1)
-            .stage(StageSpec::balanced("b", 0.001, 8), |x: u64| x * 3)
-            .stage(StageSpec::balanced("c", 0.001, 8), |x: u64| x - 2)
-            .build()
-    };
-    let expect: Vec<u64> = (0..500u64).map(|x| (x + 1) * 3 - 2).collect();
-
-    let co_cfg = mapped(Mapping::all_on(n(0), 3));
-    let mut session = spawn_static(build(), free_nodes(1), &co_cfg);
-    for i in 0..500u64 {
-        session.push(i).unwrap();
-    }
-    session.close();
-    let got: Vec<u64> = session.by_ref().collect();
-    assert_eq!(got, expect);
-    assert!(
-        session.fused_hops() > 0,
-        "co-located stateless chain must fuse"
-    );
-    let outcome = session.drain();
-    assert_eq!(outcome.report.completed, 500);
-    assert!(!outcome.report.truncated);
-
-    let sp_cfg = mapped(Mapping::from_assignment(&[n(0), n(1), n(2)]));
-    let mut session = spawn_static(build(), free_nodes(3), &sp_cfg);
-    for i in 0..500u64 {
-        session.push(i).unwrap();
-    }
-    session.close();
-    let got: Vec<u64> = session.by_ref().collect();
-    assert_eq!(got, expect);
-    assert_eq!(
-        session.fused_hops(),
-        0,
-        "cross-node boundaries must not fuse"
-    );
-    let outcome = session.drain();
-    assert_eq!(outcome.report.completed, 500);
-
-    // A resilient *entry* stage still fuses into its stateless
-    // successor (the slow path walks the chain per item), so the
-    // retry bookkeeping on the entry hop costs nothing downstream.
-    let pipeline = PipelineBuilder::<u64>::new()
-        .stage(
-            StageSpec::balanced("a", 0.001, 8).with_resilience(ResiliencePolicy::new().retries(2)),
-            |x: u64| x + 1,
-        )
-        .stage(StageSpec::balanced("b", 0.001, 8), |x: u64| x * 3)
-        .build();
-    let cfg = mapped(Mapping::all_on(n(0), 2));
-    let mut session = spawn_static(pipeline, free_nodes(1), &cfg);
-    for i in 0..100u64 {
-        session.push(i).unwrap();
-    }
-    session.close();
-    let got: Vec<u64> = session.by_ref().collect();
-    assert_eq!(got, (0..100u64).map(|x| (x + 1) * 3).collect::<Vec<_>>());
-    assert!(
-        session.fused_hops() > 0,
-        "resilient entry must not block fusing its successor"
-    );
-    session.drain();
-}
-
-#[test]
-fn stateful_or_resilient_successors_refuse_fusion() {
-    use adapipe_runtime::session::ResiliencePolicy;
-    // a → sum, co-located, but sum is stateful: fusing would route
-    // items around the state-migration bookkeeping, so the plan
-    // must refuse.
-    let pipeline = PipelineBuilder::<u64>::new()
-        .stage(StageSpec::balanced("a", 0.001, 8), |x: u64| x + 1)
-        .stateful_stage(StageSpec::balanced("sum", 0.001, 8).with_state(8), {
-            let mut acc = 0u64;
-            move |x: u64| {
-                acc += x;
-                acc
-            }
-        })
-        .build();
-    let cfg = mapped(Mapping::all_on(n(0), 2));
-    let mut session = spawn_static(pipeline, free_nodes(1), &cfg);
-    for i in 0..100u64 {
-        session.push(i).unwrap();
-    }
-    session.close();
-    let got: Vec<u64> = session.by_ref().collect();
-    let max = got.iter().max().copied().unwrap();
-    assert_eq!(max, (1..=100u64).sum::<u64>(), "sum lost or doubled");
-    assert_eq!(session.fused_hops(), 0, "stateful successor fused");
-    session.drain();
-
-    // Same refusal for a resilient successor: its retry/dead-letter
-    // accounting is per-envelope and must keep receiving envelopes.
-    let pipeline = PipelineBuilder::<u64>::new()
-        .stage(StageSpec::balanced("a", 0.001, 8), |x: u64| x + 1)
-        .stage(
-            StageSpec::balanced("b", 0.001, 8).with_resilience(ResiliencePolicy::new().retries(2)),
-            |x: u64| x * 2,
-        )
-        .build();
-    let cfg = mapped(Mapping::all_on(n(0), 2));
-    let mut session = spawn_static(pipeline, free_nodes(1), &cfg);
-    for i in 0..100u64 {
-        session.push(i).unwrap();
-    }
-    session.close();
-    let got: Vec<u64> = session.by_ref().collect();
-    assert_eq!(got, (0..100u64).map(|x| (x + 1) * 2).collect::<Vec<_>>());
-    assert_eq!(session.fused_hops(), 0, "resilient successor fused");
-    session.drain();
-}
-
-#[test]
-fn forced_remap_fuses_newly_colocated_stages() {
-    // Stages start spread (nothing fuses); v1 crashes mid-run, the
-    // forced re-map lands both stages on v0, and the refreshed plan
-    // starts fusing — while replay keeps the stream exactly-once.
-    let (s0, f0) = spin_stage("a", 2);
-    let (s1, f1) = spin_stage("b", 2);
-    let pipeline = PipelineBuilder::<u64>::new()
-        .stage(s0, f0)
-        .stage(s1, f1)
-        .build();
-    let cfg = RunConfig {
-        initial_mapping: Some(Mapping::from_assignment(&[n(0), n(1)])),
-        faults: FaultPlan::new().crash(n(1), SimTime::from_secs_f64(0.15)),
-        items: 100,
-        ..RunConfig::default()
-    };
-    let mut session = spawn(pipeline, free_nodes(2), &every(100), &cfg);
-    for i in 0..100u64 {
-        session.push(i).unwrap();
-    }
-    session.close();
-    let got: Vec<u64> = session.by_ref().collect();
-    assert_eq!(got, (2..=101).collect::<Vec<_>>());
-    assert!(
-        session.fused_hops() > 0,
-        "post-crash co-location must start fusing"
-    );
-    let outcome = session.drain();
-    assert_eq!(outcome.report.completed, 100);
-    assert!(!outcome.report.final_mapping.nodes_used().contains(&n(1)));
-}
-
-#[test]
-fn planner_unfuses_when_spreading_wins() {
-    // Two equal spin stages start coalesced (fused); the periodic
-    // controller finds that spreading doubles predicted throughput
-    // — the fusion latency discount must not override the
-    // bottleneck term — re-maps, and the plan un-fuses. Outputs
-    // stay exact through the transition.
-    let (s0, f0) = spin_stage("a", 3);
-    let (s1, f1) = spin_stage("b", 3);
-    let pipeline = PipelineBuilder::<u64>::new()
-        .stage(s0, f0)
-        .stage(s1, f1)
-        .build();
-    let cfg = RunConfig {
-        initial_mapping: Some(Mapping::all_on(n(0), 2)),
-        items: 150,
-        ..RunConfig::default()
-    };
-    let mut session = spawn(pipeline, free_nodes(2), &every(100), &cfg);
-    for i in 0..150u64 {
-        session.push(i).unwrap();
-    }
-    session.close();
-    let got: Vec<u64> = session.by_ref().collect();
-    assert_eq!(got, (2..=151).collect::<Vec<_>>());
-    assert!(
-        session.fused_hops() > 0,
-        "coalesced start must fuse until the re-map"
-    );
-    let outcome = session.drain();
-    assert_eq!(outcome.report.completed, 150);
-    assert!(
-        outcome
-            .report
-            .adaptations
-            .iter()
-            .any(|e| e.to.nodes_used().len() == 2),
-        "controller must commit a re-map to the spread mapping"
-    );
-    // On a loaded host with fewer cores than threads the controller
-    // may then legitimately re-coalesce; `mapper`'s
-    // `planner_spreads_equal_stages_despite_the_fusion_discount`
-    // pins the planning decision itself deterministically.
-    if multicore(3) {
-        assert_eq!(
-            outcome.report.final_mapping.nodes_used().len(),
-            2,
-            "final mapping must be spread"
-        );
-    }
-}
-
-#[test]
 fn push_after_close_returns_typed_error() {
     let (s0, f0) = spin_stage("a", 1);
     let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
@@ -1032,4 +828,158 @@ fn an_erroring_push_batch_returns_every_unspent_credit() {
     assert_eq!(session.push_batch(&mut Short(21)), Ok(21));
     assert_eq!(session.drain().report.completed, 21);
     assert_eq!(credits.available(), capacity, "a credit leaked");
+
+    // Per-item pushes bank a stride's worth per trip to the gate; what
+    // is banked when the stream closes goes back with it.
+    let (s0, f0) = spin_stage("a", 0);
+    let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
+    let mut session = spawn_static(pipeline, free_nodes(1), &cfg);
+    let credits = Arc::clone(session.shared.credits.as_ref().expect("bounded session"));
+    let mut pushed = 0;
+    while session.held == 0 {
+        assert!(pushed < 100_000, "per-item pushes never banked a credit");
+        session.push(pushed).unwrap();
+        pushed += 1;
+    }
+    assert_eq!(session.drain().report.completed, pushed);
+    assert_eq!(credits.available(), capacity, "a banked credit leaked");
+}
+
+// --- the push side's stamp window ----------------------------------------
+
+/// A one-stage `x + 1` session on one free vnode.
+fn plus_one(cfg: &RunConfig) -> EngineSession<u64, u64> {
+    let pipeline = PipelineBuilder::<u64>::new()
+        .stage(StageSpec::balanced("a", 0.001, 8), |x: u64| x + 1)
+        .build();
+    spawn_static(pipeline, free_nodes(1), cfg)
+}
+
+/// Pushes `session` until its stamp stride has grown to the ceiling
+/// and its window holds `taken` pushes; returns how many it pushed.
+fn push_until_window(session: &mut EngineSession<u64, u64>, taken: u32) -> u64 {
+    use crate::fusion::MAX_STAMP_STRIDE;
+    let mut pushed = 0;
+    while session.stamp.stride < MAX_STAMP_STRIDE || session.stamp.taken != taken {
+        assert!(pushed < 1_000_000, "dense pushes never grew the stride");
+        session.push(pushed).unwrap();
+        pushed += 1;
+    }
+    pushed
+}
+
+/// Per-item pushes 2 ms apart, never polled: every window is slower
+/// than a millisecond, so the stride stays 1 and each push reads the
+/// clock. A stride that ignored the pace would stamp most items a
+/// window early, about 40 ms on average here; exact stamps read
+/// 0.2–0.3 ms in a debug build beside the rest of the suite, so 2 ms
+/// leaves room for a loaded host.
+#[test]
+fn per_item_pushes_spaced_apart_are_stamped_exactly() {
+    let mut session = plus_one(&RunConfig::default());
+    for i in 0..40u64 {
+        std::thread::sleep(Duration::from_millis(2));
+        session.push(i).unwrap();
+        assert_eq!(session.stamp.stride, 1, "push {i}");
+    }
+    let report = session.drain().report;
+    assert_eq!(report.completed, 40);
+    assert!(
+        report.mean_latency < SimDuration::from_millis(2),
+        "mean latency {:?}",
+        report.mean_latency
+    );
+}
+
+/// After a dense phase has grown the stride to its ceiling, a 20 ms
+/// pause without polling leaves the open window's remaining pushes
+/// stamped before the pause: at most one window of stale stamps. The
+/// window's time restarts the stride at 1, so the 2 ms-spaced pushes
+/// after it are exact again. A fixed stride keeps stamping whole
+/// windows early, and halving it (32, 16, 8, …) adds some forty more
+/// stale stamps on top of the pause's.
+#[test]
+fn a_pause_without_polling_costs_at_most_one_stale_window() {
+    use crate::fusion::MAX_STAMP_STRIDE;
+    let mut session = plus_one(&RunConfig::default());
+    // Half a window taken, half still open when the pause begins.
+    let dense = push_until_window(&mut session, MAX_STAMP_STRIDE / 2);
+    std::thread::sleep(Duration::from_millis(20));
+    for i in 0..96u64 {
+        session.push(dense + i).unwrap();
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(session.stamp.stride, 1, "the slow window restarted it");
+    let report = session.drain().report;
+    assert_eq!(report.completed, dense + 96);
+    // One worker serves one stage in push order, so the samples after
+    // the dense phase's are the pushes after the pause.
+    let late = report.latencies[dense as usize..]
+        .iter()
+        .filter(|&&l| l >= SimDuration::from_millis(10))
+        .count();
+    assert!(
+        late < MAX_STAMP_STRIDE as usize,
+        "{late} pushes after the pause were stamped ≥ 10 ms early"
+    );
+}
+
+/// Wide-open window, 63 pushes to go: only an output poll or a
+/// blocking credit wait can make the next push read the clock.
+fn open_wide_window(session: &mut EngineSession<u64, u64>) -> SimTime {
+    use crate::fusion::MAX_STAMP_STRIDE;
+    let now = session.shared.pool.now();
+    session.stamp = StampWindow {
+        born: now,
+        stride: MAX_STAMP_STRIDE,
+        taken: 1,
+        left: MAX_STAMP_STRIDE - 1,
+    };
+    now
+}
+
+#[test]
+fn a_poll_and_a_blocking_credit_wait_each_close_the_stamp_window() {
+    let gap = SimDuration::from_millis(20);
+
+    // A poll: the push after it is born after it.
+    let mut session = plus_one(&RunConfig::default());
+    session.push(0).unwrap();
+    let born = open_wide_window(&mut session);
+    std::thread::sleep(Duration::from_millis(20));
+    let _ = session.try_next();
+    session.push(1).unwrap();
+    assert!(
+        session.stamp.born.saturating_since(born) >= gap,
+        "the push after a poll kept the window's stamp"
+    );
+    session.drain();
+
+    // A blocking wait: two slots over a 30 ms stage. The third push
+    // waits for the first item to finish; the fourth is born after
+    // that wait.
+    let (s0, f0) = spin_stage("slow", 30);
+    let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
+    let cfg = RunConfig {
+        queue_capacity: Some(1),
+        ..RunConfig::default()
+    };
+    let mut session = spawn_static(pipeline, free_nodes(1), &cfg);
+    session.push(0).unwrap();
+    session.push(1).unwrap();
+    let born = open_wide_window(&mut session);
+    let t0 = Instant::now();
+    session.push(2).unwrap();
+    assert!(t0.elapsed() >= Duration::from_millis(20), "push 2 waited");
+    assert_eq!(
+        session.stamp.born, born,
+        "push 2 was stamped before it waited"
+    );
+    session.push(3).unwrap();
+    assert!(
+        session.stamp.born.saturating_since(born) >= gap,
+        "the push after a blocking wait kept the window's stamp"
+    );
+    let outcome = session.drain();
+    assert_eq!(outcome.outputs, (1..=4).collect::<Vec<_>>());
 }

@@ -928,9 +928,9 @@ pub struct RunConfig {
     /// one clock window (≤ 64 items, ≤ 1 ms) at a time; raise it
     /// (64–256 is typical) when the pushing thread is the bottleneck.
     /// Buffered input flushes on `close()`, on any output-side call,
-    /// and before blocking on the credit gate, so batching never
-    /// deadlocks against `queue_capacity`; the credit gate still
-    /// accounts per item.
+    /// and before a credit wait that its own items' credits must end,
+    /// so batching never deadlocks against `queue_capacity`; the credit
+    /// gate still accounts per item.
     pub batch_size: usize,
     /// In-flight steering flags (pause/resume/force re-map) shared with
     /// the session that owns the run.

@@ -371,9 +371,11 @@ impl<I, O> std::fmt::Debug for RunSession<'_, I, O> {
 impl<I: Send + 'static, O: Send + 'static> RunSession<'_, I, O> {
     /// Feeds one item into the pipeline, returning its sequence number.
     ///
-    /// Threaded backend: the item arrives now; with a bounded
-    /// `queue_capacity` the call blocks while the in-flight budget is
-    /// exhausted (real backpressure) and emits
+    /// Threaded backend: the item arrives now, stamped by the session's
+    /// stamp window (one clock read per window of pushes, at most one
+    /// window early; any output poll or blocking wait closes it); with
+    /// a bounded `queue_capacity` the call blocks while the in-flight
+    /// budget is exhausted (real backpressure) and emits
     /// [`RunEvent::BackpressureStall`]. Simulation backend: the item's
     /// arrival instant comes from the declared [`ArrivalProcess`]
     /// (clamped to the world's current virtual time), its stage

@@ -246,10 +246,13 @@ fn a_diamond_of_four_word_records_spills_nothing() {
 /// `parse → count → fmt` in 256-item envelopes, `count` keyed on 8
 /// shards over 64 keys and replicated on both vnodes (4 shards each),
 /// so each envelope into it splits between two owners and, at each,
-/// into four shard pieces. No credit gate: with one, a push that finds
-/// few credits sends a short envelope, and the count swings twofold
-/// with the scheduling.
-fn keyed_cost_of_100k_items() -> u64 {
+/// into four shard pieces; `queue_capacity` per stage boundary, or no
+/// credit gate. Through a gate the count holds only while the pusher
+/// keeps its envelopes full: one that found the gate empty and shipped
+/// its part-filled envelope to wait for a single credit sent about a
+/// third of its envelopes short, and the count swung twofold with the
+/// scheduling.
+fn keyed_cost_of_100k_items(queue_capacity: Option<usize>) -> u64 {
     let run = |items: u64| {
         let single = |v| Placement::single(NodeId(v));
         let both = Placement::replicated(vec![NodeId(0), NodeId(1)]);
@@ -275,6 +278,7 @@ fn keyed_cost_of_100k_items() -> u64 {
                 RunConfig {
                     items,
                     batch_size: 256,
+                    queue_capacity,
                     initial_mapping: Some(Mapping::new(vec![single(0), both, single(0)])),
                     ..RunConfig::default()
                 },
@@ -298,12 +302,29 @@ fn keyed_cost_of_100k_items() -> u64 {
 #[test]
 fn a_replicated_keyed_stage_allocates_per_envelope_not_per_shard_piece() {
     let _turn = exclusive();
-    let delta = keyed_cost_of_100k_items();
+    let delta = keyed_cost_of_100k_items(None);
     assert!(
         delta <= 4_500,
         "100k extra items through a replicated keyed stage cost {delta} \
          extra allocations — a shard piece, a message or an item \
          allocates again"
+    );
+}
+
+/// The same stage behind a credit gate (4096 items per boundary), under
+/// the same bound. A pusher that finds the gate empty waits for the
+/// rest of its envelope at once rather than shipping it short, so the
+/// gate adds no envelopes: 3.6–3.8k on a 2-vCPU host in release, where
+/// flushing and waiting for one credit cost 5.5–9.1k.
+#[test]
+fn a_gated_replicated_keyed_stage_allocates_per_envelope_not_per_credit() {
+    let _turn = exclusive();
+    let delta = keyed_cost_of_100k_items(Some(4096));
+    assert!(
+        delta <= 4_500,
+        "100k extra items through a gated replicated keyed stage cost \
+         {delta} extra allocations — a blocked push ships short \
+         envelopes again"
     );
 }
 

@@ -1018,21 +1018,39 @@ type Tagged = (u64, u64);
 /// One generated case: a DAG over stages `0..n` entered at stage 0 and
 /// left at stage `n - 1`, a resilience policy per single-input stage,
 /// per item at most one stage failing it — a bounded number of times,
-/// or always — a declared state per stage, and where each stage starts.
+/// or always — a declared state per stage, where each stage starts, and
+/// how the threaded run feeds it.
 struct SweepCase {
     preds: Vec<Vec<usize>>,
     policies: Vec<ResiliencePolicy>,
     /// Per item: `(stage, failures)`, `u32::MAX` meaning every attempt.
     plan: Vec<Option<(usize, u32)>>,
-    /// Per stage: its shard count if keyed, `0` if stateless.
+    /// Per stage: its shard count if keyed, `0` otherwise.
     shards: Vec<usize>,
-    /// The initial mapping: each keyed stage replicated over two of the
-    /// three vnodes, so its envelopes split between two shard owners;
-    /// every other stage on one.
+    /// Per stage: its declaration when not keyed — stateless,
+    /// accumulator or exclusive.
+    state: Vec<Unkeyed>,
+    /// The initial mapping: each keyed stage and each accumulator
+    /// replicated over two of the three vnodes, so its envelopes split
+    /// between two owners; every other stage on one.
     mapping: Mapping,
     /// Items per envelope on the threaded backend: past one, a keyed
     /// stage's envelopes span several shards and both owners.
     batch_size: usize,
+    /// The threaded run's credit gate per stage boundary (`None`: no
+    /// gate; the simulator ignores it).
+    queue_capacity: Option<usize>,
+    /// The threaded run feeds the stream in one `push_batch` rather
+    /// than item by item.
+    batched: bool,
+}
+
+/// A declaration a plain unkeyed closure may carry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Unkeyed {
+    Stateless,
+    Accumulator,
+    Exclusive,
 }
 
 fn sweep_case(seed: u64) -> SweepCase {
@@ -1108,7 +1126,7 @@ fn sweep_case(seed: u64) -> SweepCase {
             }
         })
         .collect();
-    let placements = shards
+    let mut placements: Vec<Placement> = shards
         .iter()
         .map(|&shards| {
             let host = rng.next_range(3);
@@ -1120,13 +1138,36 @@ fn sweep_case(seed: u64) -> SweepCase {
             }
         })
         .collect();
+    let batch_size = [1, 4, 16][rng.next_range(3)];
+    // Drawn after everything above, which so stays what each seed drew
+    // before these draws existed.
+    let state: Vec<Unkeyed> = (0..n)
+        .map(|i| {
+            let plain = preds[i].len() <= 1 && policies[i].is_default() && shards[i] == 0;
+            match rng.next_range(4) {
+                0 if plain => Unkeyed::Accumulator,
+                1 if plain => Unkeyed::Exclusive,
+                _ => Unkeyed::Stateless,
+            }
+        })
+        .collect();
+    for (placement, declared) in placements.iter_mut().zip(&state) {
+        if *declared == Unkeyed::Accumulator {
+            let host = placement.hosts()[0].0;
+            let other = (host + 1 + rng.next_range(2)) % 3;
+            *placement = Placement::replicated(vec![NodeId(host), NodeId(other)]);
+        }
+    }
     SweepCase {
         preds,
         policies,
         plan,
         shards,
+        state,
         mapping: Mapping::new(placements),
-        batch_size: [1, 4, 16][rng.next_range(3)],
+        batch_size,
+        queue_capacity: [None, Some(1), Some(4), Some(64)][rng.next_range(4)],
+        batched: rng.next_range(2) == 0,
     }
 }
 
@@ -1155,11 +1196,17 @@ fn sweep_pipeline(case: &SweepCase) -> Pipeline<Tagged, Tagged> {
             let from = inputs
                 .first()
                 .map_or_else(|| dag.input(), |&p| nodes[p].clone());
-            if case.shards[i] > 0 {
+            let declared = StageSpec::balanced(name(i), 1.0, 0);
+            let declared = match case.state[i] {
                 // A plain closure under a keyed declaration: items route
                 // to shards by sequence number, so outputs do not depend
                 // on which owner serves them, or when.
-                let spec = StageSpec::balanced(name(i), 1.0, 0).with_keyed_state(case.shards[i], 0);
+                _ if case.shards[i] > 0 => Some(declared.with_keyed_state(case.shards[i], 0)),
+                Unkeyed::Accumulator => Some(declared.with_accumulator_state(0)),
+                Unkeyed::Exclusive => Some(declared.with_exclusive_state(0)),
+                Unkeyed::Stateless => None,
+            };
+            if let Some(spec) = declared {
                 dag.node_with(spec, from, move |(seq, v): Tagged| (seq, fold(v, stage)))
             } else if case.policies[i].is_default() {
                 dag.node(name(i), from, move |(seq, v): Tagged| (seq, fold(v, stage)))
@@ -1196,13 +1243,18 @@ fn seeded_sweep_of_shapes_and_policies_keeps_both_ledgers_equal() {
     // (cases with a join, retries, dead letters, a replicated keyed
     // stage) over the whole sweep.
     let mut exercised = (0u64, 0u64, 0u64, 0u64);
+    // Cases with an accumulator, with an exclusive stage, per credit
+    // gate drawn, and fed in one `push_batch`.
+    let (mut accumulators, mut exclusives, mut batched) = (0u64, 0u64, 0u64);
+    let mut gates = [0u64; 4];
     for seed in 0..40u64 {
         let case = sweep_case(seed);
         // Each run under the watchdog: a generated case whose items
         // park for good fails naming its seed instead of hanging.
         let run = |backend: &'static str| {
             let (pipeline, mapping) = (sweep_pipeline(&case), case.mapping.clone());
-            let batch_size = case.batch_size;
+            let (batch_size, queue_capacity) = (case.batch_size, case.queue_capacity);
+            let batched = case.batched && backend == "threads";
             let run = watchdog(move || {
                 let grid = scenario_grid();
                 let backend = match backend {
@@ -1212,12 +1264,19 @@ fn seeded_sweep_of_shapes_and_policies_keeps_both_ledgers_equal() {
                 let cfg = RunConfig {
                     items: SWEEP_ITEMS,
                     batch_size,
+                    queue_capacity,
                     initial_mapping: Some(mapping),
                     ..RunConfig::default()
                 };
                 let mut session = pipeline.spawn(backend, cfg).expect("spawn");
-                for seq in 0..SWEEP_ITEMS {
-                    session.push((seq, seq)).unwrap();
+                if batched {
+                    session
+                        .push_batch((0..SWEEP_ITEMS).map(|seq| (seq, seq)))
+                        .unwrap();
+                } else {
+                    for seq in 0..SWEEP_ITEMS {
+                        session.push((seq, seq)).unwrap();
+                    }
                 }
                 let mut handle = session.drain();
                 handle.outputs.sort_unstable();
@@ -1243,8 +1302,15 @@ fn seeded_sweep_of_shapes_and_policies_keeps_both_ledgers_equal() {
             }
         }
         let shape = format!(
-            "seed {seed}, preds {:?}, shards {:?}, mapping {}, batch {}",
-            case.preds, case.shards, case.mapping, case.batch_size
+            "seed {seed}, preds {:?}, shards {:?}, state {:?}, mapping {}, batch {}, \
+             queue {:?}, batched {}",
+            case.preds,
+            case.shards,
+            case.state,
+            case.mapping,
+            case.batch_size,
+            case.queue_capacity,
+            case.batched
         );
         for (tag, handle) in [("sim", &sim), ("threads", &threaded)] {
             let report = &handle.report;
@@ -1276,12 +1342,29 @@ fn seeded_sweep_of_shapes_and_policies_keeps_both_ledgers_equal() {
         exercised.1 += retries;
         exercised.2 += dead.len() as u64;
         exercised.3 += u64::from(case.shards.iter().any(|&shards| shards > 0));
+        accumulators += u64::from(case.state.contains(&Unkeyed::Accumulator));
+        exclusives += u64::from(case.state.contains(&Unkeyed::Exclusive));
+        let gate = [None, Some(1), Some(4), Some(64)]
+            .iter()
+            .position(|&q| q == case.queue_capacity)
+            .expect("a drawn gate");
+        gates[gate] += 1;
+        batched += u64::from(case.batched);
     }
     let (joins, retries, dead, keyed) = exercised;
     assert!(
         joins >= 10 && retries >= 100 && dead >= 20 && keyed >= 10,
         "the generator went soft: {joins} joined shapes, {retries} retries, \
          {dead} dead letters, {keyed} with a replicated keyed stage"
+    );
+    assert!(
+        accumulators >= 6
+            && exclusives >= 6
+            && gates.iter().all(|&g| g >= 5)
+            && (10..=30).contains(&batched),
+        "the generator went soft: {accumulators} with an accumulator, \
+         {exclusives} with an exclusive stage, {gates:?} per credit gate \
+         (none, 1, 4, 64), {batched} of 40 fed in one push_batch"
     );
 }
 
