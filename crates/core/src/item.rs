@@ -28,7 +28,7 @@
 //! and hands the observed outcome to the simulated world to charge.
 
 use crate::spec::{Next, StageGraph, StageSpec};
-use crate::stage::{BoxedItem, DynStage, FanOutFn, StageError, StageTypeError};
+use crate::stage::{BoxedItem, DynStage, FanOutFn, StageError};
 use adapipe_runtime::session::RunError;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -49,8 +49,8 @@ pub enum GaveUp {
 }
 
 /// Presents `payload` to `stage` until it yields an output or the
-/// stage's policy gives up: an item-level failure is retried in place
-/// while `spec.resilience.max_retries` allows, a type mismatch never.
+/// stage's policy gives up: a rejected item is retried in place while
+/// `spec.resilience.max_retries` allows.
 /// `retrying` runs once per failed attempt that will be retried, with
 /// that attempt's 1-based number, before the item is presented again —
 /// where a backend counts the retry and waits out its backoff.
@@ -67,9 +67,9 @@ pub fn attempt(
     loop {
         match stage.process(payload) {
             Ok(out) => return Ok((out, attempts)),
-            Err(StageError::Item { item, .. }) if attempts <= spec.resilience.max_retries => {
+            Err(err) if attempts <= spec.resilience.max_retries => {
                 retrying(attempts);
-                payload = item;
+                payload = err.item;
                 attempts += 1;
             }
             Err(err) => return Err(give_up(spec, seq, attempts, err)),
@@ -77,28 +77,22 @@ pub fn attempt(
     }
 }
 
-/// What a stage error means once no further attempt will be made: a
-/// wrong-typed item is a pipeline assembly bug
-/// ([`RunError::StageTypeMismatch`]); an item the stage rejected
-/// diverts to the dead-letter channel if the stage declared one, and
-/// otherwise poisons the run ([`RunError::PoisonItem`], naming the
-/// stage and the give-up attempt count — `attempts == 1` under the
-/// default policy).
+/// What a stage error means once no further attempt will be made: the
+/// rejected item diverts to the dead-letter channel if the stage
+/// declared one, and otherwise poisons the run ([`RunError::PoisonItem`],
+/// naming the stage and the give-up attempt count — `attempts == 1`
+/// under the default policy).
 pub fn give_up(spec: &StageSpec, seq: u64, attempts: u32, err: StageError) -> GaveUp {
-    match err {
-        StageError::Type(type_err) => GaveUp::Fatal(RunError::StageTypeMismatch {
-            stage: type_err.stage,
-        }),
-        StageError::Item { reason, .. } if spec.resilience.dead_letter => {
-            GaveUp::DeadLetter { attempts, reason }
-        }
-        StageError::Item { reason, .. } => GaveUp::Fatal(RunError::PoisonItem {
-            stage: spec.name.clone(),
-            seq,
-            attempts,
-            reason,
-        }),
+    let reason = err.reason;
+    if spec.resilience.dead_letter {
+        return GaveUp::DeadLetter { attempts, reason };
     }
+    GaveUp::Fatal(RunError::PoisonItem {
+        stage: spec.name.clone(),
+        seq,
+        attempts,
+        reason,
+    })
 }
 
 /// The input slots of one joining stage, for one item.
@@ -206,10 +200,6 @@ pub trait Hops {
 /// target of the fan block in edge order, where a plain target consumes
 /// its copy and a slotted target (a producer feeding one input of a
 /// downstream join directly) has it deposited in that join's slot.
-///
-/// # Errors
-/// The fan-out duplicator's [`StageTypeError`] when the payload is not
-/// the type the pipeline declared at that point; nothing was sent.
 #[inline]
 pub fn forward(
     graph: &StageGraph,
@@ -217,32 +207,28 @@ pub fn forward(
     next: &Next,
     payload: BoxedItem,
     to: &mut impl Hops,
-) -> Result<(), StageTypeError> {
+) {
     match *next {
         Next::Done => to.exit(payload),
         Next::Stage(stage) => to.stage(stage, payload),
         Next::Join { block, branch } => to.slot(block, branch, payload),
         Next::FanOut { block } => {
             let mut copies = std::mem::take(to.copies());
-            let copied = fanouts[block](payload, &mut copies);
-            if copied.is_ok() {
-                for (target, part) in graph.fan_targets(block).iter().zip(copies.drain(..)) {
-                    match target.slot {
-                        None => to.stage(target.stage, part),
-                        Some(slot) => {
-                            let block = graph
-                                .merge_block_of(target.stage)
-                                .expect("slotted fan target joins");
-                            to.slot(block, slot, part);
-                        }
+            fanouts[block](payload, &mut copies);
+            for (target, part) in graph.fan_targets(block).iter().zip(copies.drain(..)) {
+                match target.slot {
+                    None => to.stage(target.stage, part),
+                    Some(slot) => {
+                        let block = graph
+                            .merge_block_of(target.stage)
+                            .expect("slotted fan target joins");
+                        to.slot(block, slot, part);
                     }
                 }
             }
             *to.copies() = copies;
-            copied?;
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -328,26 +314,6 @@ mod tests {
             run(ResiliencePolicy::new().retries(1)),
             GaveUp::Fatal(RunError::PoisonItem { attempts: 2, .. })
         ));
-    }
-
-    #[test]
-    fn a_type_mismatch_is_never_retried_nor_dead_lettered() {
-        let mut retried = 0;
-        let gave_up = attempt(
-            &mut flaky(0),
-            &spec(ResiliencePolicy::new().retries(5).dead_letter()),
-            0,
-            Payload::new("not a u64".to_string()),
-            |_| retried += 1,
-        )
-        .unwrap_err();
-        assert_eq!(retried, 0);
-        assert_eq!(
-            gave_up,
-            GaveUp::Fatal(RunError::StageTypeMismatch {
-                stage: "flaky".into()
-            })
-        );
     }
 
     fn values(parts: Vec<BoxedItem>) -> Vec<u64> {
@@ -457,8 +423,7 @@ mod tests {
             .collect();
         let walk = |next: Next| {
             let mut to = Recorder::default();
-            forward(&graph, &fanouts, &next, Payload::new(9u64), &mut to)
-                .expect("u64 payloads fan out");
+            forward(&graph, &fanouts, &next, Payload::new(9u64), &mut to);
             assert!(to.copies.is_empty(), "the scratch vector comes back empty");
             to.seen
         };
@@ -492,7 +457,7 @@ mod tests {
         let join2 = shortcut.merge_block_of(2).unwrap();
         let mut to = Recorder::default();
         let after0 = shortcut.after(0);
-        forward(&shortcut, &fanouts, &after0, Payload::new(4u64), &mut to).unwrap();
+        forward(&shortcut, &fanouts, &after0, Payload::new(4u64), &mut to);
         let into_join = Seen::Slot {
             block: join2,
             slot: 0,
@@ -503,16 +468,8 @@ mod tests {
         // fans out through the allocation the first one made.
         let kept = (to.copies.as_ptr(), to.copies.capacity());
         assert!(kept.1 >= 2);
-        forward(&shortcut, &fanouts, &after0, Payload::new(5u64), &mut to).unwrap();
+        forward(&shortcut, &fanouts, &after0, Payload::new(5u64), &mut to);
         assert_eq!((to.copies.as_ptr(), to.copies.capacity()), kept);
         assert_eq!(to.seen.len(), 4);
-
-        // A payload the duplicator cannot read is the typed error, and
-        // nothing was sent.
-        let text = Payload::new("text".to_string());
-        let err = forward(&shortcut, &fanouts, &after0, text, &mut to).unwrap_err();
-        assert_eq!(err.stage, "fan-out");
-        assert_eq!(to.seen.len(), 4);
-        assert!(to.copies.is_empty());
     }
 }

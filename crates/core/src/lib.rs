@@ -4,9 +4,10 @@
 //! *An Adaptive Parallel Pipeline Pattern for Grids* (Gonzalez-Velez &
 //! Cole, IPDPS 2008), reconstructed in Rust.
 //!
-//! The programmer describes a pipeline ([`pipeline::PipelineBuilder`])
-//! with per-stage cost metadata ([`spec`]); the skeleton owns everything
-//! else:
+//! The programmer describes a pipeline on the one typed builder
+//! ([`pipeline::DagBuilder`], or the chain [`pipeline::PipelineBuilder`]
+//! over it) with per-stage cost metadata ([`spec`]); the skeleton owns
+//! everything else:
 //!
 //! * **instrumentation** of availability and service times,
 //! * **forecasting** via `adapipe-monitor`,
@@ -100,9 +101,7 @@ pub mod prelude {
         ConstantWork, PipelineSpec, ResiliencePolicy, StageGraph, StageGraphBuilder, StageSpec,
         UniformWork, WorkModel,
     };
-    pub use crate::stage::{
-        fan_out_fn, BoxedItem, DynStage, FallibleFnStage, FanOutFn, FnStage, MergeStage, StageError,
-    };
+    pub use crate::stage::{BoxedItem, DynStage, FanOutFn, StageError};
     pub use adapipe_runtime::arrivals::ArrivalProcess;
     pub use adapipe_runtime::backend::{ExecutionBackend, RemapPlan};
     pub use adapipe_runtime::routing::{RoutingTable, Selection};

@@ -588,7 +588,7 @@ impl<'a> SimStepper<'a> {
             Ev::Tick => {
                 self.aloop.tick(&mut self.world, &self.routing);
                 // Only a *fatal* fault exhausts the run — the error slot
-                // alone may carry non-fatal errors (a wrong-typed push
+                // alone may carry non-fatal errors (a poison item's push
                 // completes as a marker and the stream continues).
                 if self.aloop.is_fatal() {
                     self.exhausted = true; // nothing can progress

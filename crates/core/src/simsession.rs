@@ -272,7 +272,8 @@ impl<I: Send + 'static, O: Send + 'static> Iterator for SimSession<'_, I, O> {
 }
 
 fn downcast_output<O: 'static>(out: BoxedItem) -> O {
-    out.downcast::<O>().expect("pipeline output type mismatch")
+    out.downcast::<O>()
+        .expect("the typed builder's exit stage produces `O`")
 }
 
 /// The push-time executor: one item runs through the stage graph on the
@@ -346,19 +347,13 @@ impl PushExec {
         let mut next = self.graph.entry();
         let mut payload = item;
         loop {
-            let sent = item::forward(
+            item::forward(
                 &self.graph,
                 &self.fanouts,
                 &next,
                 payload,
                 &mut self.inflight,
             );
-            if let Err(type_err) = sent {
-                control.fail(RunError::StageTypeMismatch {
-                    stage: type_err.stage,
-                });
-                return (None, fate);
-            }
             if let Some(out) = self.inflight.exit.take() {
                 return (Some(out), fate);
             }
@@ -649,45 +644,29 @@ impl<'g> SimPool<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::PipelineBuilder;
-    use crate::spec::{PipelineSpec, ResiliencePolicy};
-    use crate::stage::{fan_out_fn, FallibleFnStage, FnStage, MergeStage};
+    use crate::pipeline::{DagBuilder, PipelineBuilder};
+    use crate::spec::ResiliencePolicy;
     use adapipe_gridsim::grid::testbed_small3;
 
     /// fetch → {parse, audit} → combine, where parse rejects every
     /// value ending in 4 and dead-letters it after one retry.
     fn fallible_diamond() -> Pipeline<u64, u64> {
         let stage = |name: &str| StageSpec::balanced(name, 1.0, 8);
-        let spec = PipelineSpec::with_graph(
-            vec![
-                stage("fetch"),
-                stage("parse").with_resilience(ResiliencePolicy::new().retries(1).dead_letter()),
-                stage("audit"),
-                stage("combine"),
-            ],
-            StageGraph::dag(4)
-                .edge(0, 1)
-                .edge(0, 2)
-                .edge(1, 3)
-                .edge(2, 3)
-                .build()
-                .expect("a diamond"),
-        );
-        let stages: Vec<Box<dyn DynStage>> = vec![
-            Box::new(FnStage::new("fetch", |x: u64| x + 1)),
-            Box::new(FallibleFnStage::new("parse", |v: u64| {
-                if v % 10 == 4 {
-                    Err(format!("indigestible payload {v}"))
-                } else {
-                    Ok(v * 10)
-                }
-            })),
-            Box::new(FnStage::new("audit", |v: u64| v + 100)),
-            Box::new(MergeStage::new("combine", |parts: Vec<u64>| {
-                parts[0] + parts[1]
-            })),
-        ];
-        Pipeline::from_parts(spec, stages, vec![fan_out_fn::<u64>(2)], vec![None; 4])
+        let mut dag = DagBuilder::<u64>::default();
+        let fetch = dag.node_with(stage("fetch"), dag.input(), |x: u64| x + 1);
+        let parse = dag.try_node_with(stage("parse"), fetch.clone(), |v: u64| {
+            if v % 10 == 4 {
+                Err(format!("indigestible payload {v}"))
+            } else {
+                Ok(v * 10)
+            }
+        });
+        dag.resilience(ResiliencePolicy::new().retries(1).dead_letter());
+        let audit = dag.node_with(stage("audit"), fetch, |v: u64| v + 100);
+        let combine = dag.join_with(stage("combine"), vec![parse, audit], |parts: Vec<u64>| {
+            parts[0] + parts[1]
+        });
+        dag.finish(combine).expect("a diamond")
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! the reference): `ADAPIPE_GOLDEN_WRITE=1 cargo test -p adapipe-core
 //! --test sim_golden`.
 
-use adapipe_core::pipeline::{Pipeline, PipelineBuilder};
+use adapipe_core::pipeline::{DagBuilder, PipelineBuilder};
 use adapipe_core::prelude::*;
 use adapipe_core::simengine::run;
 use adapipe_core::simsession::{self, SimPool};
@@ -340,36 +340,30 @@ fn crash_on_a_cyclic_trace_node() {
 #[test]
 fn replicated_merge_with_a_dead_letter() {
     let grid = testbed_hetero8(7);
-    let mut spec = PipelineSpec::with_graph(
-        vec![
-            jittered("pre", 0.2, 8_000, 51),
-            jittered("left", 0.4, 8_000, 52)
-                .with_resilience(ResiliencePolicy::new().retries(1).dead_letter()),
-            jittered("right", 0.5, 8_000, 53),
-            jittered("merge", 2.0, 8_000, 54),
-        ],
-        StageGraph::builder().stages(1).split(&[1, 1]).build(),
-    );
-    spec.input_bytes = 8_000;
     // `left` rejects 1_000_077 on every presentation (dead letter after
     // one retry) and every other value ending in 7 on the first only.
     let mut rejected_once = std::collections::HashSet::new();
-    let stages: Vec<Box<dyn DynStage>> = vec![
-        Box::new(FnStage::new("pre", |x: u64| x + 1_000_000)),
-        Box::new(FallibleFnStage::new("left", move |v: u64| {
+    let mut dag = DagBuilder::<u64>::default();
+    let pre = jittered("pre", 0.2, 8_000, 51);
+    let pre = dag.node_with(pre, dag.input(), |x: u64| x + 1_000_000);
+    let left = dag.try_node_with(
+        jittered("left", 0.4, 8_000, 52),
+        pre.clone(),
+        move |v: u64| {
             if v == 1_000_077 || (v % 10 == 7 && rejected_once.insert(v)) {
                 Err(format!("indigestible payload {v}"))
             } else {
                 Ok(v * 2)
             }
-        })),
-        Box::new(FnStage::new("right", |v: u64| v + 5)),
-        Box::new(MergeStage::new("merge", |parts: Vec<u64>| {
-            parts[0] + parts[1]
-        })),
-    ];
-    let pipeline: Pipeline<u64, u64> =
-        Pipeline::from_parts(spec, stages, vec![fan_out_fn::<u64>(2)], vec![None; 4]);
+        },
+    );
+    dag.resilience(ResiliencePolicy::new().retries(1).dead_letter());
+    let right = dag.node_with(jittered("right", 0.5, 8_000, 53), pre, |v: u64| v + 5);
+    let merge = jittered("merge", 2.0, 8_000, 54);
+    let merge = dag.join_with(merge, vec![left, right], |parts: Vec<u64>| {
+        parts[0] + parts[1]
+    });
+    let pipeline = dag.exit(merge).input_bytes(8_000).build();
     let cfg = RunConfig {
         items: 300,
         initial_mapping: Some(Mapping::new(vec![

@@ -268,12 +268,7 @@ fn push_entry(
     let mut outbox = Outbox::new(items.len());
     for slot in items.drain(..) {
         let (seq, born) = (slot.seq, slot.born);
-        if outbox
-            .send(shared, &entry, seq, born, born, slot.payload)
-            .is_err()
-        {
-            return None; // typed failure recorded, session torn down
-        }
+        outbox.send(shared, &entry, seq, born, born, slot.payload);
     }
     outbox.dispatch(shared, snap);
     Some(items)
@@ -412,7 +407,7 @@ where
     }
 
     /// The run's fatal error, if one was recorded (stateful stage lost
-    /// to a crashed vnode, every vnode down, wrong-typed item). The
+    /// to a crashed vnode, every vnode down, a poison item). The
     /// failed run unwinds cleanly: `next()` stops yielding, `drain()`
     /// returns the truncated report, and this surfaces why.
     pub fn error(&self) -> Option<RunError> {
@@ -451,7 +446,7 @@ where
         let out = fin
             .payload
             .downcast::<O>()
-            .expect("pipeline output type mismatch");
+            .expect("the typed builder's exit stage produces `O`");
         if self.preserve_order {
             let shared = &self.shared;
             self.reorder

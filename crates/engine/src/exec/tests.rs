@@ -2,7 +2,6 @@ use super::*;
 use crate::vnode::spin_for;
 use adapipe_core::pipeline::PipelineBuilder;
 use adapipe_core::spec::StageSpec;
-use adapipe_core::stage::DynStage;
 use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::load::LoadModel;
 use adapipe_gridsim::node::NodeId;
@@ -309,13 +308,13 @@ fn stateful_stage_migrates_with_state_intact() {
     // order-insensitive totals even across a migration.
     let sum_spec = StageSpec::balanced("sum", 0.003, 8).with_state(8);
     let pipeline = PipelineBuilder::<u64>::new()
-        .stateful_stage(sum_spec, {
+        .then(|graph, tail| {
             let mut acc = 0u64;
-            move |x: u64| {
+            graph.stateful_node_with(sum_spec, tail, move |x: u64| {
                 spin_for(Duration::from_millis(3));
                 acc += x;
                 acc
-            }
+            })
         })
         .build();
     // The host collapses to 5 % almost immediately, so hundreds of
@@ -371,30 +370,24 @@ fn vnode_crash_mid_run_loses_nothing() {
         .any(|e| matches!(e, RunEvent::ItemReplayed { .. })));
 }
 
+/// (x+1 ‖ x*2) → join, both branches fed by the pipeline input.
+fn branched() -> Pipeline<u64, u64> {
+    use adapipe_core::pipeline::DagBuilder;
+    let spec = |name| StageSpec::balanced(name, 0.001, 8);
+    let mut dag = DagBuilder::<u64>::default();
+    let input = dag.input();
+    let a = dag.node_with(spec("a"), input.clone(), |x: u64| x + 1);
+    let b = dag.node_with(spec("b"), input, |x: u64| x * 2);
+    let join = dag.join_with(spec("join"), vec![a, b], |parts: Vec<u64>| {
+        parts[0] * 1000 + parts[1]
+    });
+    dag.finish(join).expect("a fan-out and a join")
+}
+
 #[test]
 fn branched_pipeline_joins_every_item_exactly_once() {
-    use adapipe_core::spec::{PipelineSpec, StageGraph};
-    use adapipe_core::stage::{fan_out_fn, FnStage, MergeStage};
-    // (x+1 ‖ x*2) → sum, assembled from erased graph parts.
-    let spec = PipelineSpec::with_graph(
-        vec![
-            StageSpec::balanced("a", 0.001, 8),
-            StageSpec::balanced("b", 0.001, 8),
-            StageSpec::balanced("join", 0.001, 8),
-        ],
-        StageGraph::builder().split(&[1, 1]).build(),
-    );
-    let stages: Vec<Box<dyn DynStage>> = vec![
-        Box::new(FnStage::new("a", |x: u64| x + 1)),
-        Box::new(FnStage::new("b", |x: u64| x * 2)),
-        Box::new(MergeStage::new("join", |parts: Vec<u64>| {
-            parts[0] * 1000 + parts[1]
-        })),
-    ];
-    let pipeline: Pipeline<u64, u64> =
-        Pipeline::from_parts(spec, stages, vec![fan_out_fn::<u64>(2)], vec![None; 3]);
     let outcome = execute_static(
-        pipeline,
+        branched(),
         (0..100).collect(),
         free_nodes(3),
         &RunConfig::default(),
@@ -405,51 +398,6 @@ fn branched_pipeline_joins_every_item_exactly_once() {
     // branch a, parts[1] always branch b.
     let expect: Vec<u64> = (0..100).map(|x| (x + 1) * 1000 + x * 2).collect();
     assert_eq!(outcome.outputs, expect);
-}
-
-#[test]
-fn wrong_typed_item_fails_session_with_typed_error() {
-    // Assemble a deliberately mis-typed pipeline from erased parts:
-    // the stage declares u64 but the session pushes strings. The
-    // run must fail with StageTypeMismatch on the session — not
-    // panic a worker thread and hang the drain.
-    use adapipe_core::spec::StageSpec;
-    use adapipe_core::stage::FnStage;
-    let spec = adapipe_core::spec::PipelineSpec::new(vec![StageSpec::balanced("typed", 0.001, 8)]);
-    let stages: Vec<Box<dyn DynStage>> = vec![Box::new(FnStage::new("typed", |x: u64| x + 1))];
-    let pipeline: Pipeline<String, u64> =
-        Pipeline::from_parts(spec, stages, Vec::new(), vec![None]);
-    let mut session = spawn_static(pipeline, free_nodes(1), &RunConfig::default());
-    for i in 0..4 {
-        session.push(format!("item {i}")).unwrap();
-    }
-    // The failure is asynchronous; drain unwinds cleanly.
-    let outcome = session.drain();
-    assert!(outcome.report.truncated);
-    assert!(outcome.report.completed < 4);
-}
-
-#[test]
-fn wrong_typed_item_error_is_readable_before_drain() {
-    use adapipe_core::spec::StageSpec;
-    use adapipe_core::stage::FnStage;
-    let spec = adapipe_core::spec::PipelineSpec::new(vec![StageSpec::balanced("typed", 0.001, 8)]);
-    let stages: Vec<Box<dyn DynStage>> = vec![Box::new(FnStage::new("typed", |x: u64| x + 1))];
-    let pipeline: Pipeline<String, u64> =
-        Pipeline::from_parts(spec, stages, Vec::new(), vec![None]);
-    let mut session = spawn_static(pipeline, free_nodes(1), &RunConfig::default());
-    session.push("oops".to_string()).unwrap();
-    let t0 = Instant::now();
-    while session.error().is_none() && t0.elapsed() < Duration::from_secs(5) {
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    assert_eq!(
-        session.error(),
-        Some(RunError::StageTypeMismatch {
-            stage: "typed".into()
-        })
-    );
-    let _ = session.drain(); // unwinds, no hang
 }
 
 #[test]
@@ -519,32 +467,13 @@ fn batched_envelopes_preserve_order_and_exactly_once() {
 
 #[test]
 fn batched_branched_pipeline_joins_exactly_once() {
-    use adapipe_core::spec::{PipelineSpec, StageGraph};
-    use adapipe_core::stage::{fan_out_fn, FnStage, MergeStage};
     // Fan-out/join with batch_size 8: per-item fan-out and join
     // accounting inside batches must not lose or duplicate parts.
-    let spec = PipelineSpec::with_graph(
-        vec![
-            StageSpec::balanced("a", 0.001, 8),
-            StageSpec::balanced("b", 0.001, 8),
-            StageSpec::balanced("join", 0.001, 8),
-        ],
-        StageGraph::builder().split(&[1, 1]).build(),
-    );
-    let stages: Vec<Box<dyn DynStage>> = vec![
-        Box::new(FnStage::new("a", |x: u64| x + 1)),
-        Box::new(FnStage::new("b", |x: u64| x * 2)),
-        Box::new(MergeStage::new("join", |parts: Vec<u64>| {
-            parts[0] * 1000 + parts[1]
-        })),
-    ];
-    let pipeline: Pipeline<u64, u64> =
-        Pipeline::from_parts(spec, stages, vec![fan_out_fn::<u64>(2)], vec![None; 3]);
     let cfg = RunConfig {
         batch_size: 8,
         ..RunConfig::default()
     };
-    let outcome = execute_static(pipeline, (0..100).collect(), free_nodes(3), &cfg);
+    let outcome = execute_static(branched(), (0..100).collect(), free_nodes(3), &cfg);
     assert_eq!(outcome.report.completed, 100);
     let expect: Vec<u64> = (0..100).map(|x| (x + 1) * 1000 + x * 2).collect();
     assert_eq!(outcome.outputs, expect);

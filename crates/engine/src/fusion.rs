@@ -18,7 +18,7 @@
 //! buffer shapes of that loop live here too.
 
 use crate::exec::{Finished, ItemSlot};
-use crate::item::{fail_mismatch, fail_stage, process_resilient, Outbox, ResilientOut};
+use crate::item::{fail_stage, process_resilient, Outbox, ResilientOut};
 use crate::tenant::Shared;
 use crate::worker::{try_acquire, TenantLocal};
 use adapipe_core::item::{forward, Hops, JoinSlots};
@@ -252,8 +252,8 @@ impl Region {
     /// did not complete inside the walk go on to the shared join map
     /// through `outbox`, so a block that is only partly co-located
     /// still pairs exactly once. With `sample`, each stage's share of
-    /// the walk is stamped into `samp`. `Err(())`: the run failed (a
-    /// stage, or a fan-out type mismatch) and is already torn down.
+    /// the walk is stamped into `samp`. `Err(())`: a stage failed the run,
+    /// which is already torn down.
     #[inline]
     fn walk<E>(
         &mut self,
@@ -309,8 +309,7 @@ impl Region {
                 pending: &mut self.pending,
                 next: None,
             };
-            forward(graph, &shared.fanouts, &self.after[stage], item, &mut hop)
-                .map_err(|type_err| fail_mismatch(shared, type_err))?;
+            forward(graph, &shared.fanouts, &self.after[stage], item, &mut hop);
             match hop.next.or_else(|| self.stack.pop()) {
                 Some((t, input)) => (stage, item) = (t, input),
                 None => break,

@@ -7,9 +7,8 @@ use super::{next_stride, MAX_STAMP_STRIDE};
 use crate::exec::spawn;
 use crate::exec::tests::{every, free_nodes, mapped, multicore, n, spawn_static, spin_stage};
 use crate::vnode::VNodeSpec;
-use adapipe_core::pipeline::{Pipeline, PipelineBuilder};
-use adapipe_core::spec::{PipelineSpec, ResiliencePolicy, StageGraph, StageSpec};
-use adapipe_core::stage::{fan_out_fn, DynStage, FnStage, MergeStage};
+use adapipe_core::pipeline::{DagBuilder, Node, Pipeline, PipelineBuilder};
+use adapipe_core::spec::{ResiliencePolicy, StageSpec};
 use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::net::{LinkSpec, Topology};
 use adapipe_gridsim::node::NodeId;
@@ -20,38 +19,55 @@ use adapipe_runtime::session::{LiveSession, RunConfig, Session};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-/// A `u64` DAG over `edges`, assembled from erased parts: a
+/// A `u64` DAG over `edges`, declared on the typed builder in stage-id
+/// order (each edge points from a lower id to a higher one): a
 /// single-input stage `s` maps `x` to `3x + s + 1`, a joining stage
 /// folds its parts in slot order (so a swapped slot shows), and every
-/// fan-out copies. `declare` may change any stage's declaration.
+/// extra consumer of a producer takes its own clone of the producer's
+/// handle. `declare` may change any stage's declaration.
 fn u64_dag(
     stages: usize,
     edges: &[(usize, usize)],
     declare: impl Fn(usize, StageSpec) -> StageSpec,
 ) -> Pipeline<u64, u64> {
-    let graph = edges
-        .iter()
-        .fold(StageGraph::dag(stages), |g, &(from, to)| g.edge(from, to))
-        .build()
-        .expect("a valid DAG");
-    let specs = (0..stages)
-        .map(|s| declare(s, StageSpec::balanced(format!("s{s}"), 0.001, 8)))
-        .collect();
-    let insts: Vec<Box<dyn DynStage>> = (0..stages)
-        .map(|s| -> Box<dyn DynStage> {
-            let name = format!("s{s}");
-            if graph.preds(s).len() > 1 {
-                Box::new(MergeStage::new(name, |parts: Vec<u64>| fold_parts(&parts)))
-            } else {
-                Box::new(FnStage::new(name, move |x: u64| step(s, x)))
-            }
-        })
-        .collect();
-    let fanouts = (0..graph.blocks())
-        .map(|b| fan_out_fn::<u64>(graph.fan_targets(b).len()))
-        .collect();
-    let spec = PipelineSpec::with_graph(specs, graph);
-    Pipeline::from_parts(spec, insts, fanouts, vec![None; stages])
+    // Producer `stages` stands for the pipeline input.
+    let mut preds = vec![Vec::new(); stages];
+    edges.iter().for_each(|&(from, to)| preds[to].push(from));
+    preds
+        .iter_mut()
+        .filter(|p| p.is_empty())
+        .for_each(|p| p.push(stages));
+    let mut uses = vec![0; stages + 1];
+    preds.iter().flatten().for_each(|&p| uses[p] += 1);
+    let mut dag = DagBuilder::<u64>::default();
+    let mut nodes: Vec<Option<Node<u64>>> = (0..stages).map(|_| None).collect();
+    nodes.push(Some(dag.input()));
+    let mut exit = None;
+    for (s, preds) in preds.iter().enumerate() {
+        let spec = declare(s, StageSpec::balanced(format!("s{s}"), 0.001, 8));
+        let mut from: Vec<Node<u64>> = (preds.iter())
+            .map(|&p| {
+                uses[p] -= 1;
+                let node = if uses[p] == 0 {
+                    nodes[p].take()
+                } else {
+                    nodes[p].clone()
+                };
+                node.expect("a producer is declared before its consumers")
+            })
+            .collect();
+        let node = if from.len() > 1 {
+            dag.join_with(spec, from, |parts: Vec<u64>| fold_parts(&parts))
+        } else {
+            dag.node_with(spec, from.remove(0), move |x: u64| step(s, x))
+        };
+        if uses[s] == 0 {
+            exit = Some(node);
+        } else {
+            nodes[s] = Some(node);
+        }
+    }
+    dag.finish(exit.expect("a sink")).expect("a valid DAG")
 }
 
 fn step(s: usize, x: u64) -> u64 {
@@ -145,10 +161,11 @@ fn model_discounts_exactly_the_edges_the_engine_fuses() {
     let items = 200u64;
     let mut disagree = Vec::new();
     for declare in declarations {
-        let spec = PipelineSpec::new(vec![
-            StageSpec::balanced("a", 1.0, 1_000_000),
-            declare(StageSpec::balanced("b", 1.0, 8)),
-        ]);
+        let pipeline = PipelineBuilder::<u64>::new()
+            .stage(StageSpec::balanced("a", 1.0, 1_000_000), |x: u64| x + 1)
+            .stage(declare(StageSpec::balanced("b", 1.0, 8)), |x: u64| x * 2)
+            .build();
+        let spec = pipeline.spec();
         let label = spec.stages[1].state.label();
         let mut profile = spec.profile();
         profile.fuses_colocated = true;
@@ -157,11 +174,6 @@ fn model_discounts_exactly_the_edges_the_engine_fuses() {
         let routed = evaluate(&profile, &mapping, &[1.0], &topology).latency;
         let discounted = fused < routed;
 
-        let stages: Vec<Box<dyn DynStage>> = vec![
-            Box::new(FnStage::new("a", |x: u64| x + 1)),
-            Box::new(FnStage::new("b", |x: u64| x * 2)),
-        ];
-        let pipeline = Pipeline::<u64, u64>::from_parts(spec, stages, Vec::new(), vec![None; 2]);
         let cfg = RunConfig {
             initial_mapping: Some(mapping.clone()),
             ..RunConfig::default()
@@ -407,12 +419,13 @@ fn stateful_or_resilient_successors_refuse_fusion() {
     // must refuse.
     let pipeline = PipelineBuilder::<u64>::new()
         .stage(StageSpec::balanced("a", 0.001, 8), |x: u64| x + 1)
-        .stateful_stage(StageSpec::balanced("sum", 0.001, 8).with_state(8), {
+        .then(|graph, tail| {
             let mut acc = 0u64;
-            move |x: u64| {
+            let sum = StageSpec::balanced("sum", 0.001, 8).with_state(8);
+            graph.stateful_node_with(sum, tail, move |x: u64| {
                 acc += x;
                 acc
-            }
+            })
         })
         .build();
     let cfg = mapped(Mapping::all_on(n(0), 2));

@@ -721,15 +721,14 @@ mod tests {
         let pool = Pool::launch(vnodes.clone(), FaultPlan::new(), None);
         let pipeline = PipelineBuilder::<u64>::new()
             .stage(StageSpec::balanced("hot", 1.0, 0), |x: u64| x)
-            .keyed_stage(
-                StageSpec::balanced("count", 1.0, 0).with_keyed_state(2, 8),
-                |x: &u64| *x,
-                || 0u64,
-                |seen: &mut u64, x: u64| {
+            .then(|graph, tail| {
+                let count = StageSpec::balanced("count", 1.0, 0).with_keyed_state(2, 8);
+                let seen = |seen: &mut u64, x: u64| {
                     *seen += 1;
                     x
-                },
-            )
+                };
+                graph.keyed_node_with(count, tail, |x: &u64| *x, || 0u64, seen)
+            })
             .stage(StageSpec::balanced("solo", 1.0, 0), |x: u64| x)
             .build();
         let both = || Placement::replicated(vec![NodeId(0), NodeId(1)]);

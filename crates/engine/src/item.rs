@@ -12,7 +12,7 @@ use crate::worker::{push_bucket, ship};
 use adapipe_core::item::{self, GaveUp, Hops, JoinSlots};
 use adapipe_core::payload::Payload;
 use adapipe_core::spec::Next;
-use adapipe_core::stage::{BoxedItem, DynStage, StageError, StageTypeError};
+use adapipe_core::stage::{BoxedItem, DynStage, StageError};
 use adapipe_gridsim::time::SimTime;
 use adapipe_runtime::routing::RoutingSnapshot;
 use adapipe_runtime::session::{RunError, RunEvent, SessionId};
@@ -105,13 +105,6 @@ pub(crate) fn fail_stage(shared: &Arc<Shared>, stage: usize, seq: u64, err: Stag
     );
 }
 
-/// A payload a fan-out could not copy: the same contract as a
-/// stage-level mismatch — the session fails typed and tears down.
-pub(crate) fn fail_mismatch(shared: &Shared, type_err: StageTypeError) {
-    let stage = type_err.stage;
-    fail_run(shared, RunError::StageTypeMismatch { stage });
-}
-
 /// Where an envelope's items go when they leave their stage: the sink
 /// batch, the onward batches per consuming stage, and the join inputs
 /// per `(block, slot)`. Join inputs wait here until [`Outbox::dispatch`], so
@@ -142,9 +135,7 @@ impl Outbox {
 
     /// Routes one stage output (or one source item entering the
     /// pipeline) wherever `next` says — the kernel's walk, landing in
-    /// this outbox. `Err(())` means a fan-out type mismatch: the
-    /// session is already failed and torn down, and the caller must
-    /// abandon the rest of its batch.
+    /// this outbox.
     #[inline]
     pub(crate) fn send(
         &mut self,
@@ -154,7 +145,7 @@ impl Outbox {
         born: SimTime,
         done: SimTime,
         payload: BoxedItem,
-    ) -> Result<(), ()> {
+    ) {
         let mut leaving = Leaving {
             seq,
             born,
@@ -167,8 +158,7 @@ impl Outbox {
             next,
             payload,
             &mut leaving,
-        )
-        .map_err(|type_err| fail_mismatch(shared, type_err))
+        );
     }
 
     /// Collects one pipeline output for the sink batch.
@@ -300,9 +290,8 @@ mod tests {
     use super::*;
     use crate::exec::spawn;
     use crate::vnode::VNodeSpec;
-    use adapipe_core::pipeline::Pipeline;
-    use adapipe_core::spec::{PipelineSpec, ResiliencePolicy, StageGraph, StageSpec};
-    use adapipe_core::stage::{fan_out_fn, FallibleFnStage, FnStage, MergeStage};
+    use adapipe_core::pipeline::{DagBuilder, Pipeline};
+    use adapipe_core::spec::{ResiliencePolicy, StageSpec};
     use adapipe_gridsim::node::NodeId;
     use adapipe_mapper::mapping::{Mapping, Placement};
     use adapipe_runtime::session::{LiveSession, RunConfig, RunHandle, Session};
@@ -317,37 +306,22 @@ mod tests {
         audit: impl FnMut(u64) -> u64 + Send + Clone + 'static,
     ) -> Pipeline<u64, u64> {
         let stage = |name: &str| StageSpec::balanced(name, 0.001, 8);
-        let spec = PipelineSpec::with_graph(
-            vec![
-                stage("fetch"),
-                stage("parse").with_resilience(ResiliencePolicy::new().retries(1).dead_letter()),
-                stage("audit"),
-                stage("combine"),
-            ],
-            StageGraph::dag(4)
-                .edge(0, 1)
-                .edge(0, 2)
-                .edge(1, 3)
-                .edge(2, 3)
-                .build()
-                .expect("a diamond"),
-        );
-        let stages: Vec<Box<dyn DynStage>> = vec![
-            Box::new(FnStage::new("fetch", |x: u64| x + 1)),
-            Box::new(FallibleFnStage::new("parse", move |v: u64| {
-                parse_hook();
-                if v % 10 == 4 {
-                    Err(format!("indigestible payload {v}"))
-                } else {
-                    Ok(v * 10)
-                }
-            })),
-            Box::new(FnStage::new("audit", audit)),
-            Box::new(MergeStage::new("combine", |parts: Vec<u64>| {
-                parts[0] + parts[1]
-            })),
-        ];
-        Pipeline::from_parts(spec, stages, vec![fan_out_fn::<u64>(2)], vec![None; 4])
+        let mut dag = DagBuilder::<u64>::default();
+        let fetch = dag.node_with(stage("fetch"), dag.input(), |x: u64| x + 1);
+        let parse = dag.try_node_with(stage("parse"), fetch.clone(), move |v: u64| {
+            parse_hook();
+            if v % 10 == 4 {
+                Err(format!("indigestible payload {v}"))
+            } else {
+                Ok(v * 10)
+            }
+        });
+        dag.resilience(ResiliencePolicy::new().retries(1).dead_letter());
+        let audit = dag.node_with(stage("audit"), fetch, audit);
+        let combine = dag.join_with(stage("combine"), vec![parse, audit], |parts: Vec<u64>| {
+            parts[0] + parts[1]
+        });
+        dag.finish(combine).expect("a diamond")
     }
 
     fn audit(v: u64) -> u64 {
@@ -407,8 +381,7 @@ mod tests {
                 block: 0,
                 branch: 1,
             };
-            late.send(shared, &into_join, dead_seq, now, now, Payload::new(1u64))
-                .unwrap();
+            late.send(shared, &into_join, dead_seq, now, now, Payload::new(1u64));
             late.dispatch(shared, &shared.snapshot());
             assert_eq!(parked(shared), 0);
         }

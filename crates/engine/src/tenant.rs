@@ -300,14 +300,13 @@ impl Shared {
     }
 
     /// The routing-key hash of one in-flight item at `stage`: the
-    /// declared key extractor when it can read the payload, the item's
-    /// sequence number otherwise (deterministic for the run either way).
+    /// declared key extractor's for a keyed stage, the item's sequence
+    /// number otherwise (deterministic for the run either way).
     #[inline]
     pub(crate) fn key_hash(&self, stage: usize, slot: &ItemSlot) -> u64 {
         self.keys[stage]
             .as_ref()
-            .and_then(|k| k(&slot.payload))
-            .unwrap_or(slot.seq)
+            .map_or(slot.seq, |key| key(&slot.payload))
     }
 
     /// True if `seq` was diverted to the dead-letter channel. The
@@ -387,7 +386,7 @@ impl RouteCache {
 }
 
 /// Irrecoverable failure *of one tenant* (stateful stage lost, every
-/// node down, wrong-typed item, forced eviction): record nothing
+/// node down, a poison item, forced eviction): record nothing
 /// further for it, stop its collector, raise its done flag, wake every
 /// worker (so tenant-scoped backlog gets discarded), its adaptation
 /// thread and any of its pushers blocked on the credit gate. The typed

@@ -9,8 +9,7 @@ use crate::tenant::SinkMsg;
 use crate::vnode::VNodeSpec;
 use adapipe_core::payload::Payload;
 use adapipe_core::pipeline::{Pipeline, PipelineBuilder};
-use adapipe_core::spec::{PipelineSpec, StageSpec};
-use adapipe_core::stage::FallibleFnStage;
+use adapipe_core::spec::StageSpec;
 use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::time::SimTime;
 use adapipe_mapper::mapping::{Mapping, Placement};
@@ -26,7 +25,10 @@ fn a_parked_backlog_shipped_to_the_new_owner_counts_as_rehomed() {
     let vnodes: Vec<VNodeSpec> = (0..2).map(|i| VNodeSpec::free(format!("v{i}"))).collect();
     let pool = Pool::launch(vnodes.clone(), FaultPlan::new(), None);
     let pipeline = PipelineBuilder::<u64>::new()
-        .stateful_stage(StageSpec::balanced("sum", 1.0, 0).with_state(8), |x: u64| x)
+        .then(|graph, tail| {
+            let sum = StageSpec::balanced("sum", 1.0, 0).with_state(8);
+            graph.stateful_node_with(sum, tail, |x: u64| x)
+        })
         .build();
     let cfg = RunConfig {
         initial_mapping: Some(Mapping::all_on(NodeId(0), 1)),
@@ -90,16 +92,13 @@ const SHARDS: usize = 8;
 /// One keyed stage, 8 shards: counts the items of key `x % KEYS` and
 /// emits `(key, seen, x)`, `seen` counting this item.
 fn counter() -> Pipeline<u64, (u64, u64, u64)> {
+    let spec = StageSpec::balanced("count", 1.0, 8).with_keyed_state(SHARDS, 64);
+    let count = |seen: &mut u64, x: u64| {
+        *seen += 1;
+        (x % KEYS, *seen, x)
+    };
     PipelineBuilder::<u64>::new()
-        .keyed_stage(
-            StageSpec::balanced("count", 1.0, 8).with_keyed_state(SHARDS, 64),
-            |x: &u64| x % KEYS,
-            || 0u64,
-            |seen: &mut u64, x: u64| {
-                *seen += 1;
-                (x % KEYS, *seen, x)
-            },
-        )
+        .then(|graph, tail| graph.keyed_node_with(spec, tail, |x: &u64| x % KEYS, || 0u64, count))
         .build()
 }
 
@@ -242,24 +241,21 @@ fn a_remap_moving_every_shard_mid_stream_keeps_each_keys_count_exact() {
 #[test]
 fn a_fatal_failure_in_the_first_piece_ships_nothing_from_the_later_ones() {
     let presented = Arc::new(Mutex::new(Vec::new()));
-    let stage = {
+    let count = {
         let presented = Arc::clone(&presented);
-        FallibleFnStage::new("count", move |x: u64| {
+        move |x: u64| {
             presented.lock().unwrap().push(x);
             if x == 16 {
                 Err(format!("item {x} refused"))
             } else {
                 Ok(x)
             }
-        })
+        }
     };
     let spec = StageSpec::balanced("count", 1.0, 8).with_keyed_state(SHARDS, 64);
-    let pipeline = Pipeline::<u64, u64>::from_parts(
-        PipelineSpec::new(vec![spec]),
-        vec![Box::new(stage)],
-        Vec::new(),
-        vec![None],
-    );
+    let pipeline = PipelineBuilder::<u64>::new()
+        .then(|graph, tail| graph.try_node_with(spec, tail, count))
+        .build();
     let (pool, shared, sink) = lone_tenant(pipeline);
     let mut tl = TenantLocal::new(Arc::clone(&shared));
     // With no key extractor, items route by sequence number: item `x`

@@ -205,7 +205,7 @@ pub struct AdaptationLoop {
     /// Latched once a fault transition proved the run unrecoverable
     /// (see [`AdaptationLoop::poll_faults`]). Distinct from the
     /// session's error slot, which may carry non-fatal errors (e.g. the
-    /// simulator's marker-semantics type mismatch).
+    /// simulator's marker-semantics poison item).
     fatal: bool,
     /// Committed re-maps, planned or fault-driven; a guard revert undoes
     /// one and is not one.

@@ -515,13 +515,6 @@ pub enum RunEvent {
 #[non_exhaustive]
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RunError {
-    /// A stage received an item of the wrong dynamic type — a pipeline
-    /// assembled from mismatched erased parts (the typed builder cannot
-    /// produce this).
-    StageTypeMismatch {
-        /// Name of the stage that rejected the item.
-        stage: String,
-    },
     /// A stage with *opaque* (undeclared) state was pinned to a node
     /// that went down permanently (a crash; a finite outage parks the
     /// stage's items and recovers instead). Opaque state cannot be
@@ -579,9 +572,6 @@ pub enum RunError {
 impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RunError::StageTypeMismatch { stage } => {
-                write!(f, "stage '{stage}' received an item of the wrong type")
-            }
             RunError::StatefulStageLost { stage, node } => {
                 write!(
                     f,
@@ -1402,7 +1392,7 @@ mod tests {
         ctl.fail(RunError::AllNodesDown);
         // A clone shares the slot; later errors are dropped.
         let other = ctl.clone();
-        other.fail(RunError::StageTypeMismatch { stage: "x".into() });
+        other.fail(RunError::SessionClosed);
         assert_eq!(ctl.error(), Some(RunError::AllNodesDown));
         assert!(ctl.error().unwrap().to_string().contains("every node"));
     }
@@ -1472,9 +1462,8 @@ mod tests {
         let e = RunError::StatefulStageLost { stage: 1, node: 2 };
         let s = e.to_string();
         assert!(s.contains("stateful stage 1") && s.contains("node 2"));
-        let e = RunError::StageTypeMismatch {
-            stage: "parse".into(),
-        };
-        assert!(e.to_string().contains("parse"));
+        let e = RunError::NodeLostUnderStatic { node: 3 };
+        let s = e.to_string();
+        assert!(s.contains("node 3") && s.contains("static policy"));
     }
 }

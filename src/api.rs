@@ -36,14 +36,17 @@
 //!
 //! ## One graph builder
 //!
-//! A pipeline's stages form a DAG, declared through one builder.
-//! [`Pipeline::dag`] exposes it: each stage names its producers by the
-//! typed [`Node`] handles earlier declarations returned, so an edge
-//! between mismatched item types, or an exit of the wrong type, does not
-//! compile. [`Pipeline::builder`]'s chain and its
-//! [`PipelineBuilder::parallel`] blocks are sugar over the same
-//! [`DagBuilder`]: the chain holds a handle on its last stage, and a
-//! block clones it once per branch and joins the branch ends.
+//! A pipeline's stages form a DAG, declared through one builder, core's
+//! [`adapipe_core::pipeline::DagBuilder`]. [`Pipeline::dag`] exposes it:
+//! each stage names its producers by the typed [`Node`] handles earlier
+//! declarations returned, so an edge between mismatched item types, or
+//! an exit of the wrong type, does not compile. [`Pipeline::builder`]'s
+//! chain and its [`PipelineBuilder::parallel`] blocks are sugar over the
+//! same [`DagBuilder`]: the chain holds a handle on its last stage, and a
+//! block clones it once per branch and joins the branch ends. The
+//! builder erases each stage in the call that declares it, so this
+//! module never handles an erased stage, and every pipeline it hands a
+//! backend is well-typed by construction.
 //!
 //! ## Streaming sessions
 //!
@@ -118,31 +121,27 @@
 //! gracefully or forcibly. See the `Cluster` docs for the capacity
 //! arbitration and fairness semantics.
 
-use adapipe_core::pipeline::Pipeline as CorePipeline;
+use adapipe_core::pipeline::{
+    DagBuilder as CoreDag, Exit, Pipeline as CorePipeline, PipelineBuilder as CoreChain,
+};
 use adapipe_core::simengine;
 use adapipe_core::simsession::{self, SimPool};
-use adapipe_core::spec::{PipelineSpec, ResiliencePolicy, StageGraph, StageSpec};
-use adapipe_core::stage::{
-    fan_out_fn, AccumStage, DynStage, FallibleFnStage, FanOutFn, FnStage, KeyFn, KeyedStage,
-    MergeStage,
-};
+use adapipe_core::spec::{PipelineSpec, ResiliencePolicy, StageSpec};
 use adapipe_engine::exec::{self, Pool};
 use adapipe_engine::vnode::VNodeSpec;
 use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::grid::GridSpec;
 use adapipe_gridsim::node::NodeId;
-use adapipe_mapper::graph::GraphError;
 use adapipe_runtime::policy::Policy;
 use adapipe_runtime::report::RunReport;
 use adapipe_runtime::routing::Selection;
 use adapipe_runtime::session::{self, LiveSession, Session, SessionControl};
 use adapipe_state::StateCodec;
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Duration;
 
+pub use adapipe_core::pipeline::Node;
 pub use adapipe_mapper::share::ShareQuota;
 pub use adapipe_runtime::adapt::Verdict;
 pub use adapipe_runtime::session::{
@@ -207,7 +206,7 @@ impl<I: Send + 'static> Pipeline<I, I> {
     /// sugar, and [`DagBuilder::exit`] picks the node the pipeline
     /// delivers.
     pub fn dag() -> DagBuilder<I> {
-        DagBuilder::new()
+        DagBuilder::default()
     }
 }
 
@@ -470,7 +469,7 @@ impl<I: Send + 'static, O: Send + 'static> RunSession<'_, I, O> {
     }
 
     /// The run's fatal error, if one was recorded (a stateful stage
-    /// lost to a crashed node, every node down, a wrong-typed item).
+    /// lost to a crashed node, every node down, a poison item).
     /// The failed run unwinds cleanly — `next()` stops yielding and
     /// [`RunSession::drain`] returns a truncated report — and this (or
     /// [`RunHandle::error`]) says why.
@@ -749,27 +748,23 @@ impl Drop for Cluster<'_> {
     }
 }
 
-/// Typed builder for the unified [`Pipeline`]: a [`DagBuilder`] graph
-/// plus its *tail*, the [`Node`] whose output the next appended stage
-/// consumes. `Cur` is the tail's item type, so stage `i+1` must accept
-/// exactly what stage `i` produces — checked at compile time. Chain
-/// stages, [`PipelineBuilder::parallel`] blocks and [`DagBuilder`]
-/// graphs all declare their stages on the same graph builder; everything
-/// else is checked by [`PipelineBuilder::build`], which returns a typed
+/// Typed builder for the unified [`Pipeline`]: core's chain builder (a
+/// [`DagBuilder`] graph plus its *tail*, the [`Node`] whose output the
+/// next appended stage consumes) and the run declarations. `Cur` is the
+/// tail's item type, so stage `i+1` must accept exactly what stage `i`
+/// produces — checked at compile time. Chain stages,
+/// [`PipelineBuilder::parallel`] blocks and [`DagBuilder`] graphs all
+/// declare their stages on the same graph builder; everything else is
+/// checked by [`PipelineBuilder::build`], which returns a typed
 /// [`BuildError`] instead of panicking.
 pub struct PipelineBuilder<In, Cur = In> {
-    graph: DagBuilder<In>,
-    tail: Node<Cur>,
+    chain: CoreChain<In, Cur, Pipeline<In>>,
     run: RunDecl<In>,
 }
 
 /// What a builder declares about the run as a whole rather than about
-/// any one stage, and the `build()` tail that turns a declaration into
-/// a [`Pipeline`].
+/// any one stage.
 struct RunDecl<In> {
-    input_bytes: u64,
-    source: Option<NodeId>,
-    sink: Option<NodeId>,
     policy: Policy,
     arrivals: ArrivalProcess,
     baseline: bool,
@@ -777,95 +772,11 @@ struct RunDecl<In> {
     faults: FaultPlan,
 }
 
-impl<In> RunDecl<In> {
-    fn new() -> Self {
-        RunDecl {
-            input_bytes: 0,
-            source: None,
-            sink: None,
-            policy: Policy::Static,
-            arrivals: ArrivalProcess::AllAtOnce,
-            baseline: false,
-            feed: None,
-            faults: FaultPlan::new(),
-        }
-    }
-
-    /// Validates the declaration and assembles the pipeline whose
-    /// output is `exit`'s: the graph's first wiring error, stage names
-    /// and replica bounds, the policy × arrival pairing, then the stage
-    /// graph, that `exit` is its one sink, and one fan-out duplicator
-    /// per fan block of it.
-    fn finish<Out>(
-        self,
-        dag: DagBuilder<In>,
-        exit: Node<Out>,
-    ) -> Result<Pipeline<In, Out>, BuildError> {
-        if let Some(err) = dag.err {
-            return Err(err);
-        }
-        let names: Vec<&str> = dag.specs.iter().map(|s| s.name.as_str()).collect();
-        session::validate_stage_names(&names)?;
-        for spec in &dag.specs {
-            session::validate_replicas(&spec.name, spec.state, spec.max_replicas)?;
-        }
-        let session = if self.baseline {
-            Session::baseline(self.policy, self.arrivals)?
-        } else {
-            Session::new(self.policy, self.arrivals)?
-        };
-        let wiring = (dag.edges.iter()).fold(StageGraph::dag(names.len()), |w, &(from, to)| {
-            w.edge(from, to)
-        });
-        let graph = wiring.build().map_err(|e| graph_build_error(e, &names))?;
-        let name = |id: Option<usize>| {
-            id.map_or("the pipeline input".to_string(), |s| {
-                format!("'{}'", names[s])
-            })
-        };
-        if exit.id != Some(graph.exit()) {
-            return Err(BuildError::InvalidEdge {
-                detail: format!(
-                    "exit {} is not the graph's sink '{}'",
-                    name(exit.id),
-                    names[graph.exit()]
-                ),
-            });
-        }
-        let fanouts = (0..graph.blocks())
-            .map(|b| {
-                let source = graph.fan_source(b);
-                let (_, fan) = dag.fans.iter().find(|(s, _)| *s == source).ok_or_else(|| {
-                    BuildError::InvalidEdge {
-                        detail: format!(
-                            "{} feeds several stages, but its handle was not cloned",
-                            name(source)
-                        ),
-                    }
-                })?;
-                Ok(fan(graph.fan_targets(b).len()))
-            })
-            .collect::<Result<_, BuildError>>()?;
-        let mut spec = PipelineSpec::with_graph(dag.specs, graph);
-        spec.input_bytes = self.input_bytes;
-        spec.source = self.source;
-        spec.sink = self.sink;
-        Ok(Pipeline {
-            core: CorePipeline::from_parts(spec, dag.stages, fanouts, dag.keys),
-            session,
-            feed: self.feed,
-            faults: self.faults,
-        })
-    }
-}
-
 impl<In: Send + 'static> PipelineBuilder<In, In> {
     /// Starts a pipeline whose inputs have type `In`: a graph with no
     /// stage yet, positioned at the pipeline input.
     pub fn new() -> Self {
-        let graph = DagBuilder::new();
-        let input = graph.input();
-        graph.exit(input)
+        Pipeline::wrap(CoreChain::new())
     }
 }
 
@@ -877,35 +788,15 @@ impl<In: Send + 'static> Default for PipelineBuilder<In, In> {
 
 impl PipelineBuilder<u64, u64> {
     /// Builds from an engine-agnostic [`PipelineSpec`] alone — any DAG
-    /// spec, however its graph was wired: each stage becomes an
-    /// identity function over `u64` (joining stages take their first
-    /// input's value), and the feed defaults to the item index. The
-    /// simulation backend only consumes the metadata, so this is the
-    /// natural entry point for simulation scenarios (and still runs —
-    /// trivially — on the threaded backend). Stages appended afterwards
-    /// consume the spec's exit stage.
+    /// spec, however its graph was wired: core's identity program over
+    /// `u64` ([`CorePipeline::identity`]), with the feed defaulting to
+    /// the item index. The simulation backend only consumes the
+    /// metadata, so this is the natural entry point for simulation
+    /// scenarios (and still runs — trivially — on the threaded
+    /// backend). Stages appended afterwards consume the spec's exit
+    /// stage.
     pub fn from_spec(spec: PipelineSpec) -> Self {
-        let graph = &spec.graph;
-        let stages: Vec<Box<dyn DynStage>> = spec
-            .stages
-            .iter()
-            .enumerate()
-            .map(|(i, s)| -> Box<dyn DynStage> {
-                if graph.merge_block_of(i).is_some() {
-                    Box::new(MergeStage::new(s.name.clone(), |mut parts: Vec<u64>| {
-                        parts.swap_remove(0)
-                    }))
-                } else {
-                    Box::new(FnStage::new(s.name.clone(), |x: u64| x))
-                }
-            })
-            .collect();
-        let fanouts = (0..graph.blocks())
-            .map(|b| fan_out_fn::<u64>(graph.fan_targets(b).len()))
-            .collect();
-        let keys = vec![None; stages.len()];
-        let core = CorePipeline::from_parts(spec, stages, fanouts, keys);
-        PipelineBuilder::from_pipeline(core).feed(|i| i)
+        PipelineBuilder::from_pipeline(CorePipeline::identity(spec)).feed(|i| i)
     }
 }
 
@@ -915,50 +806,25 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
     /// metadata; the unified policy/arrivals/feed declarations still
     /// apply, and stages appended afterwards consume its exit stage.
     pub fn from_pipeline(pipeline: CorePipeline<In, Cur>) -> Self {
-        let (spec, stages, fanouts, keys) = pipeline.into_parts();
-        let mut graph = DagBuilder::new();
-        let adopted = &spec.graph;
-        graph.edges = adopted.edges().collect();
-        // No adopted stage gains a consumer: the only handle on one is
-        // the tail, the exit, which feeds nothing yet. So each adopted
-        // duplicator keeps the width it was built for.
-        for (b, fan) in fanouts.into_iter().enumerate() {
-            graph
-                .fans
-                .push((adopted.fan_source(b), Box::new(move |_| fan.clone())));
-        }
-        let tail = graph.handle(Some(adopted.exit()));
-        graph.specs = spec.stages;
-        graph.stages = stages;
-        graph.keys = keys;
-        PipelineBuilder {
-            graph,
-            tail,
-            run: RunDecl {
-                input_bytes: spec.input_bytes,
-                source: spec.source,
-                sink: spec.sink,
-                ..RunDecl::new()
-            },
-        }
+        Pipeline::wrap(CoreChain::from_pipeline(pipeline))
     }
 
     /// Declares how many bytes each input item carries into stage 0.
     pub fn input_bytes(mut self, bytes: u64) -> Self {
-        self.run.input_bytes = bytes;
+        self.chain = self.chain.input_bytes(bytes);
         self
     }
 
     /// Pins the input source to a grid node (inputs pay the transfer
     /// from there to stage 0's host).
     pub fn source(mut self, node: NodeId) -> Self {
-        self.run.source = Some(node);
+        self.chain = self.chain.source(node);
         self
     }
 
     /// Pins the output sink to a grid node.
     pub fn sink(mut self, node: NodeId) -> Self {
-        self.run.sink = Some(node);
+        self.chain = self.chain.sink(node);
         self
     }
 
@@ -1010,13 +876,10 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
         self,
         declare: impl FnOnce(&mut DagBuilder<In>, Node<Cur>) -> Node<Out>,
     ) -> PipelineBuilder<In, Out> {
-        let PipelineBuilder {
-            mut graph,
-            tail,
-            run,
-        } = self;
-        let tail = declare(&mut graph, tail);
-        PipelineBuilder { graph, tail, run }
+        PipelineBuilder {
+            chain: self.chain.then(declare),
+            run: self.run,
+        }
     }
 
     /// Appends a stateless stage with default cost metadata (1 work
@@ -1059,12 +922,11 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
     }
 
     /// Appends a stateful stage with *opaque* (undeclared) closure
-    /// state: it runs as one instance that is never copied
-    /// ([`FnStage::opaque`]), migrating it costs
-    /// `spec.state_bytes` of transfer, and losing its node permanently
-    /// fails the run with `RunError::StatefulStageLost` — the runtime
-    /// cannot move state it cannot serialize. Prefer the declared
-    /// patterns ([`PipelineBuilder::keyed_stage`],
+    /// state: it runs as one instance that is never copied, migrating
+    /// it costs `spec.state_bytes` of transfer, and losing its node
+    /// permanently fails the run with `RunError::StatefulStageLost` —
+    /// the runtime cannot move state it cannot serialize. Prefer the
+    /// declared patterns ([`PipelineBuilder::keyed_stage`],
     /// [`PipelineBuilder::accumulator_stage`],
     /// [`PipelineBuilder::exclusive_stage`]), which replicate and/or
     /// live-migrate instead. The closure needs no `Clone` bound, so it
@@ -1075,14 +937,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
         Out: Send + 'static,
         F: FnMut(Cur) -> Out + Send + 'static,
     {
-        let spec = if spec.state.replicable() {
-            let bytes = spec.state_bytes;
-            spec.with_state(bytes)
-        } else {
-            spec
-        };
-        let stage = Box::new(FnStage::opaque(spec.name.clone(), f));
-        self.then(|graph, tail| graph.push(spec, stage, None, [tail]))
+        self.then(|graph, tail| graph.stateful_node_with(spec, tail, f))
     }
 
     /// Appends a *fallible* stateless stage: the closure may reject an
@@ -1119,9 +974,11 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
     /// dead-letter diversion, per-hop tracing — honoured identically
     /// by both backends. A call before
     /// any stage was appended is ignored.
-    pub fn resilience(mut self, policy: ResiliencePolicy) -> Self {
-        self.graph.resilience(policy);
-        self
+    pub fn resilience(self, policy: ResiliencePolicy) -> Self {
+        self.then(|graph, tail| {
+            graph.resilience(policy);
+            tail
+        })
     }
 
     /// Appends a stage with *keyed* state: items hash to one of
@@ -1185,13 +1042,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
         K: Fn(&Cur) -> u64 + Send + Sync + 'static,
         F: FnMut(&mut S, Cur) -> Out + Send + Clone + 'static,
     {
-        assert!(
-            spec.state.shards() > 0,
-            "keyed_stage requires a spec with declared keyed state"
-        );
-        let stage = KeyedStage::<Cur, Out, S, K, F>::new(spec.name.clone(), key, init, f);
-        let key = stage.routing_key();
-        self.then(|graph, tail| graph.push(spec, Box::new(stage), Some(key), [tail]))
+        self.then(|graph, tail| graph.keyed_node_with(spec, tail, key, init, f))
     }
 
     /// Appends a stage with *accumulator* state: one logical value with
@@ -1235,14 +1086,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
         F: FnMut(&mut S, Cur) -> Out + Send + Clone + 'static,
         M: Fn(&mut S, S) + Send + Sync + 'static,
     {
-        let spec = if spec.state == adapipe_state::StateAccess::Accumulator {
-            spec
-        } else {
-            let bytes = spec.state_bytes;
-            spec.with_accumulator_state(bytes)
-        };
-        let stage = AccumStage::<Cur, Out, S, F>::new(spec.name.clone(), init, f, merge);
-        self.then(|graph, tail| graph.push(spec, Box::new(stage), None, [tail]))
+        self.then(|graph, tail| graph.accumulator_node_with(spec, tail, init, f, merge))
     }
 
     /// Appends a stage with *exclusive* declared state: serializable
@@ -1281,19 +1125,13 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
         S: StateCodec + Send + 'static,
         F: FnMut(&mut S, Cur) -> Out + Send + Clone + 'static,
     {
-        let spec = if spec.state == adapipe_state::StateAccess::Exclusive {
-            spec
-        } else {
-            let bytes = spec.state_bytes;
-            spec.with_exclusive_state(bytes)
-        };
-        let stage = AccumStage::<Cur, Out, S, F>::exclusive(spec.name.clone(), init, f);
-        self.then(|graph, tail| graph.push(spec, Box::new(stage), None, [tail]))
+        self.then(|graph, tail| graph.exclusive_node_with(spec, tail, init, f))
     }
 
     /// Fans each item out to the given branch sub-pipelines — sugar for
-    /// cloning the tail's [`Node`] once per branch and closing the block
-    /// with a [`DagBuilder::join`] of the branch ends. Every branch
+    /// cloning the tail's [`Node`] once per branch
+    /// ([`DagBuilder::parallel`]) and closing the block with a
+    /// [`DagBuilder::join`] of the branch ends. Every branch
     /// receives its own clone of the item (hence `Cur: Clone`), the
     /// branches execute concurrently (on the threaded backend) over
     /// their own placements, and the block must be closed with
@@ -1324,38 +1162,14 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
         Cur: Clone,
         B: Send + 'static,
     {
-        let PipelineBuilder {
-            mut graph,
-            tail,
-            run,
-        } = self;
-        // Blocks are numbered by their merges: those declared so far.
-        let joins = graph.edges.chunk_by(|a, b| a.1 == b.1);
-        let block = joins.filter(|inputs| inputs.len() > 1).count();
-        if branches.len() < 2 {
-            graph.fail(BuildError::TooFewBranches { block });
+        let (mut graph, tail) = self.chain.into_graph();
+        let branches = branches.into_iter().map(|b| (b.chain, b.cap)).collect();
+        let ends = graph.parallel(tail, branches);
+        ParallelBuilder {
+            graph,
+            ends,
+            run: self.run,
         }
-        if branches.iter().any(|b| b.stages.is_empty()) {
-            graph.fail(BuildError::EmptyBranch { block });
-        }
-        let ends = branches
-            .into_iter()
-            .map(|Branch { stages, cap, .. }| {
-                let start: Node<()> = tail.clone().cast();
-                let end = stages.into_iter().fold(start, |end, (mut spec, stage)| {
-                    // The per-branch replication cap tightens each
-                    // replicable stage's own declared bound; exclusive
-                    // and opaque stages stay pinned to width one by the
-                    // usual rules.
-                    if spec.state.replicable() {
-                        spec.max_replicas = spec.max_replicas.min(cap);
-                    }
-                    graph.push(spec, stage, None, [end])
-                });
-                end.cast()
-            })
-            .collect();
-        ParallelBuilder { graph, ends, run }
     }
 
     /// Validates and finalises the pipeline. See the module docs (and
@@ -1364,7 +1178,20 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
     /// parallel block and a non-empty stage list per branch, and a
     /// [`DagBuilder`] graph one sink, which must be its exit node.
     pub fn build(self) -> Result<Pipeline<In, Cur>, BuildError> {
-        self.run.finish(self.graph, self.tail)
+        let (graph, exit) = self.chain.into_graph();
+        let core = graph.finish(exit)?;
+        let run = self.run;
+        let session = if run.baseline {
+            Session::baseline(run.policy, run.arrivals)?
+        } else {
+            Session::new(run.policy, run.arrivals)?
+        };
+        Ok(Pipeline {
+            core,
+            session,
+            feed: run.feed,
+            faults: run.faults,
+        })
     }
 }
 
@@ -1373,19 +1200,17 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
 /// branch output `Cur`. All branches of one block must end in the same
 /// output type (the merge receives `Vec` of it, in branch order).
 pub struct Branch<I, Cur = I> {
-    stages: Vec<(StageSpec, Box<dyn DynStage>)>,
+    chain: CoreChain<I, Cur>,
     /// Per-branch replication cap, tightening each stage's own bound.
     cap: usize,
-    _types: PhantomData<fn(I) -> Cur>,
 }
 
 impl<I: Send + 'static> Branch<I, I> {
     /// Starts a branch whose input (the fanned-out item) has type `I`.
     pub fn new() -> Self {
         Branch {
-            stages: Vec::new(),
+            chain: CoreChain::new(),
             cap: usize::MAX,
-            _types: PhantomData,
         }
     }
 }
@@ -1422,17 +1247,14 @@ impl<I: Send + 'static, Cur: Send + 'static> Branch<I, Cur> {
 
     /// Appends a stage with explicit cost metadata; it replicates iff
     /// the declared state does, as on the main builder.
-    pub fn stage_with<Out, F>(mut self, spec: StageSpec, f: F) -> Branch<I, Out>
+    pub fn stage_with<Out, F>(self, spec: StageSpec, f: F) -> Branch<I, Out>
     where
         Out: Send + 'static,
         F: FnMut(Cur) -> Out + Send + Clone + 'static,
     {
-        let stage = Box::new(FnStage::new(spec.name.clone(), f));
-        self.stages.push((spec, stage));
         Branch {
-            stages: self.stages,
+            chain: self.chain.stage(spec, f),
             cap: self.cap,
-            _types: PhantomData,
         }
     }
 
@@ -1478,76 +1300,31 @@ impl<In: Send + 'static, B: Send + 'static> ParallelBuilder<In, B> {
         Out: Send + 'static,
         F: FnMut(Vec<B>) -> Out + Send + Clone + 'static,
     {
-        let ParallelBuilder {
-            mut graph,
-            ends,
-            run,
-        } = self;
-        let tail = graph.join_with(spec, ends, f);
-        PipelineBuilder { graph, tail, run }
-    }
-}
-
-/// A typed handle on one stage of a [`DagBuilder`] graph, or on the
-/// pipeline input ([`DagBuilder::input`]): what a consumer names to be
-/// fed the `T`s it produces.
-///
-/// A handle moves into the one consumer it is passed to. To feed a
-/// second consumer, clone it — which needs `T: Clone`, because each
-/// consumer then receives its own copy of every item.
-pub struct Node<T> {
-    /// The graph that handed the handle out.
-    graph: u64,
-    /// The stage; `None` for the pipeline input.
-    id: Option<usize>,
-    /// Set on a clone: the duplicator of `T`s for a given consumer
-    /// count, which the graph records for the stage when it fans out.
-    fan: Option<fn(usize) -> FanOutFn>,
-    _item: PhantomData<fn() -> T>,
-}
-
-impl<T> Node<T> {
-    /// The same handle at another item type, for the builder's own
-    /// erased bookkeeping (branch stages of a `parallel` block).
-    fn cast<U>(self) -> Node<U> {
-        Node {
-            graph: self.graph,
-            id: self.id,
-            fan: self.fan,
-            _item: PhantomData,
+        let mut graph = self.graph;
+        let tail = graph.join_with(spec, self.ends, f);
+        PipelineBuilder {
+            run: self.run,
+            ..graph.exit(tail)
         }
     }
 }
 
-impl<T: Clone + Send + 'static> Clone for Node<T> {
-    fn clone(&self) -> Self {
-        Node {
-            graph: self.graph,
-            id: self.id,
-            fan: Some(fan_out_fn::<T>),
-            _item: PhantomData,
-        }
-    }
-}
-
-/// Builder for a pipeline over a *general DAG* of named stages. Each
-/// declaration — [`DagBuilder::node`], [`DagBuilder::try_node`],
-/// [`DagBuilder::join`] — names its producers by their typed [`Node`]
-/// handles and returns the handle of the new stage, starting from
-/// [`DagBuilder::input`]. [`DagBuilder::exit`] names the node whose
-/// output the pipeline delivers and hands back a [`PipelineBuilder`] for
-/// the run declarations and `build()`.
+/// Builder for a pipeline over a *general DAG* of named stages: core's
+/// one graph builder ([`adapipe_core::pipeline::DagBuilder`]), whose
+/// `exit` hands back this module's [`PipelineBuilder`]. Each
+/// declaration — `node`, `try_node`, `join`, their `_with` forms and
+/// the declared-state kinds — names its producers by their typed
+/// [`Node`] handles and returns the handle of the new stage, starting
+/// from `input()`. `exit(node)` names the node whose output the
+/// pipeline delivers and hands back a [`PipelineBuilder`] for the run
+/// declarations and `build()`.
 ///
 /// A handle names only a stage that already exists, so every edge
 /// points backwards: the graph has no cycle, self-edge or unknown
-/// stage to report. Types are checked where the handle is passed: an
-/// edge from a `Node<u64>` into a stage that takes `String` does not
-/// compile, and neither does an exit whose type differs from the
-/// pipeline's output. A stage feeding several consumers fans copies
-/// out, so its handle must be cloned, which needs a `Clone` output; a
-/// stage declared with `join` receives one `Vec` with the outputs of
-/// its inputs, in the order given. What is left for `build()` returns a
-/// typed [`BuildError`]: [`BuildError::UnreachableStage`] and
+/// stage to report. Types are checked where the handle is passed, and
+/// a stage feeding several consumers needs its handle cloned, which
+/// needs a `Clone` output. What is left for `build()` returns a typed
+/// [`BuildError`]: [`BuildError::UnreachableStage`] and
 /// [`BuildError::InvalidEdge`] for a dangling node, a join of fewer
 /// than two stages, one handle given to a join twice, or an exit that
 /// is not the graph's one sink, plus every rule of
@@ -1570,6 +1347,10 @@ impl<T: Clone + Send + 'static> Clone for Node<T> {
 /// assert_eq!(pipeline.len(), 5);
 /// ```
 ///
+/// Each snippet that must not compile below has a twin that does,
+/// differing only in the line under test, so the snippet fails for the
+/// reason it names and not for a missing import.
+///
 /// An edge into a stage of another input type does not compile:
 ///
 /// ```compile_fail
@@ -1580,6 +1361,14 @@ impl<T: Clone + Send + 'static> Clone for Node<T> {
 /// let _ = dag.node("shout", count, |s: String| s.to_uppercase());
 /// ```
 ///
+/// ```
+/// use adapipe::prelude::*;
+///
+/// let mut dag = Pipeline::<u64>::dag();
+/// let count = dag.node("count", dag.input(), |x: u64| x + 1);
+/// let _ = dag.node("shout", count, |x: u64| x.to_string());
+/// ```
+///
 /// Nor does an exit whose type is not the declared output:
 ///
 /// ```compile_fail
@@ -1588,6 +1377,14 @@ impl<T: Clone + Send + 'static> Clone for Node<T> {
 /// let mut dag = Pipeline::<u64>::dag();
 /// let count = dag.node("count", dag.input(), |x: u64| x + 1);
 /// let _: Pipeline<u64, String> = dag.exit(count).build().unwrap();
+/// ```
+///
+/// ```
+/// use adapipe::prelude::*;
+///
+/// let mut dag = Pipeline::<u64>::dag();
+/// let count = dag.node("count", dag.input(), |x: u64| x + 1);
+/// let _: Pipeline<u64, u64> = dag.exit(count).build().unwrap();
 /// ```
 ///
 /// Nor fanning out a stage whose output cannot be copied:
@@ -1602,238 +1399,36 @@ impl<T: Clone + Send + 'static> Clone for Node<T> {
 /// let head = dag.node("head", frame, |f: Frame| f.0[0] as usize);
 /// let _ = dag.join("both", vec![size, head], |v: Vec<usize>| v[0] + v[1]);
 /// ```
-pub struct DagBuilder<In> {
-    /// Tells this graph's handles from every other graph's.
-    id: u64,
-    specs: Vec<StageSpec>,
-    stages: Vec<Box<dyn DynStage>>,
-    /// Per-stage routing-key extractors (`Some` for keyed stages only).
-    keys: Vec<Option<KeyFn>>,
-    /// `(producer, consumer)` stage pairs, grouped by consumer in
-    /// join-slot order; a stage the pipeline input feeds has none.
-    edges: Vec<(usize, usize)>,
-    /// How each producer that may fan out copies its output, by its
-    /// number of consumers (`None`: the pipeline input).
-    fans: Vec<(Option<usize>, FanFn)>,
-    /// First structural error of the declaration, surfaced at `build()`.
-    err: Option<BuildError>,
-    _input: PhantomData<fn(In)>,
-}
+///
+/// ```
+/// use adapipe::prelude::*;
+///
+/// #[derive(Clone)]
+/// struct Frame(Vec<u8>);
+/// let mut dag = Pipeline::<u64>::dag();
+/// let frame = dag.node("frame", dag.input(), |x: u64| Frame(vec![x as u8]));
+/// let size = dag.node("size", frame.clone(), |f: Frame| f.0.len());
+/// let head = dag.node("head", frame, |f: Frame| f.0[0] as usize);
+/// let _ = dag.join("both", vec![size, head], |v: Vec<usize>| v[0] + v[1]);
+/// ```
+pub type DagBuilder<In> = CoreDag<In, Pipeline<In>>;
 
-/// A producer's fan-out duplicator, by its number of consumers.
-type FanFn = Box<dyn Fn(usize) -> FanOutFn + Send>;
+/// A facade [`DagBuilder`] graph ends in a facade [`PipelineBuilder`],
+/// its run declared as the defaults: [`Policy::Static`], every item at
+/// once, no feed, no faults.
+impl<In: Send + 'static> Exit<In> for Pipeline<In> {
+    type Builder<Out> = PipelineBuilder<In, Out>;
 
-impl<In: Send + 'static> DagBuilder<In> {
-    fn new() -> Self {
-        static GRAPHS: AtomicU64 = AtomicU64::new(0);
-        DagBuilder {
-            id: GRAPHS.fetch_add(1, Ordering::Relaxed),
-            specs: Vec::new(),
-            stages: Vec::new(),
-            keys: Vec::new(),
-            edges: Vec::new(),
-            fans: Vec::new(),
-            err: None,
-            _input: PhantomData,
-        }
-    }
-
-    fn handle<T>(&self, id: Option<usize>) -> Node<T> {
-        Node {
-            graph: self.id,
-            id,
-            fan: None,
-            _item: PhantomData,
-        }
-    }
-
-    fn fail(&mut self, err: BuildError) {
-        self.err.get_or_insert(err);
-    }
-
-    /// The pipeline input: the producer of every entry stage. Feeding
-    /// it to several stages means cloning it, as for any handle.
-    pub fn input(&self) -> Node<In> {
-        self.handle(None)
-    }
-
-    /// Declares a named stateless stage with default cost metadata,
-    /// fed by `from`.
-    pub fn node<A, B, F>(&mut self, name: impl Into<String>, from: Node<A>, f: F) -> Node<B>
-    where
-        A: Send + 'static,
-        B: Send + 'static,
-        F: FnMut(A) -> B + Send + Clone + 'static,
-    {
-        self.node_with(StageSpec::balanced(name, 1.0, 0), from, f)
-    }
-
-    /// Declares a named stage with explicit cost metadata; it
-    /// replicates iff the declared state does, as on
-    /// [`PipelineBuilder::stage_with`].
-    pub fn node_with<A, B, F>(&mut self, spec: StageSpec, from: Node<A>, f: F) -> Node<B>
-    where
-        A: Send + 'static,
-        B: Send + 'static,
-        F: FnMut(A) -> B + Send + Clone + 'static,
-    {
-        let stage = Box::new(FnStage::new(spec.name.clone(), f));
-        self.push(spec, stage, None, [from])
-    }
-
-    /// Declares a named *fallible* stage: the closure may reject an
-    /// item with an error string, handled per the stage's
-    /// [`DagBuilder::resilience`] policy. The input must be `Clone` so
-    /// a failed attempt can be re-presented.
-    pub fn try_node<A, B, F>(&mut self, name: impl Into<String>, from: Node<A>, f: F) -> Node<B>
-    where
-        A: Clone + Send + 'static,
-        B: Send + 'static,
-        F: FnMut(A) -> Result<B, String> + Send + Clone + 'static,
-    {
-        self.try_node_with(StageSpec::balanced(name, 1.0, 0), from, f)
-    }
-
-    /// Declares a fallible stage with explicit cost metadata; it
-    /// replicates iff the declared state does.
-    pub fn try_node_with<A, B, F>(&mut self, spec: StageSpec, from: Node<A>, f: F) -> Node<B>
-    where
-        A: Clone + Send + 'static,
-        B: Send + 'static,
-        F: FnMut(A) -> Result<B, String> + Send + Clone + 'static,
-    {
-        let stage = Box::new(FallibleFnStage::new(spec.name.clone(), f));
-        self.push(spec, stage, None, [from])
-    }
-
-    /// Declares a named *joining* stage: it receives one `Vec` holding
-    /// the outputs of the stages `from` names, in that order, per item.
-    /// At least two stages are required — a single-input consumer is an
-    /// ordinary `node`.
-    pub fn join<B, Out, F>(
-        &mut self,
-        name: impl Into<String>,
-        from: Vec<Node<B>>,
-        f: F,
-    ) -> Node<Out>
-    where
-        B: Send + 'static,
-        Out: Send + 'static,
-        F: FnMut(Vec<B>) -> Out + Send + Clone + 'static,
-    {
-        self.join_with(StageSpec::balanced(name, 1.0, 0), from, f)
-    }
-
-    /// Declares a joining stage with explicit cost metadata; it
-    /// replicates iff the declared state does (an exclusive or opaque
-    /// declaration pins the join to width one).
-    pub fn join_with<B, Out, F>(&mut self, spec: StageSpec, from: Vec<Node<B>>, f: F) -> Node<Out>
-    where
-        B: Send + 'static,
-        Out: Send + 'static,
-        F: FnMut(Vec<B>) -> Out + Send + Clone + 'static,
-    {
-        if from.len() < 2 {
-            self.fail(BuildError::InvalidEdge {
-                detail: format!(
-                    "join '{}' declares {} input(s); a join needs at least two",
-                    spec.name,
-                    from.len()
-                ),
-            });
-        }
-        if from.iter().any(|node| node.id.is_none()) {
-            self.fail(BuildError::InvalidEdge {
-                detail: format!(
-                    "join '{}' takes the pipeline input; only stages can be joined",
-                    spec.name
-                ),
-            });
-        }
-        let stage = Box::new(MergeStage::new(spec.name.clone(), f));
-        self.push(spec, stage, None, from)
-    }
-
-    /// Declares the failure-handling policy of the most recently
-    /// declared stage (retries, backoff, dead-letter, trace) —
-    /// honoured identically by both backends. A call before any stage
-    /// was declared is ignored.
-    pub fn resilience(&mut self, policy: ResiliencePolicy) {
-        if let Some(spec) = self.specs.last_mut() {
-            spec.resilience = policy;
-        }
-    }
-
-    /// Ends the graph at `node`, the one stage nothing consumes: the
-    /// returned [`PipelineBuilder`] delivers its output, takes the run
-    /// declarations, and can append further stages after it.
-    pub fn exit<Out>(mut self, node: Node<Out>) -> PipelineBuilder<In, Out> {
-        self.check(&node);
+    fn wrap<Out>(chain: CoreChain<In, Out, Self>) -> PipelineBuilder<In, Out> {
         PipelineBuilder {
-            graph: self,
-            tail: node,
-            run: RunDecl::new(),
+            chain,
+            run: RunDecl {
+                policy: Policy::Static,
+                arrivals: ArrivalProcess::AllAtOnce,
+                baseline: false,
+                feed: None,
+                faults: FaultPlan::new(),
+            },
         }
-    }
-
-    /// Records a handle this graph did not hand out as the first error.
-    fn check<T>(&mut self, node: &Node<T>) {
-        if node.graph != self.id {
-            self.fail(BuildError::InvalidEdge {
-                detail: "a handle from another graph was passed in".into(),
-            });
-        }
-    }
-
-    /// Appends one stage: its declaration, its erased function, its
-    /// routing-key extractor, and the producers feeding it, in slot
-    /// order. A cloned producer handle records how that producer fans
-    /// out.
-    fn push<T, Out>(
-        &mut self,
-        spec: StageSpec,
-        stage: Box<dyn DynStage>,
-        key: Option<KeyFn>,
-        from: impl IntoIterator<Item = Node<T>>,
-    ) -> Node<Out> {
-        let id = self.specs.len();
-        for node in from {
-            self.check(&node);
-            if let Some(fan) = node.fan {
-                if !self.fans.iter().any(|(source, _)| *source == node.id) {
-                    self.fans.push((node.id, Box::new(fan)));
-                }
-            }
-            self.edges.extend(node.id.map(|producer| (producer, id)));
-        }
-        self.specs.push(spec);
-        self.stages.push(stage);
-        self.keys.push(key);
-        self.handle(Some(id))
-    }
-}
-
-/// Maps the graph layer's structural [`GraphError`] (stage *ids*) to
-/// the facade's typed [`BuildError`] (stage *names*). Handles point
-/// only backwards, so cycles, self-edges and unknown stages cannot
-/// occur; what can is a dangling stage or a join fed twice by one
-/// producer.
-fn graph_build_error(err: GraphError, names: &[&str]) -> BuildError {
-    match err {
-        GraphError::Unreachable { stage } => BuildError::UnreachableStage {
-            stage: names[stage].to_string(),
-        },
-        GraphError::DuplicateEdge { from, to } => BuildError::InvalidEdge {
-            detail: format!("'{}' feeds join '{}' twice", names[from], names[to]),
-        },
-        GraphError::MultipleExits { exits } => BuildError::InvalidEdge {
-            detail: format!(
-                "several stages have no consumer: {:?} (a pipeline has one sink)",
-                exits.iter().map(|&s| names[s]).collect::<Vec<_>>()
-            ),
-        },
-        other => BuildError::InvalidEdge {
-            detail: other.to_string(),
-        },
     }
 }

@@ -34,12 +34,16 @@
 //! [`api::Cluster`], the backend's own pool behind a two-arm match; each
 //! pool keeps the registry of its tenants) — it executes no stage. The
 //! stage topology is
-//! one first-class *DAG*, declared through one graph builder:
-//! [`api::DagBuilder`] (via `Pipeline::dag()`) wires arbitrary
+//! one first-class *DAG*, declared through one graph builder, which
+//! lives in core ([`core::pipeline::DagBuilder`]; the facade's
+//! [`api::DagBuilder`], via `Pipeline::dag()`, is the same builder
+//! ending in the facade's run declarations). It wires arbitrary
 //! topologies through typed [`api::Node`] handles, so a mis-typed edge
-//! does not compile, and [`api::PipelineBuilder::stage`] chains and
+//! does not compile, and [`api::PipelineBuilder::stage`] chains,
 //! [`api::PipelineBuilder::parallel`] / [`api::ParallelBuilder::merge`]
-//! blocks are sugar over the same builder. Every declaration ends in the
+//! blocks and core's chain builder are sugar over the same builder. A
+//! stage is erased in the one call that declares it, so no erased
+//! pipeline crosses a crate boundary mis-typed. Every declaration ends in the
 //! same graph, the same cost-model walk and the same executors. Per-stage [`runtime::session::ResiliencePolicy`] (retry,
 //! dead-letter, trace) is opt-in; the default fails fast with
 //! [`api::RunError::PoisonItem`] —

@@ -619,21 +619,20 @@ fn exclusive_state_migrates_where_opaque_state_aborts() {
     );
 }
 
-/// A wrong-typed item on the simulation backend is *non-fatal* (marker
-/// semantics): the error surfaces, but an adaptive policy's ticks must
-/// not exhaust the run and strand the well-typed items in flight.
+/// A run error on the simulation backend does not truncate the run: a
+/// poison item fails it (marker semantics: the item completes in the
+/// simulated world without an output), but an adaptive policy's ticks
+/// must not exhaust the world and strand the items in flight.
 #[test]
-fn sim_type_mismatch_is_nonfatal_under_adaptive_policy() {
-    use adapipe::core::pipeline::Pipeline as CorePipeline;
-    use adapipe::core::spec::PipelineSpec;
-    use adapipe::core::stage::{DynStage, FnStage};
-    // Deliberately mis-typed erased assembly: the stage takes u64, the
-    // session will push Strings.
-    let spec = PipelineSpec::new(vec![StageSpec::balanced("typed", STAGE_SECS, 8)]);
-    let stages: Vec<Box<dyn DynStage>> = vec![Box::new(FnStage::new("typed", |x: u64| x + 1))];
-    let core: CorePipeline<String, u64> =
-        CorePipeline::from_parts(spec, stages, Vec::new(), vec![None]);
-    let pipeline = PipelineBuilder::from_pipeline(core)
+fn sim_run_error_does_not_truncate_an_adaptive_run() {
+    let pipeline = Pipeline::<u64>::builder()
+        .try_stage_with(StageSpec::balanced("typed", STAGE_SECS, 8), |x: u64| {
+            if x == 17 {
+                Err(format!("item {x} refused"))
+            } else {
+                Ok(x + 1)
+            }
+        })
         .policy(Policy::Periodic {
             interval: SimDuration::from_millis(100),
         })
@@ -650,19 +649,23 @@ fn sim_type_mismatch_is_nonfatal_under_adaptive_policy() {
         )
         .expect("spawns");
     for i in 0..50u64 {
-        session.push(format!("item {i}")).unwrap();
+        session.push(i).unwrap();
     }
     let handle = session.drain();
     // The error is surfaced…
     assert!(matches!(
         handle.error,
-        Some(RunError::StageTypeMismatch { .. })
+        Some(RunError::PoisonItem { seq: 17, .. })
     ));
     // …but the run itself completed every (marker) item: the adaptive
     // ticks did not exhaust the world.
     assert_eq!(handle.report.completed, 50);
     assert!(!handle.report.truncated);
-    assert!(handle.outputs.is_empty(), "mis-typed items yield no output");
+    let survivors: Vec<u64> = (0..50).filter(|&x| x != 17).map(|x| x + 1).collect();
+    assert_eq!(
+        handle.outputs, survivors,
+        "the poison item, and only it, yields no output"
+    );
 }
 
 /// Faults are validated against the backend's node set at spawn, like

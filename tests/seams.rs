@@ -108,35 +108,88 @@ fn the_facade_runs_nothing() {
     );
 }
 
-/// One graph builder: the facade declares every pipeline through typed
-/// handles on one graph builder, which the chain and `parallel` sugar
-/// lower onto, and builds its `StageGraph` in one place. A second
-/// builder stack, or stages wired by name, is how the chain, the blocks
-/// and the DAG builder came to keep three copies of stage appending and
-/// of the run setters, and a mis-typed graph came to build.
+/// One graph builder: every pipeline is declared through typed handles
+/// on one graph builder, core's `DagBuilder`, which the facade's chain
+/// and `parallel` sugar and core's chain builder lower onto, and which
+/// builds its `StageGraph` in one place. A second builder stack, or
+/// stages wired by name, is how the chain, the blocks and the DAG
+/// builder came to keep three copies of stage appending and of the run
+/// setters, and a mis-typed graph came to build.
 #[test]
 fn one_graph_builder() {
-    let api = [root().join("src/api.rs")];
-    let calls = lines_matching(&api, any_of(&["StageGraph::dag("]));
+    let builders = [
+        root().join("src/api.rs"),
+        root().join("crates/core/src/pipeline.rs"),
+    ];
+    let calls = lines_matching(&builders, any_of(&["StageGraph::dag("]));
     assert_eq!(
         calls.len(),
         1,
-        "src/api.rs must build its stage graph in exactly one place:\n{}",
+        "the builders must build their stage graph in exactly one place:\n{}",
         calls.join("\n")
     );
     let hits = lines_matching(
-        &api,
+        &builders,
         any_of(&[
             "StageGraphBuilder",
             ".split(",
             "HashMap<&str",
             "HashMap<String",
+            "PipelineSpec::new(",
         ]),
     );
     assert!(
         hits.is_empty(),
-        "the facade wires stages by name or through the graph sugar again; \
-         declare them on the typed DagBuilder:\n{}",
+        "a builder wires stages by name, through the graph sugar or as a \
+         bare chain spec again; declare them on the typed DagBuilder:\n{}",
+        hits.join("\n")
+    );
+}
+
+/// Erasure stays in core: a stage is erased in the one call that
+/// declares it on core's typed builder, so no erased pipeline reaches a
+/// backend mis-typed, and no error path exists for one. Assembling a
+/// pipeline from erased parts outside `adapipe-core`, or a facade that
+/// handles erased stages, duplicators or key extractors, is how a
+/// mis-typed graph came to need a run error of its own.
+#[test]
+fn erasure_stays_in_core() {
+    let this = root().join("tests/seams.rs");
+    let mut everywhere = rust_files(&root().join("src"));
+    for dir in ["tests", "examples", "crates"] {
+        everywhere.extend(rust_files(&root().join(dir)));
+    }
+    everywhere.retain(|path| *path != this);
+    let core = root().join("crates/core/src");
+    let outside: Vec<PathBuf> = (everywhere.iter())
+        .filter(|path| !path.starts_with(&core))
+        .cloned()
+        .collect();
+    let hits = lines_matching(&outside, any_of(&["from_parts("]));
+    assert!(
+        hits.is_empty(),
+        "a pipeline is assembled from erased parts outside adapipe-core; \
+         declare it on the typed DagBuilder:\n{}",
+        hits.join("\n")
+    );
+    let hits = lines_matching(
+        &everywhere,
+        any_of(&["StageTypeMismatch", "StageTypeError"]),
+    );
+    assert!(
+        hits.is_empty(),
+        "a type-mismatch error path is back; the typed builder makes every \
+         erased pipeline well-typed:\n{}",
+        hits.join("\n")
+    );
+    let hits = lines_matching(
+        &[root().join("src/api.rs")],
+        any_of(&["DynStage", "FanOutFn", "KeyFn"]),
+    );
+    assert!(
+        hits.is_empty(),
+        "src/api.rs handles erased stages again; call core's typed \
+         DagBuilder constructors:\n{}",
         hits.join("\n")
     );
 }
