@@ -4,8 +4,9 @@
 //! A stage's meaning must not depend on which backend runs it, so the
 //! three decisions every backend has to make per item live here, once:
 //!
-//! 1. [`attempt`] / [`give_up`] — the one retry loop, and the one
-//!    mapping from a [`StageError`] plus the stage's
+//! 1. [`attempt`] / [`give_up`] — the one retry loop, which presents
+//!    one item slot until the stage rewrites it, and the one mapping
+//!    from a [`StageError`](crate::stage::StageError) plus the stage's
 //!    [`ResiliencePolicy`](crate::spec::ResiliencePolicy) to an output,
 //!    a dead letter, or the [`RunError`] that ends the run;
 //! 2. [`JoinSlots`] — the input slots of one joining stage for one
@@ -28,7 +29,7 @@
 //! and hands the observed outcome to the simulated world to charge.
 
 use crate::spec::{Next, StageGraph, StageSpec};
-use crate::stage::{BoxedItem, DynStage, FanOutFn, StageError};
+use crate::stage::{BoxedItem, DynStage, FanOutFn};
 use adapipe_runtime::session::RunError;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -48,42 +49,42 @@ pub enum GaveUp {
     Fatal(RunError),
 }
 
-/// Presents `payload` to `stage` until it yields an output or the
-/// stage's policy gives up: a rejected item is retried in place while
+/// Presents the item in `slot` to `stage` until the stage rewrites it
+/// as its output or the stage's policy gives up: a rejected item stays
+/// in the slot, and the same slot is presented again while
 /// `spec.resilience.max_retries` allows.
 /// `retrying` runs once per failed attempt that will be retried, with
 /// that attempt's 1-based number, before the item is presented again —
 /// where a backend counts the retry and waits out its backoff.
 ///
-/// Returns the output and the number of attempts it took.
+/// Returns the number of attempts the output took; `slot` then holds
+/// it.
 pub fn attempt(
     stage: &mut dyn DynStage,
     spec: &StageSpec,
     seq: u64,
-    mut payload: BoxedItem,
+    slot: &mut BoxedItem,
     mut retrying: impl FnMut(u32),
-) -> Result<(BoxedItem, u32), GaveUp> {
+) -> Result<u32, GaveUp> {
     let mut attempts: u32 = 1;
     loop {
-        match stage.process(payload) {
-            Ok(out) => return Ok((out, attempts)),
-            Err(err) if attempts <= spec.resilience.max_retries => {
+        match stage.process(slot) {
+            Ok(()) => return Ok(attempts),
+            Err(_) if attempts <= spec.resilience.max_retries => {
                 retrying(attempts);
-                payload = err.item;
                 attempts += 1;
             }
-            Err(err) => return Err(give_up(spec, seq, attempts, err)),
+            Err(err) => return Err(give_up(spec, seq, attempts, err.reason)),
         }
     }
 }
 
-/// What a stage error means once no further attempt will be made: the
-/// rejected item diverts to the dead-letter channel if the stage
-/// declared one, and otherwise poisons the run ([`RunError::PoisonItem`],
-/// naming the stage and the give-up attempt count — `attempts == 1`
-/// under the default policy).
-pub fn give_up(spec: &StageSpec, seq: u64, attempts: u32, err: StageError) -> GaveUp {
-    let reason = err.reason;
+/// What a stage's rejection, for `reason`, means once no further
+/// attempt will be made: the rejected item diverts to the dead-letter
+/// channel if the stage declared one, and otherwise poisons the run
+/// ([`RunError::PoisonItem`], naming the stage and the give-up attempt
+/// count — `attempts == 1` under the default policy).
+pub fn give_up(spec: &StageSpec, seq: u64, attempts: u32, reason: String) -> GaveUp {
     if spec.resilience.dead_letter {
         return GaveUp::DeadLetter { attempts, reason };
     }
@@ -262,7 +263,7 @@ mod tests {
             &mut flaky(1),
             &spec(ResiliencePolicy::new()),
             7,
-            Payload::new(1u64),
+            &mut Payload::new(1u64),
             |a| retried.push(a),
         )
         .unwrap_err();
@@ -281,11 +282,12 @@ mod tests {
     #[test]
     fn success_on_the_last_allowed_attempt_counts_every_retry() {
         let mut retried = Vec::new();
-        let (out, attempts) = attempt(
+        let mut out = Payload::new(41u64);
+        let attempts = attempt(
             &mut flaky(2),
             &spec(ResiliencePolicy::new().retries(2)),
             0,
-            Payload::new(41u64),
+            &mut out,
             |a| retried.push(a),
         )
         .expect("third attempt succeeds");
@@ -301,7 +303,8 @@ mod tests {
     #[test]
     fn spent_budget_dead_letters_or_poisons_by_declaration() {
         let run = |policy: ResiliencePolicy| {
-            attempt(&mut flaky(9), &spec(policy), 3, Payload::new(0u64), |_| {}).unwrap_err()
+            let mut item = Payload::new(0u64);
+            attempt(&mut flaky(9), &spec(policy), 3, &mut item, |_| {}).unwrap_err()
         };
         assert_eq!(
             run(ResiliencePolicy::new().retries(1).dead_letter()),
@@ -314,6 +317,50 @@ mod tests {
             run(ResiliencePolicy::new().retries(1)),
             GaveUp::Fatal(RunError::PoisonItem { attempts: 2, .. })
         ));
+    }
+
+    /// A stage rejecting its first two attempts, in the one slot the
+    /// retry loop presents: every attempt meets the item as it arrived,
+    /// the output is the third attempt's, and a budget spent before it
+    /// settles the item as a dead letter with the input still in place.
+    #[test]
+    fn a_retry_presents_the_same_slot_until_the_stage_rewrites_it() {
+        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let twice_shy = || {
+            let seen = std::sync::Arc::clone(&seen);
+            FallibleFnStage::new("flaky", move |x: u64| {
+                let mut seen = seen.lock().unwrap();
+                seen.push(x);
+                match seen.len() {
+                    n @ (1 | 2) => Err(format!("glitch {n}")),
+                    n => Ok((x, n)),
+                }
+            })
+        };
+        let mut slot = Payload::new(41u64);
+        let policy = ResiliencePolicy::new().retries(2);
+        let attempts = attempt(&mut twice_shy(), &spec(policy), 5, &mut slot, |_| {});
+        assert_eq!(attempts, Ok(3));
+        assert_eq!(
+            *seen.lock().unwrap(),
+            [41, 41, 41],
+            "each retry saw the same value"
+        );
+        assert_eq!(slot.downcast::<(u64, usize)>().unwrap(), (41, 3));
+
+        seen.lock().unwrap().clear();
+        let mut slot = Payload::new(41u64);
+        let policy = ResiliencePolicy::new().retries(1).dead_letter();
+        let gave_up = attempt(&mut twice_shy(), &spec(policy), 5, &mut slot, |_| {});
+        assert_eq!(
+            gave_up,
+            Err(GaveUp::DeadLetter {
+                attempts: 2,
+                reason: "glitch 2".into(),
+            })
+        );
+        assert_eq!(*seen.lock().unwrap(), [41, 41]);
+        assert_eq!(slot.downcast::<u64>().unwrap(), 41, "the input stayed put");
     }
 
     fn values(parts: Vec<BoxedItem>) -> Vec<u64> {

@@ -11,11 +11,19 @@
 //! steady state. A `Payload` is six words: the slot and a vtable
 //! pointer.
 //!
+//! A stage call does not move its item: [`Payload::map`] reads the
+//! input out of the slot and writes the output back into the same
+//! words, so the stage hands its result back in place, never through a
+//! returned six-word value the caller must reload.
+//!
 //! Safety model: a `Payload` is a type-erased owned value. The static
 //! vtable generated per concrete type records how to identify, drop,
 //! and (for spilled values) free it; every constructor requires
 //! `T: Send + 'static`, which is what makes the manual `Send` impl
-//! sound. Spill blocks are sized by *class* (a pure function of the
+//! sound. While `map`'s closure runs, the slot holds `()`, whose drop
+//! does nothing, so a panicking closure drops its input once and
+//! leaves a payload that is still safe to drop. Spill blocks are sized
+//! by *class* (a pure function of the
 //! value's layout), so a block may be freed on a different thread than
 //! the one that allocated it — each thread's pool recycles whatever
 //! lands on it.
@@ -40,6 +48,44 @@ union Repr {
     spill: *mut u8,
 }
 
+impl Repr {
+    /// Writes `value` into the slot, which holds no live value: inline
+    /// when it fits, otherwise into a pooled spill block.
+    #[inline]
+    fn put<T>(&mut self, value: T) {
+        if fits_inline::<T>() {
+            // SAFETY: `T` fits the five words and their alignment.
+            unsafe { ptr::write(self.inline.as_mut_ptr() as *mut T, value) };
+        } else {
+            let block = spill_alloc(size_of::<T>(), align_of::<T>());
+            // SAFETY: the block was allocated for `T`'s layout.
+            unsafe { ptr::write(block as *mut T, value) };
+            self.spill = block;
+        }
+    }
+
+    /// Moves the held `T` out, returning a spill block to the pool.
+    ///
+    /// # Safety
+    /// The slot holds a `T`, and the caller treats it as gone: nothing
+    /// reads or drops it again.
+    #[inline]
+    unsafe fn take<T>(&self) -> T {
+        // SAFETY: the caller's guarantee; a spilled `T`'s block was
+        // allocated for `T`'s layout, so it is freed with that layout.
+        unsafe {
+            if fits_inline::<T>() {
+                ptr::read(self.inline.as_ptr() as *const T)
+            } else {
+                let block = self.spill;
+                let value = ptr::read(block as *const T);
+                spill_dealloc(block, size_of::<T>(), align_of::<T>());
+                value
+            }
+        }
+    }
+}
+
 /// Per-type operations. One static instance exists per concrete `T`
 /// (via const promotion in [`Payload::new`]); `Payload` carries a
 /// `&'static` to it, so erased items cost no per-item metadata beyond
@@ -53,9 +99,6 @@ struct PayloadVtable {
     /// Drops the value in place; for spilled values also returns the
     /// block to the pool.
     drop_fn: unsafe fn(&mut Repr),
-    /// The value's layout — drives spill-block class selection.
-    size: usize,
-    align: usize,
     /// True when the value lives in the inline slot.
     inline: bool,
 }
@@ -67,8 +110,6 @@ impl<T: Send + 'static> VtOf<T> {
         tid: TypeId::of::<T>(),
         type_name: std::any::type_name::<T>,
         drop_fn: drop_value::<T>,
-        size: size_of::<T>(),
-        align: align_of::<T>(),
         inline: fits_inline::<T>(),
     };
 }
@@ -90,7 +131,8 @@ unsafe fn drop_value<T>(repr: &mut Repr) {
 /// A type-erased owned value: the unit the data plane moves between
 /// stages. Values of at most five words are stored inline (zero
 /// allocations); larger values live in a pooled spill block. Construct
-/// with [`Payload::new`], consume with [`Payload::downcast`].
+/// with [`Payload::new`], rewrite in place with [`Payload::map`],
+/// consume with [`Payload::downcast`].
 pub struct Payload {
     repr: Repr,
     vt: &'static PayloadVtable,
@@ -104,21 +146,15 @@ unsafe impl Send for Payload {}
 impl Payload {
     /// Erases `value`. Inline when `T` is at most five words;
     /// otherwise spilled to a pooled block.
+    #[inline]
     pub fn new<T: Send + 'static>(value: T) -> Payload {
-        let vt: &'static PayloadVtable = &VtOf::<T>::VT;
-        if fits_inline::<T>() {
-            let mut repr = Repr {
-                inline: [MaybeUninit::uninit(); INLINE_WORDS],
-            };
-            unsafe { ptr::write(repr.inline.as_mut_ptr() as *mut T, value) };
-            Payload { repr, vt }
-        } else {
-            let block = spill_alloc(size_of::<T>(), align_of::<T>());
-            unsafe { ptr::write(block as *mut T, value) };
-            Payload {
-                repr: Repr { spill: block },
-                vt,
-            }
+        let mut repr = Repr {
+            inline: [MaybeUninit::uninit(); INLINE_WORDS],
+        };
+        repr.put(value);
+        Payload {
+            repr,
+            vt: &VtOf::<T>::VT,
         }
     }
 
@@ -142,16 +178,34 @@ impl Payload {
             return Err(self);
         }
         let this = ManuallyDrop::new(self);
-        unsafe {
-            if this.vt.inline {
-                Ok(ptr::read(this.repr.inline.as_ptr() as *const T))
-            } else {
-                let block = this.repr.spill;
-                let value = ptr::read(block as *const T);
-                spill_dealloc(block, this.vt.size, this.vt.align);
-                Ok(value)
-            }
+        // SAFETY: the type check above says `repr` holds a `T`, and
+        // `this` never drops it again.
+        Ok(unsafe { this.repr.take::<T>() })
+    }
+
+    /// Rewrites the held `T` as the `O` that `f` makes of it, in this
+    /// same slot, and returns `true`; returns `false` without calling
+    /// `f`, the payload intact, if the held type differs. This is how a
+    /// stage call hands its output back: the slot stays where it lies,
+    /// so no payload is moved through a return value.
+    ///
+    /// While `f` runs, the slot holds `()`: `f` owns the `T`, so a
+    /// panic in `f` drops it there, once, and leaves this payload
+    /// holding a unit whose drop does nothing. A spilled `T`'s block
+    /// goes back to the pool before `f` runs; a spilled `O` draws one.
+    #[inline]
+    #[must_use]
+    pub fn map<T: 'static, O: Send + 'static>(&mut self, f: impl FnOnce(T) -> O) -> bool {
+        if !self.is::<T>() {
+            return false;
         }
+        self.vt = &VtOf::<()>::VT;
+        // SAFETY: the type check above says `repr` holds a `T`, and the
+        // unit vtable just parked in the slot never reads it again.
+        let value = unsafe { self.repr.take::<T>() };
+        self.repr.put(f(value));
+        self.vt = &VtOf::<O>::VT;
+        true
     }
 
     /// Borrows the value as a `T`, if that is what it holds.
@@ -553,7 +607,7 @@ mod tests {
             return;
         };
         let expected = B::of(slots[at].tag);
-        match r % 5 {
+        match r % 6 {
             0 => {
                 let Slot { subject, model, .. } = slots.swap_remove(at);
                 let got = subject.downcast::<Val<0, B>>().unwrap();
@@ -586,6 +640,21 @@ mod tests {
                 slot.tag = tag;
                 slot.subject.downcast_mut::<Val<0, B>>().unwrap().0 = B::of(tag);
                 slot.model.downcast_mut::<Val<1, B>>().unwrap().0 = B::of(tag);
+            }
+            4 => {
+                // Rewritten in place under a new tag: the wrong type is
+                // refused untouched, the right one drops the old value
+                // once, as the model's replaced box does.
+                let slot = &mut slots[at];
+                assert!(!slot.subject.map(|_: Val<1, B>| -> u64 { unreachable!() }));
+                assert!(slot.subject.map(|old: Val<0, B>| {
+                    assert_eq!(old.0, expected);
+                    Val::<0, B>(B::of(tag))
+                }));
+                assert_eq!(slot.subject.vt.inline, B::INLINE);
+                slot.model = Box::new(Val::<1, B>(B::of(tag)));
+                slot.tag = tag;
+                dropped[B::KIND] += 1;
             }
             _ => {
                 drop(slots.swap_remove(at));
@@ -644,7 +713,7 @@ mod tests {
     }
 
     /// Seeded runs of `new`, `downcast` to the right and wrong types,
-    /// `downcast_ref`, `downcast_mut` and drop over eight types, from a
+    /// `downcast_ref`, `downcast_mut`, `map` and drop over eight types, from a
     /// ZST to a 4 KiB and an over-aligned value, each held by a
     /// `Payload` and by a `Box<dyn Any>`. The live values pass back and
     /// forth between two threads, so spill blocks are freed into, and
@@ -707,6 +776,98 @@ mod tests {
         let next = Payload::new([7u64; 6]);
         assert_eq!(pooled(), before - 1, "the pool still serves");
         assert_eq!(next.downcast::<[u64; 6]>().unwrap(), [7; 6]);
+    }
+
+    /// A value whose drops count in its counter.
+    struct Probe<const N: usize>(Arc<AtomicUsize>, [u64; N]);
+
+    impl<const N: usize> Drop for Probe<N> {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// All four moves a rewrite can make: inline to inline, inline to
+    /// spilled, spilled to inline and spilled to spilled. Each drops
+    /// its input once, inside the closure that consumed it, and leaves
+    /// the output held where the output's size says.
+    #[test]
+    fn map_moves_between_inline_and_spilled_storage() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let probe = |n: u64| Probe(Arc::clone(&drops), [n; 1]);
+        let big = |n: u64| Probe(Arc::clone(&drops), [n; 8]);
+
+        let mut p = Payload::new(probe(3));
+        assert!(p.map(|x: Probe<1>| format!("{}", x.1[0])));
+        assert!(p.vt.inline);
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+        assert_eq!(p.downcast_ref::<String>().unwrap(), "3");
+
+        let mut p = Payload::new(probe(4));
+        assert!(p.map(|x: Probe<1>| big(x.1[0] + 1)));
+        assert!(!p.vt.inline, "inline to spilled");
+        assert_eq!(drops.load(Ordering::SeqCst), 2);
+
+        assert!(p.map(|x: Probe<8>| probe(x.1.iter().sum())));
+        assert!(p.vt.inline, "spilled to inline");
+        assert_eq!(drops.load(Ordering::SeqCst), 3);
+        assert_eq!(p.downcast_ref::<Probe<1>>().unwrap().1, [40]);
+
+        drop(p);
+        assert_eq!(drops.load(Ordering::SeqCst), 4);
+
+        let mut p = Payload::new(big(2));
+        assert!(p.map(|x: Probe<8>| [x.1[0]; 64]));
+        assert!(!p.vt.inline, "spilled to spilled, another class");
+        assert_eq!(drops.load(Ordering::SeqCst), 5);
+        assert_eq!(p.downcast::<[u64; 64]>().unwrap(), [2; 64]);
+    }
+
+    /// A rewrite from the wrong type calls nothing and changes nothing,
+    /// inline or spilled.
+    #[test]
+    fn map_from_the_wrong_type_leaves_the_payload_intact() {
+        let mut called = false;
+        let mut p = Payload::new(5i32);
+        assert!(!p.map(|s: String| {
+            called = true;
+            s.len()
+        }));
+        let mut q = Payload::new([9u64; 8]);
+        assert!(!q.map(|x: [u64; 7]| {
+            called = true;
+            x
+        }));
+        assert!(!called);
+        assert!(p.vt.inline && !q.vt.inline);
+        assert_eq!(p.downcast::<i32>().unwrap(), 5);
+        assert_eq!(q.downcast::<[u64; 8]>().unwrap(), [9; 8]);
+    }
+
+    /// A closure that panics owns its input, so the unwind drops it
+    /// once; the slot it leaves holds a unit and drops nothing more.
+    /// A spilled input's block went back to the pool before the call.
+    #[test]
+    fn a_panicking_map_drops_its_input_once_and_leaves_the_slot_droppable() {
+        let pooled = || SPILL_POOL.with(|pool| pool.borrow().classes[0].len());
+        let drops = Arc::new(AtomicUsize::new(0));
+        let mut inline = Payload::new(Probe(Arc::clone(&drops), [0; 1]));
+        let mut spilled = Payload::new(Probe(Arc::clone(&drops), [0; 6]));
+        assert!(inline.vt.inline && !spilled.vt.inline);
+        let before = pooled();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = inline.map(|_: Probe<1>| -> u64 { panic!("inline stage") });
+        }));
+        assert!(caught.is_err(), "the panic reaches the caller");
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = spilled.map(|_: Probe<6>| -> String { panic!("spilled stage") });
+        }));
+        assert!(caught.is_err());
+        assert_eq!(drops.load(Ordering::SeqCst), 2, "each input dropped once");
+        assert_eq!(pooled(), before + 1, "the spilled input's block is pooled");
+        assert!(inline.is::<()>() && spilled.is::<()>());
+        drop((inline, spilled));
+        assert_eq!(drops.load(Ordering::SeqCst), 2, "the slots drop nothing");
     }
 
     #[test]

@@ -819,7 +819,7 @@ mod tests {
         let (_, mut stages, ..) = p.into_parts();
         let mut item: BoxedItem = Payload::new(5u32);
         for s in &mut stages {
-            item = s.process(item).expect("stages are type-aligned");
+            s.process(&mut item).expect("stages are type-aligned");
         }
         assert_eq!(item.downcast::<u32>().unwrap(), 12);
     }
@@ -839,7 +839,8 @@ mod tests {
         assert!(!p.spec().profile().state[0].replicable());
         let (_, mut stages, ..) = p.into_parts();
         let mut run = |x: u64| {
-            let out = stages[0].process(Payload::new(x)).expect("typed item");
+            let mut out = Payload::new(x);
+            stages[0].process(&mut out).expect("typed item");
             out.downcast::<u64>().unwrap()
         };
         assert_eq!(run(2), 2);
@@ -880,7 +881,8 @@ mod tests {
         let kf = keys[0].clone().expect("keyed stage has a key fn");
         let item: BoxedItem = Payload::new(13u64);
         assert_eq!(kf(&item), 3);
-        let out = stages[0].process(Payload::new(13u64)).expect("typed item");
+        let mut out = Payload::new(13u64);
+        stages[0].process(&mut out).expect("typed item");
         assert_eq!(out.downcast::<(u64, u64)>().unwrap(), (13, 1));
     }
 

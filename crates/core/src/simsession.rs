@@ -357,7 +357,7 @@ impl PushExec {
             if let Some(out) = self.inflight.exit.take() {
                 return (Some(out), fate);
             }
-            let (stage, input) = self
+            let (stage, mut input) = self
                 .inflight
                 .ready
                 .pop_front()
@@ -367,15 +367,15 @@ impl PushExec {
                 self.stages[stage].as_mut(),
                 &self.specs[stage],
                 seq,
-                input,
+                &mut input,
                 |_| failed += 1,
             );
             if failed > 0 {
                 fate.failed.push((stage, failed));
             }
             match verdict {
-                Ok((out, _attempts)) => {
-                    payload = out;
+                Ok(_attempts) => {
+                    payload = input;
                     next = self.graph.after(stage);
                 }
                 Err(GaveUp::DeadLetter { reason, .. }) => {

@@ -29,12 +29,13 @@ use std::sync::Arc;
 ///
 /// Historically this was `Box<dyn Any + Send>` — one heap allocation
 /// per item per stage hop. It is now an alias for [`Payload`], which
-/// stores values of up to three machine words (a `u64`, a `String`, a
-/// `Vec`, …) **inline** with no allocation at all, and spills larger
-/// values to a thread-local pooled block. The downcast-checked surface
-/// is unchanged in spirit ([`Payload::downcast`] /
-/// [`Payload::downcast_ref`]), but `downcast` yields the value itself
-/// rather than a `Box` around it.
+/// stores values of up to five machine words (a `u64`, a `String`, a
+/// `Vec` with two more words, …) **inline** with no allocation at all,
+/// and spills larger values to a thread-local pooled block. The
+/// downcast-checked surface is unchanged in spirit
+/// ([`Payload::downcast`] / [`Payload::downcast_ref`]), but `downcast`
+/// yields the value itself rather than a `Box` around it, and a stage
+/// rewrites its item where it lies ([`Payload::map`]).
 pub type BoxedItem = Payload;
 
 /// What every downcast of an erased item states: the typed builder
@@ -75,22 +76,13 @@ pub(crate) fn fan_out_fn<T: Clone + Send + 'static>(branches: usize) -> FanOutFn
 }
 
 /// A fallible stage rejected an item, as returned by
-/// [`DynStage::process`]: the input comes back in the error, so an
-/// engine honouring a [`adapipe_runtime::session::ResiliencePolicy`]
-/// can wait out the backoff and re-present exactly the same item.
+/// [`DynStage::process`]. The input never left its slot, so an engine
+/// honouring a [`adapipe_runtime::session::ResiliencePolicy`] can wait
+/// out the backoff and re-present exactly the same item.
+#[derive(Debug)]
 pub struct StageError {
     /// The closure's error.
     pub reason: String,
-    /// The unconsumed input item.
-    pub item: BoxedItem,
-}
-
-impl std::fmt::Debug for StageError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StageError")
-            .field("reason", &self.reason)
-            .finish_non_exhaustive()
-    }
 }
 
 /// `item` as the `T` a stage declared as its input.
@@ -98,13 +90,23 @@ fn downcast_input<T: 'static>(item: BoxedItem) -> T {
     item.downcast::<T>().expect(TYPED)
 }
 
+/// Rewrites `item`, a stage's declared input `I`, in place as the `O`
+/// that `f` makes of it.
+#[inline]
+fn rewrite<I: 'static, O: Send + 'static>(item: &mut BoxedItem, f: impl FnOnce(I) -> O) {
+    let typed = item.map(f);
+    assert!(typed, "{TYPED}");
+}
+
 /// The execution engines' view of a stage.
 pub trait DynStage: Send {
-    /// Processes one item, which is always of the stage's declared
-    /// input type: the typed builder erased the stage and every
-    /// producer feeding it together. A fallible stage that rejects the
-    /// item returns it in a [`StageError`], so the engine can retry it.
-    fn process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageError>;
+    /// Processes one item in place: `item` holds the stage's declared
+    /// input on entry (the typed builder erased the stage and every
+    /// producer feeding it together) and its output on success. A
+    /// fallible stage that rejects the item returns a [`StageError`]
+    /// and leaves the input in `item`, untouched, so the engine can
+    /// present the same slot again.
+    fn process(&mut self, item: &mut BoxedItem) -> Result<(), StageError>;
 
     /// Stage name for logs and reports.
     fn name(&self) -> &str;
@@ -191,8 +193,9 @@ where
     O: Send + 'static,
     F: FnMut(I) -> O + Send + 'static,
 {
-    fn process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageError> {
-        Ok(Payload::new((self.f)(downcast_input(item))))
+    fn process(&mut self, item: &mut BoxedItem) -> Result<(), StageError> {
+        rewrite(item, &mut self.f);
+        Ok(())
     }
 
     fn fresh(&self) -> Option<Box<dyn DynStage>> {
@@ -212,10 +215,10 @@ where
 
 /// A stage built from a *fallible* closure `I -> Result<O, String>`.
 ///
-/// The input type must be `Clone`: the stage clones each item before
-/// attempting it, so a failure hands the untouched original back through
-/// [`StageError::Item`] and the engine's retry loop can re-present it
-/// after the stage's declared backoff.
+/// The input type must be `Clone`: the stage hands the closure a clone
+/// of each item, so a failure leaves the untouched original in its slot
+/// and the engine's retry loop can re-present it after the stage's
+/// declared backoff.
 pub(crate) struct FallibleFnStage<I, O, F>
 where
     F: FnMut(I) -> Result<O, String> + Send,
@@ -247,15 +250,11 @@ where
     O: Send + 'static,
     F: FnMut(I) -> Result<O, String> + Send + Clone + 'static,
 {
-    fn process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageError> {
-        let input: I = downcast_input(item);
-        match (self.f)(input.clone()) {
-            Ok(out) => Ok(Payload::new(out)),
-            Err(reason) => Err(StageError {
-                reason,
-                item: Payload::new(input),
-            }),
-        }
+    fn process(&mut self, item: &mut BoxedItem) -> Result<(), StageError> {
+        let input = item.downcast_ref::<I>().expect(TYPED).clone();
+        let out = (self.f)(input).map_err(|reason| StageError { reason })?;
+        rewrite(item, |_: I| out);
+        Ok(())
     }
 
     fn fresh(&self) -> Option<Box<dyn DynStage>> {
@@ -307,12 +306,15 @@ where
     O: Send + 'static,
     F: FnMut(Vec<B>) -> O + Send + Clone + 'static,
 {
-    fn process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageError> {
-        let parts: Vec<BoxedItem> = downcast_input(item);
-        // Collected in place: a `B` no larger than a `Payload` reuses the
-        // joined vector's block, so a join costs one allocation, not two.
-        let typed = parts.into_iter().map(downcast_input::<B>).collect();
-        Ok(Payload::new((self.f)(typed)))
+    fn process(&mut self, item: &mut BoxedItem) -> Result<(), StageError> {
+        rewrite(item, |parts: Vec<BoxedItem>| {
+            // Collected in place: a `B` no larger than a `Payload` reuses
+            // the joined vector's block, so a join costs one allocation,
+            // not two.
+            let typed = parts.into_iter().map(downcast_input::<B>).collect();
+            (self.f)(typed)
+        });
+        Ok(())
     }
 
     fn fresh(&self) -> Option<Box<dyn DynStage>> {
@@ -390,11 +392,13 @@ where
     K: Fn(&I) -> u64 + Send + Sync + 'static,
     F: FnMut(&mut S, I) -> O + Send + Clone + 'static,
 {
-    fn process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageError> {
-        let input: I = downcast_input(item);
-        let hash = (self.key)(&input);
-        let state = self.states.entry(hash).or_insert_with(|| (self.init)());
-        Ok(Payload::new((self.f)(state, input)))
+    fn process(&mut self, item: &mut BoxedItem) -> Result<(), StageError> {
+        rewrite(item, |input: I| {
+            let hash = (self.key)(&input);
+            let state = self.states.entry(hash).or_insert_with(|| (self.init)());
+            (self.f)(state, input)
+        });
+        Ok(())
     }
 
     fn fresh(&self) -> Option<Box<dyn DynStage>> {
@@ -524,9 +528,9 @@ where
     S: StateCodec + Send + 'static,
     F: FnMut(&mut S, I) -> O + Send + Clone + 'static,
 {
-    fn process(&mut self, item: BoxedItem) -> Result<BoxedItem, StageError> {
-        let input: I = downcast_input(item);
-        Ok(Payload::new((self.f)(&mut self.state, input)))
+    fn process(&mut self, item: &mut BoxedItem) -> Result<(), StageError> {
+        rewrite(item, |input: I| (self.f)(&mut self.state, input));
+        Ok(())
     }
 
     fn fresh(&self) -> Option<Box<dyn DynStage>> {
@@ -599,7 +603,8 @@ mod tests {
     #[test]
     fn fn_stage_processes_typed_items() {
         let mut s = FnStage::new("double", |x: i64| x * 2);
-        let out = s.process(Payload::new(21i64)).expect("typed item");
+        let mut out = Payload::new(21i64);
+        s.process(&mut out).expect("typed item");
         assert_eq!(out.downcast::<i64>().unwrap(), 42);
         assert_eq!(s.name(), "double");
     }
@@ -607,7 +612,8 @@ mod tests {
     #[test]
     fn fn_stage_may_change_type() {
         let mut s = FnStage::new("fmt", |x: u32| format!("{x}!"));
-        let out = s.process(Payload::new(7u32)).expect("typed item");
+        let mut out = Payload::new(7u32);
+        s.process(&mut out).expect("typed item");
         assert_eq!(out.downcast::<String>().unwrap(), "7!");
     }
 
@@ -623,10 +629,9 @@ mod tests {
         let mut a: Box<dyn DynStage> = Box::new(counter_stage);
         let mut b = a.fresh().expect("cloneable");
         let run = |s: &mut Box<dyn DynStage>| {
-            s.process(Payload::new(0u64))
-                .expect("typed item")
-                .downcast::<u64>()
-                .unwrap()
+            let mut item = Payload::new(0u64);
+            s.process(&mut item).expect("typed item");
+            item.downcast::<u64>().unwrap()
         };
         // Each replica keeps its own `seen` counter.
         assert_eq!(run(&mut a), 1);
@@ -641,9 +646,9 @@ mod tests {
         split(Payload::new(7u64), &mut parts);
         assert_eq!(parts.len(), 3);
         let mut m = MergeStage::new("sum", |xs: Vec<u64>| xs.iter().sum::<u64>());
-        let joined: BoxedItem = Payload::new(parts);
-        let out = m.process(joined).expect("typed parts merge");
-        assert_eq!(out.downcast::<u64>().unwrap(), 21);
+        let mut joined: BoxedItem = Payload::new(parts);
+        m.process(&mut joined).expect("typed parts merge");
+        assert_eq!(joined.downcast::<u64>().unwrap(), 21);
         assert!(m.fresh().is_some(), "merges copy");
     }
 
@@ -656,7 +661,8 @@ mod tests {
         split(Payload::new(5u64), &mut parts);
         assert_eq!(parts.len(), 3);
         let mut m = MergeStage::new("j", |xs: Vec<u64>| xs[0] * 100 + xs[1] * 10 + xs[2]);
-        let out = m.process(Payload::new(parts)).expect("typed parts merge");
+        let mut out = Payload::new(parts);
+        m.process(&mut out).expect("typed parts merge");
         assert_eq!(out.downcast::<u64>().unwrap(), 55);
     }
 
@@ -672,10 +678,9 @@ mod tests {
             },
         );
         let run = |s: &mut dyn DynStage, k: u64| {
-            s.process(Payload::new(k))
-                .expect("typed")
-                .downcast::<u64>()
-                .unwrap()
+            let mut item = Payload::new(k);
+            s.process(&mut item).expect("typed");
+            item.downcast::<u64>().unwrap()
         };
         assert_eq!(run(&mut a, 7), 1);
         assert_eq!(run(&mut a, 7), 2);
@@ -705,12 +710,13 @@ mod tests {
         };
         let mut left = make();
         let mut right = make();
-        left.process(Payload::new(1u64)).unwrap();
-        right.process(Payload::new(2u64)).unwrap();
-        right.process(Payload::new(2u64)).unwrap();
+        left.process(&mut Payload::new(1u64)).unwrap();
+        right.process(&mut Payload::new(2u64)).unwrap();
+        right.process(&mut Payload::new(2u64)).unwrap();
         let snap = right.snapshot().expect("keyed snapshots");
         assert!(left.absorb(snap));
-        let out = left.process(Payload::new(2u64)).unwrap();
+        let mut out = Payload::new(2u64);
+        left.process(&mut out).unwrap();
         assert_eq!(out.downcast::<u64>().unwrap(), 30, "absorbed key 2 at 20");
     }
 
@@ -728,13 +734,14 @@ mod tests {
             )
         };
         let mut a = make();
-        a.process(Payload::new(5u64)).unwrap();
+        a.process(&mut Payload::new(5u64)).unwrap();
         // A fresh instance is an independent partial seeded from init.
         let mut b = a.fresh().expect("accumulators copy");
-        b.process(Payload::new(7u64)).unwrap();
+        b.process(&mut Payload::new(7u64)).unwrap();
         let snap = b.snapshot().expect("accumulators snapshot");
         assert!(a.absorb(snap), "partials merge");
-        let out = a.process(Payload::new(0u64)).unwrap();
+        let mut out = Payload::new(0u64);
+        a.process(&mut out).unwrap();
         assert_eq!(out.downcast::<u64>().unwrap(), 12);
     }
 
@@ -748,7 +755,7 @@ mod tests {
                 *acc
             },
         );
-        s.process(Payload::new(40i64)).unwrap();
+        s.process(&mut Payload::new(40i64)).unwrap();
         // One instance runs because the declaration says so; the
         // instance itself only refuses to merge a partial.
         assert!(!adapipe_state::StateAccess::Exclusive.replicable());
@@ -756,7 +763,8 @@ mod tests {
         assert!(!s.absorb(partial), "exclusive state has no merge");
         let (mut moved, bytes) = quiesce(Box::new(s));
         assert_eq!(bytes, 8, "one i64 of state shipped");
-        let out = moved.process(Payload::new(2i64)).unwrap();
+        let mut out = Payload::new(2i64);
+        moved.process(&mut out).unwrap();
         assert_eq!(out.downcast::<i64>().unwrap(), 42);
     }
 
@@ -770,7 +778,8 @@ mod tests {
         assert!(s.fresh().is_none(), "an opaque closure cannot be copied");
         let (mut back, bytes) = quiesce(Box::new(s));
         assert_eq!(bytes, 0, "opaque state cannot ship");
-        let out = back.process(Payload::new(3u64)).unwrap();
+        let mut out = Payload::new(3u64);
+        back.process(&mut out).unwrap();
         assert_eq!(out.downcast::<u64>().unwrap(), 3);
     }
 
@@ -784,9 +793,9 @@ mod tests {
                 *acc
             },
         );
-        s.process(Payload::new(1u64)).unwrap();
+        s.process(&mut Payload::new(1u64)).unwrap();
         let old = s.snapshot().unwrap();
-        s.process(Payload::new(1u64)).unwrap();
+        s.process(&mut Payload::new(1u64)).unwrap();
         let newer = s.snapshot().unwrap();
         assert!(newer.version > old.version);
         // A restore must never roll state back to an older snapshot.
@@ -810,16 +819,18 @@ mod tests {
                 Err(format!("odd input {x}"))
             }
         });
-        let out = s.process(Payload::new(4u64)).expect("even succeeds");
+        let mut out = Payload::new(4u64);
+        s.process(&mut out).expect("even succeeds");
         assert_eq!(out.downcast::<u64>().unwrap(), 40);
-        match s.process(Payload::new(3u64)) {
-            Err(StageError { reason, item }) => {
-                assert_eq!(reason, "odd input 3");
-                // The original item comes back unconsumed, re-presentable.
-                assert_eq!(item.downcast::<u64>().unwrap(), 3);
-            }
-            other => panic!("expected an item failure, got {other:?}"),
+        // A rejected item never leaves its slot: the same slot is
+        // presented again, and meets the same input.
+        let mut item = Payload::new(3u64);
+        for _ in 0..2 {
+            let StageError { reason } = s.process(&mut item).unwrap_err();
+            assert_eq!(reason, "odd input 3");
+            assert_eq!(item.downcast_ref::<u64>(), Some(&3));
         }
+        assert_eq!(item.downcast::<u64>().unwrap(), 3);
         assert!(s.fresh().is_some(), "fallible stages copy");
     }
 

@@ -110,44 +110,126 @@ fn makespan_grows_with_stream_length() {
     }
 }
 
-/// On a static load-free grid the analytic model predicts simulated
-/// makespan within 10 % for any mapping (uniform work, modest data).
+/// One instance of the simulated-truth oracle: a chain into a diamond
+/// (two or three one-stage branches and the stage joining them) and on
+/// through a second chain, with unequal work and data per stage, on a
+/// grid of two to four nodes of unequal speed, each under its own
+/// constant load, in two clusters of LAN links joined by WAN links.
+fn chain_diamond_instance(rng: &mut Rng64) -> (GridSpec, PipelineSpec) {
+    let head = 1 + rng.next_range(2);
+    let branches = 2 + rng.next_range(2);
+    let tail = rng.next_range(3);
+    let (fan, join) = (head - 1, head + branches);
+    let ns = join + 1 + tail;
+    let mut wiring = StageGraph::dag(ns);
+    for s in (1..head).chain(join + 1..ns) {
+        wiring = wiring.edge(s - 1, s);
+    }
+    for branch in head..join {
+        wiring = wiring.edge(fan, branch).edge(branch, join);
+    }
+    let graph = wiring.build().expect("a chain, a diamond and a chain");
+    let stages = (0..ns)
+        .map(|s| {
+            let work = 0.5 + 1.5 * rng.next_unit();
+            let bytes = 1_000 + rng.next_range(50_000) as u64;
+            StageSpec::balanced(format!("s{s}"), work, bytes)
+        })
+        .collect();
+    let mut spec = PipelineSpec::with_graph(stages, graph);
+    spec.input_bytes = 10_000;
+    let np = 2 + rng.next_range(3);
+    let nodes = (0..np)
+        .map(|i| {
+            let speed = 0.5 + 3.5 * rng.next_unit();
+            let load = LoadModel::constant(0.3 + 0.7 * rng.next_unit());
+            Node::new(NodeSpec::new(format!("n{i}"), speed, 1), load)
+        })
+        .collect();
+    let topology = Topology::clustered(np, 2, LinkSpec::lan(), LinkSpec::wan());
+    (GridSpec::new(nodes, topology), spec)
+}
+
+/// Kendall's τ-b between two rankings of the same mappings: +1 when
+/// they order every pair alike, -1 when they order every pair apart.
+fn kendall_tau(a: &[f64], b: &[f64]) -> f64 {
+    let (mut concordant, mut discordant, mut tied_a, mut tied_b) = (0.0f64, 0.0, 0.0, 0.0);
+    for i in 0..a.len() {
+        for j in i + 1..a.len() {
+            let (da, db) = (a[i] - a[j], b[i] - b[j]);
+            match (da == 0.0, db == 0.0) {
+                (true, true) => {}
+                (true, false) => tied_a += 1.0,
+                (false, true) => tied_b += 1.0,
+                _ if (da > 0.0) == (db > 0.0) => concordant += 1.0,
+                _ => discordant += 1.0,
+            }
+        }
+    }
+    let pairs_a = concordant + discordant + tied_b;
+    let pairs_b = concordant + discordant + tied_a;
+    (concordant - discordant) / (pairs_a * pairs_b).sqrt()
+}
+
+/// Simulated truth for the analytic model (ROADMAP 6(b)): on 48 seeded
+/// chain-and-diamond instances on heterogeneous grids, 5 distinct
+/// random mappings each run statically under constant load. The
+/// model's throughput for a run (the stream's length over its
+/// predicted completion time) stays within `MAX_ERR` of the simulated
+/// one on every run, and on every instance the model ranks the five
+/// mappings as the simulation does, to a Kendall τ of at least
+/// `MIN_TAU`, which allows one pair of the ten out of order. Measured:
+/// the worst run is 0.48 % off, and the lowest τ is 0.95, on an
+/// instance where two mappings tie in the model but not in the
+/// simulation. The data is modest and transfers do not contend for
+/// links (the default), so every run here is node-bound: how the model
+/// prices a busy link is item 6(c)'s to measure.
 #[test]
 fn model_agrees_with_simulation() {
-    for case in 0..16u64 {
+    const MAX_ERR: f64 = 0.02;
+    const MIN_TAU: f64 = 0.8;
+    const ITEMS: u64 = 300;
+    for case in 0..48u64 {
         let mut rng = Rng64::new(0xAB1E + case);
-        let speeds_seed = rng.next_u64();
-        let ns = 1 + rng.next_range(4);
-        let np = 1 + rng.next_range(3);
-        let assignment_seed = rng.next_u64();
-        let grid = uniform_grid(np, speeds_seed);
-        let spec = PipelineSpec::balanced(ns, 1.0, 10_000);
-        let assignment: Vec<NodeId> = (0..ns)
-            .map(|s| NodeId((assignment_seed as usize).wrapping_add(s * 7) % np))
-            .collect();
-        let mapping = Mapping::from_assignment(&assignment);
-        let profile = spec.profile();
+        let (grid, spec) = chain_diamond_instance(&mut rng);
+        let (np, profile) = (grid.len(), spec.profile());
         let rates = grid.rates_at(SimTime::ZERO);
-        let pred = evaluate(&profile, &mapping, &rates, grid.topology());
-
-        let items = 300u64;
-        let report = sim_run(
-            &grid,
-            &spec,
-            &Session::default(),
-            &RunConfig {
-                items,
-                initial_mapping: Some(mapping),
+        let mut mappings: Vec<Mapping> = Vec::new();
+        while mappings.len() < 5 {
+            let assignment: Vec<NodeId> = (0..spec.len())
+                .map(|_| NodeId(rng.next_range(np)))
+                .collect();
+            let mapping = Mapping::from_assignment(&assignment);
+            if !mappings.contains(&mapping) {
+                mappings.push(mapping);
+            }
+        }
+        let (mut predicted, mut simulated) = (Vec::new(), Vec::new());
+        for mapping in mappings {
+            let pred = evaluate(&profile, &mapping, &rates, grid.topology());
+            let cfg = RunConfig {
+                items: ITEMS,
+                initial_mapping: Some(mapping.clone()),
                 ..RunConfig::default()
-            },
-        );
-        let predicted = pred.completion_time(items);
-        let simulated = report.makespan.as_secs_f64();
-        let err = (predicted - simulated).abs() / simulated.max(1e-9);
+            };
+            let report = sim_run(&grid, &spec, &Session::default(), &cfg);
+            assert_eq!(report.completed, ITEMS, "case {case}");
+            let model = ITEMS as f64 / pred.completion_time(ITEMS);
+            let sim = report.mean_throughput();
+            let err = (model - sim).abs() / sim;
+            assert!(
+                err <= MAX_ERR,
+                "case {case}, mapping {}: model {model:.4}/s vs sim {sim:.4}/s ({:.1} % off)",
+                mapping.notation(),
+                err * 100.0
+            );
+            predicted.push(model);
+            simulated.push(sim);
+        }
+        let tau = kendall_tau(&predicted, &simulated);
         assert!(
-            err < 0.10,
-            "case {case}: model {predicted:.2}s vs sim {simulated:.2}s ({:.1}% off)",
-            err * 100.0
+            tau >= MIN_TAU,
+            "case {case}: Kendall tau {tau:.2}; model {predicted:?} vs sim {simulated:?}"
         );
     }
 }

@@ -245,13 +245,13 @@ struct Region {
 impl Region {
     /// Walks one item from the envelope's stage through every held
     /// stage it reaches — [`forward`] driving a [`Hop`] — with
-    /// `run` presenting the item to each stage and `stop` saying how a
-    /// failure ends the walk. (The fast path's `run` returns
-    /// `DynStage::process`'s own result: converting it per stage cost a
-    /// fused chain 5–20 % in payload copies.) Parts of a join that
-    /// did not complete inside the walk go on to the shared join map
-    /// through `outbox`, so a block that is only partly co-located
-    /// still pairs exactly once. With `sample`, each stage's share of
+    /// `run` presenting the walk's one item slot to each stage, which
+    /// rewrites it in place, and `stop` saying how a failure ends the
+    /// walk. (No payload crosses a stage call by value: reloading a
+    /// returned payload right after the call was the walk's costliest
+    /// instruction.) Parts of a join that did not complete inside the
+    /// walk go on to the shared join map through `outbox`, so a block
+    /// that is only partly co-located still pairs exactly once. With `sample`, each stage's share of
     /// the walk is stamped into `samp`. `Err(())`: a stage failed the run,
     /// which is already torn down.
     #[inline]
@@ -261,7 +261,7 @@ impl Region {
         outbox: &mut Outbox,
         (seq, born, payload): (u64, SimTime, BoxedItem),
         sample: bool,
-        mut run: impl FnMut(usize, &mut dyn DynStage, BoxedItem) -> Result<BoxedItem, E>,
+        mut run: impl FnMut(usize, &mut dyn DynStage, &mut BoxedItem) -> Result<(), E>,
         mut stop: impl FnMut(usize, E) -> Stop,
     ) -> Result<(), ()> {
         let graph = &shared.spec.graph;
@@ -271,9 +271,8 @@ impl Region {
             let inst = self.insts[stage]
                 .as_deref_mut()
                 .expect("walks run held stages");
-            item = match run(stage, inst, item) {
-                Ok(out) => out,
-                Err(err) => match stop(stage, err) {
+            if let Err(err) = run(stage, inst, &mut item) {
+                match stop(stage, err) {
                     Stop::Dead => {
                         // Settled on the dead-letter channel: nothing
                         // of the item goes further.
@@ -282,8 +281,8 @@ impl Region {
                         return Ok(());
                     }
                     Stop::Fatal => return Err(()),
-                },
-            };
+                }
+            }
             self.runs[stage] += 1;
             if let Some(t_prev) = &mut t_prev {
                 let t_now = Instant::now();
@@ -600,7 +599,7 @@ impl Batch {
                     std::mem::take(&mut sample),
                     |_, inst, input| inst.process(input),
                     |cs, err| {
-                        fail_stage(shared, cs, slot.seq, err);
+                        fail_stage(shared, cs, slot.seq, err.reason);
                         Stop::Fatal
                     },
                 );
@@ -694,7 +693,7 @@ impl Batch {
                     // default one (every inline stage's) that is a
                     // single attempt which succeeds or ends the run.
                     let out = match process_resilient(inst, shared, cs, seq, input) {
-                        ResilientOut::Done(out) => Ok(out),
+                        ResilientOut::Done => Ok(()),
                         ResilientOut::Dead => Err(Stop::Dead),
                         ResilientOut::Fatal => Err(Stop::Fatal),
                     };

@@ -12,7 +12,7 @@ use crate::worker::{push_bucket, ship};
 use adapipe_core::item::{self, GaveUp, Hops, JoinSlots};
 use adapipe_core::payload::Payload;
 use adapipe_core::spec::Next;
-use adapipe_core::stage::{BoxedItem, DynStage, StageError};
+use adapipe_core::stage::{BoxedItem, DynStage};
 use adapipe_gridsim::time::SimTime;
 use adapipe_runtime::routing::RoutingSnapshot;
 use adapipe_runtime::session::{RunError, RunEvent, SessionId};
@@ -23,8 +23,9 @@ use std::time::Duration;
 /// Outcome of one item's trip through a stage under the stage's
 /// [`adapipe_runtime::session::ResiliencePolicy`].
 pub(crate) enum ResilientOut {
-    /// The stage produced an output, possibly after in-place retries.
-    Done(BoxedItem),
+    /// The stage rewrote the item as its output, possibly after
+    /// in-place retries.
+    Done,
     /// The item exhausted its retry budget and was diverted to the
     /// dead-letter channel; it takes no further part in the run.
     Dead,
@@ -33,21 +34,21 @@ pub(crate) enum ResilientOut {
     Fatal,
 }
 
-/// Runs one item through `inst` under `stage`'s resilience policy: the
-/// kernel's retry loop, with this backend's share of each failed
-/// attempt — count it, sleep out the backoff — then opt-in per-hop
-/// tracing on success, dead-letter diversion or a typed fatal error
-/// once the budget is spent.
+/// Runs the item in `slot` through `inst` under `stage`'s resilience
+/// policy, leaving the output in `slot`: the kernel's retry loop, with
+/// this backend's share of each failed attempt — count it, sleep out
+/// the backoff — then opt-in per-hop tracing on success, dead-letter
+/// diversion or a typed fatal error once the budget is spent.
 pub(crate) fn process_resilient(
     inst: &mut dyn DynStage,
     shared: &Arc<Shared>,
     stage: usize,
     seq: u64,
-    payload: BoxedItem,
+    slot: &mut BoxedItem,
 ) -> ResilientOut {
     let spec = &shared.spec.stages[stage];
     let policy = &spec.resilience;
-    let verdict = item::attempt(inst, spec, seq, payload, |failed| {
+    let verdict = item::attempt(inst, spec, seq, slot, |failed| {
         shared.retries.fetch_add(1, Ordering::Relaxed);
         let delay = policy.backoff_delay(failed);
         if delay.as_secs_f64() > 0.0 {
@@ -55,7 +56,7 @@ pub(crate) fn process_resilient(
         }
     });
     match verdict {
-        Ok((out, attempts)) => {
+        Ok(attempts) => {
             if policy.trace {
                 shared.events.emit(RunEvent::ItemTrace {
                     session: SessionId(shared.id),
@@ -65,7 +66,7 @@ pub(crate) fn process_resilient(
                     at: shared.pool.now(),
                 });
             }
-            ResilientOut::Done(out)
+            ResilientOut::Done
         }
         Err(gave_up) => settle(shared, stage, seq, gave_up),
     }
@@ -96,12 +97,12 @@ fn fail_run(shared: &Shared, error: RunError) {
 /// run under the default policy (no retry budget, no dead-letter
 /// channel): the kernel's give-up mapping with `attempts == 1`, which
 /// there always ends the run. The caller abandons its batch.
-pub(crate) fn fail_stage(shared: &Arc<Shared>, stage: usize, seq: u64, err: StageError) {
+pub(crate) fn fail_stage(shared: &Arc<Shared>, stage: usize, seq: u64, reason: String) {
     settle(
         shared,
         stage,
         seq,
-        item::give_up(&shared.spec.stages[stage], seq, 1, err),
+        item::give_up(&shared.spec.stages[stage], seq, 1, reason),
     );
 }
 

@@ -585,7 +585,7 @@ mod tests {
         let (_, mut stages, ..) = p.into_parts();
         let mut item: BoxedItem = Payload::new(Image::synthetic(16, 16, 0));
         for s in &mut stages {
-            item = s.process(item).expect("stages are type-aligned");
+            s.process(&mut item).expect("stages are type-aligned");
         }
         let checksum = item.downcast::<u64>().unwrap();
         assert!(checksum > 0);
@@ -774,7 +774,7 @@ mod tests {
         for i in 0..12u64 {
             let mut item: BoxedItem = Payload::new(frame(i));
             for s in &mut stages {
-                item = s.process(item).expect("stages are type-aligned");
+                s.process(&mut item).expect("stages are type-aligned");
             }
             assert_eq!(item.downcast::<u64>().unwrap(), expected(i), "frame {i}");
         }

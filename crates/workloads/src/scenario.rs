@@ -184,7 +184,7 @@ mod tests {
         let t0 = std::time::Instant::now();
         let mut boxed: adapipe_core::stage::BoxedItem = adapipe_core::payload::Payload::new(item);
         for s in &mut stages {
-            boxed = s.process(boxed).expect("stages are type-aligned");
+            s.process(&mut boxed).expect("stages are type-aligned");
         }
         assert!(t0.elapsed() >= Duration::from_millis(2));
         let out = boxed.downcast::<SynthItem>().unwrap();

@@ -183,8 +183,12 @@ mod tests {
         let (_, mut stages, ..) = p.into_parts();
         let mut item: adapipe_core::stage::BoxedItem =
             adapipe_core::payload::Payload::new(Frame::synthetic(128, 0));
-        item = stages[0].process(item).expect("stages are type-aligned");
-        item = stages[1].process(item).expect("stages are type-aligned");
+        stages[0]
+            .process(&mut item)
+            .expect("stages are type-aligned");
+        stages[1]
+            .process(&mut item)
+            .expect("stages are type-aligned");
         let decimated = item.downcast::<Frame>().unwrap();
         assert_eq!(decimated.samples.len(), 64);
     }
@@ -196,7 +200,7 @@ mod tests {
         let mut item: adapipe_core::stage::BoxedItem =
             adapipe_core::payload::Payload::new(Frame::synthetic(128, 3));
         for s in &mut stages {
-            item = s.process(item).expect("stages are type-aligned");
+            s.process(&mut item).expect("stages are type-aligned");
         }
         let power = item.downcast::<f64>().unwrap();
         assert!(power.is_finite() && power >= 0.0);

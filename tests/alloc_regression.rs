@@ -345,7 +345,7 @@ fn imaging_stages_allocate_nothing_per_frame_after_warm_up() {
     let mut checksum = |frame: Image| {
         let mut item = Payload::new(frame);
         for stage in &mut stages {
-            item = stage.process(item).expect("stages are type-aligned");
+            stage.process(&mut item).expect("stages are type-aligned");
         }
         item.downcast::<u64>().expect("a checksum")
     };

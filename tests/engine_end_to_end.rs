@@ -76,7 +76,7 @@ fn signal_pipeline_outputs_are_stable_under_remapping() {
                 let mut item: adapipe::core::stage::BoxedItem =
                     adapipe::core::payload::Payload::new(f);
                 for s in &mut stages {
-                    item = s.process(item).expect("stages are type-aligned");
+                    s.process(&mut item).expect("stages are type-aligned");
                 }
                 item.downcast::<f64>().unwrap()
             })

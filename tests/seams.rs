@@ -550,9 +550,9 @@ fn every_run_setting_has_a_user() {
 /// The library files that may say `unsafe`, each with the number of
 /// code lines that do and the reason.
 const UNSAFE_SITES: [(&str, usize); 4] = [
-    // The type-erased item: inline storage, pooled spill blocks and the
-    // vtable's drop.
-    ("crates/core/src/payload.rs", 16),
+    // The type-erased item: inline storage, pooled spill blocks, the
+    // vtable's drop and a stage's in-place rewrite (`Payload::map`).
+    ("crates/core/src/payload.rs", 19),
     // The one dispatch to a kernel's AVX2 copy, behind
     // `is_x86_feature_detected!`.
     ("crates/workloads/src/imaging.rs", 1),
