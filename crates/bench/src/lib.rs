@@ -98,7 +98,7 @@ impl fmt::Display for Table {
 }
 
 /// Times `f` over `iters` runs, returning mean seconds per run.
-pub fn time_mean<F: FnMut()>(iters: usize, mut f: F) -> f64 {
+pub(crate) fn time_mean<F: FnMut()>(iters: usize, mut f: F) -> f64 {
     assert!(iters > 0);
     let start = Instant::now();
     for _ in 0..iters {

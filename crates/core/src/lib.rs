@@ -98,8 +98,8 @@ pub mod prelude {
     pub use crate::policy::Policy;
     pub use crate::report::{AdaptationEvent, DeadLetter, RunReport};
     pub use crate::spec::{
-        ConstantWork, PipelineSpec, ResiliencePolicy, StageGraph, StageGraphBuilder, StageSpec,
-        UniformWork, WorkModel,
+        PipelineSpec, ResiliencePolicy, StageGraph, StageGraphBuilder, StageSpec, UniformWork,
+        WorkModel,
     };
     pub use crate::stage::{BoxedItem, DynStage, FanOutFn, StageError};
     pub use adapipe_runtime::arrivals::ArrivalProcess;

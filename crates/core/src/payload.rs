@@ -165,7 +165,7 @@ impl Payload {
     }
 
     /// The held value's type name (diagnostics only — not stable).
-    pub fn type_name(&self) -> &'static str {
+    fn type_name(&self) -> &'static str {
         (self.vt.type_name)()
     }
 
@@ -219,21 +219,6 @@ impl Payload {
                 &*(self.repr.inline.as_ptr() as *const T)
             } else {
                 &*(self.repr.spill as *const T)
-            })
-        }
-    }
-
-    /// Mutably borrows the value as a `T`, if that is what it holds.
-    #[inline]
-    pub fn downcast_mut<T: 'static>(&mut self) -> Option<&mut T> {
-        if !self.is::<T>() {
-            return None;
-        }
-        unsafe {
-            Some(if self.vt.inline {
-                &mut *(self.repr.inline.as_mut_ptr() as *mut T)
-            } else {
-                &mut *(self.repr.spill as *mut T)
             })
         }
     }
@@ -434,7 +419,10 @@ mod tests {
         let mut p = Payload::new(vec![1u64, 2]);
         assert_eq!(p.downcast_ref::<Vec<u64>>().unwrap().len(), 2);
         assert!(p.downcast_ref::<u64>().is_none());
-        p.downcast_mut::<Vec<u64>>().unwrap().push(3);
+        assert!(p.map(|mut v: Vec<u64>| {
+            v.push(3);
+            v
+        }));
         assert_eq!(p.downcast::<Vec<u64>>().unwrap(), vec![1, 2, 3]);
     }
 
@@ -635,10 +623,15 @@ mod tests {
                 assert_eq!((&got.0, &want.0), (&expected, &expected));
             }
             3 => {
+                // Retagged through `map` with no drop: the value passes
+                // through `f` and lands back in the same slot.
                 let slot = &mut slots[at];
-                assert!(slot.subject.downcast_mut::<B>().is_none());
+                assert!(!slot.subject.map(|_: B| -> u64 { unreachable!() }));
                 slot.tag = tag;
-                slot.subject.downcast_mut::<Val<0, B>>().unwrap().0 = B::of(tag);
+                assert!(slot.subject.map(|mut v: Val<0, B>| {
+                    v.0 = B::of(tag);
+                    v
+                }));
                 slot.model.downcast_mut::<Val<1, B>>().unwrap().0 = B::of(tag);
             }
             4 => {
@@ -713,7 +706,7 @@ mod tests {
     }
 
     /// Seeded runs of `new`, `downcast` to the right and wrong types,
-    /// `downcast_ref`, `downcast_mut`, `map` and drop over eight types, from a
+    /// `downcast_ref`, `map` and drop over eight types, from a
     /// ZST to a 4 KiB and an over-aligned value, each held by a
     /// `Payload` and by a `Box<dyn Any>`. The live values pass back and
     /// forth between two threads, so spill blocks are freed into, and

@@ -270,6 +270,8 @@ struct SimWorld<'a> {
     /// drains through [`SimStepper::pop_completion`]. Comparable in
     /// footprint to the per-item latency samples the report keeps.
     completed_log: VecDeque<u64>,
+    /// Re-mappings committed so far ([`ExecutionBackend::commit_remap`]).
+    remaps: u64,
 }
 
 /// The cooperative, session-driven form of the simulation backend: the
@@ -306,6 +308,49 @@ pub(crate) struct SimStepper<'a> {
     /// Set once the event queue starved or the horizon was crossed:
     /// no further event will ever fire.
     exhausted: bool,
+    /// Item events processed so far, held under [`EventBudget`].
+    item_events: u64,
+    budget: EventBudget,
+}
+
+/// What bounds the item events a run processes: `Arrive` (counted per
+/// item it carries), `StageIn`, `Done`, `Rehome` and `Retry`. `Tick` and
+/// `Fault` are control events and not counted. Each item event has a
+/// cause, so the bound follows from the causes:
+///
+/// - With no re-map, an item arrives once, crosses each of its `hops`
+///   once — one per entry stage, one per graph edge, one to the sink —
+///   as a `StageIn`, and ends each stage's task once as a `Done` (a
+///   failed attempt re-runs inside the same task). That is
+///   `items × (1 + hops + stages)`.
+/// - A committed re-map re-routes each pending position of an item at
+///   most once: a copy queued at a moved stage becomes one `Rehome` (at
+///   most `stages` queues hold an item, its fan-out copies included),
+///   and a hop in transit to a moved stage is forwarded once more when
+///   it lands (at most `hops`). It also wakes each new host of a moved
+///   stateful stage once with a `Retry`, at most `stages × nodes`. That
+///   is `items × (hops + stages) + stages × nodes` per re-map.
+///
+/// An event that reschedules itself without a cause outruns this bound,
+/// and a debug build panics in [`SimStepper::step`] instead of spinning.
+#[derive(Clone, Copy)]
+struct EventBudget {
+    hops: u64,
+    stages: u64,
+    nodes: u64,
+}
+
+impl EventBudget {
+    /// The most item events `items` items and `remaps` committed
+    /// re-maps can cause.
+    fn limit(self, items: u64, remaps: u64) -> u64 {
+        let per_remap = items
+            .saturating_mul(self.hops + self.stages)
+            .saturating_add(self.stages * self.nodes);
+        items
+            .saturating_mul(1 + self.hops + self.stages)
+            .saturating_add(remaps.saturating_mul(per_remap))
+    }
 }
 
 impl<'a> SimStepper<'a> {
@@ -381,6 +426,11 @@ impl<'a> SimStepper<'a> {
             .map(|s| spec.graph.feed_bytes(s, &boundary))
             .collect();
         let entry_stages = spec.graph.entries().to_vec();
+        let budget = EventBudget {
+            hops: (entry_stages.len() + spec.graph.edges().count() + 1) as u64,
+            stages: ns as u64,
+            nodes: np as u64,
+        };
         let block_entries = (0..spec.graph.blocks())
             .map(|b| spec.graph.fan_targets(b).iter().map(|t| t.stage).collect())
             .collect();
@@ -416,6 +466,7 @@ impl<'a> SimStepper<'a> {
             report,
             stage_metrics: crate::metrics::StageMetrics::new(ns),
             completed_log: VecDeque::new(),
+            remaps: 0,
         };
 
         SimStepper {
@@ -430,6 +481,8 @@ impl<'a> SimStepper<'a> {
             pushed: 0,
             closed: false,
             exhausted: false,
+            item_events: 0,
+            budget,
         }
     }
 
@@ -556,6 +609,19 @@ impl<'a> SimStepper<'a> {
             return false;
         }
         self.world.now = now;
+        self.item_events += match ev {
+            Ev::Arrive { count, .. } => count,
+            Ev::Tick | Ev::Fault => 0,
+            _ => 1,
+        };
+        debug_assert!(
+            self.item_events <= self.budget.limit(self.pushed, self.world.remaps),
+            "the simulator processed {} item events, over its budget for {} items \
+             and {} re-maps: an event is rescheduling itself",
+            self.item_events,
+            self.pushed,
+            self.world.remaps,
+        );
         // `&mut self` is exclusive access already: read the routing
         // table in place. (The lock is there for the adaptation loop,
         // which installs re-mappings through it.)
@@ -1061,6 +1127,7 @@ impl ExecutionBackend for SimWorld<'_> {
     /// re-delivery after a node loss) and announce themselves on the
     /// event bus.
     fn commit_remap(&mut self, plan: &RemapPlan) {
+        self.remaps += 1;
         let ready = plan.ready_at;
         for &stage in &plan.moved {
             let new_placement = plan.to.placement(stage);

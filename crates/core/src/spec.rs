@@ -38,7 +38,7 @@ impl Clone for Box<dyn WorkModel> {
 
 /// Every item costs exactly `work` units.
 #[derive(Clone, Copy, Debug)]
-pub struct ConstantWork(pub f64);
+pub(crate) struct ConstantWork(pub(crate) f64);
 
 impl WorkModel for ConstantWork {
     fn draw(&self, _item: u64) -> f64 {

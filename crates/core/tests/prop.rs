@@ -112,10 +112,14 @@ fn makespan_grows_with_stream_length() {
 
 /// One instance of the simulated-truth oracle: a chain into a diamond
 /// (two or three one-stage branches and the stage joining them) and on
-/// through a second chain, with unequal work and data per stage, on a
-/// grid of two to four nodes of unequal speed, each under its own
-/// constant load, in two clusters of LAN links joined by WAN links.
-fn chain_diamond_instance(rng: &mut Rng64) -> (GridSpec, PipelineSpec) {
+/// through a second chain, each stage's work and output bytes drawn by
+/// `stage`, on a grid of two to four nodes of unequal speed, each under
+/// its own constant load, in two clusters of LAN links joined by WAN
+/// links.
+fn chain_diamond_instance(
+    rng: &mut Rng64,
+    stage: impl Fn(&mut Rng64) -> (f64, u64),
+) -> (GridSpec, PipelineSpec) {
     let head = 1 + rng.next_range(2);
     let branches = 2 + rng.next_range(2);
     let tail = rng.next_range(3);
@@ -131,8 +135,7 @@ fn chain_diamond_instance(rng: &mut Rng64) -> (GridSpec, PipelineSpec) {
     let graph = wiring.build().expect("a chain, a diamond and a chain");
     let stages = (0..ns)
         .map(|s| {
-            let work = 0.5 + 1.5 * rng.next_unit();
-            let bytes = 1_000 + rng.next_range(50_000) as u64;
+            let (work, bytes) = stage(rng);
             StageSpec::balanced(format!("s{s}"), work, bytes)
         })
         .collect();
@@ -171,27 +174,35 @@ fn kendall_tau(a: &[f64], b: &[f64]) -> f64 {
     (concordant - discordant) / (pairs_a * pairs_b).sqrt()
 }
 
-/// Simulated truth for the analytic model (ROADMAP 6(b)): on 48 seeded
-/// chain-and-diamond instances on heterogeneous grids, 5 distinct
-/// random mappings each run statically under constant load. The
-/// model's throughput for a run (the stream's length over its
-/// predicted completion time) stays within `MAX_ERR` of the simulated
-/// one on every run, and on every instance the model ranks the five
-/// mappings as the simulation does, to a Kendall τ of at least
-/// `MIN_TAU`, which allows one pair of the ten out of order. Measured:
-/// the worst run is 0.48 % off, and the lowest τ is 0.95, on an
-/// instance where two mappings tie in the model but not in the
-/// simulation. The data is modest and transfers do not contend for
-/// links (the default), so every run here is node-bound: how the model
-/// prices a busy link is item 6(c)'s to measure.
-#[test]
-fn model_agrees_with_simulation() {
-    const MAX_ERR: f64 = 0.02;
-    const MIN_TAU: f64 = 0.8;
-    const ITEMS: u64 = 300;
-    for case in 0..48u64 {
-        let mut rng = Rng64::new(0xAB1E + case);
-        let (grid, spec) = chain_diamond_instance(&mut rng);
+/// How far the model is from the simulation over one instance family.
+struct Agreement {
+    /// The largest relative throughput error of any run, and the run.
+    worst: (f64, String),
+    /// The lowest per-instance Kendall τ, and the instance.
+    lowest_tau: (f64, String),
+}
+
+/// Runs instances `seed..seed + cases` of [`chain_diamond_instance`]
+/// (stages drawn by `stage`), five distinct random mappings each,
+/// statically for `items` items under constant load, with transfers
+/// contending for links or not. Compares each run's throughput with
+/// the model's (the stream's length over its predicted completion
+/// time) and each instance's ranking of its mappings with the
+/// simulation's.
+fn model_against_simulation(
+    seed: u64,
+    cases: u64,
+    items: u64,
+    link_contention: bool,
+    stage: impl Fn(&mut Rng64) -> (f64, u64) + Copy,
+) -> Agreement {
+    let mut agreement = Agreement {
+        worst: (0.0, String::new()),
+        lowest_tau: (1.0, String::new()),
+    };
+    for case in seed..seed + cases {
+        let mut rng = Rng64::new(case);
+        let (grid, spec) = chain_diamond_instance(&mut rng, stage);
         let (np, profile) = (grid.len(), spec.profile());
         let rates = grid.rates_at(SimTime::ZERO);
         let mut mappings: Vec<Mapping> = Vec::new();
@@ -208,30 +219,85 @@ fn model_agrees_with_simulation() {
         for mapping in mappings {
             let pred = evaluate(&profile, &mapping, &rates, grid.topology());
             let cfg = RunConfig {
-                items: ITEMS,
+                items,
                 initial_mapping: Some(mapping.clone()),
+                link_contention,
                 ..RunConfig::default()
             };
             let report = sim_run(&grid, &spec, &Session::default(), &cfg);
-            assert_eq!(report.completed, ITEMS, "case {case}");
-            let model = ITEMS as f64 / pred.completion_time(ITEMS);
+            assert_eq!(report.completed, items, "case {case}");
+            let model = items as f64 / pred.completion_time(items);
             let sim = report.mean_throughput();
             let err = (model - sim).abs() / sim;
-            assert!(
-                err <= MAX_ERR,
-                "case {case}, mapping {}: model {model:.4}/s vs sim {sim:.4}/s ({:.1} % off)",
-                mapping.notation(),
-                err * 100.0
-            );
+            if err > agreement.worst.0 {
+                let run = format!(
+                    "case {case}, mapping {}: model {model:.4}/s vs sim {sim:.4}/s",
+                    mapping.notation()
+                );
+                agreement.worst = (err, run);
+            }
             predicted.push(model);
             simulated.push(sim);
         }
         let tau = kendall_tau(&predicted, &simulated);
-        assert!(
-            tau >= MIN_TAU,
-            "case {case}: Kendall tau {tau:.2}; model {predicted:?} vs sim {simulated:?}"
-        );
+        if tau < agreement.lowest_tau.0 {
+            let instance = format!("case {case}: model {predicted:?} vs sim {simulated:?}");
+            agreement.lowest_tau = (tau, instance);
+        }
     }
+    agreement
+}
+
+/// Simulated truth for the analytic model (ROADMAP 6(b)): on 48 seeded
+/// chain-and-diamond instances on heterogeneous grids, 5 distinct
+/// random mappings each run statically under constant load. The
+/// model's throughput for a run stays within `MAX_ERR` of the simulated
+/// one on every run, and on every instance the model ranks the five
+/// mappings as the simulation does, to a Kendall τ of at least
+/// `MIN_TAU`, which allows one pair of the ten out of order. Measured:
+/// the worst run is 0.48 % off, and the lowest τ is 0.95, on an
+/// instance where two mappings tie in the model but not in the
+/// simulation. The data is modest and transfers do not contend for
+/// links (the default), so every run here is node-bound: how the model
+/// prices a busy link is [`model_prices_contended_links`]'s to measure.
+#[test]
+fn model_agrees_with_simulation() {
+    const MAX_ERR: f64 = 0.02;
+    const MIN_TAU: f64 = 0.8;
+    let node_bound = |rng: &mut Rng64| {
+        let work = 0.5 + 1.5 * rng.next_unit();
+        (work, 1_000 + rng.next_range(50_000) as u64)
+    };
+    let agreement = model_against_simulation(0xAB1E, 48, 300, false, node_bound);
+    let (err, run) = agreement.worst;
+    assert!(err <= MAX_ERR, "{run} ({:.1} % off)", err * 100.0);
+    let (tau, instance) = agreement.lowest_tau;
+    assert!(tau >= MIN_TAU, "Kendall tau {tau:.2} on {instance}");
+}
+
+/// The model's first weak spot (ROADMAP 6(c)): the same oracle on
+/// link-heavy stages — work 0.05–0.3, outputs of 100 KB to 12.8 MB in
+/// powers of two — with transfers contending for their links, which is
+/// how the model prices every link: as a serial resource. On these 24
+/// instances of 100 items the worst run is 14.0 % off and the lowest τ
+/// is 0.8. Over eight such families (192 instances, 960 runs) the worst
+/// run was 18.1 % off and the lowest τ 0.6, which the bounds allow.
+/// With contention off, the simulator overlaps transfers the model
+/// serialises, and the same families miss by up to 92 % with τ down to
+/// −1: that gap is still open, because closing it moves fixtures.
+#[test]
+fn model_prices_contended_links() {
+    const MAX_ERR: f64 = 0.2;
+    const MIN_TAU: f64 = 0.6;
+    let link_heavy = |rng: &mut Rng64| {
+        let work = 0.05 + 0.25 * rng.next_unit();
+        (work, 100_000 << rng.next_range(8))
+    };
+    let agreement = model_against_simulation(0x6C1F, 24, 100, true, link_heavy);
+    let (err, run) = agreement.worst;
+    assert!(err <= MAX_ERR, "{run} ({:.1} % off)", err * 100.0);
+    let (tau, instance) = agreement.lowest_tau;
+    assert!(tau >= MIN_TAU, "Kendall tau {tau:.2} on {instance}");
 }
 
 /// The adaptive policy never loses badly to static on any seeded

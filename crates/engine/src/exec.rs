@@ -41,8 +41,8 @@
 //! returns a live [`EngineSession`]: the caller pushes items while the
 //! pipeline runs, pulls outputs as they complete, and finishes with a
 //! graceful [`EngineSession::drain`] or an [`EngineSession::abort`].
-//! The batch entry points ([`execute`], [`execute_fed`]) are thin
-//! wrappers — spawn, feed the arrival schedule, drain.
+//! The batch entry point, [`execute_fed`], is a thin wrapper — spawn,
+//! feed the arrival schedule, drain.
 //!
 //! With `RunConfig::queue_capacity` set, the session enforces a
 //! bounded-queue discipline: the total number of in-flight items is
@@ -416,18 +416,9 @@ where
 
     /// Work envelopes stolen off sibling inboxes by idle co-hosts so
     /// far (work-stealing pool activity).
-    pub fn steals(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn steals(&self) -> u64 {
         self.shared.steals.load(Ordering::Relaxed)
-    }
-
-    /// Items that arrived under a retired routing epoch and were
-    /// re-homed to their stage's current hosts (remap drain activity).
-    /// Both hand-offs count: an envelope that reaches a worker which no
-    /// longer owns its stage or shard, and a backlog parked at a worker
-    /// (instance in transit, vnode down) that a later re-map moved
-    /// away from it — so a stalled migration shows up here too.
-    pub fn rehomed(&self) -> u64 {
-        self.shared.rehomed.load(Ordering::Relaxed)
     }
 
     /// Stage runs executed *inline* so far: a worker ran the stage
@@ -438,7 +429,8 @@ where
     /// and mapped solely to that worker. Re-maps that separate a stage
     /// from its producers un-fuse it automatically (the fusion plan is
     /// epoch-scoped).
-    pub fn fused_hops(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn fused_hops(&self) -> u64 {
         self.shared.fused.load(Ordering::Relaxed)
     }
 
@@ -967,41 +959,6 @@ fn collect(
         }
     }
     report
-}
-
-/// Runs `pipeline` over `inputs` on `vnodes`: [`execute_fed`] with the
-/// inputs as the feed, and their count — not `cfg.items` — as the
-/// stream length.
-///
-/// This is the threaded *backend* batch entry point; applications
-/// should prefer the unified `adapipe::api::Pipeline` builder, which
-/// delegates here via `Backend::Threads`.
-///
-/// # Panics
-/// As [`spawn`].
-pub fn execute<I, O>(
-    pipeline: Pipeline<I, O>,
-    inputs: Vec<I>,
-    vnodes: Vec<VNodeSpec>,
-    session: &Session,
-    cfg: &RunConfig,
-) -> RunHandle<O>
-where
-    I: Send + 'static,
-    O: Send + 'static,
-{
-    let cfg = RunConfig {
-        items: inputs.len() as u64,
-        ..cfg.clone()
-    };
-    let mut it = inputs.into_iter();
-    execute_fed(
-        pipeline,
-        move |_| it.next().expect("iterator covers the stream"),
-        vnodes,
-        session,
-        &cfg,
-    )
 }
 
 /// Runs `pipeline` over `cfg.items` inputs, each drawn lazily from

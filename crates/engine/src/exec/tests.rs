@@ -47,6 +47,24 @@ pub(crate) fn spawn_static<I: Send + 'static, O: Send + 'static>(
     spawn(pipeline, vnodes, &Session::default(), cfg)
 }
 
+/// Runs `pipeline` over `inputs`: [`execute_fed`] with the inputs as
+/// the feed, and their count as the stream length.
+fn execute<I: Send + 'static, O: Send + 'static>(
+    pipeline: Pipeline<I, O>,
+    inputs: Vec<I>,
+    vnodes: Vec<VNodeSpec>,
+    session: &Session,
+    cfg: &RunConfig,
+) -> RunHandle<O> {
+    let cfg = RunConfig {
+        items: inputs.len() as u64,
+        ..cfg.clone()
+    };
+    let mut inputs = inputs.into_iter();
+    let feed = move |_| inputs.next().expect("one input per item");
+    execute_fed(pipeline, feed, vnodes, session, &cfg)
+}
+
 /// [`execute`] as the default session.
 fn execute_static<I: Send + 'static, O: Send + 'static>(
     pipeline: Pipeline<I, O>,
@@ -799,25 +817,41 @@ fn push_until_window(session: &mut EngineSession<u64, u64>, taken: u32) -> u64 {
 
 /// Per-item pushes 2 ms apart, never polled: every window is slower
 /// than a millisecond, so the stride stays 1 and each push reads the
-/// clock. A stride that ignored the pace would stamp most items a
-/// window early, about 40 ms on average here; exact stamps read
-/// 0.2–0.3 ms in a debug build beside the rest of the suite, so 2 ms
-/// leaves room for a loaded host.
+/// clock — its born stamp lies inside the push call itself. A stride
+/// that ignored the pace would stamp most items a window early, about
+/// 40 ms on average here. The report's latencies run from those
+/// stamps, so each is at most the time from its push to the end of the
+/// drain. Both checks read the stamps, not how soon a worker woke: a
+/// bound on the report's mean latency also counted every wake-up a
+/// loaded host delayed.
 #[test]
 fn per_item_pushes_spaced_apart_are_stamped_exactly() {
     let mut session = plus_one(&RunConfig::default());
+    let shared = Arc::clone(&session.shared);
+    let mut pushed_at = Vec::new();
     for i in 0..40u64 {
         std::thread::sleep(Duration::from_millis(2));
+        let before = shared.pool.now();
         session.push(i).unwrap();
+        let after = shared.pool.now();
         assert_eq!(session.stamp.stride, 1, "push {i}");
+        let born = session.stamp.born;
+        assert!(
+            before <= born && born <= after,
+            "push {i} stamped {born:?}, outside its call [{before:?}, {after:?}]"
+        );
+        pushed_at.push(before);
     }
     let report = session.drain().report;
+    let drained = shared.pool.now();
     assert_eq!(report.completed, 40);
-    assert!(
-        report.mean_latency < SimDuration::from_millis(2),
-        "mean latency {:?}",
-        report.mean_latency
-    );
+    // One worker serves one stage in push order.
+    for (i, (&latency, &before)) in report.latencies.iter().zip(&pushed_at).enumerate() {
+        assert!(
+            latency <= drained.saturating_since(before),
+            "item {i}: latency {latency:?} exceeds its push-to-drain time"
+        );
+    }
 }
 
 /// After a dense phase has grown the stride to its ceiling, a 20 ms

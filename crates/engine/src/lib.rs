@@ -30,8 +30,8 @@
 //!   gate behind `queue_capacity`, and `item` — what a worker does with
 //!   one item at one stage, as thin callers of the backend-independent
 //!   kernel [`adapipe_core::item`];
-//! * [`inject`] — optional *real* CPU burners for demonstrations of
-//!   genuine contention.
+//! * [`LoadInjector`] — optional *real* CPU burners for demonstrations
+//!   of genuine contention.
 //!
 //! Threads: a pool runs one worker per vnode, plus the arbiter for a
 //! cluster; a session runs its collector, plus an adaptation thread
@@ -50,7 +50,7 @@ mod credits;
 pub mod exec;
 mod fusion;
 mod inbox;
-pub mod inject;
+mod inject;
 mod item;
 mod pool;
 mod tenant;
@@ -59,9 +59,9 @@ mod worker;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::exec::{attach, execute, execute_fed, spawn, EngineSession, Pool};
+    pub use crate::exec::{attach, execute_fed, spawn, EngineSession, Pool};
     pub use crate::inject::LoadInjector;
-    pub use crate::vnode::{calibrate_host, spin_for, VNodeSpec, MIN_WALL_AVAILABILITY};
+    pub use crate::vnode::{calibrate_host, spin_for, VNodeSpec};
 }
 
 pub use prelude::*;

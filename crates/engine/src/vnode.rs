@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 /// Availability below this is clamped when computing slowdown sleeps: a
 /// wall-clock engine cannot stall a task forever.
-pub const MIN_WALL_AVAILABILITY: f64 = 0.02;
+pub(crate) const MIN_WALL_AVAILABILITY: f64 = 0.02;
 
 /// One virtual node of the threaded engine.
 #[derive(Clone, Debug)]
@@ -66,7 +66,7 @@ impl VNodeSpec {
     /// constant, fully-available load model — so
     /// [`VNodeSpec::slowdown_sleep`] is identically zero and the hot
     /// path may skip the per-item rate lookup entirely.
-    pub fn never_throttles(&self) -> bool {
+    pub(crate) fn never_throttles(&self) -> bool {
         self.speed >= 1.0 && matches!(self.load, LoadModel::Constant { level } if level >= 1.0)
     }
 
@@ -78,7 +78,7 @@ impl VNodeSpec {
     /// Extra sleep required after `busy` seconds of real compute started
     /// at wall-offset `t`, so the total service time matches this node's
     /// effective rate.
-    pub fn slowdown_sleep(&self, busy: Duration, t: SimTime) -> Duration {
+    pub(crate) fn slowdown_sleep(&self, busy: Duration, t: SimTime) -> Duration {
         let rate = self.effective_rate(t);
         debug_assert!(rate > 0.0);
         let factor = (1.0 / rate - 1.0).max(0.0);
@@ -164,5 +164,16 @@ mod tests {
     #[should_panic(expected = "speed")]
     fn overspeed_rejected() {
         let _ = VNodeSpec::with_speed("x", 1.5);
+    }
+
+    #[test]
+    fn only_a_full_speed_always_free_node_never_throttles() {
+        assert!(VNodeSpec::free("a").never_throttles());
+        assert!(!VNodeSpec::with_speed("slow", 0.5).never_throttles());
+        let busy = VNodeSpec::free("busy").with_load(LoadModel::constant(0.5));
+        assert!(!busy.never_throttles());
+        // A schedule that starts free may still throttle later.
+        let step = LoadModel::step(1.0, 0.5, SimTime::from_secs_f64(1.0));
+        assert!(!VNodeSpec::free("later").with_load(step).never_throttles());
     }
 }

@@ -56,7 +56,7 @@ impl PiecewiseConst {
     }
 
     /// Value at time `t`.
-    pub fn value_at(&self, t: SimTime) -> f64 {
+    fn value_at(&self, t: SimTime) -> f64 {
         let local = self.localise(t);
         match self.points.binary_search_by(|probe| probe.0.cmp(&local)) {
             Ok(i) => self.points[i].1,
@@ -67,7 +67,7 @@ impl PiecewiseConst {
 
     /// The next time strictly after `t` at which the value may change,
     /// or `None` if the function is constant from `t` on.
-    pub fn next_change(&self, t: SimTime) -> Option<SimTime> {
+    fn next_change(&self, t: SimTime) -> Option<SimTime> {
         // Which cycle are we in, and where within it?
         let (base, local) = match self.cycle {
             None => (0, t),
@@ -396,7 +396,7 @@ impl LoadModel {
     /// The end of the outage (zero-cap overlay window) covering `t`, if
     /// there is one: availability is 0 on all of `[t, end)` whatever the
     /// base model does. With nested overlays, the latest such end.
-    pub fn outage_end(&self, t: SimTime) -> Option<SimTime> {
+    pub(crate) fn outage_end(&self, t: SimTime) -> Option<SimTime> {
         let LoadModel::Overlay { base, windows } = self else {
             return None;
         };
@@ -437,7 +437,7 @@ impl LoadModel {
 
     /// Overlays a single availability-cap window: within `[from, to)` the
     /// availability becomes `min(base, cap)`.
-    pub fn with_cap_window(self, from: SimTime, to: SimTime, cap: f64) -> Self {
+    pub(crate) fn with_cap_window(self, from: SimTime, to: SimTime, cap: f64) -> Self {
         self.with_windows(vec![OverlayWindow { from, to, cap }])
     }
 
@@ -446,7 +446,7 @@ impl LoadModel {
     /// # Panics
     /// Panics if windows are empty-intervaled, unsorted or overlapping, or
     /// if a cap lies outside `[0, 1]`.
-    pub fn with_windows(self, windows: Vec<OverlayWindow>) -> Self {
+    fn with_windows(self, windows: Vec<OverlayWindow>) -> Self {
         if windows.is_empty() {
             return self;
         }
@@ -694,5 +694,24 @@ mod tests {
     #[should_panic(expected = "duty")]
     fn bad_duty_panics() {
         let _ = LoadModel::square_wave(1.0, 0.5, SimDuration::from_secs(1), 1.5, SimDuration::ZERO);
+    }
+
+    #[test]
+    fn outage_end_covers_the_window_and_takes_the_latest_nested_end() {
+        let m = LoadModel::constant(0.9).with_outages(&[(secs(2.0), secs(4.0))]);
+        assert_eq!(m.outage_end(secs(1.0)), None);
+        assert_eq!(m.outage_end(secs(2.0)), Some(secs(4.0)));
+        assert_eq!(m.outage_end(secs(3.9)), Some(secs(4.0)));
+        assert_eq!(m.outage_end(secs(4.0)), None, "the end is exclusive");
+        // A partial cap slows the node; it is no outage.
+        let capped = LoadModel::free().with_cap_window(secs(0.0), secs(5.0), 0.1);
+        assert_eq!(capped.outage_end(secs(1.0)), None);
+        assert_eq!(LoadModel::free().outage_end(secs(1.0)), None);
+        // An outer outage [3, 6) over the inner [2, 4).
+        let nested = m.with_outages(&[(secs(3.0), secs(6.0))]);
+        assert_eq!(nested.outage_end(secs(2.5)), Some(secs(4.0)));
+        assert_eq!(nested.outage_end(secs(3.5)), Some(secs(6.0)));
+        assert_eq!(nested.outage_end(secs(5.0)), Some(secs(6.0)));
+        assert_eq!(nested.outage_end(secs(6.0)), None);
     }
 }

@@ -159,11 +159,6 @@ impl LinkQueue {
         self.busy_until = start + duration;
         self.busy_until
     }
-
-    /// The time at which the link becomes idle.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
 }
 
 #[cfg(test)]

@@ -77,7 +77,7 @@ impl Node {
     }
 
     /// Effective processing rate (work units per second) at time `t`.
-    pub fn rate_at(&self, t: SimTime) -> f64 {
+    pub(crate) fn rate_at(&self, t: SimTime) -> f64 {
         self.spec.speed * self.load.availability(t)
     }
 

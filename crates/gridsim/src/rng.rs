@@ -96,15 +96,9 @@ impl Rng64 {
     }
 }
 
-/// Builds a seeded [`Rng64`]; the standard entry point for all stateful
-/// randomness in the workspace so seeds are visible in one place.
-pub fn std_rng(seed: u64) -> Rng64 {
-    Rng64::new(seed)
-}
-
 /// Derives an independent child seed, e.g. one per node of a testbed.
 #[inline]
-pub fn child_seed(seed: u64, label: u64) -> u64 {
+pub(crate) fn child_seed(seed: u64, label: u64) -> u64 {
     splitmix64(seed ^ label.wrapping_mul(0xD6E8_FEB8_6659_FD93))
 }
 
@@ -150,13 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn std_rng_reproducible() {
-        let a: u64 = std_rng(11).next_u64();
-        let b: u64 = std_rng(11).next_u64();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn rng64_range_is_in_bounds_and_covers() {
         let mut rng = Rng64::new(5);
         let mut seen = [false; 7];
@@ -174,5 +161,15 @@ mod tests {
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| rng.next_unit()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean={mean}");
+    }
+
+    #[test]
+    fn rng64_replays_its_stream_per_seed() {
+        let draw = |seed| {
+            let mut rng = Rng64::new(seed);
+            (0..64).map(|_| rng.next_u64()).collect::<Vec<_>>()
+        };
+        assert_eq!(draw(11), draw(11));
+        assert_ne!(draw(11), draw(12));
     }
 }

@@ -10,7 +10,7 @@ use std::ops::{Add, AddAssign, Sub};
 use std::time::Duration;
 
 /// Number of nanoseconds in one second.
-pub const NANOS_PER_SEC: u64 = 1_000_000_000;
+const NANOS_PER_SEC: u64 = 1_000_000_000;
 
 /// An absolute instant on the simulation clock, in nanoseconds since the
 /// start of the run.

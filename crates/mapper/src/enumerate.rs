@@ -4,7 +4,7 @@
 //! full assignment enumeration (small instances), compositions for
 //! contiguous groupings, and neighbourhood moves for local search.
 //! The two the optimisers' inner loops run on — [`Assignments`] and
-//! [`for_each_neighbour`] — show every candidate (for the neighbourhood,
+//! `for_each_neighbour` — show every candidate (for the neighbourhood,
 //! every move) on one working [`Mapping`] instead of handing out a
 //! clone per candidate.
 
@@ -119,9 +119,9 @@ pub fn compositions(n: usize, k: usize) -> Vec<Vec<usize>> {
 
 /// One neighbourhood move of local search.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Move {
+pub(crate) enum Move {
     /// Re-host single-host stage `stage` on node `to`.
-    MoveStage {
+    Rehost {
         /// The stage that moves.
         stage: usize,
         /// Its new host.
@@ -149,7 +149,7 @@ impl Move {
     /// The stage the move changes.
     pub(crate) fn stage(self) -> usize {
         match self {
-            Move::MoveStage { stage, .. }
+            Move::Rehost { stage, .. }
             | Move::AddReplica { stage, .. }
             | Move::DropReplica { stage, .. } => stage,
         }
@@ -160,11 +160,11 @@ impl Move {
     /// mapping exactly).
     pub fn apply(self, mapping: &mut Mapping) -> Move {
         match self {
-            Move::MoveStage { stage, to } => {
+            Move::Rehost { stage, to } => {
                 let placement = mapping.placement_mut(stage);
                 let from = placement.primary();
                 placement.rehost(to);
-                Move::MoveStage { stage, to: from }
+                Move::Rehost { stage, to: from }
             }
             Move::AddReplica { stage, node } => {
                 mapping.placement_mut(stage).add_host(node);
@@ -183,8 +183,9 @@ impl Move {
 /// two: each stage falls in exactly one of them, and each keeps the
 /// order `All` shows its moves in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Focus<'a> {
-    /// Every stage.
+pub(crate) enum Focus<'a> {
+    /// Every stage (the tests' reference walk).
+    #[cfg(test)]
     All,
     /// Only the stages hosted on at least one of these nodes.
     Only(&'a [NodeId]),
@@ -196,6 +197,7 @@ impl Focus<'_> {
     fn admits(self, placement: &Placement) -> bool {
         let hosted = |nodes: &[NodeId]| nodes.iter().any(|&n| placement.contains(n));
         match self {
+            #[cfg(test)]
             Focus::All => true,
             Focus::Only(nodes) => hosted(nodes),
             Focus::Except(nodes) => !hosted(nodes),
@@ -226,7 +228,7 @@ impl Focus<'_> {
 /// candidates to `O(b·Np)`, `b` the number of bottleneck-hosted stages.
 /// When that stalls, its polish pass walks [`Focus::Except`] the same
 /// nodes: the moves it leaves out were just scored.
-pub fn for_each_neighbour(
+pub(crate) fn for_each_neighbour(
     mapping: &mut Mapping,
     np: usize,
     profile: &PipelineProfile,
@@ -244,7 +246,7 @@ pub fn for_each_neighbour(
         if width == 1 {
             let current = placement.primary();
             for to in (0..np).map(NodeId).filter(|&to| to != current) {
-                visit(Move::MoveStage { stage, to }, mapping);
+                visit(Move::Rehost { stage, to }, mapping);
             }
         }
         if profile.state[stage].replicable() && width < max_width.min(profile.replica_cap[stage]) {
@@ -359,7 +361,7 @@ mod tests {
         let nb = neighbours(&m, 3, &[false, false], &[usize::MAX; 2], 1, Focus::All);
         // Each stage can move to 2 other nodes; no replication allowed.
         let moves: Vec<Move> = nb.iter().map(|&(mv, _)| mv).collect();
-        let mv = |stage, to| Move::MoveStage { stage, to: n(to) };
+        let mv = |stage, to| Move::Rehost { stage, to: n(to) };
         assert_eq!(moves, [mv(0, 1), mv(0, 2), mv(1, 0), mv(1, 2)]);
         assert_eq!(nb[1].1.notation(), "(n2 n1)");
     }
@@ -401,8 +403,8 @@ mod tests {
         assert_eq!(
             moves,
             [
-                Move::MoveStage { stage: 0, to: n(1) },
-                Move::MoveStage { stage: 0, to: n(2) },
+                Move::Rehost { stage: 0, to: n(1) },
+                Move::Rehost { stage: 0, to: n(2) },
                 Move::AddReplica {
                     stage: 0,
                     node: n(1)
@@ -477,7 +479,7 @@ mod tests {
             Placement::replicated(vec![n(0), n(2)]),
         ]);
         for mv in [
-            Move::MoveStage { stage: 0, to: n(1) },
+            Move::Rehost { stage: 0, to: n(1) },
             Move::AddReplica {
                 stage: 1,
                 node: n(1),

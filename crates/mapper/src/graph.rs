@@ -414,11 +414,6 @@ impl StageGraph {
         &self.preds[stage]
     }
 
-    /// Ordered successors of `stage` (its fan-out copies).
-    pub fn succs(&self, stage: usize) -> &[usize] {
-        &self.succs[stage]
-    }
-
     /// A deterministic topological order of the stage ids (the
     /// identity permutation on sugar-built graphs).
     pub fn topo_order(&self) -> &[usize] {
@@ -555,16 +550,6 @@ pub struct StageGraphBuilder {
 }
 
 impl StageGraphBuilder {
-    /// Continues `graph`: the same stages and edges, with appended
-    /// stages consuming its exit stage's output.
-    pub fn extending(graph: &StageGraph) -> Self {
-        StageGraphBuilder {
-            edges: graph.edges().collect(),
-            cursor: graph.len(),
-            tail: Some(graph.exit()),
-        }
-    }
-
     /// The stage whose output the next appended stage (or block)
     /// consumes; `None` on an empty builder.
     pub fn tail(&self) -> Option<usize> {
@@ -770,7 +755,6 @@ mod tests {
         assert_eq!(g.branch_of(4), None);
 
         assert_eq!(g.topo_order(), &[0, 1, 2, 3, 4, 5]);
-        assert_eq!(g.succs(0), &[1, 3]);
         assert_eq!(
             g.fan_targets(0),
             &[
@@ -1029,13 +1013,15 @@ mod tests {
     }
 
     #[test]
-    fn extending_a_graph_appends_after_its_exit() {
-        let g = StageGraphBuilder::extending(&diamond()).stages(1).build();
-        assert_eq!(g.len(), 5);
-        assert_eq!(g.preds(4), &[3]);
-        assert_eq!(g.exit(), 4);
-        let same = StageGraphBuilder::extending(&sample());
-        assert_eq!(same.tail(), Some(5));
-        assert_eq!(same.build(), sample());
+    fn tail_follows_what_was_appended_last() {
+        let b = StageGraph::builder();
+        assert_eq!(b.tail(), None, "the next stages are entry stages");
+        let b = b.stages(2);
+        assert_eq!(b.tail(), Some(1));
+        let b = b.split(&[2, 1]);
+        assert_eq!(b.tail(), Some(5), "a parallel block hands on its merge");
+        let g = b.stages(1).build();
+        assert_eq!(g.preds(6), &[5]);
+        assert_eq!(g.exit(), 6);
     }
 }

@@ -62,19 +62,15 @@ pub mod prelude {
     pub use crate::decide::{
         certified_keep, should_remap, throughput_ceiling, Decision, DecisionConfig, KeepReason,
     };
-    pub use crate::enumerate::{
-        assignment_count, compositions, for_each_neighbour, Assignments, Focus, Move,
-    };
+    pub use crate::enumerate::{assignment_count, compositions, Assignments};
     pub use crate::graph::{Next, StageGraph, StageGraphBuilder};
     pub use crate::mapping::{ContiguousMapping, Mapping, Placement};
     pub use crate::model::{
-        evaluate, fused_stages, Bottleneck, Candidates, Evaluator, Floor, PipelineProfile,
-        Prediction, Score,
+        evaluate, fused_stages, Bottleneck, Evaluator, Floor, PipelineProfile, Prediction, Score,
     };
     pub use crate::replicate::improve;
     pub use crate::search::{
-        contiguous_dp, exhaustive_best, exhaustive_frontier, local_search, plan, Plan,
-        PlannerConfig, Strategy,
+        contiguous_dp, exhaustive_best, local_search, plan, Plan, PlannerConfig, Strategy,
     };
     pub use crate::share::{arbitrate, fair_shares, ShareQuota};
 }

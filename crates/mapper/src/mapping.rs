@@ -65,7 +65,7 @@ impl Placement {
     ///
     /// # Panics
     /// Panics if the stage is replicated.
-    pub fn rehost(&mut self, node: NodeId) {
+    pub(crate) fn rehost(&mut self, node: NodeId) {
         assert!(
             self.is_single(),
             "only a single-host stage can be re-hosted"
@@ -84,7 +84,7 @@ impl Placement {
     ///
     /// # Panics
     /// Panics if this would leave the placement empty.
-    pub fn remove_host(&mut self, node: NodeId) {
+    pub(crate) fn remove_host(&mut self, node: NodeId) {
         if let Ok(pos) = self.hosts.binary_search(&node) {
             assert!(
                 self.hosts.len() > 1,
@@ -150,7 +150,7 @@ impl Mapping {
     ///
     /// # Panics
     /// Panics if `assignment` covers a different number of stages.
-    pub fn assign(&mut self, assignment: &[NodeId]) {
+    pub(crate) fn assign(&mut self, assignment: &[NodeId]) {
         assert_eq!(assignment.len(), self.len(), "one node per stage");
         for (placement, &node) in self.placements.iter_mut().zip(assignment) {
             placement.hosts.clear();
@@ -193,26 +193,6 @@ impl Mapping {
         nodes.sort_unstable();
         nodes.dedup();
         nodes
-    }
-
-    /// Total replica count across stages (= number of stage instances).
-    pub fn total_width(&self) -> usize {
-        self.placements.iter().map(Placement::width).sum()
-    }
-
-    /// True if no stage is replicated.
-    pub fn is_unreplicated(&self) -> bool {
-        self.placements.iter().all(Placement::is_single)
-    }
-
-    /// True if consecutive stages `s` and `s+1` share their (single)
-    /// host — i.e. the boundary is coalesced and costs no network
-    /// transfer.
-    pub fn is_coalesced(&self, s: usize) -> bool {
-        assert!(s + 1 < self.placements.len(), "boundary out of range");
-        self.placements[s].is_single()
-            && self.placements[s + 1].is_single()
-            && self.placements[s].primary() == self.placements[s + 1].primary()
     }
 
     /// The stages whose placement differs between `self` and `other` —
@@ -340,7 +320,7 @@ impl ContiguousMapping {
     }
 
     /// Stage range `[start, end)` of group `g`.
-    pub fn group_range(&self, g: usize) -> (usize, usize) {
+    pub(crate) fn group_range(&self, g: usize) -> (usize, usize) {
         let start = if g == 0 { 0 } else { self.group_end[g - 1] };
         (start, self.group_end[g])
     }
@@ -427,24 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_detected_on_shared_single_hosts() {
-        let m = Mapping::from_assignment(&[n(0), n(0), n(1)]);
-        assert!(m.is_coalesced(0));
-        assert!(!m.is_coalesced(1));
-    }
-
-    #[test]
-    fn replicated_boundary_is_not_coalesced() {
-        let m = Mapping::new(vec![
-            Placement::single(n(0)),
-            Placement::replicated(vec![n(0), n(1)]),
-        ]);
-        assert!(!m.is_coalesced(0));
-        assert!(!m.is_unreplicated());
-        assert_eq!(m.total_width(), 3);
-    }
-
-    #[test]
     fn nodes_used_deduplicates() {
         let m = Mapping::new(vec![
             Placement::single(n(2)),
@@ -506,7 +468,6 @@ mod tests {
         assert_eq!(m.placement(0).primary(), n(2));
         assert_eq!(m.placement(1).primary(), n(2));
         assert_eq!(m.placement(2).primary(), n(0));
-        assert!(m.is_coalesced(0));
     }
 
     #[test]
@@ -521,5 +482,11 @@ mod tests {
         let a = Mapping::from_assignment(&[n(0)]);
         let b = Mapping::from_assignment(&[n(0), n(1)]);
         let _ = a.diff(&b);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot remove the last host of a stage")]
+    fn removing_the_last_host_panics() {
+        Placement::single(n(0)).remove_host(n(0));
     }
 }

@@ -127,7 +127,7 @@ impl PipelineProfile {
     }
 
     /// Total work per item across all stages.
-    pub fn total_work(&self) -> f64 {
+    pub(crate) fn total_work(&self) -> f64 {
         self.stage_work.iter().sum()
     }
 }
@@ -581,7 +581,7 @@ impl<'a> Evaluator<'a> {
         let placement = incumbent.placement(stage);
         let width = placement.width();
         let (to, dropped, new_width) = match mv {
-            Move::MoveStage { to, .. } => (Some(to), None, width),
+            Move::Rehost { to, .. } => (Some(to), None, width),
             Move::AddReplica { node, .. } => (Some(node), None, width + 1),
             Move::DropReplica { node, .. } => (None, Some(node), width - 1),
         };
@@ -1215,7 +1215,7 @@ mod tests {
                     let busiest = ev.prediction(&candidate).node_load.into_iter();
                     let exact = throughput_of(busiest.fold(0.0, f64::max));
                     let kind = match mv {
-                        Move::MoveStage { .. } => 0,
+                        Move::Rehost { .. } => 0,
                         Move::AddReplica { .. } => 1,
                         Move::DropReplica { .. } => 2,
                     };

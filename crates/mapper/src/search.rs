@@ -16,7 +16,7 @@
 //! One [`plan`] is shown thousands of candidate mappings, so all three
 //! optimisers share one [`Evaluator`] built at the top of `plan` and
 //! show it their candidates **in place**: a move is applied to the one
-//! working [`Mapping`], scored, and undone ([`for_each_neighbour`];
+//! working [`Mapping`], scored, and undone (`for_each_neighbour`;
 //! [`Assignments`] advances an odometer), and a [`Prediction`] with its
 //! per-node vector is materialised only for the mapping `plan` returns.
 //! Each score is taken against the incumbent's throughput as a
@@ -147,7 +147,11 @@ pub fn exhaustive_best(
 ///
 /// # Panics
 /// Panics if `np^ns` exceeds `cap` or `k` is zero.
-pub fn exhaustive_frontier(ev: &mut Evaluator<'_>, cap: u64, k: usize) -> Vec<(Mapping, Score)> {
+pub(crate) fn exhaustive_frontier(
+    ev: &mut Evaluator<'_>,
+    cap: u64,
+    k: usize,
+) -> Vec<(Mapping, Score)> {
     assert!(k > 0, "frontier size must be positive");
     let ns = ev.profile().stages();
     let np = ev.rates().len();
@@ -641,7 +645,7 @@ mod tests {
             "replication should lift throughput above 1/4, got {}",
             plan.prediction.throughput
         );
-        assert!(!plan.mapping.is_unreplicated());
+        assert!(plan.mapping.placements().iter().any(|p| !p.is_single()));
     }
 
     #[test]

@@ -181,11 +181,6 @@ impl Ewma {
         assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0,1]");
         Ewma { alpha, state: None }
     }
-
-    /// The configured gain.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
 }
 
 impl Forecaster for Ewma {
@@ -236,11 +231,6 @@ impl AdaptiveEwma {
             max_alpha,
             err_scale: 0.0,
         }
-    }
-
-    /// Current (adapted) gain.
-    pub fn current_alpha(&self) -> f64 {
-        self.alpha
     }
 }
 
@@ -327,7 +317,7 @@ impl Ensemble {
 
     /// Index and name of the member that currently scores best, or `None`
     /// before any prediction has been scored.
-    pub fn best_member(&self) -> Option<(usize, &'static str)> {
+    fn best_member(&self) -> Option<(usize, &'static str)> {
         let mut best: Option<(usize, f64)> = None;
         for (i, errs) in self.errors.iter().enumerate() {
             let Some(mae) = errs.mean() else { continue };
@@ -336,15 +326,6 @@ impl Ensemble {
             }
         }
         best.map(|(i, _)| (i, self.members[i].name()))
-    }
-
-    /// Trailing MAE of each member, `None` for unscored members.
-    pub fn member_maes(&self) -> Vec<(&'static str, Option<f64>)> {
-        self.members
-            .iter()
-            .zip(&self.errors)
-            .map(|(m, e)| (m.name(), e.mean()))
-            .collect()
     }
 
     /// The scoring horizon.
@@ -484,13 +465,13 @@ mod tests {
         for i in 0..200 {
             f.observe(i as f64, 1.0);
         }
-        let low = f.current_alpha();
+        let low = f.alpha;
         assert!(low <= 0.06, "alpha should decay, got {low}");
         // A large step drives alpha back up.
         for i in 200..210 {
             f.observe(i as f64, 0.1);
         }
-        assert!(f.current_alpha() > low, "alpha should rise after a step");
+        assert!(f.alpha > low, "alpha should rise after a step");
         // And the forecast tracks the new level quickly.
         assert!((f.predict().unwrap() - 0.1).abs() < 0.2);
     }
@@ -513,12 +494,9 @@ mod tests {
             let v = if i % 4 == 0 { 10.0 } else { 1.0 };
             e2.observe(i as f64, v);
         }
-        let maes = e2.member_maes();
         let get = |n: &str| {
-            maes.iter()
-                .find(|(name, _)| *name == n)
-                .and_then(|(_, m)| *m)
-                .expect("mae")
+            let at = e2.members.iter().position(|m| m.name() == n);
+            at.and_then(|i| e2.errors[i].mean()).expect("mae")
         };
         assert!(get("sliding_median") < get("last_value"));
     }

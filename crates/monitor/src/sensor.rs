@@ -134,14 +134,6 @@ impl MetricBank {
         self.predict(idx).unwrap_or(default)
     }
 
-    /// Grows the bank to `n` metrics (no-op if already that large);
-    /// used when stages are replicated at run time.
-    pub fn grow_to(&mut self, n: usize) {
-        while self.metrics.len() < n {
-            self.metrics.push(self.kind.build(self.window));
-        }
-    }
-
     /// Clears all learned state (e.g. after a migration invalidates
     /// node-specific history).
     pub fn reset(&mut self, idx: usize) {
@@ -235,18 +227,6 @@ mod tests {
         let b = MetricBank::new(1, 4);
         assert_eq!(b.predict(0), None);
         assert_eq!(b.predict_or(0, 0.5), 0.5);
-    }
-
-    #[test]
-    fn grow_extends_without_losing_state() {
-        let mut b = MetricBank::new(1, 4);
-        b.observe(0, 0.0, 2.0);
-        b.grow_to(3);
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.predict(0), Some(2.0));
-        assert_eq!(b.predict(2), None);
-        b.grow_to(2); // shrink request is a no-op
-        assert_eq!(b.len(), 3);
     }
 
     #[test]

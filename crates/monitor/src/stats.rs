@@ -110,12 +110,11 @@ pub fn median(values: &[f64]) -> Option<f64> {
     Some(quantile_sorted(&v, 0.5))
 }
 
-/// Accumulates forecast errors and reports MAE / RMSE / mean error (bias).
+/// Accumulates forecast errors and reports MAE and mean error (bias).
 #[derive(Clone, Debug, Default)]
 pub struct ErrorStats {
     n: u64,
     abs_sum: f64,
-    sq_sum: f64,
     signed_sum: f64,
 }
 
@@ -130,7 +129,6 @@ impl ErrorStats {
         let e = predicted - actual;
         self.n += 1;
         self.abs_sum += e.abs();
-        self.sq_sum += e * e;
         self.signed_sum += e;
     }
 
@@ -142,11 +140,6 @@ impl ErrorStats {
     /// Mean absolute error, or `None` before any pair.
     pub fn mae(&self) -> Option<f64> {
         (self.n > 0).then(|| self.abs_sum / self.n as f64)
-    }
-
-    /// Root mean squared error, or `None` before any pair.
-    pub fn rmse(&self) -> Option<f64> {
-        (self.n > 0).then(|| (self.sq_sum / self.n as f64).sqrt())
     }
 
     /// Mean signed error (positive = over-prediction), or `None` if empty.
@@ -218,13 +211,12 @@ mod tests {
     }
 
     #[test]
-    fn error_stats_compute_mae_rmse_bias() {
+    fn error_stats_compute_mae_and_bias() {
         let mut e = ErrorStats::new();
         e.record(1.0, 2.0); // error -1
         e.record(4.0, 2.0); // error +2
         assert_eq!(e.count(), 2);
         assert!((e.mae().unwrap() - 1.5).abs() < 1e-12);
-        assert!((e.rmse().unwrap() - (2.5f64).sqrt()).abs() < 1e-12);
         assert!((e.bias().unwrap() - 0.5).abs() < 1e-12);
     }
 
@@ -232,7 +224,6 @@ mod tests {
     fn error_stats_empty() {
         let e = ErrorStats::new();
         assert_eq!(e.mae(), None);
-        assert_eq!(e.rmse(), None);
         assert_eq!(e.bias(), None);
     }
 

@@ -12,15 +12,15 @@
 //!   frequency). The loop owns the schedule: before every forecast read
 //!   (each tick, and fault recovery) it observes each window that ended
 //!   since the last one it read;
-//! * **deciding** ([`AdaptationLoop::step`]) — once per interval, a
-//!   function of the loop's own state and one [`TickInput`]: pause,
+//! * **deciding** (`AdaptationLoop::step`) — once per interval, a
+//!   function of the loop's own state and one `TickInput`: pause,
 //!   realized-throughput regret guard, warm-up and hold-down gating,
 //!   policy-specific rate selection, then one [`Controller::consider`]
 //!   cycle. It returns the [`Verdict`] naming the exit it took, and
 //!   touches no backend, routing table or event bus;
 //! * **applying** ([`AdaptationLoop::tick`]) — settles the fault
 //!   transitions due, reads the backend and the [`RoutingTable`] into a
-//!   [`TickInput`], runs `step`, publishes the verdict as
+//!   `TickInput`, runs `step`, publishes the verdict as
 //!   [`RunEvent::Tick`], and commits a `Remap` or `Revert`: the mapping
 //!   is swapped into the routing table and handed to the backend as a
 //!   [`RemapPlan`] to commit physically.
@@ -85,7 +85,7 @@ pub struct RuntimeConfig {
 }
 
 /// What one adaptation tick decided: one variant per exit of
-/// [`AdaptationLoop::step`].
+/// `AdaptationLoop::step`.
 #[non_exhaustive]
 #[derive(Clone, Debug, PartialEq)]
 pub enum Verdict {
@@ -153,9 +153,7 @@ impl Verdict {
 /// Everything [`AdaptationLoop::step`] reads from outside the loop at
 /// one tick.
 #[derive(Clone, Debug)]
-pub struct TickInput {
-    /// Backend time of the tick.
-    pub now: SimTime,
+pub(crate) struct TickInput {
     /// Items completed so far.
     pub completed: u64,
     /// A planning cycle was requested ([`SessionControl::force_remap`]):
@@ -499,7 +497,7 @@ impl AdaptationLoop {
 
     /// One adaptation tick: observes the availability windows that
     /// ended since the last look, settles the fault transitions due,
-    /// then decides with [`AdaptationLoop::step`] on what the backend and
+    /// then decides with `AdaptationLoop::step` on what the backend and
     /// the routing table show, publishes [`RunEvent::Tick`], and commits
     /// a `Remap` or `Revert` verdict — the routing-table swap plus the
     /// backend commit.
@@ -524,7 +522,6 @@ impl AdaptationLoop {
         let now = backend.now();
         let completed = backend.completed();
         let input = TickInput {
-            now,
             completed,
             forced: self.control.take_force_remap(),
             paused: self.control.is_paused(),
@@ -563,7 +560,7 @@ impl AdaptationLoop {
     /// choice and one planning cycle, in that order — and updates the
     /// loop's state as if the verdict were applied. Touches no backend,
     /// routing table or event bus: [`AdaptationLoop::tick`] commits.
-    pub fn step(&mut self, input: &TickInput) -> Verdict {
+    pub(crate) fn step(&mut self, input: &TickInput) -> Verdict {
         let Some(interval) = self.policy.interval() else {
             return Verdict::NotTriggered; // a static policy never plans
         };
@@ -1551,7 +1548,6 @@ mod tests {
                 }
                 completed += rng.next_range(12) as u64;
                 let input = TickInput {
-                    now,
                     completed,
                     forced: rng.next_range(4) == 0,
                     paused: rng.next_range(5) == 0,
@@ -1607,5 +1603,37 @@ mod tests {
         let (mut rig, _) = rig(Policy::Static, 3);
         rig.substrate.topology = Topology::uniform(2, LinkSpec::lan());
         rig.launch();
+    }
+
+    #[test]
+    fn verdict_kinds_are_distinct() {
+        // A why-table keys on the kind: two exits sharing a name would
+        // merge their rows.
+        let to = Mapping::from_assignment(&[n(0)]);
+        let all = [
+            Verdict::Paused,
+            Verdict::WarmingUp,
+            Verdict::HeldDown,
+            Verdict::NotTriggered,
+            Verdict::Keep(KeepReason::NoImprovement),
+            Verdict::Keep(KeepReason::BelowThreshold),
+            Verdict::Keep(KeepReason::NotWorthMigration),
+            Verdict::Keep(KeepReason::StreamExhausted),
+            Verdict::Keep(KeepReason::Certified),
+            Verdict::Confirming { votes: 1 },
+            Verdict::Remap {
+                to: to.clone(),
+                throughput: 1.0,
+                speedup: 2.0,
+                migration_cost: SimDuration::ZERO,
+            },
+            Verdict::Revert { to },
+        ];
+        let kinds: std::collections::HashSet<_> = all.iter().map(Verdict::kind).collect();
+        assert_eq!(kinds.len(), all.len(), "{kinds:?}");
+        assert_eq!(
+            Verdict::Keep(KeepReason::Certified).kind(),
+            "keep:certified"
+        );
     }
 }

@@ -135,7 +135,7 @@ impl Controller {
     /// Forecast effective rates: nominal speed × predicted availability
     /// (1.0 for never-observed nodes — optimistic, matching a fresh grid
     /// information service).
-    pub fn forecast_rates(&self, speeds: &[f64]) -> Vec<f64> {
+    pub(crate) fn forecast_rates(&self, speeds: &[f64]) -> Vec<f64> {
         speeds
             .iter()
             .enumerate()
@@ -235,7 +235,7 @@ impl Controller {
 
     /// How many planning cycles ran (accepted or not) — adaptation
     /// overhead accounting for table T3.
-    pub fn plans_evaluated(&self) -> u64 {
+    pub(crate) fn plans_evaluated(&self) -> u64 {
         self.plans_evaluated
     }
 

@@ -7,7 +7,7 @@
 //! back **up** (outage end), which nodes are down right now, and what
 //! the adaptation loop must do about it — exclude them from routing,
 //! force a committed re-map away from them, and have the backend replay
-//! the items that were stranded. [`FaultTracker`] is that control
+//! the items that were stranded. `FaultTracker` is that control
 //! plane's state machine, consumed by `AdaptationLoop::poll_faults`.
 
 use adapipe_gridsim::fault::FaultPlan;
@@ -16,7 +16,7 @@ use adapipe_gridsim::time::SimTime;
 
 /// One node-health transition derived from a [`FaultPlan`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultTransition {
+pub(crate) enum FaultTransition {
     /// The node becomes unusable at `at` (outage start or crash).
     Down {
         /// The affected node.
@@ -40,13 +40,6 @@ impl FaultTransition {
             FaultTransition::Down { at, .. } | FaultTransition::Up { at, .. } => at,
         }
     }
-
-    /// The node the transition affects.
-    pub fn node(&self) -> NodeId {
-        match *self {
-            FaultTransition::Down { node, .. } | FaultTransition::Up { node, .. } => node,
-        }
-    }
 }
 
 /// Replays a [`FaultPlan`]'s down/up transitions against a backend
@@ -57,7 +50,7 @@ impl FaultTransition {
 /// down/up pair and a crash inside an outage never emits a spurious
 /// recovery.
 #[derive(Debug)]
-pub struct FaultTracker {
+pub(crate) struct FaultTracker {
     /// All transitions, sorted by time (ties: `Up` before `Down` so a
     /// back-to-back outage pair settles down at the boundary instant).
     transitions: Vec<FaultTransition>,
@@ -87,15 +80,10 @@ impl FaultTracker {
         }
     }
 
-    /// A tracker with no faults (never fires).
-    pub fn empty(node_count: usize) -> Self {
-        Self::new(&FaultPlan::new(), node_count)
-    }
-
     /// The instant of the next unprocessed transition, if any — backends
     /// that sleep on a wall clock use this to wake exactly when a fault
     /// is due.
-    pub fn next_transition_at(&self) -> Option<SimTime> {
+    pub(crate) fn next_transition_at(&self) -> Option<SimTime> {
         self.transitions.get(self.next).map(|t| t.at())
     }
 
@@ -123,19 +111,14 @@ impl FaultTracker {
         self.down.get(node).copied().unwrap_or(false)
     }
 
-    /// Indices of the nodes currently down.
-    pub fn down_nodes(&self) -> Vec<usize> {
-        (0..self.down.len()).filter(|&i| self.down[i]).collect()
-    }
-
     /// True once every node is down — no placement can make progress.
-    pub fn all_down(&self) -> bool {
+    pub(crate) fn all_down(&self) -> bool {
         !self.down.is_empty() && self.down.iter().all(|&d| d)
     }
 
     /// True if `node` is down with no recovery ever scheduled (a crash,
     /// or an outage merged into one).
-    pub fn is_permanently_down(&self, node: usize) -> bool {
+    pub(crate) fn is_permanently_down(&self, node: usize) -> bool {
         self.is_down(node)
             && !self.transitions[self.next..]
                 .iter()
@@ -145,7 +128,7 @@ impl FaultTracker {
     /// Zeroes the entries of `rates` belonging to down nodes, so no
     /// planning path — periodic, reactive, forced, or fault-driven —
     /// can map work back onto a node known to be dead.
-    pub fn mask_rates(&self, rates: &mut [f64]) {
+    pub(crate) fn mask_rates(&self, rates: &mut [f64]) {
         for (i, r) in rates.iter_mut().enumerate() {
             if self.is_down(i) {
                 *r = 0.0;
@@ -168,7 +151,7 @@ mod tests {
 
     #[test]
     fn empty_plan_never_fires() {
-        let mut t = FaultTracker::empty(3);
+        let mut t = FaultTracker::new(&FaultPlan::new(), 3);
         assert_eq!(t.next_transition_at(), None);
         assert!(t.poll(secs(1e9)).is_empty());
         assert!(!t.is_down(0));
@@ -190,7 +173,6 @@ mod tests {
             }]
         );
         assert!(t.is_down(1));
-        assert_eq!(t.down_nodes(), vec![1]);
         let due = t.poll(secs(25.0));
         assert_eq!(
             due,
@@ -248,5 +230,21 @@ mod tests {
         let mut rates = vec![1.0, 0.8, 0.5];
         t.mask_rates(&mut rates);
         assert_eq!(rates, vec![1.0, 0.0, 0.5]);
+    }
+
+    #[test]
+    fn only_a_down_node_with_no_recovery_ahead_is_permanently_down() {
+        let plan = FaultPlan::new()
+            .outage(n(0), secs(10.0), secs(20.0))
+            .crash(n(1), secs(10.0));
+        let mut t = FaultTracker::new(&plan, 3);
+        t.poll(secs(15.0));
+        assert!(t.is_down(0) && !t.is_permanently_down(0), "an outage ends");
+        assert!(t.is_permanently_down(1), "a crash never does");
+        assert!(!t.is_permanently_down(2), "a node that is up");
+        t.poll(secs(25.0));
+        assert!(!t.is_down(0) && !t.is_permanently_down(0));
+        assert!(t.is_permanently_down(1));
+        assert!(!t.all_down());
     }
 }

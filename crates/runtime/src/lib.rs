@@ -19,7 +19,7 @@
 //!   identically for every backend;
 //! * [`controller`] — monitor → plan → decide, with hysteresis and
 //!   migration-cost accounting;
-//! * [`fault`] — the [`fault::FaultTracker`] node-health state machine:
+//! * [`fault`] — the `fault::FaultTracker` node-health state machine:
 //!   down/up transitions derived from a fault plan, driving routing
 //!   exclusion, forced recovery re-maps, and item replay identically on
 //!   every backend;
@@ -56,11 +56,10 @@ pub mod session;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::adapt::{AdaptationLoop, RuntimeConfig, TickInput, Verdict};
+    pub use crate::adapt::{AdaptationLoop, RuntimeConfig, Verdict};
     pub use crate::arrivals::ArrivalProcess;
     pub use crate::backend::{ExecutionBackend, RemapPlan};
     pub use crate::controller::{Controller, ControllerConfig};
-    pub use crate::fault::{FaultTracker, FaultTransition};
     pub use crate::metrics::{StageMetrics, StageStats};
     pub use crate::policy::Policy;
     pub use crate::report::{AdaptationEvent, DeadLetter, ReportBuilder, RunReport};

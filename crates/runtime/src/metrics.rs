@@ -142,17 +142,6 @@ impl StageMetrics {
     pub fn is_empty(&self) -> bool {
         self.stages.is_empty()
     }
-
-    /// The stage with the largest mean service time — the empirical
-    /// bottleneck, to compare against the model's prediction.
-    pub fn bottleneck_stage(&self) -> Option<usize> {
-        self.stages
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.mean_service().map(|m| (i, m)))
-            .max_by_key(|&(_, m)| m)
-            .map(|(i, _)| i)
-    }
 }
 
 #[cfg(test)]
@@ -218,22 +207,6 @@ mod tests {
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean_service(), None);
         assert_eq!(s.effective_rate(), None);
-    }
-
-    #[test]
-    fn bottleneck_is_slowest_stage() {
-        let mut m = StageMetrics::new(3);
-        m.record(0, d(1.0), 1.0);
-        m.record(1, d(5.0), 1.0);
-        m.record(2, d(2.0), 1.0);
-        assert_eq!(m.bottleneck_stage(), Some(1));
-        assert_eq!(m.len(), 3);
-    }
-
-    #[test]
-    fn empty_metrics_have_no_bottleneck() {
-        let m = StageMetrics::new(2);
-        assert_eq!(m.bottleneck_stage(), None);
     }
 
     #[test]

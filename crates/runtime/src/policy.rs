@@ -51,11 +51,6 @@ impl Policy {
         }
     }
 
-    /// True if this policy may ever change the mapping.
-    pub fn is_adaptive(&self) -> bool {
-        !matches!(self, Policy::Static)
-    }
-
     /// Short name for experiment tables.
     pub fn name(&self) -> &'static str {
         match self {
@@ -86,17 +81,6 @@ mod tests {
         }
         .interval()
         .is_some());
-    }
-
-    #[test]
-    fn adaptivity_flags() {
-        assert!(!Policy::Static.is_adaptive());
-        assert!(Policy::periodic_default().is_adaptive());
-        assert!(Policy::Reactive {
-            interval: SimDuration::from_secs(1),
-            degradation: 0.8
-        }
-        .is_adaptive());
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl RunReport {
     }
 
     /// Total time charged to migrations.
-    pub fn total_migration_cost(&self) -> SimDuration {
+    fn total_migration_cost(&self) -> SimDuration {
         self.adaptations.iter().fold(SimDuration::ZERO, |acc, e| {
             acc.saturating_add(e.migration_cost)
         })

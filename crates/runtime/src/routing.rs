@@ -47,7 +47,7 @@ pub enum Selection {
     /// Send each item to the replica with the smallest reported load
     /// (queue depth); ties break towards the lowest node id. Requires
     /// the backend to supply a load probe via
-    /// [`RoutingSnapshot::route_least_loaded`].
+    /// [`RoutingSnapshot::route_with_load`].
     LeastLoaded,
 }
 
@@ -138,17 +138,6 @@ impl RoutingSnapshot {
             .is_some_and(|f| f.load(Ordering::SeqCst))
     }
 
-    /// True if every host of `stage` is currently marked down — routing
-    /// cannot avoid a dead destination and items will park until a
-    /// re-map rescues them.
-    pub fn all_hosts_down(&self, stage: usize) -> bool {
-        self.mapping
-            .placement(stage)
-            .hosts()
-            .iter()
-            .all(|&h| self.is_down(h))
-    }
-
     /// Picks the destination replica for the next item of `stage`,
     /// always round-robin. Tables configured with
     /// [`Selection::LeastLoaded`] need a load probe — route through
@@ -191,7 +180,7 @@ impl RoutingSnapshot {
     }
 
     /// The declared shard count of `stage` (`0` for unkeyed stages).
-    pub fn shard_count(&self, stage: usize) -> usize {
+    fn shard_count(&self, stage: usize) -> usize {
         self.shards.get(stage).copied().unwrap_or(0)
     }
 
@@ -229,7 +218,7 @@ impl RoutingSnapshot {
     /// when *all* replicas report equal load (the common cold-start
     /// case), every call routes to the lowest-id host; unlike
     /// round-robin there is no cursor, so repeated ties do not rotate.
-    pub fn route_least_loaded(&self, stage: usize, load: impl Fn(NodeId) -> usize) -> NodeId {
+    fn route_least_loaded(&self, stage: usize, load: impl Fn(NodeId) -> usize) -> NodeId {
         let hosts = self.mapping.placement(stage).hosts();
         hosts
             .iter()
@@ -530,8 +519,6 @@ mod tests {
         let rt = replicated_two();
         rt.mark_down(n(0));
         rt.mark_down(n(1));
-        assert!(rt.all_hosts_down(0));
-        assert!(!rt.all_hosts_down(1), "stage 1's host n2 is alive");
         // The pick still lands on a declared host (items park there
         // until a re-map rescues them) rather than panicking.
         let pick = rt.route(0);

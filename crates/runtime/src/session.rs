@@ -651,7 +651,7 @@ impl EventBus {
     }
 
     /// True if nobody is listening (emission would be a no-op).
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.subs
             .lock()
             .expect("event bus lock poisoned")
@@ -714,7 +714,7 @@ impl SessionControl {
     }
 
     /// True while adaptation is paused.
-    pub fn is_paused(&self) -> bool {
+    pub(crate) fn is_paused(&self) -> bool {
         self.flags.paused.load(Ordering::SeqCst)
     }
 
@@ -729,7 +729,7 @@ impl SessionControl {
     }
 
     /// Consumes a pending force request (the adaptation loop's side).
-    pub fn take_force_remap(&self) -> bool {
+    pub(crate) fn take_force_remap(&self) -> bool {
         self.flags.force_remap.swap(false, Ordering::SeqCst)
     }
 
@@ -1014,7 +1014,7 @@ impl Default for Session {
 
 /// Validates a policy in isolation: adaptive intervals must be positive
 /// and the reactive degradation threshold must sit in `(0, 1]`.
-pub fn validate_policy(policy: &Policy) -> Result<(), BuildError> {
+fn validate_policy(policy: &Policy) -> Result<(), BuildError> {
     if let Some(interval) = policy.interval() {
         if interval == SimDuration::ZERO {
             return Err(BuildError::NonPositiveInterval {
@@ -1033,7 +1033,7 @@ pub fn validate_policy(policy: &Policy) -> Result<(), BuildError> {
 /// Validates an arrival process in isolation: rate-based processes need
 /// a positive, finite rate (the legacy API asserts this at schedule
 /// time — mid-run — instead of at build time).
-pub fn validate_arrivals(arrivals: &ArrivalProcess) -> Result<(), BuildError> {
+fn validate_arrivals(arrivals: &ArrivalProcess) -> Result<(), BuildError> {
     match *arrivals {
         ArrivalProcess::AllAtOnce => Ok(()),
         ArrivalProcess::Uniform { rate } | ArrivalProcess::Poisson { rate, .. } => {
@@ -1048,10 +1048,7 @@ pub fn validate_arrivals(arrivals: &ArrivalProcess) -> Result<(), BuildError> {
 
 /// Validates the policy × arrivals combination; see the module docs for
 /// why the two rejected pairings exist.
-pub fn validate_policy_arrivals(
-    policy: &Policy,
-    arrivals: &ArrivalProcess,
-) -> Result<(), BuildError> {
+fn validate_policy_arrivals(policy: &Policy, arrivals: &ArrivalProcess) -> Result<(), BuildError> {
     let open_stream = !matches!(arrivals, ArrivalProcess::AllAtOnce);
     match *policy {
         Policy::Static if open_stream => Err(BuildError::PolicyArrivalsMismatch {

@@ -98,7 +98,7 @@
 
 use adapipe_core::pipeline::{Pipeline, PipelineBuilder};
 use adapipe_core::spec::StageSpec;
-use adapipe_gridsim::rng::{mix, unit_f64};
+use adapipe_gridsim::rng::mix;
 use std::mem;
 
 /// A grayscale image in row-major order.
@@ -114,7 +114,7 @@ pub struct Image {
 
 impl Image {
     /// Creates an image filled with zeros.
-    pub fn zeros(width: usize, height: usize) -> Self {
+    fn zeros(width: usize, height: usize) -> Self {
         assert!(width > 0 && height > 0, "image must be non-empty");
         Image {
             width,
@@ -130,11 +130,6 @@ impl Image {
             *px = (mix(index, i as u64) & 0xFF) as u8;
         }
         img
-    }
-
-    /// Bytes occupied by the pixel data.
-    pub fn byte_size(&self) -> u64 {
-        self.pixels.len() as u64
     }
 
     /// No pixels and no allocation: a kernel's destination before its
@@ -416,13 +411,6 @@ pub fn frames(side: usize, n: u64) -> Vec<Image> {
     (0..n).map(|i| Image::synthetic(side, side, i)).collect()
 }
 
-/// Deterministic jitter in `[lo, hi)` keyed by `(seed, index)` — used by
-/// examples to vary frame sizes.
-pub fn jitter_in(seed: u64, index: u64, lo: f64, hi: f64) -> f64 {
-    assert!(hi > lo);
-    lo + (hi - lo) * unit_f64(mix(seed, index))
-}
-
 /// The kernels as first written: one clamped, bounds-checked tap at a
 /// time, `f64` arithmetic per pixel. Kept as the reference the row
 /// passes must equal byte for byte.
@@ -511,7 +499,7 @@ mod tests {
         let c = Image::synthetic(16, 16, 4);
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_eq!(a.byte_size(), 256);
+        assert_eq!(a.pixels.len(), 256);
     }
 
     #[test]
@@ -589,14 +577,6 @@ mod tests {
         }
         let checksum = item.downcast::<u64>().unwrap();
         assert!(checksum > 0);
-    }
-
-    #[test]
-    fn jitter_stays_in_range() {
-        for i in 0..1000 {
-            let v = jitter_in(5, i, 2.0, 3.0);
-            assert!((2.0..3.0).contains(&v));
-        }
     }
 
     /// Frame `seed` at `w × h` and its two high-contrast variants:
@@ -786,5 +766,11 @@ mod tests {
                 assert_eq!(sum(&out.pixels), expected(i), "{name}, frame {i}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "image must be non-empty")]
+    fn an_empty_frame_is_rejected() {
+        let _ = Image::synthetic(0, 4, 0);
     }
 }

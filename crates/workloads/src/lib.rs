@@ -23,7 +23,7 @@ pub mod signal;
 pub mod prelude {
     pub use crate::imaging::{blur, imaging_pipeline, quantise, sobel, Image};
     pub use crate::scenario::{synth_items, synth_pipeline, synthetic_spec, CostShape, SynthItem};
-    pub use crate::signal::{fir, lowpass_taps, signal_pipeline, Frame};
+    pub use crate::signal::{signal_pipeline, Frame};
 }
 
 pub use prelude::*;

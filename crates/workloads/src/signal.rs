@@ -31,11 +31,6 @@ impl Frame {
         Frame { samples }
     }
 
-    /// Bytes occupied by the samples.
-    pub fn byte_size(&self) -> u64 {
-        (self.samples.len() * 8) as u64
-    }
-
     /// Mean signal power.
     pub fn power(&self) -> f64 {
         if self.samples.is_empty() {
@@ -47,7 +42,7 @@ impl Frame {
 
 /// Applies a FIR filter (direct convolution, same-length output,
 /// zero-padded history).
-pub fn fir(frame: &Frame, taps: &[f64]) -> Frame {
+pub(crate) fn fir(frame: &Frame, taps: &[f64]) -> Frame {
     assert!(!taps.is_empty(), "filter needs at least one tap");
     let n = frame.samples.len();
     let mut out = vec![0.0; n];
@@ -65,7 +60,7 @@ pub fn fir(frame: &Frame, taps: &[f64]) -> Frame {
 
 /// A windowed-sinc low-pass filter with `taps` coefficients and
 /// normalised cutoff `fc ∈ (0, 0.5)`.
-pub fn lowpass_taps(taps: usize, fc: f64) -> Vec<f64> {
+pub(crate) fn lowpass_taps(taps: usize, fc: f64) -> Vec<f64> {
     assert!(taps >= 3 && taps % 2 == 1, "need an odd tap count ≥ 3");
     assert!(fc > 0.0 && fc < 0.5, "cutoff must be in (0, 0.5)");
     let m = (taps - 1) as f64;

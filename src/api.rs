@@ -1049,7 +1049,8 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
     /// a commutative `merge`. Replicas keep partials seeded from
     /// `init`; a replica vacating a host (re-map or node death) hands
     /// its partial to a survivor through `merge`, so the run survives
-    /// and no contribution is lost.
+    /// and no contribution is lost. Explicit cost metadata is declared
+    /// on the graph builder, [`DagBuilder::accumulator_node_with`].
     pub fn accumulator_stage<Out, S, F, M>(
         self,
         name: impl Into<String>,
@@ -1063,29 +1064,7 @@ impl<In: Send + 'static, Cur: Send + 'static> PipelineBuilder<In, Cur> {
         F: FnMut(&mut S, Cur) -> Out + Send + Clone + 'static,
         M: Fn(&mut S, S) + Send + Sync + 'static,
     {
-        self.accumulator_stage_with(
-            StageSpec::balanced(name, 1.0, 0).with_accumulator_state(0),
-            init,
-            f,
-            merge,
-        )
-    }
-
-    /// [`PipelineBuilder::accumulator_stage`] with explicit cost
-    /// metadata (the accumulator declaration is applied if missing).
-    pub fn accumulator_stage_with<Out, S, F, M>(
-        self,
-        spec: StageSpec,
-        init: impl Fn() -> S + Send + Sync + 'static,
-        f: F,
-        merge: M,
-    ) -> PipelineBuilder<In, Out>
-    where
-        Out: Send + 'static,
-        S: StateCodec + Send + 'static,
-        F: FnMut(&mut S, Cur) -> Out + Send + Clone + 'static,
-        M: Fn(&mut S, S) + Send + Sync + 'static,
-    {
+        let spec = StageSpec::balanced(name, 1.0, 0).with_accumulator_state(0);
         self.then(|graph, tail| graph.accumulator_node_with(spec, tail, init, f, merge))
     }
 

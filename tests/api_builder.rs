@@ -1,7 +1,8 @@
 //! Builder-validation suite for the unified API: every declaration
 //! error surfaces at `build()` (or `run()`, for backend-dependent
 //! rules) as a typed [`BuildError`] variant — no panics, no silent
-//! mis-configuration.
+//! mis-configuration. The README's state-pattern table is declared here
+//! too, row by row, and run on both backends.
 
 use adapipe::prelude::*;
 
@@ -330,4 +331,94 @@ fn build_errors_format_for_humans() {
         .unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("hot") && msg.contains("zero"), "msg: {msg}");
+}
+
+/// The README's state-pattern table, one stage per row, declared as the
+/// table spells it: the spec records each declaration, and both backends
+/// run the stateful chain to the sequential reference, item for item.
+#[test]
+fn the_readme_state_table_declares_and_runs_on_both_backends() {
+    let pipeline = || {
+        let mut tally = 0u64;
+        Pipeline::<u64>::builder()
+            .keyed_stage(
+                "count",
+                4,
+                |x: &u64| x % 5,
+                || 0u64,
+                |seen, x: u64| {
+                    *seen += 1;
+                    (x, *seen)
+                },
+            )
+            .accumulator_stage(
+                "total",
+                || 0u64,
+                |sum: &mut u64, (x, seen): (u64, u64)| {
+                    *sum += x;
+                    (x, seen, *sum)
+                },
+                |sum: &mut u64, partial: u64| *sum += partial,
+            )
+            .exclusive_stage(
+                "last",
+                || 0u64,
+                |prev: &mut u64, (x, seen, sum)| {
+                    let out = (x, seen, sum, *prev);
+                    *prev = x;
+                    out
+                },
+            )
+            .stateful_stage(
+                StageSpec::balanced("tally", 1.0, 0),
+                move |(x, seen, sum, prev): (u64, u64, u64, u64)| {
+                    tally += 1;
+                    (x, seen, sum, prev, tally)
+                },
+            )
+            .build()
+            .expect("a valid stateful pipeline")
+    };
+    let declared: Vec<StateAccess> = (pipeline().spec().stages.iter()).map(|s| s.state).collect();
+    assert_eq!(
+        declared,
+        [
+            StateAccess::Keyed { shards: 4 },
+            StateAccess::Accumulator,
+            StateAccess::Exclusive,
+            StateAccess::Opaque,
+        ]
+    );
+    const ITEMS: u64 = 50;
+    let (mut seen, mut sum, mut prev) = ([0u64; 5], 0, 0);
+    let reference: Vec<(u64, u64, u64, u64, u64)> = (0..ITEMS)
+        .map(|x| {
+            seen[(x % 5) as usize] += 1;
+            sum += x;
+            let out = (x, seen[(x % 5) as usize], sum, prev, x + 1);
+            prev = x;
+            out
+        })
+        .collect();
+    let grid = testbed_small3();
+    for (name, backend) in [
+        ("sim", Backend::Sim(&grid)),
+        ("threads", Backend::Threads(vec![VNodeSpec::free("v0")])),
+    ] {
+        let cfg = RunConfig {
+            items: ITEMS,
+            ..RunConfig::default()
+        };
+        // One item in flight at a time: each stateful stage sees the
+        // stream in order, as the reference does, on either backend.
+        let mut session = pipeline().spawn(backend, cfg).expect("spawns");
+        let outputs: Vec<_> = (0..ITEMS)
+            .map(|x| {
+                session.push(x).unwrap();
+                session.next().expect("one output per item")
+            })
+            .collect();
+        assert_eq!(outputs, reference, "{name}");
+        assert_eq!(session.drain().error, None, "{name}");
+    }
 }

@@ -483,32 +483,3 @@ fn every_neutral_run_config_field_is_observed_on_both_backends() {
         },
     );
 }
-
-#[test]
-fn execute_hints_the_loop_with_the_input_count_not_cfg_items() {
-    // The engine's batch entry point over a `Vec` knows the stream
-    // length: `cfg.items = 0`, which keeps a spawned session on the
-    // sagging node (above), must not reach the loop here.
-    use adapipe::core::pipeline::PipelineBuilder;
-    let work = |x: u64| {
-        spin_for(Duration::from_secs_f64(STAGE_SECS));
-        x + 1
-    };
-    let pipeline = PipelineBuilder::<u64>::new()
-        .stage(stage_spec("a"), work)
-        .stage(stage_spec("b"), work)
-        .build();
-    let session = Session::new(periodic(), ArrivalProcess::AllAtOnce).expect("a valid policy");
-    let outcome = adapipe::engine::exec::execute(
-        pipeline,
-        (0..ITEMS).collect(),
-        vnodes_with(sag()),
-        &session,
-        &seam_cfg(0),
-    );
-    assert_eq!(outcome.report.completed, ITEMS);
-    assert!(
-        outcome.report.adaptation_count() >= 1,
-        "execute() planned as if nothing remained"
-    );
-}

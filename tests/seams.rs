@@ -547,12 +547,151 @@ fn every_run_setting_has_a_user() {
     );
 }
 
+/// Public items no other file names, each kept for its reason.
+const PUBLIC_BUT_UNUSED: [(&str, &str); 5] = [
+    (
+        "ReadmeDoctests",
+        "the harness that compiles and runs the README's code blocks as doctests",
+    ),
+    (
+        "FanTarget",
+        "the element type of the public `StageGraph::fan_targets`, which core's \
+         builder and simulator read",
+    ),
+    (
+        "Bencher",
+        "the argument of every `bench_function` closure, which benches take \
+         without spelling its type",
+    ),
+    (
+        "BenchmarkGroup",
+        "what `Criterion::benchmark_group` returns, which benches bind without \
+         spelling its type",
+    ),
+    (
+        "configure_from_args",
+        "called through `$crate` by the `criterion_main!` expansion in each bench",
+    ),
+];
+
+/// The name of the item `line` declares `pub`, if it declares one:
+/// `pub fn`, `pub struct`, `pub const` and the like, with any `const`,
+/// `async`, `unsafe` or `extern` qualifiers between. `pub(crate)` and
+/// `pub use` declare none.
+fn pub_item(line: &str) -> Option<String> {
+    let rest = line.trim_start().strip_prefix("pub ")?;
+    let mut words = rest.split_whitespace().peekable();
+    while let Some(word) = words.next() {
+        let declares = match word {
+            "fn" | "struct" | "enum" | "trait" | "type" | "mod" | "static" | "union" => true,
+            "const" => !matches!(words.peek(), Some(&("fn" | "unsafe" | "async" | "extern"))),
+            "async" | "unsafe" | "extern" | "\"C\"" => false,
+            _ => return None,
+        };
+        if declares {
+            let name = words.find(|&w| w != "mut")?;
+            let name: String = name.chars().take_while(|&c| is_ident(c)).collect();
+            return (!name.is_empty()).then_some(name);
+        }
+    }
+    None
+}
+
+/// The identifiers in `text`.
+fn identifiers(text: &str) -> std::collections::HashSet<&str> {
+    text.split(|c: char| !is_ident(c))
+        .filter(|w| !w.is_empty())
+        .collect()
+}
+
+/// The README's Rust code blocks, which run as doctests.
+fn readme_code() -> String {
+    let mut code = String::new();
+    let mut inside = false;
+    for line in read(&root().join("README.md")).lines() {
+        let fence = line.trim_start().strip_prefix("```");
+        match fence {
+            Some(lang) if !inside => inside = lang.starts_with("rust"),
+            Some(_) => inside = false,
+            None if inside => {
+                code.push_str(line);
+                code.push('\n');
+            }
+            None => {}
+        }
+    }
+    code
+}
+
+/// Every public item has a user: each `pub` item of the facade's and
+/// the crates' library sources is named by some other `.rs` file —
+/// another library file, a test, an example, a bench or adabench — or by
+/// a README code block, or sits on `PUBLIC_BUT_UNUSED` with its reason.
+/// Test code does not declare items here, and binaries (`src/bin/`) are
+/// left to rustc's `dead_code` lint, which already sees all of their
+/// callers. The match is by name, so the check is a lower bound: a name
+/// that a second item shares passes.
+#[test]
+fn every_public_item_has_a_user() {
+    let this = root().join("tests/seams.rs");
+    let mut everywhere = rust_files(&root().join("src"));
+    for dir in ["tests", "examples", "crates"] {
+        everywhere.extend(rust_files(&root().join(dir)));
+    }
+    everywhere.retain(|path| *path != this);
+    let texts: Vec<(PathBuf, String)> = (everywhere.into_iter())
+        .map(|path| {
+            let text = read(&path);
+            (path, text)
+        })
+        .collect();
+    let named: Vec<(&PathBuf, std::collections::HashSet<&str>)> =
+        texts.iter().map(|(p, t)| (p, identifiers(t))).collect();
+    let readme = readme_code();
+    let readme = identifiers(&readme);
+    let binaries = |path: &Path| path.components().any(|c| c.as_os_str() == "bin");
+    let mut unused = Vec::new();
+    let mut allowed = Vec::new();
+    for home in library_sources().iter().filter(|p| !binaries(p)) {
+        for name in non_test_code(&read(home)).lines().filter_map(pub_item) {
+            let elsewhere =
+                (named.iter()).any(|(path, words)| *path != home && words.contains(name.as_str()));
+            if elsewhere || readme.contains(name.as_str()) {
+                continue;
+            }
+            if PUBLIC_BUT_UNUSED.iter().any(|&(n, _)| n == name) {
+                allowed.push(name);
+                continue;
+            }
+            let shown = home.strip_prefix(root()).unwrap_or(home).display();
+            unused.push(format!("{shown}: {name}"));
+        }
+    }
+    assert!(
+        unused.is_empty(),
+        "public items no other file and no README code block names; delete \
+         them, make them private or pub(crate), or allow-list one with its \
+         reason:\n{}",
+        unused.join("\n")
+    );
+    let stale: Vec<&str> = (PUBLIC_BUT_UNUSED.iter())
+        .filter(|(name, reason)| reason.is_empty() || !allowed.iter().any(|a| a == name))
+        .map(|&(name, _)| name)
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "PUBLIC_BUT_UNUSED entries with no reason, or whose item is gone or \
+         has a user now; drop them:\n{}",
+        stale.join("\n")
+    );
+}
+
 /// The library files that may say `unsafe`, each with the number of
 /// code lines that do and the reason.
 const UNSAFE_SITES: [(&str, usize); 4] = [
     // The type-erased item: inline storage, pooled spill blocks, the
     // vtable's drop and a stage's in-place rewrite (`Payload::map`).
-    ("crates/core/src/payload.rs", 19),
+    ("crates/core/src/payload.rs", 18),
     // The one dispatch to a kernel's AVX2 copy, behind
     // `is_x86_feature_detected!`.
     ("crates/workloads/src/imaging.rs", 1),

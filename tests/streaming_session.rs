@@ -6,10 +6,22 @@
 //! (pause/resume/force/abort).
 
 use adapipe::prelude::*;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 fn n(i: usize) -> NodeId {
     NodeId(i)
+}
+
+/// Held by each test whose stages spin real CPU on the threaded
+/// backend: those tests take turns. The scenario below spins 0.6 of a
+/// core on each of two vnodes, so two copies at once ask 2.4 cores of
+/// a 2-core host. The regret guard reads the shortfall that causes as
+/// the adopted mapping's, and can revert onto the collapsed node.
+fn exclusive_cpu() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    // A failed test poisons the lock; the others still run alone.
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 // ---------------------------------------------------------------------
@@ -124,6 +136,7 @@ fn run_scenario(backend: Backend<'_>) -> ScenarioOutcome {
 
 #[test]
 fn one_session_scenario_runs_identically_on_both_backends() {
+    let _cpu = exclusive_cpu();
     let grid = scenario_grid();
     let sim = run_scenario(Backend::Sim(&grid));
     let threads = run_scenario(Backend::Threads(scenario_vnodes()));
@@ -140,6 +153,7 @@ fn one_session_scenario_runs_identically_on_both_backends() {
 
 #[test]
 fn remap_events_agree_across_backends() {
+    let _cpu = exclusive_cpu();
     let grid = scenario_grid();
     let sim = run_scenario(Backend::Sim(&grid));
     let threads = run_scenario(Backend::Threads(scenario_vnodes()));
@@ -183,6 +197,7 @@ fn remap_events_agree_across_backends() {
 
 #[test]
 fn bounded_push_blocks_when_downstream_stalls_and_drain_is_exactly_once() {
+    let _cpu = exclusive_cpu();
     // queue_capacity = 1 over a single ≥20 ms stage on one vnode gives
     // two in-flight slots; the 3rd..10th pushes must block while the
     // stalled stage grinds, and drain must still deliver every pushed
@@ -239,6 +254,7 @@ fn bounded_push_blocks_when_downstream_stalls_and_drain_is_exactly_once() {
 
 #[test]
 fn unbounded_session_never_blocks_push() {
+    let _cpu = exclusive_cpu();
     // Same stalled stage, no queue bound: all pushes return immediately.
     let pipeline = Pipeline::<u64>::builder()
         .stage_with(StageSpec::balanced("grind", 0.020, 8), |x: u64| {
@@ -374,6 +390,7 @@ fn force_remap_bypasses_warmup_gating() {
 
 #[test]
 fn abort_truncates_threads_session() {
+    let _cpu = exclusive_cpu();
     let pipeline = Pipeline::<u64>::builder()
         .stage_with(StageSpec::balanced("grind", 0.020, 8), |x: u64| {
             spin_for(Duration::from_millis(20));
