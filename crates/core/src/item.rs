@@ -186,7 +186,10 @@ pub trait Hops {
     /// with its capacity — so the backend keeps one for as long as it
     /// forwards (per envelope, per session) and no item allocates one.
     fn copies(&mut self) -> &mut Vec<BoxedItem>;
-    /// The payload is the pipeline's output.
+    /// The payload is the pipeline's output. A backend that walks an
+    /// item in a slot of its own may leave the output in that slot and
+    /// never forward a [`Next::Done`]: the threaded engine's walk does,
+    /// so that nothing copies an output after its last stage call.
     fn exit(&mut self, payload: BoxedItem);
     /// The payload is `stage`'s next input.
     fn stage(&mut self, stage: usize, payload: BoxedItem);

@@ -132,7 +132,7 @@
 //! sink.
 
 use crate::credits::Credits;
-use crate::fusion::{next_stride, FIN_BUFS, SLOT_BUFS, STRIDE_SHRINK_ABOVE};
+use crate::fusion::{next_stride, SLOT_BUFS, STRIDE_SHRINK_ABOVE};
 use crate::inbox::Ctrl;
 use crate::item::Outbox;
 pub use crate::pool::Pool;
@@ -165,21 +165,32 @@ use std::time::{Duration, Instant};
 /// [`RunConfig::timeline_bucket`] is `None`, in wall time.
 const DEFAULT_TIMELINE_BUCKET: SimDuration = SimDuration::from_millis(500);
 
-/// One in-flight item: its sequence number, birth time on the pool
-/// clock ([`Pool::now`]), and payload.
+/// One item's record from push to delivery: its sequence number,
+/// birth and completion on the pool clock ([`Pool::now`]), and payload.
+/// An envelope carries its items in these slots, a worker's walk runs
+/// each item in the slot it arrived in, and an item that leaves the
+/// pipeline stays there: the served envelope's buffer, compacted past
+/// the items that went elsewhere, is the sink batch the session
+/// delivers from. `done` means something only once the item has left
+/// the pipeline; until then it holds the born stamp.
 pub(crate) struct ItemSlot {
-    pub(crate) seq: u64,
-    pub(crate) born: SimTime,
-    pub(crate) payload: BoxedItem,
-}
-
-/// One item that left the pipeline: birth and completion on the pool
-/// clock, and its output.
-pub(crate) struct Finished {
     pub(crate) seq: u64,
     pub(crate) born: SimTime,
     pub(crate) done: SimTime,
     pub(crate) payload: BoxedItem,
+}
+
+impl ItemSlot {
+    /// A slot for `payload`, born at `born`, on its way into a stage.
+    #[inline]
+    pub(crate) fn new(seq: u64, born: SimTime, payload: BoxedItem) -> Self {
+        ItemSlot {
+            seq,
+            born,
+            done: born,
+            payload,
+        }
+    }
 }
 
 /// One clock reading shared by a run of per-item pushes: the born
@@ -264,11 +275,10 @@ fn push_entry(
         return ship(shared, snap, stage, items);
     }
     // A pipeline has at least one stage: nothing exits at the entry,
-    // `finished` stays empty.
+    // the sink batch stays empty.
     let mut outbox = Outbox::new(items.len());
     for slot in items.drain(..) {
-        let (seq, born) = (slot.seq, slot.born);
-        outbox.send(shared, &entry, seq, born, born, slot.payload);
+        outbox.send(shared, &entry, slot.seq, slot.born, slot.payload);
     }
     outbox.dispatch(shared, snap);
     Some(items)
@@ -290,7 +300,7 @@ pub struct EngineSession<I, O> {
     owns_pool: bool,
     collector: Option<JoinHandle<ReportBuilder>>,
     adaptation: Option<Adaptation>,
-    out_rx: Receiver<Vec<Finished>>,
+    out_rx: Receiver<Vec<ItemSlot>>,
     events: adapipe_runtime::session::EventBus,
     /// The pusher's lock-free routing view.
     cache: RouteCache,
@@ -304,8 +314,9 @@ pub struct EngineSession<I, O> {
     /// only). They count as in flight; `close` returns what is left.
     held: u64,
     /// Finished items received from the collector but not yet delivered
-    /// to the caller (tail of the last output batch).
-    inbuf: VecDeque<Finished>,
+    /// to the caller: the rest of the last sink batch, which is the
+    /// buffer a worker served those items in.
+    inbuf: VecDeque<ItemSlot>,
     pushed: u64,
     closed: bool,
     preserve_order: bool,
@@ -374,11 +385,8 @@ where
     fn enqueue(&mut self, item: I, born: SimTime) -> u64 {
         let seq = self.pushed;
         self.pushed += 1;
-        self.pending.push(ItemSlot {
-            seq,
-            born,
-            payload: Payload::new(item),
-        });
+        self.pending
+            .push(ItemSlot::new(seq, born, Payload::new(item)));
         if self.pending.len() >= self.batch_size {
             self.flush_pending();
         }
@@ -434,7 +442,7 @@ where
         self.shared.fused.load(Ordering::Relaxed)
     }
 
-    fn deliver(&mut self, fin: Finished) -> Option<O> {
+    fn deliver(&mut self, fin: ItemSlot) -> Option<O> {
         let out = fin
             .payload
             .downcast::<O>()
@@ -478,9 +486,13 @@ where
                 self.out_rx.try_recv()
             };
             match batch {
-                Ok(mut batch) => {
-                    self.inbuf.extend(batch.drain(..));
-                    FIN_BUFS.put(batch);
+                // Delivery runs straight out of the sink batch: a batch is
+                // taken only once `inbuf` is spent, so the batch becomes
+                // `inbuf` (O(1), no item copied) and the spent buffer goes
+                // back to the pool.
+                Ok(batch) => {
+                    let spent = std::mem::replace(&mut self.inbuf, batch.into());
+                    SLOT_BUFS.put(spent.into());
                 }
                 Err(TryRecvError::Empty) => return TryNext::Pending,
                 Err(TryRecvError::Disconnected) => {
@@ -853,7 +865,7 @@ where
 
     let (shared, sink_rx) = Shared::new(session_id, pool, pipeline, cfg, initial_mapping);
     pool.register(Arc::clone(&shared), quota);
-    let (out_tx, out_rx) = channel::<Vec<Finished>>();
+    let (out_tx, out_rx) = channel::<Vec<ItemSlot>>();
     let collector = {
         let shared = Arc::clone(&shared);
         let bucket = cfg.timeline_bucket.unwrap_or(DEFAULT_TIMELINE_BUCKET);
@@ -887,13 +899,13 @@ where
 
 /// The collector thread: settles every item the workers finish or give
 /// up on — report rows, the completion counter, the credit it held —
-/// and forwards finished batches to the session, until everything the
-/// closed stream declared is accounted for (or an abort / fatal
-/// teardown says stop).
+/// and forwards finished batches (the buffers the workers served them
+/// in) to the session, until everything the closed stream declared is
+/// accounted for (or an abort / fatal teardown says stop).
 fn collect(
     shared: &Shared,
     sink_rx: Receiver<SinkMsg>,
-    out_tx: Sender<Vec<Finished>>,
+    out_tx: Sender<Vec<ItemSlot>>,
     bucket: SimDuration,
 ) -> ReportBuilder {
     let pool = &shared.pool;

@@ -1,7 +1,7 @@
 use super::*;
 use crate::vnode::spin_for;
-use adapipe_core::pipeline::PipelineBuilder;
-use adapipe_core::spec::StageSpec;
+use adapipe_core::pipeline::{DagBuilder, PipelineBuilder};
+use adapipe_core::spec::{ResiliencePolicy, StageSpec};
 use adapipe_gridsim::fault::FaultPlan;
 use adapipe_gridsim::load::LoadModel;
 use adapipe_gridsim::node::NodeId;
@@ -13,14 +13,14 @@ pub(crate) fn n(i: usize) -> NodeId {
     NodeId(i)
 }
 
-/// The records every envelope and sink batch carries per item: a
-/// six-word `Payload` plus pool-clock stamps. An `Instant` stamp, or a
-/// field added later, regrows them (to 72 B and 88 B with `Instant`s).
+/// The one record every envelope and sink batch carries per item: a
+/// six-word `Payload` plus three words of sequence number and pool-clock
+/// stamps. An `Instant` stamp, or a field added later, regrows it (to
+/// 88 B with `Instant`s).
 #[test]
 fn per_item_records_stay_within_a_cache_line_and_a_word() {
     use std::mem::size_of;
-    assert!(size_of::<ItemSlot>() <= 64, "{}", size_of::<ItemSlot>());
-    assert!(size_of::<Finished>() <= 72, "{}", size_of::<Finished>());
+    assert!(size_of::<ItemSlot>() <= 72, "{}", size_of::<ItemSlot>());
 }
 
 /// Re-planning every `ms` milliseconds, the stream present at `t = 0`.
@@ -790,6 +790,115 @@ fn an_erroring_push_batch_returns_every_unspent_credit() {
     }
     assert_eq!(session.drain().report.completed, pushed);
     assert_eq!(credits.available(), capacity, "a banked credit leaked");
+}
+
+// --- delivery out of the sink batches -------------------------------------
+
+/// Waits until every item pushed so far has settled with the collector,
+/// which has then sent each sink batch on to the session.
+fn settle(session: &EngineSession<u64, u64>) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while session.in_flight() > 0 {
+        assert!(Instant::now() < deadline, "pushed items never settled");
+        std::thread::yield_now();
+    }
+}
+
+/// The next output, waiting for one without blocking the session.
+fn one(session: &mut EngineSession<u64, u64>) -> u64 {
+    loop {
+        match session.try_next() {
+            TryNext::Item(out) => return out,
+            TryNext::Pending => std::thread::yield_now(),
+            TryNext::Done => panic!("the stream ended early"),
+        }
+    }
+}
+
+/// A caller polling between pushes, with its sink batches delivered
+/// out of the buffers the worker served them in: `inc → check`, where
+/// `check` runs on the slow path (it dead-letters one item mid-stream),
+/// so every envelope of `inc` sends all its items onward and leaves an
+/// empty buffer, and every envelope of `check` keeps its exits in place
+/// around the dead item's gap. Each round either takes one output while
+/// two more sink batches wait behind the one it came from, then pushes
+/// again with that batch part-delivered, or polls after single pushes
+/// until nothing is left. Every output arrives once, in push order when
+/// `preserve_order` promises it, and every push is accounted for.
+#[test]
+fn outputs_polled_between_pushes_arrive_once_across_sink_batches() {
+    const POISON: u64 = 100;
+    let pipeline = || {
+        let stage = |name: &str| StageSpec::balanced(name, 0.001, 8);
+        let mut dag = DagBuilder::<u64>::default();
+        let inc = dag.node_with(stage("inc"), dag.input(), |x: u64| x + 1);
+        let check = dag.try_node_with(stage("check"), inc, |v: u64| {
+            if v == POISON + 1 {
+                Err(format!("poison {v}"))
+            } else {
+                Ok(v * 2)
+            }
+        });
+        dag.resilience(ResiliencePolicy::new().dead_letter());
+        dag.finish(check).expect("a chain")
+    };
+    for preserve_order in [true, false] {
+        let cfg = RunConfig {
+            batch_size: 4,
+            preserve_order,
+            ..RunConfig::default()
+        };
+        let mut session = spawn_static(pipeline(), free_nodes(1), &cfg);
+        let mut got = Vec::new();
+        let mut x = 0;
+        for round in 0..20 {
+            if round % 2 == 0 {
+                // Three full envelopes, each settled before the next is
+                // sent, so three sink batches wait for the caller.
+                for _ in 0..3 {
+                    for _ in 0..4 {
+                        session.push(x).unwrap();
+                        x += 1;
+                    }
+                    settle(&session);
+                }
+                assert!(session.inbuf.is_empty());
+                got.push(one(&mut session));
+                assert!(
+                    !session.inbuf.is_empty(),
+                    "the first batch is part-delivered, two wait behind it"
+                );
+            } else {
+                for _ in 0..3 {
+                    session.push(x).unwrap();
+                    x += 1;
+                    if let TryNext::Item(out) = session.try_next() {
+                        got.push(out);
+                    }
+                }
+                settle(&session);
+                while let TryNext::Item(out) = session.try_next() {
+                    got.push(out);
+                }
+                assert!(session.inbuf.is_empty());
+            }
+        }
+        let outcome = session.drain();
+        got.extend(outcome.outputs);
+        assert!(x > POISON + 20, "the dead letter falls mid-stream");
+        let want: Vec<u64> = (0..x)
+            .filter(|&v| v != POISON)
+            .map(|v| (v + 1) * 2)
+            .collect();
+        if !preserve_order {
+            got.sort_unstable();
+        }
+        assert_eq!(got, want, "preserve_order {preserve_order}");
+        let report = &outcome.report;
+        assert_eq!(report.dead_letters, 1);
+        assert_eq!(report.completed + report.dead_letters, x);
+        assert!(!report.truncated);
+    }
 }
 
 // --- the push side's stamp window ----------------------------------------

@@ -14,10 +14,17 @@
 //! that reads the clock once per *stride* of items, a slow path with
 //! exact per-item accounting), and flushes the results once — one sink
 //! message, one onward envelope per consuming stage, one shared-map
-//! deposit per join input the walk could not pair. The two recycled
-//! buffer shapes of that loop live here too.
+//! deposit per join input the walk could not pair.
+//!
+//! An item is walked in the [`ItemSlot`] it arrived in, and an item that
+//! leaves the pipeline stays there: after its last stage call nothing
+//! copies it. Each piece's buffer is compacted in place past the items
+//! that went onward, joined or were dead-lettered, and the first one
+//! holding any is the sink message itself (later pieces' exits join
+//! it). So one recycled buffer shape serves the whole loop, and it
+//! lives here too.
 
-use crate::exec::{Finished, ItemSlot};
+use crate::exec::ItemSlot;
 use crate::item::{fail_stage, process_resilient, Outbox, ResilientOut};
 use crate::tenant::Shared;
 use crate::worker::{try_acquire, TenantLocal};
@@ -33,30 +40,29 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use std::vec::Drain;
 
 /// Cap per recycled-buffer free list: buffers beyond it are dropped.
 const BUF_POOL_CAP: usize = 64;
 
-/// A process-wide free list recycling one hot-path buffer shape. The
-/// buffers cross threads, hence shared pools rather than thread-locals;
-/// `try_lock` keeps them strictly off the critical path — under
-/// contention the caller just allocates. The pool is not what keeps a
-/// per-item pusher off the heap: a send whose items join the
-/// destination's queued tail envelope hands its buffer straight back to
-/// the sender (`Inbox::send_work`), so envelope buffers come and go
-/// here about once per *served* envelope, not once per push.
-pub(crate) struct BufPool<T>(Mutex<Vec<Vec<T>>>);
+/// A process-wide free list recycling the hot path's one buffer shape,
+/// `Vec<ItemSlot>`: envelopes, onward and join buckets, and — the same
+/// buffers, once served — sink batches, which the session hands back
+/// once it has delivered out of them. The buffers cross threads, hence
+/// a shared pool rather than thread-locals; `try_lock` keeps it
+/// strictly off the critical path — under contention the caller just
+/// allocates. The pool is not what keeps a per-item pusher off the
+/// heap: a send whose items join the destination's queued tail envelope
+/// hands its buffer straight back to the sender (`Inbox::send_work`),
+/// so envelope buffers come and go here about once per *served*
+/// envelope, not once per push.
+pub(crate) struct BufPool(Mutex<Vec<Vec<ItemSlot>>>);
 
-/// Envelope item vectors (drained by whichever worker serves them).
-pub(crate) static SLOT_BUFS: BufPool<ItemSlot> = BufPool(Mutex::new(Vec::new()));
-/// Finished-batch vectors (consumed on the session thread after
-/// delivery).
-pub(crate) static FIN_BUFS: BufPool<Finished> = BufPool(Mutex::new(Vec::new()));
+/// Item-slot vectors: envelopes and the sink batches they become.
+pub(crate) static SLOT_BUFS: BufPool = BufPool(Mutex::new(Vec::new()));
 
-impl<T> BufPool<T> {
+impl BufPool {
     /// An empty buffer with room for `cap` elements.
-    pub(crate) fn take(&self, cap: usize) -> Vec<T> {
+    pub(crate) fn take(&self, cap: usize) -> Vec<ItemSlot> {
         if let Ok(mut pool) = self.0.try_lock() {
             if let Some(mut buf) = pool.pop() {
                 drop(pool);
@@ -72,7 +78,7 @@ impl<T> BufPool<T> {
     /// Returns a buffer to the pool. Clearing happens here — on the
     /// thread that owned the buffer — so any unconsumed payloads drop
     /// before the buffer is offered to another thread.
-    pub(crate) fn put(&self, mut buf: Vec<T>) {
+    pub(crate) fn put(&self, mut buf: Vec<ItemSlot>) {
         buf.clear();
         if buf.capacity() == 0 {
             return;
@@ -243,42 +249,49 @@ struct Region {
 }
 
 impl Region {
-    /// Walks one item from the envelope's stage through every held
-    /// stage it reaches — [`forward`] driving a [`Hop`] — with
-    /// `run` presenting the walk's one item slot to each stage, which
-    /// rewrites it in place, and `stop` saying how a failure ends the
-    /// walk. (No payload crosses a stage call by value: reloading a
-    /// returned payload right after the call was the walk's costliest
-    /// instruction.) Parts of a join that did not complete inside the
+    /// Walks the item in `slot` from the envelope's stage through every
+    /// held stage it reaches — [`forward`] driving a [`Hop`] — with
+    /// `run` presenting the slot's payload to each stage, which rewrites
+    /// it in place, and `stop` saying how a failure ends the walk. The
+    /// slot is the walk's one item holder: an input the walk takes up
+    /// next (a fan-out's copy, a join's assembled set) is written into
+    /// it, and an output leaving the pipeline stays in it — `Ok(true)`:
+    /// the caller keeps the slot as it is for the sink batch. Any other
+    /// output leaves the slot through `forward`, a unit in its place —
+    /// `Ok(false)`, as for an item dead-lettered. (No payload crosses a
+    /// stage call by value, and none crosses the exit: reloading a
+    /// payload just written was the walk's costliest instruction, at
+    /// both places.) Parts of a join that did not complete inside the
     /// walk go on to the shared join map through `outbox`, so a block
-    /// that is only partly co-located still pairs exactly once. With `sample`, each stage's share of
-    /// the walk is stamped into `samp`. `Err(())`: a stage failed the run,
-    /// which is already torn down.
+    /// that is only partly co-located still pairs exactly once. With
+    /// `sample`, each stage's share of the walk is stamped into `samp`.
+    /// `Err(())`: a stage failed the run, which is already torn down.
     #[inline]
     fn walk<E>(
         &mut self,
         shared: &Arc<Shared>,
         outbox: &mut Outbox,
-        (seq, born, payload): (u64, SimTime, BoxedItem),
+        slot: &mut ItemSlot,
         sample: bool,
         mut run: impl FnMut(usize, &mut dyn DynStage, &mut BoxedItem) -> Result<(), E>,
         mut stop: impl FnMut(usize, E) -> Stop,
-    ) -> Result<(), ()> {
+    ) -> Result<bool, ()> {
         let graph = &shared.spec.graph;
-        let (mut stage, mut item) = (self.held[0], payload);
+        let (seq, born) = (slot.seq, slot.born);
+        let mut stage = self.held[0];
         let mut t_prev = sample.then(Instant::now);
-        loop {
+        let exits = loop {
             let inst = self.insts[stage]
                 .as_deref_mut()
                 .expect("walks run held stages");
-            if let Err(err) = run(stage, inst, &mut item) {
+            if let Err(err) = run(stage, inst, &mut slot.payload) {
                 match stop(stage, err) {
                     Stop::Dead => {
                         // Settled on the dead-letter channel: nothing
                         // of the item goes further.
                         self.stack.clear();
                         self.drop_parts();
-                        return Ok(());
+                        return Ok(false);
                     }
                     Stop::Fatal => return Err(()),
                 }
@@ -289,14 +302,19 @@ impl Region {
                 self.samp[stage] = t_now.duration_since(*t_prev);
                 *t_prev = t_now;
             }
-            // A plain inline successor continues the walk: a chain
-            // costs one call per stage.
-            if let Next::Stage(t) = self.after[stage] {
-                if self.insts[t].is_some() {
-                    stage = t;
+            let next = match &self.after[stage] {
+                // A plain inline successor continues the walk: a chain
+                // costs one call per stage.
+                Next::Stage(t) if self.insts[*t].is_some() => {
+                    stage = *t;
                     continue;
                 }
-            }
+                // The exit stage is the graph's one sink, so every other
+                // part of the item has been walked into it by now.
+                Next::Done => break true,
+                next => next,
+            };
+            let item = std::mem::replace(&mut slot.payload, Payload::new(()));
             let mut hop = Hop {
                 seq,
                 born,
@@ -308,22 +326,27 @@ impl Region {
                 pending: &mut self.pending,
                 next: None,
             };
-            forward(graph, &shared.fanouts, &self.after[stage], item, &mut hop);
+            forward(graph, &shared.fanouts, next, item, &mut hop);
             match hop.next.or_else(|| self.stack.pop()) {
-                Some((t, input)) => (stage, item) = (t, input),
-                None => break,
+                Some((t, input)) => {
+                    // What it replaces is the unit left behind above,
+                    // whose drop does nothing.
+                    std::mem::forget(std::mem::replace(&mut slot.payload, input));
+                    stage = t;
+                }
+                None => break false,
             }
-        }
+        };
+        debug_assert!(!exits || self.stack.is_empty());
         if self.pending > 0 {
             for (block, set) in self.joins.iter_mut().enumerate() {
-                for (slot, payload) in set.drain() {
-                    let part = ItemSlot { seq, born, payload };
-                    outbox.joining(block, slot, part);
+                for (part, payload) in set.drain() {
+                    outbox.joining(block, part, ItemSlot::new(seq, born, payload));
                 }
             }
             self.pending = 0;
         }
-        Ok(())
+        Ok(exits)
     }
 
     /// Drops the parts an abandoned walk left in the join slots.
@@ -378,22 +401,15 @@ impl Hops for Hop<'_> {
         &mut self.outbox.copies
     }
 
-    #[inline]
-    fn exit(&mut self, payload: BoxedItem) {
-        // The completion stamp is the caller's to fix up.
-        self.outbox.exit(Finished {
-            seq: self.seq,
-            born: self.born,
-            done: self.born,
-            payload,
-        });
+    fn exit(&mut self, _: BoxedItem) {
+        unreachable!("the walk keeps an exit in its slot and never forwards one")
     }
 
     #[inline]
     fn stage(&mut self, stage: usize, payload: BoxedItem) {
         if self.insts[stage].is_none() {
-            let (seq, born) = (self.seq, self.born);
-            self.outbox.onward(stage, ItemSlot { seq, born, payload });
+            let slot = ItemSlot::new(self.seq, self.born, payload);
+            self.outbox.onward(stage, slot);
         } else if self.next.is_none() {
             self.next = Some((stage, payload));
         } else {
@@ -439,9 +455,10 @@ struct Batch {
 /// to serve, as `(slot, items)` in order — one for an unkeyed envelope,
 /// one per held shard of a keyed one — and leave emptied. They share
 /// one region and one [`Outbox`]: results ship onward in
-/// per-destination-stage batches, with one sink message per message
-/// that finished items; occupied time is added to the tenant's busy
-/// account.
+/// per-destination-stage batches, and the items that leave the pipeline
+/// ship in the buffers they were served in, as one sink message per
+/// message that finished items; occupied time is added to the tenant's
+/// busy account.
 ///
 /// Two bookkeeping regimes: [`Batch::run_fast`] when the entry stage has
 /// the default resilience policy and the vnode can never throttle,
@@ -462,16 +479,18 @@ pub(crate) fn process_batch(
         // A fatal failure ends the batch: later pieces do not run.
         if !batch.fatal {
             batch.enter(&mut tl.local, slot);
-            let mut it = items.drain(..);
             if fast {
-                batch.run_fast(tl, &mut it);
+                batch.run_fast(tl, &mut items);
             } else {
-                batch.run_slow(me, tl, &mut it);
+                batch.run_slow(me, tl, &mut items);
             }
         }
-        // Recycling clears any unprocessed remainder (abort / fatal),
-        // so the buffer goes back empty with its payloads released.
-        SLOT_BUFS.put(items);
+        if batch.fatal {
+            // Nothing ships: recycling releases the payloads.
+            SLOT_BUFS.put(items);
+        } else {
+            batch.outbox.exits(items);
+        }
     }
     batch.finish(tl, snap);
 }
@@ -566,13 +585,19 @@ impl Batch {
     /// adapts between 1 and [`MAX_STAMP_STRIDE`] to keep windows in the
     /// hundreds-of-microseconds band: cheap stages stop paying a clock
     /// read per item, slow stages keep honest latency stamps.
-    fn run_fast(&mut self, tl: &mut TenantLocal, it: &mut Drain<'_, ItemSlot>) {
+    ///
+    /// Each item is walked in its own slot of `items`; those leaving the
+    /// pipeline are compacted to the front, in walk order, and `items` is
+    /// cut to them (unless a stage failed the run).
+    fn run_fast(&mut self, tl: &mut TenantLocal, items: &mut Vec<ItemSlot>) {
         let (shared, plan) = (&tl.tenant, &mut tl.fusion);
         let stage = self.region.held[0];
         // A region of one stage needs no per-stage split of its windows.
         let per_stage = self.region.held.len() > 1;
         let mut t_win = Instant::now();
-        'windows: while it.len() > 0 {
+        // Items walked so far, and how many of them left the pipeline.
+        let (mut walked, mut kept) = (0, 0);
+        while walked < items.len() {
             // An abort mid-batch (of this tenant or the whole pool)
             // drops the remainder — same contract as the discarded
             // inbox backlog (the report shows truncation). Checked per
@@ -581,34 +606,39 @@ impl Batch {
                 break;
             }
             let stride = plan.stride[stage];
-            let win = (stride as usize).min(it.len());
-            let win_fin_start = self.outbox.finished.len();
+            let win = (stride as usize).min(items.len() - walked);
+            let win_kept = kept;
             // The window's first live item is the one stamped per stage.
             let mut sample = per_stage;
-            for slot in it.by_ref().take(win) {
+            for i in walked..walked + win {
+                let slot = &mut items[i];
+                let seq = slot.seq;
                 // A sibling branch may have dead-lettered this item
                 // while this copy sat queued; its work is moot.
-                if shared.is_dead(slot.seq) {
+                if shared.is_dead(seq) {
                     continue;
                 }
-                let item = (slot.seq, slot.born, slot.payload);
-                let walked = self.region.walk(
+                match self.region.walk(
                     shared,
                     &mut self.outbox,
-                    item,
+                    slot,
                     std::mem::take(&mut sample),
                     |_, inst, input| inst.process(input),
                     |cs, err| {
-                        fail_stage(shared, cs, slot.seq, err.reason);
+                        fail_stage(shared, cs, seq, err.reason);
                         Stop::Fatal
                     },
-                );
-                if walked.is_err() {
-                    self.fatal = true;
-                    self.busy += t_win.elapsed();
-                    break 'windows;
+                ) {
+                    Ok(true) => keep(items, i, &mut kept),
+                    Ok(false) => {}
+                    Err(()) => {
+                        self.fatal = true;
+                        self.busy += t_win.elapsed();
+                        return;
+                    }
                 }
             }
+            walked += win;
             let t_end = Instant::now();
             let w = t_end.duration_since(t_win);
             self.busy += w;
@@ -617,8 +647,8 @@ impl Batch {
             // error is bounded by one window, which the stride
             // adaptation keeps short.
             let done = shared.pool.at(t_end);
-            for f in &mut self.outbox.finished[win_fin_start..] {
-                f.done = done;
+            for slot in &mut items[win_kept..kept] {
+                slot.done = done;
             }
             self.record_window(&mut tl.metrics, &plan.works, w);
             let next = next_stride(stride, win, w);
@@ -628,6 +658,7 @@ impl Batch {
             }
             t_win = t_end;
         }
+        items.truncate(kept);
     }
 
     /// Books one fast-path window that took `w`. Regions of several
@@ -668,25 +699,28 @@ impl Batch {
     /// windows): the same walk with exact per-item, per-stage
     /// accounting — retry/backoff/dead-letter via [`process_resilient`],
     /// synthetic slowdown sleeps and individual service samples on every
-    /// stage that runs.
-    fn run_slow(&mut self, me: usize, tl: &mut TenantLocal, it: &mut Drain<'_, ItemSlot>) {
+    /// stage that runs. Items leaving the pipeline are kept in their
+    /// slots as on the fast path, each stamped at its last stage call.
+    fn run_slow(&mut self, me: usize, tl: &mut TenantLocal, items: &mut Vec<ItemSlot>) {
         let (shared, plan, metrics) = (&tl.tenant, &tl.fusion, &mut tl.metrics);
         let vnode = &shared.pool.vnodes[me];
         let never_throttles = vnode.never_throttles();
         let mut t_start = Instant::now();
-        for slot in it {
+        let mut kept = 0;
+        for i in 0..items.len() {
             if shared.finished() {
                 break;
             }
-            if shared.is_dead(slot.seq) {
+            let slot = &mut items[i];
+            let seq = slot.seq;
+            if shared.is_dead(seq) {
                 continue;
             }
-            let (seq, fin_start) = (slot.seq, self.outbox.finished.len());
             let (mut done, mut busy) = (t_start, Duration::ZERO);
-            let walked = self.region.walk(
+            let exits = self.region.walk(
                 shared,
                 &mut self.outbox,
-                (seq, slot.born, slot.payload),
+                slot,
                 false,
                 |cs, inst, input| {
                     // Every stage goes through its policy; under the
@@ -726,17 +760,32 @@ impl Batch {
                 |_, stop| stop,
             );
             self.busy += busy;
-            if walked.is_err() {
-                self.fatal = true;
-                break;
-            }
-            let done = shared.pool.at(done);
-            for f in &mut self.outbox.finished[fin_start..] {
-                f.done = done;
+            match exits {
+                Ok(true) => {
+                    slot.done = shared.pool.at(done);
+                    keep(items, i, &mut kept);
+                }
+                Ok(false) => {}
+                Err(()) => {
+                    self.fatal = true;
+                    break;
+                }
             }
         }
+        items.truncate(kept);
         self.fused_hops += self.region.take_inline_runs();
     }
+}
+
+/// Moves the item just walked at `i`, which left the pipeline, down
+/// behind the `kept` exits walked before it: a buffer whose items all
+/// leave is never touched.
+#[inline]
+fn keep(items: &mut [ItemSlot], i: usize, kept: &mut usize) {
+    if i != *kept {
+        items.swap(i, *kept);
+    }
+    *kept += 1;
 }
 
 #[cfg(test)]

@@ -417,11 +417,7 @@ mod tests {
         let one_item = || Envelope {
             stage: 0,
             epoch: 0,
-            items: vec![ItemSlot {
-                seq: 0,
-                born: SimTime::ZERO,
-                payload: Payload::new(0u64),
-            }],
+            items: vec![ItemSlot::new(0, SimTime::ZERO, Payload::new(0u64))],
         };
         // B's whole backlog is queued before A's: arrival order must
         // not matter, only the lanes' virtual-time tags.
@@ -485,11 +481,7 @@ mod tests {
             stage,
             epoch,
             items: seqs
-                .map(|seq| ItemSlot {
-                    seq,
-                    born: SimTime::ZERO,
-                    payload: Payload::new(seq),
-                })
+                .map(|seq| ItemSlot::new(seq, SimTime::ZERO, Payload::new(seq)))
                 .collect(),
         }
     }

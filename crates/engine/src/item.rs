@@ -5,8 +5,8 @@
 //! share — which an envelope's outputs reach through its [`Outbox`],
 //! under one lock per envelope.
 
-use crate::exec::{Finished, ItemSlot};
-use crate::fusion::{FIN_BUFS, SLOT_BUFS};
+use crate::exec::ItemSlot;
+use crate::fusion::SLOT_BUFS;
 use crate::tenant::{fatal_teardown, Shared, SinkMsg};
 use crate::worker::{push_bucket, ship};
 use adapipe_core::item::{self, GaveUp, Hops, JoinSlots};
@@ -110,9 +110,15 @@ pub(crate) fn fail_stage(shared: &Arc<Shared>, stage: usize, seq: u64, reason: S
 /// batch, the onward batches per consuming stage, and the join inputs
 /// per `(block, slot)`. Join inputs wait here until [`Outbox::dispatch`], so
 /// a block's lock is taken once per envelope rather than once per item.
+/// An item leaving the pipeline is not copied in here: it stays in the
+/// slot it was served in, and the served buffer itself becomes the sink
+/// batch ([`Outbox::exits`]).
 pub(crate) struct Outbox {
-    /// Taken from the pool at the first exit, with room for `hint`.
-    pub(crate) finished: Vec<Finished>,
+    /// The sink batch: a served buffer that kept the items leaving the
+    /// pipeline where they were served, with later pieces' exits
+    /// appended; empty until then. Its capacity is zero or at least
+    /// `hint`.
+    sink: Vec<ItemSlot>,
     /// How many items one bucket may expect: the size of the batch the
     /// outputs come from.
     hint: usize,
@@ -126,7 +132,7 @@ impl Outbox {
     /// An empty outbox for the outputs of a batch of `hint` items.
     pub(crate) fn new(hint: usize) -> Self {
         Outbox {
-            finished: Vec::new(),
+            sink: Vec::new(),
             hint,
             onward: Vec::new(),
             joining: Vec::new(),
@@ -134,9 +140,9 @@ impl Outbox {
         }
     }
 
-    /// Routes one stage output (or one source item entering the
-    /// pipeline) wherever `next` says — the kernel's walk, landing in
-    /// this outbox.
+    /// Routes one source item entering the pipeline wherever `next`
+    /// says — the kernel's walk, landing in this outbox. `next` is the
+    /// pipeline's entry, which is never its exit.
     #[inline]
     pub(crate) fn send(
         &mut self,
@@ -144,13 +150,11 @@ impl Outbox {
         next: &Next,
         seq: u64,
         born: SimTime,
-        done: SimTime,
         payload: BoxedItem,
     ) {
         let mut leaving = Leaving {
             seq,
             born,
-            done,
             outbox: self,
         };
         item::forward(
@@ -162,13 +166,24 @@ impl Outbox {
         );
     }
 
-    /// Collects one pipeline output for the sink batch.
-    #[inline]
-    pub(crate) fn exit(&mut self, fin: Finished) {
-        if self.finished.capacity() == 0 {
-            self.finished = FIN_BUFS.take(self.hint);
+    /// Takes one served buffer, compacted to the items that left the
+    /// pipeline in it, each in the slot it was served in. While the
+    /// sink batch is empty, a buffer with room for the whole message's
+    /// `hint` items becomes it — an unkeyed envelope's always has — so
+    /// its exits are not copied again. A shard piece's buffer is sized
+    /// for its shard: its items join a sink batch with that room (one
+    /// from the pool if none yet), so the batch never regrows item by
+    /// item, and the buffer goes back to the pool.
+    pub(crate) fn exits(&mut self, mut items: Vec<ItemSlot>) {
+        if self.sink.is_empty() && items.capacity() >= self.hint {
+            std::mem::swap(&mut self.sink, &mut items);
+        } else if !items.is_empty() {
+            if self.sink.capacity() == 0 {
+                self.sink = SLOT_BUFS.take(self.hint);
+            }
+            self.sink.append(&mut items);
         }
-        self.finished.push(fin);
+        SLOT_BUFS.put(items);
     }
 
     /// Buckets one input of `stage`, bound for its host.
@@ -190,10 +205,10 @@ impl Outbox {
     /// envelope per consuming stage.
     pub(crate) fn dispatch(mut self, shared: &Arc<Shared>, snap: &RoutingSnapshot) {
         self.settle_joins(shared);
-        if self.finished.is_empty() {
-            FIN_BUFS.put(self.finished);
+        if self.sink.is_empty() {
+            SLOT_BUFS.put(self.sink);
         } else {
-            let _ = shared.sink.send(SinkMsg::Done(self.finished));
+            let _ = shared.sink.send(SinkMsg::Done(self.sink));
         }
         for (stage, items) in self.onward {
             if let Some(buf) = ship(shared, snap, stage, items) {
@@ -217,7 +232,10 @@ impl Outbox {
             let deposited = inputs.len() as u64;
             shared.deposits.fetch_add(deposited, Ordering::Relaxed);
             let mut joins = shared.joins[block].lock().expect("join lock poisoned");
-            for ItemSlot { seq, born, payload } in inputs.drain(..) {
+            for ItemSlot {
+                seq, born, payload, ..
+            } in inputs.drain(..)
+            {
                 // Checked under the join lock: `Shared::divert_dead`
                 // marks the item dead *before* it sweeps this map, so a
                 // deposit that still reads "alive" here is one the sweep
@@ -228,8 +246,7 @@ impl Outbox {
                 let set = joins.entry(seq).or_insert_with(|| JoinSlots::new(width));
                 if let Some(parts) = set.deposit(slot, payload) {
                     joins.remove(&seq);
-                    let payload = Payload::new(parts);
-                    let slot = ItemSlot { seq, born, payload };
+                    let slot = ItemSlot::new(seq, born, Payload::new(parts));
                     push_bucket(&mut self.onward, joiner, slot, deposited as usize);
                 }
             }
@@ -239,21 +256,16 @@ impl Outbox {
     }
 }
 
-/// One item on its way into an [`Outbox`].
+/// One source item on its way into an [`Outbox`].
 struct Leaving<'a> {
     seq: u64,
     born: SimTime,
-    done: SimTime,
     outbox: &'a mut Outbox,
 }
 
 impl Leaving<'_> {
     fn slot_of(&self, payload: BoxedItem) -> ItemSlot {
-        ItemSlot {
-            seq: self.seq,
-            born: self.born,
-            payload,
-        }
+        ItemSlot::new(self.seq, self.born, payload)
     }
 }
 
@@ -263,14 +275,8 @@ impl Hops for Leaving<'_> {
         &mut self.outbox.copies
     }
 
-    #[inline]
-    fn exit(&mut self, payload: BoxedItem) {
-        self.outbox.exit(Finished {
-            seq: self.seq,
-            born: self.born,
-            done: self.done,
-            payload,
-        });
+    fn exit(&mut self, _: BoxedItem) {
+        unreachable!("a pipeline has at least one stage: nothing exits at its entry")
     }
 
     #[inline]
@@ -382,7 +388,7 @@ mod tests {
                 block: 0,
                 branch: 1,
             };
-            late.send(shared, &into_join, dead_seq, now, now, Payload::new(1u64));
+            late.send(shared, &into_join, dead_seq, now, Payload::new(1u64));
             late.dispatch(shared, &shared.snapshot());
             assert_eq!(parked(shared), 0);
         }

@@ -11,7 +11,7 @@
 //! meanwhile).
 
 use crate::credits::Credits;
-use crate::exec::{Finished, ItemSlot};
+use crate::exec::ItemSlot;
 use crate::inbox::{Ctrl, MIN_LANE_WEIGHT};
 use crate::pool::{Bell, Pool};
 use adapipe_core::item::{JoinSlots, SeqMap};
@@ -40,9 +40,10 @@ pub(crate) type DepotSlot = Mutex<Option<Box<dyn DynStage>>>;
 
 /// Collector-side control plane, multiplexed with finished items.
 pub(crate) enum SinkMsg {
-    /// A batch of finished items (one message per processed envelope
-    /// that ended at the sink).
-    Done(Vec<Finished>),
+    /// A batch of finished items (one message per served message whose
+    /// items left the pipeline): the served envelope's own buffer, holding
+    /// the items in the slots they were served in.
+    Done(Vec<ItemSlot>),
     /// An item exhausted a stage's retry budget and was diverted to the
     /// dead-letter channel: it settles (releasing its credit and
     /// counting toward drain termination) without producing an output.

@@ -4,7 +4,7 @@
 //! `TenantLocal` of their own, on a tenant no worker thread sees.
 
 use super::*;
-use crate::exec::{attach, spawn, Finished, Pool};
+use crate::exec::{attach, spawn, Pool};
 use crate::tenant::SinkMsg;
 use crate::vnode::VNodeSpec;
 use adapipe_core::payload::Payload;
@@ -49,11 +49,7 @@ fn a_parked_backlog_shipped_to_the_new_owner_counts_as_rehomed() {
     let in_transit = shared.depot[0][0].lock().unwrap().take();
     assert!(in_transit.is_some());
     let items = (0..3)
-        .map(|seq| ItemSlot {
-            seq,
-            born: SimTime::ZERO,
-            payload: Payload::new(seq),
-        })
+        .map(|seq| ItemSlot::new(seq, SimTime::ZERO, Payload::new(seq)))
         .collect();
     let (stage, epoch) = (0, shared.snapshot().epoch());
     handle_work(
@@ -115,11 +111,7 @@ fn lone_tenant<I, O>(pipeline: Pipeline<I, O>) -> (Arc<Pool>, Arc<Shared>, Recei
 /// sequence number.
 fn envelope(shared: &Shared, seqs: std::ops::Range<u64>) -> Envelope {
     let items = seqs
-        .map(|seq| ItemSlot {
-            seq,
-            born: SimTime::ZERO,
-            payload: Payload::new(seq),
-        })
+        .map(|seq| ItemSlot::new(seq, SimTime::ZERO, Payload::new(seq)))
         .collect();
     Envelope {
         stage: 0,
@@ -133,7 +125,7 @@ fn sink_batches(sink: &Receiver<SinkMsg>) -> Vec<Vec<(u64, u64, u64)>> {
     let batch = |msg| match msg {
         SinkMsg::Done(batch) => batch
             .into_iter()
-            .map(|fin: Finished| fin.payload.downcast().expect("a counter output"))
+            .map(|fin: ItemSlot| fin.payload.downcast().expect("a counter output"))
             .collect(),
         _ => panic!("only finished batches were expected"),
     };

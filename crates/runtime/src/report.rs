@@ -273,7 +273,8 @@ pub struct ReportBuilder {
     latency_sum: SimDuration,
     latencies: Vec<SimDuration>,
     /// Record every `latency_stride`-th completion's latency sample;
-    /// doubles whenever the sample buffer hits [`LATENCY_SAMPLE_CAP`].
+    /// doubles whenever the sample buffer hits [`LATENCY_SAMPLE_CAP`],
+    /// so it is always a power of two.
     latency_stride: u64,
     last_completion: SimTime,
     timeline: ThroughputTimeline,
@@ -392,7 +393,8 @@ impl ReportBuilder {
     /// Counts one completion's latency: into the exact sum always, and
     /// into the retained samples every `latency_stride`-th completion,
     /// halving the samples and doubling the stride whenever they reach
-    /// [`LATENCY_SAMPLE_CAP`].
+    /// [`LATENCY_SAMPLE_CAP`]. The stride is a power of two, so "every
+    /// stride-th" is a mask of the completion count, not a divide.
     fn sample_latency(&mut self, latency: SimDuration) {
         self.latency_sum = self.latency_sum.saturating_add(latency);
         if self.latencies.len() >= LATENCY_SAMPLE_CAP {
@@ -403,7 +405,7 @@ impl ReportBuilder {
             });
             self.latency_stride *= 2;
         }
-        if self.completed.is_multiple_of(self.latency_stride) {
+        if self.completed & (self.latency_stride - 1) == 0 {
             self.latencies.push(latency);
         }
         self.completed += 1;
@@ -778,6 +780,65 @@ mod tests {
             StageMetrics::new(1),
         );
         assert!((r.mean_latency.as_secs_f64() - 5.5).abs() < 1e-3);
+    }
+
+    /// The rule `sample_latency` kept before the mask: a divide per
+    /// completion. A model of what the builder retains.
+    #[derive(Default)]
+    struct DivideRule {
+        completed: u64,
+        stride: u64,
+        sum: SimDuration,
+        kept: Vec<SimDuration>,
+    }
+
+    impl DivideRule {
+        fn record(&mut self, latency: SimDuration) {
+            self.stride = self.stride.max(1);
+            self.sum = self.sum.saturating_add(latency);
+            if self.kept.len() >= LATENCY_SAMPLE_CAP {
+                let mut keep = false;
+                self.kept.retain(|_| {
+                    keep = !keep;
+                    keep
+                });
+                self.stride *= 2;
+            }
+            if self.completed.is_multiple_of(self.stride) {
+                self.kept.push(latency);
+            }
+            self.completed += 1;
+        }
+    }
+
+    #[test]
+    fn the_sampling_mask_keeps_exactly_what_the_divide_kept() {
+        // Past three stride doublings (1 → 8): 2²² completions fill the
+        // cap at strides 1, 2 and 4.
+        let n = (1u64 << 22) + 12_345;
+        let latency = |k: u64| SimDuration::from_nanos(k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40);
+        let at = SimTime::from_secs_f64(1.0);
+        let mut model = DivideRule::default();
+        let mut per_item = ReportBuilder::new(SimDuration::from_secs(1), u64::MAX);
+        for k in 0..n {
+            model.record(latency(k));
+            per_item.record_completion(at, latency(k));
+        }
+        // Envelopes of 1 to 97 items, cutting across every doubling.
+        let mut batched = ReportBuilder::new(SimDuration::from_secs(1), u64::MAX);
+        let (mut k, mut size) = (0, 1);
+        while k < n {
+            let end = (k + size).min(n);
+            batched.record_envelope(at, (k..end).map(latency));
+            (k, size) = (end, size % 97 + 1);
+        }
+        assert_eq!(model.stride, 8, "three doublings");
+        for b in [&per_item, &batched] {
+            assert_eq!(b.latency_stride, model.stride);
+            assert_eq!(b.completed, model.completed);
+            assert_eq!(b.latency_sum, model.sum);
+            assert!(b.latencies == model.kept, "the same samples, in order");
+        }
     }
 
     #[test]

@@ -1158,6 +1158,36 @@ fn sweep_case(seed: u64) -> SweepCase {
             *placement = Placement::replicated(vec![NodeId(host), NodeId(other)]);
         }
     }
+    let queue_capacity = [None, Some(1), Some(4), Some(64)][rng.next_range(4)];
+    let batched = rng.next_range(2) == 0;
+    // Drawn last, so every earlier draw stays what each seed drew before:
+    // per join block, where its merge stage sits against the producers
+    // feeding it — all on its vnode (the walk can pair the parts
+    // inline), the first there and the rest elsewhere, or every one
+    // elsewhere (the parts meet in the shared join map). Only
+    // single-host stages move; keyed stages and accumulators stay
+    // replicated.
+    for (j, inputs) in preds.iter().enumerate() {
+        if inputs.len() < 2 {
+            continue;
+        }
+        let host = rng.next_range(3);
+        let class = rng.next_range(3);
+        placements[j] = Placement::single(NodeId(host));
+        let single: Vec<usize> = inputs
+            .iter()
+            .copied()
+            .filter(|&p| placements[p].is_single())
+            .collect();
+        for (k, p) in single.into_iter().enumerate() {
+            let on = match class {
+                0 => host,
+                1 if k == 0 => host,
+                _ => (host + 1 + rng.next_range(2)) % 3,
+            };
+            placements[p] = Placement::single(NodeId(on));
+        }
+    }
     SweepCase {
         preds,
         policies,
@@ -1166,9 +1196,32 @@ fn sweep_case(seed: u64) -> SweepCase {
         state,
         mapping: Mapping::new(placements),
         batch_size,
-        queue_capacity: [None, Some(1), Some(4), Some(64)][rng.next_range(4)],
-        batched: rng.next_range(2) == 0,
+        queue_capacity,
+        batched,
     }
+}
+
+/// How a case's join blocks sit, counted by class: every producer on
+/// the merge stage's one vnode, some of them, or none.
+fn join_placements(case: &SweepCase) -> [u64; 3] {
+    let mut classes = [0; 3];
+    for (j, inputs) in case.preds.iter().enumerate() {
+        if inputs.len() < 2 {
+            continue;
+        }
+        let merge = case.mapping.placement(j);
+        let there = inputs
+            .iter()
+            .filter(|&&p| case.mapping.placement(p) == merge)
+            .count();
+        let class = match there {
+            n if n == inputs.len() => 0,
+            0 => 2,
+            _ => 1,
+        };
+        classes[class] += 1;
+    }
+    classes
 }
 
 fn sweep_pipeline(case: &SweepCase) -> Pipeline<Tagged, Tagged> {
@@ -1247,6 +1300,8 @@ fn seeded_sweep_of_shapes_and_policies_keeps_both_ledgers_equal() {
     // gate drawn, and fed in one `push_batch`.
     let (mut accumulators, mut exclusives, mut batched) = (0u64, 0u64, 0u64);
     let mut gates = [0u64; 4];
+    // Join blocks fully co-located, partly, and spread.
+    let mut joined = [0u64; 3];
     for seed in 0..40u64 {
         let case = sweep_case(seed);
         // Each run under the watchdog: a generated case whose items
@@ -1350,6 +1405,9 @@ fn seeded_sweep_of_shapes_and_policies_keeps_both_ledgers_equal() {
             .expect("a drawn gate");
         gates[gate] += 1;
         batched += u64::from(case.batched);
+        for (total, blocks) in joined.iter_mut().zip(join_placements(&case)) {
+            *total += blocks;
+        }
     }
     let (joins, retries, dead, keyed) = exercised;
     assert!(
@@ -1365,6 +1423,11 @@ fn seeded_sweep_of_shapes_and_policies_keeps_both_ledgers_equal() {
         "the generator went soft: {accumulators} with an accumulator, \
          {exclusives} with an exclusive stage, {gates:?} per credit gate \
          (none, 1, 4, 64), {batched} of 40 fed in one push_batch"
+    );
+    assert!(
+        joined.iter().all(|&blocks| blocks >= 5),
+        "the generator went soft: {joined:?} join blocks fully co-located, \
+         partly, spread"
     );
 }
 

@@ -5,6 +5,18 @@
 use adapipe::core::pipeline::PipelineBuilder;
 use adapipe::core::simengine::run as sim_run;
 use adapipe::prelude::*;
+use std::sync::{Mutex, MutexGuard};
+
+/// Held by each test whose stages spin real CPU on the threaded
+/// backend: those tests take turns. A spinning stage beside another
+/// test's spinning stage reads the other's CPU time as its own service
+/// time, and the slowdown test's ratio of a quarter-speed vnode to a
+/// free one then shrinks below its bound.
+fn exclusive_cpu() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    // A failed test poisons the lock; the others still run alone.
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 #[test]
 fn measured_service_times_match_configuration() {
@@ -60,6 +72,7 @@ fn measured_effective_rate_reflects_background_load() {
 
 #[test]
 fn threaded_engine_reports_stage_metrics() {
+    let _cpu = exclusive_cpu();
     let pipeline = PipelineBuilder::<u64>::new()
         .stage(StageSpec::balanced("spin", 0.004, 8), |x: u64| {
             spin_for(std::time::Duration::from_millis(4));
@@ -80,6 +93,7 @@ fn threaded_engine_reports_stage_metrics() {
 fn slowdown_is_visible_in_measured_service() {
     // Same 3 ms spin on a free vs a 25 %-speed vnode: the measured mean
     // service time must reflect the compensating sleep.
+    let _cpu = exclusive_cpu();
     let mk = || {
         PipelineBuilder::<u64>::new()
             .stage(StageSpec::balanced("spin", 0.003, 8), |x: u64| {
