@@ -1124,6 +1124,60 @@ fn evaluator_equals_the_naive_model_on_every_field() {
     }
 }
 
+/// The busiest link is the first strict maximum in cell order, as the
+/// naive model's ordered map of cells finds it, though the evaluator
+/// scans only the cells a walk charged, in the order it charged them.
+/// Link-bound instances on uniform links, where replica pairs charge
+/// equal seconds to several cells and the busiest cells tie: chains,
+/// blocks and shuffled DAGs, equal boundary sizes, light work, a
+/// declared source and sink in half of them and a fusing backend in the
+/// other half, under random replicated mappings. Throughput, latency
+/// and bottleneck must equal the naive model's to the bit.
+#[test]
+fn the_busiest_link_is_the_first_in_cell_order() {
+    let mut link_bound = 0;
+    for case in 0..48u64 {
+        let mut rng = Rng64::new(0x71E5 + case);
+        let (ns, np) = (4 + rng.next_range(3), 3 + rng.next_range(4));
+        let mut profile =
+            PipelineProfile::uniform((0..ns).map(|_| 0.002 * rng.next_unit()).collect(), 400_000);
+        profile.graph = match case % 3 {
+            0 => StageGraph::linear(ns),
+            1 => StageGraph::builder().stages(1).split(&[1, ns - 3]).build(),
+            _ => shuffled_dag(&mut rng, ns),
+        };
+        if case % 2 == 0 {
+            profile.source = Some(NodeId(rng.next_range(np)));
+            profile.sink = Some(NodeId(rng.next_range(np)));
+        } else {
+            profile.fuses_colocated = true;
+        }
+        let rates = vec![1.0; np];
+        let topology = Topology::uniform(np, LinkSpec::lan());
+        let mut ev = Evaluator::new(&profile, &rates, &topology);
+        for _ in 0..16 {
+            let m = replicated_mapping(&mut rng, ns, np);
+            let want = naive_prediction(&profile, &m, &rates, &topology);
+            let got = ev.prediction(&m);
+            link_bound += usize::from(matches!(got.bottleneck, Bottleneck::Link(..)));
+            assert_eq!(
+                (
+                    got.throughput.to_bits(),
+                    got.latency.to_bits(),
+                    got.bottleneck
+                ),
+                (
+                    want.throughput.to_bits(),
+                    want.latency.to_bits(),
+                    want.bottleneck
+                ),
+                "case {case}: {m}"
+            );
+        }
+    }
+    assert!(link_bound > 500, "only {link_bound} link-bound mappings");
+}
+
 /// The floor is exact. Whenever `score_against` declines to score a
 /// mapping, the full score's throughput really is under the floor
 /// (`<` for `AtLeast`, `<=` for `Above`); whenever it does score, the
