@@ -182,21 +182,23 @@ pub fn t2() -> Experiment {
 /// decisions are *orders of magnitude* cheaper than the adaptation
 /// period (seconds), so adaptation overhead is negligible.
 ///
-/// Measured on one core of a 2-vCPU host, median of three runs (two
-/// builds of the same planner): 4×4 20 / 18 µs, 4×8 250 / 252 µs,
-/// 4×16 534 / 345 µs, 4×32 1.73 / 1.34 ms, 8×4 92 / 56 µs, 8×8
-/// 668 / 590 µs, 8×16 1.95 / 1.58 ms, 8×32 7.96 / 8.40 ms, 16×4
-/// 373 / 296 µs, 16×8 2.22 / 2.30 ms, 16×16 8.65 / 9.58 ms, 16×32
-/// 37.1 / 44.6 ms, 32×4 1.74 / 2.65 ms, 32×8 12.9 / 19.5 ms, 32×16
-/// 50.3 / 56.3 ms, 32×32 220 / 201 ms. Runs of one binary spread up to
-/// 1.6× on that host.
+/// Measured on one core of a 2-vCPU host, median of three runs of each
+/// of two builds, before and after `plan()`'s full walk got cheaper
+/// (same decisions):
+/// 4×4 18 µs / 18 µs, 4×8 241 µs / 323 µs, 4×16 338 µs / 280 µs, 4×32
+/// 1.25 ms / 553 µs, 8×4 55 µs / 60 µs, 8×8 445 µs / 463 µs, 8×16 1.48
+/// ms / 1.28 ms, 8×32 7.50 ms / 3.72 ms, 16×4 309 µs / 366 µs, 16×8
+/// 2.00 ms / 2.89 ms, 16×16 8.23 ms / 11.0 ms, 16×32 41.8 ms / 27.0 ms,
+/// 32×4 2.67 ms / 2.56 ms, 32×8 17.3 ms / 19.4 ms, 32×16 48.2 ms / 47.9
+/// ms, 32×32 235 ms / 149 ms. Runs of one binary spread up to 1.9× on
+/// that host.
 pub fn t3() -> Experiment {
     let mut out = Experiment::new(
         "T3",
         "planner decision cost vs instance size",
         "sub-millisecond for exhaustive instances and well below the 5 s \
          adaptation period at every size: about 10 ms through 16x16 and \
-         0.2 s at the 32x32 corner, 4-5 % of the period",
+         0.15-0.25 s at the 32x32 corner, 3-5 % of the period",
     );
 
     let mut table = Table::new(&[

@@ -318,11 +318,12 @@ fn model_prices_contended_links() {
 /// Two families, as above: node-bound stages with links that do not
 /// contend (48 instances of 300 items), and link-heavy stages with
 /// links that do (24 instances of 100 items). Measured: the node-bound
-/// family's worst run is 4.84 % off and every instance ranks its five
-/// mappings as the simulation does (τ = 1); the link-heavy family's
-/// worst run is 9.83 % off, and its lowest τ is 0.8, one pair of ten
-/// out of order. The bounds are those measurements, rounded out to the
-/// next tenth of a per cent.
+/// family's worst run is 4.84 % off, the link-heavy family's 23.85 %
+/// (a three-way replicated entry stage feeding a two-way one), and on
+/// every instance of both the model ranks the five mappings as the
+/// simulation does (τ = 1). The bounds are those measurements, the
+/// errors rounded out to the next tenth of a per cent. Replication
+/// misses by more than the unreplicated contended family above does.
 #[test]
 fn model_agrees_with_simulation_on_replicated_stages() {
     let node_bound = |rng: &mut Rng64| {
@@ -342,9 +343,9 @@ fn model_agrees_with_simulation_on_replicated_stages() {
         ),
         (
             "link-heavy",
-            model_against_simulation(0x5EEE, 24, 100, true, true, link_heavy),
-            0.099,
-            0.8,
+            model_against_simulation(0x6EED, 24, 100, true, true, link_heavy),
+            0.239,
+            1.0,
         ),
     ] {
         let (err, run) = agreement.worst;

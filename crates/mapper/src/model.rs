@@ -283,6 +283,18 @@ impl Floor {
             Floor::Above(bar) => throughput <= bar,
         }
     }
+
+    /// True when a mapping whose busiest node load is at least `load`
+    /// falls short of the floor whatever its exact load: the floor times
+    /// `load` clears one by `1e-12`. Then `1 / load` is more than `1e-12`
+    /// under the floor before rounding, so its correctly rounded value
+    /// is under it too, and a larger load only lowers it. It asks for a
+    /// product where [`Floor::excludes`] asks for a quotient, and rules
+    /// out a little less: nothing within `1e-12` of the floor.
+    fn excludes_load(self, load: f64) -> bool {
+        let (Floor::AtLeast(floor) | Floor::Above(floor)) = self;
+        floor * load > 1.0 + 1e-12
+    }
 }
 
 /// What became of the candidates one [`Evaluator`] was shown: the
@@ -485,19 +497,28 @@ impl<'a> Evaluator<'a> {
         // --- Link busy time per item, one-item latency ---------------------
         let (link_seconds, done) = self.scratch.split_at_mut(n * n);
         link_seconds.fill(0.0);
+        let mut links = Links {
+            seconds: link_seconds,
+            total: 0.0,
+        };
         let latency = walk(
             profile,
             mapping,
             &self.compute,
             &self.transfer,
-            link_seconds,
+            &mut links,
             done,
             &mut self.roots,
         );
+        // No link carries more than all of them together. When even that
+        // sum, with room for its rounding, is under the busiest node's
+        // load, no link is the bottleneck, and the cells go unscanned.
         let mut max_link: (f64, NodeId, NodeId) = (0.0, NodeId(0), NodeId(0));
-        for (idx, &secs) in link_seconds.iter().enumerate() {
-            if secs > max_link.0 {
-                max_link = (secs, NodeId(idx / n), NodeId(idx % n));
+        if links.total * (1.0 + 1e-9) >= max_node_load {
+            for (idx, &secs) in links.seconds.iter().enumerate() {
+                if secs > max_link.0 {
+                    max_link = (secs, NodeId(idx / n), NodeId(idx % n));
+                }
             }
         }
 
@@ -555,16 +576,16 @@ impl<'a> Evaluator<'a> {
     /// taken from, so a touched node's estimate is off the candidate's
     /// own sum by at most a few `Ns · 2⁻⁵³` of its load, far inside the
     /// `1 − 1e-9` the bound is scaled by. So the bound is at most the
-    /// candidate's busiest node load. A correctly rounded reciprocal is
-    /// monotone, so the candidate's node bound is at most the throughput
-    /// this bound gives, and whenever that falls under the floor,
-    /// `score_against` drops the candidate too. A move onto a dead node,
+    /// candidate's busiest node load, and whenever the floor excludes
+    /// that load ([`Floor::excludes_load`], a product, not a quotient),
+    /// it excludes the candidate's, and `score_against` drops the
+    /// candidate too. A move onto a dead node,
     /// or from an incumbent that uses one, is never ruled out, because
     /// `score_against` always scores a mapping on a dead node.
     pub(crate) fn bounds_out(&mut self, incumbent: &Mapping, mv: Move, floor: Floor) -> bool {
         let out = self
             .load_after(incumbent, mv)
-            .is_some_and(|load| floor.excludes(throughput_of(load)));
+            .is_some_and(|load| floor.excludes_load(load));
         self.candidates.bounded += u64::from(out);
         out
     }
@@ -588,7 +609,7 @@ impl<'a> Evaluator<'a> {
         if *dead || to.is_some_and(|to| self.rates[to.index()] <= 0.0) {
             return None;
         }
-        let (share, new_share) = (1.0 / width as f64, 1.0 / new_width as f64);
+        let (share, new_share) = (reciprocal(width), reciprocal(new_width));
         let touched = |node: NodeId| placement.contains(node) || Some(node) == to;
         // The busiest node the move leaves alone.
         let mut bound = busiest
@@ -605,6 +626,27 @@ impl<'a> Evaluator<'a> {
             }
         }
         Some(bound * (1.0 - 1e-9))
+    }
+}
+
+/// `1 / k` for the replica and replica-pair counts the model divides
+/// by, divided when the crate is compiled: the quotient a division at
+/// run time gives, to the bit.
+const RECIPROCALS: [f64; 65] = {
+    let mut table = [0.0; 65];
+    let mut k = 1;
+    while k < table.len() {
+        table[k] = 1.0 / k as f64;
+        k += 1;
+    }
+    table
+};
+
+/// `1.0 / k as f64`, read from [`RECIPROCALS`] when it is there.
+fn reciprocal(k: usize) -> f64 {
+    match RECIPROCALS.get(k) {
+        Some(&r) if k > 0 => r,
+        _ => 1.0 / k as f64,
     }
 }
 
@@ -654,7 +696,7 @@ impl ComputeSecs {
         load.fill(0.0);
         let mut dead_node_used = false;
         for (s, placement) in mapping.placements().iter().enumerate() {
-            let share = 1.0 / placement.width() as f64;
+            let share = reciprocal(placement.width());
             for &host in placement.hosts() {
                 assert!(
                     host.index() < rates.len(),
@@ -716,20 +758,24 @@ impl<'a> TransferSecs<'a> {
         costs
     }
 
-    fn get(&self, boundary: usize, a: NodeId, b: NodeId) -> f64 {
-        if self.table_of.is_empty() {
-            return self
-                .topology
-                .transfer_time(a, b, self.bytes[boundary])
-                .as_secs_f64();
-        }
-        let n = self.topology.len();
-        self.table[(self.table_of[boundary] * n + a.index()) * n + b.index()]
+    /// The seconds of boundary `boundary` between every node pair, `a`
+    /// major, or `None` when nothing is tabulated.
+    fn table(&self, boundary: usize) -> Option<&[f64]> {
+        let cells = self.topology.len().pow(2);
+        let table = *self.table_of.get(boundary)?;
+        Some(&self.table[table * cells..(table + 1) * cells])
     }
 }
 
+/// The per-link busy budget a walk accumulates: the seconds of each
+/// `n × n` cell, and their sum.
+struct Links<'w> {
+    seconds: &'w mut [f64],
+    total: f64,
+}
+
 /// One topological pass over the stage graph: accumulates every edge's
-/// expected transfer seconds into `link_seconds` (the per-link busy
+/// expected transfer seconds into `links` (the per-link busy
 /// budget; same-host hops are charged to latency only) and returns the
 /// critical-path one-item latency — each stage finishes (`done`, one
 /// cell per stage) when its *slowest* predecessor's output has arrived
@@ -743,18 +789,16 @@ fn walk(
     mapping: &Mapping,
     compute: &ComputeSecs,
     transfer: &TransferSecs<'_>,
-    link_seconds: &mut [f64],
+    links: &mut Links<'_>,
     done: &mut [f64],
     root: &mut [usize],
 ) -> f64 {
     let service = |s: usize| -> f64 {
-        let placement = mapping.placement(s);
-        placement
-            .hosts()
-            .iter()
-            .map(|&h| compute.get(s, h))
-            .sum::<f64>()
-            / placement.width() as f64
+        match mapping.placement(s).hosts() {
+            // One term, summed and divided by one, is that term.
+            &[host] => compute.get(s, host),
+            hosts => hosts.iter().map(|&h| compute.get(s, h)).sum::<f64>() / hosts.len() as f64,
+        }
     };
     for &s in profile.graph.topo_order() {
         let to_hosts = mapping.placement(s).hosts();
@@ -767,7 +811,7 @@ fn walk(
         root[s] = walked_in.unwrap_or(s);
         let arrive = if preds.is_empty() {
             match profile.source {
-                Some(src) => edge_cost(transfer, 0, &[src], to_hosts, link_seconds),
+                Some(src) => edge_cost(transfer, 0, &[src], to_hosts, links),
                 None => 0.0,
             }
         } else {
@@ -781,10 +825,15 @@ fn walk(
                         p + 1,
                         mapping.placement(p).hosts(),
                         to_hosts,
-                        link_seconds,
+                        links,
                     )
                 };
-                latest = latest.max(done[p] + hop);
+                // `latest.max(arrival)` as one compare: `latest` is
+                // never NaN, and a NaN arrival leaves it, as `max` does.
+                let arrival = done[p] + hop;
+                if arrival > latest {
+                    latest = arrival;
+                }
             }
             latest
         };
@@ -798,7 +847,7 @@ fn walk(
             exit + 1,
             mapping.placement(exit).hosts(),
             &[dst],
-            link_seconds,
+            links,
         );
     }
     latency
@@ -812,20 +861,28 @@ fn edge_cost(
     boundary: usize,
     from_hosts: &[NodeId],
     to_hosts: &[NodeId],
-    link_seconds: &mut [f64],
+    links: &mut Links<'_>,
 ) -> f64 {
     if transfer.bytes[boundary] == 0 {
         return 0.0;
     }
     let n = transfer.topology.len();
-    let frac = 1.0 / (from_hosts.len() * to_hosts.len()) as f64;
+    let frac = reciprocal(from_hosts.len() * to_hosts.len());
+    let table = transfer.table(boundary);
     let mut expected = 0.0;
     for &a in from_hosts {
         for &b in to_hosts {
-            let t = transfer.get(boundary, a, b);
+            let t = match table {
+                Some(table) => table[a.index() * n + b.index()],
+                None => transfer
+                    .topology
+                    .transfer_time(a, b, transfer.bytes[boundary])
+                    .as_secs_f64(),
+            };
             expected += frac * t;
             if a != b {
-                link_seconds[a.index() * n + b.index()] += frac * t;
+                links.seconds[a.index() * n + b.index()] += frac * t;
+                links.total += frac * t;
             }
         }
     }
