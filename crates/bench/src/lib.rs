@@ -97,14 +97,19 @@ impl fmt::Display for Table {
     }
 }
 
-/// Times `f` over `iters` runs, returning mean seconds per run.
-pub(crate) fn time_mean<F: FnMut()>(iters: usize, mut f: F) -> f64 {
+/// Times each of `iters` runs of `f` on its own, returning the seconds
+/// of every run, fastest first.
+pub(crate) fn time_each<F: FnMut()>(iters: usize, mut f: F) -> Vec<f64> {
     assert!(iters > 0);
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_secs_f64() / iters as f64
+    let mut runs: Vec<f64> = (0..iters)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    runs.sort_unstable_by(f64::total_cmp);
+    runs
 }
 
 /// Formats seconds adaptively (s / ms / µs).
@@ -139,11 +144,12 @@ mod tests {
     }
 
     #[test]
-    fn time_mean_is_positive() {
-        let mean = time_mean(3, || {
+    fn time_each_returns_every_run_fastest_first() {
+        let runs = time_each(3, || {
             std::hint::black_box((0..1000).sum::<u64>());
         });
-        assert!(mean >= 0.0);
+        assert_eq!(runs.len(), 3);
+        assert!(runs.windows(2).all(|w| w[0] <= w[1]) && runs[0] >= 0.0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! cost of a decision and the forecasters.
 
 use super::{free_grid, grid_of, sim_run, Experiment};
-use crate::{fmt_secs, time_mean, Table};
+use crate::{fmt_secs, time_each, Table};
 use adapipe::gridsim::rng::unit_at;
 use adapipe::prelude::*;
 
@@ -178,20 +178,21 @@ pub fn t2() -> Experiment {
 ///
 /// Wall-times the full planner (model + search + replication pass) over
 /// instance sizes from 4×4 to 32×32 (stages × processors), reporting the
-/// strategy chosen and mean decision time. The claim to validate:
-/// decisions are *orders of magnitude* cheaper than the adaptation
-/// period (seconds), so adaptation overhead is negligible.
+/// strategy chosen and, over calls timed one by one (21 for exhaustive
+/// instances, 5 for local search), the median decision time and its
+/// min–max. The claim to validate: decisions are *orders of magnitude*
+/// cheaper than the adaptation period (seconds), so adaptation overhead
+/// is negligible.
 ///
-/// Measured on one core of a 2-vCPU host, median of three runs of each
-/// of two builds, before and after `plan()`'s full walk got cheaper
-/// (same decisions):
-/// 4×4 18 µs / 18 µs, 4×8 241 µs / 323 µs, 4×16 338 µs / 280 µs, 4×32
-/// 1.25 ms / 553 µs, 8×4 55 µs / 60 µs, 8×8 445 µs / 463 µs, 8×16 1.48
-/// ms / 1.28 ms, 8×32 7.50 ms / 3.72 ms, 16×4 309 µs / 366 µs, 16×8
-/// 2.00 ms / 2.89 ms, 16×16 8.23 ms / 11.0 ms, 16×32 41.8 ms / 27.0 ms,
-/// 32×4 2.67 ms / 2.56 ms, 32×8 17.3 ms / 19.4 ms, 32×16 48.2 ms / 47.9
-/// ms, 32×32 235 ms / 149 ms. Runs of one binary spread up to 1.9× on
-/// that host.
+/// Measured on one core of a 2-vCPU host, the median of three runs'
+/// medians, with the min–max over all their calls: 4×4 18.2 µs
+/// (16.8–29.1 µs), 4×8 241 µs (228–365 µs), 4×16 211 µs (194–266 µs),
+/// 4×32 485 µs (465–581 µs), 8×4 51.9 µs (48.0–68.8 µs), 8×8 419 µs
+/// (394–477 µs), 8×16 1.12 ms (1.03–1.34 ms), 8×32 3.45 ms (3.29–7.66
+/// ms), 16×4 302 µs (279–618 µs), 16×8 1.97 ms (1.92–2.95 ms), 16×16
+/// 7.35 ms (6.58–10.9 ms), 16×32 21.5 ms (18.7–36.2 ms), 32×4 2.48 ms
+/// (1.76–3.13 ms), 32×8 15.4 ms (12.6–23.0 ms), 32×16 45.5 ms
+/// (42.3–73.0 ms), 32×32 184 ms (146–200 ms).
 pub fn t3() -> Experiment {
     let mut out = Experiment::new(
         "T3",
@@ -206,7 +207,9 @@ pub fn t3() -> Experiment {
         "Np",
         "assignments",
         "strategy",
-        "mean decision",
+        "median decision",
+        "min decision",
+        "max decision",
         "per period %",
     ]);
     let period_s = 5.0;
@@ -224,13 +227,14 @@ pub fn t3() -> Experiment {
             // Warm-up + strategy probe.
             let probe = plan(&profile, &rates, &topology, &cfg);
             let iters = if probe.strategy == Strategy::Exhaustive {
-                20
+                21
             } else {
                 5
             };
-            let mean = time_mean(iters, || {
+            let runs = time_each(iters, || {
                 std::hint::black_box(plan(&profile, &rates, &topology, &cfg));
             });
+            let median = runs[runs.len() / 2];
 
             let count = assignment_count(ns, np)
                 .map(|c| c.to_string())
@@ -240,13 +244,17 @@ pub fn t3() -> Experiment {
                 np.to_string(),
                 count,
                 format!("{:?}", probe.strategy),
-                fmt_secs(mean),
-                format!("{:.3}", mean / period_s * 100.0),
+                fmt_secs(median),
+                fmt_secs(runs[0]),
+                fmt_secs(runs[runs.len() - 1]),
+                format!("{:.3}", median / period_s * 100.0),
             ]);
         }
     }
     out.table(table);
-    out.note("`per period %` = decision time as a share of a 5 s adaptation period".to_string());
+    out.note(
+        "`per period %` = median decision time as a share of a 5 s adaptation period".to_string(),
+    );
     out
 }
 

@@ -38,6 +38,18 @@
 //! diversion — and the world charges the attempts and diverts the item
 //! at the fated stage (`push_at_with_fate`, `pop_completion`, and
 //! `next_event_at` for a pool's merged clock serve that driver alone).
+//!
+//! ## What an event costs
+//!
+//! The world's [`EventQueue`] sifts 16-byte keys and leaves each `Ev`
+//! in a slab slot until it fires, so an event's size never rides a
+//! sift. That is why a `Done` carries the work its task was started
+//! with, and the stage's work is recorded from that one draw. An item's
+//! arrival instant is an index into a window over sequence numbers
+//! (`ArrivalWindow`), and the fate and dead-letter tables are not
+//! looked into while they are empty, as they are on every clean run.
+//! None of this moves an event or reorders a float sum: the same
+//! events fire in the same `(time, sequence)` order.
 
 use crate::item::{SeqHasher, SeqMap};
 use crate::spec::{Next, PipelineSpec};
@@ -77,12 +89,14 @@ enum Ev {
         stage: usize,
         node: usize,
     },
-    /// A task finished on a node core.
+    /// A task finished on a node core. `work` is the draw the task was
+    /// started with, recorded as the stage's work for the item.
     Done {
         item: u64,
         stage: usize,
         node: usize,
         started: SimTime,
+        work: f64,
     },
     /// A queued item re-homed by a re-mapping lands at its stage's new
     /// host. Distinct from `StageIn` because a re-homed *merge* task
@@ -194,6 +208,47 @@ struct Join {
     dest: Option<usize>,
 }
 
+/// Arrival instants by item, kept as a window over sequence numbers:
+/// slot `seq − base` holds item `seq`'s arrival, items arrive in
+/// sequence order, and the settled slots at the front drop off. So the
+/// window spans the oldest unsettled item to the newest arrived one,
+/// one `SimTime` per item of that span, and a lookup is an index.
+#[derive(Default)]
+struct ArrivalWindow {
+    /// Sequence number of the item in the front slot.
+    base: u64,
+    /// Arrival instants, [`ArrivalWindow::SETTLED`] once the item settled.
+    at: VecDeque<SimTime>,
+}
+
+impl ArrivalWindow {
+    /// Marks a settled slot. No item arrives at the end of time, where
+    /// nothing could follow it.
+    const SETTLED: SimTime = SimTime::MAX;
+
+    /// Records that `item`, the next in sequence, arrived at `at`.
+    fn arrive(&mut self, item: u64, at: SimTime) {
+        debug_assert_eq!(
+            item,
+            self.base + self.at.len() as u64,
+            "items arrive in sequence order"
+        );
+        self.at.push_back(at);
+    }
+
+    /// Settles `item` and returns its arrival instant, or `None` if it
+    /// never arrived or settled before.
+    fn settle(&mut self, item: u64) -> Option<SimTime> {
+        let offset = usize::try_from(item.checked_sub(self.base)?).ok()?;
+        let arrived = std::mem::replace(self.at.get_mut(offset)?, Self::SETTLED);
+        while self.at.front() == Some(&Self::SETTLED) {
+            self.at.pop_front();
+            self.base += 1;
+        }
+        (arrived != Self::SETTLED).then_some(arrived)
+    }
+}
+
 /// The physically simulated world: event queue, node queues, transfers.
 /// Implements [`ExecutionBackend`] so the shared [`AdaptationLoop`] can
 /// sense it and commit re-mappings into it.
@@ -235,10 +290,10 @@ struct SimWorld<'a> {
     /// Per-direction link occupancy, `(from, to)`.
     link_q: Table<LinkQueue>,
 
-    /// Arrival instant of every *in-flight* item (removed at
-    /// completion), so an open-ended session's footprint tracks the
-    /// in-flight window, not the stream length.
-    arrival_time: SeqMap<SimTime>,
+    /// Arrival instant of every item from the oldest unsettled one to
+    /// the newest one: an open-ended session's footprint is that span,
+    /// 8–16 B per item, not the stream length.
+    arrival_time: ArrivalWindow,
     /// Per-stage in-edge bytes, precomputed once from the stage graph
     /// ([`crate::spec::StageGraph::feed_bytes`]) — hot-path forwarding
     /// must not walk the graph per item. A merge stage's in-transit
@@ -454,7 +509,7 @@ impl<'a> SimStepper<'a> {
             free_cores,
             rr_exec: vec![0; np],
             link_q: Table::new(np, np, LinkQueue::new()),
-            arrival_time: SeqMap::default(),
+            arrival_time: ArrivalWindow::default(),
             bytes_into,
             entry_stages,
             block_entries,
@@ -641,8 +696,9 @@ impl<'a> SimStepper<'a> {
                 stage,
                 node,
                 started,
+                work,
             } => {
-                self.world.on_done(table, item, stage, node, started, now);
+                self.world.on_done(table, item, stage, node, started, work);
             }
             Ev::Rehome { item, stage, node } => {
                 self.world
@@ -739,7 +795,7 @@ impl SimWorld<'_> {
     // --- event handlers -------------------------------------------------
 
     fn on_arrive(&mut self, routing: &RoutingTable, item: u64, now: SimTime) {
-        self.arrival_time.insert(item, now);
+        self.arrival_time.arrive(item, now);
         for i in 0..self.entry_stages.len() {
             let stage = self.entry_stages[i];
             let dest = route_item(&self.spec, &self.queues, routing, stage, item);
@@ -799,7 +855,7 @@ impl SimWorld<'_> {
         }
         if !rejoined {
             if let Some(block) = self.spec.graph.merge_block_of(stage) {
-                if self.dead.contains(&item) {
+                if self.is_dead(item) {
                     return; // a sibling branch diverted the item
                 }
                 // A merge stage serves one *joined* task per item: count
@@ -821,6 +877,7 @@ impl SimWorld<'_> {
         self.try_dispatch(routing, node, now);
     }
 
+    /// A task of `work` units started at `started` ends now.
     fn on_done(
         &mut self,
         routing: &RoutingTable,
@@ -828,12 +885,12 @@ impl SimWorld<'_> {
         stage: usize,
         node: usize,
         started: SimTime,
-        now: SimTime,
+        work: f64,
     ) {
+        let now = self.now;
         self.free_cores[node] += 1;
         self.node_busy[node] = self.node_busy[node].saturating_add(now - started);
-        self.stage_metrics
-            .record(stage, now - started, self.spec.draw_work(stage, item));
+        self.stage_metrics.record(stage, now - started, work);
         // Resilience accounting for the hop: retries consumed, the
         // opt-in per-hop trace — and, terminally, the dead-letter
         // diversion for an item that exhausted this stage's budget (it
@@ -852,14 +909,13 @@ impl SimWorld<'_> {
             });
         }
         let diverted = self
-            .fates
-            .get(&item)
+            .fate(item)
             .and_then(|f| f.dead.as_ref())
             .is_some_and(|&(s, _)| s == stage);
         if diverted {
             let fate = self.fates.remove(&item).expect("diverted item has a fate");
             let (_, reason) = fate.dead.expect("diverted fate carries a reason");
-            self.arrival_time.remove(&item);
+            self.arrival_time.settle(item);
             // Whatever the item's sibling branches already parked at a
             // join waits for an input that will never come.
             self.dead.insert(item);
@@ -930,7 +986,7 @@ impl SimWorld<'_> {
                     );
                 }
             }
-            Next::Join { .. } if self.dead.contains(&item) => {}
+            Next::Join { .. } if self.is_dead(item) => {}
             Next::Join { block, .. } => {
                 // Every branch output of an item converges on one merge
                 // replica, chosen at the first branch exit. A pin that
@@ -991,7 +1047,8 @@ impl SimWorld<'_> {
                 .expect("picked stage queue is non-empty");
             // A fractional pool share stretches service: the node spends
             // `1/rate_scale` of wall time per unit of this session's work.
-            let mut work = self.spec.draw_work(stage, item) / self.rate_scale;
+            let drawn = self.spec.draw_work(stage, item);
+            let mut work = drawn / self.rate_scale;
             let mut backoff = SimDuration::ZERO;
             if let Some(failed) = self.failed_attempts(stage, item) {
                 // Each failed attempt re-runs the stage in place,
@@ -1025,6 +1082,7 @@ impl SimWorld<'_> {
                     stage,
                     node,
                     started: now,
+                    work: drawn,
                 },
             );
         }
@@ -1056,21 +1114,38 @@ impl SimWorld<'_> {
         None
     }
 
+    /// The item's resolved fate, if it did not process cleanly. Clean
+    /// runs never fill the map, so they never hash into it.
+    fn fate(&self, item: u64) -> Option<&ItemFate> {
+        if self.fates.is_empty() {
+            return None;
+        }
+        self.fates.get(&item)
+    }
+
+    /// True once a sibling branch diverted `item` to the dead-letter
+    /// channel; like [`SimWorld::fate`], free while nothing has.
+    fn is_dead(&self, item: u64) -> bool {
+        !self.dead.is_empty() && self.dead.contains(&item)
+    }
+
     /// Failed-attempt count for `(stage, item)` from the item's fate,
     /// if any — `None` for the common clean hop.
     fn failed_attempts(&self, stage: usize, item: u64) -> Option<u32> {
-        let fate = self.fates.get(&item)?;
-        fate.failed
+        self.fate(item)?
+            .failed
             .iter()
             .find(|&&(s, _)| s == stage)
             .map(|&(_, f)| f)
     }
 
     fn record_completion(&mut self, item: u64, now: SimTime) {
-        let arrived = self.arrival_time.remove(&item).unwrap_or(SimTime::ZERO);
+        let arrived = self.arrival_time.settle(item).unwrap_or(SimTime::ZERO);
         let latency = now.saturating_since(arrived);
         self.report.record_completion(now, latency);
-        self.fates.remove(&item);
+        if !self.fates.is_empty() {
+            self.fates.remove(&item);
+        }
         self.completed_log.push_back(item);
     }
 }
@@ -2195,6 +2270,127 @@ mod tests {
         let report = stepper.finish();
         assert_eq!(report.completed, 1);
         assert!(report.truncated, "3 items were pushed but never drained");
+    }
+
+    #[test]
+    fn a_drained_run_leaves_an_empty_arrival_window() {
+        let grid = testbed_hetero8(42);
+        let spec = PipelineSpec::balanced(4, 1.0, 10_000);
+        let cfg = RunConfig {
+            items: 200,
+            ..RunConfig::default()
+        };
+        let session = under(Policy::periodic_default());
+        let mut stepper = SimStepper::new(&grid, spec, &session, &cfg, SessionId(0), 1.0);
+        for _ in 0..cfg.items {
+            stepper.push_at(SimTime::ZERO);
+        }
+        stepper.close();
+        while !stepper.all_done() && stepper.step() {}
+        assert_eq!(stepper.completed(), 200);
+        let window = &stepper.world.arrival_time;
+        assert!(window.at.is_empty(), "{} slots left", window.at.len());
+        assert_eq!(window.base, 200);
+    }
+
+    #[test]
+    fn a_paced_live_stream_keeps_the_window_to_its_in_flight_span() {
+        // One item every 2 s through three 1-s stages: at most two items
+        // are in flight at once, however long the stream runs. The
+        // window starts at the oldest unsettled item and ends at the
+        // newest arrived one.
+        let (grid, spec) = balanced_setup();
+        let cfg = RunConfig {
+            initial_mapping: Some(Mapping::from_assignment(&[n(0), n(1), n(2)])),
+            ..RunConfig::default()
+        };
+        let mut stepper =
+            SimStepper::new(&grid, spec, &Session::default(), &cfg, SessionId(0), 1.0);
+        let mut settled = HashSet::new();
+        let mut widest = 0;
+        let mut check = |stepper: &mut SimStepper<'_>| {
+            while let Some(item) = stepper.pop_completion() {
+                settled.insert(item);
+            }
+            let window = &stepper.world.arrival_time;
+            assert!((0..window.base).all(|item| settled.contains(&item)));
+            if !window.at.is_empty() {
+                assert!(!settled.contains(&window.base), "a settled front slot");
+            }
+            widest = widest.max(window.at.len());
+        };
+        for i in 0..300 {
+            let at = secs(2.0 * i as f64);
+            while stepper.next_event_at().is_some_and(|t| t < at) {
+                assert!(stepper.step());
+                check(&mut stepper);
+            }
+            stepper.push_at(at);
+        }
+        stepper.close();
+        while !stepper.all_done() && stepper.step() {
+            check(&mut stepper);
+        }
+        assert_eq!(stepper.completed(), 300);
+        assert!(stepper.world.arrival_time.at.is_empty());
+        assert!(widest <= 2, "the window spanned {widest} items");
+    }
+
+    #[test]
+    fn a_dead_lettered_item_leaves_no_slot_behind() {
+        // Item 0 dead-letters at the middle stage. Were its slot left
+        // behind, the window could never drop its front.
+        let (grid, spec) = balanced_setup();
+        let cfg = RunConfig {
+            initial_mapping: Some(Mapping::from_assignment(&[n(0), n(1), n(2)])),
+            ..RunConfig::default()
+        };
+        let mut stepper =
+            SimStepper::new(&grid, spec, &Session::default(), &cfg, SessionId(0), 1.0);
+        let poison = ItemFate {
+            failed: Vec::new(),
+            dead: Some((1, "poison".to_string())),
+        };
+        stepper.push_at_with_fate(SimTime::ZERO, poison);
+        for _ in 1..20 {
+            stepper.push_at(SimTime::ZERO);
+        }
+        stepper.close();
+        while !stepper.all_done() && stepper.step() {}
+        assert_eq!((stepper.accounted(), stepper.completed()), (20, 19));
+        let window = &stepper.world.arrival_time;
+        assert!(window.at.is_empty() && window.base == 20);
+        assert!(stepper.world.fates.is_empty());
+    }
+
+    /// Simulated twin of the engine's wall-clock
+    /// `pipeline_parallelism_beats_sequential_time`: the same three
+    /// 8-ms stages with 8-byte outputs, one per free node, 40 items
+    /// present at `t = 0`. The run is the pipeline fill to the cycle:
+    /// the first item crosses three tasks and two hops, and each later
+    /// one leaves a task behind it. That holds on any host.
+    #[test]
+    fn pipeline_parallelism_beats_sequential_time_simulated() {
+        let grid = uniform_grid(3);
+        let stages = ["a", "b", "c"]
+            .into_iter()
+            .map(|name| StageSpec::balanced(name, 0.008, 8))
+            .collect();
+        let spec = PipelineSpec::new(stages);
+        let items = 40u64;
+        let cfg = RunConfig {
+            items,
+            initial_mapping: Some(Mapping::from_assignment(&[n(0), n(1), n(2)])),
+            ..RunConfig::default()
+        };
+        let report = run(&grid, &spec, &under(Policy::Static), &cfg);
+        assert_eq!(report.completed, items);
+        let task = SimDuration::from_secs_f64(0.008);
+        let hop = grid.topology().transfer_time(n(0), n(1), 8);
+        let fill = (0..items + 2).fold(SimTime::ZERO, |t, _| t + task) + hop + hop;
+        assert_eq!(report.makespan, fill);
+        let sequential = items as f64 * 0.024;
+        assert!(report.makespan.as_secs_f64() < 0.75 * sequential);
     }
 
     #[test]

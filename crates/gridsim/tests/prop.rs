@@ -188,6 +188,67 @@ fn event_queue_is_a_stable_priority_queue() {
     }
 }
 
+/// The event queue against a reference sorted by `(at, seq)`, under
+/// the simulator's own access pattern: schedules and pops interleave,
+/// an event often lands at the instant just popped, and many events tie
+/// at one instant. `peek_time`, `len`, `is_empty` and `now` agree with
+/// the reference after every operation. Interleaving is what frees and
+/// reuses payload slots out of order, so a queue that broke ties by
+/// slot rather than by sequence number fails here where a fill-then-
+/// drain run cannot see it.
+#[test]
+fn event_queue_matches_a_sorted_reference_when_interleaved() {
+    for case in 0..48u64 {
+        let mut rng = Rng64::new(0xE7E7 + case);
+        let mut q = EventQueue::new();
+        // Pending `(at, seq)`; `seq` is also the payload.
+        let mut reference: Vec<(SimTime, u64)> = Vec::new();
+        let mut seq = 0u64;
+        // A narrow time range makes ties common; at a spread of 1 every
+        // event lands at the instant last popped.
+        let spread = 1 + case % 8;
+        for op in 0..600 {
+            let pop = !reference.is_empty() && rng.next_range(100) < 45;
+            if pop {
+                let min = (0..reference.len())
+                    .min_by_key(|&i| reference[i])
+                    .expect("non-empty");
+                let expected = reference.remove(min);
+                assert_eq!(q.pop(), Some(expected), "case {case} op {op}");
+                assert_eq!(q.now(), expected.0, "case {case} op {op}");
+                // Right after a pop, the simulator often schedules at
+                // the very instant it is handling.
+                if rng.next_range(3) == 0 {
+                    let burst = 1 + rng.next_range(6);
+                    for _ in 0..burst {
+                        q.schedule(expected.0, seq);
+                        reference.push((expected.0, seq));
+                        seq += 1;
+                    }
+                }
+            } else {
+                let at = SimTime::from_nanos(
+                    q.now().as_nanos() + rng.next_range(spread as usize) as u64,
+                );
+                q.schedule(at, seq);
+                reference.push((at, seq));
+                seq += 1;
+            }
+            assert_eq!(q.len(), reference.len(), "case {case} op {op}");
+            assert_eq!(q.is_empty(), reference.is_empty(), "case {case} op {op}");
+            assert_eq!(
+                q.peek_time(),
+                reference.iter().min().map(|&(at, _)| at),
+                "case {case} op {op}"
+            );
+        }
+        reference.sort_unstable();
+        let drained: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(drained, reference, "case {case}: drain");
+        assert_eq!(q.processed(), seq, "case {case}");
+    }
+}
+
 /// Outage overlays force zero inside and preserve the base outside.
 #[test]
 fn outage_overlay_is_exact() {
