@@ -2393,6 +2393,33 @@ mod tests {
         assert!(report.makespan.as_secs_f64() < 0.75 * sequential);
     }
 
+    /// Twin of the engine's `replicated_hot_stage_uses_multiple_nodes`,
+    /// whose makespan bound holds only on a host with four cores: one
+    /// 10-ms stage, 60 items at `t = 0`, three free nodes and the
+    /// planner's launch mapping.
+    #[test]
+    fn replicated_hot_stage_uses_multiple_nodes_simulated() {
+        let grid = uniform_grid(3);
+        let spec = PipelineSpec::new(vec![StageSpec::balanced("hot", 0.010, 8)]);
+        let items = 60u64;
+        let cfg = RunConfig {
+            items,
+            ..RunConfig::default()
+        };
+        let report = run(&grid, &spec, &Session::default(), &cfg);
+        assert_eq!(report.completed, items);
+        let width = report.final_mapping.placement(0).width();
+        assert!(width >= 2, "the hot stage runs on {width} node(s)");
+        assert!(report.makespan.as_secs_f64() < 0.55);
+        // Three wide, each node serves 20 items back to back; items
+        // cross no link (the input declares no bytes, and the sink is
+        // where the output is made).
+        assert_eq!(width, 3);
+        let task = SimDuration::from_secs_f64(0.010);
+        let served = (0..items / 3).fold(SimTime::ZERO, |t, _| t + task);
+        assert_eq!(report.makespan, served);
+    }
+
     #[test]
     fn heavy_load_model_slows_service_exactly() {
         // Availability 0.5 constant: unit work takes 2 s.

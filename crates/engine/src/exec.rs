@@ -33,7 +33,8 @@
 //! weighted-fair lanes), `worker` (the loop, placement, shipping),
 //! `fusion` (the batch loop and stage fusion), `tenant` (what those
 //! threads share about one session: depot, routing, the adaptation
-//! thread), `credits` and `item`.
+//! thread), `credits`, `item`, and `threads` (the thread cache every
+//! lifecycle thread runs on).
 //!
 //! ## Streaming sessions and backpressure
 //!
@@ -99,6 +100,11 @@
 //!   fault transition. A `Policy::Static` session on a fault-free pool
 //!   holds its loop without a thread, since the loop never wakes.
 //!
+//! Each is a job on the engine's thread cache (`threads`), not a thread
+//! of its own: teardown waits for the jobs, their threads go back to
+//! the cache, and the next session's jobs run on them. A thread no job
+//! takes within 50 ms exits.
+//!
 //! ## Multi-tenant pools
 //!
 //! The worker threads belong to a [`Pool`], not to a session: any
@@ -137,6 +143,7 @@ use crate::inbox::Ctrl;
 use crate::item::Outbox;
 pub use crate::pool::Pool;
 use crate::tenant::{Adaptation, RouteCache, Shared, SinkMsg};
+use crate::threads::{self, JoinHandle};
 use crate::vnode::VNodeSpec;
 use crate::worker::ship;
 use adapipe_core::payload::Payload;
@@ -158,7 +165,6 @@ use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Bucket width of the reported throughput timeline when
@@ -533,7 +539,10 @@ where
 
     /// Detaches this tenant from the pool and assembles the report. The
     /// collector must already be on its way out (stream closed and
-    /// delivered, or aborted).
+    /// delivered, or aborted). Waits for the collector's and the
+    /// adaptation loop's jobs (and the pool's, when this session owns
+    /// it), so their threads are back in the thread cache for the next
+    /// session when this returns.
     fn teardown(&mut self, outputs: Vec<O>) -> RunHandle<O> {
         let mut report = self
             .collector
@@ -724,8 +733,9 @@ impl<I, O> EngineSession<I, O> {
 /// leak its threads or its pool lanes: workers hold the pool alive on
 /// their own, so nothing disconnects by itself, and an adaptation
 /// thread sleeps until its bell rings. Drop performs the abort
-/// shutdown — signal, detach, join — discarding outputs and the report
-/// (and shutting the pool down when this session owns it).
+/// shutdown — signal, detach, wait for each job — discarding outputs
+/// and the report (and shutting the pool down when this session owns
+/// it), so every thread goes back to the thread cache.
 impl<I, O> Drop for EngineSession<I, O> {
     fn drop(&mut self) {
         if self.collector.is_none() {
@@ -869,7 +879,7 @@ where
     let collector = {
         let shared = Arc::clone(&shared);
         let bucket = cfg.timeline_bucket.unwrap_or(DEFAULT_TIMELINE_BUCKET);
-        std::thread::spawn(move || collect(&shared, sink_rx, out_tx, bucket))
+        threads::spawn(move || collect(&shared, sink_rx, out_tx, bucket))
     };
     let adaptation = Adaptation::start(&shared, aloop);
 

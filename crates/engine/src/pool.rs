@@ -7,6 +7,7 @@
 
 use crate::arbiter::TenantEntry;
 use crate::inbox::{Ctrl, Inbox};
+use crate::threads::{self, JoinHandle};
 use crate::vnode::VNodeSpec;
 use crate::worker::worker_loop;
 use adapipe_gridsim::fault::FaultPlan;
@@ -15,7 +16,6 @@ use adapipe_gridsim::time::{SimDuration, SimTime};
 use adapipe_runtime::session::SessionId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The shared node pool: worker threads, their inboxes, node health and
@@ -42,7 +42,8 @@ pub struct Pool {
     /// (`RoutingTable::with_shared_health`): one tenant's fault tracker
     /// marking a node down excludes it for all tenants.
     pub(crate) health: Arc<Vec<AtomicBool>>,
-    /// One worker thread per vnode, then a cluster's arbiter thread.
+    /// One worker job per vnode, then a cluster's arbiter job, each on a
+    /// thread of the thread cache.
     threads: Mutex<Vec<JoinHandle<()>>>,
     pub(crate) next_session: AtomicU64,
     /// The attached tenants, registration order (see `arbiter`).
@@ -90,12 +91,12 @@ impl Pool {
         let mut handles: Vec<JoinHandle<()>> = (0..np)
             .map(|me| {
                 let pool = Arc::clone(&pool);
-                std::thread::spawn(move || worker_loop(me, pool))
+                threads::spawn(move || worker_loop(me, pool))
             })
             .collect();
         if let Some(window) = window {
             let pool = Arc::clone(&pool);
-            handles.push(std::thread::spawn(move || pool.arbiter_loop(window)));
+            handles.push(threads::spawn(move || pool.arbiter_loop(window)));
         }
         *pool.threads.lock().expect("pool thread list poisoned") = handles;
         pool
@@ -125,10 +126,11 @@ impl Pool {
         self.inboxes.iter().map(|b| b.queued_for(session.0)).sum()
     }
 
-    /// Stops and joins the workers and the arbiter. Idempotent; called
-    /// automatically by the owning session's teardown when the pool was
-    /// created by [`crate::exec::spawn`], or by the cluster facade when
-    /// the cluster closes. Sessions still attached unwind with
+    /// Stops the workers and the arbiter and waits for each job to
+    /// finish; their threads go back to the thread cache. Idempotent;
+    /// called automatically by the owning session's teardown when the
+    /// pool was created by [`crate::exec::spawn`], or by the cluster
+    /// facade when the cluster closes. Sessions still attached unwind with
     /// truncated reports (their ack-waits observe `done`).
     pub fn shutdown(&self) {
         self.done.store(true, Ordering::SeqCst);

@@ -14,6 +14,7 @@ use crate::credits::Credits;
 use crate::exec::ItemSlot;
 use crate::inbox::{Ctrl, MIN_LANE_WEIGHT};
 use crate::pool::{Bell, Pool};
+use crate::threads::{self, JoinHandle};
 use adapipe_core::item::{JoinSlots, SeqMap};
 use adapipe_core::pipeline::Pipeline;
 use adapipe_core::spec::PipelineSpec;
@@ -31,7 +32,6 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// One depot slot: a quiesced stage instance parked for its (possibly
@@ -484,7 +484,7 @@ impl Adaptation {
             return Adaptation::Held(Box::new(aloop));
         }
         let shared = Arc::clone(shared);
-        Adaptation::Thread(std::thread::spawn(move || adaptation_thread(shared, aloop)))
+        Adaptation::Thread(threads::spawn(move || adaptation_thread(shared, aloop)))
     }
 
     /// Hands the loop back once the tenant is done (`Shared::done`

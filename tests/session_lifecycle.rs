@@ -1,8 +1,8 @@
 //! Thread census of the threaded backend's session lifecycle: every way
 //! a session can end — drained, aborted, dropped, under a periodic
 //! policy, with a fault plan pending, attached to a cluster's pool —
-//! gives back every thread it started, and a drained run delivers each
-//! output exactly once.
+//! gives back every thread it started, the next session reuses them,
+//! and a drained run delivers each output exactly once.
 //!
 //! One `#[test]`, so this binary runs it alone and the count of
 //! `/proc/self/task` sees no other test's threads. It counts threads,
@@ -23,10 +23,26 @@ mod census {
             .count()
     }
 
+    /// Asserts that right after `case`'s cycles, before a given-back
+    /// thread has waited out its linger, the process holds at most
+    /// `baseline` plus the threads of one session (`session`): each
+    /// cycle reused the threads the one before gave back, rather than
+    /// starting its own or leaving one behind.
+    fn assert_reused(baseline: usize, session: usize, case: &str) {
+        let now = threads();
+        assert!(
+            now <= baseline + session,
+            "{case}: {now} threads right after {CYCLES} cycles, \
+             more than baseline {baseline} plus one session's {session}"
+        );
+    }
+
     /// Asserts the process is back at `baseline` threads after `case`.
-    /// A joined thread can stay listed until the kernel has reaped it,
-    /// which follows its join by microseconds: the count gets that long
-    /// to settle, and nothing else.
+    /// The engine keeps a given-back thread for its next session and
+    /// lets it exit once it has waited 50 ms (its linger) unused, and a
+    /// thread that has exited can stay listed until the kernel has
+    /// reaped it, microseconds later: the count gets a second to
+    /// settle, twenty lingers, and nothing else.
     fn assert_settles_at(baseline: usize, case: &str) {
         let mut now = threads();
         for _ in 0..1000 {
@@ -94,19 +110,22 @@ mod census {
     fn every_session_ending_gives_back_its_threads() {
         let baseline = threads();
 
-        type Case = (&'static str, fn());
+        // Each case with the threads one of its sessions runs: two
+        // workers and the collector, plus the adaptation thread when
+        // the loop has a schedule.
+        type Case = (&'static str, usize, fn());
         let cases: [Case; 5] = [
-            ("static, drained", || {
+            ("static, drained", 3, || {
                 drained("static", Policy::Static, RunConfig::default())
             }),
-            ("static, aborted", || {
+            ("static, aborted", 3, || {
                 spawned().abort();
             }),
-            ("static, dropped", || drop(spawned())),
-            ("periodic, drained", || {
+            ("static, dropped", 3, || drop(spawned())),
+            ("periodic, drained", 4, || {
                 drained("periodic", periodic(), RunConfig::default())
             }),
-            ("static with a fault plan, drained", || {
+            ("static with a fault plan, drained", 4, || {
                 // The crash is an hour out: the adaptation thread is
                 // asleep on it when the session tears down.
                 let cfg = RunConfig {
@@ -116,10 +135,11 @@ mod census {
                 drained("faulted", Policy::Static, cfg)
             }),
         ];
-        for (case, cycle) in cases {
+        for (case, session, cycle) in cases {
             for _ in 0..CYCLES {
                 cycle();
             }
+            assert_reused(baseline, session, case);
             assert_settles_at(baseline, case);
         }
 
@@ -136,6 +156,8 @@ mod census {
             let run = session.drain();
             assert_exactly_once("cluster tenant", run.outputs);
         }
+        // A tenant runs its collector and adaptation thread.
+        assert_reused(with_pool, 2, "cluster attach/detach");
         assert_settles_at(with_pool, "cluster attach/detach");
         cluster.shutdown();
         assert_settles_at(baseline, "cluster shutdown");
