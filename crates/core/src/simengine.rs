@@ -2420,6 +2420,45 @@ mod tests {
         assert_eq!(report.makespan, served);
     }
 
+    /// Twin of the engine's `planner_unfuses_when_spreading_wins`, whose
+    /// final-mapping assertion holds only on a host with three cores: two
+    /// equal 3-ms stages launched together on one of two free nodes, a
+    /// 100-ms periodic policy and 150 items at `t = 0`. The simulator
+    /// never fuses, so what this pins is the controller's side: it
+    /// commits the spread mapping and keeps it. (`mapper`'s
+    /// `planner_spreads_equal_stages_despite_the_fusion_discount` pins
+    /// the plan under the fusion discount.)
+    #[test]
+    fn planner_unfuses_when_spreading_wins_simulated() {
+        let grid = uniform_grid(2);
+        let spec = PipelineSpec::new(vec![
+            StageSpec::balanced("a", 0.003, 8),
+            StageSpec::balanced("b", 0.003, 8),
+        ]);
+        let items = 150u64;
+        let cfg = RunConfig {
+            items,
+            initial_mapping: Some(Mapping::all_on(n(0), 2)),
+            ..RunConfig::default()
+        };
+        let periodic = Policy::Periodic {
+            interval: SimDuration::from_millis(100),
+        };
+        let report = run(&grid, &spec, &under(periodic), &cfg);
+        assert_eq!(report.completed, items);
+        let spread = |m: &Mapping| m.nodes_used().len() == 2;
+        let first = report
+            .adaptations
+            .iter()
+            .find(|e| spread(&e.to))
+            .expect("the controller commits a re-map onto both nodes");
+        assert!(spread(&report.final_mapping), "the spread mapping is kept");
+        // The third tick commits, and nothing moves it back.
+        assert_eq!(report.adaptations.len(), 1);
+        assert_eq!(first.at, SimTime::ZERO + SimDuration::from_millis(300));
+        assert_eq!(report.makespan, SimTime::from_nanos(603_100_064));
+    }
+
     #[test]
     fn heavy_load_model_slows_service_exactly() {
         // Availability 0.5 constant: unit work takes 2 s.

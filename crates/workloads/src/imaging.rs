@@ -21,6 +21,24 @@
 //! 2. a *horizontal* pass reads entries `x`, `x + 1`, `x + 2` of the
 //!    scratch row for output pixel `x`.
 //!
+//! The passes run a strip of [`STRIP`] rows at a time. First the
+//! vertical passes of the strip's rows run, top to bottom, each into a
+//! scratch row of its own, so the scratch holds `STRIP` rows of `w + 2`
+//! entries (Sobel's rows are twice that). Then the horizontal passes
+//! run over those rows in the same order. The reason is the loads. Two
+//! of a horizontal pass's three loads start one entry either side of
+//! where the vertical pass's vector stores start, so each spans two
+//! stores. Run right after its own row's vertical pass, as the kernels
+//! were first written, the horizontal pass waits on those loads. In a
+//! SIGPROF walk of Sobel alone, the instructions that load them or
+//! first use them took 17 % of the samples, and 6 % in strips; blur's
+//! took 27 %, and 9 % in strips. A kernel that still alternates the
+//! passes but stores each row one pass ahead of its loads gains most of
+//! what strips gain. So the cost is the distance from a store to the
+//! load that reads it, not the order of the passes. Eight rows of a 192-pixel frame keep the scratch at 3 KB
+//! (Sobel's at 6 KB), inside the L1 cache. Strips as tall as the frame
+//! spill it and are slower than rows.
+//!
 //! Blur sums the three rows in `u16` (at most 9 × 255) and divides the
 //! three-column sum by 9. Sobel keeps two `i16` rows, the smooth
 //! `s = r0 + 2·r1 + r2` and the difference `d = r2 − r0`, so that
@@ -225,23 +243,68 @@ macro_rules! two_copies {
     };
 }
 
-two_copies! {
-    /// [`blur`] into `dst`, re-fitted to `src`; `cols` is the scratch row.
-    fn blur_into(src: &Image, dst: &mut Image, cols: &mut Vec<u16>) {
-        let w = src.width;
-        dst.fit(w, src.height);
-        cols.resize(w + 2, 0);
-        for (y, out) in dst.pixels.chunks_exact_mut(w).enumerate() {
-            let [r0, r1, r2] = src.rows_around(y);
-            for (((c, &a), &b), &d) in cols[1..=w].iter_mut().zip(r0).zip(r1).zip(r2) {
-                *c = u16::from(a) + u16::from(b) + u16::from(d);
-            }
-            replicate_ends(cols);
-            let taps = cols[..w].iter().zip(&cols[1..]).zip(&cols[2..]);
-            for (o, ((&a, &b), &c)) in out.iter_mut().zip(taps) {
-                *o = ((a + b + c) / 9) as u8;
-            }
+/// Rows per strip: [`in_strips`] runs the vertical passes of this many
+/// rows before the first of their horizontal passes (see the module
+/// docs).
+const STRIP: usize = 8;
+
+/// A separable 3×3 kernel over `src` into `dst`, re-fitted to `src`, a
+/// strip of [`STRIP`] rows at a time: `vertical` fills each row's
+/// `stride` scratch entries from the three source rows around it, then
+/// `horizontal` makes each output row from its entries. Both are
+/// `#[inline(always)]` functions, so each compiled copy of a kernel
+/// holds its passes' loops (a closure would be compiled on its own and
+/// called, without the copy's features, once it had two callers).
+#[inline(always)]
+fn in_strips<T: Copy + Default>(
+    src: &Image,
+    dst: &mut Image,
+    scratch: &mut Vec<T>,
+    stride: usize,
+    vertical: impl Fn([&[u8]; 3], &mut [T]),
+    horizontal: impl Fn(&[T], &mut [u8]),
+) {
+    let w = src.width;
+    dst.fit(w, src.height);
+    scratch.resize(STRIP * stride, T::default());
+    for (strip, out) in dst.pixels.chunks_mut(STRIP * w).enumerate() {
+        let rows = &mut scratch[..out.len() / w * stride];
+        for (i, row) in rows.chunks_exact_mut(stride).enumerate() {
+            vertical(src.rows_around(strip * STRIP + i), row);
         }
+        for (row, out) in rows.chunks_exact(stride).zip(out.chunks_exact_mut(w)) {
+            horizontal(row, out);
+        }
+    }
+}
+
+/// Blur's vertical pass: the column sums of three source rows, in the
+/// `w + 2` entries of `col`.
+#[inline(always)]
+fn blur_vertical([r0, r1, r2]: [&[u8]; 3], col: &mut [u16]) {
+    let w = r0.len();
+    for (((c, &a), &b), &d) in col[1..=w].iter_mut().zip(r0).zip(r1).zip(r2) {
+        *c = u16::from(a) + u16::from(b) + u16::from(d);
+    }
+    replicate_ends(col);
+}
+
+/// Blur's horizontal pass: each output pixel is the mean of three
+/// neighbouring column sums.
+#[inline(always)]
+fn blur_horizontal(col: &[u16], out: &mut [u8]) {
+    let w = out.len();
+    let taps = col[..w].iter().zip(&col[1..]).zip(&col[2..]);
+    for (o, ((&a, &b), &c)) in out.iter_mut().zip(taps) {
+        *o = ((a + b + c) / 9) as u8;
+    }
+}
+
+two_copies! {
+    /// [`blur`] into `dst`, re-fitted to `src`; `cols` holds the scratch
+    /// rows.
+    fn blur_into(src: &Image, dst: &mut Image, cols: &mut Vec<u16>) {
+        in_strips(src, dst, cols, src.width + 2, blur_vertical, blur_horizontal);
     }
 }
 
@@ -259,30 +322,41 @@ fn magnitude(gx: i16, gy: i16) -> u8 {
     (f32::from(n).sqrt() - 0.499 + ROUND_TO_MANTISSA).to_bits() as u8
 }
 
+/// Sobel's vertical pass: the smooth and difference rows of three
+/// source rows, `w + 2` entries each, one after the other in `row`.
+#[inline(always)]
+fn sobel_vertical([r0, r1, r2]: [&[u8]; 3], row: &mut [i16]) {
+    let w = r0.len();
+    let (smooth, diff) = row.split_at_mut(w + 2);
+    let vertical = smooth[1..=w].iter_mut().zip(&mut diff[1..=w]);
+    for ((((s, d), &a), &b), &c) in vertical.zip(r0).zip(r1).zip(r2) {
+        let (a, b, c) = (i16::from(a), i16::from(b), i16::from(c));
+        *s = a + 2 * b + c;
+        *d = c - a;
+    }
+    replicate_ends(smooth);
+    replicate_ends(diff);
+}
+
+/// Sobel's horizontal pass: each output pixel's magnitude from the
+/// smooth and difference entries around it.
+#[inline(always)]
+fn sobel_horizontal(row: &[i16], out: &mut [u8]) {
+    let w = out.len();
+    let (smooth, diff) = row.split_at(w + 2);
+    let gx = smooth[2..].iter().zip(&smooth[..w]);
+    let gy = diff[..w].iter().zip(&diff[1..]).zip(&diff[2..]);
+    for (o, ((&s2, &s0), ((&d0, &d1), &d2))) in out.iter_mut().zip(gx.zip(gy)) {
+        *o = magnitude(s2 - s0, d0 + 2 * d1 + d2);
+    }
+}
+
 two_copies! {
-    /// [`sobel`] into `dst`, re-fitted to `src`; `rows` holds the two
-    /// scratch rows.
+    /// [`sobel`] into `dst`, re-fitted to `src`; `rows` holds each
+    /// row's smooth and difference scratch rows.
     fn sobel_into(src: &Image, dst: &mut Image, rows: &mut Vec<i16>) {
-        let w = src.width;
-        dst.fit(w, src.height);
-        rows.resize(2 * (w + 2), 0);
-        let (smooth, diff) = rows.split_at_mut(w + 2);
-        for (y, out) in dst.pixels.chunks_exact_mut(w).enumerate() {
-            let [r0, r1, r2] = src.rows_around(y);
-            let vertical = smooth[1..=w].iter_mut().zip(&mut diff[1..=w]);
-            for ((((s, d), &a), &b), &c) in vertical.zip(r0).zip(r1).zip(r2) {
-                let (a, b, c) = (i16::from(a), i16::from(b), i16::from(c));
-                *s = a + 2 * b + c;
-                *d = c - a;
-            }
-            replicate_ends(smooth);
-            replicate_ends(diff);
-            let gx = smooth[2..].iter().zip(&smooth[..w]);
-            let gy = diff[..w].iter().zip(&diff[1..]).zip(&diff[2..]);
-            for (o, ((&s2, &s0), ((&d0, &d1), &d2))) in out.iter_mut().zip(gx.zip(gy)) {
-                *o = magnitude(s2 - s0, d0 + 2 * d1 + d2);
-            }
-        }
+        let stride = 2 * (src.width + 2);
+        in_strips(src, dst, rows, stride, sobel_vertical, sobel_horizontal);
     }
 }
 
@@ -372,10 +446,11 @@ fn ping_pong<T: Clone + Send + 'static>(
 /// node. The weights 1 : 5 : 1.25 : 0.9 are a fixed cost shape, kept as
 /// the kernels get faster because the simulated scenario of
 /// `tests/grand_tour.rs` reads them. Measured in process on 192² frames
-/// (best of 300 calls of each stage) the stages now take about
-/// 8 : 25 : 0.7 : 1.2 µs on a 2-vCPU AVX2 Xeon container. The engine's
-/// planner only needs *relative* weights; absolute wall times depend on
-/// the host and are measured, not assumed.
+/// (best of 300 calls of each stage, the quietest of three rounds on one
+/// CPU of a 2-vCPU AVX2 Xeon container) the stages now take about
+/// 6.6 : 16 : 0.6 : 1.0 µs. The engine's planner only needs *relative*
+/// weights; absolute wall times depend on the host and are measured,
+/// not assumed.
 pub fn imaging_pipeline(side: usize) -> Pipeline<Image, u64> {
     let frame_bytes = (side * side) as u64;
     let w_blur = 1.0;
@@ -618,6 +693,14 @@ mod tests {
             (3, 3),
             (2, 9),
             (17, 5),
+            // Heights at the strip seams: a row short of a strip, a
+            // strip, a strip and a row, two strips, and a one-pixel
+            // column two strips and a row tall.
+            (6, STRIP - 1),
+            (5, STRIP),
+            (9, STRIP + 1),
+            (3, 2 * STRIP),
+            (1, 2 * STRIP + 1),
             (64, 33),
             (192, 192),
         ];
@@ -738,12 +821,15 @@ mod tests {
     /// Frames of two sizes alternate through one set of stage objects:
     /// each stage's scratch is the other size's previous frame, so a
     /// kernel that failed to re-fit it, or left a pixel unwritten, would
-    /// change a checksum. The pipeline's own stages run, then ping-pong
-    /// stages over each compiled copy.
+    /// change a checksum. The wide frame is several strips tall with a
+    /// part strip at its foot, and the narrow one is shorter than a
+    /// strip, so its scratch rows are the first few of those the wide
+    /// frame sized and filled. The pipeline's own stages run, then
+    /// ping-pong stages over each compiled copy.
     #[test]
     fn ping_pong_scratch_refits_and_never_leaks_stale_pixels() {
         let frame = |i: u64| {
-            let (w, h) = [(16, 16), (5, 9)][i as usize % 2];
+            let (w, h) = [(16, 3 * STRIP + 3), (5, STRIP - 3)][i as usize % 2];
             Image::synthetic(w, h, 100 + i)
         };
         let expected = |i| {
