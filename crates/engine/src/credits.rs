@@ -9,18 +9,24 @@
 //! slots are free, not once per finished envelope. Banked credits count
 //! as in flight; the session returns what is left when it closes.
 //!
+//! Slots come back at the sink: the worker that ships a sink batch
+//! releases one per item in it (`item::Outbox::dispatch`), and a
+//! dead-lettered item's slot is released where it is diverted
+//! (`tenant::Shared::divert_dead`). So every releaser is a worker, and
+//! a release that covers a blocked pusher's need wakes it directly.
+//!
 //! The acquire/release methods are `#[inline]`: every envelope crosses
-//! them, and their callers (the session's push, the collector) live in
-//! `exec`.
+//! them, and their callers (the session's push in `exec`, the workers'
+//! dispatch in `item`) live in other modules.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// End-to-end in-flight credit gate: a push spends one slot per item,
-/// the collector releases it at the sink. See the `exec` module docs
-/// for why the bound is end-to-end rather than per-channel blocking
-/// sends.
+/// and the worker that ships the item to the sink releases it. See the
+/// `exec` module docs for why the bound is end-to-end rather than
+/// per-channel blocking sends.
 pub(crate) struct Credits {
     /// Slots in all: `queue_capacity × (stages + 1)`.
     capacity: u64,
@@ -28,7 +34,7 @@ pub(crate) struct Credits {
     freed: Condvar,
     /// Raised at fatal teardown: nothing will ever release a slot
     /// again, so blocked pushers must wake and give up instead of
-    /// waiting on a collector that is gone.
+    /// waiting on workers that have stopped serving the tenant.
     broken: AtomicBool,
 }
 
@@ -37,7 +43,7 @@ struct Gate {
     /// The smallest need of the pushers asleep on `freed`, `u64::MAX`
     /// when none is. A release notifies only once it covers that need:
     /// on a futex condvar `notify_*` is a system call whether or not
-    /// anyone listens, the collector releases once per finished
+    /// anyone listens, the workers release once per finished
     /// envelope, and a waiter woken short of its need only sleeps
     /// again. Reset at each notify; every waiter that goes back to
     /// sleep records its need again.
@@ -125,6 +131,13 @@ impl Credits {
     #[cfg(test)]
     pub(crate) fn available(&self) -> u64 {
         self.gate.lock().expect("credit lock poisoned").available
+    }
+
+    /// True while a pusher is asleep in [`Credits::acquire_n`] (its need
+    /// is recorded under the lock it waits on).
+    #[cfg(test)]
+    pub(crate) fn waiting(&self) -> bool {
+        self.gate.lock().expect("credit lock poisoned").wanted != u64::MAX
     }
 
     /// Wakes every blocked pusher permanently (fatal teardown).

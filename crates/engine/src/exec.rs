@@ -24,10 +24,10 @@
 //! threaded: workers, channels, the stage depot, and the re-mapping
 //! *commit* (telling vacated hosts to relinquish their stage instances).
 //!
-//! This file is the engine's public face — the live [`EngineSession`]
-//! with its collector, and the entry points, which take the run's
-//! validated [`Session`] and its [`RunConfig`] as they are. The
-//! machinery underneath is one module per protocol: `pool` (the
+//! This file is the engine's public face — the live [`EngineSession`],
+//! which reads its own sink and keeps its own report, and the entry
+//! points, which take the run's validated [`Session`] and its
+//! [`RunConfig`] as they are. The machinery underneath is one module per protocol: `pool` (the
 //! threads and their health), `arbiter` (the pool's tenant registry
 //! and a cluster's capacity arbiter), `inbox` (waiting, waking, stealing,
 //! weighted-fair lanes), `worker` (the loop, placement, shipping),
@@ -63,10 +63,16 @@
 //! of the envelope being filled (as far as the iterator's hint) for
 //! [`LiveSession::push_batch`] — and the pushes spend them one per item.
 //! Banked credits count as in flight, so the bound above still covers
-//! everything, and `close` returns what is left. A push that finds the
-//! gate empty blocks until a window's worth is free at once, at most
-//! half the budget (Clark's remedy for silly windows, RFC 813), instead
-//! of waking for every credit a completion returns. A part-filled
+//! everything, and `close` returns what is left. Credits come back at
+//! the sink, from the workers: the worker that ships a sink batch
+//! counts its items completed and releases their credits itself, and a
+//! dead-lettered item's credit is released where it is diverted. So a
+//! blocked pusher is woken by the worker that frees its window, not by
+//! a thread in between, and completions are live whether or not the
+//! caller polls. A push that finds the gate empty blocks until a
+//! window's worth is free at once, at most half the budget (Clark's
+//! remedy for silly windows, RFC 813), instead of waking for every
+//! credit a completion returns. A part-filled
 //! envelope keeps filling through that wait; it is flushed first only
 //! when its own items' credits are needed for the wait to end
 //! (`pending + need > capacity`), so every wait stays live.
@@ -89,16 +95,21 @@
 //! polling timeout and no idle busy-wake, and that holds for the
 //! lifecycle too: a detaching session sleeps until the last worker's
 //! ack wakes it, the adaptation thread until its next tick or fault
-//! (or teardown), the arbiter until its next window (or shutdown).
+//! (or teardown), the arbiter until its next window (or shutdown). A
+//! worker woken from its park yields once before it pops, so on a busy
+//! CPU the pusher that woke it finishes its burst and the worker takes
+//! the burst as one envelope.
 //!
 //! ## Threads
 //!
 //! * per pool: one worker per vnode, plus the arbiter for a cluster's
 //!   pool (one launched with an arbitration window);
-//! * per session: the collector, plus an adaptation thread only when
-//!   the adaptation loop has a schedule — a tick interval or a pending
-//!   fault transition. A `Policy::Static` session on a fault-free pool
-//!   holds its loop without a thread, since the loop never wakes.
+//! * per session: an adaptation thread only when the adaptation loop
+//!   has a schedule — a tick interval or a pending fault transition. A
+//!   `Policy::Static` session on a fault-free pool holds its loop
+//!   without a thread, since the loop never wakes, and so runs on the
+//!   caller's thread and the pool's alone. No thread sits between the
+//!   workers and the session: the session reads the sink itself.
 //!
 //! Each is a job on the engine's thread cache (`threads`), not a thread
 //! of its own: teardown waits for the jobs, their threads go back to
@@ -110,7 +121,7 @@
 //! The worker threads belong to a [`Pool`], not to a session: any
 //! number of concurrent sessions (heterogeneous stage graphs) attach to
 //! one pool with [`attach`], each keeping its own typed push/pull API,
-//! routing table, adaptation loop, collector, credit gate, and
+//! routing table, adaptation loop, sink and report, credit gate, and
 //! exactly-once replay isolation, and each registered with the pool
 //! under its capacity quota. Worker inboxes hold one weighted-fair
 //! *lane* per tenant (start-time fair queueing over item counts), so a
@@ -128,14 +139,17 @@
 //! item index, in a window over the sequence numbers (`exec/reorder.rs`):
 //! an output that finishes early waits in slot `seq − cursor`, an
 //! in-order stream leaves the window empty and untouched, and the
-//! window is never longer than what is pushed and not yet delivered —
-//! the in-flight credit, when `queue_capacity` is set. During a
-//! migration window a *stateful* stage may observe
-//! items slightly out of sequence order (items forwarded from the old
-//! host race items routed directly to the new one) — the same asynchrony
-//! a real grid deployment exhibits; applications needing strict
-//! per-stage sequencing should use stateless stages plus a fold at the
-//! sink.
+//! window is never longer than what is pushed and not yet delivered.
+//! The session resequences what it reads off the sink, on the caller's
+//! thread, as the caller polls. Credits come back at the sink, not at
+//! delivery, so `queue_capacity` bounds what is inside the pipeline;
+//! finished outputs wait in the sink channel and this window until the
+//! caller polls. During a migration window a *stateful* stage may
+//! observe items slightly out of sequence order (items forwarded from
+//! the old host race items routed directly to the new one) — the same
+//! asynchrony a real grid deployment exhibits; applications needing
+//! strict per-stage sequencing should use stateless stages plus a fold
+//! at the sink.
 
 use crate::credits::Credits;
 use crate::fusion::{next_stride, SLOT_BUFS, STRIDE_SHRINK_ABOVE};
@@ -143,7 +157,6 @@ use crate::inbox::Ctrl;
 use crate::item::Outbox;
 pub use crate::pool::Pool;
 use crate::tenant::{Adaptation, RouteCache, Shared, SinkMsg};
-use crate::threads::{self, JoinHandle};
 use crate::vnode::VNodeSpec;
 use crate::worker::ship;
 use adapipe_core::payload::Payload;
@@ -163,7 +176,7 @@ use reorder::Reorder;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -304,9 +317,16 @@ pub struct EngineSession<I, O> {
     /// pool is shut down when the session tears down. Cluster-attached
     /// sessions leave the pool running for their co-tenants.
     owns_pool: bool,
-    collector: Option<JoinHandle<ReportBuilder>>,
+    /// The loop's home until teardown takes it; `None` once the session
+    /// is torn down.
     adaptation: Option<Adaptation>,
-    out_rx: Receiver<Vec<ItemSlot>>,
+    /// What the workers settle at the sink: finished batches, dead
+    /// letters and a fatal teardown's notice, read as the caller polls.
+    sink_rx: Receiver<SinkMsg>,
+    /// The report rows of every sink message read so far.
+    report: ReportBuilder,
+    /// Set by [`SinkMsg::Fatal`]: nothing after it is read.
+    fatal: bool,
     events: adapipe_runtime::session::EventBus,
     /// The pusher's lock-free routing view.
     cache: RouteCache,
@@ -319,9 +339,9 @@ pub struct EngineSession<I, O> {
     /// Credits taken from the gate and not yet spent (bounded sessions
     /// only). They count as in flight; `close` returns what is left.
     held: u64,
-    /// Finished items received from the collector but not yet delivered
-    /// to the caller: the rest of the last sink batch, which is the
-    /// buffer a worker served those items in.
+    /// Finished items read off the sink but not yet delivered to the
+    /// caller: the rest of the last sink batch, which is the buffer a
+    /// worker served those items in.
     inbuf: VecDeque<ItemSlot>,
     pushed: u64,
     closed: bool,
@@ -486,27 +506,75 @@ where
                 }
                 continue;
             }
-            let batch = if wait {
-                self.out_rx.recv().map_err(|_| TryRecvError::Disconnected)
+            // The stream ends once the closed stream's every push is
+            // accounted for (dead letters settle without reaching the
+            // sink), or at a fatal teardown.
+            if self.fatal || (self.closed && self.report.accounted() >= self.pushed) {
+                return match self.reorder.flush() {
+                    Some(o) => TryNext::Item(o),
+                    None => TryNext::Done,
+                };
+            }
+            let msg = if wait {
+                self.sink_rx.recv().map_err(|_| TryRecvError::Disconnected)
             } else {
-                self.out_rx.try_recv()
+                self.sink_rx.try_recv()
             };
-            match batch {
+            match msg {
                 // Delivery runs straight out of the sink batch: a batch is
                 // taken only once `inbuf` is spent, so the batch becomes
                 // `inbuf` (O(1), no item copied) and the spent buffer goes
                 // back to the pool.
-                Ok(batch) => {
-                    let spent = std::mem::replace(&mut self.inbuf, batch.into());
-                    SLOT_BUFS.put(spent.into());
-                }
-                Err(TryRecvError::Empty) => return TryNext::Pending,
-                Err(TryRecvError::Disconnected) => {
-                    return match self.reorder.flush() {
-                        Some(o) => TryNext::Item(o),
-                        None => TryNext::Done,
+                Ok(msg) => {
+                    if let Some(batch) = self.settle(msg) {
+                        let spent = std::mem::replace(&mut self.inbuf, batch.into());
+                        SLOT_BUFS.put(spent.into());
                     }
                 }
+                Err(TryRecvError::Empty) => return TryNext::Pending,
+                // `Shared` holds the sender, so this cannot happen while
+                // the session lives; were it to, the stream would end.
+                Err(TryRecvError::Disconnected) => self.fatal = true,
+            }
+        }
+    }
+
+    /// Records one sink message in the report and hands back a finished
+    /// batch for delivery. The workers count the items and release their
+    /// credits themselves.
+    fn settle(&mut self, msg: SinkMsg) -> Option<Vec<ItemSlot>> {
+        match msg {
+            SinkMsg::Done(batch) => {
+                // Sink-side bookkeeping is per *envelope*, not per item:
+                // done stamps are non-decreasing within a batch, so the
+                // last one is the envelope's completion instant.
+                if let Some(last) = batch.last() {
+                    self.report.record_envelope(
+                        last.done,
+                        batch.iter().map(|fin| fin.done.saturating_since(fin.born)),
+                    );
+                }
+                Some(batch)
+            }
+            SinkMsg::Dead {
+                seq,
+                stage,
+                attempts,
+                reason,
+            } => {
+                self.report.record_dead_letter(DeadLetter {
+                    seq,
+                    stage,
+                    attempts,
+                    reason,
+                });
+                None
+            }
+            // The declared expectation stands: a fatal run reports
+            // honestly as truncated.
+            SinkMsg::Fatal => {
+                self.fatal = true;
+                None
             }
         }
     }
@@ -526,9 +594,6 @@ where
     /// at most the item they are currently processing — the queued
     /// backlog is discarded, not drained.
     pub fn abort(mut self) -> RunReport {
-        let _ = self.shared.sink.send(SinkMsg::Abort {
-            pushed: self.pushed,
-        });
         // Raise the flag *before* the wake-up sentinels: a worker
         // chewing through a deep backlog checks it between items and
         // exits without serving the rest of its inbox.
@@ -537,22 +602,27 @@ where
         self.teardown(Vec::new()).report
     }
 
-    /// Detaches this tenant from the pool and assembles the report. The
-    /// collector must already be on its way out (stream closed and
-    /// delivered, or aborted). Waits for the collector's and the
-    /// adaptation loop's jobs (and the pool's, when this session owns
-    /// it), so their threads are back in the thread cache for the next
-    /// session when this returns.
+    /// Detaches this tenant from the pool and assembles the report: the
+    /// sink messages the workers sent before they acked the detach are
+    /// recorded too (up to a fatal notice), which matters to an abort.
+    /// Waits for the adaptation loop's job (and the pool's, when this
+    /// session owns it), so their threads are back in the thread cache
+    /// for the next session when this returns.
     fn teardown(&mut self, outputs: Vec<O>) -> RunHandle<O> {
-        let mut report = self
-            .collector
-            .take()
-            .expect("collector joined twice")
-            .join()
-            .expect("collector panicked");
+        self.detach();
+        while !self.fatal {
+            let Ok(msg) = self.sink_rx.try_recv() else {
+                break;
+            };
+            self.settle(msg);
+        }
+        let mut report = std::mem::replace(
+            &mut self.report,
+            ReportBuilder::new(DEFAULT_TIMELINE_BUCKET, 0),
+        );
+        report.set_expected(self.pushed);
         report.record_replay(self.shared.replays.load(Ordering::Relaxed));
         report.record_retries(self.shared.retries.load(Ordering::Relaxed));
-        self.detach();
         let np = self.shared.pool.vnodes.len();
         self.adaptation
             .take()
@@ -669,9 +739,6 @@ where
                 self.held = 0;
             }
             self.closed = true;
-            let _ = self.shared.sink.send(SinkMsg::Closed {
-                expected: self.pushed,
-            });
         }
     }
 
@@ -738,22 +805,14 @@ impl<I, O> EngineSession<I, O> {
 /// it), so every thread goes back to the thread cache.
 impl<I, O> Drop for EngineSession<I, O> {
     fn drop(&mut self) {
-        if self.collector.is_none() {
+        let Some(adaptation) = self.adaptation.take() else {
             return; // drain()/abort() already tore the run down
-        }
-        let _ = self.shared.sink.send(SinkMsg::Abort {
-            pushed: self.pushed,
-        });
+        };
         // Raised before anything is joined, so a worker deep in this
         // tenant's backlog stops serving it at once.
         self.shared.done.store(true, Ordering::SeqCst);
-        if let Some(collector) = self.collector.take() {
-            let _ = collector.join();
-        }
         self.detach();
-        if let Some(adaptation) = self.adaptation.take() {
-            let _ = adaptation.stop(&self.shared);
-        }
+        let _ = adaptation.stop(&self.shared);
         if self.owns_pool {
             self.shared.pool.shutdown();
         }
@@ -823,8 +882,8 @@ where
 /// with the pool under `quota`, and returns its live [`EngineSession`].
 /// Any number of sessions (heterogeneous stage graphs) may be attached
 /// concurrently; each keeps its own typed push/pull API, routing table,
-/// adaptation loop, collector, and exactly-once replay isolation, while
-/// sharing the pool's worker threads under weighted-fair envelope
+/// adaptation loop, sink and report, and exactly-once replay isolation,
+/// while sharing the pool's worker threads under weighted-fair envelope
 /// admission. Registration re-divides the pool by the static fair split
 /// of the tenants' quotas; a pool launched with an arbitration window
 /// re-divides it by demand from then on. The session leaves the pool
@@ -875,12 +934,11 @@ where
 
     let (shared, sink_rx) = Shared::new(session_id, pool, pipeline, cfg, initial_mapping);
     pool.register(Arc::clone(&shared), quota);
-    let (out_tx, out_rx) = channel::<Vec<ItemSlot>>();
-    let collector = {
-        let shared = Arc::clone(&shared);
-        let bucket = cfg.timeline_bucket.unwrap_or(DEFAULT_TIMELINE_BUCKET);
-        threads::spawn(move || collect(&shared, sink_rx, out_tx, bucket))
-    };
+    let bucket = cfg.timeline_bucket.unwrap_or(DEFAULT_TIMELINE_BUCKET);
+    let mut report = ReportBuilder::new(bucket, u64::MAX);
+    if !pool.faults.is_empty() {
+        report.set_faults(pool.faults.clone(), pool.vnodes.len());
+    }
     let adaptation = Adaptation::start(&shared, aloop);
 
     let cache = RouteCache::new(&shared);
@@ -889,9 +947,10 @@ where
         credits: shared.credits.clone(),
         shared,
         owns_pool: false,
-        collector: Some(collector),
         adaptation: Some(adaptation),
-        out_rx,
+        sink_rx,
+        report,
+        fatal: false,
         events: cfg.events.clone(),
         cache,
         pending: Vec::with_capacity(batch_size),
@@ -905,82 +964,6 @@ where
         reorder: Reorder::new(),
         _types: PhantomData,
     }
-}
-
-/// The collector thread: settles every item the workers finish or give
-/// up on — report rows, the completion counter, the credit it held —
-/// and forwards finished batches (the buffers the workers served them
-/// in) to the session, until everything the closed stream declared is
-/// accounted for (or an abort / fatal teardown says stop).
-fn collect(
-    shared: &Shared,
-    sink_rx: Receiver<SinkMsg>,
-    out_tx: Sender<Vec<ItemSlot>>,
-    bucket: SimDuration,
-) -> ReportBuilder {
-    let pool = &shared.pool;
-    let mut report = ReportBuilder::new(bucket, u64::MAX);
-    if !pool.faults.is_empty() {
-        report.set_faults(pool.faults.clone(), pool.vnodes.len());
-    }
-    let mut expected: Option<u64> = None;
-    // Dead-lettered items settle without reaching the sink:
-    // termination counts everything *accounted for*.
-    while expected.is_none_or(|e| report.accounted() < e) {
-        let Ok(msg) = sink_rx.recv() else { break };
-        match msg {
-            SinkMsg::Done(batch) => {
-                // Sink-side bookkeeping is per *envelope*, not per
-                // item: done stamps are non-decreasing within a batch,
-                // so the last one is the envelope's completion instant.
-                if let Some(last) = batch.last() {
-                    report.record_envelope(
-                        last.done,
-                        batch.iter().map(|fin| fin.done.saturating_since(fin.born)),
-                    );
-                }
-                shared
-                    .completed
-                    .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                if let Some(c) = &shared.credits {
-                    c.release_n(batch.len() as u64);
-                }
-                // The session may have gone away (abort path):
-                // delivery failures are fine.
-                let _ = out_tx.send(batch);
-            }
-            SinkMsg::Dead {
-                seq,
-                stage,
-                attempts,
-                reason,
-            } => {
-                report.record_dead_letter(DeadLetter {
-                    seq,
-                    stage,
-                    attempts,
-                    reason,
-                });
-                // The diverted item settles: its credit returns so the
-                // in-flight gate cannot wedge on it.
-                if let Some(c) = &shared.credits {
-                    c.release_n(1);
-                }
-            }
-            SinkMsg::Closed { expected: e } => {
-                report.set_expected(e);
-                expected = Some(e);
-            }
-            SinkMsg::Abort { pushed } => {
-                report.set_expected(pushed);
-                break;
-            }
-            // The declared expectation stands: a fatal run reports
-            // honestly as truncated.
-            SinkMsg::Fatal => break,
-        }
-    }
-    report
 }
 
 /// Runs `pipeline` over `cfg.items` inputs, each drawn lazily from

@@ -12,11 +12,13 @@ pub(super) struct Reorder<O> {
     /// The cursor and the front slot advance together. The window
     /// reaches from the cursor to the furthest output that arrived
     /// early, so it never has more slots than there are items pushed
-    /// and not yet delivered: at most the in-flight credit when
-    /// `queue_capacity` is set, and without one, however far the
-    /// caller lets pushes run ahead of the outputs it pulls (the
-    /// session then buffers that many items somewhere in any case). A
-    /// stream that completes in order never touches it.
+    /// and not yet delivered: however far the caller lets pushes run
+    /// ahead of the outputs it pulls (the session then buffers that
+    /// many items somewhere in any case). `queue_capacity` does not cap
+    /// it: the workers return credits at the sink, not at delivery, so
+    /// the gate bounds the items inside the pipeline, and it grows only
+    /// as the caller polls the sink. A stream that completes in order
+    /// never touches it.
     window: VecDeque<Option<O>>,
 }
 
@@ -84,7 +86,7 @@ impl<O> Reorder<O> {
         self.advance()
     }
 
-    /// After the collector is gone: whatever the window still holds,
+    /// Once the stream has ended: whatever the window still holds,
     /// in sequence order (gaps — aborted items — are skipped).
     pub(super) fn flush(&mut self) -> Option<O> {
         while !self.window.is_empty() {
@@ -144,8 +146,8 @@ mod tests {
     /// Seeded streams the way the engine makes them: every sequence number
     /// settles once, at most `spread` numbers ahead of the oldest one
     /// unsettled — as an output, or (one in `1 / dead_share`) as a dead
-    /// letter that never arrives — and some streams lose their collector
-    /// part-way, after which nothing more arrives. The window must hand
+    /// letter that never arrives — and some streams end part-way (a
+    /// fatal teardown), after which nothing more arrives. The window must hand
     /// out what the tree hands out, call for call, and end empty.
     #[test]
     fn resequencer_window_matches_the_tree_model() {
@@ -201,7 +203,7 @@ mod tests {
                 }
                 drain(&mut window, &mut tree, &dead, &mut got);
             }
-            // The collector is gone (stream complete, or cut short).
+            // The stream has ended (complete, or cut short).
             loop {
                 let (w, t) = (window.flush(), tree.flush());
                 assert_eq!(w, t, "seed {seed}: flush");

@@ -213,7 +213,7 @@ fn abort_discards_backlog_instead_of_draining_it() {
 #[test]
 fn dropping_a_session_reclaims_its_threads() {
     // A session abandoned without drain()/abort() (error path) must
-    // shut its workers, collector, and adaptation thread down via
+    // shut its workers and adaptation thread down via
     // Drop — promptly, even with a deep backlog queued.
     let (s0, f0) = spin_stage("slow", 5);
     let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
@@ -794,14 +794,11 @@ fn an_erroring_push_batch_returns_every_unspent_credit() {
 
 // --- delivery out of the sink batches -------------------------------------
 
-/// Waits until every item pushed so far has settled with the collector,
-/// which has then sent each sink batch on to the session.
+/// Waits until every item pushed so far has settled at the sink: each
+/// worker counts its sink batch only once the batch is on its way to
+/// the session.
 fn settle(session: &EngineSession<u64, u64>) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while session.in_flight() > 0 {
-        assert!(Instant::now() < deadline, "pushed items never settled");
-        std::thread::yield_now();
-    }
+    wait_until("pushed items settle", || session.in_flight() == 0);
 }
 
 /// The next output, waiting for one without blocking the session.
@@ -899,6 +896,151 @@ fn outputs_polled_between_pushes_arrive_once_across_sink_batches() {
         assert_eq!(report.completed + report.dead_letters, x);
         assert!(!report.truncated);
     }
+}
+
+// --- settling at the sink, with no thread reading it -----------------------
+
+/// How long a hand-off test waits for what must happen before calling
+/// it a deadlock.
+const PATIENCE: Duration = Duration::from_secs(30);
+
+/// Runs `f` on a thread of its own and returns its result, failing the
+/// test if that takes longer than [`PATIENCE`]: a deadlock fails here
+/// instead of hanging the suite.
+fn within<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, finished) = std::sync::mpsc::channel();
+    let run = std::thread::spawn(move || {
+        let out = f();
+        let _ = done.send(());
+        out
+    });
+    if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = finished.recv_timeout(PATIENCE) {
+        panic!("{what}: not done within {PATIENCE:?}");
+    }
+    run.join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
+/// Spins (yielding) until `done` holds, failing the test if it does not
+/// within [`PATIENCE`].
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + PATIENCE;
+    while !done() {
+        assert!(Instant::now() < deadline, "{what}: not within {PATIENCE:?}");
+        std::thread::yield_now();
+    }
+}
+
+/// A one-stage chain whose stage fails item `x` with `fails(x)`, under
+/// `policy`.
+fn failing(
+    fails: impl Fn(u64) -> bool + Send + Clone + 'static,
+    policy: ResiliencePolicy,
+) -> Pipeline<u64, u64> {
+    let mut dag = DagBuilder::<u64>::default();
+    let stage = StageSpec::balanced("check", 0.001, 8);
+    let check = dag.try_node_with(stage, dag.input(), move |x: u64| {
+        if fails(x) {
+            Err(format!("refused {x}"))
+        } else {
+            Ok(x + 1)
+        }
+    });
+    dag.resilience(policy);
+    dag.finish(check).expect("a chain")
+}
+
+/// Completions and credits settle at the sink, where the workers are:
+/// with the caller neither polling nor pushing, every pushed item
+/// counts as completed, none as in flight, and every credit but the
+/// session's bank is back on the gate. Only then does the caller read.
+#[test]
+fn completions_settle_while_the_caller_neither_polls_nor_pushes() {
+    let (s0, f0) = spin_stage("a", 0);
+    let pipeline = PipelineBuilder::<u64>::new().stage(s0, f0).build();
+    let cfg = RunConfig {
+        queue_capacity: Some(64),
+        batch_size: 8,
+        ..RunConfig::default()
+    };
+    let mut session = spawn_static(pipeline, free_nodes(2), &cfg);
+    let credits = Arc::clone(session.shared.credits.as_ref().expect("bounded session"));
+    assert_eq!(session.push_batch(&mut (0..100)), Ok(100));
+    wait_until("completions and credits", || {
+        session.completed() == 100
+            && session.in_flight() == 0
+            && credits.available() + session.held == credits.capacity()
+    });
+    let outcome = session.drain();
+    assert_eq!(outcome.outputs, (1..=100).collect::<Vec<_>>());
+    assert_eq!(outcome.report.completed, 100);
+    assert!(!outcome.report.truncated);
+}
+
+/// Dead letters return their credits where they are diverted: a
+/// session with a budget of two credits whose every item dead-letters
+/// pushes ten times its budget and drains.
+#[test]
+fn a_session_of_dead_letters_pushes_ten_budgets_and_drains() {
+    let cfg = RunConfig {
+        queue_capacity: Some(1),
+        ..RunConfig::default()
+    };
+    let outcome = within("ten budgets of dead letters", move || {
+        let pipeline = failing(|_| true, ResiliencePolicy::new().dead_letter());
+        let mut session = spawn_static(pipeline, free_nodes(1), &cfg);
+        let budget = session.shared.credits.as_ref().expect("bounded").capacity();
+        assert_eq!(budget, 2, "one slot per boundary, two boundaries");
+        for x in 0..10 * budget {
+            session.push(x).expect("an open session takes the push");
+        }
+        session.drain()
+    });
+    assert!(outcome.outputs.is_empty());
+    assert_eq!(outcome.report.dead_letters, 20);
+    assert_eq!(outcome.report.completed, 0);
+    assert!(!outcome.report.truncated);
+    assert!(outcome.error.is_none());
+}
+
+/// A fatal teardown reaches a pusher asleep on the credit gate: its
+/// stage holds item 0 until the pusher blocks on the session's budget
+/// of two, then fails it with no dead-letter channel. The pusher wakes,
+/// and the drain returns a truncated report and the typed error.
+#[test]
+fn a_fatal_teardown_wakes_a_pusher_blocked_on_credits() {
+    let (open, gate) = std::sync::mpsc::channel::<()>();
+    let gate = Arc::new(std::sync::Mutex::new(gate));
+    let held = move |x: u64| {
+        x == 0 && {
+            let _ = gate.lock().unwrap().recv_timeout(PATIENCE);
+            true
+        }
+    };
+    let cfg = RunConfig {
+        queue_capacity: Some(1),
+        ..RunConfig::default()
+    };
+    let mut session = spawn_static(failing(held, ResiliencePolicy::new()), free_nodes(1), &cfg);
+    let credits = Arc::clone(session.shared.credits.as_ref().expect("bounded session"));
+    let opener = std::thread::spawn(move || {
+        wait_until("the pusher blocks on the gate", || credits.waiting());
+        open.send(()).expect("item 0 waits at the gate");
+    });
+    let outcome = within("a pusher blocked through a fatal teardown", move || {
+        for x in 0..10 {
+            session.push(x).expect("the gate admits a push");
+        }
+        session.drain()
+    });
+    opener.join().expect("the pusher blocked on the gate");
+    assert!(outcome.report.truncated);
+    assert!(outcome.report.completed < 10);
+    assert!(
+        matches!(outcome.error, Some(RunError::PoisonItem { seq: 0, .. })),
+        "{:?}",
+        outcome.error
+    );
 }
 
 // --- the push side's stamp window ----------------------------------------

@@ -570,8 +570,8 @@ impl Batch {
         if self.fused_hops > 0 {
             shared.fused.fetch_add(self.fused_hops, Ordering::Relaxed);
         }
-        // Fatal: nothing ships — the collector already received
-        // `Fatal` and the report shows truncation.
+        // Fatal: nothing ships — the session reads nothing after
+        // `Fatal`, and the report shows truncation.
         if !self.fatal {
             self.outbox.dispatch(shared, snap);
         }

@@ -265,6 +265,8 @@ impl Inbox {
     /// [`Inbox::wake_if_idle`] at any point in between finds it, clears
     /// it, and thereby sends the owner round the loop again — a thief is
     /// never left asleep on a notification that came while it scanned.
+    /// A worker woken from its park drops the lock and yields once before
+    /// it pops, so the waker can finish its burst first.
     #[inline]
     pub(crate) fn recv(&self, mut steal: impl FnMut() -> Option<Msg>) -> Msg {
         loop {
@@ -286,7 +288,13 @@ impl Inbox {
                 if !self.idle.load(Ordering::SeqCst) {
                     break; // a sender cleared the flag: re-scan for steals
                 }
-                q = self.park(q);
+                // Woken: step aside once, without the lock, so a waker
+                // on this CPU finishes its burst and the pop takes what
+                // it queued as one envelope (envelope size follows the
+                // queue, not the scheduler's choice of who runs next).
+                drop(self.park(q));
+                std::thread::yield_now();
+                q = self.queue.lock().expect("inbox lock poisoned");
             }
         }
     }

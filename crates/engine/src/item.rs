@@ -202,13 +202,22 @@ impl Outbox {
     /// Ships what the envelope produced: the join inputs into the map
     /// the workers share (completed sets go onward to the joining
     /// stage), one sink message for the finished items, one onward
-    /// envelope per consuming stage.
+    /// envelope per consuming stage. The finished items settle here:
+    /// once their message is on its way they count as completed and
+    /// release their credits, so completions are live for the
+    /// adaptation loop, the arbiter and a blocked pusher whether or not
+    /// the session is reading.
     pub(crate) fn dispatch(mut self, shared: &Arc<Shared>, snap: &RoutingSnapshot) {
         self.settle_joins(shared);
         if self.sink.is_empty() {
             SLOT_BUFS.put(self.sink);
         } else {
+            let n = self.sink.len() as u64;
             let _ = shared.sink.send(SinkMsg::Done(self.sink));
+            shared.completed.fetch_add(n, Ordering::Relaxed);
+            if let Some(c) = &shared.credits {
+                c.release_n(n);
+            }
         }
         for (stage, items) in self.onward {
             if let Some(buf) = ship(shared, snap, stage, items) {

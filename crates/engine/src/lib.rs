@@ -8,8 +8,8 @@
 //!   background-load schedules (the calibration band's "synthetic
 //!   heterogeneity on one box");
 //! * [`exec`] — the engine's public face: the live
-//!   [`exec::EngineSession`] (push / pull, backpressure, its
-//!   order-preserving collector) and the entry points `spawn` /
+//!   [`exec::EngineSession`] (push / pull, backpressure, reading its
+//!   own sink in push order) and the entry points `spawn` /
 //!   `attach` / `execute` / `execute_fed`, which take the vnodes (or a
 //!   running pool) and then the run's `Session` and `RunConfig` as the
 //!   facade received them. The worker pool ([`exec::Pool`]) serves any
@@ -35,14 +35,15 @@
 //!   of genuine contention.
 //!
 //! Threads: a pool runs one worker per vnode, plus the arbiter for a
-//! cluster; a session runs its collector, plus an adaptation thread
-//! only when its loop has a schedule (a tick interval or a pending
-//! fault transition). None of them polls: each sleeps until a message,
-//! a wake-up or its next deadline. Each runs as a job on the
-//! process-wide thread cache (private module `threads`): a finished job
-//! gives its thread back, the next session's jobs reuse it instead of
-//! creating threads of their own, and a thread left unused for 50 ms
-//! exits.
+//! cluster; a session adds an adaptation thread only when its loop has
+//! a schedule (a tick interval or a pending fault transition), and
+//! otherwise none: workers settle finished items at the sink and the
+//! session reads it on the caller's thread. None of them polls: each
+//! sleeps until a message, a wake-up or its next deadline. Each runs as
+//! a job on the process-wide thread cache (private module `threads`): a
+//! finished job gives its thread back, the next session's jobs reuse it
+//! instead of creating threads of their own, and a thread left unused
+//! for 50 ms exits.
 //!
 //! The engine accepts the same [`adapipe_core::pipeline::Pipeline`] the
 //! simulator plans over, so an application written once runs under both.

@@ -3,6 +3,12 @@
 //! over it, its sink and counters — and the adaptation thread that
 //! re-maps it while it runs, when the loop has a schedule.
 //!
+//! The sink is settled by the workers: the one that ships a finished
+//! batch, or diverts a dead letter, counts it and releases its credits
+//! itself, so the completion counter the adaptation loop and the arbiter
+//! read is live whether or not the session is reading, and the report
+//! is the session's own.
+//!
 //! Stage instances live in the depot: stateless stages are replicated
 //! from a prototype on first use per worker; stateful stages exist
 //! exactly once and physically move between workers on migration (the
@@ -38,15 +44,18 @@ use std::time::{Duration, Instant};
 /// new) owner to collect — `None` while the instance is live on a host.
 pub(crate) type DepotSlot = Mutex<Option<Box<dyn DynStage>>>;
 
-/// Collector-side control plane, multiplexed with finished items.
+/// What the workers settle at the sink, for the session to read as its
+/// caller polls. The worker that sends a message also counts its items
+/// (`Shared::completed`, `Shared::dead_count`) and releases their
+/// credits, so neither waits on the session.
 pub(crate) enum SinkMsg {
     /// A batch of finished items (one message per served message whose
     /// items left the pipeline): the served envelope's own buffer, holding
     /// the items in the slots they were served in.
     Done(Vec<ItemSlot>),
     /// An item exhausted a stage's retry budget and was diverted to the
-    /// dead-letter channel: it settles (releasing its credit and
-    /// counting toward drain termination) without producing an output.
+    /// dead-letter channel: it settles (counting toward drain
+    /// termination) without producing an output.
     Dead {
         /// Sequence number of the diverted item.
         seq: u64,
@@ -57,13 +66,9 @@ pub(crate) enum SinkMsg {
         /// The final attempt's error.
         reason: String,
     },
-    /// The input stream is closed; `expected` items were pushed.
-    Closed { expected: u64 },
-    /// Stop collecting immediately (session abort).
-    Abort { pushed: u64 },
-    /// Stop collecting: the run failed fatally (the typed error is on
-    /// the shared `SessionControl`). Unlike `Abort`, the expected count
-    /// is left as declared, so the report honestly shows truncation.
+    /// The run failed fatally (the typed error is on the shared
+    /// `SessionControl`): the session reads nothing after it, and its
+    /// report honestly shows truncation.
     Fatal,
 }
 
@@ -178,7 +183,7 @@ pub(crate) struct Shared {
 impl Shared {
     /// Builds tenant `id`'s shared state on `pool` from `pipeline`'s
     /// erased parts, routed by `mapping` to start with. Also returns
-    /// the receiving end of its sink, for the collector.
+    /// the receiving end of its sink, for the session.
     pub(crate) fn new<I, O>(
         id: u64,
         pool: &Arc<Pool>,
@@ -320,8 +325,9 @@ impl Shared {
 
     /// Diverts `seq` to the dead-letter channel: marks it dead, cancels
     /// any join deposits its sibling branches already parked, announces
-    /// the diversion on the event bus, and settles the item with the
-    /// collector (which records it and releases its credit).
+    /// the diversion on the event bus, sends the letter on for the
+    /// session's report and releases the item's credit, so the
+    /// in-flight gate cannot wedge on it.
     pub(crate) fn divert_dead(&self, seq: u64, stage: usize, attempts: u32, reason: String) {
         {
             let mut dead = self.dead.lock().expect("dead set poisoned");
@@ -343,6 +349,9 @@ impl Shared {
             attempts,
             reason,
         });
+        if let Some(c) = &self.credits {
+            c.release_n(1);
+        }
     }
 
     /// Records one item rescued off the down vnode `from`.
@@ -387,8 +396,8 @@ impl RouteCache {
 }
 
 /// Irrecoverable failure *of one tenant* (stateful stage lost, every
-/// node down, a poison item, forced eviction): record nothing
-/// further for it, stop its collector, raise its done flag, wake every
+/// node down, a poison item, forced eviction): tell its session to
+/// read nothing further from the sink, raise its done flag, wake every
 /// worker (so tenant-scoped backlog gets discarded), its adaptation
 /// thread and any of its pushers blocked on the credit gate. The typed
 /// error is already on `shared.control`; the session surfaces it via

@@ -1,8 +1,8 @@
 //! The engine's thread cache: every lifecycle thread — a pool's workers
-//! and arbiter, a session's collector and adaptation loop — runs as a
-//! job on a thread this module keeps, so a session that starts after
-//! another has ended reuses the threads the first one gave back instead
-//! of creating and reaping its own.
+//! and arbiter, a session's adaptation loop — runs as a job on a thread
+//! this module keeps, so a session that starts after another has ended
+//! reuses the threads the first one gave back instead of creating and
+//! reaping its own.
 //!
 //! [`spawn`] hands its job to a spare thread if one is waiting and
 //! starts a new thread otherwise: a job never queues behind another.

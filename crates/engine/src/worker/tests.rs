@@ -99,7 +99,7 @@ fn counter() -> Pipeline<u64, (u64, u64, u64)> {
 }
 
 /// A tenant of `pipeline`, all on v0 of a one-vnode pool, registered
-/// with no pool and drained by no collector: its sink is the test's.
+/// with no pool and read by no session: its sink is the test's.
 fn lone_tenant<I, O>(pipeline: Pipeline<I, O>) -> (Arc<Pool>, Arc<Shared>, Receiver<SinkMsg>) {
     let pool = Pool::launch(vec![VNodeSpec::free("v0")], FaultPlan::new(), None);
     let on_v0 = Mapping::all_on(NodeId(0), pipeline.spec().len());

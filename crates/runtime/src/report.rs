@@ -413,7 +413,7 @@ impl ReportBuilder {
 
     /// Records a whole envelope of items reaching the sink together at
     /// `at` — the batched form of [`ReportBuilder::record_completion`]
-    /// for sink collectors that receive one message per envelope.
+    /// for a session that reads one sink message per envelope.
     ///
     /// The timeline bucket and the makespan watermark are updated once
     /// per envelope instead of once per item (envelopes span

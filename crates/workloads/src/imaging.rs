@@ -100,7 +100,9 @@
 //! `wide(|| kernel(..))`, does not work: the closure is compiled as a
 //! function of its own, without the feature. A prototype built that way
 //! had no `vsqrtps` in its binary and gained only what the narrower
-//! lanes gave.
+//! lanes gave. The baseline copy is `#[inline(never)]`, so a dispatcher
+//! stays a feature check and a call (under 40 instructions) and never
+//! holds a third copy of the loops.
 //!
 //! # Who owns the frames
 //!
@@ -210,7 +212,10 @@ macro_rules! two_copies {
             #[inline(always)]
             fn body($($arg: $ty),*) $(-> $ret)? $body
 
-            /// The body compiled for the build's target.
+            /// The body compiled for the build's target. Never inlined:
+            /// inlined into the dispatcher, it would be a third copy of
+            /// the loops, run only where AVX2 is missing.
+            #[inline(never)]
             pub(super) fn baseline($($arg: $ty),*) $(-> $ret)? {
                 body($($arg),*)
             }

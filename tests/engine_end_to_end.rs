@@ -200,6 +200,62 @@ fn synthetic_twin_matches_sim_shape() {
     }
 }
 
+/// Simulated twin of `synthetic_twin_matches_sim_shape`'s threaded leg,
+/// whose "replication must win" bound holds only on a host with five
+/// cores: the same middle-heavy spec in 2-ms units (1, 4 and 1 ms), 120
+/// items at `t = 0`, four free nodes on the engine's own local links,
+/// and the `narrow` and `wide` mappings. Both makespans are exact on
+/// any host.
+#[test]
+fn synthetic_twin_replication_wins_simulated() {
+    let spec = synthetic_spec(3, CostShape::MiddleHeavy, 0.002, 0, 0.0, 5);
+    let grid = {
+        let nodes = (0..4)
+            .map(|i| Node::new(NodeSpec::new(format!("v{i}"), 1.0, 1), LoadModel::free()))
+            .collect();
+        GridSpec::new(nodes, Topology::uniform(4, LinkSpec::local()))
+    };
+    let items = 120u64;
+    let makespan = |mapping: Mapping| {
+        let report = PipelineBuilder::from_spec(spec.clone())
+            .build()
+            .expect("sim twin builds")
+            .run(
+                Backend::Sim(&grid),
+                RunConfig {
+                    items,
+                    initial_mapping: Some(mapping),
+                    ..RunConfig::default()
+                },
+            )
+            .expect("sim run")
+            .report;
+        assert_eq!(report.completed, items);
+        report.makespan
+    };
+    let narrow = makespan(Mapping::from_assignment(&[NodeId(0), NodeId(1), NodeId(2)]));
+    let wide = makespan(Mapping::new(vec![
+        Placement::single(NodeId(0)),
+        Placement::replicated(vec![NodeId(1), NodeId(3)]),
+        Placement::single(NodeId(2)),
+    ]));
+    let ms = |n: u64| SimDuration::from_millis(n);
+    let hop = SimDuration::from_micros(1);
+    // Narrow: the 4-ms stage serves all 120 items back to back, between
+    // the first item's 1-ms head and the last one's 1-ms tail.
+    assert_eq!(
+        narrow,
+        SimTime::ZERO + ms(1) + hop + ms(4 * 120) + hop + ms(1)
+    );
+    // Wide: each replica serves 60 of them, alternately; the second one
+    // starts a millisecond later, behind the head's second item.
+    assert_eq!(wide, SimTime::ZERO + ms(2) + hop + ms(4 * 60) + hop + ms(1));
+    assert!(
+        wide.as_secs_f64() < narrow.as_secs_f64() * 0.9,
+        "replication must win ({wide} vs {narrow})"
+    );
+}
+
 /// A running sum that counts its clones: the state of a plain closure,
 /// which the runtime can neither snapshot nor merge, only copy.
 struct Tally {
